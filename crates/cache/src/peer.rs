@@ -298,10 +298,9 @@ impl FlightSlot {
         }
     }
 
-    /// Wait for the leader's outcome, bounded by `timeout`. `None` on
-    /// failure or expiry (the caller falls back to its inner source).
-    fn wait(&self, timeout: Duration) -> Option<Bytes> {
-        let deadline = Instant::now() + timeout;
+    /// Wait for the leader's outcome until `deadline`. `None` on failure
+    /// or expiry (the caller falls back to its inner source).
+    fn wait(&self, deadline: Instant) -> Option<Bytes> {
         let mut state = self.state.lock();
         loop {
             match &*state {
@@ -517,18 +516,86 @@ pub struct PeerStatsSnapshot {
     pub bytes_from_peers: u64,
 }
 
+/// A fleet flight this daemon leads. Dropping it unpublished fails the
+/// flight — on every error path, and if the inner read panics — so no
+/// `Pending` slot outlives its leader: followers wake empty-handed and the
+/// next miss leads a fresh flight.
+struct LedFlight<'a> {
+    registry: &'a FleetRegistry,
+    key: BlockKey,
+    slot: Arc<FlightSlot>,
+    /// The block's home tier when another daemon owns it: gets the bytes
+    /// offered. `None` for our own keys — the cache layer above this very
+    /// daemon admits them.
+    owner: Option<Arc<dyn PeerTransport>>,
+    published: bool,
+}
+
+impl LedFlight<'_> {
+    /// Leader success: offer the bytes to the owner and hand them to every
+    /// follower, present and (while the flight is retained) late.
+    fn publish(mut self, data: &Bytes) {
+        if let Some(owner) = &self.owner {
+            owner.offer(&self.key, data);
+        }
+        self.registry
+            .publish_flight(&self.key, &self.slot, data.clone());
+        self.published = true;
+    }
+}
+
+impl Drop for LedFlight<'_> {
+    fn drop(&mut self) {
+        if !self.published {
+            self.registry.fail_flight(&self.key, &self.slot);
+        }
+    }
+}
+
+/// How one key will be served — decided for every key of a run before any
+/// of them reads storage.
+enum Resolved<'a> {
+    /// The owner's tier had it.
+    Hit(BlockRead),
+    /// Straight to the inner source: no fleet (empty ring), or the owner
+    /// is down or detached (already counted as a fallback).
+    Inner,
+    /// Nobody in the fleet is reading it yet: we read the inner source and
+    /// publish.
+    Lead(LedFlight<'a>),
+    /// Another reader leads (or led, and the flight is retained): take its
+    /// bytes. `since` is when this read began, for the fetch latency.
+    Follow {
+        slot: Arc<FlightSlot>,
+        since: Instant,
+    },
+}
+
 /// The cooperative-fleet layer of the read stack.
 ///
-/// `read_block` resolves the key's owner on the ring:
+/// Every key resolves against the ring first:
 ///
-/// 1. **Self-owned** (or empty ring): read the inner source, joining the
-///    fleet flight so concurrent non-owner misses coalesce onto this read.
+/// 1. **Self-owned**: join the fleet flight — lead it (read the inner
+///    source, publish) or follow a read already under way, so concurrent
+///    non-owner misses coalesce onto one storage read.
 /// 2. **Peer-owned**: fetch from the owner's tiers. A hit returns with
 ///    [`ReadOrigin::Peer`] (not a storage read). A miss joins the fleet
-///    flight: one daemon reads storage, offers the bytes to the owner,
-///    and hands them to every waiter. Unavailable/slow owners and expired
-///    flight waits fall back to the inner source directly — the fleet
-///    degrades to N independent daemons, never to a stall.
+///    flight as above, the leader also offering the bytes to the owner.
+///    Unavailable/slow owners and expired flight waits fall back to the
+///    inner source directly — the fleet degrades to N independent
+///    daemons, never to a stall.
+/// 3. **Empty ring**: transparent pass-through.
+///
+/// `read_blocks` resolves its **whole run** before reading: everything the
+/// run leads or falls back on goes down as one `inner.read_blocks` (which
+/// an `NfsSource` overlaps), every led flight is published, and only then
+/// does the call wait on the flights it follows. *Lead before follow*: a
+/// daemon never blocks on a peer while it holds an unpublished flight, so
+/// two daemons whose windows cross (each leading what the other follows)
+/// cannot deadlock, and daemons walking the same plan split a window
+/// between them instead of convoying block by block. A run's keys are
+/// expected to be distinct (the cache layer claims each at most once); a
+/// repeated key is served correctly, as a follower of its first occurrence.
 pub struct PeerSource {
     registry: Arc<FleetRegistry>,
     self_id: String,
@@ -574,8 +641,8 @@ impl PeerSource {
     }
 
     /// Account and wrap a peer-served block.
-    fn peer_read(&self, data: Bytes, t0: Instant) -> BlockRead {
-        let read_nanos = t0.elapsed().as_nanos() as u64;
+    fn peer_read(&self, data: Bytes, since: Instant) -> BlockRead {
+        let read_nanos = since.elapsed().as_nanos() as u64;
         self.stats.hits.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_from_peers
@@ -590,57 +657,63 @@ impl PeerSource {
         }
     }
 
-    /// Degrade to the inner source (owner down, timeout, failed flight).
-    fn fall_back(&self, key: &BlockKey) -> Result<BlockRead, RecordError> {
-        self.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
-        self.inner.read_block(key)
-    }
-
-    /// Lead or follow the fleet flight for `key`, reading the inner source
-    /// as leader and offering the bytes to `owner_transport` (the block's
-    /// home tier) when one is given.
-    fn read_via_flight(
-        &self,
-        key: &BlockKey,
-        owner_transport: Option<&Arc<dyn PeerTransport>>,
-    ) -> Result<BlockRead, RecordError> {
-        let t0 = Instant::now();
+    /// Decide how `key` will be served: ask its owner's tier, else join
+    /// its fleet flight. Reads no storage and never waits on a flight.
+    fn resolve(&self, key: &BlockKey) -> Resolved<'_> {
+        let Some(owner) = self.registry.owner_of(key) else {
+            return Resolved::Inner;
+        };
+        let since = Instant::now();
+        let owner = if owner == self.self_id {
+            None
+        } else {
+            let fetched = self
+                .registry
+                .transport_of(&owner)
+                .map(|t| (t.fetch(key, self.config.timeout), t));
+            match fetched {
+                Some((PeerFetch::Hit(data), _)) => {
+                    return Resolved::Hit(self.peer_read(data, since))
+                }
+                Some((PeerFetch::Miss, transport)) => {
+                    self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                    Some(transport)
+                }
+                // Down, slow, or on the ring but never attached.
+                Some((PeerFetch::Unavailable, _)) | None => {
+                    self.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
+                    return Resolved::Inner;
+                }
+            }
+        };
         let (slot, leader) = self.registry.join_flight(key);
         if leader {
-            match self.inner.read_block(key) {
-                Ok(read) => {
-                    if let Some(transport) = owner_transport {
-                        transport.offer(key, &read.data);
-                    }
-                    self.registry.publish_flight(key, &slot, read.data.clone());
-                    Ok(read)
-                }
-                Err(e) => {
-                    self.registry.fail_flight(key, &slot);
-                    Err(e)
-                }
-            }
+            Resolved::Lead(LedFlight {
+                registry: &self.registry,
+                key: *key,
+                slot,
+                owner,
+                published: false,
+            })
         } else {
-            match slot.wait(self.config.timeout) {
-                Some(data) => Ok(self.peer_read(data, t0)),
-                None => self.fall_back(key),
-            }
+            Resolved::Follow { slot, since }
         }
     }
 
-    /// A peer-owned read: fetch from the owner, then flight, then storage.
-    fn read_remote(&self, key: &BlockKey, owner: &str) -> Result<BlockRead, RecordError> {
-        let Some(transport) = self.registry.transport_of(owner) else {
-            // Owner on the ring but never attached (or already gone).
-            return self.fall_back(key);
-        };
-        let t0 = Instant::now();
-        match transport.fetch(key, self.config.timeout) {
-            PeerFetch::Hit(data) => Ok(self.peer_read(data, t0)),
-            PeerFetch::Unavailable => self.fall_back(key),
-            PeerFetch::Miss => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                self.read_via_flight(key, Some(&transport))
+    /// Take a followed flight's bytes, or degrade to the inner source when
+    /// it failed or is not done by `deadline`.
+    fn follow(
+        &self,
+        key: &BlockKey,
+        slot: &FlightSlot,
+        since: Instant,
+        deadline: Instant,
+    ) -> Result<BlockRead, RecordError> {
+        match slot.wait(deadline) {
+            Some(data) => Ok(self.peer_read(data, since)),
+            None => {
+                self.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
+                self.inner.read_block(key)
             }
         }
     }
@@ -648,15 +721,62 @@ impl PeerSource {
 
 impl RangeSource for PeerSource {
     fn read_block(&self, key: &BlockKey) -> Result<BlockRead, RecordError> {
-        match self.registry.owner_of(key) {
-            // No fleet (empty ring): transparent pass-through.
-            None => self.inner.read_block(key),
-            // Our own keys: read storage, coalescing with any non-owner
-            // leaders already in flight (no offer — the cache layer above
-            // this very daemon admits the bytes).
-            Some(owner) if owner == self.self_id => self.read_via_flight(key, None),
-            Some(owner) => self.read_remote(key, &owner),
+        match self.resolve(key) {
+            Resolved::Hit(read) => Ok(read),
+            Resolved::Inner => self.inner.read_block(key),
+            Resolved::Lead(flight) => {
+                let read = self.inner.read_block(key)?;
+                flight.publish(&read.data);
+                Ok(read)
+            }
+            Resolved::Follow { slot, since } => {
+                self.follow(key, &slot, since, Instant::now() + self.config.timeout)
+            }
         }
+    }
+
+    fn read_blocks(&self, keys: &[BlockKey]) -> Result<Vec<BlockRead>, RecordError> {
+        let resolved: Vec<Resolved> = keys.iter().map(|k| self.resolve(k)).collect();
+        let batch: Vec<BlockKey> = keys
+            .iter()
+            .zip(&resolved)
+            .filter(|(_, r)| matches!(r, Resolved::Inner | Resolved::Lead(_)))
+            .map(|(k, _)| *k)
+            .collect();
+        // An error here drops `resolved`, failing every flight we lead.
+        let fetched = if batch.is_empty() {
+            Vec::new()
+        } else {
+            self.inner.read_blocks(&batch)?
+        };
+        // Publish everything we lead before waiting on anything we follow.
+        let mut fetched = fetched.into_iter();
+        let mut reads: Vec<Option<BlockRead>> = Vec::with_capacity(keys.len());
+        let mut followed = Vec::new();
+        for (i, r) in resolved.into_iter().enumerate() {
+            reads.push(match r {
+                Resolved::Hit(read) => Some(read),
+                Resolved::Inner => fetched.next(),
+                Resolved::Lead(flight) => {
+                    let read = fetched.next();
+                    flight.publish(&read.as_ref().expect("one block per batch key").data);
+                    read
+                }
+                Resolved::Follow { slot, since } => {
+                    followed.push((i, slot, since));
+                    None
+                }
+            });
+        }
+        // One timeout bounds the whole run's waiting, not each flight's.
+        let deadline = Instant::now() + self.config.timeout;
+        for (i, slot, since) in followed {
+            reads[i] = Some(self.follow(&keys[i], &slot, since, deadline)?);
+        }
+        Ok(reads
+            .into_iter()
+            .map(|r| r.expect("every key resolved to a read"))
+            .collect())
     }
 
     fn describe(&self) -> String {
@@ -689,6 +809,16 @@ mod tests {
             reads.fetch_add(1, Ordering::Relaxed);
             Ok(vec![k.start as u8; 64])
         }))
+    }
+
+    /// An owner whose tier never has the block resident — the shape of
+    /// the insert-while-Busy race, where the owner's own demand fetch
+    /// holds the slot and a peer's offer no-ops.
+    struct ColdPeer;
+    impl PeerTransport for ColdPeer {
+        fn fetch(&self, _key: &BlockKey, _timeout: Duration) -> PeerFetch {
+            PeerFetch::Miss
+        }
     }
 
     #[test]
@@ -785,16 +915,6 @@ mod tests {
 
     #[test]
     fn retained_flight_hands_bytes_to_late_arrivals() {
-        // An owner whose tier never has the block resident — the shape of
-        // the insert-while-Busy race, where the owner's own demand fetch
-        // holds the slot and a peer's offer no-ops.
-        struct ColdPeer;
-        impl PeerTransport for ColdPeer {
-            fn fetch(&self, _key: &BlockKey, _timeout: Duration) -> PeerFetch {
-                PeerFetch::Miss
-            }
-        }
-
         let registry = FleetRegistry::new();
         registry.join("a");
         registry.join("b");
@@ -975,5 +1095,41 @@ mod tests {
             }
         });
         assert_eq!(reads.load(Ordering::Relaxed), 1, "single-flight");
+    }
+
+    #[test]
+    fn failed_batch_fails_every_led_flight_and_leaves_none_pending() {
+        let registry = FleetRegistry::new();
+        registry.join("a");
+        registry.join("b");
+        registry.attach("a", Arc::new(ColdPeer));
+        registry.attach("b", Arc::new(ColdPeer));
+        let keys: Vec<BlockKey> = (0..6).map(key).collect();
+        // "a"'s storage is down; the whole run fails like one read would.
+        let broken: Arc<dyn RangeSource> = Arc::new(FnSource::new(|_k: &BlockKey| {
+            Err(std::io::Error::other("mount went away"))
+        }));
+        let a = PeerSource::new(registry.clone(), "a", broken, PeerConfig::default());
+        let err = a.read_blocks(&keys).unwrap_err();
+        assert!(err.is_transient(), "the inner error surfaces as it was");
+
+        // No flight was left `Pending`: "b" leads fresh flights at once
+        // instead of waiting out the timeout on a's abandoned ones.
+        let reads = Arc::new(AtomicU64::new(0));
+        let b = PeerSource::new(
+            registry.clone(),
+            "b",
+            counted_source(&reads),
+            PeerConfig::default().with_timeout(Duration::from_secs(30)),
+        );
+        let t0 = Instant::now();
+        let got = b.read_blocks(&keys).unwrap();
+        assert!(
+            t0.elapsed() < Duration::from_secs(10),
+            "nothing to wait for"
+        );
+        assert!(got.iter().all(|r| r.origin == ReadOrigin::Direct));
+        assert_eq!(reads.load(Ordering::Relaxed), keys.len() as u64);
+        assert_eq!(b.stats().snapshot().fallbacks, 0);
     }
 }

@@ -42,6 +42,12 @@ fn hammer(policy: EvictPolicy, lock_shards: usize) {
                 .with_disk_bytes(disk)
                 .with_policy(policy)
                 .with_lock_shards(lock_shards)
+                // Random accesses leap the plan cursor past the end of the
+                // plan within a few dozen ops; from there on the Belady
+                // bypass would decline every admission, and whether the
+                // clairvoyant run evicted at all came down to how the
+                // first accesses raced.
+                .with_belady_bypass(false)
                 .with_prefetch_depth(0),
         )
         .unwrap(),
@@ -149,11 +155,12 @@ fn stress_single_lock_shard() {
 #[test]
 fn stress_peer_fleet_coalesces_storage_reads() {
     // A 4-peer fleet hammered from 8 threads: every key is read through
-    // many peers at once, racing owner fetches, flight handoffs, and
-    // offers into the owners' caches. Liveness = completion; correctness =
-    // every read returns the backing pattern; economy = the shared backing
-    // store is read exactly once per unique key (fleet-wide single-flight
-    // plus retained flights make the count exact, not approximate).
+    // many peers at once, singly and in runs, racing owner fetches, flight
+    // handoffs, and offers into the owners' caches. Liveness = completion;
+    // correctness = every read returns the backing pattern; economy = the
+    // shared backing store is read exactly once per unique key (fleet-wide
+    // single-flight plus retained flights make the count exact, not
+    // approximate).
     use emlio_cache::peer::{FleetRegistry, LocalPeer, PeerConfig, PeerSource};
     use emlio_cache::RangeSource;
     use emlio_tfrecord::FnSource;
@@ -202,10 +209,27 @@ fn stress_peer_fleet_coalesces_storage_reads() {
         handles.push(std::thread::spawn(move || {
             let mut rng = 0xD1B54A32u64.wrapping_mul(t as u64 + 1) | 1;
             for _ in 0..OPS_PER_THREAD {
-                let k = key(next_rand(&mut rng) as usize % KEYSPACE);
-                let read = source.read_block(&k).unwrap();
-                assert_eq!(read.data.len(), BLOCK_BYTES);
-                assert!(read.data.iter().all(|&b| b == k.shard_id as u8));
+                // Half the ops are single reads, half prefetch-window-like
+                // runs of 1-8 distinct keys through the batched path, so
+                // leads and follows of whole runs race each other too.
+                let r = next_rand(&mut rng);
+                let mut run = vec![key(r as usize % KEYSPACE)];
+                let reads = if r & (1 << 40) == 0 {
+                    vec![source.read_block(&run[0]).unwrap()]
+                } else {
+                    for _ in 0..(r >> 41) % 8 {
+                        let k = key(next_rand(&mut rng) as usize % KEYSPACE);
+                        if !run.contains(&k) {
+                            run.push(k);
+                        }
+                    }
+                    source.read_blocks(&run).unwrap()
+                };
+                assert_eq!(reads.len(), run.len());
+                for (k, read) in run.iter().zip(&reads) {
+                    assert_eq!(read.data.len(), BLOCK_BYTES);
+                    assert!(read.data.iter().all(|&b| b == k.shard_id as u8));
+                }
             }
         }));
     }
@@ -221,4 +245,111 @@ fn stress_peer_fleet_coalesces_storage_reads() {
     );
     let fallbacks: u64 = sources.iter().map(|s| s.stats().snapshot().fallbacks).sum();
     assert_eq!(fallbacks, 0, "all owners stayed reachable");
+}
+
+#[test]
+fn crossed_windows_lead_before_they_follow() {
+    // Daemon A's run is daemon B's run reversed, and the interleaving is
+    // forced: each daemon joins the flights of its *own* keys, and only
+    // then lets the other past its first owner fetch. So A leads exactly
+    // what B follows and B leads exactly what A follows — the shape in
+    // which a layer that waited on a followed flight while still holding
+    // an unpublished one would deadlock (or, with the peer timeout, limp
+    // home through fallbacks).
+    use emlio_cache::peer::{FleetRegistry, PeerConfig, PeerFetch, PeerSource, PeerTransport};
+    use emlio_cache::{RangeSource, ReadOrigin};
+    use emlio_tfrecord::FnSource;
+    use emlio_util::testutil::{poll_until, Latch};
+    use std::time::Duration;
+
+    const WAIT: Duration = Duration::from_secs(20);
+
+    /// The tier of daemon `owner`, always cold. Its first fetch — made by
+    /// the *other* daemon, which by then has joined its own keys' flights —
+    /// says so, then waits for the owner to have done the same.
+    struct Gate {
+        caller_joined_own: Arc<Latch>,
+        owner_joined_own: Arc<Latch>,
+    }
+    impl PeerTransport for Gate {
+        fn fetch(&self, _key: &BlockKey, _timeout: Duration) -> PeerFetch {
+            self.caller_joined_own.open();
+            assert!(self.owner_joined_own.wait(WAIT), "owner never got going");
+            PeerFetch::Miss
+        }
+    }
+
+    for peers in 2..=4usize {
+        let registry = FleetRegistry::new();
+        for p in 0..peers {
+            registry.join(&format!("p{p}"));
+        }
+        let (a_joined, b_joined) = (Arc::new(Latch::new()), Arc::new(Latch::new()));
+        registry.attach(
+            "p0",
+            Arc::new(Gate {
+                caller_joined_own: b_joined.clone(),
+                owner_joined_own: a_joined.clone(),
+            }),
+        );
+        registry.attach(
+            "p1",
+            Arc::new(Gate {
+                caller_joined_own: a_joined.clone(),
+                owner_joined_own: b_joined.clone(),
+            }),
+        );
+        let owned_by = |id: &str| -> Vec<BlockKey> {
+            (0..KEYSPACE * 8)
+                .map(key)
+                .filter(|k| registry.owner_of(k).as_deref() == Some(id))
+                .take(4)
+                .collect()
+        };
+        // A's window: its own keys, then B's. B's: the same, reversed.
+        let window: Vec<BlockKey> = [owned_by("p0"), owned_by("p1")].concat();
+        assert_eq!(window.len(), 8);
+        let reversed: Vec<BlockKey> = window.iter().rev().copied().collect();
+
+        let storage_reads = Arc::new(AtomicU64::new(0));
+        let source = |id: &str| {
+            let reads = storage_reads.clone();
+            let inner: Arc<dyn RangeSource> = Arc::new(FnSource::new(move |k: &BlockKey| {
+                reads.fetch_add(1, Ordering::SeqCst);
+                Ok(vec![k.shard_id as u8; BLOCK_BYTES])
+            }));
+            // Generous: a deadlock must show as a hang, not a fallback.
+            PeerSource::new(
+                registry.clone(),
+                id,
+                inner,
+                PeerConfig::default().with_timeout(WAIT),
+            )
+        };
+        let (a, b) = (source("p0"), source("p1"));
+        let daemons = [(a.clone(), window.clone()), (b.clone(), reversed)].map(|(src, run)| {
+            std::thread::spawn(move || {
+                let reads = src.read_blocks(&run).unwrap();
+                for (k, read) in run.iter().zip(&reads) {
+                    assert!(read.data.iter().all(|&x| x == k.shard_id as u8));
+                }
+                reads
+                    .iter()
+                    .filter(|r| r.origin == ReadOrigin::Direct)
+                    .count()
+            })
+        });
+        assert!(
+            poll_until(WAIT, || daemons.iter().all(|d| d.is_finished())),
+            "crossed windows deadlocked ({peers} peers)"
+        );
+        for d in daemons {
+            assert_eq!(d.join().unwrap(), 4, "each daemon led its own four keys");
+        }
+        assert_eq!(storage_reads.load(Ordering::SeqCst), 8, "one read per key");
+        for src in [&a, &b] {
+            let s = src.stats().snapshot();
+            assert_eq!((s.hits, s.misses, s.fallbacks), (4, 4, 0));
+        }
+    }
 }

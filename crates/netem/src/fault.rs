@@ -73,25 +73,37 @@ impl FaultSource {
             rec.record(emlio_obs::Stage::FaultInject, d.as_nanos() as u64);
         }
     }
+
+    /// Draw the next decision for one block read: an injected error fails
+    /// it, a latency spike is slept out right here, and `Ok(true)` asks
+    /// for the block to be cut short once it has been read.
+    fn draw(&self) -> Result<bool> {
+        match self.injector.decide(&self.site) {
+            FaultDecision::None => Ok(false),
+            FaultDecision::Error => Err(self.injected_error()),
+            FaultDecision::Latency(d) => {
+                self.inject_latency(d);
+                Ok(false)
+            }
+            FaultDecision::ShortRead => Ok(true),
+        }
+    }
+}
+
+/// Serve only the front half of the block: record framing is cut
+/// mid-stream, so decode must report truncation.
+fn cut_short(read: &mut BlockRead) {
+    read.data = read.data.slice(0..read.data.len() / 2);
 }
 
 impl RangeSource for FaultSource {
     fn read_block(&self, key: &BlockKey) -> Result<BlockRead> {
-        match self.injector.decide(&self.site) {
-            FaultDecision::None => self.inner.read_block(key),
-            FaultDecision::Error => Err(self.injected_error()),
-            FaultDecision::Latency(d) => {
-                self.inject_latency(d);
-                self.inner.read_block(key)
-            }
-            FaultDecision::ShortRead => {
-                // Serve only the front half of the block: record framing
-                // is cut mid-stream, so decode must report truncation.
-                let mut read = self.inner.read_block(key)?;
-                read.data = read.data.slice(0..read.data.len() / 2);
-                Ok(read)
-            }
+        if !self.draw()? {
+            return self.inner.read_block(key);
         }
+        let mut read = self.inner.read_block(key)?;
+        cut_short(&mut read);
+        Ok(read)
     }
 
     /// Prefetch passes through un-faulted: warming is advisory (errors are
@@ -101,10 +113,24 @@ impl RangeSource for FaultSource {
         self.inner.prefetch_block(key)
     }
 
-    // read_blocks / prefetch_blocks use the trait defaults, which loop the
-    // per-block calls above — every block of a batched read gets its own
-    // deterministic decision, at the cost of the root's span coalescing
-    // (irrelevant under chaos).
+    /// One decision per key, drawn in key order and stopping at the first
+    /// injected error — the `(seed, site, invocation)` sequence of reading
+    /// the keys one by one — then the run goes down as **one** batch, so
+    /// the layers below keep their batched behaviour (overlap, coalescing)
+    /// under chaos. Latency spikes are slept before the batch is issued.
+    fn read_blocks(&self, keys: &[BlockKey]) -> Result<Vec<BlockRead>> {
+        let short = keys
+            .iter()
+            .map(|_| self.draw())
+            .collect::<Result<Vec<bool>>>()?;
+        let mut reads = self.inner.read_blocks(keys)?;
+        for (read, short) in reads.iter_mut().zip(short) {
+            if short {
+                cut_short(read);
+            }
+        }
+        Ok(reads)
+    }
 
     fn describe(&self) -> String {
         format!(

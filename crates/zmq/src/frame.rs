@@ -106,48 +106,84 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Read one frame. Returns `Ok(None)` on clean EOF *before* the length
-/// prefix (peer closed between messages); mid-frame EOF is an error.
-pub fn read_frame<R: Read>(r: &mut R, max_frame: usize) -> Result<Option<Bytes>> {
-    let mut len_buf = [0u8; 4];
-    match read_exact_or_eof(r, &mut len_buf)? {
-        0 => return Ok(None),
-        4 => {}
-        _ => {
-            return Err(ZmqError::Io(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "EOF inside frame header",
-            )))
-        }
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > max_frame {
-        return Err(ZmqError::FrameTooLarge {
-            size: len,
-            limit: max_frame,
-        });
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(ZmqError::Io)?;
-    Ok(Some(Bytes::from(payload)))
+/// A resumable frame reader: one per stream.
+///
+/// The partially read header or payload lives in the reader, not on the
+/// stack of one call, so an I/O error that leaves the stream intact — the
+/// `WouldBlock`/`TimedOut` of a read timeout used to poll a shutdown flag —
+/// loses nothing: the next [`FrameReader::read_frame`] resumes the same
+/// frame where the last call stopped. (Dropping those bytes put the stream
+/// out of frame for good.)
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    header: [u8; 4],
+    /// The frame's payload buffer once the header is complete.
+    payload: Option<Vec<u8>>,
+    /// Bytes read so far of the part in progress (header, then payload).
+    filled: usize,
 }
 
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => return Ok(filled),
-            Ok(n) => filled += n,
+impl FrameReader {
+    /// Read one frame. Returns `Ok(None)` on clean EOF *before* the length
+    /// prefix (peer closed between messages); mid-frame EOF is an error.
+    /// After a timeout error, call again to continue the same frame.
+    pub fn read_frame<R: Read>(&mut self, r: &mut R, max_frame: usize) -> Result<Option<Bytes>> {
+        if self.payload.is_none() {
+            if !fill(r, &mut self.header, &mut self.filled)? {
+                return match self.filled {
+                    0 => Ok(None),
+                    _ => Err(eof_inside("header")),
+                };
+            }
+            let len = u32::from_be_bytes(self.header) as usize;
+            if len > max_frame {
+                return Err(ZmqError::FrameTooLarge {
+                    size: len,
+                    limit: max_frame,
+                });
+            }
+            self.payload = Some(vec![0u8; len]);
+            self.filled = 0;
+        }
+        let payload = self.payload.as_mut().expect("payload allocated above");
+        if !fill(r, payload, &mut self.filled)? {
+            return Err(eof_inside("payload"));
+        }
+        self.filled = 0;
+        Ok(self.payload.take().map(Bytes::from))
+    }
+}
+
+fn eof_inside(part: &str) -> ZmqError {
+    ZmqError::Io(std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        format!("EOF inside frame {part}"),
+    ))
+}
+
+/// Read into `buf[*filled..]` until it is full (`true`) or the stream ends
+/// (`false`). `filled` is advanced as bytes arrive, so it is still right
+/// when an error returns early.
+fn fill<R: Read>(r: &mut R, buf: &mut [u8], filled: &mut usize) -> Result<bool> {
+    while *filled < buf.len() {
+        match r.read(&mut buf[*filled..]) {
+            Ok(0) => return Ok(false),
+            Ok(n) => *filled += n,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(ZmqError::Io(e)),
         }
     }
-    Ok(filled)
+    Ok(true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One frame off a stream that never times out.
+    fn read_frame<R: Read>(r: &mut R, max_frame: usize) -> Result<Option<Bytes>> {
+        FrameReader::default().read_frame(r, max_frame)
+    }
 
     #[test]
     fn roundtrip_frames() {
@@ -223,5 +259,57 @@ mod tests {
         let cut = buf.len() - 2;
         let mut cursor = &buf[..cut];
         assert!(read_frame(&mut cursor, 1024).is_err());
+    }
+
+    /// A stream that hands out its bytes a few at a time with a read
+    /// timeout between every two reads.
+    struct Stalling<'a> {
+        data: &'a [u8],
+        chunk: usize,
+        stall_next: bool,
+    }
+
+    impl Read for Stalling<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.stall_next = !self.stall_next;
+            if !self.stall_next && !self.data.is_empty() {
+                return Err(std::io::ErrorKind::WouldBlock.into());
+            }
+            let n = self.chunk.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn timeouts_mid_frame_resume_without_losing_bytes() {
+        let mut wire = Vec::new();
+        let frames: [&[u8]; 3] = [b"first frame", b"", &[9u8; 300]];
+        for f in frames {
+            write_frame(&mut wire, f).unwrap();
+        }
+        // 3-byte reads: every header and every payload is cut by a timeout.
+        let mut stream = Stalling {
+            data: &wire,
+            chunk: 3,
+            stall_next: false,
+        };
+        let mut reader = FrameReader::default();
+        let mut got = Vec::new();
+        let mut timeouts = 0;
+        loop {
+            match reader.read_frame(&mut stream, 1 << 20) {
+                Ok(Some(frame)) => got.push(frame),
+                Ok(None) => break,
+                Err(ZmqError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => timeouts += 1,
+                Err(e) => panic!("unexpected error: {e}"),
+            }
+        }
+        assert!(timeouts > frames.len(), "timeouts fired inside frames");
+        assert_eq!(got.len(), frames.len());
+        for (g, f) in got.iter().zip(frames) {
+            assert_eq!(g.as_ref(), f);
+        }
     }
 }

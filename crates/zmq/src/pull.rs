@@ -7,7 +7,7 @@
 //! to every connected daemon.
 
 use crate::endpoint::Endpoint;
-use crate::frame::read_frame;
+use crate::frame::FrameReader;
 use crate::{Result, SocketOptions, ZmqError};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
@@ -199,16 +199,19 @@ fn accept_loop(listener: TcpListener, tx: Sender<Bytes>, shared: Arc<Shared>, ma
 }
 
 fn reader_loop(stream: TcpStream, tx: Sender<Bytes>, shared: &Shared, max_frame: usize) {
-    // Reads block; a read timeout lets us observe shutdown.
+    // Reads block; a read timeout lets us observe shutdown. The timeout can
+    // fire mid-frame, so the frame in progress lives in `frames` across
+    // ticks.
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .ok();
     let mut r = BufReader::with_capacity(256 << 10, stream);
+    let mut frames = FrameReader::default();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match read_frame(&mut r, max_frame) {
+        match frames.read_frame(&mut r, max_frame) {
             Ok(Some(msg)) => {
                 if tx.send(msg).is_err() {
                     return; // socket dropped
@@ -367,5 +370,48 @@ mod tests {
         push.send(Bytes::from_static(b"via-inproc")).unwrap();
         assert_eq!(pull.recv().unwrap().as_ref(), b"via-inproc");
         push.close().unwrap();
+    }
+
+    #[test]
+    fn writer_stalling_mid_frame_keeps_the_stream_in_frame() {
+        use emlio_util::testutil::poll_until;
+        use std::io::Write;
+
+        let pull =
+            PullSocket::bind(&Endpoint::tcp("127.0.0.1", 0), SocketOptions::default()).unwrap();
+        let mut raw = TcpStream::connect(pull.local_addr.unwrap()).unwrap();
+        raw.set_nodelay(true).unwrap();
+        // Longer than the reader's 100 ms shutdown-poll timeout, so the
+        // timeout fires with part of the frame already consumed.
+        let stall = Duration::from_millis(250);
+
+        let first = vec![0x5A; 40_000];
+        let second = b"the frame after the stalls";
+        let mut wire = Vec::new();
+        crate::frame::write_frame(&mut wire, &first).unwrap();
+        crate::frame::write_frame(&mut wire, second).unwrap();
+        // Cut inside the first header, then inside the first payload.
+        for part in [&wire[..2], &wire[2..10_000], &wire[10_000..]] {
+            raw.write_all(part).unwrap();
+            std::thread::sleep(stall);
+        }
+        let got = pull.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(got.as_deref(), Some(&first[..]), "stalled frame intact");
+        let got = pull.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(got.as_deref(), Some(&second[..]), "stream still in frame");
+
+        // Shutdown is still prompt with a frame half-delivered and the
+        // writer gone quiet (connection open, no EOF to wake the reader).
+        raw.write_all(&[0, 0]).unwrap();
+        std::thread::sleep(stall);
+        let shared = pull.shared.clone();
+        assert_eq!(shared.active_readers.load(Ordering::SeqCst), 1);
+        drop(pull);
+        assert!(
+            poll_until(Duration::from_secs(5), || {
+                shared.active_readers.load(Ordering::SeqCst) == 0
+            }),
+            "reader thread exits on shutdown mid-frame"
+        );
     }
 }
