@@ -7,17 +7,28 @@ use emlio_datagen::image::synth_image;
 use emlio_datagen::{sif, DatasetSpec};
 use emlio_msgpack::{from_slice, to_vec, Value};
 use emlio_sim::{PipelineSim, StageSpec, Token};
-use emlio_tfrecord::crc32c::crc32c;
+use emlio_tfrecord::crc32c::{crc32c, crc32c_table};
 use emlio_tfrecord::record::{decode_all, encode_into};
 use emlio_tfrecord::{RangeReader, ShardSpec, ShardWriter};
 use emlio_util::testutil::TempDir;
 
 fn bench_crc32c(c: &mut Criterion) {
-    let data = vec![0xA5u8; 1 << 20];
-    let mut g = c.benchmark_group("crc32c");
-    g.throughput(Throughput::Bytes(data.len() as u64));
-    g.bench_function("1MiB", |b| b.iter(|| crc32c(black_box(&data))));
-    g.finish();
+    // 1 MiB for continuity with earlier records; 3 MiB is one cache block
+    // of the ledger's imagenet-like dataset, the unit every spill-file
+    // read-back checks. `dispatch` is whatever `crc32c` picked on this
+    // CPU, `table` the portable slicing-by-4 path beside it.
+    for (label, len) in [("1MiB", 1usize << 20), ("3MiB", 3 << 20)] {
+        let data = vec![0xA5u8; len];
+        let mut g = c.benchmark_group("crc32c");
+        g.throughput(Throughput::Bytes(len as u64));
+        g.bench_function(&format!("dispatch/{label}"), |b| {
+            b.iter(|| crc32c(black_box(&data)))
+        });
+        g.bench_function(&format!("table/{label}"), |b| {
+            b.iter(|| crc32c_table(black_box(&data)))
+        });
+        g.finish();
+    }
 }
 
 fn bench_msgpack(c: &mut Criterion) {

@@ -17,28 +17,56 @@
 //!   [`crate::order`]). Every critical section under it is O(1)/O(log n);
 //!   the old O(residents) victim scan is gone.
 //!
-//! Lock discipline: a thread holds **at most one** of these locks at a
-//! time, so the hierarchy is trivially deadlock-free (the one exception,
-//! construction-time persistence loading, runs before the cache can be
-//! shared). The cost is that the
-//! residency maps and the ordering structures can diverge for the duration
-//! of one in-flight transition; every path re-validates against the
-//! authoritative side (ordering lock for accounting, slot for bytes).
+//! Lock discipline: a thread never takes a shard lock while it holds the
+//! ordering lock, and never two shard locks, so the hierarchy is
+//! trivially deadlock-free. The other nesting — a glance at the ordering
+//! lock from under one shard lock — happens in exactly two places, the
+//! two that finish an eviction someone else's pop began
+//! (`CacheCore::spill_or_drop`, `CacheCore::drop_untracked_file`): they
+//! must see "the order no longer tracks this key" and act on the slot in
+//! one step, or a late finisher could end a newer residency of the same
+//! key. Everywhere else the residency maps and the ordering structures
+//! can diverge for the duration of one in-flight transition; every path
+//! re-validates against the authoritative side (ordering lock for
+//! accounting, slot for bytes).
 //!
 //! # The slot state machine
 //!
-//! Each resident key's `Slot` moves through four states:
+//! Each resident key's `Slot` is in one of four states — `Busy`, `Ram`,
+//! `Spilling`, `Disk` — and `Ram` may carry a *backing*: the spill file
+//! the block was promoted from (`Ram+file` below).
 //!
 //! ```text
-//!              get_or_fetch (miss)            admit
-//!   (absent) ──────────────────────▶ Busy ──────────▶ Ram
-//!                                     │ ▲               │ evict
-//!                      fetch error /  │ │ promote       ▼
-//!                      failed promote │ │            Spilling
-//!                                     ▼ │  spill OK     │
-//!                                 (absent)◀─────────────┤ spill error
-//!                                         Disk ◀────────┘
+//!   from       event                                      to
+//!   ─────────  ─────────────────────────────────────────  ─────────
+//!   (absent)   demand miss / prefetch or insert claim     Busy
+//!   Busy       fetched, RAM admits                        Ram
+//!   Busy       fetch error, or RAM declines (bypass)      (absent)
+//!   Ram        evicted, disk tier can take it             Spilling
+//!   Ram        evicted, no disk tier / block too large    (absent)
+//!   Spilling   spill write landed                         Disk
+//!   Spilling   write failed, or order dropped (full queue)(absent)
+//!   Disk       demand or warm-start promote               Busy
+//!   Busy       file read back valid, RAM admits           Ram+file
+//!   Busy       file read back valid, RAM declines         Disk
+//!   Busy       file missing or corrupt                    (absent)
+//!   Ram+file   evicted: slot flip, nothing written        Disk
+//!   Ram+file   disk tier reclaims the file                Ram
+//!   Disk       disk tier evicts the block                 (absent)
 //! ```
+//!
+//! The disk tier is **inclusive** and spill files are **write-once**. A
+//! block's bytes never change, so once its file exists there is nothing a
+//! rewrite could add: a promote that RAM admits keeps the file and its
+//! place in the disk tier's accounting (`Ram` with a backing), and
+//! evicting that resident flips the slot back to `Disk` under the shard
+//! lock — no `Spilling`, no queue order, no CRC, no write. Only a block
+//! that has no file (fetched from storage, or its file was reclaimed)
+//! takes the `Spilling` route. When the disk tier runs out of room it
+//! reclaims files that duplicate a RAM resident before it evicts any
+//! disk-only block — the resident stays in RAM and merely loses its
+//! backing — so under pressure the tier holds as many distinct blocks as
+//! an exclusive tier would.
 //!
 //! Invariants every transition preserves:
 //!
@@ -61,11 +89,30 @@
 //!   state is also the asynchronous hand-off — the evicting send worker
 //!   never touches disk, and shutdown drains the queue before the final
 //!   index write (see [`crate::spill`]).
+//! * **Spill-file bytes are checked before they are served.** Every read
+//!   of a spill file — demand promote, warm-start promote, peer `peek`,
+//!   restart re-admission — goes through [`persist::read_validated`]
+//!   (length and CRC32C). A file that fails is retired and the access
+//!   degrades to a miss; this is the only way a promote takes a key out
+//!   of the disk order.
+//! * **The disk order tracks files, not slots.** A key is in the disk
+//!   order, and its size in `disk_used`, exactly while its spill file
+//!   counts against the tier: slot `Disk`, slot `Ram` with a backing, or
+//!   a transition in flight that owns the file (`Busy` mid-promote,
+//!   `Spilling` once the writer has reserved room). So
+//!   [`ShardCache::disk_bytes_used`] is the bytes of spill files held,
+//!   including those that back RAM residents, while
+//!   [`ShardCache::disk_keys`] lists the blocks that are disk-*only* —
+//!   the ones a demand access would have to promote.
 //! * **Accounting follows ownership.** `ram_used`/`disk_used` and the
 //!   eviction orders live under the `Global` lock and may briefly disagree
-//!   with the slot maps mid-transition; whichever thread owns the
-//!   transitional state re-validates on landing (see
-//!   `ShardCache::admit_full` and `validate_disk_residency`).
+//!   with the slot maps mid-transition. Whoever takes a key out of an
+//!   order finishes the eviction at the slot; a `Busy`/`Spilling` slot is
+//!   skipped by that finisher, so whoever lands such a slot looks at the
+//!   order again afterwards (see `CacheCore::admit_full` and
+//!   `CacheCore::drop_untracked_file`). At quiescence `ram_used` is the
+//!   sum over `Ram` slots and `disk_used` the sum over `Disk` slots and
+//!   backings.
 
 use crate::order::TierOrder;
 use crate::persist::{self, SpillEntry};
@@ -76,7 +123,7 @@ use bytes::Bytes;
 use emlio_obs::{obs_warn, Stage, StageRecorder};
 use emlio_tfrecord::BlockKey;
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::PathBuf;
@@ -254,6 +301,17 @@ struct DiskMeta {
     crc: u32,
 }
 
+impl DiskMeta {
+    /// The spill-index entry describing this file as `key`'s.
+    fn entry(&self, key: BlockKey) -> SpillEntry {
+        SpillEntry {
+            key,
+            len: self.len,
+            crc: self.crc,
+        }
+    }
+}
+
 /// Outcome of one residency-map resolution.
 enum Lookup {
     /// Served from a resident tier.
@@ -269,10 +327,13 @@ enum Lookup {
 /// docs for the transition diagram and its invariants).
 enum Slot {
     /// Resident in RAM; hits clone the `Bytes` handle without copying.
-    Ram(Bytes),
+    /// The backing, when there is one, is the spill file the block was
+    /// promoted from — still on disk and still in the disk tier's
+    /// accounting, so evicting this resident writes nothing.
+    Ram(Bytes, Option<DiskMeta>),
     /// Being spilled to disk by an evictor; bytes still readable.
     Spilling(Bytes),
-    /// Resident in the disk spill tier.
+    /// Resident in the disk spill tier only.
     Disk(DiskMeta),
     /// A storage fetch or disk promote is in flight (single-flight
     /// owner); waiters sleep on the shard condvar.
@@ -294,7 +355,13 @@ struct Global {
     /// Monotonic access clock for recency ordering.
     tick: u64,
     ram_order: TierOrder,
+    /// Every spill file the tier holds, whether its block is disk-only
+    /// or also RAM-resident; `disk_used` is the sum of their sizes.
     disk_order: TierOrder,
+    /// Keys tracked by both orders: RAM residents whose spill file is
+    /// still on disk. The disk tier reclaims these files before it
+    /// evicts any disk-only block.
+    backed: BTreeSet<BlockKey>,
     /// Planned access sequence (all epochs, in consumption order).
     seq: Arc<Vec<BlockKey>>,
     /// Remaining plan positions per key (ascending).
@@ -316,6 +383,42 @@ impl Global {
                 q.front().copied().unwrap_or(u64::MAX)
             }
         }
+    }
+
+    /// `key`'s eviction rank input under the configured policy: its next
+    /// planned use for clairvoyant orders, 0 for the reactive ones (which
+    /// ignore it — computing it is per-access work on the hot path).
+    fn next_use_rank(&mut self, key: &BlockKey) -> u64 {
+        if self.ram_order.needs_next_use() {
+            Global::next_use(&mut self.future, self.cursor, key)
+        } else {
+            0
+        }
+    }
+
+    /// Stop tracking `key`'s spill file: out of the disk order, its bytes
+    /// off `disk_used`. Returns whether it was tracked — whoever gets
+    /// `true` must follow up with `CacheCore::drop_untracked_file`.
+    fn untrack_file(&mut self, key: &BlockKey) -> bool {
+        self.backed.remove(key);
+        let Some(size) = self.disk_order.remove(key) else {
+            return false;
+        };
+        self.disk_used -= size;
+        true
+    }
+
+    /// Rank `key`'s spill file as the tier's newest arrival, which is
+    /// what a rewrite would have made it: a block going back to disk-only
+    /// keeps its write-once file but takes the place in the disk order
+    /// that a fresh spill would get.
+    fn rerank_file(&mut self, key: &BlockKey) {
+        let Some(size) = self.disk_order.remove(key) else {
+            return;
+        };
+        self.tick += 1;
+        let (next, tick) = (self.next_use_rank(key), self.tick);
+        self.disk_order.insert(*key, size, next, tick);
     }
 
     /// Account one demand access against the plan: consume `key`'s
@@ -428,6 +531,7 @@ impl CacheCore {
                 tick: 0,
                 ram_order: TierOrder::for_policy(config.policy),
                 disk_order: TierOrder::for_policy(config.policy),
+                backed: BTreeSet::new(),
                 seq: Arc::new(Vec::new()),
                 future: HashMap::new(),
                 cursor: 0,
@@ -497,7 +601,7 @@ impl CacheCore {
     pub fn contains(&self, key: &BlockKey) -> bool {
         matches!(
             self.shard_for(key).map.lock().get(key),
-            Some(Slot::Ram(_) | Slot::Spilling(_) | Slot::Disk(_))
+            Some(Slot::Ram(..) | Slot::Spilling(_) | Slot::Disk(_))
         )
     }
 
@@ -506,7 +610,7 @@ impl CacheCore {
         self.global.lock().ram_used
     }
 
-    /// Bytes resident in the disk tier.
+    /// Bytes of spill files the disk tier holds.
     pub fn disk_bytes_used(&self) -> u64 {
         self.global.lock().disk_used
     }
@@ -517,7 +621,7 @@ impl CacheCore {
         for shard in self.shards.iter() {
             let map = shard.map.lock();
             keys.extend(map.iter().filter_map(|(k, s)| match s {
-                Slot::Ram(_) | Slot::Spilling(_) => Some(*k),
+                Slot::Ram(..) | Slot::Spilling(_) => Some(*k),
                 _ => None,
             }));
         }
@@ -525,7 +629,7 @@ impl CacheCore {
         keys
     }
 
-    /// Sorted keys resident in the disk tier (test/inspection hook).
+    /// Sorted keys resident in the disk tier only (test/inspection hook).
     pub fn disk_keys(&self) -> Vec<BlockKey> {
         let mut keys = Vec::new();
         for shard in self.shards.iter() {
@@ -539,6 +643,27 @@ impl CacheCore {
         keys
     }
 
+    /// Bytes held by the slots themselves, `(RAM, spill files)`: `Ram`
+    /// payloads, and the files of `Disk` slots and of backed residents.
+    /// With nothing in flight these equal `ram_bytes_used()` and
+    /// `disk_bytes_used()` (test/inspection hook).
+    pub fn slot_bytes(&self) -> (u64, u64) {
+        let (mut ram, mut disk) = (0, 0);
+        for shard in self.shards.iter() {
+            for slot in shard.map.lock().values() {
+                match slot {
+                    Slot::Ram(data, backing) => {
+                        ram += data.len() as u64;
+                        disk += backing.as_ref().map_or(0, |meta| meta.len);
+                    }
+                    Slot::Disk(meta) => disk += meta.len,
+                    Slot::Spilling(_) | Slot::Busy => {}
+                }
+            }
+        }
+        (ram, disk)
+    }
+
     /// Account one demand access: plan cursor, access clock, and the
     /// resident's recency / next-use rank. One short `global` critical
     /// section per access.
@@ -546,19 +671,8 @@ impl CacheCore {
         let mut g = self.global.lock();
         g.advance_cursor(key);
         g.tick += 1;
-        let tick = g.tick;
-        let Global {
-            ram_order,
-            future,
-            cursor,
-            ..
-        } = &mut *g;
-        let next = if ram_order.needs_next_use() {
-            Global::next_use(future, *cursor, key)
-        } else {
-            0
-        };
-        ram_order.touch(key, next, tick);
+        let (next, tick) = (g.next_use_rank(key), g.tick);
+        g.ram_order.touch(key, next, tick);
         drop(g);
         self.access_cv.notify_all();
     }
@@ -593,29 +707,25 @@ impl CacheCore {
         let meta = {
             let map = self.shard_for(key).map.lock();
             match map.get(key) {
-                Some(Slot::Ram(data)) | Some(Slot::Spilling(data)) => return Some(data.clone()),
+                Some(Slot::Ram(data, _)) | Some(Slot::Spilling(data)) => return Some(data.clone()),
                 Some(Slot::Disk(meta)) => meta.clone(),
                 _ => return None,
             }
         };
         // Spill-file read outside every lock. A concurrent evictor may
         // delete the file under us; validation degrades that to a miss.
-        match std::fs::read(&meta.path) {
-            Ok(d) if d.len() as u64 == meta.len && persist::block_crc(&d) == meta.crc => {
-                Some(Bytes::from(d))
-            }
-            _ => None,
-        }
+        persist::read_validated(&meta.path, meta.len, meta.crc).map(Bytes::from)
     }
 
     /// Insert a block without demand-access accounting. A no-op when the
-    /// key is already resident (either tier) or in flight — an unowned
-    /// insert must never clobber another thread's single-flight slot.
+    /// key is already resident (either tier) or in flight: like every
+    /// other admission it first claims the empty slot as `Busy`, so it can
+    /// neither clobber another thread's single-flight slot nor reserve
+    /// room for a key that someone else is about to land.
     pub fn insert(&self, key: BlockKey, data: impl Into<Bytes>) {
-        if self.shard_for(&key).map.lock().get(&key).is_some() {
-            return;
+        if self.try_claim(&key) {
+            self.admit(key, data.into());
         }
-        self.admit_full(key, data.into(), None, /* owns_slot = */ false);
     }
 
     /// Demand lookup with single-flight fetch: on a miss, run `fetch` (at
@@ -703,7 +813,7 @@ impl CacheCore {
         let mut map = shard.map.lock();
         loop {
             let action = match map.get(key) {
-                Some(Slot::Ram(data)) | Some(Slot::Spilling(data)) => Action::Hit(data.clone()),
+                Some(Slot::Ram(data, _)) | Some(Slot::Spilling(data)) => Action::Hit(data.clone()),
                 Some(Slot::Disk(meta)) => Action::Promote(meta.clone()),
                 Some(Slot::Busy) => Action::Wait,
                 None => Action::Empty,
@@ -745,95 +855,85 @@ impl CacheCore {
     /// block's `Busy` slot; the spill-file read happens with no lock held.
     /// A vanished or corrupt spill file degrades to a miss.
     fn promote(&self, key: &BlockKey, meta: DiskMeta) -> Option<(Bytes, Fetched)> {
-        // Leave the disk tier first: whoever removes the key from the disk
-        // order owns its accounting (a racing disk evictor that already
-        // popped it will have deducted instead — and may delete the file
-        // under us, which the validation below degrades to a miss).
-        {
-            let mut g = self.global.lock();
-            if g.disk_order.remove(key).is_some() {
-                g.disk_used -= meta.len;
-            }
-        }
-        let data = match std::fs::read(&meta.path) {
-            Ok(d) if d.len() as u64 == meta.len && persist::block_crc(&d) == meta.crc => d,
-            _ => {
-                let _ = std::fs::remove_file(&meta.path);
-                self.release_busy(key);
-                return None;
-            }
-        };
+        let data = Bytes::from(self.read_spill_file(key, &meta)?);
         self.stats.hits.fetch_add(1, Ordering::Relaxed);
         self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_saved
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        let data = Bytes::from(data);
-        // Admission may decline (Belady bypass): the block then *stays on
-        // disk* — only a successful RAM admission retires the spill file.
-        if self.admit_full(*key, data.clone(), Some(&meta), /* owns_slot = */ true) {
-            let _ = std::fs::remove_file(&meta.path);
-        }
+        // The file stays where it is whatever RAM decides: admitted, it
+        // backs the resident; declined (Belady bypass), the slot goes
+        // straight back to `Disk`.
+        self.admit_full(*key, data.clone(), Some(meta));
         Some((data, Fetched::Disk))
     }
 
-    /// Admit `data` into the RAM tier from a path that owns the key's
-    /// `Busy` slot (see [`ShardCache::admit_full`]).
+    /// Read `key`'s spill file back for the owner of its `Busy` slot,
+    /// validated by [`persist::read_validated`]. On failure the file is
+    /// retired — out of the disk order (the one way a promote leaves it),
+    /// deleted — and the slot released to absent: a miss.
+    fn read_spill_file(&self, key: &BlockKey, meta: &DiskMeta) -> Option<Vec<u8>> {
+        let data = persist::read_validated(&meta.path, meta.len, meta.crc);
+        if data.is_none() {
+            self.global.lock().untrack_file(key);
+            let _ = std::fs::remove_file(&meta.path);
+            self.release_busy(key);
+        }
+        data
+    }
+
+    /// Admit bytes that came from storage (no spill file behind them);
+    /// see [`CacheCore::admit_full`].
     fn admit(&self, key: BlockKey, data: Bytes) {
-        self.admit_full(key, data, None, /* owns_slot = */ true);
+        self.admit_full(key, data, None);
     }
 
     /// Admit `data` into the RAM tier: reserve space under the ordering
-    /// lock (popping victims, applying the Belady bypass), spill/drop the
-    /// victims with no lock held, then publish the slot. With `owns_slot`
-    /// the caller holds the key's `Busy` placeholder and this call always
-    /// moves the slot out of that transitional state; without it (a raw
-    /// insert) the slot is filled only if still empty. A declined
-    /// admission with a `disk_fallback` (the promote path) re-instates
-    /// the block in the disk tier instead of dropping it. Returns whether
-    /// RAM admitted.
-    fn admit_full(
-        &self,
-        key: BlockKey,
-        data: Bytes,
-        disk_fallback: Option<&DiskMeta>,
-        owns_slot: bool,
-    ) -> bool {
+    /// lock (popping victims, applying the Belady bypass), publish the
+    /// slot, then evict the victims with no lock held. The caller holds
+    /// the key's `Busy` placeholder and this call always moves the slot
+    /// out of that transitional state — which is also why a key's RAM
+    /// reservation can only ever be made while its slot is `Busy`, never
+    /// beside a resident. `backing` is the spill file `data` was just
+    /// read from (the promote paths): admitted, the resident keeps it;
+    /// declined, the block stays disk-resident instead of being dropped.
+    /// Returns whether RAM admitted.
+    fn admit_full(&self, key: BlockKey, data: Bytes, backing: Option<DiskMeta>) -> bool {
         let size = data.len() as u64;
+        let has_file = backing.is_some();
         let mut admitted = false;
         let mut victims: Vec<(BlockKey, u64)> = Vec::new();
         if size <= self.config.ram_bytes {
             let mut g = self.global.lock();
             if !g.ram_order.contains(&key) {
                 g.tick += 1;
-                let tick = g.tick;
-                let Global {
-                    ram_used,
-                    ram_order,
-                    future,
-                    cursor,
-                    ..
-                } = &mut *g;
-                let next = if ram_order.needs_next_use() {
-                    Global::next_use(future, *cursor, &key)
-                } else {
-                    0
-                };
+                let (next, tick) = (g.next_use_rank(&key), g.tick);
                 // Belady admission bypass: if this block would be the
                 // eviction victim the moment it lands, don't admit it.
                 let bypass = self.config.belady_bypass
-                    && *ram_used + size > self.config.ram_bytes
-                    && matches!(ram_order.victim_next_use(), Some(v) if next >= v);
-                if !bypass {
-                    while *ram_used + size > self.config.ram_bytes {
-                        let Some((vk, vs)) = ram_order.pop_victim() else {
+                    && g.ram_used + size > self.config.ram_bytes
+                    && matches!(g.ram_order.victim_next_use(), Some(v) if next >= v);
+                if bypass {
+                    // A declined promote goes back to disk-only (no-op
+                    // for a block that has no file).
+                    g.rerank_file(&key);
+                } else {
+                    while g.ram_used + size > self.config.ram_bytes {
+                        let Some((vk, vs)) = g.ram_order.pop_victim() else {
                             break;
                         };
-                        *ram_used -= vs;
+                        g.ram_used -= vs;
+                        // A backed victim is about to flip to disk-only.
+                        if g.backed.remove(&vk) {
+                            g.rerank_file(&vk);
+                        }
                         victims.push((vk, vs));
                     }
-                    *ram_used += size;
-                    ram_order.insert(key, size, next, tick);
+                    g.ram_used += size;
+                    g.ram_order.insert(key, size, next, tick);
+                    if has_file && g.disk_order.contains(&key) {
+                        g.backed.insert(key);
+                    }
                     admitted = true;
                 }
             }
@@ -842,73 +942,41 @@ impl CacheCore {
             .evictions
             .fetch_add(victims.len() as u64, Ordering::Relaxed);
 
-        // Publish before spilling victims: readers of `key` proceed while
-        // the evicted blocks' file I/O runs.
-        let mut undo_reservation = false;
-        let mut restore_to_disk = false;
+        // Publish before evicting victims: readers of `key` proceed while
+        // the evicted blocks' spill hand-off runs.
         {
             let shard = self.shard_for(&key);
             let mut map = shard.map.lock();
-            // Collision: another path's bytes won the race (Ram/Spilling),
-            // or — for an unowned raw insert — ANY slot that appeared
-            // since its empty-check, including someone else's Busy
-            // placeholder, which must never be clobbered.
-            let collided = if owns_slot {
-                matches!(map.get(&key), Some(Slot::Ram(_)) | Some(Slot::Spilling(_)))
-            } else {
-                map.get(&key).is_some()
+            debug_assert!(
+                matches!(map.get(&key), Some(Slot::Busy)),
+                "admission owns the Busy slot"
+            );
+            match (admitted, backing) {
+                (true, backing) => map.insert(key, Slot::Ram(data, backing)),
+                // A declined promote: the block is where it was.
+                (false, Some(meta)) => map.insert(key, Slot::Disk(meta)),
+                // Pass-through uncached.
+                (false, None) => map.remove(&key),
             };
-            if admitted {
-                if collided {
-                    // Void our reservation rather than double-track.
-                    undo_reservation = true;
-                } else {
-                    map.insert(key, Slot::Ram(data));
-                }
-            } else if owns_slot && matches!(map.get(&key), Some(Slot::Busy)) {
-                if disk_fallback.is_some() {
-                    // Keep holding the Busy slot; the block goes back to
-                    // the disk tier below.
-                    restore_to_disk = true;
-                } else {
-                    // Pass-through uncached.
-                    map.remove(&key);
-                }
-            }
-            // A live Disk slot stays resident on the not-admitted path
-            // (its accounting is untouched here); collided/empty slots
-            // are left alone.
-            if !restore_to_disk {
-                shard.cv.notify_all();
-            }
+            shard.cv.notify_all();
         }
-        if undo_reservation {
-            let mut g = self.global.lock();
-            if g.ram_order.remove(&key).is_some() {
-                g.ram_used -= size;
-            }
-            admitted = false;
-        } else if admitted && !self.global.lock().ram_order.contains(&key) {
+        // What the orders say now that the slot has landed.
+        let (ram_tracked, file_tracked) = {
+            let g = self.global.lock();
+            (g.ram_order.contains(&key), g.disk_order.contains(&key))
+        };
+        if admitted && !ram_tracked {
             // A concurrent admit popped our reservation as a victim while
-            // the slot was still Busy (nothing to spill at that point).
+            // the slot was still Busy (nothing to evict at that point).
             // The just-published bytes would be RAM-resident but
             // untracked; complete the eviction on the evictor's behalf.
             self.spill_or_drop(&key, size);
             admitted = false;
         }
-        if restore_to_disk {
-            let meta = disk_fallback.expect("restore implies fallback");
-            let disk_victims = self.reserve_disk(&key, meta.len);
-            self.evict_disk_victims(&disk_victims);
-            {
-                let shard = self.shard_for(&key);
-                let mut map = shard.map.lock();
-                if matches!(map.get(&key), Some(Slot::Busy)) {
-                    map.insert(key, Slot::Disk(meta.clone()));
-                }
-                shard.cv.notify_all();
-            }
-            self.validate_disk_residency(&key);
+        if has_file && !file_tracked {
+            // Likewise for the disk tier: it reclaimed the file while the
+            // promote held the slot `Busy`.
+            self.drop_untracked_file(&key);
         }
         for (vk, vs) in victims {
             self.spill_or_drop(&vk, vs);
@@ -917,93 +985,96 @@ impl CacheCore {
     }
 
     /// Reserve `size` bytes of disk-tier capacity for `key` under the
-    /// ordering lock, returning the disk victims popped to make room.
+    /// ordering lock, returning the keys whose files were untracked to
+    /// make room. Files that duplicate a RAM resident go first — giving
+    /// one up loses no block, only the write its resident's eviction
+    /// would have skipped — so under pressure the tier holds as many
+    /// distinct disk-only blocks as it would without the duplicates.
     fn reserve_disk(&self, key: &BlockKey, size: u64) -> Vec<BlockKey> {
         let mut g = self.global.lock();
-        g.tick += 1;
-        let tick = g.tick;
-        let Global {
-            disk_used,
-            disk_order,
-            future,
-            cursor,
-            ..
-        } = &mut *g;
         let mut out = Vec::new();
-        while *disk_used + size > self.config.disk_bytes {
-            let Some((vk, vs)) = disk_order.pop_victim() else {
+        while g.disk_used + size > self.config.disk_bytes {
+            let victim = if let Some(&dup) = g.backed.first() {
+                g.untrack_file(&dup);
+                dup
+            } else if let Some((vk, vs)) = g.disk_order.pop_victim() {
+                g.disk_used -= vs;
+                vk
+            } else {
                 break;
             };
-            *disk_used -= vs;
-            out.push(vk);
+            out.push(victim);
         }
-        *disk_used += size;
-        let next = if disk_order.needs_next_use() {
-            Global::next_use(future, *cursor, key)
-        } else {
-            0
-        };
-        disk_order.insert(*key, size, next, tick);
+        g.disk_used += size;
+        g.tick += 1;
+        let (next, tick) = (g.next_use_rank(key), g.tick);
+        g.disk_order.insert(*key, size, next, tick);
         out
     }
 
-    /// Remove `key`'s `Disk` slot (if that is its current state) and
-    /// delete the spill file, waking waiters. `Busy` (mid-promote) and
-    /// `Spilling` (mid-spill) slots are left alone: the in-flight thread
-    /// owns their accounting and file fate, and re-validates its disk
-    /// residency once its transition lands.
-    fn drop_disk_slot(&self, key: &BlockKey) {
+    /// Bring `key`'s slot in line with the disk order after the order
+    /// stopped tracking its spill file, or may have: a `Disk` slot goes
+    /// absent, a backed RAM resident loses its backing and stays in RAM,
+    /// and the file is deleted. Called by whoever untracked a file, and by
+    /// whoever lands a file-bearing slot out of `Busy`/`Spilling` — those
+    /// transitional slots are skipped here, so their owner has to look
+    /// again once the slot has landed. The order is consulted under the
+    /// shard lock: a late call cannot take a newer residency of the same
+    /// key for the one it came to finish.
+    fn drop_untracked_file(&self, key: &BlockKey) {
         let shard = self.shard_for(key);
         let mut map = shard.map.lock();
-        let path = match map.get(key) {
-            Some(Slot::Disk(meta)) => Some(meta.path.clone()),
-            _ => None,
+        let Some(slot) = map.get_mut(key) else { return };
+        if !matches!(slot, Slot::Disk(_) | Slot::Ram(_, Some(_)))
+            || self.global.lock().disk_order.contains(key)
+        {
+            return;
+        }
+        let file = match slot {
+            Slot::Ram(_, backing) => backing.take(),
+            _ => match map.remove(key) {
+                Some(Slot::Disk(meta)) => {
+                    shard.cv.notify_all();
+                    Some(meta)
+                }
+                _ => None,
+            },
         };
-        if let Some(path) = path {
-            map.remove(key);
-            drop(map);
-            let _ = std::fs::remove_file(&path);
-            shard.cv.notify_all();
+        drop(map);
+        if let Some(meta) = file {
+            let _ = std::fs::remove_file(&meta.path);
         }
     }
 
-    /// Drop popped disk victims: remove their slots and spill files.
-    fn evict_disk_victims(&self, victims: &[BlockKey]) {
-        for vk in victims {
-            self.drop_disk_slot(vk);
-        }
-    }
-
-    /// Re-validate a freshly-landed `Disk` slot against the disk order: a
-    /// concurrent disk eviction may have popped the key while its
-    /// transition (spill write, promote fallback) was in flight — with
-    /// nothing resident to clean up at that moment. Finish that eviction
-    /// here: drop the slot and file.
-    fn validate_disk_residency(&self, key: &BlockKey) {
-        if !self.global.lock().disk_order.contains(key) {
-            self.drop_disk_slot(key);
-        }
-    }
-
-    /// Move an evicted RAM block to the disk tier (or drop it): flip its
-    /// slot to `Spilling`, then hand the file write to the spill-writer
-    /// thread (or, without a queue, perform it inline). The block stays
-    /// readable in `Spilling` until the write lands and the slot becomes
-    /// `Disk`. Called with no lock held.
+    /// Evict one RAM victim, already popped from the RAM order, with no
+    /// lock held on entry. A backed resident just flips to `Disk`: its
+    /// write-once spill file is already there. Anything else flips to
+    /// `Spilling` and is handed to the spill-writer thread (or, without a
+    /// queue, written inline), staying readable until the write lands and
+    /// the slot becomes `Disk`; with no disk tier to take it, it drops.
     fn spill_or_drop(&self, key: &BlockKey, size: u64) {
         let spillable = self.spill_dir.is_some() && size <= self.config.disk_bytes;
         let data = {
             let shard = self.shard_for(key);
             let mut map = shard.map.lock();
-            let resident = match map.get(key) {
-                Some(Slot::Ram(data)) => Some(data.clone()),
-                // The slot moved on without us (re-admitted and re-evicted
-                // by another thread); nothing to spill.
-                _ => None,
+            // Anything but `Ram`: the slot moved on without us. `Ram` but
+            // tracked again: evicted and re-admitted since the pop, and
+            // that residency is not ours to end.
+            let Some(slot) = map.get_mut(key) else { return };
+            let Slot::Ram(data, backing) = slot else {
+                return;
             };
-            let Some(data) = resident else { return };
+            if self.global.lock().ram_order.contains(key) {
+                return;
+            }
+            if let Some(meta) = backing.take() {
+                *slot = Slot::Disk(meta);
+                self.stats.clean_evictions.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            let data = data.clone();
             if spillable {
-                map.insert(*key, Slot::Spilling(data.clone()));
+                *slot = Slot::Spilling(data.clone());
             } else {
                 map.remove(key);
                 shard.cv.notify_all();
@@ -1058,8 +1129,9 @@ impl CacheCore {
         }
         .fetch_add(1, Ordering::Relaxed);
         // Reserve disk capacity, evicting disk victims as needed.
-        let disk_victims = self.reserve_disk(&key, size);
-        self.evict_disk_victims(&disk_victims);
+        for victim in self.reserve_disk(&key, size) {
+            self.drop_untracked_file(&victim);
+        }
 
         let dir = self.spill_dir.as_ref().expect("spillable implies dir");
         let path = dir.join(persist::spill_file_name(&key));
@@ -1100,11 +1172,7 @@ impl CacheCore {
                 "spill write failed for {}: {e}; block dropped to absent",
                 path.display()
             );
-            let mut g = self.global.lock();
-            if g.disk_order.remove(&key).is_some() {
-                g.disk_used -= size;
-            }
-            drop(g);
+            self.global.lock().untrack_file(&key);
             self.abort_spill(&key);
             return;
         }
@@ -1124,9 +1192,11 @@ impl CacheCore {
             }
             shard.cv.notify_all();
         }
-        // Our disk_order entry may have been popped (or superseded) while
-        // the file write was in flight; finish that eviction if so.
-        self.validate_disk_residency(&key);
+        // Our disk_order entry may have been popped while the file write
+        // was in flight; finish that eviction if so.
+        if !self.global.lock().disk_order.contains(&key) {
+            self.drop_untracked_file(&key);
+        }
     }
 
     /// Drop `key`'s `Spilling` slot to absent (failed or dropped spill)
@@ -1157,6 +1227,7 @@ impl CacheCore {
             // No index, or a malformed one: cold start.
             _ => return,
         };
+        let mut admitted = Vec::new();
         let mut g = self.global.lock();
         for e in &entries {
             if g.disk_used + e.len > self.config.disk_bytes {
@@ -1173,6 +1244,10 @@ impl CacheCore {
             let tick = g.tick;
             g.disk_used += e.len;
             g.disk_order.insert(e.key, e.len, u64::MAX, tick);
+            admitted.push((e, path));
+        }
+        drop(g);
+        for (e, path) in admitted {
             self.shard_for(&e.key).map.lock().insert(
                 e.key,
                 Slot::Disk(DiskMeta {
@@ -1186,10 +1261,12 @@ impl CacheCore {
     }
 
     /// Checkpoint the cache for a restart (persistent caches only): write
-    /// RAM-resident blocks to spill files (without disturbing the live
-    /// tiers) up to the disk tier's spare capacity, then write the spill
-    /// index covering them plus the live disk tier. Returns how many
-    /// blocks the index covers. A non-persistent cache returns 0.
+    /// RAM-resident blocks that have no spill file yet to one (without
+    /// disturbing the live tiers) up to the disk tier's spare capacity,
+    /// then write the spill index covering them plus the live disk tier —
+    /// backed RAM residents included, listed from the file they already
+    /// have. Returns how many blocks the index covers. A non-persistent
+    /// cache returns 0.
     fn persist_now(&self) -> io::Result<u64> {
         if !self.config.persist {
             return Ok(0);
@@ -1198,19 +1275,16 @@ impl CacheCore {
         // drain them first so the index covers a complete disk tier.
         self.flush_spills();
         let dir = self.spill_dir.as_ref().expect("persist implies spill dir");
-        // Snapshot RAM residents and live disk entries shard by shard.
+        // Snapshot unbacked RAM residents and live spill files shard by
+        // shard.
         let mut ram_blocks: Vec<(BlockKey, Bytes)> = Vec::new();
         let mut entries: Vec<SpillEntry> = Vec::new();
         for shard in self.shards.iter() {
             let map = shard.map.lock();
             for (k, slot) in map.iter() {
                 match slot {
-                    Slot::Ram(d) | Slot::Spilling(d) => ram_blocks.push((*k, d.clone())),
-                    Slot::Disk(meta) => entries.push(SpillEntry {
-                        key: *k,
-                        len: meta.len,
-                        crc: meta.crc,
-                    }),
+                    Slot::Ram(d, None) | Slot::Spilling(d) => ram_blocks.push((*k, d.clone())),
+                    Slot::Ram(_, Some(meta)) | Slot::Disk(meta) => entries.push(meta.entry(*k)),
                     Slot::Busy => {}
                 }
             }
@@ -1350,7 +1424,7 @@ impl CacheCore {
             }
         };
         // Free-RAM guard: restore the Disk slot untouched when admission
-        // would evict (accounting was not modified yet).
+        // would evict.
         {
             let g = self.global.lock();
             if g.ram_used + meta.len > self.config.ram_bytes {
@@ -1364,30 +1438,14 @@ impl CacheCore {
                 return;
             }
         }
-        // Leave the disk tier (own its accounting), read + CRC-validate
-        // the spill file outside every lock, then admit.
-        {
-            let mut g = self.global.lock();
-            if g.disk_order.remove(key).is_some() {
-                g.disk_used -= meta.len;
-            }
-        }
-        let data = match std::fs::read(&meta.path) {
-            Ok(d) if d.len() as u64 == meta.len && persist::block_crc(&d) == meta.crc => d,
-            _ => {
-                let _ = std::fs::remove_file(&meta.path);
-                self.release_busy(key);
-                return;
-            }
+        // Read + CRC-validate the spill file outside every lock, then
+        // admit; the file stays on as the resident's backing.
+        let Some(data) = self.read_spill_file(key, &meta) else {
+            return;
         };
-        if self.admit_full(
-            *key,
-            Bytes::from(data),
-            Some(&meta),
-            /* owns_slot = */ true,
-        ) {
-            let _ = std::fs::remove_file(&meta.path);
-            *budget = budget.saturating_sub(meta.len);
+        let len = meta.len;
+        if self.admit_full(*key, Bytes::from(data), Some(meta)) {
+            *budget = budget.saturating_sub(len);
             self.stats.warm_promoted.fetch_add(1, Ordering::Relaxed);
             if let Some(rec) = self.recorder.get() {
                 rec.record(Stage::WarmPromote, t0.elapsed().as_nanos() as u64);
@@ -1417,30 +1475,23 @@ impl CacheCore {
 
 impl Drop for CacheCore {
     fn drop(&mut self) {
-        let mut disk_entries: Vec<(BlockKey, DiskMeta)> = Vec::new();
+        // Every spill file of the live tier: disk-only blocks and the
+        // backing of RAM residents alike.
+        let mut files: Vec<(BlockKey, DiskMeta)> = Vec::new();
         for shard in self.shards.iter() {
             let map = shard.map.lock();
             for (k, slot) in map.iter() {
-                if let Slot::Disk(meta) = slot {
-                    disk_entries.push((*k, meta.clone()));
+                if let Slot::Disk(meta) | Slot::Ram(_, Some(meta)) = slot {
+                    files.push((*k, meta.clone()));
                 }
             }
         }
         if self.config.persist {
             // Keep the spill files; leave an index for the next run.
-            let _ = self.write_merged_index(
-                disk_entries
-                    .into_iter()
-                    .map(|(k, meta)| SpillEntry {
-                        key: k,
-                        len: meta.len,
-                        crc: meta.crc,
-                    })
-                    .collect(),
-            );
+            let _ = self.write_merged_index(files.iter().map(|(k, meta)| meta.entry(*k)).collect());
             return;
         }
-        for (_, meta) in disk_entries {
+        for (_, meta) in files {
             let _ = std::fs::remove_file(&meta.path);
         }
         if self.owns_spill_dir {
@@ -1457,7 +1508,8 @@ impl Drop for CacheCore {
 /// With a disk tier and a positive [`CacheConfig::spill_queue`], a
 /// dedicated `emlio-cache-spill` writer thread owns every spill-file
 /// write: evictors flip the slot to `Spilling` and enqueue, keeping disk
-/// I/O off the serve path. Dropping the handle shuts the queue down,
+/// I/O off the serve path — or, when the block's write-once spill file is
+/// already there, flip it straight to disk-resident and write nothing. Dropping the handle shuts the queue down,
 /// drains it (every queued order still lands on disk), joins the writer,
 /// and only then runs the core's final persistence — so a persistent
 /// cache's spill index is always complete.
@@ -1555,7 +1607,8 @@ impl ShardCache {
         self.core.ram_bytes_used()
     }
 
-    /// Bytes resident in the disk tier.
+    /// Bytes of spill files the disk tier holds, including the files
+    /// that back RAM residents.
     pub fn disk_bytes_used(&self) -> u64 {
         self.core.disk_bytes_used()
     }
@@ -1565,9 +1618,18 @@ impl ShardCache {
         self.core.ram_keys()
     }
 
-    /// Sorted keys resident in the disk tier (test/inspection hook).
+    /// Sorted keys resident in the disk tier *only* — the blocks a demand
+    /// access would have to promote; a RAM resident whose spill file is
+    /// still on disk is not listed (test/inspection hook).
     pub fn disk_keys(&self) -> Vec<BlockKey> {
         self.core.disk_keys()
+    }
+
+    /// Bytes held by the slots themselves, `(RAM, spill files)`. With
+    /// nothing in flight these equal [`ShardCache::ram_bytes_used`] and
+    /// [`ShardCache::disk_bytes_used`] (test/inspection hook).
+    pub fn slot_bytes(&self) -> (u64, u64) {
+        self.core.slot_bytes()
     }
 
     /// Demand lookup: serve `key` from RAM or disk, updating recency and
@@ -1646,10 +1708,12 @@ impl ShardCache {
     }
 
     /// Checkpoint the cache for a restart (persistent caches only):
-    /// drain the spill queue, write RAM-resident blocks to spill files up
-    /// to the disk tier's spare capacity, then write the spill index
-    /// covering them plus the live disk tier. Returns how many blocks the
-    /// index covers. A non-persistent cache returns 0.
+    /// drain the spill queue, write the RAM-resident blocks that have no
+    /// spill file yet to one, up to the disk tier's spare capacity, then
+    /// write the spill index covering them plus the live disk tier (RAM
+    /// residents still backed by the file they were promoted from
+    /// included). Returns how many blocks the index covers. A
+    /// non-persistent cache returns 0.
     pub fn persist_now(&self) -> io::Result<u64> {
         self.core.persist_now()
     }
@@ -1820,8 +1884,10 @@ mod tests {
         // Block 2 is evicted to disk at the access of 1 (furthest next
         // use). Its later accesses promote from disk, and the Belady
         // bypass declines RAM admission each time (its next use is always
-        // the furthest) — the block must then STAY on disk, so storage is
-        // fetched exactly once per unique block across the whole trace.
+        // the furthest) — the slot then flips straight back to `Disk`
+        // over the same file, so storage is fetched exactly once per
+        // unique block across the whole trace and the block is written
+        // to disk exactly once.
         let plan = vec![
             key(2),
             key(0),
@@ -1864,6 +1930,206 @@ mod tests {
             "bypassed block still resident on disk"
         );
         assert_eq!(cache.disk_keys(), vec![key(2)]);
+        assert_eq!(
+            (s.evictions, s.spills, s.clean_evictions),
+            (1, 1, 0),
+            "one eviction, one write; a declined promote touches nothing"
+        );
+        assert_eq!(cache.disk_bytes_used(), 100);
+        assert_eq!(cache.slot_bytes(), (200, 100));
+    }
+
+    /// A two-tier LRU cache (RAM = 2 blocks) over `dir`, and the path of
+    /// `key(i)`'s spill file in it.
+    fn two_tier_lru(dir: &TempDir, disk_bytes: u64) -> ShardCache {
+        ShardCache::new(
+            CacheConfig::default()
+                .with_ram_bytes(200)
+                .with_disk_bytes(disk_bytes)
+                .with_spill_dir(dir.path().to_path_buf())
+                .with_policy(EvictPolicy::Lru),
+        )
+        .unwrap()
+    }
+
+    fn spill_path(dir: &TempDir, i: usize) -> PathBuf {
+        dir.path().join(persist::spill_file_name(&key(i)))
+    }
+
+    fn file_writes(cache: &ShardCache) -> u64 {
+        let s = cache.stats().snapshot();
+        s.spill_async_writes + s.spill_inline_writes
+    }
+
+    #[test]
+    fn backed_eviction_is_a_slot_flip() {
+        let dir = TempDir::new("cache-clean-evict");
+        let cache = two_tier_lru(&dir, 1000);
+        for i in 0..3 {
+            cache.insert(key(i), block(i, 100)); // the third evicts 0 → disk
+        }
+        cache.flush_spills();
+        // Promote 0 (evicts 1, a write), then 1 (evicts 2, a write): RAM
+        // now holds 0 and 1, both over the spill file they came from.
+        for i in [0, 1] {
+            assert!(cache.get(&key(i)).is_some());
+            cache.flush_spills();
+        }
+        assert_eq!(cache.ram_keys(), vec![key(0), key(1)]);
+        assert_eq!(cache.disk_keys(), vec![key(2)]);
+        assert_eq!(cache.disk_bytes_used(), 300, "backings count as held");
+        let writes = file_writes(&cache);
+        assert_eq!(writes, 3);
+        let mtime = std::fs::metadata(spill_path(&dir, 0))
+            .unwrap()
+            .modified()
+            .unwrap();
+
+        // Promoting 2 evicts 0, the LRU resident: its file is already
+        // there, so the eviction is a flip — nothing queued, nothing
+        // written.
+        assert!(cache.get(&key(2)).is_some());
+        cache.flush_spills();
+        let s = cache.stats().snapshot();
+        assert_eq!(file_writes(&cache), writes, "no write for a backed victim");
+        assert_eq!((s.evictions, s.spills, s.clean_evictions), (4, 3, 1));
+        assert_eq!(cache.disk_keys(), vec![key(0)]);
+        assert_eq!(
+            std::fs::metadata(spill_path(&dir, 0))
+                .unwrap()
+                .modified()
+                .unwrap(),
+            mtime,
+            "write-once: the spill file was not touched"
+        );
+        assert_eq!(cache.slot_bytes(), (200, 300));
+        // And the flipped slot still serves the right bytes from disk.
+        let data = cache.get(&key(0)).expect("disk hit");
+        assert!(data.iter().all(|&b| b == 0));
+        assert_eq!(cache.stats().snapshot().disk_hits, 4);
+    }
+
+    #[test]
+    fn disk_victim_resident_in_ram_keeps_serving_and_loses_its_file() {
+        // A disk tier of one block. Promoting 0 keeps its file; the
+        // eviction the promote causes needs that room, and the tier gives
+        // up the file that merely duplicates a RAM resident.
+        let dir = TempDir::new("cache-dup-reclaim");
+        let cache = two_tier_lru(&dir, 100);
+        for i in 0..3 {
+            cache.insert(key(i), block(i, 100));
+        }
+        cache.flush_spills();
+        assert_eq!(cache.disk_keys(), vec![key(0)]);
+        assert!(cache.get(&key(0)).is_some(), "promote; evicts 1");
+        cache.flush_spills();
+
+        assert_eq!(cache.ram_keys(), vec![key(0), key(2)]);
+        assert_eq!(cache.disk_keys(), vec![key(1)]);
+        assert!(!spill_path(&dir, 0).exists(), "the duplicate was reclaimed");
+        assert!(spill_path(&dir, 1).exists());
+        assert_eq!(cache.disk_bytes_used(), 100);
+        assert_eq!(cache.slot_bytes(), (200, 100));
+        let (data, from) = cache
+            .get_or_fetch::<std::io::Error, Vec<u8>, _>(key(0), || {
+                panic!("still RAM-resident, no fetch")
+            })
+            .unwrap();
+        assert_eq!(from, Fetched::Ram);
+        assert!(data.iter().all(|&b| b == 0));
+        // Having lost its backing, 0's next eviction is a real write.
+        let writes = file_writes(&cache);
+        cache.insert(key(3), block(3, 100)); // evicts 2 (LRU), unbacked
+        cache.insert(key(4), block(4, 100)); // evicts 0
+        cache.flush_spills();
+        assert_eq!(file_writes(&cache), writes + 2);
+        assert_eq!(cache.stats().snapshot().clean_evictions, 0);
+    }
+
+    #[test]
+    fn corrupt_file_on_promote_is_a_miss_with_exact_accounting() {
+        let dir = TempDir::new("cache-corrupt-promote");
+        let cache = two_tier_lru(&dir, 1000);
+        for i in 0..4 {
+            cache.insert(key(i), block(i, 100)); // 0 and 1 → disk
+        }
+        cache.flush_spills();
+        assert_eq!(cache.disk_bytes_used(), 200);
+        let path = spill_path(&dir, 0);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[17] ^= 0x40;
+        std::fs::write(&path, &bytes).unwrap();
+
+        assert_eq!(cache.get(&key(0)), None, "corrupt bytes are not served");
+        let s = cache.stats().snapshot();
+        assert_eq!((s.disk_hits, s.misses), (0, 1));
+        assert!(!cache.contains(&key(0)));
+        assert!(!path.exists(), "the corrupt file is retired");
+        assert_eq!(cache.disk_bytes_used(), 100, "and leaves the accounting");
+        assert_eq!(cache.slot_bytes(), (200, 100));
+        // The same check guards the in-place read peers use.
+        bytes = std::fs::read(spill_path(&dir, 1)).unwrap();
+        bytes[0] ^= 1;
+        std::fs::write(spill_path(&dir, 1), &bytes).unwrap();
+        assert_eq!(cache.peek(&key(1)), None);
+        // Storage still has the block.
+        let (data, from) = cache
+            .get_or_fetch::<std::io::Error, _, _>(key(0), || Ok(block(0, 100)))
+            .unwrap();
+        assert_eq!(from, Fetched::Storage);
+        assert!(data.iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn each_block_is_written_at_most_once_when_the_disk_tier_fits() {
+        // Five epochs over 8 blocks through a 3-block RAM tier, with a
+        // disk tier that holds all 8. Epoch 1 writes each evicted block
+        // once; after that every eviction finds its file already there.
+        const KEYS: usize = 8;
+        let payload = |i: usize| -> Vec<u8> { (0..100).map(|j| (i * 37 + j) as u8).collect() };
+        for policy in [
+            EvictPolicy::Lru,
+            EvictPolicy::Fifo,
+            EvictPolicy::Clairvoyant,
+        ] {
+            let cache = ShardCache::new(
+                CacheConfig::default()
+                    .with_ram_bytes(300)
+                    .with_disk_bytes(100 * KEYS as u64)
+                    // A fetch the bypass declines reaches neither tier
+                    // and would be read from storage again.
+                    .with_belady_bypass(false)
+                    .with_policy(policy),
+            )
+            .unwrap();
+            let trace: Vec<usize> = (0..5 * KEYS).map(|n| (n * 3) % KEYS).collect();
+            cache.set_plan(trace.iter().map(|&i| key(i)).collect());
+            let mut fetches = 0;
+            for &i in &trace {
+                let (data, _) = cache
+                    .get_or_fetch::<std::io::Error, _, _>(key(i), || {
+                        fetches += 1;
+                        Ok(payload(i))
+                    })
+                    .unwrap();
+                assert_eq!(&data[..], &payload(i)[..], "{policy:?}: block {i}");
+                cache.flush_spills();
+            }
+            let s = cache.stats().snapshot();
+            assert_eq!(fetches, KEYS, "{policy:?}: storage read once per block");
+            assert_eq!(
+                s.evictions,
+                s.spills + s.clean_evictions + s.spill_failures + s.spill_dropped,
+                "{policy:?}: every eviction accounted for: {s:?}"
+            );
+            assert!(s.spills <= KEYS as u64, "{policy:?}: write-once: {s:?}");
+            assert!(s.clean_evictions > 0, "{policy:?}: {s:?}");
+            assert_eq!((s.spill_failures, s.spill_dropped), (0, 0));
+            assert_eq!(
+                cache.slot_bytes(),
+                (cache.ram_bytes_used(), cache.disk_bytes_used())
+            );
+        }
     }
 
     #[test]
@@ -2022,6 +2288,81 @@ mod tests {
         assert_eq!(s.readmitted, 3, "corrupt block skipped");
         assert!(!cache.contains(&key(2)));
         assert!(!path.exists(), "corrupt spill file removed");
+    }
+
+    /// The `block-*.blk` file names in `dir`, sorted.
+    fn blk_files(dir: &TempDir) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|n| n.ends_with(".blk"))
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn backed_residents_are_indexed_from_their_existing_file() {
+        let dir = TempDir::new("cache-persist-backed");
+        let config = CacheConfig::default()
+            .with_ram_bytes(200)
+            .with_disk_bytes(2000)
+            .with_persist_dir(dir.path().to_path_buf())
+            .with_policy(EvictPolicy::Lru);
+        for checkpoint in [false, true] {
+            let expect: usize = {
+                let cache = ShardCache::new(config.clone()).unwrap();
+                // First pass: 0 and 1 spill. Second pass (after the
+                // restart): everything is re-admitted to disk already.
+                for i in 0..4 {
+                    cache
+                        .get_or_fetch::<std::io::Error, _, _>(key(i), || Ok(block(i, 100)))
+                        .unwrap();
+                }
+                cache.flush_spills();
+                // Promote 0: a RAM resident over its old file.
+                assert!(cache.get(&key(0)).is_some());
+                cache.flush_spills();
+                assert!(cache.ram_keys().contains(&key(0)));
+                assert!(!cache.disk_keys().contains(&key(0)));
+                if checkpoint {
+                    let path = dir.path().join(persist::spill_file_name(&key(0)));
+                    let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
+                    assert_eq!(cache.persist_now().unwrap(), 4, "all four covered");
+                    assert_eq!(
+                        std::fs::metadata(&path).unwrap().modified().unwrap(),
+                        mtime,
+                        "a backed resident is listed, not rewritten"
+                    );
+                    4
+                } else {
+                    // Without a checkpoint the unbacked resident (3) has
+                    // no file and is not indexed; the backed one is.
+                    3
+                }
+            };
+            // After the drop: the index lists exactly the files present.
+            let mut listed: Vec<String> = persist::read_index(dir.path())
+                .unwrap()
+                .expect("index written on drop")
+                .iter()
+                .map(|e| persist::spill_file_name(&e.key))
+                .collect();
+            listed.sort();
+            assert_eq!(listed, blk_files(&dir), "checkpoint={checkpoint}");
+            assert_eq!(listed.len(), expect, "checkpoint={checkpoint}");
+            assert!(listed.contains(&persist::spill_file_name(&key(0))));
+            // And a restart re-admits every one of them, CRC-valid.
+            let cache = ShardCache::new(config.clone()).unwrap();
+            assert_eq!(cache.stats().snapshot().readmitted, expect as u64);
+            for name in &listed {
+                let i = (0..4)
+                    .find(|&i| persist::spill_file_name(&key(i)) == *name)
+                    .unwrap();
+                let data = cache.peek(&key(i)).expect("valid on disk");
+                assert!(data.iter().all(|&b| b == i as u8));
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,10 @@
 //!   LRU list / next-use heap, see [`order`]), and spill/promote file I/O
 //!   that runs outside every lock. Lookups are single-flight: concurrent
 //!   requests for the same missing block coalesce onto one storage read.
+//!   The disk tier is inclusive and its files write-once: a block
+//!   promoted back to RAM keeps its spill file, so evicting it again is
+//!   a slot flip, and every byte read back from a spill file is length-
+//!   and CRC-checked first ([`persist::read_validated`]).
 //!   With [`CacheConfig::with_persist_dir`] the spill tier survives
 //!   restarts: a CRC'd index ([`persist`]) is re-validated and re-admitted
 //!   when the next cache opens over the same directory.

@@ -97,14 +97,23 @@ pub fn read_index(dir: &Path) -> io::Result<Option<Vec<SpillEntry>>> {
     Ok(Some(entries))
 }
 
-/// Validate one index entry against its spill file: the file must exist,
-/// match the recorded length, and hash to the recorded CRC. Returns the
-/// spill file path on success; deletes the file and reports `None` when
-/// validation fails (stale index, torn write, bit rot).
+/// Read a spill file back and check it: the file must exist, be `len`
+/// bytes long and hash to `crc`. Every path that serves or re-admits
+/// spilled bytes — demand promote, in-place peek, warm-start promote,
+/// restart re-admission — goes through this one check. `None` on any
+/// failure; the file is left for the caller to retire.
+pub fn read_validated(path: &Path, len: u64, crc: u32) -> Option<Vec<u8>> {
+    let data = std::fs::read(path).ok()?;
+    (data.len() as u64 == len && block_crc(&data) == crc).then_some(data)
+}
+
+/// Validate one index entry against its spill file (see
+/// [`read_validated`]). Returns the spill file path on success; deletes
+/// the file and reports `None` when validation fails (stale index, torn
+/// write, bit rot).
 pub fn validate_entry(dir: &Path, entry: &SpillEntry) -> Option<PathBuf> {
     let path = dir.join(spill_file_name(&entry.key));
-    let data = std::fs::read(&path).ok()?;
-    if data.len() as u64 == entry.len && block_crc(&data) == entry.crc {
+    if read_validated(&path, entry.len, entry.crc).is_some() {
         return Some(path);
     }
     let _ = std::fs::remove_file(&path);

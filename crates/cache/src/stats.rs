@@ -17,9 +17,13 @@ pub struct CacheStats {
     pub disk_hits: AtomicU64,
     /// Blocks evicted from the RAM tier.
     pub evictions: AtomicU64,
-    /// RAM evictions that were spilled to the disk tier (subset of
-    /// `evictions`).
+    /// Spill-file writes that landed: RAM evictions that had to be
+    /// written to the disk tier (subset of `evictions`).
     pub spills: AtomicU64,
+    /// RAM evictions that needed no write: the block was promoted from
+    /// the disk tier earlier and its spill file is still there, so the
+    /// slot just flips back to disk-resident (subset of `evictions`).
+    pub clean_evictions: AtomicU64,
     /// Blocks loaded by the prefetcher (not demand misses).
     pub prefetched: AtomicU64,
     /// CRC-valid blocks re-admitted from a persistent spill index at
@@ -57,6 +61,7 @@ impl CacheStats {
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             spills: self.spills.load(Ordering::Relaxed),
+            clean_evictions: self.clean_evictions.load(Ordering::Relaxed),
             prefetched: self.prefetched.load(Ordering::Relaxed),
             readmitted: self.readmitted.load(Ordering::Relaxed),
             bytes_saved: self.bytes_saved.load(Ordering::Relaxed),
@@ -82,8 +87,10 @@ pub struct CacheStatsSnapshot {
     pub disk_hits: u64,
     /// Blocks evicted from the RAM tier.
     pub evictions: u64,
-    /// RAM evictions spilled to disk.
+    /// Spill-file writes that landed.
     pub spills: u64,
+    /// RAM evictions that needed no write (spill file already there).
+    pub clean_evictions: u64,
     /// Blocks loaded by the prefetcher.
     pub prefetched: u64,
     /// Blocks re-admitted from a persistent spill index.

@@ -32,6 +32,18 @@ fn next_rand(state: &mut u64) -> u64 {
     *state
 }
 
+/// At quiescence (workers joined, spill queue flushed) the ordering
+/// lock's byte accounting is exactly what the slots hold: no tracked
+/// entry without a slot, no slot or spill file the orders lost track of.
+fn assert_accounting_matches_slots(cache: &ShardCache) {
+    assert_eq!(
+        (cache.ram_bytes_used(), cache.disk_bytes_used()),
+        cache.slot_bytes(),
+        "(ram_used, disk_used) vs the sum over slots: {:?}",
+        cache.stats().snapshot()
+    );
+}
+
 fn hammer(policy: EvictPolicy, lock_shards: usize) {
     let ram = (40 * BLOCK_BYTES) as u64;
     let disk = (24 * BLOCK_BYTES) as u64;
@@ -112,6 +124,7 @@ fn hammer(policy: EvictPolicy, lock_shards: usize) {
 
     assert!(cache.ram_bytes_used() <= ram);
     assert!(cache.disk_bytes_used() <= disk);
+    assert_accounting_matches_slots(&cache);
     let s = cache.stats().snapshot();
     assert_eq!(
         s.hits + s.misses,
@@ -150,6 +163,94 @@ fn stress_single_lock_shard() {
     // Everything serializes through one shard lock: maximum cross-thread
     // interleaving on a single slot map.
     hammer(EvictPolicy::Lru, 1);
+}
+
+#[test]
+fn stress_backed_evictions_race_disk_evictions() {
+    // The inclusive disk tier under the races it adds. RAM holds 16
+    // blocks and the disk tier 48 of a 96-block key space, so the tier is
+    // always full: every first-time spill reclaims a file — one that
+    // backs a RAM resident if there is any, a disk-only block otherwise —
+    // while other threads promote over those very files and evict backed
+    // residents by slot flip. Whatever the interleaving, neither budget
+    // is ever exceeded, every read returns its key's bytes, and once the
+    // threads stop the accounting equals the slots to the byte.
+    const KEYS: usize = 96;
+    let ram = (16 * BLOCK_BYTES) as u64;
+    let disk = (48 * BLOCK_BYTES) as u64;
+    for (policy, lock_shards) in [
+        (EvictPolicy::Lru, 8),
+        (EvictPolicy::Clairvoyant, 8),
+        (EvictPolicy::Lru, 1),
+    ] {
+        let cache = Arc::new(
+            ShardCache::new(
+                CacheConfig::default()
+                    .with_ram_bytes(ram)
+                    .with_disk_bytes(disk)
+                    .with_policy(policy)
+                    .with_lock_shards(lock_shards)
+                    .with_belady_bypass(false)
+                    // A short queue: `Spilling` blocks are readable, so a
+                    // long one would be 64 more blocks of cache and the
+                    // disk tier would only overflow in the final flush.
+                    .with_spill_queue(4)
+                    .with_prefetch_depth(0),
+            )
+            .unwrap(),
+        );
+        cache.set_plan((0..KEYS * 8).map(|i| key((i * 5) % KEYS)).collect());
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let cache = cache.clone();
+                std::thread::spawn(move || {
+                    let mut rng = 0xA24BAED4u64.wrapping_mul(t as u64 + 1) | 1;
+                    for op in 0..OPS_PER_THREAD {
+                        let r = next_rand(&mut rng);
+                        let k = key((r >> 8) as usize % KEYS);
+                        let data = if r.is_multiple_of(16) {
+                            // A peer's in-place read beside the promotes.
+                            cache.peek(&k)
+                        } else {
+                            let fetched = cache.get_or_fetch::<std::io::Error, _, _>(k, || {
+                                Ok(vec![k.start as u8; BLOCK_BYTES])
+                            });
+                            Some(fetched.unwrap().0)
+                        };
+                        if let Some(data) = data {
+                            assert_eq!(data.len(), BLOCK_BYTES);
+                            assert!(data.iter().all(|&b| b == k.start as u8), "{k:?}");
+                        }
+                        if op % 32 == 0 {
+                            assert!(cache.ram_bytes_used() <= ram, "RAM over capacity");
+                            assert!(cache.disk_bytes_used() <= disk, "disk over capacity");
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("no thread panicked");
+        }
+        cache.flush_spills();
+
+        assert!(cache.ram_bytes_used() <= ram);
+        assert!(cache.disk_bytes_used() <= disk);
+        assert_accounting_matches_slots(&cache);
+        let s = cache.stats().snapshot();
+        assert!(s.disk_hits > 0, "promotes happened: {s:?}");
+        assert!(s.clean_evictions > 0, "backed evictions happened: {s:?}");
+        assert!(
+            s.spills > KEYS as u64,
+            "files were reclaimed and rewritten, so disk evictions happened: {s:?}"
+        );
+        assert_eq!((s.spill_failures, s.spill_dropped), (0, 0), "{s:?}");
+        // Everything still resident serves its own bytes.
+        for k in cache.ram_keys().into_iter().chain(cache.disk_keys()) {
+            let data = cache.peek(&k).expect("resident key readable");
+            assert!(data.iter().all(|&b| b == k.start as u8), "{k:?}");
+        }
+    }
 }
 
 #[test]

@@ -188,3 +188,78 @@ fn restarted_daemon_serves_from_persistent_spill_index() {
     );
     assert_eq!(payloads1, payloads3, "delivery stays byte-identical");
 }
+
+/// One deterministic single-threaded replay: `EPOCHS` reshuffled epochs
+/// over `KEYS` blocks through a RAM tier of 8 blocks and a disk tier of
+/// 16 — together half the dataset, so both tiers evict all the time.
+/// Every spill is settled before the next access, which makes the run a
+/// pure function of the policy. Returns `(hits, disk_hits, misses)`.
+fn replay_with_small_disk_tier(policy: EvictPolicy) -> (u64, u64, u64) {
+    use emlio::cache::{BlockKey, ShardCache};
+    const KEYS: usize = 48;
+    const EPOCHS: usize = 6;
+    const BLOCK: usize = 1 << 10;
+    let key = |i: usize| BlockKey {
+        shard_id: (i % 3) as u32,
+        start: i * 10,
+        end: (i + 1) * 10,
+    };
+    let payload = |i: usize| -> Vec<u8> { (0..BLOCK).map(|j| (i * 131 + j * 7) as u8).collect() };
+    // Fisher-Yates per epoch over a fixed LCG: the epoch plan's shape.
+    let mut lcg = 0x2545F4914F6CDD1Du64;
+    let mut trace = Vec::with_capacity(KEYS * EPOCHS);
+    for _ in 0..EPOCHS {
+        let mut order: Vec<usize> = (0..KEYS).collect();
+        for i in (1..KEYS).rev() {
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            order.swap(i, (lcg >> 33) as usize % (i + 1));
+        }
+        trace.extend(order);
+    }
+    let cache = ShardCache::new(
+        CacheConfig::default()
+            .with_ram_bytes((8 * BLOCK) as u64)
+            .with_disk_bytes((16 * BLOCK) as u64)
+            .with_policy(policy)
+            .with_belady_bypass(false)
+            .with_prefetch_depth(0),
+    )
+    .expect("cache");
+    cache.set_plan(trace.iter().map(|&i| key(i)).collect());
+    for &i in &trace {
+        let (data, _) = cache
+            .get_or_fetch(key(i), || Ok::<_, std::io::Error>(payload(i)))
+            .expect("fetch");
+        assert_eq!(&data[..], &payload(i)[..], "block {i} byte-identical");
+        cache.flush_spills();
+        assert!(cache.disk_bytes_used() <= (16 * BLOCK) as u64);
+    }
+    let s = cache.stats().snapshot();
+    assert_eq!(s.hits + s.misses, (KEYS * EPOCHS) as u64);
+    (s.hits, s.disk_hits, s.misses)
+}
+
+/// Keeping the spill file of a promoted block must not cost the disk tier
+/// any of its reach when it is smaller than the dataset: files that
+/// duplicate a RAM resident are the first to go, so the tier holds as
+/// many distinct blocks as the exclusive tier did. The reference figures
+/// are this replay run at the last commit with an exclusive disk tier
+/// (fff70d6).
+#[test]
+fn small_disk_tier_hit_ratio_not_below_exclusive_tier() {
+    for (policy, exclusive_hits) in [
+        (EvictPolicy::Lru, 34u64),
+        (EvictPolicy::Fifo, 34),
+        (EvictPolicy::Clairvoyant, 120),
+    ] {
+        let (hits, disk_hits, misses) = replay_with_small_disk_tier(policy);
+        assert!(
+            hits >= exclusive_hits,
+            "{policy:?}: {hits} hits ({disk_hits} from disk) of {} accesses, \
+             the exclusive tier had {exclusive_hits}",
+            hits + misses
+        );
+    }
+}
