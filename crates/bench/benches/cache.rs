@@ -374,17 +374,17 @@ fn bench_prefetch_staging(c: &mut Criterion) {
     g.finish();
 }
 
-/// Solo vs cooperative fleet over one slow backing store: four "daemons",
-/// each `cached -> storage` (solo) or `cached -> peer -> storage` (fleet),
-/// every daemon reading the full key list once concurrently. Each storage
-/// read costs ~150 µs (an NFS-shaped stand-in), so the fleet's win is
-/// mechanical: solo pays 4 passes over the backing store, the fleet pays
-/// one (each block's consistent-hash owner reads it, everyone else takes
-/// it peer-to-peer or from the retained flight).
+/// Solo vs cooperative fleet over one slow backing store: four cached
+/// "daemons", each a `ReadStack` over the same kind of storage root, solo
+/// or in one fleet, every daemon reading the full key list once
+/// concurrently. Each storage read costs ~150 µs (an NFS-shaped stand-in),
+/// so the fleet's win is mechanical: solo pays 4 passes over the backing
+/// store, the fleet pays one (each block's consistent-hash owner reads it,
+/// everyone else takes it peer-to-peer or from the retained flight).
 fn bench_peer_mode(c: &mut Criterion) {
-    use emlio_cache::peer::{FleetRegistry, LocalPeer, PeerConfig, PeerSource};
-    use emlio_cache::{CachedSource, RangeSource};
-    use emlio_tfrecord::FnSource;
+    use emlio_cache::peer::{FleetRegistry, PeerConfig};
+    use emlio_core::{EmlioConfig, ReadStack, StackSpec};
+    use emlio_tfrecord::{FnSource, GlobalIndex};
 
     const DAEMONS: usize = 4;
     let block_bytes = 16 << 10;
@@ -396,6 +396,13 @@ fn bench_peer_mode(c: &mut Criterion) {
             end: (i + 1) * 64,
         })
         .collect();
+    // The root is a closure, so the index is never consulted.
+    let index = Arc::new(GlobalIndex::default());
+    let config = EmlioConfig::default().with_cache(
+        CacheConfig::default()
+            .with_ram_bytes(1 << 30)
+            .with_prefetch_depth(0),
+    );
     let mut g = c.benchmark_group("cache_peer_mode");
     g.throughput(Throughput::Elements((DAEMONS * blocks) as u64));
     for (name, fleet) in [("solo", false), ("fleet", true)] {
@@ -407,42 +414,25 @@ fn bench_peer_mode(c: &mut Criterion) {
                         reg.join(&format!("d{d}"));
                     }
                 }
-                let mut stacks: Vec<Arc<CachedSource>> = Vec::new();
-                for d in 0..DAEMONS {
-                    let storage: Arc<dyn RangeSource> =
-                        Arc::new(FnSource::new(move |_k: &BlockKey| {
-                            spin_for(std::time::Duration::from_micros(150));
-                            Ok(vec![0u8; block_bytes])
-                        }));
-                    let cache = Arc::new(
-                        ShardCache::new(
-                            CacheConfig::default()
-                                .with_ram_bytes(1 << 30)
-                                .with_prefetch_depth(0),
-                        )
-                        .unwrap(),
-                    );
-                    let base = match &registry {
-                        Some(reg) => {
-                            reg.attach(&format!("d{d}"), LocalPeer::new(&cache));
-                            PeerSource::new(
-                                reg.clone(),
-                                &format!("d{d}"),
-                                storage,
-                                PeerConfig::default(),
-                            ) as Arc<dyn RangeSource>
+                let stacks: Vec<ReadStack> = (0..DAEMONS)
+                    .map(|d| {
+                        let mut spec =
+                            StackSpec::over(Arc::new(FnSource::new(move |_k: &BlockKey| {
+                                spin_for(std::time::Duration::from_micros(150));
+                                Ok(vec![0u8; block_bytes])
+                            })));
+                        if let Some(reg) = &registry {
+                            spec = spec.in_fleet(reg.clone(), PeerConfig::default());
                         }
-                        None => storage,
-                    };
-                    stacks.push(Arc::new(CachedSource::new(cache, base)));
-                }
+                        ReadStack::build(&format!("d{d}"), &index, &config, spec).unwrap()
+                    })
+                    .collect();
                 std::thread::scope(|scope| {
                     for stack in &stacks {
-                        let stack = stack.clone();
                         let keys = &keys;
                         scope.spawn(move || {
                             for key in keys {
-                                black_box(stack.read_block(key).unwrap());
+                                black_box(stack.source.read_block(key).unwrap());
                             }
                         });
                     }

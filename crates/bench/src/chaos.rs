@@ -25,18 +25,18 @@
 //! a delivered batch the clean run never produced — is silent corruption:
 //! [`run_schedule`] returns `Err` with the seed embedded in the message.
 
-use emlio_cache::peer::{ChaosPeer, FleetRegistry, LocalPeer, PeerConfig, PeerSource};
+use emlio_cache::peer::{ChaosPeer, FleetRegistry, LocalPeer, PeerConfig};
 use emlio_cache::CacheConfig;
 use emlio_core::chaos::ChaosController;
 use emlio_core::daemon::DaemonError;
 use emlio_core::plan::Plan;
 use emlio_core::receiver::{EmlioReceiver, ReceiverConfig};
-use emlio_core::{DataPathMetrics, EmlioConfig, EmlioDaemon, EmlioService};
+use emlio_core::{DataPathMetrics, EmlioConfig, EmlioDaemon, EmlioService, StackSpec};
 use emlio_datagen::convert::build_tfrecord_dataset;
 use emlio_datagen::DatasetSpec;
 use emlio_netem::{FaultSource, NetProfile, NfsConfig, NfsMount, NfsSource};
 use emlio_pipeline::ExternalSource;
-use emlio_tfrecord::{GlobalIndex, RangeSource, ShardSpec, TfrecordSource};
+use emlio_tfrecord::{GlobalIndex, ShardSpec, TfrecordSource};
 use emlio_util::clock::RealClock;
 use emlio_util::fault::{mix64, site, FaultInjector, FaultPlan, FaultSpec};
 use emlio_util::testutil::TempDir;
@@ -421,13 +421,8 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
 
     // Clean reference: same plan, plain local stack, no faults.
     let reference = {
-        let daemon = EmlioDaemon::open_with_base(
-            "ref",
-            index.clone(),
-            base_config.clone(),
-            Arc::new(TfrecordSource::new(index.clone())),
-        )
-        .map_err(|e| fail("reference open failed", &e))?;
+        let daemon = EmlioDaemon::open("ref", dir.path(), base_config.clone())
+            .map_err(|e| fail("reference open failed", &e))?;
         drain_solo(daemon, plan.clone(), &base_config)
             .map_err(|e| fail("clean reference failed", &e))?
             .0
@@ -443,30 +438,21 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
         .clone()
         .with_io_retries(schedule.io_retries)
         .with_io_backoff(schedule.io_backoff);
-    // Per-incarnation metrics handles: retry counters are per daemon, so
-    // the totals sum every incarnation's final snapshot.
-    let incarnations: Arc<Mutex<Vec<Arc<DataPathMetrics>>>> = Arc::new(Mutex::new(Vec::new()));
 
-    let (delivered, batches, served) = match cfg.mode {
-        ChaosMode::Cached => {
-            let config = chaos_config.with_cache(CacheConfig::default().with_ram_bytes(32 << 20));
-            let open = {
-                let index = index.clone();
-                let injector = injector.clone();
-                let config = config.clone();
-                let log = incarnations.clone();
-                move || {
-                    let base: Arc<dyn RangeSource> = Arc::new(FaultSource::new(
-                        Arc::new(TfrecordSource::new(index.clone())),
-                        injector.clone(),
-                    ));
-                    let d = EmlioDaemon::open_with_base("d0", index.clone(), config.clone(), base)?;
-                    log.lock().unwrap().push(d.metrics());
-                    Ok(d)
-                }
-            };
-            serve_and_drain(open, &plan, &config, &controller, max_restarts)?
-        }
+    // Each mode says what its daemon is called, how it is configured and
+    // what it reads over; every incarnation is then opened the same way.
+    let faulted_shards = || {
+        StackSpec::over(Arc::new(FaultSource::new(
+            Arc::new(TfrecordSource::new(index.clone())),
+            injector.clone(),
+        )))
+    };
+    let (id, config, spec) = match cfg.mode {
+        ChaosMode::Cached => (
+            "d0",
+            chaos_config.with_cache(CacheConfig::default().with_ram_bytes(32 << 20)),
+            faulted_shards(),
+        ),
         ChaosMode::Fleet => {
             // Warm a healthy owner's RAM tier, then fetch everything through
             // a chaotic peer transport whose fallback is faulted NFS.
@@ -474,13 +460,8 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
                 .clone()
                 .with_epochs(1)
                 .with_cache(CacheConfig::default().with_ram_bytes(64 << 20));
-            let owner = EmlioDaemon::open_with_base(
-                "owner",
-                index.clone(),
-                owner_config.clone(),
-                Arc::new(TfrecordSource::new(index.clone())),
-            )
-            .map_err(|e| fail("owner open failed", &e))?;
+            let owner = EmlioDaemon::open("owner", dir.path(), owner_config.clone())
+                .map_err(|e| fail("owner open failed", &e))?;
             let owner_cache = owner.cache().expect("owner is cached").clone();
             let owner_plan = Plan::build(&index, &["n".to_string()], &owner_config);
             drain_solo(owner, owner_plan, &owner_config)
@@ -492,8 +473,8 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
                 "owner",
                 ChaosPeer::new(LocalPeer::new(&owner_cache), injector.clone()),
             );
-            // The mount and peer source outlive daemon incarnations, like
-            // the real shared filesystem and fleet fabric would.
+            // The mount and registry outlive daemon incarnations, like the
+            // real shared filesystem and fleet fabric would.
             let mount = NfsMount::mount(
                 dir.path(),
                 NetProfile::local(),
@@ -501,62 +482,40 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
                 NfsConfig::default(),
             );
             mount.set_fault_injector(injector.clone());
-            let nfs: Arc<dyn RangeSource> = Arc::new(NfsSource::new(index.clone(), mount));
-            let peer = PeerSource::new(
+            let spec = StackSpec::over(Arc::new(NfsSource::new(index.clone(), mount))).in_fleet(
                 registry,
-                "fetcher",
-                nfs,
                 PeerConfig::default().with_timeout(Duration::from_millis(200)),
             );
-            let open = {
-                let index = index.clone();
-                let config = chaos_config.clone();
-                let peer = peer.clone();
-                let log = incarnations.clone();
-                move || {
-                    let d = EmlioDaemon::open_with_base(
-                        "fetcher",
-                        index.clone(),
-                        config.clone(),
-                        peer.clone() as Arc<dyn RangeSource>,
-                    )?;
-                    log.lock().unwrap().push(d.metrics());
-                    Ok(d)
-                }
-            };
-            serve_and_drain(open, &plan, &chaos_config, &controller, max_restarts)?
+            ("fetcher", chaos_config, spec)
         }
-        ChaosMode::SpillPersist => {
-            // RAM tier far smaller than the dataset: admissions spill to the
-            // persistent disk tier under injected write faults, and each
-            // restart re-admits whatever spill survived.
-            let config = chaos_config.with_cache(
+        // RAM tier far smaller than the dataset: admissions spill to the
+        // persistent disk tier under injected write faults, and each
+        // restart re-admits whatever spill survived.
+        ChaosMode::SpillPersist => (
+            "d0",
+            chaos_config.with_cache(
                 CacheConfig::default()
                     .with_ram_bytes(16 << 10)
                     .with_disk_bytes(64 << 20)
                     .with_persist_dir(dir.path().join("persist")),
-            );
-            let open = {
-                let index = index.clone();
-                let injector = injector.clone();
-                let config = config.clone();
-                let log = incarnations.clone();
-                move || {
-                    let base: Arc<dyn RangeSource> = Arc::new(FaultSource::new(
-                        Arc::new(TfrecordSource::new(index.clone())),
-                        injector.clone(),
-                    ));
-                    let d = EmlioDaemon::open_with_base("d0", index.clone(), config.clone(), base)?;
-                    d.cache()
-                        .expect("spill-persist daemon is cached")
-                        .set_fault_injector(injector.clone());
-                    log.lock().unwrap().push(d.metrics());
-                    Ok(d)
-                }
-            };
-            serve_and_drain(open, &plan, &config, &controller, max_restarts)?
-        }
+            ),
+            faulted_shards(),
+        ),
     };
+    // Per-incarnation metrics handles: retry counters are per daemon, so
+    // the totals sum every incarnation's final snapshot.
+    let incarnations: Mutex<Vec<Arc<DataPathMetrics>>> = Mutex::new(Vec::new());
+    let open = || {
+        let d = EmlioDaemon::open_stack(id, index.clone(), config.clone(), spec.clone())?;
+        // `spill.write` faults: a no-op unless the schedule names the site.
+        if let Some(cache) = d.cache() {
+            cache.set_fault_injector(injector.clone());
+        }
+        incarnations.lock().unwrap().push(d.metrics());
+        Ok(d)
+    };
+    let (delivered, batches, served) =
+        serve_and_drain(open, &plan, &config, &controller, max_restarts)?;
 
     let verdict = reconcile(cfg.seed, &delivered, &reference, &served)?;
     let (mut io_retries, mut io_giveups) = (0u64, 0u64);

@@ -2,29 +2,29 @@
 //!
 //! The paper's remote-dataset regime has every storage daemon hammering
 //! one NFS mount. With the composable read stack this is now just a
-//! deployment shape: N `EmlioDaemon`s, each stacked as
-//! `cached -> metered -> nfs`, where the `NfsSource` clones share a single
-//! emulated mount (one wire, one token bucket). Per-daemon caches absorb
-//! the repeated-epoch traffic, so the shared link carries each unique
-//! block once per daemon instead of once per epoch per daemon.
+//! deployment shape: N cached `EmlioDaemon`s whose `NfsSource` roots share
+//! a single emulated mount (one wire, one token bucket; `ReadStack`'s docs
+//! have the layer order). Per-daemon caches absorb the repeated-epoch
+//! traffic, so the shared link carries each unique block once per daemon
+//! instead of once per epoch per daemon.
 //!
 //! With [`ContentionConfig::peer_fleet`] the daemons additionally share a
-//! cooperative cache tier (`cached -> metered -> peer -> nfs`, one
-//! `FleetRegistry`): block ownership is consistent-hashed across the
-//! fleet, non-owners fetch from the owner's tiers, and fleet-wide
-//! single-flight collapses the cold start — the shared link carries each
-//! unique block **once total**, not once per daemon.
+//! cooperative cache tier (one `FleetRegistry`): block ownership is
+//! consistent-hashed across the fleet, non-owners fetch from the owner's
+//! tiers, and fleet-wide single-flight collapses the cold start — the
+//! shared link carries each unique block **once total**, not once per
+//! daemon.
 
-use emlio_cache::peer::{FleetRegistry, LocalPeer, PeerConfig, PeerSource};
+use emlio_cache::peer::{FleetRegistry, PeerConfig};
 use emlio_cache::CacheConfig;
 use emlio_core::plan::Plan;
 use emlio_core::wire;
-use emlio_core::{EmlioConfig, EmlioDaemon};
+use emlio_core::{EmlioConfig, EmlioDaemon, StackSpec};
 use emlio_datagen::convert::build_tfrecord_dataset;
 use emlio_datagen::DatasetSpec;
 use emlio_energymon::{peer_savings, IoSavings, DEFAULT_STORAGE_IO_WATTS};
 use emlio_netem::{NetProfile, NfsConfig, NfsMount, NfsSource};
-use emlio_tfrecord::{GlobalIndex, RangeSource, ShardSpec};
+use emlio_tfrecord::{GlobalIndex, ShardSpec};
 use emlio_util::clock::RealClock;
 use emlio_util::testutil::TempDir;
 use emlio_zmq::{Endpoint, PullSocket, SocketOptions};
@@ -168,8 +168,9 @@ pub fn run(cfg: &ContentionConfig) -> ContentionOutcome {
                 .with_prefetch_depth(4),
         );
 
-    // Fleet mode: every daemon joins the ring before any source is built,
-    // so all of them compute identical block ownership from the start.
+    // Fleet mode: every daemon joins the ring before any of them is
+    // opened, so all of them compute identical block ownership from the
+    // start.
     let registry = cfg.peer_fleet.then(FleetRegistry::new);
     if let Some(reg) = &registry {
         for d in 0..cfg.daemons {
@@ -184,22 +185,15 @@ pub fn run(cfg: &ContentionConfig) -> ContentionOutcome {
     let mut expected_batches = 0u64;
     let mut unique_blocks = 0u64;
     for d in 0..cfg.daemons {
-        let nfs: Arc<dyn RangeSource> = Arc::new(NfsSource::new(index.clone(), mount.clone()));
-        let (base, peer_src) = match &registry {
-            Some(reg) => {
-                let peer = PeerSource::new(
-                    reg.clone(),
-                    &format!("d{d}"),
-                    nfs,
-                    PeerConfig::default().with_timeout(cfg.peer_timeout),
-                );
-                (peer.clone() as Arc<dyn RangeSource>, Some(peer))
-            }
-            None => (nfs, None),
-        };
-        let daemon =
-            EmlioDaemon::open_with_base(&format!("d{d}"), index.clone(), config.clone(), base)
-                .expect("open daemon over shared mount");
+        let mut spec = StackSpec::over(Arc::new(NfsSource::new(index.clone(), mount.clone())));
+        if let Some(reg) = &registry {
+            spec = spec.in_fleet(
+                reg.clone(),
+                PeerConfig::default().with_timeout(cfg.peer_timeout),
+            );
+        }
+        let daemon = EmlioDaemon::open_stack(&format!("d{d}"), index.clone(), config.clone(), spec)
+            .expect("open daemon over shared mount");
         metrics.push(daemon.metrics());
         let plan = Plan::build(daemon.index(), &["node".to_string()], &config);
         // One positioned block read per planned batch, with identical
@@ -242,31 +236,14 @@ pub fn run(cfg: &ContentionConfig) -> ContentionOutcome {
             }
             (batches, digest)
         }));
-        opened.push((daemon, plan, ep, peer_src));
+        opened.push((daemon, plan, ep));
     }
 
-    // Fleet wiring happens after every daemon is open and before any
-    // serves: attach each cache to the registry (the owner tier peers
-    // fetch from) and mirror each peer layer's stats into that daemon's
-    // metrics at snapshot time.
-    if let Some(reg) = &registry {
-        for (d, (daemon, _, _, peer_src)) in opened.iter().enumerate() {
-            let peer = peer_src.as_ref().expect("fleet daemon has a peer layer");
-            if let Some(cache) = daemon.cache() {
-                reg.attach(&format!("d{d}"), LocalPeer::new(cache));
-            }
-            peer.set_recorder(daemon.recorder());
-            let stats = peer.stats();
-            daemon.metrics().register_provider(move |m| {
-                let s = stats.snapshot();
-                m.set_peer_counters(s.hits, s.misses, s.fallbacks, s.bytes_from_peers);
-            });
-        }
-    }
-
+    // Every daemon is open — and, in fleet mode, its cache attached to the
+    // registry — before any of them serves.
     let serve_threads: Vec<_> = opened
         .into_iter()
-        .map(|(daemon, plan, ep, _)| {
+        .map(|(daemon, plan, ep)| {
             std::thread::spawn(move || {
                 daemon.serve(&plan, "node", &ep).expect("serve");
             })

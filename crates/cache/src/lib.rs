@@ -46,8 +46,8 @@
 //!   origin/bytes/read-time per batch.
 //!
 //! [`CacheStats`] counts hits, misses, evictions, spills, re-admissions,
-//! and bytes saved, which `emlio-core` mirrors into its `DataPathMetrics`
-//! and `emlio-energymon` converts into avoided NFS latency and energy.
+//! and bytes saved, which `emlio-core`'s metrics snapshot reads and
+//! `emlio-energymon` converts into avoided NFS latency and energy.
 
 pub mod cache;
 pub mod order;

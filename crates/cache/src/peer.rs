@@ -22,10 +22,11 @@
 //!   [`PeerConfig::timeout`]) before falling back to the inner source, and
 //!   degrade gracefully to direct storage when the owner is down or slow.
 //!
-//! The daemon stack becomes `cached -> metered -> peer -> nfs`: peer-served
-//! reads carry [`ReadOrigin::Peer`], which the metering layer above does
-//! *not* count as a storage read — so `storage_reads` aggregated across a
-//! fleet converges on the number of unique blocks, not ×N daemons.
+//! `emlio-core`'s `ReadStack` places the layer under the daemon's metering
+//! (its docs have the whole order): peer-served reads carry
+//! [`ReadOrigin::Peer`], which the metering layer above does *not* count
+//! as a storage read — so `storage_reads` aggregated across a fleet
+//! converges on the number of unique blocks, not ×N daemons.
 
 use crate::cache::ShardCache;
 use bytes::Bytes;
@@ -475,8 +476,8 @@ impl PeerConfig {
     }
 }
 
-/// Peer-tier counters (per [`PeerSource`]; `emlio-core` mirrors them into
-/// its `DataPathMetrics` via a snapshot-time provider).
+/// Peer-tier counters (per [`PeerSource`]; `emlio-core`'s metrics snapshot
+/// reads them from here).
 #[derive(Debug, Default)]
 pub struct PeerStats {
     /// Blocks served by a peer's tier or a fleet flight handoff.
@@ -624,7 +625,7 @@ impl PeerSource {
         })
     }
 
-    /// Peer-tier counters (share the `Arc` into a metrics provider).
+    /// Peer-tier counters.
     pub fn stats(&self) -> Arc<PeerStats> {
         self.stats.clone()
     }
@@ -635,7 +636,7 @@ impl PeerSource {
     }
 
     /// Record successful peer fetches as [`Stage::PeerFetch`] latency.
-    /// First call wins (the daemon wires its recorder in after open).
+    /// First call wins.
     pub fn set_recorder(&self, recorder: Arc<StageRecorder>) {
         let _ = self.recorder.set(recorder);
     }

@@ -7,28 +7,27 @@
 //! reading/serializing one batch overlaps sending another — the paper's
 //! network-pipeline concurrency, and the knob behind Figures 7 and 8.
 //!
-//! Reads go through a composable [`RangeSource`] stack assembled at open
-//! time: a [`MeteredSource`] (storage-read accounting) over the backing
-//! store — local [`TfrecordSource`] shards by default, or any caller-
-//! supplied source such as `emlio-netem`'s `NfsSource` — with an
-//! `emlio-cache` [`CachedSource`] on top when [`EmlioConfig::cache`] is
-//! set. Repeated epochs are then served from RAM (or the disk spill tier)
-//! without touching storage, a plan-walking prefetcher warms blocks ahead
-//! of the send workers, and a persistent spill tier survives daemon
-//! restarts.
+//! Reads go through a composable [`RangeSource`] stack that
+//! [`ReadStack`] assembles at open time (its docs have the layer order).
+//! With [`EmlioConfig::cache`] set, repeated epochs are served from RAM
+//! (or the disk spill tier) without touching storage, a plan-walking
+//! prefetcher warms blocks ahead of the send workers, and a persistent
+//! spill tier survives daemon restarts.
 
 use crate::chaos::ChaosController;
 use crate::config::EmlioConfig;
 use crate::metrics::DataPathMetrics;
 use crate::plan::{BatchRange, Plan};
 use crate::pool::BufferPool;
+use crate::stack::{ReadStack, StackSpec};
 use crate::wire;
 use bytes::Bytes;
-use emlio_cache::{BlockKey, CachedRangeReader, CachedSource, Prefetcher, ReadOrigin, ShardCache};
+use emlio_cache::{
+    BlockKey, CachedRangeReader, CachedSource, PeerSource, Prefetcher, ReadOrigin, ShardCache,
+};
 use emlio_obs::{clock, obs_error, BatchTrace, FlightRecorder, Stage, StageRecorder};
-use emlio_tfrecord::source::{BlockRead, RangeSource, TfrecordSource};
-use emlio_tfrecord::{GlobalIndex, RecordError, RetrySource};
-use emlio_util::fault::RetryPolicy;
+use emlio_tfrecord::source::{BlockRead, RangeSource};
+use emlio_tfrecord::{GlobalIndex, RecordError};
 use emlio_zmq::{Endpoint, Frame, PushSocket, SocketOptions, ZmqError};
 use std::fmt;
 use std::sync::Arc;
@@ -156,8 +155,10 @@ pub struct EmlioDaemon {
     /// The composed read stack every batch goes through.
     source: Arc<dyn RangeSource>,
     /// The caching layer of the stack, when configured (prefetcher handle,
-    /// plan installation, stats reconciliation).
+    /// plan installation).
     cached: Option<Arc<CachedSource>>,
+    /// The fleet layer of the stack, when opened in a fleet.
+    peer: Option<Arc<PeerSource>>,
     /// Block/header buffer pool shared by the backing reads (via the
     /// [`emlio_tfrecord::BlockAlloc`] seam) and the wire encoder.
     pool: BufferPool,
@@ -177,101 +178,38 @@ impl EmlioDaemon {
         config: EmlioConfig,
     ) -> Result<EmlioDaemon, DaemonError> {
         let index = Arc::new(GlobalIndex::load_dir(dataset_dir)?);
-        let pool = BufferPool::new();
-        let base: Arc<dyn RangeSource> =
-            Arc::new(TfrecordSource::new(index.clone()).with_alloc(Arc::new(pool.clone())));
-        Self::open_with_base_pooled(id, index, config, base, pool)
+        Self::open_stack(id, index, config, StackSpec::default())
     }
 
-    /// Open over a caller-supplied backing source — the seam for reading
-    /// through `emlio-netem`'s `NfsSource` (shared remote storage) or any
-    /// other [`RangeSource`]. The daemon layers its metering and (when
-    /// configured) cache on top of `base`. The daemon's pool still backs
-    /// wire-encoding buffers; pass it into the base source's `BlockAlloc`
-    /// seam (as [`EmlioDaemon::open`] does) to pool block reads too.
+    /// Open over a caller-supplied backing source, which the daemon treats
+    /// as an opaque root: metering, the cache and (with
+    /// [`EmlioConfig::io_retries`]) a retry layer directly above `base` are
+    /// layered on top. The daemon's pool still backs wire-encoding buffers.
     pub fn open_with_base(
         id: &str,
         index: Arc<GlobalIndex>,
         config: EmlioConfig,
         base: Arc<dyn RangeSource>,
     ) -> Result<EmlioDaemon, DaemonError> {
-        Self::open_with_base_pooled(id, index, config, base, BufferPool::new())
+        Self::open_stack(id, index, config, StackSpec::over(base))
     }
 
-    fn open_with_base_pooled(
+    /// Open over whatever `spec` names — a shared NFS mount, a fleet
+    /// membership. [`ReadStack`] decides how it is stacked and counted.
+    pub fn open_stack(
         id: &str,
         index: Arc<GlobalIndex>,
         config: EmlioConfig,
-        base: Arc<dyn RangeSource>,
-        pool: BufferPool,
+        spec: StackSpec,
     ) -> Result<EmlioDaemon, DaemonError> {
-        let metrics = DataPathMetrics::shared();
-        let recorder = StageRecorder::shared();
-        pool.set_recorder(recorder.clone());
-        // Optional retry layer directly above the root: transient storage
-        // failures are absorbed with deterministic backoff before they can
-        // surface as a dead worker. Sits *below* metering so a retried
-        // read still counts as one storage read once it succeeds.
-        let base = if config.io_retries > 0 {
-            let policy =
-                RetryPolicy::new(config.io_retries, config.io_backoff).with_seed(config.seed);
-            let retry = RetrySource::new(base, policy);
-            retry.set_recorder(recorder.clone());
-            let stats = retry.stats();
-            metrics.register_provider(move |m| {
-                let s = stats.snapshot();
-                m.set_retry_counters(s.retries, s.giveups);
-            });
-            Arc::new(retry) as Arc<dyn RangeSource>
-        } else {
-            base
-        };
-        let metered: Arc<dyn RangeSource> =
-            Arc::new(MeteredSource::new(base, metrics.clone()).with_recorder(recorder.clone()));
-        metrics.set_cache_enabled(config.cache.is_some());
-        let (source, cached) = match &config.cache {
-            None => (metered, None),
-            Some(cache_config) => {
-                let cache = Arc::new(
-                    ShardCache::new(cache_config.clone())
-                        .map_err(|e| DaemonError::Storage(RecordError::Io(e)))?,
-                );
-                // Spill writes and warm promotes happen on cache-owned
-                // threads; routing them into the daemon's recorder keeps
-                // the report's stage map complete.
-                cache.set_recorder(recorder.clone());
-                let cached =
-                    Arc::new(CachedSource::new(cache, metered).with_recorder(recorder.clone()));
-                (cached.clone() as Arc<dyn RangeSource>, Some(cached))
-            }
-        };
-        // Off-path counters live in the cache and the pool; snapshot-time
-        // providers pull them fresh, so a mid-epoch snapshot (sampler
-        // thread, bench probe) is as current as an end-of-serve one. The
-        // closures capture only cache/pool handles — neither references
-        // the metrics, so no Arc cycle forms.
-        if let Some(cached) = &cached {
-            let cache = cached.cache().clone();
-            metrics.register_provider(move |m| {
-                let s = cache.stats().snapshot();
-                m.set_cache_evictions(s.evictions);
-                m.set_cache_disk_hits(s.disk_hits);
-                m.set_cache_readmitted(s.readmitted);
-                // RAM-tier hits hand the cached `Bytes` straight into the
-                // wire frame — not one payload byte is copied. Disk-tier
-                // hits re-read the spill file, so they are excluded.
-                m.set_zero_copy_hits(s.hits - s.disk_hits);
-                m.set_cache_spill_failures(s.spill_failures);
-                m.set_cache_spill_backpressure(s.spill_backpressure_waits + s.spill_dropped);
-                m.set_cache_warm_promoted(s.warm_promoted);
-                m.set_cache_spill_queue_depth(cache.spill_queue_depth());
-            });
-        }
-        let pool_handle = pool.clone();
-        metrics.register_provider(move |m| {
-            let ps = pool_handle.stats();
-            m.set_pool_counters(ps.pool_alloc, ps.pool_reuse);
-        });
+        let ReadStack {
+            source,
+            cached,
+            peer,
+            pool,
+            recorder,
+            metrics,
+        } = ReadStack::build(id, &index, &config, spec)?;
         Ok(EmlioDaemon {
             id: id.to_string(),
             index,
@@ -279,6 +217,7 @@ impl EmlioDaemon {
             metrics,
             source,
             cached,
+            peer,
             pool,
             recorder,
         })
@@ -308,6 +247,11 @@ impl EmlioDaemon {
     /// The shard block cache, when configured.
     pub fn cache(&self) -> Option<&Arc<ShardCache>> {
         self.cached.as_ref().map(|c| c.cache())
+    }
+
+    /// The fleet layer, when the daemon was opened in a fleet.
+    pub fn peer(&self) -> Option<&Arc<PeerSource>> {
+        self.peer.as_ref()
     }
 
     /// One-line description of the composed read stack, outermost first.
@@ -426,8 +370,6 @@ impl EmlioDaemon {
                 }
             }
         }
-        // Cache/pool counters reconcile via the snapshot-time providers
-        // registered at open; no end-of-serve pass needed.
         if let Err(e) = &result {
             obs_error!(
                 "daemon",
@@ -561,8 +503,7 @@ impl EmlioDaemon {
             ReadOrigin::Cache => self.metrics.record_cache_hit(read.bytes),
             ReadOrigin::CacheMiss => self.metrics.record_cache_miss(),
             // Storage-read time is accounted by the metered stack layer;
-            // peer fetches are accounted by the peer layer's own stats
-            // (surfaced through a registered metrics provider).
+            // peer fetches by the peer layer's own stats.
             ReadOrigin::Direct | ReadOrigin::Peer => {}
         }
 
@@ -616,6 +557,7 @@ mod tests {
     use crate::plan::Plan;
     use emlio_datagen::convert::build_tfrecord_dataset;
     use emlio_datagen::DatasetSpec;
+    use emlio_tfrecord::source::TfrecordSource;
     use emlio_tfrecord::ShardSpec;
     use emlio_util::testutil::TempDir;
     use emlio_zmq::PullSocket;

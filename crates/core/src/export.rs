@@ -96,40 +96,10 @@ fn insert_stage_points(db: &mut Db, process: &str, snap: &RecorderSnapshot, ts: 
 }
 
 fn insert_path_points(db: &mut Db, process: &str, snap: &MetricsSnapshot, ts: u64) {
-    let mut p = Point::new("emlio_path")
-        .tag("proc", process)
-        .field("batches", snap.batches as f64)
-        .field("samples", snap.samples as f64)
-        .field("bytes", snap.bytes as f64)
-        .field("read_nanos", snap.read_nanos as f64)
-        .field("codec_nanos", snap.codec_nanos as f64)
-        .field("storage_reads", snap.storage_reads as f64)
-        .field("cache_enabled", if snap.cache_enabled { 1.0 } else { 0.0 })
-        .field("cache_hits", snap.cache_hits as f64)
-        .field("cache_misses", snap.cache_misses as f64)
-        .field("cache_evictions", snap.cache_evictions as f64)
-        .field("cache_bytes_saved", snap.cache_bytes_saved as f64)
-        .field("pool_alloc", snap.pool_alloc as f64)
-        .field("pool_reuse", snap.pool_reuse as f64)
-        .field("zero_copy_hits", snap.zero_copy_hits as f64)
-        .field("cache_spill_failures", snap.cache_spill_failures as f64)
-        .field(
-            "cache_spill_queue_depth",
-            snap.cache_spill_queue_depth as f64,
-        )
-        .field(
-            "cache_spill_backpressure",
-            snap.cache_spill_backpressure as f64,
-        )
-        .field("cache_warm_promoted", snap.cache_warm_promoted as f64)
-        .field("peer_hits", snap.peer_hits as f64)
-        .field("peer_misses", snap.peer_misses as f64)
-        .field("peer_fallbacks", snap.peer_fallbacks as f64)
-        .field("peer_bytes", snap.peer_bytes as f64)
-        .field("io_retries", snap.io_retries as f64)
-        .field("io_giveups", snap.io_giveups as f64)
-        .field("send_blocked_nanos", snap.send_blocked_nanos as f64)
-        .at(ts);
+    let mut p = Point::new("emlio_path").tag("proc", process).at(ts);
+    for (name, value) in snap.path_fields() {
+        p = p.field(name, value as f64);
+    }
     // Only meaningful when a cache is configured and saw traffic — the
     // field's absence IS the "disabled / no traffic" signal downstream.
     if let Some(rate) = snap.cache_hit_rate() {
@@ -157,11 +127,9 @@ pub struct MetricsSampler {
     db: Arc<Mutex<Db>>,
 }
 
-/// Lock the sampler's database even when poisoned. `sample_into` runs
-/// metric providers while the guard is held; a provider that panics (a
-/// chaos hook, a bug) poisons the lock but never leaves the `Db` itself
-/// mid-mutation, so later samples and `finish()` can keep going instead
-/// of turning one bad sample into a lost run.
+/// Lock the sampler's database even when poisoned: a sampler thread that
+/// died mid-sample never leaves the `Db` itself mid-mutation, so
+/// `finish()` hands back what was collected instead of a second panic.
 fn lock_db(db: &Mutex<Db>) -> std::sync::MutexGuard<'_, Db> {
     db.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
@@ -523,27 +491,46 @@ mod tests {
     use super::*;
     use emlio_obs::StageRecorder;
 
-    fn demo_sources() -> Vec<SampleSource> {
-        let metrics = DataPathMetrics::shared();
-        metrics.set_cache_enabled(true);
-        metrics.record_batch(32, 4096);
-        metrics.record_cache_hit(4096);
-        metrics.record_cache_miss();
-        metrics.add_send_blocked_nanos(1_000);
-        metrics.set_serve_wall(10_000_000, 2);
+    /// One daemon's fabricated end-of-serve state: a half-hitting cache,
+    /// some blocked-send time, three recorded stages.
+    fn demo_snapshot() -> MetricsSnapshot {
+        MetricsSnapshot {
+            batches: 1,
+            samples: 32,
+            bytes: 4096,
+            cache_enabled: true,
+            cache_hits: 1,
+            cache_misses: 1,
+            cache_bytes_saved: 4096,
+            send_blocked_nanos: 1_000,
+            serve_wall_nanos: 10_000_000,
+            serve_workers: 2,
+            ..MetricsSnapshot::default()
+        }
+    }
+
+    fn sample_demo(db: &mut Db, ts: u64) {
         let recorder = StageRecorder::shared();
         recorder.record(Stage::BatchAssemble, 9_000_000);
         recorder.record(Stage::SocketSend, 6_000_000);
         recorder.record(Stage::Encode, 500_000);
-        vec![SampleSource::new("daemon-0", metrics, recorder)]
+        insert_path_points(db, "daemon-0", &demo_snapshot(), ts);
+        insert_stage_points(db, "daemon-0", &recorder.snapshot(), ts);
     }
 
     #[test]
     fn sample_report_roundtrip_through_line_protocol() {
-        let sources = demo_sources();
         let mut db = Db::new();
-        sample_into(&mut db, &sources, 1_000);
-        sample_into(&mut db, &sources, 2_000);
+        sample_demo(&mut db, 1_000);
+        sample_demo(&mut db, 2_000);
+
+        // The point carries the snapshot's whole table, plus the derived rate.
+        let fields = last_fields(&db, "emlio_path", &[("proc", "daemon-0")]).unwrap();
+        for (name, value) in demo_snapshot().path_fields() {
+            assert_eq!(fields.get(name), Some(&(value as f64)), "{name}");
+        }
+        assert_eq!(fields.get("cache_hit_rate"), Some(&0.5));
+        assert_eq!(fields.len(), 28);
 
         // Stall attribution reads the last sample's cumulative state.
         let stall = stall_attribution(&db, "daemon-0").unwrap();
@@ -591,23 +578,22 @@ mod tests {
     #[test]
     fn peer_fields_exported_and_reported_only_with_traffic() {
         // Solo: fields exist (zero) but the report stays peer-silent.
-        let solo = demo_sources();
         let mut db = Db::new();
-        sample_into(&mut db, &solo, 10);
+        sample_demo(&mut db, 10);
         let fields = last_fields(&db, "emlio_path", &[("proc", "daemon-0")]).unwrap();
         assert_eq!(fields.get("peer_hits"), Some(&0.0));
         assert!(!render_report(&db).contains("peers:"));
 
         // Fleet: counters flow through to the point and the report line.
-        let metrics = DataPathMetrics::shared();
-        metrics.set_peer_counters(40, 3, 2, 5 << 20);
-        let sources = vec![SampleSource {
-            process: "daemon-1".into(),
-            metrics: Some(metrics),
-            recorder: None,
-        }];
+        let snap = MetricsSnapshot {
+            peer_hits: 40,
+            peer_misses: 3,
+            peer_fallbacks: 2,
+            peer_bytes: 5 << 20,
+            ..MetricsSnapshot::default()
+        };
         let mut db = Db::new();
-        sample_into(&mut db, &sources, 20);
+        insert_path_points(&mut db, "daemon-1", &snap, 20);
         let fields = last_fields(&db, "emlio_path", &[("proc", "daemon-1")]).unwrap();
         assert_eq!(fields.get("peer_hits"), Some(&40.0));
         assert_eq!(fields.get("peer_fallbacks"), Some(&2.0));
@@ -621,8 +607,13 @@ mod tests {
 
     #[test]
     fn sampler_thread_captures_final_state() {
-        let sources = demo_sources();
-        let metrics = sources[0].metrics.clone().unwrap();
+        let metrics = DataPathMetrics::shared();
+        metrics.record_batch(32, 4096);
+        let sources = vec![SampleSource::new(
+            "daemon-0",
+            metrics.clone(),
+            StageRecorder::shared(),
+        )];
         let sampler = MetricsSampler::spawn(sources, Duration::from_millis(5));
         // Deadline-poll for the first periodic pass instead of sleeping a
         // fixed 15 ms — loaded CI machines made that a coin flip.
@@ -638,42 +629,22 @@ mod tests {
     }
 
     #[test]
-    fn sampler_finish_survives_a_panicking_provider() {
-        let metrics = DataPathMetrics::shared();
-        metrics.register_provider(|_| panic!("injected provider failure"));
-        let sources = vec![SampleSource {
-            process: "d".into(),
-            metrics: Some(metrics),
-            recorder: None,
-        }];
-        let sampler = MetricsSampler::spawn(sources, Duration::from_millis(1));
-        // The first pass panics inside `sample_into` with the db guard
-        // held, poisoning the lock and killing the sampler thread.
-        // `finish()` must hand back what was collected (here: nothing)
-        // rather than propagating the poison as a second panic.
-        let db = sampler.finish();
-        assert_eq!(db.point_count(), 0);
-    }
-
-    #[test]
     fn io_retry_fields_exported_and_reported_only_when_nonzero() {
         // Healthy run: fields exist (zero) but the report stays silent.
         let mut db = Db::new();
-        sample_into(&mut db, &demo_sources(), 10);
+        sample_demo(&mut db, 10);
         let fields = last_fields(&db, "emlio_path", &[("proc", "daemon-0")]).unwrap();
         assert_eq!(fields.get("io_retries"), Some(&0.0));
         assert!(!render_report(&db).contains("transient errors retried"));
 
         // Hiccuping storage: counters flow to the point and the report.
-        let metrics = DataPathMetrics::shared();
-        metrics.set_retry_counters(7, 1);
-        let sources = vec![SampleSource {
-            process: "daemon-2".into(),
-            metrics: Some(metrics),
-            recorder: None,
-        }];
+        let snap = MetricsSnapshot {
+            io_retries: 7,
+            io_giveups: 1,
+            ..MetricsSnapshot::default()
+        };
         let mut db = Db::new();
-        sample_into(&mut db, &sources, 20);
+        insert_path_points(&mut db, "daemon-2", &snap, 20);
         let fields = last_fields(&db, "emlio_path", &[("proc", "daemon-2")]).unwrap();
         assert_eq!(fields.get("io_retries"), Some(&7.0));
         assert_eq!(fields.get("io_giveups"), Some(&1.0));

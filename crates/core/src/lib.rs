@@ -34,6 +34,7 @@ pub mod plan;
 pub mod pool;
 pub mod receiver;
 pub mod service;
+pub mod stack;
 pub mod wire;
 
 pub use chaos::ChaosController;
@@ -45,4 +46,5 @@ pub use plan::{BatchRange, EpochPlan, NodePlan, Plan};
 pub use pool::{BufferPool, PoolBuf, PoolStats};
 pub use receiver::{EmlioReceiver, LazyQueueSource, ReceiverConfig};
 pub use service::EmlioService;
+pub use stack::{ReadStack, StackSpec};
 pub use wire::{LazyBatch, LazyMsg, WireMsg};

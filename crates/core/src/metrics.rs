@@ -1,34 +1,65 @@
 //! Data-path counters shared between daemon, receiver, and reports.
 
-use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use crate::pool::BufferPool;
+use emlio_cache::{PeerStats, ShardCache};
+use emlio_tfrecord::RetryStats;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-/// One registered snapshot-time reconciler.
-type Provider = Box<dyn Fn(&DataPathMetrics) + Send + Sync>;
+/// The components of one daemon's read stack that count *off* the data
+/// path. They own their counters; [`DataPathMetrics::snapshot`] reads them
+/// where they live, so a mid-epoch snapshot (sampler thread, bench probe)
+/// is as current as an end-of-serve one. Assembled by
+/// [`ReadStack::build`](crate::stack::ReadStack::build).
+pub struct StackCounters {
+    /// The shard cache, when configured.
+    pub cache: Option<Arc<ShardCache>>,
+    /// The fleet layer's counters, when the daemon is in a fleet.
+    pub peer: Option<Arc<PeerStats>>,
+    /// The retry layer's counters, when retries are enabled.
+    pub retry: Option<Arc<RetryStats>>,
+    /// The daemon's buffer pool.
+    pub pool: BufferPool,
+}
 
-/// Callbacks that pull counters from their sources of truth (cache, pool)
-/// right before a snapshot, so mid-epoch snapshots are never stale.
-#[derive(Default)]
-pub struct Providers(Mutex<Vec<Provider>>);
-
-impl fmt::Debug for Providers {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let n = self.0.lock().map(|v| v.len()).unwrap_or(0);
-        write!(f, "Providers({n})")
+impl StackCounters {
+    fn read_into(&self, s: &mut MetricsSnapshot) {
+        let pool = self.pool.stats();
+        s.pool_alloc = pool.pool_alloc;
+        s.pool_reuse = pool.pool_reuse;
+        if let Some(cache) = &self.cache {
+            let c = cache.stats().snapshot();
+            s.cache_enabled = true;
+            s.cache_evictions = c.evictions;
+            s.cache_disk_hits = c.disk_hits;
+            s.cache_readmitted = c.readmitted;
+            // RAM-tier hits hand the cached `Bytes` straight into the wire
+            // frame; disk-tier hits re-read the spill file.
+            s.zero_copy_hits = c.hits - c.disk_hits;
+            s.cache_spill_failures = c.spill_failures;
+            s.cache_spill_queue_depth = cache.spill_queue_depth();
+            s.cache_spill_backpressure = c.spill_backpressure_waits + c.spill_dropped;
+            s.cache_warm_promoted = c.warm_promoted;
+        }
+        if let Some(peer) = &self.peer {
+            let p = peer.snapshot();
+            s.peer_hits = p.hits;
+            s.peer_misses = p.misses;
+            s.peer_fallbacks = p.fallbacks;
+            s.peer_bytes = p.bytes_from_peers;
+        }
+        if let Some(retry) = &self.retry {
+            let r = retry.snapshot();
+            s.io_retries = r.retries;
+            s.io_giveups = r.giveups;
+        }
     }
 }
 
-/// Lock the provider list even when poisoned: a panicking provider (e.g.
-/// a fault-injection hook blowing up mid-callback) must not take every
-/// later snapshot down with it — the `Vec` is never left mid-mutation.
-fn lock_providers(p: &Providers) -> std::sync::MutexGuard<'_, Vec<Provider>> {
-    p.0.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Monotonic counters for one side of the data path.
-#[derive(Debug, Default)]
+/// Monotonic counters for one side of the data path: the ones bumped on
+/// the path itself. Everything else in a [`MetricsSnapshot`] is read from
+/// the [`StackCounters`] components.
+#[derive(Default)]
 pub struct DataPathMetrics {
     /// Batches moved.
     pub batches: AtomicU64,
@@ -48,68 +79,31 @@ pub struct DataPathMetrics {
     /// Batch reads that missed the shard cache (0 ⇒ cache disabled or
     /// perfectly warm).
     pub cache_misses: AtomicU64,
-    /// Blocks evicted from the cache's RAM tier.
-    pub cache_evictions: AtomicU64,
-    /// Cache hits served by the disk spill tier (subset of `cache_hits`).
-    pub cache_disk_hits: AtomicU64,
-    /// Blocks re-admitted from a persistent spill index at daemon start.
-    pub cache_readmitted: AtomicU64,
     /// Storage bytes *not* re-read thanks to cache hits.
     pub cache_bytes_saved: AtomicU64,
-    /// Block buffers handed out by allocating fresh memory (pool misses).
-    pub pool_alloc: AtomicU64,
-    /// Block buffers handed out from the pool's free lists (no allocation).
-    pub pool_reuse: AtomicU64,
-    /// Batch reads served from RAM-tier cache hits without copying a single
-    /// payload byte (subset of `cache_hits`; disk-tier hits re-enter RAM
-    /// and are excluded).
-    pub zero_copy_hits: AtomicU64,
-    /// Spill-file writes that failed; each drops the block to absent
-    /// (demand re-fetches it from storage).
-    pub cache_spill_failures: AtomicU64,
-    /// Spill orders queued or in flight on the background writer right now
-    /// (gauge, not monotonic; 0 in synchronous-spill mode).
-    pub cache_spill_queue_depth: AtomicU64,
-    /// Backpressure events at the spill queue: evictor blocks on a full
-    /// queue plus orders dropped under the `drop` policy.
-    pub cache_spill_backpressure: AtomicU64,
-    /// Disk blocks promoted into RAM by cache warm-start.
-    pub cache_warm_promoted: AtomicU64,
-    /// Blocks served by a peer daemon's cache tier or a fleet flight
-    /// handoff (cooperative fleet; 0 when running solo).
-    pub peer_hits: AtomicU64,
-    /// Peer fetches the owner answered but did not hold resident.
-    pub peer_misses: AtomicU64,
-    /// Peer-owned reads that degraded to direct storage (owner down,
-    /// detached, or past the peer timeout).
-    pub peer_fallbacks: AtomicU64,
-    /// Payload bytes that arrived from peers instead of shared storage.
-    pub peer_bytes: AtomicU64,
-    /// Transient storage-read failures absorbed by the retry layer
-    /// (each one re-issued after backoff; 0 ⇒ retries disabled or a
-    /// perfectly healthy storage path).
-    pub io_retries: AtomicU64,
-    /// Storage operations that exhausted the retry budget and surfaced
-    /// an error to the caller. Nonzero here under injected-transient-only
-    /// fault schedules means the budget is too small.
-    pub io_giveups: AtomicU64,
     /// Nanoseconds send workers spent blocked on a full socket queue.
     pub send_blocked_nanos: AtomicU64,
     /// Wall-clock nanoseconds of the most recent `serve()` call.
     pub serve_wall_nanos: AtomicU64,
     /// Send workers used by the most recent `serve()` call.
     pub serve_workers: AtomicU64,
-    /// Whether a shard cache is configured at all — distinguishes
-    /// "cache disabled" from "cache enabled but 0% hits".
-    pub cache_enabled: AtomicBool,
-    /// Registered snapshot-time reconcilers (not a counter).
-    pub providers: Providers,
+    /// The read stack's off-path components (`None` on the receiver side
+    /// and for bare counters).
+    stack: Option<StackCounters>,
 }
 
 impl DataPathMetrics {
-    /// Fresh shared counters.
+    /// Fresh shared counters with no read stack behind them.
     pub fn shared() -> Arc<DataPathMetrics> {
         Arc::new(DataPathMetrics::default())
+    }
+
+    /// Fresh counters whose snapshots also read `stack`'s components.
+    pub fn over(stack: StackCounters) -> DataPathMetrics {
+        DataPathMetrics {
+            stack: Some(stack),
+            ..DataPathMetrics::default()
+        }
     }
 
     /// Record one batch of `samples` totalling `bytes`.
@@ -147,83 +141,6 @@ impl DataPathMetrics {
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Reconcile the eviction counter with the cache's own total (the
-    /// cache is the source of truth; evictions happen off the data path).
-    pub fn set_cache_evictions(&self, total: u64) {
-        self.cache_evictions.store(total, Ordering::Relaxed);
-    }
-
-    /// Reconcile the disk-tier hit counter with the cache's own total.
-    pub fn set_cache_disk_hits(&self, total: u64) {
-        self.cache_disk_hits.store(total, Ordering::Relaxed);
-    }
-
-    /// Reconcile the persistent-tier re-admission counter with the
-    /// cache's own total.
-    pub fn set_cache_readmitted(&self, total: u64) {
-        self.cache_readmitted.store(total, Ordering::Relaxed);
-    }
-
-    /// Reconcile the buffer-pool counters with the pool's own totals (the
-    /// pool is the source of truth; recycling happens off the data path).
-    pub fn set_pool_counters(&self, alloc: u64, reuse: u64) {
-        self.pool_alloc.store(alloc, Ordering::Relaxed);
-        self.pool_reuse.store(reuse, Ordering::Relaxed);
-    }
-
-    /// Reconcile the zero-copy serve counter (RAM-tier cache hits).
-    pub fn set_zero_copy_hits(&self, total: u64) {
-        self.zero_copy_hits.store(total, Ordering::Relaxed);
-    }
-
-    /// Reconcile the spill-write failure counter with the cache's own
-    /// total.
-    pub fn set_cache_spill_failures(&self, total: u64) {
-        self.cache_spill_failures.store(total, Ordering::Relaxed);
-    }
-
-    /// Publish the spill queue's current depth (gauge).
-    pub fn set_cache_spill_queue_depth(&self, depth: u64) {
-        self.cache_spill_queue_depth.store(depth, Ordering::Relaxed);
-    }
-
-    /// Reconcile the spill backpressure counter (blocked-evictor waits
-    /// plus dropped orders) with the cache's own totals.
-    pub fn set_cache_spill_backpressure(&self, total: u64) {
-        self.cache_spill_backpressure
-            .store(total, Ordering::Relaxed);
-    }
-
-    /// Reconcile the warm-start promotion counter with the cache's own
-    /// total.
-    pub fn set_cache_warm_promoted(&self, total: u64) {
-        self.cache_warm_promoted.store(total, Ordering::Relaxed);
-    }
-
-    /// Mark whether a shard cache is configured (resolves the 0.0
-    /// hit-rate ambiguity between "disabled" and "all misses").
-    pub fn set_cache_enabled(&self, enabled: bool) {
-        self.cache_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Reconcile the peer-tier counters with the peer layer's own stats
-    /// (the `PeerSource` is the source of truth; register a provider so
-    /// mid-epoch snapshots stay fresh).
-    pub fn set_peer_counters(&self, hits: u64, misses: u64, fallbacks: u64, bytes: u64) {
-        self.peer_hits.store(hits, Ordering::Relaxed);
-        self.peer_misses.store(misses, Ordering::Relaxed);
-        self.peer_fallbacks.store(fallbacks, Ordering::Relaxed);
-        self.peer_bytes.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Reconcile the storage-retry counters with the retry layer's own
-    /// stats (the `RetrySource` is the source of truth; register a
-    /// provider so mid-epoch snapshots stay fresh).
-    pub fn set_retry_counters(&self, retries: u64, giveups: u64) {
-        self.io_retries.store(retries, Ordering::Relaxed);
-        self.io_giveups.store(giveups, Ordering::Relaxed);
-    }
-
     /// Add time a send worker spent blocked on a full socket queue.
     pub fn add_send_blocked_nanos(&self, nanos: u64) {
         self.send_blocked_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -235,30 +152,10 @@ impl DataPathMetrics {
         self.serve_workers.store(workers, Ordering::Relaxed);
     }
 
-    /// Register a callback run at the start of every [`snapshot`] to pull
-    /// counters from their sources of truth (cache stats, pool counters).
-    /// Keeps mid-epoch snapshots — the sampler thread's, a bench probe's —
-    /// as fresh as end-of-serve ones.
-    ///
-    /// [`snapshot`]: DataPathMetrics::snapshot
-    pub fn register_provider<F>(&self, f: F)
-    where
-        F: Fn(&DataPathMetrics) + Send + Sync + 'static,
-    {
-        lock_providers(&self.providers).push(Box::new(f));
-    }
-
-    /// Plain-value copy of every counter. Runs registered providers first,
-    /// so off-path counters (evictions, pool reuse) are current even when
-    /// sampled mid-epoch.
+    /// Plain-value copy of every counter: the data-path counters kept
+    /// here, plus the read stack's components' own.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        {
-            let providers = lock_providers(&self.providers);
-            for p in providers.iter() {
-                p(self);
-            }
-        }
-        MetricsSnapshot {
+        let mut s = MetricsSnapshot {
             batches: self.batches.load(Ordering::Relaxed),
             samples: self.samples.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
@@ -267,28 +164,16 @@ impl DataPathMetrics {
             storage_reads: self.storage_reads.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            cache_disk_hits: self.cache_disk_hits.load(Ordering::Relaxed),
-            cache_readmitted: self.cache_readmitted.load(Ordering::Relaxed),
             cache_bytes_saved: self.cache_bytes_saved.load(Ordering::Relaxed),
-            pool_alloc: self.pool_alloc.load(Ordering::Relaxed),
-            pool_reuse: self.pool_reuse.load(Ordering::Relaxed),
-            zero_copy_hits: self.zero_copy_hits.load(Ordering::Relaxed),
-            cache_spill_failures: self.cache_spill_failures.load(Ordering::Relaxed),
-            cache_spill_queue_depth: self.cache_spill_queue_depth.load(Ordering::Relaxed),
-            cache_spill_backpressure: self.cache_spill_backpressure.load(Ordering::Relaxed),
-            cache_warm_promoted: self.cache_warm_promoted.load(Ordering::Relaxed),
-            peer_hits: self.peer_hits.load(Ordering::Relaxed),
-            peer_misses: self.peer_misses.load(Ordering::Relaxed),
-            peer_fallbacks: self.peer_fallbacks.load(Ordering::Relaxed),
-            peer_bytes: self.peer_bytes.load(Ordering::Relaxed),
-            io_retries: self.io_retries.load(Ordering::Relaxed),
-            io_giveups: self.io_giveups.load(Ordering::Relaxed),
             send_blocked_nanos: self.send_blocked_nanos.load(Ordering::Relaxed),
             serve_wall_nanos: self.serve_wall_nanos.load(Ordering::Relaxed),
             serve_workers: self.serve_workers.load(Ordering::Relaxed),
-            cache_enabled: self.cache_enabled.load(Ordering::Relaxed),
+            ..MetricsSnapshot::default()
+        };
+        if let Some(stack) = &self.stack {
+            stack.read_into(&mut s);
         }
+        s
     }
 }
 
@@ -356,6 +241,42 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// The `emlio_path` schema: the name and value of every field the
+    /// exporter writes for this snapshot (`serve_wall_nanos` and
+    /// `serve_workers` go to `emlio_run` instead, and `cache_hit_rate` is
+    /// derived). The one list of exported names — `export.rs` iterates it.
+    pub fn path_fields(&self) -> [(&'static str, u64); 27] {
+        [
+            ("batches", self.batches),
+            ("samples", self.samples),
+            ("bytes", self.bytes),
+            ("read_nanos", self.read_nanos),
+            ("codec_nanos", self.codec_nanos),
+            ("storage_reads", self.storage_reads),
+            ("cache_enabled", self.cache_enabled as u64),
+            ("cache_hits", self.cache_hits),
+            ("cache_misses", self.cache_misses),
+            ("cache_evictions", self.cache_evictions),
+            ("cache_disk_hits", self.cache_disk_hits),
+            ("cache_readmitted", self.cache_readmitted),
+            ("cache_bytes_saved", self.cache_bytes_saved),
+            ("pool_alloc", self.pool_alloc),
+            ("pool_reuse", self.pool_reuse),
+            ("zero_copy_hits", self.zero_copy_hits),
+            ("cache_spill_failures", self.cache_spill_failures),
+            ("cache_spill_queue_depth", self.cache_spill_queue_depth),
+            ("cache_spill_backpressure", self.cache_spill_backpressure),
+            ("cache_warm_promoted", self.cache_warm_promoted),
+            ("peer_hits", self.peer_hits),
+            ("peer_misses", self.peer_misses),
+            ("peer_fallbacks", self.peer_fallbacks),
+            ("peer_bytes", self.peer_bytes),
+            ("io_retries", self.io_retries),
+            ("io_giveups", self.io_giveups),
+            ("send_blocked_nanos", self.send_blocked_nanos),
+        ]
+    }
+
     /// Fraction of cached-path batch reads that hit, in `[0, 1]`.
     /// `None` when no cache is configured or it never saw traffic —
     /// previously both cases reported an ambiguous `0.0`.
@@ -406,6 +327,25 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emlio_cache::CacheConfig;
+
+    /// Counters over a fresh pool plus whichever components are given.
+    fn over(
+        cache: Option<Arc<ShardCache>>,
+        peer: Option<Arc<PeerStats>>,
+        retry: Option<Arc<RetryStats>>,
+    ) -> DataPathMetrics {
+        DataPathMetrics::over(StackCounters {
+            cache,
+            peer,
+            retry,
+            pool: BufferPool::new(),
+        })
+    }
+
+    fn cache() -> Arc<ShardCache> {
+        Arc::new(ShardCache::new(CacheConfig::default()).unwrap())
+    }
 
     #[test]
     fn counters_accumulate() {
@@ -423,17 +363,18 @@ mod tests {
 
     #[test]
     fn cache_counters_and_hit_rate() {
-        let m = DataPathMetrics::shared();
         // Disabled and traffic-free are distinguishable, not both 0.0.
-        assert_eq!(m.snapshot().cache_hit_rate(), None);
-        assert_eq!(m.snapshot().cache_summary(), "cache: disabled");
-        m.set_cache_enabled(true);
+        let bare = DataPathMetrics::shared();
+        assert_eq!(bare.snapshot().cache_hit_rate(), None);
+        assert_eq!(bare.snapshot().cache_summary(), "cache: disabled");
+        let cache = cache();
+        let m = over(Some(cache.clone()), None, None);
         assert_eq!(m.snapshot().cache_hit_rate(), None, "no traffic yet");
         assert!(m.snapshot().cache_summary().contains("no traffic"));
         m.record_cache_hit(4096);
         m.record_cache_hit(4096);
         m.record_cache_miss();
-        m.set_cache_evictions(5);
+        cache.stats().evictions.store(5, Ordering::Relaxed);
         let s = m.snapshot();
         assert_eq!((s.cache_hits, s.cache_misses, s.cache_evictions), (2, 1, 5));
         assert_eq!(s.cache_bytes_saved, 8192);
@@ -441,27 +382,20 @@ mod tests {
         assert!(s.cache_summary().contains("66.7% hit rate"));
 
         // An enabled cache with only misses reports 0%, not disabled.
-        let cold = DataPathMetrics::shared();
-        cold.set_cache_enabled(true);
+        let cold = over(Some(cache), None, None);
         cold.record_cache_miss();
         assert_eq!(cold.snapshot().cache_hit_rate(), Some(0.0));
     }
 
     #[test]
-    fn providers_refresh_at_snapshot_time() {
-        use std::sync::atomic::AtomicU64;
-        let m = DataPathMetrics::shared();
-        // Model an off-path source of truth (e.g. the cache's own eviction
-        // total) that advances between snapshots.
-        let truth = Arc::new(AtomicU64::new(7));
-        let t = truth.clone();
-        m.register_provider(move |dm| {
-            dm.set_cache_evictions(t.load(Ordering::Relaxed));
-        });
+    fn snapshot_reads_component_counters_fresh() {
+        // The cache's own eviction total advances between snapshots, off
+        // the data path; each snapshot sees the value of the moment.
+        let cache = cache();
+        let m = over(Some(cache.clone()), None, None);
+        cache.stats().evictions.store(7, Ordering::Relaxed);
         assert_eq!(m.snapshot().cache_evictions, 7);
-        truth.store(19, Ordering::Relaxed);
-        // A mid-epoch snapshot sees the new truth without any explicit
-        // end-of-serve reconciliation pass.
+        cache.stats().evictions.store(19, Ordering::Relaxed);
         assert_eq!(m.snapshot().cache_evictions, 19);
     }
 
@@ -478,9 +412,13 @@ mod tests {
 
     #[test]
     fn peer_counters_reconcile_and_summarize() {
-        let m = DataPathMetrics::shared();
+        let peer = Arc::new(PeerStats::default());
+        let m = over(None, Some(peer.clone()), None);
         assert_eq!(m.snapshot().peer_summary(), None, "solo mode is silent");
-        m.set_peer_counters(10, 2, 1, 640_000);
+        peer.hits.store(10, Ordering::Relaxed);
+        peer.misses.store(2, Ordering::Relaxed);
+        peer.fallbacks.store(1, Ordering::Relaxed);
+        peer.bytes_from_peers.store(640_000, Ordering::Relaxed);
         let s = m.snapshot();
         assert_eq!(
             (s.peer_hits, s.peer_misses, s.peer_fallbacks, s.peer_bytes),
@@ -489,51 +427,111 @@ mod tests {
         let line = s.peer_summary().unwrap();
         assert!(line.contains("10 hits"), "{line}");
         assert!(line.contains("1 fallbacks"), "{line}");
-        // Reconciliation overwrites rather than accumulates.
-        m.set_peer_counters(12, 2, 1, 700_000);
-        assert_eq!(m.snapshot().peer_hits, 12);
     }
 
     #[test]
     fn retry_counters_reconcile() {
-        let m = DataPathMetrics::shared();
-        m.set_retry_counters(5, 0);
+        let retry = Arc::new(RetryStats::default());
+        let m = over(None, None, Some(retry.clone()));
+        retry.retries.store(5, Ordering::Relaxed);
         let s = m.snapshot();
         assert_eq!((s.io_retries, s.io_giveups), (5, 0));
-        // Reconciliation overwrites rather than accumulates.
-        m.set_retry_counters(9, 1);
+        retry.giveups.store(1, Ordering::Relaxed);
         assert_eq!(m.snapshot().io_giveups, 1);
     }
 
     #[test]
-    fn provider_registry_survives_a_panicking_provider() {
-        let m = DataPathMetrics::shared();
-        m.register_provider(|dm| dm.set_cache_evictions(3));
-        // Poison the provider mutex from another thread while it is held.
-        let m2 = m.clone();
-        let _ = std::thread::spawn(move || {
-            let _guard = m2.providers.0.lock().unwrap();
-            panic!("poison the provider lock");
-        })
-        .join();
-        assert!(m.providers.0.lock().is_err(), "lock should be poisoned");
-        // Snapshots and late registration still work: the Vec was never
-        // mid-mutation, so the poison is recoverable.
-        assert_eq!(m.snapshot().cache_evictions, 3);
-        m.register_provider(|dm| dm.set_cache_readmitted(7));
+    fn pool_and_zero_copy_counters_reconcile() {
+        let cache = cache();
+        let pool = BufferPool::new();
+        let m = DataPathMetrics::over(StackCounters {
+            cache: Some(cache.clone()),
+            peer: None,
+            retry: None,
+            pool: pool.clone(),
+        });
+        drop(pool.get(100)); // fresh allocation, recycled on drop
+        drop(pool.get(100)); // served from the free list
+        cache.stats().hits.store(90, Ordering::Relaxed);
+        cache.stats().disk_hits.store(2, Ordering::Relaxed);
         let s = m.snapshot();
-        assert_eq!((s.cache_evictions, s.cache_readmitted), (3, 7));
+        assert_eq!((s.pool_alloc, s.pool_reuse, s.zero_copy_hits), (1, 1, 88));
     }
 
     #[test]
-    fn pool_and_zero_copy_counters_reconcile() {
-        let m = DataPathMetrics::shared();
-        m.set_pool_counters(3, 97);
-        m.set_zero_copy_hits(88);
-        let s = m.snapshot();
-        assert_eq!((s.pool_alloc, s.pool_reuse, s.zero_copy_hits), (3, 97, 88));
-        // Reconciliation overwrites rather than accumulates.
-        m.set_pool_counters(4, 196);
-        assert_eq!(m.snapshot().pool_reuse, 196);
+    fn path_fields_name_every_counter_once() {
+        // Every field spelled out (no `..`): a counter added to the struct
+        // breaks this literal until it is given a value here, and the
+        // check below then fails until it is in the table.
+        let snap = MetricsSnapshot {
+            batches: 101,
+            samples: 102,
+            bytes: 103,
+            read_nanos: 104,
+            codec_nanos: 105,
+            storage_reads: 106,
+            cache_hits: 107,
+            cache_misses: 108,
+            cache_evictions: 109,
+            cache_disk_hits: 110,
+            cache_readmitted: 111,
+            cache_bytes_saved: 112,
+            pool_alloc: 113,
+            pool_reuse: 114,
+            zero_copy_hits: 115,
+            cache_spill_failures: 116,
+            cache_spill_queue_depth: 117,
+            cache_spill_backpressure: 118,
+            cache_warm_promoted: 119,
+            peer_hits: 120,
+            peer_misses: 121,
+            peer_fallbacks: 122,
+            peer_bytes: 123,
+            io_retries: 124,
+            io_giveups: 125,
+            send_blocked_nanos: 126,
+            serve_wall_nanos: 127, // emlio_run.wall_nanos
+            serve_workers: 128,    // emlio_run.workers
+            cache_enabled: true,
+        };
+        let fields = snap.path_fields();
+        let names: Vec<&str> = fields.iter().map(|(n, _)| *n).collect();
+        assert_eq!(
+            names,
+            [
+                "batches",
+                "samples",
+                "bytes",
+                "read_nanos",
+                "codec_nanos",
+                "storage_reads",
+                "cache_enabled",
+                "cache_hits",
+                "cache_misses",
+                "cache_evictions",
+                "cache_disk_hits",
+                "cache_readmitted",
+                "cache_bytes_saved",
+                "pool_alloc",
+                "pool_reuse",
+                "zero_copy_hits",
+                "cache_spill_failures",
+                "cache_spill_queue_depth",
+                "cache_spill_backpressure",
+                "cache_warm_promoted",
+                "peer_hits",
+                "peer_misses",
+                "peer_fallbacks",
+                "peer_bytes",
+                "io_retries",
+                "io_giveups",
+                "send_blocked_nanos",
+            ]
+        );
+        for value in 101..=126u64 {
+            let hits = fields.iter().filter(|(_, v)| *v == value).count();
+            assert_eq!(hits, 1, "counter with value {value} exported {hits} times");
+        }
+        assert_eq!(fields.iter().filter(|(_, v)| *v == 1).count(), 1);
     }
 }

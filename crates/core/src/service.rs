@@ -2,8 +2,9 @@
 //! EMLIO service (Figure 3's whole block diagram, in one call).
 //!
 //! The harness runs everything in one process over real TCP. For WAN
-//! emulation, point `connect_via` at an `emlio-netem` proxy that forwards
-//! to the receiver — daemons then experience the shaped RTT/bandwidth.
+//! emulation, [`EmlioService::launch_with`] interposes an `emlio-netem`
+//! proxy that forwards to the receiver — daemons then experience the
+//! shaped RTT/bandwidth.
 
 use crate::chaos::ChaosController;
 use crate::config::EmlioConfig;
@@ -11,21 +12,35 @@ use crate::daemon::{DaemonError, EmlioDaemon};
 use crate::metrics::DataPathMetrics;
 use crate::plan::Plan;
 use crate::receiver::{EmlioReceiver, ReceiverConfig};
+use crate::stack::StackSpec;
 use emlio_obs::StageRecorder;
-use emlio_tfrecord::source::RangeSource;
 use emlio_tfrecord::GlobalIndex;
 use emlio_zmq::Endpoint;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// One storage node: an id plus the directory holding its shards.
-#[derive(Debug, Clone)]
+/// One storage node: an id, the directory holding its shards, and what
+/// its daemon reads them over.
+#[derive(Clone)]
 pub struct StorageSpec {
     /// Daemon id (appears in wire `origin` fields).
     pub id: String,
     /// Dataset directory (TFRecord shards + `mapping_shard_*.json`).
     pub dataset_dir: PathBuf,
+    /// What the daemon reads over (default: the local shards, solo).
+    pub stack: StackSpec,
+}
+
+impl StorageSpec {
+    /// A daemon `id` reading `dataset_dir`'s local shards.
+    pub fn new(id: &str, dataset_dir: impl Into<PathBuf>) -> StorageSpec {
+        StorageSpec {
+            id: id.to_string(),
+            dataset_dir: dataset_dir.into(),
+            stack: StackSpec::default(),
+        }
+    }
 }
 
 /// A launched deployment: a receiver plus daemon threads streaming into it.
@@ -42,7 +57,7 @@ pub struct Deployment {
     daemons: Vec<JoinHandle<Result<(), DaemonError>>>,
     /// Keeps interposed infrastructure (e.g. a netem proxy) alive for the
     /// deployment's lifetime.
-    _guard: Option<Box<dyn std::any::Any + Send>>,
+    _guard: Box<dyn std::any::Any + Send>,
 }
 
 impl Deployment {
@@ -76,22 +91,15 @@ pub struct EmlioService;
 
 impl EmlioService {
     /// Launch a single-compute-node deployment: one receiver, one daemon per
-    /// storage spec, each daemon planning over its own shards.
-    ///
-    /// `connect_via`: where daemons connect. `None` = directly to the
-    /// receiver; `Some(addr)` = through that address (a netem proxy
-    /// forwarding to the receiver).
+    /// storage spec, each daemon planning over its own shards and
+    /// connecting directly to the receiver.
     pub fn launch(
         storage: &[StorageSpec],
         config: &EmlioConfig,
         node_id: &str,
-        connect_via: Option<Endpoint>,
     ) -> Result<Deployment, DaemonError> {
         Self::launch_with(storage, config, node_id, |receiver_ep| {
-            (
-                connect_via.unwrap_or_else(|| receiver_ep.clone()),
-                Box::new(()) as Box<dyn std::any::Any + Send>,
-            )
+            (receiver_ep.clone(), Box::new(()))
         })
     }
 
@@ -99,6 +107,10 @@ impl EmlioService {
     /// connect *after* seeing the receiver's bound endpoint — the hook for
     /// interposing an `emlio-netem` shaping proxy. The returned guard is
     /// held for the deployment's lifetime.
+    ///
+    /// Every daemon is opened before any of them serves, so a fleet's
+    /// daemons all find each other's cache tiers attached to the registry
+    /// from their first read.
     pub fn launch_with<F>(
         storage: &[StorageSpec],
         config: &EmlioConfig,
@@ -119,78 +131,14 @@ impl EmlioService {
         .map_err(DaemonError::Transport)?;
         let (connect_to, guard) = interpose(receiver.endpoint());
 
-        let mut daemons = Vec::with_capacity(storage.len());
-        let mut daemon_metrics = Vec::with_capacity(storage.len());
-        let mut daemon_recorders = Vec::with_capacity(storage.len());
-        let mut batches_per_epoch = vec![0u64; config.epochs as usize];
-        for spec in storage {
-            let daemon = EmlioDaemon::open(&spec.id, &spec.dataset_dir, config.clone())?;
-            daemon_metrics.push(daemon.metrics());
-            daemon_recorders.push(daemon.recorder());
-            let plan = Plan::build(daemon.index(), &[node_id.to_string()], config);
-            for e in 0..config.epochs {
-                batches_per_epoch[e as usize] += plan.batches_for(e, node_id);
-            }
-            let node_id = node_id.to_string();
-            let endpoint = connect_to.clone();
-            daemons.push(
-                std::thread::Builder::new()
-                    .name(format!("emlio-daemon-{}", spec.id))
-                    .spawn(move || daemon.serve(&plan, &node_id, &endpoint))
-                    .expect("spawn daemon thread"),
-            );
-        }
-        Ok(Deployment {
-            receiver,
-            batches_per_epoch,
-            daemon_metrics,
-            daemon_recorders,
-            daemons,
-            _guard: Some(guard),
-        })
-    }
-
-    /// Like [`launch`](Self::launch), but every daemon reads through a
-    /// caller-built backing source — the seam for a shared `NfsSource` or
-    /// a cooperative-fleet `PeerSource` stack.
-    ///
-    /// `base_for(i, index)` builds daemon `i`'s base source from its
-    /// loaded index. `on_open(i, daemon)` runs after *every* daemon is
-    /// open but before *any* serve thread spawns — the window where fleet
-    /// wiring (attaching each daemon's cache to the shared registry,
-    /// registering peer-stat metric providers) must happen, so no daemon
-    /// starts serving against a registry that is still missing peers.
-    pub fn launch_with_sources<B, O>(
-        storage: &[StorageSpec],
-        config: &EmlioConfig,
-        node_id: &str,
-        connect_via: Option<Endpoint>,
-        base_for: B,
-        on_open: O,
-    ) -> Result<Deployment, DaemonError>
-    where
-        B: Fn(usize, &Arc<GlobalIndex>) -> Arc<dyn RangeSource>,
-        O: Fn(usize, &EmlioDaemon),
-    {
-        assert!(!storage.is_empty(), "need at least one storage node");
-        let expected_streams = (storage.len() * config.threads_per_node) as u32;
-        let receiver = EmlioReceiver::bind(ReceiverConfig {
-            hwm: config.hwm,
-            queue_capacity: config.hwm,
-            ..ReceiverConfig::loopback(expected_streams)
-        })
-        .map_err(DaemonError::Transport)?;
-        let connect_to = connect_via.unwrap_or_else(|| receiver.endpoint().clone());
-
-        // Phase 1: open every daemon (no serving yet).
         let mut opened = Vec::with_capacity(storage.len());
         let mut daemon_metrics = Vec::with_capacity(storage.len());
         let mut daemon_recorders = Vec::with_capacity(storage.len());
         let mut batches_per_epoch = vec![0u64; config.epochs as usize];
-        for (i, spec) in storage.iter().enumerate() {
+        for spec in storage {
             let index = Arc::new(GlobalIndex::load_dir(&spec.dataset_dir)?);
-            let base = base_for(i, &index);
-            let daemon = EmlioDaemon::open_with_base(&spec.id, index, config.clone(), base)?;
+            let daemon =
+                EmlioDaemon::open_stack(&spec.id, index, config.clone(), spec.stack.clone())?;
             daemon_metrics.push(daemon.metrics());
             daemon_recorders.push(daemon.recorder());
             let plan = Plan::build(daemon.index(), &[node_id.to_string()], config);
@@ -200,12 +148,6 @@ impl EmlioService {
             opened.push((daemon, plan));
         }
 
-        // Phase 2: fleet wiring over the fully-opened set.
-        for (i, (daemon, _)) in opened.iter().enumerate() {
-            on_open(i, daemon);
-        }
-
-        // Phase 3: serve.
         let mut daemons = Vec::with_capacity(storage.len());
         for (spec, (daemon, plan)) in storage.iter().zip(opened) {
             let node_id = node_id.to_string();
@@ -223,7 +165,7 @@ impl EmlioService {
             daemon_metrics,
             daemon_recorders,
             daemons,
-            _guard: None,
+            _guard: guard,
         })
     }
 
@@ -297,13 +239,10 @@ mod tests {
             let d = dir.path().join(format!("storage{node}"));
             build_tfrecord_dataset(&d, &spec, ShardSpec::Count(2)).unwrap();
             expected_samples += spec.num_samples;
-            storage.push(StorageSpec {
-                id: format!("storage{node}"),
-                dataset_dir: d,
-            });
+            storage.push(StorageSpec::new(&format!("storage{node}"), d));
         }
 
-        let mut dep = EmlioService::launch(&storage, &config, "compute-0", None).unwrap();
+        let mut dep = EmlioService::launch(&storage, &config, "compute-0").unwrap();
         let mut src = dep.receiver.source();
         let mut per_epoch_samples = [0u64; 2];
         let mut batches = 0u64;

@@ -9,10 +9,10 @@
 //! so downstream framing/CRC checks must catch them (detectable, never
 //! silent).
 //!
-//! In a chaos run the stack reads
-//! `cached -> metered -> retry -> fault -> nfs|tfrecord`: the fault layer
-//! sits *below* retry, so injected transient errors exercise the real
-//! backoff path exactly as a flaky device would.
+//! In a chaos run the fault layer wraps the root a daemon is opened over,
+//! so it sits *below* the stack's retry layer (`emlio-core`'s `ReadStack`
+//! docs have the whole order) and injected transient errors exercise the
+//! real backoff path exactly as a flaky device would.
 
 use emlio_tfrecord::source::{BlockKey, BlockRead, RangeSource};
 use emlio_tfrecord::{RecordError, Result};

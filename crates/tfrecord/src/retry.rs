@@ -10,10 +10,10 @@
 //! errors*, not as spin.
 //!
 //! In the daemon's stack the retry layer sits directly above the root
-//! (`cached -> metered -> retry -> nfs|tfrecord`), so a cache hit never
-//! pays a retry check and a backing read that succeeds on attempt two is
-//! invisible to everything above except the `io_retries` counter and the
-//! `fault_inject` stage (which accounts the backoff sleeps).
+//! (`emlio-core`'s `ReadStack` docs have the whole order), so a cache hit
+//! never pays a retry check and a backing read that succeeds on attempt
+//! two is invisible to everything above except the `io_retries` counter
+//! and the `fault_inject` stage (which accounts the backoff sleeps).
 
 use crate::source::{BlockKey, BlockRead, RangeSource};
 use crate::Result;
@@ -80,8 +80,8 @@ impl RetrySource {
         &self.policy
     }
 
-    /// Shared handle to the retry counters (the daemon exposes these as
-    /// `io_retries` / `io_giveups`).
+    /// Shared handle to the retry counters (the daemon's metrics snapshot
+    /// reads these as `io_retries` / `io_giveups`).
     pub fn stats(&self) -> Arc<RetryStats> {
         self.stats.clone()
     }

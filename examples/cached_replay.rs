@@ -41,12 +41,9 @@ fn main() {
         .with_threads(2)
         .with_epochs(2)
         .with_cache(CacheConfig::default().with_prefetch_depth(8));
-    let storage = vec![StorageSpec {
-        id: "storage-0".into(),
-        dataset_dir: dir.clone(),
-    }];
+    let storage = vec![StorageSpec::new("storage-0", dir.clone())];
     let mut deployment =
-        EmlioService::launch(&storage, &config, "compute-0", None).expect("launch EMLIO");
+        EmlioService::launch(&storage, &config, "compute-0").expect("launch EMLIO");
     println!(
         "service up: receiver at {}, {} batches over 2 epochs, cache enabled",
         deployment.receiver.endpoint(),

@@ -74,11 +74,8 @@ fn main() {
     tslog.log("epoch_start", "0");
     let t_start = clock.now_nanos();
     let config = EmlioConfig::default().with_batch_size(16).with_threads(2);
-    let storage = vec![StorageSpec {
-        id: "storage-0".into(),
-        dataset_dir: dir.clone(),
-    }];
-    let mut dep = EmlioService::launch(&storage, &config, "compute-0", None).unwrap();
+    let storage = vec![StorageSpec::new("storage-0", dir.clone())];
+    let mut dep = EmlioService::launch(&storage, &config, "compute-0").unwrap();
     let pipe = PipelineBuilder::new()
         .threads(2)
         .resize(48, 48)

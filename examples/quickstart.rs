@@ -59,12 +59,9 @@ fn main() {
         .with_batch_size(32)
         .with_threads(2)
         .with_epochs(2);
-    let storage = vec![StorageSpec {
-        id: "storage-0".into(),
-        dataset_dir: dir.clone(),
-    }];
+    let storage = vec![StorageSpec::new("storage-0", dir.clone())];
     let mut deployment =
-        EmlioService::launch(&storage, &config, "compute-0", None).expect("launch EMLIO");
+        EmlioService::launch(&storage, &config, "compute-0").expect("launch EMLIO");
     println!(
         "service up: receiver at {}, expecting {} batches over {} epochs",
         deployment.receiver.endpoint(),

@@ -115,10 +115,7 @@ fn run_emlio(tf_dir: &std::path::Path, profile: NetProfile) -> f64 {
         .with_batch_size(BATCH)
         .with_threads(2)
         .with_epochs(1);
-    let storage = vec![StorageSpec {
-        id: "storage".into(),
-        dataset_dir: tf_dir.to_path_buf(),
-    }];
+    let storage = vec![StorageSpec::new("storage", tf_dir)];
     // Bind the receiver first, then interpose the shaping proxy.
     let mut dep = EmlioService::launch_with(&storage, &config, "compute", |receiver_ep| {
         let Endpoint::Tcp(addr) = receiver_ep else {

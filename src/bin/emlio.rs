@@ -31,20 +31,19 @@
 //! `--prefetch-staging` sets how many prefetch windows may fill ahead of
 //! the demand cursor (0 = legacy continuous window).
 
-use emlio::cache::peer::{FleetRegistry, LocalPeer, PeerConfig, PeerSource};
+use emlio::cache::peer::{FleetRegistry, PeerConfig};
 use emlio::cache::{CacheConfig, EvictPolicy as CachePolicy, SpillBackpressure};
-use emlio::core::daemon::DaemonError;
 use emlio::core::export::{self, MetricsSampler, SampleSource};
 use emlio::core::plan::Plan;
 use emlio::core::receiver::{EmlioReceiver, ReceiverConfig};
-use emlio::core::service::{Deployment, StorageSpec};
-use emlio::core::{EmlioConfig, EmlioDaemon, EmlioService};
+use emlio::core::service::StorageSpec;
+use emlio::core::{EmlioConfig, EmlioDaemon, EmlioService, StackSpec};
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
 use emlio::energymon::{peer_savings, DEFAULT_STORAGE_IO_WATTS};
 use emlio::netem::{NetProfile, NfsConfig, NfsMount, NfsSource, Proxy};
 use emlio::pipeline::{ExternalSource, PipelineBuilder};
-use emlio::tfrecord::{RangeSource, ShardSpec};
+use emlio::tfrecord::{GlobalIndex, ShardSpec};
 use emlio::util::bytesize::format_bytes;
 use emlio::util::clock::RealClock;
 use emlio::zmq::Endpoint;
@@ -428,60 +427,32 @@ fn cmd_receive(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// Launch `storage.len()` daemons as a cooperative cache fleet over one
-/// emulated NFS mount at `data`: every daemon joins one [`FleetRegistry`]
-/// before any serving starts, reads through
-/// `cached -> metered -> peer -> nfs`, and attaches its cache so siblings
-/// fetch the blocks it owns from its tiers instead of the storage link.
-fn launch_peer_fleet(
-    storage: &[StorageSpec],
-    config: &EmlioConfig,
+/// `daemons` storage specs forming a cooperative cache fleet over one
+/// emulated NFS mount at `data`: all join one [`FleetRegistry`] here,
+/// before any of them is opened, and read the mount instead of local
+/// shards.
+fn peer_fleet_storage(
+    daemons: usize,
     data: &str,
     profile: NetProfile,
     timeout: Duration,
-) -> Result<Deployment, DaemonError> {
-    let mount = NfsMount::mount(
-        std::path::Path::new(data),
-        profile,
-        RealClock::shared(),
-        NfsConfig::default(),
-    );
+) -> Result<Vec<StorageSpec>, String> {
+    let dir = std::path::Path::new(data);
+    let index = Arc::new(GlobalIndex::load_dir(dir).map_err(|e| e.to_string())?);
+    let mount = NfsMount::mount(dir, profile, RealClock::shared(), NfsConfig::default());
     let registry = FleetRegistry::new();
-    for spec in storage {
-        registry.join(&spec.id);
-    }
-    // base_for runs once per daemon, in order, before on_open runs for
-    // any of them; the Mutex just satisfies the Fn bound.
-    let peers: std::sync::Mutex<Vec<Arc<PeerSource>>> = std::sync::Mutex::new(Vec::new());
-    EmlioService::launch_with_sources(
-        storage,
-        config,
-        "bench-node",
-        None,
-        |i, index| {
-            let nfs: Arc<dyn RangeSource> = Arc::new(NfsSource::new(index.clone(), mount.clone()));
-            let peer = PeerSource::new(
-                registry.clone(),
-                &storage[i].id,
-                nfs,
-                PeerConfig::default().with_timeout(timeout),
-            );
-            peers.lock().unwrap().push(peer.clone());
-            peer
-        },
-        |i, daemon| {
-            let peer = peers.lock().unwrap()[i].clone();
-            if let Some(cache) = daemon.cache() {
-                registry.attach(&storage[i].id, LocalPeer::new(cache));
+    let peer_config = PeerConfig::default().with_timeout(timeout);
+    Ok((0..daemons)
+        .map(|d| {
+            let id = format!("bench-storage-{d}");
+            registry.join(&id);
+            let nfs = Arc::new(NfsSource::new(index.clone(), mount.clone()));
+            StorageSpec {
+                stack: StackSpec::over(nfs).in_fleet(registry.clone(), peer_config.clone()),
+                ..StorageSpec::new(&id, data)
             }
-            peer.set_recorder(daemon.recorder());
-            let stats = peer.stats();
-            daemon.metrics().register_provider(move |m| {
-                let s = stats.snapshot();
-                m.set_peer_counters(s.hits, s.misses, s.fallbacks, s.bytes_from_peers);
-            });
-        },
-    )
+        })
+        .collect())
 }
 
 fn cmd_bench_io(flags: HashMap<String, String>) -> Result<(), String> {
@@ -502,27 +473,24 @@ fn cmd_bench_io(flags: HashMap<String, String>) -> Result<(), String> {
                 .into(),
         );
     }
-    let storage: Vec<StorageSpec> = (0..peer_fleet.max(1))
-        .map(|d| StorageSpec {
-            id: format!("bench-storage-{d}"),
-            dataset_dir: data.clone().into(),
-        })
-        .collect();
     let profile = NetProfile::new(
         &format!("{rtt_ms}ms"),
         Duration::from_secs_f64(rtt_ms / 1e3),
         1.25e9,
     );
     let savings_profile = profile.clone();
-    let mut dep = if peer_fleet >= 2 {
-        launch_peer_fleet(
-            &storage,
-            &config,
+    let storage = if peer_fleet >= 2 {
+        peer_fleet_storage(
+            peer_fleet,
             &data,
             profile.clone(),
             Duration::from_millis(peer_timeout_ms),
-        )
-    } else if rtt_ms > 0.0 {
+        )?
+    } else {
+        vec![StorageSpec::new("bench-storage-0", &data)]
+    };
+    // A fleet's `--rtt-ms` shapes the shared storage link, not the wire.
+    let mut dep = if rtt_ms > 0.0 && peer_fleet < 2 {
         EmlioService::launch_with(&storage, &config, "bench-node", move |ep| {
             let Endpoint::Tcp(addr) = ep else {
                 panic!("tcp endpoint expected")
@@ -533,7 +501,7 @@ fn cmd_bench_io(flags: HashMap<String, String>) -> Result<(), String> {
             (ep, Box::new(proxy) as Box<dyn std::any::Any + Send>)
         })
     } else {
-        EmlioService::launch(&storage, &config, "bench-node", None)
+        EmlioService::launch(&storage, &config, "bench-node")
     }
     .map_err(|e| e.to_string())?;
 

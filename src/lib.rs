@@ -41,8 +41,8 @@
 //!
 //! // 2. Launch the service: planner + daemon + receiver over TCP.
 //! let config = EmlioConfig::default().with_batch_size(32);
-//! let storage = vec![StorageSpec { id: "storage-0".into(), dataset_dir: dir.into() }];
-//! let mut dep = EmlioService::launch(&storage, &config, "compute-0", None).unwrap();
+//! let storage = vec![StorageSpec::new("storage-0", dir)];
+//! let mut dep = EmlioService::launch(&storage, &config, "compute-0").unwrap();
 //!
 //! // 3. Feed the receiver into the DALI-style pipeline and train.
 //! let pipe = emlio::pipeline::PipelineBuilder::new()

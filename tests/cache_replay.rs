@@ -23,11 +23,8 @@ fn run_two_epochs(cache: CacheConfig) {
         .with_threads(2)
         .with_epochs(2)
         .with_cache(cache);
-    let storage = vec![StorageSpec {
-        id: "storage-0".into(),
-        dataset_dir: dir.path().to_path_buf(),
-    }];
-    let mut dep = EmlioService::launch(&storage, &config, "compute-0", None).expect("launch");
+    let storage = vec![StorageSpec::new("storage-0", dir.path())];
+    let mut dep = EmlioService::launch(&storage, &config, "compute-0").expect("launch");
     let per_epoch = dep.batches_per_epoch.clone();
     assert_eq!(per_epoch.len(), 2);
     assert_eq!(per_epoch[0], per_epoch[1], "same plan shape per epoch");
@@ -115,11 +112,8 @@ fn run_persistent_epoch(
                 .with_policy(EvictPolicy::Lru)
                 .with_prefetch_depth(4),
         );
-    let storage = vec![StorageSpec {
-        id: "storage-0".into(),
-        dataset_dir: data.to_path_buf(),
-    }];
-    let mut dep = EmlioService::launch(&storage, &config, "compute-0", None).expect("launch");
+    let storage = vec![StorageSpec::new("storage-0", data)];
+    let mut dep = EmlioService::launch(&storage, &config, "compute-0").expect("launch");
     let mut payloads = BTreeMap::new();
     let mut src = dep.receiver.source();
     while let Some(batch) = src.next_batch() {

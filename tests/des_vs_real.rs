@@ -50,10 +50,7 @@ fn real_pytorch_secs(dir: &std::path::Path, rtt_ms: u64) -> f64 {
 
 fn real_emlio_secs(tf_dir: &std::path::Path, rtt_ms: u64) -> f64 {
     let config = EmlioConfig::default().with_batch_size(8).with_threads(2);
-    let storage = vec![StorageSpec {
-        id: "s".into(),
-        dataset_dir: tf_dir.to_path_buf(),
-    }];
+    let storage = vec![StorageSpec::new("s", tf_dir)];
     let profile = NetProfile::new("t", Duration::from_millis(rtt_ms), 1.25e9);
     let mut dep = EmlioService::launch_with(&storage, &config, "c", |ep| {
         let Endpoint::Tcp(addr) = ep else {

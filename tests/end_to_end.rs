@@ -22,11 +22,8 @@ fn every_sample_exactly_once_per_epoch_with_correct_payloads() {
         .with_batch_size(8)
         .with_threads(3)
         .with_epochs(3);
-    let storage = vec![StorageSpec {
-        id: "s0".into(),
-        dataset_dir: dir.path().to_path_buf(),
-    }];
-    let mut dep = EmlioService::launch(&storage, &config, "c0", None).unwrap();
+    let storage = vec![StorageSpec::new("s0", dir.path())];
+    let mut dep = EmlioService::launch(&storage, &config, "c0").unwrap();
 
     let mut src = dep.receiver.source();
     let mut per_epoch: Vec<HashSet<u64>> = vec![HashSet::new(); 3];
@@ -66,11 +63,8 @@ fn full_stack_training_run() {
     build_tfrecord_dataset(dir.path(), &spec, ShardSpec::Count(2)).unwrap();
 
     let config = EmlioConfig::default().with_batch_size(16).with_epochs(2);
-    let storage = vec![StorageSpec {
-        id: "s0".into(),
-        dataset_dir: dir.path().to_path_buf(),
-    }];
-    let mut dep = EmlioService::launch(&storage, &config, "c0", None).unwrap();
+    let storage = vec![StorageSpec::new("s0", dir.path())];
+    let mut dep = EmlioService::launch(&storage, &config, "c0").unwrap();
     let pipe = PipelineBuilder::new()
         .threads(2)
         .resize(32, 32)
@@ -100,15 +94,12 @@ fn multi_storage_partition_covers_union() {
         for id in 0..spec.num_samples {
             expected.insert(spec.payload_of(id), spec.label_of(id));
         }
-        storage.push(StorageSpec {
-            id: format!("s{node}"),
-            dataset_dir: d,
-        });
+        storage.push(StorageSpec::new(&format!("s{node}"), d));
     }
     assert_eq!(expected.len(), 60, "generators must not collide");
 
     let config = EmlioConfig::default().with_batch_size(7).with_threads(2);
-    let mut dep = EmlioService::launch(&storage, &config, "c0", None).unwrap();
+    let mut dep = EmlioService::launch(&storage, &config, "c0").unwrap();
     use emlio::pipeline::ExternalSource;
     let mut src = dep.receiver.source();
     let mut got = 0;
@@ -135,11 +126,8 @@ fn full_per_node_coverage_duplicates_dataset_per_node() {
     let config = EmlioConfig::default()
         .with_batch_size(4)
         .with_coverage(Coverage::FullPerNode);
-    let storage = vec![StorageSpec {
-        id: "s0".into(),
-        dataset_dir: dir.path().to_path_buf(),
-    }];
-    let mut dep = EmlioService::launch(&storage, &config, "only-node", None).unwrap();
+    let storage = vec![StorageSpec::new("s0", dir.path())];
+    let mut dep = EmlioService::launch(&storage, &config, "only-node").unwrap();
     use emlio::pipeline::ExternalSource;
     let mut src = dep.receiver.source();
     let mut seen = HashSet::new();

@@ -50,16 +50,8 @@ fn monitored_run_produces_queryable_energy() {
     tslog.log("epoch_start", "0");
     let t0 = clock.now_nanos();
     let config = EmlioConfig::default().with_batch_size(12);
-    let mut dep = EmlioService::launch(
-        &[StorageSpec {
-            id: "s".into(),
-            dataset_dir: dir.path().to_path_buf(),
-        }],
-        &config,
-        "compute-0",
-        None,
-    )
-    .unwrap();
+    let mut dep =
+        EmlioService::launch(&[StorageSpec::new("s", dir.path())], &config, "compute-0").unwrap();
     let pipe = PipelineBuilder::new()
         .threads(2)
         .resize(40, 40)

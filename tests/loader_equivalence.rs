@@ -40,16 +40,7 @@ fn three_loaders_deliver_identical_sample_multisets() {
 
     // EMLIO over TCP.
     let config = EmlioConfig::default().with_batch_size(5).with_threads(2);
-    let mut dep = EmlioService::launch(
-        &[StorageSpec {
-            id: "s".into(),
-            dataset_dir: tf_dir,
-        }],
-        &config,
-        "c",
-        None,
-    )
-    .unwrap();
+    let mut dep = EmlioService::launch(&[StorageSpec::new("s", tf_dir)], &config, "c").unwrap();
     let emlio_set = collect(Box::new(dep.receiver.source()));
     dep.join_daemons().unwrap();
 

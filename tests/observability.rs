@@ -89,12 +89,9 @@ fn cached_epoch_populates_stage_histograms_and_stall_attribution() {
         .with_threads(2)
         .with_epochs(2)
         .with_cache(emlio::cache::CacheConfig::default());
-    let storage = vec![StorageSpec {
-        id: "storage-0".into(),
-        dataset_dir: data,
-    }];
+    let storage = vec![StorageSpec::new("storage-0", data)];
 
-    let mut dep = EmlioService::launch(&storage, &config, "compute-0", None).unwrap();
+    let mut dep = EmlioService::launch(&storage, &config, "compute-0").unwrap();
     let mut src = dep.receiver.source();
     let mut batches = 0u64;
     while let Some(b) = src.next_batch() {

@@ -5,18 +5,17 @@
 //! lost or duplicated batches (the peer tier is an optimization, never a
 //! correctness dependency).
 
-use emlio::cache::peer::{
-    FleetRegistry, LocalPeer, PeerConfig, PeerFetch, PeerSource, PeerTransport,
-};
+use emlio::cache::peer::{FleetRegistry, LocalPeer, PeerConfig, PeerFetch, PeerTransport};
 use emlio::cache::{CacheConfig, ShardCache};
 use emlio::core::plan::Plan;
 use emlio::core::receiver::{EmlioReceiver, ReceiverConfig};
-use emlio::core::{EmlioConfig, EmlioDaemon};
+use emlio::core::{EmlioConfig, EmlioDaemon, StackSpec};
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
 use emlio::netem::{NetProfile, NfsConfig, NfsMount, NfsSource};
+use emlio::obs::Stage;
 use emlio::pipeline::ExternalSource;
-use emlio::tfrecord::{BlockKey, GlobalIndex, RangeSource, ShardSpec};
+use emlio::tfrecord::{BlockKey, GlobalIndex, ShardSpec};
 use emlio::util::clock::RealClock;
 use emlio::util::testutil::TempDir;
 use emlio_bench::contention::{run, ContentionConfig};
@@ -108,13 +107,15 @@ fn warm_owner_cache(index: &Arc<GlobalIndex>) -> (Arc<ShardCache>, Vec<(u64, u32
     (cache, reference, blocks)
 }
 
-/// Open a cacheless fetcher daemon whose reads go `metered -> peer -> nfs`,
-/// with every block owned by the remote `"owner"` ring member.
+/// Open a cacheless fetcher daemon over the NFS mount, in `registry`'s
+/// fleet, with every block owned by the remote `"owner"` ring member.
+/// Nothing is wired by hand: counters and the `peer_fetch` stage come
+/// from the stack itself.
 fn open_fetcher(
     dir: &TempDir,
     index: &Arc<GlobalIndex>,
     registry: &Arc<FleetRegistry>,
-) -> (EmlioDaemon, Arc<PeerSource>, Plan, EmlioConfig) {
+) -> (EmlioDaemon, Plan, EmlioConfig) {
     let config = fleet_config();
     let mount = NfsMount::mount(
         dir.path(),
@@ -122,22 +123,13 @@ fn open_fetcher(
         RealClock::shared(),
         NfsConfig::default(),
     );
-    let nfs: Arc<dyn RangeSource> = Arc::new(NfsSource::new(index.clone(), mount));
-    let peer = PeerSource::new(
+    let spec = StackSpec::over(Arc::new(NfsSource::new(index.clone(), mount))).in_fleet(
         registry.clone(),
-        "fetcher",
-        nfs,
         PeerConfig::default().with_timeout(Duration::from_millis(200)),
     );
-    let daemon = EmlioDaemon::open_with_base(
-        "fetcher",
-        index.clone(),
-        config.clone(),
-        peer.clone() as Arc<dyn RangeSource>,
-    )
-    .unwrap();
+    let daemon = EmlioDaemon::open_stack("fetcher", index.clone(), config.clone(), spec).unwrap();
     let plan = Plan::build(daemon.index(), &["n".to_string()], &config);
-    (daemon, peer, plan, config)
+    (daemon, plan, config)
 }
 
 #[test]
@@ -161,8 +153,12 @@ fn owner_crash_mid_epoch_degrades_to_nfs_without_losing_batches() {
         }),
     );
 
-    let (daemon, peer, plan, config) = open_fetcher(&dir, &index, &registry);
+    let (daemon, plan, config) = open_fetcher(&dir, &index, &registry);
     let metrics = daemon.metrics();
+    let peer = daemon
+        .peer()
+        .expect("fleet daemon has a peer layer")
+        .clone();
     let (delivered, _) = drain(daemon, plan, &config);
 
     // Zero lost, zero duplicated, zero corrupted: the delivered sample set
@@ -192,18 +188,31 @@ fn healthy_warm_owner_serves_every_block_without_storage() {
     registry.join("owner");
     registry.attach("owner", LocalPeer::new(&owner_cache));
 
-    let (daemon, peer, plan, config) = open_fetcher(&dir, &index, &registry);
+    let (daemon, plan, config) = open_fetcher(&dir, &index, &registry);
     let metrics = daemon.metrics();
+    let recorder = daemon.recorder();
+    let peer = daemon
+        .peer()
+        .expect("fleet daemon has a peer layer")
+        .clone();
     let (delivered, _) = drain(daemon, plan, &config);
 
     assert_eq!(delivered, reference, "peer-served bytes are byte-identical");
     let stats = peer.stats().snapshot();
     assert_eq!(stats.hits, blocks, "{stats:?}");
     assert_eq!(stats.fallbacks + stats.misses, 0, "{stats:?}");
+    // The daemon reports its peer tier without any caller-side wiring:
+    // the snapshot reads the peer layer's own counters, and the layer
+    // records into the daemon's recorder.
+    let snap = metrics.snapshot();
+    assert_eq!(snap.storage_reads, 0, "a warm fleet never touches storage");
+    assert_eq!(snap.peer_hits, stats.hits);
+    assert_eq!(snap.peer_bytes, stats.bytes_from_peers);
+    assert!(snap.peer_bytes > 0, "{snap:?}");
     assert_eq!(
-        metrics.snapshot().storage_reads,
-        0,
-        "a warm fleet never touches storage"
+        recorder.snapshot().stage(Stage::PeerFetch).count,
+        blocks,
+        "one peer_fetch sample per peer-served block"
     );
 }
 
@@ -220,15 +229,21 @@ fn dead_owner_cache_falls_back_on_every_read() {
     registry.attach("owner", LocalPeer::new(&owner_cache));
     drop(owner_cache);
 
-    let (daemon, peer, plan, config) = open_fetcher(&dir, &index, &registry);
+    let (daemon, plan, config) = open_fetcher(&dir, &index, &registry);
     let metrics = daemon.metrics();
+    let peer = daemon
+        .peer()
+        .expect("fleet daemon has a peer layer")
+        .clone();
     let (delivered, _) = drain(daemon, plan, &config);
 
     assert_eq!(delivered, reference, "degraded fleet still delivers");
     let stats = peer.stats().snapshot();
     assert_eq!(stats.fallbacks, blocks, "{stats:?}");
     assert_eq!(stats.hits + stats.misses, 0, "{stats:?}");
-    assert_eq!(metrics.snapshot().storage_reads, blocks);
+    let snap = metrics.snapshot();
+    assert_eq!(snap.storage_reads, blocks);
+    assert_eq!(snap.peer_fallbacks, blocks);
 }
 
 #[test]

@@ -35,12 +35,9 @@ fn quickstart_flow_end_to_end() {
 
     // 3. Full service over loopback TCP (crates: core → zmq/msgpack) and the
     //    DALI-style pipeline as consumer (crates: pipeline → datagen).
-    let storage = vec![StorageSpec {
-        id: "storage-0".into(),
-        dataset_dir: dir.path().to_path_buf(),
-    }];
+    let storage = vec![StorageSpec::new("storage-0", dir.path())];
     let mut deployment =
-        EmlioService::launch(&storage, &config, "compute-0", None).expect("service launch");
+        EmlioService::launch(&storage, &config, "compute-0").expect("service launch");
     let expected_batches = deployment.total_batches();
     assert_eq!(expected_batches, planned, "service serves the plan");
 
