@@ -209,102 +209,6 @@ fn bench_contention(c: &mut Criterion) {
     g.finish();
 }
 
-/// Sync vs async spill under sustained eviction pressure: a sequential
-/// scan whose working set is 8× the RAM tier, so nearly every admission
-/// evicts — and every eviction spills. Each demand fetch costs ~50 µs (a
-/// storage-read stand-in), so the modes differ in *overlap*: with
-/// `spill_queue = 0` the evicting (demand) thread writes the spill file
-/// inline between fetches; with a queue the background `emlio-cache-spill`
-/// thread writes while the demand path is already fetching the next block.
-/// `flush_spills` is inside the measured loop so the async variant is
-/// charged for its writes too — the win it shows is overlap, not deferral.
-fn bench_spill_modes(c: &mut Criterion) {
-    let block_bytes = 64 << 10;
-    let blocks = 64usize;
-    let ram = (8 * block_bytes) as u64;
-    let disk = (blocks * block_bytes) as u64;
-    let keys: Vec<BlockKey> = (0..blocks)
-        .map(|i| BlockKey {
-            shard_id: 0,
-            start: i * 64,
-            end: (i + 1) * 64,
-        })
-        .collect();
-    let mut g = c.benchmark_group("cache_spill_mode");
-    g.throughput(Throughput::Bytes((blocks * block_bytes) as u64));
-    for (name, queue) in [("sync", 0usize), ("async", 64)] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let cache = ShardCache::new(
-                    CacheConfig::default()
-                        .with_ram_bytes(ram)
-                        .with_disk_bytes(disk)
-                        .with_policy(EvictPolicy::Lru)
-                        .with_prefetch_depth(0)
-                        .with_spill_queue(queue),
-                )
-                .unwrap();
-                for key in &keys {
-                    let _ = cache
-                        .get_or_fetch::<std::io::Error, _, _>(*key, || {
-                            std::thread::sleep(std::time::Duration::from_micros(50));
-                            Ok(vec![0u8; block_bytes])
-                        })
-                        .unwrap();
-                }
-                cache.flush_spills();
-                black_box(cache.stats().snapshot().spills)
-            })
-        });
-    }
-    g.finish();
-}
-
-/// A batching-sensitive, jittery source: every call pays a fixed ~300 µs
-/// "RTT" (connection/seek/request overhead, the shape of NFS or object
-/// storage) plus ~10 µs per block, and every third call takes an extra
-/// ~1.5 ms tail (a congested-server stall). Coalesced multi-block reads
-/// amortize the RTT *and* meet fewer tails — exactly what the
-/// double-buffered prefetcher's whole-window runs feed.
-struct RttSource {
-    block_bytes: usize,
-    calls: std::sync::atomic::AtomicU64,
-}
-
-impl emlio_tfrecord::RangeSource for RttSource {
-    fn read_block(
-        &self,
-        key: &BlockKey,
-    ) -> Result<emlio_tfrecord::BlockRead, emlio_tfrecord::RecordError> {
-        Ok(self.read_blocks(std::slice::from_ref(key))?.remove(0))
-    }
-
-    fn read_blocks(
-        &self,
-        keys: &[BlockKey],
-    ) -> Result<Vec<emlio_tfrecord::BlockRead>, emlio_tfrecord::RecordError> {
-        let call = self
-            .calls
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let tail = if call % 3 == 2 { 1500 } else { 0 };
-        std::thread::sleep(std::time::Duration::from_micros(
-            300 + tail + 10 * keys.len() as u64,
-        ));
-        Ok(keys
-            .iter()
-            .map(|_| emlio_tfrecord::BlockRead {
-                data: bytes::Bytes::from(vec![1u8; self.block_bytes]),
-                origin: emlio_tfrecord::ReadOrigin::Direct,
-                read_nanos: 0,
-            })
-            .collect())
-    }
-
-    fn describe(&self) -> String {
-        "rtt".to_string()
-    }
-}
-
 /// Busy-wait "compute" — `thread::sleep` granularity (~50 µs of scheduler
 /// overhead per call) would swamp the per-block budget here.
 fn spin_for(d: std::time::Duration) {
@@ -312,66 +216,6 @@ fn spin_for(d: std::time::Duration) {
     while t0.elapsed() < d {
         std::hint::spin_loop();
     }
-}
-
-/// Single vs double buffer on the prefetch path over the jittery
-/// RTT-shaped source. With `staging = 0` (legacy continuous window) the
-/// window edge advances one position per demand access: the prefetcher
-/// wakes up to short runs, pays the RTT ~2× more often, meets more latency
-/// tails, and can stage at most `depth` blocks of runway ahead of the
-/// cursor. With `staging = 1` window N+1 opens as one whole run while the
-/// consumer drains window N: one RTT per window, and up to two windows of
-/// staged runway to ride out a tail without stalling the demand path.
-fn bench_prefetch_staging(c: &mut Criterion) {
-    use emlio_cache::{CachedSource, Prefetcher, RangeSource};
-
-    let block_bytes = 16 << 10;
-    let blocks = 32usize;
-    let keys: Vec<BlockKey> = (0..blocks)
-        .map(|i| BlockKey {
-            shard_id: 0,
-            start: i * 64,
-            end: (i + 1) * 64,
-        })
-        .collect();
-    let mut g = c.benchmark_group("cache_prefetch_staging");
-    g.throughput(Throughput::Elements(blocks as u64));
-    for (name, staging) in [("single_buffer", 0usize), ("double_buffer", 1)] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let cache = Arc::new(
-                    ShardCache::new(
-                        CacheConfig::default()
-                            .with_ram_bytes(1 << 30)
-                            .with_policy(EvictPolicy::Lru)
-                            .with_prefetch_depth(8)
-                            .with_prefetch_staging(staging),
-                    )
-                    .unwrap(),
-                );
-                cache.set_plan(keys.clone());
-                let source = Arc::new(CachedSource::new(
-                    cache.clone(),
-                    Arc::new(RttSource {
-                        block_bytes,
-                        calls: std::sync::atomic::AtomicU64::new(0),
-                    }),
-                ));
-                let pf = Prefetcher::spawn(source.clone());
-                let mut sum = 0u64;
-                for key in &keys {
-                    let read = source.read_block(key).unwrap();
-                    // Fixed per-batch "compute": the consumer-side time the
-                    // staged window overlaps storage latency against.
-                    spin_for(std::time::Duration::from_micros(100));
-                    sum += read.data[0] as u64;
-                }
-                pf.join();
-                black_box(sum)
-            })
-        });
-    }
-    g.finish();
 }
 
 /// Solo vs cooperative fleet over one slow backing store: four cached
@@ -448,8 +292,6 @@ criterion_group!(
     bench_policies,
     bench_hit_path,
     bench_contention,
-    bench_spill_modes,
-    bench_prefetch_staging,
     bench_peer_mode
 );
 criterion_main!(benches);

@@ -2,63 +2,9 @@
 //!
 //! This is a plain (non-Criterion) bench target so that
 //! `cargo bench --workspace` reproduces the whole evaluation and prints the
-//! paper-vs-ours tables into the bench log.
+//! paper-vs-ours tables into the bench log. Cargo's own `--bench` argument
+//! is not a figure name, so the arguments are ignored: every row runs.
 
 fn main() {
-    println!("{}", emlio_testbed::NodeSpec::table1_text());
-    emlio_bench::emit(
-        "fig1_breakdown",
-        "Figure 1: stage breakdown (R / R+P / R+P+T)",
-        &emlio_testbed::experiment::fig1(),
-    );
-    emlio_bench::emit(
-        "fig5_imagenet",
-        "Figure 5: ImageNet, centralized",
-        &emlio_testbed::experiment::fig5(),
-    );
-    emlio_bench::emit(
-        "fig6_coco",
-        "Figure 6: COCO, centralized",
-        &emlio_testbed::experiment::fig6(),
-    );
-    emlio_bench::emit(
-        "fig7_synthetic_c1",
-        "Figure 7: synthetic 2 MB, T=1",
-        &emlio_testbed::experiment::fig7(),
-    );
-    emlio_bench::emit(
-        "fig8_synthetic_c2",
-        "Figure 8: synthetic 2 MB, T=2",
-        &emlio_testbed::experiment::fig8(),
-    );
-    emlio_bench::emit(
-        "fig9_vgg19",
-        "Figure 9: VGG-19",
-        &emlio_testbed::experiment::fig9(),
-    );
-    emlio_bench::emit(
-        "fig10_sharded",
-        "Figure 10: sharded + DDP",
-        &emlio_testbed::experiment::fig10(),
-    );
-    let traces = emlio_testbed::experiment::fig11();
-    println!("== Figure 11: loss vs wall-clock @10 ms (COCO) ==");
-    for t in &traces {
-        println!("  {:<12} epoch end: {:8.1}s", t.method, t.epoch_end_secs);
-    }
-    emlio_bench::emit(
-        "ablations",
-        "Ablations: EMLIO knobs @30 ms",
-        &emlio_testbed::experiment::ablations(),
-    );
-    emlio_bench::emit(
-        "ext_llm",
-        "Extension: LLM text pretraining",
-        &emlio_testbed::experiment::ext_llm(),
-    );
-    emlio_bench::emit(
-        "ext_transport",
-        "Extension: heterogeneous transports",
-        &emlio_testbed::experiment::ext_transport(),
-    );
+    emlio_bench::run_figures(&[]).expect("every table row is known");
 }

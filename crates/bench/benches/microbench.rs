@@ -54,8 +54,8 @@ fn bench_msgpack(c: &mut Criterion) {
     let encoded = to_vec(&batch);
     let mut g = c.benchmark_group("msgpack");
     g.throughput(Throughput::Bytes(encoded.len() as u64));
-    g.bench_function("encode_batch", |b| b.iter(|| to_vec(black_box(&batch))));
-    g.bench_function("decode_batch", |b| {
+    g.bench_function("value_to_vec", |b| b.iter(|| to_vec(black_box(&batch))));
+    g.bench_function("value_from_slice", |b| {
         b.iter(|| from_slice(black_box(&encoded)).unwrap())
     });
     g.finish();

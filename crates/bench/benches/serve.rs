@@ -1,30 +1,27 @@
-//! Criterion A/B bench for the zero-copy serve path (this PR's tentpole).
+//! Criterion bench for the zero-copy serve path on a warm cache.
 //!
-//! Serves the same warm-cache batches through both codec generations and
-//! reports per-batch throughput:
+//! * `serve_epoch/zero_copy` — the daemon's path: `read_batch` (refcounted
+//!   payload views) → `encode_batch_frame_traced` (pooled header + spliced
+//!   segments);
+//! * `serve_epoch/zero_copy_instrumented` — the same with the full
+//!   observability layer engaged, which must stay within 3 % of it;
+//! * `decode_epoch/lazy` — the receiver side: the validating scan that
+//!   defers sample decode to the consumer.
 //!
-//! * `copying` — the pre-change path: `read_block` → `decode_all` → owned
-//!   payload copies → `encode_batch` into one gathered buffer;
-//! * `zero_copy` — the shipped path: `read_batch` (refcounted payload
-//!   views) → `encode_batch_frame` (pooled header + spliced segments);
-//! * `decode/eager` vs `decode/lazy` — the receiver side: full `Value`
-//!   materialization vs the validating scan that defers sample decode.
-//!
-//! The allocation claim itself is asserted by `tests/alloc_smoke.rs`; this
-//! bench shows the wall-clock consequence on a warm cache.
+//! The allocation budget itself is asserted by `tests/alloc_smoke.rs`;
+//! this bench shows the wall-clock side.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use emlio_cache::{CacheConfig, CachedRangeReader, CachedSource, ShardCache};
-use emlio_core::wire::{self, encode_batch, encode_batch_frame, encode_batch_frame_traced};
+use emlio_core::wire::{self, encode_batch_frame_traced};
 use emlio_core::BufferPool;
 use emlio_datagen::convert::build_tfrecord_dataset;
 use emlio_datagen::DatasetSpec;
 use emlio_msgpack::StrInterner;
 use emlio_obs::{clock, BatchTrace, FlightRecorder, Stage, StageRecorder};
-use emlio_tfrecord::record::decode_all;
 use emlio_tfrecord::{BlockKey, GlobalIndex, RangeSource, ShardSpec, TfrecordSource};
 use emlio_util::testutil::TempDir;
 
@@ -36,7 +33,6 @@ struct Rig {
     index: Arc<GlobalIndex>,
     keys: Vec<BlockKey>,
     pool: BufferPool,
-    stack: Arc<dyn RangeSource>,
     reader: CachedRangeReader,
 }
 
@@ -61,8 +57,8 @@ fn rig() -> Rig {
     let root = TfrecordSource::new(index.clone()).with_alloc(Arc::new(pool.clone()));
     let cache = Arc::new(ShardCache::new(CacheConfig::default()).unwrap());
     let stack: Arc<dyn RangeSource> = Arc::new(CachedSource::new(cache, Arc::new(root)));
-    let reader = CachedRangeReader::new(stack.clone());
-    // Warm every block into RAM so both variants measure the cache-hit path.
+    let reader = CachedRangeReader::new(stack);
+    // Warm every block into RAM so every variant measures the cache-hit path.
     for key in &keys {
         let _ = reader.read_batch(*key).unwrap();
     }
@@ -71,7 +67,6 @@ fn rig() -> Rig {
         index,
         keys,
         pool,
-        stack,
         reader,
     }
 }
@@ -89,26 +84,6 @@ fn bench_serve(c: &mut Criterion) {
     let mut g = c.benchmark_group("serve_epoch");
     g.throughput(Throughput::Bytes(payload_bytes(&rig)));
 
-    g.bench_function("copying", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for key in &rig.keys {
-                let read = rig.stack.read_block(key).unwrap();
-                let records = decode_all(&read.data, true).unwrap();
-                let metas = &rig.index.shards[key.shard_id as usize].records[key.start..key.end];
-                let owned: Vec<Vec<u8>> = records.iter().map(|r| r.payload.to_vec()).collect();
-                let samples: Vec<(u64, u32, &[u8])> = metas
-                    .iter()
-                    .zip(&owned)
-                    .map(|(m, p)| (m.sample_id, m.label, p.as_slice()))
-                    .collect();
-                let frame = Bytes::from(encode_batch(1, key.start as u64, ORIGIN, &samples));
-                total += frame.len();
-            }
-            black_box(total)
-        })
-    });
-
     g.bench_function("zero_copy", |b| {
         b.iter(|| {
             let mut total = 0usize;
@@ -120,7 +95,14 @@ fn bench_serve(c: &mut Criterion) {
                     .zip(&read.payloads)
                     .map(|(m, p)| (m.sample_id, m.label, p.clone()))
                     .collect();
-                let frame = encode_batch_frame(1, key.start as u64, ORIGIN, &samples, &rig.pool);
+                let frame = encode_batch_frame_traced(
+                    1,
+                    key.start as u64,
+                    ORIGIN,
+                    None,
+                    &samples,
+                    &rig.pool,
+                );
                 total += frame.len();
             }
             black_box(total)
@@ -183,26 +165,14 @@ fn bench_decode(c: &mut Criterion) {
                 .zip(&read.payloads)
                 .map(|(m, p)| (m.sample_id, m.label, p.clone()))
                 .collect();
-            encode_batch_frame(1, key.start as u64, ORIGIN, &samples, &rig.pool).into_bytes()
+            encode_batch_frame_traced(1, key.start as u64, ORIGIN, None, &samples, &rig.pool)
+                .into_bytes()
         })
         .collect();
     let wire_bytes: u64 = frames.iter().map(|f| f.len() as u64).sum();
 
     let mut g = c.benchmark_group("decode_epoch");
     g.throughput(Throughput::Bytes(wire_bytes));
-
-    g.bench_function("eager", |b| {
-        b.iter(|| {
-            let mut samples = 0usize;
-            for f in &frames {
-                match wire::decode(f).unwrap() {
-                    wire::WireMsg::Batch(batch) => samples += batch.samples.len(),
-                    wire::WireMsg::EndStream { .. } => unreachable!(),
-                }
-            }
-            black_box(samples)
-        })
-    });
 
     g.bench_function("lazy", |b| {
         let interner = StrInterner::new();

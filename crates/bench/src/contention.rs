@@ -219,8 +219,9 @@ pub fn run(cfg: &ContentionConfig) -> ContentionOutcome {
             // cancel in pairs.
             let mut digest = 0u64;
             while ends < streams {
-                match wire::decode(&pull.recv().expect("recv")).expect("decode") {
-                    wire::WireMsg::Batch(b) => {
+                match wire::decode_lazy(&pull.recv().expect("recv"), None).expect("decode") {
+                    wire::LazyMsg::Batch(b) => {
+                        let b = b.materialize();
                         batches += 1;
                         let mut h = fnv_update(0xcbf2_9ce4_8422_2325, &b.epoch.to_le_bytes());
                         h = fnv_update(h, &b.batch_id.to_le_bytes());
@@ -231,7 +232,7 @@ pub fn run(cfg: &ContentionConfig) -> ContentionOutcome {
                         }
                         digest = digest.wrapping_add(h);
                     }
-                    wire::WireMsg::EndStream { .. } => ends += 1,
+                    wire::LazyMsg::EndStream { .. } => ends += 1,
                 }
             }
             (batches, digest)

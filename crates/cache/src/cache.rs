@@ -45,7 +45,7 @@
 //!   Ram        evicted, disk tier can take it             Spilling
 //!   Ram        evicted, no disk tier / block too large    (absent)
 //!   Spilling   spill write landed                         Disk
-//!   Spilling   write failed, or order dropped (full queue)(absent)
+//!   Spilling   spill write failed                         (absent)
 //!   Disk       demand or warm-start promote               Busy
 //!   Busy       file read back valid, RAM admits           Ram+file
 //!   Busy       file read back valid, RAM declines         Disk
@@ -82,13 +82,12 @@
 //! * **`Spilling` is readable.** Eviction flips `Ram → Spilling` *before*
 //!   the spill-file write so concurrent readers keep hitting the bytes
 //!   during the I/O; only after the write lands does the slot become
-//!   `Disk` (dropping the RAM bytes). With a spill queue configured
-//!   (the default), the write itself happens on the dedicated
-//!   `emlio-cache-spill` writer thread: the evictor enqueues the
-//!   `(key, bytes)` order and returns immediately, so the `Spilling`
-//!   state is also the asynchronous hand-off — the evicting send worker
-//!   never touches disk, and shutdown drains the queue before the final
-//!   index write (see [`crate::spill`]).
+//!   `Disk` (dropping the RAM bytes). The write itself happens on the
+//!   dedicated `emlio-cache-spill` writer thread: the evictor enqueues
+//!   the `(key, bytes)` order and returns, so the `Spilling` state is
+//!   also the asynchronous hand-off — the evicting send worker never
+//!   touches disk, and shutdown drains the queue before the final index
+//!   write (see [`crate::spill`]).
 //! * **Spill-file bytes are checked before they are served.** Every read
 //!   of a spill file — demand promote, warm-start promote, peer `peek`,
 //!   restart re-admission — goes through [`persist::read_validated`]
@@ -100,9 +99,9 @@
 //!   counts against the tier: slot `Disk`, slot `Ram` with a backing, or
 //!   a transition in flight that owns the file (`Busy` mid-promote,
 //!   `Spilling` once the writer has reserved room). So
-//!   [`ShardCache::disk_bytes_used`] is the bytes of spill files held,
+//!   [`CacheCore::disk_bytes_used`] is the bytes of spill files held,
 //!   including those that back RAM residents, while
-//!   [`ShardCache::disk_keys`] lists the blocks that are disk-*only* —
+//!   [`CacheCore::disk_keys`] lists the blocks that are disk-*only* —
 //!   the ones a demand access would have to promote.
 //! * **Accounting follows ownership.** `ram_used`/`disk_used` and the
 //!   eviction orders live under the `Global` lock and may briefly disagree
@@ -117,7 +116,7 @@
 use crate::order::TierOrder;
 use crate::persist::{self, SpillEntry};
 use crate::policy::EvictPolicy;
-use crate::spill::{Push, SpillBackpressure, SpillOrder, SpillQueue};
+use crate::spill::{SpillOrder, SpillQueue};
 use crate::stats::CacheStats;
 use bytes::Bytes;
 use emlio_obs::{obs_warn, Stage, StageRecorder};
@@ -159,17 +158,10 @@ pub struct CacheConfig {
     /// (it would be the immediate eviction victim anyway).
     pub belady_bypass: bool,
     /// Capacity of the bounded spill-order queue feeding the background
-    /// `emlio-cache-spill` writer thread. 0 disables the writer: spills
-    /// run synchronously on the evicting thread. Only meaningful with a
-    /// disk tier.
+    /// `emlio-cache-spill` writer thread (at least 1; an evictor that
+    /// finds it full waits for the writer). Only meaningful with a disk
+    /// tier.
     pub spill_queue: usize,
-    /// What evictors do when the spill queue is full.
-    pub spill_backpressure: SpillBackpressure,
-    /// How many `prefetch_depth`-sized windows beyond the one holding the
-    /// demand cursor the prefetcher may stage ahead (double-buffering:
-    /// with 1, window N+1 fills while window N serves). 0 restores the
-    /// legacy continuous sliding window of `prefetch_depth` blocks.
-    pub prefetch_staging: usize,
     /// Warm-start budget in bytes: on plan install, promote up to this
     /// many bytes of re-admitted disk blocks — earliest-needed first —
     /// into the RAM tier ahead of demand. 0 disables warm-start.
@@ -188,8 +180,6 @@ impl Default for CacheConfig {
             persist: false,
             belady_bypass: true,
             spill_queue: 64,
-            spill_backpressure: SpillBackpressure::Block,
-            prefetch_staging: 1,
             warm_start_bytes: 0,
         }
     }
@@ -248,22 +238,9 @@ impl CacheConfig {
         self
     }
 
-    /// Override the spill queue capacity (0 = synchronous spills).
+    /// Override the spill queue capacity (raised to at least 1).
     pub fn with_spill_queue(mut self, orders: usize) -> Self {
         self.spill_queue = orders;
-        self
-    }
-
-    /// Override the full-queue backpressure policy.
-    pub fn with_spill_backpressure(mut self, policy: SpillBackpressure) -> Self {
-        self.spill_backpressure = policy;
-        self
-    }
-
-    /// Override the prefetch staging depth in windows (0 = legacy
-    /// continuous sliding window, 1 = double-buffered).
-    pub fn with_prefetch_staging(mut self, windows: usize) -> Self {
-        self.prefetch_staging = windows;
         self
     }
 
@@ -447,12 +424,14 @@ impl Global {
     }
 }
 
-/// The cache state shared between the public [`ShardCache`] handle and
-/// the background spill-writer thread. All the tier/plan/accounting logic
-/// lives here; `ShardCache` delegates and owns the writer's lifecycle
-/// (the writer holds its own `Arc<CacheCore>`, so dropping the handle can
-/// drain and join it before the core's final persistence runs).
-struct CacheCore {
+/// The cache proper: tiers, plan and accounting, shared between the
+/// [`ShardCache`] handle and the background spill-writer thread. Built
+/// only through [`ShardCache::new`]; the handle derefs to it, so these
+/// methods are the handle's methods. The split exists for the writer's
+/// lifecycle alone: the writer holds its own `Arc<CacheCore>`, so dropping
+/// the handle can drain and join it before the core's final persistence
+/// runs.
+pub struct CacheCore {
     config: CacheConfig,
     shards: Box<[LockShard]>,
     global: Mutex<Global>,
@@ -462,8 +441,8 @@ struct CacheCore {
     stats: CacheStats,
     spill_dir: Option<PathBuf>,
     owns_spill_dir: bool,
-    /// Bounded order queue feeding the spill writer thread; `None` spills
-    /// synchronously on the evicting thread.
+    /// Bounded order queue feeding the spill writer thread; `None` without
+    /// a disk tier.
     spill_queue: Option<SpillQueue>,
     /// Stage recorder for `SpillWrite`/`WarmPromote` timings (set once by
     /// the daemon after construction).
@@ -474,13 +453,6 @@ struct CacheCore {
     /// Blocks checkpointed out of RAM by `persist_now`: index entries for
     /// files that are *not* part of the live disk tier.
     checkpointed: Mutex<HashMap<BlockKey, SpillEntry>>,
-}
-
-/// Which thread performed a spill-file write (telemetry: the async-spill
-/// contract is that send workers never write inline).
-enum SpillVia {
-    Inline,
-    Writer,
 }
 
 static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -522,7 +494,8 @@ impl CacheCore {
                 cv: Condvar::new(),
             })
             .collect();
-        let spill_queue = (spill_dir.is_some() && config.spill_queue > 0)
+        let spill_queue = spill_dir
+            .is_some()
             .then(|| SpillQueue::new(config.spill_queue));
         let cache = CacheCore {
             global: Mutex::new(Global {
@@ -559,11 +532,39 @@ impl CacheCore {
         &self.shards[(h.finish() as usize) % self.shards.len()]
     }
 
+    /// The configuration the cache was built with.
+    pub fn config(&self) -> &CacheConfig {
+        &self.config
+    }
+
+    /// Telemetry counters.
+    pub fn stats(&self) -> &CacheStats {
+        &self.stats
+    }
+
+    /// Record `SpillWrite`/`WarmPromote` stage timings into `recorder`.
+    /// First call wins; later calls are ignored (the recorder is shared
+    /// with the spill writer thread).
+    pub fn set_recorder(&self, recorder: Arc<StageRecorder>) {
+        let _ = self.recorder.set(recorder);
+    }
+
+    /// Replay `injector` at this cache's `spill.write` failpoint: injected
+    /// errors exercise the real failed-spill-write branch (block degrades
+    /// to absent, `spill_failures` counts it), injected latency stalls the
+    /// writer like a congested disk. First call wins.
+    pub fn set_fault_injector(&self, injector: Arc<emlio_util::fault::FaultInjector>) {
+        let _ = self.injector.set(injector);
+    }
+
     /// Install the planned access sequence (every epoch, in consumption
     /// order) and reset the demand cursor. The clairvoyant policy and the
     /// prefetcher both walk this sequence; set it before spawning a
     /// [`crate::Prefetcher`]. Residents' next-use ranks are refreshed
-    /// against the new plan.
+    /// against the new plan, and — with a [`CacheConfig::warm_start_bytes`]
+    /// budget — the earliest-needed re-admitted disk blocks are promoted
+    /// into RAM ahead of demand, so a restarted daemon's first prefetch
+    /// window is already hot.
     pub fn set_plan(&self, seq: Vec<BlockKey>) {
         let mut future: HashMap<BlockKey, VecDeque<u64>> = HashMap::new();
         for (pos, key) in seq.iter().enumerate() {
@@ -585,6 +586,8 @@ impl CacheCore {
         if let TierOrder::NextUse(h) = disk_order {
             h.refresh(|k| Global::next_use(future, 0, k));
         }
+        drop(g);
+        self.warm_start();
     }
 
     /// The installed plan sequence (empty when none was set).
@@ -610,7 +613,8 @@ impl CacheCore {
         self.global.lock().ram_used
     }
 
-    /// Bytes of spill files the disk tier holds.
+    /// Bytes of spill files the disk tier holds, including the files
+    /// that back RAM residents.
     pub fn disk_bytes_used(&self) -> u64 {
         self.global.lock().disk_used
     }
@@ -629,7 +633,9 @@ impl CacheCore {
         keys
     }
 
-    /// Sorted keys resident in the disk tier only (test/inspection hook).
+    /// Sorted keys resident in the disk tier *only* — the blocks a demand
+    /// access would have to promote; a RAM resident whose spill file is
+    /// still on disk is not listed (test/inspection hook).
     pub fn disk_keys(&self) -> Vec<BlockKey> {
         let mut keys = Vec::new();
         for shard in self.shards.iter() {
@@ -766,7 +772,7 @@ impl CacheCore {
     /// Load `key` ahead of demand: fetch and insert unless the block is
     /// already resident or being fetched. Never waits, never touches the
     /// demand cursor or hit/miss counters. Returns whether `fetch` ran.
-    fn prefetch<E, T, F>(&self, key: BlockKey, fetch: F) -> Result<bool, E>
+    pub fn prefetch<E, T, F>(&self, key: BlockKey, fetch: F) -> Result<bool, E>
     where
         T: Into<Bytes>,
         F: FnOnce() -> Result<T, E>,
@@ -786,9 +792,10 @@ impl CacheCore {
         }
     }
 
-    /// Drop `key`'s `Busy` placeholder (fetch/promote failure) and wake
-    /// any single-flight waiters parked on the shard condvar.
-    fn release_busy(&self, key: &BlockKey) {
+    /// Drop `key`'s `Busy` placeholder (fetch/promote failure, or an
+    /// unfulfilled [`CacheCore::try_claim`]) and wake any single-flight
+    /// waiters parked on the shard condvar.
+    pub(crate) fn release_busy(&self, key: &BlockKey) {
         let shard = self.shard_for(key);
         let mut map = shard.map.lock();
         if matches!(map.get(key), Some(Slot::Busy)) {
@@ -1049,9 +1056,9 @@ impl CacheCore {
     /// Evict one RAM victim, already popped from the RAM order, with no
     /// lock held on entry. A backed resident just flips to `Disk`: its
     /// write-once spill file is already there. Anything else flips to
-    /// `Spilling` and is handed to the spill-writer thread (or, without a
-    /// queue, written inline), staying readable until the write lands and
-    /// the slot becomes `Disk`; with no disk tier to take it, it drops.
+    /// `Spilling` and is handed to the spill-writer thread, staying
+    /// readable until the write lands and the slot becomes `Disk`; with no
+    /// disk tier to take it, it drops.
     fn spill_or_drop(&self, key: &BlockKey, size: u64) {
         let spillable = self.spill_dir.is_some() && size <= self.config.disk_bytes;
         let data = {
@@ -1089,45 +1096,28 @@ impl CacheCore {
             data,
             size,
         };
-        let Some(queue) = &self.spill_queue else {
-            return self.finish_spill(order, SpillVia::Inline);
+        let queue = self.spill_queue.as_ref().expect("spillable implies queue");
+        // Shutdown starts only once the writer is the core's last holder,
+        // and the writer never spills: nobody is left to be refused.
+        let Some((waits, depth)) = queue.push(order) else {
+            return self.abort_spill(key);
         };
-        let (push, waits, depth) = queue.push(order, self.config.spill_backpressure);
         if waits > 0 {
             self.stats
                 .spill_backpressure_waits
                 .fetch_add(waits, Ordering::Relaxed);
         }
-        if depth > 0 {
-            self.stats
-                .spill_queue_peak
-                .fetch_max(depth, Ordering::Relaxed);
-        }
-        match push {
-            Push::Enqueued => {}
-            Push::Dropped(order) => {
-                // Full queue under the drop policy: the block degrades to
-                // absent; demand re-reads it from storage.
-                self.stats.spill_dropped.fetch_add(1, Ordering::Relaxed);
-                self.abort_spill(&order.key);
-            }
-            // Shutdown already started: no writer left to hand off to.
-            Push::Bypass(order) => self.finish_spill(order, SpillVia::Inline),
-        }
+        self.stats
+            .spill_queue_peak
+            .fetch_max(depth, Ordering::Relaxed);
     }
 
     /// Perform a spill order: reserve disk capacity, write the file, and
-    /// land the `Spilling → Disk` transition. Runs on the writer thread
-    /// (async mode) or the evicting thread (sync mode / shutdown bypass);
+    /// land the `Spilling → Disk` transition. Runs on the writer thread;
     /// never holds a lock across the file I/O. The writer never spills
     /// recursively — disk-tier overflow only *drops* disk victims.
-    fn finish_spill(&self, order: SpillOrder, via: SpillVia) {
+    fn finish_spill(&self, order: SpillOrder) {
         let SpillOrder { key, data, size } = order;
-        match via {
-            SpillVia::Inline => &self.stats.spill_inline_writes,
-            SpillVia::Writer => &self.stats.spill_async_writes,
-        }
-        .fetch_add(1, Ordering::Relaxed);
         // Reserve disk capacity, evicting disk victims as needed.
         for victim in self.reserve_disk(&key, size) {
             self.drop_untracked_file(&victim);
@@ -1199,8 +1189,8 @@ impl CacheCore {
         }
     }
 
-    /// Drop `key`'s `Spilling` slot to absent (failed or dropped spill)
-    /// and wake waiters.
+    /// Drop `key`'s `Spilling` slot to absent (failed spill) and wake
+    /// waiters.
     fn abort_spill(&self, key: &BlockKey) {
         let shard = self.shard_for(key);
         let mut map = shard.map.lock();
@@ -1210,12 +1200,23 @@ impl CacheCore {
         shard.cv.notify_all();
     }
 
-    /// Block until every queued spill order has been fully written (no-op
-    /// without a spill queue).
-    fn flush_spills(&self) {
+    /// Block until every queued spill order has been fully written (the
+    /// `Spilling → Disk` transitions landed); a no-op without a disk tier.
+    /// Tests and checkpoints use this to observe a settled tier.
+    pub fn flush_spills(&self) {
         if let Some(queue) = &self.spill_queue {
             queue.flush();
         }
+    }
+
+    /// Spill orders queued or in flight right now (gauge).
+    pub fn spill_queue_depth(&self) -> u64 {
+        self.spill_queue.as_ref().map_or(0, |q| q.depth())
+    }
+
+    /// Evictors blocked on a full spill queue right now (gauge).
+    pub fn spill_blocked_pushers(&self) -> u64 {
+        self.spill_queue.as_ref().map_or(0, |q| q.blocked_pushers())
     }
 
     /// Re-admit CRC-valid spill files recorded by a previous run's index
@@ -1260,14 +1261,14 @@ impl CacheCore {
         }
     }
 
-    /// Checkpoint the cache for a restart (persistent caches only): write
-    /// RAM-resident blocks that have no spill file yet to one (without
-    /// disturbing the live tiers) up to the disk tier's spare capacity,
-    /// then write the spill index covering them plus the live disk tier —
-    /// backed RAM residents included, listed from the file they already
-    /// have. Returns how many blocks the index covers. A non-persistent
-    /// cache returns 0.
-    fn persist_now(&self) -> io::Result<u64> {
+    /// Checkpoint the cache for a restart (persistent caches only): drain
+    /// the spill queue, write RAM-resident blocks that have no spill file
+    /// yet to one (without disturbing the live tiers) up to the disk
+    /// tier's spare capacity, then write the spill index covering them
+    /// plus the live disk tier — backed RAM residents included, listed
+    /// from the file they already have. Returns how many blocks the index
+    /// covers. A non-persistent cache returns 0.
+    pub fn persist_now(&self) -> io::Result<u64> {
         if !self.config.persist {
             return Ok(0);
         }
@@ -1341,7 +1342,7 @@ impl CacheCore {
 
     /// Write the spill index: checkpointed entries overlaid with the live
     /// disk-tier entries (live wins for the same key), sorted for stable
-    /// diffs. Shared by [`ShardCache::persist_now`] and `Drop`.
+    /// diffs. Shared by [`CacheCore::persist_now`] and `Drop`.
     fn write_merged_index(&self, disk_entries: Vec<SpillEntry>) -> io::Result<u64> {
         let dir = self.spill_dir.as_ref().expect("persist implies spill dir");
         let mut merged: HashMap<BlockKey, SpillEntry> = self.checkpointed.lock().clone();
@@ -1355,24 +1356,15 @@ impl CacheCore {
     }
 
     /// How many plan positions starting at `pos` the prefetcher may warm
-    /// right now, capped at `max_run`. With `prefetch_staging == 0` the
-    /// open region is a continuous slide (`cursor + depth`); with
-    /// `staging >= 1` the plan is tiled into `depth`-sized windows and the
-    /// prefetcher may fill up to `staging` whole windows beyond the one
-    /// holding the demand cursor — the double-buffer: while send workers
+    /// right now, capped at `max_run`. The plan is tiled into `depth`-sized
+    /// windows and the prefetcher may fill the one holding the demand
+    /// cursor and the one after it — the double buffer: while send workers
     /// consume window N, window N+1 stages into RAM, and the limit flips
     /// forward when the cursor crosses a window boundary. Returns 0 after
     /// a bounded wait with the window still closed (the caller re-checks
     /// its stop flag and retries).
-    fn prefetch_open_run(&self, pos: u64, depth: u64, max_run: u64) -> u64 {
-        let staging = self.config.prefetch_staging as u64;
-        let limit = |cursor: u64| {
-            if staging == 0 {
-                cursor + depth
-            } else {
-                (cursor / depth + 1 + staging) * depth
-            }
-        };
+    pub(crate) fn prefetch_open_run(&self, pos: u64, depth: u64, max_run: u64) -> u64 {
+        let limit = |cursor: u64| (cursor / depth + 2) * depth;
         let mut g = self.global.lock();
         let mut open = limit(g.cursor);
         if pos >= open {
@@ -1454,8 +1446,9 @@ impl CacheCore {
     }
 
     /// Claim `key` for a prefetch admit: install a `Busy` placeholder iff
-    /// the slot is empty. Returns whether the claim was taken.
-    fn try_claim(&self, key: &BlockKey) -> bool {
+    /// the slot is empty. Returns whether the claim was taken; pair with
+    /// [`CacheCore::admit_claimed_prefetch`] or [`CacheCore::release_busy`].
+    pub(crate) fn try_claim(&self, key: &BlockKey) -> bool {
         let shard = self.shard_for(key);
         let mut map = shard.map.lock();
         if map.get(key).is_some() {
@@ -1467,9 +1460,14 @@ impl CacheCore {
 
     /// Admit a block fetched under a [`CacheCore::try_claim`] claim,
     /// counting it as prefetched (not a demand miss).
-    fn admit_claimed_prefetch(&self, key: BlockKey, data: Bytes) {
+    pub(crate) fn admit_claimed_prefetch(&self, key: BlockKey, data: Bytes) {
         self.stats.prefetched.fetch_add(1, Ordering::Relaxed);
         self.admit(key, data);
+    }
+
+    /// Wake a prefetcher parked on the demand-access condvar (shutdown).
+    pub(crate) fn wake_prefetch_waiters(&self) {
+        self.access_cv.notify_all();
     }
 }
 
@@ -1503,19 +1501,20 @@ impl Drop for CacheCore {
 }
 
 /// The plan-aware two-tier block cache. Shared across daemon send workers
-/// and the prefetcher via `Arc`; all methods take `&self`.
+/// and the prefetcher via `Arc`; all methods take `&self`, and all but
+/// [`ShardCache::new`] are [`CacheCore`]'s, reached through `Deref`.
 ///
-/// With a disk tier and a positive [`CacheConfig::spill_queue`], a
-/// dedicated `emlio-cache-spill` writer thread owns every spill-file
-/// write: evictors flip the slot to `Spilling` and enqueue, keeping disk
-/// I/O off the serve path — or, when the block's write-once spill file is
-/// already there, flip it straight to disk-resident and write nothing. Dropping the handle shuts the queue down,
-/// drains it (every queued order still lands on disk), joins the writer,
-/// and only then runs the core's final persistence — so a persistent
-/// cache's spill index is always complete.
+/// With a disk tier, a dedicated `emlio-cache-spill` writer thread owns
+/// every spill-file write: evictors flip the slot to `Spilling` and
+/// enqueue, keeping disk I/O off the serve path — or, when the block's
+/// write-once spill file is already there, flip it straight to
+/// disk-resident and write nothing. Dropping the handle shuts the queue
+/// down, drains it (every queued order still lands on disk), joins the
+/// writer, and only then runs the core's final persistence — so a
+/// persistent cache's spill index is always complete.
 pub struct ShardCache {
     core: Arc<CacheCore>,
-    /// The spill writer thread; `None` in synchronous-spill mode.
+    /// The spill writer thread; `None` without a disk tier.
     writer: Option<JoinHandle<()>>,
 }
 
@@ -1523,221 +1522,35 @@ impl ShardCache {
     /// Create a cache. Creates the spill directory when a disk tier is
     /// configured; when the directory is persistent and holds a spill
     /// index from a previous run, CRC-valid blocks are re-admitted into
-    /// the disk tier. Spawns the spill writer thread when a disk tier and
-    /// a spill queue are both configured.
+    /// the disk tier. A disk tier also gets its spill writer thread.
     pub fn new(config: CacheConfig) -> io::Result<ShardCache> {
         let core = Arc::new(CacheCore::new(config)?);
         let writer = if core.spill_queue.is_some() {
-            let writer_core = core.clone();
+            let core = core.clone();
+            let run = move || {
+                let queue = core.spill_queue.as_ref().expect("checked above");
+                while let Some(order) = queue.pop() {
+                    core.finish_spill(order);
+                    queue.done();
+                }
+            };
             Some(
                 std::thread::Builder::new()
                     .name("emlio-cache-spill".into())
-                    .spawn(move || {
-                        let queue = writer_core
-                            .spill_queue
-                            .as_ref()
-                            .expect("writer spawned with a queue");
-                        while let Some(order) = queue.pop() {
-                            writer_core.finish_spill(order, SpillVia::Writer);
-                            queue.done();
-                        }
-                    })?,
+                    .spawn(run)?,
             )
         } else {
             None
         };
         Ok(ShardCache { core, writer })
     }
+}
 
-    /// The configuration the cache was built with.
-    pub fn config(&self) -> &CacheConfig {
-        &self.core.config
-    }
+impl std::ops::Deref for ShardCache {
+    type Target = CacheCore;
 
-    /// Telemetry counters.
-    pub fn stats(&self) -> &CacheStats {
-        &self.core.stats
-    }
-
-    /// Record `SpillWrite`/`WarmPromote` stage timings into `recorder`.
-    /// First call wins; later calls are ignored (the recorder is shared
-    /// with threads that only hold the core).
-    pub fn set_recorder(&self, recorder: Arc<StageRecorder>) {
-        let _ = self.core.recorder.set(recorder);
-    }
-
-    /// Replay `injector` at this cache's `spill.write` failpoint: injected
-    /// errors exercise the real failed-spill-write branch (block degrades
-    /// to absent, `spill_failures` counts it), injected latency stalls the
-    /// writer like a congested disk. First call wins.
-    pub fn set_fault_injector(&self, injector: Arc<emlio_util::fault::FaultInjector>) {
-        let _ = self.core.injector.set(injector);
-    }
-
-    /// Install the planned access sequence (every epoch, in consumption
-    /// order) and reset the demand cursor. The clairvoyant policy and the
-    /// prefetcher both walk this sequence; set it before spawning a
-    /// [`crate::Prefetcher`]. Residents' next-use ranks are refreshed
-    /// against the new plan, and — with a [`CacheConfig::warm_start_bytes`]
-    /// budget — the earliest-needed re-admitted disk blocks are promoted
-    /// into RAM ahead of demand, so a restarted daemon's first prefetch
-    /// window is already hot.
-    pub fn set_plan(&self, seq: Vec<BlockKey>) {
-        self.core.set_plan(seq);
-        self.core.warm_start();
-    }
-
-    /// The installed plan sequence (empty when none was set).
-    pub(crate) fn plan(&self) -> Arc<Vec<BlockKey>> {
-        self.core.plan()
-    }
-
-    /// Demand accesses consumed so far.
-    pub fn consumed(&self) -> u64 {
-        self.core.consumed()
-    }
-
-    /// Whether `key` is resident in either tier. No policy side effects.
-    pub fn contains(&self, key: &BlockKey) -> bool {
-        self.core.contains(key)
-    }
-
-    /// Bytes resident in the RAM tier.
-    pub fn ram_bytes_used(&self) -> u64 {
-        self.core.ram_bytes_used()
-    }
-
-    /// Bytes of spill files the disk tier holds, including the files
-    /// that back RAM residents.
-    pub fn disk_bytes_used(&self) -> u64 {
-        self.core.disk_bytes_used()
-    }
-
-    /// Sorted keys resident in the RAM tier (test/inspection hook).
-    pub fn ram_keys(&self) -> Vec<BlockKey> {
-        self.core.ram_keys()
-    }
-
-    /// Sorted keys resident in the disk tier *only* — the blocks a demand
-    /// access would have to promote; a RAM resident whose spill file is
-    /// still on disk is not listed (test/inspection hook).
-    pub fn disk_keys(&self) -> Vec<BlockKey> {
-        self.core.disk_keys()
-    }
-
-    /// Bytes held by the slots themselves, `(RAM, spill files)`. With
-    /// nothing in flight these equal [`ShardCache::ram_bytes_used`] and
-    /// [`ShardCache::disk_bytes_used`] (test/inspection hook).
-    pub fn slot_bytes(&self) -> (u64, u64) {
-        self.core.slot_bytes()
-    }
-
-    /// Demand lookup: serve `key` from RAM or disk, updating recency and
-    /// the plan cursor. Returns `None` on a miss (which is also counted).
-    /// A fetch already in flight on another thread counts as a miss here
-    /// (this entry point never blocks on other threads' fetches).
-    pub fn get(&self, key: &BlockKey) -> Option<Bytes> {
-        self.core.get(key)
-    }
-
-    /// Insert a block without demand-access accounting. A no-op when the
-    /// key is already resident (either tier) or in flight.
-    pub fn insert(&self, key: BlockKey, data: impl Into<Bytes>) {
-        self.core.insert(key, data);
-    }
-
-    /// Serve `key`'s bytes without perturbing the cache: no demand-cursor
-    /// advance, no hit/miss counters, no recency touch, no promotion —
-    /// disk residents are CRC-validated and read in place, staying on
-    /// disk. `Busy` and absent report `None`. The peer-serving entry
-    /// point: a remote daemon's fetch must not distort this cache's plan
-    /// accounting or tier placement.
-    pub fn peek(&self, key: &BlockKey) -> Option<Bytes> {
-        self.core.peek(key)
-    }
-
-    /// Demand lookup with single-flight fetch: on a miss, run `fetch` (at
-    /// most once per missing key across all threads — concurrent callers
-    /// block until the winner's fetch completes and then hit RAM).
-    pub fn get_or_fetch<E, T, F>(&self, key: BlockKey, fetch: F) -> Result<(Bytes, Fetched), E>
-    where
-        T: Into<Bytes>,
-        F: FnOnce() -> Result<T, E>,
-    {
-        self.core.get_or_fetch(key, fetch)
-    }
-
-    /// Load `key` ahead of demand: fetch and insert unless the block is
-    /// already resident or being fetched. Never waits, never touches the
-    /// demand cursor or hit/miss counters. Returns whether `fetch` ran.
-    pub fn prefetch<E, T, F>(&self, key: BlockKey, fetch: F) -> Result<bool, E>
-    where
-        T: Into<Bytes>,
-        F: FnOnce() -> Result<T, E>,
-    {
-        self.core.prefetch(key, fetch)
-    }
-
-    /// Claim `key` for a batched prefetch admit (`Busy` placeholder iff
-    /// the slot is empty); pair with
-    /// [`ShardCache::admit_claimed_prefetch`] or
-    /// [`ShardCache::release_claim`].
-    pub(crate) fn try_claim(&self, key: &BlockKey) -> bool {
-        self.core.try_claim(key)
-    }
-
-    /// Admit a block fetched under a claim, counting it as prefetched.
-    pub(crate) fn admit_claimed_prefetch(&self, key: BlockKey, data: Bytes) {
-        self.core.admit_claimed_prefetch(key, data);
-    }
-
-    /// Drop an unfulfilled prefetch claim (fetch error), waking waiters.
-    pub(crate) fn release_claim(&self, key: &BlockKey) {
-        self.core.release_busy(key);
-    }
-
-    /// See [`CacheCore::prefetch_open_run`]: how many plan positions from
-    /// `pos` the prefetcher may warm now (0 = window closed, retry).
-    pub(crate) fn prefetch_open_run(&self, pos: u64, depth: u64, max_run: u64) -> u64 {
-        self.core.prefetch_open_run(pos, depth, max_run)
-    }
-
-    /// Wake a prefetcher parked on the demand-access condvar (shutdown).
-    pub(crate) fn wake_prefetch_waiters(&self) {
-        self.core.access_cv.notify_all();
-    }
-
-    /// Checkpoint the cache for a restart (persistent caches only):
-    /// drain the spill queue, write the RAM-resident blocks that have no
-    /// spill file yet to one, up to the disk tier's spare capacity, then
-    /// write the spill index covering them plus the live disk tier (RAM
-    /// residents still backed by the file they were promoted from
-    /// included). Returns how many blocks the index covers. A
-    /// non-persistent cache returns 0.
-    pub fn persist_now(&self) -> io::Result<u64> {
-        self.core.persist_now()
-    }
-
-    /// Block until every queued spill order has been fully written (the
-    /// `Spilling → Disk` transitions landed). A no-op in synchronous
-    /// mode. Tests and checkpoints use this to observe a settled tier.
-    pub fn flush_spills(&self) {
-        self.core.flush_spills();
-    }
-
-    /// Spill orders queued or in flight right now (gauge; 0 without a
-    /// spill queue).
-    pub fn spill_queue_depth(&self) -> u64 {
-        self.core.spill_queue.as_ref().map_or(0, |q| q.depth())
-    }
-
-    /// Evictors blocked on a full spill queue right now (gauge; 0 without
-    /// an async spill queue or under the drop policy).
-    pub fn spill_blocked_pushers(&self) -> u64 {
-        self.core
-            .spill_queue
-            .as_ref()
-            .map_or(0, |q| q.blocked_pushers())
+    fn deref(&self) -> &CacheCore {
+        &self.core
     }
 }
 
@@ -1956,9 +1769,10 @@ mod tests {
         dir.path().join(persist::spill_file_name(&key(i)))
     }
 
+    /// Spill-file writes attempted so far (call after `flush_spills`).
     fn file_writes(cache: &ShardCache) -> u64 {
         let s = cache.stats().snapshot();
-        s.spill_async_writes + s.spill_inline_writes
+        s.spills + s.spill_failures
     }
 
     #[test]
@@ -2119,12 +1933,12 @@ mod tests {
             assert_eq!(fetches, KEYS, "{policy:?}: storage read once per block");
             assert_eq!(
                 s.evictions,
-                s.spills + s.clean_evictions + s.spill_failures + s.spill_dropped,
+                s.spills + s.clean_evictions + s.spill_failures,
                 "{policy:?}: every eviction accounted for: {s:?}"
             );
             assert!(s.spills <= KEYS as u64, "{policy:?}: write-once: {s:?}");
             assert!(s.clean_evictions > 0, "{policy:?}: {s:?}");
-            assert_eq!((s.spill_failures, s.spill_dropped), (0, 0));
+            assert_eq!(s.spill_failures, 0);
             assert_eq!(
                 cache.slot_bytes(),
                 (cache.ram_bytes_used(), cache.disk_bytes_used())
@@ -2394,8 +2208,7 @@ mod tests {
         let cache = ShardCache::new(
             CacheConfig::default()
                 .with_ram_bytes(1 << 20)
-                .with_prefetch_depth(4)
-                .with_prefetch_staging(1),
+                .with_prefetch_depth(4),
         )
         .unwrap();
         let seq: Vec<BlockKey> = (0..24).map(key).collect();
@@ -2414,40 +2227,6 @@ mod tests {
         cache.insert(key(3), block(0, 8));
         cache.get(&key(3)).unwrap();
         assert_eq!(cache.prefetch_open_run(8, 4, 64), 4);
-    }
-
-    #[test]
-    fn legacy_continuous_window_with_staging_zero() {
-        let cache = ShardCache::new(
-            CacheConfig::default()
-                .with_ram_bytes(1 << 20)
-                .with_prefetch_depth(4)
-                .with_prefetch_staging(0),
-        )
-        .unwrap();
-        cache.set_plan((0..16).map(key).collect());
-        assert_eq!(cache.prefetch_open_run(0, 4, 64), 4);
-        assert_eq!(cache.prefetch_open_run(4, 4, 64), 0);
-    }
-
-    #[test]
-    fn sync_mode_spills_inline() {
-        let cache = ShardCache::new(
-            CacheConfig::default()
-                .with_ram_bytes(200)
-                .with_disk_bytes(1000)
-                .with_spill_queue(0)
-                .with_policy(EvictPolicy::Lru),
-        )
-        .unwrap();
-        for i in 0..3 {
-            cache.insert(key(i), block(i, 100));
-        }
-        let s = cache.stats().snapshot();
-        assert_eq!(s.spills, 1);
-        assert_eq!(s.spill_inline_writes, 1, "no writer thread in sync mode");
-        assert_eq!(s.spill_async_writes, 0);
-        assert_eq!(cache.spill_queue_depth(), 0);
     }
 
     #[test]

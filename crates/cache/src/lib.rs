@@ -22,7 +22,7 @@
 //!   when the next cache opens over the same directory.
 //! * [`EvictPolicy`] — pluggable eviction: [`EvictPolicy::Lru`],
 //!   [`EvictPolicy::Fifo`], and [`EvictPolicy::Clairvoyant`], which uses
-//!   the epoch plan (via [`ShardCache::set_plan`]) to evict the resident
+//!   the epoch plan (via [`CacheCore::set_plan`]) to evict the resident
 //!   block whose next use is furthest in the future (Belady's algorithm —
 //!   the insight of "Clairvoyant Prefetching for Distributed Machine
 //!   Learning I/O"), and skips admitting blocks that would be the victim
@@ -60,7 +60,7 @@ pub mod source;
 pub mod spill;
 pub mod stats;
 
-pub use cache::{CacheConfig, Fetched, ShardCache};
+pub use cache::{CacheConfig, CacheCore, Fetched, ShardCache};
 pub use emlio_tfrecord::source::{BlockKey, BlockRead, RangeSource, ReadOrigin};
 pub use peer::{
     ChaosPeer, FleetRegistry, HashRing, LocalPeer, PeerConfig, PeerFetch, PeerSource, PeerStats,
@@ -70,5 +70,4 @@ pub use policy::EvictPolicy;
 pub use prefetch::Prefetcher;
 pub use reader::{CachedRangeReader, RangeRead};
 pub use source::CachedSource;
-pub use spill::SpillBackpressure;
 pub use stats::{CacheStats, CacheStatsSnapshot};

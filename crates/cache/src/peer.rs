@@ -188,8 +188,8 @@ pub trait PeerTransport: Send + Sync {
 }
 
 /// In-process [`PeerTransport`]: a weak handle onto another daemon's
-/// [`ShardCache`]. Fetches [`peek`](ShardCache::peek) (never perturbing
-/// the owner's accounting), offers [`insert`](ShardCache::insert) (a no-op
+/// [`ShardCache`]. Fetches [`peek`](crate::CacheCore::peek) (never perturbing
+/// the owner's accounting), offers [`insert`](crate::CacheCore::insert) (a no-op
 /// when the owner already has, or is fetching, the block). A dropped
 /// daemon's dead handle reports [`PeerFetch::Unavailable`] — exactly the
 /// crash-degradation path.

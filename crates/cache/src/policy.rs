@@ -13,7 +13,7 @@ pub enum EvictPolicy {
     Fifo,
     /// Evict the block whose next use in the epoch plan is furthest in the
     /// future (Belady's optimal algorithm). Requires the access sequence
-    /// via [`crate::ShardCache::set_plan`]; blocks never used again are
+    /// via [`crate::CacheCore::set_plan`]; blocks never used again are
     /// evicted first. Falls back to LRU ordering among ties and when no
     /// plan is set.
     Clairvoyant,

@@ -5,16 +5,15 @@
 //! thread can walk the same sequence ahead of the send workers and have
 //! each block resident before it is demanded.
 //!
-//! Two knobs bound and shape the lookahead:
+//! Two things bound and shape the lookahead:
 //!
-//! * **Staging** ([`crate::CacheConfig::prefetch_staging`]): with the
-//!   default of 1 the plan is tiled into `prefetch_depth`-sized windows
+//! * **Staging**: the plan is tiled into
+//!   [`prefetch_depth`](crate::CacheConfig::prefetch_depth)-sized windows
 //!   and the prefetcher double-buffers — while send workers consume
 //!   window N, window N+1 fills into RAM, the boundary flipping forward
-//!   when the demand cursor crosses into the next window. 0 restores the
-//!   legacy continuous window (`cursor + depth`). Either way the
-//!   prefetcher is bounded, so warming the future never evicts the
-//!   present working set.
+//!   when the demand cursor crosses into the next window. The prefetcher
+//!   is bounded, so warming the future never evicts the present working
+//!   set.
 //! * **Batched fetches**: each wakeup grabs the whole *open run* of plan
 //!   positions (up to one window) and warms it through
 //!   [`emlio_tfrecord::RangeSource::prefetch_blocks`], so plan-adjacent
@@ -36,7 +35,7 @@ pub struct Prefetcher {
 
 impl Prefetcher {
     /// Spawn a prefetcher over `source`'s cache plan (set the plan via
-    /// [`crate::ShardCache::set_plan`] first). Each warmed block is read
+    /// [`crate::CacheCore::set_plan`] first). Each warmed block is read
     /// through the source's inner layer; fetch errors are skipped — the
     /// demand path will surface them. A `prefetch_depth` of 0 yields an
     /// immediately-idle thread that exits.
@@ -67,7 +66,7 @@ impl Prefetcher {
             if pos as usize >= seq.len() {
                 return;
             }
-            // Grab the open run — bounded by the staging windows ahead of
+            // Grab the open run — bounded by the double buffer ahead of
             // the demand cursor (the cache pings its access condvar on
             // every demand access) and capped at one window per wakeup so
             // a fresh plan does not coalesce into one giant read.

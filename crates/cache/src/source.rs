@@ -112,7 +112,7 @@ impl RangeSource for CachedSource {
             Ok(reads) => reads,
             Err(e) => {
                 for k in &claimed {
-                    self.cache.release_claim(k);
+                    self.cache.release_busy(k);
                 }
                 return Err(e);
             }

@@ -1,19 +1,18 @@
 //! The bounded spill-order queue behind the background spill writer.
 //!
-//! Eviction used to perform the spill-file write on the evicting thread —
-//! off every lock, but still on the send workers' serve path. With a
-//! `SpillQueue` configured ([`crate::CacheConfig::with_spill_queue`]),
-//! evictors instead enqueue a `(BlockKey, Bytes)` order and return
-//! immediately; a dedicated `emlio-cache-spill` thread pops orders, writes
-//! the file, and lands the `Spilling → Disk` slot transition. The queue is
-//! bounded: when it fills, the configured [`SpillBackpressure`] policy
-//! either blocks the evictor (never lose a block) or drops the order (the
-//! block degrades to absent and demand re-fetches it from storage).
+//! A cache with a disk tier never writes a spill file on the thread that
+//! evicts: evictors enqueue a `(BlockKey, Bytes)` order and return, and the
+//! dedicated `emlio-cache-spill` thread pops orders, writes the file, and
+//! lands the `Spilling → Disk` slot transition. The queue is bounded
+//! ([`crate::CacheConfig::with_spill_queue`]): when it fills, the evictor
+//! waits for the writer to free a slot, so no block is ever lost and the
+//! eviction rate is bounded by the disk's spill bandwidth.
 //!
 //! Shutdown drains: the writer processes every queued order before
 //! exiting, so `persist_now()` and drop always checkpoint a complete spill
-//! index. Orders pushed after shutdown bounce back to the caller, which
-//! performs the write inline.
+//! index. By then only the writer holds the cache core, so an order pushed
+//! after shutdown cannot occur; the queue refuses such an order and the
+//! caller drops the block to absent.
 
 use bytes::Bytes;
 use emlio_tfrecord::BlockKey;
@@ -21,54 +20,11 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// What an evictor does when the spill queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SpillBackpressure {
-    /// Wait for the writer to free a slot. Never loses a block; bounds the
-    /// eviction rate to the disk's spill bandwidth.
-    #[default]
-    Block,
-    /// Drop the order: the evicted block becomes absent and demand will
-    /// re-read it from storage. Keeps evictors wait-free at the cost of
-    /// repeat storage reads under sustained pressure.
-    Drop,
-}
-
-impl SpillBackpressure {
-    /// Stable lowercase name (CLI flag value).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SpillBackpressure::Block => "block",
-            SpillBackpressure::Drop => "drop",
-        }
-    }
-
-    /// Parse a CLI flag value (`block` | `drop`).
-    pub fn from_name(name: &str) -> Option<SpillBackpressure> {
-        match name {
-            "block" => Some(SpillBackpressure::Block),
-            "drop" => Some(SpillBackpressure::Drop),
-            _ => None,
-        }
-    }
-}
-
 /// One queued eviction: the block to write and its accounted size.
 pub(crate) struct SpillOrder {
     pub key: BlockKey,
     pub data: Bytes,
     pub size: u64,
-}
-
-/// Outcome of [`SpillQueue::push`].
-pub(crate) enum Push {
-    /// The writer thread owns the order now.
-    Enqueued,
-    /// Queue full under [`SpillBackpressure::Drop`]; the caller must abort
-    /// the spill (drop the `Spilling` slot to absent).
-    Dropped(SpillOrder),
-    /// The queue is shut down; the caller performs the write inline.
-    Bypass(SpillOrder),
 }
 
 struct Inner {
@@ -112,34 +68,30 @@ impl SpillQueue {
         }
     }
 
-    /// Enqueue an order, applying `policy` when the queue is full. Returns
-    /// the outcome plus telemetry: how many times the caller blocked on a
-    /// full queue, and the queue depth right after the push (0 unless
-    /// enqueued).
-    pub fn push(&self, order: SpillOrder, policy: SpillBackpressure) -> (Push, u64, u64) {
+    /// Enqueue an order, waiting for the writer while the queue is full.
+    /// Returns telemetry — how many times the caller blocked on a full
+    /// queue, and the queue depth right after the push — or `None` when
+    /// the queue is shut down and the order was refused (the caller drops
+    /// the `Spilling` slot to absent).
+    pub fn push(&self, order: SpillOrder) -> Option<(u64, u64)> {
         let mut inner = self.inner.lock();
         let mut waits = 0u64;
         loop {
             if inner.shutdown {
-                return (Push::Bypass(order), waits, 0);
+                return None;
             }
             if inner.orders.len() < self.capacity {
                 break;
             }
-            match policy {
-                SpillBackpressure::Block => {
-                    waits += 1;
-                    self.blocked.fetch_add(1, Ordering::SeqCst);
-                    self.not_full.wait(&mut inner);
-                    self.blocked.fetch_sub(1, Ordering::SeqCst);
-                }
-                SpillBackpressure::Drop => return (Push::Dropped(order), waits, 0),
-            }
+            waits += 1;
+            self.blocked.fetch_add(1, Ordering::SeqCst);
+            self.not_full.wait(&mut inner);
+            self.blocked.fetch_sub(1, Ordering::SeqCst);
         }
         inner.orders.push_back(order);
         let depth = inner.orders.len() as u64 + u64::from(inner.in_flight);
         self.not_empty.notify_one();
-        (Push::Enqueued, waits, depth)
+        Some((waits, depth))
     }
 
     /// Pop the next order, blocking until one arrives or the queue is shut
@@ -217,33 +169,12 @@ mod tests {
     }
 
     #[test]
-    fn drop_policy_bounces_when_full() {
-        let q = SpillQueue::new(2);
-        assert!(matches!(
-            q.push(order(0), SpillBackpressure::Drop).0,
-            Push::Enqueued
-        ));
-        assert!(matches!(
-            q.push(order(1), SpillBackpressure::Drop).0,
-            Push::Enqueued
-        ));
-        assert!(matches!(
-            q.push(order(2), SpillBackpressure::Drop).0,
-            Push::Dropped(_)
-        ));
-        assert_eq!(q.depth(), 2);
-    }
-
-    #[test]
     fn shutdown_drains_then_ends_pop() {
         let q = SpillQueue::new(4);
-        q.push(order(0), SpillBackpressure::Block);
-        q.push(order(1), SpillBackpressure::Block);
+        q.push(order(0));
+        q.push(order(1));
         q.shutdown();
-        assert!(matches!(
-            q.push(order(2), SpillBackpressure::Block).0,
-            Push::Bypass(_)
-        ));
+        assert!(q.push(order(2)).is_none(), "a closed queue refuses");
         assert!(q.pop().is_some());
         q.done();
         assert!(q.pop().is_some());
@@ -255,9 +186,9 @@ mod tests {
     #[test]
     fn block_policy_waits_for_writer() {
         let q = std::sync::Arc::new(SpillQueue::new(1));
-        q.push(order(0), SpillBackpressure::Block);
+        q.push(order(0));
         let q2 = q.clone();
-        let h = std::thread::spawn(move || q2.push(order(1), SpillBackpressure::Block).1);
+        let h = std::thread::spawn(move || q2.push(order(1)).expect("queue open").0);
         // Deadline-poll the gauge instead of sleeping a magic duration:
         // the pusher is provably parked before we free the slot.
         assert!(
@@ -273,13 +204,5 @@ mod tests {
         assert!(q.pop().is_some());
         q.done();
         q.flush();
-    }
-
-    #[test]
-    fn backpressure_names_round_trip() {
-        for p in [SpillBackpressure::Block, SpillBackpressure::Drop] {
-            assert_eq!(SpillBackpressure::from_name(p.name()), Some(p));
-        }
-        assert_eq!(SpillBackpressure::from_name("bogus"), None);
     }
 }

@@ -15,7 +15,9 @@ pub struct CacheStats {
     pub misses: AtomicU64,
     /// Hits served by the disk spill tier (subset of `hits`).
     pub disk_hits: AtomicU64,
-    /// Blocks evicted from the RAM tier.
+    /// Blocks evicted from the RAM tier. With a disk tier that can take
+    /// every block, `evictions == spills + clean_evictions +
+    /// spill_failures` once the spill queue is flushed.
     pub evictions: AtomicU64,
     /// Spill-file writes that landed: RAM evictions that had to be
     /// written to the disk tier (subset of `evictions`).
@@ -34,19 +36,11 @@ pub struct CacheStats {
     /// Spill-file writes that failed; the block dropped to absent (demand
     /// will re-fetch it from storage).
     pub spill_failures: AtomicU64,
-    /// Spill orders dropped to absent because the queue was full under the
-    /// drop backpressure policy.
-    pub spill_dropped: AtomicU64,
-    /// Times an evictor blocked on a full spill queue under the blocking
-    /// backpressure policy.
+    /// Times an evictor blocked on a full spill queue, waiting for the
+    /// writer.
     pub spill_backpressure_waits: AtomicU64,
     /// High-water mark of the spill queue depth (orders queued at once).
     pub spill_queue_peak: AtomicU64,
-    /// Spill-file writes performed on the evicting thread (synchronous
-    /// mode, or inline fallback during shutdown).
-    pub spill_inline_writes: AtomicU64,
-    /// Spill-file writes performed by the background writer thread.
-    pub spill_async_writes: AtomicU64,
     /// Re-admitted disk blocks promoted into RAM by warm-start, ahead of
     /// any demand access.
     pub warm_promoted: AtomicU64,
@@ -66,11 +60,8 @@ impl CacheStats {
             readmitted: self.readmitted.load(Ordering::Relaxed),
             bytes_saved: self.bytes_saved.load(Ordering::Relaxed),
             spill_failures: self.spill_failures.load(Ordering::Relaxed),
-            spill_dropped: self.spill_dropped.load(Ordering::Relaxed),
             spill_backpressure_waits: self.spill_backpressure_waits.load(Ordering::Relaxed),
             spill_queue_peak: self.spill_queue_peak.load(Ordering::Relaxed),
-            spill_inline_writes: self.spill_inline_writes.load(Ordering::Relaxed),
-            spill_async_writes: self.spill_async_writes.load(Ordering::Relaxed),
             warm_promoted: self.warm_promoted.load(Ordering::Relaxed),
         }
     }
@@ -99,16 +90,10 @@ pub struct CacheStatsSnapshot {
     pub bytes_saved: u64,
     /// Spill-file writes that failed (block dropped to absent).
     pub spill_failures: u64,
-    /// Spill orders dropped on a full queue (drop policy).
-    pub spill_dropped: u64,
-    /// Evictor waits on a full spill queue (block policy).
+    /// Evictor waits on a full spill queue.
     pub spill_backpressure_waits: u64,
     /// High-water mark of the spill queue depth.
     pub spill_queue_peak: u64,
-    /// Spill writes performed on the evicting thread.
-    pub spill_inline_writes: u64,
-    /// Spill writes performed by the background writer thread.
-    pub spill_async_writes: u64,
     /// Disk blocks promoted to RAM by warm-start ahead of demand.
     pub warm_promoted: u64,
 }

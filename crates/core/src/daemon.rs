@@ -591,8 +591,9 @@ mod tests {
         let mut seen_per_epoch = vec![std::collections::HashSet::new(); 2];
         while ends < 2 {
             let frame = pull.recv().unwrap();
-            match wire::decode(&frame).unwrap() {
-                wire::WireMsg::Batch(b) => {
+            match wire::decode_lazy(&frame, None).unwrap() {
+                wire::LazyMsg::Batch(b) => {
+                    let b = b.materialize();
                     batches += 1;
                     for s in &b.samples {
                         assert!(
@@ -605,7 +606,7 @@ mod tests {
                         assert_eq!(s.bytes.as_ref(), spec.payload_of(s.sample_id));
                     }
                 }
-                wire::WireMsg::EndStream { .. } => ends += 1,
+                wire::LazyMsg::EndStream { .. } => ends += 1,
             }
         }
         server.join().unwrap();
@@ -644,9 +645,9 @@ mod tests {
         let mut ends = 0u32;
         let mut batches = 0u64;
         while ends < 2 {
-            match wire::decode(&pull.recv().unwrap()).unwrap() {
-                wire::WireMsg::Batch(_) => batches += 1,
-                wire::WireMsg::EndStream { .. } => ends += 1,
+            match wire::decode_lazy(&pull.recv().unwrap(), None).unwrap() {
+                wire::LazyMsg::Batch(_) => batches += 1,
+                wire::LazyMsg::EndStream { .. } => ends += 1,
             }
         }
         server.join().unwrap();

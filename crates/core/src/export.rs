@@ -231,9 +231,7 @@ pub struct StallReport {
     /// Spill-file write time on the background `emlio-cache-spill`
     /// thread. *Off-path*: this thread-time overlaps the workers' wall
     /// clock instead of adding to it, so it is reported alongside — never
-    /// inside — the `wall × workers` identity above. A synchronous-spill
-    /// build attributes the same file writes to the evicting worker's
-    /// assemble time instead.
+    /// inside — the `wall × workers` identity above.
     pub spill_write_nanos: u64,
 }
 

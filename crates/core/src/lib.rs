@@ -47,4 +47,4 @@ pub use pool::{BufferPool, PoolBuf, PoolStats};
 pub use receiver::{EmlioReceiver, LazyQueueSource, ReceiverConfig};
 pub use service::EmlioService;
 pub use stack::{ReadStack, StackSpec};
-pub use wire::{LazyBatch, LazyMsg, WireMsg};
+pub use wire::{LazyBatch, LazyMsg};

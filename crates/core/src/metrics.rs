@@ -38,7 +38,7 @@ impl StackCounters {
             s.zero_copy_hits = c.hits - c.disk_hits;
             s.cache_spill_failures = c.spill_failures;
             s.cache_spill_queue_depth = cache.spill_queue_depth();
-            s.cache_spill_backpressure = c.spill_backpressure_waits + c.spill_dropped;
+            s.cache_spill_backpressure = c.spill_backpressure_waits;
             s.cache_warm_promoted = c.warm_promoted;
         }
         if let Some(peer) = &self.peer {
@@ -214,7 +214,7 @@ pub struct MetricsSnapshot {
     pub cache_spill_failures: u64,
     /// Spill orders queued or in flight on the background writer (gauge).
     pub cache_spill_queue_depth: u64,
-    /// Spill-queue backpressure events (blocked waits + dropped orders).
+    /// Times an evictor waited on a full spill queue.
     pub cache_spill_backpressure: u64,
     /// Disk blocks promoted into RAM by cache warm-start.
     pub cache_warm_promoted: u64,

@@ -324,16 +324,22 @@ fn receive_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::BufferPool;
     use bytes::Bytes;
     use emlio_pipeline::ExternalSource;
     use emlio_zmq::PushSocket;
 
+    /// One single-sample batch frame, as a daemon worker would send it.
+    fn batch_frame(id: u64, origin: &str, label: u32, payload: Vec<u8>) -> emlio_zmq::Frame {
+        let samples = [(id, label, Bytes::from(payload))];
+        wire::encode_batch_frame_traced(0, id, origin, None, &samples, &BufferPool::new())
+    }
+
     fn push_batches(ep: &Endpoint, origin: &str, ids: Vec<u64>) {
         let sock = PushSocket::connect(ep, SocketOptions::default()).unwrap();
         for id in &ids {
-            let payload = vec![*id as u8; 16];
-            let frame = wire::encode_batch(0, *id, origin, &[(*id, 0, payload.as_slice())]);
-            sock.send(Bytes::from(frame)).unwrap();
+            sock.send(batch_frame(*id, origin, 0, vec![*id as u8; 16]))
+                .unwrap();
         }
         sock.send(Bytes::from(wire::encode_end_stream(
             origin,
@@ -416,8 +422,7 @@ mod tests {
         let ep = receiver.endpoint().clone();
         let sock = PushSocket::connect(&ep, SocketOptions::default()).unwrap();
         sock.send(Bytes::from_static(b"\xde\xad\xbe\xef")).unwrap();
-        let good = wire::encode_batch(0, 9, "x", &[(9, 1, &[1, 2])]);
-        sock.send(Bytes::from(good)).unwrap();
+        sock.send(batch_frame(9, "x", 1, vec![1, 2])).unwrap();
         sock.send(Bytes::from(wire::encode_end_stream("x", 1)))
             .unwrap();
         sock.close().unwrap();

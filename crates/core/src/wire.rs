@@ -14,23 +14,24 @@
 //! Decoding is zero-copy for the dominant payload: sample `data` fields are
 //! [`bytes::Bytes`] slices of the received frame, not copies.
 //!
-//! Two generations of codec share this schema, byte-identical on the wire:
+//! One codec, one direction each:
 //!
-//! * the eager pair [`encode_batch`] / [`decode`] — one contiguous buffer
-//!   out, one fully materialized [`WireMsg`] in;
-//! * the zero-copy pair [`encode_batch_frame`] / [`decode_lazy`] — headers
-//!   go into a pooled buffer cut into segments interleaved with refcounted
-//!   payload slices (no payload memcpy on send), and the receiver gets a
-//!   [`LazyBatch`] that has *validated* the whole message but materializes
-//!   samples only when [`LazyBatch::materialize`] is called on the consumer
-//!   side.
+//! * [`encode_batch_frame_traced`] writes the msgpack headers into a pooled
+//!   buffer cut into segments interleaved with refcounted payload slices —
+//!   a scatter [`Frame`], no payload memcpy on send, the header buffer
+//!   recycled after it;
+//! * [`decode_lazy`] *validates* the whole message on the receive thread
+//!   and hands back a [`LazyBatch`] that materializes its samples only when
+//!   [`LazyBatch::materialize`] is called on the consumer side.
 //!
 //! Batches may additionally carry a compact trace header in an optional
 //! `"trace"` field (bin 16: little-endian worker sequence number + send
 //! timestamp — see [`BatchTrace`]), written between `"origin"` and
-//! `"samples"`. Untraced frames omit the field entirely, so the two
-//! encoder generations stay byte-identical with or without tracing, and
-//! old decoders never see it unless a daemon stamps it.
+//! `"samples"`. Untraced frames omit the field entirely, so a receiver
+//! never sees it unless a daemon stamps it.
+//!
+//! The bytes on the wire are pinned by a contiguous reference encoder kept
+//! in `tests/proptest_wire.rs`.
 
 use crate::pool::BufferPool;
 use bytes::Bytes;
@@ -40,20 +41,6 @@ use emlio_pipeline::{RawBatch, RawSample};
 use emlio_zmq::Frame;
 use std::fmt;
 use std::sync::Arc;
-
-/// A decoded wire message.
-#[derive(Debug, Clone, PartialEq)]
-pub enum WireMsg {
-    /// A data batch.
-    Batch(RawBatch),
-    /// End-of-stream marker from one daemon worker.
-    EndStream {
-        /// Daemon/worker identity.
-        origin: String,
-        /// Batches that worker sent in total.
-        batches_sent: u64,
-    },
-}
 
 /// Wire decode failures.
 #[derive(Debug)]
@@ -81,70 +68,12 @@ impl From<DecodeError> for WireError {
     }
 }
 
-/// Serialize a batch. `origin` identifies the sending worker (diagnostics
-/// and out-of-order accounting).
-pub fn encode_batch(
-    epoch: u32,
-    batch_id: u64,
-    origin: &str,
-    samples: &[(u64, u32, &[u8])],
-) -> Vec<u8> {
-    encode_batch_traced(epoch, batch_id, origin, None, samples)
-}
-
-/// [`encode_batch`] with an optional [`BatchTrace`] header stamped in.
-pub fn encode_batch_traced(
-    epoch: u32,
-    batch_id: u64,
-    origin: &str,
-    trace: Option<BatchTrace>,
-    samples: &[(u64, u32, &[u8])],
-) -> Vec<u8> {
-    // Capacity estimate: payloads + ~32 bytes/sample overhead.
-    let payload: usize = samples.iter().map(|(_, _, d)| d.len()).sum();
-    let mut buf = Vec::with_capacity(payload + samples.len() * 32 + 96);
-    let mut e = Encoder::new(&mut buf);
-    e.write_map_len(if trace.is_some() { 5 } else { 4 });
-    e.write_str("epoch");
-    e.write_uint(epoch as u64);
-    e.write_str("batch_id");
-    e.write_uint(batch_id);
-    e.write_str("origin");
-    e.write_str(origin);
-    if let Some(t) = trace {
-        e.write_str("trace");
-        e.write_bin(&t.to_bytes());
-    }
-    e.write_str("samples");
-    e.write_array_len(samples.len());
-    for (id, label, data) in samples {
-        e.write_map_len(3);
-        e.write_str("id");
-        e.write_uint(*id);
-        e.write_str("label");
-        e.write_uint(*label as u64);
-        e.write_str("data");
-        e.write_bin(data);
-    }
-    buf
-}
-
 /// Serialize a batch as a scatter [`Frame`]: all msgpack headers in one
 /// pooled buffer, each sample payload spliced in as a refcounted [`Bytes`]
-/// segment. Wire bytes are identical to [`encode_batch`], but no payload
-/// byte is copied and the header buffer is recycled after send.
-pub fn encode_batch_frame(
-    epoch: u32,
-    batch_id: u64,
-    origin: &str,
-    samples: &[(u64, u32, Bytes)],
-    pool: &BufferPool,
-) -> Frame {
-    encode_batch_frame_traced(epoch, batch_id, origin, None, samples, pool)
-}
-
-/// [`encode_batch_frame`] with an optional [`BatchTrace`] header stamped
-/// in. Wire bytes are identical to [`encode_batch_traced`].
+/// segment — no payload byte is copied and the header buffer is recycled
+/// after send. `origin` identifies the sending worker (diagnostics and
+/// out-of-order accounting); `trace`, when given, is stamped in as the
+/// optional [`BatchTrace`] header.
 pub fn encode_batch_frame_traced(
     epoch: u32,
     batch_id: u64,
@@ -336,7 +265,7 @@ impl LazyBatch {
 }
 
 /// Scan one wire frame: validate the full structure (schema, types,
-/// truncation — everything [`decode`] would reject, this rejects) while
+/// truncation) while
 /// materializing only the envelope. Sample payloads stay in `frame` until
 /// [`LazyBatch::materialize`].
 ///
@@ -452,110 +381,136 @@ fn scan_sample(d: &mut Decoder<'_>, idx: usize) -> Result<u64, WireError> {
     payload.ok_or_else(|| WireError::Schema(format!("sample {idx}: no data")))
 }
 
-/// Decode one wire frame eagerly. Sample payloads alias `frame`
-/// (zero-copy). This is `decode_lazy` + immediate materialization; the two
-/// accept and reject exactly the same inputs.
-pub fn decode(frame: &Bytes) -> Result<WireMsg, WireError> {
-    match decode_lazy(frame, None)? {
-        LazyMsg::Batch(lb) => Ok(WireMsg::Batch(lb.materialize())),
-        LazyMsg::EndStream {
-            origin,
-            batches_sent,
-        } => Ok(WireMsg::EndStream {
-            origin: origin.to_string(),
-            batches_sent,
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emlio_msgpack::Value;
+
+    /// `n` samples of `len`-byte payloads, ids from `id0`.
+    fn samples(n: u8, id0: u64, len: usize) -> Vec<(u64, u32, Bytes)> {
+        (0..n)
+            .map(|i| {
+                (
+                    id0 + i as u64,
+                    (i % 3) as u32,
+                    Bytes::from(vec![i; len + i as usize]),
+                )
+            })
+            .collect()
+    }
+
+    /// The frame as the receiver pulls it off the socket: gathered.
+    fn encode(
+        epoch: u32,
+        batch_id: u64,
+        origin: &str,
+        trace: Option<BatchTrace>,
+        samples: &[(u64, u32, Bytes)],
+    ) -> Bytes {
+        encode_batch_frame_traced(epoch, batch_id, origin, trace, samples, &BufferPool::new())
+            .into_bytes()
+    }
+
+    fn batch_of(frame: &Bytes) -> LazyBatch {
+        match decode_lazy(frame, None).unwrap() {
+            LazyMsg::Batch(lb) => lb,
+            other => panic!("expected batch, got {other:?}"),
+        }
+    }
+
+    /// The same message built eagerly as an owned msgpack [`Value`] tree and
+    /// serialized by the generic tree writer — shares no code with the
+    /// scatter encoder above the primitive `Encoder` calls.
+    fn eager_encode(
+        epoch: u32,
+        batch_id: u64,
+        origin: &str,
+        trace: Option<BatchTrace>,
+        samples: &[(u64, u32, Bytes)],
+    ) -> Vec<u8> {
+        let mut fields = vec![
+            (Value::from("epoch"), Value::from(epoch as u64)),
+            (Value::from("batch_id"), Value::from(batch_id)),
+            (Value::from("origin"), Value::from(origin)),
+        ];
+        if let Some(t) = trace {
+            fields.push((Value::from("trace"), Value::Bin(t.to_bytes().to_vec())));
+        }
+        let samples = samples
+            .iter()
+            .map(|(id, label, data)| {
+                Value::Map(vec![
+                    (Value::from("id"), Value::from(*id)),
+                    (Value::from("label"), Value::from(*label as u64)),
+                    (Value::from("data"), Value::Bin(data.to_vec())),
+                ])
+            })
+            .collect();
+        fields.push((Value::from("samples"), Value::Arr(samples)));
+        emlio_msgpack::to_vec(&Value::Map(fields))
+    }
+
+    fn within(frame: &Bytes, s: &RawSample) -> bool {
+        let range = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
+        range.contains(&(s.bytes.as_ptr() as usize))
+    }
 
     #[test]
     fn batch_roundtrip_zero_copy() {
-        let payloads: Vec<Vec<u8>> = (0..5u8).map(|i| vec![i; 100]).collect();
-        let samples: Vec<(u64, u32, &[u8])> = payloads
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as u64 + 10, (i % 3) as u32, p.as_slice()))
-            .collect();
-        let frame = Bytes::from(encode_batch(2, 77, "daemon-0/t1", &samples));
-        let msg = decode(&frame).unwrap();
-        let WireMsg::Batch(batch) = msg else {
-            panic!("expected batch");
-        };
+        let sent = samples(5, 10, 100);
+        let frame = encode(2, 77, "daemon-0/t1", None, &sent);
+        let batch = batch_of(&frame).materialize();
         assert_eq!(batch.epoch, 2);
         assert_eq!(batch.batch_id, 77);
         assert_eq!(batch.samples.len(), 5);
-        for (i, s) in batch.samples.iter().enumerate() {
-            assert_eq!(s.sample_id, i as u64 + 10);
-            assert_eq!(s.label, (i % 3) as u32);
-            assert_eq!(s.bytes.as_ref(), payloads[i].as_slice());
+        for (s, (id, label, data)) in batch.samples.iter().zip(&sent) {
+            assert_eq!((s.sample_id, s.label), (*id, *label));
+            assert_eq!(s.bytes, *data);
             // Zero-copy: the sample's buffer lies within the frame.
-            let frame_range = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
-            assert!(frame_range.contains(&(s.bytes.as_ptr() as usize)));
+            assert!(within(&frame, s));
         }
     }
 
     #[test]
     fn scatter_encode_is_wire_identical_to_eager_encode() {
         let pool = BufferPool::new();
-        let payloads: Vec<Bytes> = (0..5u8)
-            .map(|i| Bytes::from(vec![i; 50 + i as usize]))
-            .collect();
-        let owned: Vec<(u64, u32, Bytes)> = payloads
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as u64, (i % 2) as u32, p.clone()))
-            .collect();
-        let borrowed: Vec<(u64, u32, &[u8])> =
-            owned.iter().map(|(i, l, p)| (*i, *l, &p[..])).collect();
-
-        let frame = encode_batch_frame(9, 123, "daemon-2/t0", &owned, &pool);
-        let eager = encode_batch(9, 123, "daemon-2/t0", &borrowed);
+        let owned = samples(5, 0, 50);
+        let frame = encode_batch_frame_traced(9, 123, "daemon-2/t0", None, &owned, &pool);
+        let eager = eager_encode(9, 123, "daemon-2/t0", None, &owned);
         assert_eq!(&frame.clone().into_bytes()[..], &eager[..]);
 
         // Payload segments alias the callers' Bytes — no memcpy happened.
         let segs = frame.segments();
         assert_eq!(segs.len(), 2 * owned.len());
-        for (i, p) in payloads.iter().enumerate() {
+        for (i, (_, _, p)) in owned.iter().enumerate() {
             assert_eq!(segs[2 * i + 1].as_ptr(), p.as_ptr());
         }
 
         // Empty batch: pure header frame, still wire-identical.
-        let frame = encode_batch_frame(0, 0, "d", &[], &pool);
-        assert_eq!(&frame.into_bytes()[..], &encode_batch(0, 0, "d", &[])[..]);
+        assert_eq!(
+            &encode(0, 0, "d", None, &[])[..],
+            &eager_encode(0, 0, "d", None, &[])[..]
+        );
     }
 
     #[test]
     fn lazy_decode_validates_eagerly_materializes_lazily() {
-        let payloads: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 200]).collect();
-        let samples: Vec<(u64, u32, &[u8])> = payloads
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as u64, 0u32, p.as_slice()))
-            .collect();
-        let frame = Bytes::from(encode_batch(1, 5, "w", &samples));
+        let sent = samples(4, 0, 200);
+        let frame = encode(1, 5, "w", None, &sent);
 
-        let LazyMsg::Batch(lb) = decode_lazy(&frame, None).unwrap() else {
-            panic!("expected batch");
-        };
+        let lb = batch_of(&frame);
         assert_eq!((lb.epoch(), lb.batch_id(), lb.len()), (1, 5, 4));
         assert_eq!(&**lb.origin(), "w");
-        assert_eq!(lb.payload_bytes(), 800);
+        assert_eq!(lb.payload_bytes(), 200 + 201 + 202 + 203);
 
         let batch = lb.materialize();
-        let WireMsg::Batch(eager) = decode(&frame).unwrap() else {
-            panic!()
-        };
-        assert_eq!(batch, eager, "lazy materialization == eager decode");
-        for s in &batch.samples {
-            let frame_range = frame.as_ptr() as usize..frame.as_ptr() as usize + frame.len();
-            assert!(frame_range.contains(&(s.bytes.as_ptr() as usize)));
+        for (s, (id, label, data)) in batch.samples.iter().zip(&sent) {
+            assert_eq!((s.sample_id, s.label, &s.bytes), (*id, *label, data));
+            assert!(within(&frame, s));
         }
 
-        // Lazy rejects exactly what eager rejects, at scan time.
+        // Every truncation is rejected at scan time, before any consumer
+        // could materialize.
         for cut in 0..frame.len() {
             let prefix = Bytes::from(frame[..cut].to_vec());
             assert!(decode_lazy(&prefix, None).is_err(), "cut {cut}");
@@ -565,12 +520,9 @@ mod tests {
     #[test]
     fn interner_shares_origin_across_frames() {
         let interner = StrInterner::new();
-        let frames: Vec<Bytes> = (0..3)
-            .map(|i| Bytes::from(encode_batch(0, i, "daemon-0/t3", &[])))
-            .collect();
-        let origins: Vec<Arc<str>> = frames
-            .iter()
-            .map(|f| match decode_lazy(f, Some(&interner)).unwrap() {
+        let origins: Vec<Arc<str>> = (0..3)
+            .map(|i| encode(0, i, "daemon-0/t3", None, &[]))
+            .map(|f| match decode_lazy(&f, Some(&interner)).unwrap() {
                 LazyMsg::Batch(b) => b.origin().clone(),
                 _ => panic!(),
             })
@@ -588,49 +540,36 @@ mod tests {
 
     #[test]
     fn traced_frames_roundtrip_and_stay_wire_identical() {
-        let pool = BufferPool::new();
         let trace = BatchTrace {
             seq: 41,
             sent_at_nanos: 1_700_000_123_456_789_000,
         };
-        let payloads: Vec<Bytes> = (0..3u8).map(|i| Bytes::from(vec![i; 64])).collect();
-        let owned: Vec<(u64, u32, Bytes)> = payloads
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as u64, 1u32, p.clone()))
-            .collect();
-        let borrowed: Vec<(u64, u32, &[u8])> =
-            owned.iter().map(|(i, l, p)| (*i, *l, &p[..])).collect();
+        let owned = samples(3, 0, 64);
 
-        // Scatter and eager traced encoders agree byte for byte.
-        let frame = encode_batch_frame_traced(3, 41, "d0/t2", Some(trace), &owned, &pool);
-        let eager = encode_batch_traced(3, 41, "d0/t2", Some(trace), &borrowed);
-        assert_eq!(&frame.clone().into_bytes()[..], &eager[..]);
+        // The trace field lands where the schema says, byte for byte.
+        let traced = encode(3, 41, "d0/t2", Some(trace), &owned);
+        assert_eq!(
+            &traced[..],
+            &eager_encode(3, 41, "d0/t2", Some(trace), &owned)[..]
+        );
 
         // The trace survives the lazy decode; materialization is unchanged.
-        let bytes = Bytes::from(eager);
-        let LazyMsg::Batch(mut lb) = decode_lazy(&bytes, None).unwrap() else {
-            panic!("expected batch");
-        };
+        let mut lb = batch_of(&traced);
         assert_eq!(lb.trace(), Some(trace));
         assert_eq!(lb.received_at_nanos(), 0);
         lb.stamp_received(7);
         assert_eq!(lb.received_at_nanos(), 7);
-        let untraced = Bytes::from(encode_batch(3, 41, "d0/t2", &borrowed));
-        let WireMsg::Batch(plain) = decode(&untraced).unwrap() else {
-            panic!()
-        };
-        assert_eq!(lb.materialize(), plain, "trace changes no sample bytes");
-
-        // Untraced frames report no trace; `None` delegates exactly.
+        let untraced = encode(3, 41, "d0/t2", None, &owned);
+        let plain = batch_of(&untraced);
         assert_eq!(
-            &encode_batch_frame(3, 41, "d0/t2", &owned, &pool).into_bytes()[..],
-            &untraced[..]
+            lb.materialize(),
+            plain.materialize(),
+            "trace changes no sample bytes"
         );
-        let LazyMsg::Batch(lb) = decode_lazy(&untraced, None).unwrap() else {
-            panic!()
-        };
-        assert!(lb.trace().is_none());
+
+        // Untraced frames omit the field and report no trace.
+        assert!(untraced.len() < traced.len());
+        assert!(plain.trace().is_none());
     }
 
     #[test]
@@ -649,7 +588,7 @@ mod tests {
         e.write_str("samples");
         e.write_array_len(0);
         assert!(matches!(
-            decode(&Bytes::from(buf)),
+            decode_lazy(&Bytes::from(buf), None),
             Err(WireError::Schema(_))
         ));
     }
@@ -657,12 +596,12 @@ mod tests {
     #[test]
     fn end_stream_roundtrip() {
         let frame = Bytes::from(encode_end_stream("daemon-1/t0", 42));
-        match decode(&frame).unwrap() {
-            WireMsg::EndStream {
+        match decode_lazy(&frame, None).unwrap() {
+            LazyMsg::EndStream {
                 origin,
                 batches_sent,
             } => {
-                assert_eq!(origin, "daemon-1/t0");
+                assert_eq!(&*origin, "daemon-1/t0");
                 assert_eq!(batches_sent, 42);
             }
             other => panic!("expected end_stream, got {other:?}"),
@@ -671,18 +610,16 @@ mod tests {
 
     #[test]
     fn empty_batch_allowed() {
-        let frame = Bytes::from(encode_batch(0, 0, "d", &[]));
-        let WireMsg::Batch(b) = decode(&frame).unwrap() else {
-            panic!()
-        };
-        assert!(b.samples.is_empty());
+        let lb = batch_of(&encode(0, 0, "d", None, &[]));
+        assert!(lb.is_empty());
+        assert!(lb.materialize().samples.is_empty());
     }
 
     #[test]
     fn malformed_frames_rejected() {
-        assert!(decode(&Bytes::from_static(b"")).is_err());
+        assert!(decode_lazy(&Bytes::from_static(b""), None).is_err());
         assert!(
-            decode(&Bytes::from_static(b"\xc0")).is_err(),
+            decode_lazy(&Bytes::from_static(b"\xc0"), None).is_err(),
             "nil is not a map"
         );
         // Map with unknown field.
@@ -692,7 +629,7 @@ mod tests {
         e.write_str("bogus");
         e.write_uint(1);
         assert!(matches!(
-            decode(&Bytes::from(buf)),
+            decode_lazy(&Bytes::from(buf), None),
             Err(WireError::Schema(_))
         ));
         // Batch missing samples.
@@ -703,15 +640,15 @@ mod tests {
         e.write_uint(0);
         e.write_str("batch_id");
         e.write_uint(0);
-        assert!(decode(&Bytes::from(buf)).is_err());
+        assert!(decode_lazy(&Bytes::from(buf), None).is_err());
     }
 
     #[test]
     fn truncated_frames_rejected() {
-        let frame = encode_batch(1, 1, "d", &[(0, 0, &[1, 2, 3])]);
+        let frame = encode(1, 1, "d", None, &[(0, 0, Bytes::from_static(&[1, 2, 3]))]);
         for cut in 0..frame.len() {
             assert!(
-                decode(&Bytes::from(frame[..cut].to_vec())).is_err(),
+                decode_lazy(&Bytes::from(frame[..cut].to_vec()), None).is_err(),
                 "cut {cut}"
             );
         }

@@ -1,13 +1,59 @@
 //! Property-based tests for the zero-copy wire path: across arbitrary
-//! sample sets the scatter encoder must gather to exactly the bytes the
-//! eager encoder produces, the lazy decoder must materialize exactly what
-//! the eager decoder reads, and pooled buffers must round-trip
-//! byte-for-byte against a plain `Vec<u8>` baseline.
+//! sample sets the scatter encoder must gather to exactly the bytes of the
+//! contiguous reference encoder below (with and without the trace field),
+//! the lazy decoder must hand back what was encoded, and pooled buffers
+//! must round-trip byte-for-byte against a plain `Vec<u8>` baseline.
 
 use bytes::Bytes;
-use emlio_core::wire::{self, LazyMsg, WireMsg};
+use emlio_core::wire::{self, LazyMsg};
 use emlio_core::BufferPool;
+use emlio_msgpack::Encoder;
+use emlio_obs::BatchTrace;
 use proptest::prelude::*;
+
+/// The wire schema written the obvious way — one contiguous buffer,
+/// payloads copied in: the byte-identity oracle for the scatter encoder,
+/// with which it shares nothing above the primitive `Encoder` calls.
+fn reference_encode(
+    epoch: u32,
+    batch_id: u64,
+    origin: &str,
+    trace: Option<BatchTrace>,
+    samples: &[(u64, u32, Vec<u8>)],
+) -> Vec<u8> {
+    let mut buf = Vec::new();
+    let mut e = Encoder::new(&mut buf);
+    e.write_map_len(if trace.is_some() { 5 } else { 4 });
+    e.write_str("epoch");
+    e.write_uint(epoch as u64);
+    e.write_str("batch_id");
+    e.write_uint(batch_id);
+    e.write_str("origin");
+    e.write_str(origin);
+    if let Some(t) = trace {
+        e.write_str("trace");
+        e.write_bin(&t.to_bytes());
+    }
+    e.write_str("samples");
+    e.write_array_len(samples.len());
+    for (id, label, data) in samples {
+        e.write_map_len(3);
+        e.write_str("id");
+        e.write_uint(*id);
+        e.write_str("label");
+        e.write_uint(*label as u64);
+        e.write_str("data");
+        e.write_bin(data);
+    }
+    buf
+}
+
+fn shared(samples: &[(u64, u32, Vec<u8>)]) -> Vec<(u64, u32, Bytes)> {
+    samples
+        .iter()
+        .map(|(id, label, data)| (*id, *label, Bytes::from(data.clone())))
+        .collect()
+}
 
 /// Arbitrary batches: a handful of samples with ids/labels/payloads of any
 /// shape, including empty payloads and empty batches.
@@ -30,42 +76,28 @@ proptest! {
         epoch in any::<u32>(),
         batch_id in any::<u64>(),
         origin in ".{0,32}",
+        trace in (any::<bool>(), any::<u64>(), any::<u64>()),
         samples in samples_strategy(),
     ) {
         let pool = BufferPool::new();
-        let borrowed: Vec<(u64, u32, &[u8])> = samples
-            .iter()
-            .map(|(id, label, data)| (*id, *label, data.as_slice()))
-            .collect();
-        let eager = wire::encode_batch(epoch, batch_id, &origin, &borrowed);
-
-        let owned: Vec<(u64, u32, Bytes)> = samples
-            .iter()
-            .map(|(id, label, data)| (*id, *label, Bytes::from(data.clone())))
-            .collect();
-        let frame = wire::encode_batch_frame(epoch, batch_id, &origin, &owned, &pool);
+        let (traced, seq, sent_at_nanos) = trace;
+        let trace = traced.then_some(BatchTrace { seq, sent_at_nanos });
+        let eager = reference_encode(epoch, batch_id, &origin, trace, &samples);
+        let frame = wire::encode_batch_frame_traced(
+            epoch, batch_id, &origin, trace, &shared(&samples), &pool,
+        );
         prop_assert_eq!(frame.len(), eager.len());
         prop_assert_eq!(&frame.into_bytes()[..], &eager[..]);
     }
 
     #[test]
-    fn lazy_decode_materializes_what_eager_reads(
+    fn lazy_decode_round_trips_what_was_encoded(
         epoch in any::<u32>(),
         batch_id in any::<u64>(),
         origin in ".{0,32}",
         samples in samples_strategy(),
     ) {
-        let pool = BufferPool::new();
-        let owned: Vec<(u64, u32, Bytes)> = samples
-            .iter()
-            .map(|(id, label, data)| (*id, *label, Bytes::from(data.clone())))
-            .collect();
-        let frame = wire::encode_batch_frame(epoch, batch_id, &origin, &owned, &pool).into_bytes();
-
-        let eager = match wire::decode(&frame).expect("eager decode") {
-            WireMsg::Batch(batch) => batch,
-            WireMsg::EndStream { .. } => panic!("batch decoded as end-of-stream"),
-        };
+        let frame = Bytes::from(reference_encode(epoch, batch_id, &origin, None, &samples));
         let lazy = match wire::decode_lazy(&frame, None).expect("lazy decode") {
             LazyMsg::Batch(lb) => lb,
             LazyMsg::EndStream { .. } => panic!("batch scanned as end-of-stream"),
@@ -74,7 +106,14 @@ proptest! {
         prop_assert_eq!(lazy.batch_id(), batch_id);
         prop_assert_eq!(lazy.origin().as_ref(), &origin[..]);
         prop_assert_eq!(lazy.len(), samples.len());
-        prop_assert_eq!(lazy.materialize(), eager);
+        let batch = lazy.materialize();
+        prop_assert_eq!((batch.epoch, batch.batch_id), (epoch, batch_id));
+        let got: Vec<(u64, u32, Vec<u8>)> = batch
+            .samples
+            .iter()
+            .map(|s| (s.sample_id, s.label, s.bytes.to_vec()))
+            .collect();
+        prop_assert_eq!(got, samples);
     }
 
     #[test]

@@ -340,88 +340,6 @@ impl<'a> Decoder<'a> {
         self.peek() == Ok(encode::NIL)
     }
 
-    /// Skip one complete value (any family, arbitrarily nested) without
-    /// materializing anything — the backbone of the lazy reader.
-    ///
-    /// Iterative, not recursive: a pending-value counter replaces the call
-    /// stack (scalars consume themselves; an array of `n` adds `n`, a map
-    /// of `n` adds `2n`), so hostile nesting cannot overflow the stack and
-    /// no depth guard is needed. Truncated input and invalid markers are
-    /// still detected exactly as in [`Decoder::read_value`].
-    pub fn skip_value(&mut self) -> Result<(), DecodeError> {
-        let mut pending: u64 = 1;
-        while pending > 0 {
-            pending -= 1;
-            let at = self.pos;
-            let m = self.byte()?;
-            match m {
-                0x00..=0x7f | 0xe0..=0xff | encode::NIL | encode::TRUE | encode::FALSE => {}
-                0x80..=0x8f => pending += 2 * (m & 0x0f) as u64,
-                0x90..=0x9f => pending += (m & 0x0f) as u64,
-                0xa0..=0xbf => {
-                    self.take((m & 0x1f) as usize)?;
-                }
-                encode::U8 | encode::I8 => {
-                    self.take(1)?;
-                }
-                encode::U16 | encode::I16 => {
-                    self.take(2)?;
-                }
-                encode::U32 | encode::I32 | encode::F32 => {
-                    self.take(4)?;
-                }
-                encode::U64 | encode::I64 | encode::F64 => {
-                    self.take(8)?;
-                }
-                encode::STR8 | encode::BIN8 => {
-                    let n = self.byte()? as usize;
-                    self.take(n)?;
-                }
-                encode::STR16 | encode::BIN16 => {
-                    let n = self.be_u16()? as usize;
-                    self.take(n)?;
-                }
-                encode::STR32 | encode::BIN32 => {
-                    let n = self.be_u32()? as usize;
-                    self.take(n)?;
-                }
-                encode::ARR16 => pending += self.be_u16()? as u64,
-                encode::ARR32 => pending += self.be_u32()? as u64,
-                encode::MAP16 => pending += 2 * self.be_u16()? as u64,
-                encode::MAP32 => pending += 2 * self.be_u32()? as u64,
-                encode::FIXEXT1 => {
-                    self.take(2)?;
-                }
-                encode::FIXEXT2 => {
-                    self.take(3)?;
-                }
-                encode::FIXEXT4 => {
-                    self.take(5)?;
-                }
-                encode::FIXEXT8 => {
-                    self.take(9)?;
-                }
-                encode::FIXEXT16 => {
-                    self.take(17)?;
-                }
-                encode::EXT8 => {
-                    let n = self.byte()? as usize;
-                    self.take(n + 1)?;
-                }
-                encode::EXT16 => {
-                    let n = self.be_u16()? as usize;
-                    self.take(n + 1)?;
-                }
-                encode::EXT32 => {
-                    let n = self.be_u32()? as usize;
-                    self.take(n + 1)?;
-                }
-                0xc1 => return Err(DecodeError::InvalidMarker { at, marker: 0xc1 }),
-            }
-        }
-        Ok(())
-    }
-
     // ----- owned value tree -----------------------------------------------
 
     /// Read one owned [`Value`], guarding recursion depth.
@@ -711,66 +629,6 @@ mod tests {
         ] {
             assert_eq!(from_slice(&to_vec(&Value::Int(v))).unwrap(), Value::Int(v));
         }
-    }
-
-    #[test]
-    fn skip_matches_read_span_for_all_families() {
-        let cases = vec![
-            Value::Nil,
-            Value::Bool(true),
-            Value::UInt(0),
-            Value::UInt(u64::MAX),
-            Value::Int(i64::MIN),
-            Value::F32(1.5),
-            Value::F64(-2.75),
-            Value::Str(String::new()),
-            Value::Str("x".repeat(40)),
-            Value::Str("y".repeat(70_000)),
-            Value::Bin(vec![]),
-            Value::Bin(vec![7; 300]),
-            Value::Arr(vec![Value::from(1u64); 20]),
-            Value::Map(vec![(Value::from("k"), Value::Arr(vec![Value::Nil; 3]))]),
-            Value::Ext(5, vec![1, 2, 3]),
-            Value::Timestamp { secs: 77, nanos: 8 },
-        ];
-        for v in cases {
-            let mut bytes = to_vec(&v);
-            bytes.push(0xc3); // trailing sentinel skip must not touch
-            let mut reader = Decoder::new(&bytes);
-            reader.read_value().unwrap();
-            let mut skipper = Decoder::new(&bytes);
-            skipper.skip_value().unwrap();
-            assert_eq!(skipper.position(), reader.position(), "span of {v}");
-            assert_eq!(skipper.remaining(), 1);
-        }
-    }
-
-    #[test]
-    fn skip_survives_hostile_nesting() {
-        // 100_000 nested arrays would overflow a recursive skipper.
-        let mut bytes = vec![0x91u8; 100_000];
-        bytes.push(0xc0);
-        let mut d = Decoder::new(&bytes);
-        d.skip_value().unwrap();
-        d.finish().unwrap();
-    }
-
-    #[test]
-    fn skip_detects_truncation_and_bad_markers() {
-        let v = Value::Map(vec![
-            (Value::from("a"), Value::Bin(vec![0; 100])),
-            (Value::from("b"), Value::Arr(vec![Value::from(1u64); 50])),
-        ]);
-        let bytes = to_vec(&v);
-        for cut in 0..bytes.len() {
-            let mut d = Decoder::new(&bytes[..cut]);
-            assert!(d.skip_value().is_err(), "prefix of {cut} bytes must error");
-        }
-        let mut d = Decoder::new(&[0x91, 0xc1]);
-        assert!(matches!(
-            d.skip_value(),
-            Err(DecodeError::InvalidMarker { marker: 0xc1, .. })
-        ));
     }
 
     #[test]

@@ -14,10 +14,6 @@
 //!   depth guard;
 //! * strict error reporting — truncated input, wrong types, invalid UTF-8 and
 //!   trailing bytes are all detected, never ignored;
-//! * a [`lazy`] module ([`LazyValueRef`]) that validates a message once via
-//!   [`Decoder::skip_value`] and then decodes fields only when touched — the
-//!   receiver's answer to "don't materialize megabyte payloads the trainer
-//!   may never read";
 //! * a bounded [`StrInterner`] so the same shard ids and field keys decode
 //!   to one shared `Arc<str>` instead of a fresh `String` per message.
 //!
@@ -27,13 +23,11 @@
 pub mod decode;
 pub mod encode;
 pub mod interner;
-pub mod lazy;
 pub mod value;
 
 pub use decode::{DecodeError, Decoder};
 pub use encode::Encoder;
 pub use interner::StrInterner;
-pub use lazy::{LazyValueRef, ValueKind};
 pub use value::Value;
 
 /// Encode a [`Value`] tree to a fresh buffer.

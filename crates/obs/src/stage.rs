@@ -58,11 +58,9 @@ pub enum Stage {
     WireTransit,
     /// Daemon `send` stamp → consumer dequeue (trace-derived).
     EndToEnd,
-    /// Spill-file write of an evicted block. With the async spill writer
-    /// this runs on the dedicated `emlio-cache-spill` thread, *off* the
-    /// send workers' serve path (so it is neither exclusive nor nested
-    /// within `BatchAssemble`); with a synchronous spill queue it runs on
-    /// the evicting thread.
+    /// Spill-file write of an evicted block. Runs on the dedicated
+    /// `emlio-cache-spill` thread, *off* the send workers' serve path (so
+    /// it is neither exclusive nor nested within `BatchAssemble`).
     SpillWrite,
     /// Warm-start promotion of a re-admitted disk block into RAM ahead of
     /// demand (plan-install time, before any send worker runs).

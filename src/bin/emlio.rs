@@ -4,11 +4,10 @@
 //! emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
 //! emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
 //!                [--cache-mb MB] [--cache-disk-mb MB] [--cache-policy lru|fifo|clairvoyant]
-//!                [--cache-persist DIR] [--prefetch D] [--prefetch-staging N]
-//!                [--spill-queue N] [--spill-policy block|drop] [--warm-start MB]
+//!                [--cache-persist DIR] [--prefetch D] [--spill-queue N] [--warm-start MB]
 //! emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
 //! emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB] [...]
-//! emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 ablations]
+//! emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablations ext_llm ext_transport]
 //! ```
 //!
 //! `daemon` and `receive` run in separate processes (or separate machines);
@@ -23,16 +22,14 @@
 //! `--cache-persist DIR` keeps the disk spill tier (CRC-validated) across
 //! daemon restarts. `--cache-policy` is case-insensitive and accepts the
 //! aliases `belady`/`opt` for `clairvoyant`. `--spill-queue` sizes the
-//! background spill writer's order queue (0 = write spill files inline on
-//! the evicting thread) and `--spill-policy` picks what a full queue does
-//! (`block` the evictor or `drop` the block). `--warm-start MB` promotes
-//! that much of a persistent cache's disk tier back into RAM, earliest
-//! plan positions first, before the first batch is served;
-//! `--prefetch-staging` sets how many prefetch windows may fill ahead of
-//! the demand cursor (0 = legacy continuous window).
+//! background spill writer's order queue (at least 1; an evictor that
+//! finds it full waits for the writer). `--warm-start MB` promotes that
+//! much of a persistent cache's disk tier back into RAM, earliest plan
+//! positions first, before the first batch is served. A flag the command
+//! does not know is an error, not a no-op.
 
 use emlio::cache::peer::{FleetRegistry, PeerConfig};
-use emlio::cache::{CacheConfig, EvictPolicy as CachePolicy, SpillBackpressure};
+use emlio::cache::{CacheConfig, EvictPolicy as CachePolicy};
 use emlio::core::export::{self, MetricsSampler, SampleSource};
 use emlio::core::plan::Plan;
 use emlio::core::receiver::{EmlioReceiver, ReceiverConfig};
@@ -54,30 +51,7 @@ use std::time::Duration;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some((cmd, rest)) = args.split_first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    // --log-level applies to every command, so resolve it before dispatch.
-    if let Err(e) = apply_log_level(&parse_flags(rest)) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
-    let result = match cmd.as_str() {
-        "convert" => cmd_convert(parse_flags(rest)),
-        "daemon" => cmd_daemon(parse_flags(rest)),
-        "receive" => cmd_receive(parse_flags(rest)),
-        "bench-io" => cmd_bench_io(parse_flags(rest)),
-        "chaos" => cmd_chaos(parse_flags(rest)),
-        "report" => cmd_report(parse_flags(rest)),
-        "figures" => cmd_figures(rest),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command {other:?}\n{USAGE}")),
-    };
-    match result {
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -86,6 +60,68 @@ fn main() -> ExitCode {
     }
 }
 
+/// Dispatch one command line (without the program name).
+fn run(args: &[String]) -> Result<(), String> {
+    let Some((cmd, rest)) = args.split_first() else {
+        return Err(format!("no command given\n{USAGE}"));
+    };
+    match cmd.as_str() {
+        "convert" => cmd_convert(parse_flags(rest, &[CONVERT_FLAGS])?),
+        "daemon" => cmd_daemon(parse_flags(
+            rest,
+            &[DAEMON_FLAGS, CONFIG_FLAGS, METRICS_FLAGS],
+        )?),
+        "receive" => cmd_receive(parse_flags(rest, &[RECEIVE_FLAGS, METRICS_FLAGS])?),
+        "bench-io" => cmd_bench_io(parse_flags(
+            rest,
+            &[BENCH_IO_FLAGS, CONFIG_FLAGS, METRICS_FLAGS],
+        )?),
+        "chaos" => cmd_chaos(parse_flags(rest, &[CHAOS_FLAGS])?),
+        "report" => cmd_report(parse_flags(rest, &[REPORT_FLAGS])?),
+        "figures" => emlio::bench::run_figures(rest),
+        "help" | "--help" | "-h" => {
+            println!("{USAGE}");
+            Ok(())
+        }
+        other => Err(format!("unknown command {other:?}\n{USAGE}")),
+    }
+}
+
+// The flag names each command accepts (`--log-level` goes everywhere).
+const CONVERT_FLAGS: &[&str] = &["out", "dataset", "samples", "shards"];
+const DAEMON_FLAGS: &[&str] = &["data", "connect", "node"];
+const RECEIVE_FLAGS: &[&str] = &["bind", "streams", "resize", "quiet"];
+const BENCH_IO_FLAGS: &[&str] = &["data", "rtt-ms", "peer-fleet", "peer-timeout-ms"];
+const CHAOS_FLAGS: &[&str] = &[
+    "seed",
+    "seeds",
+    "base-seed",
+    "config",
+    "samples",
+    "batch",
+    "threads",
+    "epochs",
+];
+const REPORT_FLAGS: &[&str] = &["metrics"];
+/// What [`config_from`] reads (daemon and bench-io).
+const CONFIG_FLAGS: &[&str] = &[
+    "batch",
+    "threads",
+    "epochs",
+    "seed",
+    "io-retries",
+    "io-backoff-ms",
+    "cache-mb",
+    "cache-disk-mb",
+    "cache-policy",
+    "cache-persist",
+    "prefetch",
+    "spill-queue",
+    "warm-start",
+];
+/// What [`MetricsFile::spawn`] reads (daemon, receive and bench-io).
+const METRICS_FLAGS: &[&str] = &["metrics-out", "sample-ms"];
+
 const USAGE: &str = "\
 emlio — energy- and latency-minimizing training I/O (SC'25 reproduction)
 
@@ -93,8 +129,7 @@ USAGE:
   emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
   emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
                  [--cache-mb MB] [--cache-disk-mb MB] [--cache-policy lru|fifo|clairvoyant]
-                 [--cache-persist DIR] [--prefetch D] [--prefetch-staging N]
-                 [--spill-queue N] [--spill-policy block|drop] [--warm-start MB]
+                 [--cache-persist DIR] [--prefetch D] [--spill-queue N] [--warm-start MB]
   emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
   emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB]
                  [--peer-fleet N] [--peer-timeout-ms MS] [...]
@@ -102,7 +137,7 @@ USAGE:
                  [--config cached|fleet|spill-persist|all]
                  [--samples N] [--batch B] [--threads T] [--epochs E]
   emlio report   --metrics FILE
-  emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 ablations]
+  emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablations ext_llm ext_transport]
 
 daemon / bench-io also take --io-retries R [--io-backoff-ms MS] to absorb
 transient storage read failures with bounded, seed-deterministic
@@ -111,19 +146,11 @@ chaos runs seeded fault-injection schedules (see docs/TESTING.md) and fails
 loudly — printing the replay seed — on any silent-corruption, lost-batch,
 or duplicate-batch violation.
 
-Every command also takes --log-level error|warn|info|debug|trace (default warn).
+Every command but figures also takes --log-level error|warn|info|debug|trace
+(default warn); a flag the command does not know is an error.
 daemon / receive / bench-io take --metrics-out FILE [--sample-ms MS] to record
 per-stage latency histograms and data-path counters as Influx line protocol;
 render a recorded file with `emlio report`.";
-
-/// Resolve `--log-level` (shared by every command) into the global logger.
-fn apply_log_level(flags: &HashMap<String, String>) -> Result<(), String> {
-    if let Some(v) = flags.get("log-level") {
-        let level: emlio::obs::Level = v.parse()?;
-        emlio::obs::logger::set_level(level);
-    }
-    Ok(())
-}
 
 /// The `--metrics-out` sampler, spawned when the flag is present.
 /// [`finish`](MetricsFile::finish) writes the line-protocol file and
@@ -171,22 +198,40 @@ fn cmd_report(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 /// Parse `--key value` pairs (`--flag` with no value stores "true").
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Only the names in `accepted` (and `--log-level`, which is resolved into
+/// the global logger here) are flags of the command; anything else on the
+/// line is an error that lists them, so a typo cannot run defaults.
+fn parse_flags(args: &[String], accepted: &[&[&str]]) -> Result<HashMap<String, String>, String> {
+    let accepted: Vec<&str> = accepted.concat();
+    let known = || -> String {
+        let mut names: Vec<String> = accepted.iter().map(|n| format!("--{n}")).collect();
+        names.push("--log-level".into());
+        names.join(" ")
+    };
     let mut map = HashMap::new();
     let mut i = 0;
     while i < args.len() {
-        if let Some(key) = args[i].strip_prefix("--") {
-            let value = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
-                i += 1;
-                args[i].clone()
-            } else {
-                "true".to_string()
-            };
-            map.insert(key.to_string(), value);
+        let Some(key) = args[i].strip_prefix("--") else {
+            let arg = &args[i];
+            return Err(format!("unexpected argument {arg:?} (flags: {})", known()));
+        };
+        if key != "log-level" && !accepted.contains(&key) {
+            return Err(format!("unknown flag --{key} (accepted: {})", known()));
         }
+        let value = if i + 1 < args.len() && !args[i + 1].starts_with("--") {
+            i += 1;
+            args[i].clone()
+        } else {
+            "true".to_string()
+        };
+        map.insert(key.to_string(), value);
         i += 1;
     }
-    map
+    if let Some(v) = map.get("log-level") {
+        let level: emlio::obs::Level = v.parse()?;
+        emlio::obs::logger::set_level(level);
+    }
+    Ok(map)
 }
 
 fn get<'a>(flags: &'a HashMap<String, String>, key: &str) -> Result<&'a str, String> {
@@ -267,27 +312,20 @@ fn config_from(flags: &HashMap<String, String>) -> Result<EmlioConfig, String> {
             }
             disk_mb = cache_mb;
         }
-        let spill_policy = flags
-            .get("spill-policy")
-            .map(|v| {
-                SpillBackpressure::from_name(v).ok_or_else(|| {
-                    format!("--spill-policy: bad value {v:?} (valid values: block, drop)")
-                })
-            })
-            .transpose()?
-            .unwrap_or_default();
+        let spill_queue = get_num(flags, "spill-queue", 64usize)?;
+        if spill_queue == 0 {
+            return Err(
+                "--spill-queue 0: the queue needs at least one slot (0 used to select \
+                 synchronous spills, which are gone: a disk tier always has its writer thread)"
+                    .into(),
+            );
+        }
         let mut cache = CacheConfig::default()
             .with_ram_bytes(cache_mb << 20)
             .with_disk_bytes(disk_mb << 20)
             .with_policy(policy)
             .with_prefetch_depth(get_num(flags, "prefetch", 8usize)?)
-            .with_prefetch_staging(get_num(flags, "prefetch-staging", 1usize).map_err(|e| {
-                format!("{e} (valid values: 0 = continuous window, N = stage N windows ahead)")
-            })?)
-            .with_spill_queue(get_num(flags, "spill-queue", 64usize).map_err(|e| {
-                format!("{e} (valid values: 0 = synchronous spill, N = queue N orders)")
-            })?)
-            .with_spill_backpressure(spill_policy)
+            .with_spill_queue(spill_queue)
             .with_warm_start_bytes(
                 get_num(flags, "warm-start", 0u64)
                     .map_err(|e| format!("{e} (valid values: RAM budget in MiB, 0 = disabled)"))?
@@ -300,12 +338,7 @@ fn config_from(flags: &HashMap<String, String>) -> Result<EmlioConfig, String> {
     } else if persist_dir.is_some() {
         return Err("--cache-persist requires --cache-mb to enable the cache".into());
     } else {
-        for flag in [
-            "spill-queue",
-            "spill-policy",
-            "warm-start",
-            "prefetch-staging",
-        ] {
+        for flag in ["spill-queue", "warm-start"] {
             if flags.contains_key(flag) {
                 return Err(format!("--{flag} requires --cache-mb to enable the cache"));
             }
@@ -639,37 +672,91 @@ fn cmd_chaos(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_figures(args: &[String]) -> Result<(), String> {
-    use emlio::testbed::{experiment, report, NodeSpec};
-    let all = [
-        "fig1",
-        "fig5",
-        "fig6",
-        "fig7",
-        "fig8",
-        "fig9",
-        "fig10",
-        "ablations",
-    ];
-    let selected: Vec<&str> = if args.is_empty() {
-        all.to_vec()
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-    println!("{}", NodeSpec::table1_text());
-    for name in selected {
-        let rows = match name {
-            "fig1" => experiment::fig1(),
-            "fig5" => experiment::fig5(),
-            "fig6" => experiment::fig6(),
-            "fig7" => experiment::fig7(),
-            "fig8" => experiment::fig8(),
-            "fig9" => experiment::fig9(),
-            "fig10" => experiment::fig10(),
-            "ablations" => experiment::ablations(),
-            other => return Err(format!("unknown figure {other:?} (try: {all:?})")),
-        };
-        println!("{}", report::render_table(name, &rows));
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn line(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
     }
-    Ok(())
+
+    /// `bench-io`'s flags through to the daemon config, as `run` does it.
+    fn bench_io_config(words: &[&str]) -> Result<EmlioConfig, String> {
+        let accepted = [BENCH_IO_FLAGS, CONFIG_FLAGS, METRICS_FLAGS];
+        config_from(&parse_flags(&line(words), &accepted)?)
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error_that_lists_the_accepted_ones() {
+        // The typo that used to run uncached and print numbers.
+        let err = run(&line(&["bench-io", "--data", "D", "--cahce-mb", "256"])).unwrap_err();
+        assert!(err.contains("unknown flag --cahce-mb"), "{err}");
+        assert!(
+            err.contains("--cache-mb") && err.contains("--log-level"),
+            "{err}"
+        );
+        // A flag of another command is unknown to this one.
+        let err = run(&line(&["convert", "--out", "D", "--threads", "2"])).unwrap_err();
+        assert!(err.contains("unknown flag --threads"), "{err}");
+        let err = run(&line(&["report", "stray"])).unwrap_err();
+        assert!(err.contains("unexpected argument \"stray\""), "{err}");
+    }
+
+    #[test]
+    fn removed_flags_are_errors_naming_the_flag() {
+        for (flag, value) in [("--spill-policy", "drop"), ("--prefetch-staging", "0")] {
+            for cmd in ["daemon", "bench-io"] {
+                let err = run(&line(&[
+                    cmd,
+                    "--data",
+                    "D",
+                    "--cache-mb",
+                    "64",
+                    flag,
+                    value,
+                ]))
+                .unwrap_err();
+                assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+            }
+        }
+    }
+
+    #[test]
+    fn spill_queue_zero_is_rejected() {
+        let words = ["--cache-mb", "64", "--cache-disk-mb", "64", "--spill-queue"];
+        let err = bench_io_config(&[&words[..], &["0"]].concat()).unwrap_err();
+        assert!(err.contains("--spill-queue 0"), "{err}");
+        let config = bench_io_config(&[&words[..], &["3"]].concat()).unwrap();
+        assert_eq!(config.cache.unwrap().spill_queue, 3);
+        let err = bench_io_config(&["--spill-queue", "8"]).unwrap_err();
+        assert!(err.contains("--spill-queue requires --cache-mb"), "{err}");
+    }
+
+    #[test]
+    fn cache_persist_needs_a_cache_with_a_disk_tier() {
+        let err = bench_io_config(&["--cache-persist", "P"]).unwrap_err();
+        assert!(err.contains("--cache-persist requires --cache-mb"), "{err}");
+        let words = ["--cache-mb", "8", "--cache-persist", "P"];
+        let err = bench_io_config(&[&words[..], &["--cache-disk-mb", "0"]].concat()).unwrap_err();
+        assert!(
+            err.contains("--cache-persist requires a disk tier"),
+            "{err}"
+        );
+        // Left unsaid, the disk tier defaults to the RAM tier's size.
+        let cache = bench_io_config(&words).unwrap().cache.unwrap();
+        assert!(cache.persist);
+        assert_eq!((cache.ram_bytes, cache.disk_bytes), (8 << 20, 8 << 20));
+    }
+
+    #[test]
+    fn io_backoff_needs_io_retries() {
+        let err = bench_io_config(&["--io-backoff-ms", "5"]).unwrap_err();
+        assert!(
+            err.contains("--io-backoff-ms requires --io-retries"),
+            "{err}"
+        );
+        let config = bench_io_config(&["--io-retries", "2", "--io-backoff-ms", "7"]).unwrap();
+        assert_eq!(config.io_retries, 2);
+        assert_eq!(config.io_backoff, Duration::from_millis(7));
+    }
 }

@@ -1,29 +1,25 @@
 //! Allocation-budget smoke test for the zero-copy serve path.
 //!
 //! Installs [`emlio::util::CountingAllocator`] as this binary's global
-//! allocator and serves the same warm-cache batches through both codec
-//! generations:
+//! allocator and serves warm-cache batches the way a daemon worker does:
+//! `read_batch` (refcounted payload views) → `encode_batch_frame_traced`
+//! (pooled header + spliced payload segments).
 //!
-//! * **old path** — `read_block` → `decode_all` → copy every payload into an
-//!   owned `Vec<u8>` → `encode_batch` into one gathered buffer;
-//! * **new path** — `read_batch` (refcounted payload views) →
-//!   `encode_batch_frame` (pooled header + spliced payload segments).
-//!
-//! The PR's acceptance bar is a ≥2× reduction in allocator calls per served
-//! batch with byte-identical wire output, plus O(1) pool growth across
-//! steady-state epochs. All phases live in one `#[test]` because the
-//! allocator counters are process-global: parallel tests would interleave.
+//! The bars: an absolute budget of allocator calls per served batch, O(1)
+//! pool growth across steady-state epochs, and tracing that allocates
+//! nothing. Byte identity of the frames is `proptest_wire`'s job. All
+//! phases live in one `#[test]` because the allocator counters are
+//! process-global: parallel tests would interleave.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use emlio::cache::{CacheConfig, CachedRangeReader, CachedSource, ShardCache};
-use emlio::core::wire::{encode_batch, encode_batch_frame, encode_batch_frame_traced};
+use emlio::core::wire::encode_batch_frame_traced;
 use emlio::core::BufferPool;
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
 use emlio::obs::{clock, BatchTrace, FlightRecorder, Stage, StageRecorder};
-use emlio::tfrecord::record::decode_all;
 use emlio::tfrecord::{BlockKey, GlobalIndex, RangeSource, ShardSpec, TfrecordSource};
 use emlio::util::testutil::TempDir;
 use emlio::util::CountingAllocator;
@@ -53,24 +49,9 @@ fn keys_of(index: &GlobalIndex) -> Vec<BlockKey> {
     keys
 }
 
-/// The pre-PR copying path, inlined: eager decode, owned payload copies,
-/// single gathered encode buffer.
-fn serve_old(source: &dyn RangeSource, index: &GlobalIndex, key: &BlockKey) -> Bytes {
-    let read = source.read_block(key).unwrap();
-    let records = decode_all(&read.data, true).unwrap();
-    let metas = &index.shards[key.shard_id as usize].records[key.start..key.end];
-    let owned: Vec<Vec<u8>> = records.iter().map(|r| r.payload.to_vec()).collect();
-    let samples: Vec<(u64, u32, &[u8])> = metas
-        .iter()
-        .zip(&owned)
-        .map(|(m, p)| (m.sample_id, m.label, p.as_slice()))
-        .collect();
-    Bytes::from(encode_batch(7, key.start as u64, ORIGIN, &samples))
-}
-
 /// The zero-copy path as the daemon runs it: refcounted payload views from
 /// the warm cache, scatter frame with a pooled header.
-fn serve_new(
+fn serve(
     reader: &CachedRangeReader,
     index: &GlobalIndex,
     key: &BlockKey,
@@ -83,7 +64,7 @@ fn serve_new(
         .zip(&read.payloads)
         .map(|(m, p)| (m.sample_id, m.label, p.clone()))
         .collect();
-    encode_batch_frame(7, key.start as u64, ORIGIN, &samples, pool)
+    encode_batch_frame_traced(7, key.start as u64, ORIGIN, None, &samples, pool)
 }
 
 /// The zero-copy path with the full observability layer engaged: stage
@@ -132,29 +113,21 @@ fn zero_copy_serve_path_allocation_budget() {
     let root = TfrecordSource::new(index.clone()).with_alloc(Arc::new(pool.clone()));
     let cache = Arc::new(ShardCache::new(CacheConfig::default()).unwrap());
     let stack: Arc<dyn RangeSource> = Arc::new(CachedSource::new(cache, Arc::new(root)));
-    let reader = CachedRangeReader::new(stack.clone());
+    let reader = CachedRangeReader::new(stack);
 
     // Warm the cache (and the pool's header class) with one full epoch.
     for key in &keys {
-        drop(serve_new(&reader, &index, key, &pool));
+        drop(serve(&reader, &index, key, &pool));
     }
 
-    // Phase 1 — byte identity: the scatter frame gathers to exactly the
-    // bytes the old single-buffer encoder produces.
-    for key in &keys {
-        let old = serve_old(stack.as_ref(), &index, key);
-        let new = serve_new(&reader, &index, key, &pool).into_bytes();
-        assert_eq!(&old[..], &new[..], "wire bytes diverged on {key:?}");
-    }
-
-    // Phase 2 — O(1) pool growth: steady-state epochs take every buffer
+    // Phase 1 — O(1) pool growth: steady-state epochs take every buffer
     // from the free list. Cached blocks stay pinned (no block takes) and
     // header buffers recycle when each frame drops.
     let allocs_after_warm = pool.stats().pool_alloc;
     let reuse_before = pool.stats().pool_reuse;
     for _ in 0..4 {
         for key in &keys {
-            drop(serve_new(&reader, &index, key, &pool));
+            drop(serve(&reader, &index, key, &pool));
         }
     }
     let stats = pool.stats();
@@ -167,36 +140,28 @@ fn zero_copy_serve_path_allocation_budget() {
         "steady-state headers should come from the free list"
     );
 
-    // Phase 3 — the acceptance bar: ≥2× fewer allocator calls per served
-    // batch on the warm path. Both loops serve identical batches.
+    // Phase 2 — the budget: allocator calls per served batch on the warm
+    // path. An absolute bar catches what a ratio against a slower path
+    // would have hidden.
     const EPOCHS: u64 = 8;
+    const BUDGET_PER_BATCH: u64 = 8;
     let before = ALLOC.allocations();
     for _ in 0..EPOCHS {
         for key in &keys {
-            drop(serve_new(&reader, &index, key, &pool));
+            drop(serve(&reader, &index, key, &pool));
         }
     }
-    let new_allocs = ALLOC.allocations() - before;
-
-    let before = ALLOC.allocations();
-    for _ in 0..EPOCHS {
-        for key in &keys {
-            drop(serve_old(stack.as_ref(), &index, key));
-        }
-    }
-    let old_allocs = ALLOC.allocations() - before;
-
+    let allocs = ALLOC.allocations() - before;
     let batches = EPOCHS * keys.len() as u64;
-    assert!(new_allocs > 0, "counting allocator not engaged");
+    assert!(allocs > 0, "counting allocator not engaged");
     assert!(
-        old_allocs >= 2 * new_allocs,
-        "expected >=2x fewer allocations on the zero-copy path: \
-         old={old_allocs} ({} per batch), new={new_allocs} ({} per batch)",
-        old_allocs / batches,
-        new_allocs / batches,
+        allocs <= BUDGET_PER_BATCH * batches,
+        "warm serve path allocates {allocs} times over {batches} batches ({:.2} per batch); \
+         the budget is {BUDGET_PER_BATCH}, the value measured at 94d6fcb",
+        allocs as f64 / batches as f64,
     );
 
-    // Phase 4 — empty-payload regression (the zero-length msgpack bin/str
+    // Phase 3 — empty-payload regression (the zero-length msgpack bin/str
     // fix): constructing empty Bytes must not touch the allocator.
     let before = ALLOC.allocations();
     let a = Bytes::from(Vec::new());
@@ -209,7 +174,7 @@ fn zero_copy_serve_path_allocation_budget() {
         "empty Bytes must be allocation-free"
     );
 
-    // Phase 5 — tracing is free: the observability layer (stage histogram
+    // Phase 4 — tracing is free: the observability layer (stage histogram
     // record + BatchTrace header + flight-recorder span) must add ZERO
     // allocations per warm-cache batch. Warm the lazily-initialized
     // globals (clock anchor, flight ring, recorder arrays) and the traced
@@ -241,7 +206,7 @@ fn zero_copy_serve_path_allocation_budget() {
     let before = ALLOC.allocations();
     for _ in 0..EPOCHS {
         for key in &keys {
-            drop(serve_new(&reader, &index, key, &pool));
+            drop(serve(&reader, &index, key, &pool));
         }
     }
     let plain_allocs = ALLOC.allocations() - before;

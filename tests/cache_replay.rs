@@ -232,6 +232,16 @@ fn replay_with_small_disk_tier(policy: EvictPolicy) -> (u64, u64, u64) {
     }
     let s = cache.stats().snapshot();
     assert_eq!(s.hits + s.misses, (KEYS * EPOCHS) as u64);
+    assert_eq!(
+        (cache.ram_bytes_used(), cache.disk_bytes_used()),
+        cache.slot_bytes(),
+        "{policy:?}: accounting vs the sum over slots: {s:?}"
+    );
+    assert_eq!(
+        s.evictions,
+        s.spills + s.clean_evictions + s.spill_failures,
+        "{policy:?}: every eviction accounted for: {s:?}"
+    );
     (s.hits, s.disk_hits, s.misses)
 }
 

@@ -123,25 +123,28 @@ fn daemon_crash_mid_stream_leaves_receiver_consistent() {
     // completes. The receiver delivers everything it got and terminates once
     // the expected number of *markers* arrives from the healthy stream.
     use bytes::Bytes;
-    use emlio::core::wire;
+    use emlio::core::{wire, BufferPool};
     use emlio::zmq::{PushSocket, SocketOptions};
 
+    let pool = BufferPool::new();
+    let frame = |id: u64, origin: &str, label: u32, data: &'static [u8]| {
+        let samples = [(id, label, Bytes::from_static(data))];
+        wire::encode_batch_frame_traced(0, id, origin, None, &samples, &pool)
+    };
     let receiver = EmlioReceiver::bind(ReceiverConfig::loopback(1)).unwrap();
     let ep = receiver.endpoint().clone();
 
     // Crashing sender: two batches, no end marker.
     let crash = PushSocket::connect(&ep, SocketOptions::default()).unwrap();
     for id in 0..2u64 {
-        let frame = wire::encode_batch(0, id, "crashy", &[(id, 0, &[1, 2, 3])]);
-        crash.send(Bytes::from(frame)).unwrap();
+        crash.send(frame(id, "crashy", 0, &[1, 2, 3])).unwrap();
     }
     crash.close().unwrap(); // socket closes without end_stream
 
     // Healthy sender.
     let ok = PushSocket::connect(&ep, SocketOptions::default()).unwrap();
     for id in 100..103u64 {
-        let frame = wire::encode_batch(0, id, "healthy", &[(id, 1, &[4, 5])]);
-        ok.send(Bytes::from(frame)).unwrap();
+        ok.send(frame(id, "healthy", 1, &[4, 5])).unwrap();
     }
     ok.send(Bytes::from(wire::encode_end_stream("healthy", 3)))
         .unwrap();
@@ -286,8 +289,7 @@ fn spill_write_faults_degrade_to_storage_not_corruption() {
     let config = clean_config.clone().with_cache(
         CacheConfig::default()
             .with_ram_bytes(48 << 10)
-            .with_disk_bytes(16 << 20)
-            .with_spill_queue(0),
+            .with_disk_bytes(16 << 20),
     );
     let injector =
         FaultInjector::new(FaultPlan::new(3).with_site(site::SPILL_WRITE, FaultSpec::errors(1.0)));
@@ -301,6 +303,7 @@ fn spill_write_faults_degrade_to_storage_not_corruption() {
         delivered, reference,
         "failed spills must not alter delivery"
     );
+    cache.flush_spills();
     assert!(
         cache.stats().snapshot().spill_failures > 0,
         "injected spill.write faults must hit the real failure branch"

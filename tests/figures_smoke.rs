@@ -112,3 +112,44 @@ fn headline_claims_hold() {
     );
     assert!((max - min) / min < 0.05, "EMLIO ±5%: {e_span:?}");
 }
+
+/// `emlio figures`, the `figures` bin and the bench target all run rows of
+/// one table: its names are unique, and every figure the CLI's help
+/// offers is a row of it.
+#[test]
+fn one_figures_table_behind_every_entry_point() {
+    let names: Vec<&str> = emlio::bench::FIGURES
+        .iter()
+        .map(|(name, _)| *name)
+        .collect();
+    let unique: std::collections::HashSet<&str> = names.iter().copied().collect();
+    assert_eq!(unique.len(), names.len(), "duplicate row in {names:?}");
+
+    let help = std::process::Command::new(env!("CARGO_BIN_EXE_emlio"))
+        .arg("help")
+        .output()
+        .expect("run emlio help");
+    assert!(help.status.success());
+    let help = String::from_utf8(help.stdout).unwrap();
+    let line = help
+        .lines()
+        .find(|l| l.trim_start().starts_with("emlio figures"))
+        .expect("help has a figures line");
+    let listed = line
+        .split_once('[')
+        .and_then(|(_, rest)| rest.split_once(']'))
+        .expect("figure names in brackets")
+        .0;
+    let listed: Vec<&str> = listed.split_whitespace().collect();
+    assert!(!listed.is_empty());
+    for name in &listed {
+        assert!(
+            unique.contains(name),
+            "help lists {name:?}, not in {names:?}"
+        );
+    }
+
+    // An unknown name fails before any row runs, naming the table.
+    let err = emlio::bench::run_figures(&["fig2".to_string()]).unwrap_err();
+    assert!(err.contains("fig2") && err.contains("fig11"), "{err}");
+}

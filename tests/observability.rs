@@ -9,7 +9,7 @@
 use bytes::Bytes;
 use emlio::core::export::{self, SampleSource};
 use emlio::core::service::StorageSpec;
-use emlio::core::wire::{self, encode_batch_frame_traced, encode_batch_traced};
+use emlio::core::wire::{self, encode_batch_frame_traced};
 use emlio::core::{BufferPool, EmlioConfig, EmlioService};
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
@@ -19,10 +19,11 @@ use emlio::tfrecord::ShardSpec;
 use emlio::tsdb::Db;
 use emlio::util::testutil::TempDir;
 
-/// The trace header is one more msgpack field, written identically by the
-/// eager single-buffer encoder and the pooled scatter-frame encoder — so a
-/// traced frame gathers to exactly the reference bytes and an untraced
-/// frame stays byte-identical to the pre-trace wire format.
+/// The trace header is one more msgpack field of the scatter frame: a
+/// traced frame carries it to the receiver verbatim without touching a
+/// sample byte, and an untraced frame omits the field altogether — the
+/// 4-field map a receiver saw before tracing existed. (Byte identity with
+/// the contiguous reference encoder is `proptest_wire`'s property.)
 #[test]
 fn trace_header_survives_scatter_frame_byte_compatibly() {
     let pool = BufferPool::new();
@@ -39,40 +40,31 @@ fn trace_header_survives_scatter_frame_byte_compatibly() {
         seq: 41,
         sent_at_nanos: 1_234_567_890,
     };
+    let batch_of = |frame: &Bytes| match wire::decode_lazy(frame, None).unwrap() {
+        wire::LazyMsg::Batch(lb) => lb,
+        other => panic!("expected batch, got {other:?}"),
+    };
 
-    let eager = encode_batch_traced(3, 7, "obs-worker", Some(trace), &payloads_ref(&payloads));
-    let scatter =
+    let traced =
         encode_batch_frame_traced(3, 7, "obs-worker", Some(trace), &payloads, &pool).into_bytes();
-    assert_eq!(&eager[..], &scatter[..], "traced wire bytes diverged");
-
-    // The lazy decoder exposes the header verbatim and the eager decoder
-    // (which predates tracing) still accepts the frame.
-    match wire::decode_lazy(&scatter, None).unwrap() {
-        wire::LazyMsg::Batch(lb) => {
-            assert_eq!(lb.trace(), Some(trace));
-            assert_eq!(lb.len(), payloads.len());
-        }
-        other => panic!("expected batch, got {other:?}"),
-    }
-    match wire::decode(&scatter).unwrap() {
-        wire::WireMsg::Batch(b) => assert_eq!(b.samples.len(), payloads.len()),
-        other => panic!("expected batch, got {other:?}"),
-    }
-
-    // Untraced frames keep the original 4-field map: old decoders see no
-    // schema change when tracing is off.
-    let untraced_eager = encode_batch_traced(3, 7, "obs-worker", None, &payloads_ref(&payloads));
-    let untraced_scatter =
+    let untraced =
         encode_batch_frame_traced(3, 7, "obs-worker", None, &payloads, &pool).into_bytes();
-    assert_eq!(&untraced_eager[..], &untraced_scatter[..]);
-    assert!(
-        untraced_eager.len() < eager.len(),
+
+    // The lazy decoder exposes the header verbatim.
+    let lb = batch_of(&traced);
+    assert_eq!(lb.trace(), Some(trace));
+    assert_eq!(lb.len(), payloads.len());
+
+    // Tracing off: no field at all, and the same samples either way.
+    let plain = batch_of(&untraced);
+    assert_eq!(plain.trace(), None);
+    assert_eq!(plain.materialize(), lb.materialize());
+    // fixstr "trace" (1 + 5) + bin8 header (2) + the 16-byte stamp.
+    assert_eq!(
+        traced.len(),
+        untraced.len() + 24,
         "trace field must be absent, not zeroed"
     );
-}
-
-fn payloads_ref(samples: &[(u64, u32, Bytes)]) -> Vec<(u64, u32, &[u8])> {
-    samples.iter().map(|(id, l, p)| (*id, *l, &p[..])).collect()
 }
 
 /// A full cached two-epoch service run: every pipeline stage shows up in
