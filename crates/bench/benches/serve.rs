@@ -6,7 +6,13 @@
 //! * `serve_epoch/zero_copy_instrumented` — the same with the full
 //!   observability layer engaged, which must stay within 3 % of it;
 //! * `decode_epoch/lazy` — the receiver side: the validating scan that
-//!   defers sample decode to the consumer.
+//!   defers sample decode to the consumer;
+//! * `loopback/32x100k`, `loopback/64x8k` — batch-shaped scatter frames
+//!   PUSH → PULL over 127.0.0.1, one at a time. The payload is copied twice
+//!   by the kernel and not at all by us; a copy, a zero-fill or a
+//!   per-frame buffer allocation that finds its way back onto the socket
+//!   path shows here as a throughput cliff (at 32 × 100 KiB the three
+//!   passes this path once made halved the rate: 1.7 against 3.5–4.0 GB/s).
 //!
 //! The allocation budget itself is asserted by `tests/alloc_smoke.rs`;
 //! this bench shows the wall-clock side.
@@ -24,6 +30,7 @@ use emlio_msgpack::StrInterner;
 use emlio_obs::{clock, BatchTrace, FlightRecorder, Stage, StageRecorder};
 use emlio_tfrecord::{BlockKey, GlobalIndex, RangeSource, ShardSpec, TfrecordSource};
 use emlio_util::testutil::TempDir;
+use emlio_zmq::{Endpoint, Frame, PullSocket, PushSocket, SocketOptions};
 
 const BATCH: usize = 16;
 const ORIGIN: &str = "bench-worker";
@@ -190,5 +197,35 @@ fn bench_decode(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_serve, bench_decode);
+fn bench_loopback(c: &mut Criterion) {
+    let mut g = c.benchmark_group("loopback");
+    for (name, samples, sample_len) in [("32x100k", 32, 100 << 10), ("64x8k", 64, 8 << 10)] {
+        let payload = Bytes::from(vec![0xA5u8; sample_len]);
+        let header = Bytes::from(vec![0x5Au8; 24]);
+        let frame = Frame::from_segments(
+            (0..samples)
+                .flat_map(|_| [header.clone(), payload.clone()])
+                .collect(),
+        );
+        let pull =
+            PullSocket::bind(&Endpoint::tcp("127.0.0.1", 0), SocketOptions::default()).unwrap();
+        let push =
+            PushSocket::connect(&pull.local_endpoint().unwrap(), SocketOptions::default()).unwrap();
+        g.throughput(Throughput::Bytes(frame.len() as u64));
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                // One frame at a time, so every pass over its bytes is on
+                // the clock: streamed back to back, the sender's and the
+                // reader's work overlap on idle cores and an extra pass
+                // on one side hides behind the other.
+                push.send(frame.clone()).unwrap();
+                black_box(pull.recv().unwrap().len())
+            })
+        });
+        push.close().unwrap();
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_serve, bench_decode, bench_loopback);
 criterion_main!(benches);

@@ -31,7 +31,6 @@ pub mod daemon;
 pub mod export;
 pub mod metrics;
 pub mod plan;
-pub mod pool;
 pub mod receiver;
 pub mod service;
 pub mod stack;
@@ -40,10 +39,10 @@ pub mod wire;
 pub use chaos::ChaosController;
 pub use config::{Coverage, EmlioConfig};
 pub use daemon::EmlioDaemon;
+pub use emlio_util::pool::{self, BufferPool, PoolBuf, PoolStats};
 pub use export::{MetricsSampler, SampleSource, StallReport};
 pub use metrics::{DataPathMetrics, MetricsSnapshot};
 pub use plan::{BatchRange, EpochPlan, NodePlan, Plan};
-pub use pool::{BufferPool, PoolBuf, PoolStats};
 pub use receiver::{EmlioReceiver, LazyQueueSource, ReceiverConfig};
 pub use service::EmlioService;
 pub use stack::{ReadStack, StackSpec};

@@ -143,7 +143,10 @@ impl RangeReader {
         self.len == 0
     }
 
-    /// Read the raw byte range `[offset, offset+size)` into `buf` (resized).
+    /// Read the raw byte range `[offset, offset+size)` into `buf`, whose
+    /// length becomes `size`. Whatever `buf` held is overwritten, not
+    /// cleared first: a recycled buffer already `size` long (see
+    /// `BlockAlloc::take`) is not zero-filled under the read.
     pub fn read_range_into(&self, offset: u64, size: u64, buf: &mut Vec<u8>) -> Result<()> {
         if offset + size > self.len {
             return Err(RecordError::Truncated { offset });

@@ -15,6 +15,7 @@ use crate::reader::RangeReader;
 use crate::record::RecordError;
 use crate::Result;
 use bytes::Bytes;
+use emlio_util::pool::BufferPool;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -83,16 +84,18 @@ pub struct BlockRead {
 
 /// Where root sources get their block buffers.
 ///
-/// The daemon's buffer pool lives in `emlio-core` (above this crate in the
-/// dependency graph), so root sources take allocation behaviour through
-/// this minimal seam instead: [`take`](BlockAlloc::take) hands out a
-/// `Vec<u8>` with at least the requested capacity (possibly recycled), and
-/// [`seal`](BlockAlloc::seal) freezes a filled buffer into immutable
-/// [`Bytes`] — returning pooled allocations to their free list when the
-/// last view drops. The default [`SystemAlloc`] is a plain pass-through to
-/// the global allocator.
+/// [`take`](BlockAlloc::take) hands out a `Vec<u8>` with at least the
+/// requested capacity (possibly recycled), and [`seal`](BlockAlloc::seal)
+/// freezes a filled buffer into immutable [`Bytes`] — returning pooled
+/// allocations to their free list when the last view drops. The daemon
+/// plugs its [`BufferPool`] in here; the default [`SystemAlloc`] is a plain
+/// pass-through to the global allocator.
 pub trait BlockAlloc: Send + Sync {
-    /// An empty, writable buffer with `capacity() >= min_capacity`.
+    /// A writable buffer with `capacity() >= min_capacity`. A recycled
+    /// buffer keeps the length and bytes of its previous use, so that the
+    /// `resize` before a positioned read zero-fills only what was never
+    /// initialised: the caller sets the length and overwrites every byte
+    /// before sealing.
     fn take(&self, min_capacity: usize) -> Vec<u8>;
 
     /// Freeze a filled buffer (possibly from [`take`](BlockAlloc::take))
@@ -111,6 +114,16 @@ impl BlockAlloc for SystemAlloc {
 
     fn seal(&self, buf: Vec<u8>) -> Bytes {
         Bytes::from(buf)
+    }
+}
+
+impl BlockAlloc for BufferPool {
+    fn take(&self, min_capacity: usize) -> Vec<u8> {
+        BufferPool::take(self, min_capacity)
+    }
+
+    fn seal(&self, buf: Vec<u8>) -> Bytes {
+        BufferPool::seal(self, buf)
     }
 }
 
@@ -186,8 +199,8 @@ impl TfrecordSource {
         }
     }
 
-    /// Route block-buffer allocation through `alloc` (typically
-    /// `emlio-core`'s `BufferPool`).
+    /// Route block-buffer allocation through `alloc` (typically the
+    /// daemon's [`BufferPool`]).
     pub fn with_alloc(mut self, alloc: Arc<dyn BlockAlloc>) -> TfrecordSource {
         self.alloc = alloc;
         self
@@ -442,6 +455,33 @@ mod tests {
                 end: 1
             }])
             .is_err());
+    }
+
+    #[test]
+    fn recycled_buffers_never_show_an_earlier_block() {
+        let dir = TempDir::new("tfrecord-recycle");
+        let mut w = ShardWriter::create(dir.path(), ShardSpec::Count(1)).unwrap();
+        for i in 0..40u8 {
+            w.append(&[i; 200], 0).unwrap();
+        }
+        let idx = Arc::new(w.finish().unwrap());
+        let pool = BufferPool::new();
+        let pooled = TfrecordSource::new(idx.clone()).with_alloc(Arc::new(pool.clone()));
+        let plain = TfrecordSource::new(idx);
+        // Long, short, long, shorter: all one size class, so every read
+        // after the first lands on the buffer the one before it left, whose
+        // bytes the pool does not clear.
+        for (start, end) in [(0, 18), (20, 23), (5, 22), (30, 31), (0, 18)] {
+            let key = BlockKey {
+                shard_id: 0,
+                start,
+                end,
+            };
+            let got = pooled.read_block(&key).unwrap().data;
+            assert_eq!(got, plain.read_block(&key).unwrap().data, "{key:?}");
+        }
+        let s = pool.stats();
+        assert_eq!((s.pool_alloc, s.pool_reuse), (1, 4));
     }
 
     #[test]

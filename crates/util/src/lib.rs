@@ -15,6 +15,9 @@
 //! * [`rate`] — token-bucket pacing used by the userspace network emulator.
 //! * [`alloc`] — a counting `#[global_allocator]` wrapper so tests and
 //!   benches can assert allocation budgets on the zero-copy serve path.
+//! * [`pool`] — [`BufferPool`], the size-classed free list of block
+//!   buffers both ends of the data path draw from (storage reads in
+//!   `emlio-tfrecord`/`emlio-core`, socket reads in `emlio-zmq`).
 //! * [`fault`] — seeded, deterministic fault plans ([`FaultPlan`] /
 //!   [`FaultInjector`]) driving named failpoint sites across the serve
 //!   path, plus the [`RetryPolicy`] backoff that absorbs transient faults.
@@ -24,6 +27,7 @@ pub mod bytesize;
 pub mod clock;
 pub mod fault;
 pub mod json;
+pub mod pool;
 pub mod rate;
 pub mod stats;
 pub mod testutil;
@@ -33,6 +37,7 @@ pub use alloc::CountingAllocator;
 pub use clock::{Clock, ManualClock, RealClock, SharedClock};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultSpec, RetryPolicy};
 pub use json::Json;
+pub use pool::{BufferPool, PoolBuf, PoolStats};
 pub use stats::{OnlineStats, Summary};
 pub use tslog::TimestampLogger;
 

@@ -24,16 +24,25 @@
 //! * Requests above the largest class fall back to the system allocator
 //!   (counted in [`PoolStats::unpooled`]); pooling pathological sizes would
 //!   just hoard memory.
+//! * A recycled buffer **keeps its length and its bytes**. The raw
+//!   [`BufferPool::take`] hands it back as it was returned, so a caller
+//!   about to overwrite it (a `pread`, a socket read) sets the length it
+//!   needs and zero-fills only what no earlier use ever initialised —
+//!   nothing, in a steady state of same-sized blocks. [`BufferPool::get`]
+//!   is the appending form: it truncates to empty first, which for bytes
+//!   is a length store, not a pass over the buffer.
 //!
-//! The pool plugs into the read stack as a
-//! [`BlockAlloc`]: `TfrecordSource` takes its
-//! block buffers from the pool and seals them into pooled `Bytes`, so the
-//! whole zero-copy chain (cache slot → frame segment → receiver slice) sits
-//! on recycled memory without any layer knowing about the pool.
+//! The pool sits at the bottom of the crate graph because both ends of the
+//! data path draw from it. It plugs into the read stack as
+//! `emlio-tfrecord`'s `BlockAlloc` (`TfrecordSource` takes its block
+//! buffers from the pool and seals them into pooled `Bytes`, so the whole
+//! zero-copy chain — cache slot → frame segment → receiver slice — sits on
+//! recycled memory without any layer knowing about the pool), and
+//! `emlio-zmq`'s PULL side reads every TCP frame into a buffer taken from
+//! one.
 
 use bytes::Bytes;
 use emlio_obs::{Stage, StageRecorder};
-use emlio_tfrecord::BlockAlloc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Instant;
@@ -109,8 +118,7 @@ impl PoolInner {
             self.counters.unpooled.fetch_add(1, Ordering::Relaxed);
             return Vec::with_capacity(min_capacity);
         };
-        if let Some(mut buf) = self.classes[idx].lock().unwrap().pop() {
-            buf.clear();
+        if let Some(buf) = self.classes[idx].lock().unwrap().pop() {
             self.counters.pool_reuse.fetch_add(1, Ordering::Relaxed);
             return buf;
         }
@@ -119,13 +127,12 @@ impl PoolInner {
     }
 
     /// Return `vec` to its class if it is pool-shaped and there is room.
-    fn recycle(&self, mut vec: Vec<u8>) {
+    fn recycle(&self, vec: Vec<u8>) {
         let cap = vec.capacity();
         if let Some(idx) = self.class_of(cap) {
             if self.class_size(idx) == cap {
                 let mut list = self.classes[idx].lock().unwrap();
                 if list.len() < self.retain_per_class {
-                    vec.clear();
                     list.push(vec);
                     self.counters.recycled.fetch_add(1, Ordering::Relaxed);
                 }
@@ -192,10 +199,22 @@ impl BufferPool {
     /// [`PoolBuf`] unfrozen recycles it immediately; freezing defers the
     /// recycle until the last `Bytes` view drops.
     pub fn get(&self, min_capacity: usize) -> PoolBuf {
+        let mut vec = self.inner.take(min_capacity);
+        vec.clear();
         PoolBuf {
-            vec: Some(self.inner.take(min_capacity)),
+            vec: Some(vec),
             pool: Arc::downgrade(&self.inner),
         }
+    }
+
+    /// A raw buffer with capacity ≥ `min_capacity`, for a caller that will
+    /// overwrite it: a recycled buffer comes back with the **length and
+    /// bytes of its previous use**, so setting the length needed
+    /// (`resize`) zero-fills only the part never initialised before. The
+    /// caller must overwrite every byte it goes on to expose, and hands
+    /// the buffer back through [`BufferPool::seal`].
+    pub fn take(&self, min_capacity: usize) -> Vec<u8> {
+        self.inner.take(min_capacity)
     }
 
     /// Snapshot of the pool counters.
@@ -219,8 +238,9 @@ impl BufferPool {
     }
 
     /// Seal a `Vec<u8>` (typically one handed out by
-    /// [`BlockAlloc::take`]) into `Bytes`, recycling on last drop.
-    fn seal_vec(&self, buf: Vec<u8>) -> Bytes {
+    /// [`BufferPool::take`]) into `Bytes` over its whole length, recycling
+    /// the allocation when the last view drops.
+    pub fn seal(&self, buf: Vec<u8>) -> Bytes {
         if buf.is_empty() {
             // Nothing to view; recycle the capacity right away.
             self.inner.recycle(buf);
@@ -249,19 +269,6 @@ impl std::fmt::Debug for BufferPool {
             s.pool_alloc,
             self.idle_buffers()
         )
-    }
-}
-
-/// The read stack's allocation seam: block reads draw from the pool and
-/// seal into pooled `Bytes` without `emlio-tfrecord` depending on this
-/// crate.
-impl BlockAlloc for BufferPool {
-    fn take(&self, min_capacity: usize) -> Vec<u8> {
-        self.inner.take(min_capacity)
-    }
-
-    fn seal(&self, buf: Vec<u8>) -> Bytes {
-        self.seal_vec(buf)
     }
 }
 
@@ -399,17 +406,33 @@ mod tests {
     #[test]
     fn block_alloc_seam_matches_direct_use() {
         let pool = BufferPool::new();
-        let alloc: &dyn BlockAlloc = &pool;
-        let mut v = alloc.take(8192);
+        let mut v = pool.take(8192);
         v.extend_from_slice(b"block");
-        let sealed = alloc.seal(v);
+        let sealed = pool.seal(v);
         assert_eq!(&sealed[..], b"block");
         drop(sealed);
         assert_eq!(pool.stats().recycled, 1);
         // Empty seal is the zero-length regression: no allocation escapes.
-        let sealed = alloc.seal(alloc.take(4096));
+        let sealed = pool.seal(pool.take(4096));
         assert!(sealed.is_empty());
         assert_eq!(pool.idle_buffers(), 2);
+    }
+
+    #[test]
+    fn raw_take_keeps_the_initialised_extent() {
+        let pool = BufferPool::new();
+        let mut v = pool.take(8192);
+        v.resize(6000, 7);
+        let ptr = v.as_ptr();
+        drop(pool.seal(v));
+        // Same allocation, same length, same bytes: a `resize` to anything
+        // up to 6000 writes nothing.
+        let v = pool.take(8192);
+        assert_eq!((v.as_ptr(), v.len()), (ptr, 6000));
+        assert!(v.iter().all(|&b| b == 7));
+        drop(pool.seal(v));
+        // The appending form hides it.
+        assert!(pool.get(8192).is_empty());
     }
 
     #[test]

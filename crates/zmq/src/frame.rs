@@ -7,10 +7,18 @@
 //! slices, so batch payloads reach the wire without ever being gathered
 //! into one contiguous buffer. The bytes on the wire are identical to a
 //! single-segment frame — receivers cannot tell the difference.
+//!
+//! Neither direction stages payload bytes in user space. [`write_frames`]
+//! hands the kernel the length prefixes and segments of a whole burst of
+//! frames in one `write_vectored` — there is no intermediate buffer to
+//! copy them into — and [`FrameReader`] reads each payload straight from
+//! the stream into a recycled [`BufferPool`] buffer that becomes the
+//! frame's [`Bytes`].
 
 use crate::{Result, ZmqError};
 use bytes::Bytes;
-use std::io::{Read, Write};
+use emlio_util::pool::BufferPool;
+use std::io::{IoSlice, Read, Write};
 
 /// A wire message as a scatter list of segments.
 ///
@@ -61,6 +69,15 @@ impl Frame {
     }
 }
 
+/// The big-endian `u32` length prefix a `len`-byte payload goes out under.
+fn prefix(len: usize) -> Result<[u8; 4]> {
+    let len: u32 = len.try_into().map_err(|_| ZmqError::FrameTooLarge {
+        size: len,
+        limit: u32::MAX as usize,
+    })?;
+    Ok(len.to_be_bytes())
+}
+
 impl From<Bytes> for Frame {
     fn from(b: Bytes) -> Frame {
         Frame { segments: vec![b] }
@@ -73,35 +90,110 @@ impl From<Vec<u8>> for Frame {
     }
 }
 
+/// Most slices handed to one `write_vectored` call (Linux's `IOV_MAX`; a
+/// writer that takes fewer just writes less and the rest is resumed).
+const MAX_IOVECS: usize = 1024;
+
+/// How far a burst has been written: every frame before `frame`, and of
+/// that frame every part before `part` (part 0 is the length prefix, part
+/// `i + 1` is segment `i`) plus `offset` bytes of `part`.
+#[derive(Default)]
+struct Cursor {
+    frame: usize,
+    part: usize,
+    offset: usize,
+}
+
+impl Cursor {
+    /// Move past the `written` bytes a write call accepted, and past any
+    /// empty segment that follows them.
+    fn advance(&mut self, frames: &[Frame], mut written: usize) {
+        while let Some(frame) = frames.get(self.frame) {
+            let part_len = match self.part {
+                0 => 4,
+                i => frame.segments[i - 1].len(),
+            };
+            let left = part_len - self.offset;
+            if written < left {
+                self.offset += written;
+                return;
+            }
+            written -= left;
+            self.offset = 0;
+            self.part += 1;
+            if self.part > frame.segments.len() {
+                self.part = 0;
+                self.frame += 1;
+            }
+        }
+        debug_assert_eq!(written, 0, "writer accepted more than it was given");
+    }
+}
+
+/// Write a burst of frames back to back, each under its own `u32` length
+/// prefix, without gathering them: every call to `w` is one
+/// `write_vectored` over the prefixes and non-empty segments still to go,
+/// up to `IOV_MAX` of them. A writer that takes only part of what it is
+/// offered (fewer bytes, fewer slices) is resumed where it stopped. The
+/// bytes written are those of [`write_frame`] over each gathered payload.
+///
+/// Returns the number of write calls made: one for a burst the writer
+/// takes whole.
+pub fn write_frames<W: Write>(w: &mut W, frames: &[Frame]) -> Result<u64> {
+    let mut prefixes = [[0u8; 4]; MAX_IOVECS];
+    let mut at = Cursor::default();
+    let mut writes = 0;
+    while at.frame < frames.len() {
+        // No more than MAX_IOVECS frames can have a part in this call.
+        let window = &frames[at.frame..frames.len().min(at.frame + MAX_IOVECS)];
+        for (slot, frame) in prefixes.iter_mut().zip(window) {
+            *slot = prefix(frame.len())?;
+        }
+        let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
+        let mut n = 0;
+        let parts = window.iter().zip(&prefixes).flat_map(|(frame, prefix)| {
+            std::iter::once(&prefix[..]).chain(frame.segments.iter().map(|s| &s[..]))
+        });
+        // The window's first frame is the one the cursor is inside.
+        for (i, part) in parts.enumerate().skip(at.part) {
+            let part = if i == at.part {
+                &part[at.offset..]
+            } else {
+                part
+            };
+            if part.is_empty() {
+                continue;
+            }
+            if n == MAX_IOVECS {
+                break;
+            }
+            iov[n] = IoSlice::new(part);
+            n += 1;
+        }
+        match w.write_vectored(&iov[..n]) {
+            Ok(0) => return Err(ZmqError::Io(std::io::ErrorKind::WriteZero.into())),
+            Ok(written) => {
+                writes += 1;
+                at.advance(frames, written);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(ZmqError::Io(e)),
+        }
+    }
+    Ok(writes)
+}
+
 /// Write one frame from a scatter list: a single `u32` length prefix
 /// covering all segments, then each segment in order. Wire-identical to
 /// [`write_frame`] over the gathered payload.
 pub fn write_frame_segments<W: Write>(w: &mut W, frame: &Frame) -> Result<()> {
-    let len: u32 = frame
-        .len()
-        .try_into()
-        .map_err(|_| ZmqError::FrameTooLarge {
-            size: frame.len(),
-            limit: u32::MAX as usize,
-        })?;
-    w.write_all(&len.to_be_bytes())?;
-    for seg in frame.segments() {
-        w.write_all(seg)?;
-    }
-    Ok(())
+    write_frames(w, std::slice::from_ref(frame)).map(|_| ())
 }
 
-/// Write one frame. The caller batches flushes (the sender thread flushes
-/// after draining its queue, not per message).
+/// Write one contiguous frame: the reference [`write_frames`] is tested
+/// against, and what tests craft raw streams with.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
-    let len: u32 = payload
-        .len()
-        .try_into()
-        .map_err(|_| ZmqError::FrameTooLarge {
-            size: payload.len(),
-            limit: u32::MAX as usize,
-        })?;
-    w.write_all(&len.to_be_bytes())?;
+    w.write_all(&prefix(payload.len())?)?;
     w.write_all(payload)?;
     Ok(())
 }
@@ -114,16 +206,34 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
 /// loses nothing: the next [`FrameReader::read_frame`] resumes the same
 /// frame where the last call stopped. (Dropping those bytes put the stream
 /// out of frame for good.)
+///
+/// Payloads are read into buffers taken from a [`BufferPool`] and handed
+/// out as [`Bytes`] that return the buffer to the pool when their last
+/// view drops. A recycled buffer is neither cleared nor zero-filled — the
+/// read overwrites the frame's `len` bytes and the `Bytes` is cut to
+/// `len`, so whatever an earlier frame left beyond that is never visible.
 #[derive(Debug, Default)]
 pub struct FrameReader {
+    pool: BufferPool,
     header: [u8; 4],
-    /// The frame's payload buffer once the header is complete.
-    payload: Option<Vec<u8>>,
+    /// Once the header is complete: the payload buffer (at least as long
+    /// as the frame) and the frame's length.
+    payload: Option<(Vec<u8>, usize)>,
     /// Bytes read so far of the part in progress (header, then payload).
     filled: usize,
 }
 
 impl FrameReader {
+    /// A reader drawing its payload buffers from `pool` (a PULL socket
+    /// shares one among its connections); `default()` has a pool of its
+    /// own.
+    pub fn with_pool(pool: BufferPool) -> FrameReader {
+        FrameReader {
+            pool,
+            ..FrameReader::default()
+        }
+    }
+
     /// Read one frame. Returns `Ok(None)` on clean EOF *before* the length
     /// prefix (peer closed between messages); mid-frame EOF is an error.
     /// After a timeout error, call again to continue the same frame.
@@ -142,15 +252,25 @@ impl FrameReader {
                     limit: max_frame,
                 });
             }
-            self.payload = Some(vec![0u8; len]);
             self.filled = 0;
+            if len == 0 {
+                return Ok(Some(Bytes::new()));
+            }
+            let mut buf = self.pool.take(len);
+            if buf.len() < len {
+                // First use of this much of the allocation: initialise it
+                // once, and keep it initialised across recycles.
+                buf.resize(len, 0);
+            }
+            self.payload = Some((buf, len));
         }
-        let payload = self.payload.as_mut().expect("payload allocated above");
-        if !fill(r, payload, &mut self.filled)? {
+        let (buf, len) = self.payload.as_mut().expect("payload taken above");
+        if !fill(r, &mut buf[..*len], &mut self.filled)? {
             return Err(eof_inside("payload"));
         }
         self.filled = 0;
-        Ok(self.payload.take().map(Bytes::from))
+        let (buf, len) = self.payload.take().expect("payload filled above");
+        Ok(Some(self.pool.seal(buf).slice(..len)))
     }
 }
 

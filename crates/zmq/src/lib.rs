@@ -12,7 +12,11 @@
 //! * **PULL sockets** ([`pull::PullSocket`]) that accept any number of
 //!   connections and fair-queue incoming messages into one stream — this is
 //!   what makes out-of-order multi-stream prefetching possible;
-//! * length-prefixed wire framing with a maximum-frame guard ([`frame`]);
+//! * length-prefixed wire framing with a maximum-frame guard ([`frame`]),
+//!   unbuffered in both directions: a frame's segments go to the kernel in
+//!   one vectored write and come back out of it straight into a recycled
+//!   buffer, so this crate never copies, zero-fills or allocates for a
+//!   payload;
 //! * an in-process transport (`inproc://`) for deterministic tests and
 //!   zero-network local runs ([`inproc`]).
 //!

@@ -5,34 +5,73 @@
 //! pipeline) falls behind, reader threads block on the queue, stop draining
 //! their sockets, and the kernel's TCP flow control propagates backpressure
 //! to every connected daemon.
+//!
+//! Reader threads read frames straight off their `TcpStream` into buffers
+//! recycled through one per-socket [`BufferPool`]: a frame's bytes are
+//! written once, by the kernel, and the buffer goes back to the pool when
+//! the consumer drops the last view of the frame.
 
 use crate::endpoint::Endpoint;
 use crate::frame::FrameReader;
 use crate::{Result, SocketOptions, ZmqError};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use emlio_obs::{obs_warn, FlightRecorder};
+use emlio_util::pool::BufferPool;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Shared counters for observability and tests.
-#[derive(Debug, Default)]
+/// A snapshot of a PULL socket's counters ([`PullSocket::stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PullStats {
     /// Messages delivered to `recv`.
-    pub msgs_received: AtomicU64,
+    pub msgs_received: u64,
     /// Payload bytes received.
-    pub bytes_received: AtomicU64,
+    pub bytes_received: u64,
     /// Connections accepted over the socket's lifetime.
-    pub connections: AtomicU64,
+    pub connections: u64,
+    /// Connections a reader gave up on: an oversized length prefix, EOF
+    /// inside a frame, or any other I/O error. Each is also logged and
+    /// left in the flight recorder (`zmq_pull_read_error`).
+    pub read_errors: u64,
+    /// Frames read into a buffer an earlier frame had used.
+    pub buffers_reused: u64,
+    /// Frames a fresh buffer had to be allocated for. Stops growing once
+    /// as many buffers exist as the consumer keeps frames alive at once.
+    pub buffers_allocated: u64,
+}
+
+#[derive(Default)]
+struct Counters {
+    msgs_received: AtomicU64,
+    bytes_received: AtomicU64,
+    connections: AtomicU64,
+    read_errors: AtomicU64,
 }
 
 struct Shared {
-    stats: PullStats,
+    counters: Counters,
+    /// Where every reader thread's frame buffers come from and go back to.
+    pool: BufferPool,
     shutdown: AtomicBool,
     active_readers: AtomicUsize,
+}
+
+impl Shared {
+    /// `hwm` frames can wait in the queue while the consumer and each
+    /// reader hold one more, so that many buffers (and a little slack)
+    /// are worth keeping idle.
+    fn new(hwm: usize) -> Arc<Shared> {
+        Arc::new(Shared {
+            counters: Counters::default(),
+            pool: BufferPool::with_retention(hwm + 4),
+            shutdown: AtomicBool::new(false),
+            active_readers: AtomicUsize::new(0),
+        })
+    }
 }
 
 /// A PULL socket bound to one endpoint.
@@ -54,11 +93,7 @@ impl PullSocket {
                 let rx = crate::inproc::bind(name, options.hwm.max(1));
                 Ok(PullSocket {
                     rx,
-                    shared: Arc::new(Shared {
-                        stats: PullStats::default(),
-                        shutdown: AtomicBool::new(false),
-                        active_readers: AtomicUsize::new(0),
-                    }),
+                    shared: Shared::new(options.hwm),
                     accept_thread: None,
                     local_addr: None,
                     inproc_name: Some(name.clone()),
@@ -72,11 +107,7 @@ impl PullSocket {
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let (tx, rx) = bounded::<Bytes>(options.hwm.max(1));
-        let shared = Arc::new(Shared {
-            stats: PullStats::default(),
-            shutdown: AtomicBool::new(false),
-            active_readers: AtomicUsize::new(0),
-        });
+        let shared = Shared::new(options.hwm);
         let shared2 = shared.clone();
         let accept_thread = std::thread::Builder::new()
             .name(format!("zmq-pull-accept:{local_addr}"))
@@ -132,23 +163,24 @@ impl PullSocket {
     }
 
     fn record(&self, msg: &Bytes) {
-        self.shared
-            .stats
-            .msgs_received
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .stats
-            .bytes_received
+        let c = &self.shared.counters;
+        c.msgs_received.fetch_add(1, Ordering::Relaxed);
+        c.bytes_received
             .fetch_add(msg.len() as u64, Ordering::Relaxed);
     }
 
     /// Snapshot of counters.
-    pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.shared.stats.msgs_received.load(Ordering::Relaxed),
-            self.shared.stats.bytes_received.load(Ordering::Relaxed),
-            self.shared.stats.connections.load(Ordering::Relaxed),
-        )
+    pub fn stats(&self) -> PullStats {
+        let c = &self.shared.counters;
+        let pool = self.shared.pool.stats();
+        PullStats {
+            msgs_received: c.msgs_received.load(Ordering::Relaxed),
+            bytes_received: c.bytes_received.load(Ordering::Relaxed),
+            connections: c.connections.load(Ordering::Relaxed),
+            read_errors: c.read_errors.load(Ordering::Relaxed),
+            buffers_reused: pool.pool_reuse,
+            buffers_allocated: pool.pool_alloc + pool.unpooled,
+        }
     }
 
     /// Number of currently connected pushers (TCP only).
@@ -178,14 +210,14 @@ fn accept_loop(listener: TcpListener, tx: Sender<Bytes>, shared: Arc<Shared>, ma
             Ok((stream, peer)) => {
                 stream.set_nonblocking(false).ok();
                 stream.set_nodelay(true).ok();
-                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+                shared.counters.connections.fetch_add(1, Ordering::Relaxed);
                 shared.active_readers.fetch_add(1, Ordering::SeqCst);
                 let tx2 = tx.clone();
                 let shared2 = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("zmq-pull-read:{peer}"))
                     .spawn(move || {
-                        reader_loop(stream, tx2, &shared2, max_frame);
+                        reader_loop(stream, peer, tx2, &shared2, max_frame);
                         shared2.active_readers.fetch_sub(1, Ordering::SeqCst);
                     })
                     .expect("spawn pull reader thread");
@@ -193,25 +225,37 @@ fn accept_loop(listener: TcpListener, tx: Sender<Bytes>, shared: Arc<Shared>, ma
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));
             }
-            Err(_) => return,
+            Err(e) => {
+                // One failed accept (a connection reset before we got to
+                // it, a signal, a momentary descriptor shortage) must not
+                // strand every daemon that connects later.
+                FlightRecorder::global().record("zmq_pull_accept_error", 0, 0);
+                obs_warn!("zmq", "pull: accept failed, still accepting: {e}");
+                std::thread::sleep(Duration::from_millis(50));
+            }
         }
     }
 }
 
-fn reader_loop(stream: TcpStream, tx: Sender<Bytes>, shared: &Shared, max_frame: usize) {
+fn reader_loop(
+    mut stream: TcpStream,
+    peer: SocketAddr,
+    tx: Sender<Bytes>,
+    shared: &Shared,
+    max_frame: usize,
+) {
     // Reads block; a read timeout lets us observe shutdown. The timeout can
     // fire mid-frame, so the frame in progress lives in `frames` across
     // ticks.
     stream
         .set_read_timeout(Some(Duration::from_millis(100)))
         .ok();
-    let mut r = BufReader::with_capacity(256 << 10, stream);
-    let mut frames = FrameReader::default();
+    let mut frames = FrameReader::with_pool(shared.pool.clone());
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match frames.read_frame(&mut r, max_frame) {
+        match frames.read_frame(&mut stream, max_frame) {
             Ok(Some(msg)) => {
                 if tx.send(msg).is_err() {
                     return; // socket dropped
@@ -224,7 +268,14 @@ fn reader_loop(stream: TcpStream, tx: Sender<Bytes>, shared: &Shared, max_frame:
             {
                 continue; // timeout tick: re-check shutdown
             }
-            Err(_) => return,
+            Err(e) => {
+                // The stream is out of frame or gone: this connection is
+                // over, the others are not.
+                shared.counters.read_errors.fetch_add(1, Ordering::Relaxed);
+                FlightRecorder::global().record("zmq_pull_read_error", peer.port() as u64, 0);
+                obs_warn!("zmq", "pull: dropping connection from {peer}: {e}");
+                return;
+            }
         }
     }
 }
@@ -297,9 +348,10 @@ mod tests {
             (STREAMS * PER_STREAM) as usize,
             "exactly-once fan-in"
         );
-        let (msgs, _bytes, conns) = pull.stats();
-        assert_eq!(msgs, (STREAMS * PER_STREAM) as u64);
-        assert_eq!(conns, STREAMS as u64);
+        let stats = pull.stats();
+        assert_eq!(stats.msgs_received, (STREAMS * PER_STREAM) as u64);
+        assert_eq!(stats.connections, STREAMS as u64);
+        assert_eq!(stats.read_errors, 0);
     }
 
     #[test]
@@ -370,6 +422,109 @@ mod tests {
         push.send(Bytes::from_static(b"via-inproc")).unwrap();
         assert_eq!(pull.recv().unwrap().as_ref(), b"via-inproc");
         push.close().unwrap();
+    }
+
+    #[test]
+    fn oversized_prefix_ends_one_connection_loudly_and_only_that_one() {
+        use emlio_util::testutil::poll_until;
+        use std::io::Write;
+
+        let pull = PullSocket::bind(
+            &Endpoint::tcp("127.0.0.1", 0),
+            SocketOptions {
+                max_frame: 1024,
+                ..SocketOptions::default()
+            },
+        )
+        .unwrap();
+        let push =
+            PushSocket::connect(&pull.local_endpoint().unwrap(), SocketOptions::default()).unwrap();
+        push.send(Bytes::from_static(b"before")).unwrap();
+        assert_eq!(pull.recv().unwrap().as_ref(), b"before");
+
+        let mut raw = TcpStream::connect(pull.local_addr.unwrap()).unwrap();
+        raw.write_all(&4096u32.to_be_bytes()).unwrap();
+        assert!(
+            poll_until(Duration::from_secs(5), || pull.stats().read_errors == 1),
+            "the oversized length prefix is counted"
+        );
+        assert!(
+            poll_until(Duration::from_secs(5), || pull.active_connections() == 1),
+            "its reader is gone, the good connection's is not"
+        );
+        let events = FlightRecorder::global().dump();
+        assert!(events.iter().any(|e| e.name == "zmq_pull_read_error"));
+
+        for i in 0..20u8 {
+            push.send(Bytes::from(vec![i; 1000])).unwrap();
+            assert_eq!(pull.recv().unwrap(), vec![i; 1000]);
+        }
+        push.close().unwrap();
+        let stats = pull.stats();
+        assert_eq!((stats.connections, stats.read_errors), (2, 1));
+        assert_eq!(stats.msgs_received, 21);
+    }
+
+    /// A scatter frame shaped like a served batch: `segments` payloads of
+    /// `seg_len` bytes, a few header bytes before each.
+    fn batch_frame(tag: u8, segments: usize, seg_len: usize) -> crate::Frame {
+        let body = Bytes::from(vec![tag; seg_len]);
+        let header = Bytes::from(vec![tag ^ 0xFF; 11]);
+        crate::Frame::from_segments(
+            (0..segments)
+                .flat_map(|_| [header.clone(), body.clone()])
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn one_write_per_frame_and_buffers_recycle() {
+        let (pull, push) = tcp_pair(4);
+        let push_stats = push.stats();
+        // Closed loop, each frame dropped before the next is sent: nothing
+        // ever blocks, and one buffer serves every frame.
+        const FRAMES: u64 = 40;
+        for i in 0..FRAMES {
+            let frame = batch_frame(i as u8, 32, 16 << 10);
+            let expect = frame.clone().into_bytes();
+            push.send(frame).unwrap();
+            assert_eq!(pull.recv().unwrap(), expect);
+        }
+        let writes = push_stats.writes.load(Ordering::Relaxed);
+        assert!(
+            (1..=FRAMES).contains(&writes),
+            "{FRAMES} 64-segment frames took {writes} writes"
+        );
+        assert!(push_stats.write_nanos.load(Ordering::Relaxed) > 0);
+        let stats = pull.stats();
+        assert_eq!(stats.buffers_allocated, 1, "{stats:?}");
+        assert_eq!(stats.buffers_reused, FRAMES - 1);
+
+        // A burst of small frames shares writes; frames the consumer keeps
+        // hold their buffers, and the count of buffers stops at what is
+        // kept alive at once.
+        const SMALL: u64 = 300;
+        let producer = std::thread::spawn(move || {
+            for i in 0..SMALL {
+                push.send(batch_frame(i as u8, 3, 50)).unwrap();
+            }
+            push.close().unwrap();
+        });
+        let mut kept = std::collections::VecDeque::new();
+        for i in 0..SMALL {
+            let got = pull.recv().unwrap();
+            assert_eq!(got, batch_frame(i as u8, 3, 50).into_bytes());
+            kept.push_back(got);
+            if kept.len() > 3 {
+                kept.pop_front();
+            }
+        }
+        producer.join().unwrap();
+        let small_writes = push_stats.writes.load(Ordering::Relaxed) - writes;
+        assert!(small_writes <= SMALL, "{small_writes} writes");
+        // 3 kept + 1 being checked + 4 queued + 1 in the reader's hands.
+        let allocated = pull.stats().buffers_allocated;
+        assert!(allocated <= 1 + 9, "{allocated} buffers for {SMALL} frames");
     }
 
     #[test]

@@ -3,12 +3,11 @@
 //! "HWM 16, blocking send to infinity" configuration (§4.5).
 
 use crate::endpoint::Endpoint;
-use crate::frame::{write_frame_segments, Frame};
+use crate::frame::{write_frames, Frame};
 use crate::{Result, SocketOptions, ZmqError};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Sender};
 use emlio_obs::{Stage, StageRecorder};
-use std::io::{BufWriter, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -29,7 +28,20 @@ pub struct PushStats {
     pub bytes_sent: AtomicU64,
     /// Total nanoseconds `send` spent blocked on a full queue.
     pub blocked_nanos: AtomicU64,
+    /// Write syscalls the sender thread issued (TCP only): one per frame,
+    /// or per burst of small frames, unless the kernel took a write in
+    /// parts.
+    pub writes: AtomicU64,
+    /// Total nanoseconds the sender thread spent writing to the stream —
+    /// the cost `send` callers see only as backpressure.
+    pub write_nanos: AtomicU64,
 }
+
+/// A burst stops growing once it holds this many payload bytes: small
+/// frames queued together share one write, while a batch-sized frame goes
+/// out alone, so no more than one frame beyond the HWM is ever in flight
+/// on the send side.
+const COALESCE_BYTES: usize = 256 << 10;
 
 /// A PUSH socket connected to exactly one PULL endpoint.
 ///
@@ -100,8 +112,8 @@ impl PushSocket {
     /// connection has died.
     ///
     /// Accepts anything convertible into a [`Frame`] — a `Bytes`, a
-    /// `Vec<u8>`, or a pre-built scatter list. Multi-segment frames are
-    /// written segment by segment; the payload is never gathered on TCP.
+    /// `Vec<u8>`, or a pre-built scatter list. A multi-segment frame goes
+    /// out in one vectored write; the payload is never gathered on TCP.
     pub fn send(&self, payload: impl Into<Frame>) -> Result<()> {
         if self.dead.load(Ordering::SeqCst) {
             return Err(ZmqError::Closed);
@@ -189,35 +201,41 @@ fn connect_with_retry(addr: &str, timeout: Duration) -> Result<TcpStream> {
 }
 
 fn tcp_sender_loop(
-    stream: TcpStream,
+    mut stream: TcpStream,
     rx: &crossbeam::channel::Receiver<Cmd>,
     stats: &PushStats,
 ) -> Result<()> {
-    let mut w = BufWriter::with_capacity(256 << 10, stream);
-    // Block for the next command, then drain opportunistically before
-    // flushing so bursts coalesce into large writes.
+    let mut burst: Vec<Frame> = Vec::new();
+    // Block for the next command, then take what is already queued behind
+    // it (up to COALESCE_BYTES) so a burst of small frames is one write.
     while let Ok(first) = rx.recv() {
         let mut closing = false;
-        for cmd in std::iter::once(first).chain(rx.try_iter()) {
+        let mut bytes = 0;
+        let mut next = Some(first);
+        while let Some(cmd) = next.take() {
             match cmd {
                 Cmd::Msg(frame) => {
-                    write_frame_segments(&mut w, &frame)?;
-                    stats
-                        .bytes_sent
-                        .fetch_add(frame.len() as u64, Ordering::Relaxed);
+                    bytes += frame.len();
+                    burst.push(frame);
+                    if bytes < COALESCE_BYTES {
+                        next = rx.try_recv().ok();
+                    }
                 }
-                Cmd::Close => {
-                    closing = true;
-                    break;
-                }
+                Cmd::Close => closing = true,
             }
         }
-        w.flush()?;
+        let t0 = Instant::now();
+        let writes = write_frames(&mut stream, &burst)?;
+        stats
+            .write_nanos
+            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        stats.writes.fetch_add(writes, Ordering::Relaxed);
+        stats.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
+        burst.clear();
         if closing {
             break;
         }
     }
-    w.flush()?;
     Ok(())
 }
 

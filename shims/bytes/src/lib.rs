@@ -15,9 +15,14 @@ use std::sync::Arc;
 /// Backing storage: a shared heap allocation, a static slice, or an
 /// arbitrary shared owner (the hook buffer pools use to get their
 /// allocation back when the last view drops).
+///
+/// `Heap` holds the `Vec` it was built from, moved in whole: the only
+/// allocation `Bytes::from(Vec<u8>)` makes is the refcount header, and the
+/// payload is never copied (an `Arc<[u8]>` would reallocate and `memcpy`
+/// every byte to put the count in front of them).
 #[derive(Clone)]
 enum Storage {
-    Heap(Arc<[u8]>),
+    Heap(Arc<Vec<u8>>),
     Static(&'static [u8]),
     Owned(Arc<dyn AsRef<[u8]> + Send + Sync>),
 }
@@ -174,16 +179,17 @@ impl Borrow<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Takes ownership of `v`'s allocation — no copy, as in the real
+    /// `bytes` crate: `as_ptr()` of the result is `v`'s pointer.
     fn from(v: Vec<u8>) -> Self {
-        // `Arc::from` of an empty boxed slice still heap-allocates the
-        // refcount header; route zero-length buffers to the allocation-free
-        // static representation instead.
+        // Route zero-length buffers to the allocation-free static
+        // representation instead of allocating a refcount header for them.
         if v.is_empty() {
             return Bytes::new();
         }
         let len = v.len();
         Bytes {
-            storage: Storage::Heap(Arc::from(v.into_boxed_slice())),
+            storage: Storage::Heap(Arc::new(v)),
             offset: 0,
             len,
         }
@@ -204,15 +210,7 @@ impl From<&'static str> for Bytes {
 
 impl From<Box<[u8]>> for Bytes {
     fn from(b: Box<[u8]>) -> Self {
-        if b.is_empty() {
-            return Bytes::new();
-        }
-        let len = b.len();
-        Bytes {
-            storage: Storage::Heap(Arc::from(b)),
-            offset: 0,
-            len,
-        }
+        Bytes::from(b.into_vec())
     }
 }
 
@@ -349,6 +347,26 @@ mod tests {
             assert_eq!(b, Bytes::new());
             assert!(matches!(b.storage, Storage::Static(_)));
         }
+    }
+
+    #[test]
+    fn from_vec_moves_the_allocation() {
+        // Spare capacity too: nothing is shrunk, reallocated or copied.
+        let mut v = Vec::with_capacity(4096);
+        v.extend_from_slice(&[9u8; 1000]);
+        let ptr = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), ptr);
+        assert_eq!(b.len(), 1000);
+        assert_eq!(b.slice(10..).as_ptr() as usize, ptr as usize + 10);
+        assert_eq!(
+            b.slice_ref(&b[500..600]).as_ptr() as usize,
+            ptr as usize + 500
+        );
+
+        let boxed = vec![3u8; 64].into_boxed_slice();
+        let ptr = boxed.as_ptr();
+        assert_eq!(Bytes::from(boxed).as_ptr(), ptr);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! (pooled header + spliced payload segments).
 //!
 //! The bars: an absolute budget of allocator calls per served batch, O(1)
-//! pool growth across steady-state epochs, and tracing that allocates
-//! nothing. Byte identity of the frames is `proptest_wire`'s job. All
-//! phases live in one `#[test]` because the allocator counters are
-//! process-global: parallel tests would interleave.
+//! pool growth across steady-state epochs, tracing that allocates
+//! nothing, and a loopback PUSH → PULL transfer that allocates no buffer
+//! per received frame. Byte identity of the frames is `proptest_wire`'s
+//! job. All phases live in one `#[test]` because the allocator counters
+//! are process-global: parallel tests would interleave.
 
 use std::sync::Arc;
 
@@ -23,7 +24,7 @@ use emlio::obs::{clock, BatchTrace, FlightRecorder, Stage, StageRecorder};
 use emlio::tfrecord::{BlockKey, GlobalIndex, RangeSource, ShardSpec, TfrecordSource};
 use emlio::util::testutil::TempDir;
 use emlio::util::CountingAllocator;
-use emlio::zmq::Frame;
+use emlio::zmq::{Endpoint, Frame, PullSocket, PushSocket, SocketOptions};
 
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator::new();
@@ -220,4 +221,47 @@ fn zero_copy_serve_path_allocation_budget() {
         recorder.hist(Stage::BatchAssemble).count() >= EPOCHS * keys.len() as u64,
         "instrumented batches must land in the stage histogram"
     );
+
+    // Phase 5 — the receive side: a batch-shaped frame (32 × 100 KiB
+    // payloads behind small headers) crossing a loopback socket lands in a
+    // recycled buffer. The whole process — sender thread, reader thread,
+    // queues — may allocate 4 KiB per frame, about a thousandth of the
+    // frame; a buffer per frame (let alone the two the PULL side once
+    // made) is 800 times the bar.
+    const FRAMES: usize = 48;
+    const BYTES_PER_FRAME: u64 = 4 << 10;
+    let pull = PullSocket::bind(&Endpoint::tcp("127.0.0.1", 0), SocketOptions::default()).unwrap();
+    let push =
+        PushSocket::connect(&pull.local_endpoint().unwrap(), SocketOptions::default()).unwrap();
+    let payload = Bytes::from(vec![0xA5u8; 100 << 10]);
+    let header = Bytes::from(vec![0x5Au8; 24]);
+    let frame = Frame::from_segments(
+        (0..32)
+            .flat_map(|_| [header.clone(), payload.clone()])
+            .collect(),
+    );
+    let roundtrip = |frame: Frame| {
+        let len = frame.len();
+        push.send(frame).unwrap();
+        let got = pull.recv().unwrap();
+        assert_eq!(got.len(), len);
+        assert_eq!((got[0], got[24], got[len - 1]), (0x5A, 0xA5, 0xA5));
+    };
+    for _ in 0..8 {
+        roundtrip(frame.clone());
+    }
+    let frames: Vec<Frame> = (0..FRAMES).map(|_| frame.clone()).collect();
+    let before = ALLOC.bytes_allocated();
+    for frame in frames {
+        roundtrip(frame);
+    }
+    let per_frame = (ALLOC.bytes_allocated() - before) / FRAMES as u64;
+    assert!(
+        per_frame <= BYTES_PER_FRAME,
+        "receiving a {} KiB frame allocates {per_frame} bytes; the bar is {BYTES_PER_FRAME}",
+        frame.len() >> 10,
+    );
+    let stats = pull.stats();
+    assert_eq!(stats.buffers_allocated, 1, "{stats:?}");
+    push.close().unwrap();
 }
