@@ -137,13 +137,13 @@ fn bench_planner(c: &mut Criterion) {
     });
 }
 
-fn bench_zmq_inproc(c: &mut Criterion) {
+fn bench_zmq_loopback(c: &mut Criterion) {
     use bytes::Bytes;
     use emlio_zmq::{Endpoint, PullSocket, PushSocket, SocketOptions};
-    c.bench_function("zmq/inproc_1000x8KiB", |b| {
+    c.bench_function("zmq/tcp_1000x8KiB", |b| {
         b.iter(|| {
             let pull = PullSocket::bind(
-                &Endpoint::inproc("bench-zmq"),
+                &Endpoint::tcp("127.0.0.1", 0),
                 SocketOptions::default().with_hwm(64),
             )
             .unwrap();
@@ -191,7 +191,7 @@ criterion_group!(
     bench_range_read,
     bench_sif,
     bench_planner,
-    bench_zmq_inproc,
+    bench_zmq_loopback,
     bench_des,
 );
 criterion_main!(benches);

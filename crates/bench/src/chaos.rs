@@ -9,10 +9,15 @@
 //! same fault schedule; a failing seed printed by the harness is a
 //! one-command repro (`emlio chaos --seed N --config <mode>`).
 //!
-//! Every schedule runs against a clean reference: the fingerprint of all
-//! `(epoch, sample, label, payload-digest)` tuples a fault-free daemon
-//! delivers under the same plan. The oracle then admits exactly two
-//! outcomes:
+//! Every leg — the clean reference, the fleet mode's owner warm-up and the
+//! chaos run itself — is an [`EmlioService::launch`] drained by
+//! [`Deployment::drain`](emlio_core::service::Deployment::drain): the
+//! schedule's kill points and its `spill.write` injector ride the daemon's
+//! [`StackSpec`], and the kill → drop → reopen → re-serve loop is the
+//! service's own. Every schedule runs against a clean reference: the
+//! fingerprint of all `(epoch, sample, label, payload-digest)` tuples a
+//! fault-free daemon delivers under the same plan. The oracle then admits
+//! exactly two outcomes:
 //!
 //! * **Clean** — the run completed and delivery is byte-identical to the
 //!   reference (exactly once: nothing lost, duplicated, or corrupted),
@@ -29,13 +34,11 @@ use emlio_cache::peer::{ChaosPeer, FleetRegistry, LocalPeer, PeerConfig};
 use emlio_cache::CacheConfig;
 use emlio_core::chaos::ChaosController;
 use emlio_core::daemon::DaemonError;
-use emlio_core::plan::Plan;
-use emlio_core::receiver::{EmlioReceiver, ReceiverConfig};
-use emlio_core::{DataPathMetrics, EmlioConfig, EmlioDaemon, EmlioService, StackSpec};
+use emlio_core::service::{Delivery, Fingerprint, StorageSpec};
+use emlio_core::{DataPathMetrics, EmlioConfig, EmlioService, StackSpec};
 use emlio_datagen::convert::build_tfrecord_dataset;
 use emlio_datagen::DatasetSpec;
 use emlio_netem::{FaultSource, NetProfile, NfsConfig, NfsMount, NfsSource};
-use emlio_pipeline::ExternalSource;
 use emlio_tfrecord::{GlobalIndex, ShardSpec, TfrecordSource};
 use emlio_util::clock::RealClock;
 use emlio_util::fault::{mix64, site, FaultInjector, FaultPlan, FaultSpec};
@@ -44,7 +47,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which serve-path configuration the schedule exercises.
@@ -156,6 +159,8 @@ pub struct ChaosOutcome {
     pub io_retries: u64,
     /// Retry-budget exhaustions, summed across daemon incarnations.
     pub io_giveups: u64,
+    /// Blocks a peer served, summed across daemon incarnations (fleet mode).
+    pub peer_hits: u64,
 }
 
 impl ChaosOutcome {
@@ -187,18 +192,6 @@ impl fmt::Display for ChaosOutcome {
             self.io_giveups,
         )
     }
-}
-
-/// One delivered sample: `(epoch, sample_id, label, payload digest)`.
-type Fingerprint = (u32, u64, u32, u64);
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The `i`-th seed of a suite rooted at `base` — full-avalanche, so
@@ -268,84 +261,22 @@ impl Schedule {
     }
 }
 
-/// Serve a single fault-free incarnation to completion and return the
-/// sorted delivery fingerprint (reference and warm-up legs).
-fn drain_solo(
-    daemon: EmlioDaemon,
-    plan: Plan,
+/// Launch one daemon `id` over `stack` and drain it to the end.
+fn launch_and_drain(
+    id: &str,
+    dir: &std::path::Path,
+    index: &Arc<GlobalIndex>,
     config: &EmlioConfig,
-) -> Result<(Vec<Fingerprint>, u64), DaemonError> {
-    let receiver = EmlioReceiver::bind(ReceiverConfig::loopback(config.threads_per_node as u32))
-        .map_err(DaemonError::Transport)?;
-    let ep = receiver.endpoint().clone();
-    let server = std::thread::spawn(move || daemon.serve(&plan, "n", &ep));
-    let mut src = receiver.source();
-    let mut seen = Vec::new();
-    let mut batches = 0u64;
-    while let Some(b) = src.next_batch() {
-        batches += 1;
-        for s in &b.samples {
-            seen.push((b.epoch, s.sample_id, s.label, fnv1a(&s.bytes)));
-        }
-    }
-    server
-        .join()
-        .map_err(|_| DaemonError::BadPlan("solo server thread panicked".into()))??;
-    seen.sort_unstable();
-    Ok((seen, batches))
-}
-
-/// What a chaos serve leg observed: the sorted delivery fingerprint, the
-/// batch count, and the kill/restart loop's result.
-type ChaosDelivery = (Vec<Fingerprint>, u64, Result<u32, DaemonError>);
-
-/// Serve under the kill/restart loop while a collector thread drains the
-/// receiver.
-fn serve_and_drain<F>(
-    open: F,
-    plan: &Plan,
-    config: &EmlioConfig,
-    controller: &Arc<ChaosController>,
-    max_restarts: u32,
-) -> Result<ChaosDelivery, String>
-where
-    F: Fn() -> Result<EmlioDaemon, DaemonError>,
-{
-    // Killed incarnations abandon their streams without end-of-stream
-    // markers; the budget of `threads_per_node` markers is satisfied by the
-    // one incarnation that runs to completion.
-    let receiver = EmlioReceiver::bind(ReceiverConfig {
-        hwm: config.hwm,
-        queue_capacity: config.hwm,
-        ..ReceiverConfig::loopback(config.threads_per_node as u32)
-    })
-    .map_err(|e| format!("chaos receiver bind failed: {e}"))?;
-    let endpoint = receiver.endpoint().clone();
-    let mut src = receiver.source();
-    let collector = std::thread::spawn(move || {
-        let mut seen: Vec<Fingerprint> = Vec::new();
-        let mut batches = 0u64;
-        while let Some(b) = src.next_batch() {
-            batches += 1;
-            for s in &b.samples {
-                seen.push((b.epoch, s.sample_id, s.label, fnv1a(&s.bytes)));
-            }
-        }
-        (seen, batches)
-    });
-
-    let served =
-        EmlioService::serve_with_chaos(open, plan, "n", &endpoint, controller, max_restarts);
-    if served.is_err() {
-        // No completing incarnation ⇒ no markers; close the receiver so the
-        // collector drains what arrived and sees end-of-queue.
-        drop(receiver);
-    }
-    let (mut delivered, batches) = collector
-        .join()
-        .map_err(|_| "chaos collector thread panicked".to_string())?;
-    delivered.sort_unstable();
-    Ok((delivered, batches, served))
+    stack: StackSpec,
+) -> Result<(Delivery, Vec<Arc<DataPathMetrics>>), DaemonError> {
+    let storage = StorageSpec {
+        stack,
+        index: Some(index.clone()),
+        ..StorageSpec::new(id, dir)
+    };
+    let mut dep = EmlioService::launch(&[storage], config, "n")?;
+    let delivery = dep.drain();
+    Ok((delivery, dep.daemon_metrics))
 }
 
 /// The oracle: classify `(delivered, serve result)` against the clean
@@ -403,51 +334,54 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
 
     let dir = TempDir::new(&format!("chaos-{}-{:x}", cfg.mode.name(), cfg.seed));
     let spec = DatasetSpec::tiny(&format!("chaos{:x}", cfg.seed & 0xffff), cfg.samples);
-    build_tfrecord_dataset(dir.path(), &spec, ShardSpec::Count(3))
-        .map_err(|e| fail("dataset build failed", &e))?;
-    let index =
-        Arc::new(GlobalIndex::load_dir(dir.path()).map_err(|e| fail("index load failed", &e))?);
+    let index = Arc::new(
+        build_tfrecord_dataset(dir.path(), &spec, ShardSpec::Count(3))
+            .map_err(|e| fail("dataset build failed", &e))?,
+    );
+    // One fault-free leg: a daemon `id` over the plain local shards,
+    // which must run to completion.
+    let clean_leg = |id: &str, config: &EmlioConfig, what: &str| {
+        let (delivery, metrics) =
+            launch_and_drain(id, dir.path(), &index, config, StackSpec::default())
+                .map_err(|e| fail(what, &e))?;
+        delivery.served.as_ref().map_err(|e| fail(what, e))?;
+        Ok::<_, String>((delivery, metrics))
+    };
 
     let base_config = EmlioConfig::default()
         .with_batch_size(cfg.batch_size)
         .with_threads(cfg.threads)
         .with_epochs(cfg.epochs)
         .with_seed(cfg.seed);
-    // Cache / retry knobs don't affect planning, so the same plan drives
-    // the reference and every chaos incarnation.
-    let plan = Plan::build(&index, &["n".to_string()], &base_config);
-    let total_batches: u64 = (0..cfg.epochs).map(|e| plan.batches_for(e, "n")).sum();
-    let schedule = Schedule::derive(cfg, total_batches);
-
-    // Clean reference: same plan, plain local stack, no faults.
-    let reference = {
-        let daemon = EmlioDaemon::open("ref", dir.path(), base_config.clone())
-            .map_err(|e| fail("reference open failed", &e))?;
-        drain_solo(daemon, plan.clone(), &base_config)
-            .map_err(|e| fail("clean reference failed", &e))?
-            .0
-    };
+    // Clean reference: plain local stack, no faults. Cache / retry knobs
+    // don't affect planning, so the chaos leg below serves the same plan
+    // and the reference's batch count is the plan's.
+    let (reference, _) = clean_leg("ref", &base_config, "clean reference failed")?;
+    let schedule = Schedule::derive(cfg, reference.batches);
 
     let injector = FaultInjector::new(schedule.fault_plan.clone());
     let controller = ChaosController::new();
     for &k in &schedule.kill_points {
         controller.arm(k);
     }
-    let max_restarts = schedule.kill_points.len() as u32;
     let chaos_config = base_config
         .clone()
         .with_io_retries(schedule.io_retries)
         .with_io_backoff(schedule.io_backoff);
 
     // Each mode says what its daemon is called, how it is configured and
-    // what it reads over; every incarnation is then opened the same way.
+    // what it reads over; every incarnation is then opened from that spec.
     let faulted_shards = || {
         StackSpec::over(Arc::new(FaultSource::new(
             Arc::new(TfrecordSource::new(index.clone())),
             injector.clone(),
         )))
     };
-    let (id, config, spec) = match cfg.mode {
+    // Fleet mode's warmed owner cache. The registry's `LocalPeer` holds it
+    // weakly, so it lives out here for the whole chaos leg: dropped with
+    // the match arm, every fetch would find a dead owner.
+    let owner_cache;
+    let (id, config, stack) = match cfg.mode {
         ChaosMode::Cached => (
             "d0",
             chaos_config.with_cache(CacheConfig::default().with_ram_bytes(32 << 20)),
@@ -460,12 +394,11 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
                 .clone()
                 .with_epochs(1)
                 .with_cache(CacheConfig::default().with_ram_bytes(64 << 20));
-            let owner = EmlioDaemon::open("owner", dir.path(), owner_config.clone())
-                .map_err(|e| fail("owner open failed", &e))?;
-            let owner_cache = owner.cache().expect("owner is cached").clone();
-            let owner_plan = Plan::build(&index, &["n".to_string()], &owner_config);
-            drain_solo(owner, owner_plan, &owner_config)
-                .map_err(|e| fail("owner warm-up failed", &e))?;
+            let (_, owner) = clean_leg("owner", &owner_config, "owner warm-up failed")?;
+            owner_cache = owner[0]
+                .stack()
+                .and_then(|s| s.cache.clone())
+                .expect("owner is cached");
 
             let registry = FleetRegistry::new();
             registry.join("owner");
@@ -482,11 +415,11 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
                 NfsConfig::default(),
             );
             mount.set_fault_injector(injector.clone());
-            let spec = StackSpec::over(Arc::new(NfsSource::new(index.clone(), mount))).in_fleet(
+            let stack = StackSpec::over(Arc::new(NfsSource::new(index.clone(), mount))).in_fleet(
                 registry,
                 PeerConfig::default().with_timeout(Duration::from_millis(200)),
             );
-            ("fetcher", chaos_config, spec)
+            ("fetcher", chaos_config, stack)
         }
         // RAM tier far smaller than the dataset: admissions spill to the
         // persistent disk tier under injected write faults, and each
@@ -502,27 +435,27 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
             faulted_shards(),
         ),
     };
-    // Per-incarnation metrics handles: retry counters are per daemon, so
-    // the totals sum every incarnation's final snapshot.
-    let incarnations: Mutex<Vec<Arc<DataPathMetrics>>> = Mutex::new(Vec::new());
-    let open = || {
-        let d = EmlioDaemon::open_stack(id, index.clone(), config.clone(), spec.clone())?;
-        // `spill.write` faults: a no-op unless the schedule names the site.
-        if let Some(cache) = d.cache() {
-            cache.set_fault_injector(injector.clone());
-        }
-        incarnations.lock().unwrap().push(d.metrics());
-        Ok(d)
-    };
-    let (delivered, batches, served) =
-        serve_and_drain(open, &plan, &config, &controller, max_restarts)?;
+    // `spill.write` faults are a no-op unless the schedule names the site.
+    let stack = stack
+        .with_chaos(controller.clone())
+        .with_faults(injector.clone());
+    let (delivery, incarnations) = launch_and_drain(id, dir.path(), &index, &config, stack)
+        .map_err(|e| fail("chaos launch failed", &e))?;
 
-    let verdict = reconcile(cfg.seed, &delivered, &reference, &served)?;
-    let (mut io_retries, mut io_giveups) = (0u64, 0u64);
-    for m in incarnations.lock().unwrap().iter() {
+    let verdict = reconcile(
+        cfg.seed,
+        &delivery.fingerprint,
+        &reference.fingerprint,
+        &delivery.served,
+    )?;
+    // Retry counters are per daemon, so the totals sum every
+    // incarnation's final snapshot.
+    let (mut io_retries, mut io_giveups, mut peer_hits) = (0u64, 0u64, 0u64);
+    for m in &incarnations {
         let s = m.snapshot();
         io_retries += s.io_retries;
         io_giveups += s.io_giveups;
+        peer_hits += s.peer_hits;
     }
     // A clean finish with give-ups on the books is NOT a swallowed error:
     // every mode here runs a cache above the retry layer, and the
@@ -537,14 +470,15 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
         seed: cfg.seed,
         mode: cfg.mode,
         verdict,
-        batches_delivered: batches,
+        batches_delivered: delivery.batches,
         kills: controller.kills(),
-        restarts: served.unwrap_or(0),
+        restarts: delivery.served.unwrap_or(0),
         injected_errors: faults.errors,
         injected_short_reads: faults.short_reads,
         injected_latencies: faults.latencies,
         io_retries,
         io_giveups,
+        peer_hits,
     })
 }
 
@@ -585,6 +519,7 @@ mod tests {
     fn fleet_schedule_upholds_the_delivery_guarantee() {
         let out = run_schedule(&ChaosConfig::new(0xF1EE7, ChaosMode::Fleet)).unwrap();
         assert!(out.injected_total() > 0, "{out}");
+        assert!(out.peer_hits > 0, "the warmed owner is alive to fetch from");
     }
 
     #[test]

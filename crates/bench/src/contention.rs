@@ -14,26 +14,30 @@
 //! tiers, and fleet-wide single-flight collapses the cold start — the
 //! shared link carries each unique block **once total**, not once per
 //! daemon.
+//!
+//! The deployment itself is [`EmlioService::launch`] over
+//! [`shared_mount_storage`]'s specs — one receiver taking all
+//! `daemons × T` streams — and [`Deployment::drain`] is what counts and
+//! fingerprints the delivery. `emlio bench-io --peer-fleet` stands its
+//! fleet up from the same specs.
+//!
+//! [`Deployment::drain`]: emlio_core::service::Deployment::drain
 
 use emlio_cache::peer::{FleetRegistry, PeerConfig};
 use emlio_cache::CacheConfig;
-use emlio_core::plan::Plan;
-use emlio_core::wire;
-use emlio_core::{EmlioConfig, EmlioDaemon, StackSpec};
+use emlio_core::service::StorageSpec;
+use emlio_core::{EmlioConfig, EmlioService, StackSpec};
 use emlio_datagen::convert::build_tfrecord_dataset;
 use emlio_datagen::DatasetSpec;
 use emlio_energymon::{peer_savings, IoSavings, DEFAULT_STORAGE_IO_WATTS};
 use emlio_netem::{NetProfile, NfsConfig, NfsMount, NfsSource};
 use emlio_tfrecord::{GlobalIndex, ShardSpec};
 use emlio_util::clock::RealClock;
+use emlio_util::fnv1a;
 use emlio_util::testutil::TempDir;
-use emlio_zmq::{Endpoint, PullSocket, SocketOptions};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Keeps inproc sink names unique across repeated runs in one process.
-static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Shape of the contention experiment.
 #[derive(Debug, Clone)]
@@ -123,20 +127,43 @@ pub struct ContentionOutcome {
     pub peer_fallbacks: u64,
     /// Fleet-wide payload bytes served by peers instead of storage.
     pub peer_bytes: u64,
-    /// Order-independent digest of every delivered batch payload: equal
-    /// digests ⇒ byte-identical delivery (fleet on vs off).
+    /// Digest of the sorted delivery fingerprint (every sample's epoch, id,
+    /// label and payload hash): equal digests ⇒ byte-identical delivery
+    /// (fleet on vs off).
     pub payload_digest: u64,
     /// NFS latency/energy the peer tier avoided, priced by the same cost
     /// model the baselines pay (zero when solo).
     pub fleet_savings: IoSavings,
 }
 
-fn fnv_update(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Storage specs for `daemons` daemons (`{id_prefix}0`, `{id_prefix}1`, …)
+/// whose roots are [`NfsSource`]s over one shared `mount` of `index`'s
+/// dataset. With `fleet` set they are one cooperative cache fleet: all of
+/// them join one [`FleetRegistry`] here, before any is opened, so every
+/// member computes the same block ownership from its first read.
+pub fn shared_mount_storage(
+    index: &Arc<GlobalIndex>,
+    mount: &NfsMount,
+    daemons: usize,
+    id_prefix: &str,
+    fleet: Option<PeerConfig>,
+) -> Vec<StorageSpec> {
+    let fleet = fleet.map(|peer_config| (FleetRegistry::new(), peer_config));
+    (0..daemons)
+        .map(|d| {
+            let id = format!("{id_prefix}{d}");
+            let mut stack = StackSpec::over(Arc::new(NfsSource::new(index.clone(), mount.clone())));
+            if let Some((registry, peer_config)) = &fleet {
+                registry.join(&id);
+                stack = stack.in_fleet(registry.clone(), peer_config.clone());
+            }
+            StorageSpec {
+                stack,
+                index: Some(index.clone()),
+                ..StorageSpec::new(&id, mount.root())
+            }
+        })
+        .collect()
 }
 
 /// Run `cfg.daemons` concurrent daemons, each with its own cache, all
@@ -145,9 +172,10 @@ fn fnv_update(mut h: u64, bytes: &[u8]) -> u64 {
 pub fn run(cfg: &ContentionConfig) -> ContentionOutcome {
     let dir = TempDir::new("contention");
     let spec = DatasetSpec::tiny("contend", cfg.samples);
-    build_tfrecord_dataset(dir.path(), &spec, ShardSpec::Count(cfg.shards))
-        .expect("dataset conversion");
-    let index = Arc::new(GlobalIndex::load_dir(dir.path()).expect("index"));
+    let index = Arc::new(
+        build_tfrecord_dataset(dir.path(), &spec, ShardSpec::Count(cfg.shards))
+            .expect("dataset conversion"),
+    );
 
     let profile = NetProfile::new("shared-nfs", cfg.rtt, cfg.bandwidth_bps);
     let nfs_config = NfsConfig::default();
@@ -168,100 +196,29 @@ pub fn run(cfg: &ContentionConfig) -> ContentionOutcome {
                 .with_prefetch_depth(4),
         );
 
-    // Fleet mode: every daemon joins the ring before any of them is
-    // opened, so all of them compute identical block ownership from the
-    // start.
-    let registry = cfg.peer_fleet.then(FleetRegistry::new);
-    if let Some(reg) = &registry {
-        for d in 0..cfg.daemons {
-            reg.join(&format!("d{d}"));
-        }
-    }
+    let fleet = cfg
+        .peer_fleet
+        .then(|| PeerConfig::default().with_timeout(cfg.peer_timeout));
+    let storage = shared_mount_storage(&index, &mount, cfg.daemons, "d", fleet);
+    let mut dep =
+        EmlioService::launch(&storage, &config, "node").expect("launch over shared mount");
+    let delivery = dep.drain();
+    delivery.served.as_ref().expect("serve");
 
-    let run_id = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
-    let mut opened = Vec::new();
-    let mut drain_threads = Vec::new();
-    let mut metrics = Vec::new();
-    let mut expected_batches = 0u64;
-    let mut unique_blocks = 0u64;
-    for d in 0..cfg.daemons {
-        let mut spec = StackSpec::over(Arc::new(NfsSource::new(index.clone(), mount.clone())));
-        if let Some(reg) = &registry {
-            spec = spec.in_fleet(
-                reg.clone(),
-                PeerConfig::default().with_timeout(cfg.peer_timeout),
-            );
-        }
-        let daemon = EmlioDaemon::open_stack(&format!("d{d}"), index.clone(), config.clone(), spec)
-            .expect("open daemon over shared mount");
-        metrics.push(daemon.metrics());
-        let plan = Plan::build(daemon.index(), &["node".to_string()], &config);
-        // One positioned block read per planned batch, with identical
-        // boundaries every epoch: epoch 0's batch count IS the unique
-        // block count.
-        unique_blocks = plan.batches_for(0, "node");
-        expected_batches += (0..cfg.epochs)
-            .map(|e| plan.batches_for(e, "node"))
-            .sum::<u64>();
-        let pull = PullSocket::bind(
-            &Endpoint::inproc(&format!("contend-sink-{run_id}-{d}")),
-            SocketOptions::default().with_hwm(32),
-        )
-        .expect("bind sink");
-        let ep = pull.local_endpoint().expect("endpoint");
-        let streams = config.threads_per_node as u32;
-        drain_threads.push(std::thread::spawn(move || {
-            let mut ends = 0u32;
-            let mut batches = 0u64;
-            // Per-batch FNV hashes combined with wrapping addition: the
-            // digest is independent of cross-thread delivery order, and —
-            // unlike XOR — identical batches from sibling daemons do not
-            // cancel in pairs.
-            let mut digest = 0u64;
-            while ends < streams {
-                match wire::decode_lazy(&pull.recv().expect("recv"), None).expect("decode") {
-                    wire::LazyMsg::Batch(b) => {
-                        let b = b.materialize();
-                        batches += 1;
-                        let mut h = fnv_update(0xcbf2_9ce4_8422_2325, &b.epoch.to_le_bytes());
-                        h = fnv_update(h, &b.batch_id.to_le_bytes());
-                        for s in &b.samples {
-                            h = fnv_update(h, &s.sample_id.to_le_bytes());
-                            h = fnv_update(h, &s.label.to_le_bytes());
-                            h = fnv_update(h, &s.bytes);
-                        }
-                        digest = digest.wrapping_add(h);
-                    }
-                    wire::LazyMsg::EndStream { .. } => ends += 1,
-                }
-            }
-            (batches, digest)
-        }));
-        opened.push((daemon, plan, ep));
-    }
-
-    // Every daemon is open — and, in fleet mode, its cache attached to the
-    // registry — before any of them serves.
-    let serve_threads: Vec<_> = opened
-        .into_iter()
-        .map(|(daemon, plan, ep)| {
-            std::thread::spawn(move || {
-                daemon.serve(&plan, "node", &ep).expect("serve");
-            })
-        })
+    // Every daemon serves the whole dataset every epoch, one positioned
+    // block read per planned batch with identical boundaries every epoch:
+    // one daemon's epoch-0 batch count IS the unique block count.
+    let unique_blocks = dep.batches_per_epoch[0] / cfg.daemons as u64;
+    // One digest over the sorted fingerprint: independent of delivery
+    // order, and identical batches from sibling daemons all count.
+    let fingerprint_bytes: Vec<u8> = delivery
+        .fingerprint
+        .iter()
+        .flat_map(|&(epoch, id, label, payload)| [epoch as u64, id, label as u64, payload])
+        .flat_map(u64::to_le_bytes)
         .collect();
-    for t in serve_threads {
-        t.join().expect("daemon thread");
-    }
-    let mut batches_delivered = 0u64;
-    let mut payload_digest = 0u64;
-    for t in drain_threads {
-        let (batches, digest) = t.join().expect("drain thread");
-        batches_delivered += batches;
-        payload_digest = payload_digest.wrapping_add(digest);
-    }
 
-    let snaps: Vec<_> = metrics.iter().map(|m| m.snapshot()).collect();
+    let snaps: Vec<_> = dep.daemon_metrics.iter().map(|m| m.snapshot()).collect();
     let peer_hits: u64 = snaps.iter().map(|s| s.peer_hits).sum();
     let peer_bytes: u64 = snaps.iter().map(|s| s.peer_bytes).sum();
     ContentionOutcome {
@@ -277,15 +234,15 @@ pub fn run(cfg: &ContentionConfig) -> ContentionOutcome {
         aggregate_bytes_saved: snaps.iter().map(|s| s.cache_bytes_saved).sum(),
         nfs_bytes_read: mount.stats().bytes_read.load(Ordering::Relaxed),
         nfs_reads: mount.stats().reads.load(Ordering::Relaxed),
-        batches_delivered,
-        expected_batches,
+        batches_delivered: delivery.batches,
+        expected_batches: dep.total_batches(),
         dataset_bytes: index.total_bytes(),
         unique_blocks,
         peer_hits,
         peer_misses: snaps.iter().map(|s| s.peer_misses).sum(),
         peer_fallbacks: snaps.iter().map(|s| s.peer_fallbacks).sum(),
         peer_bytes,
-        payload_digest,
+        payload_digest: fnv1a(&fingerprint_bytes),
         fleet_savings: peer_savings(
             peer_hits,
             peer_bytes,

@@ -33,6 +33,7 @@ use bytes::Bytes;
 use emlio_obs::{Stage, StageRecorder};
 use emlio_tfrecord::source::{BlockKey, BlockRead, RangeSource, ReadOrigin};
 use emlio_tfrecord::RecordError;
+use emlio_util::fnv1a;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,15 +43,6 @@ use std::time::{Duration, Instant};
 /// Virtual nodes per peer on the ring: enough to spread ownership evenly
 /// across a handful of daemons without making membership changes costly.
 const VNODES: u32 = 64;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn hash_block(key: &BlockKey) -> u64 {
     let mut buf = [0u8; 20];

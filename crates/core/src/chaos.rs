@@ -1,9 +1,11 @@
 //! Crash/recovery choreography for the chaos harness.
 //!
 //! A [`ChaosController`] arms a deterministic kill point — "die after the
-//! fleet has pushed N batch frames" — and carries the exactly-once send
-//! ledger across daemon incarnations. The daemon consults it from every
-//! send worker:
+//! daemon has pushed N batch frames" — and carries the exactly-once send
+//! ledger across daemon incarnations. It rides the spec a daemon is opened
+//! with ([`StackSpec::with_chaos`](crate::stack::StackSpec::with_chaos),
+//! one controller per daemon), and the daemon's one `serve` consults it
+//! from every send worker:
 //!
 //! * [`ChaosController::record_sent`] is called right after a batch frame
 //!   is accepted by the transport; crossing the armed threshold trips the
@@ -17,11 +19,11 @@
 //!
 //! The ledger is keyed by `(epoch, batch_id)` — globally unique within a
 //! plan — so it is indifferent to which worker or incarnation sends a
-//! batch. [`EmlioService::serve_with_chaos`] drives the loop: serve until
-//! killed, drop the daemon (releasing sockets and cache), reopen, re-serve
-//! against the same ledger.
+//! batch. The daemon thread [`EmlioService::launch_with`] spawns drives the
+//! loop: serve until killed, drop the daemon (releasing sockets and cache),
+//! reopen it from the same spec, re-serve against the same ledger.
 //!
-//! [`EmlioService::serve_with_chaos`]: crate::service::EmlioService::serve_with_chaos
+//! [`EmlioService::launch_with`]: crate::service::EmlioService::launch_with
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -13,6 +13,11 @@
 //! (or the disk spill tier) without touching storage, a plan-walking
 //! prefetcher warms blocks ahead of the send workers, and a persistent
 //! spill tier survives daemon restarts.
+//!
+//! There is one [`EmlioDaemon::serve`]. A daemon opened from a spec that
+//! carries a [`ChaosController`] serves under it — skip what the ledger
+//! holds, die at the armed kill point — and every other daemon's workers
+//! see `None` and pay nothing for it.
 
 use crate::chaos::ChaosController;
 use crate::config::EmlioConfig;
@@ -164,6 +169,8 @@ pub struct EmlioDaemon {
     pool: BufferPool,
     /// Per-stage latency histograms for this daemon's data path.
     recorder: Arc<StageRecorder>,
+    /// The spec's kill switch and exactly-once ledger, when it has one.
+    chaos: Option<Arc<ChaosController>>,
 }
 
 impl EmlioDaemon {
@@ -202,6 +209,7 @@ impl EmlioDaemon {
         config: EmlioConfig,
         spec: StackSpec,
     ) -> Result<EmlioDaemon, DaemonError> {
+        let chaos = spec.chaos.clone();
         let ReadStack {
             source,
             cached,
@@ -220,6 +228,7 @@ impl EmlioDaemon {
             peer,
             pool,
             recorder,
+            chaos,
         })
     }
 
@@ -262,39 +271,21 @@ impl EmlioDaemon {
     /// Serve every epoch of `plan` destined for `node_id`, pushing to
     /// `endpoint` with `T` concurrent workers. Blocks until every batch has
     /// been accepted by the transport and end-of-stream markers are sent.
+    ///
+    /// A daemon opened with [`StackSpec::with_chaos`] serves under that
+    /// controller: workers skip batches its ledger already holds, record
+    /// every push, and abandon their streams mid-epoch (no end-of-stream
+    /// marker) when the armed kill point trips. A killed serve returns
+    /// `Ok(())` — the "crash" is the controller's state, which the launched
+    /// daemon thread inspects to drive the restart
+    /// ([`EmlioService::launch_with`]).
+    ///
+    /// [`EmlioService::launch_with`]: crate::service::EmlioService::launch_with
     pub fn serve(
         &self,
         plan: &Plan,
         node_id: &str,
         endpoint: &Endpoint,
-    ) -> Result<(), DaemonError> {
-        self.serve_inner(plan, node_id, endpoint, None)
-    }
-
-    /// Like [`serve`](Self::serve), but under chaos control: workers skip
-    /// batches the controller's ledger already holds, record every push,
-    /// and abandon their streams mid-epoch (no end-of-stream marker) when
-    /// the controller's armed kill point trips. A killed serve returns
-    /// `Ok(())` — the "crash" is the controller's state, which
-    /// [`EmlioService::serve_with_chaos`] inspects to drive the restart.
-    ///
-    /// [`EmlioService::serve_with_chaos`]: crate::service::EmlioService::serve_with_chaos
-    pub fn serve_chaos(
-        &self,
-        plan: &Plan,
-        node_id: &str,
-        endpoint: &Endpoint,
-        chaos: &Arc<ChaosController>,
-    ) -> Result<(), DaemonError> {
-        self.serve_inner(plan, node_id, endpoint, Some(chaos))
-    }
-
-    fn serve_inner(
-        &self,
-        plan: &Plan,
-        node_id: &str,
-        endpoint: &Endpoint,
-        chaos: Option<&Arc<ChaosController>>,
     ) -> Result<(), DaemonError> {
         let t = self.config.threads_per_node;
         for ep in &plan.epochs {
@@ -328,7 +319,7 @@ impl EmlioDaemon {
         let result = std::thread::scope(|scope| -> Result<(), DaemonError> {
             let mut handles = Vec::with_capacity(t);
             for worker in 0..t {
-                let chaos = chaos.map(|c| c.as_ref());
+                let chaos = self.chaos.as_deref();
                 handles.push(scope.spawn(move || {
                     self.run_worker(plan, node_id, endpoint, worker, reader, chaos)
                 }));
@@ -563,7 +554,7 @@ mod tests {
     use emlio_zmq::PullSocket;
 
     #[test]
-    fn daemon_streams_planned_batches_inproc() {
+    fn daemon_streams_planned_batches() {
         let dir = TempDir::new("daemon-test");
         let spec = DatasetSpec::tiny("daemon", 25);
         build_tfrecord_dataset(dir.path(), &spec, ShardSpec::Count(3)).unwrap();
@@ -578,7 +569,7 @@ mod tests {
         let expected: u64 = (0..2).map(|e| plan.batches_for(e, "node")).sum();
 
         let pull = PullSocket::bind(
-            &Endpoint::inproc("daemon-test-sink"),
+            &Endpoint::tcp("127.0.0.1", 0),
             SocketOptions::default().with_hwm(64),
         )
         .unwrap();
@@ -634,7 +625,7 @@ mod tests {
         let total: u64 = (0..3).map(|e| plan.batches_for(e, "node")).sum();
 
         let pull = PullSocket::bind(
-            &Endpoint::inproc("daemon-cache-sink"),
+            &Endpoint::tcp("127.0.0.1", 0),
             SocketOptions::default().with_hwm(64),
         )
         .unwrap();
@@ -676,9 +667,9 @@ mod tests {
         // Plan built with a different thread count.
         let other_cfg = EmlioConfig::default().with_threads(3);
         let plan = Plan::build(daemon.index(), &["node".to_string()], &other_cfg);
-        let err = daemon
-            .serve(&plan, "node", &Endpoint::inproc("never-bound"))
-            .unwrap_err();
+        // Both plans are refused before anything connects.
+        let nowhere = Endpoint::tcp("127.0.0.1", 1);
+        let err = daemon.serve(&plan, "node", &nowhere).unwrap_err();
         assert!(matches!(err, DaemonError::BadPlan(_)));
         // Unknown node.
         let plan2 = Plan::build(
@@ -687,7 +678,7 @@ mod tests {
             &EmlioConfig::default().with_threads(2),
         );
         assert!(matches!(
-            daemon.serve(&plan2, "ghost", &Endpoint::inproc("never-bound")),
+            daemon.serve(&plan2, "ghost", &nowhere),
             Err(DaemonError::BadPlan(_))
         ));
     }
@@ -729,11 +720,8 @@ mod tests {
         )
         .unwrap();
         let plan = Plan::build(daemon.index(), &["n".to_string()], &config);
-        let pull = PullSocket::bind(
-            &Endpoint::inproc("daemon-shortread-sink"),
-            SocketOptions::default(),
-        )
-        .unwrap();
+        let pull =
+            PullSocket::bind(&Endpoint::tcp("127.0.0.1", 0), SocketOptions::default()).unwrap();
         let err = daemon
             .serve(&plan, "n", &pull.local_endpoint().unwrap())
             .unwrap_err();

@@ -106,6 +106,13 @@ impl DataPathMetrics {
         }
     }
 
+    /// The read stack's components, when there is one behind these
+    /// counters: the handles a caller of `EmlioService::launch` reaches a
+    /// launched daemon's cache and peer layer through.
+    pub fn stack(&self) -> Option<&StackCounters> {
+        self.stack.as_ref()
+    }
+
     /// Record one batch of `samples` totalling `bytes`.
     pub fn record_batch(&self, samples: u64, bytes: u64) {
         self.batches.fetch_add(1, Ordering::Relaxed);

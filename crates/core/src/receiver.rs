@@ -143,6 +143,13 @@ impl EmlioReceiver {
         self.streams_seen.load(Ordering::SeqCst)
     }
 
+    /// The intake's stop flag: once set, the intake thread returns at its
+    /// next poll tick and consumers see end-of-queue after the batches
+    /// already queued — how a failed daemon ends the stream.
+    pub(crate) fn shutdown_flag(&self) -> Arc<AtomicBool> {
+        self.shutdown.clone()
+    }
+
     /// Wait for the intake thread to finish (all streams ended).
     pub fn join(mut self) -> Result<(), ZmqError> {
         match self.thread.take() {

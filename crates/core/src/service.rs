@@ -1,12 +1,25 @@
 //! Deployment harness: wire planner + daemons + receiver into a running
 //! EMLIO service (Figure 3's whole block diagram, in one call).
 //!
-//! The harness runs everything in one process over real TCP. For WAN
-//! emulation, [`EmlioService::launch_with`] interposes an `emlio-netem`
-//! proxy that forwards to the receiver — daemons then experience the
-//! shaped RTT/bandwidth.
+//! [`EmlioService::launch`] / [`launch_with`](EmlioService::launch_with)
+//! are the one place a deployment is stood up, and
+//! [`Deployment::drain`] the one place it is consumed to its end and
+//! fingerprinted: the CLI, the chaos sweep, the contention experiment and
+//! the test tree all come through here. Everything runs in one process
+//! over real TCP. For WAN emulation `launch_with` interposes an
+//! `emlio-netem` proxy that forwards to the receiver — daemons then
+//! experience the shaped RTT/bandwidth.
+//!
+//! Each daemon runs on its own thread. A daemon whose spec carries a
+//! [`ChaosController`](crate::chaos::ChaosController) is served under the
+//! kill/restart loop on that thread: serve until done or killed, drop the
+//! incarnation, reopen it from the same spec, re-serve against the
+//! controller's exactly-once ledger. A daemon thread that ends in an error
+//! (or a panic) shuts the receiver's intake down, so the consumer sees
+//! end-of-stream after what already arrived and the error comes back from
+//! [`Deployment::join_daemons`] — a failed daemon never leaves the
+//! consumer waiting for markers that will not come.
 
-use crate::chaos::ChaosController;
 use crate::config::EmlioConfig;
 use crate::daemon::{DaemonError, EmlioDaemon};
 use crate::metrics::DataPathMetrics;
@@ -14,9 +27,12 @@ use crate::plan::Plan;
 use crate::receiver::{EmlioReceiver, ReceiverConfig};
 use crate::stack::StackSpec;
 use emlio_obs::StageRecorder;
+use emlio_pipeline::ExternalSource;
 use emlio_tfrecord::GlobalIndex;
+use emlio_util::fnv1a;
 use emlio_zmq::Endpoint;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -30,6 +46,10 @@ pub struct StorageSpec {
     pub dataset_dir: PathBuf,
     /// What the daemon reads over (default: the local shards, solo).
     pub stack: StackSpec,
+    /// The directory's shard index, when the caller has already loaded it
+    /// (daemons sharing one mount build their roots over one); loaded
+    /// from `dataset_dir` otherwise.
+    pub index: Option<Arc<GlobalIndex>>,
 }
 
 impl StorageSpec {
@@ -39,9 +59,30 @@ impl StorageSpec {
             id: id.to_string(),
             dataset_dir: dataset_dir.into(),
             stack: StackSpec::default(),
+            index: None,
         }
     }
 }
+
+/// One delivered sample: `(epoch, sample_id, label, FNV-1a payload digest)`.
+pub type Fingerprint = (u32, u64, u32, u64);
+
+/// What [`Deployment::drain`] saw: everything the compute side received
+/// and how the daemons ended.
+#[derive(Debug)]
+pub struct Delivery {
+    /// Batches received.
+    pub batches: u64,
+    /// Every received sample, sorted: independent of arrival order, so two
+    /// runs delivered the same bytes exactly when these are equal.
+    pub fingerprint: Vec<Fingerprint>,
+    /// [`Deployment::join_daemons`]'s result.
+    pub served: Result<u32, DaemonError>,
+}
+
+/// What a daemon thread hands back: the counters of every incarnation it
+/// reopened after a kill, and how many restarts it took — or what failed.
+type Served = (Vec<Arc<DataPathMetrics>>, Result<u32, DaemonError>);
 
 /// A launched deployment: a receiver plus daemon threads streaming into it.
 pub struct Deployment {
@@ -51,10 +92,12 @@ pub struct Deployment {
     pub batches_per_epoch: Vec<u64>,
     /// Storage-side counters, one per daemon in `storage` order (includes
     /// the cache hit/miss/bytes-saved telemetry when caching is enabled).
+    /// [`join_daemons`](Self::join_daemons) appends those of incarnations
+    /// reopened after a chaos kill.
     pub daemon_metrics: Vec<Arc<DataPathMetrics>>,
     /// Per-stage latency histograms, one per daemon in `storage` order.
     pub daemon_recorders: Vec<Arc<StageRecorder>>,
-    daemons: Vec<JoinHandle<Result<(), DaemonError>>>,
+    daemons: Vec<JoinHandle<Served>>,
     /// Keeps interposed infrastructure (e.g. a netem proxy) alive for the
     /// deployment's lifetime.
     _guard: Box<dyn std::any::Any + Send>,
@@ -62,21 +105,46 @@ pub struct Deployment {
 
 impl Deployment {
     /// Wait for every daemon to finish streaming. Call after consuming all
-    /// batches (or concurrently from another thread).
-    pub fn join_daemons(&mut self) -> Result<(), DaemonError> {
+    /// batches (or concurrently from another thread). Returns the restarts
+    /// the kill/restart loops performed, or the first error in `storage`
+    /// order.
+    pub fn join_daemons(&mut self) -> Result<u32, DaemonError> {
+        let mut restarts = 0u32;
         let mut first_err = None;
         for h in self.daemons.drain(..) {
-            match h.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => first_err = first_err.or(Some(e)),
-                Err(_) => {
-                    first_err = first_err.or(Some(DaemonError::BadPlan("daemon panicked".into())))
+            let served = match h.join() {
+                Ok((reopened, served)) => {
+                    self.daemon_metrics.extend(reopened);
+                    served
                 }
+                Err(_) => Err(DaemonError::BadPlan("daemon panicked".into())),
+            };
+            match served {
+                Ok(n) => restarts += n,
+                Err(e) => first_err = first_err.or(Some(e)),
             }
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
+        first_err.map_or(Ok(restarts), Err)
+    }
+
+    /// Consume the receiver to its end, fingerprinting every sample, then
+    /// join the daemons. Ends — with the error in
+    /// [`Delivery::served`] — when a daemon fails.
+    pub fn drain(&mut self) -> Delivery {
+        let mut src = self.receiver.source();
+        let mut fingerprint = Vec::new();
+        let mut batches = 0u64;
+        while let Some(b) = src.next_batch() {
+            batches += 1;
+            for s in &b.samples {
+                fingerprint.push((b.epoch, s.sample_id, s.label, fnv1a(&s.bytes)));
+            }
+        }
+        fingerprint.sort_unstable();
+        Delivery {
+            batches,
+            fingerprint,
+            served: self.join_daemons(),
         }
     }
 
@@ -84,6 +152,37 @@ impl Deployment {
     pub fn total_batches(&self) -> u64 {
         self.batches_per_epoch.iter().sum()
     }
+}
+
+/// Held by a daemon thread; stops the receiver's intake when the thread
+/// ends any other way than `Ok` (an unwinding panic included).
+struct StopIntakeOnFailure {
+    stop: Arc<AtomicBool>,
+    ok: bool,
+}
+
+impl StopIntakeOnFailure {
+    /// The thread's work ended in `served`.
+    fn settle(mut self, served: &Result<u32, DaemonError>) {
+        self.ok = served.is_ok();
+    }
+}
+
+impl Drop for StopIntakeOnFailure {
+    fn drop(&mut self) {
+        if !self.ok {
+            self.stop.store(true, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Open `spec`'s daemon — at launch, and again after each chaos kill.
+fn open(
+    spec: &StorageSpec,
+    index: &Arc<GlobalIndex>,
+    config: &EmlioConfig,
+) -> Result<EmlioDaemon, DaemonError> {
+    EmlioDaemon::open_stack(&spec.id, index.clone(), config.clone(), spec.stack.clone())
 }
 
 /// Service entry points.
@@ -111,6 +210,18 @@ impl EmlioService {
     /// Every daemon is opened before any of them serves, so a fleet's
     /// daemons all find each other's cache tiers attached to the registry
     /// from their first read.
+    ///
+    /// A daemon whose spec is [`StackSpec::with_chaos`] is served until it
+    /// completes or the controller's armed kill point trips; then the
+    /// incarnation is torn down (sockets, cache, pool — what a crashed
+    /// process loses), reopened from the same spec and re-served against
+    /// the controller's retained exactly-once ledger. A persistent cache
+    /// (`CacheConfig::with_persist_dir`) re-admits its spill tier across
+    /// the restart; everything else starts cold. Killed incarnations end
+    /// their streams without markers, so the receiver's budget of
+    /// daemons × `T` markers is met by the incarnations that run to
+    /// completion. Each armed kill point trips at most once, so the loop
+    /// ends when the controller's schedule does.
     pub fn launch_with<F>(
         storage: &[StorageSpec],
         config: &EmlioConfig,
@@ -136,26 +247,57 @@ impl EmlioService {
         let mut daemon_recorders = Vec::with_capacity(storage.len());
         let mut batches_per_epoch = vec![0u64; config.epochs as usize];
         for spec in storage {
-            let index = Arc::new(GlobalIndex::load_dir(&spec.dataset_dir)?);
-            let daemon =
-                EmlioDaemon::open_stack(&spec.id, index, config.clone(), spec.stack.clone())?;
+            let index = match &spec.index {
+                Some(index) => index.clone(),
+                None => Arc::new(GlobalIndex::load_dir(&spec.dataset_dir)?),
+            };
+            let daemon = open(spec, &index, config)?;
             daemon_metrics.push(daemon.metrics());
             daemon_recorders.push(daemon.recorder());
-            let plan = Plan::build(daemon.index(), &[node_id.to_string()], config);
+            let plan = Plan::build(&index, &[node_id.to_string()], config);
             for e in 0..config.epochs {
                 batches_per_epoch[e as usize] += plan.batches_for(e, node_id);
             }
-            opened.push((daemon, plan));
+            opened.push((daemon, index, plan));
         }
 
         let mut daemons = Vec::with_capacity(storage.len());
-        for (spec, (daemon, plan)) in storage.iter().zip(opened) {
-            let node_id = node_id.to_string();
+        for (spec, (mut daemon, index, plan)) in storage.iter().zip(opened) {
+            let name = format!("emlio-daemon-{}", spec.id);
+            let (spec, config, node_id) = (spec.clone(), config.clone(), node_id.to_string());
             let endpoint = connect_to.clone();
+            let intake = StopIntakeOnFailure {
+                stop: receiver.shutdown_flag(),
+                ok: false,
+            };
+            let serve = move || {
+                let mut reopened = Vec::new();
+                let mut restarts = 0u32;
+                let served = loop {
+                    if let Err(e) = daemon.serve(&plan, &node_id, &endpoint) {
+                        break Err(e);
+                    }
+                    let Some(chaos) = spec.stack.chaos.as_ref().filter(|c| c.is_killed()) else {
+                        break Ok(restarts);
+                    };
+                    restarts += 1;
+                    // Drop before reopening: the incarnation's sockets close
+                    // and its in-RAM cache state is lost, as in a real crash.
+                    drop(daemon);
+                    chaos.reset_for_restart();
+                    daemon = match open(&spec, &index, &config) {
+                        Ok(d) => d,
+                        Err(e) => break Err(e),
+                    };
+                    reopened.push(daemon.metrics());
+                };
+                intake.settle(&served);
+                (reopened, served)
+            };
             daemons.push(
                 std::thread::Builder::new()
-                    .name(format!("emlio-daemon-{}", spec.id))
-                    .spawn(move || daemon.serve(&plan, &node_id, &endpoint))
+                    .name(name)
+                    .spawn(serve)
                     .expect("spawn daemon thread"),
             );
         }
@@ -168,58 +310,14 @@ impl EmlioService {
             _guard: guard,
         })
     }
-
-    /// Serve `plan` under a kill/restart loop: open a daemon via `open`,
-    /// serve until it completes or the `controller`'s armed kill point
-    /// trips, then tear the daemon down (sockets, cache, pool — exactly
-    /// what a crashed process loses), re-open, and re-serve against the
-    /// controller's retained exactly-once ledger. A persistent cache
-    /// (`CacheConfig::with_persist_dir`) re-admits its spill tier across
-    /// the restart; everything else starts cold.
-    ///
-    /// Returns the number of restarts performed. Fails with
-    /// [`DaemonError::BadPlan`] if the controller keeps killing past
-    /// `max_restarts` — a disarmed controller after
-    /// [`ChaosController::reset_for_restart`] makes that unreachable in
-    /// practice unless the caller re-arms from another thread.
-    pub fn serve_with_chaos<F>(
-        open: F,
-        plan: &Plan,
-        node_id: &str,
-        endpoint: &Endpoint,
-        controller: &Arc<ChaosController>,
-        max_restarts: u32,
-    ) -> Result<u32, DaemonError>
-    where
-        F: Fn() -> Result<EmlioDaemon, DaemonError>,
-    {
-        let mut restarts = 0u32;
-        loop {
-            let daemon = open()?;
-            daemon.serve_chaos(plan, node_id, endpoint, controller)?;
-            if !controller.is_killed() {
-                return Ok(restarts);
-            }
-            if restarts >= max_restarts {
-                return Err(DaemonError::BadPlan(format!(
-                    "chaos: daemon killed more than {max_restarts} times"
-                )));
-            }
-            restarts += 1;
-            // Drop before reopening: the incarnation's sockets close and
-            // its in-RAM cache state is lost, as in a real crash.
-            drop(daemon);
-            controller.reset_for_restart();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosController;
     use emlio_datagen::convert::build_tfrecord_dataset;
     use emlio_datagen::DatasetSpec;
-    use emlio_pipeline::ExternalSource;
     use emlio_tfrecord::ShardSpec;
     use emlio_util::testutil::TempDir;
 
@@ -259,9 +357,6 @@ mod tests {
 
     #[test]
     fn chaos_kill_restart_delivers_every_batch_exactly_once() {
-        use crate::receiver::{EmlioReceiver, ReceiverConfig};
-        use emlio_tfrecord::GlobalIndex;
-
         let dir = TempDir::new("chaos-restart");
         let spec = DatasetSpec::tiny("chaos", 24);
         build_tfrecord_dataset(dir.path(), &spec, ShardSpec::Count(2)).unwrap();
@@ -269,58 +364,41 @@ mod tests {
             .with_batch_size(4)
             .with_threads(2)
             .with_epochs(2);
-        let index = Arc::new(GlobalIndex::load_dir(dir.path()).unwrap());
-        let plan = Plan::build(&index, &["node".to_string()], &config);
-
-        // Two send workers per incarnation; the killed incarnation's
-        // streams end without markers, so the receiver's stream budget is
-        // satisfied by the final (uninterrupted) incarnation alone.
-        let receiver = EmlioReceiver::bind(ReceiverConfig {
-            hwm: config.hwm,
-            queue_capacity: config.hwm,
-            ..ReceiverConfig::loopback(config.threads_per_node as u32)
-        })
-        .unwrap();
-        let endpoint = receiver.endpoint().clone();
 
         let controller = ChaosController::new();
         controller.arm(3); // die mid-epoch 0
         controller.arm(5); // and again shortly after the first restart
-
-        let server = {
-            let config = config.clone();
-            let plan = plan.clone();
-            let controller = controller.clone();
-            let dataset = dir.path().to_path_buf();
-            std::thread::spawn(move || {
-                EmlioService::serve_with_chaos(
-                    || EmlioDaemon::open("d0", &dataset, config.clone()),
-                    &plan,
-                    "node",
-                    &endpoint,
-                    &controller,
-                    4,
-                )
-            })
+        let storage = StorageSpec {
+            stack: StackSpec::default().with_chaos(controller.clone()),
+            ..StorageSpec::new("d0", dir.path())
         };
 
-        let mut src = receiver.source();
-        let mut seen = vec![std::collections::HashSet::new(); 2];
-        while let Some(b) = src.next_batch() {
-            for s in &b.samples {
-                assert!(
-                    seen[b.epoch as usize].insert(s.sample_id),
-                    "duplicate sample {} in epoch {} across incarnations",
-                    s.sample_id,
-                    b.epoch
-                );
-            }
-        }
-        let restarts = server.join().unwrap().unwrap();
-        assert_eq!(restarts, 2, "both armed kill points tripped");
+        // Two send workers per incarnation; the killed incarnations'
+        // streams end without markers, so the receiver's stream budget is
+        // satisfied by the final (uninterrupted) incarnation alone.
+        let mut dep = EmlioService::launch(&[storage], &config, "node").unwrap();
+        let delivery = dep.drain();
+        assert_eq!(
+            delivery.served.unwrap(),
+            2,
+            "both armed kill points tripped"
+        );
         assert_eq!(controller.kills(), 2);
-        for (e, s) in seen.iter().enumerate() {
-            assert_eq!(s.len(), 24, "epoch {e}: no batch lost to the kills");
-        }
+        assert_eq!(
+            dep.daemon_metrics.len(),
+            3,
+            "one set of counters per incarnation"
+        );
+        // Sorted, so a sample delivered twice across incarnations would sit
+        // next to itself.
+        let samples: Vec<(u32, u64)> = delivery
+            .fingerprint
+            .iter()
+            .map(|&(epoch, id, ..)| (epoch, id))
+            .collect();
+        let planned: Vec<(u32, u64)> = (0..2)
+            .flat_map(|e| (0..24).map(move |id| (e, id)))
+            .collect();
+        assert_eq!(samples, planned, "every sample of both epochs exactly once");
     }
 }

@@ -5,7 +5,12 @@
 //! for a cooperative fleet, the registry it is a member of) and
 //! [`EmlioConfig`] says whether it caches and retries; the layer order,
 //! the recorder wiring and the counters are decided here and nowhere else.
+//! The spec also carries what a chaos run does to the daemon it opens —
+//! the kill switch its serve obeys and the injector behind its cache's
+//! `spill.write` failpoint — so every incarnation reopened from a cloned
+//! spec is under the same schedule.
 
+use crate::chaos::ChaosController;
 use crate::config::EmlioConfig;
 use crate::daemon::{DaemonError, MeteredSource};
 use crate::metrics::{DataPathMetrics, StackCounters};
@@ -14,7 +19,7 @@ use emlio_cache::{CachedSource, FleetRegistry, LocalPeer, PeerConfig, PeerSource
 use emlio_obs::StageRecorder;
 use emlio_tfrecord::source::{RangeSource, TfrecordSource};
 use emlio_tfrecord::{GlobalIndex, RecordError, RetrySource};
-use emlio_util::fault::RetryPolicy;
+use emlio_util::fault::{FaultInjector, RetryPolicy};
 use std::sync::Arc;
 
 /// What a daemon reads over. The default is the dataset's local shards,
@@ -23,6 +28,8 @@ use std::sync::Arc;
 pub struct StackSpec {
     root: Option<Arc<dyn RangeSource>>,
     fleet: Option<(Arc<FleetRegistry>, PeerConfig)>,
+    pub(crate) chaos: Option<Arc<ChaosController>>,
+    faults: Option<Arc<FaultInjector>>,
 }
 
 impl StackSpec {
@@ -32,7 +39,7 @@ impl StackSpec {
     pub fn over(root: Arc<dyn RangeSource>) -> StackSpec {
         StackSpec {
             root: Some(root),
-            fleet: None,
+            ..StackSpec::default()
         }
     }
 
@@ -41,6 +48,25 @@ impl StackSpec {
     /// serves, so all compute the same block ownership.
     pub fn in_fleet(mut self, registry: Arc<FleetRegistry>, config: PeerConfig) -> StackSpec {
         self.fleet = Some((registry, config));
+        self
+    }
+
+    /// Serve under `controller`: the daemon's workers skip what its ledger
+    /// already holds and abandon their streams when its armed kill point
+    /// trips, and a launched daemon is then dropped, reopened from this
+    /// spec and re-served (see [`EmlioService::launch_with`]).
+    ///
+    /// [`EmlioService::launch_with`]: crate::service::EmlioService::launch_with
+    pub fn with_chaos(mut self, controller: Arc<ChaosController>) -> StackSpec {
+        self.chaos = Some(controller);
+        self
+    }
+
+    /// Replay `injector` at the sites the stack itself owns: today the
+    /// cache's `spill.write`. (A faulted root or mount is part of the root
+    /// the caller hands to [`over`](StackSpec::over).)
+    pub fn with_faults(mut self, injector: Arc<FaultInjector>) -> StackSpec {
+        self.faults = Some(injector);
         self
     }
 }
@@ -133,6 +159,9 @@ impl ReadStack {
                 );
                 // Spill writes and warm promotes run on cache-owned threads.
                 cache.set_recorder(recorder.clone());
+                if let Some(injector) = spec.faults {
+                    cache.set_fault_injector(injector);
+                }
                 if let Some((registry, _)) = &spec.fleet {
                     registry.attach(id, LocalPeer::new(&cache));
                 }

@@ -13,6 +13,7 @@
 //! jitter comes from the same splitmix-style bit mixer, so backoff
 //! schedules are deterministic per `(seed, salt, attempt)` too.
 
+use crate::fnv1a;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,9 +38,6 @@ pub mod site {
     /// Peer-to-peer block fetch over a `PeerTransport`: dropped or slow
     /// peers.
     pub const PEER_FETCH: &str = "peer.fetch";
-    /// Daemon kill point consulted by the `ChaosController` when arming a
-    /// mid-epoch crash.
-    pub const DAEMON_KILL: &str = "daemon.kill";
 }
 
 /// 64-bit bit mixer (splitmix64 finalizer): full-avalanche, so nearby
@@ -50,16 +48,6 @@ pub fn mix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-/// FNV-1a over a byte string (site-name hashing).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// Map a mixed 64-bit value into `[0, 1)`.

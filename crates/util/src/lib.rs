@@ -7,8 +7,6 @@
 //!   (discrete-event simulation, deterministic unit tests).
 //! * [`json`] — a minimal, dependency-free JSON codec used for TFRecord shard
 //!   indexes (`mapping_shard_*.json`) and experiment reports.
-//! * [`stats`] — streaming statistics (Welford mean/variance, percentiles,
-//!   EWMA) used by metrics and the benchmark harness.
 //! * [`bytesize`] — human-readable byte formatting/parsing.
 //! * [`tslog`] — the shared `TimestampLogger` from §4.5 of the paper, used to
 //!   align sender/receiver events with energy-monitor traces.
@@ -29,7 +27,6 @@ pub mod fault;
 pub mod json;
 pub mod pool;
 pub mod rate;
-pub mod stats;
 pub mod testutil;
 pub mod tslog;
 
@@ -38,7 +35,6 @@ pub use clock::{Clock, ManualClock, RealClock, SharedClock};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultSpec, RetryPolicy};
 pub use json::Json;
 pub use pool::{BufferPool, PoolBuf, PoolStats};
-pub use stats::{OnlineStats, Summary};
 pub use tslog::TimestampLogger;
 
 /// Nanoseconds per second, as a `u64`.
@@ -64,6 +60,17 @@ pub fn nanos_to_secs(nanos: u64) -> f64 {
     nanos as f64 / NANOS_PER_SEC as f64
 }
 
+/// FNV-1a over a byte string: fault-site names, the peer ring's points and
+/// the delivery fingerprint's payload digest all hash with this.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,5 +85,12 @@ mod tests {
         assert_eq!(secs_to_nanos(f64::INFINITY), u64::MAX);
         let x = 123.456;
         assert!((nanos_to_secs(secs_to_nanos(x)) - x).abs() < 1e-6);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 }

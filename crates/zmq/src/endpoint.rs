@@ -1,15 +1,16 @@
-//! Endpoint addressing: `tcp://host:port` and `inproc://name`.
+//! Endpoint addressing: `tcp://host:port`.
 
 use crate::ZmqError;
 use std::fmt;
 
-/// A parsed socket endpoint.
+/// A parsed socket endpoint. TCP is the one transport; the enum is
+/// `non_exhaustive` so a downstream `let Endpoint::Tcp(addr) = … else`
+/// stays a refutable pattern.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[non_exhaustive]
 pub enum Endpoint {
     /// TCP address, e.g. `tcp://127.0.0.1:5555`.
     Tcp(String),
-    /// In-process channel identified by name, e.g. `inproc://planner`.
-    Inproc(String),
 }
 
 impl Endpoint {
@@ -25,14 +26,9 @@ impl Endpoint {
                 )));
             }
             Ok(Endpoint::Tcp(addr.to_string()))
-        } else if let Some(name) = s.strip_prefix("inproc://") {
-            if name.is_empty() {
-                return Err(ZmqError::BadEndpoint("inproc endpoint needs a name".into()));
-            }
-            Ok(Endpoint::Inproc(name.to_string()))
         } else {
             Err(ZmqError::BadEndpoint(format!(
-                "unknown scheme in {s:?} (expected tcp:// or inproc://)"
+                "unknown scheme in {s:?} (expected tcp://)"
             )))
         }
     }
@@ -41,18 +37,12 @@ impl Endpoint {
     pub fn tcp(host: &str, port: u16) -> Endpoint {
         Endpoint::Tcp(format!("{host}:{port}"))
     }
-
-    /// Build an inproc endpoint.
-    pub fn inproc(name: &str) -> Endpoint {
-        Endpoint::Inproc(name.to_string())
-    }
 }
 
 impl fmt::Display for Endpoint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Endpoint::Tcp(a) => write!(f, "tcp://{a}"),
-            Endpoint::Inproc(n) => write!(f, "inproc://{n}"),
         }
     }
 }
@@ -74,11 +64,9 @@ mod tests {
     }
 
     #[test]
-    fn parse_inproc() {
-        assert_eq!(
-            Endpoint::parse("inproc://receiver-0").unwrap(),
-            Endpoint::inproc("receiver-0")
-        );
+    fn inproc_scheme_is_an_error_that_names_tcp() {
+        let err = Endpoint::parse("inproc://x").unwrap_err().to_string();
+        assert!(err.contains("tcp://"), "{err}");
     }
 
     #[test]
@@ -90,7 +78,6 @@ mod tests {
             "tcp://nohost",
             "tcp://host:notaport",
             "tcp://:5555",
-            "inproc://",
             "udp://host:1",
         ] {
             assert!(Endpoint::parse(bad).is_err(), "{bad:?} should fail");
@@ -99,7 +86,7 @@ mod tests {
 
     #[test]
     fn display_roundtrip() {
-        for s in ["tcp://1.2.3.4:9", "inproc://abc"] {
+        for s in ["tcp://1.2.3.4:9", "tcp://storage-node:80"] {
             assert_eq!(Endpoint::parse(s).unwrap().to_string(), s);
         }
     }

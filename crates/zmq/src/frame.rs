@@ -52,8 +52,9 @@ impl Frame {
     }
 
     /// Gather into one contiguous `Bytes`. A single-segment frame is a
-    /// refcount bump (no copy); multi-segment frames copy once. Only the
-    /// inproc transport gathers — TCP writes segments directly.
+    /// refcount bump (no copy); multi-segment frames copy once. No
+    /// transport gathers — the socket writes segments directly; this is the
+    /// reference the tests compare received bytes against.
     pub fn into_bytes(mut self) -> Bytes {
         match self.segments.len() {
             0 => Bytes::new(),

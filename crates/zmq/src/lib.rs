@@ -16,9 +16,10 @@
 //!   unbuffered in both directions: a frame's segments go to the kernel in
 //!   one vectored write and come back out of it straight into a recycled
 //!   buffer, so this crate never copies, zero-fills or allocates for a
-//!   payload;
-//! * an in-process transport (`inproc://`) for deterministic tests and
-//!   zero-network local runs ([`inproc`]).
+//!   payload.
+//!
+//! TCP is the only transport: tests and single-process runs bind
+//! `tcp://127.0.0.1:0` and take the same path production does.
 //!
 //! The full backpressure chain is real: a slow receiver fills its bounded
 //! queue → reader threads stop draining TCP → the kernel window closes → the
@@ -26,7 +27,6 @@
 
 pub mod endpoint;
 pub mod frame;
-pub mod inproc;
 pub mod pull;
 pub mod push;
 

@@ -79,30 +79,14 @@ pub struct PullSocket {
     rx: Receiver<Bytes>,
     shared: Arc<Shared>,
     accept_thread: Option<JoinHandle<()>>,
-    local_addr: Option<std::net::SocketAddr>,
-    inproc_name: Option<String>,
+    local_addr: SocketAddr,
 }
 
 impl PullSocket {
     /// Bind and start accepting connections. For `tcp://host:0` the kernel
     /// picks a free port — see [`PullSocket::local_endpoint`].
     pub fn bind(endpoint: &Endpoint, options: SocketOptions) -> Result<PullSocket> {
-        match endpoint {
-            Endpoint::Tcp(addr) => Self::bind_tcp(addr, options),
-            Endpoint::Inproc(name) => {
-                let rx = crate::inproc::bind(name, options.hwm.max(1));
-                Ok(PullSocket {
-                    rx,
-                    shared: Shared::new(options.hwm),
-                    accept_thread: None,
-                    local_addr: None,
-                    inproc_name: Some(name.clone()),
-                })
-            }
-        }
-    }
-
-    fn bind_tcp(addr: &str, options: SocketOptions) -> Result<PullSocket> {
+        let Endpoint::Tcp(addr) = endpoint;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -117,18 +101,14 @@ impl PullSocket {
             rx,
             shared,
             accept_thread: Some(accept_thread),
-            local_addr: Some(local_addr),
-            inproc_name: None,
+            local_addr,
         })
     }
 
-    /// The concrete endpoint after binding (resolves `:0` ports).
+    /// The concrete endpoint after binding (resolves `:0` ports). Always
+    /// `Some`; the `Option` is what callers were written against.
     pub fn local_endpoint(&self) -> Option<Endpoint> {
-        if let Some(a) = self.local_addr {
-            Some(Endpoint::Tcp(a.to_string()))
-        } else {
-            self.inproc_name.as_deref().map(Endpoint::inproc)
-        }
+        Some(Endpoint::Tcp(self.local_addr.to_string()))
     }
 
     /// Blocking receive of the next message from any connected pusher.
@@ -183,7 +163,7 @@ impl PullSocket {
         }
     }
 
-    /// Number of currently connected pushers (TCP only).
+    /// Number of currently connected pushers.
     pub fn active_connections(&self) -> usize {
         self.shared.active_readers.load(Ordering::SeqCst)
     }
@@ -194,9 +174,6 @@ impl Drop for PullSocket {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
-        }
-        if let Some(name) = &self.inproc_name {
-            crate::inproc::unbind(name);
         }
     }
 }
@@ -411,20 +388,6 @@ mod tests {
     }
 
     #[test]
-    fn inproc_pull_socket() {
-        let pull = PullSocket::bind(
-            &Endpoint::inproc("pull-test-inproc"),
-            SocketOptions::default(),
-        )
-        .unwrap();
-        let push =
-            PushSocket::connect(&pull.local_endpoint().unwrap(), SocketOptions::default()).unwrap();
-        push.send(Bytes::from_static(b"via-inproc")).unwrap();
-        assert_eq!(pull.recv().unwrap().as_ref(), b"via-inproc");
-        push.close().unwrap();
-    }
-
-    #[test]
     fn oversized_prefix_ends_one_connection_loudly_and_only_that_one() {
         use emlio_util::testutil::poll_until;
         use std::io::Write;
@@ -442,7 +405,7 @@ mod tests {
         push.send(Bytes::from_static(b"before")).unwrap();
         assert_eq!(pull.recv().unwrap().as_ref(), b"before");
 
-        let mut raw = TcpStream::connect(pull.local_addr.unwrap()).unwrap();
+        let mut raw = TcpStream::connect(pull.local_addr).unwrap();
         raw.write_all(&4096u32.to_be_bytes()).unwrap();
         assert!(
             poll_until(Duration::from_secs(5), || pull.stats().read_errors == 1),
@@ -534,7 +497,7 @@ mod tests {
 
         let pull =
             PullSocket::bind(&Endpoint::tcp("127.0.0.1", 0), SocketOptions::default()).unwrap();
-        let mut raw = TcpStream::connect(pull.local_addr.unwrap()).unwrap();
+        let mut raw = TcpStream::connect(pull.local_addr).unwrap();
         raw.set_nodelay(true).unwrap();
         // Longer than the reader's 100 ms shutdown-poll timeout, so the
         // timeout fires with part of the frame already consumed.

@@ -5,7 +5,6 @@
 use crate::endpoint::Endpoint;
 use crate::frame::{write_frames, Frame};
 use crate::{Result, SocketOptions, ZmqError};
-use bytes::Bytes;
 use crossbeam::channel::{bounded, Sender};
 use emlio_obs::{Stage, StageRecorder};
 use std::net::TcpStream;
@@ -28,7 +27,7 @@ pub struct PushStats {
     pub bytes_sent: AtomicU64,
     /// Total nanoseconds `send` spent blocked on a full queue.
     pub blocked_nanos: AtomicU64,
-    /// Write syscalls the sender thread issued (TCP only): one per frame,
+    /// Write syscalls the sender thread issued: one per frame,
     /// or per burst of small frames, unless the kernel took a write in
     /// parts.
     pub writes: AtomicU64,
@@ -64,40 +63,21 @@ impl PushSocket {
         let stats = Arc::new(PushStats::default());
         let dead = Arc::new(AtomicBool::new(false));
         let (tx, rx) = bounded::<Cmd>(options.hwm);
-        let sender_thread: JoinHandle<Result<()>> = match endpoint {
-            Endpoint::Tcp(addr) => {
-                let stream = connect_with_retry(addr, options.connect_timeout)?;
-                stream.set_nodelay(true).ok();
-                let stats2 = stats.clone();
-                let dead2 = dead.clone();
-                std::thread::Builder::new()
-                    .name(format!("zmq-push:{addr}"))
-                    .spawn(move || {
-                        let result = tcp_sender_loop(stream, &rx, &stats2);
-                        if result.is_err() {
-                            dead2.store(true, Ordering::SeqCst);
-                        }
-                        result
-                    })
-                    .expect("spawn push sender thread")
-            }
-            Endpoint::Inproc(name) => {
-                let chan = crate::inproc::connect(name)?;
-                let stats2 = stats.clone();
-                let dead2 = dead.clone();
-                let name = name.clone();
-                std::thread::Builder::new()
-                    .name(format!("zmq-push:inproc:{name}"))
-                    .spawn(move || {
-                        let result = inproc_sender_loop(chan, &rx, &stats2);
-                        if result.is_err() {
-                            dead2.store(true, Ordering::SeqCst);
-                        }
-                        result
-                    })
-                    .expect("spawn push sender thread")
-            }
-        };
+        let Endpoint::Tcp(addr) = endpoint;
+        let stream = connect_with_retry(addr, options.connect_timeout)?;
+        stream.set_nodelay(true).ok();
+        let stats2 = stats.clone();
+        let dead2 = dead.clone();
+        let sender_thread = std::thread::Builder::new()
+            .name(format!("zmq-push:{addr}"))
+            .spawn(move || {
+                let result = tcp_sender_loop(stream, &rx, &stats2);
+                if result.is_err() {
+                    dead2.store(true, Ordering::SeqCst);
+                }
+                result
+            })
+            .expect("spawn push sender thread");
         Ok(PushSocket {
             tx,
             sender_thread: Some(sender_thread),
@@ -113,7 +93,7 @@ impl PushSocket {
     ///
     /// Accepts anything convertible into a [`Frame`] — a `Bytes`, a
     /// `Vec<u8>`, or a pre-built scatter list. A multi-segment frame goes
-    /// out in one vectored write; the payload is never gathered on TCP.
+    /// out in one vectored write; the payload is never gathered.
     pub fn send(&self, payload: impl Into<Frame>) -> Result<()> {
         if self.dead.load(Ordering::SeqCst) {
             return Err(ZmqError::Closed);
@@ -239,55 +219,27 @@ fn tcp_sender_loop(
     Ok(())
 }
 
-fn inproc_sender_loop(
-    chan: Sender<Bytes>,
-    rx: &crossbeam::channel::Receiver<Cmd>,
-    stats: &PushStats,
-) -> Result<()> {
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Msg(frame) => {
-                let n = frame.len() as u64;
-                // Inproc hands a single Bytes across; single-segment frames
-                // pass through untouched, scatter frames gather here only.
-                chan.send(frame.into_bytes())
-                    .map_err(|_| ZmqError::Closed)?;
-                stats.bytes_sent.fetch_add(n, Ordering::Relaxed);
-            }
-            Cmd::Close => break,
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::PullSocket;
+    use bytes::Bytes;
 
     #[test]
-    fn inproc_send_and_close_flushes() {
-        let rx = crate::inproc::bind("push-test-flush", 64);
-        let sock = PushSocket::connect(
-            &Endpoint::inproc("push-test-flush"),
-            SocketOptions::default(),
+    fn send_and_close_flushes() {
+        let pull = PullSocket::bind(
+            &Endpoint::tcp("127.0.0.1", 0),
+            SocketOptions::default().with_hwm(64),
         )
         .unwrap();
+        let sock =
+            PushSocket::connect(&pull.local_endpoint().unwrap(), SocketOptions::default()).unwrap();
         for i in 0..10u8 {
             sock.send(Bytes::from(vec![i])).unwrap();
         }
         sock.close().unwrap();
-        let got: Vec<u8> = (0..10).map(|_| rx.recv().unwrap()[0]).collect();
+        let got: Vec<u8> = (0..10).map(|_| pull.recv().unwrap()[0]).collect();
         assert_eq!(got, (0..10).collect::<Vec<u8>>());
-        crate::inproc::unbind("push-test-flush");
-    }
-
-    #[test]
-    fn connect_to_missing_inproc_fails() {
-        assert!(PushSocket::connect(
-            &Endpoint::inproc("push-test-missing"),
-            SocketOptions::default()
-        )
-        .is_err());
     }
 
     #[test]
@@ -299,33 +251,5 @@ mod tests {
         // Port 1 on localhost should refuse quickly.
         let r = PushSocket::connect(&Endpoint::tcp("127.0.0.1", 1), opts);
         assert!(matches!(r, Err(ZmqError::ConnectTimeout(_))));
-    }
-
-    #[test]
-    fn hwm_blocks_and_is_recorded() {
-        let rx = crate::inproc::bind("push-test-hwm", 1);
-        let sock = PushSocket::connect(
-            &Endpoint::inproc("push-test-hwm"),
-            SocketOptions::default().with_hwm(2),
-        )
-        .unwrap();
-        // Fill downstream channel (1) + sender thread in flight + queue (2).
-        // A consumer thread drains slowly; send must block, not fail.
-        let consumer = std::thread::spawn(move || {
-            let mut got = 0;
-            while got < 8 {
-                std::thread::sleep(Duration::from_millis(5));
-                if rx.recv_timeout(Duration::from_secs(2)).is_ok() {
-                    got += 1;
-                }
-            }
-            got
-        });
-        for i in 0..8u8 {
-            sock.send(Bytes::from(vec![i; 4])).unwrap();
-        }
-        sock.close().unwrap();
-        assert_eq!(consumer.join().unwrap(), 8);
-        crate::inproc::unbind("push-test-hwm");
     }
 }

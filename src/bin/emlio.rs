@@ -14,8 +14,10 @@
 //! they agree on the batch plan because the planner is deterministic in the
 //! shared seed. `bench-io` is the one-process loopback measurement, with an
 //! optional netem-shaped RTT. `--peer-fleet N` runs N daemons as a
-//! cooperative cache fleet over one emulated NFS mount (`--rtt-ms` then
-//! shapes the shared storage link instead of the receiver wire);
+//! cooperative cache fleet over one emulated NFS mount — the contention
+//! experiment's set-up, `emlio::bench::contention::shared_mount_storage`
+//! (`--rtt-ms` then shapes the shared storage link instead of the
+//! receiver wire);
 //! `--peer-timeout-ms` bounds a peer fetch before a read degrades to
 //! direct NFS. `--cache-mb` enables the daemon-side shard
 //! block cache (`emlio-cache`) so repeated epochs are served from memory;
@@ -28,17 +30,18 @@
 //! positions first, before the first batch is served. A flag the command
 //! does not know is an error, not a no-op.
 
-use emlio::cache::peer::{FleetRegistry, PeerConfig};
+use emlio::bench::contention::shared_mount_storage;
+use emlio::cache::peer::PeerConfig;
 use emlio::cache::{CacheConfig, EvictPolicy as CachePolicy};
 use emlio::core::export::{self, MetricsSampler, SampleSource};
 use emlio::core::plan::Plan;
 use emlio::core::receiver::{EmlioReceiver, ReceiverConfig};
 use emlio::core::service::StorageSpec;
-use emlio::core::{EmlioConfig, EmlioDaemon, EmlioService, StackSpec};
+use emlio::core::{EmlioConfig, EmlioDaemon, EmlioService};
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
 use emlio::energymon::{peer_savings, DEFAULT_STORAGE_IO_WATTS};
-use emlio::netem::{NetProfile, NfsConfig, NfsMount, NfsSource, Proxy};
+use emlio::netem::{NetProfile, NfsConfig, NfsMount, Proxy};
 use emlio::pipeline::{ExternalSource, PipelineBuilder};
 use emlio::tfrecord::{GlobalIndex, ShardSpec};
 use emlio::util::bytesize::format_bytes;
@@ -142,9 +145,10 @@ USAGE:
 daemon / bench-io also take --io-retries R [--io-backoff-ms MS] to absorb
 transient storage read failures with bounded, seed-deterministic
 exponential backoff before surfacing an error.
-chaos runs seeded fault-injection schedules (see docs/TESTING.md) and fails
-loudly — printing the replay seed — on any silent-corruption, lost-batch,
-or duplicate-batch violation.
+chaos runs seeded fault-injection schedules (see docs/TESTING.md) through the
+same launch harness bench-io uses and fails loudly — printing the replay
+seed — on any silent-corruption, lost-batch, or duplicate-batch violation.
+Endpoints are tcp://HOST:PORT; there is no other transport.
 
 Every command but figures also takes --log-level error|warn|info|debug|trace
 (default warn); a flag the command does not know is an error.
@@ -460,34 +464,6 @@ fn cmd_receive(flags: HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-/// `daemons` storage specs forming a cooperative cache fleet over one
-/// emulated NFS mount at `data`: all join one [`FleetRegistry`] here,
-/// before any of them is opened, and read the mount instead of local
-/// shards.
-fn peer_fleet_storage(
-    daemons: usize,
-    data: &str,
-    profile: NetProfile,
-    timeout: Duration,
-) -> Result<Vec<StorageSpec>, String> {
-    let dir = std::path::Path::new(data);
-    let index = Arc::new(GlobalIndex::load_dir(dir).map_err(|e| e.to_string())?);
-    let mount = NfsMount::mount(dir, profile, RealClock::shared(), NfsConfig::default());
-    let registry = FleetRegistry::new();
-    let peer_config = PeerConfig::default().with_timeout(timeout);
-    Ok((0..daemons)
-        .map(|d| {
-            let id = format!("bench-storage-{d}");
-            registry.join(&id);
-            let nfs = Arc::new(NfsSource::new(index.clone(), mount.clone()));
-            StorageSpec {
-                stack: StackSpec::over(nfs).in_fleet(registry.clone(), peer_config.clone()),
-                ..StorageSpec::new(&id, data)
-            }
-        })
-        .collect())
-}
-
 fn cmd_bench_io(flags: HashMap<String, String>) -> Result<(), String> {
     let data = get(&flags, "data")?.to_string();
     let rtt_ms: f64 = get_num(&flags, "rtt-ms", 0.0)?;
@@ -513,12 +489,18 @@ fn cmd_bench_io(flags: HashMap<String, String>) -> Result<(), String> {
     );
     let savings_profile = profile.clone();
     let storage = if peer_fleet >= 2 {
-        peer_fleet_storage(
-            peer_fleet,
-            &data,
+        // One index load and one emulated mount of `data` under the whole
+        // fleet, as in the contention experiment.
+        let dir = std::path::Path::new(&data);
+        let index = Arc::new(GlobalIndex::load_dir(dir).map_err(|e| e.to_string())?);
+        let mount = NfsMount::mount(
+            dir,
             profile.clone(),
-            Duration::from_millis(peer_timeout_ms),
-        )?
+            RealClock::shared(),
+            NfsConfig::default(),
+        );
+        let peers = PeerConfig::default().with_timeout(Duration::from_millis(peer_timeout_ms));
+        shared_mount_storage(&index, &mount, peer_fleet, "bench-storage-", Some(peers))
     } else {
         vec![StorageSpec::new("bench-storage-0", &data)]
     };

@@ -5,16 +5,18 @@
 use emlio::cache::CacheConfig;
 use emlio::core::plan::Plan;
 use emlio::core::receiver::{EmlioReceiver, ReceiverConfig};
-use emlio::core::{EmlioConfig, EmlioDaemon};
+use emlio::core::service::{Fingerprint, StorageSpec};
+use emlio::core::{DataPathMetrics, EmlioConfig, EmlioDaemon, EmlioService, StackSpec};
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
 use emlio::netem::FaultSource;
 use emlio::pipeline::ExternalSource;
-use emlio::tfrecord::{GlobalIndex, RangeSource, ShardSpec, TfrecordSource};
+use emlio::tfrecord::{GlobalIndex, ShardSpec, TfrecordSource};
 use emlio::util::fault::{site, FaultInjector, FaultPlan, FaultSpec};
 use emlio::util::testutil::TempDir;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn build(dir: &TempDir, n: u64) -> GlobalIndex {
     let spec = DatasetSpec::tiny("fail", n);
@@ -166,43 +168,35 @@ fn daemon_crash_mid_stream_leaves_receiver_consistent() {
 
 // ---- injected faults through the seeded failpoint seam -------------------
 
-/// Serve to completion and fingerprint everything delivered:
-/// sorted `(epoch, sample_id, label, FNV-1a payload digest)`.
-fn drain(daemon: EmlioDaemon, plan: Plan, config: &EmlioConfig) -> Vec<(u32, u64, u32, u64)> {
-    let receiver =
-        EmlioReceiver::bind(ReceiverConfig::loopback(config.threads_per_node as u32)).unwrap();
-    let ep = receiver.endpoint().clone();
-    let server = std::thread::spawn(move || daemon.serve(&plan, "n", &ep));
-    let mut src = receiver.source();
-    let mut seen = Vec::new();
-    while let Some(b) = src.next_batch() {
-        for s in &b.samples {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for &byte in s.bytes.iter() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            seen.push((b.epoch, s.sample_id, s.label, h));
-        }
-    }
-    server.join().unwrap().unwrap();
-    seen.sort_unstable();
-    seen
+/// Launch one daemon over `stack` and drain it to the end: the sorted
+/// delivery fingerprint and the daemon's counters.
+fn drain(
+    dir: &TempDir,
+    config: &EmlioConfig,
+    stack: StackSpec,
+) -> (Vec<Fingerprint>, Arc<DataPathMetrics>) {
+    let storage = StorageSpec {
+        stack,
+        ..StorageSpec::new("d", dir.path())
+    };
+    let mut dep = EmlioService::launch(&[storage], config, "n").unwrap();
+    let delivery = dep.drain();
+    delivery.served.unwrap();
+    (delivery.fingerprint, dep.daemon_metrics[0].clone())
 }
 
-fn faulted_daemon(
+/// The dataset's local shards behind a `source.read` failpoint.
+fn faulted_shards(
     index: &Arc<GlobalIndex>,
-    config: &EmlioConfig,
     spec: FaultSpec,
     seed: u64,
-) -> (EmlioDaemon, Arc<FaultInjector>) {
+) -> (StackSpec, Arc<FaultInjector>) {
     let injector = FaultInjector::new(FaultPlan::new(seed).with_site(site::SOURCE_READ, spec));
-    let base: Arc<dyn RangeSource> = Arc::new(FaultSource::new(
+    let root = FaultSource::new(
         Arc::new(TfrecordSource::new(index.clone())),
         injector.clone(),
-    ));
-    let daemon = EmlioDaemon::open_with_base("d", index.clone(), config.clone(), base).unwrap();
-    (daemon, injector)
+    );
+    (StackSpec::over(Arc::new(root)), injector)
 }
 
 #[test]
@@ -210,20 +204,14 @@ fn transient_read_errors_are_absorbed_by_the_retry_budget() {
     let dir = TempDir::new("fail-retry-absorb");
     let index = Arc::new(build(&dir, 24));
     let clean_config = EmlioConfig::default().with_batch_size(4).with_threads(2);
-    let reference = {
-        let daemon = EmlioDaemon::open("d", dir.path(), clean_config.clone()).unwrap();
-        let plan = Plan::build(daemon.index(), &["n".to_string()], &clean_config);
-        drain(daemon, plan, &clean_config)
-    };
+    let (reference, _) = drain(&dir, &clean_config, StackSpec::default());
 
     // ~25% of reads fail transiently; an 8-deep retry budget makes the
     // probability of a full-budget streak negligible (and, at this fixed
     // seed, zero).
     let config = clean_config.clone().with_io_retries(8);
-    let (daemon, injector) = faulted_daemon(&index, &config, FaultSpec::errors(0.25), 0xAB5012B);
-    let metrics = daemon.metrics();
-    let plan = Plan::build(&index, &["n".to_string()], &config);
-    let delivered = drain(daemon, plan, &config);
+    let (stack, injector) = faulted_shards(&index, FaultSpec::errors(0.25), 0xAB5012B);
+    let (delivered, metrics) = drain(&dir, &config, stack);
 
     assert_eq!(delivered, reference, "retried epoch is byte-identical");
     let snap = metrics.snapshot();
@@ -238,12 +226,29 @@ fn transient_read_errors_are_absorbed_by_the_retry_budget() {
 fn injected_errors_without_retries_surface_detectably() {
     let dir = TempDir::new("fail-no-retry");
     let index = Arc::new(build(&dir, 16));
-    let config = EmlioConfig::default().with_batch_size(4).with_threads(1);
-    let (daemon, injector) = faulted_daemon(&index, &config, FaultSpec::errors(1.0), 7);
-    let plan = Plan::build(&index, &["n".to_string()], &config);
-    let receiver = EmlioReceiver::bind(ReceiverConfig::loopback(1)).unwrap();
-    let result = daemon.serve(&plan, "n", receiver.endpoint());
-    assert!(result.is_err(), "fault must surface without a retry budget");
+    let config = EmlioConfig::default().with_batch_size(4).with_threads(2);
+    let (stack, injector) = faulted_shards(&index, FaultSpec::errors(1.0), 7);
+    let storage = StorageSpec {
+        stack,
+        ..StorageSpec::new("d", dir.path())
+    };
+    let mut dep = EmlioService::launch(&[storage], &config, "n").unwrap();
+
+    // The daemon fails on its first read and no end-of-stream marker will
+    // ever come: the stream must end anyway, and the error must come back.
+    // Drained on a thread of its own, so a consumer left waiting fails the
+    // test by timeout instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(dep.drain()));
+    let delivery = rx
+        .recv_timeout(Duration::from_secs(2))
+        .expect("the consumer sees end-of-stream within 2 s of the daemon failing");
+    assert_eq!(delivery.batches, 0);
+    let err = delivery.served.unwrap_err().to_string();
+    assert!(
+        err.contains("injected fault at source.read"),
+        "fault must surface without a retry budget, and by name: {err}"
+    );
     assert!(injector.stats().errors > 0);
 }
 
@@ -257,7 +262,8 @@ fn exhausted_retry_budget_gives_up_loudly() {
         .with_batch_size(4)
         .with_threads(1)
         .with_io_retries(2);
-    let (daemon, _) = faulted_daemon(&index, &config, FaultSpec::errors(1.0), 7);
+    let (stack, _) = faulted_shards(&index, FaultSpec::errors(1.0), 7);
+    let daemon = EmlioDaemon::open_stack("d", index.clone(), config.clone(), stack).unwrap();
     let metrics = daemon.metrics();
     let plan = Plan::build(&index, &["n".to_string()], &config);
     let receiver = EmlioReceiver::bind(ReceiverConfig::loopback(1)).unwrap();
@@ -276,11 +282,7 @@ fn spill_write_faults_degrade_to_storage_not_corruption() {
         .with_batch_size(4)
         .with_threads(2)
         .with_epochs(2);
-    let reference = {
-        let daemon = EmlioDaemon::open("d", dir.path(), clean_config.clone()).unwrap();
-        let plan = Plan::build(daemon.index(), &["n".to_string()], &clean_config);
-        drain(daemon, plan, &clean_config)
-    };
+    let (reference, _) = drain(&dir, &clean_config, StackSpec::default());
 
     // A RAM tier holding only a block or two (samples are ~8 KiB, so a
     // 4-sample block is ~32 KiB) forces evictions into the disk tier;
@@ -293,16 +295,17 @@ fn spill_write_faults_degrade_to_storage_not_corruption() {
     );
     let injector =
         FaultInjector::new(FaultPlan::new(3).with_site(site::SPILL_WRITE, FaultSpec::errors(1.0)));
-    let daemon = EmlioDaemon::open("d", dir.path(), config.clone()).unwrap();
-    let cache = daemon.cache().expect("cache enabled").clone();
-    cache.set_fault_injector(injector.clone());
-    let plan = Plan::build(daemon.index(), &["n".to_string()], &config);
-    let delivered = drain(daemon, plan, &config);
+    let (delivered, metrics) = drain(
+        &dir,
+        &config,
+        StackSpec::default().with_faults(injector.clone()),
+    );
 
     assert_eq!(
         delivered, reference,
         "failed spills must not alter delivery"
     );
+    let cache = metrics.stack().unwrap().cache.as_ref().unwrap();
     cache.flush_spills();
     assert!(
         cache.stats().snapshot().spill_failures > 0,

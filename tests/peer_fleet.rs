@@ -7,14 +7,12 @@
 
 use emlio::cache::peer::{FleetRegistry, LocalPeer, PeerConfig, PeerFetch, PeerTransport};
 use emlio::cache::{CacheConfig, ShardCache};
-use emlio::core::plan::Plan;
-use emlio::core::receiver::{EmlioReceiver, ReceiverConfig};
-use emlio::core::{EmlioConfig, EmlioDaemon, StackSpec};
+use emlio::core::service::{Deployment, Fingerprint, StorageSpec};
+use emlio::core::{EmlioConfig, EmlioService, StackSpec};
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
 use emlio::netem::{NetProfile, NfsConfig, NfsMount, NfsSource};
 use emlio::obs::Stage;
-use emlio::pipeline::ExternalSource;
 use emlio::tfrecord::{BlockKey, GlobalIndex, ShardSpec};
 use emlio::util::clock::RealClock;
 use emlio::util::testutil::TempDir;
@@ -60,76 +58,72 @@ fn fleet_config() -> EmlioConfig {
         .with_epochs(1)
 }
 
-/// Serve one epoch and return `(sorted (sample_id, label, payload-digest)
-/// triples, batches delivered)` — the order-independent fingerprint of
-/// everything the compute node received.
-fn drain(daemon: EmlioDaemon, plan: Plan, config: &EmlioConfig) -> (Vec<(u64, u32, u64)>, u64) {
-    let receiver =
-        EmlioReceiver::bind(ReceiverConfig::loopback(config.threads_per_node as u32)).unwrap();
-    let ep = receiver.endpoint().clone();
-    let server = std::thread::spawn(move || daemon.serve(&plan, "n", &ep));
-    let mut src = receiver.source();
-    let mut seen = Vec::new();
-    let mut batches = 0u64;
-    while let Some(b) = src.next_batch() {
-        batches += 1;
-        for s in &b.samples {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            for &byte in s.bytes.iter() {
-                h ^= byte as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            seen.push((s.sample_id, s.label, h));
-        }
-    }
-    server.join().unwrap().unwrap();
-    seen.sort_unstable();
-    (seen, batches)
+/// Launch one daemon `id` over `stack`, drain its one epoch to the end and
+/// return the deployment (for the daemon's counters) with the sorted
+/// fingerprint of everything the compute node received.
+fn drain(
+    id: &str,
+    index: &Arc<GlobalIndex>,
+    config: &EmlioConfig,
+    stack: StackSpec,
+) -> (Deployment, Vec<Fingerprint>) {
+    let storage = StorageSpec {
+        stack,
+        index: Some(index.clone()),
+        ..StorageSpec::new(id, index.shard_path(0).parent().unwrap())
+    };
+    let mut dep = EmlioService::launch(&[storage], config, "n").unwrap();
+    let delivery = dep.drain();
+    delivery.served.unwrap();
+    (dep, delivery.fingerprint)
 }
 
 /// Warm a solo cached daemon over the dataset and hand back its shard
 /// cache — the "owner's RAM tier" the fleet tests fetch from.
-fn warm_owner_cache(index: &Arc<GlobalIndex>) -> (Arc<ShardCache>, Vec<(u64, u32, u64)>, u64) {
+fn warm_owner_cache(index: &Arc<GlobalIndex>) -> (Arc<ShardCache>, Vec<Fingerprint>, u64) {
     let config = EmlioConfig {
         cache: Some(CacheConfig::default().with_ram_bytes(64 << 20)),
         ..fleet_config()
     };
-    let daemon = EmlioDaemon::open(
-        "owner",
-        index.shard_path(0).parent().unwrap(),
-        config.clone(),
+    let (dep, reference) = drain("owner", index, &config, StackSpec::default());
+    let cache = dep.daemon_metrics[0].stack().unwrap().cache.clone();
+    (
+        cache.expect("owner is cached"),
+        reference,
+        dep.total_batches(),
     )
-    .unwrap();
-    let cache = daemon.cache().expect("owner is cached").clone();
-    let plan = Plan::build(daemon.index(), &["n".to_string()], &config);
-    let blocks = plan.batches_for(0, "n");
-    let (reference, _) = drain(daemon, plan, &config);
-    (cache, reference, blocks)
 }
 
-/// Open a cacheless fetcher daemon over the NFS mount, in `registry`'s
+/// Run a cacheless fetcher daemon over the NFS mount, in `registry`'s
 /// fleet, with every block owned by the remote `"owner"` ring member.
 /// Nothing is wired by hand: counters and the `peer_fetch` stage come
 /// from the stack itself.
-fn open_fetcher(
+fn drain_fetcher(
     dir: &TempDir,
     index: &Arc<GlobalIndex>,
     registry: &Arc<FleetRegistry>,
-) -> (EmlioDaemon, Plan, EmlioConfig) {
-    let config = fleet_config();
+) -> (Deployment, Vec<Fingerprint>) {
     let mount = NfsMount::mount(
         dir.path(),
         NetProfile::local(),
         RealClock::shared(),
         NfsConfig::default(),
     );
-    let spec = StackSpec::over(Arc::new(NfsSource::new(index.clone(), mount))).in_fleet(
+    let stack = StackSpec::over(Arc::new(NfsSource::new(index.clone(), mount))).in_fleet(
         registry.clone(),
         PeerConfig::default().with_timeout(Duration::from_millis(200)),
     );
-    let daemon = EmlioDaemon::open_stack("fetcher", index.clone(), config.clone(), spec).unwrap();
-    let plan = Plan::build(daemon.index(), &["n".to_string()], &config);
-    (daemon, plan, config)
+    drain("fetcher", index, &fleet_config(), stack)
+}
+
+/// The fetcher's peer layer counters.
+fn peer_stats(dep: &Deployment) -> emlio::cache::peer::PeerStatsSnapshot {
+    let stack = dep.daemon_metrics[0].stack().unwrap();
+    stack
+        .peer
+        .as_ref()
+        .expect("fleet daemon has a peer layer")
+        .snapshot()
 }
 
 #[test]
@@ -153,13 +147,8 @@ fn owner_crash_mid_epoch_degrades_to_nfs_without_losing_batches() {
         }),
     );
 
-    let (daemon, plan, config) = open_fetcher(&dir, &index, &registry);
-    let metrics = daemon.metrics();
-    let peer = daemon
-        .peer()
-        .expect("fleet daemon has a peer layer")
-        .clone();
-    let (delivered, _) = drain(daemon, plan, &config);
+    let (dep, delivered) = drain_fetcher(&dir, &index, &registry);
+    let metrics = &dep.daemon_metrics[0];
 
     // Zero lost, zero duplicated, zero corrupted: the delivered sample set
     // is exactly what the healthy solo owner delivered.
@@ -167,7 +156,7 @@ fn owner_crash_mid_epoch_degrades_to_nfs_without_losing_batches() {
 
     // Accounting: the first `crash_after` blocks came from the owner's
     // RAM tier; every block after the crash degraded to direct NFS.
-    let stats = peer.stats().snapshot();
+    let stats = peer_stats(&dep);
     assert_eq!(stats.hits, crash_after, "{stats:?}");
     assert_eq!(stats.fallbacks, blocks - crash_after, "{stats:?}");
     assert_eq!(stats.misses, 0, "warm owner never misses: {stats:?}");
@@ -188,17 +177,11 @@ fn healthy_warm_owner_serves_every_block_without_storage() {
     registry.join("owner");
     registry.attach("owner", LocalPeer::new(&owner_cache));
 
-    let (daemon, plan, config) = open_fetcher(&dir, &index, &registry);
-    let metrics = daemon.metrics();
-    let recorder = daemon.recorder();
-    let peer = daemon
-        .peer()
-        .expect("fleet daemon has a peer layer")
-        .clone();
-    let (delivered, _) = drain(daemon, plan, &config);
+    let (dep, delivered) = drain_fetcher(&dir, &index, &registry);
+    let (metrics, recorder) = (&dep.daemon_metrics[0], &dep.daemon_recorders[0]);
 
     assert_eq!(delivered, reference, "peer-served bytes are byte-identical");
-    let stats = peer.stats().snapshot();
+    let stats = peer_stats(&dep);
     assert_eq!(stats.hits, blocks, "{stats:?}");
     assert_eq!(stats.fallbacks + stats.misses, 0, "{stats:?}");
     // The daemon reports its peer tier without any caller-side wiring:
@@ -229,16 +212,11 @@ fn dead_owner_cache_falls_back_on_every_read() {
     registry.attach("owner", LocalPeer::new(&owner_cache));
     drop(owner_cache);
 
-    let (daemon, plan, config) = open_fetcher(&dir, &index, &registry);
-    let metrics = daemon.metrics();
-    let peer = daemon
-        .peer()
-        .expect("fleet daemon has a peer layer")
-        .clone();
-    let (delivered, _) = drain(daemon, plan, &config);
+    let (dep, delivered) = drain_fetcher(&dir, &index, &registry);
+    let metrics = &dep.daemon_metrics[0];
 
     assert_eq!(delivered, reference, "degraded fleet still delivers");
-    let stats = peer.stats().snapshot();
+    let stats = peer_stats(&dep);
     assert_eq!(stats.fallbacks, blocks, "{stats:?}");
     assert_eq!(stats.hits + stats.misses, 0, "{stats:?}");
     let snap = metrics.snapshot();

@@ -5,19 +5,17 @@
 
 use emlio::cache::peer::{FleetRegistry, PeerConfig};
 use emlio::cache::CacheConfig;
-use emlio::core::plan::Plan;
-use emlio::core::receiver::{EmlioReceiver, ReceiverConfig};
-use emlio::core::{EmlioConfig, EmlioDaemon, ReadStack, StackSpec};
+use emlio::core::service::StorageSpec;
+use emlio::core::{EmlioConfig, EmlioDaemon, EmlioService, ReadStack, StackSpec};
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
 use emlio::netem::{FaultSource, NetProfile, NfsConfig, NfsMount, NfsSource};
-use emlio::pipeline::ExternalSource;
 use emlio::tfrecord::source::{BlockRead, RangeSource, ReadOrigin, TfrecordSource};
 use emlio::tfrecord::{BlockKey, GlobalIndex, RecordError, ShardSpec};
 use emlio::util::clock::RealClock;
 use emlio::util::fault::{site, FaultDecision, FaultInjector, FaultPlan, FaultSpec};
 use emlio::util::testutil::TempDir;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -229,39 +227,24 @@ fn mid_serve_snapshot_sees_off_path_counters_move() {
                 .with_disk_bytes(16 << 20)
                 .with_spill_queue(4),
         );
-    let daemon = EmlioDaemon::open("d0", dir.path(), config.clone()).unwrap();
-    daemon
-        .cache()
-        .unwrap()
-        .set_fault_injector(FaultInjector::new(FaultPlan::new(1).with_site(
-            site::SPILL_WRITE,
-            FaultSpec::latency(1.0, Duration::from_millis(2)),
-        )));
-    let metrics = daemon.metrics();
-    let plan = Plan::build(daemon.index(), &["n".to_string()], &config);
-
-    let receiver =
-        EmlioReceiver::bind(ReceiverConfig::loopback(config.threads_per_node as u32)).unwrap();
-    let ep = receiver.endpoint().clone();
-    let serving = Arc::new(AtomicBool::new(true));
-    let server = {
-        let serving = serving.clone();
-        std::thread::spawn(move || {
-            let served = daemon.serve(&plan, "n", &ep);
-            serving.store(false, Ordering::SeqCst);
-            served
-        })
+    let slow_spills = FaultInjector::new(FaultPlan::new(1).with_site(
+        site::SPILL_WRITE,
+        FaultSpec::latency(1.0, Duration::from_millis(2)),
+    ));
+    let storage = StorageSpec {
+        stack: StackSpec::default().with_faults(slow_spills),
+        ..StorageSpec::new("d0", dir.path())
     };
-    let consumer = std::thread::spawn(move || {
-        let mut src = receiver.source();
-        while src.next_batch().is_some() {}
-    });
+    let mut dep = EmlioService::launch(&[storage], &config, "n").unwrap();
+    let metrics = dep.daemon_metrics[0].clone();
+    let consumer = std::thread::spawn(move || dep.drain());
 
     let (mut reuse, mut evictions, mut queued) = (false, false, false);
     while !(reuse && evictions && queued) {
         let snap = metrics.snapshot();
-        // Only a snapshot taken before the serve returned counts.
-        if !serving.load(Ordering::SeqCst) {
+        // Only a snapshot taken before the serve returned counts, and the
+        // serve's wall time is stored as it returns.
+        if snap.serve_wall_nanos > 0 {
             break;
         }
         reuse |= snap.pool_reuse > 0;
@@ -269,8 +252,7 @@ fn mid_serve_snapshot_sees_off_path_counters_move() {
         queued |= snap.cache_spill_queue_depth > 0;
         std::thread::yield_now();
     }
-    server.join().unwrap().unwrap();
-    consumer.join().unwrap();
+    consumer.join().unwrap().served.unwrap();
     assert!(
         reuse && evictions && queued,
         "mid-serve: pool_reuse moved {reuse}, cache_evictions moved {evictions}, \
