@@ -109,6 +109,11 @@ pub struct ContentionOutcome {
     pub nfs_bytes_read: u64,
     /// Positioned reads issued against the mount, across all daemons.
     pub nfs_reads: u64,
+    /// Blocks the daemons' prefetchers read ahead of demand.
+    pub prefetched: u64,
+    /// Prefetched reads whose bytes a cache then did not admit: storage
+    /// reads paid for and thrown away.
+    pub prefetch_wasted: u64,
     /// Batches delivered, across all daemons.
     pub batches_delivered: u64,
     /// Batches the plans promised, across all daemons and epochs.
@@ -234,6 +239,8 @@ pub fn run(cfg: &ContentionConfig) -> ContentionOutcome {
         aggregate_bytes_saved: snaps.iter().map(|s| s.cache_bytes_saved).sum(),
         nfs_bytes_read: mount.stats().bytes_read.load(Ordering::Relaxed),
         nfs_reads: mount.stats().reads.load(Ordering::Relaxed),
+        prefetched: snaps.iter().map(|s| s.cache_prefetched).sum(),
+        prefetch_wasted: snaps.iter().map(|s| s.cache_prefetch_wasted).sum(),
         batches_delivered: delivery.batches,
         expected_batches: dep.total_batches(),
         dataset_bytes: index.total_bytes(),

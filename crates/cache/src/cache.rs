@@ -116,6 +116,7 @@
 use crate::order::TierOrder;
 use crate::persist::{self, SpillEntry};
 use crate::policy::EvictPolicy;
+use crate::prefetch::MAX_IN_FLIGHT;
 use crate::spill::{SpillOrder, SpillQueue};
 use crate::stats::CacheStats;
 use bytes::Bytes;
@@ -126,7 +127,7 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::io;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -143,8 +144,11 @@ pub struct CacheConfig {
     pub spill_dir: Option<PathBuf>,
     /// Eviction policy for both tiers.
     pub policy: EvictPolicy,
-    /// How many planned blocks the prefetcher may run ahead of the demand
-    /// cursor (0 disables prefetching).
+    /// Prefetching on (any non-zero value) or off (0). The number no
+    /// longer sizes anything: how far the prefetcher runs ahead of the
+    /// demand cursor is set by `ram_bytes` — it stages every planned block
+    /// that fits beside the residents needed sooner (see
+    /// [`crate::prefetch`]).
     pub prefetch_depth: usize,
     /// Number of lock shards over the residency map (rounded up to at
     /// least 1). More shards ⇒ less contention between reader threads.
@@ -220,7 +224,7 @@ impl CacheConfig {
         self
     }
 
-    /// Override the prefetch depth (0 disables the prefetcher).
+    /// Switch the prefetcher on (non-zero) or off (0).
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth;
         self
@@ -328,6 +332,12 @@ struct LockShard {
 /// mutable state, with O(1)-ish critical sections.
 struct Global {
     ram_used: u64,
+    /// RAM set aside for prefetch reads in flight. Room is made when the
+    /// reservation is taken, so `ram_used + ram_reserved <= ram_bytes`
+    /// holds whenever the lock is free.
+    ram_reserved: u64,
+    /// Prefetch reads in flight (reservations held).
+    reservations: usize,
     disk_used: u64,
     /// Monotonic access clock for recency ordering.
     tick: u64,
@@ -396,6 +406,74 @@ impl Global {
         self.tick += 1;
         let (next, tick) = (self.next_use_rank(key), self.tick);
         self.disk_order.insert(*key, size, next, tick);
+    }
+
+    /// [`Global::next_use`] without the pruning: `key`'s first plan
+    /// position at or after `cursor`.
+    fn pending(
+        future: &HashMap<BlockKey, VecDeque<u64>>,
+        cursor: u64,
+        key: &BlockKey,
+    ) -> Option<u64> {
+        future.get(key)?.iter().copied().find(|&p| p >= cursor)
+    }
+
+    /// Bytes of RAM residents the plan needs at a position in
+    /// `[cursor, pos)` — what staging position `pos` must leave alone. A
+    /// key counts at its first pending position only. Walks the window,
+    /// which the RAM budget bounds.
+    fn needed_before(&self, pos: u64) -> u64 {
+        (self.cursor..pos)
+            .map(|p| (p, &self.seq[p as usize]))
+            .filter(|(p, key)| Global::pending(&self.future, self.cursor, key) == Some(*p))
+            .filter_map(|(_, key)| self.ram_order.size_of(key))
+            .sum()
+    }
+
+    /// The issue rule: whether a `len`-byte block for plan position `pos`
+    /// fits beside the reads in flight and the residents needed sooner.
+    fn may_stage(&self, pos: u64, len: u64, ram_bytes: u64) -> bool {
+        self.ram_reserved + self.needed_before(pos) + len <= ram_bytes
+    }
+
+    /// Pop RAM victims until `size` more bytes fit beside the residents
+    /// and the reservations. A prefetch reservation for plan position
+    /// `keep_before` leaves alone what the plan needs sooner: such a victim
+    /// goes back into the order as its newest arrival (the clairvoyant
+    /// order offers one only when a rank is out of date; the recency
+    /// orders, whenever a staged block is older than a consumed one). The
+    /// caller has checked that the room can be made, and finishes the
+    /// victims' evictions ([`CacheCore::spill_or_drop`]) with no lock held.
+    fn make_room(
+        &mut self,
+        size: u64,
+        ram_bytes: u64,
+        keep_before: Option<u64>,
+        victims: &mut Vec<(BlockKey, u64)>,
+    ) {
+        let mut kept = Vec::new();
+        while self.ram_used + self.ram_reserved + size > ram_bytes {
+            let Some((vk, vs)) = self.ram_order.pop_victim() else {
+                break;
+            };
+            let sooner = keep_before.and_then(|pos| {
+                Global::pending(&self.future, self.cursor, &vk).filter(|&next| next < pos)
+            });
+            if let Some(next) = sooner {
+                kept.push((vk, vs, next));
+                continue;
+            }
+            self.ram_used -= vs;
+            // A backed victim is about to flip to disk-only.
+            if self.backed.remove(&vk) {
+                self.rerank_file(&vk);
+            }
+            victims.push((vk, vs));
+        }
+        for (key, size, next) in kept {
+            self.tick += 1;
+            self.ram_order.insert(key, size, next, self.tick);
+        }
     }
 
     /// Account one demand access against the plan: consume `key`'s
@@ -500,6 +578,8 @@ impl CacheCore {
         let cache = CacheCore {
             global: Mutex::new(Global {
                 ram_used: 0,
+                ram_reserved: 0,
+                reservations: 0,
                 disk_used: 0,
                 tick: 0,
                 ram_order: TierOrder::for_policy(config.policy),
@@ -613,6 +693,14 @@ impl CacheCore {
         self.global.lock().ram_used
     }
 
+    /// `(resident, reserved for prefetch reads in flight)` bytes of the
+    /// RAM tier at one instant (gauges); their sum never exceeds
+    /// `ram_bytes`.
+    pub fn ram_budget(&self) -> (u64, u64) {
+        let g = self.global.lock();
+        (g.ram_used, g.ram_reserved)
+    }
+
     /// Bytes of spill files the disk tier holds, including the files
     /// that back RAM residents.
     pub fn disk_bytes_used(&self) -> u64 {
@@ -683,6 +771,44 @@ impl CacheCore {
         self.access_cv.notify_all();
     }
 
+    /// One demand access: account it and resolve `key`. A RAM hit — after
+    /// waiting out a fetch in flight, when `wait_busy` — takes its bytes
+    /// *before* the cursor moves past the block, so the prefetcher, which
+    /// refills a slot the moment the cursor releases it, cannot evict the
+    /// block from under a reader parked on its landing. A promote or a
+    /// miss accounts first: its admission ranks the block by its *next*
+    /// use.
+    fn demand_lookup(&self, key: &BlockKey, wait_busy: bool, claim: bool) -> Lookup {
+        let resident = {
+            let shard = self.shard_for(key);
+            let mut map = shard.map.lock();
+            loop {
+                match map.get(key) {
+                    Some(Slot::Ram(data, _)) | Some(Slot::Spilling(data)) => {
+                        break Some(data.clone())
+                    }
+                    Some(Slot::Busy) if wait_busy => shard.cv.wait(&mut map),
+                    _ => break None,
+                }
+            }
+        };
+        self.demand_access(key);
+        match resident {
+            Some(data) => {
+                self.count_hit(&data);
+                Lookup::Hit(data, Fetched::Ram)
+            }
+            None => self.lookup(key, wait_busy, claim),
+        }
+    }
+
+    fn count_hit(&self, data: &Bytes) {
+        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .bytes_saved
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+    }
+
     /// Demand lookup: serve `key` from RAM or disk, updating recency and
     /// the plan cursor. Returns `None` on a miss (which is also counted).
     /// A fetch already in flight on another thread counts as a miss here
@@ -692,8 +818,7 @@ impl CacheCore {
     /// copy); the view stays valid even if the block is evicted while the
     /// caller holds it.
     pub fn get(&self, key: &BlockKey) -> Option<Bytes> {
-        self.demand_access(key);
-        match self.lookup(key, /* wait_busy = */ false, /* claim = */ false) {
+        match self.demand_lookup(key, /* wait_busy = */ false, /* claim = */ false) {
             Lookup::Hit(data, _) => Some(data),
             _ => {
                 self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -746,13 +871,14 @@ impl CacheCore {
         T: Into<Bytes>,
         F: FnOnce() -> Result<T, E>,
     {
-        self.demand_access(&key);
+        let mut found =
+            self.demand_lookup(&key, /* wait_busy = */ true, /* claim = */ true);
         loop {
-            match self.lookup(&key, /* wait_busy = */ true, /* claim = */ true) {
+            match found {
                 Lookup::Hit(data, from) => return Ok((data, from)),
                 Lookup::Claimed => break,
                 // A failed promote degraded to a miss; retry claims it.
-                Lookup::NotFound => continue,
+                Lookup::NotFound => found = self.lookup(&key, true, true),
             }
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
@@ -782,7 +908,7 @@ impl CacheCore {
         }
         match fetch() {
             Ok(data) => {
-                self.admit_claimed_prefetch(key, data.into());
+                self.admit_prefetched(key, data.into(), None);
                 Ok(true)
             }
             Err(e) => {
@@ -795,7 +921,7 @@ impl CacheCore {
     /// Drop `key`'s `Busy` placeholder (fetch/promote failure, or an
     /// unfulfilled [`CacheCore::try_claim`]) and wake any single-flight
     /// waiters parked on the shard condvar.
-    pub(crate) fn release_busy(&self, key: &BlockKey) {
+    fn release_busy(&self, key: &BlockKey) {
         let shard = self.shard_for(key);
         let mut map = shard.map.lock();
         if matches!(map.get(key), Some(Slot::Busy)) {
@@ -827,10 +953,7 @@ impl CacheCore {
             };
             match action {
                 Action::Hit(data) => {
-                    self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                    self.stats
-                        .bytes_saved
-                        .fetch_add(data.len() as u64, Ordering::Relaxed);
+                    self.count_hit(&data);
                     return Lookup::Hit(data, Fetched::Ram);
                 }
                 Action::Promote(meta) => {
@@ -863,15 +986,12 @@ impl CacheCore {
     /// A vanished or corrupt spill file degrades to a miss.
     fn promote(&self, key: &BlockKey, meta: DiskMeta) -> Option<(Bytes, Fetched)> {
         let data = Bytes::from(self.read_spill_file(key, &meta)?);
-        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+        self.count_hit(&data);
         self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_saved
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
         // The file stays where it is whatever RAM decides: admitted, it
         // backs the resident; declined (Belady bypass), the slot goes
         // straight back to `Disk`.
-        self.admit_full(*key, data.clone(), Some(meta));
+        self.admit_full(*key, data.clone(), Some(meta), None);
         Some((data, Fetched::Disk))
     }
 
@@ -892,7 +1012,7 @@ impl CacheCore {
     /// Admit bytes that came from storage (no spill file behind them);
     /// see [`CacheCore::admit_full`].
     fn admit(&self, key: BlockKey, data: Bytes) {
-        self.admit_full(key, data, None);
+        self.admit_full(key, data, None, None);
     }
 
     /// Admit `data` into the RAM tier: reserve space under the ordering
@@ -904,38 +1024,46 @@ impl CacheCore {
     /// beside a resident. `backing` is the spill file `data` was just
     /// read from (the promote paths): admitted, the resident keeps it;
     /// declined, the block stays disk-resident instead of being dropped.
-    /// Returns whether RAM admitted.
-    fn admit_full(&self, key: BlockKey, data: Bytes, backing: Option<DiskMeta>) -> bool {
+    /// `reserved` is the prefetch reservation held for `key`
+    /// ([`CacheCore::reserve_prefetch`]): given back here, the block
+    /// lands in the room it held — no bypass, the issue rule placed it
+    /// ahead of everything it could displace. Every other admission fits
+    /// into what the reservations leave. Returns whether RAM admitted
+    /// (the block may have been evicted again by the time the caller
+    /// looks).
+    fn admit_full(
+        &self,
+        key: BlockKey,
+        data: Bytes,
+        backing: Option<DiskMeta>,
+        reserved: Option<u64>,
+    ) -> bool {
         let size = data.len() as u64;
         let has_file = backing.is_some();
         let mut admitted = false;
         let mut victims: Vec<(BlockKey, u64)> = Vec::new();
-        if size <= self.config.ram_bytes {
+        {
             let mut g = self.global.lock();
-            if !g.ram_order.contains(&key) {
+            if let Some(len) = reserved {
+                g.ram_reserved -= len;
+                g.reservations -= 1;
+            }
+            let room = self.config.ram_bytes - g.ram_reserved;
+            if size <= room && !g.ram_order.contains(&key) {
                 g.tick += 1;
                 let (next, tick) = (g.next_use_rank(&key), g.tick);
                 // Belady admission bypass: if this block would be the
                 // eviction victim the moment it lands, don't admit it.
-                let bypass = self.config.belady_bypass
-                    && g.ram_used + size > self.config.ram_bytes
+                let bypass = reserved.is_none()
+                    && self.config.belady_bypass
+                    && g.ram_used + size > room
                     && matches!(g.ram_order.victim_next_use(), Some(v) if next >= v);
                 if bypass {
                     // A declined promote goes back to disk-only (no-op
                     // for a block that has no file).
                     g.rerank_file(&key);
                 } else {
-                    while g.ram_used + size > self.config.ram_bytes {
-                        let Some((vk, vs)) = g.ram_order.pop_victim() else {
-                            break;
-                        };
-                        g.ram_used -= vs;
-                        // A backed victim is about to flip to disk-only.
-                        if g.backed.remove(&vk) {
-                            g.rerank_file(&vk);
-                        }
-                        victims.push((vk, vs));
-                    }
+                    g.make_room(size, self.config.ram_bytes, None, &mut victims);
                     g.ram_used += size;
                     g.ram_order.insert(key, size, next, tick);
                     if has_file && g.disk_order.contains(&key) {
@@ -944,6 +1072,11 @@ impl CacheCore {
                     admitted = true;
                 }
             }
+            debug_assert!(g.ram_used + g.ram_reserved <= self.config.ram_bytes);
+        }
+        if reserved.is_some() {
+            // An in-flight slot and possibly RAM came free.
+            self.access_cv.notify_all();
         }
         self.stats
             .evictions
@@ -973,12 +1106,13 @@ impl CacheCore {
             (g.ram_order.contains(&key), g.disk_order.contains(&key))
         };
         if admitted && !ram_tracked {
-            // A concurrent admit popped our reservation as a victim while
-            // the slot was still Busy (nothing to evict at that point).
-            // The just-published bytes would be RAM-resident but
-            // untracked; complete the eviction on the evictor's behalf.
+            // Someone popped our entry as a victim while the slot was
+            // still Busy (nothing to evict at that point), or since: a
+            // block a parked reader takes as it lands is the first thing
+            // its refill evicts. The just-published bytes would be
+            // RAM-resident but untracked; complete the eviction on the
+            // evictor's behalf.
             self.spill_or_drop(&key, size);
-            admitted = false;
         }
         if has_file && !file_tracked {
             // Likewise for the disk tier: it reclaimed the file while the
@@ -1355,26 +1489,6 @@ impl CacheCore {
         Ok(all.len() as u64)
     }
 
-    /// How many plan positions starting at `pos` the prefetcher may warm
-    /// right now, capped at `max_run`. The plan is tiled into `depth`-sized
-    /// windows and the prefetcher may fill the one holding the demand
-    /// cursor and the one after it — the double buffer: while send workers
-    /// consume window N, window N+1 stages into RAM, and the limit flips
-    /// forward when the cursor crosses a window boundary. Returns 0 after
-    /// a bounded wait with the window still closed (the caller re-checks
-    /// its stop flag and retries).
-    pub(crate) fn prefetch_open_run(&self, pos: u64, depth: u64, max_run: u64) -> u64 {
-        let limit = |cursor: u64| (cursor / depth + 2) * depth;
-        let mut g = self.global.lock();
-        let mut open = limit(g.cursor);
-        if pos >= open {
-            self.access_cv
-                .wait_for(&mut g, std::time::Duration::from_millis(5));
-            open = limit(g.cursor);
-        }
-        open.saturating_sub(pos).min(max_run)
-    }
-
     /// Warm-start: walk the freshly-installed plan in consumption order
     /// and promote re-admitted disk blocks into RAM ahead of demand, up to
     /// `warm_start_bytes`. Only blocks that fit in *free* RAM are promoted
@@ -1419,7 +1533,7 @@ impl CacheCore {
         // would evict.
         {
             let g = self.global.lock();
-            if g.ram_used + meta.len > self.config.ram_bytes {
+            if g.ram_used + g.ram_reserved + meta.len > self.config.ram_bytes {
                 drop(g);
                 let shard = self.shard_for(key);
                 let mut map = shard.map.lock();
@@ -1436,7 +1550,7 @@ impl CacheCore {
             return;
         };
         let len = meta.len;
-        if self.admit_full(*key, Bytes::from(data), Some(meta)) {
+        if self.admit_full(*key, Bytes::from(data), Some(meta), None) {
             *budget = budget.saturating_sub(len);
             self.stats.warm_promoted.fetch_add(1, Ordering::Relaxed);
             if let Some(rec) = self.recorder.get() {
@@ -1445,10 +1559,10 @@ impl CacheCore {
         }
     }
 
-    /// Claim `key` for a prefetch admit: install a `Busy` placeholder iff
-    /// the slot is empty. Returns whether the claim was taken; pair with
-    /// [`CacheCore::admit_claimed_prefetch`] or [`CacheCore::release_busy`].
-    pub(crate) fn try_claim(&self, key: &BlockKey) -> bool {
+    /// Claim `key` for an admission off the demand path: install a `Busy`
+    /// placeholder iff the slot is empty. Returns whether the claim was
+    /// taken; pair with an admit or [`CacheCore::release_busy`].
+    fn try_claim(&self, key: &BlockKey) -> bool {
         let shard = self.shard_for(key);
         let mut map = shard.map.lock();
         if map.get(key).is_some() {
@@ -1458,16 +1572,132 @@ impl CacheCore {
         true
     }
 
-    /// Admit a block fetched under a [`CacheCore::try_claim`] claim,
-    /// counting it as prefetched (not a demand miss).
-    pub(crate) fn admit_claimed_prefetch(&self, key: BlockKey, data: Bytes) {
+    /// Admit a block read ahead of demand under a `Busy` claim — with
+    /// the reservation taken for it, if any — counting it as prefetched
+    /// (not a demand miss), and as wasted when RAM does not take it.
+    fn admit_prefetched(&self, key: BlockKey, data: Bytes, reserved: Option<u64>) {
         self.stats.prefetched.fetch_add(1, Ordering::Relaxed);
-        self.admit(key, data);
+        if !self.admit_full(key, data, None, reserved) {
+            self.stats.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
-    /// Wake a prefetcher parked on the demand-access condvar (shutdown).
-    pub(crate) fn wake_prefetch_waiters(&self) {
+    /// The prefetch executor's issue step for plan position `pos`
+    /// (`key`, expected to be `len` bytes long; 0 = not known yet). Waits
+    /// until the block may be staged, then reserves its RAM — evicting
+    /// what the plan needs later than `pos` — and claims its slot:
+    ///
+    /// ```text
+    /// ram_reserved + bytes of residents needed before pos + len <= ram_bytes
+    /// ```
+    ///
+    /// with at most [`MAX_IN_FLIGHT`] reservations out. Woken by every
+    /// demand access, every landed or failed prefetch read, and
+    /// [`CacheCore::wake_prefetcher`].
+    pub(crate) fn reserve_prefetch(
+        &self,
+        pos: u64,
+        key: &BlockKey,
+        len: u64,
+        stop: &AtomicBool,
+    ) -> Issue<'_> {
+        if self.shard_for(key).map.lock().contains_key(key) {
+            return Issue::Skip;
+        }
+        // A block of unknown length goes out alone: once it lands, the
+        // largest length seen stands in for the rest.
+        let max_out = if len == 0 { 1 } else { MAX_IN_FLIGHT };
+        let mut victims = Vec::new();
+        let mut g = self.global.lock();
+        loop {
+            if stop.load(Ordering::SeqCst) {
+                return Issue::Stop;
+            }
+            // Demand got here first, or the block can never fit.
+            if pos < g.cursor || len > self.config.ram_bytes {
+                return Issue::Skip;
+            }
+            if g.reservations < max_out && g.may_stage(pos, len, self.config.ram_bytes) {
+                break;
+            }
+            self.access_cv.wait(&mut g);
+        }
+        g.make_room(len, self.config.ram_bytes, Some(pos), &mut victims);
+        debug_assert!(g.ram_used + g.ram_reserved + len <= self.config.ram_bytes);
+        g.ram_reserved += len;
+        g.reservations += 1;
+        drop(g);
+        self.stats
+            .evictions
+            .fetch_add(victims.len() as u64, Ordering::Relaxed);
+        for (vk, vs) in victims {
+            self.spill_or_drop(&vk, vs);
+        }
+        if !self.try_claim(key) {
+            // Lost the slot while waiting (a demand miss, a peer's offer).
+            self.unreserve(len);
+            return Issue::Skip;
+        }
+        Issue::Read(Reservation {
+            cache: self,
+            key: *key,
+            len,
+        })
+    }
+
+    /// Give back a reservation that will not be admitted into.
+    fn unreserve(&self, len: u64) {
+        let mut g = self.global.lock();
+        g.ram_reserved -= len;
+        g.reservations -= 1;
+        drop(g);
         self.access_cv.notify_all();
+    }
+
+    /// Make a parked [`CacheCore::reserve_prefetch`] look at its stop flag
+    /// again. Passing through the lock orders this after the waiter's
+    /// last check, so a flag set before the call is never missed.
+    pub(crate) fn wake_prefetcher(&self) {
+        drop(self.global.lock());
+        self.access_cv.notify_all();
+    }
+}
+
+/// What [`CacheCore::reserve_prefetch`] decided for one plan position.
+pub(crate) enum Issue<'a> {
+    /// Room reserved and slot claimed: read the block and
+    /// [`admit`](Reservation::admit) it.
+    Read(Reservation<'a>),
+    /// Nothing to stage: the block is resident or being fetched, demand
+    /// reached the position first, or the block can never fit.
+    Skip,
+    /// The stop flag is set.
+    Stop,
+}
+
+/// RAM reserved, and a `Busy` slot claimed, for one prefetch read in
+/// flight. [`admit`](Reservation::admit) lands the block in it; dropping
+/// it any other way (the read failed or panicked) gives the room back and
+/// releases the slot, so demand readers parked on it fetch for themselves.
+pub(crate) struct Reservation<'a> {
+    cache: &'a CacheCore,
+    key: BlockKey,
+    len: u64,
+}
+
+impl Reservation<'_> {
+    /// The read landed: admit `data` into the reserved room.
+    pub(crate) fn admit(self, data: Bytes) {
+        let (cache, key, len) = (self.cache, self.key, self.len);
+        std::mem::forget(self);
+        cache.admit_prefetched(key, data, Some(len));
+    }
+}
+
+impl Drop for Reservation<'_> {
+    fn drop(&mut self) {
+        self.cache.unreserve(self.len);
+        self.cache.release_busy(&self.key);
     }
 }
 
@@ -2204,29 +2434,68 @@ mod tests {
     }
 
     #[test]
-    fn staged_window_tiles_and_flips_on_cursor_crossing() {
-        let cache = ShardCache::new(
-            CacheConfig::default()
-                .with_ram_bytes(1 << 20)
-                .with_prefetch_depth(4),
-        )
-        .unwrap();
-        let seq: Vec<BlockKey> = (0..24).map(key).collect();
-        cache.set_plan(seq.clone());
-        // Cursor at 0 (window 0): windows 0 and 1 are open → 8 positions.
-        assert_eq!(cache.prefetch_open_run(0, 4, 64), 8);
-        assert_eq!(cache.prefetch_open_run(6, 4, 64), 2);
-        assert_eq!(cache.prefetch_open_run(6, 4, 1), 1, "max_run caps");
-        // Consuming within window 0 does not open window 2.
-        for k in &seq[..3] {
-            cache.insert(*k, block(0, 8));
-            cache.get(k).unwrap();
+    fn reservations_slide_with_the_cursor_inside_the_ram_budget() {
+        for policy in [
+            EvictPolicy::Clairvoyant,
+            EvictPolicy::Lru,
+            EvictPolicy::Fifo,
+        ] {
+            // Four 100-byte blocks fit; the plan walks 8 keys twice.
+            let cache = ram_only(400, policy);
+            let seq: Vec<BlockKey> = (0..16).map(|i| key(i % 8)).collect();
+            cache.set_plan(seq.clone());
+            let stop = AtomicBool::new(false);
+            let reserve = |pos: usize| cache.reserve_prefetch(pos as u64, &seq[pos], 100, &stop);
+            let read = |pos: usize| match reserve(pos) {
+                Issue::Read(reservation) => Some(reservation),
+                _ => panic!("{policy}: position {pos} should be staged"),
+            };
+            let fits = |pos: u64| cache.global.lock().may_stage(pos, 100, 400);
+
+            // The whole budget goes out as reads in flight …
+            let mut held: Vec<_> = (0..4).map(read).collect();
+            assert_eq!(cache.ram_budget(), (0, 400));
+            assert!(!fits(4), "{policy}: a fifth read has to wait");
+            // … which land out of order, each in its own reservation:
+            // a landing moves bytes from reserved to resident, frees none.
+            for i in [2, 3, 0, 1] {
+                held[i].take().unwrap().admit(block(i, 100).into());
+                let (used, reserved) = cache.ram_budget();
+                assert_eq!(used + reserved, 400, "{policy}");
+                assert!(!fits(4), "{policy}: still four blocks needed before 4");
+            }
+            assert!(matches!(reserve(1), Issue::Skip), "{policy}: resident");
+
+            // The cursor releases block 0: position 4 is staged in its
+            // place, whichever block the policy alone would have evicted.
+            assert!(cache.get(&key(0)).is_some());
+            assert!(fits(4), "{policy}");
+            let r4 = read(4);
+            assert!(!fits(5), "{policy}: one slot came free, not two");
+            assert_eq!(cache.ram_keys(), vec![key(1), key(2), key(3)], "{policy}");
+            assert_eq!(cache.ram_budget(), (300, 100), "{policy}");
+            assert!(
+                matches!(reserve(0), Issue::Skip),
+                "{policy}: demand got there first"
+            );
+
+            // A read that fails gives its room and its slot back.
+            drop(r4);
+            assert_eq!(cache.ram_budget(), (300, 0), "{policy}");
+            assert!(!cache.contains(&key(4)));
+            read(4).unwrap().admit(block(4, 100).into());
+            assert_eq!(cache.ram_budget(), (400, 0), "{policy}");
+
+            // Parked with no room, the issue step leaves on the stop flag.
+            stop.store(true, Ordering::SeqCst);
+            assert!(matches!(reserve(5), Issue::Stop), "{policy}");
+            let s = cache.stats().snapshot();
+            assert_eq!(
+                (s.prefetched, s.prefetch_wasted, s.misses),
+                (5, 0, 0),
+                "{policy}"
+            );
         }
-        assert_eq!(cache.prefetch_open_run(8, 4, 64), 0, "window closed");
-        // Crossing into window 1 flips the double-buffer forward.
-        cache.insert(key(3), block(0, 8));
-        cache.get(&key(3)).unwrap();
-        assert_eq!(cache.prefetch_open_run(8, 4, 64), 4);
     }
 
     #[test]

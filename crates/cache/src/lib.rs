@@ -37,10 +37,11 @@
 //!   [`PeerTransport`]) instead of the shared storage link, with
 //!   fleet-wide single-flight and graceful degradation to direct storage
 //!   when a peer is down or slow.
-//! * [`Prefetcher`] — a background thread that walks the planned access
-//!   sequence ahead of the demand cursor and warms the RAM tier through a
-//!   [`CachedSource`], bounded by a configurable depth so it cannot wreck
-//!   the cache for the present.
+//! * [`Prefetcher`] — a background executor that walks the planned access
+//!   sequence ahead of the demand cursor and stages blocks into the RAM
+//!   tier through a [`CachedSource`]: every read's bytes are reserved out
+//!   of the RAM budget before it is issued, so staging the future never
+//!   evicts what the plan needs sooner ([`prefetch`]).
 //! * [`CachedRangeReader`] — the decode layer used by the daemon: turns
 //!   block keys into record payloads through any source stack and reports
 //!   origin/bytes/read-time per batch.

@@ -116,6 +116,11 @@ impl LruList {
         self.index.insert(key, idx);
     }
 
+    /// Size `key` was tracked with.
+    pub fn size_of(&self, key: &BlockKey) -> Option<u64> {
+        self.index.get(key).map(|&idx| self.nodes[idx].size)
+    }
+
     /// Move `key` to most recent (LRU touch). No-op when absent.
     pub fn touch(&mut self, key: &BlockKey) {
         if let Some(&idx) = self.index.get(key) {
@@ -201,6 +206,11 @@ impl NextUseHeap {
     /// Whether `key` is tracked.
     pub fn contains(&self, key: &BlockKey) -> bool {
         self.entries.contains_key(key)
+    }
+
+    /// Size `key` was tracked with.
+    pub fn size_of(&self, key: &BlockKey) -> Option<u64> {
+        self.entries.get(key).map(|&(_, size)| size)
     }
 
     fn push(&mut self, key: BlockKey, rank: Rank) {
@@ -318,6 +328,14 @@ impl TierOrder {
         match self {
             TierOrder::Queue { list, .. } => list.contains(key),
             TierOrder::NextUse(h) => h.contains(key),
+        }
+    }
+
+    /// Size of the tracked block `key`, `None` when it is not tracked.
+    pub fn size_of(&self, key: &BlockKey) -> Option<u64> {
+        match self {
+            TierOrder::Queue { list, .. } => list.size_of(key),
+            TierOrder::NextUse(h) => h.size_of(key),
         }
     }
 

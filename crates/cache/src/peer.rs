@@ -772,6 +772,10 @@ impl RangeSource for PeerSource {
             .collect())
     }
 
+    fn block_len(&self, key: &BlockKey) -> Option<u64> {
+        self.inner.block_len(key)
+    }
+
     fn describe(&self) -> String {
         format!(
             "peer({}, fleet={}) -> {}",

@@ -93,35 +93,8 @@ impl RangeSource for CachedSource {
             .prefetch::<RecordError, _, _>(*key, || Ok(self.fetch_inner(key)?.0))
     }
 
-    /// Batched warm: claim every still-absent key up front, then fetch the
-    /// claimed set through one [`RangeSource::read_blocks`] call so
-    /// plan-adjacent blocks coalesce in the inner source. Already-resident
-    /// (or in-flight) keys are skipped without touching demand accounting.
-    /// A failed batch releases every claim — the demand path will surface
-    /// the error per block.
-    fn prefetch_blocks(&self, keys: &[BlockKey]) -> Result<usize, RecordError> {
-        let claimed: Vec<BlockKey> = keys
-            .iter()
-            .copied()
-            .filter(|k| self.cache.try_claim(k))
-            .collect();
-        if claimed.is_empty() {
-            return Ok(0);
-        }
-        let reads = match self.inner.read_blocks(&claimed) {
-            Ok(reads) => reads,
-            Err(e) => {
-                for k in &claimed {
-                    self.cache.release_busy(k);
-                }
-                return Err(e);
-            }
-        };
-        // `read_blocks` returns one BlockRead per key, in key order.
-        for (k, read) in claimed.iter().zip(reads) {
-            self.cache.admit_claimed_prefetch(*k, read.data);
-        }
-        Ok(claimed.len())
+    fn block_len(&self, key: &BlockKey) -> Option<u64> {
+        self.inner.block_len(key)
     }
 
     fn describe(&self) -> String {

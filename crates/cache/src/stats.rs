@@ -28,6 +28,11 @@ pub struct CacheStats {
     pub clean_evictions: AtomicU64,
     /// Blocks loaded by the prefetcher (not demand misses).
     pub prefetched: AtomicU64,
+    /// Prefetched reads whose bytes RAM did not admit (subset of
+    /// `prefetched`): a storage read paid for and thrown away. The
+    /// reserving executor keeps this at 0; it moves only when a block
+    /// turns out longer than the length reserved for it.
+    pub prefetch_wasted: AtomicU64,
     /// CRC-valid blocks re-admitted from a persistent spill index at
     /// construction (daemon restart).
     pub readmitted: AtomicU64,
@@ -57,6 +62,7 @@ impl CacheStats {
             spills: self.spills.load(Ordering::Relaxed),
             clean_evictions: self.clean_evictions.load(Ordering::Relaxed),
             prefetched: self.prefetched.load(Ordering::Relaxed),
+            prefetch_wasted: self.prefetch_wasted.load(Ordering::Relaxed),
             readmitted: self.readmitted.load(Ordering::Relaxed),
             bytes_saved: self.bytes_saved.load(Ordering::Relaxed),
             spill_failures: self.spill_failures.load(Ordering::Relaxed),
@@ -84,6 +90,8 @@ pub struct CacheStatsSnapshot {
     pub clean_evictions: u64,
     /// Blocks loaded by the prefetcher.
     pub prefetched: u64,
+    /// Prefetched reads whose bytes RAM did not admit.
+    pub prefetch_wasted: u64,
     /// Blocks re-admitted from a persistent spill index.
     pub readmitted: u64,
     /// Storage bytes not read thanks to hits.

@@ -1,141 +1,205 @@
-//! Property test for the batched prefetch path: for *any* key trace,
-//! warming a window through one `prefetch_blocks` call leaves the cache in
-//! exactly the state the single-block `prefetch_block` baseline produces —
-//! same resident set, same `prefetched` count — while issuing strictly
-//! fewer inner-source read invocations whenever more than one block was
-//! actually fetched.
+//! Property test for the reserving prefetch executor: for *any* plan
+//! (repeated keys included), any block sizes, any RAM budget and any order
+//! in which storage completes its reads, while a consumer walks the plan
+//! at its own pace,
+//!
+//! * `ram_used + ram_reserved` never exceeds the budget,
+//! * never more than [`MAX_IN_FLIGHT`] prefetch reads are out,
+//! * every storage read is used — it is either a demand miss or a
+//!   prefetch whose bytes the RAM tier admitted (`prefetch_wasted == 0`
+//!   whenever the stack can tell a block's length beforehand),
+//! * every access gets its block's bytes, and
+//! * everything ends: no reservation outlives its read, the executor
+//!   joins.
+//!
+//! Reads park at a gate and the test lets them through one at a time, so
+//! completion order is the test's draw, not the scheduler's; which reads
+//! are parked at each draw is the scheduler's, and the properties hold
+//! whichever it is.
 
-use emlio_cache::{BlockKey, BlockRead, CacheConfig, CachedSource, RangeSource, ShardCache};
+use emlio_cache::prefetch::MAX_IN_FLIGHT;
+use emlio_cache::{
+    BlockKey, BlockRead, CacheConfig, CachedSource, EvictPolicy, Prefetcher, RangeSource,
+    ReadOrigin, ShardCache,
+};
 use emlio_tfrecord::RecordError;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
-const BLOCK: usize = 100;
-
-fn key(i: u8) -> BlockKey {
+fn key(i: usize) -> BlockKey {
     BlockKey {
         shard_id: 0,
-        start: i as usize * BLOCK,
-        end: (i as usize + 1) * BLOCK,
+        start: i,
+        end: i + 1,
     }
 }
 
-fn payload(k: &BlockKey) -> Vec<u8> {
-    vec![(k.start / BLOCK) as u8; BLOCK]
+fn payload(i: usize, len: usize) -> Vec<u8> {
+    vec![i as u8; len]
 }
 
-/// An inner source that counts read *invocations* (calls, not blocks) —
-/// modeling a root source whose batched entry point coalesces a whole run
-/// into one positioned read, like `TfrecordSource::read_blocks`.
 #[derive(Default)]
-struct CountingSource {
-    invocations: AtomicU64,
-    blocks_read: AtomicU64,
+struct GateState {
+    /// Parked reads by ticket; the value is the key index.
+    parked: BTreeMap<u64, usize>,
+    /// Tickets let through.
+    open: Vec<u64>,
+    next_ticket: u64,
+    reads: u64,
+    most_parked: usize,
 }
 
-impl CountingSource {
-    fn read_one(&self, k: &BlockKey) -> BlockRead {
-        self.blocks_read.fetch_add(1, Ordering::Relaxed);
-        BlockRead {
-            data: payload(k).into(),
-            origin: emlio_cache::ReadOrigin::Direct,
-            read_nanos: 1,
+/// Storage whose reads park until the test lets them through.
+struct Gate {
+    sizes: Vec<usize>,
+    knows_len: bool,
+    state: Mutex<GateState>,
+    cv: Condvar,
+}
+
+impl Gate {
+    /// Wait for a parked read, or for `done`; let the `pick`-th parked
+    /// read through. Returns whether there is more to do.
+    fn let_one_through(&self, pick: usize, done: &AtomicBool) -> bool {
+        let mut state = self.state.lock().unwrap();
+        while state.parked.is_empty() {
+            if done.load(Ordering::SeqCst) {
+                return false;
+            }
+            // `done` is set outside the lock: look again before long.
+            state = self
+                .cv
+                .wait_timeout(state, std::time::Duration::from_millis(1))
+                .unwrap()
+                .0;
         }
+        let ticket = *state.parked.keys().nth(pick % state.parked.len()).unwrap();
+        state.parked.remove(&ticket);
+        state.open.push(ticket);
+        self.cv.notify_all();
+        true
     }
 }
 
-impl RangeSource for CountingSource {
+impl RangeSource for Gate {
     fn read_block(&self, k: &BlockKey) -> Result<BlockRead, RecordError> {
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        Ok(self.read_one(k))
+        let mut state = self.state.lock().unwrap();
+        let ticket = state.next_ticket;
+        state.next_ticket += 1;
+        state.reads += 1;
+        state.parked.insert(ticket, k.start);
+        state.most_parked = state.most_parked.max(state.parked.len());
+        self.cv.notify_all();
+        while !state.open.contains(&ticket) {
+            state = self.cv.wait(state).unwrap();
+        }
+        drop(state);
+        Ok(BlockRead {
+            data: payload(k.start, self.sizes[k.start]).into(),
+            origin: ReadOrigin::Direct,
+            read_nanos: 0,
+        })
     }
 
-    fn read_blocks(&self, keys: &[BlockKey]) -> Result<Vec<BlockRead>, RecordError> {
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        Ok(keys.iter().map(|k| self.read_one(k)).collect())
+    fn block_len(&self, k: &BlockKey) -> Option<u64> {
+        self.knows_len.then_some(self.sizes[k.start] as u64)
     }
 
     fn describe(&self) -> String {
-        "counting".into()
+        "gate".into()
     }
 }
 
-/// A fresh cache+counter stack big enough that no prefetch evicts (the
-/// equivalence below is about warming, not eviction interleavings).
-fn stack() -> (Arc<ShardCache>, Arc<CountingSource>, CachedSource) {
-    let cache = Arc::new(
-        ShardCache::new(
-            CacheConfig::default()
-                .with_ram_bytes(64 * BLOCK as u64)
-                .with_prefetch_depth(0),
-        )
-        .unwrap(),
-    );
-    let inner = Arc::new(CountingSource::default());
-    let source = CachedSource::new(cache.clone(), inner.clone());
-    (cache, inner, source)
+/// Sets the flag when dropped, so a thread that panics still ends the
+/// loop waiting on it.
+struct SetOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for SetOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Batched `prefetch_blocks` ≡ sequential `prefetch_block`, cheaper.
     #[test]
-    fn batched_prefetch_matches_single_block_baseline(
-        trace in vec(0u8..24, 1..48),
-        // Split the trace into windows of this size for the batched run
-        // (prefetchers hand `prefetch_blocks` one window at a time).
-        window in 1usize..9,
+    fn reserved_window_keeps_its_invariants(
+        sizes in vec(1usize..200, 1..12),
+        trace in vec(0usize..12, 1..40),
+        // RAM budget in tenths of the largest block: from "one block at a
+        // time" to "most of the plan".
+        budget_tenths in 10u64..80,
+        picks in vec(0usize..16, 1..32),
+        knows_len in any::<bool>(),
+        policy in prop_oneof![Just(EvictPolicy::Clairvoyant), Just(EvictPolicy::Lru)],
     ) {
-        let keys: Vec<BlockKey> = trace.iter().map(|&i| key(i)).collect();
-
-        // Baseline: one prefetch_block per key, in trace order.
-        let (base_cache, base_inner, base_src) = stack();
-        let mut base_warmed = 0usize;
-        for k in &keys {
-            base_warmed += usize::from(base_src.prefetch_block(k).unwrap());
-        }
-
-        // Batched: the same trace, one prefetch_blocks call per window.
-        let (batch_cache, batch_inner, batch_src) = stack();
-        let mut batch_warmed = 0usize;
-        for chunk in keys.chunks(window) {
-            batch_warmed += batch_src.prefetch_blocks(chunk).unwrap();
-        }
-
-        // Identical warmed state: same resident set, same accounting.
-        prop_assert_eq!(base_cache.ram_keys(), batch_cache.ram_keys());
-        prop_assert_eq!(base_warmed, batch_warmed);
-        let base_stats = base_cache.stats().snapshot();
-        let batch_stats = batch_cache.stats().snapshot();
-        prop_assert_eq!(base_stats.prefetched, batch_stats.prefetched);
-        prop_assert_eq!(
-            base_inner.blocks_read.load(Ordering::Relaxed),
-            batch_inner.blocks_read.load(Ordering::Relaxed),
-            "both paths fetch each unique block exactly once"
+        let seq: Vec<BlockKey> = trace.iter().map(|&i| key(i % sizes.len())).collect();
+        let largest = *sizes.iter().max().unwrap() as u64;
+        let ram = largest * budget_tenths / 10;
+        let cache = Arc::new(
+            ShardCache::new(CacheConfig::default().with_ram_bytes(ram).with_policy(policy))
+                .unwrap(),
         );
-        // Identical bytes for every warmed block.
-        for k in batch_cache.ram_keys() {
-            prop_assert_eq!(&batch_cache.get(&k).unwrap()[..], &payload(&k)[..]);
-        }
+        cache.set_plan(seq.clone());
+        let gate = Arc::new(Gate {
+            sizes: sizes.clone(),
+            knows_len,
+            state: Mutex::default(),
+            cv: Condvar::new(),
+        });
+        let source = Arc::new(CachedSource::new(cache.clone(), gate.clone()));
+        let prefetcher = Prefetcher::spawn(source.clone());
 
-        // Strictly fewer inner read invocations whenever any window
-        // fetched more than one block (and never more in any case).
-        let base_calls = base_inner.invocations.load(Ordering::Relaxed);
-        let batch_calls = batch_inner.invocations.load(Ordering::Relaxed);
-        prop_assert!(batch_calls <= base_calls,
-            "batched path never issues more reads ({batch_calls} vs {base_calls})");
-        let unique = {
-            let mut v = trace.clone();
-            v.sort_unstable();
-            v.dedup();
-            v.len()
-        };
-        if window > 1 && unique > keys.chunks(window).count() {
-            prop_assert!(batch_calls < base_calls,
-                "some window coalesced ≥2 fetches ({batch_calls} vs {base_calls})");
+        let done = AtomicBool::new(false);
+        let over_budget = std::thread::scope(|s| {
+            let consumer = s.spawn(|| {
+                let _done = SetOnDrop(&done);
+                seq.iter()
+                    .map(|k| source.read_block(k).unwrap())
+                    .collect::<Vec<BlockRead>>()
+            });
+            // Storage completes its reads in the order the draw says.
+            let mut over_budget = None;
+            let mut draw = picks.iter().cycle();
+            while gate.let_one_through(*draw.next().unwrap(), &done) {
+                let (used, reserved) = cache.ram_budget();
+                if used + reserved > ram {
+                    over_budget = Some((used, reserved));
+                }
+            }
+            let served = consumer.join().unwrap();
+            for (k, read) in seq.iter().zip(&served) {
+                assert_eq!(&read.data[..], &payload(k.start, sizes[k.start])[..], "{k:?}");
+            }
+            over_budget
+        });
+        // Reads the executor still has out are let through by nobody:
+        // stopping it gives their reservations back once they return.
+        let gate2 = gate.clone();
+        let stopped = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| while gate2.let_one_through(0, &stopped) {});
+            let _stopped = SetOnDrop(&stopped);
+            prefetcher.join();
+        });
+
+        prop_assert_eq!(over_budget, None, "(used, reserved) over {}", ram);
+        prop_assert_eq!(cache.ram_budget().1, 0, "a reservation outlived its read");
+        let (used, _) = cache.ram_budget();
+        prop_assert_eq!((used, 0), cache.slot_bytes(), "accounting matches the slots");
+        let stats = cache.stats().snapshot();
+        let gate = gate.state.lock().unwrap();
+        prop_assert_eq!(stats.hits + stats.misses, seq.len() as u64);
+        prop_assert_eq!(stats.prefetched + stats.misses, gate.reads,
+            "a storage read that was neither a prefetch nor a demand miss");
+        // One more than the cap: the consumer's own demand miss.
+        prop_assert!(gate.most_parked <= MAX_IN_FLIGHT + 1, "{} reads out", gate.most_parked);
+        if knows_len {
+            prop_assert_eq!(stats.prefetch_wasted, 0);
         }
     }
 }

@@ -146,6 +146,10 @@ impl RangeSource for MeteredSource {
         self.inner.prefetch_blocks(keys)
     }
 
+    fn block_len(&self, key: &BlockKey) -> Option<u64> {
+        self.inner.block_len(key)
+    }
+
     fn describe(&self) -> String {
         format!("metered -> {}", self.inner.describe())
     }

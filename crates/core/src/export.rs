@@ -411,6 +411,16 @@ pub fn render_report(db: &Db) -> String {
                 None => "cache: enabled, no traffic".to_string(),
             };
             let _ = writeln!(out, "{cache_line}");
+            // Prefetch line only when the executor staged anything.
+            if g("cache_prefetched") > 0.0 {
+                let _ = writeln!(
+                    out,
+                    "prefetch: {} blocks read ahead, {} wasted, {:.1} MiB reserved for reads in flight",
+                    g("cache_prefetched") as u64,
+                    g("cache_prefetch_wasted") as u64,
+                    g("cache_ram_reserved") / (1024.0 * 1024.0),
+                );
+            }
             // Fleet line only when the peer tier saw traffic: solo runs
             // stay byte-identical to pre-fleet reports.
             let peer_events = g("peer_hits") + g("peer_misses") + g("peer_fallbacks");
@@ -528,7 +538,7 @@ mod tests {
             assert_eq!(fields.get(name), Some(&(value as f64)), "{name}");
         }
         assert_eq!(fields.get("cache_hit_rate"), Some(&0.5));
-        assert_eq!(fields.len(), 28);
+        assert_eq!(fields.len(), 31);
 
         // Stall attribution reads the last sample's cumulative state.
         let stall = stall_attribution(&db, "daemon-0").unwrap();
@@ -580,7 +590,8 @@ mod tests {
         sample_demo(&mut db, 10);
         let fields = last_fields(&db, "emlio_path", &[("proc", "daemon-0")]).unwrap();
         assert_eq!(fields.get("peer_hits"), Some(&0.0));
-        assert!(!render_report(&db).contains("peers:"));
+        let report = render_report(&db);
+        assert!(!report.contains("peers:") && !report.contains("prefetch:"));
 
         // Fleet: counters flow through to the point and the report line.
         let snap = MetricsSnapshot {
@@ -588,6 +599,9 @@ mod tests {
             peer_misses: 3,
             peer_fallbacks: 2,
             peer_bytes: 5 << 20,
+            cache_prefetched: 12,
+            cache_prefetch_wasted: 1,
+            cache_ram_reserved: 3 << 20,
             ..MetricsSnapshot::default()
         };
         let mut db = Db::new();
@@ -598,7 +612,8 @@ mod tests {
         assert_eq!(fields.get("peer_bytes"), Some(&((5 << 20) as f64)));
         let report = render_report(&db);
         assert!(
-            report.contains("peers: 40 hits / 3 misses / 2 fallbacks"),
+            report.contains("peers: 40 hits / 3 misses / 2 fallbacks")
+                && report.contains("prefetch: 12 blocks read ahead, 1 wasted, 3.0 MiB reserved"),
             "{report}"
         );
     }

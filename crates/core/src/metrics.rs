@@ -40,6 +40,9 @@ impl StackCounters {
             s.cache_spill_queue_depth = cache.spill_queue_depth();
             s.cache_spill_backpressure = c.spill_backpressure_waits;
             s.cache_warm_promoted = c.warm_promoted;
+            s.cache_prefetched = c.prefetched;
+            s.cache_prefetch_wasted = c.prefetch_wasted;
+            s.cache_ram_reserved = cache.ram_budget().1;
         }
         if let Some(peer) = &self.peer {
             let p = peer.snapshot();
@@ -225,6 +228,12 @@ pub struct MetricsSnapshot {
     pub cache_spill_backpressure: u64,
     /// Disk blocks promoted into RAM by cache warm-start.
     pub cache_warm_promoted: u64,
+    /// Blocks the prefetcher read ahead of demand.
+    pub cache_prefetched: u64,
+    /// Prefetched reads whose bytes the RAM tier did not admit.
+    pub cache_prefetch_wasted: u64,
+    /// RAM-tier bytes reserved for prefetch reads in flight (gauge).
+    pub cache_ram_reserved: u64,
     /// Blocks served by a peer daemon or a fleet flight handoff.
     pub peer_hits: u64,
     /// Peer fetches the owner answered but did not hold resident.
@@ -252,7 +261,7 @@ impl MetricsSnapshot {
     /// exporter writes for this snapshot (`serve_wall_nanos` and
     /// `serve_workers` go to `emlio_run` instead, and `cache_hit_rate` is
     /// derived). The one list of exported names — `export.rs` iterates it.
-    pub fn path_fields(&self) -> [(&'static str, u64); 27] {
+    pub fn path_fields(&self) -> [(&'static str, u64); 30] {
         [
             ("batches", self.batches),
             ("samples", self.samples),
@@ -274,6 +283,9 @@ impl MetricsSnapshot {
             ("cache_spill_queue_depth", self.cache_spill_queue_depth),
             ("cache_spill_backpressure", self.cache_spill_backpressure),
             ("cache_warm_promoted", self.cache_warm_promoted),
+            ("cache_prefetched", self.cache_prefetched),
+            ("cache_prefetch_wasted", self.cache_prefetch_wasted),
+            ("cache_ram_reserved", self.cache_ram_reserved),
             ("peer_hits", self.peer_hits),
             ("peer_misses", self.peer_misses),
             ("peer_fallbacks", self.peer_fallbacks),
@@ -497,8 +509,11 @@ mod tests {
             io_retries: 124,
             io_giveups: 125,
             send_blocked_nanos: 126,
-            serve_wall_nanos: 127, // emlio_run.wall_nanos
-            serve_workers: 128,    // emlio_run.workers
+            cache_prefetched: 127,
+            cache_prefetch_wasted: 128,
+            cache_ram_reserved: 129,
+            serve_wall_nanos: 130, // emlio_run.wall_nanos
+            serve_workers: 131,    // emlio_run.workers
             cache_enabled: true,
         };
         let fields = snap.path_fields();
@@ -526,6 +541,9 @@ mod tests {
                 "cache_spill_queue_depth",
                 "cache_spill_backpressure",
                 "cache_warm_promoted",
+                "cache_prefetched",
+                "cache_prefetch_wasted",
+                "cache_ram_reserved",
                 "peer_hits",
                 "peer_misses",
                 "peer_fallbacks",
@@ -535,7 +553,7 @@ mod tests {
                 "send_blocked_nanos",
             ]
         );
-        for value in 101..=126u64 {
+        for value in 101..=129u64 {
             let hits = fields.iter().filter(|(_, v)| *v == value).count();
             assert_eq!(hits, 1, "counter with value {value} exported {hits} times");
         }

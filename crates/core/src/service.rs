@@ -33,7 +33,7 @@ use emlio_util::fnv1a;
 use emlio_zmq::Endpoint;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
 /// One storage node: an id, the directory holding its shards, and what
@@ -81,8 +81,15 @@ pub struct Delivery {
 }
 
 /// What a daemon thread hands back: the counters of every incarnation it
-/// reopened after a kill, and how many restarts it took — or what failed.
-type Served = (Vec<Arc<DataPathMetrics>>, Result<u32, DaemonError>);
+/// reopened after a kill, and how many restarts it took — `None` when it
+/// failed, its error having gone to the deployment's [`FirstError`].
+type Served = (Vec<Arc<DataPathMetrics>>, Option<u32>);
+
+/// The error of the daemon that failed first *in time*. One daemon's
+/// failure ends the stream for all of them, so the survivors' transport
+/// errors follow it: the first is the root cause, wherever its daemon
+/// sits in `storage` order.
+type FirstError = Arc<Mutex<Option<DaemonError>>>;
 
 /// A launched deployment: a receiver plus daemon threads streaming into it.
 pub struct Deployment {
@@ -98,6 +105,7 @@ pub struct Deployment {
     /// Per-stage latency histograms, one per daemon in `storage` order.
     pub daemon_recorders: Vec<Arc<StageRecorder>>,
     daemons: Vec<JoinHandle<Served>>,
+    first_error: FirstError,
     /// Keeps interposed infrastructure (e.g. a netem proxy) alive for the
     /// deployment's lifetime.
     _guard: Box<dyn std::any::Any + Send>,
@@ -106,25 +114,23 @@ pub struct Deployment {
 impl Deployment {
     /// Wait for every daemon to finish streaming. Call after consuming all
     /// batches (or concurrently from another thread). Returns the restarts
-    /// the kill/restart loops performed, or the first error in `storage`
-    /// order.
+    /// the kill/restart loops performed, or the error of the daemon that
+    /// failed first in time.
     pub fn join_daemons(&mut self) -> Result<u32, DaemonError> {
         let mut restarts = 0u32;
-        let mut first_err = None;
         for h in self.daemons.drain(..) {
-            let served = match h.join() {
-                Ok((reopened, served)) => {
-                    self.daemon_metrics.extend(reopened);
-                    served
-                }
-                Err(_) => Err(DaemonError::BadPlan("daemon panicked".into())),
-            };
-            match served {
-                Ok(n) => restarts += n,
-                Err(e) => first_err = first_err.or(Some(e)),
+            // A failed or panicked daemon left its error in `first_error`.
+            if let Ok((reopened, served)) = h.join() {
+                self.daemon_metrics.extend(reopened);
+                restarts += served.unwrap_or(0);
             }
         }
-        first_err.map_or(Ok(restarts), Err)
+        let first = self
+            .first_error
+            .lock()
+            .expect("a daemon thread stores its error in one assignment")
+            .take();
+        first.map_or(Ok(restarts), Err)
     }
 
     /// Consume the receiver to its end, fingerprinting every sample, then
@@ -154,23 +160,40 @@ impl Deployment {
     }
 }
 
-/// Held by a daemon thread; stops the receiver's intake when the thread
-/// ends any other way than `Ok` (an unwinding panic included).
+/// Held by a daemon thread. When the thread ends any other way than `Ok`
+/// (an unwinding panic included) it records the error, unless another
+/// daemon's is there already, and then stops the receiver's intake — in
+/// that order, so whoever fails *because* the stream ended finds the root
+/// cause recorded.
 struct StopIntakeOnFailure {
     stop: Arc<AtomicBool>,
-    ok: bool,
+    first_error: FirstError,
+    failed: Option<DaemonError>,
 }
 
 impl StopIntakeOnFailure {
     /// The thread's work ended in `served`.
-    fn settle(mut self, served: &Result<u32, DaemonError>) {
-        self.ok = served.is_ok();
+    fn settle(mut self, served: Result<u32, DaemonError>) -> Option<u32> {
+        match served {
+            Ok(restarts) => {
+                self.failed = None;
+                Some(restarts)
+            }
+            Err(e) => {
+                self.failed = Some(e);
+                None
+            }
+        }
     }
 }
 
 impl Drop for StopIntakeOnFailure {
     fn drop(&mut self) {
-        if !self.ok {
+        if let Some(e) = self.failed.take() {
+            // A poisoned slot only loses this error; never panic in drop.
+            if let Ok(mut first) = self.first_error.lock() {
+                first.get_or_insert(e);
+            }
             self.stop.store(true, Ordering::SeqCst);
         }
     }
@@ -261,6 +284,7 @@ impl EmlioService {
             opened.push((daemon, index, plan));
         }
 
+        let first_error = FirstError::default();
         let mut daemons = Vec::with_capacity(storage.len());
         for (spec, (mut daemon, index, plan)) in storage.iter().zip(opened) {
             let name = format!("emlio-daemon-{}", spec.id);
@@ -268,7 +292,8 @@ impl EmlioService {
             let endpoint = connect_to.clone();
             let intake = StopIntakeOnFailure {
                 stop: receiver.shutdown_flag(),
-                ok: false,
+                first_error: first_error.clone(),
+                failed: Some(DaemonError::BadPlan("daemon panicked".into())),
             };
             let serve = move || {
                 let mut reopened = Vec::new();
@@ -291,8 +316,7 @@ impl EmlioService {
                     };
                     reopened.push(daemon.metrics());
                 };
-                intake.settle(&served);
-                (reopened, served)
+                (reopened, intake.settle(served))
             };
             daemons.push(
                 std::thread::Builder::new()
@@ -307,6 +331,7 @@ impl EmlioService {
             daemon_metrics,
             daemon_recorders,
             daemons,
+            first_error,
             _guard: guard,
         })
     }
@@ -353,6 +378,44 @@ mod tests {
             assert_eq!(n, expected_samples, "epoch {e} delivers the union");
         }
         dep.join_daemons().unwrap();
+    }
+
+    #[test]
+    fn the_daemon_that_failed_first_in_time_names_the_error() {
+        use emlio_tfrecord::FnSource;
+        use std::sync::OnceLock;
+
+        let dir = TempDir::new("service-first-error");
+        let spec = DatasetSpec::tiny("svc", 8).with_samples(8);
+        build_tfrecord_dataset(dir.path(), &spec, ShardSpec::Count(1)).unwrap();
+        // "a" is first in storage order, but only fails once the stream
+        // has been stopped — which the launch harness does after it has
+        // recorded the failure of "b", whose storage is broken outright.
+        let stopped: Arc<OnceLock<Arc<AtomicBool>>> = Arc::default();
+        let stopped2 = stopped.clone();
+        let follow_on = FnSource::new(move |_k: &emlio_tfrecord::BlockKey| {
+            while !stopped2.get().is_some_and(|s| s.load(Ordering::SeqCst)) {
+                std::thread::yield_now();
+            }
+            Err(std::io::Error::other("follow-on"))
+        });
+        let root_cause =
+            FnSource::new(|_k: &emlio_tfrecord::BlockKey| Err(std::io::Error::other("root cause")));
+        let storage = [
+            StorageSpec {
+                stack: StackSpec::over(Arc::new(follow_on)),
+                ..StorageSpec::new("a", dir.path())
+            },
+            StorageSpec {
+                stack: StackSpec::over(Arc::new(root_cause)),
+                ..StorageSpec::new("b", dir.path())
+            },
+        ];
+        let config = EmlioConfig::default().with_batch_size(4).with_threads(1);
+        let mut dep = EmlioService::launch(&storage, &config, "n").unwrap();
+        stopped.set(dep.receiver.shutdown_flag()).unwrap();
+        let err = dep.drain().served.unwrap_err().to_string();
+        assert!(err.contains("root cause"), "{err}");
     }
 
     #[test]

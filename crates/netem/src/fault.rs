@@ -132,6 +132,10 @@ impl RangeSource for FaultSource {
         Ok(reads)
     }
 
+    fn block_len(&self, key: &BlockKey) -> Option<u64> {
+        self.inner.block_len(key)
+    }
+
     fn describe(&self) -> String {
         format!(
             "fault({}, seed {}) -> {}",

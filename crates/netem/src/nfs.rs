@@ -131,7 +131,7 @@ impl NfsMount {
     /// [`site::NFS_OPEN`] (mount stall or open failure, consulted by
     /// [`NfsMount::open_file`]) and [`site::NFS_READ`] (per-read I/O
     /// error, latency spike, or short read, consulted by
-    /// [`NfsFile::read_range`]). First call wins; every clone of the
+    /// [`NfsFile::read_range_into`]). First call wins; every clone of the
     /// mount shares the hook.
     pub fn set_fault_injector(&self, injector: Arc<FaultInjector>) {
         let _ = self.shared.injector.set(injector);
@@ -313,7 +313,7 @@ impl NfsMount {
 }
 
 /// An opened file over an [`NfsMount`]: the per-file open cost was paid by
-/// [`NfsMount::open_file`]; each [`NfsFile::read_range`] pays only data
+/// [`NfsMount::open_file`]; each [`NfsFile::read_range_into`] pays only data
 /// round trips and bandwidth. Dropping the handle models CLOSE as free —
 /// delegations make the close round trip asynchronous in practice, and the
 /// block read path holds its handles for the process lifetime anyway.
@@ -326,8 +326,11 @@ pub struct NfsFile {
 impl NfsFile {
     /// Positioned read through the held handle: READ waves + bandwidth,
     /// plus one GETATTR round trip when the attribute cache entry has
-    /// expired (close-to-open consistency revalidation).
-    pub fn read_range(&self, offset: u64, len: u64) -> io::Result<Vec<u8>> {
+    /// expired (close-to-open consistency revalidation). The bytes land
+    /// in `buf`, whose length becomes that of the read. Whatever `buf`
+    /// held is overwritten, not cleared first: a recycled buffer already
+    /// that long is not zero-filled under the read.
+    pub fn read_range_into(&self, offset: u64, len: u64, buf: &mut Vec<u8>) -> io::Result<()> {
         let cfg = &self.mount.shared.config;
         let len = match self.mount.consult(site::NFS_READ) {
             FaultDecision::Error => {
@@ -345,8 +348,8 @@ impl NfsFile {
         if self.mount.attr_check(&self.path) {
             self.mount.charge_rtts(1.0);
         }
-        let mut buf = vec![0u8; len as usize];
-        read_at(&self.file, &mut buf, offset)?;
+        buf.resize(len as usize, 0);
+        read_at(&self.file, buf, offset)?;
 
         let chunks = len.div_ceil(cfg.rsize).max(1);
         let waves = chunks.div_ceil(cfg.readahead.max(1) as u64);
@@ -362,7 +365,7 @@ impl NfsFile {
             .stats
             .bytes_read
             .fetch_add(len, Ordering::Relaxed);
-        Ok(buf)
+        Ok(())
     }
 
     /// The mount this handle charges its reads to.
@@ -465,7 +468,8 @@ mod tests {
         let (_d, mount) = setup(0);
         let f = mount.open_file(Path::new("b.bin")).unwrap();
         for i in 0..10u64 {
-            let data = f.read_range(i * 1000, 1000).unwrap();
+            let mut data = Vec::new();
+            f.read_range_into(i * 1000, 1000, &mut data).unwrap();
             assert!(data.iter().all(|&b| b == 2));
         }
         // One OPEN for ten positioned reads; read_range() would pay ten.
@@ -511,13 +515,16 @@ mod tests {
             FaultPlan::new(11).with_site(site::NFS_READ, FaultSpec::short_reads(1.0)),
         ));
         let f = mount2.open_file(Path::new("b.bin")).unwrap();
-        assert_eq!(f.read_range(0, 4096).unwrap().len(), 2048);
+        let mut buf = Vec::new();
+        f.read_range_into(0, 4096, &mut buf).unwrap();
+        assert_eq!(buf.len(), 2048);
 
         // A clear injector leaves the mount untouched.
         let (_d3, mount3) = setup(0);
         mount3.set_fault_injector(FaultInjector::new(FaultPlan::new(11)));
         let f = mount3.open_file(Path::new("a.bin")).unwrap();
-        assert_eq!(f.read_range(0, 100).unwrap().len(), 100);
+        f.read_range_into(0, 100, &mut buf).unwrap();
+        assert_eq!(buf.len(), 100);
     }
 
     #[test]

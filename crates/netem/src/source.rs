@@ -10,6 +10,7 @@
 use crate::nfs::{NfsFile, NfsMount};
 use emlio_tfrecord::source::{BlockKey, BlockRead, RangeSource, ReadOrigin};
 use emlio_tfrecord::{GlobalIndex, RecordError};
+use emlio_util::pool::BufferPool;
 use parking_lot::Mutex;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -18,8 +19,10 @@ use std::time::Instant;
 
 /// Most positioned reads one [`NfsSource::read_blocks`] run keeps in flight:
 /// the client's RPC slot table (`sunrpc.tcp_slot_table_entries`, 16 on a
-/// stock Linux mount). Runs are sized by the prefetch window, so this only
-/// binds when a window is wider than the slot table.
+/// stock Linux mount). The cache's prefetch executor no longer sends runs
+/// down — it issues single `read_block`s on its own helper threads, capped
+/// at the same 16 (`emlio_cache::prefetch::MAX_IN_FLIGHT`) — so this binds
+/// only for callers that hand `read_blocks` a run wider than the table.
 const RPC_SLOTS: usize = 16;
 
 /// Positioned block reads over an emulated NFS mount.
@@ -36,6 +39,10 @@ pub struct NfsSource {
     mount: NfsMount,
     /// One slot per shard of `index`, filled by the shard's first read.
     handles: Arc<[Mutex<Option<Arc<NfsFile>>>]>,
+    /// Block buffers, recycled when a block's last view drops: a read
+    /// lands in a buffer an evicted block gave back, with no allocation
+    /// and no zero-fill at a steady block size.
+    pool: BufferPool,
     recorder: Option<Arc<emlio_obs::StageRecorder>>,
 }
 
@@ -48,6 +55,7 @@ impl NfsSource {
             index,
             mount,
             handles,
+            pool: BufferPool::new(),
             recorder: None,
         }
     }
@@ -100,13 +108,15 @@ impl RangeSource for NfsSource {
         // `handles` has one slot per shard of `index`, checked just above.
         let slot = &self.handles[key.shard_id as usize];
         let file = self.handle_for(slot, rel).map_err(RecordError::Io)?;
-        let data = file.read_range(offset, size).map_err(RecordError::Io)?;
+        let mut buf = self.pool.take(size as usize);
+        file.read_range_into(offset, size, &mut buf)
+            .map_err(RecordError::Io)?;
         let read_nanos = t.elapsed().as_nanos() as u64;
         if let Some(rec) = &self.recorder {
             rec.record(emlio_obs::Stage::StorageRead, read_nanos);
         }
         Ok(BlockRead {
-            data: bytes::Bytes::from(data),
+            data: self.pool.seal(buf),
             origin: ReadOrigin::Direct,
             read_nanos,
         })
@@ -153,6 +163,10 @@ impl RangeSource for NfsSource {
         // taken too: sorted, the results are gapless up to the first error.
         done.sort_unstable_by_key(|(i, _)| *i);
         done.into_iter().map(|(_, read)| read).collect()
+    }
+
+    fn block_len(&self, key: &BlockKey) -> Option<u64> {
+        self.index.block_len(key)
     }
 
     fn describe(&self) -> String {

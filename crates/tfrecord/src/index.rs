@@ -216,6 +216,13 @@ impl GlobalIndex {
     pub fn shard_path(&self, shard_id: u32) -> PathBuf {
         self.dir.join(&self.shards[shard_id as usize].file_name)
     }
+
+    /// Byte length of block `key`'s span; `None` for an unknown shard or
+    /// a record range the shard does not have.
+    pub fn block_len(&self, key: &crate::BlockKey) -> Option<u64> {
+        let shard = self.shards.get(key.shard_id as usize)?;
+        shard.span(key.start, key.end).ok().map(|(_, size)| size)
+    }
 }
 
 #[cfg(test)]

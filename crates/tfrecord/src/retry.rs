@@ -152,6 +152,10 @@ impl RangeSource for RetrySource {
         self.with_retry(salt, || self.inner.prefetch_blocks(keys))
     }
 
+    fn block_len(&self, key: &BlockKey) -> Option<u64> {
+        self.inner.block_len(key)
+    }
+
     fn describe(&self) -> String {
         format!(
             "retry({}x, base {:?}) -> {}",

@@ -170,6 +170,15 @@ pub trait RangeSource: Send + Sync {
         Ok(warmed)
     }
 
+    /// Byte length of block `key`, when this source can tell without
+    /// reading it: root sources answer from their index, decorators
+    /// forward. `None` (the default) makes the prefetch executor reserve
+    /// the largest block it has seen instead.
+    fn block_len(&self, key: &BlockKey) -> Option<u64> {
+        let _ = key;
+        None
+    }
+
     /// One-line description of this layer (and, for decorators, what it
     /// wraps) — `cached(lru 256 MiB) -> tfrecord(/data)`.
     fn describe(&self) -> String;
@@ -317,6 +326,10 @@ impl RangeSource for TfrecordSource {
             i = j;
         }
         Ok(out)
+    }
+
+    fn block_len(&self, key: &BlockKey) -> Option<u64> {
+        self.index.block_len(key)
     }
 
     fn describe(&self) -> String {

@@ -24,7 +24,7 @@
 //!         .with_ram_bytes(256 << 20)              // RAM tier capacity
 //!         .with_disk_bytes(1 << 30)               // optional disk spill tier
 //!         .with_policy(EvictPolicy::Clairvoyant)  // lru | fifo | clairvoyant
-//!         .with_prefetch_depth(8),                // plan-ahead warm window
+//!         .with_prefetch_depth(8),                // plan-ahead staging on (0 = off)
 //! );
 //! ```
 //!

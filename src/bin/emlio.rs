@@ -25,7 +25,10 @@
 //! daemon restarts. `--cache-policy` is case-insensitive and accepts the
 //! aliases `belady`/`opt` for `clairvoyant`. `--spill-queue` sizes the
 //! background spill writer's order queue (at least 1; an evictor that
-//! finds it full waits for the writer). `--warm-start MB` promotes that
+//! finds it full waits for the writer). `--prefetch 0` switches the
+//! plan-ahead prefetcher off; any other value leaves it on (how far it
+//! runs ahead is set by `--cache-mb`, not by the number).
+//! `--warm-start MB` promotes that
 //! much of a persistent cache's disk tier back into RAM, earliest plan
 //! positions first, before the first batch is served. A flag the command
 //! does not know is an error, not a no-op.

@@ -1,11 +1,19 @@
-//! Cross-validation: the discrete-event models must agree *directionally*
-//! with real small-scale runs over actual sockets and the emulated NFS
-//! mount. Absolute times differ (miniature datasets, dev-profile CPUs); what
-//! must match is the mechanism — EMLIO's epoch time is flat in RTT while
-//! per-file loaders degrade linearly.
+//! Cross-validation of the models against real small-scale runs over
+//! actual sockets and the emulated NFS mount.
+//!
+//! * The discrete-event loader models must agree *directionally*: absolute
+//!   times differ (miniature datasets, dev-profile CPUs); what must match
+//!   is the mechanism — EMLIO's epoch time is flat in RTT while per-file
+//!   loaders degrade linearly.
+//! * The storage-bound fleet has a stated error bound: its steady-state
+//!   delivery is within [`FLEET_TOLERANCE`] of the window model
+//!   `min(link, ⌊ram/block⌋ · block / read cost)`.
 
 use emlio::baselines::pytorch::PytorchConfig;
 use emlio::baselines::PytorchLoader;
+use emlio::bench::contention::shared_mount_storage;
+use emlio::cache::peer::PeerConfig;
+use emlio::cache::{BlockKey, CacheConfig, EvictPolicy};
 use emlio::core::service::StorageSpec;
 use emlio::core::{EmlioConfig, EmlioService};
 use emlio::datagen::convert::{build_file_dataset, build_tfrecord_dataset, load_file_dataset};
@@ -17,9 +25,16 @@ use emlio::testbed::{NodeSpec, Regime, Workload};
 use emlio::util::clock::RealClock;
 use emlio::util::testutil::TempDir;
 use emlio::zmq::Endpoint;
-use std::time::Duration;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 const SAMPLES: u64 = 48;
+
+/// How far the real fleet's steady-state rate may sit from the window
+/// model, as a share of the model. An idle 2-core box reads 0.95–0.97 of
+/// the model (thread wake-ups and the consumer's own time per batch are
+/// what the model leaves out); the rest is headroom for a loaded one.
+const FLEET_TOLERANCE: f64 = 0.15;
 
 fn real_pytorch_secs(dir: &std::path::Path, rtt_ms: u64) -> f64 {
     let mount = NfsMount::mount(
@@ -125,5 +140,72 @@ fn real_runtime_matches_des_direction() {
     assert!(
         des_em_penalty.abs() < des_py_penalty * 0.05,
         "DES agrees: EMLIO flat ({des_em_penalty:.1}s) vs pytorch (+{des_py_penalty:.1}s)"
+    );
+}
+
+#[test]
+fn real_fleet_rate_is_within_a_stated_bound_of_the_window_model() {
+    const BATCH: usize = 8;
+    const SLOTS: u64 = 6;
+    let dir = TempDir::new("des-vs-real-fleet");
+    let spec = DatasetSpec::tiny("dvr-fleet", 1024);
+    let index = Arc::new(
+        build_tfrecord_dataset(dir.path(), &spec, emlio::tfrecord::ShardSpec::Count(2)).unwrap(),
+    );
+    let block = index
+        .block_len(&BlockKey {
+            shard_id: 0,
+            start: 0,
+            end: BATCH,
+        })
+        .unwrap();
+    // Storage-latency-bound: 20 ms a read, a link that could carry
+    // thousands of these blocks a second, a RAM tier of six and a half.
+    let profile = NetProfile::new("t", Duration::from_millis(20), 1.25e9);
+    let mount = NfsMount::mount(
+        dir.path(),
+        profile.clone(),
+        RealClock::shared(),
+        NfsConfig::default(),
+    );
+    let config = EmlioConfig::default()
+        .with_batch_size(BATCH)
+        .with_threads(1)
+        .with_cache(
+            CacheConfig::default()
+                .with_ram_bytes(SLOTS * block + block / 2)
+                .with_policy(EvictPolicy::Clairvoyant),
+        );
+    let storage = shared_mount_storage(&index, &mount, 2, "d", Some(PeerConfig::default()));
+    let mut dep = EmlioService::launch(&storage, &config, "c").unwrap();
+    let mut src = dep.receiver.source();
+    let mut arrivals = Vec::new();
+    while src.next_batch().is_some() {
+        arrivals.push(Instant::now());
+    }
+    dep.join_daemons().unwrap();
+    assert_eq!(arrivals.len() as u64, dep.total_batches());
+
+    // Steady state: from the arrival that ends the start-up windows to the
+    // last one.
+    let skip = 4 * SLOTS as usize;
+    let window = *arrivals.last().unwrap() - arrivals[skip];
+    let real = (arrivals.len() - 1 - skip) as f64 / window.as_secs_f64();
+
+    // The model. A positioned read on an open handle pays its READ waves
+    // and its bytes, no OPEN or CLOSE; the executor keeps one read out
+    // per block the RAM tier holds; the fleet reads each block once and
+    // both daemons deliver it.
+    let open_handle = NfsConfig {
+        open_rtts: 0.0,
+        close_rtts: 0.0,
+        ..NfsConfig::default()
+    };
+    let read_cost = open_handle.read_cost(block, &profile).as_secs_f64();
+    let link = profile.bandwidth_bps / block as f64;
+    let model = 2.0 * link.min(SLOTS as f64 / read_cost);
+    assert!(
+        (real / model - 1.0).abs() <= FLEET_TOLERANCE,
+        "real {real:.0} batches/s vs model {model:.0} (block {block} B, read {read_cost:.4} s)"
     );
 }

@@ -96,3 +96,29 @@ fn cooperative_fleet_collapses_shared_link_to_one_dataset_pass() {
     // bytes, never the bytes.
     assert_eq!(fleet.payload_digest, solo.payload_digest);
 }
+
+#[test]
+fn two_daemon_mount_run_wastes_no_read() {
+    // The prefetch executor reserves a block's RAM before it reads it, so
+    // no read it issues can be declined on arrival and repeated on the
+    // demand path: every READ the mount served is one the daemons needed,
+    // exactly as many as a run with no prefetcher at all would issue —
+    // one per block per daemon solo, one per block in a fleet (each block
+    // here is a single `rsize` chunk).
+    for peer_fleet in [false, true] {
+        let cfg = ContentionConfig {
+            daemons: 2,
+            epochs: 3,
+            samples: 64,
+            peer_fleet,
+            ..ContentionConfig::smoke()
+        };
+        let out = run(&cfg);
+        assert_eq!(out.batches_delivered, out.expected_batches, "{out:?}");
+        assert!(out.prefetched > 0, "the prefetcher ran: {out:?}");
+        assert_eq!(out.prefetch_wasted, 0, "{out:?}");
+        let readers = if peer_fleet { 1 } else { cfg.daemons as u64 };
+        assert_eq!(out.nfs_reads, readers * out.unique_blocks, "{out:?}");
+        assert_eq!(out.nfs_bytes_read, readers * out.dataset_bytes, "{out:?}");
+    }
+}
