@@ -121,10 +121,9 @@ impl RangeSource for MeteredSource {
     fn read_blocks(&self, keys: &[BlockKey]) -> Result<Vec<BlockRead>, RecordError> {
         let reads = self.inner.read_blocks(keys)?;
         // One storage read per non-cached block, even when the source
-        // below coalesced a run into a single pread: each member carries
-        // its share of the merged read's latency, so per-block counting
-        // keeps `storage_reads` comparable across batched and single-block
-        // paths.
+        // below overlapped the run's reads: each member carries its own
+        // read's latency, so per-block counting keeps `storage_reads`
+        // comparable across batched and single-block paths.
         for read in &reads {
             if !read.origin.avoided_storage() {
                 self.metrics.record_storage_read(read.read_nanos);

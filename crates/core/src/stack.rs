@@ -112,7 +112,9 @@ pub struct ReadStack {
     pub cached: Option<Arc<CachedSource>>,
     /// The fleet layer, when the spec is in a fleet.
     pub peer: Option<Arc<PeerSource>>,
-    /// The pool behind the local root's block reads.
+    /// The daemon's buffer pool: wire headers, and the local root's block
+    /// buffers where a shard could not be mapped (a mapped shard's blocks
+    /// are views and take none).
     pub pool: BufferPool,
     /// The recorder every layer reports its stage latencies to.
     pub recorder: Arc<StageRecorder>,

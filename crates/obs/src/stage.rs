@@ -25,7 +25,9 @@ use std::fmt;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Stage {
-    /// Positioned backing-store read (local shard pread or emulated NFS).
+    /// Backing-store read: faulting a block of a mapped local shard in (a
+    /// positioned read where shards are not mapped), or an emulated NFS
+    /// read.
     StorageRead,
     /// Shard-cache hit service time (miss time is the storage read).
     CacheLookup,

@@ -51,7 +51,8 @@ impl ShardIndex {
     /// The contiguous byte span covering records `[start, end)`.
     ///
     /// Record ranges produced by the planner are always contiguous in file
-    /// order, which is what makes one-`pread`-per-batch possible.
+    /// order, which is what makes one view (or one positioned read) per
+    /// batch possible.
     pub fn span(&self, start: usize, end: usize) -> Result<(u64, u64)> {
         if start >= end || end > self.records.len() {
             return Err(RecordError::BadIndex(format!(
@@ -61,7 +62,15 @@ impl ShardIndex {
         }
         let first = &self.records[start];
         let last = &self.records[end - 1];
-        Ok((first.offset, last.offset + last.length - first.offset))
+        // `from_json` has checked every record's end; an index built in
+        // memory has not been through it.
+        last.offset
+            .checked_add(last.length)
+            .and_then(|span_end| span_end.checked_sub(first.offset))
+            .map(|size| (first.offset, size))
+            .ok_or_else(|| {
+                RecordError::BadIndex(format!("span [{start}, {end}) overflows or runs backwards"))
+            })
     }
 
     /// Serialize to the JSON document stored next to the shard.
@@ -121,7 +130,12 @@ impl ShardIndex {
                     meta.offset
                 )));
             }
-            expected_offset = meta.offset + meta.length;
+            expected_offset = meta.offset.checked_add(meta.length).ok_or_else(|| {
+                RecordError::BadIndex(format!(
+                    "record {i}: offset {} + length {} overflows",
+                    meta.offset, meta.length
+                ))
+            })?;
             records.push(meta);
         }
         Ok(ShardIndex {
@@ -289,6 +303,22 @@ mod tests {
         idx.records[4].offset += 1;
         let doc = idx.to_json();
         assert!(ShardIndex::from_json(&doc).is_err());
+    }
+
+    #[test]
+    fn forged_lengths_that_overflow_are_rejected() {
+        // A JSON number this large parses to `u64::MAX`; added to the last
+        // record's offset it would wrap to a small, plausible end.
+        let mut idx = sample_index();
+        idx.records[9].length = u64::MAX;
+        assert!(matches!(
+            ShardIndex::from_json(&idx.to_json()),
+            Err(RecordError::BadIndex(_))
+        ));
+        // An index built in memory has not been through `from_json`: the
+        // span arithmetic checks for itself.
+        assert!(matches!(idx.span(8, 10), Err(RecordError::BadIndex(_))));
+        assert!(idx.span(0, 9).is_ok(), "spans short of the forged record");
     }
 
     #[test]

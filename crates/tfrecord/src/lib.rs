@@ -7,11 +7,12 @@
 //! * the exact on-disk TFRecord framing used by TensorFlow — little-endian
 //!   `u64` length, masked CRC32C of the length, payload, masked CRC32C of the
 //!   payload ([`record`], [`crc32c`]);
-//! * sequential writing/reading ([`writer`], [`reader`]) plus **positioned
-//!   range reads** (`read_at`) so a daemon thread can pull one contiguous
-//!   block of `B` records with a single syscall and zero seeks — the paper's
-//!   substitute for per-record small reads (we use `pread` instead of `mmap`;
-//!   same single-contiguous-read behaviour without `unsafe`);
+//! * sequential writing/reading ([`writer`], [`reader`]) plus **range
+//!   reads** ([`RangeReader`]): a shard is memory-mapped once, read-only,
+//!   and a daemon thread takes one contiguous block of `B` records as a
+//!   refcounted view of the mapping — no buffer, no copy, no seek, the
+//!   paper's substitute for per-record small reads. Where a shard cannot
+//!   be mapped the same block is one positioned read into a pooled buffer;
 //! * sharded dataset layout with per-shard `mapping_shard_*.json` index files
 //!   recording `(offset, length, label)` per record ([`shard`], [`index`]) —
 //!   exactly what Algorithm 2 line 1 parses.
@@ -21,6 +22,7 @@
 
 pub mod crc32c;
 pub mod index;
+mod mapped;
 pub mod reader;
 pub mod record;
 pub mod retry;

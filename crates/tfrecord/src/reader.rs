@@ -1,7 +1,9 @@
 //! TFRecord reading: sequential iteration and positioned range reads.
 
+use crate::mapped;
 use crate::record::{decode_all, decode_at, DecodedRecord, RecordError};
 use crate::Result;
+use bytes::Bytes;
 use std::fs::File;
 use std::io::Read;
 use std::path::Path;
@@ -105,24 +107,35 @@ fn read_exact_or_eof<R: Read>(src: &mut R, buf: &mut [u8]) -> Result<usize> {
     Ok(filled)
 }
 
-/// Positioned reads against a shard file: fetch the contiguous byte range
-/// covering a whole batch with **one** `pread`-style call, then parse the
-/// records out of the buffer. This is the daemon's hot read path and the
-/// stand-in for the paper's `mmap` (same single-contiguous-read behaviour).
+/// Range reads against a shard file: the contiguous byte range covering a
+/// whole batch comes back in **one** piece, and the records are parsed out
+/// of it. This is the daemon's hot read path, and it reads the way the
+/// paper's daemon does: [`open`](RangeReader::open) maps the shard once and
+/// [`view`](RangeReader::view) slices the range out of the mapping — no
+/// buffer, no copy. Where the shard cannot be mapped (see
+/// [`view`](RangeReader::view)) the same range is one `pread`-style call
+/// into a buffer, [`read_range_into`](RangeReader::read_range_into).
 pub struct RangeReader {
     file: File,
     len: u64,
+    /// The whole shard, mapped at `open`; every view is a slice of it and
+    /// the last one to drop unmaps it. `None` selects the positioned reads.
+    mapped: Option<Bytes>,
     verify_crc: bool,
 }
 
 impl RangeReader {
-    /// Open a shard file for positioned reads.
+    /// Open a shard file for range reads, mapping it when the platform,
+    /// the filesystem and the file (non-empty) allow. The length — of the
+    /// mapping and of every bounds check — is fixed here.
     pub fn open(path: &Path) -> Result<Self> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
+        let mapped = mapped::map(&file, len);
         Ok(RangeReader {
             file,
             len,
+            mapped,
             verify_crc: true,
         })
     }
@@ -143,17 +156,59 @@ impl RangeReader {
         self.len == 0
     }
 
-    /// Read the raw byte range `[offset, offset+size)` into `buf`, whose
-    /// length becomes `size`. Whatever `buf` held is overwritten, not
-    /// cleared first: a recycled buffer already `size` long (see
-    /// `BlockAlloc::take`) is not zero-filled under the read.
-    pub fn read_range_into(&self, offset: u64, size: u64, buf: &mut Vec<u8>) -> Result<()> {
-        if offset + size > self.len {
+    /// `offset + size`, if the range lies inside the shard as it was at
+    /// `open`. The operands come from an on-disk index: the sum is checked,
+    /// not trusted to fit.
+    fn range_end(&self, offset: u64, size: u64) -> Result<u64> {
+        offset
+            .checked_add(size)
+            .filter(|&end| end <= self.len)
+            .ok_or(RecordError::Truncated { offset })
+    }
+
+    /// The byte range `[offset, offset+size)` as a view of the mapped
+    /// shard, its pages faulted in on the calling thread — so the wait for
+    /// a cold page is paid here, by the reader, and not by whoever touches
+    /// the bytes first. `Ok(None)` when `open` could not map the shard (not
+    /// 64-bit Linux, no `MADV_POPULATE_READ`, `mmap` refused, empty file):
+    /// the caller then reads with
+    /// [`read_range_into`](RangeReader::read_range_into).
+    ///
+    /// A shard that has shrunk below the range since `open` is
+    /// [`RecordError::Truncated`], as it is for a positioned read; a page
+    /// that cannot be read is [`RecordError::Io`].
+    pub fn view(&self, offset: u64, size: u64) -> Result<Option<Bytes>> {
+        let end = self.range_end(offset, size)?;
+        let Some(whole) = &self.mapped else {
+            return Ok(None);
+        };
+        // Lossless: `end <= len`, and `len` fitted a `usize` to be mapped.
+        let view = whole.slice(offset as usize..end as usize);
+        let faulted = mapped::fault_in(&view);
+        // Pages wholly past a new end of file fail the fault-in; a last
+        // page cut part-way still maps, and reads as zeros from the cut
+        // on. The file's length as it is now tells both from a device
+        // error.
+        if self.file.metadata()?.len() < end {
             return Err(RecordError::Truncated { offset });
         }
+        faulted?;
+        Ok(Some(view))
+    }
+
+    /// Read the raw byte range `[offset, offset+size)` into `buf`, whose
+    /// length becomes `size`, with one positioned read. Whatever `buf`
+    /// held is overwritten, not cleared first: a recycled buffer already
+    /// `size` long (see `BlockAlloc::take`) is not zero-filled under the
+    /// read. A file that has shrunk below the range since `open` is
+    /// [`RecordError::Truncated`], as it is for [`view`](RangeReader::view).
+    pub fn read_range_into(&self, offset: u64, size: u64, buf: &mut Vec<u8>) -> Result<()> {
+        self.range_end(offset, size)?;
         buf.resize(size as usize, 0);
-        read_at_full(&self.file, buf, offset)?;
-        Ok(())
+        read_at_full(&self.file, buf, offset).map_err(|e| match e.kind() {
+            std::io::ErrorKind::UnexpectedEof => RecordError::Truncated { offset },
+            _ => RecordError::Io(e),
+        })
     }
 
     /// Read a range and decode every record in it. The range must align to
@@ -250,6 +305,25 @@ mod tests {
         let (_g, path, _) = temp_shard(&[b"x"]);
         let rr = RangeReader::open(&path).unwrap();
         assert!(rr.read_records_in_range(0, rr.len() + 1).is_err());
+    }
+
+    #[test]
+    fn range_arithmetic_is_checked() {
+        let (_g, path, _) = temp_shard(&[b"x"]);
+        let rr = RangeReader::open(&path).unwrap();
+        // `offset + size` wraps to 4: inside the file, were it trusted.
+        let mut buf = Vec::new();
+        for (offset, size) in [(u64::MAX - 5, 10), (10, u64::MAX - 5)] {
+            assert!(matches!(
+                rr.read_range_into(offset, size, &mut buf),
+                Err(RecordError::Truncated { .. })
+            ));
+            assert!(matches!(
+                rr.view(offset, size),
+                Err(RecordError::Truncated { .. })
+            ));
+        }
+        assert!(buf.is_empty(), "nothing was resized for a refused range");
     }
 
     #[test]

@@ -139,9 +139,10 @@ impl RangeSource for RetrySource {
         self.with_retry(key_salt(key), || self.inner.prefetch_block(key))
     }
 
-    /// Retry the whole run: the inner root may coalesce adjacent spans
-    /// into single reads, and re-issuing the full batch preserves that on
-    /// the (rare) retry path instead of degrading to per-block reads.
+    /// Retry the whole run: the inner source may overlap the run's reads
+    /// (an NFS root keeps several round trips in flight), and re-issuing
+    /// the full batch preserves that on the (rare) retry path instead of
+    /// degrading to one block at a time.
     fn read_blocks(&self, keys: &[BlockKey]) -> Result<Vec<BlockRead>> {
         let salt = keys.first().map_or(0, key_salt) ^ keys.len() as u64;
         self.with_retry(salt, || self.inner.read_blocks(keys))

@@ -70,8 +70,9 @@ impl ReadOrigin {
 /// record payloads out of it with [`Bytes::slice_ref`]) shares the block's
 /// allocation instead of copying it. A cache hit hands out the cached
 /// buffer itself; callers must treat the bytes as immutable and drop their
-/// views promptly — a held slice pins the whole block (and, for pooled
-/// buffers, keeps the allocation out of its pool).
+/// views promptly — a held slice pins the whole block (for pooled buffers
+/// it keeps the allocation out of its pool; for a view of a mapped shard
+/// it keeps the shard mapped and the block's pages resident).
 #[derive(Debug, Clone)]
 pub struct BlockRead {
     /// The block's raw framed-record bytes (shared, immutable).
@@ -146,11 +147,11 @@ pub trait RangeSource: Send + Sync {
     }
 
     /// Read a run of blocks in one call, returning one [`BlockRead`] per
-    /// key **in key order**. The default reads each block independently;
-    /// root sources that can coalesce byte-adjacent spans into fewer
-    /// positioned reads override it (see [`TfrecordSource`]). Every
-    /// returned read carries its own origin and an attributed share of
-    /// the backing-read time, so per-block metering stays exact.
+    /// key **in key order**. The default reads each block independently
+    /// (over a mapped shard, byte-adjacent spans come back as adjacent
+    /// views all the same); sources whose reads are round trips override
+    /// it to overlap them. Every returned read carries its own origin and
+    /// its own backing-read time, so per-block metering stays exact.
     fn read_blocks(&self, keys: &[BlockKey]) -> Result<Vec<BlockRead>> {
         keys.iter().map(|k| self.read_block(k)).collect()
     }
@@ -184,13 +185,18 @@ pub trait RangeSource: Send + Sync {
     fn describe(&self) -> String;
 }
 
-/// The local-disk root of the stack: positioned `pread`s against TFRecord
-/// shard files, spans resolved through the dataset's [`GlobalIndex`].
+/// The local-disk root of the stack: each block is a view of its shard's
+/// read-only mapping ([`RangeReader::view`]), spans resolved through the
+/// dataset's [`GlobalIndex`]. A shard that could not be mapped is read
+/// with one positioned read per block into a [`BlockAlloc`] buffer; which
+/// of the two a shard gets is decided when it is opened, by what the
+/// platform and the file allow, and by nothing a caller sets.
 pub struct TfrecordSource {
     index: Arc<GlobalIndex>,
     /// Shard readers, opened on first use and shared across threads.
     readers: Mutex<HashMap<u32, Arc<RangeReader>>>,
-    /// Where block buffers come from (the daemon plugs its pool in here).
+    /// Where the buffers for unmapped shards' blocks come from (the daemon
+    /// plugs its pool in here).
     alloc: Arc<dyn BlockAlloc>,
     /// Optional per-stage latency sink for standalone (non-daemon) use.
     recorder: Option<Arc<emlio_obs::StageRecorder>>,
@@ -209,7 +215,7 @@ impl TfrecordSource {
     }
 
     /// Route block-buffer allocation through `alloc` (typically the
-    /// daemon's [`BufferPool`]).
+    /// daemon's [`BufferPool`]). Blocks of mapped shards take no buffer.
     pub fn with_alloc(mut self, alloc: Arc<dyn BlockAlloc>) -> TfrecordSource {
         self.alloc = alloc;
         self
@@ -259,73 +265,23 @@ impl RangeSource for TfrecordSource {
         let (offset, size) = shard.span(key.start, key.end)?;
         let reader = self.reader_for(key.shard_id)?;
         let t = Instant::now();
-        let mut buf = self.alloc.take(size as usize);
-        reader.read_range_into(offset, size, &mut buf)?;
+        let data = match reader.view(offset, size)? {
+            Some(view) => view,
+            None => {
+                let mut buf = self.alloc.take(size as usize);
+                reader.read_range_into(offset, size, &mut buf)?;
+                self.alloc.seal(buf)
+            }
+        };
         let read_nanos = t.elapsed().as_nanos() as u64;
         if let Some(rec) = &self.recorder {
             rec.record(emlio_obs::Stage::StorageRead, read_nanos);
         }
         Ok(BlockRead {
-            data: self.alloc.seal(buf),
+            data,
             origin: ReadOrigin::Direct,
             read_nanos,
         })
-    }
-
-    /// Coalesced run read: byte-adjacent spans in the same shard merge
-    /// into one positioned `pread` over one pooled buffer, and each key's
-    /// [`BlockRead`] is a zero-copy slice of it. Plan-adjacent prefetch
-    /// runs thus cost one syscall instead of one per block. The merged
-    /// read's latency is split evenly across its member blocks (remainder
-    /// to the first) so per-block storage metering sums exactly. A held
-    /// slice pins the whole run buffer — runs are bounded by the
-    /// prefetcher's window, which also bounds that overhang.
-    fn read_blocks(&self, keys: &[BlockKey]) -> Result<Vec<BlockRead>> {
-        let mut spans = Vec::with_capacity(keys.len());
-        for key in keys {
-            let shard = self
-                .index
-                .shards
-                .get(key.shard_id as usize)
-                .ok_or_else(|| RecordError::BadIndex(format!("unknown shard {}", key.shard_id)))?;
-            spans.push(shard.span(key.start, key.end)?);
-        }
-        let mut out = Vec::with_capacity(keys.len());
-        let mut i = 0;
-        while i < keys.len() {
-            let (offset, mut run_size) = spans[i];
-            let mut j = i + 1;
-            while j < keys.len()
-                && keys[j].shard_id == keys[i].shard_id
-                && spans[j].0 == offset + run_size
-            {
-                run_size += spans[j].1;
-                j += 1;
-            }
-            let reader = self.reader_for(keys[i].shard_id)?;
-            let t = Instant::now();
-            let mut buf = self.alloc.take(run_size as usize);
-            reader.read_range_into(offset, run_size, &mut buf)?;
-            let read_nanos = t.elapsed().as_nanos() as u64;
-            if let Some(rec) = &self.recorder {
-                rec.record(emlio_obs::Stage::StorageRead, read_nanos);
-            }
-            let data = self.alloc.seal(buf);
-            let members = (j - i) as u64;
-            let mut rel = 0usize;
-            for (m, span) in spans[i..j].iter().enumerate() {
-                let len = span.1 as usize;
-                let share = read_nanos / members + if m == 0 { read_nanos % members } else { 0 };
-                out.push(BlockRead {
-                    data: data.slice(rel..rel + len),
-                    origin: ReadOrigin::Direct,
-                    read_nanos: share,
-                });
-                rel += len;
-            }
-            i = j;
-        }
-        Ok(out)
     }
 
     fn block_len(&self, key: &BlockKey) -> Option<u64> {
@@ -452,13 +408,15 @@ mod tests {
             assert_eq!(read.data, single.data, "batched bytes match {key:?}");
             assert_eq!(read.origin, ReadOrigin::Direct);
         }
-        // The two adjacent keys coalesced into one read: their slices are
-        // contiguous views of the same run buffer.
-        let run_end = unsafe { batched[0].data.as_ptr().add(batched[0].data.len()) };
+        // Adjacent spans are adjacent in the mapping: the two reads are
+        // contiguous views of the one mapped shard, with nothing to
+        // coalesce. (Where shards are not mapped each block has a buffer
+        // of its own.)
+        #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
         assert_eq!(
-            run_end,
+            batched[0].data.as_ptr_range().end,
             batched[1].data.as_ptr(),
-            "adjacent spans share one coalesced buffer"
+            "adjacent spans are adjacent views of one mapping"
         );
         // Unknown shard anywhere in the batch fails the whole call.
         assert!(src
@@ -477,24 +435,62 @@ mod tests {
         for i in 0..40u8 {
             w.append(&[i; 200], 0).unwrap();
         }
-        let idx = Arc::new(w.finish().unwrap());
+        let idx = w.finish().unwrap();
+        let whole = std::fs::read(idx.shard_path(0)).unwrap();
+        let reader = RangeReader::open(&idx.shard_path(0)).unwrap();
         let pool = BufferPool::new();
-        let pooled = TfrecordSource::new(idx.clone()).with_alloc(Arc::new(pool.clone()));
-        let plain = TfrecordSource::new(idx);
-        // Long, short, long, shorter: all one size class, so every read
-        // after the first lands on the buffer the one before it left, whose
-        // bytes the pool does not clear.
+        // The positioned read the unmapped fallback makes. Long, short,
+        // long, shorter: all one size class, so every read after the first
+        // lands on the buffer the one before it left, whose bytes the pool
+        // does not clear.
         for (start, end) in [(0, 18), (20, 23), (5, 22), (30, 31), (0, 18)] {
-            let key = BlockKey {
-                shard_id: 0,
-                start,
-                end,
-            };
-            let got = pooled.read_block(&key).unwrap().data;
-            assert_eq!(got, plain.read_block(&key).unwrap().data, "{key:?}");
+            let (offset, size) = idx.shards[0].span(start, end).unwrap();
+            let mut buf = pool.take(size as usize);
+            reader.read_range_into(offset, size, &mut buf).unwrap();
+            let got = pool.seal(buf);
+            let want = &whole[offset as usize..(offset + size) as usize];
+            assert_eq!(got, want, "records {start}..{end}");
         }
         let s = pool.stats();
         assert_eq!((s.pool_alloc, s.pool_reuse), (1, 4));
+    }
+
+    #[test]
+    fn forged_spans_are_errors_not_panics() {
+        let dir = TempDir::new("tfrecord-forged");
+        let mut w = ShardWriter::create(dir.path(), ShardSpec::Count(1)).unwrap();
+        for i in 0..8u8 {
+            w.append(&[i; 100], 0).unwrap();
+        }
+        let honest = w.finish().unwrap();
+        let file_len = honest.shards[0].total_bytes();
+        let key = BlockKey {
+            shard_id: 0,
+            start: 6,
+            end: 8,
+        };
+        // The last record claims to run past the end of the file: the
+        // index is self-consistent, so it is the read that must refuse.
+        let mut past_eof = honest.clone();
+        past_eof.shards[0].records[7].length += 4096;
+        let src = TfrecordSource::new(Arc::new(past_eof));
+        assert!(matches!(
+            src.read_block(&key),
+            Err(RecordError::Truncated { offset }) if offset < file_len
+        ));
+        // A length that wraps `offset + length` back inside the file must
+        // not pass the bounds check as a small span.
+        let mut wraps = honest.clone();
+        wraps.shards[0].records[7].length = u64::MAX - 10;
+        let src = TfrecordSource::new(Arc::new(wraps));
+        assert!(matches!(
+            src.read_block(&key),
+            Err(RecordError::BadIndex(_) | RecordError::Truncated { .. })
+        ));
+        // Good spans of the same shard still read.
+        assert!(TfrecordSource::new(Arc::new(honest))
+            .read_block(&key)
+            .is_ok());
     }
 
     #[test]

@@ -1,9 +1,10 @@
 //! [`BufferPool`] — slab-style reuse of block-sized read buffers.
 //!
-//! Every demand read used to allocate a fresh `Vec<u8>` the size of a block
-//! (tens of MiB under the paper's `B`-record batching), memcpy it around,
-//! and free it after send. Steady-state serving is a loop over identically
-//! sized buffers, which is exactly what a size-classed free list is for —
+//! Every read into a buffer — a block off a mount that delivers into one,
+//! a frame off a socket, a wire header — used to allocate a fresh `Vec<u8>`
+//! (tens of MiB, for a block under the paper's `B`-record batching),
+//! memcpy it around, and free it after send. Steady-state serving is a
+//! loop over identically sized buffers, which is exactly what a size-classed free list is for —
 //! the same over-allocate-and-reuse scheme GPU allocators (e.g. kubecl's
 //! `ExclusiveMemoryPool`) use for device memory, applied to host I/O
 //! buffers.
@@ -26,20 +27,22 @@
 //!   just hoard memory.
 //! * A recycled buffer **keeps its length and its bytes**. The raw
 //!   [`BufferPool::take`] hands it back as it was returned, so a caller
-//!   about to overwrite it (a `pread`, a socket read) sets the length it
-//!   needs and zero-fills only what no earlier use ever initialised —
-//!   nothing, in a steady state of same-sized blocks. [`BufferPool::get`]
-//!   is the appending form: it truncates to empty first, which for bytes
-//!   is a length store, not a pass over the buffer.
+//!   about to overwrite it (a positioned read, a socket read) sets the
+//!   length it needs and zero-fills only what no earlier use ever
+//!   initialised — nothing, in a steady state of same-sized blocks.
+//!   [`BufferPool::get`] is the appending form: it truncates to empty
+//!   first, which for bytes is a length store, not a pass over the buffer.
 //!
 //! The pool sits at the bottom of the crate graph because both ends of the
 //! data path draw from it. It plugs into the read stack as
-//! `emlio-tfrecord`'s `BlockAlloc` (`TfrecordSource` takes its block
-//! buffers from the pool and seals them into pooled `Bytes`, so the whole
-//! zero-copy chain — cache slot → frame segment → receiver slice — sits on
-//! recycled memory without any layer knowing about the pool), and
-//! `emlio-zmq`'s PULL side reads every TCP frame into a buffer taken from
-//! one.
+//! `emlio-tfrecord`'s `BlockAlloc`: a local shard's blocks are views of
+//! its mapping and take no buffer at all, but where a shard cannot be
+//! mapped `TfrecordSource` takes its block buffers from the pool and seals
+//! them into pooled `Bytes`, so the whole zero-copy chain — cache slot →
+//! frame segment → receiver slice — sits on recycled memory without any
+//! layer knowing about the pool. The wire encoder's headers come from it,
+//! and `emlio-zmq`'s PULL side reads every TCP frame into a buffer taken
+//! from one.
 
 use bytes::Bytes;
 use emlio_obs::{Stage, StageRecorder};

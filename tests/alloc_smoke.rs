@@ -7,10 +7,11 @@
 //!
 //! The bars: an absolute budget of allocator calls per served batch, O(1)
 //! pool growth across steady-state epochs, tracing that allocates
-//! nothing, and a loopback PUSH → PULL transfer that allocates no buffer
-//! per received frame. Byte identity of the frames is `proptest_wire`'s
-//! job. All phases live in one `#[test]` because the allocator counters
-//! are process-global: parallel tests would interleave.
+//! nothing, a loopback PUSH → PULL transfer that allocates no buffer per
+//! received frame, and an uncached block read that allocates none either.
+//! Byte identity of the frames is `proptest_wire`'s job. All phases live in
+//! one `#[test]` because the allocator counters are process-global:
+//! parallel tests would interleave.
 
 use std::sync::Arc;
 
@@ -21,7 +22,7 @@ use emlio::core::BufferPool;
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
 use emlio::obs::{clock, BatchTrace, FlightRecorder, Stage, StageRecorder};
-use emlio::tfrecord::{BlockKey, GlobalIndex, RangeSource, ShardSpec, TfrecordSource};
+use emlio::tfrecord::{BlockKey, GlobalIndex, RangeSource, ShardSpec, ShardWriter, TfrecordSource};
 use emlio::util::testutil::TempDir;
 use emlio::util::CountingAllocator;
 use emlio::zmq::{Endpoint, Frame, PullSocket, PushSocket, SocketOptions};
@@ -264,4 +265,44 @@ fn zero_copy_serve_path_allocation_budget() {
     let stats = pull.stats();
     assert_eq!(stats.buffers_allocated, 1, "{stats:?}");
     push.close().unwrap();
+
+    // Phase 6 — the cold read: with no cache above it, a 3.2 MiB block
+    // (32 × 100 KiB records) off a local shard is a view of the shard's
+    // mapping. It takes no buffer from the pool and allocates nothing the
+    // size of a block — only where shards are mapped; elsewhere the pooled
+    // positioned read is the path, and phase 1's bars cover its pool.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    {
+        let dir = TempDir::new("alloc-smoke-cold");
+        let mut w = ShardWriter::create(dir.path(), ShardSpec::Count(1)).unwrap();
+        for i in 0..64u8 {
+            w.append(&vec![i; 100 << 10], 0).unwrap();
+        }
+        let index = Arc::new(w.finish().unwrap());
+        let pool = BufferPool::new();
+        let root = TfrecordSource::new(index).with_alloc(Arc::new(pool.clone()));
+        let block = |start: usize| BlockKey {
+            shard_id: 0,
+            start,
+            end: start + 32,
+        };
+        // The first read opens and maps the shard.
+        drop(root.read_block(&block(0)).unwrap());
+        let before = ALLOC.bytes_allocated();
+        let read = root.read_block(&block(32)).unwrap();
+        let allocated = ALLOC.bytes_allocated() - before;
+        assert!(read.data.len() > 3 << 20, "{} bytes", read.data.len());
+        assert_eq!((read.data[16], read.data[read.data.len() - 5]), (32, 63));
+        assert!(
+            allocated <= 4 << 10,
+            "an uncached {} KiB block read allocates {allocated} bytes; the bar is 4 KiB",
+            read.data.len() >> 10,
+        );
+        let stats = pool.stats();
+        assert_eq!(
+            (stats.pool_alloc, stats.pool_reuse, stats.unpooled),
+            (0, 0, 0),
+            "a mapped block takes nothing from the pool"
+        );
+    }
 }
