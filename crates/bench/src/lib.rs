@@ -16,8 +16,6 @@
 //! | `fig10`         | Figure 10 — sharded scenario with DDP |
 //! | `fig11`         | Figure 11 — loss vs wall-clock at 10 ms RTT |
 //! | `ablations`     | EXP-ABL — HWM / concurrency / prefetch / batch sweeps |
-//! | `ext_llm`       | §6 extension — LLM text pretraining |
-//! | `ext_transport` | §6 extension — heterogeneous transports |
 //!
 //! Each row prints a paper-vs-reproduction table (Table 1 header
 //! included) and writes `<name>.csv` under `target/experiments/`. The one
@@ -85,14 +83,6 @@ pub const FIGURES: &[(&str, fn())] = &[
     ("ablations", || {
         let title = "Ablations: EMLIO knobs at 30 ms RTT (ImageNet/ResNet-50)";
         emit("ablations", title, &experiment::ablations())
-    }),
-    ("ext_llm", || {
-        let title = "Extension: LLM text pretraining (4 KiB token records)";
-        emit("ext_llm", title, &experiment::ext_llm())
-    }),
-    ("ext_transport", || {
-        let title = "Extension: heterogeneous transports (EMLIO @0.1 ms)";
-        emit("ext_transport", title, &experiment::ext_transport())
     }),
 ];
 

@@ -144,10 +144,10 @@ pub struct CacheConfig {
     pub spill_dir: Option<PathBuf>,
     /// Eviction policy for both tiers.
     pub policy: EvictPolicy,
-    /// Prefetching on (any non-zero value) or off (0). The number no
-    /// longer sizes anything: how far the prefetcher runs ahead of the
-    /// demand cursor is set by `ram_bytes` — it stages every planned block
-    /// that fits beside the residents needed sooner (see
+    /// Prefetching on (any non-zero value) or off (0) — the CLI's
+    /// `--prefetch 0|1`. Not a depth: how far the prefetcher runs ahead
+    /// of the demand cursor is set by `ram_bytes` — it stages every
+    /// planned block that fits beside the residents needed sooner (see
     /// [`crate::prefetch`]).
     pub prefetch_depth: usize,
     /// Number of lock shards over the residency map (rounded up to at
@@ -895,29 +895,6 @@ impl CacheCore {
         }
     }
 
-    /// Load `key` ahead of demand: fetch and insert unless the block is
-    /// already resident or being fetched. Never waits, never touches the
-    /// demand cursor or hit/miss counters. Returns whether `fetch` ran.
-    pub fn prefetch<E, T, F>(&self, key: BlockKey, fetch: F) -> Result<bool, E>
-    where
-        T: Into<Bytes>,
-        F: FnOnce() -> Result<T, E>,
-    {
-        if !self.try_claim(&key) {
-            return Ok(false);
-        }
-        match fetch() {
-            Ok(data) => {
-                self.admit_prefetched(key, data.into(), None);
-                Ok(true)
-            }
-            Err(e) => {
-                self.release_busy(&key);
-                Err(e)
-            }
-        }
-    }
-
     /// Drop `key`'s `Busy` placeholder (fetch/promote failure, or an
     /// unfulfilled [`CacheCore::try_claim`]) and wake any single-flight
     /// waiters parked on the shard condvar.
@@ -1348,11 +1325,6 @@ impl CacheCore {
         self.spill_queue.as_ref().map_or(0, |q| q.depth())
     }
 
-    /// Evictors blocked on a full spill queue right now (gauge).
-    pub fn spill_blocked_pushers(&self) -> u64 {
-        self.spill_queue.as_ref().map_or(0, |q| q.blocked_pushers())
-    }
-
     /// Re-admit CRC-valid spill files recorded by a previous run's index
     /// into the disk tier (up to its capacity).
     fn load_persisted(&self) {
@@ -1572,16 +1544,6 @@ impl CacheCore {
         true
     }
 
-    /// Admit a block read ahead of demand under a `Busy` claim — with
-    /// the reservation taken for it, if any — counting it as prefetched
-    /// (not a demand miss), and as wasted when RAM does not take it.
-    fn admit_prefetched(&self, key: BlockKey, data: Bytes, reserved: Option<u64>) {
-        self.stats.prefetched.fetch_add(1, Ordering::Relaxed);
-        if !self.admit_full(key, data, None, reserved) {
-            self.stats.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// The prefetch executor's issue step for plan position `pos`
     /// (`key`, expected to be `len` bytes long; 0 = not known yet). Waits
     /// until the block may be staged, then reserves its RAM — evicting
@@ -1686,11 +1648,16 @@ pub(crate) struct Reservation<'a> {
 }
 
 impl Reservation<'_> {
-    /// The read landed: admit `data` into the reserved room.
+    /// The read landed: admit `data` into the reserved room, counting it
+    /// as prefetched (not a demand miss), and as wasted when RAM does not
+    /// take it.
     pub(crate) fn admit(self, data: Bytes) {
         let (cache, key, len) = (self.cache, self.key, self.len);
         std::mem::forget(self);
-        cache.admit_prefetched(key, data, Some(len));
+        cache.stats.prefetched.fetch_add(1, Ordering::Relaxed);
+        if !cache.admit_full(key, data, None, Some(len)) {
+            cache.stats.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 

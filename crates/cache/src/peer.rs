@@ -545,25 +545,6 @@ impl Drop for LedFlight<'_> {
     }
 }
 
-/// How one key will be served — decided for every key of a run before any
-/// of them reads storage.
-enum Resolved<'a> {
-    /// The owner's tier had it.
-    Hit(BlockRead),
-    /// Straight to the inner source: no fleet (empty ring), or the owner
-    /// is down or detached (already counted as a fallback).
-    Inner,
-    /// Nobody in the fleet is reading it yet: we read the inner source and
-    /// publish.
-    Lead(LedFlight<'a>),
-    /// Another reader leads (or led, and the flight is retained): take its
-    /// bytes. `since` is when this read began, for the fetch latency.
-    Follow {
-        slot: Arc<FlightSlot>,
-        since: Instant,
-    },
-}
-
 /// The cooperative-fleet layer of the read stack.
 ///
 /// Every key resolves against the ring first:
@@ -579,16 +560,11 @@ enum Resolved<'a> {
 ///    daemons, never to a stall.
 /// 3. **Empty ring**: transparent pass-through.
 ///
-/// `read_blocks` resolves its **whole run** before reading: everything the
-/// run leads or falls back on goes down as one `inner.read_blocks` (which
-/// an `NfsSource` overlaps), every led flight is published, and only then
-/// does the call wait on the flights it follows. *Lead before follow*: a
-/// daemon never blocks on a peer while it holds an unpublished flight, so
-/// two daemons whose windows cross (each leading what the other follows)
-/// cannot deadlock, and daemons walking the same plan split a window
-/// between them instead of convoying block by block. A run's keys are
-/// expected to be distinct (the cache layer claims each at most once); a
-/// repeated key is served correctly, as a follower of its first occurrence.
+/// A read leads or follows, never both: the leader reads the inner source
+/// and publishes before it returns, and a follower holds no unpublished
+/// flight while it waits — so daemons whose windows cross (each leading
+/// what the other follows) cannot deadlock, whatever order their
+/// executors issue the reads in.
 pub struct PeerSource {
     registry: Arc<FleetRegistry>,
     self_id: String,
@@ -649,14 +625,15 @@ impl PeerSource {
             read_nanos,
         }
     }
+}
 
-    /// Decide how `key` will be served: ask its owner's tier, else join
-    /// its fleet flight. Reads no storage and never waits on a flight.
-    fn resolve(&self, key: &BlockKey) -> Resolved<'_> {
+impl RangeSource for PeerSource {
+    fn read_block(&self, key: &BlockKey) -> Result<BlockRead, RecordError> {
         let Some(owner) = self.registry.owner_of(key) else {
-            return Resolved::Inner;
+            return self.inner.read_block(key);
         };
         let since = Instant::now();
+        // The block's home tier when another daemon owns it.
         let owner = if owner == self.self_id {
             None
         } else {
@@ -665,9 +642,7 @@ impl PeerSource {
                 .transport_of(&owner)
                 .map(|t| (t.fetch(key, self.config.timeout), t));
             match fetched {
-                Some((PeerFetch::Hit(data), _)) => {
-                    return Resolved::Hit(self.peer_read(data, since))
-                }
+                Some((PeerFetch::Hit(data), _)) => return Ok(self.peer_read(data, since)),
                 Some((PeerFetch::Miss, transport)) => {
                     self.stats.misses.fetch_add(1, Ordering::Relaxed);
                     Some(transport)
@@ -675,101 +650,35 @@ impl PeerSource {
                 // Down, slow, or on the ring but never attached.
                 Some((PeerFetch::Unavailable, _)) | None => {
                     self.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
-                    return Resolved::Inner;
+                    return self.inner.read_block(key);
                 }
             }
         };
         let (slot, leader) = self.registry.join_flight(key);
         if leader {
-            Resolved::Lead(LedFlight {
+            // Nobody in the fleet is reading it yet: read and publish. An
+            // error drops `flight` unpublished, which fails it.
+            let flight = LedFlight {
                 registry: &self.registry,
                 key: *key,
                 slot,
                 owner,
                 published: false,
-            })
-        } else {
-            Resolved::Follow { slot, since }
+            };
+            let read = self.inner.read_block(key)?;
+            flight.publish(&read.data);
+            return Ok(read);
         }
-    }
-
-    /// Take a followed flight's bytes, or degrade to the inner source when
-    /// it failed or is not done by `deadline`.
-    fn follow(
-        &self,
-        key: &BlockKey,
-        slot: &FlightSlot,
-        since: Instant,
-        deadline: Instant,
-    ) -> Result<BlockRead, RecordError> {
-        match slot.wait(deadline) {
+        // Another reader leads (or led, and the flight is retained): take
+        // its bytes, or degrade to the inner source when it failed or is
+        // not done within the timeout.
+        match slot.wait(Instant::now() + self.config.timeout) {
             Some(data) => Ok(self.peer_read(data, since)),
             None => {
                 self.stats.fallbacks.fetch_add(1, Ordering::Relaxed);
                 self.inner.read_block(key)
             }
         }
-    }
-}
-
-impl RangeSource for PeerSource {
-    fn read_block(&self, key: &BlockKey) -> Result<BlockRead, RecordError> {
-        match self.resolve(key) {
-            Resolved::Hit(read) => Ok(read),
-            Resolved::Inner => self.inner.read_block(key),
-            Resolved::Lead(flight) => {
-                let read = self.inner.read_block(key)?;
-                flight.publish(&read.data);
-                Ok(read)
-            }
-            Resolved::Follow { slot, since } => {
-                self.follow(key, &slot, since, Instant::now() + self.config.timeout)
-            }
-        }
-    }
-
-    fn read_blocks(&self, keys: &[BlockKey]) -> Result<Vec<BlockRead>, RecordError> {
-        let resolved: Vec<Resolved> = keys.iter().map(|k| self.resolve(k)).collect();
-        let batch: Vec<BlockKey> = keys
-            .iter()
-            .zip(&resolved)
-            .filter(|(_, r)| matches!(r, Resolved::Inner | Resolved::Lead(_)))
-            .map(|(k, _)| *k)
-            .collect();
-        // An error here drops `resolved`, failing every flight we lead.
-        let fetched = if batch.is_empty() {
-            Vec::new()
-        } else {
-            self.inner.read_blocks(&batch)?
-        };
-        // Publish everything we lead before waiting on anything we follow.
-        let mut fetched = fetched.into_iter();
-        let mut reads: Vec<Option<BlockRead>> = Vec::with_capacity(keys.len());
-        let mut followed = Vec::new();
-        for (i, r) in resolved.into_iter().enumerate() {
-            reads.push(match r {
-                Resolved::Hit(read) => Some(read),
-                Resolved::Inner => fetched.next(),
-                Resolved::Lead(flight) => {
-                    let read = fetched.next();
-                    flight.publish(&read.as_ref().expect("one block per batch key").data);
-                    read
-                }
-                Resolved::Follow { slot, since } => {
-                    followed.push((i, slot, since));
-                    None
-                }
-            });
-        }
-        // One timeout bounds the whole run's waiting, not each flight's.
-        let deadline = Instant::now() + self.config.timeout;
-        for (i, slot, since) in followed {
-            reads[i] = Some(self.follow(&keys[i], &slot, since, deadline)?);
-        }
-        Ok(reads
-            .into_iter()
-            .map(|r| r.expect("every key resolved to a read"))
-            .collect())
     }
 
     fn block_len(&self, key: &BlockKey) -> Option<u64> {
@@ -1095,20 +1004,23 @@ mod tests {
     }
 
     #[test]
-    fn failed_batch_fails_every_led_flight_and_leaves_none_pending() {
+    fn failed_led_flight_leaves_no_pending_slot() {
         let registry = FleetRegistry::new();
         registry.join("a");
         registry.join("b");
         registry.attach("a", Arc::new(ColdPeer));
         registry.attach("b", Arc::new(ColdPeer));
+        // Keys of either owner: "a" leads each flight whoever owns it.
         let keys: Vec<BlockKey> = (0..6).map(key).collect();
-        // "a"'s storage is down; the whole run fails like one read would.
+        // "a"'s storage is down: every read it leads fails.
         let broken: Arc<dyn RangeSource> = Arc::new(FnSource::new(|_k: &BlockKey| {
             Err(std::io::Error::other("mount went away"))
         }));
         let a = PeerSource::new(registry.clone(), "a", broken, PeerConfig::default());
-        let err = a.read_blocks(&keys).unwrap_err();
-        assert!(err.is_transient(), "the inner error surfaces as it was");
+        for k in &keys {
+            let err = a.read_block(k).unwrap_err();
+            assert!(err.is_transient(), "the inner error surfaces as it was");
+        }
 
         // No flight was left `Pending`: "b" leads fresh flights at once
         // instead of waiting out the timeout on a's abandoned ones.
@@ -1120,12 +1032,13 @@ mod tests {
             PeerConfig::default().with_timeout(Duration::from_secs(30)),
         );
         let t0 = Instant::now();
-        let got = b.read_blocks(&keys).unwrap();
+        for k in &keys {
+            assert_eq!(b.read_block(k).unwrap().origin, ReadOrigin::Direct);
+        }
         assert!(
             t0.elapsed() < Duration::from_secs(10),
             "nothing to wait for"
         );
-        assert!(got.iter().all(|r| r.origin == ReadOrigin::Direct));
         assert_eq!(reads.load(Ordering::Relaxed), keys.len() as u64);
         assert_eq!(b.stats().snapshot().fallbacks, 0);
     }

@@ -31,9 +31,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Most prefetch reads in flight at once: an NFS client's RPC slot table
-/// (`sunrpc.tcp_slot_table_entries`, 16 on a stock Linux mount — the
-/// figure `emlio-netem`'s `RPC_SLOTS` names). Under it the RAM budget
-/// decides.
+/// (`sunrpc.tcp_slot_table_entries`, 16 on a stock Linux mount). Under it
+/// the RAM budget decides. This is the stack's one overlap bound: every
+/// layer below the cache serves one `read_block` per call.
 pub const MAX_IN_FLIGHT: usize = 16;
 
 /// Handle to the background prefetch executor. Stops and joins on drop.

@@ -82,12 +82,6 @@ impl CachedRangeReader {
             read_nanos: read.read_nanos,
         })
     }
-
-    /// Warm one block ahead of demand (no-op on cacheless stacks). Returns
-    /// whether a backing read actually ran.
-    pub fn prefetch_block(&self, key: BlockKey) -> Result<bool, RecordError> {
-        self.source.prefetch_block(&key)
-    }
 }
 
 #[cfg(test)]
@@ -142,21 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_block_primes_demand_hit() {
-        let (_d, idx) = shard_with_records(6);
-        let (_cache, reader) = cached_stack(idx);
-        let key = BlockKey {
-            shard_id: 0,
-            start: 0,
-            end: 6,
-        };
-        assert!(reader.prefetch_block(key).unwrap());
-        assert!(!reader.prefetch_block(key).unwrap());
-        let read = reader.read_batch(key).unwrap();
-        assert!(read.hit(), "prefetched block served the demand read");
-    }
-
-    #[test]
     fn bare_tfrecord_stack_reads_direct() {
         let (_d, idx) = shard_with_records(4);
         let reader = CachedRangeReader::new(Arc::new(TfrecordSource::new(idx)));
@@ -169,7 +148,5 @@ mod tests {
         assert_eq!(read.origin, ReadOrigin::Direct);
         assert!(!read.hit());
         assert_eq!(read.payloads.len(), 4);
-        // Prefetch on a cacheless stack warms nothing.
-        assert!(!reader.prefetch_block(key).unwrap());
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! Wraps any inner [`RangeSource`] (local TFRecord shards, an emulated NFS
 //! mount, even another cache) behind a [`ShardCache`]: demand reads are
-//! served from the cache's RAM/disk tiers, misses coalesce onto a single
-//! inner read (single-flight), and [`RangeSource::prefetch_block`] admits
-//! blocks ahead of demand without touching the hit/miss accounting. This
-//! is the layer the daemon, the prefetcher, and the CLI stack on top of
-//! whichever backend a deployment configures.
+//! served from the cache's RAM/disk tiers and misses coalesce onto a single
+//! inner read (single-flight). Blocks are staged ahead of demand by the
+//! prefetch executor ([`crate::prefetch`]), which reads through
+//! [`CachedSource::inner`] into a byte reservation and so never touches
+//! the hit/miss accounting. This is the layer the daemon and the CLI stack
+//! on top of whichever backend a deployment configures.
 
 use crate::cache::{Fetched, ShardCache};
 use emlio_obs::{Stage, StageRecorder};
@@ -49,14 +50,6 @@ impl CachedSource {
     pub fn inner(&self) -> &Arc<dyn RangeSource> {
         &self.inner
     }
-
-    /// Read `key` through the inner source. The returned `Bytes` are
-    /// admitted into the cache as-is — no copy between the backing read
-    /// and the cache tier.
-    fn fetch_inner(&self, key: &BlockKey) -> Result<(bytes::Bytes, u64), RecordError> {
-        let read = self.inner.read_block(key)?;
-        Ok((read.data, read.read_nanos))
-    }
 }
 
 impl RangeSource for CachedSource {
@@ -64,9 +57,11 @@ impl RangeSource for CachedSource {
         let t0 = self.recorder.as_ref().map(|_| Instant::now());
         let mut inner_nanos = 0u64;
         let (data, from) = self.cache.get_or_fetch::<RecordError, _, _>(*key, || {
-            let (bytes, nanos) = self.fetch_inner(key)?;
-            inner_nanos = nanos;
-            Ok(bytes)
+            // Admitted as-is: no copy between the backing read and the
+            // cache tier.
+            let read = self.inner.read_block(key)?;
+            inner_nanos = read.read_nanos;
+            Ok(read.data)
         })?;
         if let (Some(rec), Some(t0)) = (&self.recorder, t0) {
             if from.is_hit() {
@@ -86,11 +81,6 @@ impl RangeSource for CachedSource {
                 0
             },
         })
-    }
-
-    fn prefetch_block(&self, key: &BlockKey) -> Result<bool, RecordError> {
-        self.cache
-            .prefetch::<RecordError, _, _>(*key, || Ok(self.fetch_inner(key)?.0))
     }
 
     fn block_len(&self, key: &BlockKey) -> Option<u64> {
@@ -144,10 +134,6 @@ mod tests {
         assert_eq!(second.read_nanos, 0);
         assert_eq!(reads.load(Ordering::Relaxed), 1, "one inner read");
 
-        // Prefetch warms without demand accounting; the demand read hits.
-        assert!(src.prefetch_block(&key(2)).unwrap());
-        assert!(!src.prefetch_block(&key(2)).unwrap());
-        assert_eq!(src.read_block(&key(2)).unwrap().origin, ReadOrigin::Cache);
         assert!(src.describe().starts_with("cached(lru"));
         assert!(src.describe().ends_with("-> fn"));
     }

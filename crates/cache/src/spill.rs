@@ -46,7 +46,7 @@ pub(crate) struct SpillQueue {
     /// (wakes `flush` waiters).
     idle: Condvar,
     /// Evictors currently parked in [`SpillQueue::push`] on a full queue
-    /// (gauge — lets tests and diagnostics observe "a pusher is blocked"
+    /// (gauge — lets tests observe "a pusher is blocked"
     /// without guessing at timing).
     blocked: AtomicU64,
     capacity: usize,
@@ -126,11 +126,6 @@ impl SpillQueue {
         inner.orders.len() as u64 + u64::from(inner.in_flight)
     }
 
-    /// Evictors parked on a full queue right now (gauge).
-    pub fn blocked_pushers(&self) -> u64 {
-        self.blocked.load(Ordering::SeqCst)
-    }
-
     /// Block until every queued order has been fully written (queue empty
     /// and nothing in flight). Returns immediately after shutdown-drain.
     pub fn flush(&self) {
@@ -193,7 +188,7 @@ mod tests {
         // the pusher is provably parked before we free the slot.
         assert!(
             emlio_util::testutil::poll_until(std::time::Duration::from_secs(5), || {
-                q.blocked_pushers() > 0
+                q.blocked.load(Ordering::SeqCst) > 0
             }),
             "pusher parked on the full queue"
         );

@@ -2,15 +2,13 @@
 //! ownership is a join-order-independent partition of the member set that
 //! moves the minimum keyspace on membership changes, and a peer stack —
 //! whatever mix of warm owners, cold owners, and self-owned keys a trace
-//! exercises — always returns exactly the bytes the backing store holds,
-//! the same way whether a run is read block by block or as one batch.
+//! exercises — always returns exactly the bytes the backing store holds.
 
-use emlio_cache::peer::{FleetRegistry, LocalPeer, PeerConfig, PeerSource, PeerStatsSnapshot};
-use emlio_cache::{BlockKey, CacheConfig, HashRing, RangeSource, ReadOrigin, ShardCache};
+use emlio_cache::peer::{FleetRegistry, LocalPeer, PeerConfig, PeerSource};
+use emlio_cache::{BlockKey, CacheConfig, HashRing, RangeSource, ShardCache};
 use emlio_tfrecord::FnSource;
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const BLOCK: usize = 100;
@@ -43,123 +41,8 @@ fn pattern(key: &BlockKey) -> Vec<u8> {
         .collect()
 }
 
-/// One fleet over the reference store, as the batch-equivalence property
-/// builds it twice: `n_peers` members with caches too large to evict,
-/// `warm` blocks resident at arbitrary members, `dead` members whose cache
-/// has been dropped (their transport reports `Unavailable`) and `detached`
-/// members that never published a transport.
-struct Fleet {
-    sources: Vec<Arc<PeerSource>>,
-    storage_reads: Arc<AtomicU64>,
-    _caches: Vec<Arc<ShardCache>>,
-}
-
-impl Fleet {
-    fn build(n_peers: usize, warm: &[(u64, u8)], dead: &[bool], detached: &[bool]) -> Fleet {
-        let registry = FleetRegistry::new();
-        for p in 0..n_peers {
-            registry.join(&peer_id(p as u8));
-        }
-        let storage_reads = Arc::new(AtomicU64::new(0));
-        let mut caches = Vec::new();
-        let mut sources = Vec::new();
-        for p in 0..n_peers {
-            let cache = Arc::new(
-                ShardCache::new(
-                    CacheConfig::default()
-                        .with_ram_bytes((1024 * BLOCK) as u64)
-                        .with_prefetch_depth(0),
-                )
-                .unwrap(),
-            );
-            for (c, k) in warm {
-                if *c as usize % n_peers == p {
-                    cache.insert(key(*k), pattern(&key(*k)));
-                }
-            }
-            if !detached[p] {
-                registry.attach(&peer_id(p as u8), LocalPeer::new(&cache));
-            }
-            if !dead[p] {
-                caches.push(cache);
-            }
-            let reads = storage_reads.clone();
-            let inner: Arc<dyn RangeSource> = Arc::new(FnSource::new(move |k: &BlockKey| {
-                reads.fetch_add(1, Ordering::Relaxed);
-                Ok(pattern(k))
-            }));
-            sources.push(PeerSource::new(
-                registry.clone(),
-                &peer_id(p as u8),
-                inner,
-                PeerConfig::default(),
-            ));
-        }
-        Fleet {
-            sources,
-            storage_reads,
-            _caches: caches,
-        }
-    }
-
-    fn stats(&self) -> Vec<PeerStatsSnapshot> {
-        self.sources.iter().map(|s| s.stats().snapshot()).collect()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `read_blocks(run)` ≡ `run.map(read_block)` for a run of distinct
-    /// keys: the same bytes, the same origin per key, the same counter
-    /// deltas and the same storage reads — over random rings, owner
-    /// residency, dead and detached owners, and flights retained from
-    /// earlier reads by other members.
-    #[test]
-    fn batched_run_equals_block_by_block(
-        n_peers in 1usize..5,
-        warm in vec((any::<u64>(), any::<u8>()), 0..40),
-        dead in vec(any::<bool>(), 4),
-        detached in vec(any::<bool>(), 4),
-        earlier in vec((any::<u64>(), any::<u8>()), 0..20),
-        reader in any::<u64>(),
-        run in vec(any::<u8>(), 1..24),
-    ) {
-        let mut keys: Vec<BlockKey> = Vec::new();
-        for k in run {
-            if !keys.contains(&key(k)) {
-                keys.push(key(k));
-            }
-        }
-        let batched = Fleet::build(n_peers, &warm, &dead, &detached);
-        let serial = Fleet::build(n_peers, &warm, &dead, &detached);
-        // The same history on both sides: retained flights, offered blocks.
-        for fleet in [&batched, &serial] {
-            for (r, k) in &earlier {
-                fleet.sources[*r as usize % n_peers].read_block(&key(*k)).unwrap();
-            }
-        }
-        prop_assert_eq!(batched.stats(), serial.stats());
-
-        let r = reader as usize % n_peers;
-        let got = batched.sources[r].read_blocks(&keys).unwrap();
-        let want: Vec<_> = keys
-            .iter()
-            .map(|k| serial.sources[r].read_block(k).unwrap())
-            .collect();
-        prop_assert_eq!(got.len(), keys.len());
-        for ((k, g), w) in keys.iter().zip(&got).zip(&want) {
-            prop_assert_eq!(g.data.to_vec(), pattern(k), "bytes of {:?}", k);
-            prop_assert_eq!(&g.data, &w.data);
-            prop_assert_eq!(g.origin, w.origin, "origin of {:?}", k);
-            prop_assert!(matches!(g.origin, ReadOrigin::Direct | ReadOrigin::Peer));
-        }
-        prop_assert_eq!(batched.stats(), serial.stats());
-        prop_assert_eq!(
-            batched.storage_reads.load(Ordering::Relaxed),
-            serial.storage_reads.load(Ordering::Relaxed)
-        );
-    }
 
     /// Ownership partitions the keyspace over the member set: every key
     /// has exactly one owner, and that owner is a member.

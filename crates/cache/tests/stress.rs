@@ -109,13 +109,7 @@ fn hammer(policy: EvictPolicy, lock_shards: usize) {
                         let _ = cache.get(&k);
                     }
                     // Raw inserts racing the fetch paths.
-                    8 => cache.insert(k, vec![k.shard_id as u8; BLOCK_BYTES]),
-                    // Prefetches racing demand.
-                    _ => {
-                        let _ = cache.prefetch::<std::io::Error, _, _>(k, || {
-                            Ok(vec![k.shard_id as u8; BLOCK_BYTES])
-                        });
-                    }
+                    _ => cache.insert(k, vec![k.shard_id as u8; BLOCK_BYTES]),
                 }
                 if op % 64 == 0 {
                     assert!(cache.ram_bytes_used() <= ram, "RAM over capacity");
@@ -265,8 +259,9 @@ fn stress_backed_evictions_race_disk_evictions() {
 #[test]
 fn stress_peer_fleet_coalesces_storage_reads() {
     // A 4-peer fleet hammered from 8 threads: every key is read through
-    // many peers at once, singly and in runs, racing owner fetches, flight
-    // handoffs, and offers into the owners' caches. Liveness = completion;
+    // many peers at once, singly and as windows of concurrent single
+    // reads, racing owner fetches, flight handoffs, and offers into the
+    // owners' caches. Liveness = completion;
     // correctness = every read returns the backing pattern; economy = the
     // shared backing store is read exactly once per unique key (fleet-wide
     // single-flight plus retained flights make the count exact, not
@@ -319,22 +314,30 @@ fn stress_peer_fleet_coalesces_storage_reads() {
         handles.push(std::thread::spawn(move || {
             let mut rng = 0xD1B54A32u64.wrapping_mul(t as u64 + 1) | 1;
             for _ in 0..OPS_PER_THREAD {
-                // Half the ops are single reads, half prefetch-window-like
-                // runs of 1-8 distinct keys through the batched path, so
-                // leads and follows of whole runs race each other too.
+                // Half the ops are single reads, half windows of 1-8
+                // distinct keys read one thread per block — what the
+                // prefetch executor's helper threads send down — so the
+                // leads and follows of whole windows race each other too.
                 let r = next_rand(&mut rng);
                 let mut run = vec![key(r as usize % KEYSPACE)];
-                let reads = if r & (1 << 40) == 0 {
-                    vec![source.read_block(&run[0]).unwrap()]
-                } else {
+                if r & (1 << 40) != 0 {
                     for _ in 0..(r >> 41) % 8 {
                         let k = key(next_rand(&mut rng) as usize % KEYSPACE);
                         if !run.contains(&k) {
                             run.push(k);
                         }
                     }
-                    source.read_blocks(&run).unwrap()
-                };
+                }
+                let reads: Vec<_> = std::thread::scope(|s| {
+                    let (first, rest) = run.split_first().unwrap();
+                    let helpers: Vec<_> = rest
+                        .iter()
+                        .map(|k| s.spawn(|| source.read_block(k).unwrap()))
+                        .collect();
+                    let mut reads = vec![source.read_block(first).unwrap()];
+                    reads.extend(helpers.into_iter().map(|h| h.join().unwrap()));
+                    reads
+                });
                 assert_eq!(reads.len(), run.len());
                 for (k, read) in run.iter().zip(&reads) {
                     assert_eq!(read.data.len(), BLOCK_BYTES);
@@ -359,13 +362,15 @@ fn stress_peer_fleet_coalesces_storage_reads() {
 
 #[test]
 fn crossed_windows_lead_before_they_follow() {
-    // Daemon A's run is daemon B's run reversed, and the interleaving is
-    // forced: each daemon joins the flights of its *own* keys, and only
-    // then lets the other past its first owner fetch. So A leads exactly
-    // what B follows and B leads exactly what A follows — the shape in
-    // which a layer that waited on a followed flight while still holding
-    // an unpublished one would deadlock (or, with the peer timeout, limp
-    // home through fallbacks).
+    // Daemon A's window is daemon B's window reversed, each read with one
+    // thread per block as the prefetch executor does, and the interleaving
+    // is forced: every block's owner is inside its storage read — leading
+    // the flight, nothing published yet — before any fetch to an owner's
+    // tier is answered. So A leads exactly what B follows and B leads
+    // exactly what A follows, all eight flights pending at once — the
+    // shape in which a layer that serialised its follows behind its leads
+    // (or held anything shared across the wait) would deadlock or, with
+    // the peer timeout, limp home through fallbacks.
     use emlio_cache::peer::{FleetRegistry, PeerConfig, PeerFetch, PeerSource, PeerTransport};
     use emlio_cache::{RangeSource, ReadOrigin};
     use emlio_tfrecord::FnSource;
@@ -374,17 +379,14 @@ fn crossed_windows_lead_before_they_follow() {
 
     const WAIT: Duration = Duration::from_secs(20);
 
-    /// The tier of daemon `owner`, always cold. Its first fetch — made by
-    /// the *other* daemon, which by then has joined its own keys' flights —
-    /// says so, then waits for the owner to have done the same.
+    /// An owner's tier, always cold, that answers only once every flight
+    /// of both windows has its leader.
     struct Gate {
-        caller_joined_own: Arc<Latch>,
-        owner_joined_own: Arc<Latch>,
+        all_led: Arc<Latch>,
     }
     impl PeerTransport for Gate {
         fn fetch(&self, _key: &BlockKey, _timeout: Duration) -> PeerFetch {
-            self.caller_joined_own.open();
-            assert!(self.owner_joined_own.wait(WAIT), "owner never got going");
+            assert!(self.all_led.wait(WAIT), "an owner never led its block");
             PeerFetch::Miss
         }
     }
@@ -394,21 +396,11 @@ fn crossed_windows_lead_before_they_follow() {
         for p in 0..peers {
             registry.join(&format!("p{p}"));
         }
-        let (a_joined, b_joined) = (Arc::new(Latch::new()), Arc::new(Latch::new()));
-        registry.attach(
-            "p0",
-            Arc::new(Gate {
-                caller_joined_own: b_joined.clone(),
-                owner_joined_own: a_joined.clone(),
-            }),
-        );
-        registry.attach(
-            "p1",
-            Arc::new(Gate {
-                caller_joined_own: a_joined.clone(),
-                owner_joined_own: b_joined.clone(),
-            }),
-        );
+        let all_led = Arc::new(Latch::new());
+        for id in ["p0", "p1"] {
+            let all_led = all_led.clone();
+            registry.attach(id, Arc::new(Gate { all_led }));
+        }
         let owned_by = |id: &str| -> Vec<BlockKey> {
             (0..KEYSPACE * 8)
                 .map(key)
@@ -423,9 +415,13 @@ fn crossed_windows_lead_before_they_follow() {
 
         let storage_reads = Arc::new(AtomicU64::new(0));
         let source = |id: &str| {
-            let reads = storage_reads.clone();
+            let (reads, all_led) = (storage_reads.clone(), all_led.clone());
             let inner: Arc<dyn RangeSource> = Arc::new(FnSource::new(move |k: &BlockKey| {
-                reads.fetch_add(1, Ordering::SeqCst);
+                // The eighth leader in lets everyone go.
+                if reads.fetch_add(1, Ordering::SeqCst) + 1 == 8 {
+                    all_led.open();
+                }
+                assert!(all_led.wait(WAIT), "a block was not led by its owner");
                 Ok(vec![k.shard_id as u8; BLOCK_BYTES])
             }));
             // Generous: a deadlock must show as a hang, not a fallback.
@@ -439,14 +435,20 @@ fn crossed_windows_lead_before_they_follow() {
         let (a, b) = (source("p0"), source("p1"));
         let daemons = [(a.clone(), window.clone()), (b.clone(), reversed)].map(|(src, run)| {
             std::thread::spawn(move || {
-                let reads = src.read_blocks(&run).unwrap();
-                for (k, read) in run.iter().zip(&reads) {
+                let blocks: Vec<_> = run
+                    .into_iter()
+                    .map(|k| {
+                        let src = src.clone();
+                        std::thread::spawn(move || (k, src.read_block(&k).unwrap()))
+                    })
+                    .collect();
+                let mut led = 0;
+                for block in blocks {
+                    let (k, read) = block.join().unwrap();
                     assert!(read.data.iter().all(|&x| x == k.shard_id as u8));
+                    led += usize::from(read.origin == ReadOrigin::Direct);
                 }
-                reads
-                    .iter()
-                    .filter(|r| r.origin == ReadOrigin::Direct)
-                    .count()
+                led
             })
         });
         assert!(

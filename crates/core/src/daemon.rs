@@ -118,33 +118,6 @@ impl RangeSource for MeteredSource {
         Ok(read)
     }
 
-    fn read_blocks(&self, keys: &[BlockKey]) -> Result<Vec<BlockRead>, RecordError> {
-        let reads = self.inner.read_blocks(keys)?;
-        // One storage read per non-cached block, even when the source
-        // below overlapped the run's reads: each member carries its own
-        // read's latency, so per-block counting keeps `storage_reads`
-        // comparable across batched and single-block paths.
-        for read in &reads {
-            if !read.origin.avoided_storage() {
-                self.metrics.record_storage_read(read.read_nanos);
-                if let Some(rec) = &self.recorder {
-                    rec.record(Stage::StorageRead, read.read_nanos);
-                }
-            }
-        }
-        Ok(reads)
-    }
-
-    fn prefetch_block(&self, key: &BlockKey) -> Result<bool, RecordError> {
-        // Transparent decoration: a caching layer below (metered ->
-        // cached -> …) must still receive warm-ups.
-        self.inner.prefetch_block(key)
-    }
-
-    fn prefetch_blocks(&self, keys: &[BlockKey]) -> Result<usize, RecordError> {
-        self.inner.prefetch_blocks(keys)
-    }
-
     fn block_len(&self, key: &BlockKey) -> Option<u64> {
         self.inner.block_len(key)
     }

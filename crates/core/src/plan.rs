@@ -201,14 +201,6 @@ impl Plan {
             .map_or(0, NodePlan::num_batches)
     }
 
-    /// Total batches a node receives across all epochs.
-    pub fn total_batches_for(&self, node_id: &str) -> u64 {
-        self.epochs
-            .iter()
-            .map(|e| e.nodes.get(node_id).map_or(0, NodePlan::num_batches))
-            .sum()
-    }
-
     /// Collect the multiset of `(shard, record)` pairs a node covers in an
     /// epoch — used by correctness tests.
     pub fn coverage(&self, epoch: u32, node_id: &str) -> Vec<(u32, usize)> {

@@ -21,7 +21,6 @@ pub mod convert;
 pub mod dataset;
 pub mod image;
 pub mod sif;
-pub mod text;
 
 pub use dataset::DatasetSpec;
 pub use image::Image;

@@ -146,19 +146,6 @@ impl<'a> Decoder<'a> {
 
     // ----- typed reads ----------------------------------------------------
 
-    /// Read a nil.
-    pub fn read_nil(&mut self) -> Result<(), DecodeError> {
-        let at = self.pos;
-        match self.byte()? {
-            encode::NIL => Ok(()),
-            m => Err(DecodeError::TypeMismatch {
-                at,
-                expected: "nil",
-                marker: m,
-            }),
-        }
-    }
-
     /// Read a boolean.
     pub fn read_bool(&mut self) -> Result<bool, DecodeError> {
         let at = self.pos;
@@ -186,19 +173,6 @@ impl<'a> Decoder<'a> {
         }
     }
 
-    /// Read any integer family as i64 (errors if out of i64 range).
-    pub fn read_i64(&mut self) -> Result<i64, DecodeError> {
-        let at = self.pos;
-        match self.read_i128()? {
-            v if v >= i64::MIN as i128 && v <= i64::MAX as i128 => Ok(v as i64),
-            _ => Err(DecodeError::TypeMismatch {
-                at,
-                expected: "int",
-                marker: self.buf[at],
-            }),
-        }
-    }
-
     fn read_i128(&mut self) -> Result<i128, DecodeError> {
         let at = self.pos;
         let m = self.byte()?;
@@ -221,20 +195,6 @@ impl<'a> Decoder<'a> {
                 })
             }
         })
-    }
-
-    /// Read either float width as f64 (integers are *not* coerced).
-    pub fn read_f64(&mut self) -> Result<f64, DecodeError> {
-        let at = self.pos;
-        match self.byte()? {
-            encode::F32 => Ok(f32::from_be_bytes(self.take(4)?.try_into().unwrap()) as f64),
-            encode::F64 => Ok(f64::from_be_bytes(self.take(8)?.try_into().unwrap())),
-            m => Err(DecodeError::TypeMismatch {
-                at,
-                expected: "float",
-                marker: m,
-            }),
-        }
     }
 
     /// Read a str, borrowing the payload from the input buffer.
@@ -333,11 +293,6 @@ impl<'a> Decoder<'a> {
         };
         let tag = self.byte()? as i8;
         Ok((tag, self.take(len)?))
-    }
-
-    /// True if the next value is nil (does not consume).
-    pub fn peek_is_nil(&self) -> bool {
-        self.peek() == Ok(encode::NIL)
     }
 
     // ----- owned value tree -----------------------------------------------

@@ -71,14 +71,6 @@ impl Value {
         }
     }
 
-    /// As bytes, for `Bin` values.
-    pub fn as_bin(&self) -> Option<&[u8]> {
-        match self {
-            Value::Bin(b) => Some(b),
-            _ => None,
-        }
-    }
-
     /// As array slice.
     pub fn as_arr(&self) -> Option<&[Value]> {
         match self {

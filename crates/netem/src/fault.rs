@@ -106,32 +106,6 @@ impl RangeSource for FaultSource {
         Ok(read)
     }
 
-    /// Prefetch passes through un-faulted: warming is advisory (errors are
-    /// skipped upstream by design), and the demand read that follows gets
-    /// its own injection decision.
-    fn prefetch_block(&self, key: &BlockKey) -> Result<bool> {
-        self.inner.prefetch_block(key)
-    }
-
-    /// One decision per key, drawn in key order and stopping at the first
-    /// injected error — the `(seed, site, invocation)` sequence of reading
-    /// the keys one by one — then the run goes down as **one** batch, so
-    /// the layers below keep their batched behaviour (overlap, coalescing)
-    /// under chaos. Latency spikes are slept before the batch is issued.
-    fn read_blocks(&self, keys: &[BlockKey]) -> Result<Vec<BlockRead>> {
-        let short = keys
-            .iter()
-            .map(|_| self.draw())
-            .collect::<Result<Vec<bool>>>()?;
-        let mut reads = self.inner.read_blocks(keys)?;
-        for (read, short) in reads.iter_mut().zip(short) {
-            if short {
-                cut_short(read);
-            }
-        }
-        Ok(reads)
-    }
-
     fn block_len(&self, key: &BlockKey) -> Option<u64> {
         self.inner.block_len(key)
     }
@@ -214,7 +188,6 @@ mod tests {
         let read = src.read_block(&key(0, 4)).unwrap();
         assert_eq!(&read.data[..], &[7u8; 4]);
         assert_eq!(inj.stats().total(), 0);
-        assert!(src.prefetch_block(&key(0, 4)).is_ok());
         assert!(src.describe().starts_with("fault(source.read"));
     }
 

@@ -84,15 +84,6 @@ impl NetProfile {
     pub fn request_response_time(&self, bytes: u64) -> Duration {
         self.rtt + self.transfer_time(bytes)
     }
-
-    /// Scale the RTT, keeping bandwidth (for sweep benches).
-    pub fn with_rtt(&self, rtt: Duration) -> NetProfile {
-        NetProfile {
-            name: format!("{}@{:?}", self.name, rtt),
-            rtt,
-            bandwidth_bps: self.bandwidth_bps,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! shared across every handle cloned from the mount), so N daemons reading
 //! through clones of one `NfsSource` contend for the same emulated wire —
 //! the paper's remote-dataset scenario, now expressible as just another
-//! layer under a per-daemon `CachedSource`.
+//! layer under a per-daemon `CachedSource`. A call is one positioned read;
+//! the round trips of several overlap when several callers are in at once,
+//! which is what the cache's prefetch executor arranges.
 
 use crate::nfs::{NfsFile, NfsMount};
 use emlio_tfrecord::source::{BlockKey, BlockRead, RangeSource, ReadOrigin};
@@ -13,17 +15,8 @@ use emlio_tfrecord::{GlobalIndex, RecordError};
 use emlio_util::pool::BufferPool;
 use parking_lot::Mutex;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Most positioned reads one [`NfsSource::read_blocks`] run keeps in flight:
-/// the client's RPC slot table (`sunrpc.tcp_slot_table_entries`, 16 on a
-/// stock Linux mount). The cache's prefetch executor no longer sends runs
-/// down — it issues single `read_block`s on its own helper threads, capped
-/// at the same 16 (`emlio_cache::prefetch::MAX_IN_FLIGHT`) — so this binds
-/// only for callers that hand `read_blocks` a run wider than the table.
-const RPC_SLOTS: usize = 16;
 
 /// Positioned block reads over an emulated NFS mount.
 ///
@@ -120,49 +113,6 @@ impl RangeSource for NfsSource {
             origin: ReadOrigin::Direct,
             read_nanos,
         })
-    }
-
-    /// Overlapped run read: the run's positioned reads go out together, as
-    /// a kernel NFS client keeps several READ RPCs on the wire, instead of
-    /// each waiting out the previous one's round trips. Up to `RPC_SLOTS` (16)
-    /// scoped threads (the caller is one of them) pull keys off the run and
-    /// [`read_block`](RangeSource::read_block) them, so every read charges
-    /// the same GETATTR/READ-wave round trips and draws its bytes from the
-    /// same shared token bucket as a serial read — only the sleeps overlap,
-    /// and each block's `read_nanos` is its own latency, so a run's reads
-    /// sum to more than its wall time. The first failure (in key order)
-    /// fails the call once every worker has stopped; workers stop taking
-    /// keys as soon as one read has failed.
-    fn read_blocks(&self, keys: &[BlockKey]) -> Result<Vec<BlockRead>, RecordError> {
-        let next = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let worker = || {
-            let mut done = Vec::new();
-            while !failed.load(Ordering::SeqCst) {
-                let i = next.fetch_add(1, Ordering::SeqCst);
-                let Some(key) = keys.get(i) else { break };
-                let read = self.read_block(key);
-                if read.is_err() {
-                    failed.store(true, Ordering::SeqCst);
-                }
-                done.push((i, read));
-            }
-            done
-        };
-        let mut done = std::thread::scope(|s| {
-            let helpers: Vec<_> = (1..keys.len().min(RPC_SLOTS))
-                .map(|_| s.spawn(worker))
-                .collect();
-            let mut done = worker();
-            for h in helpers {
-                done.extend(h.join().expect("nfs read worker panicked"));
-            }
-            done
-        });
-        // Keys are taken in order, so every key before a failed one was
-        // taken too: sorted, the results are gapless up to the first error.
-        done.sort_unstable_by_key(|(i, _)| *i);
-        done.into_iter().map(|(_, read)| read).collect()
     }
 
     fn block_len(&self, key: &BlockKey) -> Option<u64> {
@@ -290,139 +240,5 @@ mod tests {
             idx.shards.len() as u64 + 1,
             "racing first reads of one shard open it once"
         );
-    }
-
-    /// A dataset of `shards` shards with `blocks` four-record blocks in
-    /// each, and the blocks' keys interleaved across shards.
-    fn dataset(
-        name: &str,
-        shards: usize,
-        blocks: usize,
-    ) -> (TempDir, Arc<GlobalIndex>, Vec<BlockKey>) {
-        let dir = TempDir::new(name);
-        let mut w = ShardWriter::create(dir.path(), ShardSpec::Count(shards as u32)).unwrap();
-        for i in 0..shards * blocks * 4 {
-            w.append(&[i as u8; 64], 0).unwrap();
-        }
-        let idx = Arc::new(w.finish().unwrap());
-        let mut keys = Vec::new();
-        for b in 0..blocks {
-            for shard_id in 0..shards as u32 {
-                keys.push(BlockKey {
-                    shard_id,
-                    start: b * 4,
-                    end: b * 4 + 4,
-                });
-            }
-        }
-        (dir, idx, keys)
-    }
-
-    fn mount_at(dir: &TempDir, rtt: Duration) -> NfsMount {
-        NfsMount::mount(
-            dir.path(),
-            NetProfile::new("test", rtt, 1.25e9),
-            RealClock::shared(),
-            NfsConfig::default(),
-        )
-    }
-
-    fn counters(mount: &NfsMount) -> (u64, u64, u64) {
-        let s = mount.stats();
-        (
-            s.opens.load(Ordering::Relaxed),
-            s.reads.load(Ordering::Relaxed),
-            s.bytes_read.load(Ordering::Relaxed),
-        )
-    }
-
-    #[test]
-    fn a_run_overlaps_its_round_trips_at_the_cost_of_serial_reads() {
-        let rtt = Duration::from_millis(20);
-        let (dir, idx, keys) = dataset("nfs-source-overlap", 4, 3);
-        // Two mounts of the same directory, so each has its own counters:
-        // one reads block by block, the other the same keys as runs.
-        let (serial_mount, batched_mount) = (mount_at(&dir, rtt), mount_at(&dir, rtt));
-        let serial = NfsSource::new(idx.clone(), serial_mount.clone());
-        let batched = NfsSource::new(idx.clone(), batched_mount.clone());
-        // The first block of each shard pays that shard's OPEN; a run opens
-        // different shards side by side.
-        let (opening, run) = keys.split_at(4);
-        assert_eq!(run.len(), 8);
-        let t = Instant::now();
-        let mut want: Vec<BlockRead> = opening
-            .iter()
-            .map(|k| serial.read_block(k).unwrap())
-            .collect();
-        let serial_opens = t.elapsed();
-        let t = Instant::now();
-        let mut got = batched.read_blocks(opening).unwrap();
-        let overlapped_opens = t.elapsed();
-        assert!(
-            overlapped_opens * 2 < serial_opens,
-            "four shards opened in {overlapped_opens:?}, one after another in {serial_opens:?}"
-        );
-
-        let t = Instant::now();
-        want.push(serial.read_block(&run[0]).unwrap());
-        let one_block = t.elapsed();
-        want.extend(run[1..].iter().map(|k| serial.read_block(k).unwrap()));
-        let t = Instant::now();
-        got.extend(batched.read_blocks(run).unwrap());
-        let eight_blocks = t.elapsed();
-
-        assert!(
-            one_block >= rtt,
-            "a block pays its READ wave: {one_block:?}"
-        );
-        assert!(
-            eight_blocks < one_block * 3,
-            "eight overlapped reads took {eight_blocks:?}, one read {one_block:?}"
-        );
-        // Same data in key order, same round trips and bytes charged.
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.data, w.data);
-            assert_eq!(g.origin, ReadOrigin::Direct);
-        }
-        assert_eq!(counters(&batched_mount), counters(&serial_mount));
-        assert_eq!(counters(&batched_mount).0, 4, "one open per shard");
-    }
-
-    #[test]
-    fn one_failed_member_fails_the_run_once_every_worker_has_stopped() {
-        use emlio_util::fault::{site, FaultDecision, FaultInjector, FaultPlan, FaultSpec};
-        use emlio_util::testutil::poll_stable;
-
-        let rtt = Duration::from_millis(5);
-        let (dir, idx, keys) = dataset("nfs-source-fail", 2, 4);
-        // A plan under which exactly one of the run's eight reads fails,
-        // and none of the rerun's.
-        let errors_in = |plan: &FaultPlan, invocations: std::ops::Range<u64>| {
-            invocations
-                .filter(|n| plan.decide_at(site::NFS_READ, *n) == FaultDecision::Error)
-                .count()
-        };
-        let plan = (0u64..)
-            .map(|seed| FaultPlan::new(seed).with_site(site::NFS_READ, FaultSpec::errors(0.1)))
-            .find(|plan| errors_in(plan, 0..8) == 1 && errors_in(plan, 8..16) == 0)
-            .unwrap();
-        let mount = mount_at(&dir, rtt);
-        let injector = FaultInjector::new(plan);
-        mount.set_fault_injector(injector.clone());
-        let src = NfsSource::new(idx, mount.clone());
-
-        let err = src.read_blocks(&keys).unwrap_err();
-        assert!(err.is_transient(), "an I/O error, no partial result: {err}");
-        assert!(err.to_string().contains(site::NFS_READ));
-        // Nothing is still reading behind the caller's back.
-        let after = counters(&mount);
-        let settled = poll_stable(Duration::from_secs(2), rtt * 10, || counters(&mount));
-        assert_eq!(settled, after, "no read completed after the call returned");
-        assert!(injector.invocations(site::NFS_READ) <= keys.len() as u64);
-
-        // The same run with the fault behind it reads clean.
-        let reads = src.read_blocks(&keys).unwrap();
-        assert_eq!(reads.len(), keys.len());
     }
 }

@@ -10,8 +10,6 @@
 //! Pieces:
 //!
 //! * [`time::SimTime`] — nanosecond virtual timestamps;
-//! * [`engine::Engine`] — a classic event heap (`schedule_at`/`run`) for
-//!   free-form models;
 //! * [`pipeline`] — the workhorse: bounded-buffer, multi-server token
 //!   pipelines with **blocking-after-service** semantics. A stage whose
 //!   downstream queue is full holds its server — exactly how a ZeroMQ PUSH
@@ -21,12 +19,10 @@
 //! * [`trace::BucketTrace`] — per-stage busy-time recording in fixed-width
 //!   buckets, which the energy monitor integrates into power/energy series.
 
-pub mod engine;
 pub mod pipeline;
 pub mod time;
 pub mod trace;
 
-pub use engine::Engine;
 pub use pipeline::{PipelineSim, StageKind, StageSpec, Token, TokenResult};
 pub use time::SimTime;
 pub use trace::BucketTrace;

@@ -27,11 +27,6 @@ impl SimTime {
         emlio_util::nanos_to_secs(self.0)
     }
 
-    /// As a `Duration`.
-    pub fn as_duration(self) -> Duration {
-        Duration::from_nanos(self.0)
-    }
-
     /// Nanosecond value.
     pub fn nanos(self) -> u64 {
         self.0

@@ -25,11 +25,6 @@ impl BucketTrace {
         }
     }
 
-    /// The paper's 100 ms sampling interval.
-    pub fn with_100ms_buckets() -> BucketTrace {
-        BucketTrace::new(100_000_000)
-    }
-
     /// Bucket width in nanoseconds.
     pub fn bucket_nanos(&self) -> u64 {
         self.bucket_nanos

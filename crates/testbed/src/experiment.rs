@@ -464,67 +464,6 @@ pub fn ablations() -> Vec<ExperimentRow> {
     rows
 }
 
-/// EXT-LLM (§6 future work): the text-pretraining workload — thousands of
-/// ~4 KiB token-sequence samples, where per-file metadata dominates
-/// file-based loaders even at modest RTT.
-pub fn ext_llm() -> Vec<ExperimentRow> {
-    matrix(
-        "ext-llm",
-        &Workload::llm_text(),
-        &Regime::fig6_set(),
-        &[
-            LoaderKind::Pytorch,
-            LoaderKind::Dali,
-            LoaderKind::Emlio { concurrency: 2 },
-        ],
-        Scenario::Centralized,
-    )
-}
-
-/// EXT-TRANSPORT (§6 future work): heterogeneous transports at 0.1 ms.
-/// `rdma` models kernel-bypass zero-copy: serialize/deserialize collapse to
-/// registration cost (~5 GB/s) and per-batch software latency disappears;
-/// `nvmeof` additionally serves reads at NVMe-over-Fabric throughput.
-pub fn ext_transport() -> Vec<ExperimentRow> {
-    let w = Workload::imagenet_resnet50();
-    let regime = Regime::remote_ms(0.1);
-    let mut rows = Vec::new();
-    let variants: [(&str, ModelConstants); 3] = [
-        ("tcp+msgpack", ModelConstants::default()),
-        (
-            "rdma",
-            ModelConstants {
-                serialize_bw: 5e9,
-                deserialize_bw: 8e9,
-                ..ModelConstants::default()
-            },
-        ),
-        (
-            "nvmeof+rdma",
-            ModelConstants {
-                serialize_bw: 5e9,
-                deserialize_bw: 8e9,
-                // NVMe-oF read path bypasses the host filesystem; modelled
-                // as a faster effective device (the remote NVMe target).
-                ..ModelConstants::default()
-            },
-        ),
-    ];
-    for (name, consts) in variants {
-        rows.push(run_one(
-            "ext-transport",
-            LoaderKind::Emlio { concurrency: 2 },
-            &w,
-            &regime,
-            StageSet::Full,
-            Scenario::Centralized,
-            &consts,
-            Some(name),
-        ));
-    }
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,34 +600,6 @@ mod tests {
         let fe = emlio.points.last().unwrap().mean;
         let fd = dali.points.last().unwrap().mean;
         assert!((fe - fd).abs() < 0.15, "final losses {fe} vs {fd}");
-    }
-
-    #[test]
-    fn llm_extension_amplifies_the_gap() {
-        let rows = ext_llm();
-        let at = |rg: &str, m: &str| {
-            rows.iter()
-                .find(|r| r.regime == rg && r.method.starts_with(m))
-                .unwrap()
-        };
-        // Tiny samples: file-based loaders collapse harder than on ImageNet;
-        // EMLIO stays flat and saves an order of magnitude of energy.
-        let e = at("30ms", "emlio");
-        let p = at("30ms", "pytorch");
-        assert!(p.duration_secs > 25.0 * e.duration_secs);
-        assert!(p.total_j() > 10.0 * e.total_j());
-        let e01 = at("0.1ms", "emlio");
-        assert!((e.duration_secs - e01.duration_secs).abs() / e01.duration_secs < 0.05);
-    }
-
-    #[test]
-    fn transport_extension_saves_cpu_not_time() {
-        let rows = ext_transport();
-        let tcp = rows.iter().find(|r| r.method == "tcp+msgpack").unwrap();
-        let rdma = rows.iter().find(|r| r.method == "rdma").unwrap();
-        // Same epoch time (train-bound), lower CPU energy (zero-copy).
-        assert!((tcp.duration_secs - rdma.duration_secs).abs() < 2.0);
-        assert!(rdma.compute.cpu_j < tcp.compute.cpu_j);
     }
 
     #[test]

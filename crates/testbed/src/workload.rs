@@ -83,24 +83,6 @@ impl Workload {
         }
     }
 
-    /// LLM text pretraining (§6 future work): ~4 KiB token-sequence samples.
-    /// Tiny samples make per-file metadata the whole cost for file-based
-    /// loaders, while EMLIO's pre-batched ranges amortize it away. Consumer
-    /// is a transformer step (~45 ms per 64-sequence batch on the RTX 6000
-    /// class part → 0.7 ms/sample).
-    pub fn llm_text() -> Workload {
-        Workload {
-            name: "llm-text".into(),
-            samples: (2u64 << 30) / (4 << 10), // 2 GiB shard of 4 KiB samples
-            sample_bytes: 4 << 10,
-            batch_size: 64,
-            model: ModelProfile::resnet50(), // gradient size stand-in
-            step_override: Some(0.0007),
-            nfs_rtts_per_sample: 4.0,
-            dali_readers: None,
-        }
-    }
-
     /// Effective per-sample step time.
     pub fn step_secs_per_sample(&self) -> f64 {
         self.step_override

@@ -84,15 +84,6 @@ impl<R: Read> RecordReader<R> {
         self.offset += crate::record::encoded_len(payload.len());
         Ok(Some(payload))
     }
-
-    /// Drain every remaining record.
-    pub fn read_all(&mut self) -> Result<Vec<Vec<u8>>> {
-        let mut out = Vec::new();
-        while let Some(p) = self.next_record()? {
-            out.push(p);
-        }
-        Ok(out)
-    }
 }
 
 /// Read into `buf` fully, or return 0 if EOF hits before the first byte.
@@ -138,6 +129,15 @@ impl RangeReader {
             mapped,
             verify_crc: true,
         })
+    }
+
+    /// Open `path` as a platform that cannot map shards does, so that the
+    /// positioned-read fallback is tested where every shard maps.
+    #[cfg(test)]
+    pub(crate) fn open_unmapped(path: &Path) -> Result<Self> {
+        let mut reader = RangeReader::open(path)?;
+        reader.mapped = None;
+        Ok(reader)
     }
 
     /// Disable CRC verification for trusted local replay.

@@ -135,24 +135,6 @@ impl RangeSource for RetrySource {
         self.with_retry(key_salt(key), || self.inner.read_block(key))
     }
 
-    fn prefetch_block(&self, key: &BlockKey) -> Result<bool> {
-        self.with_retry(key_salt(key), || self.inner.prefetch_block(key))
-    }
-
-    /// Retry the whole run: the inner source may overlap the run's reads
-    /// (an NFS root keeps several round trips in flight), and re-issuing
-    /// the full batch preserves that on the (rare) retry path instead of
-    /// degrading to one block at a time.
-    fn read_blocks(&self, keys: &[BlockKey]) -> Result<Vec<BlockRead>> {
-        let salt = keys.first().map_or(0, key_salt) ^ keys.len() as u64;
-        self.with_retry(salt, || self.inner.read_blocks(keys))
-    }
-
-    fn prefetch_blocks(&self, keys: &[BlockKey]) -> Result<usize> {
-        let salt = keys.first().map_or(0, key_salt) ^ keys.len() as u64;
-        self.with_retry(salt, || self.inner.prefetch_blocks(keys))
-    }
-
     fn block_len(&self, key: &BlockKey) -> Option<u64> {
         self.inner.block_len(key)
     }
@@ -254,21 +236,6 @@ mod tests {
         assert_eq!(inner.0.load(Ordering::Relaxed), 1, "exactly one attempt");
         let s = src.stats().snapshot();
         assert_eq!((s.retries, s.giveups), (0, 0), "not counted as transient");
-    }
-
-    #[test]
-    fn batched_reads_retry_the_whole_run() {
-        let src = RetrySource::new(
-            Arc::new(flaky(1)),
-            RetryPolicy::new(3, Duration::from_micros(20)),
-        );
-        let keys = [key(1, 0, 2), key(1, 2, 4)];
-        let reads = src.read_blocks(&keys).unwrap();
-        assert_eq!(reads.len(), 2);
-        for (k, r) in keys.iter().zip(&reads) {
-            assert_eq!(&r.data[..], &vec![1u8; k.end - k.start][..]);
-        }
-        assert!(src.stats().snapshot().retries >= 1);
     }
 
     #[test]

@@ -106,11 +106,6 @@ impl ShardWriter {
         Ok(sample_id)
     }
 
-    /// Number of samples appended so far.
-    pub fn samples_written(&self) -> u64 {
-        self.next_sample_id
-    }
-
     /// Flush all shard files, write all index files, and return the loaded
     /// [`GlobalIndex`].
     pub fn finish(self) -> Result<GlobalIndex> {

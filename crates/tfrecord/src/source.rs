@@ -9,6 +9,11 @@
 //! cache (`emlio-cache`'s `CachedSource`) all present the same interface,
 //! mirroring how HDMLP layers local/remote/cache tiers behind one fetch
 //! call ("Clairvoyant Prefetching for Distributed Machine Learning I/O").
+//!
+//! [`RangeSource::read_block`] is the stack's one read verb: every layer
+//! serves one block per call. The plan fixes the access sequence, so
+//! keeping several reads in flight is the job of the one executor that
+//! walks it (`emlio-cache`'s prefetcher), not of a strategy in each layer.
 
 use crate::index::GlobalIndex;
 use crate::reader::RangeReader;
@@ -138,37 +143,25 @@ pub trait RangeSource: Send + Sync {
     /// Read block `key`, reporting origin and backing-read time.
     fn read_block(&self, key: &BlockKey) -> Result<BlockRead>;
 
-    /// Load `key` ahead of demand, if this source has somewhere to keep it.
-    /// Non-caching sources report `false` (nothing was warmed); caching
-    /// decorators fetch-and-admit without demand accounting.
+    /// Not part of the stack: `read_block` is the only read verb, nothing
+    /// in the workspace overrides or calls the three methods below, and
+    /// they stay declared only because `benchmark/src/sut.rs` (frozen by
+    /// `BENCHMARK.json`) implements them on its `SpanSource`.
+    #[doc(hidden)]
     fn prefetch_block(&self, key: &BlockKey) -> Result<bool> {
         let _ = key;
         Ok(false)
     }
 
-    /// Read a run of blocks in one call, returning one [`BlockRead`] per
-    /// key **in key order**. The default reads each block independently
-    /// (over a mapped shard, byte-adjacent spans come back as adjacent
-    /// views all the same); sources whose reads are round trips override
-    /// it to overlap them. Every returned read carries its own origin and
-    /// its own backing-read time, so per-block metering stays exact.
+    #[doc(hidden)]
     fn read_blocks(&self, keys: &[BlockKey]) -> Result<Vec<BlockRead>> {
         keys.iter().map(|k| self.read_block(k)).collect()
     }
 
-    /// Prefetch a run of blocks, returning how many were actually warmed.
-    /// The default loops [`RangeSource::prefetch_block`]; caching
-    /// decorators override it to claim the whole run up front and fetch
-    /// the missing blocks through one [`RangeSource::read_blocks`] call,
-    /// so plan-adjacent blocks coalesce instead of reading one at a time.
+    #[doc(hidden)]
     fn prefetch_blocks(&self, keys: &[BlockKey]) -> Result<usize> {
-        let mut warmed = 0;
-        for key in keys {
-            if self.prefetch_block(key)? {
-                warmed += 1;
-            }
-        }
-        Ok(warmed)
+        let _ = keys;
+        Ok(0)
     }
 
     /// Byte length of block `key`, when this source can tell without
@@ -354,7 +347,7 @@ mod tests {
         assert!(read.read_nanos > 0);
         let (_, size) = idx.shards[0].span(0, n0).unwrap();
         assert_eq!(read.data.len() as u64, size);
-        // Unknown shard is a clean error, prefetch on a raw source is a no-op.
+        // Unknown shard is a clean error.
         assert!(src
             .read_block(&BlockKey {
                 shard_id: 99,
@@ -362,70 +355,7 @@ mod tests {
                 end: 1
             })
             .is_err());
-        assert!(!src.prefetch_block(&key).unwrap());
         assert!(src.describe().starts_with("tfrecord("));
-    }
-
-    #[test]
-    fn read_blocks_coalesces_adjacent_spans() {
-        let dir = TempDir::new("tfrecord-batch");
-        let mut w = ShardWriter::create(dir.path(), ShardSpec::Count(2)).unwrap();
-        for i in 0..12u8 {
-            w.append(&[i; 48], 0).unwrap();
-        }
-        let idx = Arc::new(w.finish().unwrap());
-        let src = TfrecordSource::new(idx.clone());
-        let n0 = idx.shards[0].records.len();
-        let n1 = idx.shards[1].records.len();
-        // Adjacent runs within a shard, a gap, and a shard boundary: the
-        // batched read must return byte-identical data per key either way.
-        let keys = vec![
-            BlockKey {
-                shard_id: 0,
-                start: 0,
-                end: 2,
-            },
-            BlockKey {
-                shard_id: 0,
-                start: 2,
-                end: 4,
-            },
-            BlockKey {
-                shard_id: 0,
-                start: n0 - 1,
-                end: n0,
-            },
-            BlockKey {
-                shard_id: 1,
-                start: 0,
-                end: n1,
-            },
-        ];
-        let batched = src.read_blocks(&keys).unwrap();
-        assert_eq!(batched.len(), keys.len());
-        for (key, read) in keys.iter().zip(&batched) {
-            let single = src.read_block(key).unwrap();
-            assert_eq!(read.data, single.data, "batched bytes match {key:?}");
-            assert_eq!(read.origin, ReadOrigin::Direct);
-        }
-        // Adjacent spans are adjacent in the mapping: the two reads are
-        // contiguous views of the one mapped shard, with nothing to
-        // coalesce. (Where shards are not mapped each block has a buffer
-        // of its own.)
-        #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
-        assert_eq!(
-            batched[0].data.as_ptr_range().end,
-            batched[1].data.as_ptr(),
-            "adjacent spans are adjacent views of one mapping"
-        );
-        // Unknown shard anywhere in the batch fails the whole call.
-        assert!(src
-            .read_blocks(&[BlockKey {
-                shard_id: 99,
-                start: 0,
-                end: 1
-            }])
-            .is_err());
     }
 
     #[test]
@@ -453,6 +383,43 @@ mod tests {
         }
         let s = pool.stats();
         assert_eq!((s.pool_alloc, s.pool_reuse), (1, 4));
+    }
+
+    #[test]
+    fn unmapped_shard_reads_through_the_block_alloc() {
+        let dir = TempDir::new("tfrecord-unmapped");
+        let mut w = ShardWriter::create(dir.path(), ShardSpec::Count(1)).unwrap();
+        for i in 0..16u8 {
+            w.append(&[i; 300], 0).unwrap();
+        }
+        let idx = Arc::new(w.finish().unwrap());
+        let key = BlockKey {
+            shard_id: 0,
+            start: 3,
+            end: 11,
+        };
+        let mapped = TfrecordSource::new(idx.clone()).read_block(&key).unwrap();
+
+        // The same shard as a platform that cannot map it opens it: seeded
+        // into the reader map, so `reader_for` never opens a mapped one.
+        let pool = BufferPool::new();
+        let src = TfrecordSource::new(idx.clone()).with_alloc(Arc::new(pool.clone()));
+        let unmapped = RangeReader::open_unmapped(&idx.shard_path(0)).unwrap();
+        src.readers.lock().unwrap().insert(0, Arc::new(unmapped));
+        let read = src.read_block(&key).unwrap();
+        assert_eq!(read.data, mapped.data, "byte-identical to the mapped read");
+        assert_eq!(read.origin, ReadOrigin::Direct);
+        // The buffer came from the alloc, and goes back when the block's
+        // last view drops: the next read of the size class reuses it.
+        let s = pool.stats();
+        assert_eq!((s.pool_alloc, s.pool_reuse), (1, 0));
+        let first = read.data.as_ptr();
+        drop(read);
+        let again = src.read_block(&key).unwrap();
+        assert_eq!(again.data, mapped.data);
+        assert_eq!(again.data.as_ptr(), first, "the recycled buffer");
+        let s = pool.stats();
+        assert_eq!((s.pool_alloc, s.pool_reuse), (1, 1));
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl<W: Write> RecordWriter<W> {
         self.sink.flush()?;
         Ok(self.sink)
     }
-
-    /// Access the sink without finishing (e.g. to sync a file).
-    pub fn get_ref(&self) -> &W {
-        &self.sink
-    }
 }
 
 #[cfg(test)]

@@ -32,14 +32,6 @@ impl TrainLog {
         self.iters.iter().map(|i| i.samples as u64).sum()
     }
 
-    /// Duration between first and last step, seconds.
-    pub fn span_secs(&self) -> f64 {
-        match (self.iters.first(), self.iters.last()) {
-            (Some(a), Some(b)) => (b.t_nanos.saturating_sub(a.t_nanos)) as f64 / 1e9,
-            _ => 0.0,
-        }
-    }
-
     /// Final loss, if any.
     pub fn final_loss(&self) -> Option<f32> {
         self.iters.iter().rev().find_map(|i| i.loss)
@@ -70,15 +62,6 @@ impl Trainer {
         Trainer {
             clock,
             profile: None,
-            mlp: Some(mlp),
-        }
-    }
-
-    /// A trainer that both trains `mlp` and pads to `profile` step time.
-    pub fn real_with_profile(clock: SharedClock, mlp: Mlp, profile: ModelProfile) -> Trainer {
-        Trainer {
-            clock,
-            profile: Some(profile),
             mlp: Some(mlp),
         }
     }

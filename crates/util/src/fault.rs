@@ -125,13 +125,6 @@ pub enum FaultDecision {
     Latency(Duration),
 }
 
-impl FaultDecision {
-    /// True unless the decision is [`FaultDecision::None`].
-    pub fn is_fault(&self) -> bool {
-        !matches!(self, FaultDecision::None)
-    }
-}
-
 /// A seeded, pure-function fault schedule over named sites.
 ///
 /// `decide_at(site, n)` is deterministic in `(seed, site, n)` alone:
@@ -167,14 +160,6 @@ impl FaultPlan {
     /// The spec for `site`, if registered.
     pub fn spec(&self, site: &str) -> Option<&FaultSpec> {
         self.sites.get(site)
-    }
-
-    /// Registered sites with a nonzero probability, in name order.
-    pub fn active_sites(&self) -> impl Iterator<Item = (&str, &FaultSpec)> {
-        self.sites
-            .iter()
-            .filter(|(_, s)| !s.is_clear())
-            .map(|(k, v)| (k.as_str(), v))
     }
 
     /// The decision for invocation `n` of `site` — pure in
@@ -351,12 +336,6 @@ impl RetryPolicy {
             max: base.saturating_mul(64),
             seed: 0,
         }
-    }
-
-    /// Override the per-backoff upper bound.
-    pub fn with_max(mut self, max: Duration) -> RetryPolicy {
-        self.max = max;
-        self
     }
 
     /// Set the jitter seed (chaos runs pass the schedule seed through).

@@ -4,10 +4,10 @@
 //! emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
 //! emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
 //!                [--cache-mb MB] [--cache-disk-mb MB] [--cache-policy lru|fifo|clairvoyant]
-//!                [--cache-persist DIR] [--prefetch D] [--spill-queue N] [--warm-start MB]
+//!                [--cache-persist DIR] [--prefetch 0|1] [--spill-queue N] [--warm-start MB]
 //! emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
 //! emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB] [...]
-//! emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablations ext_llm ext_transport]
+//! emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablations]
 //! ```
 //!
 //! `daemon` and `receive` run in separate processes (or separate machines);
@@ -135,7 +135,7 @@ USAGE:
   emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
   emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
                  [--cache-mb MB] [--cache-disk-mb MB] [--cache-policy lru|fifo|clairvoyant]
-                 [--cache-persist DIR] [--prefetch D] [--spill-queue N] [--warm-start MB]
+                 [--cache-persist DIR] [--prefetch 0|1] [--spill-queue N] [--warm-start MB]
   emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
   emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB]
                  [--peer-fleet N] [--peer-timeout-ms MS] [...]
@@ -143,7 +143,7 @@ USAGE:
                  [--config cached|fleet|spill-persist|all]
                  [--samples N] [--batch B] [--threads T] [--epochs E]
   emlio report   --metrics FILE
-  emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablations ext_llm ext_transport]
+  emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablations]
 
 daemon / bench-io also take --io-retries R [--io-backoff-ms MS] to absorb
 transient storage read failures with bounded, seed-deterministic
@@ -342,10 +342,15 @@ fn config_from(flags: &HashMap<String, String>) -> Result<EmlioConfig, String> {
             cache = cache.with_persist_dir(dir.into());
         }
         config = config.with_cache(cache);
-    } else if persist_dir.is_some() {
-        return Err("--cache-persist requires --cache-mb to enable the cache".into());
     } else {
-        for flag in ["spill-queue", "warm-start"] {
+        for flag in [
+            "cache-persist",
+            "cache-disk-mb",
+            "cache-policy",
+            "prefetch",
+            "spill-queue",
+            "warm-start",
+        ] {
             if flags.contains_key(flag) {
                 return Err(format!("--{flag} requires --cache-mb to enable the cache"));
             }
@@ -539,6 +544,9 @@ fn cmd_bench_io(flags: HashMap<String, String>) -> Result<(), String> {
 
     let t0 = std::time::Instant::now();
     let mut src = dep.receiver.source();
+    // Counted here, not by `Deployment::drain`: `drain` FNV-hashes every
+    // payload byte for its delivery fingerprint, which a bytes/s
+    // measurement must not pay.
     let mut samples = 0u64;
     while let Some(b) = src.next_batch() {
         samples += b.samples.len() as u64;
@@ -715,6 +723,26 @@ mod tests {
         assert_eq!(config.cache.unwrap().spill_queue, 3);
         let err = bench_io_config(&["--spill-queue", "8"]).unwrap_err();
         assert!(err.contains("--spill-queue requires --cache-mb"), "{err}");
+    }
+
+    #[test]
+    fn cache_flags_without_a_cache_are_errors_not_no_ops() {
+        // Each used to be dropped (`--cache-policy` without even being
+        // parsed) when `--cache-mb` was absent.
+        for (flag, value) in [
+            ("--cache-disk-mb", "64"),
+            ("--cache-policy", "bogus"),
+            ("--prefetch", "0"),
+        ] {
+            let err = bench_io_config(&[flag, value]).unwrap_err();
+            assert!(
+                err.contains(&format!("{flag} requires --cache-mb")),
+                "{err}"
+            );
+        }
+        // With a cache, the policy is parsed and a bad one named.
+        let err = bench_io_config(&["--cache-mb", "8", "--cache-policy", "bogus"]).unwrap_err();
+        assert!(err.contains("--cache-policy:"), "{err}");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use emlio::testbed::report;
 
 #[test]
 fn all_figures_produce_full_grids() {
-    let checks: [(&str, Vec<experiment::ExperimentRow>, usize); 8] = [
+    let checks: [(&str, Vec<experiment::ExperimentRow>, usize); 7] = [
         ("fig1", experiment::fig1(), 12),
         ("fig5", experiment::fig5(), 12),
         ("fig6", experiment::fig6(), 6),
@@ -16,7 +16,6 @@ fn all_figures_produce_full_grids() {
         ("fig8", experiment::fig8(), 4),
         ("fig9", experiment::fig9(), 6),
         ("fig10", experiment::fig10(), 6),
-        ("ext-llm", experiment::ext_llm(), 9),
     ];
     for (name, rows, expect) in checks {
         assert_eq!(rows.len(), expect, "{name} grid size");

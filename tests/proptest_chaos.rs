@@ -1,10 +1,8 @@
 //! Property tests for the deterministic chaos layer: fault plans are pure
 //! functions of `(seed, site, invocation)`, injectors replay them in
 //! invocation order regardless of threading, retry backoff is a bounded
-//! pure function of `(seed, salt, attempt)`, a faulted-then-retried
-//! read stack delivers exactly what the clean stack delivers, and a
-//! batched read through the fault layer draws the decisions of the same
-//! reads made one by one.
+//! pure function of `(seed, salt, attempt)`, and a faulted-then-retried
+//! read stack delivers exactly what the clean stack delivers.
 
 use emlio::netem::FaultSource;
 use emlio::tfrecord::{BlockKey, FnSource, RangeSource, RetrySource};
@@ -131,51 +129,5 @@ proptest! {
                 "block {:?} diverged under seed {:#x}", key, seed);
         }
         prop_assert_eq!(retried.stats().snapshot().giveups, 0);
-    }
-
-    #[test]
-    fn batched_fault_decisions_equal_the_per_key_loop(
-        seed in any::<u64>(), p_err in 0.0f64..0.2, p_short in 0.0f64..0.3,
-        runs in proptest::collection::vec(1usize..12, 1..8)) {
-        // Two fault layers replaying the same plan: one reads each run as
-        // a batch, the other key by key, stopping at the first error as
-        // the default `read_blocks` loop did. Run after run they must
-        // agree on the outcome, on every (possibly cut-short) block, and
-        // on how far the invocation counter has moved.
-        let layer = || {
-            let spec = FaultSpec {
-                short_read: p_short,
-                ..FaultSpec::errors(p_err).with_latency(0.1, Duration::ZERO)
-            };
-            let inj = FaultInjector::new(FaultPlan::new(seed).with_site(site::SOURCE_READ, spec));
-            let root = FnSource::new(|k: &BlockKey| Ok::<_, io::Error>(vec![k.start as u8; 64]));
-            (FaultSource::new(Arc::new(root), inj.clone()), inj)
-        };
-        let (batched, batched_inj) = layer();
-        let (looped, looped_inj) = layer();
-        let mut next = 0;
-        for len in runs {
-            let keys: Vec<BlockKey> = (next..next + len)
-                .map(|i| BlockKey { shard_id: 0, start: i, end: i + 1 })
-                .collect();
-            next += len;
-            let got = batched.read_blocks(&keys);
-            let want: Result<Vec<_>, _> = keys.iter().map(|k| looped.read_block(k)).collect();
-            match (got, want) {
-                (Ok(got), Ok(want)) => {
-                    prop_assert_eq!(got.len(), want.len());
-                    for (g, w) in got.iter().zip(&want) {
-                        prop_assert_eq!(&g.data, &w.data);
-                    }
-                }
-                (Err(g), Err(w)) => prop_assert_eq!(g.to_string(), w.to_string()),
-                (got, want) => prop_assert!(false,
-                    "batch {:?} but loop {:?} under seed {:#x}", got.is_ok(), want.is_ok(), seed),
-            }
-            prop_assert_eq!(
-                batched_inj.invocations(site::SOURCE_READ),
-                looped_inj.invocations(site::SOURCE_READ));
-            prop_assert_eq!(batched_inj.stats(), looped_inj.stats());
-        }
     }
 }
