@@ -1,5 +1,5 @@
-//! Criterion microbenches for the shard cache: eviction policies compared
-//! across a multi-epoch Zipf replay, the raw hit path, and — the point of
+//! Criterion microbenches for the shard cache: a planned multi-epoch
+//! Zipf replay, the raw hit path, and — the point of
 //! the sharded rewrite — multi-threaded contention (1/4/8 reader threads)
 //! against a `single_mutex` baseline shaped like the pre-refactor cache
 //! (one global mutex, O(residents) victim scan, fetch under the lock).
@@ -8,7 +8,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use emlio_bench::cache_ablation::{zipf_trace, AblationConfig};
-use emlio_cache::{BlockKey, CacheConfig, EvictPolicy, ShardCache};
+use emlio_cache::{BlockKey, CacheConfig, ShardCache};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,32 +19,23 @@ fn bench_policies(c: &mut Criterion) {
     let ram = ((cfg.blocks * cfg.block_bytes) as f64 * cfg.cache_fraction) as u64;
     let mut g = c.benchmark_group("cache_policy_replay");
     g.throughput(Throughput::Elements(trace.len() as u64));
-    for policy in [
-        EvictPolicy::Fifo,
-        EvictPolicy::Lru,
-        EvictPolicy::Clairvoyant,
-    ] {
-        g.bench_function(&policy.to_string(), |b| {
-            b.iter(|| {
-                let cache = ShardCache::new(
-                    CacheConfig::default()
-                        .with_ram_bytes(ram)
-                        .with_policy(policy)
-                        .with_prefetch_depth(0),
-                )
-                .unwrap();
-                cache.set_plan(trace.clone());
-                for key in &trace {
-                    let _ = cache
-                        .get_or_fetch::<std::io::Error, _, _>(*key, || {
-                            Ok(vec![0u8; cfg.block_bytes])
-                        })
-                        .unwrap();
-                }
-                black_box(cache.stats().snapshot().hits)
-            })
-        });
-    }
+    g.bench_function("clairvoyant", |b| {
+        b.iter(|| {
+            let cache = ShardCache::new(
+                CacheConfig::default()
+                    .with_ram_bytes(ram)
+                    .with_prefetch_depth(0),
+            )
+            .unwrap();
+            cache.set_plan(trace.clone());
+            for key in &trace {
+                let _ = cache
+                    .get_or_fetch::<std::io::Error, _, _>(*key, || Ok(vec![0u8; cfg.block_bytes]))
+                    .unwrap();
+            }
+            black_box(cache.stats().snapshot().hits)
+        })
+    });
     g.finish();
 }
 
@@ -191,7 +182,6 @@ fn bench_contention(c: &mut Criterion) {
                     ShardCache::new(
                         CacheConfig::default()
                             .with_ram_bytes(ram)
-                            .with_policy(EvictPolicy::Lru)
                             .with_prefetch_depth(0),
                     )
                     .unwrap(),

@@ -1,8 +1,8 @@
-//! EXP-CACHE: shard-cache eviction-policy ablation (FIFO vs LRU vs
-//! clairvoyant) on a Zipf-skewed multi-epoch replay, priced with the NFS
-//! cost model at 10 ms RTT — followed by EXP-CONTEND, the multi-daemon
-//! shared-storage contention scenario (N daemons, one NFS mount,
-//! per-daemon caches), and EXP-FLEET, the same contention scenario with
+//! EXP-CACHE: shard-cache eviction ablation (the plan-driven cache vs a
+//! textbook-LRU model of the same capacity) on a Zipf-skewed multi-epoch
+//! replay, priced with the NFS cost model at 10 ms RTT — followed by
+//! EXP-CONTEND, the multi-daemon shared-storage contention scenario (N
+//! daemons, one NFS mount, per-daemon caches), and EXP-FLEET, the same contention scenario with
 //! the daemons cooperating through one `FleetRegistry` (consistent-hash
 //! block ownership, peer-to-peer block serving). Pass `--smoke` for the
 //! CI-sized variants.
@@ -31,13 +31,13 @@ fn main() {
     let outcomes = run(&cfg);
     emlio_bench::emit(
         "fig_cache_ablation",
-        "EXP-CACHE: eviction policy vs modeled NFS latency + energy (10 ms RTT)",
+        "EXP-CACHE: plan-driven vs reactive eviction, modeled NFS latency + energy (10 ms RTT)",
         &to_rows(&outcomes),
     );
     for o in &outcomes {
         println!(
             "  {:<12} {:>6} hits / {:>6} misses ({:>5.1}% hit rate) → modeled {:>8.2}s, {:>9.1} J; avoided {:>8.2}s, {:>9.1} J",
-            o.policy.to_string(),
+            o.policy,
             o.hits,
             o.misses,
             o.hit_rate * 100.0,

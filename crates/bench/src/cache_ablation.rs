@@ -1,14 +1,16 @@
-//! EXP-CACHE — eviction-policy ablation on a Zipf-skewed replay workload.
+//! EXP-CACHE — plan-driven vs reactive eviction on a Zipf-skewed replay.
 //!
 //! The shard cache's pitch is that the planner's clairvoyance beats any
 //! reactive policy. This experiment makes that measurable: a multi-epoch
 //! trace of block accesses with Zipf-skewed popularity (hot blocks recur,
-//! the tail churns) is replayed through [`ShardCache`] once per eviction
-//! policy with identical capacity, and the resulting miss streams are
-//! priced with the `emlio-netem` NFS cost model over the paper's 10 ms
-//! RTT regime — yielding modeled storage latency and energy per policy.
+//! the tail churns) is replayed through [`ShardCache`] with the trace
+//! installed as its plan, and through a textbook-LRU trace model of the
+//! same capacity (the cache itself has no reactive mode to run), and the
+//! two miss streams are priced with the `emlio-netem` NFS cost model over
+//! the paper's 10 ms RTT regime — yielding modeled storage latency and
+//! energy per row.
 
-use emlio_cache::{BlockKey, CacheConfig, EvictPolicy, ShardCache};
+use emlio_cache::{BlockKey, CacheConfig, ShardCache};
 use emlio_energymon::savings::{cache_savings, IoSavings, DEFAULT_STORAGE_IO_WATTS};
 use emlio_energymon::EnergyBreakdown;
 use emlio_netem::{NetProfile, NfsConfig};
@@ -61,11 +63,11 @@ impl AblationConfig {
     }
 }
 
-/// One policy's replay results, with modeled storage-tier costs.
+/// One row's replay results, with modeled storage-tier costs.
 #[derive(Debug, Clone)]
 pub struct PolicyOutcome {
-    /// The eviction policy replayed.
-    pub policy: EvictPolicy,
+    /// `clairvoyant` (the real cache) or `lru (model)`.
+    pub policy: &'static str,
     /// Demand hits.
     pub hits: u64,
     /// Demand misses (each one a modeled NFS read).
@@ -101,21 +103,13 @@ pub fn zipf_trace(cfg: &AblationConfig) -> Vec<BlockKey> {
     trace
 }
 
-/// Replay `trace` through a fresh cache under `policy` and price the
-/// misses/hits with the NFS cost model over `profile`.
-pub fn run_policy(
-    cfg: &AblationConfig,
-    trace: &[BlockKey],
-    policy: EvictPolicy,
-    nfs: &NfsConfig,
-    profile: &NetProfile,
-) -> PolicyOutcome {
-    let ram = ((cfg.blocks * cfg.block_bytes) as f64 * cfg.cache_fraction) as u64;
+/// Hits of `trace` replayed through a fresh cache of `ram` bytes with the
+/// trace installed as its plan.
+fn cache_hits(cfg: &AblationConfig, trace: &[BlockKey], ram: u64) -> u64 {
     let cache = ShardCache::new(
         CacheConfig::default()
-            .with_ram_bytes(ram.max(cfg.block_bytes as u64))
-            .with_policy(policy)
-            // Pure policy comparison: no prefetcher racing the trace.
+            .with_ram_bytes(ram)
+            // Pure eviction comparison: no prefetcher racing the trace.
             .with_prefetch_depth(0),
     )
     .expect("RAM-only cache");
@@ -126,39 +120,56 @@ pub fn run_policy(
             .get_or_fetch::<std::io::Error, _, _>(*key, || Ok(vec![0u8; block_bytes]))
             .expect("synthetic fetch");
     }
-    let s = cache.stats().snapshot();
-    let read_cost = nfs.read_cost(cfg.block_bytes as u64, profile).as_secs_f64();
-    let modeled_secs = s.misses as f64 * read_cost;
-    PolicyOutcome {
-        policy,
-        hits: s.hits,
-        misses: s.misses,
-        hit_rate: s.hit_rate(),
-        modeled_secs,
-        modeled_joules: modeled_secs * DEFAULT_STORAGE_IO_WATTS,
-        saved: cache_savings(
-            s.hits,
-            s.bytes_saved,
-            nfs,
-            profile,
-            DEFAULT_STORAGE_IO_WATTS,
-        ),
-    }
+    cache.stats().snapshot().hits
 }
 
-/// Replay the same trace under every policy (10 ms RTT regime).
+/// Hits of textbook LRU holding `capacity` uniform blocks over `trace`.
+fn lru_model_hits(trace: &[BlockKey], capacity: usize) -> u64 {
+    // Most recent at the back.
+    let mut resident: Vec<BlockKey> = Vec::with_capacity(capacity + 1);
+    let mut hits = 0;
+    for key in trace {
+        if let Some(at) = resident.iter().position(|k| k == key) {
+            resident.remove(at);
+            hits += 1;
+        } else if resident.len() == capacity {
+            resident.remove(0);
+        }
+        resident.push(*key);
+    }
+    hits
+}
+
+/// Replay the same trace through the cache and the LRU model at the same
+/// capacity, pricing each miss stream with the NFS cost model (10 ms RTT
+/// regime). The reactive row comes first.
 pub fn run(cfg: &AblationConfig) -> Vec<PolicyOutcome> {
     let trace = zipf_trace(cfg);
     let nfs = NfsConfig::default();
     let profile = NetProfile::lan_10ms();
-    [
-        EvictPolicy::Fifo,
-        EvictPolicy::Lru,
-        EvictPolicy::Clairvoyant,
+    let block = cfg.block_bytes as u64;
+    let ram = (((cfg.blocks * cfg.block_bytes) as f64 * cfg.cache_fraction) as u64).max(block);
+    let read_cost = nfs.read_cost(block, &profile).as_secs_f64();
+    let outcome = |policy: &'static str, hits: u64| {
+        let misses = trace.len() as u64 - hits;
+        let modeled_secs = misses as f64 * read_cost;
+        PolicyOutcome {
+            policy,
+            hits,
+            misses,
+            hit_rate: hits as f64 / trace.len() as f64,
+            modeled_secs,
+            modeled_joules: modeled_secs * DEFAULT_STORAGE_IO_WATTS,
+            saved: cache_savings(hits, hits * block, &nfs, &profile, DEFAULT_STORAGE_IO_WATTS),
+        }
+    };
+    vec![
+        outcome(
+            "lru (model)",
+            lru_model_hits(&trace, (ram / block) as usize),
+        ),
+        outcome("clairvoyant", cache_hits(cfg, &trace, ram)),
     ]
-    .into_iter()
-    .map(|p| run_policy(cfg, &trace, p, &nfs, &profile))
-    .collect()
 }
 
 /// Render outcomes as the standard paper-vs-ours experiment rows.
@@ -206,25 +217,20 @@ mod tests {
     #[test]
     fn clairvoyant_beats_reactive_policies() {
         let outcomes = run(&AblationConfig::smoke());
-        let get = |p: EvictPolicy| outcomes.iter().find(|o| o.policy == p).unwrap();
-        let (fifo, lru, opt) = (
-            get(EvictPolicy::Fifo),
-            get(EvictPolicy::Lru),
-            get(EvictPolicy::Clairvoyant),
-        );
+        let [lru, opt] = &outcomes[..] else {
+            panic!("two rows: {outcomes:?}")
+        };
+        assert_eq!((lru.policy, opt.policy), ("lru (model)", "clairvoyant"));
         assert!(
-            opt.misses < lru.misses && opt.misses < fifo.misses,
-            "Belady must miss least: opt={} lru={} fifo={}",
+            opt.misses < lru.misses,
+            "Belady must miss least: opt={} lru={}",
             opt.misses,
-            lru.misses,
-            fifo.misses
+            lru.misses
         );
-        assert!(opt.modeled_secs < lru.modeled_secs.min(fifo.modeled_secs));
-        assert!(opt.modeled_joules < lru.modeled_joules.min(fifo.modeled_joules));
+        assert!(opt.modeled_secs < lru.modeled_secs);
+        assert!(opt.modeled_joules < lru.modeled_joules);
         assert!(opt.saved.avoided_joules > 0.0);
         // Same trace, same total accesses.
-        for o in &outcomes {
-            assert_eq!(o.hits + o.misses, (lru.hits + lru.misses));
-        }
+        assert_eq!(opt.hits + opt.misses, lru.hits + lru.misses);
     }
 }

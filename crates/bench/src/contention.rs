@@ -195,11 +195,7 @@ pub fn run(cfg: &ContentionConfig) -> ContentionOutcome {
         .with_batch_size(cfg.batch)
         .with_threads(2)
         .with_epochs(cfg.epochs)
-        .with_cache(
-            CacheConfig::default()
-                .with_ram_bytes(cfg.cache_bytes)
-                .with_prefetch_depth(4),
-        );
+        .with_cache(CacheConfig::default().with_ram_bytes(cfg.cache_bytes));
 
     let fleet = cfg
         .peer_fleet

@@ -19,9 +19,10 @@
 //!
 //! Each row prints a paper-vs-reproduction table (Table 1 header
 //! included) and writes `<name>.csv` under `target/experiments/`. The one
-//! other binary, `fig_cache_ablation` (EXP-CACHE — shard-cache eviction
-//! policies on a Zipf replay, plus the cooperative-fleet pass), runs the
-//! real cache rather than the DES. The Criterion microbenches
+//! other binary, `fig_cache_ablation` (EXP-CACHE — the plan-driven cache
+//! against an LRU model on a Zipf replay, plus the cooperative-fleet
+//! pass), runs the real cache rather than the DES. The Criterion
+//! microbenches
 //! (`cargo bench -p emlio-bench`) cover the data-plane hot paths: CRC32C,
 //! msgpack, TFRecord framing and range reads, SIF decode, zmq-lite
 //! transfer, planner construction, and the DES kernel itself; the

@@ -12,10 +12,10 @@
 //!   concurrent readers either hit the still-resident bytes or wait on the
 //!   shard's condvar exactly as they would for a single-flight fetch.
 //! * **One ordering lock** (`Global`) holding the byte accounting, the plan
-//!   cursor, and incrementally-maintained eviction orders (intrusive LRU
-//!   list for LRU/FIFO, lazy next-use max-heap for clairvoyant — see
-//!   [`crate::order`]). Every critical section under it is O(1)/O(log n);
-//!   the old O(residents) victim scan is gone.
+//!   cursor, and one incrementally-maintained eviction order per tier (a
+//!   lazy next-use max-heap — see [`crate::order`]). Every critical
+//!   section under it is O(1)/O(log n); the old O(residents) victim scan
+//!   is gone.
 //!
 //! Lock discipline: a thread never takes a shard lock while it holds the
 //! ordering lock, and never two shard locks, so the hierarchy is
@@ -113,9 +113,8 @@
 //!   sum over `Ram` slots and `disk_used` the sum over `Disk` slots and
 //!   backings.
 
-use crate::order::TierOrder;
+use crate::order::NextUseHeap;
 use crate::persist::{self, SpillEntry};
-use crate::policy::EvictPolicy;
 use crate::prefetch::MAX_IN_FLIGHT;
 use crate::spill::{SpillOrder, SpillQueue};
 use crate::stats::CacheStats;
@@ -142,25 +141,16 @@ pub struct CacheConfig {
     /// Directory for spill files. `None` creates a per-cache directory
     /// under the system temp dir, removed when the cache drops.
     pub spill_dir: Option<PathBuf>,
-    /// Eviction policy for both tiers.
-    pub policy: EvictPolicy,
     /// Prefetching on (any non-zero value) or off (0) — the CLI's
     /// `--prefetch 0|1`. Not a depth: how far the prefetcher runs ahead
     /// of the demand cursor is set by `ram_bytes` — it stages every
     /// planned block that fits beside the residents needed sooner (see
     /// [`crate::prefetch`]).
     pub prefetch_depth: usize,
-    /// Number of lock shards over the residency map (rounded up to at
-    /// least 1). More shards ⇒ less contention between reader threads.
-    pub lock_shards: usize,
     /// Keep the disk spill tier across restarts: maintain a CRC'd spill
     /// index in `spill_dir` and re-admit valid blocks on construction.
     /// Set via [`CacheConfig::with_persist_dir`]; requires a disk tier.
     pub persist: bool,
-    /// Belady admission bypass: under the clairvoyant policy, skip
-    /// admitting a block whose next use is no sooner than every resident's
-    /// (it would be the immediate eviction victim anyway).
-    pub belady_bypass: bool,
     /// Capacity of the bounded spill-order queue feeding the background
     /// `emlio-cache-spill` writer thread (at least 1; an evictor that
     /// finds it full waits for the writer). Only meaningful with a disk
@@ -178,11 +168,8 @@ impl Default for CacheConfig {
             ram_bytes: 256 << 20,
             disk_bytes: 0,
             spill_dir: None,
-            policy: EvictPolicy::Lru,
-            prefetch_depth: 8,
-            lock_shards: 8,
+            prefetch_depth: 1,
             persist: false,
-            belady_bypass: true,
             spill_queue: 64,
             warm_start_bytes: 0,
         }
@@ -218,27 +205,17 @@ impl CacheConfig {
         self
     }
 
-    /// Override the eviction policy.
-    pub fn with_policy(mut self, policy: EvictPolicy) -> Self {
-        self.policy = policy;
+    /// No-op: the plan is the eviction policy. Kept, with the one-variant
+    /// [`EvictPolicy`], only because the frozen `benchmark/src/sut.rs`
+    /// names both; the next `benchmark`-archetype PR deletes them.
+    #[doc(hidden)]
+    pub fn with_policy(self, _policy: EvictPolicy) -> Self {
         self
     }
 
     /// Switch the prefetcher on (non-zero) or off (0).
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth;
-        self
-    }
-
-    /// Override the lock-shard count.
-    pub fn with_lock_shards(mut self, n: usize) -> Self {
-        self.lock_shards = n;
-        self
-    }
-
-    /// Enable/disable the Belady admission bypass (clairvoyant only).
-    pub fn with_belady_bypass(mut self, on: bool) -> Self {
-        self.belady_bypass = on;
         self
     }
 
@@ -254,6 +231,16 @@ impl CacheConfig {
         self
     }
 }
+
+/// See [`CacheConfig::with_policy`].
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub enum EvictPolicy {
+    Clairvoyant,
+}
+
+/// Number of lock shards over the residency map.
+const LOCK_SHARDS: usize = 8;
 
 /// Where a demand access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -341,10 +328,10 @@ struct Global {
     disk_used: u64,
     /// Monotonic access clock for recency ordering.
     tick: u64,
-    ram_order: TierOrder,
+    ram_order: NextUseHeap,
     /// Every spill file the tier holds, whether its block is disk-only
     /// or also RAM-resident; `disk_used` is the sum of their sizes.
-    disk_order: TierOrder,
+    disk_order: NextUseHeap,
     /// Keys tracked by both orders: RAM residents whose spill file is
     /// still on disk. The disk tier reclaims these files before it
     /// evicts any disk-only block.
@@ -372,15 +359,9 @@ impl Global {
         }
     }
 
-    /// `key`'s eviction rank input under the configured policy: its next
-    /// planned use for clairvoyant orders, 0 for the reactive ones (which
-    /// ignore it — computing it is per-access work on the hot path).
+    /// `key`'s eviction rank: its next planned use from the cursor on.
     fn next_use_rank(&mut self, key: &BlockKey) -> u64 {
-        if self.ram_order.needs_next_use() {
-            Global::next_use(&mut self.future, self.cursor, key)
-        } else {
-            0
-        }
+        Global::next_use(&mut self.future, self.cursor, key)
     }
 
     /// Stop tracking `key`'s spill file: out of the disk order, its bytes
@@ -439,11 +420,10 @@ impl Global {
     /// Pop RAM victims until `size` more bytes fit beside the residents
     /// and the reservations. A prefetch reservation for plan position
     /// `keep_before` leaves alone what the plan needs sooner: such a victim
-    /// goes back into the order as its newest arrival (the clairvoyant
-    /// order offers one only when a rank is out of date; the recency
-    /// orders, whenever a staged block is older than a consumed one). The
-    /// caller has checked that the room can be made, and finishes the
-    /// victims' evictions ([`CacheCore::spill_or_drop`]) with no lock held.
+    /// goes back into the order as its newest arrival (the order offers
+    /// one only when its rank is out of date). The caller has checked that
+    /// the room can be made, and finishes the victims' evictions
+    /// ([`CacheCore::spill_or_drop`]) with no lock held.
     fn make_room(
         &mut self,
         size: u64,
@@ -482,7 +462,7 @@ impl Global {
     /// slightly out of plan order; consuming exactly one position per
     /// access keeps a late-arriving access from eating the key's
     /// *next-epoch* position and leaping the cursor (which would both
-    /// mislead the clairvoyant policy and blow open the prefetch window).
+    /// mislead the eviction order and blow open the prefetch window).
     fn advance_cursor(&mut self, key: &BlockKey) {
         if self.seq.is_empty() {
             return;
@@ -565,8 +545,7 @@ impl CacheCore {
         if let Some(dir) = &spill_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let n = config.lock_shards.max(1);
-        let shards: Vec<LockShard> = (0..n)
+        let shards: Vec<LockShard> = (0..LOCK_SHARDS)
             .map(|_| LockShard {
                 map: Mutex::new(HashMap::new()),
                 cv: Condvar::new(),
@@ -582,8 +561,8 @@ impl CacheCore {
                 reservations: 0,
                 disk_used: 0,
                 tick: 0,
-                ram_order: TierOrder::for_policy(config.policy),
-                disk_order: TierOrder::for_policy(config.policy),
+                ram_order: NextUseHeap::new(),
+                disk_order: NextUseHeap::new(),
                 backed: BTreeSet::new(),
                 seq: Arc::new(Vec::new()),
                 future: HashMap::new(),
@@ -638,7 +617,7 @@ impl CacheCore {
     }
 
     /// Install the planned access sequence (every epoch, in consumption
-    /// order) and reset the demand cursor. The clairvoyant policy and the
+    /// order) and reset the demand cursor. The eviction order and the
     /// prefetcher both walk this sequence; set it before spawning a
     /// [`crate::Prefetcher`]. Residents' next-use ranks are refreshed
     /// against the new plan, and — with a [`CacheConfig::warm_start_bytes`]
@@ -660,12 +639,8 @@ impl CacheCore {
             future,
             ..
         } = &mut *g;
-        if let TierOrder::NextUse(h) = ram_order {
-            h.refresh(|k| Global::next_use(future, 0, k));
-        }
-        if let TierOrder::NextUse(h) = disk_order {
-            h.refresh(|k| Global::next_use(future, 0, k));
-        }
+        ram_order.refresh(|k| Global::next_use(future, 0, k));
+        disk_order.refresh(|k| Global::next_use(future, 0, k));
         drop(g);
         self.warm_start();
     }
@@ -1031,8 +1006,11 @@ impl CacheCore {
                 let (next, tick) = (g.next_use_rank(&key), g.tick);
                 // Belady admission bypass: if this block would be the
                 // eviction victim the moment it lands, don't admit it.
+                // Only while the cursor is inside the plan: with no plan,
+                // or past its end, every next use is "never", the order is
+                // recency, and every admission is taken.
                 let bypass = reserved.is_none()
-                    && self.config.belady_bypass
+                    && g.cursor < g.seq.len() as u64
                     && g.ram_used + size > room
                     && matches!(g.ram_order.victim_next_use(), Some(v) if next >= v);
                 if bypass {
@@ -1781,18 +1759,13 @@ mod tests {
         vec![i as u8; len]
     }
 
-    fn ram_only(bytes: u64, policy: EvictPolicy) -> ShardCache {
-        ShardCache::new(
-            CacheConfig::default()
-                .with_ram_bytes(bytes)
-                .with_policy(policy),
-        )
-        .unwrap()
+    fn ram_only(bytes: u64) -> ShardCache {
+        ShardCache::new(CacheConfig::default().with_ram_bytes(bytes)).unwrap()
     }
 
     #[test]
     fn hit_after_insert_and_counters() {
-        let cache = ram_only(1024, EvictPolicy::Lru);
+        let cache = ram_only(1024);
         assert!(cache.get(&key(0)).is_none());
         cache.insert(key(0), block(0, 100));
         let data = cache.get(&key(0)).expect("hit");
@@ -1804,7 +1777,8 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recent() {
-        let cache = ram_only(300, EvictPolicy::Lru);
+        // No plan: the order is recency and every admission is taken.
+        let cache = ram_only(300);
         cache.insert(key(0), block(0, 100));
         cache.insert(key(1), block(1, 100));
         cache.insert(key(2), block(2, 100));
@@ -1817,21 +1791,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_evicts_oldest_insert() {
-        let cache = ram_only(300, EvictPolicy::Fifo);
-        cache.insert(key(0), block(0, 100));
-        cache.insert(key(1), block(1, 100));
-        cache.insert(key(2), block(2, 100));
-        // Touching 0 must not save it under FIFO.
-        cache.get(&key(0)).unwrap();
-        cache.insert(key(3), block(3, 100));
-        assert!(!cache.contains(&key(0)), "FIFO victim is oldest insert");
-        assert!(cache.contains(&key(1)));
-    }
-
-    #[test]
     fn clairvoyant_evicts_furthest_next_use() {
-        let cache = ram_only(300, EvictPolicy::Clairvoyant);
+        let cache = ram_only(300);
         // Plan: 0 1 2 3 0 1 3  — after consuming the first three accesses,
         // 2 is never used again and must be the victim when 3 arrives.
         cache.set_plan(vec![key(0), key(1), key(2), key(3), key(0), key(1), key(3)]);
@@ -1851,22 +1812,19 @@ mod tests {
     }
 
     #[test]
-    fn belady_bypass_skips_pointless_admissions() {
+    fn bypass_skips_pointless_admissions_inside_the_plan_only() {
         // Plan: 0 1 2 1 0 2 — at the access of 2 the residents (0, 1) are
         // both needed sooner than 2's next use after this one... except 2
         // IS needed at position 5, furthest of all, so admitting it would
-        // make it the immediate victim. With bypass on, 2 passes through
-        // and 0/1 stay resident; with bypass off, someone gets evicted.
+        // make it the immediate victim. Inside the plan, 2 passes through
+        // and 0/1 stay resident; with no plan every admission is taken and
+        // someone gets evicted.
         let plan = vec![key(0), key(1), key(2), key(1), key(0), key(2)];
-        let run = |bypass: bool| {
-            let cache = ShardCache::new(
-                CacheConfig::default()
-                    .with_ram_bytes(200)
-                    .with_policy(EvictPolicy::Clairvoyant)
-                    .with_belady_bypass(bypass),
-            )
-            .unwrap();
-            cache.set_plan(plan.clone());
+        let run = |planned: bool| {
+            let cache = ram_only(200);
+            if planned {
+                cache.set_plan(plan.clone());
+            }
             for k in &plan[..3] {
                 cache
                     .get_or_fetch::<std::io::Error, _, _>(*k, || Ok(vec![0u8; 100]))
@@ -1884,7 +1842,8 @@ mod tests {
         assert_eq!(bypassed.stats().snapshot().evictions, 0);
 
         let admitted = run(false);
-        assert!(admitted.contains(&key(2)), "always-admit keeps the block");
+        assert!(admitted.contains(&key(2)), "no plan: the block is kept");
+        assert!(!admitted.contains(&key(0)), "and the LRU resident goes");
         assert_eq!(admitted.stats().snapshot().evictions, 1);
     }
 
@@ -1897,7 +1856,8 @@ mod tests {
         // the furthest) — the slot then flips straight back to `Disk`
         // over the same file, so storage is fetched exactly once per
         // unique block across the whole trace and the block is written
-        // to disk exactly once.
+        // to disk exactly once. (The plan runs one position past the
+        // replay: the last access is still inside it.)
         let plan = vec![
             key(2),
             key(0),
@@ -1908,17 +1868,17 @@ mod tests {
             key(0),
             key(1),
             key(2),
+            key(0),
         ];
         let cache = ShardCache::new(
             CacheConfig::default()
                 .with_ram_bytes(200)
-                .with_disk_bytes(1000)
-                .with_policy(EvictPolicy::Clairvoyant),
+                .with_disk_bytes(1000),
         )
         .unwrap();
         cache.set_plan(plan.clone());
         let mut fetches = 0u64;
-        for k in &plan {
+        for k in &plan[..9] {
             cache
                 .get_or_fetch::<std::io::Error, _, _>(*k, || {
                     fetches += 1;
@@ -1949,15 +1909,14 @@ mod tests {
         assert_eq!(cache.slot_bytes(), (200, 100));
     }
 
-    /// A two-tier LRU cache (RAM = 2 blocks) over `dir`, and the path of
-    /// `key(i)`'s spill file in it.
+    /// A two-tier cache (RAM = 2 blocks) over `dir`; no plan is set, so
+    /// both tiers evict in recency order.
     fn two_tier_lru(dir: &TempDir, disk_bytes: u64) -> ShardCache {
         ShardCache::new(
             CacheConfig::default()
                 .with_ram_bytes(200)
                 .with_disk_bytes(disk_bytes)
-                .with_spill_dir(dir.path().to_path_buf())
-                .with_policy(EvictPolicy::Lru),
+                .with_spill_dir(dir.path().to_path_buf()),
         )
         .unwrap()
     }
@@ -2096,56 +2055,46 @@ mod tests {
         // Five epochs over 8 blocks through a 3-block RAM tier, with a
         // disk tier that holds all 8. Epoch 1 writes each evicted block
         // once; after that every eviction finds its file already there.
+        // No plan: every fetch is admitted (one the bypass declines
+        // reaches neither tier and would be read from storage again).
         const KEYS: usize = 8;
         let payload = |i: usize| -> Vec<u8> { (0..100).map(|j| (i * 37 + j) as u8).collect() };
-        for policy in [
-            EvictPolicy::Lru,
-            EvictPolicy::Fifo,
-            EvictPolicy::Clairvoyant,
-        ] {
-            let cache = ShardCache::new(
-                CacheConfig::default()
-                    .with_ram_bytes(300)
-                    .with_disk_bytes(100 * KEYS as u64)
-                    // A fetch the bypass declines reaches neither tier
-                    // and would be read from storage again.
-                    .with_belady_bypass(false)
-                    .with_policy(policy),
-            )
-            .unwrap();
-            let trace: Vec<usize> = (0..5 * KEYS).map(|n| (n * 3) % KEYS).collect();
-            cache.set_plan(trace.iter().map(|&i| key(i)).collect());
-            let mut fetches = 0;
-            for &i in &trace {
-                let (data, _) = cache
-                    .get_or_fetch::<std::io::Error, _, _>(key(i), || {
-                        fetches += 1;
-                        Ok(payload(i))
-                    })
-                    .unwrap();
-                assert_eq!(&data[..], &payload(i)[..], "{policy:?}: block {i}");
-                cache.flush_spills();
-            }
-            let s = cache.stats().snapshot();
-            assert_eq!(fetches, KEYS, "{policy:?}: storage read once per block");
-            assert_eq!(
-                s.evictions,
-                s.spills + s.clean_evictions + s.spill_failures,
-                "{policy:?}: every eviction accounted for: {s:?}"
-            );
-            assert!(s.spills <= KEYS as u64, "{policy:?}: write-once: {s:?}");
-            assert!(s.clean_evictions > 0, "{policy:?}: {s:?}");
-            assert_eq!(s.spill_failures, 0);
-            assert_eq!(
-                cache.slot_bytes(),
-                (cache.ram_bytes_used(), cache.disk_bytes_used())
-            );
+        let cache = ShardCache::new(
+            CacheConfig::default()
+                .with_ram_bytes(300)
+                .with_disk_bytes(100 * KEYS as u64),
+        )
+        .unwrap();
+        let mut fetches = 0;
+        for i in (0..5 * KEYS).map(|n| (n * 3) % KEYS) {
+            let (data, _) = cache
+                .get_or_fetch::<std::io::Error, _, _>(key(i), || {
+                    fetches += 1;
+                    Ok(payload(i))
+                })
+                .unwrap();
+            assert_eq!(&data[..], &payload(i)[..], "block {i}");
+            cache.flush_spills();
         }
+        let s = cache.stats().snapshot();
+        assert_eq!(fetches, KEYS, "storage read once per block");
+        assert_eq!(
+            s.evictions,
+            s.spills + s.clean_evictions + s.spill_failures,
+            "every eviction accounted for: {s:?}"
+        );
+        assert!(s.spills <= KEYS as u64, "write-once: {s:?}");
+        assert!(s.clean_evictions > 0, "{s:?}");
+        assert_eq!(s.spill_failures, 0);
+        assert_eq!(
+            cache.slot_bytes(),
+            (cache.ram_bytes_used(), cache.disk_bytes_used())
+        );
     }
 
     #[test]
     fn out_of_order_access_consumes_one_position() {
-        let cache = ram_only(1 << 20, EvictPolicy::Clairvoyant);
+        let cache = ram_only(1 << 20);
         // Two-epoch plan over two blocks: 0 1 0 1.
         cache.set_plan(vec![key(0), key(1), key(0), key(1)]);
         cache.insert(key(0), block(0, 10));
@@ -2169,8 +2118,7 @@ mod tests {
         let cache = ShardCache::new(
             CacheConfig::default()
                 .with_ram_bytes(200)
-                .with_disk_bytes(1000)
-                .with_policy(EvictPolicy::Lru),
+                .with_disk_bytes(1000),
         )
         .unwrap();
         cache.insert(key(0), block(7, 100));
@@ -2190,7 +2138,7 @@ mod tests {
 
     #[test]
     fn single_flight_coalesces_fetches() {
-        let cache = Arc::new(ram_only(1 << 20, EvictPolicy::Lru));
+        let cache = Arc::new(ram_only(1 << 20));
         let fetches = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         for _ in 0..8 {
@@ -2218,7 +2166,7 @@ mod tests {
 
     #[test]
     fn fetch_error_propagates_and_clears_flight() {
-        let cache = ram_only(1024, EvictPolicy::Lru);
+        let cache = ram_only(1024);
         let err = cache
             .get_or_fetch::<String, _, _>(key(0), || Err::<Vec<u8>, _>("boom".to_string()))
             .unwrap_err();
@@ -2232,7 +2180,7 @@ mod tests {
 
     #[test]
     fn oversized_block_passes_through_uncached() {
-        let cache = ram_only(100, EvictPolicy::Lru);
+        let cache = ram_only(100);
         cache.insert(key(0), block(0, 1000));
         assert!(!cache.contains(&key(0)));
         assert_eq!(cache.ram_bytes_used(), 0);
@@ -2244,8 +2192,7 @@ mod tests {
         let config = CacheConfig::default()
             .with_ram_bytes(200)
             .with_disk_bytes(2000)
-            .with_persist_dir(dir.path().to_path_buf())
-            .with_policy(EvictPolicy::Lru);
+            .with_persist_dir(dir.path().to_path_buf());
         {
             let cache = ShardCache::new(config.clone()).unwrap();
             for i in 0..4 {
@@ -2280,8 +2227,7 @@ mod tests {
         let config = CacheConfig::default()
             .with_ram_bytes(200)
             .with_disk_bytes(2000)
-            .with_persist_dir(dir.path().to_path_buf())
-            .with_policy(EvictPolicy::Lru);
+            .with_persist_dir(dir.path().to_path_buf());
         {
             let cache = ShardCache::new(config.clone()).unwrap();
             for i in 0..4 {
@@ -2318,8 +2264,7 @@ mod tests {
         let config = CacheConfig::default()
             .with_ram_bytes(200)
             .with_disk_bytes(2000)
-            .with_persist_dir(dir.path().to_path_buf())
-            .with_policy(EvictPolicy::Lru);
+            .with_persist_dir(dir.path().to_path_buf());
         for checkpoint in [false, true] {
             let expect: usize = {
                 let cache = ShardCache::new(config.clone()).unwrap();
@@ -2385,84 +2330,54 @@ mod tests {
     }
 
     #[test]
-    fn single_lock_shard_still_works() {
-        let cache = ShardCache::new(
-            CacheConfig::default()
-                .with_ram_bytes(300)
-                .with_lock_shards(1)
-                .with_policy(EvictPolicy::Lru),
-        )
-        .unwrap();
-        for i in 0..5 {
-            cache.insert(key(i), block(i, 100));
-        }
-        assert_eq!(cache.ram_bytes_used(), 300);
-        assert_eq!(cache.ram_keys().len(), 3);
-    }
-
-    #[test]
     fn reservations_slide_with_the_cursor_inside_the_ram_budget() {
-        for policy in [
-            EvictPolicy::Clairvoyant,
-            EvictPolicy::Lru,
-            EvictPolicy::Fifo,
-        ] {
-            // Four 100-byte blocks fit; the plan walks 8 keys twice.
-            let cache = ram_only(400, policy);
-            let seq: Vec<BlockKey> = (0..16).map(|i| key(i % 8)).collect();
-            cache.set_plan(seq.clone());
-            let stop = AtomicBool::new(false);
-            let reserve = |pos: usize| cache.reserve_prefetch(pos as u64, &seq[pos], 100, &stop);
-            let read = |pos: usize| match reserve(pos) {
-                Issue::Read(reservation) => Some(reservation),
-                _ => panic!("{policy}: position {pos} should be staged"),
-            };
-            let fits = |pos: u64| cache.global.lock().may_stage(pos, 100, 400);
+        // Four 100-byte blocks fit; the plan walks 8 keys twice.
+        let cache = ram_only(400);
+        let seq: Vec<BlockKey> = (0..16).map(|i| key(i % 8)).collect();
+        cache.set_plan(seq.clone());
+        let stop = AtomicBool::new(false);
+        let reserve = |pos: usize| cache.reserve_prefetch(pos as u64, &seq[pos], 100, &stop);
+        let read = |pos: usize| match reserve(pos) {
+            Issue::Read(reservation) => Some(reservation),
+            _ => panic!("position {pos} should be staged"),
+        };
+        let fits = |pos: u64| cache.global.lock().may_stage(pos, 100, 400);
 
-            // The whole budget goes out as reads in flight …
-            let mut held: Vec<_> = (0..4).map(read).collect();
-            assert_eq!(cache.ram_budget(), (0, 400));
-            assert!(!fits(4), "{policy}: a fifth read has to wait");
-            // … which land out of order, each in its own reservation:
-            // a landing moves bytes from reserved to resident, frees none.
-            for i in [2, 3, 0, 1] {
-                held[i].take().unwrap().admit(block(i, 100).into());
-                let (used, reserved) = cache.ram_budget();
-                assert_eq!(used + reserved, 400, "{policy}");
-                assert!(!fits(4), "{policy}: still four blocks needed before 4");
-            }
-            assert!(matches!(reserve(1), Issue::Skip), "{policy}: resident");
-
-            // The cursor releases block 0: position 4 is staged in its
-            // place, whichever block the policy alone would have evicted.
-            assert!(cache.get(&key(0)).is_some());
-            assert!(fits(4), "{policy}");
-            let r4 = read(4);
-            assert!(!fits(5), "{policy}: one slot came free, not two");
-            assert_eq!(cache.ram_keys(), vec![key(1), key(2), key(3)], "{policy}");
-            assert_eq!(cache.ram_budget(), (300, 100), "{policy}");
-            assert!(
-                matches!(reserve(0), Issue::Skip),
-                "{policy}: demand got there first"
-            );
-
-            // A read that fails gives its room and its slot back.
-            drop(r4);
-            assert_eq!(cache.ram_budget(), (300, 0), "{policy}");
-            assert!(!cache.contains(&key(4)));
-            read(4).unwrap().admit(block(4, 100).into());
-            assert_eq!(cache.ram_budget(), (400, 0), "{policy}");
-
-            // Parked with no room, the issue step leaves on the stop flag.
-            stop.store(true, Ordering::SeqCst);
-            assert!(matches!(reserve(5), Issue::Stop), "{policy}");
-            let s = cache.stats().snapshot();
-            assert_eq!(
-                (s.prefetched, s.prefetch_wasted, s.misses),
-                (5, 0, 0),
-                "{policy}"
-            );
+        // The whole budget goes out as reads in flight …
+        let mut held: Vec<_> = (0..4).map(read).collect();
+        assert_eq!(cache.ram_budget(), (0, 400));
+        assert!(!fits(4), "a fifth read has to wait");
+        // … which land out of order, each in its own reservation:
+        // a landing moves bytes from reserved to resident, frees none.
+        for i in [2, 3, 0, 1] {
+            held[i].take().unwrap().admit(block(i, 100).into());
+            let (used, reserved) = cache.ram_budget();
+            assert_eq!(used + reserved, 400);
+            assert!(!fits(4), "still four blocks needed before 4");
         }
+        assert!(matches!(reserve(1), Issue::Skip), "resident");
+
+        // The cursor releases block 0: position 4 is staged in its place.
+        assert!(cache.get(&key(0)).is_some());
+        assert!(fits(4));
+        let r4 = read(4);
+        assert!(!fits(5), "one slot came free, not two");
+        assert_eq!(cache.ram_keys(), vec![key(1), key(2), key(3)]);
+        assert_eq!(cache.ram_budget(), (300, 100));
+        assert!(matches!(reserve(0), Issue::Skip), "demand got there first");
+
+        // A read that fails gives its room and its slot back.
+        drop(r4);
+        assert_eq!(cache.ram_budget(), (300, 0));
+        assert!(!cache.contains(&key(4)));
+        read(4).unwrap().admit(block(4, 100).into());
+        assert_eq!(cache.ram_budget(), (400, 0));
+
+        // Parked with no room, the issue step leaves on the stop flag.
+        stop.store(true, Ordering::SeqCst);
+        assert!(matches!(reserve(5), Issue::Stop));
+        let s = cache.stats().snapshot();
+        assert_eq!((s.prefetched, s.prefetch_wasted, s.misses), (5, 0, 0));
     }
 
     #[test]
@@ -2471,8 +2386,7 @@ mod tests {
         let config = CacheConfig::default()
             .with_ram_bytes(250)
             .with_disk_bytes(2000)
-            .with_persist_dir(dir.path().to_path_buf())
-            .with_policy(EvictPolicy::Lru);
+            .with_persist_dir(dir.path().to_path_buf());
         {
             let cache = ShardCache::new(config.clone()).unwrap();
             for i in 0..4 {
@@ -2509,8 +2423,7 @@ mod tests {
         let config = CacheConfig::default()
             .with_ram_bytes(250)
             .with_disk_bytes(2000)
-            .with_persist_dir(dir.path().to_path_buf())
-            .with_policy(EvictPolicy::Lru);
+            .with_persist_dir(dir.path().to_path_buf());
         {
             let cache = ShardCache::new(config.clone()).unwrap();
             for i in 0..4 {

@@ -9,9 +9,9 @@
 //! * [`ShardCache`] — a two-tier cache: a bounded RAM tier plus an optional
 //!   bounded local-disk spill tier, keyed by [`BlockKey`] (shard id +
 //!   record range). The hot path is sharded: N lock shards over the
-//!   residency map, incrementally-maintained eviction orders (intrusive
-//!   LRU list / next-use heap, see [`order`]), and spill/promote file I/O
-//!   that runs outside every lock. Lookups are single-flight: concurrent
+//!   residency map, an incrementally-maintained eviction order per tier
+//!   (a next-use heap, see [`order`]), and spill/promote file I/O that
+//!   runs outside every lock. Lookups are single-flight: concurrent
 //!   requests for the same missing block coalesce onto one storage read.
 //!   The disk tier is inclusive and its files write-once: a block
 //!   promoted back to RAM keeps its spill file, so evicting it again is
@@ -20,13 +20,14 @@
 //!   With [`CacheConfig::with_persist_dir`] the spill tier survives
 //!   restarts: a CRC'd index ([`persist`]) is re-validated and re-admitted
 //!   when the next cache opens over the same directory.
-//! * [`EvictPolicy`] — pluggable eviction: [`EvictPolicy::Lru`],
-//!   [`EvictPolicy::Fifo`], and [`EvictPolicy::Clairvoyant`], which uses
-//!   the epoch plan (via [`CacheCore::set_plan`]) to evict the resident
-//!   block whose next use is furthest in the future (Belady's algorithm —
-//!   the insight of "Clairvoyant Prefetching for Distributed Machine
-//!   Learning I/O"), and skips admitting blocks that would be the victim
-//!   on arrival (true Belady with admission bypass).
+//! * The plan is the eviction policy: inside the epoch plan (installed via
+//!   [`CacheCore::set_plan`]) both tiers evict the resident block whose
+//!   next use is furthest in the future (Belady's algorithm — the insight
+//!   of "Clairvoyant Prefetching for Distributed Machine Learning I/O")
+//!   and skip admitting a block that would be the victim on arrival (true
+//!   Belady with admission bypass). With no plan, or past its end, every
+//!   next use is "never": the same order then evicts least recently used
+//!   first and admits everything.
 //! * [`CachedSource`] — the caching decorator of the composable
 //!   [`RangeSource`] read stack: wrap any
 //!   inner source (local `TfrecordSource`, `emlio-netem`'s `NfsSource`)
@@ -54,20 +55,18 @@ pub mod cache;
 pub mod order;
 pub mod peer;
 pub mod persist;
-pub mod policy;
 pub mod prefetch;
 pub mod reader;
 pub mod source;
 pub mod spill;
 pub mod stats;
 
-pub use cache::{CacheConfig, CacheCore, Fetched, ShardCache};
+pub use cache::{CacheConfig, CacheCore, EvictPolicy, Fetched, ShardCache};
 pub use emlio_tfrecord::source::{BlockKey, BlockRead, RangeSource, ReadOrigin};
 pub use peer::{
     ChaosPeer, FleetRegistry, HashRing, LocalPeer, PeerConfig, PeerFetch, PeerSource, PeerStats,
     PeerStatsSnapshot, PeerTransport,
 };
-pub use policy::EvictPolicy;
 pub use prefetch::Prefetcher;
 pub use reader::{CachedRangeReader, RangeRead};
 pub use source::CachedSource;

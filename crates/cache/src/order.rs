@@ -1,157 +1,21 @@
-//! Incrementally-maintained eviction orders.
+//! The cache's one eviction order, maintained incrementally.
 //!
 //! The original cache picked victims with an O(residents) scan per
-//! eviction, under the same mutex that guarded everything else. These
-//! structures make victim selection O(1)/O(log n) so the global ordering
-//! lock's critical sections stay tiny at tens of thousands of blocks:
+//! eviction, under the same mutex that guarded everything else.
+//! [`NextUseHeap`] makes victim selection O(log n), so the global ordering
+//! lock's critical sections stay tiny at tens of thousands of blocks: a
+//! lazy max-heap over each resident's next planned use. Accesses push
+//! updated entries; stale heap entries are skipped at pop time by
+//! validating against the authoritative per-key map.
 //!
-//! * [`LruList`] — an intrusive doubly-linked list over a slab, least
-//!   recent at the head. Serves both LRU (touch moves to tail) and FIFO
-//!   (no touch) in O(1) per operation.
-//! * [`NextUseHeap`] — a lazy max-heap over each resident's next planned
-//!   use, for the clairvoyant (Belady) policy. Accesses push updated
-//!   entries; stale heap entries are skipped at pop time by validating
-//!   against the authoritative per-key map.
+//! The plan is the policy. Inside an installed plan the furthest next use
+//! evicts first (Belady). With no plan, or past its end, every next use is
+//! "never", the ranks tie, and the access-tick tie-break alone decides:
+//! least recently used evicts first.
 
 use emlio_tfrecord::BlockKey;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-
-/// Sentinel for "no node" in the intrusive list.
-const NIL: usize = usize::MAX;
-
-struct Node {
-    key: BlockKey,
-    size: u64,
-    prev: usize,
-    next: usize,
-}
-
-/// Intrusive doubly-linked recency list over a slab: O(1) insert, touch,
-/// remove, and pop-least-recent. Least recent lives at the head.
-#[derive(Default)]
-pub struct LruList {
-    nodes: Vec<Node>,
-    free: Vec<usize>,
-    head: usize,
-    tail: usize,
-    index: HashMap<BlockKey, usize>,
-}
-
-impl LruList {
-    /// An empty list.
-    pub fn new() -> LruList {
-        LruList {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            index: HashMap::new(),
-        }
-    }
-
-    /// Resident count.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// True when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Whether `key` is tracked.
-    pub fn contains(&self, key: &BlockKey) -> bool {
-        self.index.contains_key(key)
-    }
-
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.nodes[idx].prev, self.nodes[idx].next);
-        match prev {
-            NIL => self.head = next,
-            p => self.nodes[p].next = next,
-        }
-        match next {
-            NIL => self.tail = prev,
-            n => self.nodes[n].prev = prev,
-        }
-    }
-
-    fn link_tail(&mut self, idx: usize) {
-        self.nodes[idx].prev = self.tail;
-        self.nodes[idx].next = NIL;
-        match self.tail {
-            NIL => self.head = idx,
-            t => self.nodes[t].next = idx,
-        }
-        self.tail = idx;
-    }
-
-    /// Insert `key` as most recent. No-op if already tracked.
-    pub fn insert(&mut self, key: BlockKey, size: u64) {
-        if self.index.contains_key(&key) {
-            return;
-        }
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.nodes[i] = Node {
-                    key,
-                    size,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.nodes.push(Node {
-                    key,
-                    size,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.nodes.len() - 1
-            }
-        };
-        self.link_tail(idx);
-        self.index.insert(key, idx);
-    }
-
-    /// Size `key` was tracked with.
-    pub fn size_of(&self, key: &BlockKey) -> Option<u64> {
-        self.index.get(key).map(|&idx| self.nodes[idx].size)
-    }
-
-    /// Move `key` to most recent (LRU touch). No-op when absent.
-    pub fn touch(&mut self, key: &BlockKey) {
-        if let Some(&idx) = self.index.get(key) {
-            if self.tail != idx {
-                self.unlink(idx);
-                self.link_tail(idx);
-            }
-        }
-    }
-
-    /// Remove `key`, returning its size.
-    pub fn remove(&mut self, key: &BlockKey) -> Option<u64> {
-        let idx = self.index.remove(key)?;
-        self.unlink(idx);
-        self.free.push(idx);
-        Some(self.nodes[idx].size)
-    }
-
-    /// Pop the least-recent entry.
-    pub fn pop_victim(&mut self) -> Option<(BlockKey, u64)> {
-        if self.head == NIL {
-            return None;
-        }
-        let idx = self.head;
-        let (key, size) = (self.nodes[idx].key, self.nodes[idx].size);
-        self.unlink(idx);
-        self.index.remove(&key);
-        self.free.push(idx);
-        Some((key, size))
-    }
-}
 
 /// Priority of one resident under Belady: furthest next use evicts first;
 /// ties fall back to least-recently-accessed (smaller tick ⇒ evict first).
@@ -193,16 +57,6 @@ impl NextUseHeap {
         NextUseHeap::default()
     }
 
-    /// Resident count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is resident.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Whether `key` is tracked.
     pub fn contains(&self, key: &BlockKey) -> bool {
         self.entries.contains_key(key)
@@ -220,15 +74,17 @@ impl NextUseHeap {
         }
     }
 
+    /// Rebuild the heap from the live entries, in its own buffer: once
+    /// the buffer has grown to the compaction bound, touches allocate
+    /// nothing.
     fn compact(&mut self) {
-        self.heap = self
-            .entries
-            .iter()
-            .map(|(k, (rank, _))| HeapEntry {
-                rank: *rank,
-                key: *k,
-            })
-            .collect();
+        let mut live = std::mem::take(&mut self.heap).into_vec();
+        live.clear();
+        live.extend(self.entries.iter().map(|(k, (rank, _))| HeapEntry {
+            rank: *rank,
+            key: *k,
+        }));
+        self.heap = live.into();
     }
 
     /// Track `key` with the given next use and access tick. No-op if
@@ -294,117 +150,6 @@ impl NextUseHeap {
     }
 }
 
-/// One tier's eviction order, dispatching on the configured policy.
-pub enum TierOrder {
-    /// LRU (`bump = true`) or FIFO (`bump = false`) recency list.
-    Queue {
-        /// The recency/insertion list.
-        list: LruList,
-        /// Whether demand accesses refresh position (LRU vs FIFO).
-        bump: bool,
-    },
-    /// Clairvoyant next-use order.
-    NextUse(NextUseHeap),
-}
-
-impl TierOrder {
-    /// The order structure for `policy`.
-    pub fn for_policy(policy: crate::EvictPolicy) -> TierOrder {
-        match policy {
-            crate::EvictPolicy::Lru => TierOrder::Queue {
-                list: LruList::new(),
-                bump: true,
-            },
-            crate::EvictPolicy::Fifo => TierOrder::Queue {
-                list: LruList::new(),
-                bump: false,
-            },
-            crate::EvictPolicy::Clairvoyant => TierOrder::NextUse(NextUseHeap::new()),
-        }
-    }
-
-    /// Whether `key` is tracked in this tier.
-    pub fn contains(&self, key: &BlockKey) -> bool {
-        match self {
-            TierOrder::Queue { list, .. } => list.contains(key),
-            TierOrder::NextUse(h) => h.contains(key),
-        }
-    }
-
-    /// Size of the tracked block `key`, `None` when it is not tracked.
-    pub fn size_of(&self, key: &BlockKey) -> Option<u64> {
-        match self {
-            TierOrder::Queue { list, .. } => list.size_of(key),
-            TierOrder::NextUse(h) => h.size_of(key),
-        }
-    }
-
-    /// Whether this order actually consumes next-use ranks (clairvoyant);
-    /// callers skip computing them otherwise — it is per-access work on
-    /// the hot path.
-    pub fn needs_next_use(&self) -> bool {
-        matches!(self, TierOrder::NextUse(_))
-    }
-
-    /// Tracked block count.
-    pub fn len(&self) -> usize {
-        match self {
-            TierOrder::Queue { list, .. } => list.len(),
-            TierOrder::NextUse(h) => h.len(),
-        }
-    }
-
-    /// True when nothing is tracked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Track a newly-resident block.
-    pub fn insert(&mut self, key: BlockKey, size: u64, next_use: u64, tick: u64) {
-        match self {
-            TierOrder::Queue { list, .. } => list.insert(key, size),
-            TierOrder::NextUse(h) => h.insert(key, size, next_use, tick),
-        }
-    }
-
-    /// Record a demand access.
-    pub fn touch(&mut self, key: &BlockKey, next_use: u64, tick: u64) {
-        match self {
-            TierOrder::Queue { list, bump } => {
-                if *bump {
-                    list.touch(key);
-                }
-            }
-            TierOrder::NextUse(h) => h.touch(key, next_use, tick),
-        }
-    }
-
-    /// Stop tracking `key`, returning its size.
-    pub fn remove(&mut self, key: &BlockKey) -> Option<u64> {
-        match self {
-            TierOrder::Queue { list, .. } => list.remove(key),
-            TierOrder::NextUse(h) => h.remove(key),
-        }
-    }
-
-    /// Pop the policy's eviction victim.
-    pub fn pop_victim(&mut self) -> Option<(BlockKey, u64)> {
-        match self {
-            TierOrder::Queue { list, .. } => list.pop_victim(),
-            TierOrder::NextUse(h) => h.pop_victim(),
-        }
-    }
-
-    /// For clairvoyant tiers: the would-be victim's next use (admission
-    /// bypass input). `None` for reactive policies or empty tiers.
-    pub fn victim_next_use(&mut self) -> Option<u64> {
-        match self {
-            TierOrder::NextUse(h) => h.victim_next_use(),
-            TierOrder::Queue { .. } => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -415,26 +160,6 @@ mod tests {
             start: i,
             end: i + 1,
         }
-    }
-
-    #[test]
-    fn lru_list_order_and_touch() {
-        let mut l = LruList::new();
-        for i in 0..4 {
-            l.insert(key(i), 10);
-        }
-        assert_eq!(l.len(), 4);
-        l.touch(&key(0)); // 1 is now least recent
-        assert_eq!(l.pop_victim(), Some((key(1), 10)));
-        assert_eq!(l.remove(&key(2)), Some(10));
-        assert_eq!(l.remove(&key(2)), None);
-        assert_eq!(l.pop_victim(), Some((key(3), 10)));
-        assert_eq!(l.pop_victim(), Some((key(0), 10)));
-        assert!(l.is_empty());
-        assert_eq!(l.pop_victim(), None);
-        // Slab reuse after churn.
-        l.insert(key(9), 7);
-        assert_eq!(l.pop_victim(), Some((key(9), 7)));
     }
 
     #[test]

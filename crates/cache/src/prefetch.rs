@@ -131,7 +131,6 @@ impl Drop for Prefetcher {
 mod tests {
     use super::*;
     use crate::cache::{CacheConfig, ShardCache};
-    use crate::policy::EvictPolicy;
     use crate::source::CachedSource;
     use emlio_tfrecord::{BlockKey, BlockRead, FnSource, RangeSource, ReadOrigin, RecordError};
     use std::collections::BTreeSet;
@@ -149,14 +148,8 @@ mod tests {
 
     #[test]
     fn prefetcher_warms_ahead_of_cursor() {
-        let cache = Arc::new(
-            ShardCache::new(
-                CacheConfig::default()
-                    .with_ram_bytes(1 << 20)
-                    .with_policy(EvictPolicy::Lru),
-            )
-            .unwrap(),
-        );
+        let cache =
+            Arc::new(ShardCache::new(CacheConfig::default().with_ram_bytes(1 << 20)).unwrap());
         let seq: Vec<BlockKey> = (0..16).map(key).collect();
         cache.set_plan(seq.clone());
         let reads = Arc::new(AtomicU64::new(0));
@@ -294,14 +287,7 @@ mod tests {
         const SLOTS: usize = 6;
         const ROUNDS: usize = 4;
         let ram = (SLOTS * LEN + LEN / 2) as u64;
-        let cache = Arc::new(
-            ShardCache::new(
-                CacheConfig::default()
-                    .with_ram_bytes(ram)
-                    .with_policy(EvictPolicy::Clairvoyant),
-            )
-            .unwrap(),
-        );
+        let cache = Arc::new(ShardCache::new(CacheConfig::default().with_ram_bytes(ram)).unwrap());
         let seq: Vec<BlockKey> = (0..SLOTS * ROUNDS).map(key).collect();
         cache.set_plan(seq.clone());
         let gate = Arc::new(Gate::default());

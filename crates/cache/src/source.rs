@@ -90,8 +90,7 @@ impl RangeSource for CachedSource {
     fn describe(&self) -> String {
         let c = self.cache.config();
         format!(
-            "cached({} {} MiB ram / {} MiB disk{}) -> {}",
-            c.policy,
+            "cached(clairvoyant {} MiB ram / {} MiB disk{}) -> {}",
             c.ram_bytes >> 20,
             c.disk_bytes >> 20,
             if c.persist { ", persistent" } else { "" },
@@ -134,7 +133,7 @@ mod tests {
         assert_eq!(second.read_nanos, 0);
         assert_eq!(reads.load(Ordering::Relaxed), 1, "one inner read");
 
-        assert!(src.describe().starts_with("cached(lru"));
+        assert!(src.describe().starts_with("cached(clairvoyant 256 MiB ram"));
         assert!(src.describe().ends_with("-> fn"));
     }
 }

@@ -1,9 +1,10 @@
-//! Property tests for the eviction policies: for *any* access trace,
-//! capacity bounds hold after every operation, LRU keeps exactly the
-//! reference-model residents, and the clairvoyant policy never evicts the
-//! block the plan needs next (and never loses to a reactive policy).
+//! Property tests for the cache's one eviction order: for *any* access
+//! trace, capacity bounds hold after every operation; outside a plan the
+//! residents are exactly the textbook-LRU model's; inside one the cache
+//! never evicts the block the plan needs next and misses exactly as often
+//! as Belady's MIN.
 
-use emlio_cache::{BlockKey, CacheConfig, EvictPolicy, ShardCache};
+use emlio_cache::{BlockKey, CacheConfig, ShardCache};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -17,109 +18,138 @@ fn key(i: u8) -> BlockKey {
     }
 }
 
-/// Uniform-size demand replay through a fresh cache; returns the cache.
-fn replay(policy: EvictPolicy, capacity_blocks: u64, trace: &[u8], plan: bool) -> ShardCache {
+/// A fresh cache of `cap_blocks` (+ `disk_blocks`) uniform blocks with
+/// `plan` installed (empty = no plan), prefetcher off.
+fn cache_with_plan(cap_blocks: u64, disk_blocks: u64, plan: &[u8]) -> ShardCache {
     let cache = ShardCache::new(
         CacheConfig::default()
-            .with_ram_bytes(capacity_blocks * BLOCK)
-            .with_policy(policy)
+            .with_ram_bytes(cap_blocks * BLOCK)
+            .with_disk_bytes(disk_blocks * BLOCK)
             .with_prefetch_depth(0),
     )
     .unwrap();
-    if plan {
-        cache.set_plan(trace.iter().map(|&i| key(i)).collect());
-    }
-    for &i in trace {
-        cache
-            .get_or_fetch::<std::io::Error, _, _>(key(i), || Ok(vec![i; BLOCK as usize]))
-            .unwrap();
+    if !plan.is_empty() {
+        cache.set_plan(plan.iter().map(|&i| key(i)).collect());
     }
     cache
+}
+
+fn access(cache: &ShardCache, i: u8) {
+    cache
+        .get_or_fetch::<std::io::Error, _, _>(key(i), || Ok(vec![i; BLOCK as usize]))
+        .unwrap();
+}
+
+/// One access of textbook LRU over uniform blocks (most recent at the
+/// back); returns whether it hit.
+fn lru_access(model: &mut Vec<u8>, cap_blocks: u64, i: u8) -> bool {
+    let hit = model.contains(&i);
+    model.retain(|&k| k != i);
+    model.push(i);
+    if model.len() > cap_blocks as usize {
+        model.remove(0);
+    }
+    hit
+}
+
+/// Misses of Belady's MIN over uniform blocks: on a miss with the cache
+/// full, whichever of the residents and the incoming block is needed
+/// furthest in the future goes — the incoming block is bypassed when that
+/// is it.
+fn min_misses(trace: &[u8], cap_blocks: u64) -> u64 {
+    let next_use = |from: usize, k: u8| {
+        let ahead = trace[from..].iter().position(|&t| t == k);
+        ahead.map_or(usize::MAX, |d| from + d)
+    };
+    let mut resident: Vec<u8> = Vec::new();
+    let mut misses = 0;
+    for (pos, &k) in trace.iter().enumerate() {
+        if resident.contains(&k) {
+            continue;
+        }
+        misses += 1;
+        if resident.len() < cap_blocks as usize {
+            resident.push(k);
+            continue;
+        }
+        let (slot, furthest) = (0..resident.len())
+            .map(|slot| (slot, next_use(pos + 1, resident[slot])))
+            .max_by_key(|&(_, next)| next)
+            .unwrap();
+        if next_use(pos + 1, k) < furthest {
+            resident[slot] = k;
+        }
+    }
+    misses
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Neither tier ever holds more bytes than its configured capacity,
-    /// no matter the policy, trace, or (two-tier) configuration.
+    /// no matter the trace, the (two-tier) configuration, or how much of
+    /// the trace the plan covers.
     #[test]
     fn capacity_never_exceeded(
         trace in vec(0u8..24, 1..200),
         cap_blocks in 1u64..8,
         disk_blocks in 0u64..6,
-        policy_pick in 0u8..3,
+        plan_len in 0usize..200,
     ) {
-        let policy = [EvictPolicy::Lru, EvictPolicy::Fifo, EvictPolicy::Clairvoyant][policy_pick as usize];
-        let cache = ShardCache::new(
-            CacheConfig::default()
-                .with_ram_bytes(cap_blocks * BLOCK)
-                .with_disk_bytes(disk_blocks * BLOCK)
-                .with_policy(policy)
-                .with_prefetch_depth(0),
-        )
-        .unwrap();
-        cache.set_plan(trace.iter().map(|&i| key(i)).collect());
+        let cache = cache_with_plan(cap_blocks, disk_blocks, &trace[..plan_len.min(trace.len())]);
         for &i in &trace {
-            cache
-                .get_or_fetch::<std::io::Error, _, _>(key(i), || Ok(vec![i; BLOCK as usize]))
-                .unwrap();
+            access(&cache, i);
             prop_assert!(cache.ram_bytes_used() <= cap_blocks * BLOCK);
             prop_assert!(cache.disk_bytes_used() <= disk_blocks * BLOCK);
         }
     }
 
-    /// The LRU tier's resident set always equals the textbook LRU model's.
+    /// Outside a plan the resident set always equals the textbook LRU
+    /// model's: from the first access with no plan (`plan_len` 0), and
+    /// from the plan's end — the model taking over the residents in
+    /// last-access order — when the plan is shorter than the trace.
     #[test]
     fn lru_matches_reference_model(
         trace in vec(0u8..16, 1..200),
         cap_blocks in 1u64..8,
+        plan_len in prop_oneof![Just(0usize), 1usize..100],
     ) {
-        let cache = ShardCache::new(
-            CacheConfig::default()
-                .with_ram_bytes(cap_blocks * BLOCK)
-                .with_policy(EvictPolicy::Lru)
-                .with_prefetch_depth(0),
-        )
-        .unwrap();
+        let plan_len = plan_len.min(trace.len());
+        let cache = cache_with_plan(cap_blocks, 0, &trace[..plan_len]);
+        let mut last_access = [0usize; 16];
         // Reference model: most-recent at the back.
         let mut model: Vec<u8> = Vec::new();
-        for &i in &trace {
-            cache
-                .get_or_fetch::<std::io::Error, _, _>(key(i), || Ok(vec![i; BLOCK as usize]))
-                .unwrap();
-            model.retain(|&k| k != i);
-            model.push(i);
-            if model.len() > cap_blocks as usize {
-                model.remove(0);
+        for (n, &i) in trace.iter().enumerate() {
+            if n == plan_len {
+                model = (0u8..16).filter(|&k| cache.contains(&key(k))).collect();
+                model.sort_unstable_by_key(|&k| last_access[k as usize]);
             }
+            access(&cache, i);
+            last_access[i as usize] = n;
+            if n < plan_len {
+                continue;
+            }
+            lru_access(&mut model, cap_blocks, i);
             let mut expect: Vec<BlockKey> = model.iter().map(|&k| key(k)).collect();
             expect.sort_unstable();
-            prop_assert_eq!(cache.ram_keys(), expect, "after access {}", i);
+            prop_assert_eq!(cache.ram_keys(), expect, "after access {} of {}", n, i);
         }
     }
 
-    /// Clairvoyant eviction never throws out the block the plan demands
-    /// next: if the next access's block is resident before an access, it
-    /// is still resident afterwards (capacity ≥ 2 blocks, in-order replay).
+    /// Inside the plan, eviction never throws out the block the plan
+    /// demands next: if the next access's block is resident before an
+    /// access, it is still resident afterwards (capacity ≥ 2 blocks,
+    /// in-order replay).
     #[test]
     fn clairvoyant_never_evicts_next_needed(
         trace in vec(0u8..16, 2..150),
         cap_blocks in 2u64..8,
     ) {
-        let cache = ShardCache::new(
-            CacheConfig::default()
-                .with_ram_bytes(cap_blocks * BLOCK)
-                .with_policy(EvictPolicy::Clairvoyant)
-                .with_prefetch_depth(0),
-        )
-        .unwrap();
-        cache.set_plan(trace.iter().map(|&i| key(i)).collect());
+        let cache = cache_with_plan(cap_blocks, 0, &trace);
         for w in trace.windows(2) {
             let (now, next) = (w[0], w[1]);
             let next_resident_before = cache.contains(&key(next));
-            cache
-                .get_or_fetch::<std::io::Error, _, _>(key(now), || Ok(vec![now; BLOCK as usize]))
-                .unwrap();
+            access(&cache, now);
             if next_resident_before && next != now {
                 prop_assert!(
                     cache.contains(&key(next)),
@@ -131,77 +161,24 @@ proptest! {
         }
     }
 
-    /// The admission bypass (skip blocks that would be the victim on
-    /// arrival) is never worse than always-admit on a replayed plan, and
-    /// admits strictly less work under pressure (bypassed admissions
-    /// can only reduce evictions).
-    #[test]
-    fn belady_bypass_never_worse_than_always_admit(
-        trace in vec(0u8..20, 1..250),
-        cap_blocks in 1u64..8,
-    ) {
-        let run = |bypass: bool| {
-            let cache = ShardCache::new(
-                CacheConfig::default()
-                    .with_ram_bytes(cap_blocks * BLOCK)
-                    .with_policy(EvictPolicy::Clairvoyant)
-                    .with_belady_bypass(bypass)
-                    .with_prefetch_depth(0),
-            )
-            .unwrap();
-            cache.set_plan(trace.iter().map(|&i| key(i)).collect());
-            for &i in &trace {
-                cache
-                    .get_or_fetch::<std::io::Error, _, _>(key(i), || Ok(vec![i; BLOCK as usize]))
-                    .unwrap();
-            }
-            cache.stats().snapshot()
-        };
-        let bypass = run(true);
-        let admit = run(false);
-        prop_assert_eq!(bypass.hits + bypass.misses, trace.len() as u64);
-        prop_assert!(
-            bypass.misses <= admit.misses,
-            "bypass {} > always-admit {}",
-            bypass.misses,
-            admit.misses
-        );
-        prop_assert!(
-            bypass.evictions <= admit.evictions,
-            "bypass evicted more: {} > {}",
-            bypass.evictions,
-            admit.evictions
-        );
-    }
-
-    /// Belady optimality, observed from outside: on any trace the
-    /// clairvoyant policy misses no more than LRU or FIFO.
+    /// Belady optimality, observed from outside: on any planned trace the
+    /// cache misses exactly as often as the reference MIN model, which is
+    /// never more often than the reference LRU model.
     #[test]
     fn clairvoyant_is_never_worse(
         trace in vec(0u8..20, 1..250),
         cap_blocks in 1u64..10,
     ) {
-        let opt = replay(EvictPolicy::Clairvoyant, cap_blocks, &trace, true)
-            .stats()
-            .snapshot();
-        let lru = replay(EvictPolicy::Lru, cap_blocks, &trace, false)
-            .stats()
-            .snapshot();
-        let fifo = replay(EvictPolicy::Fifo, cap_blocks, &trace, false)
-            .stats()
-            .snapshot();
-        prop_assert_eq!(opt.hits + opt.misses, trace.len() as u64);
-        prop_assert!(
-            opt.misses <= lru.misses,
-            "opt {} > lru {}",
-            opt.misses,
-            lru.misses
-        );
-        prop_assert!(
-            opt.misses <= fifo.misses,
-            "opt {} > fifo {}",
-            opt.misses,
-            fifo.misses
-        );
+        let cache = cache_with_plan(cap_blocks, 0, &trace);
+        let mut lru_model = Vec::new();
+        let mut lru_misses = 0;
+        for &i in &trace {
+            access(&cache, i);
+            lru_misses += u64::from(!lru_access(&mut lru_model, cap_blocks, i));
+        }
+        let s = cache.stats().snapshot();
+        prop_assert_eq!(s.hits + s.misses, trace.len() as u64);
+        prop_assert_eq!(s.misses, min_misses(&trace, cap_blocks));
+        prop_assert!(s.misses <= lru_misses, "opt {} > lru {}", s.misses, lru_misses);
     }
 }

@@ -19,8 +19,7 @@
 
 use emlio_cache::prefetch::MAX_IN_FLIGHT;
 use emlio_cache::{
-    BlockKey, BlockRead, CacheConfig, CachedSource, EvictPolicy, Prefetcher, RangeSource,
-    ReadOrigin, ShardCache,
+    BlockKey, BlockRead, CacheConfig, CachedSource, Prefetcher, RangeSource, ReadOrigin, ShardCache,
 };
 use emlio_tfrecord::RecordError;
 use proptest::collection::vec;
@@ -135,14 +134,12 @@ proptest! {
         budget_tenths in 10u64..80,
         picks in vec(0usize..16, 1..32),
         knows_len in any::<bool>(),
-        policy in prop_oneof![Just(EvictPolicy::Clairvoyant), Just(EvictPolicy::Lru)],
     ) {
         let seq: Vec<BlockKey> = trace.iter().map(|&i| key(i % sizes.len())).collect();
         let largest = *sizes.iter().max().unwrap() as u64;
         let ram = largest * budget_tenths / 10;
         let cache = Arc::new(
-            ShardCache::new(CacheConfig::default().with_ram_bytes(ram).with_policy(policy))
-                .unwrap(),
+            ShardCache::new(CacheConfig::default().with_ram_bytes(ram)).unwrap(),
         );
         cache.set_plan(seq.clone());
         let gate = Arc::new(Gate {

@@ -4,10 +4,11 @@
 //! test completing IS the liveness assertion — CI runs it in release
 //! mode), and keep its counters coherent. Capacity is sized well below
 //! the working set so the eviction/spill/promote state machine is
-//! exercised constantly, across all three policies and both 1-shard
-//! (fully serialized) and many-shard layouts.
+//! exercised constantly — inside the plan (Belady with bypass) for the
+//! first few dozen ops, in recency order once the random accesses have
+//! leapt the cursor past the plan's end.
 
-use emlio_cache::{BlockKey, CacheConfig, EvictPolicy, ShardCache};
+use emlio_cache::{BlockKey, CacheConfig, ShardCache};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -53,7 +54,8 @@ fn assert_accounting_matches_slots(cache: &ShardCache) {
     );
 }
 
-fn hammer(policy: EvictPolicy, lock_shards: usize) {
+#[test]
+fn stress_clairvoyant_sharded() {
     let ram = (40 * BLOCK_BYTES) as u64;
     let disk = (24 * BLOCK_BYTES) as u64;
     let cache = Arc::new(
@@ -61,19 +63,11 @@ fn hammer(policy: EvictPolicy, lock_shards: usize) {
             CacheConfig::default()
                 .with_ram_bytes(ram)
                 .with_disk_bytes(disk)
-                .with_policy(policy)
-                .with_lock_shards(lock_shards)
-                // Random accesses leap the plan cursor past the end of the
-                // plan within a few dozen ops; from there on the Belady
-                // bypass would decline every admission, and whether the
-                // clairvoyant run evicted at all came down to how the
-                // first accesses raced.
-                .with_belady_bypass(false)
                 .with_prefetch_depth(0),
         )
         .unwrap(),
     );
-    // A cyclic plan keeps the clairvoyant heap busy; unplanned keys just
+    // A cyclic plan keeps the next-use ranks busy; unplanned keys just
     // advance time.
     cache.set_plan((0..KEYSPACE * 4).map(|i| key((i * 7) % KEYSPACE)).collect());
 
@@ -147,28 +141,6 @@ fn hammer(policy: EvictPolicy, lock_shards: usize) {
 }
 
 #[test]
-fn stress_lru_sharded() {
-    hammer(EvictPolicy::Lru, 8);
-}
-
-#[test]
-fn stress_fifo_sharded() {
-    hammer(EvictPolicy::Fifo, 8);
-}
-
-#[test]
-fn stress_clairvoyant_sharded() {
-    hammer(EvictPolicy::Clairvoyant, 8);
-}
-
-#[test]
-fn stress_single_lock_shard() {
-    // Everything serializes through one shard lock: maximum cross-thread
-    // interleaving on a single slot map.
-    hammer(EvictPolicy::Lru, 1);
-}
-
-#[test]
 fn stress_backed_evictions_race_disk_evictions() {
     // The inclusive disk tier under the races it adds. RAM holds 16
     // blocks and the disk tier 48 of a 96-block key space, so the tier is
@@ -181,78 +153,69 @@ fn stress_backed_evictions_race_disk_evictions() {
     const KEYS: usize = 96;
     let ram = (16 * BLOCK_BYTES) as u64;
     let disk = (48 * BLOCK_BYTES) as u64;
-    for (policy, lock_shards) in [
-        (EvictPolicy::Lru, 8),
-        (EvictPolicy::Clairvoyant, 8),
-        (EvictPolicy::Lru, 1),
-    ] {
-        let cache = Arc::new(
-            ShardCache::new(
-                CacheConfig::default()
-                    .with_ram_bytes(ram)
-                    .with_disk_bytes(disk)
-                    .with_policy(policy)
-                    .with_lock_shards(lock_shards)
-                    .with_belady_bypass(false)
-                    // A short queue: `Spilling` blocks are readable, so a
-                    // long one would be 64 more blocks of cache and the
-                    // disk tier would only overflow in the final flush.
-                    .with_spill_queue(4)
-                    .with_prefetch_depth(0),
-            )
-            .unwrap(),
-        );
-        cache.set_plan((0..KEYS * 8).map(|i| key((i * 5) % KEYS)).collect());
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let cache = cache.clone();
-                std::thread::spawn(move || {
-                    let mut rng = 0xA24BAED4u64.wrapping_mul(t as u64 + 1) | 1;
-                    for op in 0..OPS_PER_THREAD {
-                        let r = next_rand(&mut rng);
-                        let k = key((r >> 8) as usize % KEYS);
-                        let data = if r.is_multiple_of(16) {
-                            // A peer's in-place read beside the promotes.
-                            cache.peek(&k)
-                        } else {
-                            let fetched = cache.get_or_fetch::<std::io::Error, _, _>(k, || {
-                                Ok(vec![k.start as u8; BLOCK_BYTES])
-                            });
-                            Some(fetched.unwrap().0)
-                        };
-                        if let Some(data) = data {
-                            assert_eq!(data.len(), BLOCK_BYTES);
-                            assert!(data.iter().all(|&b| b == k.start as u8), "{k:?}");
-                        }
-                        if op % 32 == 0 {
-                            assert!(cache.ram_bytes_used() <= ram, "RAM over capacity");
-                            assert!(cache.disk_bytes_used() <= disk, "disk over capacity");
-                        }
+    let cache = Arc::new(
+        ShardCache::new(
+            CacheConfig::default()
+                .with_ram_bytes(ram)
+                .with_disk_bytes(disk)
+                // A short queue: `Spilling` blocks are readable, so a
+                // long one would be 64 more blocks of cache and the
+                // disk tier would only overflow in the final flush.
+                .with_spill_queue(4)
+                .with_prefetch_depth(0),
+        )
+        .unwrap(),
+    );
+    cache.set_plan((0..KEYS * 8).map(|i| key((i * 5) % KEYS)).collect());
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let cache = cache.clone();
+            std::thread::spawn(move || {
+                let mut rng = 0xA24BAED4u64.wrapping_mul(t as u64 + 1) | 1;
+                for op in 0..OPS_PER_THREAD {
+                    let r = next_rand(&mut rng);
+                    let k = key((r >> 8) as usize % KEYS);
+                    let data = if r.is_multiple_of(16) {
+                        // A peer's in-place read beside the promotes.
+                        cache.peek(&k)
+                    } else {
+                        let fetched = cache.get_or_fetch::<std::io::Error, _, _>(k, || {
+                            Ok(vec![k.start as u8; BLOCK_BYTES])
+                        });
+                        Some(fetched.unwrap().0)
+                    };
+                    if let Some(data) = data {
+                        assert_eq!(data.len(), BLOCK_BYTES);
+                        assert!(data.iter().all(|&b| b == k.start as u8), "{k:?}");
                     }
-                })
+                    if op % 32 == 0 {
+                        assert!(cache.ram_bytes_used() <= ram, "RAM over capacity");
+                        assert!(cache.disk_bytes_used() <= disk, "disk over capacity");
+                    }
+                }
             })
-            .collect();
-        for h in handles {
-            h.join().expect("no thread panicked");
-        }
-        cache.flush_spills();
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("no thread panicked");
+    }
+    cache.flush_spills();
 
-        assert!(cache.ram_bytes_used() <= ram);
-        assert!(cache.disk_bytes_used() <= disk);
-        assert_accounting_matches_slots(&cache);
-        let s = cache.stats().snapshot();
-        assert!(s.disk_hits > 0, "promotes happened: {s:?}");
-        assert!(s.clean_evictions > 0, "backed evictions happened: {s:?}");
-        assert!(
-            s.spills > KEYS as u64,
-            "files were reclaimed and rewritten, so disk evictions happened: {s:?}"
-        );
-        assert_eq!(s.spill_failures, 0, "{s:?}");
-        // Everything still resident serves its own bytes.
-        for k in cache.ram_keys().into_iter().chain(cache.disk_keys()) {
-            let data = cache.peek(&k).expect("resident key readable");
-            assert!(data.iter().all(|&b| b == k.start as u8), "{k:?}");
-        }
+    assert!(cache.ram_bytes_used() <= ram);
+    assert!(cache.disk_bytes_used() <= disk);
+    assert_accounting_matches_slots(&cache);
+    let s = cache.stats().snapshot();
+    assert!(s.disk_hits > 0, "promotes happened: {s:?}");
+    assert!(s.clean_evictions > 0, "backed evictions happened: {s:?}");
+    assert!(
+        s.spills > KEYS as u64,
+        "files were reclaimed and rewritten, so disk evictions happened: {s:?}"
+    );
+    assert_eq!(s.spill_failures, 0, "{s:?}");
+    // Everything still resident serves its own bytes.
+    for k in cache.ram_keys().into_iter().chain(cache.disk_keys()) {
+        let data = cache.peek(&k).expect("resident key readable");
+        assert!(data.iter().all(|&b| b == k.start as u8), "{k:?}");
     }
 }
 

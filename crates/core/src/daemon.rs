@@ -593,7 +593,7 @@ mod tests {
             .with_batch_size(4)
             .with_threads(2)
             .with_epochs(3)
-            .with_cache(emlio_cache::CacheConfig::default().with_prefetch_depth(4));
+            .with_cache(emlio_cache::CacheConfig::default());
         let daemon = EmlioDaemon::open("d0", dir.path(), config.clone()).unwrap();
         assert!(daemon.source_description().starts_with("cached("));
         let plan = Plan::build(daemon.index(), &["node".to_string()], &config);

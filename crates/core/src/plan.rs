@@ -79,7 +79,7 @@ impl NodePlan {
     /// Every batch ordered by `batch_id` — the planner's emission order,
     /// which the round-robin thread split means interleaved send workers
     /// approximately follow. This is the access sequence the shard cache's
-    /// clairvoyant policy and prefetcher walk.
+    /// eviction order and prefetcher walk.
     pub fn batches_in_plan_order(&self) -> Vec<BatchRange> {
         let mut batches: Vec<BatchRange> = self.all_batches().copied().collect();
         batches.sort_unstable_by_key(|b| b.batch_id);

@@ -91,11 +91,11 @@ impl StackSpec {
 ///
 /// ```text
 /// metered -> tfrecord(3 shards)
-/// cached(lru 64 MiB ram / 0 MiB disk) -> metered -> tfrecord(3 shards)
+/// cached(clairvoyant 64 MiB ram / 0 MiB disk) -> metered -> tfrecord(3 shards)
 /// metered -> retry(3x, base 5ms) -> tfrecord(3 shards)
 /// metered -> nfs(/mnt/ds)
-/// cached(lru 64 MiB ram / 0 MiB disk) -> metered -> peer(d0, fleet=2) -> nfs(/mnt/ds)
-/// cached(lru 64 MiB ram / 0 MiB disk) -> metered -> peer(d0, fleet=2) -> retry(3x, base 5ms) -> nfs(/mnt/ds)
+/// cached(clairvoyant 64 MiB ram / 0 MiB disk) -> metered -> peer(d0, fleet=2) -> nfs(/mnt/ds)
+/// cached(clairvoyant 64 MiB ram / 0 MiB disk) -> metered -> peer(d0, fleet=2) -> retry(3x, base 5ms) -> nfs(/mnt/ds)
 /// ```
 ///
 /// Because it builds every layer, `build` also does all the wiring: one

@@ -174,7 +174,7 @@ pub trait RangeSource: Send + Sync {
     }
 
     /// One-line description of this layer (and, for decorators, what it
-    /// wraps) — `cached(lru 256 MiB) -> tfrecord(/data)`.
+    /// wraps) — `cached(clairvoyant 256 MiB ram / 0 MiB disk) -> tfrecord(/data)`.
     fn describe(&self) -> String;
 }
 

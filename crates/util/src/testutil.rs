@@ -59,34 +59,6 @@ pub fn poll_until(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
     }
 }
 
-/// Poll `value` until it holds a stable reading: the same value observed
-/// across `hold` with no change, or the deadline expires. Returns the last
-/// observed value. Used to wait for a counter to *plateau* (e.g. "the
-/// producer has stopped making progress because it is blocked") where no
-/// exact target value exists.
-pub fn poll_stable<T: PartialEq + Copy>(
-    timeout: Duration,
-    hold: Duration,
-    mut value: impl FnMut() -> T,
-) -> T {
-    let deadline = Instant::now() + timeout;
-    let mut last = value();
-    let mut held_since = Instant::now();
-    loop {
-        std::thread::sleep(Duration::from_millis(1));
-        let now = value();
-        if now != last {
-            last = now;
-            held_since = Instant::now();
-        } else if held_since.elapsed() >= hold {
-            return last;
-        }
-        if Instant::now() >= deadline {
-            return last;
-        }
-    }
-}
-
 /// A one-shot condvar latch: threads [`wait`](Latch::wait) until some
 /// other thread [`open`](Latch::open)s it. Replaces "sleep long enough
 /// for the other thread to have started" handshakes.
@@ -158,23 +130,6 @@ mod tests {
         });
         assert!(ok);
         assert!(!poll_until(Duration::from_millis(5), || false));
-    }
-
-    #[test]
-    fn poll_stable_returns_plateau() {
-        let v = AtomicU64::new(0);
-        let got = std::thread::scope(|s| {
-            s.spawn(|| {
-                for _ in 0..5 {
-                    v.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-            });
-            poll_stable(Duration::from_secs(2), Duration::from_millis(50), || {
-                v.load(Ordering::SeqCst)
-            })
-        });
-        assert_eq!(got, 5, "plateaued at the final value");
     }
 
     #[test]

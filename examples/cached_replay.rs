@@ -40,7 +40,7 @@ fn main() {
         .with_batch_size(32)
         .with_threads(2)
         .with_epochs(2)
-        .with_cache(CacheConfig::default().with_prefetch_depth(8));
+        .with_cache(CacheConfig::default());
     let storage = vec![StorageSpec::new("storage-0", dir.clone())];
     let mut deployment =
         EmlioService::launch(&storage, &config, "compute-0").expect("launch EMLIO");

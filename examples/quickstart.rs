@@ -18,15 +18,18 @@
 //! `EmlioConfig::with_cache`:
 //!
 //! ```ignore
-//! use emlio::cache::{CacheConfig, EvictPolicy};
+//! use emlio::cache::CacheConfig;
 //! let config = config.with_cache(
 //!     CacheConfig::default()
-//!         .with_ram_bytes(256 << 20)              // RAM tier capacity
-//!         .with_disk_bytes(1 << 30)               // optional disk spill tier
-//!         .with_policy(EvictPolicy::Clairvoyant)  // lru | fifo | clairvoyant
-//!         .with_prefetch_depth(8),                // plan-ahead staging on (0 = off)
+//!         .with_ram_bytes(256 << 20)   // RAM tier capacity
+//!         .with_disk_bytes(1 << 30)    // optional disk spill tier
+//!         .with_prefetch_depth(0),     // plan-ahead staging off (default: on)
 //! );
 //! ```
+//!
+//! Eviction needs no knob: the epoch plan is the policy (evict
+//! the block needed furthest in the future, skip admitting a block that
+//! would be the victim on arrival).
 //!
 //! See `examples/cached_replay.rs` for the full cached two-epoch replay
 //! with the hit-rate and energy-saved report.

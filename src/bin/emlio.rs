@@ -3,8 +3,8 @@
 //! ```text
 //! emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
 //! emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
-//!                [--cache-mb MB] [--cache-disk-mb MB] [--cache-policy lru|fifo|clairvoyant]
-//!                [--cache-persist DIR] [--prefetch 0|1] [--spill-queue N] [--warm-start MB]
+//!                [--cache-mb MB] [--cache-disk-mb MB] [--cache-persist DIR]
+//!                [--prefetch 0|1] [--spill-queue N] [--warm-start MB]
 //! emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
 //! emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB] [...]
 //! emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablations]
@@ -22,12 +22,12 @@
 //! direct NFS. `--cache-mb` enables the daemon-side shard
 //! block cache (`emlio-cache`) so repeated epochs are served from memory;
 //! `--cache-persist DIR` keeps the disk spill tier (CRC-validated) across
-//! daemon restarts. `--cache-policy` is case-insensitive and accepts the
-//! aliases `belady`/`opt` for `clairvoyant`. `--spill-queue` sizes the
+//! daemon restarts. Eviction follows the epoch plan (the block needed
+//! furthest in the future goes first). `--spill-queue` sizes the
 //! background spill writer's order queue (at least 1; an evictor that
 //! finds it full waits for the writer). `--prefetch 0` switches the
-//! plan-ahead prefetcher off; any other value leaves it on (how far it
-//! runs ahead is set by `--cache-mb`, not by the number).
+//! plan-ahead prefetcher off, `1` (the default) on (how far it
+//! runs ahead is set by `--cache-mb`).
 //! `--warm-start MB` promotes that
 //! much of a persistent cache's disk tier back into RAM, earliest plan
 //! positions first, before the first batch is served. A flag the command
@@ -35,7 +35,7 @@
 
 use emlio::bench::contention::shared_mount_storage;
 use emlio::cache::peer::PeerConfig;
-use emlio::cache::{CacheConfig, EvictPolicy as CachePolicy};
+use emlio::cache::CacheConfig;
 use emlio::core::export::{self, MetricsSampler, SampleSource};
 use emlio::core::plan::Plan;
 use emlio::core::receiver::{EmlioReceiver, ReceiverConfig};
@@ -119,7 +119,6 @@ const CONFIG_FLAGS: &[&str] = &[
     "io-backoff-ms",
     "cache-mb",
     "cache-disk-mb",
-    "cache-policy",
     "cache-persist",
     "prefetch",
     "spill-queue",
@@ -134,8 +133,8 @@ emlio — energy- and latency-minimizing training I/O (SC'25 reproduction)
 USAGE:
   emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
   emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
-                 [--cache-mb MB] [--cache-disk-mb MB] [--cache-policy lru|fifo|clairvoyant]
-                 [--cache-persist DIR] [--prefetch 0|1] [--spill-queue N] [--warm-start MB]
+                 [--cache-mb MB] [--cache-disk-mb MB] [--cache-persist DIR]
+                 [--prefetch 0|1] [--spill-queue N] [--warm-start MB]
   emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
   emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB]
                  [--peer-fleet N] [--peer-timeout-ms MS] [...]
@@ -304,11 +303,11 @@ fn config_from(flags: &HashMap<String, String>) -> Result<EmlioConfig, String> {
     let cache_mb: u64 = get_num(flags, "cache-mb", 0)?;
     let persist_dir = flags.get("cache-persist").cloned();
     if cache_mb > 0 {
-        let policy: CachePolicy = flags
-            .get("cache-policy")
-            .map(|v| v.parse().map_err(|e| format!("--cache-policy: {e}")))
-            .transpose()?
-            .unwrap_or(CachePolicy::Clairvoyant);
+        let prefetch = match flags.get("prefetch").map(String::as_str) {
+            None | Some("1") => 1,
+            Some("0") => 0,
+            Some(other) => return Err(format!("--prefetch {other}: valid values are 0 and 1")),
+        };
         // A persistent cache needs a disk tier; default it to the RAM
         // tier's size when --cache-disk-mb is not given. An explicit 0
         // contradicts --cache-persist and must not be silently overridden.
@@ -330,8 +329,7 @@ fn config_from(flags: &HashMap<String, String>) -> Result<EmlioConfig, String> {
         let mut cache = CacheConfig::default()
             .with_ram_bytes(cache_mb << 20)
             .with_disk_bytes(disk_mb << 20)
-            .with_policy(policy)
-            .with_prefetch_depth(get_num(flags, "prefetch", 8usize)?)
+            .with_prefetch_depth(prefetch)
             .with_spill_queue(spill_queue)
             .with_warm_start_bytes(
                 get_num(flags, "warm-start", 0u64)
@@ -346,7 +344,6 @@ fn config_from(flags: &HashMap<String, String>) -> Result<EmlioConfig, String> {
         for flag in [
             "cache-persist",
             "cache-disk-mb",
-            "cache-policy",
             "prefetch",
             "spill-queue",
             "warm-start",
@@ -697,7 +694,11 @@ mod tests {
 
     #[test]
     fn removed_flags_are_errors_naming_the_flag() {
-        for (flag, value) in [("--spill-policy", "drop"), ("--prefetch-staging", "0")] {
+        for (flag, value) in [
+            ("--spill-policy", "drop"),
+            ("--prefetch-staging", "0"),
+            ("--cache-policy", "lru"),
+        ] {
             for cmd in ["daemon", "bench-io"] {
                 let err = run(&line(&[
                     cmd,
@@ -727,22 +728,21 @@ mod tests {
 
     #[test]
     fn cache_flags_without_a_cache_are_errors_not_no_ops() {
-        // Each used to be dropped (`--cache-policy` without even being
-        // parsed) when `--cache-mb` was absent.
-        for (flag, value) in [
-            ("--cache-disk-mb", "64"),
-            ("--cache-policy", "bogus"),
-            ("--prefetch", "0"),
-        ] {
+        // Each used to be dropped when `--cache-mb` was absent.
+        for (flag, value) in [("--cache-disk-mb", "64"), ("--prefetch", "0")] {
             let err = bench_io_config(&[flag, value]).unwrap_err();
             assert!(
                 err.contains(&format!("{flag} requires --cache-mb")),
                 "{err}"
             );
         }
-        // With a cache, the policy is parsed and a bad one named.
-        let err = bench_io_config(&["--cache-mb", "8", "--cache-policy", "bogus"]).unwrap_err();
-        assert!(err.contains("--cache-policy:"), "{err}");
+        // With a cache, `--prefetch` is a switch, not a depth.
+        let err = bench_io_config(&["--cache-mb", "8", "--prefetch", "7"]).unwrap_err();
+        assert!(err.contains("--prefetch 7"), "{err}");
+        for (value, depth) in [("0", 0), ("1", 1)] {
+            let config = bench_io_config(&["--cache-mb", "8", "--prefetch", value]).unwrap();
+            assert_eq!(config.cache.unwrap().prefetch_depth, depth);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! pressure, restart by dropping and reopening over the same persist
 //! directory, and plan installation driving warm promotion.
 
-use emlio::cache::{BlockKey, CacheConfig, CacheStatsSnapshot, EvictPolicy, Fetched, ShardCache};
+use emlio::cache::{BlockKey, CacheConfig, CacheStatsSnapshot, Fetched, ShardCache};
 use emlio::obs::{Stage, StageRecorder};
 use emlio::util::testutil::TempDir;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,7 +51,6 @@ fn send_workers_never_spill_inline() {
                 .with_ram_bytes((4 * BLOCK) as u64)
                 .with_disk_bytes((256 * BLOCK) as u64)
                 .with_spill_dir(dir.path().to_path_buf())
-                .with_policy(EvictPolicy::Lru)
                 .with_prefetch_depth(0)
                 .with_spill_queue(64),
         )
@@ -99,7 +98,6 @@ fn shutdown_drains_queue_and_index_round_trips() {
         .with_ram_bytes((2 * BLOCK) as u64)
         .with_disk_bytes((64 * BLOCK) as u64)
         .with_persist_dir(dir.path().to_path_buf())
-        .with_policy(EvictPolicy::Lru)
         .with_prefetch_depth(0)
         .with_spill_queue(64);
 
@@ -146,8 +144,7 @@ fn warm_start_restart_first_window_zero_storage_reads() {
     let base = CacheConfig::default()
         .with_ram_bytes((32 * BLOCK) as u64)
         .with_disk_bytes((64 * BLOCK) as u64)
-        .with_persist_dir(dir.path().to_path_buf())
-        .with_prefetch_depth(WINDOW);
+        .with_persist_dir(dir.path().to_path_buf());
     {
         let cache = ShardCache::new(base.clone()).expect("cache");
         for i in 0..N {
@@ -206,7 +203,6 @@ fn failed_spill_write_keeps_block_servable() {
             .with_ram_bytes((2 * BLOCK) as u64)
             .with_disk_bytes((64 * BLOCK) as u64)
             .with_spill_dir(spill_dir.clone())
-            .with_policy(EvictPolicy::Lru)
             .with_prefetch_depth(0)
             .with_spill_queue(16),
     )

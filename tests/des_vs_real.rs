@@ -13,7 +13,7 @@ use emlio::baselines::pytorch::PytorchConfig;
 use emlio::baselines::PytorchLoader;
 use emlio::bench::contention::shared_mount_storage;
 use emlio::cache::peer::PeerConfig;
-use emlio::cache::{BlockKey, CacheConfig, EvictPolicy};
+use emlio::cache::{BlockKey, CacheConfig};
 use emlio::core::service::StorageSpec;
 use emlio::core::{EmlioConfig, EmlioService};
 use emlio::datagen::convert::{build_file_dataset, build_tfrecord_dataset, load_file_dataset};
@@ -171,11 +171,7 @@ fn real_fleet_rate_is_within_a_stated_bound_of_the_window_model() {
     let config = EmlioConfig::default()
         .with_batch_size(BATCH)
         .with_threads(1)
-        .with_cache(
-            CacheConfig::default()
-                .with_ram_bytes(SLOTS * block + block / 2)
-                .with_policy(EvictPolicy::Clairvoyant),
-        );
+        .with_cache(CacheConfig::default().with_ram_bytes(SLOTS * block + block / 2));
     let storage = shared_mount_storage(&index, &mount, 2, "d", Some(PeerConfig::default()));
     let mut dep = EmlioService::launch(&storage, &config, "c").unwrap();
     let mut src = dep.receiver.source();

@@ -52,7 +52,7 @@ fn describe_matches_the_documented_order_for_every_topology() {
         .with_cache(CacheConfig::default().with_ram_bytes(64 << 20));
     let retrying = plain.clone().with_io_retries(3);
     let mnt = format!("nfs({})", dir.path().display());
-    let cache = "cached(lru 64 MiB ram / 0 MiB disk)";
+    let cache = "cached(clairvoyant 64 MiB ram / 0 MiB disk)";
     let retry = "retry(3x, base 5ms)";
 
     let table = [
