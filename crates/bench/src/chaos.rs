@@ -421,14 +421,17 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
             );
             ("fetcher", chaos_config, stack)
         }
-        // RAM tier far smaller than the dataset: admissions spill to the
-        // persistent disk tier under injected write faults, and each
-        // restart re-admits whatever spill survived.
+        // RAM tier far smaller than the dataset — room for two of its
+        // blocks (a tier smaller than one block admits nothing, so
+        // nothing would ever spill): admissions spill to the persistent
+        // disk tier under injected write faults, the end-of-serve
+        // checkpoint writes through the same failpoint, and each restart
+        // re-admits whatever spill survived.
         ChaosMode::SpillPersist => (
             "d0",
             chaos_config.with_cache(
                 CacheConfig::default()
-                    .with_ram_bytes(16 << 10)
+                    .with_ram_bytes(3 * cfg.batch_size as u64 * spec.sample_bytes)
                     .with_disk_bytes(64 << 20)
                     .with_persist_dir(dir.path().join("persist")),
             ),

@@ -46,10 +46,13 @@
 //!   Ram        evicted, no disk tier / block too large    (absent)
 //!   Spilling   spill write landed                         Disk
 //!   Spilling   spill write failed                         (absent)
-//!   Disk       demand or warm-start promote               Busy
+//!   Disk       demand promote                             Busy
+//!   Disk       executor stages (into free RAM)            Busy
 //!   Busy       file read back valid, RAM admits           Ram+file
 //!   Busy       file read back valid, RAM declines         Disk
 //!   Busy       file missing or corrupt                    (absent)
+//!   Busy       executor's reservation dropped unread      Disk
+//!   Ram        checkpoint write landed                    Ram+file
 //!   Ram+file   evicted: slot flip, nothing written        Disk
 //!   Ram+file   disk tier reclaims the file                Ram
 //!   Disk       disk tier evicts the block                 (absent)
@@ -89,11 +92,11 @@
 //!   touches disk, and shutdown drains the queue before the final index
 //!   write (see [`crate::spill`]).
 //! * **Spill-file bytes are checked before they are served.** Every read
-//!   of a spill file — demand promote, warm-start promote, peer `peek`,
-//!   restart re-admission — goes through [`persist::read_validated`]
-//!   (length and CRC32C). A file that fails is retired and the access
-//!   degrades to a miss; this is the only way a promote takes a key out
-//!   of the disk order.
+//!   of a spill file — demand promote, the prefetch executor's staging
+//!   read, peer `peek`, restart re-admission — goes through
+//!   [`persist::read_validated`] (length and CRC32C). A file that fails
+//!   is retired and the access degrades to a miss; this is the only way a
+//!   promote takes a key out of the disk order.
 //! * **The disk order tracks files, not slots.** A key is in the disk
 //!   order, and its size in `disk_used`, exactly while its spill file
 //!   counts against the tier: slot `Disk`, slot `Ram` with a backing, or
@@ -156,10 +159,6 @@ pub struct CacheConfig {
     /// finds it full waits for the writer). Only meaningful with a disk
     /// tier.
     pub spill_queue: usize,
-    /// Warm-start budget in bytes: on plan install, promote up to this
-    /// many bytes of re-admitted disk blocks — earliest-needed first —
-    /// into the RAM tier ahead of demand. 0 disables warm-start.
-    pub warm_start_bytes: u64,
 }
 
 impl Default for CacheConfig {
@@ -171,7 +170,6 @@ impl Default for CacheConfig {
             prefetch_depth: 1,
             persist: false,
             spill_queue: 64,
-            warm_start_bytes: 0,
         }
     }
 }
@@ -205,11 +203,18 @@ impl CacheConfig {
         self
     }
 
-    /// No-op: the plan is the eviction policy. Kept, with the one-variant
-    /// [`EvictPolicy`], only because the frozen `benchmark/src/sut.rs`
-    /// names both; the next `benchmark`-archetype PR deletes them.
+    /// No-ops: the plan is the eviction policy, and the prefetch executor
+    /// stages a restarted cache's first window like every other. Kept,
+    /// with the one-variant [`EvictPolicy`], only because the frozen
+    /// `benchmark/src/sut.rs` names all three; the next
+    /// `benchmark`-archetype PR deletes them.
     #[doc(hidden)]
     pub fn with_policy(self, _policy: EvictPolicy) -> Self {
+        self
+    }
+
+    #[doc(hidden)]
+    pub fn with_warm_start_bytes(self, _bytes: u64) -> Self {
         self
     }
 
@@ -222,12 +227,6 @@ impl CacheConfig {
     /// Override the spill queue capacity (raised to at least 1).
     pub fn with_spill_queue(mut self, orders: usize) -> Self {
         self.spill_queue = orders;
-        self
-    }
-
-    /// Override the warm-start budget in bytes (0 disables warm-start).
-    pub fn with_warm_start_bytes(mut self, bytes: u64) -> Self {
-        self.warm_start_bytes = bytes;
         self
     }
 }
@@ -508,9 +507,6 @@ pub struct CacheCore {
     /// Seeded chaos hook, consulted at `spill.write` before each
     /// spill-file write (set once, like the recorder).
     injector: OnceLock<Arc<emlio_util::fault::FaultInjector>>,
-    /// Blocks checkpointed out of RAM by `persist_now`: index entries for
-    /// files that are *not* part of the live disk tier.
-    checkpointed: Mutex<HashMap<BlockKey, SpillEntry>>,
 }
 
 static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -576,7 +572,6 @@ impl CacheCore {
             spill_queue,
             recorder: OnceLock::new(),
             injector: OnceLock::new(),
-            checkpointed: Mutex::new(HashMap::new()),
             config,
         };
         if cache.config.persist {
@@ -620,10 +615,7 @@ impl CacheCore {
     /// order) and reset the demand cursor. The eviction order and the
     /// prefetcher both walk this sequence; set it before spawning a
     /// [`crate::Prefetcher`]. Residents' next-use ranks are refreshed
-    /// against the new plan, and — with a [`CacheConfig::warm_start_bytes`]
-    /// budget — the earliest-needed re-admitted disk blocks are promoted
-    /// into RAM ahead of demand, so a restarted daemon's first prefetch
-    /// window is already hot.
+    /// against the new plan.
     pub fn set_plan(&self, seq: Vec<BlockKey>) {
         let mut future: HashMap<BlockKey, VecDeque<u64>> = HashMap::new();
         for (pos, key) in seq.iter().enumerate() {
@@ -641,8 +633,6 @@ impl CacheCore {
         } = &mut *g;
         ram_order.refresh(|k| Global::next_use(future, 0, k));
         disk_order.refresh(|k| Global::next_use(future, 0, k));
-        drop(g);
-        self.warm_start();
     }
 
     /// The installed plan sequence (empty when none was set).
@@ -864,22 +854,34 @@ impl CacheCore {
                 Ok((data, Fetched::Storage))
             }
             Err(e) => {
-                self.release_busy(&key);
+                self.release_busy(&key, None);
                 Err(e)
             }
         }
     }
 
-    /// Drop `key`'s `Busy` placeholder (fetch/promote failure, or an
-    /// unfulfilled [`CacheCore::try_claim`]) and wake any single-flight
-    /// waiters parked on the shard condvar.
-    fn release_busy(&self, key: &BlockKey) {
-        let shard = self.shard_for(key);
-        let mut map = shard.map.lock();
-        if matches!(map.get(key), Some(Slot::Busy)) {
-            map.remove(key);
+    /// Give up `key`'s `Busy` placeholder and wake any single-flight
+    /// waiters parked on the shard condvar: to absent (fetch/promote
+    /// failure, or an unfulfilled [`CacheCore::try_claim`]) or — given the
+    /// spill `file` an unread staging claim took the slot over from — back
+    /// to disk-only.
+    fn release_busy(&self, key: &BlockKey, file: Option<DiskMeta>) {
+        let restored = file.is_some();
+        {
+            let shard = self.shard_for(key);
+            let mut map = shard.map.lock();
+            if matches!(map.get(key), Some(Slot::Busy)) {
+                match file {
+                    Some(meta) => map.insert(*key, Slot::Disk(meta)),
+                    None => map.remove(key),
+                };
+            }
+            shard.cv.notify_all();
         }
-        shard.cv.notify_all();
+        if restored {
+            // The disk tier may have reclaimed the file under the claim.
+            self.drop_untracked_file(key);
+        }
     }
 
     /// Resolve `key` against the residency map: RAM/spilling bytes are a
@@ -937,7 +939,10 @@ impl CacheCore {
     /// block's `Busy` slot; the spill-file read happens with no lock held.
     /// A vanished or corrupt spill file degrades to a miss.
     fn promote(&self, key: &BlockKey, meta: DiskMeta) -> Option<(Bytes, Fetched)> {
-        let data = Bytes::from(self.read_spill_file(key, &meta)?);
+        let Some(data) = self.read_spill_file(key, &meta) else {
+            self.release_busy(key, None);
+            return None;
+        };
         self.count_hit(&data);
         self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
         // The file stays where it is whatever RAM decides: admitted, it
@@ -950,15 +955,14 @@ impl CacheCore {
     /// Read `key`'s spill file back for the owner of its `Busy` slot,
     /// validated by [`persist::read_validated`]. On failure the file is
     /// retired — out of the disk order (the one way a promote leaves it),
-    /// deleted — and the slot released to absent: a miss.
-    fn read_spill_file(&self, key: &BlockKey, meta: &DiskMeta) -> Option<Vec<u8>> {
+    /// deleted — and the owner releases the slot to absent: a miss.
+    fn read_spill_file(&self, key: &BlockKey, meta: &DiskMeta) -> Option<Bytes> {
         let data = persist::read_validated(&meta.path, meta.len, meta.crc);
         if data.is_none() {
             self.global.lock().untrack_file(key);
             let _ = std::fs::remove_file(&meta.path);
-            self.release_busy(key);
         }
-        data
+        data.map(Bytes::from)
     }
 
     /// Admit bytes that came from storage (no spill file behind them);
@@ -1086,8 +1090,13 @@ impl CacheCore {
     /// one up loses no block, only the write its resident's eviction
     /// would have skipped — so under pressure the tier holds as many
     /// distinct disk-only blocks as it would without the duplicates.
-    fn reserve_disk(&self, key: &BlockKey, size: u64) -> Vec<BlockKey> {
+    /// Without `evict` only spare capacity is taken: `None` when the file
+    /// would cost another block its own.
+    fn reserve_disk(&self, key: &BlockKey, size: u64, evict: bool) -> Option<Vec<BlockKey>> {
         let mut g = self.global.lock();
+        if !evict && g.disk_used + size > self.config.disk_bytes {
+            return None;
+        }
         let mut out = Vec::new();
         while g.disk_used + size > self.config.disk_bytes {
             let victim = if let Some(&dup) = g.backed.first() {
@@ -1105,7 +1114,7 @@ impl CacheCore {
         g.tick += 1;
         let (next, tick) = (g.next_use_rank(key), g.tick);
         g.disk_order.insert(*key, size, next, tick);
-        out
+        Some(out)
     }
 
     /// Bring `key`'s slot in line with the disk order after the order
@@ -1180,16 +1189,19 @@ impl CacheCore {
         if !spillable {
             return;
         }
-        let order = SpillOrder {
-            key: *key,
-            data,
-            size,
-        };
-        let queue = self.spill_queue.as_ref().expect("spillable implies queue");
         // Shutdown starts only once the writer is the core's last holder,
         // and the writer never spills: nobody is left to be refused.
-        let Some((waits, depth)) = queue.push(order) else {
-            return self.abort_spill(key);
+        if !self.enqueue_spill(*key, data) {
+            self.abort_spill(key);
+        }
+    }
+
+    /// Hand `key`'s bytes to the spill writer, waiting while its queue is
+    /// full. Returns whether the order was taken (not after shutdown).
+    fn enqueue_spill(&self, key: BlockKey, data: Bytes) -> bool {
+        let queue = self.spill_queue.as_ref().expect("disk tier implies queue");
+        let Some((waits, depth)) = queue.push(SpillOrder { key, data }) else {
+            return false;
         };
         if waits > 0 {
             self.stats
@@ -1199,16 +1211,32 @@ impl CacheCore {
         self.stats
             .spill_queue_peak
             .fetch_max(depth, Ordering::Relaxed);
+        true
     }
 
     /// Perform a spill order: reserve disk capacity, write the file, and
-    /// land the `Spilling → Disk` transition. Runs on the writer thread;
-    /// never holds a lock across the file I/O. The writer never spills
-    /// recursively — disk-tier overflow only *drops* disk victims.
+    /// land the transition — `Spilling → Disk` for an evicted block,
+    /// `Ram → Ram+file` for a resident a checkpoint backs. Runs on the
+    /// writer thread; never holds a lock across the file I/O. The writer
+    /// never spills recursively — disk-tier overflow only *drops* disk
+    /// victims.
     fn finish_spill(&self, order: SpillOrder) {
-        let SpillOrder { key, data, size } = order;
-        // Reserve disk capacity, evicting disk victims as needed.
-        for victim in self.reserve_disk(&key, size) {
+        let SpillOrder { key, data } = order;
+        let size = data.len() as u64;
+        // Which of the two it is, the slot says. Anything else has its
+        // file already or is gone: an eviction and a checkpoint of the
+        // same block crossed in the queue.
+        let evicted = match self.shard_for(&key).map.lock().get(&key) {
+            Some(Slot::Spilling(_)) => true,
+            Some(Slot::Ram(_, None)) => false,
+            _ => return,
+        };
+        // Reserve disk capacity: an eviction makes its room out of disk
+        // victims, a checkpoint takes spare room or leaves it.
+        let Some(victims) = self.reserve_disk(&key, size, evicted) else {
+            return;
+        };
+        for victim in victims {
             self.drop_untracked_file(&victim);
         }
 
@@ -1243,12 +1271,13 @@ impl CacheCore {
             rec.record(Stage::SpillWrite, t0.elapsed().as_nanos() as u64);
         }
         if let Err(e) = result {
-            // A failed spill loses the block — demand will re-read it from
-            // storage — but never silently: counted and logged.
+            // A failed spill loses the evicted block — demand will re-read
+            // it from storage — or leaves a checkpoint's resident unbacked,
+            // but never silently: counted and logged.
             self.stats.spill_failures.fetch_add(1, Ordering::Relaxed);
             obs_warn!(
                 "cache",
-                "spill write failed for {}: {e}; block dropped to absent",
+                "spill write failed for {}: {e}; block has no spill file",
                 path.display()
             );
             self.global.lock().untrack_file(&key);
@@ -1256,24 +1285,37 @@ impl CacheCore {
             return;
         }
         self.stats.spills.fetch_add(1, Ordering::Relaxed);
-        {
+        let meta = DiskMeta {
+            path,
+            len: size,
+            crc,
+        };
+        let backs_resident = {
             let shard = self.shard_for(&key);
             let mut map = shard.map.lock();
-            if matches!(map.get(&key), Some(Slot::Spilling(_))) {
-                map.insert(
-                    key,
-                    Slot::Disk(DiskMeta {
-                        path,
-                        len: size,
-                        crc,
-                    }),
-                );
-            }
+            let backs_resident = match map.get_mut(&key) {
+                Some(slot @ Slot::Spilling(_)) => {
+                    *slot = Slot::Disk(meta);
+                    false
+                }
+                Some(Slot::Ram(_, backing @ None)) => {
+                    *backing = Some(meta);
+                    true
+                }
+                _ => false,
+            };
             shard.cv.notify_all();
+            backs_resident
+        };
+        let mut g = self.global.lock();
+        if backs_resident && g.ram_order.contains(&key) && g.disk_order.contains(&key) {
+            g.backed.insert(key);
         }
         // Our disk_order entry may have been popped while the file write
         // was in flight; finish that eviction if so.
-        if !self.global.lock().disk_order.contains(&key) {
+        let untracked = !g.disk_order.contains(&key);
+        drop(g);
+        if untracked {
             self.drop_untracked_file(&key);
         }
     }
@@ -1346,172 +1388,60 @@ impl CacheCore {
     }
 
     /// Checkpoint the cache for a restart (persistent caches only): drain
-    /// the spill queue, write RAM-resident blocks that have no spill file
-    /// yet to one (without disturbing the live tiers) up to the disk
-    /// tier's spare capacity, then write the spill index covering them
-    /// plus the live disk tier — backed RAM residents included, listed
-    /// from the file they already have. Returns how many blocks the index
-    /// covers. A non-persistent cache returns 0.
+    /// the spill queue, hand every RAM resident that has no spill file yet
+    /// to the spill writer — which backs it if the disk tier has the spare
+    /// capacity, never at the cost of another block's file — drain again,
+    /// and write the spill index of the live tier. Returns how many blocks
+    /// the index covers. A non-persistent cache returns 0.
     pub fn persist_now(&self) -> io::Result<u64> {
         if !self.config.persist {
             return Ok(0);
         }
-        // Queued spill orders are part of the state being checkpointed:
-        // drain them first so the index covers a complete disk tier.
+        // Queued spill orders are part of the state a checkpoint saves.
         self.flush_spills();
-        let dir = self.spill_dir.as_ref().expect("persist implies spill dir");
-        // Snapshot unbacked RAM residents and live spill files shard by
-        // shard.
-        let mut ram_blocks: Vec<(BlockKey, Bytes)> = Vec::new();
-        let mut entries: Vec<SpillEntry> = Vec::new();
+        let mut unbacked: Vec<(BlockKey, Bytes)> = Vec::new();
+        for shard in self.shards.iter() {
+            let map = shard.map.lock();
+            unbacked.extend(map.iter().filter_map(|(k, slot)| match slot {
+                Slot::Ram(data, None) => Some((*k, data.clone())),
+                _ => None,
+            }));
+        }
+        unbacked.sort_unstable_by_key(|(k, _)| *k);
+        for (key, data) in unbacked {
+            self.enqueue_spill(key, data);
+        }
+        self.flush_spills();
+        let files = self.live_files();
+        self.write_index(&files)?;
+        Ok(files.len() as u64)
+    }
+
+    /// Every spill file of the live tier, sorted by key: disk-only blocks
+    /// and the backing of RAM residents alike.
+    fn live_files(&self) -> Vec<(BlockKey, DiskMeta)> {
+        let mut files = Vec::new();
         for shard in self.shards.iter() {
             let map = shard.map.lock();
             for (k, slot) in map.iter() {
-                match slot {
-                    Slot::Ram(d, None) | Slot::Spilling(d) => ram_blocks.push((*k, d.clone())),
-                    Slot::Ram(_, Some(meta)) | Slot::Disk(meta) => entries.push(meta.entry(*k)),
-                    Slot::Busy => {}
+                if let Slot::Disk(meta) | Slot::Ram(_, Some(meta)) = slot {
+                    files.push((*k, meta.clone()));
                 }
             }
         }
-        ram_blocks.sort_unstable_by_key(|(k, _)| *k);
-        // The checkpoint budget counts live disk bytes AND bytes already
-        // checkpointed by earlier calls — pruned of files retired since
-        // and of keys now in the live disk tier (whose bytes disk_used
-        // already covers) — so repeated checkpoints of shifting working
-        // sets can neither grow the spill directory past the disk tier's
-        // bound nor starve it by double-counting.
-        let live_disk: std::collections::HashSet<BlockKey> =
-            entries.iter().map(|e| e.key).collect();
-        let checkpoint_bytes: u64 = {
-            let mut checkpointed = self.checkpointed.lock();
-            checkpointed.retain(|k, _| {
-                !live_disk.contains(k) && dir.join(persist::spill_file_name(k)).exists()
-            });
-            checkpointed.values().map(|e| e.len).sum()
-        };
-        let mut budget = {
-            let g = self.global.lock();
-            self.config
-                .disk_bytes
-                .saturating_sub(g.disk_used.saturating_add(checkpoint_bytes))
-        };
-        let mut checkpointed = self.checkpointed.lock();
-        for (key, data) in ram_blocks {
-            let len = data.len() as u64;
-            // Blocks are immutable per key: an earlier checkpoint of this
-            // key is still valid, no rewrite (or budget) needed.
-            if checkpointed.contains_key(&key) {
-                continue;
-            }
-            if len > budget {
-                continue;
-            }
-            let path = dir.join(persist::spill_file_name(&key));
-            std::fs::write(&path, &data[..])?;
-            budget -= len;
-            checkpointed.insert(
-                key,
-                SpillEntry {
-                    key,
-                    len,
-                    crc: persist::block_crc(&data),
-                },
-            );
-        }
-        drop(checkpointed);
-        let count = self.write_merged_index(entries)?;
-        Ok(count)
+        files.sort_unstable_by_key(|(k, _)| *k);
+        files
     }
 
-    /// Write the spill index: checkpointed entries overlaid with the live
-    /// disk-tier entries (live wins for the same key), sorted for stable
-    /// diffs. Shared by [`CacheCore::persist_now`] and `Drop`.
-    fn write_merged_index(&self, disk_entries: Vec<SpillEntry>) -> io::Result<u64> {
+    /// Write the spill index listing `files` (persistent caches).
+    fn write_index(&self, files: &[(BlockKey, DiskMeta)]) -> io::Result<()> {
         let dir = self.spill_dir.as_ref().expect("persist implies spill dir");
-        let mut merged: HashMap<BlockKey, SpillEntry> = self.checkpointed.lock().clone();
-        for e in disk_entries {
-            merged.insert(e.key, e);
-        }
-        let mut all: Vec<SpillEntry> = merged.into_values().collect();
-        all.sort_unstable_by_key(|e| e.key);
-        persist::write_index(dir, &all)?;
-        Ok(all.len() as u64)
+        let entries: Vec<SpillEntry> = files.iter().map(|(k, meta)| meta.entry(*k)).collect();
+        persist::write_index(dir, &entries)
     }
 
-    /// Warm-start: walk the freshly-installed plan in consumption order
-    /// and promote re-admitted disk blocks into RAM ahead of demand, up to
-    /// `warm_start_bytes`. Only blocks that fit in *free* RAM are promoted
-    /// — warming the future must never evict an earlier (sooner-needed)
-    /// promotion or the present working set.
-    fn warm_start(&self) {
-        let mut budget = self.config.warm_start_bytes;
-        if budget == 0 || self.spill_dir.is_none() {
-            return;
-        }
-        let seq = self.global.lock().seq.clone();
-        let mut seen = std::collections::HashSet::new();
-        for key in seq.iter() {
-            if budget == 0 {
-                break;
-            }
-            if seen.insert(*key) {
-                self.warm_promote(key, &mut budget);
-            }
-        }
-    }
-
-    /// Promote one disk-resident block into RAM at plan-install time,
-    /// debiting `budget` on success. No demand accounting (not a hit);
-    /// counted in `warm_promoted` and timed as [`Stage::WarmPromote`].
-    fn warm_promote(&self, key: &BlockKey, budget: &mut u64) {
-        let t0 = Instant::now();
-        // Claim the Disk slot as Busy (the standard promote ownership).
-        let meta = {
-            let shard = self.shard_for(key);
-            let mut map = shard.map.lock();
-            match map.get(key) {
-                Some(Slot::Disk(meta)) if meta.len <= *budget => {
-                    let meta = meta.clone();
-                    map.insert(*key, Slot::Busy);
-                    meta
-                }
-                _ => return,
-            }
-        };
-        // Free-RAM guard: restore the Disk slot untouched when admission
-        // would evict.
-        {
-            let g = self.global.lock();
-            if g.ram_used + g.ram_reserved + meta.len > self.config.ram_bytes {
-                drop(g);
-                let shard = self.shard_for(key);
-                let mut map = shard.map.lock();
-                if matches!(map.get(key), Some(Slot::Busy)) {
-                    map.insert(*key, Slot::Disk(meta));
-                }
-                shard.cv.notify_all();
-                return;
-            }
-        }
-        // Read + CRC-validate the spill file outside every lock, then
-        // admit; the file stays on as the resident's backing.
-        let Some(data) = self.read_spill_file(key, &meta) else {
-            return;
-        };
-        let len = meta.len;
-        if self.admit_full(*key, Bytes::from(data), Some(meta), None) {
-            *budget = budget.saturating_sub(len);
-            self.stats.warm_promoted.fetch_add(1, Ordering::Relaxed);
-            if let Some(rec) = self.recorder.get() {
-                rec.record(Stage::WarmPromote, t0.elapsed().as_nanos() as u64);
-            }
-        }
-    }
-
-    /// Claim `key` for an admission off the demand path: install a `Busy`
-    /// placeholder iff the slot is empty. Returns whether the claim was
-    /// taken; pair with an admit or [`CacheCore::release_busy`].
+    /// Claim `key` for [`CacheCore::insert`]: install a `Busy` placeholder
+    /// iff the slot is empty. Returns whether the claim was taken.
     fn try_claim(&self, key: &BlockKey) -> bool {
         let shard = self.shard_for(key);
         let mut map = shard.map.lock();
@@ -1523,16 +1453,23 @@ impl CacheCore {
     }
 
     /// The prefetch executor's issue step for plan position `pos`
-    /// (`key`, expected to be `len` bytes long; 0 = not known yet). Waits
-    /// until the block may be staged, then reserves its RAM — evicting
-    /// what the plan needs later than `pos` — and claims its slot:
+    /// (`key`, expected to be `len` bytes long; 0 = not known yet — the
+    /// disk tier knows the length of a block it holds). Waits until the
+    /// block may be staged, then reserves its RAM — evicting what the plan
+    /// needs later than `pos` — and claims its slot, absent (to be read
+    /// from storage) or disk-only (from its spill file) alike:
     ///
     /// ```text
     /// ram_reserved + bytes of residents needed before pos + len <= ram_bytes
     /// ```
     ///
-    /// with at most [`MAX_IN_FLIGHT`] reservations out. Woken by every
-    /// demand access, every landed or failed prefetch read, and
+    /// with at most [`MAX_IN_FLIGHT`] reservations out. A disk-only block
+    /// is staged into free room only, and skipped — left to a demand
+    /// promote — when there is none: a spill-file read is cheap enough to
+    /// take on demand, and every resident evicted to stage one ahead is a
+    /// block the plan-driven order would have kept for its next use
+    /// (docs/ARCHITECTURE.md has the measurement). Woken by every demand
+    /// access, every landed or failed prefetch read, and
     /// [`CacheCore::wake_prefetcher`].
     pub(crate) fn reserve_prefetch(
         &self,
@@ -1541,9 +1478,11 @@ impl CacheCore {
         len: u64,
         stop: &AtomicBool,
     ) -> Issue<'_> {
-        if self.shard_for(key).map.lock().contains_key(key) {
-            return Issue::Skip;
-        }
+        let (len, on_disk) = match self.shard_for(key).map.lock().get(key) {
+            None => (len, false),
+            Some(Slot::Disk(meta)) => (meta.len, true),
+            Some(_) => return Issue::Skip,
+        };
         // A block of unknown length goes out alone: once it lands, the
         // largest length seen stands in for the rest.
         let max_out = if len == 0 { 1 } else { MAX_IN_FLIGHT };
@@ -1553,8 +1492,10 @@ impl CacheCore {
             if stop.load(Ordering::SeqCst) {
                 return Issue::Stop;
             }
-            // Demand got here first, or the block can never fit.
-            if pos < g.cursor || len > self.config.ram_bytes {
+            // Demand got here first, or the block can never fit — or, on
+            // disk, not without evicting.
+            let free = self.config.ram_bytes - g.ram_used - g.ram_reserved;
+            if pos < g.cursor || len > self.config.ram_bytes || (on_disk && len > free) {
                 return Issue::Skip;
             }
             if g.reservations < max_out && g.may_stage(pos, len, self.config.ram_bytes) {
@@ -1573,15 +1514,27 @@ impl CacheCore {
         for (vk, vs) in victims {
             self.spill_or_drop(&vk, vs);
         }
-        if !self.try_claim(key) {
-            // Lost the slot while waiting (a demand miss, a peer's offer).
-            self.unreserve(len);
-            return Issue::Skip;
-        }
+        let file = {
+            let mut map = self.shard_for(key).map.lock();
+            let file = match map.get(key) {
+                None => None,
+                Some(Slot::Disk(meta)) => Some(meta.clone()),
+                Some(_) => {
+                    // Lost the slot while waiting (a demand miss or
+                    // promote, a peer's offer).
+                    drop(map);
+                    self.unreserve(len);
+                    return Issue::Skip;
+                }
+            };
+            map.insert(*key, Slot::Busy);
+            file
+        };
         Issue::Read(Reservation {
             cache: self,
             key: *key,
             len,
+            file,
         })
     }
 
@@ -1605,36 +1558,56 @@ impl CacheCore {
 
 /// What [`CacheCore::reserve_prefetch`] decided for one plan position.
 pub(crate) enum Issue<'a> {
-    /// Room reserved and slot claimed: read the block and
-    /// [`admit`](Reservation::admit) it.
+    /// Room reserved and slot claimed: [`fill`](Reservation::fill) it.
     Read(Reservation<'a>),
-    /// Nothing to stage: the block is resident or being fetched, demand
-    /// reached the position first, or the block can never fit.
+    /// Nothing to stage: the block is in RAM or being fetched, demand
+    /// reached the position first, the block can never fit, or it is on
+    /// disk and would not fit without evicting.
     Skip,
     /// The stop flag is set.
     Stop,
 }
 
 /// RAM reserved, and a `Busy` slot claimed, for one prefetch read in
-/// flight. [`admit`](Reservation::admit) lands the block in it; dropping
-/// it any other way (the read failed or panicked) gives the room back and
-/// releases the slot, so demand readers parked on it fetch for themselves.
+/// flight. [`fill`](Reservation::fill) does the read and lands the block
+/// in it; dropping it any other way (the read failed or panicked, or never
+/// ran) gives the room back and releases the slot — to disk-only when that
+/// is where the claim found it — so demand readers parked on it fetch or
+/// promote for themselves.
 pub(crate) struct Reservation<'a> {
     cache: &'a CacheCore,
     key: BlockKey,
     len: u64,
+    /// The spill file to stage from; `None` stages from storage.
+    file: Option<DiskMeta>,
 }
 
 impl Reservation<'_> {
-    /// The read landed: admit `data` into the reserved room, counting it
-    /// as prefetched (not a demand miss), and as wasted when RAM does not
-    /// take it.
-    pub(crate) fn admit(self, data: Bytes) {
+    /// Read the block — back from its spill file when the disk tier holds
+    /// it, through `storage` otherwise — and admit it into the reserved
+    /// room, counting it as prefetched (never a demand hit or miss), as
+    /// warm-promoted when it came from disk (timed as
+    /// [`Stage::WarmPromote`]), and as wasted when RAM does not take it. A
+    /// spill file that fails validation is retired, as on a demand promote.
+    pub(crate) fn fill(mut self, storage: impl FnOnce() -> Option<Bytes>) {
+        let t0 = Instant::now();
+        let file = self.file.take();
+        let data = match &file {
+            Some(meta) => self.cache.read_spill_file(&self.key, meta),
+            None => storage(),
+        };
+        let Some(data) = data else { return };
         let (cache, key, len) = (self.cache, self.key, self.len);
         std::mem::forget(self);
         cache.stats.prefetched.fetch_add(1, Ordering::Relaxed);
-        if !cache.admit_full(key, data, None, Some(len)) {
+        let promoted = file.is_some();
+        if !cache.admit_full(key, data, file, Some(len)) {
             cache.stats.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
+        } else if promoted {
+            cache.stats.warm_promoted.fetch_add(1, Ordering::Relaxed);
+            if let Some(rec) = cache.recorder.get() {
+                rec.record(Stage::WarmPromote, t0.elapsed().as_nanos() as u64);
+            }
         }
     }
 }
@@ -1642,26 +1615,16 @@ impl Reservation<'_> {
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
         self.cache.unreserve(self.len);
-        self.cache.release_busy(&self.key);
+        self.cache.release_busy(&self.key, self.file.take());
     }
 }
 
 impl Drop for CacheCore {
     fn drop(&mut self) {
-        // Every spill file of the live tier: disk-only blocks and the
-        // backing of RAM residents alike.
-        let mut files: Vec<(BlockKey, DiskMeta)> = Vec::new();
-        for shard in self.shards.iter() {
-            let map = shard.map.lock();
-            for (k, slot) in map.iter() {
-                if let Slot::Disk(meta) | Slot::Ram(_, Some(meta)) = slot {
-                    files.push((*k, meta.clone()));
-                }
-            }
-        }
+        let files = self.live_files();
         if self.config.persist {
             // Keep the spill files; leave an index for the next run.
-            let _ = self.write_merged_index(files.iter().map(|(k, meta)| meta.entry(*k)).collect());
+            let _ = self.write_index(&files);
             return;
         }
         for (_, meta) in files {
@@ -2201,7 +2164,9 @@ mod tests {
             cache.flush_spills();
             // 0 and 1 spilled to disk; 2 and 3 still in RAM.
             assert_eq!(cache.disk_keys(), vec![key(0), key(1)]);
-            assert_eq!(cache.persist_now().unwrap(), 4, "RAM checkpointed too");
+            assert_eq!(cache.persist_now().unwrap(), 4, "the RAM tier too");
+            assert_tier_is_the_directory(&cache, &dir);
+            assert_eq!(cache.slot_bytes(), (200, 400), "as backings");
         }
         // Restart: all four blocks re-validate and re-admit to disk, and
         // demand reads are served without any storage fetch.
@@ -2258,6 +2223,117 @@ mod tests {
         names
     }
 
+    /// What the side table needed arithmetic for: the tier's accounting is
+    /// the bytes of the `block-*.blk` files in `dir`, inside its bound.
+    fn assert_tier_is_the_directory(cache: &ShardCache, dir: &TempDir) {
+        let on_disk: u64 = blk_files(dir)
+            .iter()
+            .map(|n| std::fs::metadata(dir.path().join(n)).unwrap().len())
+            .sum();
+        assert_eq!(cache.disk_bytes_used(), on_disk);
+        assert!(on_disk <= cache.config().disk_bytes);
+    }
+
+    /// The spill-index entries of `dir` as file names, sorted.
+    fn indexed_files(dir: &TempDir) -> Vec<String> {
+        let mut listed: Vec<String> = persist::read_index(dir.path())
+            .unwrap()
+            .expect("index written")
+            .iter()
+            .map(|e| persist::spill_file_name(&e.key))
+            .collect();
+        listed.sort();
+        listed
+    }
+
+    #[test]
+    fn checkpoint_writes_go_through_the_spill_writer() {
+        use emlio_util::fault::{site, FaultInjector, FaultPlan, FaultSpec};
+        for rate in [1.0, 0.0] {
+            let dir = TempDir::new("cache-checkpoint-writer");
+            let cache = ShardCache::new(
+                CacheConfig::default()
+                    .with_ram_bytes(200)
+                    .with_disk_bytes(2000)
+                    .with_persist_dir(dir.path().to_path_buf()),
+            )
+            .unwrap();
+            let recorder = StageRecorder::shared();
+            cache.set_recorder(recorder.clone());
+            for i in 0..3 {
+                cache.insert(key(i), block(i, 100)); // 0 spills; 1, 2 resident
+            }
+            cache.flush_spills();
+            assert_eq!(file_writes(&cache), 1);
+            cache.set_fault_injector(FaultInjector::new(
+                FaultPlan::new(7).with_site(site::SPILL_WRITE, FaultSpec::errors(rate)),
+            ));
+            let covered = cache.persist_now().unwrap();
+            let s = cache.stats().snapshot();
+            assert_eq!(
+                recorder.hist(Stage::SpillWrite).count(),
+                3,
+                "one spill_write sample per write attempt, checkpoints included"
+            );
+            assert_eq!(cache.ram_keys(), vec![key(1), key(2)], "still resident");
+            if rate == 1.0 {
+                // The failpoint faults checkpoint writes too: counted, the
+                // residents stay unbacked, the index lists what exists.
+                assert_eq!((s.spills, s.spill_failures), (1, 2));
+                assert_eq!(covered, 1);
+                assert_eq!(cache.slot_bytes(), (200, 100));
+            } else {
+                assert_eq!((s.spills, s.spill_failures), (3, 0));
+                assert_eq!(covered, 3);
+                assert_eq!(cache.slot_bytes(), (200, 300), "Ram → Ram+file");
+                // Backed by the checkpoint, a resident's eviction is a slot flip.
+                cache.insert(key(3), block(3, 100));
+                cache.flush_spills();
+                assert_eq!(cache.stats().snapshot().clean_evictions, 1);
+                assert_eq!(file_writes(&cache), 3);
+            }
+            assert_eq!(indexed_files(&dir), blk_files(&dir));
+            assert_eq!(covered as usize, blk_files(&dir).len());
+            assert_tier_is_the_directory(&cache, &dir);
+        }
+    }
+
+    #[test]
+    fn checkpoints_of_shifting_working_sets_stay_inside_the_disk_tier() {
+        // RAM holds two blocks, the disk tier four, and the working set
+        // moves on by one block per round: a checkpoint backs a resident
+        // only out of spare capacity — it never costs another block its
+        // file — and what the tier accounts is what the directory holds.
+        let dir = TempDir::new("cache-checkpoint-shift");
+        let cache = ShardCache::new(
+            CacheConfig::default()
+                .with_ram_bytes(200)
+                .with_disk_bytes(400)
+                .with_persist_dir(dir.path().to_path_buf()),
+        )
+        .unwrap();
+        for round in 0..8 {
+            cache.insert(key(round), block(round, 100));
+            cache.flush_spills();
+            let held = blk_files(&dir);
+            let covered = cache.persist_now().unwrap();
+            assert_tier_is_the_directory(&cache, &dir);
+            assert_eq!(indexed_files(&dir), blk_files(&dir), "round {round}");
+            assert_eq!(covered as usize, blk_files(&dir).len());
+            for name in &held {
+                assert!(
+                    blk_files(&dir).contains(name),
+                    "{name} lost to a checkpoint"
+                );
+            }
+            assert_eq!(
+                cache.slot_bytes(),
+                (cache.ram_bytes_used(), cache.disk_bytes_used())
+            );
+        }
+        assert_eq!(cache.disk_bytes_used(), 400, "the tier filled up");
+    }
+
     #[test]
     fn backed_residents_are_indexed_from_their_existing_file() {
         let dir = TempDir::new("cache-persist-backed");
@@ -2290,6 +2366,7 @@ mod tests {
                         mtime,
                         "a backed resident is listed, not rewritten"
                     );
+                    assert_tier_is_the_directory(&cache, &dir);
                     4
                 } else {
                     // Without a checkpoint the unbacked resident (3) has
@@ -2298,13 +2375,7 @@ mod tests {
                 }
             };
             // After the drop: the index lists exactly the files present.
-            let mut listed: Vec<String> = persist::read_index(dir.path())
-                .unwrap()
-                .expect("index written on drop")
-                .iter()
-                .map(|e| persist::spill_file_name(&e.key))
-                .collect();
-            listed.sort();
+            let listed = indexed_files(&dir);
             assert_eq!(listed, blk_files(&dir), "checkpoint={checkpoint}");
             assert_eq!(listed.len(), expect, "checkpoint={checkpoint}");
             assert!(listed.contains(&persist::spill_file_name(&key(0))));
@@ -2350,7 +2421,7 @@ mod tests {
         // … which land out of order, each in its own reservation:
         // a landing moves bytes from reserved to resident, frees none.
         for i in [2, 3, 0, 1] {
-            held[i].take().unwrap().admit(block(i, 100).into());
+            held[i].take().unwrap().fill(|| Some(block(i, 100).into()));
             let (used, reserved) = cache.ram_budget();
             assert_eq!(used + reserved, 400);
             assert!(!fits(4), "still four blocks needed before 4");
@@ -2370,7 +2441,7 @@ mod tests {
         drop(r4);
         assert_eq!(cache.ram_budget(), (300, 0));
         assert!(!cache.contains(&key(4)));
-        read(4).unwrap().admit(block(4, 100).into());
+        read(4).unwrap().fill(|| Some(block(4, 100).into()));
         assert_eq!(cache.ram_budget(), (400, 0));
 
         // Parked with no room, the issue step leaves on the stop flag.
@@ -2380,9 +2451,9 @@ mod tests {
         assert_eq!((s.prefetched, s.prefetch_wasted, s.misses), (5, 0, 0));
     }
 
-    #[test]
-    fn warm_start_promotes_earliest_needed_within_budget() {
-        let dir = TempDir::new("cache-warm-start");
+    /// Four 100-byte blocks saved by a checkpoint in `dir`'s persistent tier,
+    /// reopened with RAM for two and a half: everything starts disk-only.
+    fn restarted_disk_only(dir: &TempDir) -> ShardCache {
         let config = CacheConfig::default()
             .with_ram_bytes(250)
             .with_disk_bytes(2000)
@@ -2394,51 +2465,100 @@ mod tests {
             }
             cache.persist_now().unwrap();
         }
-        // Restart with a 2-block warm budget: the plan needs 3 first, then
-        // 1 — exactly those two promote (plan order, not key order), and
-        // nothing is evicted to make room.
-        let cache = ShardCache::new(config.with_warm_start_bytes(200)).unwrap();
+        let cache = ShardCache::new(config).unwrap();
         assert_eq!(cache.stats().snapshot().readmitted, 4);
-        cache.set_plan(vec![key(3), key(1), key(0), key(2)]);
-        let s = cache.stats().snapshot();
-        assert_eq!(s.warm_promoted, 2);
-        assert_eq!(s.evictions, 0, "warm-start never evicts");
-        assert_eq!(cache.ram_keys(), vec![key(1), key(3)]);
-        assert_eq!(cache.disk_keys(), vec![key(0), key(2)]);
-        // Warm promotions are not demand hits.
-        assert_eq!((s.hits, s.disk_hits), (0, 0));
-        // The promoted blocks now serve from RAM without any storage read.
-        let (data, from) = cache
-            .get_or_fetch::<std::io::Error, Vec<u8>, _>(key(3), || {
-                panic!("warm-started block must not fetch")
-            })
-            .unwrap();
-        assert_eq!(from, Fetched::Ram);
-        assert!(data.iter().all(|&b| b == 3));
+        assert_eq!(cache.disk_keys(), (0..4).map(key).collect::<Vec<_>>());
+        cache
+    }
+
+    fn staged<'a>(cache: &'a ShardCache, pos: u64, key: &BlockKey) -> Reservation<'a> {
+        match cache.reserve_prefetch(pos, key, 0, &AtomicBool::new(false)) {
+            Issue::Read(reservation) => reservation,
+            _ => panic!("position {pos} should be staged"),
+        }
     }
 
     #[test]
-    fn warm_start_skips_blocks_that_do_not_fit_free_ram() {
-        let dir = TempDir::new("cache-warm-tight");
-        let config = CacheConfig::default()
-            .with_ram_bytes(250)
-            .with_disk_bytes(2000)
-            .with_persist_dir(dir.path().to_path_buf());
-        {
-            let cache = ShardCache::new(config.clone()).unwrap();
-            for i in 0..4 {
-                cache.insert(key(i), block(i, 100));
-            }
-            cache.persist_now().unwrap();
+    fn executor_stages_disk_blocks_in_plan_order_into_free_ram() {
+        let dir = TempDir::new("cache-stage-disk");
+        let cache = restarted_disk_only(&dir);
+        let recorder = StageRecorder::shared();
+        cache.set_recorder(recorder.clone());
+        // The plan needs 3 first, then 1: exactly those two are staged
+        // (plan order, not key order), each from its spill file — the
+        // length comes from the disk tier, storage is never asked — and
+        // the third is skipped, not waited for: staging from disk takes
+        // free room only, nothing is evicted for it.
+        let plan = vec![key(3), key(1), key(0), key(2)];
+        cache.set_plan(plan.clone());
+        for pos in 0..2 {
+            let reservation = staged(&cache, pos, &plan[pos as usize]);
+            assert_eq!(cache.ram_budget().1, 100, "reserved by the file's length");
+            assert!(!cache.contains(&plan[pos as usize]), "claimed: Busy");
+            reservation.fill(|| panic!("a disk-resident block is not read from storage"));
         }
-        // Budget covers everything, but free RAM fits only two blocks:
-        // the third earliest-needed block stays on disk untouched.
-        let cache = ShardCache::new(config.with_warm_start_bytes(10_000)).unwrap();
-        cache.set_plan((0..4).map(key).collect());
+        let stop = AtomicBool::new(false);
+        assert!(matches!(
+            cache.reserve_prefetch(2, &key(0), 0, &stop),
+            Issue::Skip
+        ));
         let s = cache.stats().snapshot();
-        assert_eq!(s.warm_promoted, 2);
+        assert_eq!(
+            (s.prefetched, s.warm_promoted, s.prefetch_wasted),
+            (2, 2, 0)
+        );
+        assert_eq!(recorder.hist(Stage::WarmPromote).count(), 2);
         assert_eq!(s.evictions, 0);
-        assert_eq!(cache.ram_keys(), vec![key(0), key(1)]);
-        assert_eq!(cache.disk_keys(), vec![key(2), key(3)]);
+        assert_eq!(cache.ram_keys(), vec![key(1), key(3)]);
+        assert_eq!(cache.disk_keys(), vec![key(0), key(2)]);
+        // Staging is not a demand access, and the staged blocks keep
+        // their backing: the tier still holds all four files.
+        assert_eq!((s.hits, s.disk_hits, s.misses), (0, 0, 0));
+        assert_eq!(cache.disk_bytes_used(), 400);
+        assert_eq!(cache.slot_bytes(), (200, 400));
+        // They now serve from RAM without any storage read; the skipped
+        // one is a demand promote.
+        for (i, staged) in [(3, Fetched::Ram), (1, Fetched::Ram), (0, Fetched::Disk)] {
+            let (data, from) = cache
+                .get_or_fetch::<std::io::Error, Vec<u8>, _>(key(i), || {
+                    panic!("no block of a persisted tier is fetched")
+                })
+                .unwrap();
+            assert_eq!(from, staged, "block {i}");
+            assert!(data.iter().all(|&b| b == i as u8));
+        }
+        let s = cache.stats().snapshot();
+        assert_eq!((s.hits, s.disk_hits, s.warm_promoted), (3, 1, 2));
+    }
+
+    #[test]
+    fn unread_or_invalid_staging_claim_leaves_the_disk_tier_consistent() {
+        let dir = TempDir::new("cache-stage-unread");
+        let cache = restarted_disk_only(&dir);
+        cache.set_plan((0..4).map(key).collect());
+        // A reservation dropped unread gives the room back and puts the
+        // slot back to disk-only, file and accounting untouched.
+        drop(staged(&cache, 0, &key(0)));
+        assert_eq!(cache.ram_budget(), (0, 0));
+        assert_eq!(cache.disk_keys(), (0..4).map(key).collect::<Vec<_>>());
+        assert_eq!(cache.disk_bytes_used(), 400);
+        // A spill file that fails validation is retired, as on a demand
+        // promote, and the block degrades to absent: a later miss.
+        let path = spill_path(&dir, 1);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[5] ^= 0x10;
+        std::fs::write(&path, &bytes).unwrap();
+        staged(&cache, 1, &key(1)).fill(|| panic!("on disk"));
+        assert!(!cache.contains(&key(1)));
+        assert!(!path.exists(), "the corrupt file is retired");
+        assert_eq!(cache.ram_budget(), (0, 0));
+        assert_eq!(cache.disk_bytes_used(), 300);
+        assert_eq!(cache.slot_bytes(), (0, 300));
+        let s = cache.stats().snapshot();
+        assert_eq!((s.prefetched, s.warm_promoted, s.misses), (0, 0, 0));
+        // The next walk stages it from storage like any absent block.
+        staged(&cache, 1, &key(1)).fill(|| Some(block(1, 100).into()));
+        assert_eq!(cache.ram_keys(), vec![key(1)]);
+        assert_eq!(cache.slot_bytes(), (100, 300));
     }
 }

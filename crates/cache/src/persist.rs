@@ -99,8 +99,8 @@ pub fn read_index(dir: &Path) -> io::Result<Option<Vec<SpillEntry>>> {
 
 /// Read a spill file back and check it: the file must exist, be `len`
 /// bytes long and hash to `crc`. Every path that serves or re-admits
-/// spilled bytes — demand promote, in-place peek, warm-start promote,
-/// restart re-admission — goes through this one check. `None` on any
+/// spilled bytes — demand promote, the prefetch executor's staging read,
+/// in-place peek, restart re-admission — goes through this one check. `None` on any
 /// failure; the file is left for the caller to retire.
 pub fn read_validated(path: &Path, len: u64, crc: u32) -> Option<Vec<u8>> {
     let data = std::fs::read(path).ok()?;

@@ -4,6 +4,15 @@
 //! moves, the cache does not have to *react* to accesses: staging is a
 //! budget problem. One executor walks the plan ahead of the send workers:
 //!
+//! * **One stager.** A planned block that is not in RAM is staged from
+//!   whichever tier holds it: a disk-only block is read back from its
+//!   spill file (and keeps it as its backing), any other from storage.
+//!   Storage is far, so a storage block is worth evicting for (the issue
+//!   rule below); a spill file is near, so a disk-only block is staged
+//!   into free room only and otherwise left to a demand promote — which
+//!   keeps what the plan-driven order would keep. A restarted daemon's
+//!   RAM tier is all free room: its first window is staged from the
+//!   re-admitted disk tier with no separate warm-up step.
 //! * **Issue rule.** Position `p` is issued the moment
 //!   `ram_reserved + bytes of residents needed before p + len(p)` fits in
 //!   [`ram_bytes`](crate::CacheConfig::ram_bytes)
@@ -46,8 +55,9 @@ pub struct Prefetcher {
 impl Prefetcher {
     /// Spawn the executor over `source`'s cache plan (set the plan via
     /// [`crate::CacheCore::set_plan`] first). Each staged block is read
-    /// through the source's inner layer; fetch errors are skipped — the
-    /// demand path will surface them. A `prefetch_depth` of 0 yields a
+    /// from its spill file when the disk tier holds it, else through the
+    /// source's inner layer; fetch errors are skipped — the demand path
+    /// will surface them. A `prefetch_depth` of 0 yields a
     /// thread that exits at once.
     pub fn spawn(source: Arc<CachedSource>) -> Prefetcher {
         let stop = Arc::new(AtomicBool::new(false));
@@ -89,10 +99,11 @@ impl Prefetcher {
                 let read = move || {
                     // A failed read drops the reservation; the demand
                     // path will surface the error.
-                    if let Ok(read) = source.inner().read_block(key) {
+                    reservation.fill(|| {
+                        let read = source.inner().read_block(key).ok()?;
                         largest.fetch_max(read.data.len() as u64, Ordering::SeqCst);
-                        reservation.admit(read.data);
-                    }
+                        Some(read.data)
+                    })
                 };
                 let spawned = std::thread::Builder::new()
                     .name("emlio-cache-prefetch-read".into())

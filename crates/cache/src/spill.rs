@@ -3,7 +3,8 @@
 //! A cache with a disk tier never writes a spill file on the thread that
 //! evicts: evictors enqueue a `(BlockKey, Bytes)` order and return, and the
 //! dedicated `emlio-cache-spill` thread pops orders, writes the file, and
-//! lands the `Spilling → Disk` slot transition. The queue is bounded
+//! lands the slot transition (`Spilling → Disk` for an evicted block,
+//! `Ram → Ram+file` for a resident a checkpoint backs). The queue is bounded
 //! ([`crate::CacheConfig::with_spill_queue`]): when it fills, the evictor
 //! waits for the writer to free a slot, so no block is ever lost and the
 //! eviction rate is bounded by the disk's spill bandwidth.
@@ -20,11 +21,10 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One queued eviction: the block to write and its accounted size.
+/// One queued write: the block an eviction or a checkpoint hands over.
 pub(crate) struct SpillOrder {
     pub key: BlockKey,
     pub data: Bytes,
-    pub size: u64,
 }
 
 struct Inner {
@@ -159,7 +159,6 @@ mod tests {
                 end: i + 1,
             },
             data: Bytes::from(vec![i as u8; 8]),
-            size: 8,
         }
     }
 

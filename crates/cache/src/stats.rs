@@ -46,8 +46,8 @@ pub struct CacheStats {
     pub spill_backpressure_waits: AtomicU64,
     /// High-water mark of the spill queue depth (orders queued at once).
     pub spill_queue_peak: AtomicU64,
-    /// Re-admitted disk blocks promoted into RAM by warm-start, ahead of
-    /// any demand access.
+    /// Disk-tier blocks the prefetch executor staged into RAM ahead of
+    /// demand (a subset of `prefetched`; never a hit or a disk hit).
     pub warm_promoted: AtomicU64,
 }
 
@@ -102,7 +102,7 @@ pub struct CacheStatsSnapshot {
     pub spill_backpressure_waits: u64,
     /// High-water mark of the spill queue depth.
     pub spill_queue_peak: u64,
-    /// Disk blocks promoted to RAM by warm-start ahead of demand.
+    /// Disk blocks the prefetch executor staged into RAM ahead of demand.
     pub warm_promoted: u64,
 }
 

@@ -1,30 +1,40 @@
 //! Property test for the reserving prefetch executor: for *any* plan
-//! (repeated keys included), any block sizes, any RAM budget and any order
-//! in which storage completes its reads, while a consumer walks the plan
-//! at its own pace,
+//! (repeated keys included), any block sizes, any RAM budget, any subset
+//! of the blocks starting out disk-only (a restarted persistent tier) and
+//! any order in which storage completes its reads, while a consumer walks
+//! the plan — at its own pace, or waiting for each block to be staged —
 //!
 //! * `ram_used + ram_reserved` never exceeds the budget,
 //! * never more than [`MAX_IN_FLIGHT`] prefetch reads are out,
 //! * every storage read is used — it is either a demand miss or a
 //!   prefetch whose bytes the RAM tier admitted (`prefetch_wasted == 0`
 //!   whenever the stack can tell a block's length beforehand),
+//! * no resident needed sooner than a staged position is evicted for it:
+//!   a consumer that waits for its block to be staged always finds it, so
+//!   it never misses (the executor is past that position and would never
+//!   stage it again: an eviction there would leave the consumer waiting),
+//! * a block the disk tier holds is staged from its spill file (where
+//!   there is free room; promoted on demand where not) and keeps it as
+//!   its backing: storage is never asked for it, and its evictions write
+//!   nothing,
 //! * every access gets its block's bytes, and
 //! * everything ends: no reservation outlives its read, the executor
 //!   joins.
 //!
-//! Reads park at a gate and the test lets them through one at a time, so
-//! completion order is the test's draw, not the scheduler's; which reads
-//! are parked at each draw is the scheduler's, and the properties hold
-//! whichever it is.
+//! Storage reads park at a gate and the test lets them through one at a
+//! time, so completion order is the test's draw, not the scheduler's;
+//! which reads are parked at each draw (and when a spill-file read
+//! lands) is the scheduler's, and the properties hold whichever it is.
 
 use emlio_cache::prefetch::MAX_IN_FLIGHT;
 use emlio_cache::{
     BlockKey, BlockRead, CacheConfig, CachedSource, Prefetcher, RangeSource, ReadOrigin, ShardCache,
 };
 use emlio_tfrecord::RecordError;
+use emlio_util::testutil::{poll_until, TempDir};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -48,6 +58,8 @@ struct GateState {
     open: Vec<u64>,
     next_ticket: u64,
     reads: u64,
+    /// Key indices storage was asked for.
+    asked: BTreeSet<usize>,
     most_parked: usize,
 }
 
@@ -89,6 +101,7 @@ impl RangeSource for Gate {
         let ticket = state.next_ticket;
         state.next_ticket += 1;
         state.reads += 1;
+        state.asked.insert(k.start);
         state.parked.insert(ticket, k.start);
         state.most_parked = state.most_parked.max(state.parked.len());
         self.cv.notify_all();
@@ -134,13 +147,32 @@ proptest! {
         budget_tenths in 10u64..80,
         picks in vec(0usize..16, 1..32),
         knows_len in any::<bool>(),
+        // Which blocks a previous run left in the persistent disk tier.
+        on_disk in vec(any::<bool>(), 12),
+        // Whether the consumer waits for each block to be staged.
+        patient in any::<bool>(),
     ) {
         let seq: Vec<BlockKey> = trace.iter().map(|&i| key(i % sizes.len())).collect();
         let largest = *sizes.iter().max().unwrap() as u64;
         let ram = largest * budget_tenths / 10;
-        let cache = Arc::new(
-            ShardCache::new(CacheConfig::default().with_ram_bytes(ram)).unwrap(),
-        );
+        // A disk tier with room for every block: no file is ever reclaimed.
+        let dir = TempDir::new("proptest-prefetch");
+        let total: u64 = sizes.iter().map(|&s| s as u64).sum();
+        let config = CacheConfig::default()
+            .with_disk_bytes(total)
+            .with_persist_dir(dir.path().to_path_buf());
+        let disk_only: BTreeSet<usize> =
+            (0..sizes.len()).filter(|&i| on_disk[i]).collect();
+        {
+            let previous = ShardCache::new(config.clone().with_ram_bytes(total)).unwrap();
+            for &i in &disk_only {
+                previous.insert(key(i), payload(i, sizes[i]));
+            }
+            prop_assert_eq!(previous.persist_now().unwrap(), disk_only.len() as u64);
+        }
+        let cache = Arc::new(ShardCache::new(config.with_ram_bytes(ram)).unwrap());
+        prop_assert_eq!(cache.disk_keys().len(), disk_only.len());
+        let disk_only_bytes = cache.disk_bytes_used();
         cache.set_plan(seq.clone());
         let gate = Arc::new(Gate {
             sizes: sizes.clone(),
@@ -156,7 +188,18 @@ proptest! {
             let consumer = s.spawn(|| {
                 let _done = SetOnDrop(&done);
                 seq.iter()
-                    .map(|k| source.read_block(k).unwrap())
+                    .map(|k| {
+                        // A block that can never fit is never staged, and
+                        // one that lands larger than the stack could say
+                        // makes its room out of whatever is furthest.
+                        if patient && knows_len && sizes[k.start] as u64 <= ram {
+                            let staged = poll_until(std::time::Duration::from_secs(20), || {
+                                cache.contains(k)
+                            });
+                            assert!(staged, "{k:?} was never staged, or evicted since");
+                        }
+                        source.read_block(k).unwrap()
+                    })
                     .collect::<Vec<BlockRead>>()
             });
             // Storage completes its reads in the order the draw says.
@@ -184,15 +227,30 @@ proptest! {
             prefetcher.join();
         });
 
+        cache.flush_spills();
         prop_assert_eq!(over_budget, None, "(used, reserved) over {}", ram);
         prop_assert_eq!(cache.ram_budget().1, 0, "a reservation outlived its read");
         let (used, _) = cache.ram_budget();
-        prop_assert_eq!((used, 0), cache.slot_bytes(), "accounting matches the slots");
+        prop_assert_eq!((used, cache.disk_bytes_used()), cache.slot_bytes(),
+            "accounting matches the slots");
         let stats = cache.stats().snapshot();
         let gate = gate.state.lock().unwrap();
         prop_assert_eq!(stats.hits + stats.misses, seq.len() as u64);
-        prop_assert_eq!(stats.prefetched + stats.misses, gate.reads,
+        prop_assert_eq!(stats.prefetched - stats.warm_promoted + stats.misses, gate.reads,
             "a storage read that was neither a prefetch nor a demand miss");
+        // The disk tier's blocks never left it: staged or promoted over
+        // their files, evicted by slot flip, never read from storage.
+        prop_assert!(gate.asked.is_disjoint(&disk_only), "{:?}", gate.asked);
+        prop_assert!(disk_only.iter().all(|&i| cache.contains(&key(i))));
+        prop_assert!(cache.disk_bytes_used() >= disk_only_bytes);
+        prop_assert!(stats.spills <= gate.asked.len() as u64, "write-once: {:?}", stats);
+        prop_assert_eq!(stats.evictions, stats.spills + stats.clean_evictions);
+        if patient && knows_len {
+            let never_fit = seq.iter()
+                .filter(|k| sizes[k.start] as u64 > ram && !disk_only.contains(&k.start))
+                .count() as u64;
+            prop_assert_eq!(stats.misses, never_fit, "a staged block was missed: {:?}", stats);
+        }
         // One more than the cap: the consumer's own demand miss.
         prop_assert!(gate.most_parked <= MAX_IN_FLIGHT + 1, "{} reads out", gate.most_parked);
         if knows_len {

@@ -220,6 +220,138 @@ fn stress_backed_evictions_race_disk_evictions() {
 }
 
 #[test]
+fn stress_executor_stages_from_disk_beside_demand_promotes_and_peeks() {
+    // The one stager under the races it joins. A persistent tier of 48
+    // blocks under a 96-block plan is restarted eight times; every restart
+    // finds RAM (16 blocks) empty and half the plan disk-only, and the
+    // executor stages what fits from the spill files (`Disk → Busy →
+    // Ram+file`) while two send workers, skewed against each other, start
+    // at once and promote on demand whatever they reach first, peers
+    // `peek` the same keys in place, evictions flip the staged blocks back
+    // onto their files, and first-time spills reclaim files from under the
+    // claims. Whatever the interleaving: every read returns its key's
+    // bytes, `ram_used + ram_reserved` and the disk tier stay inside
+    // their budgets, and at quiescence the accounting equals the slots.
+    use emlio_cache::{CachedSource, Prefetcher, RangeSource};
+    use emlio_tfrecord::FnSource;
+    use emlio_util::testutil::TempDir;
+    use std::sync::atomic::AtomicBool;
+
+    const KEYS: usize = 96;
+    const RESTARTS: usize = 8;
+    const WORKERS: usize = 2;
+    let ram = (16 * BLOCK_BYTES) as u64;
+    let disk = (48 * BLOCK_BYTES) as u64;
+    let dir = TempDir::new("stress-stage-from-disk");
+    let (mut staged, mut promoted) = (0, 0);
+    for life in 0..=RESTARTS {
+        let cache = Arc::new(
+            ShardCache::new(
+                CacheConfig::default()
+                    .with_ram_bytes(ram)
+                    .with_disk_bytes(disk)
+                    .with_persist_dir(dir.path().to_path_buf())
+                    .with_spill_queue(4),
+            )
+            .unwrap(),
+        );
+        // Each life starts somewhere else in the cycle.
+        let seq: Arc<Vec<BlockKey>> = Arc::new(
+            (0..KEYS * 2)
+                .map(|i| key((life * 29 + i * 5) % KEYS))
+                .collect(),
+        );
+        cache.set_plan(seq.to_vec());
+        let source = Arc::new(CachedSource::new(
+            cache.clone(),
+            Arc::new(FnSource::new(|k: &BlockKey| {
+                Ok(vec![k.start as u8; BLOCK_BYTES])
+            })),
+        ));
+        let executor = Prefetcher::spawn(source.clone());
+        let within_budgets = {
+            let cache = cache.clone();
+            move || {
+                let (used, reserved) = cache.ram_budget();
+                assert!(
+                    used + reserved <= ram,
+                    "{used} + {reserved} over the RAM tier"
+                );
+                assert!(cache.disk_bytes_used() <= disk, "disk over capacity");
+            }
+        };
+
+        let serving = Arc::new(AtomicBool::new(true));
+        let peers: Vec<_> = (0..2)
+            .map(|t| {
+                let (cache, serving) = (cache.clone(), serving.clone());
+                let within_budgets = within_budgets.clone();
+                std::thread::spawn(move || {
+                    let mut rng = 0xC2B2AE35u64.wrapping_mul(t as u64 + 1) | 1;
+                    while serving.load(Ordering::SeqCst) {
+                        let k = key(next_rand(&mut rng) as usize % KEYS);
+                        if let Some(data) = cache.peek(&k) {
+                            assert!(data.iter().all(|&b| b == k.start as u8), "{k:?}");
+                        }
+                        within_budgets();
+                    }
+                })
+            })
+            .collect();
+        let workers: Vec<_> = (0..WORKERS)
+            .map(|w| {
+                let (source, seq) = (source.clone(), seq.clone());
+                let within_budgets = within_budgets.clone();
+                std::thread::spawn(move || {
+                    for (pos, k) in seq.iter().enumerate().skip(w).step_by(WORKERS) {
+                        // A consumer's pace, by turns: 32 positions at a
+                        // pace the executor can lead, then 32 at full
+                        // speed, reaching blocks it has not got to.
+                        if (pos / 32) % 2 == 0 {
+                            std::thread::sleep(std::time::Duration::from_micros(200));
+                        }
+                        let read = source.read_block(k).unwrap();
+                        assert_eq!(read.data.len(), BLOCK_BYTES);
+                        assert!(read.data.iter().all(|&b| b == k.start as u8), "{k:?}");
+                        within_budgets();
+                    }
+                })
+            })
+            .collect();
+        for h in workers {
+            h.join().expect("no worker panicked");
+        }
+        serving.store(false, Ordering::SeqCst);
+        for h in peers {
+            h.join().expect("no peer panicked");
+        }
+        executor.join();
+        cache.flush_spills();
+
+        assert_eq!(cache.ram_budget().1, 0, "no reservation outlives its read");
+        assert_accounting_matches_slots(&cache);
+        let s = cache.stats().snapshot();
+        assert_eq!(s.hits + s.misses, seq.len() as u64, "{s:?}");
+        assert!(
+            s.warm_promoted <= s.prefetched,
+            "a staging is a prefetch, never a demand hit: {s:?}"
+        );
+        assert_eq!(s.spill_failures, 0, "{s:?}");
+        for k in cache.ram_keys().into_iter().chain(cache.disk_keys()) {
+            let data = cache.peek(&k).expect("resident key readable");
+            assert!(data.iter().all(|&b| b == k.start as u8), "{k:?}");
+        }
+        if life > 0 {
+            assert!(s.readmitted > 0, "the previous life left its tier: {s:?}");
+        }
+        staged += s.warm_promoted;
+        promoted += s.disk_hits;
+    }
+    assert!(staged > 0, "the executor staged from disk");
+    assert!(promoted > 0, "and the workers promoted on demand beside it");
+}
+
+#[test]
 fn stress_peer_fleet_coalesces_storage_reads() {
     // A 4-peer fleet hammered from 8 threads: every key is read through
     // many peers at once, singly and as windows of concurrent single

@@ -107,11 +107,6 @@ impl ChaosController {
         self.kills.load(Ordering::SeqCst)
     }
 
-    /// Batches recorded in the ledger across all incarnations.
-    pub fn ledger_len(&self) -> usize {
-        self.ledger().len()
-    }
-
     /// Was this batch already pushed by an earlier incarnation? Checked
     /// before the (expensive) read + encode, so replayed epochs skip
     /// straight past delivered work.
@@ -151,7 +146,7 @@ mod tests {
         }
         assert!(!c.is_killed());
         assert_eq!(c.kills(), 0);
-        assert_eq!(c.ledger_len(), 1000);
+        assert_eq!(c.ledger().len(), 1000);
     }
 
     #[test]

@@ -325,11 +325,17 @@ impl EmlioDaemon {
         let mut result = result;
         if let Some(cached) = &self.cached {
             let cache = cached.cache();
-            if cache.config().persist {
+            let killed = self
+                .chaos
+                .as_deref()
+                .is_some_and(ChaosController::is_killed);
+            if cache.config().persist && !killed {
                 // Checkpoint the spill tier (and the RAM working set) so a
                 // restarted daemon re-admits it instead of re-reading
-                // storage. A checkpoint failure must not mask a worker
-                // error — the data-path failure is the root cause.
+                // storage — unless chaos killed this incarnation: a crashed
+                // process saves nothing, and what it had spilled is indexed
+                // when the cache drops. A checkpoint failure must not mask
+                // a worker error — the data-path failure is the root cause.
                 if let Err(e) = cache.persist_now() {
                     if result.is_ok() {
                         result = Err(DaemonError::Storage(RecordError::Io(e)));

@@ -226,7 +226,7 @@ pub struct MetricsSnapshot {
     pub cache_spill_queue_depth: u64,
     /// Times an evictor waited on a full spill queue.
     pub cache_spill_backpressure: u64,
-    /// Disk blocks promoted into RAM by cache warm-start.
+    /// Disk blocks the cache's prefetch executor staged into RAM.
     pub cache_warm_promoted: u64,
     /// Blocks the prefetcher read ahead of demand.
     pub cache_prefetched: u64,
@@ -326,21 +326,6 @@ impl MetricsSnapshot {
             ),
         }
     }
-
-    /// One-line peer-tier report for service output; `None` when the
-    /// cooperative-fleet layer saw no traffic (solo mode).
-    pub fn peer_summary(&self) -> Option<String> {
-        if self.peer_hits + self.peer_misses + self.peer_fallbacks == 0 {
-            return None;
-        }
-        Some(format!(
-            "peers: {} hits / {} misses / {} fallbacks, {} served by peers",
-            self.peer_hits,
-            self.peer_misses,
-            self.peer_fallbacks,
-            emlio_util::bytesize::format_bytes(self.peer_bytes),
-        ))
-    }
 }
 
 #[cfg(test)]
@@ -433,7 +418,6 @@ mod tests {
     fn peer_counters_reconcile_and_summarize() {
         let peer = Arc::new(PeerStats::default());
         let m = over(None, Some(peer.clone()), None);
-        assert_eq!(m.snapshot().peer_summary(), None, "solo mode is silent");
         peer.hits.store(10, Ordering::Relaxed);
         peer.misses.store(2, Ordering::Relaxed);
         peer.fallbacks.store(1, Ordering::Relaxed);
@@ -443,9 +427,6 @@ mod tests {
             (s.peer_hits, s.peer_misses, s.peer_fallbacks, s.peer_bytes),
             (10, 2, 1, 640_000)
         );
-        let line = s.peer_summary().unwrap();
-        assert!(line.contains("10 hits"), "{line}");
-        assert!(line.contains("1 fallbacks"), "{line}");
     }
 
     #[test]

@@ -62,15 +62,6 @@ impl NodePlan {
         self.thread_splits.iter().map(|s| s.len() as u64).sum()
     }
 
-    /// Total records for this node this epoch.
-    pub fn num_records(&self) -> u64 {
-        self.thread_splits
-            .iter()
-            .flatten()
-            .map(|b| b.len() as u64)
-            .sum()
-    }
-
     /// Iterate every batch across threads.
     pub fn all_batches(&self) -> impl Iterator<Item = &BatchRange> {
         self.thread_splits.iter().flatten()
@@ -367,7 +358,11 @@ mod tests {
         let (_d, idx) = index_with(1, 1);
         let plan = Plan::build(&idx, &["n".to_string()], &cfg(64, 2));
         assert_eq!(plan.batches_for(0, "n"), 1);
-        assert_eq!(plan.epochs[0].nodes["n"].num_records(), 1);
+        let records: usize = plan.epochs[0].nodes["n"]
+            .all_batches()
+            .map(|b| b.len())
+            .sum();
+        assert_eq!(records, 1);
     }
 
     #[test]

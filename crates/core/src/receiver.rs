@@ -244,6 +244,39 @@ fn receive_loop(
     expected_streams: u32,
 ) -> Result<(), ZmqError> {
     let interner = StrInterner::new();
+    // Decode one frame and queue its batch for the consumer. `None` once
+    // the consumer is gone; otherwise whether the frame was an
+    // end-of-stream marker.
+    let intake = |frame: bytes::Bytes| -> Option<bool> {
+        let t_scan = Instant::now();
+        let decoded = wire::decode_lazy(&frame, Some(&interner));
+        recorder.record(Stage::RecvScan, t_scan.elapsed().as_nanos() as u64);
+        match decoded {
+            Ok(LazyMsg::Batch(mut batch)) => {
+                batch.stamp_received(clock::now_nanos());
+                metrics.record_batch(batch.len() as u64, batch.payload_bytes());
+                let t_push = Instant::now();
+                tx.send(batch).ok()?;
+                // Time blocked handing the batch to a full queue — the
+                // stall report's queue-full attribution.
+                recorder.record(Stage::QueuePush, t_push.elapsed().as_nanos() as u64);
+                Some(false)
+            }
+            Ok(LazyMsg::EndStream { .. }) => Some(true),
+            Err(e) => {
+                // Corrupt frame: drop it. The CRC layers below make this
+                // effectively unreachable; counting it as a lost batch is
+                // the safe failure mode — but never a *silent* one.
+                FlightRecorder::global().record("recv_corrupt_frame", frame.len() as u64, 0);
+                obs_warn!(
+                    "receiver",
+                    "dropping corrupt {}-byte frame: {e}",
+                    frame.len()
+                );
+                Some(false)
+            }
+        }
+    };
     let mut ended = 0u32;
     while ended < expected_streams {
         if shutdown.load(Ordering::SeqCst) {
@@ -255,42 +288,15 @@ fn receive_loop(
         // thread's total time blocked on the transport, which the stall
         // report attributes as blocked-recv.
         recorder.record(Stage::RecvWait, t_wait.elapsed().as_nanos() as u64);
-        let frame = match polled {
-            Some(f) => f,
-            None => continue,
-        };
-        let t_scan = Instant::now();
-        let decoded = wire::decode_lazy(&frame, Some(&interner));
-        recorder.record(Stage::RecvScan, t_scan.elapsed().as_nanos() as u64);
-        match decoded {
-            Ok(LazyMsg::Batch(mut batch)) => {
-                batch.stamp_received(clock::now_nanos());
-                metrics.record_batch(batch.len() as u64, batch.payload_bytes());
-                let t_push = Instant::now();
-                if tx.send(batch).is_err() {
-                    // Consumer went away; drain politely and stop.
-                    return Ok(());
-                }
-                // Time blocked handing the batch to a full queue — the
-                // stall report's queue-full attribution.
-                recorder.record(Stage::QueuePush, t_push.elapsed().as_nanos() as u64);
-            }
-            Ok(LazyMsg::EndStream { .. }) => {
+        let Some(frame) = polled else { continue };
+        match intake(frame) {
+            // Consumer went away; stop politely.
+            None => return Ok(()),
+            Some(true) => {
                 ended += 1;
                 streams_seen.store(ended, Ordering::SeqCst);
             }
-            Err(e) => {
-                // Corrupt frame: drop it. The CRC layers below make this
-                // effectively unreachable; counting it as a lost batch is
-                // the safe failure mode — but never a *silent* one.
-                FlightRecorder::global().record("recv_corrupt_frame", frame.len() as u64, 0);
-                obs_warn!(
-                    "receiver",
-                    "dropping corrupt {}-byte frame: {e}",
-                    frame.len()
-                );
-                continue;
-            }
+            Some(false) => {}
         }
     }
     // Every expected stream has ended, but frames from streams that died
@@ -308,12 +314,8 @@ fn receive_loop(
         match pull.recv_timeout(Duration::from_millis(20))? {
             Some(frame) => {
                 quiet_ticks = 0;
-                if let Ok(LazyMsg::Batch(mut batch)) = wire::decode_lazy(&frame, Some(&interner)) {
-                    batch.stamp_received(clock::now_nanos());
-                    metrics.record_batch(batch.len() as u64, batch.payload_bytes());
-                    if tx.send(batch).is_err() {
-                        return Ok(());
-                    }
+                if intake(frame).is_none() {
+                    return Ok(());
                 }
             }
             None if all_disconnected => return Ok(()),
@@ -421,6 +423,48 @@ mod tests {
         assert!(Arc::ptr_eq(&origins[0], &origins[1]));
         assert!(Arc::ptr_eq(&origins[1], &origins[2]));
         receiver.join().unwrap();
+    }
+
+    #[test]
+    fn corrupt_frame_after_the_last_marker_is_logged_not_silent() {
+        // One expected stream. A second connection never sends a marker
+        // (a killed daemon's stream), so what it sends after the first
+        // one's marker arrives in the post-marker drain — which must treat
+        // a frame as the main loop does: an undecodable one leaves a
+        // flight event and a warning, a valid one is delivered.
+        const CORRUPT_LEN: usize = 4_321; // this test's own key in the shared ring
+        let receiver = EmlioReceiver::bind(ReceiverConfig::loopback(1)).unwrap();
+        let ep = receiver.endpoint().clone();
+        let markerless = PushSocket::connect(&ep, SocketOptions::default()).unwrap();
+        markerless
+            .send(batch_frame(1, "dying", 0, vec![1]))
+            .unwrap();
+        push_batches(&ep, "whole", vec![2]);
+        assert!(emlio_util::testutil::poll_until(
+            Duration::from_secs(10),
+            || receiver.streams_seen() == 1
+        ));
+        markerless
+            .send(Bytes::from(vec![0xEE; CORRUPT_LEN]))
+            .unwrap();
+        markerless
+            .send(batch_frame(3, "dying", 0, vec![3]))
+            .unwrap();
+        markerless.close().unwrap();
+
+        let mut src = receiver.source();
+        let mut ids: Vec<u64> = std::iter::from_fn(|| src.next_batch())
+            .map(|b| b.batch_id)
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![1, 2, 3], "the drain delivered what followed");
+        receiver.join().unwrap();
+        let logged = FlightRecorder::global()
+            .dump()
+            .iter()
+            .filter(|ev| ev.name == "recv_corrupt_frame" && ev.key == CORRUPT_LEN as u64)
+            .count();
+        assert_eq!(logged, 1, "the drain dropped a corrupt frame silently");
     }
 
     #[test]

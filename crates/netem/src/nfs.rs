@@ -240,38 +240,11 @@ impl NfsMount {
         Ok(data)
     }
 
-    /// Read a byte range of a file (used by loaders that fetch TFRecord
-    /// spans over the mount). Charges open (if uncached) + chunked READs.
-    pub fn read_range(&self, rel: &Path, offset: u64, len: u64) -> io::Result<Vec<u8>> {
-        let full = self.shared.root.join(rel);
-        let cfg = &self.shared.config;
-        if self.attr_check(&full) {
-            self.charge_rtts(cfg.open_rtts);
-        }
-        self.shared.stats.opens.fetch_add(1, Ordering::Relaxed);
-
-        let file = std::fs::File::open(&full)?;
-        let mut buf = vec![0u8; len as usize];
-        read_at(&file, &mut buf, offset)?;
-
-        let chunks = len.div_ceil(cfg.rsize).max(1);
-        let waves = chunks.div_ceil(cfg.readahead.max(1) as u64);
-        self.shared.stats.reads.fetch_add(chunks, Ordering::Relaxed);
-        self.charge_rtts(waves as f64);
-        self.charge_bandwidth(len);
-        self.shared
-            .stats
-            .bytes_read
-            .fetch_add(len, Ordering::Relaxed);
-        Ok(buf)
-    }
-
     /// Open `rel` once, paying the compound LOOKUP+OPEN cost up front, and
     /// return a handle whose positioned reads charge only READ-wave round
     /// trips (plus GETATTR revalidation when the attribute cache entry
     /// expires). This is the open-once/read-many shape a block reader gets
-    /// by holding one handle per shard instead of re-opening per block —
-    /// compare [`NfsMount::read_range`], which pays the open every call.
+    /// by holding one handle per shard instead of re-opening per block.
     pub fn open_file(&self, rel: &Path) -> io::Result<NfsFile> {
         if self.consult(site::NFS_OPEN) == FaultDecision::Error {
             return Err(io::Error::other(format!(
@@ -296,19 +269,6 @@ impl NfsMount {
             file,
             path: full,
         })
-    }
-
-    /// List a directory (READDIR: one round trip per 128 entries).
-    pub fn list_dir(&self, rel: &Path) -> io::Result<Vec<PathBuf>> {
-        let full = self.shared.root.join(rel);
-        let mut names: Vec<PathBuf> = std::fs::read_dir(&full)?
-            .filter_map(|e| e.ok())
-            .map(|e| PathBuf::from(e.file_name()))
-            .collect();
-        names.sort();
-        let round_trips = names.len().div_ceil(128).max(1);
-        self.charge_rtts(round_trips as f64);
-        Ok(names)
     }
 }
 
@@ -456,14 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn range_reads() {
-        let (_d, mount) = setup(0);
-        let data = mount.read_range(Path::new("b.bin"), 100, 5000).unwrap();
-        assert_eq!(data.len(), 5000);
-        assert!(data.iter().all(|&b| b == 2));
-    }
-
-    #[test]
     fn open_file_pays_open_once_across_range_reads() {
         let (_d, mount) = setup(0);
         let f = mount.open_file(Path::new("b.bin")).unwrap();
@@ -472,7 +424,7 @@ mod tests {
             f.read_range_into(i * 1000, 1000, &mut data).unwrap();
             assert!(data.iter().all(|&b| b == 2));
         }
-        // One OPEN for ten positioned reads; read_range() would pay ten.
+        // One OPEN for ten positioned reads.
         assert_eq!(mount.stats().opens.load(Ordering::Relaxed), 1);
         assert_eq!(mount.stats().reads.load(Ordering::Relaxed), 10);
         assert_eq!(mount.stats().bytes_read.load(Ordering::Relaxed), 10_000);
@@ -482,13 +434,6 @@ mod tests {
     fn missing_file_is_io_error() {
         let (_d, mount) = setup(0);
         assert!(mount.read_file(Path::new("missing.bin")).is_err());
-    }
-
-    #[test]
-    fn list_dir_sorted() {
-        let (_d, mount) = setup(0);
-        let names = mount.list_dir(Path::new("")).unwrap();
-        assert_eq!(names, vec![PathBuf::from("a.bin"), PathBuf::from("b.bin")]);
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl NetProfile {
         NetProfile::new("local", Duration::ZERO, 5.0e9)
     }
 
-    /// Same-rack LAN, 0.1 ms RTT at 10 Gbps (paper's UC↔UC regime).
-    pub fn lan_0_1ms() -> Self {
-        NetProfile::new("lan-0.1ms", Duration::from_micros(100), BW_10GBPS)
-    }
-
     /// Emulated 1 ms RTT at 10 Gbps.
     pub fn lan_1ms() -> Self {
         NetProfile::new("lan-1ms", Duration::from_millis(1), BW_10GBPS)
@@ -51,16 +46,6 @@ impl NetProfile {
     /// WAN, 30 ms RTT at 10 Gbps (paper's UC↔TACC regime).
     pub fn wan_30ms() -> Self {
         NetProfile::new("wan-30ms", Duration::from_millis(30), BW_10GBPS)
-    }
-
-    /// The four regimes of Figures 1 and 5, in presentation order.
-    pub fn paper_regimes() -> Vec<NetProfile> {
-        vec![
-            NetProfile::local(),
-            NetProfile::lan_0_1ms(),
-            NetProfile::lan_10ms(),
-            NetProfile::wan_30ms(),
-        ]
     }
 
     /// One-way propagation delay (RTT / 2).
@@ -77,13 +62,6 @@ impl NetProfile {
     pub fn transfer_time(&self, bytes: u64) -> Duration {
         Duration::from_secs_f64(bytes as f64 / self.bandwidth_bps)
     }
-
-    /// Time for one synchronous request/response carrying `bytes` of data:
-    /// one RTT plus serialization. This is the cost model for a single NFS
-    /// READ of `bytes ≤ rsize`.
-    pub fn request_response_time(&self, bytes: u64) -> Duration {
-        self.rtt + self.transfer_time(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -92,8 +70,13 @@ mod tests {
 
     #[test]
     fn paper_regimes_ordered_by_distance() {
-        let regs = NetProfile::paper_regimes();
-        assert_eq!(regs.len(), 4);
+        // The presets, nearest first.
+        let regs = [
+            NetProfile::local(),
+            NetProfile::lan_1ms(),
+            NetProfile::lan_10ms(),
+            NetProfile::wan_30ms(),
+        ];
         for pair in regs.windows(2) {
             assert!(pair[0].rtt <= pair[1].rtt);
         }
@@ -110,11 +93,9 @@ mod tests {
 
     #[test]
     fn transfer_time_scales_linearly() {
-        let lan = NetProfile::lan_0_1ms();
+        let lan = NetProfile::lan_1ms();
         let t1 = lan.transfer_time(1_250_000);
         assert!((t1.as_secs_f64() - 0.001).abs() < 1e-9);
-        let rr = lan.request_response_time(1_250_000);
-        assert!((rr.as_secs_f64() - 0.0011).abs() < 1e-9);
     }
 
     #[test]

@@ -60,12 +60,13 @@ pub enum Stage {
     WireTransit,
     /// Daemon `send` stamp → consumer dequeue (trace-derived).
     EndToEnd,
-    /// Spill-file write of an evicted block. Runs on the dedicated
-    /// `emlio-cache-spill` thread, *off* the send workers' serve path (so
+    /// Spill-file write of an evicted block, or a checkpoint's. Runs on the
+    /// dedicated `emlio-cache-spill` thread, *off* the send workers' serve path (so
     /// it is neither exclusive nor nested within `BatchAssemble`).
     SpillWrite,
-    /// Warm-start promotion of a re-admitted disk block into RAM ahead of
-    /// demand (plan-install time, before any send worker runs).
+    /// The prefetch executor staging a disk-tier block into RAM ahead of
+    /// demand: validated spill-file read plus admission, on a helper
+    /// thread beside the send workers.
     WarmPromote,
     /// Time the data path spent absorbing injected or transient faults:
     /// retry backoff sleeps on the storage path plus injected latency

@@ -4,8 +4,8 @@
 //! runs decode → resize → crop → normalize per sample (on the accelerator
 //! wrapper when GPU placement is selected), and pushes processed batches
 //! into a bounded prefetch queue of depth `Q`. The training loop consumes
-//! via [`Pipeline::next_batch`]; `warm_up` pre-fills the queue exactly like
-//! Algorithm 3's "manually run Q iterations".
+//! via [`Pipeline::next_batch`]; the workers run ahead of it until the
+//! queue is full, which is Algorithm 3's "manually run Q iterations".
 
 use crate::external_source::ExternalSource;
 use crate::gpu::Accelerator;
@@ -228,26 +228,6 @@ impl Pipeline {
         }
     }
 
-    /// Block until the prefetch queue holds `q` batches or the source ends
-    /// (Algorithm 3 line 4's warm-up).
-    pub fn warm_up(&self, q: usize) {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while self.rx.len() < q && std::time::Instant::now() < deadline {
-            if self.feeder.is_none() {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            // If the producers already finished, stop waiting.
-            if self.rx.is_empty() && self.all_workers_done() {
-                break;
-            }
-        }
-    }
-
-    fn all_workers_done(&self) -> bool {
-        self.workers.iter().all(|h| h.is_finished())
-    }
-
     /// Next processed batch, in arrival order; `None` once the source is
     /// exhausted and every in-flight batch has been delivered.
     pub fn next_batch(&self) -> Option<ProcessedBatch> {
@@ -464,7 +444,12 @@ mod tests {
             .threads(2)
             .prefetch(3)
             .build(Box::new(VecSource::new(raw)));
-        pipe.warm_up(3);
+        // Algorithm 3 line 4's warm-up needs no call: the workers run
+        // ahead of the consumer until the queue holds Q batches.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while pipe.rx.len() < 3 && std::time::Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
         assert!(pipe.rx.len() >= 3, "queue pre-filled to Q");
         while pipe.next_batch().is_some() {}
     }

@@ -258,11 +258,6 @@ impl PipelineSim {
         self.schedule(SimTime::ZERO, Ev::Arrive(token));
     }
 
-    /// Feed a token arriving at `at`.
-    pub fn push_arrival(&mut self, at: SimTime, token: Token) {
-        self.schedule(at, Ev::Arrive(token));
-    }
-
     fn schedule(&mut self, at: SimTime, ev: Ev) {
         let seq = self.seq;
         self.seq += 1;
@@ -481,23 +476,6 @@ mod tests {
         let r = sim.run();
         let ids: Vec<u64> = r.completions.iter().map(|c| c.token.id).collect();
         assert_eq!(ids, (0..30).collect::<Vec<_>>());
-    }
-
-    /// Arrivals over time: an idle pipeline processes each on arrival.
-    #[test]
-    fn timed_arrivals() {
-        let mut sim = PipelineSim::new(1_000);
-        sim.add_stage(StageSpec::servers("s", 1, usize::MAX, |_| 10));
-        for i in 0..5u64 {
-            sim.push_arrival(SimTime(i * 100), Token::new(i, 0));
-        }
-        let r = sim.run();
-        let exits: Vec<u64> = r.completions.iter().map(|c| c.exited.nanos()).collect();
-        assert_eq!(exits, vec![10, 110, 210, 310, 410]);
-        // Latency of each token is exactly its service time (no queueing).
-        for c in &r.completions {
-            assert_eq!((c.exited - c.entered).as_nanos(), 10);
-        }
     }
 
     /// Service time can depend on token bytes.

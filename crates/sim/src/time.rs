@@ -17,11 +17,6 @@ impl SimTime {
         SimTime(emlio_util::secs_to_nanos(secs))
     }
 
-    /// From a `Duration`.
-    pub fn from_duration(d: Duration) -> SimTime {
-        SimTime(d.as_nanos().min(u64::MAX as u128) as u64)
-    }
-
     /// As seconds.
     pub fn as_secs_f64(self) -> f64 {
         emlio_util::nanos_to_secs(self.0)
@@ -80,10 +75,6 @@ mod tests {
         let t = SimTime::from_secs_f64(1.5);
         assert_eq!(t.nanos(), 1_500_000_000);
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-12);
-        assert_eq!(
-            SimTime::from_duration(Duration::from_millis(3)).nanos(),
-            3_000_000
-        );
     }
 
     #[test]

@@ -76,11 +76,6 @@ impl BucketTrace {
         self.busy_secs(i) / (self.bucket_nanos as f64 / 1e9)
     }
 
-    /// Total busy server-seconds over the whole trace.
-    pub fn total_busy_secs(&self) -> f64 {
-        self.buckets.iter().sum::<f64>() / 1e9
-    }
-
     /// Merge another trace (same bucket width) into this one.
     pub fn merge(&mut self, other: &BucketTrace) {
         assert_eq!(
@@ -160,6 +155,7 @@ mod tests {
         b.add_interval(SimTime(100), SimTime(300));
         a.merge(&b);
         assert_eq!(a.len(), 3);
-        assert!((a.total_busy_secs() - 300e-9).abs() < 1e-15);
+        let total: f64 = (0..a.len()).map(|i| a.busy_secs(i)).sum();
+        assert!((total - 300e-9).abs() < 1e-15);
     }
 }

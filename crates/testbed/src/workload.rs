@@ -98,23 +98,23 @@ impl Workload {
     pub fn batch_bytes(&self) -> u64 {
         self.batch_size * self.sample_bytes
     }
-
-    /// Compute-only epoch time, seconds.
-    pub fn train_secs(&self) -> f64 {
-        self.samples as f64 * self.step_secs_per_sample()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Compute-only epoch time, seconds.
+    fn train_secs(w: &Workload) -> f64 {
+        w.samples as f64 * w.step_secs_per_sample()
+    }
+
     #[test]
     fn imagenet_anchor() {
         let w = Workload::imagenet_resnet50();
         assert_eq!(w.samples, 104_857);
         assert_eq!(w.batches(), 1639);
-        let t = w.train_secs();
+        let t = train_secs(&w);
         assert!(
             (145.0..160.0).contains(&t),
             "train-bound epoch ≈152 s, got {t}"
@@ -124,7 +124,7 @@ mod tests {
     #[test]
     fn coco_anchor() {
         let w = Workload::coco_resnet50();
-        let t = w.train_secs();
+        let t = train_secs(&w);
         assert!((215.0..245.0).contains(&t), "COCO epoch ≈230 s, got {t}");
     }
 
@@ -133,7 +133,7 @@ mod tests {
         let w = Workload::synthetic_2mb();
         assert_eq!(w.samples, 5_120);
         assert_eq!(w.batch_bytes(), 128 << 20);
-        let t = w.train_secs();
+        let t = train_secs(&w);
         assert!(
             (34.0..42.0).contains(&t),
             "synthetic consumer ≈38 s, got {t}"

@@ -234,11 +234,6 @@ pub fn mask(crc: u32) -> u32 {
     crc.rotate_right(15).wrapping_add(MASK_DELTA)
 }
 
-/// Remove the TFRecord mask.
-pub fn unmask(masked: u32) -> u32 {
-    masked.wrapping_sub(MASK_DELTA).rotate_left(15)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,7 +280,8 @@ mod tests {
     #[test]
     fn mask_roundtrip() {
         for &c in &[0u32, 1, 0xdeadbeef, u32::MAX, 0x12345678] {
-            assert_eq!(unmask(mask(c)), c);
+            // Undoing the add, then the rotate, gives the CRC back.
+            assert_eq!(mask(c).wrapping_sub(MASK_DELTA).rotate_left(15), c);
         }
     }
 

@@ -4,7 +4,6 @@
 use crate::record::RecordError;
 use crate::Result;
 use emlio_util::json::Json;
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// Metadata for one record inside a shard.
@@ -214,18 +213,6 @@ impl GlobalIndex {
         self.shards.iter().map(|s| s.total_bytes()).sum()
     }
 
-    /// Global label histogram (Algorithm 2, line 2: "build global label map
-    /// from all shards").
-    pub fn label_map(&self) -> BTreeMap<u32, u64> {
-        let mut map = BTreeMap::new();
-        for s in &self.shards {
-            for r in &s.records {
-                *map.entry(r.label).or_insert(0) += 1;
-            }
-        }
-        map
-    }
-
     /// Absolute path of a shard's data file.
     pub fn shard_path(&self, shard_id: u32) -> PathBuf {
         self.dir.join(&self.shards[shard_id as usize].file_name)
@@ -333,11 +320,6 @@ mod tests {
         let g = GlobalIndex::load_dir(dir.path()).unwrap();
         assert_eq!(g.shards.len(), 3);
         assert_eq!(g.total_records(), 30);
-        let labels = g.label_map();
-        // Labels 0,1,2 appear 4,3,3 times per shard of 10.
-        assert_eq!(labels[&0], 12);
-        assert_eq!(labels[&1], 9);
-        assert_eq!(labels[&2], 9);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! * the exact on-disk TFRecord framing used by TensorFlow — little-endian
 //!   `u64` length, masked CRC32C of the length, payload, masked CRC32C of the
 //!   payload ([`record`], [`crc32c`]);
-//! * sequential writing/reading ([`writer`], [`reader`]) plus **range
-//!   reads** ([`RangeReader`]): a shard is memory-mapped once, read-only,
+//! * sequential writing ([`writer`]) and **range reads** ([`reader`],
+//!   [`RangeReader`]): a shard is memory-mapped once, read-only,
 //!   and a daemon thread takes one contiguous block of `B` records as a
 //!   refcounted view of the mapping — no buffer, no copy, no seek, the
 //!   paper's substitute for per-record small reads. Where a shard cannot
@@ -31,7 +31,7 @@ pub mod source;
 pub mod writer;
 
 pub use index::{GlobalIndex, RecordMeta, ShardIndex};
-pub use reader::{RangeReader, RecordReader};
+pub use reader::RangeReader;
 pub use record::{RecordError, FRAME_OVERHEAD};
 pub use retry::{RetrySource, RetryStats, RetryStatsSnapshot};
 pub use shard::{ShardSpec, ShardWriter};

@@ -1,102 +1,11 @@
-//! TFRecord reading: sequential iteration and positioned range reads.
+//! TFRecord reading: positioned range reads.
 
 use crate::mapped;
 use crate::record::{decode_all, decode_at, DecodedRecord, RecordError};
 use crate::Result;
 use bytes::Bytes;
 use std::fs::File;
-use std::io::Read;
 use std::path::Path;
-
-/// Sanity cap on a single record's length (1 GiB) — a corrupt header must
-/// not trigger a giant allocation.
-pub const MAX_RECORD_LEN: u64 = 1 << 30;
-
-/// Sequential reader over any `Read` stream.
-pub struct RecordReader<R: Read> {
-    src: R,
-    offset: u64,
-    verify_crc: bool,
-}
-
-impl<R: Read> RecordReader<R> {
-    /// Reader with CRC verification on.
-    pub fn new(src: R) -> Self {
-        RecordReader {
-            src,
-            offset: 0,
-            verify_crc: true,
-        }
-    }
-
-    /// Disable CRC verification (trusted replay).
-    pub fn without_crc_verification(mut self) -> Self {
-        self.verify_crc = false;
-        self
-    }
-
-    /// Read the next record's payload, or `None` at clean EOF.
-    pub fn next_record(&mut self) -> Result<Option<Vec<u8>>> {
-        let mut header = [0u8; 12];
-        match read_exact_or_eof(&mut self.src, &mut header)? {
-            0 => return Ok(None),
-            12 => {}
-            _ => {
-                return Err(RecordError::Truncated {
-                    offset: self.offset,
-                })
-            }
-        }
-        let len_bytes: [u8; 8] = header[..8].try_into().unwrap();
-        let stored_len_crc = u32::from_le_bytes(header[8..].try_into().unwrap());
-        if self.verify_crc && crate::crc32c::masked_crc32c(&len_bytes) != stored_len_crc {
-            return Err(RecordError::CorruptLength {
-                offset: self.offset,
-            });
-        }
-        let len = u64::from_le_bytes(len_bytes);
-        if len > MAX_RECORD_LEN {
-            return Err(RecordError::OversizedRecord {
-                offset: self.offset,
-                length: len,
-                limit: MAX_RECORD_LEN,
-            });
-        }
-        let mut payload = vec![0u8; len as usize];
-        self.src
-            .read_exact(&mut payload)
-            .map_err(|_| RecordError::Truncated {
-                offset: self.offset,
-            })?;
-        let mut crc_bytes = [0u8; 4];
-        self.src
-            .read_exact(&mut crc_bytes)
-            .map_err(|_| RecordError::Truncated {
-                offset: self.offset,
-            })?;
-        if self.verify_crc
-            && crate::crc32c::masked_crc32c(&payload) != u32::from_le_bytes(crc_bytes)
-        {
-            return Err(RecordError::CorruptPayload {
-                offset: self.offset,
-            });
-        }
-        self.offset += crate::record::encoded_len(payload.len());
-        Ok(Some(payload))
-    }
-}
-
-/// Read into `buf` fully, or return 0 if EOF hits before the first byte.
-fn read_exact_or_eof<R: Read>(src: &mut R, buf: &mut [u8]) -> Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match src.read(&mut buf[filled..])? {
-            0 => return Ok(filled),
-            n => filled += n,
-        }
-    }
-    Ok(filled)
-}
 
 /// Range reads against a shard file: the contiguous byte range covering a
 /// whole batch comes back in **one** piece, and the records are parsed out
@@ -272,12 +181,12 @@ mod tests {
 
     #[test]
     fn sequential_reader_roundtrip() {
+        // What the writer framed comes back, in order, from one read of
+        // the whole file.
         let (_g, path, _) = temp_shard(&[b"one", b"two", b"three"]);
-        let mut r = RecordReader::new(std::fs::File::open(&path).unwrap());
-        assert_eq!(r.next_record().unwrap().unwrap(), b"one");
-        assert_eq!(r.next_record().unwrap().unwrap(), b"two");
-        assert_eq!(r.next_record().unwrap().unwrap(), b"three");
-        assert!(r.next_record().unwrap().is_none());
+        let rr = RangeReader::open(&path).unwrap();
+        let recs = rr.read_records_in_range(0, rr.len()).unwrap();
+        assert_eq!(recs, [&b"one"[..], b"two", b"three"]);
     }
 
     #[test]
@@ -328,16 +237,27 @@ mod tests {
 
     #[test]
     fn oversized_header_rejected() {
-        // Forge a header claiming a huge record.
-        let mut buf = Vec::new();
-        let len_bytes = (u64::MAX / 2).to_le_bytes();
-        buf.extend_from_slice(&len_bytes);
-        buf.extend_from_slice(&crate::crc32c::masked_crc32c(&len_bytes).to_le_bytes());
-        let mut r = RecordReader::new(&buf[..]);
-        assert!(matches!(
-            r.next_record(),
-            Err(RecordError::OversizedRecord { .. })
-        ));
+        // Forge a header — its CRC valid — claiming a huge record: the
+        // claim is checked against the bytes there are before anything is
+        // sized by it, with and without CRC verification.
+        let dir = TempDir::new("tfrecord-reader-forged");
+        let path = dir.file("shard.tfrecord");
+        for claimed in [u64::MAX / 2, u64::MAX] {
+            let len_bytes = claimed.to_le_bytes();
+            let mut buf = len_bytes.to_vec();
+            buf.extend_from_slice(&crate::crc32c::masked_crc32c(&len_bytes).to_le_bytes());
+            buf.extend_from_slice(&[0u8; 8]);
+            std::fs::write(&path, &buf).unwrap();
+            for rr in [
+                RangeReader::open(&path).unwrap(),
+                RangeReader::open(&path).unwrap().without_crc_verification(),
+            ] {
+                assert!(matches!(
+                    rr.read_records_in_range(0, rr.len()),
+                    Err(RecordError::Truncated { offset: 0 })
+                ));
+            }
+        }
     }
 
     #[test]

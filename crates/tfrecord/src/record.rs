@@ -29,12 +29,6 @@ pub enum RecordError {
     Truncated { offset: u64 },
     /// A shard index file failed to parse or disagreed with the data file.
     BadIndex(String),
-    /// A record exceeded the configured sanity limit.
-    OversizedRecord {
-        offset: u64,
-        length: u64,
-        limit: u64,
-    },
 }
 
 impl RecordError {
@@ -60,14 +54,6 @@ impl fmt::Display for RecordError {
             }
             RecordError::Truncated { offset } => write!(f, "truncated record at offset {offset}"),
             RecordError::BadIndex(msg) => write!(f, "bad shard index: {msg}"),
-            RecordError::OversizedRecord {
-                offset,
-                length,
-                limit,
-            } => write!(
-                f,
-                "record of {length} bytes at offset {offset} exceeds limit {limit}"
-            ),
         }
     }
 }

@@ -9,7 +9,6 @@ use std::io::Write;
 pub struct RecordWriter<W: Write> {
     sink: W,
     offset: u64,
-    records: u64,
     scratch: Vec<u8>,
 }
 
@@ -19,7 +18,6 @@ impl<W: Write> RecordWriter<W> {
         RecordWriter {
             sink,
             offset: 0,
-            records: 0,
             scratch: Vec::new(),
         }
     }
@@ -31,18 +29,12 @@ impl<W: Write> RecordWriter<W> {
         encode_into(payload, &mut self.scratch);
         self.sink.write_all(&self.scratch)?;
         self.offset += encoded_len(payload.len());
-        self.records += 1;
         Ok(at)
     }
 
     /// Total bytes written.
     pub fn bytes_written(&self) -> u64 {
         self.offset
-    }
-
-    /// Number of records written.
-    pub fn records_written(&self) -> u64 {
-        self.records
     }
 
     /// Flush and return the inner sink.
@@ -64,7 +56,6 @@ mod tests {
         let o1 = w.write_record(b"defgh").unwrap();
         assert_eq!(o0, 0);
         assert_eq!(o1, encoded_len(3));
-        assert_eq!(w.records_written(), 2);
         assert_eq!(w.bytes_written(), encoded_len(3) + encoded_len(5));
         let buf = w.finish().unwrap();
         let recs = decode_all(&buf, true).unwrap();

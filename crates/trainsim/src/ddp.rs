@@ -25,16 +25,6 @@ pub struct DdpConfig {
 }
 
 impl DdpConfig {
-    /// Single-node (no sync at all).
-    pub fn single_node() -> DdpConfig {
-        DdpConfig {
-            nodes: 1,
-            link_bw: 1.25e9,
-            rtt: Duration::ZERO,
-            overlap_fraction: 0.7,
-        }
-    }
-
     /// `n` nodes over a 10 Gbps link with the given RTT.
     pub fn cluster(n: u32, rtt: Duration) -> DdpConfig {
         assert!(n >= 1, "need at least one node");
@@ -93,7 +83,7 @@ mod tests {
 
     #[test]
     fn single_node_is_free() {
-        let c = DdpConfig::single_node();
+        let c = DdpConfig::cluster(1, Duration::ZERO);
         assert_eq!(allreduce_time(1 << 30, &c), Duration::ZERO);
         let cost = sync_cost(&ModelProfile::resnet50(), Duration::from_millis(90), &c);
         assert_eq!(cost.added_step_time, Duration::ZERO);

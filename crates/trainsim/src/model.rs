@@ -58,11 +58,6 @@ impl ModelProfile {
     pub fn step_time(&self, batch: usize) -> Duration {
         Duration::from_secs_f64(self.step_secs_per_sample * batch as f64)
     }
-
-    /// Compute time for one epoch of `samples` samples.
-    pub fn epoch_compute_time(&self, samples: u64) -> Duration {
-        Duration::from_secs_f64(self.step_secs_per_sample * samples as f64)
-    }
 }
 
 #[cfg(test)]
@@ -73,7 +68,7 @@ mod tests {
     fn resnet50_epoch_matches_paper_anchor() {
         // 10 GB at 0.1 MB/sample = 102 400 samples.
         let profile = ModelProfile::resnet50();
-        let epoch = profile.epoch_compute_time(102_400).as_secs_f64();
+        let epoch = profile.step_time(102_400).as_secs_f64();
         assert!(
             (140.0..165.0).contains(&epoch),
             "local ResNet-50 epoch should be ≈150 s, got {epoch}"

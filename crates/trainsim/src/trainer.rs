@@ -1,10 +1,8 @@
-//! Training-loop driver: pipeline → (real or simulated) step → timestamps.
+//! Training-loop driver: pipeline → training step → timestamps.
 
 use crate::mlp::Mlp;
-use crate::model::ModelProfile;
 use emlio_pipeline::{Pipeline, ProcessedBatch};
 use emlio_util::clock::SharedClock;
-use std::time::Duration;
 
 /// One iteration record.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,29 +39,14 @@ impl TrainLog {
 /// Drives a training loop over a preprocessing pipeline.
 pub struct Trainer {
     clock: SharedClock,
-    /// Simulated per-sample step cost (None = consume at full speed).
-    profile: Option<ModelProfile>,
-    /// Optional real model trained on the arriving tensors.
-    mlp: Option<Mlp>,
+    /// The model trained on the arriving tensors.
+    mlp: Mlp,
 }
 
 impl Trainer {
-    /// A trainer that simulates step time from `profile`.
-    pub fn simulated(clock: SharedClock, profile: ModelProfile) -> Trainer {
-        Trainer {
-            clock,
-            profile: Some(profile),
-            mlp: None,
-        }
-    }
-
     /// A trainer that really trains `mlp` (step time = actual compute).
     pub fn real(clock: SharedClock, mlp: Mlp) -> Trainer {
-        Trainer {
-            clock,
-            profile: None,
-            mlp: Some(mlp),
-        }
+        Trainer { clock, mlp }
     }
 
     /// Consume the pipeline to exhaustion, stepping per batch.
@@ -77,33 +60,22 @@ impl Trainer {
 
     /// One training step.
     pub fn step(&mut self, batch: &ProcessedBatch) -> IterLog {
-        let loss = self.mlp.as_mut().map(|mlp| {
-            let pairs: Vec<(&emlio_pipeline::Tensor, u32)> = batch
-                .tensors
-                .iter()
-                .zip(batch.labels.iter().copied())
-                .collect();
-            if pairs.is_empty() {
-                0.0
-            } else {
-                mlp.train_batch(&pairs)
-            }
-        });
-        if let Some(profile) = &self.profile {
-            let cost: Duration = profile.step_time(batch.tensors.len());
-            self.clock.sleep_nanos(cost.as_nanos() as u64);
-        }
+        let pairs: Vec<(&emlio_pipeline::Tensor, u32)> = batch
+            .tensors
+            .iter()
+            .zip(batch.labels.iter().copied())
+            .collect();
+        let loss = if pairs.is_empty() {
+            0.0
+        } else {
+            self.mlp.train_batch(&pairs)
+        };
         IterLog {
             t_nanos: self.clock.now_nanos(),
             epoch: batch.epoch,
             samples: batch.tensors.len(),
-            loss,
+            loss: Some(loss),
         }
-    }
-
-    /// Access the trained model (if any).
-    pub fn model(&self) -> Option<&Mlp> {
-        self.mlp.as_ref()
     }
 }
 
@@ -146,26 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn simulated_trainer_paces_by_profile() {
-        let spec = DatasetSpec::tiny("trn", 8);
-        let pipe = PipelineBuilder::new()
-            .threads(2)
-            .build(Box::new(VecSource::new(raw_batches(&spec, 4))));
-        let mut profile = ModelProfile::resnet50();
-        profile.step_secs_per_sample = 0.002; // 2 ms/sample for the test
-        let mut trainer = Trainer::simulated(RealClock::shared(), profile);
-        let t0 = std::time::Instant::now();
-        let log = trainer.run(&pipe);
-        let elapsed = t0.elapsed();
-        assert_eq!(log.total_samples(), 8);
-        assert!(
-            elapsed >= Duration::from_millis(14),
-            "8 samples × 2 ms ≈ 16 ms of step time, got {elapsed:?}"
-        );
-        assert!(log.final_loss().is_none());
-    }
-
-    #[test]
     fn real_trainer_reports_loss() {
         let spec = DatasetSpec::tiny("trn2", 12);
         let pipe = PipelineBuilder::new()
@@ -177,6 +129,5 @@ mod tests {
         let log = trainer.run(&pipe);
         assert_eq!(log.iters.len(), 3);
         assert!(log.final_loss().unwrap() > 0.0);
-        assert!(trainer.model().is_some());
     }
 }

@@ -54,13 +54,6 @@ impl TsdbClient {
     pub fn dump(&self) -> String {
         crate::line::dump(&self.db.read())
     }
-
-    /// Load a line-protocol dump into a fresh client.
-    pub fn from_dump(text: &str) -> Result<TsdbClient, String> {
-        Ok(TsdbClient {
-            db: Arc::new(RwLock::new(crate::line::load(text)?)),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -101,10 +94,10 @@ mod tests {
     fn dump_restore() {
         let client = TsdbClient::new();
         client.write_point(Point::new("m").field("x", 7.0).at(1));
-        let restored = TsdbClient::from_dump(&client.dump()).unwrap();
+        let restored = crate::line::load(&client.dump()).unwrap();
         assert_eq!(restored.point_count(), 1);
         assert_eq!(
-            restored.aggregate(&Query::new("m", "x"), Agg::Last),
+            Query::new("m", "x").aggregate(&restored, Agg::Last),
             Some(7.0)
         );
     }

@@ -1,4 +1,4 @@
-//! Human-readable byte sizes for reports and configuration.
+//! Human-readable byte sizes for reports.
 
 /// Format a byte count with binary-ish decimal units (KB = 1000 B style is
 /// avoided; we use IEC multiples but the familiar suffixes the paper uses:
@@ -23,32 +23,6 @@ pub fn format_bytes(bytes: u64) -> String {
     }
 }
 
-/// Parse sizes like `"64"`, `"10GiB"`, `"0.1 MiB"`, `"2MB"` (decimal MB/GB
-/// accepted as their IEC equivalents for convenience). Returns `None` on
-/// malformed input.
-pub fn parse_bytes(text: &str) -> Option<u64> {
-    let t = text.trim();
-    let split = t
-        .char_indices()
-        .find(|(_, c)| c.is_ascii_alphabetic())
-        .map(|(i, _)| i)
-        .unwrap_or(t.len());
-    let (num, unit) = t.split_at(split);
-    let num: f64 = num.trim().parse().ok()?;
-    if num < 0.0 {
-        return None;
-    }
-    let mult: u64 = match unit.trim().to_ascii_lowercase().as_str() {
-        "" | "b" => 1,
-        "k" | "kb" | "kib" => 1 << 10,
-        "m" | "mb" | "mib" => 1 << 20,
-        "g" | "gb" | "gib" => 1 << 30,
-        "t" | "tb" | "tib" => 1u64 << 40,
-        _ => return None,
-    };
-    Some((num * mult as f64).round() as u64)
-}
-
 /// Megabytes (MiB) → bytes, for the paper's per-sample sizes.
 pub const fn mib(n: u64) -> u64 {
     n << 20
@@ -71,27 +45,5 @@ mod tests {
         assert_eq!(format_bytes(10 * 1024 * 1024), "10.0 MiB");
         assert_eq!(format_bytes(gib(10)), "10.0 GiB");
         assert!(format_bytes(u64::MAX).contains("PiB"));
-    }
-
-    #[test]
-    fn parsing() {
-        assert_eq!(parse_bytes("64"), Some(64));
-        assert_eq!(parse_bytes("1 KiB"), Some(1024));
-        assert_eq!(parse_bytes("2MB"), Some(mib(2)));
-        assert_eq!(parse_bytes("0.5 GiB"), Some(gib(1) / 2));
-        assert_eq!(parse_bytes("10GiB"), Some(gib(10)));
-        assert_eq!(parse_bytes("nonsense"), None);
-        assert_eq!(parse_bytes("-1KB"), None);
-        assert_eq!(parse_bytes("3 XB"), None);
-    }
-
-    #[test]
-    fn roundtrip_common_sizes() {
-        for &b in &[1u64, 1024, mib(1), mib(100), gib(2)] {
-            let parsed = parse_bytes(&format_bytes(b)).unwrap();
-            // Formatting truncates; accept 1% slack.
-            let err = (parsed as f64 - b as f64).abs() / b as f64;
-            assert!(err < 0.01, "{} -> {} -> {}", b, format_bytes(b), parsed);
-        }
     }
 }

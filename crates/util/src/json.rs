@@ -152,14 +152,6 @@ impl Json {
         }
     }
 
-    /// As bool, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// As array slice, if this is an array.
     pub fn as_arr(&self) -> Option<&[Json]> {
         match self {
@@ -547,7 +539,7 @@ mod tests {
         assert_eq!(v.get("f").unwrap().as_f64(), Some(1.5));
         assert_eq!(v.get("f").unwrap().as_u64(), None);
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
-        assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
+        assert_eq!(v.get("b"), Some(&Json::Bool(true)));
         assert_eq!(v.get("missing"), None);
     }
 

@@ -39,17 +39,6 @@ impl TokenBucket {
         self.last_refill_nanos = now;
     }
 
-    /// Try to take `n` tokens without blocking. Returns true on success.
-    pub fn try_take(&mut self, n: f64) -> bool {
-        self.refill();
-        if self.tokens >= n {
-            self.tokens -= n;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Nanoseconds until `n` tokens will be available (0 if available now).
     /// Requests larger than the burst are paced at the steady rate.
     pub fn delay_for(&mut self, n: f64) -> u64 {
@@ -100,11 +89,13 @@ mod tests {
     fn burst_then_empty() {
         let clock = ManualClock::new();
         let mut tb = TokenBucket::new(clock.shared(), 1000.0, 100.0);
-        assert!(tb.try_take(100.0));
-        assert!(!tb.try_take(1.0));
+        assert_eq!(tb.delay_for(100.0), 0);
+        tb.take(100.0);
+        assert!(tb.delay_for(1.0) > 0);
         clock.advance(crate::secs_to_nanos(0.05)); // refills 50 tokens
-        assert!(tb.try_take(50.0));
-        assert!(!tb.try_take(1.0));
+        assert_eq!(tb.delay_for(50.0), 0);
+        tb.take(50.0);
+        assert!(tb.delay_for(1.0) > 0);
     }
 
     #[test]
@@ -112,8 +103,9 @@ mod tests {
         let clock = ManualClock::new();
         let mut tb = TokenBucket::new(clock.shared(), 1000.0, 100.0);
         clock.advance(crate::secs_to_nanos(10.0));
-        assert!(tb.try_take(100.0));
-        assert!(!tb.try_take(1.0));
+        assert_eq!(tb.delay_for(100.0), 0);
+        tb.take(100.0);
+        assert!(tb.delay_for(1.0) > 0);
     }
 
     #[test]
@@ -121,7 +113,7 @@ mod tests {
         let clock = ManualClock::new();
         let mut tb = TokenBucket::new(clock.shared(), 1000.0, 100.0);
         assert_eq!(tb.delay_for(100.0), 0);
-        tb.try_take(100.0);
+        tb.take(100.0);
         let d = tb.delay_for(10.0);
         assert!((d as f64 / 1e9 - 0.01).abs() < 1e-6, "expect 10ms, got {d}");
     }

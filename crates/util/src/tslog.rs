@@ -53,14 +53,6 @@ impl TimestampLogger {
         evs
     }
 
-    /// Events with a given name, in time order.
-    pub fn named(&self, name: &str) -> Vec<Event> {
-        self.snapshot()
-            .into_iter()
-            .filter(|e| e.name == name)
-            .collect()
-    }
-
     /// Interval between the first `start` event and the last `end` event, in
     /// nanoseconds; `None` if either is missing or reversed.
     pub fn interval_nanos(&self, start: &str, end: &str) -> Option<u64> {
@@ -104,7 +96,12 @@ mod tests {
         log.log("epoch_end", "0");
 
         assert_eq!(log.len(), 4);
-        assert_eq!(log.named("batch_send").len(), 2);
+        let sends = log
+            .snapshot()
+            .iter()
+            .filter(|e| e.name == "batch_send")
+            .count();
+        assert_eq!(sends, 2);
         assert_eq!(log.interval_nanos("epoch_start", "epoch_end"), Some(3_500));
         assert_eq!(log.interval_nanos("epoch_end", "epoch_start"), None);
         assert_eq!(log.interval_nanos("missing", "epoch_end"), None);

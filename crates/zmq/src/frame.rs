@@ -184,13 +184,6 @@ pub fn write_frames<W: Write>(w: &mut W, frames: &[Frame]) -> Result<u64> {
     Ok(writes)
 }
 
-/// Write one frame from a scatter list: a single `u32` length prefix
-/// covering all segments, then each segment in order. Wire-identical to
-/// [`write_frame`] over the gathered payload.
-pub fn write_frame_segments<W: Write>(w: &mut W, frame: &Frame) -> Result<()> {
-    write_frames(w, std::slice::from_ref(frame)).map(|_| ())
-}
-
 /// Write one contiguous frame: the reference [`write_frames`] is tested
 /// against, and what tests craft raw streams with.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
@@ -334,7 +327,7 @@ mod tests {
         assert_eq!(frame.len(), 104);
 
         let mut scattered = Vec::new();
-        write_frame_segments(&mut scattered, &frame).unwrap();
+        write_frames(&mut scattered, std::slice::from_ref(&frame)).unwrap();
         let mut gathered = Vec::new();
         write_frame(&mut gathered, &frame.clone().into_bytes()).unwrap();
         assert_eq!(scattered, gathered);

@@ -4,7 +4,7 @@
 //! emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
 //! emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
 //!                [--cache-mb MB] [--cache-disk-mb MB] [--cache-persist DIR]
-//!                [--prefetch 0|1] [--spill-queue N] [--warm-start MB]
+//!                [--prefetch 0|1] [--spill-queue N]
 //! emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
 //! emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB] [...]
 //! emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablations]
@@ -27,11 +27,9 @@
 //! background spill writer's order queue (at least 1; an evictor that
 //! finds it full waits for the writer). `--prefetch 0` switches the
 //! plan-ahead prefetcher off, `1` (the default) on (how far it
-//! runs ahead is set by `--cache-mb`).
-//! `--warm-start MB` promotes that
-//! much of a persistent cache's disk tier back into RAM, earliest plan
-//! positions first, before the first batch is served. A flag the command
-//! does not know is an error, not a no-op.
+//! runs ahead is set by `--cache-mb`); it fills free RAM from the disk
+//! tier as well as from storage, so a restarted persistent cache needs no
+//! warm-up step. A flag the command does not know is an error, not a no-op.
 
 use emlio::bench::contention::shared_mount_storage;
 use emlio::cache::peer::PeerConfig;
@@ -122,7 +120,6 @@ const CONFIG_FLAGS: &[&str] = &[
     "cache-persist",
     "prefetch",
     "spill-queue",
-    "warm-start",
 ];
 /// What [`MetricsFile::spawn`] reads (daemon, receive and bench-io).
 const METRICS_FLAGS: &[&str] = &["metrics-out", "sample-ms"];
@@ -134,7 +131,7 @@ USAGE:
   emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
   emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
                  [--cache-mb MB] [--cache-disk-mb MB] [--cache-persist DIR]
-                 [--prefetch 0|1] [--spill-queue N] [--warm-start MB]
+                 [--prefetch 0|1] [--spill-queue N]
   emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
   emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB]
                  [--peer-fleet N] [--peer-timeout-ms MS] [...]
@@ -330,24 +327,13 @@ fn config_from(flags: &HashMap<String, String>) -> Result<EmlioConfig, String> {
             .with_ram_bytes(cache_mb << 20)
             .with_disk_bytes(disk_mb << 20)
             .with_prefetch_depth(prefetch)
-            .with_spill_queue(spill_queue)
-            .with_warm_start_bytes(
-                get_num(flags, "warm-start", 0u64)
-                    .map_err(|e| format!("{e} (valid values: RAM budget in MiB, 0 = disabled)"))?
-                    << 20,
-            );
+            .with_spill_queue(spill_queue);
         if let Some(dir) = persist_dir {
             cache = cache.with_persist_dir(dir.into());
         }
         config = config.with_cache(cache);
     } else {
-        for flag in [
-            "cache-persist",
-            "cache-disk-mb",
-            "prefetch",
-            "spill-queue",
-            "warm-start",
-        ] {
+        for flag in ["cache-persist", "cache-disk-mb", "prefetch", "spill-queue"] {
             if flags.contains_key(flag) {
                 return Err(format!("--{flag} requires --cache-mb to enable the cache"));
             }
@@ -698,6 +684,7 @@ mod tests {
             ("--spill-policy", "drop"),
             ("--prefetch-staging", "0"),
             ("--cache-policy", "lru"),
+            ("--warm-start", "32"),
         ] {
             for cmd in ["daemon", "bench-io"] {
                 let err = run(&line(&[

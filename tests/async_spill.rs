@@ -1,17 +1,22 @@
 //! Async-data-plane integration tests: the background spill writer, the
-//! drain-on-shutdown guarantee for persistent spill indices, cache
-//! warm-start after a restart, and the failed-spill-write regression.
+//! drain-on-shutdown guarantee for persistent spill indices, the prefetch
+//! executor staging a restarted cache's disk tier, and the
+//! failed-spill-write regression.
 //!
 //! These exercise the cache through its public facade exactly the way the
 //! daemon's send workers do: demand `get_or_fetch` under eviction
 //! pressure, restart by dropping and reopening over the same persist
-//! directory, and plan installation driving warm promotion.
+//! directory, and the executor walking the installed plan.
 
-use emlio::cache::{BlockKey, CacheConfig, CacheStatsSnapshot, Fetched, ShardCache};
+use emlio::cache::{
+    BlockKey, CacheConfig, CacheStatsSnapshot, CachedSource, Fetched, Prefetcher, ShardCache,
+};
 use emlio::obs::{Stage, StageRecorder};
-use emlio::util::testutil::TempDir;
+use emlio::tfrecord::FnSource;
+use emlio::util::testutil::{poll_until, TempDir};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 const BLOCK: usize = 8 << 10;
 
@@ -131,63 +136,93 @@ fn shutdown_drains_queue_and_index_round_trips() {
     }
 }
 
-/// A restarted daemon with a warm-start budget serves its whole first
-/// prefetch window from RAM: plan installation promotes the
-/// earliest-needed re-admitted disk blocks ahead of demand, so the first
-/// window needs zero demand-path storage reads (and zero disk promotes).
+/// A restarted daemon needs no warm-up step and no budget: its
+/// re-admitted disk tier is staged by the prefetch executor like any other
+/// planned block, so the first window is served from RAM with zero storage
+/// reads and zero demand-path disk promotes. With the prefetcher off the
+/// same accesses are demand promotes.
 #[test]
-fn warm_start_restart_first_window_zero_storage_reads() {
-    let dir = TempDir::new("async-spill-warm");
+fn restart_first_window_is_staged_from_disk_zero_storage_reads() {
     const N: usize = 16;
     const WINDOW: usize = 4;
 
-    let base = CacheConfig::default()
-        .with_ram_bytes((32 * BLOCK) as u64)
-        .with_disk_bytes((64 * BLOCK) as u64)
-        .with_persist_dir(dir.path().to_path_buf());
-    {
-        let cache = ShardCache::new(base.clone()).expect("cache");
-        for i in 0..N {
-            let _ = cache
-                .get_or_fetch(key(i), || Ok::<_, std::io::Error>(payload(i)))
-                .expect("fetch");
+    for prefetch in [1, 0] {
+        let dir = TempDir::new("async-spill-restart");
+        let base = CacheConfig::default()
+            .with_disk_bytes((64 * BLOCK) as u64)
+            .with_persist_dir(dir.path().to_path_buf());
+        {
+            let cache =
+                ShardCache::new(base.clone().with_ram_bytes((32 * BLOCK) as u64)).expect("cache");
+            for i in 0..N {
+                let _ = cache
+                    .get_or_fetch(key(i), || Ok::<_, std::io::Error>(payload(i)))
+                    .expect("fetch");
+            }
+            // Checkpoint the RAM tier into the spill index for the restart.
+            let covered = cache.persist_now().expect("checkpoint");
+            assert_eq!(covered, N as u64, "index covers the dataset");
         }
-        // Checkpoint the RAM tier into the spill index for the restart.
-        let covered = cache.persist_now().expect("checkpoint");
-        assert!(covered >= N as u64, "index covers the dataset: {covered}");
-    }
 
-    // Restart with a budget covering exactly the first prefetch window.
-    let cache =
-        ShardCache::new(base.with_warm_start_bytes((WINDOW * BLOCK) as u64)).expect("reopen");
-    assert!(
-        cache.stats().snapshot().readmitted >= N as u64,
-        "restart re-admitted the checkpointed blocks"
-    );
-    cache.set_plan((0..N).map(key).collect());
-
-    let fetches = AtomicU64::new(0);
-    for i in 0..WINDOW {
-        let (data, via) = cache
-            .get_or_fetch(key(i), || {
+        // Restart with RAM for exactly one window; nothing else is set.
+        let cache = Arc::new(
+            ShardCache::new(
+                base.with_ram_bytes((WINDOW * BLOCK) as u64)
+                    .with_prefetch_depth(prefetch),
+            )
+            .expect("reopen"),
+        );
+        assert_eq!(cache.stats().snapshot().readmitted, N as u64);
+        cache.set_plan((0..N).map(key).collect());
+        let fetches = Arc::new(AtomicU64::new(0));
+        let storage = {
+            let fetches = fetches.clone();
+            FnSource::new(move |k: &BlockKey| {
                 fetches.fetch_add(1, Ordering::Relaxed);
-                Ok::<_, std::io::Error>(payload(i))
+                Ok(payload(k.start / 10))
             })
-            .expect("first-window access");
-        assert_eq!(via, Fetched::Ram, "block {i} pre-promoted into RAM");
-        assert_eq!(&data[..], &payload(i)[..], "block {i} byte-identical");
+        };
+        let source = Arc::new(CachedSource::new(cache.clone(), Arc::new(storage)));
+        let executor = Prefetcher::spawn(source);
+        if prefetch == 1 {
+            assert!(
+                poll_until(Duration::from_secs(10), || {
+                    cache.stats().snapshot().warm_promoted == WINDOW as u64
+                }),
+                "the executor staged the first window from the disk tier"
+            );
+        }
+
+        for i in 0..WINDOW {
+            let (data, via) = cache
+                .get_or_fetch(key(i), || {
+                    fetches.fetch_add(1, Ordering::Relaxed);
+                    Ok::<_, std::io::Error>(payload(i))
+                })
+                .expect("first-window access");
+            let staged = if prefetch == 1 {
+                Fetched::Ram
+            } else {
+                Fetched::Disk
+            };
+            assert_eq!(via, staged, "block {i}, prefetch {prefetch}");
+            assert_eq!(&data[..], &payload(i)[..], "block {i} byte-identical");
+        }
+        executor.join();
+        let s = cache.stats().snapshot();
+        assert_eq!(
+            fetches.load(Ordering::Relaxed),
+            0,
+            "zero storage reads in the first window: {s:?}"
+        );
+        if prefetch == 1 {
+            assert_eq!(s.disk_hits, 0, "no demand-path disk promote: {s:?}");
+            assert!(s.warm_promoted >= WINDOW as u64, "{s:?}");
+            assert_eq!(s.prefetched, s.warm_promoted, "all of it from disk");
+        } else {
+            assert_eq!((s.disk_hits, s.warm_promoted), (WINDOW as u64, 0), "{s:?}");
+        }
     }
-    let s = cache.stats().snapshot();
-    assert_eq!(
-        fetches.load(Ordering::Relaxed),
-        0,
-        "zero demand-path storage reads in the first window: {s:?}"
-    );
-    assert_eq!(s.disk_hits, 0, "no on-demand disk promote either: {s:?}");
-    assert_eq!(
-        s.warm_promoted, WINDOW as u64,
-        "promotion stopped at the byte budget: {s:?}"
-    );
 }
 
 /// Regression for the silent spill-write failure: when the writer cannot

@@ -126,7 +126,7 @@ fn restarted_daemon_serves_from_persistent_spill_index() {
     build_tfrecord_dataset(&data, &spec, ShardSpec::Count(2)).expect("dataset conversion");
 
     // Run 1 (cold): every unique block is read from storage once, then
-    // checkpointed to the persistent spill tier at the end of serve.
+    // saved to the persistent spill tier by the end-of-serve checkpoint.
     let (reads1, _, readmitted1, payloads1) = run_persistent_epoch(&data, &spill, 1);
     assert!(reads1 > 0, "cold run reads storage");
     assert_eq!(readmitted1, 0, "nothing to re-admit on a cold start");
