@@ -1,16 +1,12 @@
 //! Criterion microbenches for the shard cache: a planned multi-epoch
-//! Zipf replay, the raw hit path, and — the point of
-//! the sharded rewrite — multi-threaded contention (1/4/8 reader threads)
-//! against a `single_mutex` baseline shaped like the pre-refactor cache
-//! (one global mutex, O(residents) victim scan, fetch under the lock).
-//! The sharded cache must be no slower single-threaded and pull ahead at
-//! 4+ threads.
+//! Zipf replay, the raw hit path, the cache under 1 / 4 / 8 reader threads
+//! (`cache_contention` — reported in `CHANGES.md` when the cache's locking
+//! changes, not gated: the ledger's caches see one send worker and a few
+//! thousand accesses a second), and solo-vs-fleet peer serving.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use emlio_bench::cache_ablation::{zipf_trace, AblationConfig};
 use emlio_cache::{BlockKey, CacheConfig, ShardCache};
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 fn bench_policies(c: &mut Criterion) {
@@ -56,67 +52,10 @@ fn bench_hit_path(c: &mut Criterion) {
     g.finish();
 }
 
-/// The pre-refactor design, reduced to its concurrency shape: one global
-/// mutex over residency + recency, an O(residents) scan per eviction, and
-/// the miss fetch performed while holding the lock (as the old spill and
-/// promote file I/O was).
-struct SingleMutexCache {
-    inner: Mutex<SingleMutexInner>,
-    capacity: u64,
-}
-
-struct SingleMutexInner {
-    map: HashMap<BlockKey, (Arc<Vec<u8>>, u64)>, // data, last_access
-    used: u64,
-    tick: u64,
-}
-
-impl SingleMutexCache {
-    fn new(capacity: u64) -> SingleMutexCache {
-        SingleMutexCache {
-            inner: Mutex::new(SingleMutexInner {
-                map: HashMap::new(),
-                used: 0,
-                tick: 0,
-            }),
-            capacity,
-        }
-    }
-
-    fn get_or_fetch<F: FnOnce() -> Vec<u8>>(&self, key: BlockKey, fetch: F) -> Arc<Vec<u8>> {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some((data, last)) = inner.map.get_mut(&key) {
-            *last = tick;
-            return data.clone();
-        }
-        let data = Arc::new(fetch());
-        let size = data.len() as u64;
-        while inner.used + size > self.capacity {
-            // O(residents) victim scan — the hot-path cost the sharded
-            // cache's incremental orders eliminate.
-            let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, (_, last))| *last)
-                .map(|(k, _)| *k)
-            else {
-                break;
-            };
-            let (evicted, _) = inner.map.remove(&victim).unwrap();
-            inner.used -= evicted.len() as u64;
-        }
-        inner.used += size;
-        inner.map.insert(key, (data.clone(), tick));
-        data
-    }
-}
-
 /// Fixed contention workload: `threads` readers split one Zipf trace over
 /// a shared cache at 50% capacity. Returns total hits (kept live so the
 /// work is not optimized out).
-fn run_sharded(cache: &Arc<ShardCache>, slices: &[Vec<BlockKey>], block_bytes: usize) -> u64 {
+fn run_contended(cache: &Arc<ShardCache>, slices: &[Vec<BlockKey>], block_bytes: usize) -> u64 {
     std::thread::scope(|scope| {
         for slice in slices {
             let cache = cache.clone();
@@ -132,28 +71,9 @@ fn run_sharded(cache: &Arc<ShardCache>, slices: &[Vec<BlockKey>], block_bytes: u
     cache.stats().snapshot().hits
 }
 
-fn run_single_mutex(
-    cache: &Arc<SingleMutexCache>,
-    slices: &[Vec<BlockKey>],
-    block_bytes: usize,
-) -> u64 {
-    std::thread::scope(|scope| {
-        for slice in slices {
-            let cache = cache.clone();
-            scope.spawn(move || {
-                for key in slice {
-                    black_box(cache.get_or_fetch(*key, || vec![0u8; block_bytes]));
-                }
-            });
-        }
-    });
-    0
-}
-
 fn bench_contention(c: &mut Criterion) {
-    // Thousands of resident blocks at 50% capacity: the regime the
-    // ROADMAP's hot-path item targets, where the baseline's O(residents)
-    // victim scan and fetch-under-lock dominate.
+    // Thousands of resident blocks at 50% capacity, every second access
+    // or so an eviction: far more lock traffic than any ledger workload.
     let cfg = AblationConfig {
         blocks: 8192,
         block_bytes: 1 << 10,
@@ -176,7 +96,7 @@ fn bench_contention(c: &mut Criterion) {
                     .collect::<Vec<_>>()
             })
             .collect();
-        g.bench_function(&format!("sharded/{threads}t"), |b| {
+        g.bench_function(&format!("{threads}t"), |b| {
             b.iter(|| {
                 let cache = Arc::new(
                     ShardCache::new(
@@ -186,13 +106,7 @@ fn bench_contention(c: &mut Criterion) {
                     )
                     .unwrap(),
                 );
-                black_box(run_sharded(&cache, &slices, cfg.block_bytes))
-            })
-        });
-        g.bench_function(&format!("single_mutex/{threads}t"), |b| {
-            b.iter(|| {
-                let cache = Arc::new(SingleMutexCache::new(ram));
-                black_box(run_single_mutex(&cache, &slices, cfg.block_bytes))
+                black_box(run_contended(&cache, &slices, cfg.block_bytes))
             })
         });
     }

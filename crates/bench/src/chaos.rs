@@ -29,9 +29,12 @@
 //! Anything else — a completed run with missing/extra/altered samples, or
 //! a delivered batch the clean run never produced — is silent corruption:
 //! [`run_schedule`] returns `Err` with the seed embedded in the message.
+//! So do cache books that do not balance: after each leg the byte
+//! accounting of every cache it ran must equal the sum over its slots,
+//! inside both budgets, with every eviction accounted for.
 
 use emlio_cache::peer::{ChaosPeer, FleetRegistry, LocalPeer, PeerConfig};
-use emlio_cache::CacheConfig;
+use emlio_cache::{CacheConfig, ShardCache};
 use emlio_core::chaos::ChaosController;
 use emlio_core::daemon::DaemonError;
 use emlio_core::service::{Delivery, Fingerprint, StorageSpec};
@@ -261,22 +264,65 @@ impl Schedule {
     }
 }
 
-/// Launch one daemon `id` over `stack` and drain it to the end.
+/// Launch one daemon `id` over `stack`, drain it to the end, and balance
+/// the books of every cache the leg ran (one per incarnation). `Err` is a
+/// harness failure: the launch, or books that do not balance.
 fn launch_and_drain(
     id: &str,
     dir: &std::path::Path,
     index: &Arc<GlobalIndex>,
     config: &EmlioConfig,
     stack: StackSpec,
-) -> Result<(Delivery, Vec<Arc<DataPathMetrics>>), DaemonError> {
+) -> Result<(Delivery, Vec<Arc<DataPathMetrics>>), String> {
     let storage = StorageSpec {
         stack,
         index: Some(index.clone()),
         ..StorageSpec::new(id, dir)
     };
-    let mut dep = EmlioService::launch(&[storage], config, "n")?;
+    let mut dep = EmlioService::launch(&[storage], config, "n").map_err(|e| e.to_string())?;
     let delivery = dep.drain();
+    for daemon in &dep.daemon_metrics {
+        if let Some(cache) = daemon.stack().and_then(|s| s.cache.as_deref()) {
+            cache_books_balance(cache)?;
+        }
+    }
     Ok((delivery, dep.daemon_metrics))
+}
+
+/// The cache invariants `stress.rs` asserts, on a cache whose daemon and
+/// prefetcher have been joined: once the spill queue is flushed the byte
+/// accounting is the sum over the slots, both tiers are inside their
+/// budgets with no reservation left out, and — with a disk tier, which
+/// here takes every block — every eviction ended as a spill-file write, a
+/// flip onto the file the block already had, or a counted write failure.
+/// A persistent cache's checkpoint writes are spills no eviction asked
+/// for, so there the evictions can only be fewer.
+fn cache_books_balance(cache: &ShardCache) -> Result<(), String> {
+    cache.flush_spills();
+    let (config, s) = (cache.config(), cache.stats().snapshot());
+    let (ram, reserved) = cache.ram_budget();
+    let disk = cache.disk_bytes_used();
+    let ended = s.spills + s.clean_evictions + s.spill_failures;
+    let evictions_ended = match (config.disk_bytes, config.persist) {
+        (0, _) => true,
+        (_, false) => s.evictions == ended,
+        (_, true) => s.evictions <= ended,
+    };
+    if (ram, disk) == cache.slot_bytes()
+        && reserved == 0
+        && ram <= config.ram_bytes
+        && disk <= config.disk_bytes
+        && evictions_ended
+    {
+        return Ok(());
+    }
+    Err(format!(
+        "cache books out of balance: accounting ({ram}, {disk}) vs slots {:?}, \
+         {reserved} bytes still reserved, budgets ({}, {}), {s:?}",
+        cache.slot_bytes(),
+        config.ram_bytes,
+        config.disk_bytes,
+    ))
 }
 
 /// The oracle: classify `(delivered, serve result)` against the clean

@@ -1,34 +1,32 @@
-//! The two-tier, plan-aware shard block cache — sharded hot path.
+//! The two-tier, plan-aware shard block cache.
 //!
-//! Concurrency layout (the result of retiring the original single big
-//! mutex):
+//! # One lock
 //!
-//! * **N lock shards**, keyed by block-key hash, each guarding a slice of
-//!   the residency map (`BlockKey → Slot`). The slot is a small state
-//!   machine — `Ram`, `Spilling` (eviction in progress, bytes still
-//!   readable), `Disk`, `Busy` (storage fetch or disk promote in flight) —
-//!   which is what lets spill and promote **file I/O run outside every
-//!   lock**: the thread doing I/O owns the transitional state, and
-//!   concurrent readers either hit the still-resident bytes or wait on the
-//!   shard's condvar exactly as they would for a single-flight fetch.
-//! * **One ordering lock** (`Global`) holding the byte accounting, the plan
-//!   cursor, and one incrementally-maintained eviction order per tier (a
-//!   lazy next-use max-heap — see [`crate::order`]). Every critical
-//!   section under it is O(1)/O(log n); the old O(residents) victim scan
-//!   is gone.
+//! The cache's unit of traffic is a batch — one block per demand access,
+//! a few thousand a second at most — so its whole mutable state lives
+//! under **one mutex** (`State`): the residency map (`BlockKey → Slot`),
+//! the byte accounting, the plan cursor, and one incrementally-maintained
+//! eviction order per tier (a lazy next-use max-heap — see
+//! [`crate::order`]). Every row of the transition table below reads and
+//! writes the slot *and* its order entries in a single critical section,
+//! each O(1)/O(log n), so whenever the lock is free the books balance:
+//! `ram_used` is the sum over `Ram` slots, `disk_used` the sum over the
+//! slots that own a spill file, the RAM order's keys are the `Ram` slots
+//! and the disk order's keys the file owners. Debug builds assert exactly
+//! that at the end of every mutating critical section (`State::check`).
 //!
-//! Lock discipline: a thread never takes a shard lock while it holds the
-//! ordering lock, and never two shard locks, so the hierarchy is
-//! trivially deadlock-free. The other nesting — a glance at the ordering
-//! lock from under one shard lock — happens in exactly two places, the
-//! two that finish an eviction someone else's pop began
-//! (`CacheCore::spill_or_drop`, `CacheCore::drop_untracked_file`): they
-//! must see "the order no longer tracks this key" and act on the slot in
-//! one step, or a late finisher could end a newer residency of the same
-//! key. Everywhere else the residency maps and the ordering structures
-//! can diverge for the duration of one in-flight transition; every path
-//! re-validates against the authoritative side (ordering lock for
-//! accounting, slot for bytes).
+//! What runs **outside** the lock is everything slow, and only that:
+//! storage fetches, spill-file reads ([`persist::read_validated`]), writes
+//! and deletes, the spill-queue `push` (it can block on a full queue), and
+//! every condvar `notify`. The one thing that outlives a critical section
+//! is a transitional slot owned by the thread doing the I/O: `Busy`
+//! (storage fetch, promote or staging read in flight) or `Spilling`
+//! (write queued). Concurrent readers either hit the still-resident bytes
+//! or wait on the `landed` condvar, exactly as they would for a
+//! single-flight fetch, and the owner looks at the slot once more, inside
+//! the critical section that lands it — a `Busy` slot whose file the disk
+//! tier reclaimed under the read lands the block unbacked, or absent,
+//! there and then. No function takes the lock while holding it.
 //!
 //! # The slot state machine
 //!
@@ -62,8 +60,8 @@
 //! block's bytes never change, so once its file exists there is nothing a
 //! rewrite could add: a promote that RAM admits keeps the file and its
 //! place in the disk tier's accounting (`Ram` with a backing), and
-//! evicting that resident flips the slot back to `Disk` under the shard
-//! lock — no `Spilling`, no queue order, no CRC, no write. Only a block
+//! evicting that resident flips the slot back to `Disk` where it is
+//! popped — no `Spilling`, no queue order, no CRC, no write. Only a block
 //! that has no file (fetched from storage, or its file was reclaimed)
 //! takes the `Spilling` route. When the disk tier runs out of room it
 //! reclaims files that duplicate a RAM resident before it evicts any
@@ -75,9 +73,12 @@
 //!
 //! * **`Busy` has exactly one owner.** The thread that installed the
 //!   placeholder (miss claim, prefetch claim, or disk promote) is the only
-//!   one that may replace or remove it; everyone else waits on the shard
+//!   one that may land or release it; everyone else waits on the `landed`
 //!   condvar or treats the key as a miss. This is what makes fetches
-//!   single-flight.
+//!   single-flight. A `Busy` slot taken over from `Disk` keeps the file's
+//!   identity in the slot, so the file stays accounted — and reclaimable —
+//!   while it is being read. (An `insert` has no I/O to do: it claims and
+//!   lands in one critical section, and its `Busy` is never seen.)
 //! * **`Ram`/`Spilling` bytes are immutable and shared.** The slot holds a
 //!   refcounted [`Bytes`]; a hit clones the handle (refcount bump, no
 //!   copy) and the returned view stays valid even if the block is evicted,
@@ -97,24 +98,15 @@
 //!   [`persist::read_validated`] (length and CRC32C). A file that fails
 //!   is retired and the access degrades to a miss; this is the only way a
 //!   promote takes a key out of the disk order.
-//! * **The disk order tracks files, not slots.** A key is in the disk
-//!   order, and its size in `disk_used`, exactly while its spill file
-//!   counts against the tier: slot `Disk`, slot `Ram` with a backing, or
-//!   a transition in flight that owns the file (`Busy` mid-promote,
-//!   `Spilling` once the writer has reserved room). So
-//!   [`CacheCore::disk_bytes_used`] is the bytes of spill files held,
-//!   including those that back RAM residents, while
-//!   [`CacheCore::disk_keys`] lists the blocks that are disk-*only* —
-//!   the ones a demand access would have to promote.
-//! * **Accounting follows ownership.** `ram_used`/`disk_used` and the
-//!   eviction orders live under the `Global` lock and may briefly disagree
-//!   with the slot maps mid-transition. Whoever takes a key out of an
-//!   order finishes the eviction at the slot; a `Busy`/`Spilling` slot is
-//!   skipped by that finisher, so whoever lands such a slot looks at the
-//!   order again afterwards (see `CacheCore::admit_full` and
-//!   `CacheCore::drop_untracked_file`). At quiescence `ram_used` is the
-//!   sum over `Ram` slots and `disk_used` the sum over `Disk` slots and
-//!   backings.
+//! * **The disk order tracks files, not blocks.** A key is in the disk
+//!   order, and its size in `disk_used`, exactly while a slot owns its
+//!   spill file: `Disk`, `Ram` with a backing, or `Busy` mid-promote. A
+//!   `Spilling` block owns none until its write has landed: the one
+//!   writer thread makes the room before it writes, and nobody else adds
+//!   to the tier. So [`CacheCore::disk_bytes_used`] is the bytes of spill
+//!   files held, including those that back RAM residents, while
+//!   [`CacheCore::disk_keys`] lists the blocks that are disk-*only* — the
+//!   ones a demand access would have to promote.
 
 use crate::order::NextUseHeap;
 use crate::persist::{self, SpillEntry};
@@ -126,9 +118,8 @@ use emlio_obs::{obs_warn, Stage, StageRecorder};
 use emlio_tfrecord::BlockKey;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
@@ -238,9 +229,6 @@ pub enum EvictPolicy {
     Clairvoyant,
 }
 
-/// Number of lock shards over the residency map.
-const LOCK_SHARDS: usize = 8;
-
 /// Where a demand access was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fetched {
@@ -260,10 +248,11 @@ impl Fetched {
     }
 }
 
-/// A spilled block's on-disk identity.
+/// A spilled block's on-disk identity. Cloned on every promote, so the
+/// path is shared, not copied.
 #[derive(Debug, Clone)]
 struct DiskMeta {
-    path: PathBuf,
+    path: Arc<Path>,
     len: u64,
     crc: u32,
 }
@@ -279,44 +268,49 @@ impl DiskMeta {
     }
 }
 
-/// Outcome of one residency-map resolution.
-enum Lookup {
-    /// Served from a resident tier.
-    Hit(Bytes, Fetched),
-    /// Nothing resident (or a promote degraded to a miss).
-    NotFound,
-    /// The empty slot was claimed as a `Busy` single-flight placeholder;
-    /// the caller owns the fetch.
-    Claimed,
-}
-
-/// Residency state of one block within its lock shard (see the module
-/// docs for the transition diagram and its invariants).
+/// Residency state of one block (see the module docs for the transition
+/// table and its invariants).
 enum Slot {
     /// Resident in RAM; hits clone the `Bytes` handle without copying.
     /// The backing, when there is one, is the spill file the block was
     /// promoted from — still on disk and still in the disk tier's
     /// accounting, so evicting this resident writes nothing.
     Ram(Bytes, Option<DiskMeta>),
-    /// Being spilled to disk by an evictor; bytes still readable.
+    /// Evicted and queued for the spill writer; bytes still readable.
     Spilling(Bytes),
     /// Resident in the disk spill tier only.
     Disk(DiskMeta),
-    /// A storage fetch or disk promote is in flight (single-flight
-    /// owner); waiters sleep on the shard condvar.
-    Busy,
+    /// A storage fetch, disk promote or staging read is in flight
+    /// (single-flight owner); waiters sleep on the `landed` condvar. Holds
+    /// the spill file being read back, for as long as the disk tier
+    /// leaves it there.
+    Busy(Option<DiskMeta>),
 }
 
-/// One lock shard of the residency map.
-struct LockShard {
-    map: Mutex<HashMap<BlockKey, Slot>>,
-    /// Signalled whenever a slot in this shard changes state.
-    cv: Condvar,
+impl Slot {
+    /// The spill file this slot owns, if any.
+    fn file(&self) -> Option<&DiskMeta> {
+        match self {
+            Slot::Ram(_, file) | Slot::Busy(file) => file.as_ref(),
+            Slot::Disk(meta) => Some(meta),
+            Slot::Spilling(_) => None,
+        }
+    }
 }
 
-/// Accounting, plan state, and eviction orders — the only globally-shared
-/// mutable state, with O(1)-ish critical sections.
-struct Global {
+/// What a demand access finds under the lock.
+enum Served {
+    /// RAM-resident (or still readable mid-spill).
+    Ram(Bytes),
+    /// Disk-only: the slot is now `Busy` over this file and the caller
+    /// owns the promote.
+    Disk(DiskMeta),
+}
+
+/// Everything the cache mutates: slots, accounting, plan state and
+/// eviction orders, under the one lock.
+struct State {
+    slots: HashMap<BlockKey, Slot>,
     ram_used: u64,
     /// RAM set aside for prefetch reads in flight. Room is made when the
     /// reservation is taken, so `ram_used + ram_reserved <= ram_bytes`
@@ -327,9 +321,10 @@ struct Global {
     disk_used: u64,
     /// Monotonic access clock for recency ordering.
     tick: u64,
+    /// The `Ram` slots.
     ram_order: NextUseHeap,
-    /// Every spill file the tier holds, whether its block is disk-only
-    /// or also RAM-resident; `disk_used` is the sum of their sizes.
+    /// Every spill file a slot owns, whether its block is disk-only or
+    /// also RAM-resident; `disk_used` is the sum of their sizes.
     disk_order: NextUseHeap,
     /// Keys tracked by both orders: RAM residents whose spill file is
     /// still on disk. The disk tier reclaims these files before it
@@ -343,7 +338,7 @@ struct Global {
     cursor: u64,
 }
 
-impl Global {
+impl State {
     /// First plan position ≥ `cursor` where `key` is needed (`u64::MAX`
     /// when it never is). Prunes stale positions as a side effect.
     fn next_use(future: &mut HashMap<BlockKey, VecDeque<u64>>, cursor: u64, key: &BlockKey) -> u64 {
@@ -360,19 +355,32 @@ impl Global {
 
     /// `key`'s eviction rank: its next planned use from the cursor on.
     fn next_use_rank(&mut self, key: &BlockKey) -> u64 {
-        Global::next_use(&mut self.future, self.cursor, key)
+        State::next_use(&mut self.future, self.cursor, key)
+    }
+
+    /// Track `key` in the RAM order as its newest arrival.
+    fn track_ram(&mut self, key: BlockKey, size: u64) {
+        self.tick += 1;
+        let (next, tick) = (self.next_use_rank(&key), self.tick);
+        self.ram_used += size;
+        self.ram_order.insert(key, size, next, tick);
+    }
+
+    /// Track `key`'s spill file in the disk order as its newest arrival.
+    fn track_file(&mut self, key: BlockKey, size: u64) {
+        self.tick += 1;
+        let (next, tick) = (self.next_use_rank(&key), self.tick);
+        self.disk_used += size;
+        self.disk_order.insert(key, size, next, tick);
     }
 
     /// Stop tracking `key`'s spill file: out of the disk order, its bytes
-    /// off `disk_used`. Returns whether it was tracked — whoever gets
-    /// `true` must follow up with `CacheCore::drop_untracked_file`.
-    fn untrack_file(&mut self, key: &BlockKey) -> bool {
+    /// off `disk_used`. The caller takes the file off the slot.
+    fn untrack_file(&mut self, key: &BlockKey) {
         self.backed.remove(key);
-        let Some(size) = self.disk_order.remove(key) else {
-            return false;
-        };
-        self.disk_used -= size;
-        true
+        if let Some(size) = self.disk_order.remove(key) {
+            self.disk_used -= size;
+        }
     }
 
     /// Rank `key`'s spill file as the tier's newest arrival, which is
@@ -380,15 +388,13 @@ impl Global {
     /// keeps its write-once file but takes the place in the disk order
     /// that a fresh spill would get.
     fn rerank_file(&mut self, key: &BlockKey) {
-        let Some(size) = self.disk_order.remove(key) else {
-            return;
-        };
-        self.tick += 1;
-        let (next, tick) = (self.next_use_rank(key), self.tick);
-        self.disk_order.insert(*key, size, next, tick);
+        if let Some(size) = self.disk_order.remove(key) {
+            self.disk_used -= size;
+            self.track_file(*key, size);
+        }
     }
 
-    /// [`Global::next_use`] without the pruning: `key`'s first plan
+    /// [`State::next_use`] without the pruning: `key`'s first plan
     /// position at or after `cursor`.
     fn pending(
         future: &HashMap<BlockKey, VecDeque<u64>>,
@@ -405,7 +411,7 @@ impl Global {
     fn needed_before(&self, pos: u64) -> u64 {
         (self.cursor..pos)
             .map(|p| (p, &self.seq[p as usize]))
-            .filter(|(p, key)| Global::pending(&self.future, self.cursor, key) == Some(*p))
+            .filter(|(p, key)| State::pending(&self.future, self.cursor, key) == Some(*p))
             .filter_map(|(_, key)| self.ram_order.size_of(key))
             .sum()
     }
@@ -416,68 +422,89 @@ impl Global {
         self.ram_reserved + self.needed_before(pos) + len <= ram_bytes
     }
 
-    /// Pop RAM victims until `size` more bytes fit beside the residents
-    /// and the reservations. A prefetch reservation for plan position
-    /// `keep_before` leaves alone what the plan needs sooner: such a victim
-    /// goes back into the order as its newest arrival (the order offers
-    /// one only when its rank is out of date). The caller has checked that
-    /// the room can be made, and finishes the victims' evictions
-    /// ([`CacheCore::spill_or_drop`]) with no lock held.
-    fn make_room(
-        &mut self,
-        size: u64,
-        ram_bytes: u64,
-        keep_before: Option<u64>,
-        victims: &mut Vec<(BlockKey, u64)>,
-    ) {
-        let mut kept = Vec::new();
-        while self.ram_used + self.ram_reserved + size > ram_bytes {
-            let Some((vk, vs)) = self.ram_order.pop_victim() else {
-                break;
-            };
-            let sooner = keep_before.and_then(|pos| {
-                Global::pending(&self.future, self.cursor, &vk).filter(|&next| next < pos)
-            });
-            if let Some(next) = sooner {
-                kept.push((vk, vs, next));
-                continue;
+    /// Account one demand access against the plan — consume `key`'s
+    /// earliest pending position, and move the cursor past it only when it
+    /// is ahead of the cursor — and refresh the resident's recency and
+    /// next-use rank. Concurrent send workers deliver accesses slightly
+    /// out of plan order; consuming exactly one position per access keeps
+    /// a late-arriving access from eating the key's *next-epoch* position
+    /// and leaping the cursor (which would both mislead the eviction order
+    /// and blow open the prefetch window).
+    fn demand_access(&mut self, key: &BlockKey) {
+        if !self.seq.is_empty() {
+            let cursor = self.cursor;
+            match self.future.get_mut(key).and_then(|q| q.pop_front()) {
+                Some(p) if p >= cursor => self.cursor = p + 1,
+                Some(_) => {}
+                // Unplanned access: just move time forward.
+                None => self.cursor += 1,
             }
-            self.ram_used -= vs;
-            // A backed victim is about to flip to disk-only.
-            if self.backed.remove(&vk) {
-                self.rerank_file(&vk);
-            }
-            victims.push((vk, vs));
         }
-        for (key, size, next) in kept {
-            self.tick += 1;
-            self.ram_order.insert(key, size, next, self.tick);
+        self.tick += 1;
+        let (next, tick) = (self.next_use_rank(key), self.tick);
+        self.ram_order.touch(key, next, tick);
+    }
+
+    /// Serve `key` to a demand access: a RAM resident's bytes, or — the
+    /// slot flipped to `Busy` — the spill file the caller now promotes.
+    /// `None` when the key is absent or in flight.
+    fn serve(&mut self, key: &BlockKey) -> Option<Served> {
+        let slot = self.slots.get_mut(key)?;
+        match slot {
+            Slot::Ram(data, _) | Slot::Spilling(data) => Some(Served::Ram(data.clone())),
+            Slot::Disk(meta) => {
+                let meta = meta.clone();
+                *slot = Slot::Busy(Some(meta.clone()));
+                Some(Served::Disk(meta))
+            }
+            Slot::Busy(_) => None,
         }
     }
 
-    /// Account one demand access against the plan: consume `key`'s
-    /// earliest pending position, and move the cursor past it only when it
-    /// is ahead of the cursor. Concurrent send workers deliver accesses
-    /// slightly out of plan order; consuming exactly one position per
-    /// access keeps a late-arriving access from eating the key's
-    /// *next-epoch* position and leaping the cursor (which would both
-    /// mislead the eviction order and blow open the prefetch window).
-    fn advance_cursor(&mut self, key: &BlockKey) {
-        if self.seq.is_empty() {
+    /// Give back a prefetch reservation.
+    fn unreserve(&mut self, len: u64) {
+        self.ram_reserved -= len;
+        self.reservations -= 1;
+    }
+
+    /// The books, asserted in debug builds at the end of every mutating
+    /// critical section: the accounting is the sum over the slots, each
+    /// order's keys are exactly the slots it ranks, and both tiers are
+    /// inside their budgets.
+    fn check(&self, config: &CacheConfig) {
+        if !cfg!(debug_assertions) {
             return;
         }
-        let cursor = self.cursor;
-        if let Some(q) = self.future.get_mut(key) {
-            if let Some(&p) = q.front() {
-                q.pop_front();
-                if p >= cursor {
-                    self.cursor = p + 1;
-                }
-                return;
+        let (mut ram, mut disk, mut residents, mut files, mut backed) = (0, 0, 0, 0, 0);
+        for (key, slot) in &self.slots {
+            if let Slot::Ram(data, backing) = slot {
+                ram += data.len() as u64;
+                residents += 1;
+                backed += usize::from(backing.is_some());
+                assert_eq!(self.ram_order.size_of(key), Some(data.len() as u64));
+                assert_eq!(self.backed.contains(key), backing.is_some(), "{key:?}");
             }
+            if let Some(meta) = slot.file() {
+                disk += meta.len;
+                files += 1;
+            }
+            assert_eq!(
+                self.disk_order.size_of(key),
+                slot.file().map(|meta| meta.len),
+                "{key:?}"
+            );
         }
-        // Unplanned access: just move time forward.
-        self.cursor += 1;
+        assert_eq!((ram, disk), (self.ram_used, self.disk_used));
+        assert_eq!(
+            (residents, files, backed),
+            (
+                self.ram_order.len(),
+                self.disk_order.len(),
+                self.backed.len()
+            )
+        );
+        assert!(self.ram_used + self.ram_reserved <= config.ram_bytes);
+        assert!(self.disk_used <= config.disk_bytes);
     }
 }
 
@@ -490,11 +517,13 @@ impl Global {
 /// runs.
 pub struct CacheCore {
     config: CacheConfig,
-    shards: Box<[LockShard]>,
-    global: Mutex<Global>,
-    /// Signalled on every demand access (wakes the prefetcher). Paired
-    /// with the `global` mutex.
-    access_cv: Condvar,
+    state: Mutex<State>,
+    /// Signalled when a `Busy` slot lands or is released (wakes
+    /// single-flight waiters).
+    landed: Condvar,
+    /// Signalled on every demand access and whenever a reservation ends
+    /// (wakes the prefetcher: the cursor moved, or room came free).
+    room: Condvar,
     stats: CacheStats,
     spill_dir: Option<PathBuf>,
     owns_spill_dir: bool,
@@ -541,49 +570,41 @@ impl CacheCore {
         if let Some(dir) = &spill_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let shards: Vec<LockShard> = (0..LOCK_SHARDS)
-            .map(|_| LockShard {
-                map: Mutex::new(HashMap::new()),
-                cv: Condvar::new(),
-            })
-            .collect();
         let spill_queue = spill_dir
             .is_some()
             .then(|| SpillQueue::new(config.spill_queue));
-        let cache = CacheCore {
-            global: Mutex::new(Global {
-                ram_used: 0,
-                ram_reserved: 0,
-                reservations: 0,
-                disk_used: 0,
-                tick: 0,
-                ram_order: NextUseHeap::new(),
-                disk_order: NextUseHeap::new(),
-                backed: BTreeSet::new(),
-                seq: Arc::new(Vec::new()),
-                future: HashMap::new(),
-                cursor: 0,
-            }),
-            shards: shards.into_boxed_slice(),
-            access_cv: Condvar::new(),
-            stats: CacheStats::default(),
+        let mut state = State {
+            slots: HashMap::new(),
+            ram_used: 0,
+            ram_reserved: 0,
+            reservations: 0,
+            disk_used: 0,
+            tick: 0,
+            ram_order: NextUseHeap::new(),
+            disk_order: NextUseHeap::new(),
+            backed: BTreeSet::new(),
+            seq: Arc::new(Vec::new()),
+            future: HashMap::new(),
+            cursor: 0,
+        };
+        let stats = CacheStats::default();
+        if let (true, Some(dir)) = (config.persist, &spill_dir) {
+            let readmitted = load_persisted(dir, config.disk_bytes, &mut state);
+            stats.readmitted.store(readmitted, Ordering::Relaxed);
+        }
+        state.check(&config);
+        Ok(CacheCore {
+            state: Mutex::new(state),
+            landed: Condvar::new(),
+            room: Condvar::new(),
+            stats,
             spill_dir,
             owns_spill_dir,
             spill_queue,
             recorder: OnceLock::new(),
             injector: OnceLock::new(),
             config,
-        };
-        if cache.config.persist {
-            cache.load_persisted();
-        }
-        Ok(cache)
-    }
-
-    fn shard_for(&self, key: &BlockKey) -> &LockShard {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        })
     }
 
     /// The configuration the cache was built with.
@@ -621,150 +642,99 @@ impl CacheCore {
         for (pos, key) in seq.iter().enumerate() {
             future.entry(*key).or_default().push_back(pos as u64);
         }
-        let mut g = self.global.lock();
-        g.seq = Arc::new(seq);
-        g.future = future;
-        g.cursor = 0;
-        let Global {
+        let mut st = self.state.lock();
+        st.seq = Arc::new(seq);
+        st.future = future;
+        st.cursor = 0;
+        let State {
             ram_order,
             disk_order,
             future,
             ..
-        } = &mut *g;
-        ram_order.refresh(|k| Global::next_use(future, 0, k));
-        disk_order.refresh(|k| Global::next_use(future, 0, k));
+        } = &mut *st;
+        ram_order.refresh(|k| State::next_use(future, 0, k));
+        disk_order.refresh(|k| State::next_use(future, 0, k));
     }
 
     /// The installed plan sequence (empty when none was set).
     pub(crate) fn plan(&self) -> Arc<Vec<BlockKey>> {
-        self.global.lock().seq.clone()
+        self.state.lock().seq.clone()
     }
 
     /// Demand accesses consumed so far.
     pub fn consumed(&self) -> u64 {
-        self.global.lock().cursor
+        self.state.lock().cursor
     }
 
     /// Whether `key` is resident in either tier. No policy side effects.
     pub fn contains(&self, key: &BlockKey) -> bool {
         matches!(
-            self.shard_for(key).map.lock().get(key),
+            self.state.lock().slots.get(key),
             Some(Slot::Ram(..) | Slot::Spilling(_) | Slot::Disk(_))
         )
     }
 
     /// Bytes resident in the RAM tier.
     pub fn ram_bytes_used(&self) -> u64 {
-        self.global.lock().ram_used
+        self.state.lock().ram_used
     }
 
     /// `(resident, reserved for prefetch reads in flight)` bytes of the
     /// RAM tier at one instant (gauges); their sum never exceeds
     /// `ram_bytes`.
     pub fn ram_budget(&self) -> (u64, u64) {
-        let g = self.global.lock();
-        (g.ram_used, g.ram_reserved)
+        let st = self.state.lock();
+        (st.ram_used, st.ram_reserved)
     }
 
     /// Bytes of spill files the disk tier holds, including the files
     /// that back RAM residents.
     pub fn disk_bytes_used(&self) -> u64 {
-        self.global.lock().disk_used
+        self.state.lock().disk_used
+    }
+
+    /// The keys whose slot `pick` selects, sorted.
+    fn keys_where(&self, pick: impl Fn(&Slot) -> bool) -> Vec<BlockKey> {
+        let st = self.state.lock();
+        let mut keys: Vec<BlockKey> = st
+            .slots
+            .iter()
+            .filter(|(_, slot)| pick(slot))
+            .map(|(k, _)| *k)
+            .collect();
+        keys.sort_unstable();
+        keys
     }
 
     /// Sorted keys resident in the RAM tier (test/inspection hook).
     pub fn ram_keys(&self) -> Vec<BlockKey> {
-        let mut keys = Vec::new();
-        for shard in self.shards.iter() {
-            let map = shard.map.lock();
-            keys.extend(map.iter().filter_map(|(k, s)| match s {
-                Slot::Ram(..) | Slot::Spilling(_) => Some(*k),
-                _ => None,
-            }));
-        }
-        keys.sort_unstable();
-        keys
+        self.keys_where(|slot| matches!(slot, Slot::Ram(..) | Slot::Spilling(_)))
     }
 
     /// Sorted keys resident in the disk tier *only* — the blocks a demand
     /// access would have to promote; a RAM resident whose spill file is
     /// still on disk is not listed (test/inspection hook).
     pub fn disk_keys(&self) -> Vec<BlockKey> {
-        let mut keys = Vec::new();
-        for shard in self.shards.iter() {
-            let map = shard.map.lock();
-            keys.extend(map.iter().filter_map(|(k, s)| match s {
-                Slot::Disk(_) => Some(*k),
-                _ => None,
-            }));
-        }
-        keys.sort_unstable();
-        keys
+        self.keys_where(|slot| matches!(slot, Slot::Disk(_)))
     }
 
     /// Bytes held by the slots themselves, `(RAM, spill files)`: `Ram`
-    /// payloads, and the files of `Disk` slots and of backed residents.
-    /// With nothing in flight these equal `ram_bytes_used()` and
-    /// `disk_bytes_used()` (test/inspection hook).
+    /// payloads, and every spill file a slot owns — disk-only, backing a
+    /// resident, or being read back. Whenever the lock is free these
+    /// equal `ram_bytes_used()` and `disk_bytes_used()` (test/inspection
+    /// hook; read all three between operations to compare them).
     pub fn slot_bytes(&self) -> (u64, u64) {
-        let (mut ram, mut disk) = (0, 0);
-        for shard in self.shards.iter() {
-            for slot in shard.map.lock().values() {
-                match slot {
-                    Slot::Ram(data, backing) => {
-                        ram += data.len() as u64;
-                        disk += backing.as_ref().map_or(0, |meta| meta.len);
-                    }
-                    Slot::Disk(meta) => disk += meta.len,
-                    Slot::Spilling(_) | Slot::Busy => {}
-                }
-            }
-        }
-        (ram, disk)
-    }
-
-    /// Account one demand access: plan cursor, access clock, and the
-    /// resident's recency / next-use rank. One short `global` critical
-    /// section per access.
-    fn demand_access(&self, key: &BlockKey) {
-        let mut g = self.global.lock();
-        g.advance_cursor(key);
-        g.tick += 1;
-        let (next, tick) = (g.next_use_rank(key), g.tick);
-        g.ram_order.touch(key, next, tick);
-        drop(g);
-        self.access_cv.notify_all();
-    }
-
-    /// One demand access: account it and resolve `key`. A RAM hit — after
-    /// waiting out a fetch in flight, when `wait_busy` — takes its bytes
-    /// *before* the cursor moves past the block, so the prefetcher, which
-    /// refills a slot the moment the cursor releases it, cannot evict the
-    /// block from under a reader parked on its landing. A promote or a
-    /// miss accounts first: its admission ranks the block by its *next*
-    /// use.
-    fn demand_lookup(&self, key: &BlockKey, wait_busy: bool, claim: bool) -> Lookup {
-        let resident = {
-            let shard = self.shard_for(key);
-            let mut map = shard.map.lock();
-            loop {
-                match map.get(key) {
-                    Some(Slot::Ram(data, _)) | Some(Slot::Spilling(data)) => {
-                        break Some(data.clone())
-                    }
-                    Some(Slot::Busy) if wait_busy => shard.cv.wait(&mut map),
-                    _ => break None,
-                }
-            }
-        };
-        self.demand_access(key);
-        match resident {
-            Some(data) => {
-                self.count_hit(&data);
-                Lookup::Hit(data, Fetched::Ram)
-            }
-            None => self.lookup(key, wait_busy, claim),
-        }
+        let st = self.state.lock();
+        st.slots.values().fold((0, 0), |(ram, disk), slot| {
+            let resident = match slot {
+                Slot::Ram(data, _) => data.len() as u64,
+                _ => 0,
+            };
+            (
+                ram + resident,
+                disk + slot.file().map_or(0, |meta| meta.len),
+            )
+        })
     }
 
     fn count_hit(&self, data: &Bytes) {
@@ -783,13 +753,26 @@ impl CacheCore {
     /// copy); the view stays valid even if the block is evicted while the
     /// caller holds it.
     pub fn get(&self, key: &BlockKey) -> Option<Bytes> {
-        match self.demand_lookup(key, /* wait_busy = */ false, /* claim = */ false) {
-            Lookup::Hit(data, _) => Some(data),
-            _ => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
+        let served = {
+            let mut st = self.state.lock();
+            st.demand_access(key);
+            let served = st.serve(key);
+            st.check(&self.config);
+            served
+        };
+        self.room.notify_all();
+        let data = match served {
+            Some(Served::Ram(data)) => {
+                self.count_hit(&data);
+                Some(data)
             }
+            Some(Served::Disk(meta)) => self.promote(key, &meta),
+            None => None,
+        };
+        if data.is_none() {
+            self.stats.misses.fetch_add(1, Ordering::Relaxed);
         }
+        data
     }
 
     /// Serve `key`'s bytes without perturbing the cache: no demand-cursor
@@ -800,28 +783,31 @@ impl CacheCore {
     /// This is the peer-serving entry point: a remote daemon's fetch must
     /// not distort this cache's plan accounting or tier placement.
     pub fn peek(&self, key: &BlockKey) -> Option<Bytes> {
-        let meta = {
-            let map = self.shard_for(key).map.lock();
-            match map.get(key) {
-                Some(Slot::Ram(data, _)) | Some(Slot::Spilling(data)) => return Some(data.clone()),
-                Some(Slot::Disk(meta)) => meta.clone(),
-                _ => return None,
-            }
+        let meta = match self.state.lock().slots.get(key) {
+            Some(Slot::Ram(data, _)) | Some(Slot::Spilling(data)) => return Some(data.clone()),
+            Some(Slot::Disk(meta)) => meta.clone(),
+            _ => return None,
         };
-        // Spill-file read outside every lock. A concurrent evictor may
+        // Spill-file read with the lock released. A concurrent evictor may
         // delete the file under us; validation degrades that to a miss.
         persist::read_validated(&meta.path, meta.len, meta.crc).map(Bytes::from)
     }
 
     /// Insert a block without demand-access accounting. A no-op when the
-    /// key is already resident (either tier) or in flight: like every
-    /// other admission it first claims the empty slot as `Busy`, so it can
-    /// neither clobber another thread's single-flight slot nor reserve
-    /// room for a key that someone else is about to land.
+    /// key is already resident (either tier) or in flight: it can neither
+    /// clobber another thread's single-flight slot nor land beside a
+    /// resident.
     pub fn insert(&self, key: BlockKey, data: impl Into<Bytes>) {
-        if self.try_claim(&key) {
-            self.admit(key, data.into());
+        let mut spills = Vec::new();
+        {
+            let mut st = self.state.lock();
+            if st.slots.contains_key(&key) {
+                return;
+            }
+            self.admit(&mut st, key, data.into(), None, false, &mut spills);
+            st.check(&self.config);
         }
+        self.enqueue_spills(spills);
     }
 
     /// Demand lookup with single-flight fetch: on a miss, run `fetch` (at
@@ -836,21 +822,51 @@ impl CacheCore {
         T: Into<Bytes>,
         F: FnOnce() -> Result<T, E>,
     {
-        let mut found =
-            self.demand_lookup(&key, /* wait_busy = */ true, /* claim = */ true);
+        // One access, accounted once — after any wait for a fetch in
+        // flight, in the critical section that takes the landed bytes: the
+        // prefetcher refills a slot the moment the cursor releases it, and
+        // cannot get between the two.
+        let mut accounted = false;
         loop {
-            match found {
-                Lookup::Hit(data, from) => return Ok((data, from)),
-                Lookup::Claimed => break,
-                // A failed promote degraded to a miss; retry claims it.
-                Lookup::NotFound => found = self.lookup(&key, true, true),
+            let served = {
+                let mut st = self.state.lock();
+                while matches!(st.slots.get(&key), Some(Slot::Busy(_))) {
+                    self.landed.wait(&mut st);
+                }
+                if !accounted {
+                    st.demand_access(&key);
+                }
+                let served = st.serve(&key);
+                if served.is_none() {
+                    st.slots.insert(key, Slot::Busy(None));
+                }
+                st.check(&self.config);
+                served
+            };
+            if !accounted {
+                self.room.notify_all();
+                accounted = true;
+            }
+            match served {
+                Some(Served::Ram(data)) => {
+                    self.count_hit(&data);
+                    return Ok((data, Fetched::Ram));
+                }
+                Some(Served::Disk(meta)) => {
+                    if let Some(data) = self.promote(&key, &meta) {
+                        return Ok((data, Fetched::Disk));
+                    }
+                    // A failed promote degraded to a miss; go round to
+                    // claim it.
+                }
+                None => break,
             }
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         match fetch() {
             Ok(data) => {
                 let data = data.into();
-                self.admit(key, data.clone());
+                self.land(key, data.clone(), None);
                 Ok((data, Fetched::Storage))
             }
             Err(e) => {
@@ -860,86 +876,11 @@ impl CacheCore {
         }
     }
 
-    /// Give up `key`'s `Busy` placeholder and wake any single-flight
-    /// waiters parked on the shard condvar: to absent (fetch/promote
-    /// failure, or an unfulfilled [`CacheCore::try_claim`]) or — given the
-    /// spill `file` an unread staging claim took the slot over from — back
-    /// to disk-only.
-    fn release_busy(&self, key: &BlockKey, file: Option<DiskMeta>) {
-        let restored = file.is_some();
-        {
-            let shard = self.shard_for(key);
-            let mut map = shard.map.lock();
-            if matches!(map.get(key), Some(Slot::Busy)) {
-                match file {
-                    Some(meta) => map.insert(*key, Slot::Disk(meta)),
-                    None => map.remove(key),
-                };
-            }
-            shard.cv.notify_all();
-        }
-        if restored {
-            // The disk tier may have reclaimed the file under the claim.
-            self.drop_untracked_file(key);
-        }
-    }
-
-    /// Resolve `key` against the residency map: RAM/spilling bytes are a
-    /// hit, a disk slot triggers a promote (file read **outside** the
-    /// lock), `Busy` either waits on the shard condvar or reports a miss.
-    /// With `claim`, an empty slot is atomically taken over as a `Busy`
-    /// single-flight placeholder in the same critical section.
-    fn lookup(&self, key: &BlockKey, wait_busy: bool, claim: bool) -> Lookup {
-        enum Action {
-            Hit(Bytes),
-            Promote(DiskMeta),
-            Wait,
-            Empty,
-        }
-        let shard = self.shard_for(key);
-        let mut map = shard.map.lock();
-        loop {
-            let action = match map.get(key) {
-                Some(Slot::Ram(data, _)) | Some(Slot::Spilling(data)) => Action::Hit(data.clone()),
-                Some(Slot::Disk(meta)) => Action::Promote(meta.clone()),
-                Some(Slot::Busy) => Action::Wait,
-                None => Action::Empty,
-            };
-            match action {
-                Action::Hit(data) => {
-                    self.count_hit(&data);
-                    return Lookup::Hit(data, Fetched::Ram);
-                }
-                Action::Promote(meta) => {
-                    map.insert(*key, Slot::Busy);
-                    drop(map);
-                    return match self.promote(key, meta) {
-                        Some((data, from)) => Lookup::Hit(data, from),
-                        None => Lookup::NotFound,
-                    };
-                }
-                Action::Wait => {
-                    if !wait_busy {
-                        return Lookup::NotFound;
-                    }
-                    shard.cv.wait(&mut map);
-                }
-                Action::Empty => {
-                    if claim {
-                        map.insert(*key, Slot::Busy);
-                        return Lookup::Claimed;
-                    }
-                    return Lookup::NotFound;
-                }
-            }
-        }
-    }
-
     /// Promote a disk-resident block back to RAM. Called holding the
-    /// block's `Busy` slot; the spill-file read happens with no lock held.
-    /// A vanished or corrupt spill file degrades to a miss.
-    fn promote(&self, key: &BlockKey, meta: DiskMeta) -> Option<(Bytes, Fetched)> {
-        let Some(data) = self.read_spill_file(key, &meta) else {
+    /// block's `Busy` slot; the spill-file read happens with the lock
+    /// released. A vanished or corrupt spill file degrades to a miss.
+    fn promote(&self, key: &BlockKey, meta: &DiskMeta) -> Option<Bytes> {
+        let Some(data) = self.read_spill_file(key, meta) else {
             self.release_busy(key, None);
             return None;
         };
@@ -948,259 +889,182 @@ impl CacheCore {
         // The file stays where it is whatever RAM decides: admitted, it
         // backs the resident; declined (Belady bypass), the slot goes
         // straight back to `Disk`.
-        self.admit_full(*key, data.clone(), Some(meta), None);
-        Some((data, Fetched::Disk))
+        self.land(*key, data.clone(), None);
+        Some(data)
     }
 
     /// Read `key`'s spill file back for the owner of its `Busy` slot,
     /// validated by [`persist::read_validated`]. On failure the file is
-    /// retired — out of the disk order (the one way a promote leaves it),
-    /// deleted — and the owner releases the slot to absent: a miss.
+    /// retired — deleted, then out of the slot and the disk order (the one
+    /// way a promote leaves it) — and the owner releases the slot to
+    /// absent: a miss. Deleted while the slot is still `Busy`: no newer
+    /// file of the same key can be written until it is released.
     fn read_spill_file(&self, key: &BlockKey, meta: &DiskMeta) -> Option<Bytes> {
         let data = persist::read_validated(&meta.path, meta.len, meta.crc);
         if data.is_none() {
-            self.global.lock().untrack_file(key);
             let _ = std::fs::remove_file(&meta.path);
+            let mut st = self.state.lock();
+            if let Some(Slot::Busy(file @ Some(_))) = st.slots.get_mut(key) {
+                *file = None;
+                st.untrack_file(key);
+            }
+            st.check(&self.config);
         }
         data.map(Bytes::from)
     }
 
-    /// Admit bytes that came from storage (no spill file behind them);
-    /// see [`CacheCore::admit_full`].
-    fn admit(&self, key: BlockKey, data: Bytes) {
-        self.admit_full(key, data, None, None);
-    }
-
-    /// Admit `data` into the RAM tier: reserve space under the ordering
-    /// lock (popping victims, applying the Belady bypass), publish the
-    /// slot, then evict the victims with no lock held. The caller holds
-    /// the key's `Busy` placeholder and this call always moves the slot
-    /// out of that transitional state — which is also why a key's RAM
-    /// reservation can only ever be made while its slot is `Busy`, never
-    /// beside a resident. `backing` is the spill file `data` was just
-    /// read from (the promote paths): admitted, the resident keeps it;
-    /// declined, the block stays disk-resident instead of being dropped.
-    /// `reserved` is the prefetch reservation held for `key`
-    /// ([`CacheCore::reserve_prefetch`]): given back here, the block
-    /// lands in the room it held — no bypass, the issue rule placed it
-    /// ahead of everything it could displace. Every other admission fits
-    /// into what the reservations leave. Returns whether RAM admitted
-    /// (the block may have been evicted again by the time the caller
-    /// looks).
-    fn admit_full(
-        &self,
-        key: BlockKey,
-        data: Bytes,
-        backing: Option<DiskMeta>,
-        reserved: Option<u64>,
-    ) -> bool {
-        let size = data.len() as u64;
-        let has_file = backing.is_some();
-        let mut admitted = false;
-        let mut victims: Vec<(BlockKey, u64)> = Vec::new();
-        {
-            let mut g = self.global.lock();
+    /// Land the `Busy` slot the caller owns — and, with `reserved`, give
+    /// back the prefetch reservation held for it — in one critical
+    /// section: the slot comes out of `Busy` with whatever spill file the
+    /// disk tier has left it, RAM admits or declines ([`CacheCore::admit`]),
+    /// and the victims' slots are flipped where they are popped. Only the
+    /// wake-ups and the victims' spill orders happen after it. Returns
+    /// whether RAM admitted.
+    fn land(&self, key: BlockKey, data: Bytes, reserved: Option<u64>) -> bool {
+        let mut spills = Vec::new();
+        let admitted = {
+            let mut st = self.state.lock();
             if let Some(len) = reserved {
-                g.ram_reserved -= len;
-                g.reservations -= 1;
+                st.unreserve(len);
             }
-            let room = self.config.ram_bytes - g.ram_reserved;
-            if size <= room && !g.ram_order.contains(&key) {
-                g.tick += 1;
-                let (next, tick) = (g.next_use_rank(&key), g.tick);
-                // Belady admission bypass: if this block would be the
-                // eviction victim the moment it lands, don't admit it.
-                // Only while the cursor is inside the plan: with no plan,
-                // or past its end, every next use is "never", the order is
-                // recency, and every admission is taken.
-                let bypass = reserved.is_none()
-                    && g.cursor < g.seq.len() as u64
-                    && g.ram_used + size > room
-                    && matches!(g.ram_order.victim_next_use(), Some(v) if next >= v);
-                if bypass {
-                    // A declined promote goes back to disk-only (no-op
-                    // for a block that has no file).
-                    g.rerank_file(&key);
-                } else {
-                    g.make_room(size, self.config.ram_bytes, None, &mut victims);
-                    g.ram_used += size;
-                    g.ram_order.insert(key, size, next, tick);
-                    if has_file && g.disk_order.contains(&key) {
-                        g.backed.insert(key);
-                    }
-                    admitted = true;
-                }
-            }
-            debug_assert!(g.ram_used + g.ram_reserved <= self.config.ram_bytes);
-        }
+            let Some(Slot::Busy(file)) = st.slots.remove(&key) else {
+                unreachable!("landing owns the Busy slot");
+            };
+            let admitted = self.admit(&mut st, key, data, file, reserved.is_some(), &mut spills);
+            st.check(&self.config);
+            admitted
+        };
+        self.landed.notify_all();
         if reserved.is_some() {
             // An in-flight slot and possibly RAM came free.
-            self.access_cv.notify_all();
+            self.room.notify_all();
         }
-        self.stats
-            .evictions
-            .fetch_add(victims.len() as u64, Ordering::Relaxed);
-
-        // Publish before evicting victims: readers of `key` proceed while
-        // the evicted blocks' spill hand-off runs.
-        {
-            let shard = self.shard_for(&key);
-            let mut map = shard.map.lock();
-            debug_assert!(
-                matches!(map.get(&key), Some(Slot::Busy)),
-                "admission owns the Busy slot"
-            );
-            match (admitted, backing) {
-                (true, backing) => map.insert(key, Slot::Ram(data, backing)),
-                // A declined promote: the block is where it was.
-                (false, Some(meta)) => map.insert(key, Slot::Disk(meta)),
-                // Pass-through uncached.
-                (false, None) => map.remove(&key),
-            };
-            shard.cv.notify_all();
-        }
-        // What the orders say now that the slot has landed.
-        let (ram_tracked, file_tracked) = {
-            let g = self.global.lock();
-            (g.ram_order.contains(&key), g.disk_order.contains(&key))
-        };
-        if admitted && !ram_tracked {
-            // Someone popped our entry as a victim while the slot was
-            // still Busy (nothing to evict at that point), or since: a
-            // block a parked reader takes as it lands is the first thing
-            // its refill evicts. The just-published bytes would be
-            // RAM-resident but untracked; complete the eviction on the
-            // evictor's behalf.
-            self.spill_or_drop(&key, size);
-        }
-        if has_file && !file_tracked {
-            // Likewise for the disk tier: it reclaimed the file while the
-            // promote held the slot `Busy`.
-            self.drop_untracked_file(&key);
-        }
-        for (vk, vs) in victims {
-            self.spill_or_drop(&vk, vs);
-        }
+        self.enqueue_spills(spills);
         admitted
     }
 
-    /// Reserve `size` bytes of disk-tier capacity for `key` under the
-    /// ordering lock, returning the keys whose files were untracked to
-    /// make room. Files that duplicate a RAM resident go first — giving
-    /// one up loses no block, only the write its resident's eviction
-    /// would have skipped — so under pressure the tier holds as many
-    /// distinct disk-only blocks as it would without the duplicates.
-    /// Without `evict` only spare capacity is taken: `None` when the file
-    /// would cost another block its own.
-    fn reserve_disk(&self, key: &BlockKey, size: u64, evict: bool) -> Option<Vec<BlockKey>> {
-        let mut g = self.global.lock();
-        if !evict && g.disk_used + size > self.config.disk_bytes {
-            return None;
+    /// Admit `data` into the RAM tier under the lock, into the empty slot
+    /// of `key`: pop victims (applying the Belady bypass), flip their
+    /// slots, insert the resident. `file` is the spill file `data` was
+    /// just read from (the promote paths): admitted, the resident keeps
+    /// it as its backing; declined, the block stays disk-resident instead
+    /// of being dropped. `staged` says the block lands in the room a
+    /// prefetch reservation held — no bypass, the issue rule placed it
+    /// ahead of everything it could displace. Every other admission fits
+    /// into what the reservations leave. Returns whether RAM admitted.
+    fn admit(
+        &self,
+        st: &mut State,
+        key: BlockKey,
+        data: Bytes,
+        file: Option<DiskMeta>,
+        staged: bool,
+        spills: &mut Vec<SpillOrder>,
+    ) -> bool {
+        let size = data.len() as u64;
+        let room = self.config.ram_bytes - st.ram_reserved;
+        // Belady admission bypass: if this block would be the eviction
+        // victim the moment it lands, don't admit it. Only while the
+        // cursor is inside the plan: with no plan, or past its end, every
+        // next use is "never", the order is recency, and every admission
+        // is taken.
+        let bypass = !staged && st.cursor < st.seq.len() as u64 && st.ram_used + size > room && {
+            let next = st.next_use_rank(&key);
+            matches!(st.ram_order.victim_next_use(), Some(v) if next >= v)
+        };
+        if size > room || bypass {
+            // A declined promote goes back to disk-only; anything else
+            // passes through uncached.
+            if let Some(meta) = file {
+                st.rerank_file(&key);
+                st.slots.insert(key, Slot::Disk(meta));
+            }
+            return false;
         }
-        let mut out = Vec::new();
-        while g.disk_used + size > self.config.disk_bytes {
-            let victim = if let Some(&dup) = g.backed.first() {
-                g.untrack_file(&dup);
-                dup
-            } else if let Some((vk, vs)) = g.disk_order.pop_victim() {
-                g.disk_used -= vs;
-                vk
-            } else {
+        self.make_room(st, size, None, spills);
+        st.track_ram(key, size);
+        if file.is_some() {
+            st.backed.insert(key);
+        }
+        st.slots.insert(key, Slot::Ram(data, file));
+        true
+    }
+
+    /// Evict RAM victims until `size` more bytes fit beside the residents
+    /// and the reservations, each where it is popped: a backed resident
+    /// flips to `Disk` over the write-once file it already has; anything
+    /// else flips to `Spilling` — readable until its write lands — with
+    /// its order pushed onto `spills` for the caller to enqueue once the
+    /// lock is released, or drops when no disk tier can take it. A
+    /// prefetch reservation for plan position `keep_before` leaves alone
+    /// what the plan needs sooner: such a victim goes back into the order
+    /// as its newest arrival (the order offers one only when its rank is
+    /// out of date). The caller has checked that the room can be made.
+    fn make_room(
+        &self,
+        st: &mut State,
+        size: u64,
+        keep_before: Option<u64>,
+        spills: &mut Vec<SpillOrder>,
+    ) {
+        let mut kept = Vec::new();
+        while st.ram_used + st.ram_reserved + size > self.config.ram_bytes {
+            let Some((vk, vs)) = st.ram_order.pop_victim() else {
                 break;
             };
-            out.push(victim);
-        }
-        g.disk_used += size;
-        g.tick += 1;
-        let (next, tick) = (g.next_use_rank(key), g.tick);
-        g.disk_order.insert(*key, size, next, tick);
-        Some(out)
-    }
-
-    /// Bring `key`'s slot in line with the disk order after the order
-    /// stopped tracking its spill file, or may have: a `Disk` slot goes
-    /// absent, a backed RAM resident loses its backing and stays in RAM,
-    /// and the file is deleted. Called by whoever untracked a file, and by
-    /// whoever lands a file-bearing slot out of `Busy`/`Spilling` — those
-    /// transitional slots are skipped here, so their owner has to look
-    /// again once the slot has landed. The order is consulted under the
-    /// shard lock: a late call cannot take a newer residency of the same
-    /// key for the one it came to finish.
-    fn drop_untracked_file(&self, key: &BlockKey) {
-        let shard = self.shard_for(key);
-        let mut map = shard.map.lock();
-        let Some(slot) = map.get_mut(key) else { return };
-        if !matches!(slot, Slot::Disk(_) | Slot::Ram(_, Some(_)))
-            || self.global.lock().disk_order.contains(key)
-        {
-            return;
-        }
-        let file = match slot {
-            Slot::Ram(_, backing) => backing.take(),
-            _ => match map.remove(key) {
-                Some(Slot::Disk(meta)) => {
-                    shard.cv.notify_all();
-                    Some(meta)
+            let sooner = keep_before.and_then(|pos| {
+                State::pending(&st.future, st.cursor, &vk).filter(|&next| next < pos)
+            });
+            if let Some(next) = sooner {
+                kept.push((vk, vs, next));
+                continue;
+            }
+            st.ram_used -= vs;
+            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+            match st.slots.remove(&vk) {
+                Some(Slot::Ram(_, Some(meta))) => {
+                    st.backed.remove(&vk);
+                    st.rerank_file(&vk);
+                    st.slots.insert(vk, Slot::Disk(meta));
+                    self.stats.clean_evictions.fetch_add(1, Ordering::Relaxed);
                 }
-                _ => None,
-            },
-        };
-        drop(map);
-        if let Some(meta) = file {
-            let _ = std::fs::remove_file(&meta.path);
+                Some(Slot::Ram(data, None)) => {
+                    if self.spill_dir.is_some() && vs <= self.config.disk_bytes {
+                        st.slots.insert(vk, Slot::Spilling(data.clone()));
+                        spills.push(SpillOrder { key: vk, data });
+                    }
+                }
+                _ => unreachable!("the RAM order ranks Ram slots only"),
+            }
+        }
+        for (key, size, next) in kept {
+            st.tick += 1;
+            st.ram_order.insert(key, size, next, st.tick);
         }
     }
 
-    /// Evict one RAM victim, already popped from the RAM order, with no
-    /// lock held on entry. A backed resident just flips to `Disk`: its
-    /// write-once spill file is already there. Anything else flips to
-    /// `Spilling` and is handed to the spill-writer thread, staying
-    /// readable until the write lands and the slot becomes `Disk`; with no
-    /// disk tier to take it, it drops.
-    fn spill_or_drop(&self, key: &BlockKey, size: u64) {
-        let spillable = self.spill_dir.is_some() && size <= self.config.disk_bytes;
-        let data = {
-            let shard = self.shard_for(key);
-            let mut map = shard.map.lock();
-            // Anything but `Ram`: the slot moved on without us. `Ram` but
-            // tracked again: evicted and re-admitted since the pop, and
-            // that residency is not ours to end.
-            let Some(slot) = map.get_mut(key) else { return };
-            let Slot::Ram(data, backing) = slot else {
-                return;
-            };
-            if self.global.lock().ram_order.contains(key) {
-                return;
+    /// Hand evicted blocks to the spill writer, lock released. Shutdown
+    /// starts only once the writer is the core's last holder, and the
+    /// writer never spills: nobody is left to be refused — if someone is,
+    /// the block drops to absent.
+    fn enqueue_spills(&self, spills: Vec<SpillOrder>) {
+        for order in spills {
+            let key = order.key;
+            if !self.enqueue_spill(order) {
+                let mut st = self.state.lock();
+                if matches!(st.slots.get(&key), Some(Slot::Spilling(_))) {
+                    st.slots.remove(&key);
+                }
+                st.check(&self.config);
             }
-            if let Some(meta) = backing.take() {
-                *slot = Slot::Disk(meta);
-                self.stats.clean_evictions.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            let data = data.clone();
-            if spillable {
-                *slot = Slot::Spilling(data.clone());
-            } else {
-                map.remove(key);
-                shard.cv.notify_all();
-            }
-            data
-        };
-        if !spillable {
-            return;
-        }
-        // Shutdown starts only once the writer is the core's last holder,
-        // and the writer never spills: nobody is left to be refused.
-        if !self.enqueue_spill(*key, data) {
-            self.abort_spill(key);
         }
     }
 
-    /// Hand `key`'s bytes to the spill writer, waiting while its queue is
+    /// Hand one order to the spill writer, waiting while its queue is
     /// full. Returns whether the order was taken (not after shutdown).
-    fn enqueue_spill(&self, key: BlockKey, data: Bytes) -> bool {
+    fn enqueue_spill(&self, order: SpillOrder) -> bool {
         let queue = self.spill_queue.as_ref().expect("disk tier implies queue");
-        let Some((waits, depth)) = queue.push(SpillOrder { key, data }) else {
+        let Some((waits, depth)) = queue.push(order) else {
             return false;
         };
         if waits > 0 {
@@ -1214,34 +1078,75 @@ impl CacheCore {
         true
     }
 
-    /// Perform a spill order: reserve disk capacity, write the file, and
+    /// Make `size` bytes of disk-tier room under the lock, returning the
+    /// files that lost their place for the caller to delete once it is
+    /// released. Files that duplicate a RAM resident go first — giving one
+    /// up loses no block, only the write its resident's eviction would
+    /// have skipped — so under pressure the tier holds as many distinct
+    /// disk-only blocks as it would without the duplicates. Each victim's
+    /// slot changes where it is popped: a backed resident stays in RAM
+    /// unbacked, a disk-only block goes absent, and a promote in flight
+    /// finds its slot fileless when it lands.
+    fn make_disk_room(&self, st: &mut State, size: u64) -> Vec<DiskMeta> {
+        let mut files = Vec::new();
+        while st.disk_used + size > self.config.disk_bytes {
+            let victim = if let Some(&dup) = st.backed.first() {
+                st.untrack_file(&dup);
+                dup
+            } else if let Some((vk, vs)) = st.disk_order.pop_victim() {
+                st.disk_used -= vs;
+                vk
+            } else {
+                break;
+            };
+            match st.slots.remove(&victim) {
+                Some(Slot::Ram(data, Some(meta))) => {
+                    st.slots.insert(victim, Slot::Ram(data, None));
+                    files.push(meta);
+                }
+                Some(Slot::Busy(Some(meta))) => {
+                    st.slots.insert(victim, Slot::Busy(None));
+                    files.push(meta);
+                }
+                Some(Slot::Disk(meta)) => files.push(meta),
+                _ => unreachable!("the disk order ranks file owners only"),
+            }
+        }
+        files
+    }
+
+    /// Perform a spill order: make the disk room, write the file, and
     /// land the transition — `Spilling → Disk` for an evicted block,
     /// `Ram → Ram+file` for a resident a checkpoint backs. Runs on the
-    /// writer thread; never holds a lock across the file I/O. The writer
-    /// never spills recursively — disk-tier overflow only *drops* disk
-    /// victims.
+    /// one writer thread, the only place the disk tier grows, so the room
+    /// made before the write is still there when it lands; the lock is
+    /// never held across the file I/O. The writer never spills
+    /// recursively — disk-tier overflow only *drops* disk victims.
     fn finish_spill(&self, order: SpillOrder) {
         let SpillOrder { key, data } = order;
         let size = data.len() as u64;
-        // Which of the two it is, the slot says. Anything else has its
-        // file already or is gone: an eviction and a checkpoint of the
-        // same block crossed in the queue.
-        let evicted = match self.shard_for(&key).map.lock().get(&key) {
-            Some(Slot::Spilling(_)) => true,
-            Some(Slot::Ram(_, None)) => false,
-            _ => return,
+        let reclaimed = {
+            let mut st = self.state.lock();
+            // Which of the two it is, the slot says: an eviction makes its
+            // room out of disk victims, a checkpoint takes spare room or
+            // leaves it. Anything else has its file already or is gone —
+            // an eviction and a checkpoint of the same block crossed in
+            // the queue.
+            match st.slots.get(&key) {
+                Some(Slot::Spilling(_)) => {}
+                Some(Slot::Ram(_, None)) if st.disk_used + size <= self.config.disk_bytes => {}
+                _ => return,
+            }
+            let reclaimed = self.make_disk_room(&mut st, size);
+            st.check(&self.config);
+            reclaimed
         };
-        // Reserve disk capacity: an eviction makes its room out of disk
-        // victims, a checkpoint takes spare room or leaves it.
-        let Some(victims) = self.reserve_disk(&key, size, evicted) else {
-            return;
-        };
-        for victim in victims {
-            self.drop_untracked_file(&victim);
+        for meta in reclaimed {
+            let _ = std::fs::remove_file(&meta.path);
         }
 
         let dir = self.spill_dir.as_ref().expect("spillable implies dir");
-        let path = dir.join(persist::spill_file_name(&key));
+        let path: Arc<Path> = dir.join(persist::spill_file_name(&key)).into();
         let crc = persist::block_crc(&data);
         let t0 = Instant::now();
         // Chaos failpoint: an injected error takes the real failed-write
@@ -1270,65 +1175,58 @@ impl CacheCore {
         if let Some(rec) = self.recorder.get() {
             rec.record(Stage::SpillWrite, t0.elapsed().as_nanos() as u64);
         }
-        if let Err(e) = result {
-            // A failed spill loses the evicted block — demand will re-read
-            // it from storage — or leaves a checkpoint's resident unbacked,
-            // but never silently: counted and logged.
-            self.stats.spill_failures.fetch_add(1, Ordering::Relaxed);
-            obs_warn!(
-                "cache",
-                "spill write failed for {}: {e}; block has no spill file",
-                path.display()
-            );
-            self.global.lock().untrack_file(&key);
-            self.abort_spill(&key);
-            return;
-        }
-        self.stats.spills.fetch_add(1, Ordering::Relaxed);
-        let meta = DiskMeta {
-            path,
-            len: size,
-            crc,
+        let meta = match result {
+            Ok(()) => {
+                self.stats.spills.fetch_add(1, Ordering::Relaxed);
+                Some(DiskMeta {
+                    path,
+                    len: size,
+                    crc,
+                })
+            }
+            Err(e) => {
+                // A failed spill loses the evicted block — demand will
+                // re-read it from storage — or leaves a checkpoint's
+                // resident unbacked, but never silently: counted and logged.
+                self.stats.spill_failures.fetch_add(1, Ordering::Relaxed);
+                obs_warn!(
+                    "cache",
+                    "spill write failed for {}: {e}; block has no spill file",
+                    path.display()
+                );
+                None
+            }
         };
-        let backs_resident = {
-            let shard = self.shard_for(&key);
-            let mut map = shard.map.lock();
-            let backs_resident = match map.get_mut(&key) {
-                Some(slot @ Slot::Spilling(_)) => {
-                    *slot = Slot::Disk(meta);
-                    false
+        let orphan = {
+            let mut st = self.state.lock();
+            // A queued block stays `Spilling`; a resident a checkpoint is
+            // backing may have been evicted under the write, and then its
+            // order is queued behind this one and finds the file there.
+            let (landed, orphan) = match (st.slots.remove(&key), meta) {
+                (Some(Slot::Spilling(_)), Some(meta)) => {
+                    st.track_file(key, size);
+                    (Some(Slot::Disk(meta)), None)
                 }
-                Some(Slot::Ram(_, backing @ None)) => {
-                    *backing = Some(meta);
-                    true
+                (Some(Slot::Ram(data, None)), Some(meta)) => {
+                    st.track_file(key, size);
+                    st.backed.insert(key);
+                    (Some(Slot::Ram(data, Some(meta))), None)
                 }
-                _ => false,
+                // A failed spill: the block is gone.
+                (Some(Slot::Spilling(_)), None) => (None, None),
+                // A failed checkpoint leaves the slot as it is; a file
+                // nothing was waiting for is not kept.
+                (slot, meta) => (slot, meta),
             };
-            shard.cv.notify_all();
-            backs_resident
+            if let Some(slot) = landed {
+                st.slots.insert(key, slot);
+            }
+            st.check(&self.config);
+            orphan
         };
-        let mut g = self.global.lock();
-        if backs_resident && g.ram_order.contains(&key) && g.disk_order.contains(&key) {
-            g.backed.insert(key);
+        if let Some(meta) = orphan {
+            let _ = std::fs::remove_file(&meta.path);
         }
-        // Our disk_order entry may have been popped while the file write
-        // was in flight; finish that eviction if so.
-        let untracked = !g.disk_order.contains(&key);
-        drop(g);
-        if untracked {
-            self.drop_untracked_file(&key);
-        }
-    }
-
-    /// Drop `key`'s `Spilling` slot to absent (failed spill) and wake
-    /// waiters.
-    fn abort_spill(&self, key: &BlockKey) {
-        let shard = self.shard_for(key);
-        let mut map = shard.map.lock();
-        if matches!(map.get(key), Some(Slot::Spilling(_))) {
-            map.remove(key);
-        }
-        shard.cv.notify_all();
     }
 
     /// Block until every queued spill order has been fully written (the
@@ -1345,48 +1243,6 @@ impl CacheCore {
         self.spill_queue.as_ref().map_or(0, |q| q.depth())
     }
 
-    /// Re-admit CRC-valid spill files recorded by a previous run's index
-    /// into the disk tier (up to its capacity).
-    fn load_persisted(&self) {
-        let Some(dir) = &self.spill_dir else { return };
-        let entries = match persist::read_index(dir) {
-            Ok(Some(entries)) => entries,
-            // No index, or a malformed one: cold start.
-            _ => return,
-        };
-        let mut admitted = Vec::new();
-        let mut g = self.global.lock();
-        for e in &entries {
-            if g.disk_used + e.len > self.config.disk_bytes {
-                // Not re-admittable this run — and the index rewritten at
-                // shutdown will no longer list it, so delete the file
-                // rather than orphan it in the persist dir forever.
-                let _ = std::fs::remove_file(dir.join(persist::spill_file_name(&e.key)));
-                continue;
-            }
-            let Some(path) = persist::validate_entry(dir, e) else {
-                continue;
-            };
-            g.tick += 1;
-            let tick = g.tick;
-            g.disk_used += e.len;
-            g.disk_order.insert(e.key, e.len, u64::MAX, tick);
-            admitted.push((e, path));
-        }
-        drop(g);
-        for (e, path) in admitted {
-            self.shard_for(&e.key).map.lock().insert(
-                e.key,
-                Slot::Disk(DiskMeta {
-                    path,
-                    len: e.len,
-                    crc: e.crc,
-                }),
-            );
-            self.stats.readmitted.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Checkpoint the cache for a restart (persistent caches only): drain
     /// the spill queue, hand every RAM resident that has no spill file yet
     /// to the spill writer — which backs it if the disk tier has the spare
@@ -1399,38 +1255,25 @@ impl CacheCore {
         }
         // Queued spill orders are part of the state a checkpoint saves.
         self.flush_spills();
-        let mut unbacked: Vec<(BlockKey, Bytes)> = Vec::new();
-        for shard in self.shards.iter() {
-            let map = shard.map.lock();
-            unbacked.extend(map.iter().filter_map(|(k, slot)| match slot {
-                Slot::Ram(data, None) => Some((*k, data.clone())),
+        let mut unbacked: Vec<SpillOrder> = {
+            let st = self.state.lock();
+            let orders = st.slots.iter().filter_map(|(k, slot)| match slot {
+                Slot::Ram(data, None) => Some(SpillOrder {
+                    key: *k,
+                    data: data.clone(),
+                }),
                 _ => None,
-            }));
-        }
-        unbacked.sort_unstable_by_key(|(k, _)| *k);
-        for (key, data) in unbacked {
-            self.enqueue_spill(key, data);
+            });
+            orders.collect()
+        };
+        unbacked.sort_unstable_by_key(|order| order.key);
+        for order in unbacked {
+            self.enqueue_spill(order);
         }
         self.flush_spills();
-        let files = self.live_files();
+        let files = live_files(&self.state.lock());
         self.write_index(&files)?;
         Ok(files.len() as u64)
-    }
-
-    /// Every spill file of the live tier, sorted by key: disk-only blocks
-    /// and the backing of RAM residents alike.
-    fn live_files(&self) -> Vec<(BlockKey, DiskMeta)> {
-        let mut files = Vec::new();
-        for shard in self.shards.iter() {
-            let map = shard.map.lock();
-            for (k, slot) in map.iter() {
-                if let Slot::Disk(meta) | Slot::Ram(_, Some(meta)) = slot {
-                    files.push((*k, meta.clone()));
-                }
-            }
-        }
-        files.sort_unstable_by_key(|(k, _)| *k);
-        files
     }
 
     /// Write the spill index listing `files` (persistent caches).
@@ -1440,24 +1283,13 @@ impl CacheCore {
         persist::write_index(dir, &entries)
     }
 
-    /// Claim `key` for [`CacheCore::insert`]: install a `Busy` placeholder
-    /// iff the slot is empty. Returns whether the claim was taken.
-    fn try_claim(&self, key: &BlockKey) -> bool {
-        let shard = self.shard_for(key);
-        let mut map = shard.map.lock();
-        if map.get(key).is_some() {
-            return false;
-        }
-        map.insert(*key, Slot::Busy);
-        true
-    }
-
     /// The prefetch executor's issue step for plan position `pos`
     /// (`key`, expected to be `len` bytes long; 0 = not known yet — the
     /// disk tier knows the length of a block it holds). Waits until the
-    /// block may be staged, then reserves its RAM — evicting what the plan
-    /// needs later than `pos` — and claims its slot, absent (to be read
-    /// from storage) or disk-only (from its spill file) alike:
+    /// block may be staged, then — in the critical section that found it
+    /// so — reserves its RAM, evicting what the plan needs later than
+    /// `pos`, and claims its slot, absent (to be read from storage) or
+    /// disk-only (from its spill file) alike:
     ///
     /// ```text
     /// ram_reserved + bytes of residents needed before pos + len <= ram_bytes
@@ -1470,7 +1302,8 @@ impl CacheCore {
     /// block the plan-driven order would have kept for its next use
     /// (docs/ARCHITECTURE.md has the measurement). Woken by every demand
     /// access, every landed or failed prefetch read, and
-    /// [`CacheCore::wake_prefetcher`].
+    /// [`CacheCore::wake_prefetcher`]; the slot is looked at again on
+    /// every wake.
     pub(crate) fn reserve_prefetch(
         &self,
         pos: u64,
@@ -1478,58 +1311,39 @@ impl CacheCore {
         len: u64,
         stop: &AtomicBool,
     ) -> Issue<'_> {
-        let (len, on_disk) = match self.shard_for(key).map.lock().get(key) {
-            None => (len, false),
-            Some(Slot::Disk(meta)) => (meta.len, true),
-            Some(_) => return Issue::Skip,
-        };
-        // A block of unknown length goes out alone: once it lands, the
-        // largest length seen stands in for the rest.
-        let max_out = if len == 0 { 1 } else { MAX_IN_FLIGHT };
-        let mut victims = Vec::new();
-        let mut g = self.global.lock();
-        loop {
+        let mut spills = Vec::new();
+        let mut st = self.state.lock();
+        let (len, file) = loop {
             if stop.load(Ordering::SeqCst) {
                 return Issue::Stop;
             }
+            let (len, file) = match st.slots.get(key) {
+                None => (len, None),
+                Some(Slot::Disk(meta)) => (meta.len, Some(meta)),
+                // In RAM, or someone's fetch or promote in flight.
+                Some(_) => return Issue::Skip,
+            };
             // Demand got here first, or the block can never fit — or, on
             // disk, not without evicting.
-            let free = self.config.ram_bytes - g.ram_used - g.ram_reserved;
-            if pos < g.cursor || len > self.config.ram_bytes || (on_disk && len > free) {
+            let free = self.config.ram_bytes - st.ram_used - st.ram_reserved;
+            if pos < st.cursor || len > self.config.ram_bytes || (file.is_some() && len > free) {
                 return Issue::Skip;
             }
-            if g.reservations < max_out && g.may_stage(pos, len, self.config.ram_bytes) {
-                break;
+            // A block of unknown length goes out alone: once it lands, the
+            // largest length seen stands in for the rest.
+            let max_out = if len == 0 { 1 } else { MAX_IN_FLIGHT };
+            if st.reservations < max_out && st.may_stage(pos, len, self.config.ram_bytes) {
+                break (len, file.cloned());
             }
-            self.access_cv.wait(&mut g);
-        }
-        g.make_room(len, self.config.ram_bytes, Some(pos), &mut victims);
-        debug_assert!(g.ram_used + g.ram_reserved + len <= self.config.ram_bytes);
-        g.ram_reserved += len;
-        g.reservations += 1;
-        drop(g);
-        self.stats
-            .evictions
-            .fetch_add(victims.len() as u64, Ordering::Relaxed);
-        for (vk, vs) in victims {
-            self.spill_or_drop(&vk, vs);
-        }
-        let file = {
-            let mut map = self.shard_for(key).map.lock();
-            let file = match map.get(key) {
-                None => None,
-                Some(Slot::Disk(meta)) => Some(meta.clone()),
-                Some(_) => {
-                    // Lost the slot while waiting (a demand miss or
-                    // promote, a peer's offer).
-                    drop(map);
-                    self.unreserve(len);
-                    return Issue::Skip;
-                }
-            };
-            map.insert(*key, Slot::Busy);
-            file
+            self.room.wait(&mut st);
         };
+        self.make_room(&mut st, len, Some(pos), &mut spills);
+        st.ram_reserved += len;
+        st.reservations += 1;
+        st.slots.insert(*key, Slot::Busy(file.clone()));
+        st.check(&self.config);
+        drop(st);
+        self.enqueue_spills(spills);
         Issue::Read(Reservation {
             cache: self,
             key: *key,
@@ -1538,22 +1352,83 @@ impl CacheCore {
         })
     }
 
-    /// Give back a reservation that will not be admitted into.
-    fn unreserve(&self, len: u64) {
-        let mut g = self.global.lock();
-        g.ram_reserved -= len;
-        g.reservations -= 1;
-        drop(g);
-        self.access_cv.notify_all();
+    /// Give up the `Busy` slot the caller owns — and, with `reserved`,
+    /// the prefetch reservation held for it — and wake whoever waits on
+    /// either: back to disk-only when the slot still holds the spill file
+    /// it was claimed over (an unread staging claim), to absent otherwise
+    /// (fetch or promote failure).
+    fn release_busy(&self, key: &BlockKey, reserved: Option<u64>) {
+        {
+            let mut st = self.state.lock();
+            if let Some(len) = reserved {
+                st.unreserve(len);
+            }
+            let Some(Slot::Busy(file)) = st.slots.remove(key) else {
+                unreachable!("release owns the Busy slot");
+            };
+            if let Some(meta) = file {
+                st.slots.insert(*key, Slot::Disk(meta));
+            }
+            st.check(&self.config);
+        }
+        self.landed.notify_all();
+        if reserved.is_some() {
+            self.room.notify_all();
+        }
     }
 
     /// Make a parked [`CacheCore::reserve_prefetch`] look at its stop flag
     /// again. Passing through the lock orders this after the waiter's
     /// last check, so a flag set before the call is never missed.
     pub(crate) fn wake_prefetcher(&self) {
-        drop(self.global.lock());
-        self.access_cv.notify_all();
+        drop(self.state.lock());
+        self.room.notify_all();
     }
+}
+
+/// Re-admit CRC-valid spill files recorded by a previous run's index in
+/// `dir` into the disk tier of a cache under construction (up to its
+/// capacity). Returns how many were.
+fn load_persisted(dir: &Path, disk_bytes: u64, st: &mut State) -> u64 {
+    let entries = match persist::read_index(dir) {
+        Ok(Some(entries)) => entries,
+        // No index, or a malformed one: cold start.
+        _ => return 0,
+    };
+    let mut readmitted = 0;
+    for e in &entries {
+        if st.disk_used + e.len > disk_bytes {
+            // Not re-admittable this run — and the index rewritten at
+            // shutdown will no longer list it, so delete the file
+            // rather than orphan it in the persist dir forever.
+            let _ = std::fs::remove_file(dir.join(persist::spill_file_name(&e.key)));
+            continue;
+        }
+        let Some(path) = persist::validate_entry(dir, e) else {
+            continue;
+        };
+        st.track_file(e.key, e.len);
+        let meta = DiskMeta {
+            path: path.into(),
+            len: e.len,
+            crc: e.crc,
+        };
+        st.slots.insert(e.key, Slot::Disk(meta));
+        readmitted += 1;
+    }
+    readmitted
+}
+
+/// Every spill file of the live tier, sorted by key: disk-only blocks
+/// and the backing of RAM residents alike.
+fn live_files(st: &State) -> Vec<(BlockKey, DiskMeta)> {
+    let mut files: Vec<(BlockKey, DiskMeta)> = st
+        .slots
+        .iter()
+        .filter_map(|(k, slot)| Some((*k, slot.file()?.clone())))
+        .collect();
+    files.sort_unstable_by_key(|(k, _)| *k);
+    files
 }
 
 /// What [`CacheCore::reserve_prefetch`] decided for one plan position.
@@ -1589,19 +1464,18 @@ impl Reservation<'_> {
     /// warm-promoted when it came from disk (timed as
     /// [`Stage::WarmPromote`]), and as wasted when RAM does not take it. A
     /// spill file that fails validation is retired, as on a demand promote.
-    pub(crate) fn fill(mut self, storage: impl FnOnce() -> Option<Bytes>) {
+    pub(crate) fn fill(self, storage: impl FnOnce() -> Option<Bytes>) {
         let t0 = Instant::now();
-        let file = self.file.take();
-        let data = match &file {
+        let data = match &self.file {
             Some(meta) => self.cache.read_spill_file(&self.key, meta),
             None => storage(),
         };
         let Some(data) = data else { return };
         let (cache, key, len) = (self.cache, self.key, self.len);
+        let promoted = self.file.is_some();
         std::mem::forget(self);
         cache.stats.prefetched.fetch_add(1, Ordering::Relaxed);
-        let promoted = file.is_some();
-        if !cache.admit_full(key, data, file, Some(len)) {
+        if !cache.land(key, data, Some(len)) {
             cache.stats.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
         } else if promoted {
             cache.stats.warm_promoted.fetch_add(1, Ordering::Relaxed);
@@ -1614,14 +1488,13 @@ impl Reservation<'_> {
 
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
-        self.cache.unreserve(self.len);
-        self.cache.release_busy(&self.key, self.file.take());
+        self.cache.release_busy(&self.key, Some(self.len));
     }
 }
 
 impl Drop for CacheCore {
     fn drop(&mut self) {
-        let files = self.live_files();
+        let files = live_files(self.state.get_mut());
         if self.config.persist {
             // Keep the spill files; leave an index for the next run.
             let _ = self.write_index(&files);
@@ -2412,7 +2285,7 @@ mod tests {
             Issue::Read(reservation) => Some(reservation),
             _ => panic!("position {pos} should be staged"),
         };
-        let fits = |pos: u64| cache.global.lock().may_stage(pos, 100, 400);
+        let fits = |pos: u64| cache.state.lock().may_stage(pos, 100, 400);
 
         // The whole budget goes out as reads in flight …
         let mut held: Vec<_> = (0..4).map(read).collect();

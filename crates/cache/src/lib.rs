@@ -8,11 +8,12 @@
 //!
 //! * [`ShardCache`] — a two-tier cache: a bounded RAM tier plus an optional
 //!   bounded local-disk spill tier, keyed by [`BlockKey`] (shard id +
-//!   record range). The hot path is sharded: N lock shards over the
-//!   residency map, an incrementally-maintained eviction order per tier
-//!   (a next-use heap, see [`order`]), and spill/promote file I/O that
-//!   runs outside every lock. Lookups are single-flight: concurrent
-//!   requests for the same missing block coalesce onto one storage read.
+//!   record range). One lock guards the residency map, the accounting
+//!   and an incrementally-maintained eviction order per tier (a next-use
+//!   heap, see [`order`]), so every slot transition is one short critical
+//!   section; storage fetches and spill/promote file I/O run outside it.
+//!   Lookups are single-flight: concurrent requests for the same missing
+//!   block coalesce onto one storage read.
 //!   The disk tier is inclusive and its files write-once: a block
 //!   promoted back to RAM keeps its spill file, so evicting it again is
 //!   a slot flip, and every byte read back from a spill file is length-

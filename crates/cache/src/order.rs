@@ -2,8 +2,8 @@
 //!
 //! The original cache picked victims with an O(residents) scan per
 //! eviction, under the same mutex that guarded everything else.
-//! [`NextUseHeap`] makes victim selection O(log n), so the global ordering
-//! lock's critical sections stay tiny at tens of thousands of blocks: a
+//! [`NextUseHeap`] makes victim selection O(log n), so the cache lock's
+//! critical sections stay tiny at tens of thousands of blocks: a
 //! lazy max-heap over each resident's next planned use. Accesses push
 //! updated entries; stale heap entries are skipped at pop time by
 //! validating against the authoritative per-key map.
@@ -60,6 +60,11 @@ impl NextUseHeap {
     /// Whether `key` is tracked.
     pub fn contains(&self, key: &BlockKey) -> bool {
         self.entries.contains_key(key)
+    }
+
+    /// How many keys are tracked.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
     }
 
     /// Size `key` was tracked with.

@@ -17,7 +17,8 @@
 //!   `ram_reserved + bytes of residents needed before p + len(p)` fits in
 //!   [`ram_bytes`](crate::CacheConfig::ram_bytes)
 //!   ([`CacheCore::reserve_prefetch`](crate::CacheCore)). The reservation
-//!   makes its room when it is taken, evicting only what the plan needs
+//!   makes its room and claims the block's slot in the critical section
+//!   that found the rule satisfied, evicting only what the plan needs
 //!   later than `p`, so in-flight buffers sit inside the RAM budget.
 //! * **Admission.** The block lands in its reservation: no prefetched
 //!   read is declined, and none evicts a block needed sooner — however
@@ -28,7 +29,7 @@
 //! * **Overlap.** Each read runs on a helper thread that lives only as
 //!   long as the read, at most [`MAX_IN_FLIGHT`] at once. A plan that is
 //!   resident issues nothing and the executor sleeps on the cache's
-//!   access condvar.
+//!   `room` condvar, which every demand access signals.
 //!
 //! [`prefetch_depth`](crate::CacheConfig::prefetch_depth) only switches
 //! this on or off.

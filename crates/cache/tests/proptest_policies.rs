@@ -2,11 +2,16 @@
 //! trace, capacity bounds hold after every operation; outside a plan the
 //! residents are exactly the textbook-LRU model's; inside one the cache
 //! never evicts the block the plan needs next and misses exactly as often
-//! as Belady's MIN.
+//! as Belady's MIN. And the slot state machine, explored on one thread so
+//! a failure replays: trees of operations in which the inner ones run
+//! *inside* a `get_or_fetch` fetch closure — while that slot is `Busy` —
+//! keep the books balanced after every step and serve every key its own
+//! bytes.
 
 use emlio_cache::{BlockKey, CacheConfig, ShardCache};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::strategy::Recursive;
 
 const BLOCK: u64 = 100;
 
@@ -83,8 +88,165 @@ fn min_misses(trace: &[u8], cap_blocks: u64) -> u64 {
     misses
 }
 
+/// One node of an operation tree over keys `0..KEYS`.
+#[derive(Clone, Debug)]
+enum Op {
+    /// `get_or_fetch`; on a miss the inner operations run inside its fetch
+    /// closure, i.e. while the key's slot is `Busy`.
+    Fetch(u8, Vec<Op>),
+    Insert(u8),
+    Peek(u8),
+    Get(u8),
+}
+
+const KEYS: u8 = 8;
+
+fn payload(i: u8) -> Vec<u8> {
+    (0..BLOCK as u8)
+        .map(|j| i.wrapping_mul(37).wrapping_add(j))
+        .collect()
+}
+
+fn op_trees() -> Recursive<Op> {
+    let leaf = prop_oneof![
+        (0..KEYS).prop_map(Op::Insert),
+        (0..KEYS).prop_map(Op::Peek),
+        (0..KEYS).prop_map(Op::Get),
+        (0..KEYS).prop_map(|i| Op::Fetch(i, Vec::new())),
+    ];
+    leaf.prop_recursive(3, 32, 4, |inner| {
+        (0..KEYS, vec(inner, 0..4)).prop_map(|(i, inside)| Op::Fetch(i, inside))
+    })
+}
+
+/// The books between two operations: the spill queue drained (the writer
+/// is the one other thread, so every run of a tree takes the same steps),
+/// the accounting is the sum over the slots, and both tiers are inside
+/// their budgets with no reservation out.
+fn books_balance(cache: &ShardCache) -> Result<(), TestCaseError> {
+    cache.flush_spills();
+    let (used, reserved) = cache.ram_budget();
+    let config = cache.config();
+    prop_assert_eq!((used, cache.disk_bytes_used()), cache.slot_bytes());
+    prop_assert!(used <= config.ram_bytes && reserved == 0);
+    prop_assert!(cache.disk_bytes_used() <= config.disk_bytes);
+    Ok(())
+}
+
+/// Walk `ops` depth first against `cache`. `busy` is the stack of keys
+/// whose fetch closures the walk is inside of; `demand` counts the
+/// accesses that must each end as one hit or one miss.
+fn walk(
+    cache: &ShardCache,
+    ops: &[Op],
+    busy: &mut Vec<u8>,
+    demand: &mut u64,
+) -> Result<(), TestCaseError> {
+    let served = |i: u8, data: &[u8]| {
+        prop_assert!(data == &payload(i)[..], "key {} served another's bytes", i);
+        Ok(())
+    };
+    for op in ops {
+        match op {
+            Op::Fetch(i, inside) if !busy.contains(i) => {
+                *demand += 1;
+                let mut nested = Ok(());
+                let (data, _) = cache
+                    .get_or_fetch::<std::io::Error, _, _>(key(*i), || {
+                        busy.push(*i);
+                        nested = walk(cache, inside, busy, demand);
+                        busy.pop();
+                        Ok(payload(*i))
+                    })
+                    .unwrap();
+                nested?;
+                served(*i, &data)?;
+            }
+            // A fetch of a key whose own fetch is in flight further up
+            // would wait for itself: the lookup that never waits instead.
+            Op::Fetch(i, _) | Op::Get(i) => {
+                *demand += 1;
+                if let Some(data) = cache.get(&key(*i)) {
+                    served(*i, &data)?;
+                }
+            }
+            Op::Insert(i) => cache.insert(key(*i), payload(*i)),
+            Op::Peek(i) => {
+                if let Some(data) = cache.peek(&key(*i)) {
+                    served(*i, &data)?;
+                }
+            }
+        }
+        books_balance(cache)?;
+    }
+    Ok(())
+}
+
+/// Run one operation tree from a cold two-tier cache and check what must
+/// hold at its end: every demand access resolved exactly once, and every
+/// eviction ended as a write or a slot flip (each block fits the tier).
+fn nested_ops_keep_the_books(
+    ram_blocks: u64,
+    disk_blocks: u64,
+    plan: &[u8],
+    ops: &[Op],
+) -> Result<(), TestCaseError> {
+    let cache = cache_with_plan(ram_blocks, disk_blocks, plan);
+    let mut demand = 0;
+    walk(&cache, ops, &mut Vec::new(), &mut demand)?;
+    let s = cache.stats().snapshot();
+    prop_assert_eq!(s.hits + s.misses, demand, "{:?}", s);
+    prop_assert_eq!(s.evictions, s.spills + s.clean_evictions, "{:?}", s);
+    prop_assert_eq!(s.spill_failures, 0);
+    Ok(())
+}
+
+/// The two races this cache has shipped, as trees. PR 13: a raw `insert`
+/// of a key whose resident an admission in flight has just popped — here
+/// the admissions run inside key 1's fetch, so key 0 is inserted beside
+/// its resident, evicted by the next insert, loses its file to key 1's
+/// landing and is inserted again. PR 19: a block taken the moment it
+/// lands (key 0, fetched again from inside its own refill), then evicted
+/// by that refill while the plan still ranks it.
+#[test]
+fn the_two_shipped_races_keep_the_books_as_nested_trees() {
+    use Op::*;
+    let pr13 = [
+        Insert(0),
+        Fetch(1, vec![Insert(0), Insert(2), Get(0)]),
+        Insert(0),
+        Get(0),
+        Peek(1),
+    ];
+    nested_ops_keep_the_books(1, 1, &[], &pr13).unwrap();
+    nested_ops_keep_the_books(1, 1, &[0, 1, 0, 2, 0], &pr13).unwrap();
+    let pr19 = [
+        Fetch(0, vec![]),
+        Fetch(1, vec![Fetch(0, vec![]), Fetch(2, vec![Get(0)])]),
+        Fetch(0, vec![Fetch(1, vec![])]),
+        Fetch(2, vec![]),
+    ];
+    for ram_blocks in 1..=3 {
+        nested_ops_keep_the_books(ram_blocks, 2, &[0, 1, 0, 2, 0, 0, 1, 2], &pr19).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever runs inside a fetch closure — reads, inserts, peeks and
+    /// further fetches of other keys, forcing evictions, clean flips,
+    /// promotes and disk reclaims beside the `Busy` slot — the books
+    /// balance after every step and every key serves its own bytes.
+    #[test]
+    fn operations_nested_in_a_fetch_keep_the_books(
+        ops in vec(op_trees(), 1..40),
+        ram_blocks in 1u64..=6,
+        disk_blocks in 1u64..=6,
+        plan in vec(0..KEYS, 0..40),
+    ) {
+        nested_ops_keep_the_books(ram_blocks, disk_blocks, &plan, &ops)?;
+    }
 
     /// Neither tier ever holds more bytes than its configured capacity,
     /// no matter the trace, the (two-tier) configuration, or how much of

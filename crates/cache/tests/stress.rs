@@ -1,12 +1,13 @@
-//! Concurrency stress: many threads hammering one sharded cache with a
-//! mix of hits, misses, evictions, spills, and promotes. The cache must
-//! never exceed either tier's capacity accounting, never deadlock (the
-//! test completing IS the liveness assertion — CI runs it in release
-//! mode), and keep its counters coherent. Capacity is sized well below
-//! the working set so the eviction/spill/promote state machine is
-//! exercised constantly — inside the plan (Belady with bypass) for the
-//! first few dozen ops, in recency order once the random accesses have
-//! leapt the cursor past the plan's end.
+//! Concurrency stress: many threads hammering one cache with a mix of
+//! hits, misses, evictions, spills, and promotes. The cache must never
+//! exceed either tier's capacity accounting, never deadlock (the test
+//! completing IS the liveness assertion — CI runs it in release mode),
+//! and keep its counters coherent; in a debug build every critical
+//! section also ends by asserting the books (`State::check`). Capacity is
+//! sized well below the working set so the eviction/spill/promote state
+//! machine is exercised constantly — inside the plan (Belady with bypass)
+//! for the first few dozen ops, in recency order once the random accesses
+//! have leapt the cursor past the plan's end.
 
 use emlio_cache::{BlockKey, CacheConfig, ShardCache};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,10 +34,10 @@ fn next_rand(state: &mut u64) -> u64 {
     *state
 }
 
-/// At quiescence (workers joined, spill queue flushed) of a cache with a
-/// disk tier, the ordering lock's byte accounting is exactly what the
-/// slots hold: no tracked entry without a slot, no slot or spill file the
-/// orders lost track of.
+/// With the workers joined and the spill queue flushed — so that the
+/// three readings below are of one state — the byte accounting of a cache
+/// with a disk tier is exactly what the slots hold: no tracked entry
+/// without a slot, no slot or spill file the orders lost track of.
 fn assert_accounting_matches_slots(cache: &ShardCache) {
     let s = cache.stats().snapshot();
     assert_eq!(
@@ -55,7 +56,7 @@ fn assert_accounting_matches_slots(cache: &ShardCache) {
 }
 
 #[test]
-fn stress_clairvoyant_sharded() {
+fn stress_reads_gets_and_inserts_over_a_cyclic_plan() {
     let ram = (40 * BLOCK_BYTES) as u64;
     let disk = (24 * BLOCK_BYTES) as u64;
     let cache = Arc::new(
@@ -138,6 +139,75 @@ fn stress_clairvoyant_sharded() {
         let data = cache.get(&k).expect("resident key readable");
         assert!(data.iter().all(|&b| b == k.shard_id as u8));
     }
+}
+
+#[test]
+fn no_lock_is_held_across_a_stalled_spill_write_or_a_parked_fetch() {
+    // The spill writer is stalled inside its file write (an injected
+    // `spill.write` latency) and a demand fetch of key A is parked inside
+    // its fetch closure: both own a transitional slot, neither may own
+    // the lock. A thousand hits and a thousand `peek`s of a resident key
+    // B must then finish in a hundredth of the stall.
+    use emlio_util::fault::{site, FaultInjector, FaultPlan, FaultSpec};
+    use emlio_util::testutil::{poll_until, Latch};
+    use std::time::{Duration, Instant};
+
+    const STALL: Duration = Duration::from_secs(3);
+    let (a, b, x, y) = (key(0), key(1), key(2), key(3));
+    let block = |k: BlockKey| vec![k.start as u8; BLOCK_BYTES];
+    let cache = ShardCache::new(
+        CacheConfig::default()
+            .with_ram_bytes((2 * BLOCK_BYTES) as u64)
+            .with_disk_bytes((8 * BLOCK_BYTES) as u64)
+            .with_prefetch_depth(0),
+    )
+    .unwrap();
+    let injector = FaultInjector::new(
+        FaultPlan::new(1).with_site(site::SPILL_WRITE, FaultSpec::latency(1.0, STALL)),
+    );
+    cache.set_fault_injector(injector.clone());
+    cache.insert(x, block(x));
+    cache.insert(b, block(b));
+    cache.insert(y, block(y)); // evicts x, the LRU resident: one spill order
+    assert!(
+        poll_until(STALL, || injector.stats().latencies == 1),
+        "the writer never reached its write"
+    );
+
+    let (parked, gate) = (Latch::new(), Latch::new());
+    std::thread::scope(|s| {
+        let fetcher = s.spawn(|| {
+            cache.get_or_fetch::<std::io::Error, _, _>(a, || {
+                parked.open();
+                assert!(gate.wait(4 * STALL), "the gate never opened");
+                // Nothing lands, so nothing more is evicted: one stall.
+                Err::<Vec<u8>, _>(std::io::Error::other("unparked"))
+            })
+        });
+        assert!(parked.wait(STALL), "the fetch never ran");
+        let reader = s.spawn(|| {
+            let t0 = Instant::now();
+            for _ in 0..1000 {
+                let hit =
+                    cache.get_or_fetch::<std::io::Error, Vec<u8>, _>(b, || panic!("b is resident"));
+                assert_eq!(hit.unwrap().0.len(), BLOCK_BYTES);
+                assert!(cache.peek(&b).is_some());
+            }
+            t0.elapsed()
+        });
+        // A reader blocked on the lock must fail the test, not hang it:
+        // the gate opens whether or not the reads came back.
+        let returned = poll_until(STALL / 2, || reader.is_finished());
+        let writer_still_stalled = cache.spill_queue_depth() == 1;
+        gate.open();
+        assert!(returned, "reads of b waited on the writer or on the fetch");
+        let elapsed = reader.join().unwrap();
+        assert!(elapsed < STALL / 100, "2 000 reads of b took {elapsed:?}");
+        assert!(writer_still_stalled, "the stall ended under the reads");
+        assert!(fetcher.join().unwrap().is_err());
+    });
+    cache.flush_spills();
+    assert_accounting_matches_slots(&cache);
 }
 
 #[test]

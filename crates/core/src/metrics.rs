@@ -34,8 +34,11 @@ impl StackCounters {
             s.cache_disk_hits = c.disk_hits;
             s.cache_readmitted = c.readmitted;
             // RAM-tier hits hand the cached `Bytes` straight into the wire
-            // frame; disk-tier hits re-read the spill file.
-            s.zero_copy_hits = c.hits - c.disk_hits;
+            // frame; disk-tier hits re-read the spill file. Saturating: the
+            // two counters are loaded one after the other, and a promote
+            // that lands between the loads of a mid-epoch snapshot shows
+            // in the subset before it shows in the total.
+            s.zero_copy_hits = c.hits.saturating_sub(c.disk_hits);
             s.cache_spill_failures = c.spill_failures;
             s.cache_spill_queue_depth = cache.spill_queue_depth();
             s.cache_spill_backpressure = c.spill_backpressure_waits;
@@ -456,6 +459,19 @@ mod tests {
         cache.stats().disk_hits.store(2, Ordering::Relaxed);
         let s = m.snapshot();
         assert_eq!((s.pool_alloc, s.pool_reuse, s.zero_copy_hits), (1, 1, 88));
+    }
+
+    #[test]
+    fn zero_copy_hits_of_a_torn_snapshot_saturate() {
+        // What a sampler thread can read while every hit so far was a
+        // promote: `hits` loaded before the promote bumped either counter,
+        // `disk_hits` after.
+        let cache = cache();
+        let m = over(Some(cache.clone()), None, None);
+        cache.stats().hits.store(3, Ordering::Relaxed);
+        cache.stats().disk_hits.store(4, Ordering::Relaxed);
+        let s = m.snapshot();
+        assert_eq!((s.cache_disk_hits, s.zero_copy_hits), (4, 0));
     }
 
     #[test]
