@@ -29,16 +29,18 @@
 //! Anything else — a completed run with missing/extra/altered samples, or
 //! a delivered batch the clean run never produced — is silent corruption:
 //! [`run_schedule`] returns `Err` with the seed embedded in the message.
-//! So do cache books that do not balance: after each leg the byte
-//! accounting of every cache it ran must equal the sum over its slots,
-//! inside both budgets, with every eviction accounted for.
+//! So do cache books that do not balance — every cache a leg ran is held
+//! to [`CacheCore::check_books`](emlio_cache::CacheCore::check_books), a
+//! killed incarnation's just before it drops — and, in spill-persist mode,
+//! a restart that re-admits nothing although the incarnation it replaces
+//! left spill files behind.
 
 use emlio_cache::peer::{ChaosPeer, FleetRegistry, LocalPeer, PeerConfig};
-use emlio_cache::{CacheConfig, ShardCache};
+use emlio_cache::CacheConfig;
 use emlio_core::chaos::ChaosController;
 use emlio_core::daemon::DaemonError;
-use emlio_core::service::{Delivery, Fingerprint, StorageSpec};
-use emlio_core::{DataPathMetrics, EmlioConfig, EmlioService, StackSpec};
+use emlio_core::service::{Delivery, Deployment, Fingerprint, StorageSpec};
+use emlio_core::{EmlioConfig, EmlioService, MetricsSnapshot, StackSpec};
 use emlio_datagen::convert::build_tfrecord_dataset;
 use emlio_datagen::DatasetSpec;
 use emlio_netem::{FaultSource, NetProfile, NfsConfig, NfsMount, NfsSource};
@@ -164,6 +166,9 @@ pub struct ChaosOutcome {
     pub io_giveups: u64,
     /// Blocks a peer served, summed across daemon incarnations (fleet mode).
     pub peer_hits: u64,
+    /// Spill files restarted incarnations re-admitted, summed across them
+    /// (spill-persist mode).
+    pub readmitted: u64,
 }
 
 impl ChaosOutcome {
@@ -182,7 +187,7 @@ impl fmt::Display for ChaosOutcome {
         write!(
             f,
             "seed {:#018x} {:<13} {verdict}: {} batches, {} kills/{} restarts, \
-             faults {}err/{}short/{}lat, io_retries {} (giveups {})",
+             faults {}err/{}short/{}lat, io_retries {} (giveups {}), readmitted {}",
             self.seed,
             self.mode.name(),
             self.batches_delivered,
@@ -193,6 +198,7 @@ impl fmt::Display for ChaosOutcome {
             self.injected_latencies,
             self.io_retries,
             self.io_giveups,
+            self.readmitted,
         )
     }
 }
@@ -264,16 +270,16 @@ impl Schedule {
     }
 }
 
-/// Launch one daemon `id` over `stack`, drain it to the end, and balance
-/// the books of every cache the leg ran (one per incarnation). `Err` is a
-/// harness failure: the launch, or books that do not balance.
+/// Launch one daemon `id` over `stack` and drain it to the end. `Err` is
+/// a harness failure: the launch, or cache books that do not balance — a
+/// chaos-served daemon's as each incarnation ended, any other's here.
 fn launch_and_drain(
     id: &str,
     dir: &std::path::Path,
     index: &Arc<GlobalIndex>,
     config: &EmlioConfig,
     stack: StackSpec,
-) -> Result<(Delivery, Vec<Arc<DataPathMetrics>>), String> {
+) -> Result<(Delivery, Deployment), String> {
     let storage = StorageSpec {
         stack,
         index: Some(index.clone()),
@@ -281,48 +287,15 @@ fn launch_and_drain(
     };
     let mut dep = EmlioService::launch(&[storage], config, "n").map_err(|e| e.to_string())?;
     let delivery = dep.drain();
+    for post_mortem in &dep.post_mortems {
+        post_mortem.as_ref().map_err(String::clone)?;
+    }
     for daemon in &dep.daemon_metrics {
         if let Some(cache) = daemon.stack().and_then(|s| s.cache.as_deref()) {
-            cache_books_balance(cache)?;
+            cache.check_books()?;
         }
     }
-    Ok((delivery, dep.daemon_metrics))
-}
-
-/// The cache invariants `stress.rs` asserts, on a cache whose daemon and
-/// prefetcher have been joined: once the spill queue is flushed the byte
-/// accounting is the sum over the slots, both tiers are inside their
-/// budgets with no reservation left out, and — with a disk tier, which
-/// here takes every block — every eviction ended as a spill-file write, a
-/// flip onto the file the block already had, or a counted write failure.
-/// A persistent cache's checkpoint writes are spills no eviction asked
-/// for, so there the evictions can only be fewer.
-fn cache_books_balance(cache: &ShardCache) -> Result<(), String> {
-    cache.flush_spills();
-    let (config, s) = (cache.config(), cache.stats().snapshot());
-    let (ram, reserved) = cache.ram_budget();
-    let disk = cache.disk_bytes_used();
-    let ended = s.spills + s.clean_evictions + s.spill_failures;
-    let evictions_ended = match (config.disk_bytes, config.persist) {
-        (0, _) => true,
-        (_, false) => s.evictions == ended,
-        (_, true) => s.evictions <= ended,
-    };
-    if (ram, disk) == cache.slot_bytes()
-        && reserved == 0
-        && ram <= config.ram_bytes
-        && disk <= config.disk_bytes
-        && evictions_ended
-    {
-        return Ok(());
-    }
-    Err(format!(
-        "cache books out of balance: accounting ({ram}, {disk}) vs slots {:?}, \
-         {reserved} bytes still reserved, budgets ({}, {}), {s:?}",
-        cache.slot_bytes(),
-        config.ram_bytes,
-        config.disk_bytes,
-    ))
+    Ok((delivery, dep))
 }
 
 /// The oracle: classify `(delivered, serve result)` against the clean
@@ -387,11 +360,11 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
     // One fault-free leg: a daemon `id` over the plain local shards,
     // which must run to completion.
     let clean_leg = |id: &str, config: &EmlioConfig, what: &str| {
-        let (delivery, metrics) =
+        let (delivery, dep) =
             launch_and_drain(id, dir.path(), &index, config, StackSpec::default())
                 .map_err(|e| fail(what, &e))?;
         delivery.served.as_ref().map_err(|e| fail(what, e))?;
-        Ok::<_, String>((delivery, metrics))
+        Ok::<_, String>((delivery, dep))
     };
 
     let base_config = EmlioConfig::default()
@@ -441,7 +414,7 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
                 .with_epochs(1)
                 .with_cache(CacheConfig::default().with_ram_bytes(64 << 20));
             let (_, owner) = clean_leg("owner", &owner_config, "owner warm-up failed")?;
-            owner_cache = owner[0]
+            owner_cache = owner.daemon_metrics[0]
                 .stack()
                 .and_then(|s| s.cache.clone())
                 .expect("owner is cached");
@@ -488,7 +461,7 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
     let stack = stack
         .with_chaos(controller.clone())
         .with_faults(injector.clone());
-    let (delivery, incarnations) = launch_and_drain(id, dir.path(), &index, &config, stack)
+    let (delivery, dep) = launch_and_drain(id, dir.path(), &index, &config, stack)
         .map_err(|e| fail("chaos launch failed", &e))?;
 
     let verdict = reconcile(
@@ -497,15 +470,20 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
         &reference.fingerprint,
         &delivery.served,
     )?;
-    // Retry counters are per daemon, so the totals sum every
-    // incarnation's final snapshot.
-    let (mut io_retries, mut io_giveups, mut peer_hits) = (0u64, 0u64, 0u64);
-    for m in &incarnations {
-        let s = m.snapshot();
-        io_retries += s.io_retries;
-        io_giveups += s.io_giveups;
-        peer_hits += s.peer_hits;
+    // Counters are per incarnation, all balanced above. A persistent tier
+    // outlives its incarnation: whatever spill files one left, the next
+    // re-admits.
+    let incarnations: Vec<_> = dep.post_mortems.iter().flatten().collect();
+    for (i, pair) in incarnations.windows(2).enumerate() {
+        let ((_, left), (next, _)) = (pair[0], pair[1]);
+        if *left > 0 && next.cache_readmitted == 0 {
+            return Err(fail(
+                &format!("restart {} re-admitted nothing", i + 1),
+                &format!("the killed incarnation left {left} spill-file bytes"),
+            ));
+        }
     }
+    let sum = |count: fn(&MetricsSnapshot) -> u64| incarnations.iter().map(|(s, _)| count(s)).sum();
     // A clean finish with give-ups on the books is NOT a swallowed error:
     // every mode here runs a cache above the retry layer, and the
     // prefetcher deliberately skips fetch errors — a prefetch read may
@@ -525,9 +503,10 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
         injected_errors: faults.errors,
         injected_short_reads: faults.short_reads,
         injected_latencies: faults.latencies,
-        io_retries,
-        io_giveups,
-        peer_hits,
+        io_retries: sum(|s| s.io_retries),
+        io_giveups: sum(|s| s.io_giveups),
+        peer_hits: sum(|s| s.peer_hits),
+        readmitted: sum(|s| s.cache_readmitted),
     })
 }
 

@@ -1,9 +1,11 @@
-//! `emlio-bench` — the reproduction harness.
+//! `emlio-bench` — the reproduction harness: the paper-figure table, the
+//! seeded [`chaos`] harness and the shared-storage [`contention`] harness.
+//! Performance is measured in one place, the perf ledger
+//! (`BENCHMARK.json` + `benchmark/`), not here.
 //!
 //! Every paper artifact the DES testbed regenerates is one row of
-//! [`FIGURES`]; `cargo run -p emlio-bench --release --bin figures -- [names…]`,
-//! `emlio figures [names…]` and the `figures` bench target all run rows of
-//! that one table (no names = every row):
+//! [`FIGURES`]; `emlio figures [names…]` runs rows of that one table (no
+//! names = every row):
 //!
 //! | name | artifact |
 //! |---|---|
@@ -18,18 +20,8 @@
 //! | `ablations`     | EXP-ABL — HWM / concurrency / prefetch / batch sweeps |
 //!
 //! Each row prints a paper-vs-reproduction table (Table 1 header
-//! included) and writes `<name>.csv` under `target/experiments/`. The one
-//! other binary, `fig_cache_ablation` (EXP-CACHE — the plan-driven cache
-//! against an LRU model on a Zipf replay, plus the cooperative-fleet
-//! pass), runs the real cache rather than the DES. The Criterion
-//! microbenches
-//! (`cargo bench -p emlio-bench`) cover the data-plane hot paths: CRC32C,
-//! msgpack, TFRecord framing and range reads, SIF decode, zmq-lite
-//! transfer, planner construction, and the DES kernel itself; the
-//! `figures` bench target replays every row so `cargo bench --workspace`
-//! regenerates the entire evaluation.
+//! included) and writes `<name>.csv` under `target/experiments/`.
 
-pub mod cache_ablation;
 pub mod chaos;
 pub mod contention;
 
@@ -38,7 +30,7 @@ use emlio_testbed::{report, NodeSpec};
 use std::path::PathBuf;
 
 /// Where CSV artifacts land.
-pub fn output_dir() -> PathBuf {
+fn output_dir() -> PathBuf {
     let dir = PathBuf::from("target/experiments");
     let _ = std::fs::create_dir_all(&dir);
     dir
@@ -46,7 +38,7 @@ pub fn output_dir() -> PathBuf {
 
 /// Print the standard report (Table 1 header + paper-vs-ours table) and
 /// write `<name>.csv`.
-pub fn emit(name: &str, title: &str, rows: &[ExperimentRow]) {
+fn emit(name: &str, title: &str, rows: &[ExperimentRow]) {
     println!("{}", NodeSpec::table1_text());
     println!("{}", report::render_table(title, rows));
     let csv_path = output_dir().join(format!("{name}.csv"));
@@ -58,8 +50,8 @@ pub fn emit(name: &str, title: &str, rows: &[ExperimentRow]) {
 }
 
 /// Every artifact the DES testbed regenerates, in paper order: the name
-/// the CLI, the `figures` bin and the bench target select it by, and the
-/// function that runs it and prints its report.
+/// `emlio figures` selects it by, and the function that runs it and
+/// prints its report.
 pub const FIGURES: &[(&str, fn())] = &[
     ("fig1", fig1),
     ("fig5", fig5),

@@ -737,6 +737,33 @@ impl CacheCore {
         })
     }
 
+    /// Balance the books of a cache whose users have all been joined: once
+    /// the spill queue is flushed the accounting is the sum over the slots,
+    /// both tiers are inside their budgets with nothing reserved, and —
+    /// with a disk tier that takes every block — every eviction ended as a
+    /// spill write, a flip onto its block's file or a counted write failure
+    /// (or fewer: a persistent cache's checkpoints are spills too).
+    pub fn check_books(&self) -> Result<(), String> {
+        self.flush_spills();
+        let (c, s, slots) = (&self.config, self.stats.snapshot(), self.slot_bytes());
+        let ((ram, reserved), disk) = (self.ram_budget(), self.disk_bytes_used());
+        let ended = s.spills + s.clean_evictions + s.spill_failures;
+        let evictions_ended =
+            c.disk_bytes == 0 || s.evictions == ended || (c.persist && s.evictions < ended);
+        if (ram, disk) == slots
+            && reserved == 0
+            && ram <= c.ram_bytes
+            && disk <= c.disk_bytes
+            && evictions_ended
+        {
+            return Ok(());
+        }
+        Err(format!(
+            "cache books out of balance: accounting ({ram}, {disk}) vs slots {slots:?}, \
+             {reserved} bytes reserved, {c:?}, {s:?}"
+        ))
+    }
+
     fn count_hit(&self, data: &Bytes) {
         self.stats.hits.fetch_add(1, Ordering::Relaxed);
         self.stats

@@ -22,7 +22,7 @@
 
 use crate::config::EmlioConfig;
 use crate::daemon::{DaemonError, EmlioDaemon};
-use crate::metrics::DataPathMetrics;
+use crate::metrics::{DataPathMetrics, MetricsSnapshot};
 use crate::plan::Plan;
 use crate::receiver::{EmlioReceiver, ReceiverConfig};
 use crate::stack::StackSpec;
@@ -80,10 +80,10 @@ pub struct Delivery {
     pub served: Result<u32, DaemonError>,
 }
 
-/// What a daemon thread hands back: the counters of every incarnation it
-/// reopened after a kill, and how many restarts it took — `None` when it
-/// failed, its error having gone to the deployment's [`FirstError`].
-type Served = (Vec<Arc<DataPathMetrics>>, Option<u32>);
+/// What a daemon thread hands back: its [`Deployment::post_mortems`], and
+/// how many restarts it took — `None` when it failed, its error having
+/// gone to the deployment's [`FirstError`].
+type Served = (Vec<Result<(MetricsSnapshot, u64), String>>, Option<u32>);
 
 /// The error of the daemon that failed first *in time*. One daemon's
 /// failure ends the stream for all of them, so the survivors' transport
@@ -99,9 +99,15 @@ pub struct Deployment {
     pub batches_per_epoch: Vec<u64>,
     /// Storage-side counters, one per daemon in `storage` order (includes
     /// the cache hit/miss/bytes-saved telemetry when caching is enabled).
-    /// [`join_daemons`](Self::join_daemons) appends those of incarnations
-    /// reopened after a chaos kill.
+    /// A daemon served under a chaos controller has bare counters here: a
+    /// handle held across a kill would keep the killed incarnation's cache
+    /// alive past the reopen.
     pub daemon_metrics: Vec<Arc<DataPathMetrics>>,
+    /// Each incarnation of each daemon served under a chaos controller, in
+    /// `storage` order and then incarnation order, as its serve ended: its
+    /// final counters and the spill-file bytes its cache left for the next
+    /// incarnation to re-admit — or why that cache's books did not balance.
+    pub post_mortems: Vec<Result<(MetricsSnapshot, u64), String>>,
     /// Per-stage latency histograms, one per daemon in `storage` order.
     pub daemon_recorders: Vec<Arc<StageRecorder>>,
     daemons: Vec<JoinHandle<Served>>,
@@ -120,8 +126,8 @@ impl Deployment {
         let mut restarts = 0u32;
         for h in self.daemons.drain(..) {
             // A failed or panicked daemon left its error in `first_error`.
-            if let Ok((reopened, served)) = h.join() {
-                self.daemon_metrics.extend(reopened);
+            if let Ok((post_mortems, served)) = h.join() {
+                self.post_mortems.extend(post_mortems);
                 restarts += served.unwrap_or(0);
             }
         }
@@ -199,6 +205,15 @@ impl Drop for StopIntakeOnFailure {
     }
 }
 
+/// One entry of [`Deployment::post_mortems`], taken before the incarnation
+/// drops.
+fn post_mortem(daemon: &EmlioDaemon) -> Result<(MetricsSnapshot, u64), String> {
+    let metrics = daemon.metrics();
+    let cache = metrics.stack().and_then(|s| s.cache.as_deref());
+    cache.map_or(Ok(()), |c| c.check_books())?;
+    Ok((metrics.snapshot(), cache.map_or(0, |c| c.disk_bytes_used())))
+}
+
 /// Open `spec`'s daemon — at launch, and again after each chaos kill.
 fn open(
     spec: &StorageSpec,
@@ -240,7 +255,9 @@ impl EmlioService {
     /// process loses), reopened from the same spec and re-served against
     /// the controller's retained exactly-once ledger. A persistent cache
     /// (`CacheConfig::with_persist_dir`) re-admits its spill tier across
-    /// the restart; everything else starts cold. Killed incarnations end
+    /// the restart: the killed incarnation's cache has drained its spill
+    /// writer and written its spill index before the next one opens.
+    /// Everything else starts cold. Killed incarnations end
     /// their streams without markers, so the receiver's budget of
     /// daemons × `T` markers is met by the incarnations that run to
     /// completion. Each armed kill point trips at most once, so the loop
@@ -275,7 +292,8 @@ impl EmlioService {
                 None => Arc::new(GlobalIndex::load_dir(&spec.dataset_dir)?),
             };
             let daemon = open(spec, &index, config)?;
-            daemon_metrics.push(daemon.metrics());
+            let metrics = spec.stack.chaos.is_none().then(|| daemon.metrics());
+            daemon_metrics.push(metrics.unwrap_or_default());
             daemon_recorders.push(daemon.recorder());
             let plan = Plan::build(&index, &[node_id.to_string()], config);
             for e in 0..config.epochs {
@@ -296,27 +314,29 @@ impl EmlioService {
                 failed: Some(DaemonError::BadPlan("daemon panicked".into())),
             };
             let serve = move || {
-                let mut reopened = Vec::new();
+                let mut post_mortems = Vec::new();
                 let mut restarts = 0u32;
                 let served = loop {
-                    if let Err(e) = daemon.serve(&plan, &node_id, &endpoint) {
-                        break Err(e);
-                    }
-                    let Some(chaos) = spec.stack.chaos.as_ref().filter(|c| c.is_killed()) else {
-                        break Ok(restarts);
+                    let served = daemon.serve(&plan, &node_id, &endpoint).map(|()| restarts);
+                    let Some(chaos) = &spec.stack.chaos else {
+                        break served;
                     };
+                    post_mortems.push(post_mortem(&daemon));
+                    if served.is_err() || !chaos.is_killed() {
+                        break served;
+                    }
                     restarts += 1;
                     // Drop before reopening: the incarnation's sockets close
-                    // and its in-RAM cache state is lost, as in a real crash.
+                    // and its in-RAM cache state is lost, as in a real crash,
+                    // and what it spilled is indexed for the next one.
                     drop(daemon);
                     chaos.reset_for_restart();
                     daemon = match open(&spec, &index, &config) {
                         Ok(d) => d,
                         Err(e) => break Err(e),
                     };
-                    reopened.push(daemon.metrics());
                 };
-                (reopened, intake.settle(served))
+                (post_mortems, intake.settle(served))
             };
             daemons.push(
                 std::thread::Builder::new()
@@ -329,6 +349,7 @@ impl EmlioService {
             receiver,
             batches_per_epoch,
             daemon_metrics,
+            post_mortems: Vec::new(),
             daemon_recorders,
             daemons,
             first_error,
@@ -448,10 +469,16 @@ mod tests {
         );
         assert_eq!(controller.kills(), 2);
         assert_eq!(
-            dep.daemon_metrics.len(),
+            dep.post_mortems.len(),
             3,
             "one set of counters per incarnation"
         );
+        // Between them the three incarnations served every batch once.
+        let served = dep
+            .post_mortems
+            .iter()
+            .map(|p| p.as_ref().unwrap().0.batches);
+        assert_eq!(served.sum::<u64>(), delivery.batches);
         // Sorted, so a sample delivered twice across incarnations would sit
         // next to itself.
         let samples: Vec<(u32, u64)> = delivery

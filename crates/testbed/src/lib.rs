@@ -20,7 +20,7 @@
 //!   the ablation sweeps DESIGN.md calls out;
 //! * [`paper`] — the published reference numbers, so every report prints
 //!   *paper vs. reproduction* side by side;
-//! * [`report`] — table/CSV rendering shared by the bench binaries.
+//! * [`report`] — table/CSV rendering behind every `emlio figures` row.
 
 pub mod energy;
 pub mod experiment;

@@ -106,7 +106,7 @@ impl NodeSpec {
         }
     }
 
-    /// Render the Table 1 header printed by every bench binary.
+    /// Render the Table 1 header printed by every `emlio figures` row.
     pub fn table1_text() -> String {
         let mut out = String::from("Table 1 testbed (Chameleon): \n");
         for n in [

@@ -1,4 +1,4 @@
-//! Table/CSV rendering shared by the bench binaries.
+//! Table/CSV rendering behind every `emlio figures` row.
 
 use crate::experiment::ExperimentRow;
 use crate::paper;

@@ -11,8 +11,8 @@
 //! against — it is slicing-by-4 over precomputed tables
 //! ([`crc32c_table`]). The choice matters beyond record framing because
 //! the cache checks every spill file it reads back with this function.
-//! Over one 3 MiB cache block on the 2-core sandbox (the `crc32c` Criterion
-//! bench prints the dispatched kernel and the tables side by side):
+//! Over one 3 MiB cache block on a 2-core x86-64 box (a one-off
+//! measurement: the perf ledger has no isolation row for the kernels yet):
 //!
 //! | kernel | per block | rate |
 //! |---|---|---|
@@ -207,7 +207,7 @@ mod sse42 {
 }
 
 /// [`crc32c`] by slicing-by-4 table lookups: the portable path, and the
-/// oracle the tests and the `crc32c` bench hold the dispatched kernel to.
+/// oracle the tests hold the dispatched kernel to.
 pub fn crc32c_table(data: &[u8]) -> u32 {
     let mut crc = !0u32;
     let mut chunks = data.chunks_exact(4);

@@ -112,11 +112,10 @@ fn headline_claims_hold() {
     assert!((max - min) / min < 0.05, "EMLIO ±5%: {e_span:?}");
 }
 
-/// `emlio figures`, the `figures` bin and the bench target all run rows of
-/// one table: its names are unique, and every figure the CLI's help
-/// offers is a row of it.
+/// `emlio figures` runs rows of one table: its names are unique, and every
+/// figure the CLI's help offers is a row of it.
 #[test]
-fn one_figures_table_behind_every_entry_point() {
+fn emlio_figures_runs_rows_of_the_one_table() {
     let names: Vec<&str> = emlio::bench::FIGURES
         .iter()
         .map(|(name, _)| *name)

@@ -3,8 +3,10 @@
 //! (one wire, one token bucket). The per-daemon caches must keep the
 //! shared link's traffic at exactly one pass over the dataset per daemon
 //! no matter how many epochs stream, and the aggregate bytes-saved must
-//! account for every absorbed re-read. Runs the same harness the
-//! `fig_cache_ablation --smoke` CI job exercises.
+//! account for every absorbed re-read. With one shared `FleetRegistry`
+//! the link carries the dataset once in total, and delivery stays
+//! byte-identical to the solo run. This is the one home of the
+//! `emlio_bench::contention` harness's assertions.
 
 use emlio_bench::contention::{run, ContentionConfig};
 
@@ -48,9 +50,11 @@ fn per_daemon_caches_absorb_repeat_epochs_on_a_shared_mount() {
         out.aggregate_bytes_saved >= floor_bytes && out.aggregate_bytes_saved <= ceil_bytes,
         "aggregate savings outside [{floor_bytes}, {ceil_bytes}]: {out:?}"
     );
+    // Solo daemons have no peer tier at all.
     assert_eq!(
-        out.aggregate_bytes_saved,
-        out.per_daemon_bytes_saved.iter().sum::<u64>()
+        (out.peer_hits, out.peer_misses, out.peer_fallbacks),
+        (0, 0, 0),
+        "{out:?}"
     );
 }
 
@@ -77,8 +81,13 @@ fn cooperative_fleet_collapses_shared_link_to_one_dataset_pass() {
         "{fleet:?}"
     );
     assert_eq!(fleet.peer_fallbacks, 0, "healthy fleet never degrades");
+    assert!(fleet.peer_hits > 0, "peers served traffic: {fleet:?}");
+    // Every peer hit is priced as one storage read avoided.
+    assert_eq!(fleet.fleet_savings.avoided_reads, fleet.peer_hits);
     assert!(
-        fleet.peer_bytes > 0 && fleet.fleet_savings.avoided_joules > 0.0,
+        fleet.peer_bytes > 0
+            && fleet.fleet_savings.avoided_bytes > 0
+            && fleet.fleet_savings.avoided_joules > 0.0,
         "peer traffic is priced as avoided storage I/O: {fleet:?}"
     );
 
@@ -92,8 +101,10 @@ fn cooperative_fleet_collapses_shared_link_to_one_dataset_pass() {
         solo_cfg.daemons as u64 * solo.dataset_bytes,
         "solo shared-link traffic is exactly one pass per daemon: {solo:?}"
     );
+    assert!(fleet.nfs_bytes_read < solo.nfs_bytes_read);
     // Identical payloads either way — the fleet changes who carries the
     // bytes, never the bytes.
+    assert_eq!(fleet.batches_delivered, solo.batches_delivered);
     assert_eq!(fleet.payload_digest, solo.payload_digest);
 }
 
@@ -111,7 +122,6 @@ fn two_daemon_mount_run_wastes_no_read() {
             epochs: 3,
             samples: 64,
             peer_fleet,
-            ..ContentionConfig::smoke()
         };
         let out = run(&cfg);
         assert_eq!(out.batches_delivered, out.expected_batches, "{out:?}");
