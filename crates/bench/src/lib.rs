@@ -17,7 +17,7 @@
 //! | `fig9`          | Figure 9 — VGG-19 |
 //! | `fig10`         | Figure 10 — sharded scenario with DDP |
 //! | `fig11`         | Figure 11 — loss vs wall-clock at 10 ms RTT |
-//! | `ablations`     | EXP-ABL — HWM / concurrency / prefetch / batch sweeps |
+//! | `ablations`     | Ablations — concurrency / HWM / batch / TCP window / RTT sweeps |
 //!
 //! Each row prints a paper-vs-reproduction table (Table 1 header
 //! included) and writes `<name>.csv` under `target/experiments/`.
@@ -41,11 +41,17 @@ fn output_dir() -> PathBuf {
 fn emit(name: &str, title: &str, rows: &[ExperimentRow]) {
     println!("{}", NodeSpec::table1_text());
     println!("{}", report::render_table(title, rows));
-    let csv_path = output_dir().join(format!("{name}.csv"));
-    if let Err(e) = std::fs::write(&csv_path, report::to_csv(rows)) {
-        emlio_obs::obs_warn!("bench", "could not write {}: {e}", csv_path.display());
+    write_csv(name, &report::to_csv(rows));
+}
+
+/// Write `<name>.csv` under the output directory. A failed write is a
+/// warning: the report has already been printed.
+fn write_csv(name: &str, csv: &str) {
+    let path = output_dir().join(format!("{name}.csv"));
+    if let Err(e) = std::fs::write(&path, csv) {
+        emlio_obs::obs_warn!("bench", "could not write {}: {e}", path.display());
     } else {
-        println!("wrote {}", csv_path.display());
+        println!("wrote {}", path.display());
     }
 }
 
@@ -194,9 +200,7 @@ fn fig11() {
         at(emlio, t200),
         at(dali, t200)
     );
-    let path = output_dir().join("fig11.csv");
-    std::fs::write(&path, csv).expect("write csv");
-    println!("wrote {}", path.display());
+    write_csv("fig11", &csv);
 }
 
 #[cfg(test)]

@@ -4,8 +4,7 @@
 //!
 //! [`StreamMerger`] is pure (no threads, no clocks): samplers push
 //! `(component, t, fields)` tuples; `drain_ready` returns gapless merged rows
-//! in grid order. The monitor wraps it in a thread; the DES testbed calls it
-//! directly on busy-trace-derived samples.
+//! in grid order. The monitor wraps it in a thread.
 
 use std::collections::BTreeMap;
 

@@ -19,7 +19,7 @@
 //! **Counter substitution.** `perf stat -e power/energy-pkg/` and NVML are
 //! not available in this environment, so the lowest-level read is a
 //! [`power::PowerSource`]: either a calibrated utilization×power model
-//! (driven by live [`power::UtilProbe`]s or by DES busy traces) or a
+//! (driven by live [`power::UtilProbe`]s) or a
 //! `/proc/stat`-based CPU source for real runs. Everything above that read —
 //! threads, barrier, queues, interpolation, batching, tagging, queries — is
 //! the paper's machinery.

@@ -14,8 +14,7 @@ pub struct Utilization {
     pub gpu: f64,
 }
 
-/// Something that can report current utilization (a live workload probe or a
-/// DES busy-trace replay).
+/// Something that can report current utilization (a live workload probe).
 pub trait UtilProbe: Send + Sync {
     /// Utilization right now.
     fn utilization(&self) -> Utilization;

@@ -3,7 +3,7 @@
 //! When the daemon's shard cache serves a planned batch from RAM, the read
 //! that *would* have gone to networked storage never happens. This module
 //! prices those avoided reads with the same `emlio-netem` NFS cost model
-//! that drives the baselines and the discrete-event testbed: each avoided
+//! that drives the baselines: each avoided
 //! read would have paid compound OPEN round trips, chunked READ waves, a
 //! CLOSE, and its share of link bandwidth; the storage node would have
 //! been busy (at its active I/O power draw) for exactly that long.

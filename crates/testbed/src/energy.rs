@@ -1,15 +1,14 @@
-//! Busy-trace → joules integration.
+//! Busy time → joules integration.
 //!
 //! Uses the same linear idle→peak component power model as the live
 //! `emlio-energymon`: every component draws its idle power for the whole
-//! makespan, and each pipeline stage adds a calibrated number of watts per
+//! makespan, and each pipeline stage adds a hand-set number of watts per
 //! busy server, attributed to (node role, component). DRAM draw follows CPU
 //! activity at a fixed fraction. Scenario extras (DDP spin-wait) come in as
 //! explicit `(role, comp, watts, secs)` terms.
 
 use crate::nodes::NodeSpec;
 use emlio_energymon::EnergyBreakdown;
-use emlio_sim::pipeline::PipelineResult;
 
 /// Which physical node a stage runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +51,7 @@ impl StageEnergy {
     }
 }
 
-/// Additional energy term outside the pipeline traces (e.g. DDP spin).
+/// Additional energy term outside the pipeline stages (e.g. DDP spin).
 #[derive(Debug, Clone, Copy)]
 pub struct ExtraDraw {
     /// Node the draw occurs on.
@@ -84,12 +83,14 @@ impl ClusterEnergy {
 /// DRAM activity as a fraction of CPU activity (DDR4 under streaming).
 const DRAM_TRACKS_CPU: f64 = 0.15;
 
-/// Integrate a pipeline run into per-node joules.
+/// Integrate a run of `makespan` seconds, whose stages were busy for
+/// `busy_secs` server-seconds each, into per-node joules.
 ///
 /// `fold_storage_into_compute`: the sharded scenario has no dedicated
 /// storage node — daemon/NFS-server work lands on the compute node.
 pub fn integrate(
-    result: &PipelineResult,
+    makespan: f64,
+    busy_secs: &[f64],
     energy_map: &[StageEnergy],
     compute: &NodeSpec,
     storage: Option<&NodeSpec>,
@@ -97,11 +98,10 @@ pub fn integrate(
     fold_storage_into_compute: bool,
 ) -> ClusterEnergy {
     assert_eq!(
-        result.stages.len(),
+        busy_secs.len(),
         energy_map.len(),
         "energy map must align with stages"
     );
-    let makespan = result.makespan_secs();
 
     // Idle floors.
     let mut out = ClusterEnergy {
@@ -113,10 +113,10 @@ pub fn integrate(
     }
 
     // Stage activity.
-    for (stage, se) in result.stages.iter().zip(energy_map) {
+    for (&busy, se) in busy_secs.iter().zip(energy_map) {
         for &(role, comp, watts) in &se.assignments {
             let role = effective_role(role, fold_storage_into_compute);
-            let joules = watts * stage.busy_secs;
+            let joules = watts * busy;
             add(&mut out, role, comp, joules);
             if comp == Comp::Cpu {
                 add(&mut out, role, Comp::Dram, joules * DRAM_TRACKS_CPU);
@@ -164,31 +164,21 @@ fn add(out: &mut ClusterEnergy, role: Role, comp: Comp, joules: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emlio_sim::{PipelineSim, StageSpec, Token};
 
-    fn tiny_result() -> PipelineResult {
-        let mut sim = PipelineSim::new(1_000_000);
-        sim.add_stage(StageSpec::servers("a", 1, usize::MAX, |_| 1_000_000_000)); // 1 s each
-        sim.add_stage(StageSpec::servers("b", 1, 2, |_| 500_000_000));
-        for i in 0..4 {
-            sim.push_initial(Token::new(i, 0));
-        }
-        sim.run()
-    }
+    /// Two stages of one server, 1 s and 0.5 s a batch, over four batches:
+    /// busy 4 s and 2 s, the last batch out at 4.5 s.
+    const MAKESPAN: f64 = 4.5;
+    const BUSY: [f64; 2] = [4.0, 2.0];
 
     #[test]
     fn idle_plus_activity() {
-        let result = tiny_result();
-        // Stage a busy 4 s; stage b busy 2 s; makespan 4.5 s.
         let map = vec![
             StageEnergy::new(&[(Role::Storage, Comp::Cpu, 100.0)]),
             StageEnergy::new(&[(Role::Compute, Comp::Gpu, 200.0)]),
         ];
         let compute = NodeSpec::uc_compute();
         let storage = NodeSpec::uc_storage();
-        let e = integrate(&result, &map, &compute, Some(&storage), &[], false);
-        let makespan = result.makespan_secs();
-        assert!((makespan - 4.5).abs() < 1e-9);
+        let e = integrate(MAKESPAN, &BUSY, &map, &compute, Some(&storage), &[], false);
 
         // Storage CPU: idle 40 W × 4.5 + 100 W × 4 s = 580 J.
         assert!((e.storage.cpu_j - (40.0 * 4.5 + 400.0)).abs() < 1e-6);
@@ -202,13 +192,12 @@ mod tests {
 
     #[test]
     fn folding_moves_storage_onto_compute() {
-        let result = tiny_result();
         let map = vec![
             StageEnergy::new(&[(Role::Storage, Comp::Cpu, 100.0)]),
             StageEnergy::none(),
         ];
         let compute = NodeSpec::uc_compute();
-        let e = integrate(&result, &map, &compute, None, &[], true);
+        let e = integrate(MAKESPAN, &BUSY, &map, &compute, None, &[], true);
         assert_eq!(e.storage.total_j(), 0.0);
         // Compute CPU gets idle + the folded storage work.
         assert!((e.compute.cpu_j - (40.0 * 4.5 + 400.0)).abs() < 1e-6);
@@ -216,7 +205,6 @@ mod tests {
 
     #[test]
     fn extras_added() {
-        let result = tiny_result();
         let map = vec![StageEnergy::none(), StageEnergy::none()];
         let compute = NodeSpec::uc_compute();
         let extras = [ExtraDraw {
@@ -225,15 +213,14 @@ mod tests {
             watts: 100.0,
             secs: 3.0,
         }];
-        let e = integrate(&result, &map, &compute, None, &extras, true);
+        let e = integrate(MAKESPAN, &BUSY, &map, &compute, None, &extras, true);
         assert!((e.compute.gpu_j - (25.0 * 4.5 + 300.0)).abs() < 1e-6);
     }
 
     #[test]
     #[should_panic]
     fn misaligned_map_panics() {
-        let result = tiny_result();
         let compute = NodeSpec::uc_compute();
-        let _ = integrate(&result, &[], &compute, None, &[], true);
+        let _ = integrate(MAKESPAN, &BUSY, &[], &compute, None, &[], true);
     }
 }

@@ -7,6 +7,7 @@ use crate::regimes::Regime;
 use crate::workload::Workload;
 use emlio_energymon::EnergyBreakdown;
 use emlio_trainsim::{ddp, LossCurve};
+use emlio_util::nanos_to_secs;
 use std::time::Duration;
 
 /// Deployment scenario (§5's Scenario 1 vs Scenario 2).
@@ -68,7 +69,8 @@ pub fn run_one(
         Scenario::Sharded { nodes } => {
             let local_frac = 1.0 / nodes as f64;
             // Cross-mounted NFS with every node both serving and fetching
-            // halves the usable reader pool (observed contention; DESIGN §5).
+            // shrinks the usable reader pool: 2 readers, hand-set (ROADMAP
+            // item 5).
             (1.0 - local_frac, true, Some(2), consts.clone())
         }
     };
@@ -124,9 +126,15 @@ pub fn run_one(
             dali_readers_override: dali_readers,
         },
     );
-    let result = built.sim.run();
+    let makespan = built.makespan_secs();
+    let busy: Vec<f64> = built
+        .stages
+        .iter()
+        .map(|s| s.busy_secs(built.batches))
+        .collect();
     let cluster = energy::integrate(
-        &result,
+        makespan,
+        &busy,
         &built.energy_map,
         &compute,
         Some(&storage),
@@ -141,7 +149,7 @@ pub fn run_one(
         method: method_name
             .map(str::to_string)
             .unwrap_or_else(|| kind.name()),
-        duration_secs: result.makespan_secs(),
+        duration_secs: makespan,
         compute: cluster.compute,
         storage: cluster.storage,
     }
@@ -293,8 +301,8 @@ pub struct LossTrace {
 }
 
 /// Figure 11: training loss vs wall-clock time at 10 ms RTT over COCO.
-/// Three seeded runs give the ±1 std band. (The paper's run used a
-/// constrained DALI reader pool; see EXPERIMENTS.md.)
+/// Three seeded runs give the ±1 std band. DALI runs with a reader pool of
+/// 2 instead of the default 8, hand-set (ROADMAP item 5).
 pub fn fig11() -> Vec<LossTrace> {
     let w = Workload::coco_resnet50();
     let regime = Regime::remote_ms(10.0);
@@ -317,14 +325,8 @@ pub fn fig11() -> Vec<LossTrace> {
                 dali_readers_override: readers,
             },
         );
-        let result = built.sim.run();
-        // Iteration completion times in exit order.
-        let mut exits: Vec<f64> = result
-            .completions
-            .iter()
-            .map(|c| c.exited.as_secs_f64())
-            .collect();
-        exits.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        // Iteration completion times, in order.
+        let exits: Vec<f64> = built.exits().into_iter().map(nanos_to_secs).collect();
         let epoch_end = exits.last().copied().unwrap_or(0.0);
 
         // Loss curves with three noise seeds.
@@ -359,8 +361,8 @@ pub fn fig11() -> Vec<LossTrace> {
     traces
 }
 
-/// Ablation sweeps over EMLIO's knobs at 30 ms RTT (DESIGN.md §4 EXP-ABL):
-/// daemon concurrency, HWM, prefetch depth, and batch size.
+/// Ablation sweeps over EMLIO's knobs at 30 ms RTT: daemon concurrency,
+/// HWM, batch size, TCP window and RTT.
 pub fn ablations() -> Vec<ExperimentRow> {
     let w = Workload::imagenet_resnet50();
     let regime = Regime::remote_ms(30.0);
@@ -393,22 +395,6 @@ pub fn ablations() -> Vec<ExperimentRow> {
             Scenario::Centralized,
             &consts,
             Some(&format!("HWM={hwm}")),
-        ));
-    }
-    for q in [1usize, 2, 4, 8] {
-        let consts = ModelConstants {
-            prefetch: q,
-            ..ModelConstants::default()
-        };
-        rows.push(run_one(
-            "abl-prefetch",
-            LoaderKind::Emlio { concurrency: 2 },
-            &w,
-            &regime,
-            StageSet::Full,
-            Scenario::Centralized,
-            &consts,
-            Some(&format!("Q={q}")),
         ));
     }
     for b in [16u64, 32, 64, 128, 256] {

@@ -2,7 +2,8 @@
 //!
 //! The published experiments run one-epoch trainings of 150–4200 wall-clock
 //! seconds on a three-node Chameleon deployment (Table 1). This crate
-//! rebuilds that testbed as a discrete-event model on `emlio-sim`:
+//! rebuilds that testbed as a model in virtual time: each loader is a line
+//! of stages, and the epoch is timed by one recurrence over its batches:
 //!
 //! * [`nodes`] — the Table 1 node inventory with calibrated power envelopes
 //!   and storage/NIC characteristics;
@@ -11,13 +12,14 @@
 //!   1/10/30 ms);
 //! * [`loaders`] — pipeline-stage models of the three loaders. Stage
 //!   structures mirror the real implementations in `emlio-core` and
-//!   `emlio-baselines`; service-time constants come from the shared cost
-//!   models (`emlio-netem::NfsConfig`, serialize bandwidth, backbone
-//!   profiles);
-//! * [`energy`] — busy-trace → joules integration using the same component
+//!   `emlio-baselines`; service times come from hand-set cost constants
+//!   (serialize bandwidth, NIC, disk, backbone profiles; ROADMAP item 5);
+//! * [`pipeline`] — the recurrence: when each batch leaves a line of
+//!   stages;
+//! * [`energy`] — busy time → joules integration using the same component
 //!   power model the live `emlio-energymon` uses;
 //! * [`experiment`] — one runner per figure (1, 5, 6, 7, 8, 9, 10, 11) plus
-//!   the ablation sweeps DESIGN.md calls out;
+//!   ablation sweeps over EMLIO's knobs;
 //! * [`paper`] — the published reference numbers, so every report prints
 //!   *paper vs. reproduction* side by side;
 //! * [`report`] — table/CSV rendering behind every `emlio figures` row.
@@ -27,6 +29,7 @@ pub mod experiment;
 pub mod loaders;
 pub mod nodes;
 pub mod paper;
+pub mod pipeline;
 pub mod regimes;
 pub mod report;
 pub mod workload;

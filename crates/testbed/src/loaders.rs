@@ -1,23 +1,26 @@
 //! Pipeline-stage models of the three loaders.
 //!
-//! Each loader becomes a chain of `emlio-sim` stages whose structure mirrors
-//! the real implementation (`emlio-baselines`, `emlio-core`) and whose
-//! service-time constants come from shared cost models. The key mechanisms:
+//! Each loader becomes a line of [`Stage`]s (timed by
+//! [`crate::pipeline::exits`]) whose structure mirrors the real
+//! implementation (`emlio-baselines`, `emlio-core`) and whose service times
+//! come from shared cost models. The key mechanisms:
 //!
 //! * **PyTorch**: `W` workers each assemble a whole batch with per-sample
 //!   NFS reads (RTT-multiplied) and CPU decode — collapse at high RTT;
 //! * **DALI**: a deeper reader pool and GPU decode — collapses later;
 //! * **EMLIO**: storage-side read+serialize workers (`T` = the Figures 7/8
-//!   concurrency), HWM-bounded send queues, a link whose effective
-//!   throughput is `min(NIC, T·window/RTT)`, a propagation delay stage
-//!   bounded by the BDP, receiver deserialize, GPU preprocess — RTT is
-//!   hidden whenever in-flight bytes exceed the bandwidth-delay product.
+//!   concurrency), a link whose effective throughput is
+//!   `min(NIC, T · min(hwm · batch, tcp_window) / RTT)`, a half-RTT
+//!   propagation delay, receiver deserialize, GPU preprocess. That link
+//!   bandwidth is the one place HWM enters the model and the one place RTT
+//!   can limit EMLIO's throughput (the delay only shifts every exit): RTT
+//!   is hidden whenever the window covers the bandwidth-delay product.
 
 use crate::energy::{Comp, Role, StageEnergy};
 use crate::nodes::NodeSpec;
+use crate::pipeline::{self, Stage};
 use crate::regimes::Regime;
 use crate::workload::Workload;
-use emlio_sim::{PipelineSim, StageSpec, Token};
 
 /// Loader selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,17 +58,18 @@ pub enum StageSet {
     Full,
 }
 
-/// Knobs shared by the loader models (calibration constants documented in
-/// DESIGN.md §5).
+/// Knobs shared by the loader models. Every default is hand-set so the
+/// model lands near the paper's figures; fitting them from measured ledger
+/// rows is ROADMAP item 5.
 #[derive(Debug, Clone)]
 pub struct ModelConstants {
     /// PyTorch `num_workers`.
     pub pytorch_workers: u32,
     /// DALI file-reader pool size.
     pub dali_readers: u32,
-    /// Storage-daemon serialize bandwidth (the paper's Python msgpack
-    /// implementation measures ≈220 MB/s; our Rust codec is faster in the
-    /// real runtime — see EXPERIMENTS.md).
+    /// Storage-daemon serialize bandwidth: ≈220 MB/s, the paper's Python
+    /// msgpack implementation, not our Rust codec (whose cost the ledger
+    /// measures as `core.wire.encode_us_per_batch`).
     pub serialize_bw: f64,
     /// Receiver deserialize bandwidth.
     pub deserialize_bw: f64,
@@ -73,10 +77,9 @@ pub struct ModelConstants {
     pub gpu_decode_bw: f64,
     /// CPU-side decode throughput per worker (PyTorch path).
     pub cpu_decode_bw: f64,
-    /// ZeroMQ HWM.
+    /// ZeroMQ HWM, in batches: with `tcp_window` it bounds the link's
+    /// in-flight bytes per stream.
     pub hwm: u64,
-    /// Prefetch queue depth `Q`.
-    pub prefetch: usize,
     /// Max TCP window per stream.
     pub tcp_window: f64,
     /// Per-iteration extra step time from DDP sync (sharded scenario).
@@ -93,26 +96,41 @@ impl Default for ModelConstants {
             gpu_decode_bw: 4e9,
             cpu_decode_bw: 80e6,
             hwm: 16,
-            prefetch: 2,
             tcp_window: 16e6,
             ddp_added_step_secs: 0.0,
         }
     }
 }
 
-/// A built model: a ready-to-run simulator plus the per-stage energy map.
+/// A built model: one loader's line of stages plus the per-stage energy
+/// map.
 pub struct BuiltModel {
-    /// The simulator, pre-loaded with one epoch of batch tokens.
-    pub sim: PipelineSim,
-    /// Energy assignment per stage (indexed like the result's stages).
+    /// The line, in order.
+    pub stages: Vec<Stage>,
+    /// Energy assignment per stage (indexed like `stages`).
     pub energy_map: Vec<StageEnergy>,
+    /// Batches in one epoch, all ready at t = 0 (the plan backlog).
+    pub batches: u64,
 }
 
-/// Trace bucket width: the paper's 100 ms sampling interval.
-const BUCKET: u64 = 100_000_000;
+impl BuiltModel {
+    /// When each batch leaves the line, nanoseconds, in batch order.
+    pub fn exits(&self) -> Vec<u64> {
+        pipeline::exits(&self.stages, self.batches)
+    }
 
-fn nanos(secs: f64) -> u64 {
-    emlio_util::secs_to_nanos(secs)
+    /// The epoch's duration: the last batch's exit, in seconds.
+    pub fn makespan_secs(&self) -> f64 {
+        emlio_util::nanos_to_secs(self.exits().last().copied().unwrap_or(0))
+    }
+}
+
+fn stage(name: &'static str, servers: Option<u32>, secs: f64) -> Stage {
+    Stage {
+        name,
+        servers,
+        service_nanos: emlio_util::secs_to_nanos(secs),
+    }
 }
 
 /// Scenario knobs orthogonal to the loader itself (both exercised by the
@@ -135,7 +153,7 @@ impl Default for ScenarioTuning {
     }
 }
 
-/// Build the DES for `(loader, workload, regime)`; `tuning` carries the
+/// Build the model for `(loader, workload, regime)`; `tuning` carries the
 /// sharded-scenario knobs (see [`ScenarioTuning`]).
 pub fn build(
     kind: LoaderKind,
@@ -150,13 +168,11 @@ pub fn build(
         remote_fraction,
         dali_readers_override,
     } = tuning;
-    let mut sim = PipelineSim::new(BUCKET);
-    let mut energy_map = Vec::new();
+    let mut line = Vec::new();
     let rtt = regime.rtt_secs();
     let nic = regime.profile.bandwidth_bps;
     let batch_bytes = w.batch_bytes() as f64;
     let b = w.batch_size as f64;
-    let step = w.step_secs_per_sample();
     let disk = storage.storage;
 
     // Per-sample cost of fetching over NFS vs locally. `readers` concurrent
@@ -165,6 +181,14 @@ pub fn build(
     let nfs_sample = |rtts: f64| rtts * rtt + w.sample_bytes as f64 / nic;
     let local_sample =
         |readers: f64| disk.seek_secs + w.sample_bytes as f64 * readers / disk.read_bw;
+    let gpu_stage = |name| {
+        let energy = [
+            (Role::Compute, Comp::Gpu, 110.0),
+            (Role::Compute, Comp::Cpu, 15.0),
+        ];
+        let secs = batch_bytes / consts.gpu_decode_bw;
+        (stage(name, Some(1), secs), StageEnergy::new(&energy))
+    };
 
     match kind {
         LoaderKind::Pytorch => {
@@ -181,34 +205,17 @@ pub fn build(
             } else {
                 w.sample_bytes as f64 / consts.cpu_decode_bw
             };
-            let svc = nanos(b * (fetch_sample + decode_sample));
-            sim.add_stage(StageSpec::servers(
-                "fetch+decode",
-                consts.pytorch_workers,
-                usize::MAX,
-                move |_: &Token| svc,
-            ));
             // Fetch waits dominate; decode burns real CPU. Weighted draw.
             let busy_frac = if fetch_sample + decode_sample > 0.0 {
                 decode_sample / (fetch_sample + decode_sample)
             } else {
                 0.0
             };
-            energy_map.push(StageEnergy::new(&[(
-                Role::Compute,
-                Comp::Cpu,
-                8.0 + 60.0 * busy_frac,
-            )]));
-            if stages == StageSet::Full {
-                push_train_stage(
-                    &mut sim,
-                    &mut energy_map,
-                    w,
-                    step,
-                    consts,
-                    2 * consts.pytorch_workers as usize,
-                );
-            }
+            let secs = b * (fetch_sample + decode_sample);
+            line.push((
+                stage("fetch+decode", Some(consts.pytorch_workers), secs),
+                StageEnergy::new(&[(Role::Compute, Comp::Cpu, 8.0 + 60.0 * busy_frac)]),
+            ));
         }
         LoaderKind::Dali => {
             let readers = dali_readers_override
@@ -220,29 +227,12 @@ pub fn build(
             } else {
                 local_sample(readers as f64)
             };
-            let svc = nanos(b * fetch_sample);
-            sim.add_stage(StageSpec::servers(
-                "fetch",
-                readers,
-                usize::MAX,
-                move |_: &Token| svc,
+            line.push((
+                stage("fetch", Some(readers), b * fetch_sample),
+                StageEnergy::new(&[(Role::Compute, Comp::Cpu, 8.0)]),
             ));
-            energy_map.push(StageEnergy::new(&[(Role::Compute, Comp::Cpu, 8.0)]));
             if stages != StageSet::ReadOnly {
-                let svc = nanos(batch_bytes / consts.gpu_decode_bw);
-                sim.add_stage(StageSpec::servers(
-                    "gpu-decode",
-                    1,
-                    consts.prefetch,
-                    move |_: &Token| svc,
-                ));
-                energy_map.push(StageEnergy::new(&[
-                    (Role::Compute, Comp::Gpu, 110.0),
-                    (Role::Compute, Comp::Cpu, 15.0),
-                ]));
-            }
-            if stages == StageSet::Full {
-                push_train_stage(&mut sim, &mut energy_map, w, step, consts, consts.prefetch);
+                line.push(gpu_stage("gpu-decode"));
             }
         }
         LoaderKind::Emlio { concurrency } => {
@@ -253,14 +243,10 @@ pub fn build(
             let read_serialize = disk.seek_secs
                 + batch_bytes * t as f64 / disk.read_bw
                 + batch_bytes / consts.serialize_bw;
-            let svc = nanos(read_serialize);
-            sim.add_stage(StageSpec::servers(
-                "read+serialize",
-                t,
-                usize::MAX,
-                move |_: &Token| svc,
+            line.push((
+                stage("read+serialize", Some(t), read_serialize),
+                StageEnergy::new(&[(Role::Storage, Comp::Cpu, 50.0)]),
             ));
-            energy_map.push(StageEnergy::new(&[(Role::Storage, Comp::Cpu, 50.0)]));
 
             // Stage 1: the link. Effective throughput is window-limited per
             // stream: min(NIC, T · window / RTT).
@@ -270,82 +256,44 @@ pub fn build(
             } else {
                 nic
             };
-            let svc = nanos(batch_bytes / eff_bw);
-            let send_cap = (consts.hwm * t as u64) as usize;
-            sim.add_stage(StageSpec::servers("link", 1, send_cap, move |_: &Token| {
-                svc
-            }));
-            energy_map.push(StageEnergy::new(&[(Role::Storage, Comp::Cpu, 6.0)]));
+            line.push((
+                stage("link", Some(1), batch_bytes / eff_bw),
+                StageEnergy::new(&[(Role::Storage, Comp::Cpu, 6.0)]),
+            ));
 
-            // Stage 2: propagation, bounded by the pipe's BDP.
-            let bdp_batches = ((nic * rtt / batch_bytes).ceil() as usize + 1).max(1);
-            let svc = nanos(rtt / 2.0);
-            sim.add_stage(StageSpec::delay("wire", bdp_batches, move |_: &Token| svc));
-            energy_map.push(StageEnergy::none());
+            // Stage 2: propagation.
+            line.push((stage("wire", None, rtt / 2.0), StageEnergy::none()));
 
             // Stage 3 (compute node): deserialize into the shared queue.
-            let svc = nanos(batch_bytes / consts.deserialize_bw);
-            sim.add_stage(StageSpec::servers(
-                "deserialize",
-                2,
-                consts.hwm as usize,
-                move |_: &Token| svc,
+            line.push((
+                stage("deserialize", Some(2), batch_bytes / consts.deserialize_bw),
+                StageEnergy::new(&[(Role::Compute, Comp::Cpu, 40.0)]),
             ));
-            energy_map.push(StageEnergy::new(&[(Role::Compute, Comp::Cpu, 40.0)]));
 
             if stages != StageSet::ReadOnly {
-                let svc = nanos(batch_bytes / consts.gpu_decode_bw);
-                sim.add_stage(StageSpec::servers(
-                    "gpu-preproc",
-                    1,
-                    consts.prefetch,
-                    move |_: &Token| svc,
-                ));
-                energy_map.push(StageEnergy::new(&[
-                    (Role::Compute, Comp::Gpu, 110.0),
-                    (Role::Compute, Comp::Cpu, 15.0),
-                ]));
-            }
-            if stages == StageSet::Full {
-                push_train_stage(&mut sim, &mut energy_map, w, step, consts, consts.prefetch);
+                line.push(gpu_stage("gpu-preproc"));
             }
         }
     }
 
-    // One epoch of batch tokens, all available at t = 0 (the plan backlog).
-    let full_batches = w.samples / w.batch_size;
-    for i in 0..w.batches() {
-        let size = if i < full_batches {
-            w.batch_size
-        } else {
-            w.samples - full_batches * w.batch_size
-        };
-        sim.push_initial(Token::new(i, size * w.sample_bytes));
+    if stages == StageSet::Full {
+        let per_batch = b * w.step_secs_per_sample() + consts.ddp_added_step_secs;
+        let gpu_extra = w.model.gpu_util * 235.0; // (peak − idle) of the RTX 6000
+        let cpu_extra = w.model.cpu_util * 80.0;
+        line.push((
+            stage("train", Some(1), per_batch),
+            StageEnergy::new(&[
+                (Role::Compute, Comp::Gpu, gpu_extra),
+                (Role::Compute, Comp::Cpu, cpu_extra),
+            ]),
+        ));
     }
-    BuiltModel { sim, energy_map }
-}
-
-fn push_train_stage(
-    sim: &mut PipelineSim,
-    energy_map: &mut Vec<StageEnergy>,
-    w: &Workload,
-    step: f64,
-    consts: &ModelConstants,
-    in_capacity: usize,
-) {
-    let per_batch = nanos(w.batch_size as f64 * step + consts.ddp_added_step_secs);
-    sim.add_stage(StageSpec::servers(
-        "train",
-        1,
-        in_capacity,
-        move |_: &Token| per_batch,
-    ));
-    let gpu_extra = w.model.gpu_util * 235.0; // (peak − idle) of the RTX 6000
-    let cpu_extra = w.model.cpu_util * 80.0;
-    energy_map.push(StageEnergy::new(&[
-        (Role::Compute, Comp::Gpu, gpu_extra),
-        (Role::Compute, Comp::Cpu, cpu_extra),
-    ]));
+    let (stages, energy_map) = line.into_iter().unzip();
+    BuiltModel {
+        stages,
+        energy_map,
+        batches: w.batches(),
+    }
 }
 
 #[cfg(test)]
@@ -353,19 +301,16 @@ mod tests {
     use super::*;
 
     fn run(kind: LoaderKind, regime: Regime) -> f64 {
-        let w = Workload::imagenet_resnet50();
-        let built = build(
+        build(
             kind,
-            &w,
+            &Workload::imagenet_resnet50(),
             &regime,
             StageSet::Full,
             &ModelConstants::default(),
             &NodeSpec::uc_storage(),
             ScenarioTuning::default(),
-        );
-        let result = built.sim.run();
-        assert_eq!(result.completions.len() as u64, w.batches());
-        result.makespan_secs()
+        )
+        .makespan_secs()
     }
 
     #[test]
@@ -452,11 +397,9 @@ mod tests {
             &storage,
             ScenarioTuning::default(),
         );
-        let fr = full.sim.run();
-        let rr = read.sim.run();
-        assert_eq!(fr.stages.len(), 3);
-        assert_eq!(rr.stages.len(), 1);
-        assert!(rr.makespan_secs() < fr.makespan_secs());
+        assert_eq!(full.stages.len(), 3);
+        assert_eq!(read.stages.len(), 1);
+        assert!(read.makespan_secs() < full.makespan_secs());
         assert_eq!(full.energy_map.len(), 3);
         assert_eq!(read.energy_map.len(), 1);
     }
@@ -478,8 +421,6 @@ mod tests {
                 &storage,
                 ScenarioTuning::default(),
             )
-            .sim
-            .run()
             .makespan_secs()
         };
         let c1 = mk(1);

@@ -22,8 +22,8 @@
 //!   batch tracing, the flight recorder, and the leveled logger;
 //! * [`datagen`] — synthetic datasets with a real image codec;
 //! * [`trainsim`] — backbone cost profiles, DDP model, a real MLP;
-//! * [`sim`] + [`testbed`] — the discrete-event replay of the paper's
-//!   evaluation (every figure);
+//! * [`testbed`] — the paper's evaluation replayed in virtual time (every
+//!   figure);
 //! * [`mod@bench`] — the figure-reproduction harness plus the seeded chaos
 //!   suite (`emlio chaos`) that proves delivery guarantees under faults.
 //!
@@ -65,7 +65,6 @@ pub use emlio_msgpack as msgpack;
 pub use emlio_netem as netem;
 pub use emlio_obs as obs;
 pub use emlio_pipeline as pipeline;
-pub use emlio_sim as sim;
 pub use emlio_testbed as testbed;
 pub use emlio_tfrecord as tfrecord;
 pub use emlio_trainsim as trainsim;

@@ -1,7 +1,7 @@
 //! Cross-validation of the models against real small-scale runs over
 //! actual sockets and the emulated NFS mount.
 //!
-//! * The discrete-event loader models must agree *directionally*: absolute
+//! * The loader models must agree *directionally*: absolute
 //!   times differ (miniature datasets, dev-profile CPUs); what must match
 //!   is the mechanism — EMLIO's epoch time is flat in RTT while per-file
 //!   loaders degrade linearly.
@@ -122,7 +122,7 @@ fn real_runtime_matches_des_direction() {
         } else {
             Regime::remote_ms(rtt_ms)
         };
-        let built = loaders::build(
+        loaders::build(
             kind,
             &Workload::imagenet_resnet50(),
             &regime,
@@ -130,8 +130,8 @@ fn real_runtime_matches_des_direction() {
             &ModelConstants::default(),
             &NodeSpec::uc_storage(),
             loaders::ScenarioTuning::default(),
-        );
-        built.sim.run().makespan_secs()
+        )
+        .makespan_secs()
     };
     let des_py_penalty = des(LoaderKind::Pytorch, 10.0) - des(LoaderKind::Pytorch, 0.0);
     let des_em_penalty = des(LoaderKind::Emlio { concurrency: 2 }, 10.0)

@@ -1,10 +1,50 @@
 //! Smoke coverage over the complete experiment matrix: every figure runner
-//! produces a full grid of rows, energies are self-consistent, and the
-//! paper's headline claims hold in the reproduction.
+//! produces a full grid of rows, energies are self-consistent, the
+//! paper's headline claims hold in the reproduction, and `emlio figures`
+//! writes exactly the numbers checked in under `tests/data/figures/`.
 
 use emlio::testbed::experiment;
 use emlio::testbed::paper;
 use emlio::testbed::report;
+use emlio::util::testutil::TempDir;
+use std::path::Path;
+
+/// Every CSV `emlio figures` writes is byte-identical to its checked-in
+/// copy, and it writes no other: a change to the model's numbers shows up
+/// here as a diff, not as a band that still holds.
+#[test]
+fn every_figure_csv_matches_its_checked_in_copy() {
+    let dir = TempDir::new("figures-golden");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_emlio"))
+        .arg("figures")
+        .current_dir(dir.path())
+        .output()
+        .expect("run emlio figures");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let names = |d: &Path| {
+        let mut v: Vec<String> = std::fs::read_dir(d)
+            .unwrap_or_else(|e| panic!("{}: {e}", d.display()))
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        v.sort();
+        v
+    };
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/figures");
+    let written = dir.path().join("target/experiments");
+    assert_eq!(names(&written), names(&golden));
+    for name in names(&golden) {
+        let ours = std::fs::read_to_string(written.join(&name)).unwrap();
+        let theirs = std::fs::read_to_string(golden.join(&name)).unwrap();
+        assert!(
+            ours == theirs,
+            "{name} differs from tests/data/figures/{name}"
+        );
+    }
+}
 
 #[test]
 fn all_figures_produce_full_grids() {
