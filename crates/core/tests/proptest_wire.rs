@@ -2,7 +2,8 @@
 //! sample sets the scatter encoder must gather to exactly the bytes of the
 //! contiguous reference encoder below (with and without the trace field),
 //! the lazy decoder must hand back what was encoded, and pooled buffers
-//! must round-trip byte-for-byte against a plain `Vec<u8>` baseline.
+//! must round-trip byte-for-byte against a plain `Vec<u8>` baseline. Beside
+//! them, a seeded byte-level fuzz of the lazy decoder over damaged frames.
 
 use bytes::Bytes;
 use emlio_core::wire::{self, LazyMsg};
@@ -10,6 +11,8 @@ use emlio_core::BufferPool;
 use emlio_msgpack::Encoder;
 use emlio_obs::BatchTrace;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The wire schema written the obvious way — one contiguous buffer,
 /// payloads copied in: the byte-identity oracle for the scatter encoder,
@@ -144,4 +147,69 @@ proptest! {
             "second pass should reuse: {stats:?}"
         );
     }
+}
+
+/// Scan one damaged frame. `decode_lazy` must not panic, and a batch it
+/// accepts must materialize without panicking into `len()` samples whose
+/// payloads add up to `payload_bytes()` — the invariant `materialize`'s
+/// `expect("validated")` calls rest on. Returns whether a batch was accepted.
+fn scan_damaged(buf: &[u8]) -> bool {
+    let frame = Bytes::copy_from_slice(buf);
+    let Ok(LazyMsg::Batch(lazy)) = wire::decode_lazy(&frame, None) else {
+        return false;
+    };
+    let batch = lazy.materialize();
+    assert_eq!(batch.samples.len(), lazy.len());
+    let payload: u64 = batch.samples.iter().map(|s| s.bytes.len() as u64).sum();
+    assert_eq!(payload, lazy.payload_bytes());
+    true
+}
+
+#[test]
+fn decode_lazy_survives_byte_level_fuzz() {
+    let small = vec![
+        (0, 0, vec![]),
+        (1 << 40, 200, vec![7; 5]),
+        (3, 70_000, (0..40).collect()),
+    ];
+    let trace = BatchTrace {
+        seq: 9,
+        sent_at_nanos: 1_700_000_000_000_000_000,
+    };
+    let frames = [
+        reference_encode(7, 300, "daemon-0/t1", None, &small),
+        reference_encode(7, 300, "daemon-0/t1", Some(trace), &small),
+        reference_encode(0, 0, "d", None, &[]),
+        reference_encode(1, 2, "d", None, &[(5, 1, vec![0xab; 300])]),
+        wire::encode_end_stream("daemon-0/t1", 42),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x5eed_f022);
+    let mut accepted = 0;
+    for (f, frame) in frames.iter().enumerate() {
+        let run = |what: String, buf: &[u8]| {
+            std::panic::catch_unwind(|| scan_damaged(buf))
+                .unwrap_or_else(|_| panic!("frame {f}, {what}: {buf:02x?}"))
+        };
+        for cut in 0..frame.len() {
+            assert!(!run(format!("cut at {cut}"), &frame[..cut]));
+        }
+        for i in 0..frame.len() {
+            for v in [0x00, 0xff, frame[i] ^ 0x80] {
+                let mut buf = frame.clone();
+                buf[i] = v;
+                accepted += run(format!("byte {i} = {v:#04x}"), &buf) as usize;
+            }
+        }
+        for n in 0..2_000 {
+            let mut buf = frame.clone();
+            for _ in 0..rng.gen_range(1..=4) {
+                let i = rng.gen_range(0..buf.len());
+                buf[i] = rng.gen();
+            }
+            accepted += run(format!("random buffer {n}"), &buf) as usize;
+        }
+    }
+    // Payload bytes are free to change, so the damaged batches that scan
+    // clean are many: the invariant above is checked, not vacuous.
+    assert!(accepted > 1_000, "only {accepted} damaged batches scanned");
 }

@@ -1,18 +1,12 @@
-//! MessagePack decoder.
+//! MessagePack decoder for the batch schema's five families.
 //!
-//! Two layers:
-//!
-//! * typed reads (`read_u64`, `read_str`, `read_bin`, `read_array_len`, …)
-//!   that borrow from the input — this is the receiver's zero-copy hot path;
-//! * [`Decoder::read_value`] which builds an owned [`Value`] tree with a
-//!   recursion-depth guard (hostile input cannot blow the stack).
+//! Typed reads (`read_u64`, `read_str`, `read_bin`, `read_array_len`,
+//! `read_map_len`) that borrow from the input — this is the receiver's
+//! zero-copy hot path. Each read accepts every width of its own family and
+//! nothing else: any other marker is a [`DecodeError::TypeMismatch`].
 
-use crate::encode::{self, TIMESTAMP_EXT_TYPE};
-use crate::value::Value;
+use crate::encode;
 use std::fmt;
-
-/// Maximum container nesting depth accepted by `read_value`.
-pub const MAX_DEPTH: usize = 128;
 
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,16 +19,10 @@ pub enum DecodeError {
         expected: &'static str,
         marker: u8,
     },
-    /// 0xc1 or another byte that is not a valid marker.
-    InvalidMarker { at: usize, marker: u8 },
     /// A str payload is not valid UTF-8.
     InvalidUtf8 { at: usize },
-    /// Containers nested deeper than [`MAX_DEPTH`].
-    DepthExceeded { at: usize },
     /// `finish` found unread bytes.
     TrailingBytes { at: usize, remaining: usize },
-    /// A timestamp extension payload had an invalid length or nanos field.
-    InvalidTimestamp { at: usize },
 }
 
 impl fmt::Display for DecodeError {
@@ -53,18 +41,9 @@ impl fmt::Display for DecodeError {
                     "type mismatch at byte {at}: expected {expected}, marker 0x{marker:02x}"
                 )
             }
-            DecodeError::InvalidMarker { at, marker } => {
-                write!(f, "invalid marker 0x{marker:02x} at byte {at}")
-            }
             DecodeError::InvalidUtf8 { at } => write!(f, "invalid UTF-8 in str at byte {at}"),
-            DecodeError::DepthExceeded { at } => {
-                write!(f, "nesting deeper than {MAX_DEPTH} at byte {at}")
-            }
             DecodeError::TrailingBytes { at, remaining } => {
                 write!(f, "{remaining} trailing bytes at offset {at}")
-            }
-            DecodeError::InvalidTimestamp { at } => {
-                write!(f, "invalid timestamp extension at byte {at}")
             }
         }
     }
@@ -89,8 +68,7 @@ impl<'a> Decoder<'a> {
         self.pos
     }
 
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -101,7 +79,7 @@ impl<'a> Decoder<'a> {
         } else {
             Err(DecodeError::TrailingBytes {
                 at: self.pos,
-                remaining: self.buf.len() - self.pos,
+                remaining: self.remaining(),
             })
         }
     }
@@ -122,16 +100,6 @@ impl<'a> Decoder<'a> {
         Ok(self.take(1)?[0])
     }
 
-    fn peek(&self) -> Result<u8, DecodeError> {
-        self.buf
-            .get(self.pos)
-            .copied()
-            .ok_or(DecodeError::UnexpectedEof {
-                at: self.pos,
-                needed: 1,
-            })
-    }
-
     fn be_u16(&mut self) -> Result<u16, DecodeError> {
         Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
     }
@@ -144,57 +112,24 @@ impl<'a> Decoder<'a> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    // ----- typed reads ----------------------------------------------------
-
-    /// Read a boolean.
-    pub fn read_bool(&mut self) -> Result<bool, DecodeError> {
-        let at = self.pos;
-        match self.byte()? {
-            encode::TRUE => Ok(true),
-            encode::FALSE => Ok(false),
-            m => Err(DecodeError::TypeMismatch {
-                at,
-                expected: "bool",
-                marker: m,
-            }),
-        }
-    }
-
-    /// Read any integer family as u64 (errors on negative values).
+    /// Read a uint (positive fixint or uint 8/16/32/64). The signed family
+    /// is a type mismatch even for a non-negative value: the encoder never
+    /// writes it.
     pub fn read_u64(&mut self) -> Result<u64, DecodeError> {
         let at = self.pos;
-        match self.read_i128()? {
-            v if v >= 0 && v <= u64::MAX as i128 => Ok(v as u64),
+        let m = self.byte()?;
+        match m {
+            0x00..=0x7f => Ok(m as u64),
+            encode::U8 => Ok(self.byte()? as u64),
+            encode::U16 => Ok(self.be_u16()? as u64),
+            encode::U32 => Ok(self.be_u32()? as u64),
+            encode::U64 => self.be_u64(),
             _ => Err(DecodeError::TypeMismatch {
                 at,
                 expected: "uint",
-                marker: self.buf[at],
+                marker: m,
             }),
         }
-    }
-
-    fn read_i128(&mut self) -> Result<i128, DecodeError> {
-        let at = self.pos;
-        let m = self.byte()?;
-        Ok(match m {
-            0x00..=0x7f => m as i128,
-            0xe0..=0xff => (m as i8) as i128,
-            encode::U8 => self.byte()? as i128,
-            encode::U16 => self.be_u16()? as i128,
-            encode::U32 => self.be_u32()? as i128,
-            encode::U64 => self.be_u64()? as i128,
-            encode::I8 => (self.byte()? as i8) as i128,
-            encode::I16 => (self.be_u16()? as i16) as i128,
-            encode::I32 => (self.be_u32()? as i32) as i128,
-            encode::I64 => (self.be_u64()? as i64) as i128,
-            _ => {
-                return Err(DecodeError::TypeMismatch {
-                    at,
-                    expected: "integer",
-                    marker: m,
-                })
-            }
-        })
     }
 
     /// Read a str, borrowing the payload from the input buffer.
@@ -269,168 +204,115 @@ impl<'a> Decoder<'a> {
             }),
         }
     }
-
-    /// Read an extension, returning `(type tag, payload)` borrowed from input.
-    pub fn read_ext(&mut self) -> Result<(i8, &'a [u8]), DecodeError> {
-        let at = self.pos;
-        let m = self.byte()?;
-        let len = match m {
-            encode::FIXEXT1 => 1,
-            encode::FIXEXT2 => 2,
-            encode::FIXEXT4 => 4,
-            encode::FIXEXT8 => 8,
-            encode::FIXEXT16 => 16,
-            encode::EXT8 => self.byte()? as usize,
-            encode::EXT16 => self.be_u16()? as usize,
-            encode::EXT32 => self.be_u32()? as usize,
-            _ => {
-                return Err(DecodeError::TypeMismatch {
-                    at,
-                    expected: "ext",
-                    marker: m,
-                })
-            }
-        };
-        let tag = self.byte()? as i8;
-        Ok((tag, self.take(len)?))
-    }
-
-    // ----- owned value tree -----------------------------------------------
-
-    /// Read one owned [`Value`], guarding recursion depth.
-    pub fn read_value(&mut self) -> Result<Value, DecodeError> {
-        self.read_value_depth(0)
-    }
-
-    fn read_value_depth(&mut self, depth: usize) -> Result<Value, DecodeError> {
-        if depth > MAX_DEPTH {
-            return Err(DecodeError::DepthExceeded { at: self.pos });
-        }
-        let at = self.pos;
-        let m = self.peek()?;
-        match m {
-            0x00..=0x7f
-            | 0xe0..=0xff
-            | encode::U8
-            | encode::U16
-            | encode::U32
-            | encode::U64
-            | encode::I8
-            | encode::I16
-            | encode::I32
-            | encode::I64 => {
-                let v = self.read_i128()?;
-                Ok(if v >= 0 {
-                    Value::UInt(v as u64)
-                } else {
-                    Value::Int(v as i64)
-                })
-            }
-            encode::NIL => {
-                self.pos += 1;
-                Ok(Value::Nil)
-            }
-            encode::TRUE | encode::FALSE => Ok(Value::Bool(self.read_bool()?)),
-            encode::F32 => {
-                self.pos += 1;
-                Ok(Value::F32(f32::from_be_bytes(
-                    self.take(4)?.try_into().unwrap(),
-                )))
-            }
-            encode::F64 => {
-                self.pos += 1;
-                Ok(Value::F64(f64::from_be_bytes(
-                    self.take(8)?.try_into().unwrap(),
-                )))
-            }
-            0xa0..=0xbf | encode::STR8 | encode::STR16 | encode::STR32 => {
-                Ok(Value::Str(self.read_str()?.to_string()))
-            }
-            encode::BIN8 | encode::BIN16 | encode::BIN32 => {
-                Ok(Value::Bin(self.read_bin()?.to_vec()))
-            }
-            0x90..=0x9f | encode::ARR16 | encode::ARR32 => {
-                let len = self.read_array_len()?;
-                // Sanity bound: each element needs at least one byte.
-                if len > self.remaining() {
-                    return Err(DecodeError::UnexpectedEof {
-                        at,
-                        needed: len - self.remaining(),
-                    });
-                }
-                let mut items = Vec::with_capacity(len.min(4096));
-                for _ in 0..len {
-                    items.push(self.read_value_depth(depth + 1)?);
-                }
-                Ok(Value::Arr(items))
-            }
-            0x80..=0x8f | encode::MAP16 | encode::MAP32 => {
-                let len = self.read_map_len()?;
-                if len * 2 > self.remaining() {
-                    return Err(DecodeError::UnexpectedEof {
-                        at,
-                        needed: len * 2 - self.remaining(),
-                    });
-                }
-                let mut entries = Vec::with_capacity(len.min(4096));
-                for _ in 0..len {
-                    let k = self.read_value_depth(depth + 1)?;
-                    let v = self.read_value_depth(depth + 1)?;
-                    entries.push((k, v));
-                }
-                Ok(Value::Map(entries))
-            }
-            encode::FIXEXT1
-            | encode::FIXEXT2
-            | encode::FIXEXT4
-            | encode::FIXEXT8
-            | encode::FIXEXT16
-            | encode::EXT8
-            | encode::EXT16
-            | encode::EXT32 => {
-                let (tag, data) = self.read_ext()?;
-                if tag == TIMESTAMP_EXT_TYPE {
-                    decode_timestamp(at, data)
-                } else {
-                    Ok(Value::Ext(tag, data.to_vec()))
-                }
-            }
-            0xc1 => Err(DecodeError::InvalidMarker { at, marker: 0xc1 }),
-        }
-    }
-}
-
-fn decode_timestamp(at: usize, data: &[u8]) -> Result<Value, DecodeError> {
-    match data.len() {
-        4 => {
-            let secs = u32::from_be_bytes(data.try_into().unwrap()) as i64;
-            Ok(Value::Timestamp { secs, nanos: 0 })
-        }
-        8 => {
-            let raw = u64::from_be_bytes(data.try_into().unwrap());
-            let nanos = (raw >> 34) as u32;
-            let secs = (raw & ((1u64 << 34) - 1)) as i64;
-            if nanos >= 1_000_000_000 {
-                return Err(DecodeError::InvalidTimestamp { at });
-            }
-            Ok(Value::Timestamp { secs, nanos })
-        }
-        12 => {
-            let nanos = u32::from_be_bytes(data[..4].try_into().unwrap());
-            let secs = i64::from_be_bytes(data[4..].try_into().unwrap());
-            if nanos >= 1_000_000_000 {
-                return Err(DecodeError::InvalidTimestamp { at });
-            }
-            Ok(Value::Timestamp { secs, nanos })
-        }
-        _ => Err(DecodeError::InvalidTimestamp { at }),
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{from_slice, to_vec};
+    use crate::Encoder;
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Family {
+        Uint,
+        Str,
+        Bin,
+        Array,
+        Map,
+    }
+    use Family::*;
+
+    const FAMILIES: [Family; 5] = [Uint, Str, Bin, Array, Map];
+
+    fn name(f: Family) -> &'static str {
+        match f {
+            Uint => "uint",
+            Str => "str",
+            Bin => "bin",
+            Array => "array",
+            Map => "map",
+        }
+    }
+
+    /// Each uint width boundary with the length of its smallest encoding.
+    const UINTS: [(u64, usize); 10] = [
+        (0, 1),
+        (127, 1),
+        (128, 2),
+        (255, 2),
+        (256, 3),
+        (65_535, 3),
+        (65_536, 5),
+        (u32::MAX as u64, 5),
+        (u32::MAX as u64 + 1, 9),
+        (u64::MAX, 9),
+    ];
+
+    /// Each length width boundary with the smallest header of a str, bin,
+    /// array and map of that length.
+    const LENGTHS: [(usize, [usize; 4]); 8] = [
+        (15, [1, 2, 1, 1]),
+        (16, [1, 2, 3, 3]),
+        (31, [1, 2, 3, 3]),
+        (32, [2, 2, 3, 3]),
+        (255, [2, 2, 3, 3]),
+        (256, [3, 3, 3, 3]),
+        (65_535, [3, 3, 3, 3]),
+        (65_536, [5, 5, 5, 5]),
+    ];
+
+    /// A str / bin payload of `n` bytes that is not all one value.
+    fn payload(n: usize) -> String {
+        (0..n).map(|i| (b'a' + (i % 26) as u8) as char).collect()
+    }
+
+    /// Read one item of family `f`: a uint's value, a str's or bin's
+    /// payload length, a container's entry count.
+    fn read(d: &mut Decoder<'_>, f: Family) -> Result<u64, DecodeError> {
+        Ok(match f {
+            Uint => d.read_u64()?,
+            Str => d.read_str()?.len() as u64,
+            Bin => d.read_bin()?.len() as u64,
+            Array => d.read_array_len()? as u64,
+            Map => d.read_map_len()? as u64,
+        })
+    }
+
+    /// Every family at every width boundary: (family, value or length,
+    /// encoding, length of the smallest encoding).
+    fn cases() -> Vec<(Family, u64, Vec<u8>, usize)> {
+        let mut out = Vec::new();
+        for (v, size) in UINTS {
+            let mut buf = Vec::new();
+            Encoder::new(&mut buf).write_uint(v);
+            out.push((Uint, v, buf, size));
+        }
+        for (n, headers) in LENGTHS {
+            let p = payload(n);
+            for (f, header) in [Str, Bin, Array, Map].into_iter().zip(headers) {
+                let mut buf = Vec::new();
+                let mut e = Encoder::new(&mut buf);
+                match f {
+                    Str => e.write_str(&p),
+                    Bin => e.write_bin(p.as_bytes()),
+                    Array => e.write_array_len(n),
+                    Map => e.write_map_len(n),
+                    Uint => unreachable!(),
+                }
+                let size = header + if matches!(f, Str | Bin) { n } else { 0 };
+                out.push((f, n as u64, buf, size));
+            }
+        }
+        out
+    }
+
+    fn roundtrips_in_smallest_encoding(family: Family) {
+        for (f, v, bytes, size) in cases().into_iter().filter(|c| c.0 == family) {
+            assert_eq!(bytes.len(), size, "{f:?} {v}: smallest encoding");
+            let mut d = Decoder::new(&bytes);
+            assert_eq!(read(&mut d, f), Ok(v), "{f:?} {v}");
+            d.finish().unwrap();
+        }
+    }
 
     #[test]
     fn typed_reads_roundtrip() {
@@ -453,143 +335,106 @@ mod tests {
     }
 
     #[test]
-    fn value_roundtrip_all_families() {
-        let cases = vec![
-            Value::Nil,
-            Value::Bool(true),
-            Value::Bool(false),
-            Value::UInt(0),
-            Value::UInt(u64::MAX),
-            Value::Int(-1),
-            Value::Int(i64::MIN),
-            Value::F32(1.25),
-            Value::F64(-0.001),
-            Value::Str(String::new()),
-            Value::Str("日本語".into()),
-            Value::Bin(vec![]),
-            Value::Bin((0..=255).collect()),
-            Value::Arr(vec![Value::Nil; 20]),
-            Value::Map(vec![(Value::from("k"), Value::from(1u64))]),
-            Value::Ext(42, vec![9; 7]),
-            Value::Timestamp {
-                secs: 1_700_000_000,
-                nanos: 123_456_789,
-            },
-            Value::Timestamp { secs: -5, nanos: 1 },
-            Value::Timestamp {
-                secs: 100,
-                nanos: 0,
-            },
-        ];
-        for v in cases {
-            let bytes = to_vec(&v);
-            assert_eq!(from_slice(&bytes).unwrap(), v, "roundtrip {v}");
+    fn integer_family_boundaries() {
+        roundtrips_in_smallest_encoding(Uint);
+    }
+
+    #[test]
+    fn length_boundaries_roundtrip_in_smallest_encoding() {
+        for f in [Str, Bin, Array, Map] {
+            roundtrips_in_smallest_encoding(f);
+        }
+        // The payloads come back byte for byte, not just their lengths.
+        for (n, _) in LENGTHS {
+            let p = payload(n);
+            let mut buf = Vec::new();
+            let mut e = Encoder::new(&mut buf);
+            e.write_str(&p);
+            e.write_bin(p.as_bytes());
+            let mut d = Decoder::new(&buf);
+            assert_eq!(d.read_str().unwrap(), p);
+            assert_eq!(d.read_bin().unwrap(), p.as_bytes());
+            d.finish().unwrap();
         }
     }
 
     #[test]
     fn truncation_detected_everywhere() {
-        let v = Value::Map(vec![
-            (Value::from("a"), Value::Bin(vec![0; 100])),
-            (Value::from("b"), Value::Arr(vec![Value::from(1u64); 50])),
-        ]);
-        let bytes = to_vec(&v);
-        for cut in 0..bytes.len() {
-            assert!(
-                from_slice(&bytes[..cut]).is_err(),
-                "prefix of {cut} bytes must not decode"
-            );
+        for (f, v, bytes, _) in cases() {
+            for cut in 0..bytes.len() {
+                assert!(
+                    matches!(
+                        read(&mut Decoder::new(&bytes[..cut]), f),
+                        Err(DecodeError::UnexpectedEof { .. })
+                    ),
+                    "{f:?} {v}: prefix of {cut} bytes must not decode"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn type_mismatch_reports_marker() {
+        for (f, v, bytes, _) in cases() {
+            for other in FAMILIES.into_iter().filter(|o| *o != f) {
+                assert_eq!(
+                    read(&mut Decoder::new(&bytes), other),
+                    Err(DecodeError::TypeMismatch {
+                        at: 0,
+                        expected: name(other),
+                        marker: bytes[0],
+                    }),
+                    "{f:?} {v} read as {other:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn invalid_marker() {
-        assert!(matches!(
-            from_slice(&[0xc1]),
-            Err(DecodeError::InvalidMarker { marker: 0xc1, .. })
-        ));
+        // Markers outside the five families: nil, the unused 0xc1, bool,
+        // ext, float, the signed family (int 8–64 holding 0 included — the
+        // encoder writes only uint) and negative fixint. Every read rejects
+        // each of them, whatever follows.
+        let foreign = (0xc0..=0xc3)
+            .chain(0xc7..=0xcb)
+            .chain(0xd0..=0xd8)
+            .chain(0xe0..=0xff);
+        for m in foreign {
+            let bytes = [m, 0, 0, 0, 0, 0, 0, 0, 0];
+            for f in FAMILIES {
+                assert_eq!(
+                    read(&mut Decoder::new(&bytes), f),
+                    Err(DecodeError::TypeMismatch {
+                        at: 0,
+                        expected: name(f),
+                        marker: m,
+                    }),
+                    "marker 0x{m:02x} read as {f:?}"
+                );
+            }
+        }
     }
 
     #[test]
     fn invalid_utf8() {
         // fixstr of length 2 with invalid UTF-8 payload.
-        assert!(matches!(
-            from_slice(&[0xa2, 0xff, 0xfe]),
-            Err(DecodeError::InvalidUtf8 { .. })
-        ));
-    }
-
-    #[test]
-    fn type_mismatch_reports_marker() {
-        let bytes = to_vec(&Value::Str("x".into()));
-        let mut d = Decoder::new(&bytes);
-        let err = d.read_u64().unwrap_err();
-        assert!(matches!(
-            err,
-            DecodeError::TypeMismatch {
-                expected: "integer",
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn depth_guard() {
-        // 200 nested single-element arrays.
-        let mut bytes = vec![0x91u8; 200];
-        bytes.push(0xc0);
-        assert!(matches!(
-            from_slice(&bytes),
-            Err(DecodeError::DepthExceeded { .. })
-        ));
+        assert_eq!(
+            Decoder::new(&[0xa2, 0xff, 0xfe]).read_str(),
+            Err(DecodeError::InvalidUtf8 { at: 1 })
+        );
     }
 
     #[test]
     fn huge_claimed_array_fails_fast() {
-        // array32 claiming 2^31 elements with no payload must error, not OOM.
+        // array32 claiming 2^31 elements with no payload: the header reads
+        // (nothing is allocated for it), the first element is an EOF.
         let bytes = [0xdd, 0x80, 0x00, 0x00, 0x00];
-        assert!(from_slice(&bytes).is_err());
-    }
-
-    #[test]
-    fn integer_family_boundaries() {
-        for v in [
-            0u64,
-            1,
-            127,
-            128,
-            255,
-            256,
-            65_535,
-            65_536,
-            u32::MAX as u64,
-            u32::MAX as u64 + 1,
-            u64::MAX,
-        ] {
-            assert_eq!(
-                from_slice(&to_vec(&Value::UInt(v))).unwrap(),
-                Value::UInt(v)
-            );
-        }
-        for v in [
-            -1i64,
-            -32,
-            -33,
-            -128,
-            -129,
-            -32_768,
-            -32_769,
-            i32::MIN as i64,
-            i64::MIN,
-        ] {
-            assert_eq!(from_slice(&to_vec(&Value::Int(v))).unwrap(), Value::Int(v));
-        }
-    }
-
-    #[test]
-    fn nonneg_int_normalizes_to_uint() {
-        // Encoder writes non-negative Int as uint family; decoder yields UInt.
-        let bytes = to_vec(&Value::Int(42));
-        assert_eq!(from_slice(&bytes).unwrap(), Value::UInt(42));
+        let mut d = Decoder::new(&bytes);
+        assert_eq!(d.read_array_len(), Ok(1 << 31));
+        assert_eq!(
+            d.read_bin(),
+            Err(DecodeError::UnexpectedEof { at: 5, needed: 1 })
+        );
     }
 }

@@ -1,36 +1,18 @@
-//! MessagePack encoder.
+//! MessagePack encoder for the batch schema's five families.
 //!
-//! Always emits the *smallest* representation for integers and the canonical
-//! family markers from the spec. Writing is infallible (appends to a
-//! caller-owned `Vec<u8>`), so the hot path has no `Result` plumbing.
-
-use crate::value::Value;
+//! Always emits the *smallest* representation for integers and lengths, with
+//! the canonical family markers from the spec. Writing is infallible
+//! (appends to a caller-owned `Vec<u8>`), so the hot path has no `Result`
+//! plumbing.
 
 // Family markers (MessagePack specification).
-pub(crate) const NIL: u8 = 0xc0;
-pub(crate) const FALSE: u8 = 0xc2;
-pub(crate) const TRUE: u8 = 0xc3;
 pub(crate) const BIN8: u8 = 0xc4;
 pub(crate) const BIN16: u8 = 0xc5;
 pub(crate) const BIN32: u8 = 0xc6;
-pub(crate) const EXT8: u8 = 0xc7;
-pub(crate) const EXT16: u8 = 0xc8;
-pub(crate) const EXT32: u8 = 0xc9;
-pub(crate) const F32: u8 = 0xca;
-pub(crate) const F64: u8 = 0xcb;
 pub(crate) const U8: u8 = 0xcc;
 pub(crate) const U16: u8 = 0xcd;
 pub(crate) const U32: u8 = 0xce;
 pub(crate) const U64: u8 = 0xcf;
-pub(crate) const I8: u8 = 0xd0;
-pub(crate) const I16: u8 = 0xd1;
-pub(crate) const I32: u8 = 0xd2;
-pub(crate) const I64: u8 = 0xd3;
-pub(crate) const FIXEXT1: u8 = 0xd4;
-pub(crate) const FIXEXT2: u8 = 0xd5;
-pub(crate) const FIXEXT4: u8 = 0xd6;
-pub(crate) const FIXEXT8: u8 = 0xd7;
-pub(crate) const FIXEXT16: u8 = 0xd8;
 pub(crate) const STR8: u8 = 0xd9;
 pub(crate) const STR16: u8 = 0xda;
 pub(crate) const STR32: u8 = 0xdb;
@@ -38,9 +20,6 @@ pub(crate) const ARR16: u8 = 0xdc;
 pub(crate) const ARR32: u8 = 0xdd;
 pub(crate) const MAP16: u8 = 0xde;
 pub(crate) const MAP32: u8 = 0xdf;
-
-/// The msgpack extension type tag reserved for timestamps.
-pub const TIMESTAMP_EXT_TYPE: i8 = -1;
 
 /// Streaming encoder appending to a borrowed buffer.
 pub struct Encoder<'a> {
@@ -51,26 +30,6 @@ impl<'a> Encoder<'a> {
     /// Encoder appending to `out`.
     pub fn new(out: &'a mut Vec<u8>) -> Self {
         Encoder { out }
-    }
-
-    /// Bytes written so far (including anything already in the buffer).
-    pub fn len(&self) -> usize {
-        self.out.len()
-    }
-
-    /// True if the output buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.out.is_empty()
-    }
-
-    /// Write `nil`.
-    pub fn write_nil(&mut self) {
-        self.out.push(NIL);
-    }
-
-    /// Write a boolean.
-    pub fn write_bool(&mut self, v: bool) {
-        self.out.push(if v { TRUE } else { FALSE });
     }
 
     /// Write an unsigned integer in its smallest encoding.
@@ -90,40 +49,6 @@ impl<'a> Encoder<'a> {
             self.out.push(U64);
             self.out.extend_from_slice(&v.to_be_bytes());
         }
-    }
-
-    /// Write a signed integer in its smallest encoding. Non-negative values
-    /// use the unsigned family (canonical msgpack behaviour).
-    pub fn write_int(&mut self, v: i64) {
-        if v >= 0 {
-            self.write_uint(v as u64);
-        } else if v >= -32 {
-            self.out.push(v as u8); // negative fixint (0xe0..=0xff)
-        } else if v >= i8::MIN as i64 {
-            self.out.push(I8);
-            self.out.push(v as i8 as u8);
-        } else if v >= i16::MIN as i64 {
-            self.out.push(I16);
-            self.out.extend_from_slice(&(v as i16).to_be_bytes());
-        } else if v >= i32::MIN as i64 {
-            self.out.push(I32);
-            self.out.extend_from_slice(&(v as i32).to_be_bytes());
-        } else {
-            self.out.push(I64);
-            self.out.extend_from_slice(&v.to_be_bytes());
-        }
-    }
-
-    /// Write an f32.
-    pub fn write_f32(&mut self, v: f32) {
-        self.out.push(F32);
-        self.out.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Write an f64.
-    pub fn write_f64(&mut self, v: f64) {
-        self.out.push(F64);
-        self.out.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Write a UTF-8 string.
@@ -195,77 +120,6 @@ impl<'a> Encoder<'a> {
             self.out.extend_from_slice(&(len as u32).to_be_bytes());
         }
     }
-
-    /// Write an extension value with the given type tag.
-    pub fn write_ext(&mut self, tag: i8, data: &[u8]) {
-        match data.len() {
-            1 => self.out.push(FIXEXT1),
-            2 => self.out.push(FIXEXT2),
-            4 => self.out.push(FIXEXT4),
-            8 => self.out.push(FIXEXT8),
-            16 => self.out.push(FIXEXT16),
-            len if len <= u8::MAX as usize => {
-                self.out.push(EXT8);
-                self.out.push(len as u8);
-            }
-            len if len <= u16::MAX as usize => {
-                self.out.push(EXT16);
-                self.out.extend_from_slice(&(len as u16).to_be_bytes());
-            }
-            len => {
-                self.out.push(EXT32);
-                self.out.extend_from_slice(&(len as u32).to_be_bytes());
-            }
-        }
-        self.out.push(tag as u8);
-        self.out.extend_from_slice(data);
-    }
-
-    /// Write a timestamp in the smallest of the three spec encodings
-    /// (timestamp32 / timestamp64 / timestamp96).
-    pub fn write_timestamp(&mut self, secs: i64, nanos: u32) {
-        debug_assert!(nanos < 1_000_000_000, "nanos out of range");
-        if nanos == 0 && (0..=u32::MAX as i64).contains(&secs) {
-            self.write_ext(TIMESTAMP_EXT_TYPE, &(secs as u32).to_be_bytes());
-        } else if (0..(1i64 << 34)).contains(&secs) {
-            let data64 = ((nanos as u64) << 34) | secs as u64;
-            self.write_ext(TIMESTAMP_EXT_TYPE, &data64.to_be_bytes());
-        } else {
-            let mut data = [0u8; 12];
-            data[..4].copy_from_slice(&nanos.to_be_bytes());
-            data[4..].copy_from_slice(&secs.to_be_bytes());
-            self.write_ext(TIMESTAMP_EXT_TYPE, &data);
-        }
-    }
-
-    /// Write an owned [`Value`] tree.
-    pub fn write_value(&mut self, v: &Value) {
-        match v {
-            Value::Nil => self.write_nil(),
-            Value::Bool(b) => self.write_bool(*b),
-            Value::Int(i) => self.write_int(*i),
-            Value::UInt(u) => self.write_uint(*u),
-            Value::F32(f) => self.write_f32(*f),
-            Value::F64(f) => self.write_f64(*f),
-            Value::Str(s) => self.write_str(s),
-            Value::Bin(b) => self.write_bin(b),
-            Value::Arr(items) => {
-                self.write_array_len(items.len());
-                for item in items {
-                    self.write_value(item);
-                }
-            }
-            Value::Map(entries) => {
-                self.write_map_len(entries.len());
-                for (k, val) in entries {
-                    self.write_value(k);
-                    self.write_value(val);
-                }
-            }
-            Value::Ext(tag, data) => self.write_ext(*tag, data),
-            Value::Timestamp { secs, nanos } => self.write_timestamp(*secs, *nanos),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -289,19 +143,6 @@ mod tests {
         assert_eq!(
             enc(|e| e.write_uint(u64::MAX)),
             [U64, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff]
-        );
-    }
-
-    #[test]
-    fn smallest_int_encodings() {
-        assert_eq!(enc(|e| e.write_int(-1)), [0xff]);
-        assert_eq!(enc(|e| e.write_int(-32)), [0xe0]);
-        assert_eq!(enc(|e| e.write_int(-33)), [I8, 0xdf]);
-        assert_eq!(enc(|e| e.write_int(-129)), [I16, 0xff, 0x7f]);
-        assert_eq!(
-            enc(|e| e.write_int(5)),
-            [0x05],
-            "non-negative → uint family"
         );
     }
 
@@ -334,32 +175,5 @@ mod tests {
         assert_eq!(enc(|e| e.write_array_len(100_000))[0], ARR32);
         assert_eq!(enc(|e| e.write_map_len(0)), [0x80]);
         assert_eq!(enc(|e| e.write_map_len(16))[0], MAP16);
-    }
-
-    #[test]
-    fn ext_markers() {
-        assert_eq!(enc(|e| e.write_ext(5, &[1]))[0], FIXEXT1);
-        assert_eq!(enc(|e| e.write_ext(5, &[1, 2]))[0], FIXEXT2);
-        assert_eq!(enc(|e| e.write_ext(5, &[0; 4]))[0], FIXEXT4);
-        assert_eq!(enc(|e| e.write_ext(5, &[0; 8]))[0], FIXEXT8);
-        assert_eq!(enc(|e| e.write_ext(5, &[0; 16]))[0], FIXEXT16);
-        assert_eq!(enc(|e| e.write_ext(5, &[0; 3]))[0], EXT8);
-        assert_eq!(enc(|e| e.write_ext(5, &vec![0; 300]))[0], EXT16);
-        assert_eq!(enc(|e| e.write_ext(5, &vec![0; 70_000]))[0], EXT32);
-    }
-
-    #[test]
-    fn timestamp_formats() {
-        // ts32: 4-byte payload.
-        let b = enc(|e| e.write_timestamp(1_600_000_000, 0));
-        assert_eq!(b[0], FIXEXT4);
-        assert_eq!(b[1], TIMESTAMP_EXT_TYPE as u8);
-        // ts64: nanos force 8-byte payload.
-        let b = enc(|e| e.write_timestamp(1_600_000_000, 999));
-        assert_eq!(b[0], FIXEXT8);
-        // ts96: negative seconds force 12-byte payload.
-        let b = enc(|e| e.write_timestamp(-1, 5));
-        assert_eq!(b[0], EXT8);
-        assert_eq!(b[1], 12);
     }
 }

@@ -1,19 +1,17 @@
-//! `emlio-msgpack` — a spec-complete MessagePack codec.
+//! `emlio-msgpack` — the MessagePack subset the batch wire schema uses.
 //!
 //! The EMLIO daemon serializes each pre-assembled batch of `B` training
 //! examples into a single msgpack payload before streaming it over the
 //! network (§4.1: *"msgpack is a compact, binary serialization format that is
-//! both fast and space-efficient"*). This crate implements the MessagePack
-//! wire format from scratch:
+//! both fast and space-efficient"*). The schema (`emlio_core::wire`) is
+//! built from five families, and this crate reads and writes exactly those:
 //!
-//! * every family: nil, bool, all fix/8/16/32/64 integer widths, f32/f64,
-//!   str, bin, array, map, ext, and the `-1` timestamp extension;
+//! * uint (positive fixint, uint 8/16/32/64), str, bin, array and map, every
+//!   width of each, always written in the smallest encoding;
 //! * an allocation-free [`Encoder`] that appends to any `Vec<u8>`;
-//! * a [`Decoder`] with a zero-copy read path (`read_str` / `read_bin` return
-//!   borrowed slices) plus an owned [`Value`] tree reader with a recursion
-//!   depth guard;
-//! * strict error reporting — truncated input, wrong types, invalid UTF-8 and
-//!   trailing bytes are all detected, never ignored;
+//! * a zero-copy [`Decoder`] (`read_str` / `read_bin` return borrowed slices);
+//! * strict error reporting — truncated input, any marker outside the family
+//!   read, invalid UTF-8 and trailing bytes are all detected, never ignored;
 //! * a bounded [`StrInterner`] so the same shard ids and field keys decode
 //!   to one shared `Arc<str>` instead of a fresh `String` per message.
 //!
@@ -23,44 +21,14 @@
 pub mod decode;
 pub mod encode;
 pub mod interner;
-pub mod value;
 
 pub use decode::{DecodeError, Decoder};
 pub use encode::Encoder;
 pub use interner::StrInterner;
-pub use value::Value;
-
-/// Encode a [`Value`] tree to a fresh buffer.
-pub fn to_vec(value: &Value) -> Vec<u8> {
-    let mut buf = Vec::new();
-    Encoder::new(&mut buf).write_value(value);
-    buf
-}
-
-/// Decode a single [`Value`] from a buffer, requiring the buffer to be fully
-/// consumed.
-pub fn from_slice(bytes: &[u8]) -> Result<Value, DecodeError> {
-    let mut d = Decoder::new(bytes);
-    let v = d.read_value()?;
-    d.finish()?;
-    Ok(v)
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn roundtrip_smoke() {
-        let v = Value::Arr(vec![
-            Value::from(1u64),
-            Value::from(-1i64),
-            Value::Str("hello".into()),
-            Value::Nil,
-        ]);
-        let bytes = to_vec(&v);
-        assert_eq!(from_slice(&bytes).unwrap(), v);
-    }
 
     #[test]
     fn zero_length_bin_and_str_roundtrip_without_payload_bytes() {
@@ -77,18 +45,21 @@ mod tests {
         assert_eq!(d.read_bin().unwrap(), &[] as &[u8]);
         assert_eq!(d.read_str().unwrap(), "");
         d.finish().unwrap();
-
-        let v = Value::Arr(vec![Value::Bin(vec![]), Value::Str(String::new())]);
-        assert_eq!(from_slice(&to_vec(&v)).unwrap(), v);
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = to_vec(&Value::Bool(true));
+        let mut bytes = Vec::new();
+        Encoder::new(&mut bytes).write_uint(1);
         bytes.push(0xc0);
-        assert!(matches!(
-            from_slice(&bytes),
-            Err(DecodeError::TrailingBytes { .. })
-        ));
+        let mut d = Decoder::new(&bytes);
+        assert_eq!(d.read_u64(), Ok(1));
+        assert_eq!(
+            d.finish(),
+            Err(DecodeError::TrailingBytes {
+                at: 1,
+                remaining: 1
+            })
+        );
     }
 }
