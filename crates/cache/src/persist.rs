@@ -46,18 +46,15 @@ pub fn write_index(dir: &Path, entries: &[SpillEntry]) -> io::Result<()> {
         .iter()
         .map(|e| {
             Json::obj([
-                ("shard_id".to_string(), Json::num(e.key.shard_id as f64)),
-                ("start".to_string(), Json::num(e.key.start as f64)),
-                ("end".to_string(), Json::num(e.key.end as f64)),
-                ("len".to_string(), Json::num(e.len as f64)),
-                ("crc".to_string(), Json::num(e.crc as f64)),
+                ("shard_id", Json::Uint(e.key.shard_id.into())),
+                ("start", Json::Uint(e.key.start as u64)),
+                ("end", Json::Uint(e.key.end as u64)),
+                ("len", Json::Uint(e.len)),
+                ("crc", Json::Uint(e.crc.into())),
             ])
         })
         .collect();
-    let doc = Json::obj([
-        ("version".to_string(), Json::num(1.0)),
-        ("blocks".to_string(), Json::Arr(blocks)),
-    ]);
+    let doc = Json::obj([("version", Json::Uint(1)), ("blocks", Json::Arr(blocks))]);
     let tmp = dir.join(format!("{SPILL_INDEX_FILE}.tmp"));
     std::fs::write(&tmp, doc.to_string_pretty())?;
     std::fs::rename(&tmp, dir.join(SPILL_INDEX_FILE))
@@ -72,26 +69,25 @@ pub fn read_index(dir: &Path) -> io::Result<Option<Vec<SpillEntry>>> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    let doc = Json::parse(&text).map_err(io::Error::other)?;
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+    let doc = Json::parse(&text).map_err(|e| invalid(e.to_string()))?;
     let blocks = doc
         .get("blocks")
         .and_then(Json::as_arr)
-        .ok_or_else(|| io::Error::other("spill index: missing blocks array"))?;
+        .ok_or_else(|| invalid("spill index: missing blocks array".into()))?;
     let mut entries = Vec::with_capacity(blocks.len());
     for (i, b) in blocks.iter().enumerate() {
-        let get = |k: &str| {
-            b.get(k)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| io::Error::other(format!("spill index block {i}: missing {k}")))
-        };
+        let bad = |k: &str| invalid(format!("spill index block {i}: {k} missing or too large"));
+        let get = |k: &str| b.get(k).and_then(Json::as_u64).ok_or_else(|| bad(k));
+        let get_u32 = |k: &str| b.get(k).and_then(Json::as_u32).ok_or_else(|| bad(k));
         entries.push(SpillEntry {
             key: BlockKey {
-                shard_id: get("shard_id")? as u32,
+                shard_id: get_u32("shard_id")?,
                 start: get("start")? as usize,
                 end: get("end")? as usize,
             },
             len: get("len")?,
-            crc: get("crc")? as u32,
+            crc: get_u32("crc")?,
         });
     }
     Ok(Some(entries))
@@ -175,6 +171,88 @@ mod tests {
 
         // Missing file ⇒ rejected quietly.
         assert_eq!(validate_entry(dir.path(), &entry), None);
+    }
+
+    #[test]
+    fn shard_ids_and_crcs_above_u32_are_rejected() {
+        // Shard 2^32 + 1 must not load as shard 1, nor CRC 2^32 + 7 as 7.
+        let dir = TempDir::new("spill-above-u32");
+        let entry = SpillEntry {
+            key: key(0),
+            len: 64,
+            crc: 7,
+        };
+        write_index(dir.path(), &[entry]).unwrap();
+        let path = dir.path().join(SPILL_INDEX_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        for (field, forged) in [
+            ("\"shard_id\": 1", "\"shard_id\": 4294967297"),
+            ("\"crc\": 7", "\"crc\": 4294967303"),
+        ] {
+            assert!(text.contains(field), "{field}");
+            std::fs::write(&path, text.replacen(field, forged, 1)).unwrap();
+            let err = read_index(dir.path()).expect_err(forged);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+    }
+
+    #[test]
+    fn parent_written_spill_index_loads_and_rewrites_identically() {
+        // Left by `emlio bench-io --cache-persist` before the codec kept
+        // only unsigned integers; CRCs above 2^31 included.
+        let text = r#"{
+  "blocks": [
+    {
+      "crc": 82555645,
+      "end": 2,
+      "len": 16416,
+      "shard_id": 0,
+      "start": 0
+    },
+    {
+      "crc": 4189835483,
+      "end": 3,
+      "len": 8208,
+      "shard_id": 0,
+      "start": 2
+    },
+    {
+      "crc": 3315873165,
+      "end": 2,
+      "len": 16416,
+      "shard_id": 1,
+      "start": 0
+    },
+    {
+      "crc": 310199745,
+      "end": 3,
+      "len": 8208,
+      "shard_id": 1,
+      "start": 2
+    }
+  ],
+  "version": 1
+}
+"#;
+        let dir = TempDir::new("spill-parent-index");
+        let path = dir.path().join(SPILL_INDEX_FILE);
+        std::fs::write(&path, text).unwrap();
+        let entries = read_index(dir.path()).unwrap().unwrap();
+        let got: Vec<_> = entries
+            .iter()
+            .map(|e| (e.key.shard_id, e.key.start, e.key.end, e.len, e.crc))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (0, 0, 2, 16416, 82555645),
+                (0, 2, 3, 8208, 4189835483),
+                (1, 0, 2, 16416, 3315873165),
+                (1, 2, 3, 8208, 310199745),
+            ]
+        );
+        write_index(dir.path(), &entries).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
     }
 
     #[test]

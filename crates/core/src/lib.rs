@@ -39,7 +39,7 @@ pub mod wire;
 pub use chaos::ChaosController;
 pub use config::{Coverage, EmlioConfig};
 pub use daemon::EmlioDaemon;
-pub use emlio_util::pool::{self, BufferPool, PoolBuf, PoolStats};
+pub use emlio_util::pool::{self, BufferPool, PoolStats};
 pub use export::{MetricsSampler, SampleSource, StallReport};
 pub use metrics::{DataPathMetrics, MetricsSnapshot};
 pub use plan::{BatchRange, EpochPlan, NodePlan, Plan};

@@ -453,8 +453,8 @@ mod tests {
             retry: None,
             pool: pool.clone(),
         });
-        drop(pool.get(100)); // fresh allocation, recycled on drop
-        drop(pool.get(100)); // served from the free list
+        drop(pool.seal(pool.take(100))); // fresh allocation, recycled at once
+        drop(pool.seal(pool.take(100))); // served from the free list
         cache.stats().hits.store(90, Ordering::Relaxed);
         cache.stats().disk_hits.store(2, Ordering::Relaxed);
         let s = m.snapshot();

@@ -82,7 +82,9 @@ pub fn encode_batch_frame_traced(
     samples: &[(u64, u32, Bytes)],
     pool: &BufferPool,
 ) -> Frame {
-    let mut hdr = pool.get(96 + origin.len() + samples.len() * 40);
+    let mut hdr = pool.take(96 + origin.len() + samples.len() * 40);
+    // A recycled buffer comes back at its previous length.
+    hdr.clear();
     // `cuts[i]` = header offset where sample i's payload splices in.
     let mut cuts = Vec::with_capacity(samples.len());
     {
@@ -112,7 +114,7 @@ pub fn encode_batch_frame_traced(
         e.write_bin_len(data.len());
         cuts.push(hdr.len());
     }
-    let hdr = hdr.freeze();
+    let hdr = pool.seal(hdr);
     let mut segments = Vec::with_capacity(samples.len() * 2 + 1);
     let mut prev = 0usize;
     for ((_, _, data), cut) in samples.iter().zip(&cuts) {

@@ -133,11 +133,12 @@ proptest! {
         // recycled buffer, not a fresh allocation.
         let pool = BufferPool::new();
         for pass in 0..2 {
-            let mut buf = pool.get(1);
+            let mut buf = pool.take(1);
+            buf.clear();
             for chunk in &chunks {
                 buf.extend_from_slice(chunk);
             }
-            let frozen = buf.freeze();
+            let frozen = pool.seal(buf);
             prop_assert_eq!(&frozen[..], &baseline[..], "pass {}", pass);
             drop(frozen); // return the buffer to the pool for pass 2
         }
@@ -147,6 +148,32 @@ proptest! {
             "second pass should reuse: {stats:?}"
         );
     }
+}
+
+#[test]
+fn a_recycled_header_buffer_starts_empty() {
+    // The large batch's header buffer is recycled into the small batch's
+    // size class at its old length: none of those bytes may lead the frame.
+    let pool = BufferPool::new();
+    let large: Vec<_> = (0..90)
+        .map(|i| (i << 40, 70_000, vec![i as u8; 3]))
+        .collect();
+    let frame = wire::encode_batch_frame_traced(1, 2, "daemon-0/t0", None, &shared(&large), &pool);
+    assert_eq!(
+        &frame.into_bytes()[..],
+        &reference_encode(1, 2, "daemon-0/t0", None, &large)[..]
+    );
+    let small = [(5, 1, vec![0xab; 4])];
+    let frame = wire::encode_batch_frame_traced(3, 4, "d", None, &shared(&small), &pool);
+    assert_eq!(
+        pool.stats().pool_reuse,
+        1,
+        "the small frame reused the large header"
+    );
+    assert_eq!(
+        &frame.into_bytes()[..],
+        &reference_encode(3, 4, "d", None, &small)[..]
+    );
 }
 
 /// Scan one damaged frame. `decode_lazy` must not panic, and a batch it

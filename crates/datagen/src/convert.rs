@@ -42,14 +42,14 @@ pub fn build_file_dataset(dir: &Path, spec: &DatasetSpec) -> std::io::Result<Vec
         let name = sample_file_name(id);
         std::fs::write(dir.join(&name), spec.payload_of(id))?;
         labels.push(Json::obj([
-            ("file".to_string(), Json::str(name.clone())),
-            ("label".to_string(), Json::num(spec.label_of(id) as f64)),
+            ("file", Json::str(name.clone())),
+            ("label", Json::Uint(spec.label_of(id).into())),
         ]));
         files.push(PathBuf::from(name));
     }
     let doc = Json::obj([
-        ("dataset".to_string(), Json::str(spec.name.clone())),
-        ("samples".to_string(), Json::Arr(labels)),
+        ("dataset", Json::str(spec.name.clone())),
+        ("samples", Json::Arr(labels)),
     ]);
     std::fs::write(dir.join("labels.json"), doc.to_string_pretty())?;
     Ok(files)
@@ -71,11 +71,13 @@ pub fn load_file_dataset(dir: &Path) -> std::io::Result<Vec<(PathBuf, u32)>> {
                 .get("file")
                 .and_then(Json::as_str)
                 .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no file"))?;
-            let label = s
-                .get("label")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "no label"))?;
-            Ok((PathBuf::from(file), label as u32))
+            let label = s.get("label").and_then(Json::as_u32).ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "missing or out-of-range label",
+                )
+            })?;
+            Ok((PathBuf::from(file), label))
         })
         .collect()
 }
@@ -134,5 +136,22 @@ mod tests {
             assert_eq!(file, &PathBuf::from(sample_file_name(id as u64)));
             assert_eq!(*label, spec.label_of(id as u64));
         }
+    }
+
+    #[test]
+    fn labels_above_u32_are_rejected() {
+        // 2^32 + 7 must not load as label 7.
+        let dir = TempDir::new("datagen-label-u32");
+        build_file_dataset(dir.path(), &DatasetSpec::tiny("big", 2)).unwrap();
+        let path = dir.path().join("labels.json");
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert!(text.contains("\"label\": 0"));
+        std::fs::write(
+            &path,
+            text.replacen("\"label\": 0", "\"label\": 4294967303", 1),
+        )
+        .unwrap();
+        let err = load_file_dataset(dir.path()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 }

@@ -12,9 +12,11 @@
 //! * a **Batch Writer** that tags tuples with the node id and writes batches
 //!   of up to `N` points to the TSDB (`emlio-tsdb` standing in for
 //!   InfluxDB);
-//! * clocks shared across nodes stand in for NTP alignment, so post-hoc
-//!   interval queries (epoch start/end from the `TimestampLogger`) aggregate
-//!   each node's energy exactly as in the paper.
+//! * tuples are stamped by the process clock (`emlio_obs::clock`, through
+//!   the monitor's `RealClock` handle) that also stamps every trace and
+//!   stage histogram, standing in for NTP alignment: post-hoc interval
+//!   queries over two stamps of that clock (an epoch's start and end)
+//!   aggregate each node's energy as in the paper.
 //!
 //! **Counter substitution.** `perf stat -e power/energy-pkg/` and NVML are
 //! not available in this environment, so the lowest-level read is a

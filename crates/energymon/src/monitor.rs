@@ -20,7 +20,7 @@ pub struct MonitorConfig {
     pub interval_nanos: u64,
     /// Batch writer flush threshold `N`.
     pub batch_size: usize,
-    /// Clock shared across the deployment (NTP stand-in).
+    /// The process clock the tuples are stamped with (NTP stand-in).
     pub clock: SharedClock,
     /// The counter source.
     pub source: Arc<dyn PowerSource>,

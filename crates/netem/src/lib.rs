@@ -22,8 +22,9 @@
 //!   stack, paired with `NfsMount` failpoints (`nfs.open` / `nfs.read`)
 //!   replaying an `emlio_util::fault::FaultInjector`.
 //!
-//! All delays run on an [`emlio_util::Clock`], so the same code paths work
-//! under wall time (examples) and manual time (tests).
+//! All delays are slept on the [`emlio_util::RealClock`] handle each
+//! component is given: the process clock, which also stamps traces and
+//! energy tuples.
 
 pub mod fault;
 pub mod nfs;

@@ -5,9 +5,10 @@
 //! the *per-file operation cost*: every sample access pays compound
 //! LOOKUP/OPEN, one READ round trip per `rsize` chunk, GETATTR revalidation,
 //! and CLOSE. This module reproduces that cost structure over a local
-//! directory: data bytes are read from real files; latency is charged on a
-//! [`Clock`](emlio_util::clock::Clock), and link bandwidth is a token bucket *shared by every handle
-//! cloned from the same mount* (one wire per mount, as in reality).
+//! directory: data bytes are read from real files; latency is slept on the
+//! mount's [`RealClock`](emlio_util::clock::RealClock), and link bandwidth
+//! is a token bucket *shared by every handle cloned from the same mount*
+//! (one wire per mount, as in reality).
 //!
 //! The same constants feed the discrete-event testbed through
 //! [`NfsConfig::read_cost`], so real-runtime examples and virtual-time

@@ -79,17 +79,17 @@ impl ShardIndex {
             .iter()
             .map(|r| {
                 Json::obj([
-                    ("offset".to_string(), Json::num(r.offset as f64)),
-                    ("length".to_string(), Json::num(r.length as f64)),
-                    ("label".to_string(), Json::num(r.label as f64)),
-                    ("sample_id".to_string(), Json::num(r.sample_id as f64)),
+                    ("offset", Json::Uint(r.offset)),
+                    ("length", Json::Uint(r.length)),
+                    ("label", Json::Uint(r.label.into())),
+                    ("sample_id", Json::Uint(r.sample_id)),
                 ])
             })
             .collect();
         Json::obj([
-            ("shard_id".to_string(), Json::num(self.shard_id as f64)),
-            ("file_name".to_string(), Json::str(self.file_name.clone())),
-            ("records".to_string(), Json::Arr(records)),
+            ("shard_id", Json::Uint(self.shard_id.into())),
+            ("file_name", Json::str(self.file_name.clone())),
+            ("records", Json::Arr(records)),
         ])
     }
 
@@ -97,9 +97,8 @@ impl ShardIndex {
     pub fn from_json(doc: &Json) -> Result<ShardIndex> {
         let shard_id = doc
             .get("shard_id")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| RecordError::BadIndex("missing shard_id".into()))?
-            as u32;
+            .and_then(Json::as_u32)
+            .ok_or_else(|| RecordError::BadIndex("missing or out-of-range shard_id".into()))?;
         let file_name = doc
             .get("file_name")
             .and_then(Json::as_str)
@@ -117,10 +116,13 @@ impl ShardIndex {
                     .and_then(Json::as_u64)
                     .ok_or_else(|| RecordError::BadIndex(format!("record {i}: missing {k}")))
             };
+            let label = r.get("label").and_then(Json::as_u32).ok_or_else(|| {
+                RecordError::BadIndex(format!("record {i}: missing or out-of-range label"))
+            })?;
             let meta = RecordMeta {
                 offset: get("offset")?,
                 length: get("length")?,
-                label: get("label")? as u32,
+                label,
                 sample_id: get("sample_id")?,
             };
             if meta.offset != expected_offset {
@@ -294,8 +296,8 @@ mod tests {
 
     #[test]
     fn forged_lengths_that_overflow_are_rejected() {
-        // A JSON number this large parses to `u64::MAX`; added to the last
-        // record's offset it would wrap to a small, plausible end.
+        // Added to the last record's offset, this length would wrap to a
+        // small, plausible end.
         let mut idx = sample_index();
         idx.records[9].length = u64::MAX;
         assert!(matches!(
@@ -306,6 +308,66 @@ mod tests {
         // span arithmetic checks for itself.
         assert!(matches!(idx.span(8, 10), Err(RecordError::BadIndex(_))));
         assert!(idx.span(0, 9).is_ok(), "spans short of the forged record");
+    }
+
+    #[test]
+    fn labels_and_shard_ids_above_u32_are_rejected() {
+        // Label 2^32 + 7 must not load as label 7, nor shard 2^32 + 2 as 2.
+        let text = sample_index().to_json().to_string_pretty();
+        for (field, forged) in [
+            ("\"label\": 0,", "\"label\": 4294967303,"),
+            ("\"shard_id\": 2", "\"shard_id\": 4294967298"),
+        ] {
+            assert!(text.contains(field), "{field}");
+            let doc = Json::parse(&text.replacen(field, forged, 1)).unwrap();
+            assert!(
+                matches!(ShardIndex::from_json(&doc), Err(RecordError::BadIndex(_))),
+                "{forged} must not load"
+            );
+        }
+    }
+
+    #[test]
+    fn parent_written_index_loads_and_rewrites_identically() {
+        // Written by `emlio convert --dataset tiny --samples 6 --shards 2`
+        // before the codec kept only unsigned integers.
+        let text = r#"{
+  "file_name": "shard_00000.tfrecord",
+  "records": [
+    {
+      "label": 0,
+      "length": 8208,
+      "offset": 0,
+      "sample_id": 0
+    },
+    {
+      "label": 2,
+      "length": 8208,
+      "offset": 8208,
+      "sample_id": 2
+    },
+    {
+      "label": 4,
+      "length": 8208,
+      "offset": 16416,
+      "sample_id": 4
+    }
+  ],
+  "shard_id": 0
+}
+"#;
+        let dir = TempDir::new("tfrecord-parent-index");
+        let path = dir.path().join(ShardIndex::index_file_name(0));
+        std::fs::write(&path, text).unwrap();
+        let idx = ShardIndex::load(&path).unwrap();
+        assert_eq!(
+            (idx.shard_id, idx.file_name.as_str()),
+            (0, "shard_00000.tfrecord")
+        );
+        let labels: Vec<u32> = idx.records.iter().map(|r| r.label).collect();
+        assert_eq!(labels, [0, 2, 4]);
+        assert_eq!(idx.records[2].offset, 16416);
+        assert_eq!(idx.to_json().to_string_pretty(), text);
     }
 
     #[test]

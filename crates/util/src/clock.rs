@@ -1,173 +1,47 @@
-//! Virtual clock abstraction.
+//! The process clock as a handle.
 //!
-//! EMLIO's measurement framework (§3) depends on NTP-aligned timestamps; the
-//! discrete-event testbed depends on a clock it can drive forward itself.
-//! Both are served by the [`Clock`] trait: [`RealClock`] tracks the OS
-//! monotonic clock anchored to the Unix epoch, while [`ManualClock`] is
-//! advanced explicitly (by tests or by the DES engine) and wakes sleepers in
-//! timestamp order.
+//! Every timestamp in the workspace — trace stamps, stage histograms,
+//! flight events and the energy monitor's tuples (§3, Algorithm 1) — is
+//! read from [`emlio_obs::clock`], so data-path events and energy share one
+//! time base. [`RealClock`] is a handle on that clock for the components
+//! that take one as a parameter (the NFS mount, the link shaper, the token
+//! bucket, the energy monitor and the trainer), plus the sleep they pace
+//! themselves with.
 
-use parking_lot::{Condvar, Mutex};
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::Duration;
 
-/// A source of time plus the ability to block until a later time.
-///
-/// All timestamps are nanoseconds since the Unix epoch (for `RealClock`) or
-/// since simulation start (for `ManualClock`); only differences ever matter.
-pub trait Clock: Send + Sync {
-    /// Current time in nanoseconds.
-    fn now_nanos(&self) -> u64;
+/// Shared clock handle, as the components that take one hold it.
+pub type SharedClock = Arc<RealClock>;
 
-    /// Block the calling thread for `nanos` of this clock's time.
-    fn sleep_nanos(&self, nanos: u64);
-
-    /// Current time in seconds as `f64` (convenience).
-    fn now_secs(&self) -> f64 {
-        self.now_nanos() as f64 / 1e9
-    }
-
-    /// Sleep expressed as a `Duration` (convenience).
-    fn sleep(&self, d: Duration) {
-        self.sleep_nanos(d.as_nanos().min(u64::MAX as u128) as u64);
-    }
-}
-
-/// Shared, dynamically-dispatched clock handle.
-pub type SharedClock = Arc<dyn Clock>;
-
-/// Wall-clock time: `Instant`-based monotonic progression anchored at the
-/// Unix time observed at construction, so timestamps are comparable across
-/// `RealClock` instances on one machine (the single-node stand-in for the
-/// paper's NTP synchronization).
-pub struct RealClock {
-    anchor_instant: Instant,
-    anchor_unix_nanos: u64,
-}
+/// The process clock: nanoseconds since the Unix epoch, monotonic within
+/// the process ([`emlio_obs::clock::now_nanos`]).
+pub struct RealClock;
 
 impl RealClock {
-    /// Create a clock anchored at the current wall time.
-    pub fn new() -> Self {
-        let anchor_unix_nanos = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .unwrap_or(Duration::ZERO)
-            .as_nanos()
-            .min(u64::MAX as u128) as u64;
-        RealClock {
-            anchor_instant: Instant::now(),
-            anchor_unix_nanos,
-        }
-    }
-
-    /// Convenience: a shared handle to a fresh real clock.
+    /// A shared handle on the process clock.
     pub fn shared() -> SharedClock {
-        Arc::new(RealClock::new())
-    }
-}
-
-impl Default for RealClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for RealClock {
-    fn now_nanos(&self) -> u64 {
-        self.anchor_unix_nanos.saturating_add(
-            self.anchor_instant
-                .elapsed()
-                .as_nanos()
-                .min(u64::MAX as u128) as u64,
-        )
+        Arc::new(RealClock)
     }
 
-    fn sleep_nanos(&self, nanos: u64) {
+    /// Current time in nanoseconds since the Unix epoch.
+    pub fn now_nanos(&self) -> u64 {
+        emlio_obs::clock::now_nanos()
+    }
+
+    /// Block the calling thread for `nanos`.
+    pub fn sleep_nanos(&self, nanos: u64) {
         std::thread::sleep(Duration::from_nanos(nanos));
-    }
-}
-
-struct ManualInner {
-    now: Mutex<u64>,
-    waiters: Condvar,
-}
-
-/// A manually advanced clock. `sleep_nanos` blocks until some other thread
-/// calls [`ManualClock::advance`] (or [`set`](ManualClock::set)) far enough.
-///
-/// Cloning shares the underlying time source.
-#[derive(Clone)]
-pub struct ManualClock {
-    inner: Arc<ManualInner>,
-}
-
-impl ManualClock {
-    /// New clock starting at time zero.
-    pub fn new() -> Self {
-        Self::starting_at(0)
-    }
-
-    /// New clock starting at `nanos`.
-    pub fn starting_at(nanos: u64) -> Self {
-        ManualClock {
-            inner: Arc::new(ManualInner {
-                now: Mutex::new(nanos),
-                waiters: Condvar::new(),
-            }),
-        }
-    }
-
-    /// Advance the clock by `nanos`, waking any sleeper whose deadline passed.
-    pub fn advance(&self, nanos: u64) {
-        let mut now = self.inner.now.lock();
-        *now = now.saturating_add(nanos);
-        self.inner.waiters.notify_all();
-    }
-
-    /// Jump the clock to an absolute time (must not go backwards).
-    ///
-    /// # Panics
-    /// Panics if `nanos` is earlier than the current time.
-    pub fn set(&self, nanos: u64) {
-        let mut now = self.inner.now.lock();
-        assert!(nanos >= *now, "ManualClock cannot go backwards");
-        *now = nanos;
-        self.inner.waiters.notify_all();
-    }
-
-    /// Shared handle as a `SharedClock`.
-    pub fn shared(&self) -> SharedClock {
-        Arc::new(self.clone())
-    }
-}
-
-impl Default for ManualClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Clock for ManualClock {
-    fn now_nanos(&self) -> u64 {
-        *self.inner.now.lock()
-    }
-
-    fn sleep_nanos(&self, nanos: u64) {
-        let mut now = self.inner.now.lock();
-        let deadline = now.saturating_add(nanos);
-        while *now < deadline {
-            self.inner.waiters.wait(&mut now);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicBool, Ordering};
 
     #[test]
     fn real_clock_monotonic() {
-        let c = RealClock::new();
+        let c = RealClock;
         let a = c.now_nanos();
         let b = c.now_nanos();
         assert!(b >= a);
@@ -176,56 +50,18 @@ mod tests {
 
     #[test]
     fn real_clock_sleep_advances() {
-        let c = RealClock::new();
+        let c = RealClock;
         let a = c.now_nanos();
         c.sleep_nanos(2_000_000); // 2 ms
         assert!(c.now_nanos() - a >= 2_000_000);
     }
 
     #[test]
-    fn manual_clock_advance() {
-        let c = ManualClock::new();
-        assert_eq!(c.now_nanos(), 0);
-        c.advance(500);
-        assert_eq!(c.now_nanos(), 500);
-        c.set(1_000);
-        assert_eq!(c.now_nanos(), 1_000);
-    }
-
-    #[test]
-    #[should_panic]
-    fn manual_clock_cannot_rewind() {
-        let c = ManualClock::starting_at(100);
-        c.set(50);
-    }
-
-    #[test]
-    fn manual_clock_wakes_sleeper() {
-        let c = ManualClock::new();
-        let woke = Arc::new(AtomicBool::new(false));
-        let (c2, woke2) = (c.clone(), woke.clone());
-        let h = std::thread::spawn(move || {
-            c2.sleep_nanos(1_000);
-            woke2.store(true, Ordering::SeqCst);
-        });
-        // Give the sleeper a chance to block, then advance in two steps.
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!woke.load(Ordering::SeqCst));
-        c.advance(400);
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!woke.load(Ordering::SeqCst), "not yet past deadline");
-        c.advance(700);
-        h.join().unwrap();
-        assert!(woke.load(Ordering::SeqCst));
-    }
-
-    #[test]
-    fn shared_clock_object_safety() {
+    fn shared_clock_is_the_process_clock() {
         let shared: SharedClock = RealClock::shared();
-        let _ = shared.now_secs();
-        let m = ManualClock::new();
-        let shared2: SharedClock = m.shared();
-        m.advance(7);
-        assert_eq!(shared2.now_nanos(), 7);
+        let before = emlio_obs::clock::now_nanos();
+        let t = shared.now_nanos();
+        let after = emlio_obs::clock::now_nanos();
+        assert!((before..=after).contains(&t), "{before} <= {t} <= {after}");
     }
 }

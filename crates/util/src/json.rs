@@ -1,21 +1,25 @@
-//! Minimal JSON value model, parser, and serializer.
+//! The JSON of the three documents the workspace writes and reads back.
 //!
-//! The paper's planner reads `mapping_shard_*.json` index files (Algorithm 2,
-//! line 1); the approved dependency list has `serde` but not `serde_json`, so
-//! this module supplies the small JSON surface the workspace needs: objects,
-//! arrays, strings (with escapes), numbers, booleans, and null. It is not a
-//! streaming parser — shard indexes and reports are small.
+//! They are a shard's `mapping_shard_*.json` index (what the planner reads,
+//! Algorithm 2, line 1), the cache's `spill-index.json` and a per-file
+//! dataset's `labels.json`. Between them they hold objects, arrays, strings
+//! and unsigned integers, and this codec holds nothing else: no null,
+//! boolean, sign, fraction or exponent. Integers are read exactly as `u64`,
+//! and nesting deeper than 32 levels is an error, so a forged file cannot
+//! overflow the stack. (The approved dependency list has `serde` but not
+//! `serde_json`.)
 
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Deepest nesting [`Json::parse`] accepts; the documents nest three deep.
+const MAX_DEPTH: usize = 32;
+
 /// A JSON value. Object keys are kept sorted (`BTreeMap`) so serialization is
-/// deterministic, which keeps shard-index files diffable and tests stable.
-#[derive(Debug, Clone, PartialEq)]
+/// deterministic, which keeps index files diffable and tests stable.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
+    Uint(u64),
     Str(String),
     Arr(Vec<Json>),
     Obj(BTreeMap<String, Json>),
@@ -38,27 +42,14 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-/// Compact serialization (`json.to_string()` comes from this impl).
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        f.write_str(&out)
-    }
-}
-
 impl Json {
-    /// Parse a complete JSON document. Trailing whitespace is allowed;
-    /// trailing garbage is an error.
+    /// Parse a complete document. Trailing whitespace is allowed; trailing
+    /// garbage is an error.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
+        let v = p.value(0)?;
         p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(p.err("trailing characters after JSON value"));
         }
         Ok(v)
@@ -67,81 +58,47 @@ impl Json {
     /// Serialize with two-space indentation (for human-readable indexes).
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        self.write(&mut out, 0);
         out.push('\n');
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
+    fn write(&self, out: &mut String, depth: usize) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Num(n) => write_number(out, *n),
+            Json::Uint(n) => out.push_str(&n.to_string()),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, depth + 1);
-                    item.write(out, indent, depth + 1);
+                    item_start(out, i, depth + 1);
+                    item.write(out, depth + 1);
                 }
-                if !items.is_empty() {
-                    newline_indent(out, indent, depth);
-                }
-                out.push(']');
+                list_end(out, items.is_empty(), depth, ']');
             }
             Json::Obj(map) => {
                 out.push('{');
                 for (i, (k, v)) in map.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, depth + 1);
+                    item_start(out, i, depth + 1);
                     write_escaped(out, k);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
+                    out.push_str(": ");
+                    v.write(out, depth + 1);
                 }
-                if !map.is_empty() {
-                    newline_indent(out, indent, depth);
-                }
-                out.push('}');
+                list_end(out, map.is_empty(), depth, '}');
             }
         }
     }
 
-    // ----- accessors ------------------------------------------------------
-
-    /// As f64, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// As u64, if this is a non-negative integral number.
+    /// As u64, if this is an integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Uint(n) => Some(*n),
             _ => None,
         }
     }
 
-    /// As i64, if this is an integral number in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Num(n) if n.fract() == 0.0 && *n >= i64::MIN as f64 && *n <= i64::MAX as f64 => {
-                Some(*n as i64)
-            }
-            _ => None,
-        }
+    /// As u32, if this is an integer no larger than `u32::MAX`.
+    pub fn as_u32(&self) -> Option<u32> {
+        self.as_u64().and_then(|n| u32::try_from(n).ok())
     }
 
     /// As str, if this is a string.
@@ -160,53 +117,43 @@ impl Json {
         }
     }
 
-    /// As object map, if this is an object.
-    pub fn as_obj(&self) -> Option<&BTreeMap<String, Json>> {
+    /// Object field lookup; `None` for non-objects or missing keys.
+    pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Json::Obj(m) => Some(m),
+            Json::Obj(m) => m.get(key),
             _ => None,
         }
     }
 
-    /// Object field lookup; `None` for non-objects or missing keys.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        self.as_obj().and_then(|m| m.get(key))
-    }
-
-    /// Build an object from key/value pairs (test & builder convenience).
-    pub fn obj<I: IntoIterator<Item = (String, Json)>>(pairs: I) -> Json {
-        Json::Obj(pairs.into_iter().collect())
+    /// Build an object from key/value pairs.
+    pub fn obj<'k>(pairs: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 
     /// Build a string value.
     pub fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
     }
-
-    /// Build a number value.
-    pub fn num(n: impl Into<f64>) -> Json {
-        Json::Num(n.into())
-    }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(w) = indent {
-        out.push('\n');
-        for _ in 0..w * depth {
-            out.push(' ');
-        }
+/// Separator and indentation before item `i` of a list at `depth`.
+fn item_start(out: &mut String, i: usize, depth: usize) {
+    if i > 0 {
+        out.push(',');
     }
+    newline_indent(out, depth);
 }
 
-fn write_number(out: &mut String, n: f64) {
-    if !n.is_finite() {
-        // JSON has no NaN/Inf; serialize as null per common practice.
-        out.push_str("null");
-    } else if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        out.push_str(&format!("{}", n as i64));
-    } else {
-        out.push_str(&format!("{}", n));
+fn list_end(out: &mut String, empty: bool, depth: usize, close: char) {
+    if !empty {
+        newline_indent(out, depth);
     }
+    out.push(close);
+}
+
+fn newline_indent(out: &mut String, depth: usize) {
+    out.push('\n');
+    out.extend(std::iter::repeat_n(' ', 2 * depth));
 }
 
 fn write_escaped(out: &mut String, s: &str) {
@@ -228,11 +175,11 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
+impl Parser<'_> {
     fn err(&self, msg: &str) -> JsonError {
         JsonError {
             at: self.pos,
@@ -241,7 +188,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -259,78 +206,65 @@ impl<'a> Parser<'a> {
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+        if self.peek() != Some(b) {
+            return Err(self.err(&format!("expected '{}'", b as char)));
         }
+        self.pos += 1;
+        Ok(())
     }
 
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{}'", lit)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, JsonError> {
+    /// One value, after any whitespace, `depth` containers deep.
+    fn value(&mut self, depth: usize) -> Result<Json, JsonError> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(self.err("nested too deep")),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.list(b']', |p| {
+                    items.push(p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.list(b'}', |p| {
+                    p.skip_ws();
+                    let key = p.string()?;
+                    p.skip_ws();
+                    p.expect(b':')?;
+                    map.insert(key, p.value(depth + 1)?);
+                    Ok(())
+                })?;
+                Ok(Json::Obj(map))
+            }
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'0'..=b'9') => self.uint(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+    /// The comma-separated items of an array or object, from its opening
+    /// bracket through `close`; `item` parses one.
+    fn list(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.pos += 1;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.pos += 1;
-            return Ok(Json::Obj(map));
+            return Ok(());
         }
         loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
+            item(self)?;
             self.skip_ws();
             match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Json::Obj(map)),
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Json::Arr(items)),
-                _ => return Err(self.err("expected ',' or ']' in array")),
+                Some(b',') => {}
+                Some(b) if b == close => return Ok(()),
+                _ => return Err(self.err(&format!("expected ',' or '{}'", close as char))),
             }
         }
     }
@@ -339,115 +273,60 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let start = self.pos;
+            while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                self.pos += 1;
+            }
+            // The run stops at an ASCII byte or the end: a char boundary.
+            out.push_str(&self.text[start..self.pos]);
             match self.bump() {
-                None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{08}'),
-                    Some(b'f') => out.push('\u{0C}'),
-                    Some(b'u') => {
-                        let cp = self.hex4()?;
-                        // Handle surrogate pairs for characters outside the BMP.
-                        let ch = if (0xD800..0xDC00).contains(&cp) {
-                            if self.bytes[self.pos..].starts_with(b"\\u") {
-                                self.pos += 2;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(c).ok_or_else(|| self.err("invalid codepoint"))?
-                            } else {
-                                return Err(self.err("lone high surrogate"));
-                            }
-                        } else if (0xDC00..0xE000).contains(&cp) {
-                            return Err(self.err("lone low surrogate"));
-                        } else {
-                            char::from_u32(cp).ok_or_else(|| self.err("invalid codepoint"))?
-                        };
-                        out.push(ch);
-                    }
-                    _ => return Err(self.err("invalid escape sequence")),
-                },
-                Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(c) => {
-                    // Re-assemble UTF-8 multibyte sequences from raw bytes.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let start = self.pos - 1;
-                        let width = utf8_width(c);
-                        let end = start + width;
-                        if end > self.bytes.len() {
-                            return Err(self.err("truncated UTF-8 sequence"));
-                        }
-                        let s = std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                        out.push_str(s);
-                        self.pos = end;
-                    }
+                Some(b'\\') => out.push(self.escape()?),
+                Some(_) => return Err(self.err("control character in string")),
+                None => return Err(self.err("unterminated string")),
+            }
+        }
+    }
+
+    fn escape(&mut self) -> Result<char, JsonError> {
+        Ok(match self.bump() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{08}',
+            Some(b'f') => '\u{0C}',
+            Some(b'u') => {
+                let mut cp = 0;
+                for _ in 0..4 {
+                    let digit = self.bump().and_then(|b| (b as char).to_digit(16));
+                    cp = cp * 16 + digit.ok_or_else(|| self.err("invalid \\u escape"))?;
                 }
+                // Refuses exactly the surrogates: no pairs are read.
+                char::from_u32(cp).ok_or_else(|| self.err("surrogate \\u escape"))?
             }
-        }
+            _ => return Err(self.err("invalid escape sequence")),
+        })
     }
 
-    fn hex4(&mut self) -> Result<u32, JsonError> {
-        let mut v = 0u32;
-        for _ in 0..4 {
-            let d = self
-                .bump()
-                .ok_or_else(|| self.err("truncated \\u escape"))?;
-            let digit = (d as char)
-                .to_digit(16)
-                .ok_or_else(|| self.err("invalid hex digit"))?;
-            v = v * 16 + digit;
-        }
-        Ok(v)
-    }
-
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Digits only, read exactly: no sign, fraction or exponent, and no
+    /// leading zero but `0` itself.
+    fn uint(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+        let mut n = 0u64;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            if self.pos > start && n == 0 {
+                return Err(self.err("leading zero"));
             }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
+            n = n
+                .checked_mul(10)
+                .and_then(|n| n.checked_add(u64::from(d - b'0')))
+                .ok_or_else(|| self.err("integer above u64::MAX"))?;
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
-    }
-}
-
-fn utf8_width(first: u8) -> usize {
-    if first >= 0xF0 {
-        4
-    } else if first >= 0xE0 {
-        3
-    } else {
-        2
+        Ok(Json::Uint(n))
     }
 }
 
@@ -456,52 +335,60 @@ mod tests {
     use super::*;
 
     fn roundtrip(v: &Json) {
-        let s = v.to_string();
-        let back = Json::parse(&s).unwrap();
-        assert_eq!(&back, v, "compact roundtrip through {s:?}");
         let pretty = v.to_string_pretty();
-        let back2 = Json::parse(&pretty).unwrap();
-        assert_eq!(&back2, v, "pretty roundtrip");
+        assert_eq!(&Json::parse(&pretty).unwrap(), v, "through {pretty:?}");
     }
 
     #[test]
     fn scalars() {
-        roundtrip(&Json::Null);
-        roundtrip(&Json::Bool(true));
-        roundtrip(&Json::Bool(false));
-        roundtrip(&Json::Num(0.0));
-        roundtrip(&Json::Num(-12345.0));
-        roundtrip(&Json::Num(3.5));
+        for n in [0, 1, (1 << 53) + 1, u64::MAX] {
+            roundtrip(&Json::Uint(n));
+        }
+        assert_eq!(
+            Json::Uint(u64::MAX).to_string_pretty(),
+            "18446744073709551615\n"
+        );
+        // Exact above 2^53, where a double would round to 9007199254740992.
+        let odd = Json::parse("9007199254740993").unwrap();
+        assert_eq!(odd.as_u64(), Some((1 << 53) + 1));
         roundtrip(&Json::Str("hello".into()));
+        roundtrip(&Json::Str(String::new()));
     }
 
     #[test]
     fn escapes_and_unicode() {
         roundtrip(&Json::Str("quote \" backslash \\ newline \n tab \t".into()));
-        roundtrip(&Json::Str("unicode: ü 日本語 🚀".into()));
-        let parsed = Json::parse(r#""é😀""#).unwrap();
-        assert_eq!(parsed, Json::Str("é😀".into()));
+        roundtrip(&Json::Str("unicode: ü 日本語 🚀 \u{1}\u{1f}".into()));
+        let parsed = Json::parse(r#""é😀 é\/\b\f""#).unwrap();
+        assert_eq!(parsed, Json::Str("é😀 é/\u{08}\u{0C}".into()));
+        // No surrogate, paired or lone, is an escape this codec reads.
+        let pair = format!(r#""\ud83d{}""#, r"\ude00");
+        for s in [pair.as_str(), r#""\ud800""#, r#""\udfff""#, r#""\u12""#] {
+            assert!(Json::parse(s).is_err(), "{s}");
+        }
     }
 
     #[test]
     fn nested_structures() {
         let v = Json::obj([
             (
-                "shards".to_string(),
+                "shards",
                 Json::Arr(vec![
                     Json::obj([
-                        ("path".to_string(), Json::str("shard_000.tfrecord")),
-                        ("offset".to_string(), Json::num(0.0)),
-                        ("size".to_string(), Json::num(1048576.0)),
+                        ("path", Json::str("shard_000.tfrecord")),
+                        ("offset", Json::Uint(0)),
+                        ("size", Json::Uint(1048576)),
                     ]),
                     Json::obj([
-                        ("path".to_string(), Json::str("shard_001.tfrecord")),
-                        ("offset".to_string(), Json::num(1048576.0)),
-                        ("size".to_string(), Json::num(524288.0)),
+                        ("path", Json::str("shard_001.tfrecord")),
+                        ("offset", Json::Uint(1048576)),
+                        ("size", Json::Uint(524288)),
                     ]),
                 ]),
             ),
-            ("version".to_string(), Json::num(1.0)),
+            ("version", Json::Uint(1)),
+            ("empty", Json::Arr(vec![])),
+            ("none", Json::obj([])),
         ]);
         roundtrip(&v);
         assert_eq!(
@@ -515,13 +402,55 @@ mod tests {
 
     #[test]
     fn parse_errors() {
-        assert!(Json::parse("").is_err());
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,2,]").is_err());
-        assert!(Json::parse("123 456").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-        assert!(Json::parse("{\"a\" 1}").is_err());
-        assert!(Json::parse("nul").is_err());
+        for bad in [
+            "",
+            "{",
+            "[1,2,]",
+            "123 456",
+            "\"unterminated",
+            "{\"a\" 1}",
+            "{1: 2}",
+            "nul",
+            "18446744073709551616",
+            "99999999999999999999",
+            "-1",
+            "1.0",
+            "1e3",
+            "01",
+            "00",
+            "true",
+            "false",
+            "null",
+            "\"tab\there\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = |n: usize| "{\"a\": ".repeat(n) + "0" + &"}".repeat(n);
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH + 1)).is_err());
+        // A million brackets are an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(1_000_000)).is_err());
+    }
+
+    #[test]
+    fn every_strict_prefix_is_an_error() {
+        let doc = Json::obj([
+            ("a", Json::Arr(vec![Json::Uint(10), Json::str("x\"é")])),
+            ("b", Json::obj([("c", Json::Uint(7))])),
+        ])
+        .to_string_pretty();
+        let doc = doc.trim_end();
+        for (cut, _) in doc.char_indices() {
+            assert!(Json::parse(&doc[..cut]).is_err(), "{:?}", &doc[..cut]);
+        }
+        assert!(Json::parse(doc).is_ok());
     }
 
     #[test]
@@ -532,20 +461,16 @@ mod tests {
 
     #[test]
     fn accessors() {
-        let v = Json::parse(r#"{"n": 3, "neg": -4, "f": 1.5, "s": "x", "b": true}"#).unwrap();
+        let v = Json::parse(r#"{"n": 3, "big": 4294967296, "s": "x", "a": []}"#).unwrap();
         assert_eq!(v.get("n").unwrap().as_u64(), Some(3));
-        assert_eq!(v.get("neg").unwrap().as_i64(), Some(-4));
-        assert_eq!(v.get("neg").unwrap().as_u64(), None);
-        assert_eq!(v.get("f").unwrap().as_f64(), Some(1.5));
-        assert_eq!(v.get("f").unwrap().as_u64(), None);
+        assert_eq!(v.get("n").unwrap().as_u32(), Some(3));
+        assert_eq!(v.get("big").unwrap().as_u64(), Some(1 << 32));
+        assert_eq!(v.get("big").unwrap().as_u32(), None, "above u32::MAX");
+        assert_eq!(Json::Uint(u32::MAX.into()).as_u32(), Some(u32::MAX));
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
-        assert_eq!(v.get("b"), Some(&Json::Bool(true)));
+        assert_eq!(v.get("s").unwrap().as_u64(), None);
+        assert_eq!(v.get("a").unwrap().as_arr(), Some(&[][..]));
         assert_eq!(v.get("missing"), None);
-    }
-
-    #[test]
-    fn non_finite_serializes_as_null() {
-        assert_eq!(Json::Num(f64::NAN).to_string(), "null");
-        assert_eq!(Json::Num(f64::INFINITY).to_string(), "null");
+        assert_eq!(v.get("n").unwrap().get("n"), None, "not an object");
     }
 }

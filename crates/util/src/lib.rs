@@ -2,14 +2,13 @@
 //!
 //! This crate hosts the small pieces every other crate leans on:
 //!
-//! * [`clock`] — a virtual-clock abstraction so the same code can run against
-//!   wall time (examples, integration tests) or manually-advanced time
-//!   (discrete-event simulation, deterministic unit tests).
-//! * [`json`] — a minimal, dependency-free JSON codec used for TFRecord shard
-//!   indexes (`mapping_shard_*.json`) and experiment reports.
+//! * [`clock`] — [`RealClock`], a handle on the process clock
+//!   (`emlio_obs::clock`) for the components that take a clock and sleep
+//!   on it, so energy tuples and data-path events share one time base.
+//! * [`json`] — the codec for the three JSON files the workspace writes:
+//!   shard indexes (`mapping_shard_*.json`), the cache's
+//!   `spill-index.json` and a per-file dataset's `labels.json`.
 //! * [`bytesize`] — human-readable byte formatting/parsing.
-//! * [`tslog`] — the shared `TimestampLogger` from §4.5 of the paper, used to
-//!   align sender/receiver events with energy-monitor traces.
 //! * [`rate`] — token-bucket pacing used by the userspace network emulator.
 //! * [`alloc`] — a counting `#[global_allocator]` wrapper so tests and
 //!   benches can assert allocation budgets on the zero-copy serve path.
@@ -28,14 +27,12 @@ pub mod json;
 pub mod pool;
 pub mod rate;
 pub mod testutil;
-pub mod tslog;
 
 pub use alloc::CountingAllocator;
-pub use clock::{Clock, ManualClock, RealClock, SharedClock};
+pub use clock::{RealClock, SharedClock};
 pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultSpec, RetryPolicy};
 pub use json::Json;
-pub use pool::{BufferPool, PoolBuf, PoolStats};
-pub use tslog::TimestampLogger;
+pub use pool::{BufferPool, PoolStats};
 
 /// Nanoseconds per second, as a `u64`.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;

@@ -11,27 +11,27 @@
 //!
 //! # Design
 //!
-//! * Power-of-two **size classes** from 4 KiB to 64 MiB. [`BufferPool::get`]
-//!   rounds the request up to its class and hands back a [`PoolBuf`] whose
+//! * Power-of-two **size classes** from 4 KiB to 64 MiB. [`BufferPool::take`]
+//!   rounds the request up to its class and hands back a `Vec<u8>` whose
 //!   capacity is the full class size (over-allocation is what makes reuse
 //!   hit: every same-class request fits every recycled buffer).
 //! * Per-class free lists behind their own mutexes, each retaining at most
 //!   a bounded number of idle buffers — a runaway burst cannot pin
 //!   unbounded memory after it subsides.
-//! * [`PoolBuf::freeze`] converts the filled buffer into a refcounted
+//! * [`BufferPool::seal`] converts the filled buffer into a refcounted
 //!   [`Bytes`] whose owner returns the allocation to the pool **when the
 //!   last view drops**. Cache slots, in-flight frames, and receiver slices
 //!   can all alias the buffer; recycling waits for every one of them.
 //! * Requests above the largest class fall back to the system allocator
 //!   (counted in [`PoolStats::unpooled`]); pooling pathological sizes would
 //!   just hoard memory.
-//! * A recycled buffer **keeps its length and its bytes**. The raw
-//!   [`BufferPool::take`] hands it back as it was returned, so a caller
-//!   about to overwrite it (a positioned read, a socket read) sets the
-//!   length it needs and zero-fills only what no earlier use ever
-//!   initialised — nothing, in a steady state of same-sized blocks.
-//!   [`BufferPool::get`] is the appending form: it truncates to empty
-//!   first, which for bytes is a length store, not a pass over the buffer.
+//! * A recycled buffer **keeps its length and its bytes**: `take` hands it
+//!   back as it was returned, so a caller about to overwrite it (a
+//!   positioned read, a socket read) sets the length it needs and
+//!   zero-fills only what no earlier use ever initialised — nothing, in a
+//!   steady state of same-sized blocks. A caller that appends (the wire
+//!   encoder's headers) calls `clear()` first, which for bytes is a length
+//!   store, not a pass over the buffer.
 //!
 //! The pool sits at the bottom of the crate graph because both ends of the
 //! data path draw from it. It plugs into the read stack as
@@ -196,26 +196,13 @@ impl BufferPool {
         let _ = self.inner.recorder.set(recorder);
     }
 
-    /// An empty writable buffer with capacity ≥ `min_capacity`.
-    ///
-    /// Reuses a free-listed allocation when one exists. Dropping the
-    /// [`PoolBuf`] unfrozen recycles it immediately; freezing defers the
-    /// recycle until the last `Bytes` view drops.
-    pub fn get(&self, min_capacity: usize) -> PoolBuf {
-        let mut vec = self.inner.take(min_capacity);
-        vec.clear();
-        PoolBuf {
-            vec: Some(vec),
-            pool: Arc::downgrade(&self.inner),
-        }
-    }
-
-    /// A raw buffer with capacity ≥ `min_capacity`, for a caller that will
-    /// overwrite it: a recycled buffer comes back with the **length and
-    /// bytes of its previous use**, so setting the length needed
-    /// (`resize`) zero-fills only the part never initialised before. The
-    /// caller must overwrite every byte it goes on to expose, and hands
-    /// the buffer back through [`BufferPool::seal`].
+    /// A buffer with capacity ≥ `min_capacity`, reusing a free-listed
+    /// allocation when one exists. A recycled buffer comes back with the
+    /// **length and bytes of its previous use**, so setting the length
+    /// needed (`resize`) zero-fills only the part never initialised before,
+    /// and an appending caller `clear()`s it first. The caller must
+    /// overwrite every byte it goes on to expose, and hands the buffer back
+    /// through [`BufferPool::seal`].
     pub fn take(&self, min_capacity: usize) -> Vec<u8> {
         self.inner.take(min_capacity)
     }
@@ -242,7 +229,9 @@ impl BufferPool {
 
     /// Seal a `Vec<u8>` (typically one handed out by
     /// [`BufferPool::take`]) into `Bytes` over its whole length, recycling
-    /// the allocation when the last view drops.
+    /// the allocation when the last view drops (including every
+    /// `slice_ref`/clone). An empty buffer seals to [`Bytes::new`] and
+    /// recycles at once: no allocation escapes.
     pub fn seal(&self, buf: Vec<u8>) -> Bytes {
         if buf.is_empty() {
             // Nothing to view; recycle the capacity right away.
@@ -275,68 +264,6 @@ impl std::fmt::Debug for BufferPool {
     }
 }
 
-/// A writable buffer on loan from a [`BufferPool`].
-///
-/// Dereferences to `Vec<u8>` for filling. Exactly one of two things ends
-/// the loan: [`PoolBuf::freeze`] (hand the contents out as shared `Bytes`,
-/// recycle when the last view drops) or `Drop` (recycle immediately).
-pub struct PoolBuf {
-    vec: Option<Vec<u8>>,
-    pool: Weak<PoolInner>,
-}
-
-impl PoolBuf {
-    /// Freeze the filled contents into refcounted [`Bytes`].
-    ///
-    /// The allocation returns to the pool when the last view (including
-    /// every `slice_ref`/clone) drops. An empty buffer freezes to
-    /// [`Bytes::new`] and recycles immediately — no allocation escapes.
-    pub fn freeze(mut self) -> Bytes {
-        let vec = self.vec.take().expect("PoolBuf frozen once");
-        if vec.is_empty() {
-            if let Some(pool) = self.pool.upgrade() {
-                pool.recycle(vec);
-            }
-            return Bytes::new();
-        }
-        Bytes::from_owner(Recycled {
-            vec,
-            pool: self.pool.clone(),
-        })
-    }
-}
-
-impl std::ops::Deref for PoolBuf {
-    type Target = Vec<u8>;
-
-    fn deref(&self) -> &Vec<u8> {
-        self.vec.as_ref().expect("PoolBuf not frozen")
-    }
-}
-
-impl std::ops::DerefMut for PoolBuf {
-    fn deref_mut(&mut self) -> &mut Vec<u8> {
-        self.vec.as_mut().expect("PoolBuf not frozen")
-    }
-}
-
-impl Drop for PoolBuf {
-    fn drop(&mut self) {
-        if let (Some(vec), Some(pool)) = (self.vec.take(), self.pool.upgrade()) {
-            pool.recycle(vec);
-        }
-    }
-}
-
-impl std::fmt::Debug for PoolBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.vec {
-            Some(v) => write!(f, "PoolBuf({} / {} bytes)", v.len(), v.capacity()),
-            None => write!(f, "PoolBuf(frozen)"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,11 +271,11 @@ mod tests {
     #[test]
     fn round_trips_and_reuses() {
         let pool = BufferPool::new();
-        let mut buf = pool.get(10_000);
+        let mut buf = pool.take(10_000);
         assert!(buf.capacity() >= 10_000);
         let cap = buf.capacity();
         buf.extend_from_slice(&[42u8; 10_000]);
-        let bytes = buf.freeze();
+        let bytes = pool.seal(buf);
         assert_eq!(&bytes[..], &[42u8; 10_000][..]);
         let slice = bytes.slice(10..20);
         drop(bytes);
@@ -357,9 +284,8 @@ mod tests {
         assert_eq!(pool.stats().recycled, 1);
 
         // Next same-class request reuses the exact allocation.
-        let again = pool.get(cap);
+        let again = pool.take(cap);
         assert_eq!(again.capacity(), cap);
-        assert!(again.is_empty(), "recycled buffers come back cleared");
         let s = pool.stats();
         assert_eq!((s.pool_alloc, s.pool_reuse), (1, 1));
     }
@@ -367,21 +293,21 @@ mod tests {
     #[test]
     fn classes_round_up_to_powers_of_two() {
         let pool = BufferPool::new();
-        assert_eq!(pool.get(1).capacity(), MIN_CLASS_BYTES);
-        assert_eq!(pool.get(MIN_CLASS_BYTES).capacity(), MIN_CLASS_BYTES);
+        assert_eq!(pool.take(1).capacity(), MIN_CLASS_BYTES);
+        assert_eq!(pool.take(MIN_CLASS_BYTES).capacity(), MIN_CLASS_BYTES);
         assert_eq!(
-            pool.get(MIN_CLASS_BYTES + 1).capacity(),
+            pool.take(MIN_CLASS_BYTES + 1).capacity(),
             2 * MIN_CLASS_BYTES
         );
-        assert_eq!(pool.get(MAX_CLASS_BYTES).capacity(), MAX_CLASS_BYTES);
+        assert_eq!(pool.take(MAX_CLASS_BYTES).capacity(), MAX_CLASS_BYTES);
     }
 
     #[test]
     fn oversized_requests_bypass_the_pool() {
         let pool = BufferPool::new();
-        let buf = pool.get(MAX_CLASS_BYTES + 1);
+        let buf = pool.take(MAX_CLASS_BYTES + 1);
         assert!(buf.capacity() > MAX_CLASS_BYTES);
-        drop(buf);
+        drop(pool.seal(buf));
         let s = pool.stats();
         assert_eq!(s.unpooled, 1);
         assert_eq!(s.pool_alloc, 0);
@@ -391,8 +317,10 @@ mod tests {
     #[test]
     fn retention_is_bounded() {
         let pool = BufferPool::with_retention(2);
-        let bufs: Vec<_> = (0..5).map(|_| pool.get(100)).collect();
-        drop(bufs);
+        let bufs: Vec<_> = (0..5).map(|_| pool.take(100)).collect();
+        for buf in bufs {
+            drop(pool.seal(buf));
+        }
         assert_eq!(pool.idle_buffers(), 2);
         assert_eq!(pool.stats().recycled, 2, "the other three were freed");
     }
@@ -400,8 +328,7 @@ mod tests {
     #[test]
     fn empty_freeze_allocates_nothing_and_recycles() {
         let pool = BufferPool::new();
-        let buf = pool.get(4096);
-        let bytes = buf.freeze();
+        let bytes = pool.seal(pool.take(4096));
         assert!(bytes.is_empty());
         assert_eq!(pool.idle_buffers(), 1, "capacity went straight back");
     }
@@ -415,10 +342,7 @@ mod tests {
         assert_eq!(&sealed[..], b"block");
         drop(sealed);
         assert_eq!(pool.stats().recycled, 1);
-        // Empty seal is the zero-length regression: no allocation escapes.
-        let sealed = pool.seal(pool.take(4096));
-        assert!(sealed.is_empty());
-        assert_eq!(pool.idle_buffers(), 2);
+        assert_eq!(pool.idle_buffers(), 1);
     }
 
     #[test]
@@ -434,16 +358,14 @@ mod tests {
         assert_eq!((v.as_ptr(), v.len()), (ptr, 6000));
         assert!(v.iter().all(|&b| b == 7));
         drop(pool.seal(v));
-        // The appending form hides it.
-        assert!(pool.get(8192).is_empty());
     }
 
     #[test]
     fn pool_death_orphans_outstanding_buffers_gracefully() {
         let pool = BufferPool::new();
-        let mut buf = pool.get(4096);
+        let mut buf = pool.take(4096);
         buf.push(1);
-        let bytes = buf.freeze();
+        let bytes = pool.seal(buf);
         drop(pool);
         // The view stays valid; the recycle on last drop is a no-op.
         assert_eq!(&bytes[..], &[1]);
@@ -458,9 +380,10 @@ mod tests {
                 let pool = pool.clone();
                 std::thread::spawn(move || {
                     for i in 0..200usize {
-                        let mut b = pool.get(1 << (12 + (i % 4)));
+                        let mut b = pool.take(1 << (12 + (i % 4)));
+                        b.clear();
                         b.push(t as u8);
-                        let frozen = b.freeze();
+                        let frozen = pool.seal(b);
                         assert_eq!(frozen[0], t as u8);
                     }
                 })

@@ -83,44 +83,60 @@ impl TokenBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::ManualClock;
+    use crate::clock::RealClock;
+
+    // The clock is real, so every assertion below holds however long the
+    // thread is descheduled between two statements: where a longer gap
+    // would refill the bucket, the assertion allows for the time measured.
 
     #[test]
     fn burst_then_empty() {
-        let clock = ManualClock::new();
-        let mut tb = TokenBucket::new(clock.shared(), 1000.0, 100.0);
+        let clock = RealClock::shared();
+        let mut tb = TokenBucket::new(clock.clone(), 1000.0, 100.0);
         assert_eq!(tb.delay_for(100.0), 0);
+        let t0 = clock.now_nanos();
         tb.take(100.0);
-        assert!(tb.delay_for(1.0) > 0);
-        clock.advance(crate::secs_to_nanos(0.05)); // refills 50 tokens
+        // One token is 1 ms of refill away.
+        assert!(tb.delay_for(1.0) > 0 || clock.now_nanos() - t0 >= 1_000_000);
+        clock.sleep_nanos(crate::secs_to_nanos(0.05)); // refills ≥ 50 tokens
         assert_eq!(tb.delay_for(50.0), 0);
+        let t1 = clock.now_nanos();
         tb.take(50.0);
-        assert!(tb.delay_for(1.0) > 0);
+        // At most 100 − 50 tokens are left.
+        assert!(tb.delay_for(51.0) > 0 || clock.now_nanos() - t1 >= 1_000_000);
     }
 
     #[test]
     fn refill_caps_at_burst() {
-        let clock = ManualClock::new();
-        let mut tb = TokenBucket::new(clock.shared(), 1000.0, 100.0);
-        clock.advance(crate::secs_to_nanos(10.0));
+        let clock = RealClock::shared();
+        let mut tb = TokenBucket::new(clock.clone(), 1000.0, 100.0);
+        clock.sleep_nanos(crate::secs_to_nanos(0.2)); // twice a full refill
         assert_eq!(tb.delay_for(100.0), 0);
+        assert!(tb.delay_for(101.0) > 0, "the refill stops at the burst");
+        let t0 = clock.now_nanos();
         tb.take(100.0);
-        assert!(tb.delay_for(1.0) > 0);
+        assert!(tb.delay_for(1.0) > 0 || clock.now_nanos() - t0 >= 1_000_000);
     }
 
     #[test]
     fn delay_estimate() {
-        let clock = ManualClock::new();
-        let mut tb = TokenBucket::new(clock.shared(), 1000.0, 100.0);
+        let clock = RealClock::shared();
+        let mut tb = TokenBucket::new(clock.clone(), 1000.0, 100.0);
         assert_eq!(tb.delay_for(100.0), 0);
+        let t0 = clock.now_nanos();
         tb.take(100.0);
         let d = tb.delay_for(10.0);
-        assert!((d as f64 / 1e9 - 0.01).abs() < 1e-6, "expect 10ms, got {d}");
+        let elapsed = clock.now_nanos() - t0;
+        // 10 ms from empty, less whatever refilled since the take.
+        assert!(d <= 10_001_000, "expect at most 10ms, got {d}");
+        assert!(
+            d + elapsed >= 9_999_000,
+            "expect 10ms - {elapsed}ns, got {d}"
+        );
     }
 
     #[test]
     fn blocking_take_with_real_clock() {
-        use crate::clock::RealClock;
         let clock = RealClock::shared();
         // 1 MB/s, 1 KB burst: taking 4 KB should take ~3ms after burst.
         let mut tb = TokenBucket::new(clock.clone(), 1_000_000.0, 1_000.0);
@@ -137,7 +153,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_rate_rejected() {
-        let clock = ManualClock::new();
-        let _ = TokenBucket::new(clock.shared(), 0.0, 1.0);
+        let _ = TokenBucket::new(RealClock::shared(), 0.0, 1.0);
     }
 }
