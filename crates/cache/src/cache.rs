@@ -95,9 +95,15 @@
 //! * **Spill-file bytes are checked before they are served.** Every read
 //!   of a spill file — demand promote, the prefetch executor's staging
 //!   read, peer `peek`, restart re-admission — goes through
-//!   [`persist::read_validated`] (length and CRC32C). A file that fails
-//!   is retired and the access degrades to a miss; this is the only way a
-//!   promote takes a key out of the disk order.
+//!   [`persist::read_validated`] (length, fault-in and CRC32C). A file
+//!   that fails is retired and the access degrades to a miss; this is the
+//!   only way a promote takes a key out of the disk order. What passes is
+//!   a view of the file's mapping, not a copy: a promoted resident's
+//!   pages are the page cache's, `ram_used` counts its length all the
+//!   same, and a file the tier gives up while such a view lives keeps its
+//!   disk blocks until the view drops — so the bytes the spill directory
+//!   holds may exceed `disk_bytes` by at most the RAM tier plus the
+//!   blocks in flight to consumers.
 //! * **The disk order tracks files, not blocks.** A key is in the disk
 //!   order, and its size in `disk_used`, exactly while a slot owns its
 //!   spill file: `Disk`, `Ram` with a backing, or `Busy` mid-promote. A
@@ -274,7 +280,8 @@ enum Slot {
     /// Resident in RAM; hits clone the `Bytes` handle without copying.
     /// The backing, when there is one, is the spill file the block was
     /// promoted from — still on disk and still in the disk tier's
-    /// accounting, so evicting this resident writes nothing.
+    /// accounting, so evicting this resident writes nothing. A promoted
+    /// block's `Bytes` is a view of that file's mapping.
     Ram(Bytes, Option<DiskMeta>),
     /// Evicted and queued for the spill writer; bytes still readable.
     Spilling(Bytes),
@@ -542,7 +549,8 @@ static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 
 impl CacheCore {
     /// Build the core. Creates the spill directory when a disk tier is
-    /// configured; when the directory is persistent and holds a spill
+    /// configured; when the directory is persistent, a previous writer's
+    /// half-written `*.blk.tmp` files are deleted and, if it holds a spill
     /// index from a previous run, CRC-valid blocks are re-admitted into
     /// the disk tier.
     fn new(config: CacheConfig) -> io::Result<CacheCore> {
@@ -589,6 +597,7 @@ impl CacheCore {
         };
         let stats = CacheStats::default();
         if let (true, Some(dir)) = (config.persist, &spill_dir) {
+            persist::remove_stale_tmp(dir);
             let readmitted = load_persisted(dir, config.disk_bytes, &mut state);
             stats.readmitted.store(readmitted, Ordering::Relaxed);
         }
@@ -817,7 +826,7 @@ impl CacheCore {
         };
         // Spill-file read with the lock released. A concurrent evictor may
         // delete the file under us; validation degrades that to a miss.
-        persist::read_validated(&meta.path, meta.len, meta.crc).map(Bytes::from)
+        persist::read_validated(&meta.path, meta.len, meta.crc)
     }
 
     /// Insert a block without demand-access accounting. A no-op when the
@@ -937,7 +946,7 @@ impl CacheCore {
             }
             st.check(&self.config);
         }
-        data.map(Bytes::from)
+        data
     }
 
     /// Land the `Busy` slot the caller owns — and, with `reserved`, give
@@ -1195,9 +1204,13 @@ impl CacheCore {
             }
             _ => None,
         };
+        // Written beside the path and renamed onto it, never truncated in
+        // place: a promoted block is a view of its spill file's mapping,
+        // and a view may still map the file this path named before (see
+        // `persist`'s module docs).
         let result = match injected {
             Some(e) => Err(e),
-            None => std::fs::write(&path, &data[..]),
+            None => persist::write_file(&path, &data),
         };
         if let Some(rec) = self.recorder.get() {
             rec.record(Stage::SpillWrite, t0.elapsed().as_nanos() as u64);

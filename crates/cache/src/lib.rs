@@ -17,7 +17,8 @@
 //!   The disk tier is inclusive and its files write-once: a block
 //!   promoted back to RAM keeps its spill file, so evicting it again is
 //!   a slot flip, and every byte read back from a spill file is length-
-//!   and CRC-checked first ([`persist::read_validated`]).
+//!   and CRC-checked first ([`persist::read_validated`]) and served as a
+//!   view of the file's mapping, as a shard block is.
 //!   With [`CacheConfig::with_persist_dir`] the spill tier survives
 //!   restarts: a CRC'd index ([`persist`]) is re-validated and re-admitted
 //!   when the next cache opens over the same directory.

@@ -9,10 +9,25 @@
 //! Invalid entries (missing file, wrong length, CRC mismatch, concurrent
 //! writer litter) are deleted and skipped: the index is a hint, the CRC is
 //! the authority.
+//!
+//! # Spill files are write-once
+//!
+//! A spill file is read back the way a shard is: mapped, and served as a
+//! refcounted view of the mapping ([`read_validated`]). A view is only
+//! sound while nobody truncates or rewrites the inode under it — the same
+//! rule `emlio_tfrecord`'s `mapped.rs` states for shards. [`write_file`]
+//! is what keeps it: every file in the directory is written whole under
+//! `<name>.tmp` and renamed into place, so a path only ever changes which
+//! inode it names, and no inode is opened for writing once it has a
+//! name. A file unlinked (retired, reclaimed, replaced) while a view of it
+//! lives keeps its bytes — and its disk blocks — until the last view
+//! drops.
 
+use bytes::Bytes;
 use emlio_tfrecord::crc32c::masked_crc32c;
-use emlio_tfrecord::BlockKey;
+use emlio_tfrecord::{BlockKey, RangeReader};
 use emlio_util::json::Json;
+use std::ffi::OsString;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -55,9 +70,40 @@ pub fn write_index(dir: &Path, entries: &[SpillEntry]) -> io::Result<()> {
         })
         .collect();
     let doc = Json::obj([("version", Json::Uint(1)), ("blocks", Json::Arr(blocks))]);
-    let tmp = dir.join(format!("{SPILL_INDEX_FILE}.tmp"));
-    std::fs::write(&tmp, doc.to_string_pretty())?;
-    std::fs::rename(&tmp, dir.join(SPILL_INDEX_FILE))
+    write_file(
+        &dir.join(SPILL_INDEX_FILE),
+        doc.to_string_pretty().as_bytes(),
+    )
+}
+
+/// Write `data` as the file at `path`: whole, under `<path>.tmp`, then
+/// renamed over `path`. Never truncates or rewrites a file that already
+/// has a name, so a live view of whatever `path` named before keeps its
+/// bytes (see the module docs). A failed write leaves no `.tmp` behind; a
+/// process that dies mid-write does, and [`remove_stale_tmp`] clears it.
+pub fn write_file(path: &Path, data: &[u8]) -> io::Result<()> {
+    let mut tmp = OsString::from(path);
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::write(&tmp, data).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+/// Delete the `*.blk.tmp` spill files a writer that died mid-write left
+/// in `dir`. Called when a persistent cache opens, before anything is
+/// written there.
+pub fn remove_stale_tmp(dir: &Path) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        if entry.file_name().to_string_lossy().ends_with(".blk.tmp") {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
 }
 
 /// Parse the spill index in `dir`. `Ok(None)` when no index exists; a
@@ -98,13 +144,34 @@ pub fn read_index(dir: &Path) -> io::Result<Option<Vec<SpillEntry>>> {
 /// spilled bytes — demand promote, the prefetch executor's staging read,
 /// in-place peek, restart re-admission — goes through this one check. `None` on any
 /// failure; the file is left for the caller to retire.
-pub fn read_validated(path: &Path, len: u64, crc: u32) -> Option<Vec<u8>> {
-    let data = std::fs::read(path).ok()?;
-    (data.len() as u64 == len && block_crc(&data) == crc).then_some(data)
+///
+/// The bytes are read the way a shard's are, through [`RangeReader`]:
+/// the length is checked before any byte is read, so a file that is not
+/// the recorded length — writer litter, a forged index entry — costs an
+/// `fstat`, not a read of the whole file; the block is then a view of the
+/// file's mapping, its pages faulted in on this thread and its length
+/// checked once more, and the CRC runs over the view. No buffer is
+/// allocated and no byte copied. Where the file cannot be mapped the same
+/// range is one positioned read into a fresh buffer.
+pub fn read_validated(path: &Path, len: u64, crc: u32) -> Option<Bytes> {
+    let reader = RangeReader::open(path).ok()?;
+    if reader.len() != len {
+        return None;
+    }
+    let data = match reader.view(0, len).ok()? {
+        Some(view) => view,
+        None => {
+            let mut buf = Vec::new();
+            reader.read_range_into(0, len, &mut buf).ok()?;
+            Bytes::from(buf)
+        }
+    };
+    (block_crc(&data) == crc).then_some(data)
 }
 
 /// Validate one index entry against its spill file (see
-/// [`read_validated`]). Returns the spill file path on success; deletes
+/// [`read_validated`]; the view is checked and dropped). Returns the
+/// spill file path on success; deletes
 /// the file and reports `None` when validation fails (stale index, torn
 /// write, bit rot).
 pub fn validate_entry(dir: &Path, entry: &SpillEntry) -> Option<PathBuf> {
@@ -171,6 +238,50 @@ mod tests {
 
         // Missing file ⇒ rejected quietly.
         assert_eq!(validate_entry(dir.path(), &entry), None);
+    }
+
+    #[test]
+    fn a_rewrite_replaces_the_file_and_a_view_keeps_its_bytes() {
+        let dir = TempDir::new("spill-write-once");
+        let path = dir.path().join(spill_file_name(&key(0)));
+        let (old, new) = (vec![1u8; 5000], vec![2u8; 5000]);
+        write_file(&path, &old).unwrap();
+        let view = read_validated(&path, 5000, block_crc(&old)).unwrap();
+        write_file(&path, &new).unwrap();
+        assert_eq!(&view[..], &old[..], "the view maps the replaced file");
+        assert_eq!(read_validated(&path, 5000, block_crc(&new)).unwrap(), new);
+        assert_eq!(read_validated(&path, 5000, block_crc(&old)), None);
+        let names: Vec<_> = std::fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, [spill_file_name(&key(0)).as_str()]);
+
+        // A write that cannot land leaves nothing behind.
+        let blocked = dir.path().join("taken");
+        std::fs::create_dir(&blocked).unwrap();
+        std::fs::write(blocked.join("inside"), b"x").unwrap();
+        assert!(write_file(&blocked, &old).is_err());
+        assert!(!dir.path().join("taken.tmp").exists());
+    }
+
+    #[test]
+    fn a_file_of_another_length_than_recorded_is_rejected() {
+        let dir = TempDir::new("spill-length");
+        let path = dir.path().join(spill_file_name(&key(0)));
+        let data = vec![7u8; 10_000];
+        let crc = block_crc(&data);
+        for len in [0, 4096, 9_999, 10_001, 20_000] {
+            write_file(&path, &vec![7u8; len]).unwrap();
+            assert_eq!(read_validated(&path, 10_000, crc), None, "{len} bytes");
+        }
+        write_file(&path, &data).unwrap();
+        assert_eq!(read_validated(&path, 10_000, crc).unwrap(), data);
+        // An empty block is an empty file: nothing to map, still checked.
+        write_file(&path, &[]).unwrap();
+        assert!(read_validated(&path, 0, block_crc(&[])).unwrap().is_empty());
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(read_validated(&path, 0, block_crc(&[])), None, "missing");
     }
 
     #[test]

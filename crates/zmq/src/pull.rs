@@ -18,7 +18,7 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use emlio_obs::{obs_warn, FlightRecorder};
 use emlio_util::pool::BufferPool;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -89,7 +89,6 @@ impl PullSocket {
         let Endpoint::Tcp(addr) = endpoint;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let (tx, rx) = bounded::<Bytes>(options.hwm.max(1));
         let shared = Shared::new(options.hwm);
         let shared2 = shared.clone();
@@ -172,20 +171,37 @@ impl PullSocket {
 impl Drop for PullSocket {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
+        let Some(h) = self.accept_thread.take() else {
+            return;
+        };
+        // The accept thread sleeps in `accept`: one connect of our own
+        // wakes it to see the flag. A wake that cannot be delivered must
+        // not hang the drop, so then the thread is left to exit with the
+        // process instead of joined.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
             let _ = h.join();
         }
     }
 }
 
+/// Accept connections, one reader thread each, blocking in `accept` until
+/// the next arrives; the socket's drop sets the shutdown flag and then
+/// connects once to wake this loop to see it.
 fn accept_loop(listener: TcpListener, tx: Sender<Bytes>, shared: Arc<Shared>, max_frame: usize) {
     loop {
+        let accepted = listener.accept();
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, peer)) => {
-                stream.set_nonblocking(false).ok();
                 stream.set_nodelay(true).ok();
                 shared.counters.connections.fetch_add(1, Ordering::Relaxed);
                 shared.active_readers.fetch_add(1, Ordering::SeqCst);
@@ -198,9 +214,6 @@ fn accept_loop(listener: TcpListener, tx: Sender<Bytes>, shared: Arc<Shared>, ma
                         shared2.active_readers.fetch_sub(1, Ordering::SeqCst);
                     })
                     .expect("spawn pull reader thread");
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
             }
             Err(e) => {
                 // One failed accept (a connection reset before we got to
@@ -329,6 +342,25 @@ mod tests {
         assert_eq!(stats.msgs_received, (STREAMS * PER_STREAM) as u64);
         assert_eq!(stats.connections, STREAMS as u64);
         assert_eq!(stats.read_errors, 0);
+    }
+
+    #[test]
+    fn a_socket_nobody_connected_to_drops_promptly_and_frees_its_port() {
+        // The accept thread blocks in `accept` with no connection ever
+        // arriving: the drop has to wake it, and join it — a detached
+        // thread would still hold the listener, and the port.
+        for endpoint in [Endpoint::tcp("127.0.0.1", 0), Endpoint::tcp("0.0.0.0", 0)] {
+            let pull = PullSocket::bind(&endpoint, SocketOptions::default()).unwrap();
+            let addr = pull.local_addr;
+            let t0 = std::time::Instant::now();
+            drop(pull);
+            assert!(
+                t0.elapsed() < Duration::from_millis(500),
+                "{:?}",
+                t0.elapsed()
+            );
+            TcpListener::bind(addr).expect("the listener is closed with the socket");
+        }
     }
 
     #[test]

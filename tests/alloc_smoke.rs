@@ -8,7 +8,9 @@
 //! The bars: an absolute budget of allocator calls per served batch, O(1)
 //! pool growth across steady-state epochs, tracing that allocates
 //! nothing, a loopback PUSH → PULL transfer that allocates no buffer per
-//! received frame, and an uncached block read that allocates none either.
+//! received frame, an uncached block read that allocates none either, a
+//! spill file of the wrong length refused before it is read, and a
+//! disk-tier promote that allocates no buffer for the block.
 //! Byte identity of the frames is `proptest_wire`'s job. All phases live in
 //! one `#[test]` because the allocator counters are process-global:
 //! parallel tests would interleave.
@@ -16,6 +18,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
+use emlio::cache::persist::{block_crc, read_validated};
 use emlio::cache::{CacheConfig, CachedRangeReader, CachedSource, ShardCache};
 use emlio::core::wire::encode_batch_frame_traced;
 use emlio::core::BufferPool;
@@ -307,6 +310,69 @@ fn zero_copy_serve_path_allocation_budget() {
             (stats.pool_alloc, stats.pool_reuse, stats.unpooled),
             (0, 0, 0),
             "a mapped block takes nothing from the pool"
+        );
+    }
+
+    // Phase 7 — a spill file's length is checked before any of it is
+    // read: an index entry recording 4 KiB whose file has grown to 64 MiB
+    // (sparse, so it costs no disk) is refused, though its first 4 KiB
+    // hash to the recorded CRC, having allocated next to nothing.
+    {
+        let dir = TempDir::new("alloc-smoke-spill-len");
+        let path = dir.file("block-0-0-32.blk");
+        std::fs::File::create(&path)
+            .unwrap()
+            .set_len(64 << 20)
+            .unwrap();
+        let crc = block_crc(&[0u8; 4 << 10]);
+        let before = ALLOC.bytes_allocated();
+        assert!(read_validated(&path, 4 << 10, crc).is_none());
+        let allocated = ALLOC.bytes_allocated() - before;
+        assert!(
+            allocated < 1 << 20,
+            "refusing a 64 MiB spill file recorded as 4 KiB allocates {allocated} bytes; \
+             the bar is 1 MiB"
+        );
+    }
+
+    // Phase 8 — the promote: a 3.2 MiB block read back from the disk tier
+    // is a view of its spill file, CRC-checked in place — no buffer the
+    // size of a block. Where files are not mapped the read-back is a
+    // positioned read into a fresh buffer.
+    #[cfg(all(target_os = "linux", target_pointer_width = "64"))]
+    {
+        const LEN: usize = 32 * (100 << 10);
+        let dir = TempDir::new("alloc-smoke-promote");
+        let cache = ShardCache::new(
+            CacheConfig::default()
+                .with_ram_bytes(LEN as u64)
+                .with_disk_bytes(4 * LEN as u64)
+                .with_spill_dir(dir.path().to_path_buf()),
+        )
+        .unwrap();
+        let block = |i: usize| BlockKey {
+            shard_id: 0,
+            start: 32 * i,
+            end: 32 * (i + 1),
+        };
+        cache.insert(block(0), vec![0xB0; LEN]);
+        cache.insert(block(1), vec![0xB1; LEN]); // evicts 0: written
+        cache.flush_spills();
+        drop(cache.get(&block(0)).unwrap()); // promotes 0, evicts 1: written
+        cache.flush_spills();
+        // Both blocks have files: promoting 1 evicts 0 by a slot flip,
+        // so nothing is written while the promote is counted.
+        let before = ALLOC.bytes_allocated();
+        let promoted = cache.get(&block(1)).unwrap();
+        let allocated = ALLOC.bytes_allocated() - before;
+        assert_eq!(promoted.len(), LEN);
+        assert!(promoted.iter().all(|&b| b == 0xB1));
+        assert_eq!(cache.stats().snapshot().disk_hits, 2);
+        assert!(
+            allocated < 64 << 10,
+            "promoting a {} KiB block from the disk tier allocates {allocated} bytes; \
+             the bar is 64 KiB",
+            LEN >> 10,
         );
     }
 }

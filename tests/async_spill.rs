@@ -1,19 +1,23 @@
 //! Async-data-plane integration tests: the background spill writer, the
 //! drain-on-shutdown guarantee for persistent spill indices, the prefetch
-//! executor staging a restarted cache's disk tier, and the
-//! failed-spill-write regression.
+//! executor staging a restarted cache's disk tier, the failed-spill-write
+//! regression, and promoted blocks as views of their spill files — how
+//! long a view lives, and what a file damaged before its promote does.
 //!
 //! These exercise the cache through its public facade exactly the way the
 //! daemon's send workers do: demand `get_or_fetch` under eviction
 //! pressure, restart by dropping and reopening over the same persist
 //! directory, and the executor walking the installed plan.
 
+use emlio::cache::persist::spill_file_name;
 use emlio::cache::{
     BlockKey, CacheConfig, CacheStatsSnapshot, CachedSource, Fetched, Prefetcher, ShardCache,
 };
 use emlio::obs::{Stage, StageRecorder};
 use emlio::tfrecord::FnSource;
 use emlio::util::testutil::{poll_until, TempDir};
+use std::io::{Seek, SeekFrom, Write};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -267,4 +271,166 @@ fn failed_spill_write_keeps_block_servable() {
         .expect("re-fetch after failed spill");
     assert_eq!(via, Fetched::Storage);
     assert_eq!(&data[..], &payload(0)[..], "re-fetched bytes identical");
+}
+
+/// A cache over `dir` whose RAM holds one block and whose disk tier holds
+/// `disk_blocks`; no plan, so both tiers evict in recency order.
+fn one_block_ram(dir: &TempDir, disk_blocks: usize) -> ShardCache {
+    ShardCache::new(
+        CacheConfig::default()
+            .with_ram_bytes(BLOCK as u64)
+            .with_disk_bytes((disk_blocks * BLOCK) as u64)
+            .with_spill_dir(dir.path().to_path_buf())
+            .with_prefetch_depth(0),
+    )
+    .expect("cache")
+}
+
+fn spill_path(dir: &TempDir, i: usize) -> PathBuf {
+    dir.path().join(spill_file_name(&key(i)))
+}
+
+/// A promoted block is a view of its spill file's mapping, and it keeps
+/// the bytes it was promoted with whatever later happens at that path:
+/// the file retired by the disk tier and the same key spilled there
+/// again by this cache, or — with the old file still in place — the same
+/// key spilled there with other bytes by the next cache over the
+/// directory. The second would show through a writer that truncated and
+/// rewrote the file in place.
+#[test]
+fn promoted_view_outlives_its_file_and_a_respill_at_the_same_path() {
+    let dir = TempDir::new("async-spill-view");
+    let view = {
+        let cache = one_block_ram(&dir, 1);
+        cache.insert(key(0), payload(0));
+        cache.insert(key(1), payload(1)); // evicts 0: written
+        cache.flush_spills();
+        // Promote 0; its eviction of 1 needs the one-block tier, which
+        // reclaims 0's file — now only a duplicate of the resident.
+        let view = cache.get(&key(0)).expect("promote");
+        cache.flush_spills();
+        assert!(!spill_path(&dir, 0).exists(), "0's file is retired");
+        assert_eq!(&view[..], &payload(0)[..]);
+
+        // 0 evicted again: spilled anew, to the same path.
+        cache.insert(key(2), payload(2));
+        cache.flush_spills();
+        assert!(spill_path(&dir, 0).exists(), "0 is spilled again");
+        assert_eq!(cache.disk_keys(), vec![key(0)]);
+        assert_eq!(&view[..], &payload(0)[..], "the view keeps its bytes");
+
+        // Promote 0 once more, from the new file, and let the cache go:
+        // it deletes its files, the view keeps the mapping.
+        let again = cache.get(&key(0)).expect("promote from the new file");
+        assert_eq!(&again[..], &payload(0)[..]);
+        again
+    };
+    assert!(!spill_path(&dir, 0).exists());
+    assert_eq!(&view[..], &payload(0)[..]);
+
+    // Now a file this process holds a view of is still at the path. A
+    // persistent cache leaves its files behind; the next cache over the
+    // same directory that spills key 0 — here with other bytes — writes
+    // the same path while the old inode is mapped.
+    let persistent = CacheConfig::default()
+        .with_ram_bytes(BLOCK as u64)
+        .with_disk_bytes((4 * BLOCK) as u64)
+        .with_persist_dir(dir.path().to_path_buf());
+    let held = {
+        let cache = ShardCache::new(persistent).expect("persistent cache");
+        cache.insert(key(0), payload(0));
+        cache.insert(key(1), payload(1));
+        cache.flush_spills();
+        cache.get(&key(0)).expect("promote")
+    };
+    assert!(spill_path(&dir, 0).exists(), "kept for a restart");
+    let cache = one_block_ram(&dir, 4);
+    cache.insert(key(0), payload(9));
+    cache.insert(key(1), payload(1)); // evicts 0: written over the old path
+    cache.flush_spills();
+    assert_eq!(cache.stats().snapshot().spills, 1);
+    assert_eq!(&cache.get(&key(0)).expect("promote")[..], &payload(9)[..]);
+    assert_eq!(
+        &held[..],
+        &payload(0)[..],
+        "the old file's view is untouched"
+    );
+    assert_eq!(&view[..], &payload(0)[..]);
+}
+
+/// A spill file cut below its recorded length before its promote — a
+/// whole page lost, or the last byte — is a miss: the file is retired,
+/// the tier's accounting lets go of it, storage serves the block, and the
+/// process stays alive. Peers' in-place reads refuse it the same way.
+#[test]
+fn spill_file_cut_short_is_a_miss_and_is_retired() {
+    let dir = TempDir::new("async-spill-cut");
+    let cache = one_block_ram(&dir, 4);
+    for i in 0..3 {
+        cache.insert(key(i), payload(i)); // 0 and 1 spill
+    }
+    cache.flush_spills();
+    assert_eq!(cache.disk_bytes_used(), (2 * BLOCK) as u64);
+    for (i, cut) in [(0, 4096), (1, BLOCK - 1)] {
+        let file = std::fs::OpenOptions::new()
+            .write(true)
+            .open(spill_path(&dir, i))
+            .unwrap();
+        file.set_len(cut as u64).unwrap();
+    }
+    assert_eq!(cache.peek(&key(1)), None, "peek refuses it, in place");
+    for i in 0..2 {
+        assert_eq!(cache.get(&key(i)), None, "block {i}: a miss");
+        assert!(!spill_path(&dir, i).exists(), "block {i}: retired");
+    }
+    assert_eq!(cache.disk_bytes_used(), 0);
+    assert_eq!(
+        (cache.stats().snapshot().disk_hits, cache.ram_bytes_used()),
+        (0, BLOCK as u64)
+    );
+    let (data, via) = cache
+        .get_or_fetch(key(0), || Ok::<_, std::io::Error>(payload(0)))
+        .unwrap();
+    assert_eq!((via, &data[..]), (Fetched::Storage, &payload(0)[..]));
+}
+
+/// A spill file whose bytes are changed in place — same inode, same
+/// length, one byte flipped — before its promote fails the CRC over the
+/// view: a miss, and the file is retired.
+#[test]
+fn spill_file_rewritten_in_place_is_a_miss() {
+    let dir = TempDir::new("async-spill-rewrite");
+    let cache = one_block_ram(&dir, 4);
+    cache.insert(key(0), payload(0));
+    cache.insert(key(1), payload(1)); // 0 spills
+    cache.flush_spills();
+    let path = spill_path(&dir, 0);
+    let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    file.seek(SeekFrom::Start(5000)).unwrap();
+    file.write_all(&[!payload(0)[5000]]).unwrap();
+    drop(file);
+    assert_eq!(std::fs::metadata(&path).unwrap().len(), BLOCK as u64);
+    assert_eq!(cache.get(&key(0)), None, "flipped bytes are not served");
+    assert!(!path.exists(), "the file is retired");
+    assert_eq!(cache.disk_bytes_used(), 0);
+}
+
+/// A `*.blk.tmp` left by a writer that died mid-write is deleted when a
+/// persistent cache opens over the directory; other files are not.
+#[test]
+fn stale_spill_tmp_files_are_removed_when_a_persistent_cache_opens() {
+    let dir = TempDir::new("async-spill-tmp");
+    let stale = dir.path().join(format!("{}.tmp", spill_file_name(&key(3))));
+    let other = dir.path().join("notes.txt");
+    std::fs::write(&stale, b"half a block").unwrap();
+    std::fs::write(&other, b"not the cache's").unwrap();
+    let _cache = ShardCache::new(
+        CacheConfig::default()
+            .with_ram_bytes(BLOCK as u64)
+            .with_disk_bytes((4 * BLOCK) as u64)
+            .with_persist_dir(dir.path().to_path_buf()),
+    )
+    .expect("cache");
+    assert!(!stale.exists(), "the half-written file is gone");
+    assert!(other.exists());
 }
