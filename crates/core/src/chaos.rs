@@ -16,6 +16,9 @@
 //!   batch: batches the previous incarnation already pushed are skipped on
 //!   replay, so a kill/restart cycle delivers every planned batch exactly
 //!   once.
+//! * [`ChaosController::end_stream`] gives each worker's stream one
+//!   end-of-stream marker across incarnations: the receiver reads no
+//!   connection opened after the last marker it expects.
 //!
 //! The ledger is keyed by `(epoch, batch_id)` — globally unique within a
 //! plan — so it is indifferent to which worker or incarnation sends a
@@ -45,6 +48,8 @@ pub struct ChaosController {
     schedule: Mutex<VecDeque<u64>>,
     /// Every `(epoch, batch_id)` any incarnation has pushed.
     sent: Mutex<HashSet<(u32, u64)>>,
+    /// Send workers whose stream some incarnation ended with a marker.
+    ended: Mutex<HashSet<usize>>,
 }
 
 impl Default for ChaosController {
@@ -56,6 +61,7 @@ impl Default for ChaosController {
             kills: AtomicU64::new(0),
             schedule: Mutex::new(VecDeque::new()),
             sent: Mutex::new(HashSet::new()),
+            ended: Mutex::new(HashSet::new()),
         }
     }
 }
@@ -124,6 +130,14 @@ impl ChaosController {
             self.kills.fetch_add(1, Ordering::SeqCst);
         }
         self.is_killed()
+    }
+
+    /// Whether send worker `worker` ends its stream with a marker now: not
+    /// when this incarnation was killed (a crash sends none), nor when an
+    /// earlier incarnation ended that stream before a sibling's kill.
+    pub fn end_stream(&self, worker: usize) -> bool {
+        let mut ended = self.ended.lock().unwrap_or_else(PoisonError::into_inner);
+        !self.is_killed() && ended.insert(worker)
     }
 
     /// The ledger mutex is only ever held around single HashSet calls, so
@@ -200,6 +214,18 @@ mod tests {
             assert!(!c.record_sent(0, b), "third incarnation is disarmed");
         }
         assert_eq!(c.kills(), 2);
+    }
+
+    #[test]
+    fn a_stream_ends_once_across_incarnations_and_never_when_killed() {
+        let c = ChaosController::new();
+        c.arm(1);
+        assert!(c.end_stream(0), "worker 0 finished before the kill");
+        assert!(c.record_sent(0, 0), "worker 1 trips it");
+        assert!(!c.end_stream(1), "a killed worker sends no marker");
+        c.reset_for_restart();
+        assert!(!c.end_stream(0), "worker 0's stream has already ended");
+        assert!(c.end_stream(1));
     }
 
     #[test]

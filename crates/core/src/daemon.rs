@@ -420,8 +420,7 @@ impl EmlioDaemon {
                 }
             }
         }
-        let killed = chaos.is_some_and(ChaosController::is_killed);
-        if !killed {
+        if chaos.is_none_or(|c| c.end_stream(worker)) {
             socket.send(Bytes::from(wire::encode_end_stream(&origin, sent)))?;
         }
         // Fold this stream's backpressure stalls into the shared counters

@@ -1,40 +1,49 @@
 //! The EMLIO Receiver — Algorithm 3's compute-side intake.
 //!
-//! Binds a PULL socket, spawns the `zmq_receiver` thread that *scans*
-//! incoming msgpack frames into [`LazyBatch`]es and pushes them into a
-//! shared bounded queue, and exposes that queue as a DALI
-//! `external_source`. Batches from any stream are accepted in whatever
+//! Binds a PULL socket whose reader threads, one per connected stream,
+//! *scan* each incoming msgpack frame into a [`LazyBatch`] and push it
+//! straight into the socket's bounded queue, and exposes that queue as a
+//! DALI `external_source`. The queue holds [`ReceiverConfig::hwm`]
+//! batches: it is the compute side's one bound, as the paper's PULL socket
+//! with HWM 16 is (§4.5). Batches from any stream are accepted in whatever
 //! order they arrive — out-of-order prefetching is what keeps tail latency
 //! bounded under RTT.
 //!
-//! The intake thread validates every frame but never materializes sample
+//! The readers validate every frame but never materialize sample
 //! payloads: [`wire::decode_lazy`] walks the structure in place, the
 //! `LazyBatch` crosses the queue owning the frame, and
 //! [`LazyQueueSource::next_batch`] materializes the [`RawBatch`] on the
 //! *consumer* thread (refcount bumps into the frame, still no copies).
-//! Repeated origin strings are deduplicated through a shared
+//! Repeated origin strings are deduplicated through one shared
 //! [`StrInterner`].
+//!
+//! The stream ends after the last expected end-of-stream marker, once
+//! every connection still open has closed or gone quiet for 500 ms. A stop
+//! (the receiver's drop, or a failed daemon in the launch harness) ends it
+//! within one 100 ms read tick, after what is already queued.
 
 use crate::metrics::DataPathMetrics;
 use crate::wire::{self, LazyBatch, LazyMsg};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use bytes::Bytes;
+use crossbeam::channel::Receiver;
 use emlio_msgpack::StrInterner;
 use emlio_obs::{clock, obs_warn, FlightRecorder, Stage, StageRecorder};
 use emlio_pipeline::{ExternalSource, RawBatch};
-use emlio_zmq::{Endpoint, PullSocket, SocketOptions, ZmqError};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use emlio_zmq::{Endpoint, Intake, PullSocket, SocketOptions, StopHandle, ZmqError};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Receiver configuration.
 #[derive(Debug, Clone)]
 pub struct ReceiverConfig {
     /// Address to bind (`tcp://127.0.0.1:0` for an ephemeral port).
     pub bind: Endpoint,
-    /// PULL-socket HWM (transport-side buffering).
+    /// Batches scanned and queued for the consumer at most: the PULL
+    /// socket's HWM.
     pub hwm: usize,
-    /// Shared in-memory queue capacity (batches buffered for the pipeline).
+    /// Read nowhere: the one queue holds `hwm` batches.
+    #[doc(hidden)]
     pub queue_capacity: usize,
     /// Stop after this many `end_stream` markers (daemons × workers).
     pub expected_streams: u32,
@@ -52,58 +61,72 @@ impl ReceiverConfig {
     }
 }
 
-/// A bound, running receiver.
+/// A bound, running receiver. Dropping it stops its socket.
 pub struct EmlioReceiver {
-    rx: Receiver<LazyBatch>,
+    pull: PullSocket<LazyBatch>,
     endpoint: Endpoint,
     metrics: Arc<DataPathMetrics>,
     recorder: Arc<StageRecorder>,
     streams_seen: Arc<AtomicU32>,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<JoinHandle<Result<(), ZmqError>>>,
 }
 
 impl EmlioReceiver {
     /// Bind and start receiving.
     pub fn bind(config: ReceiverConfig) -> Result<EmlioReceiver, ZmqError> {
-        let pull = PullSocket::bind(&config.bind, SocketOptions::default().with_hwm(config.hwm))?;
-        let endpoint = pull
-            .local_endpoint()
-            .ok_or_else(|| ZmqError::BadEndpoint("unresolvable local endpoint".into()))?;
-        let (tx, rx) = bounded(config.queue_capacity.max(1));
         let metrics = DataPathMetrics::shared();
         let recorder = StageRecorder::shared();
         let streams_seen = Arc::new(AtomicU32::new(0));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let metrics = metrics.clone();
-            let recorder = recorder.clone();
-            let streams_seen = streams_seen.clone();
-            let shutdown = shutdown.clone();
-            let expected = config.expected_streams;
-            std::thread::Builder::new()
-                .name("emlio-receiver".into())
-                .spawn(move || {
-                    receive_loop(
-                        pull,
-                        tx,
-                        metrics,
-                        recorder,
-                        streams_seen,
-                        shutdown,
-                        expected,
-                    )
-                })
-                .expect("spawn receiver thread")
+        let (metrics2, recorder2) = (metrics.clone(), recorder.clone());
+        let (streams_seen2, expected) = (streams_seen.clone(), config.expected_streams);
+        let interner = StrInterner::new();
+        let intake = move |frame: Bytes| {
+            let t_scan = Instant::now();
+            let decoded = wire::decode_lazy(&frame, Some(&interner));
+            recorder2.record(Stage::RecvScan, t_scan.elapsed().as_nanos() as u64);
+            match decoded {
+                Ok(LazyMsg::Batch(mut batch)) => {
+                    batch.stamp_received(clock::now_nanos());
+                    metrics2.record_batch(batch.len() as u64, batch.payload_bytes());
+                    Intake::Deliver(batch)
+                }
+                Ok(LazyMsg::EndStream { .. }) => {
+                    let seen = streams_seen2.fetch_add(1, Ordering::SeqCst) + 1;
+                    if seen == expected {
+                        Intake::EndOfStream
+                    } else {
+                        Intake::Skip
+                    }
+                }
+                Err(e) => {
+                    // Corrupt frame: drop it. The CRC layers below make this
+                    // effectively unreachable; counting it as a lost batch is
+                    // the safe failure mode — but never a *silent* one.
+                    FlightRecorder::global().record("recv_corrupt_frame", frame.len() as u64, 0);
+                    obs_warn!(
+                        "receiver",
+                        "dropping corrupt {}-byte frame: {e}",
+                        frame.len()
+                    );
+                    Intake::Skip
+                }
+            }
         };
+        let options = SocketOptions::default()
+            .with_hwm(config.hwm)
+            .with_recorder(recorder.clone());
+        let pull = PullSocket::bind_with(&config.bind, options, intake)?;
+        if config.expected_streams == 0 {
+            pull.stop_handle().stop();
+        }
+        let endpoint = pull
+            .local_endpoint()
+            .ok_or_else(|| ZmqError::BadEndpoint("unresolvable local endpoint".into()))?;
         Ok(EmlioReceiver {
-            rx,
+            pull,
             endpoint,
             metrics,
             recorder,
             streams_seen,
-            shutdown,
-            thread: Some(thread),
         })
     }
 
@@ -115,15 +138,15 @@ impl EmlioReceiver {
     /// A DALI `external_source` over the shared queue. The stream ends once
     /// every expected sender has sent its end-of-stream marker and the queue
     /// has drained. Samples materialize on the calling (consumer) thread,
-    /// not on the intake thread.
+    /// not on the socket's readers.
     pub fn source(&self) -> LazyQueueSource {
-        LazyQueueSource::new(self.rx.clone()).with_recorder(self.recorder.clone())
+        LazyQueueSource::new(self.queue()).with_recorder(self.recorder.clone())
     }
 
     /// Raw access to the shared queue of validated-but-unmaterialized
-    /// batches (for non-pipeline consumers).
+    /// batches (for non-pipeline consumers): the PULL socket's own.
     pub fn queue(&self) -> Receiver<LazyBatch> {
-        self.rx.clone()
+        self.pull.queue()
     }
 
     /// Data-path counters.
@@ -131,9 +154,9 @@ impl EmlioReceiver {
         self.metrics.clone()
     }
 
-    /// Per-stage latency histograms (recv wait, scan, queue push on the
-    /// intake thread; queue dwell, lazy decode, wire transit, end-to-end
-    /// on the consumer side).
+    /// Per-stage latency histograms (recv wait, scan, queue push on each
+    /// connection's reader; queue dwell, lazy decode, wire transit,
+    /// end-to-end on the consumer side).
     pub fn recorder(&self) -> Arc<StageRecorder> {
         self.recorder.clone()
     }
@@ -143,42 +166,17 @@ impl EmlioReceiver {
         self.streams_seen.load(Ordering::SeqCst)
     }
 
-    /// The intake's stop flag: once set, the intake thread returns at its
-    /// next poll tick and consumers see end-of-queue after the batches
-    /// already queued — how a failed daemon ends the stream.
-    pub(crate) fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        self.shutdown.clone()
-    }
-
-    /// Wait for the intake thread to finish (all streams ended).
-    pub fn join(mut self) -> Result<(), ZmqError> {
-        match self.thread.take() {
-            Some(h) => h.join().map_err(|_| ZmqError::Closed)?,
-            None => Ok(()),
-        }
-    }
-}
-
-impl Drop for EmlioReceiver {
-    fn drop(&mut self) {
-        // Stop the intake thread even if the expected end-of-stream markers
-        // never arrived (e.g. a daemon died mid-stream): it re-checks this
-        // flag on every poll tick.
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Disconnect the shared queue too: an intake thread blocked on a
-        // full queue must observe the disconnect, or the join would deadlock
-        // (its `tx.send` only errors once every receiver clone is gone).
-        let rx = std::mem::replace(&mut self.rx, crossbeam::channel::never());
-        drop(rx);
-        if let Some(h) = self.thread.take() {
-            let _ = h.join();
-        }
+    /// Stops the receiver's socket from any thread: consumers see
+    /// end-of-queue after the batches already queued — how a failed daemon
+    /// ends the stream.
+    pub(crate) fn stop_handle(&self) -> StopHandle<LazyBatch> {
+        self.pull.stop_handle()
     }
 }
 
 /// An `external_source` that receives [`LazyBatch`]es and materializes
 /// them on the consuming thread — the decode cost lands where the trainer
-/// already is, not on the shared intake thread.
+/// already is, not on the socket's readers.
 pub struct LazyQueueSource {
     rx: Receiver<LazyBatch>,
     recorder: Option<Arc<StageRecorder>>,
@@ -234,109 +232,14 @@ impl ExternalSource for LazyQueueSource {
     }
 }
 
-fn receive_loop(
-    pull: PullSocket,
-    tx: Sender<LazyBatch>,
-    metrics: Arc<DataPathMetrics>,
-    recorder: Arc<StageRecorder>,
-    streams_seen: Arc<AtomicU32>,
-    shutdown: Arc<AtomicBool>,
-    expected_streams: u32,
-) -> Result<(), ZmqError> {
-    let interner = StrInterner::new();
-    // Decode one frame and queue its batch for the consumer. `None` once
-    // the consumer is gone; otherwise whether the frame was an
-    // end-of-stream marker.
-    let intake = |frame: bytes::Bytes| -> Option<bool> {
-        let t_scan = Instant::now();
-        let decoded = wire::decode_lazy(&frame, Some(&interner));
-        recorder.record(Stage::RecvScan, t_scan.elapsed().as_nanos() as u64);
-        match decoded {
-            Ok(LazyMsg::Batch(mut batch)) => {
-                batch.stamp_received(clock::now_nanos());
-                metrics.record_batch(batch.len() as u64, batch.payload_bytes());
-                let t_push = Instant::now();
-                tx.send(batch).ok()?;
-                // Time blocked handing the batch to a full queue — the
-                // stall report's queue-full attribution.
-                recorder.record(Stage::QueuePush, t_push.elapsed().as_nanos() as u64);
-                Some(false)
-            }
-            Ok(LazyMsg::EndStream { .. }) => Some(true),
-            Err(e) => {
-                // Corrupt frame: drop it. The CRC layers below make this
-                // effectively unreachable; counting it as a lost batch is
-                // the safe failure mode — but never a *silent* one.
-                FlightRecorder::global().record("recv_corrupt_frame", frame.len() as u64, 0);
-                obs_warn!(
-                    "receiver",
-                    "dropping corrupt {}-byte frame: {e}",
-                    frame.len()
-                );
-                Some(false)
-            }
-        }
-    };
-    let mut ended = 0u32;
-    while ended < expected_streams {
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let t_wait = Instant::now();
-        let polled = pull.recv_timeout(Duration::from_millis(200))?;
-        // Empty poll ticks count too: RecvWait's sum is the intake
-        // thread's total time blocked on the transport, which the stall
-        // report attributes as blocked-recv.
-        recorder.record(Stage::RecvWait, t_wait.elapsed().as_nanos() as u64);
-        let Some(frame) = polled else { continue };
-        match intake(frame) {
-            // Consumer went away; stop politely.
-            None => return Ok(()),
-            Some(true) => {
-                ended += 1;
-                streams_seen.store(ended, Ordering::SeqCst);
-            }
-            Some(false) => {}
-        }
-    }
-    // Every expected stream has ended, but frames from streams that died
-    // *without* a marker may still be in flight on their own connections.
-    // Drain until the socket is quiet, so nothing that reached this node is
-    // silently dropped. The quiet window is short while pushers are still
-    // connected and immediate once they are all gone — bounded either way,
-    // so a live-but-idle peer cannot hang `join()` forever.
-    let mut quiet_ticks = 0u32;
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            return Ok(());
-        }
-        let all_disconnected = pull.active_connections() == 0;
-        match pull.recv_timeout(Duration::from_millis(20))? {
-            Some(frame) => {
-                quiet_ticks = 0;
-                if intake(frame).is_none() {
-                    return Ok(());
-                }
-            }
-            None if all_disconnected => return Ok(()),
-            None => {
-                quiet_ticks += 1;
-                if quiet_ticks >= 25 {
-                    // ~500 ms of silence with a connection still open.
-                    return Ok(());
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pool::BufferPool;
-    use bytes::Bytes;
     use emlio_pipeline::ExternalSource;
+    use emlio_util::testutil::poll_until;
     use emlio_zmq::PushSocket;
+    use std::time::Duration;
 
     /// One single-sample batch frame, as a daemon worker would send it.
     fn batch_frame(id: u64, origin: &str, label: u32, payload: Vec<u8>) -> emlio_zmq::Frame {
@@ -382,7 +285,6 @@ mod tests {
         for s in senders {
             s.join().unwrap();
         }
-        receiver.join().unwrap();
     }
 
     #[test]
@@ -399,7 +301,6 @@ mod tests {
         assert_eq!(receiver.streams_seen(), 1);
         let snap = receiver.metrics().snapshot();
         assert_eq!((snap.batches, snap.samples), (3, 3));
-        receiver.join().unwrap();
     }
 
     #[test]
@@ -422,16 +323,16 @@ mod tests {
         // One shared Arc<str> across all frames of the stream.
         assert!(Arc::ptr_eq(&origins[0], &origins[1]));
         assert!(Arc::ptr_eq(&origins[1], &origins[2]));
-        receiver.join().unwrap();
     }
 
     #[test]
     fn corrupt_frame_after_the_last_marker_is_logged_not_silent() {
         // One expected stream. A second connection never sends a marker
         // (a killed daemon's stream), so what it sends after the first
-        // one's marker arrives in the post-marker drain — which must treat
-        // a frame as the main loop does: an undecodable one leaves a
-        // flight event and a warning, a valid one is delivered.
+        // one's marker is read while its open connection is read out —
+        // and a frame is treated then as at any other time: an
+        // undecodable one leaves a flight event and a warning, a valid one
+        // is delivered.
         const CORRUPT_LEN: usize = 4_321; // this test's own key in the shared ring
         let receiver = EmlioReceiver::bind(ReceiverConfig::loopback(1)).unwrap();
         let ep = receiver.endpoint().clone();
@@ -440,10 +341,9 @@ mod tests {
             .send(batch_frame(1, "dying", 0, vec![1]))
             .unwrap();
         push_batches(&ep, "whole", vec![2]);
-        assert!(emlio_util::testutil::poll_until(
-            Duration::from_secs(10),
-            || receiver.streams_seen() == 1
-        ));
+        assert!(poll_until(Duration::from_secs(10), || receiver
+            .streams_seen()
+            == 1));
         markerless
             .send(Bytes::from(vec![0xEE; CORRUPT_LEN]))
             .unwrap();
@@ -458,7 +358,6 @@ mod tests {
             .collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3], "the drain delivered what followed");
-        receiver.join().unwrap();
         let logged = FlightRecorder::global()
             .dump()
             .iter()
@@ -481,6 +380,79 @@ mod tests {
         let b = src.next_batch().unwrap();
         assert_eq!(b.batch_id, 9);
         assert!(src.next_batch().is_none());
-        receiver.join().unwrap();
+    }
+
+    #[test]
+    fn hwm_bounds_the_batches_scanned_ahead_of_the_consumer() {
+        // One connection and a consumer that takes nothing: `hwm` batches
+        // wait in the queue and the reader holds one more, blocked on it;
+        // the rest stay unread in the socket.
+        const HWM: usize = 2;
+        let receiver = EmlioReceiver::bind(ReceiverConfig {
+            hwm: HWM,
+            ..ReceiverConfig::loopback(1)
+        })
+        .unwrap();
+        let sock = PushSocket::connect(receiver.endpoint(), SocketOptions::default()).unwrap();
+        for id in 0..16 {
+            sock.send(batch_frame(id, "ahead", 0, vec![0; 64])).unwrap();
+        }
+        let scanned = || receiver.metrics().snapshot().batches;
+        let bound = HWM as u64 + 1;
+        assert!(poll_until(Duration::from_secs(10), || scanned() == bound));
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(scanned(), bound, "scanned past the HWM");
+        assert_eq!(receiver.queue().len(), HWM);
+    }
+
+    #[test]
+    fn dropping_the_receiver_while_a_consumer_holds_its_queue_returns() {
+        let receiver = EmlioReceiver::bind(ReceiverConfig {
+            hwm: 1,
+            queue_capacity: 1,
+            ..ReceiverConfig::loopback(1)
+        })
+        .unwrap();
+        let queue = receiver.queue();
+        let sock = PushSocket::connect(receiver.endpoint(), SocketOptions::default()).unwrap();
+        for id in 0..8 {
+            sock.send(batch_frame(id, "held", 0, vec![1])).unwrap();
+        }
+        // One batch waits in the full queue, the next in a blocked push.
+        assert!(poll_until(Duration::from_secs(10), || {
+            receiver.metrics().snapshot().batches == 2
+        }));
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            drop(receiver);
+            tx.send(()).unwrap();
+        });
+        let returned = rx.recv_timeout(Duration::from_secs(3)).is_ok();
+        // Only now does the consumer let go (and free a drop that waits).
+        drop(queue);
+        assert!(returned, "the drop waited for the consumer's queue");
+        drop(sock);
+    }
+
+    #[test]
+    fn a_connection_left_open_and_quiet_after_the_last_marker_ends_within_a_second() {
+        let receiver = EmlioReceiver::bind(ReceiverConfig::loopback(1)).unwrap();
+        let ep = receiver.endpoint().clone();
+        // A markerless stream that stays connected and says nothing more.
+        let quiet = PushSocket::connect(&ep, SocketOptions::default()).unwrap();
+        quiet.send(batch_frame(1, "quiet", 0, vec![1])).unwrap();
+        assert!(poll_until(Duration::from_secs(10), || {
+            receiver.metrics().snapshot().batches == 1
+        }));
+        push_batches(&ep, "whole", vec![2]);
+        let t0 = Instant::now();
+        let mut src = receiver.source();
+        let mut ids: Vec<u64> = std::iter::from_fn(|| src.next_batch())
+            .map(|b| b.batch_id)
+            .collect();
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        ids.sort_unstable();
+        assert_eq!(ids, vec![1, 2]);
+        drop(quiet);
     }
 }

@@ -15,7 +15,7 @@
 //! kill/restart loop on that thread: serve until done or killed, drop the
 //! incarnation, reopen it from the same spec, re-serve against the
 //! controller's exactly-once ledger. A daemon thread that ends in an error
-//! (or a panic) shuts the receiver's intake down, so the consumer sees
+//! (or a panic) stops the receiver's socket, so the consumer sees
 //! end-of-stream after what already arrived and the error comes back from
 //! [`Deployment::join_daemons`] — a failed daemon never leaves the
 //! consumer waiting for markers that will not come.
@@ -26,13 +26,13 @@ use crate::metrics::{DataPathMetrics, MetricsSnapshot};
 use crate::plan::Plan;
 use crate::receiver::{EmlioReceiver, ReceiverConfig};
 use crate::stack::StackSpec;
+use crate::wire::LazyBatch;
 use emlio_obs::StageRecorder;
 use emlio_pipeline::ExternalSource;
 use emlio_tfrecord::GlobalIndex;
 use emlio_util::fnv1a;
-use emlio_zmq::Endpoint;
+use emlio_zmq::{Endpoint, StopHandle};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -168,11 +168,11 @@ impl Deployment {
 
 /// Held by a daemon thread. When the thread ends any other way than `Ok`
 /// (an unwinding panic included) it records the error, unless another
-/// daemon's is there already, and then stops the receiver's intake — in
+/// daemon's is there already, and then stops the receiver's socket — in
 /// that order, so whoever fails *because* the stream ended finds the root
 /// cause recorded.
 struct StopIntakeOnFailure {
-    stop: Arc<AtomicBool>,
+    stop: StopHandle<LazyBatch>,
     first_error: FirstError,
     failed: Option<DaemonError>,
 }
@@ -200,7 +200,7 @@ impl Drop for StopIntakeOnFailure {
             if let Ok(mut first) = self.first_error.lock() {
                 first.get_or_insert(e);
             }
-            self.stop.store(true, Ordering::SeqCst);
+            self.stop.stop();
         }
     }
 }
@@ -258,9 +258,10 @@ impl EmlioService {
     /// the restart: the killed incarnation's cache has drained its spill
     /// writer and written its spill index before the next one opens.
     /// Everything else starts cold. Killed incarnations end
-    /// their streams without markers, so the receiver's budget of
-    /// daemons × `T` markers is met by the incarnations that run to
-    /// completion. Each armed kill point trips at most once, so the loop
+    /// their streams without markers, and no stream gets a second one
+    /// ([`ChaosController::end_stream`](crate::chaos::ChaosController::end_stream)),
+    /// so the receiver's budget of daemons × `T` markers is met once per
+    /// stream. Each armed kill point trips at most once, so the loop
     /// ends when the controller's schedule does.
     pub fn launch_with<F>(
         storage: &[StorageSpec],
@@ -276,7 +277,6 @@ impl EmlioService {
         let expected_streams = (storage.len() * config.threads_per_node) as u32;
         let receiver = EmlioReceiver::bind(ReceiverConfig {
             hwm: config.hwm,
-            queue_capacity: config.hwm,
             ..ReceiverConfig::loopback(expected_streams)
         })
         .map_err(DaemonError::Transport)?;
@@ -309,7 +309,7 @@ impl EmlioService {
             let (spec, config, node_id) = (spec.clone(), config.clone(), node_id.to_string());
             let endpoint = connect_to.clone();
             let intake = StopIntakeOnFailure {
-                stop: receiver.shutdown_flag(),
+                stop: receiver.stop_handle(),
                 first_error: first_error.clone(),
                 failed: Some(DaemonError::BadPlan("daemon panicked".into())),
             };
@@ -412,10 +412,10 @@ mod tests {
         // "a" is first in storage order, but only fails once the stream
         // has been stopped — which the launch harness does after it has
         // recorded the failure of "b", whose storage is broken outright.
-        let stopped: Arc<OnceLock<Arc<AtomicBool>>> = Arc::default();
+        let stopped: Arc<OnceLock<StopHandle<LazyBatch>>> = Arc::default();
         let stopped2 = stopped.clone();
         let follow_on = FnSource::new(move |_k: &emlio_tfrecord::BlockKey| {
-            while !stopped2.get().is_some_and(|s| s.load(Ordering::SeqCst)) {
+            while !stopped2.get().is_some_and(StopHandle::is_stopped) {
                 std::thread::yield_now();
             }
             Err(std::io::Error::other("follow-on"))
@@ -434,7 +434,7 @@ mod tests {
         ];
         let config = EmlioConfig::default().with_batch_size(4).with_threads(1);
         let mut dep = EmlioService::launch(&storage, &config, "n").unwrap();
-        stopped.set(dep.receiver.shutdown_flag()).unwrap();
+        assert!(stopped.set(dep.receiver.stop_handle()).is_ok());
         let err = dep.drain().served.unwrap_err().to_string();
         assert!(err.contains("root cause"), "{err}");
     }

@@ -5,7 +5,7 @@
 //! is at most 1/16 of its lower bound and reported quantiles carry at
 //! most ~6.25% relative error. [`LogHistogram::record`] is two relaxed
 //! `fetch_add`s plus a `fetch_max` — no locks, no allocation — safe to
-//! call from every send worker and intake thread concurrently.
+//! call from every send worker and PULL reader thread concurrently.
 //! Histograms [`merge`](LogHistogram::merge) exactly (bucket-wise sums),
 //! so per-thread or per-daemon instances can be combined for reporting.
 

@@ -9,9 +9,10 @@ use std::fmt;
 /// * **exclusive** stages tile a thread's loop — on a daemon send worker,
 ///   [`BatchAssemble`](Stage::BatchAssemble) and
 ///   [`SocketSend`](Stage::SocketSend) alternate and together account for
-///   (nearly all of) the worker's wall time; on the receiver intake
-///   thread the same holds for [`RecvWait`](Stage::RecvWait),
-///   [`RecvScan`](Stage::RecvScan), and [`QueuePush`](Stage::QueuePush);
+///   (nearly all of) the worker's wall time; on each PULL reader thread,
+///   one per connection, the same holds for [`RecvWait`](Stage::RecvWait),
+///   [`RecvScan`](Stage::RecvScan), and [`QueuePush`](Stage::QueuePush)
+///   (summed over connections they can exceed wall time);
 /// * **nested** stages break an exclusive span down —
 ///   [`StorageRead`](Stage::StorageRead),
 ///   [`CacheLookup`](Stage::CacheLookup),
@@ -43,11 +44,13 @@ pub enum Stage {
     Encode,
     /// PUSH-socket send, including time blocked on a full HWM queue.
     SocketSend,
-    /// Receiver intake poll: waiting for the next frame off the wire.
+    /// A PULL reader waiting for its connection's next frame off the wire,
+    /// from its previous hand-off to the frame's last byte.
     RecvWait,
     /// Lazy structural scan/validation of one received frame.
     RecvScan,
-    /// Push into the receiver's bounded queue, including queue-full time.
+    /// A PULL reader's push into the receiver's bounded queue, including
+    /// queue-full time.
     QueuePush,
     /// Time a scanned batch sat in the bounded queue before the consumer
     /// dequeued it.

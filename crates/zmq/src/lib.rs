@@ -10,8 +10,9 @@
 //!   HWM = 16 with infinite blocking send, so storage workers naturally back
 //!   off when compute-side queues are full (§4.5);
 //! * **PULL sockets** ([`pull::PullSocket`]) that accept any number of
-//!   connections and fair-queue incoming messages into one stream — this is
-//!   what makes out-of-order multi-stream prefetching possible;
+//!   connections and fair-queue incoming messages into one bounded queue,
+//!   each connection's reader pushing straight into it — this is what
+//!   makes out-of-order multi-stream prefetching possible;
 //! * length-prefixed wire framing with a maximum-frame guard ([`frame`]),
 //!   unbuffered in both directions: a frame's segments go to the kernel in
 //!   one vectored write and come back out of it straight into a recycled
@@ -21,9 +22,10 @@
 //! TCP is the only transport: tests and single-process runs bind
 //! `tcp://127.0.0.1:0` and take the same path production does.
 //!
-//! The full backpressure chain is real: a slow receiver fills its bounded
-//! queue → reader threads stop draining TCP → the kernel window closes → the
-//! sender thread blocks on `write` → the PUSH queue fills → `send` blocks.
+//! The full backpressure chain is real: a slow consumer fills the PULL
+//! socket's one bounded queue (HWM) → reader threads block on it and stop
+//! draining TCP → the kernel window closes → the sender thread blocks on
+//! `write` → the PUSH queue fills → `send` blocks.
 
 pub mod endpoint;
 pub mod frame;
@@ -32,7 +34,7 @@ pub mod push;
 
 pub use endpoint::Endpoint;
 pub use frame::Frame;
-pub use pull::PullSocket;
+pub use pull::{Intake, PullSocket, StopHandle};
 pub use push::PushSocket;
 
 use std::fmt;
@@ -53,8 +55,10 @@ pub struct SocketOptions {
     pub max_frame: usize,
     /// How long `PushSocket::connect` keeps retrying a refused connection.
     pub connect_timeout: std::time::Duration,
-    /// Stage recorder for per-call latency histograms
-    /// ([`emlio_obs::Stage::SocketSend`] on PUSH sockets).
+    /// Stage recorder for latency histograms:
+    /// [`emlio_obs::Stage::SocketSend`] per call on PUSH sockets, and
+    /// [`emlio_obs::Stage::RecvWait`] and [`emlio_obs::Stage::QueuePush`]
+    /// per frame on each PULL reader (sums per connection).
     pub recorder: Option<std::sync::Arc<emlio_obs::StageRecorder>>,
 }
 

@@ -1,35 +1,61 @@
 //! PULL socket: binds an address, accepts any number of PUSH connections,
-//! and fair-queues their messages into one bounded stream.
+//! and fair-queues what they send into one bounded queue.
+//!
+//! Each connection's reader thread reads frames straight off its
+//! `TcpStream` into buffers recycled through one per-socket [`BufferPool`]
+//! (the buffer goes back to the pool when the consumer drops the last view
+//! of the frame), runs the socket's intake over each frame — the frame
+//! itself for [`PullSocket::bind`], a scan into a batch for the EMLIO
+//! receiver — and pushes what it delivers into the queue.
 //!
 //! The bounded queue is the receive-side HWM: when the consumer (DALI
 //! pipeline) falls behind, reader threads block on the queue, stop draining
 //! their sockets, and the kernel's TCP flow control propagates backpressure
 //! to every connected daemon.
 //!
-//! Reader threads read frames straight off their `TcpStream` into buffers
-//! recycled through one per-socket [`BufferPool`]: a frame's bytes are
-//! written once, by the kernel, and the buffer goes back to the pool when
-//! the consumer drops the last view of the frame.
+//! The queue's sending half sits in one slot, and each reader holds a clone
+//! of it. [`Intake::EndOfStream`] or [`StopHandle::stop`] empties the slot:
+//! no new connection is read, and the queue ends with the last reader.
 
 use crate::endpoint::Endpoint;
 use crate::frame::FrameReader;
 use crate::{Result, SocketOptions, ZmqError};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
-use emlio_obs::{obs_warn, FlightRecorder};
+use emlio_obs::{obs_warn, FlightRecorder, Stage, StageRecorder};
 use emlio_util::pool::BufferPool;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a reader blocks in one read before it looks at the stop flag
+/// (and, once the stream has ended, at how long its connection was quiet).
+const READ_TICK: Duration = Duration::from_millis(100);
+
+/// Once the stream has ended, a connection that has delivered no frame for
+/// this long is read no further.
+const END_QUIET: Duration = Duration::from_millis(500);
+
+/// What a reader does with a frame it read ([`PullSocket::bind_with`]).
+#[derive(Debug)]
+pub enum Intake<T> {
+    /// Push this into the socket's queue.
+    Deliver(T),
+    /// Queue nothing.
+    Skip,
+    /// The stream's last expected frame: no new connection is read, the
+    /// open ones until they close or go quiet, and then the queue ends.
+    EndOfStream,
+}
 
 /// A snapshot of a PULL socket's counters ([`PullSocket::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PullStats {
-    /// Messages delivered to `recv`.
+    /// Frames the readers read.
     pub msgs_received: u64,
-    /// Payload bytes received.
+    /// Payload bytes of those frames.
     pub bytes_received: u64,
     /// Connections accepted over the socket's lifetime.
     pub connections: u64,
@@ -52,49 +78,103 @@ struct Counters {
     read_errors: AtomicU64,
 }
 
-struct Shared {
+struct Shared<T> {
     counters: Counters,
     /// Where every reader thread's frame buffers come from and go back to.
     pool: BufferPool,
-    shutdown: AtomicBool,
+    intake: Box<dyn Fn(Bytes) -> Intake<T> + Send + Sync>,
+    /// The queue's sending half, cloned into each reader as its connection
+    /// is accepted; empty once the stream has ended or the socket stopped.
+    tx: Mutex<Option<Sender<T>>>,
+    /// Readers return at their next read tick.
+    stopped: AtomicBool,
+    /// The socket was dropped: the accept thread returns.
+    closed: AtomicBool,
     active_readers: AtomicUsize,
+    max_frame: usize,
+    recorder: Option<Arc<StageRecorder>>,
 }
 
-impl Shared {
-    /// `hwm` frames can wait in the queue while the consumer and each
-    /// reader hold one more, so that many buffers (and a little slack)
-    /// are worth keeping idle.
-    fn new(hwm: usize) -> Arc<Shared> {
-        Arc::new(Shared {
-            counters: Counters::default(),
-            pool: BufferPool::with_retention(hwm + 4),
-            shutdown: AtomicBool::new(false),
-            active_readers: AtomicUsize::new(0),
-        })
+impl<T> Shared<T> {
+    fn sender(&self) -> MutexGuard<'_, Option<Sender<T>>> {
+        self.tx.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn stop(&self) {
+        self.stopped.store(true, Ordering::SeqCst);
+        self.sender().take();
     }
 }
 
-/// A PULL socket bound to one endpoint.
-pub struct PullSocket {
-    rx: Receiver<Bytes>,
-    shared: Arc<Shared>,
+/// A PULL socket bound to one endpoint, queueing what its intake makes of
+/// each frame (the frame itself for [`PullSocket::bind`]).
+pub struct PullSocket<T = Bytes> {
+    rx: Receiver<T>,
+    shared: Arc<Shared<T>>,
     accept_thread: Option<JoinHandle<()>>,
     local_addr: SocketAddr,
 }
 
+/// Stops a [`PullSocket`] from any thread ([`PullSocket::stop_handle`]).
+pub struct StopHandle<T = Bytes>(Arc<Shared<T>>);
+
+impl<T> StopHandle<T> {
+    /// Stop reading: every reader returns at its next 100 ms read tick, no
+    /// new connection is read, and the queue's consumers see its end after
+    /// what is already queued.
+    pub fn stop(&self) {
+        self.0.stop();
+    }
+
+    /// Whether the socket was stopped (or dropped).
+    pub fn is_stopped(&self) -> bool {
+        self.0.stopped.load(Ordering::SeqCst)
+    }
+}
+
 impl PullSocket {
-    /// Bind and start accepting connections. For `tcp://host:0` the kernel
-    /// picks a free port — see [`PullSocket::local_endpoint`].
+    /// Bind and start accepting connections, queueing every frame as it
+    /// is. For `tcp://host:0` the kernel picks a free port — see
+    /// [`PullSocket::local_endpoint`].
     pub fn bind(endpoint: &Endpoint, options: SocketOptions) -> Result<PullSocket> {
+        PullSocket::bind_with(endpoint, options, Intake::Deliver)
+    }
+}
+
+impl<T: Send + 'static> PullSocket<T> {
+    /// Bind and start accepting connections. The reader of each connection
+    /// runs `intake` over every frame it reads and pushes what it delivers
+    /// into the queue, which holds `options.hwm` items. `options.recorder`
+    /// gets each reader's [`Stage::RecvWait`] (from its previous hand-off
+    /// to a frame's last byte) and [`Stage::QueuePush`]: sums per
+    /// connection, so over several connections they can exceed wall time.
+    pub fn bind_with(
+        endpoint: &Endpoint,
+        options: SocketOptions,
+        intake: impl Fn(Bytes) -> Intake<T> + Send + Sync + 'static,
+    ) -> Result<PullSocket<T>> {
         let Endpoint::Tcp(addr) = endpoint;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let (tx, rx) = bounded::<Bytes>(options.hwm.max(1));
-        let shared = Shared::new(options.hwm);
+        let (tx, rx) = bounded(options.hwm.max(1));
+        let shared = Arc::new(Shared {
+            counters: Counters::default(),
+            // `hwm` frames can wait in the queue while the consumer and
+            // each reader hold one more, so that many buffers (and a
+            // little slack) are worth keeping idle.
+            pool: BufferPool::with_retention(options.hwm + 4),
+            intake: Box::new(intake),
+            tx: Mutex::new(Some(tx)),
+            stopped: AtomicBool::new(false),
+            closed: AtomicBool::new(false),
+            active_readers: AtomicUsize::new(0),
+            max_frame: options.max_frame,
+            recorder: options.recorder,
+        });
         let shared2 = shared.clone();
         let accept_thread = std::thread::Builder::new()
             .name(format!("zmq-pull-accept:{local_addr}"))
-            .spawn(move || accept_loop(listener, tx, shared2, options.max_frame))
+            .spawn(move || accept_loop(listener, shared2))
             .expect("spawn pull accept thread");
         Ok(PullSocket {
             rx,
@@ -103,49 +183,38 @@ impl PullSocket {
             local_addr,
         })
     }
+}
 
+impl<T> PullSocket<T> {
     /// The concrete endpoint after binding (resolves `:0` ports). Always
     /// `Some`; the `Option` is what callers were written against.
     pub fn local_endpoint(&self) -> Option<Endpoint> {
         Some(Endpoint::Tcp(self.local_addr.to_string()))
     }
 
-    /// Blocking receive of the next message from any connected pusher.
-    pub fn recv(&self) -> Result<Bytes> {
-        let msg = self.rx.recv().map_err(|_| ZmqError::Closed)?;
-        self.record(&msg);
-        Ok(msg)
+    /// Blocking receive of the next item from any connected pusher;
+    /// `Closed` once the queue has ended.
+    pub fn recv(&self) -> Result<T> {
+        self.rx.recv().map_err(|_| ZmqError::Closed)
     }
 
     /// Receive with a timeout. `Ok(None)` on timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<Bytes>> {
+    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<T>> {
         match self.rx.recv_timeout(timeout) {
-            Ok(msg) => {
-                self.record(&msg);
-                Ok(Some(msg))
-            }
+            Ok(item) => Ok(Some(item)),
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(ZmqError::Closed),
         }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Result<Option<Bytes>> {
-        match self.rx.try_recv() {
-            Ok(msg) => {
-                self.record(&msg);
-                Ok(Some(msg))
-            }
-            Err(crossbeam::channel::TryRecvError::Empty) => Ok(None),
-            Err(crossbeam::channel::TryRecvError::Disconnected) => Err(ZmqError::Closed),
-        }
+    /// The queue itself, for consumers on other threads.
+    pub fn queue(&self) -> Receiver<T> {
+        self.rx.clone()
     }
 
-    fn record(&self, msg: &Bytes) {
-        let c = &self.shared.counters;
-        c.msgs_received.fetch_add(1, Ordering::Relaxed);
-        c.bytes_received
-            .fetch_add(msg.len() as u64, Ordering::Relaxed);
+    /// A handle that stops this socket from any thread.
+    pub fn stop_handle(&self) -> StopHandle<T> {
+        StopHandle(self.shared.clone())
     }
 
     /// Snapshot of counters.
@@ -161,16 +230,15 @@ impl PullSocket {
             buffers_allocated: pool.pool_alloc + pool.unpooled,
         }
     }
-
-    /// Number of currently connected pushers.
-    pub fn active_connections(&self) -> usize {
-        self.shared.active_readers.load(Ordering::SeqCst)
-    }
 }
 
-impl Drop for PullSocket {
+impl<T> Drop for PullSocket<T> {
+    /// Stops the socket and joins its accept thread. Readers are not
+    /// joined: one may be blocked on a full queue whose consumer is still
+    /// alive; each returns at its next read tick or hand-off.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.stop();
+        self.shared.closed.store(true, Ordering::SeqCst);
         let Some(h) = self.accept_thread.take() else {
             return;
         };
@@ -192,25 +260,29 @@ impl Drop for PullSocket {
 }
 
 /// Accept connections, one reader thread each, blocking in `accept` until
-/// the next arrives; the socket's drop sets the shutdown flag and then
-/// connects once to wake this loop to see it.
-fn accept_loop(listener: TcpListener, tx: Sender<Bytes>, shared: Arc<Shared>, max_frame: usize) {
+/// the next arrives; the socket's drop sets `closed` and then connects
+/// once to wake this loop to see it.
+fn accept_loop<T: Send + 'static>(listener: TcpListener, shared: Arc<Shared<T>>) {
     loop {
         let accepted = listener.accept();
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.closed.load(Ordering::SeqCst) {
             return;
         }
         match accepted {
             Ok((stream, peer)) => {
+                // After the end of the stream, or a stop, a new connection
+                // is closed unread.
+                let Some(tx) = shared.sender().clone() else {
+                    continue;
+                };
                 stream.set_nodelay(true).ok();
                 shared.counters.connections.fetch_add(1, Ordering::Relaxed);
                 shared.active_readers.fetch_add(1, Ordering::SeqCst);
-                let tx2 = tx.clone();
                 let shared2 = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("zmq-pull-read:{peer}"))
                     .spawn(move || {
-                        reader_loop(stream, peer, tx2, &shared2, max_frame);
+                        read_connection(stream, peer, tx, &shared2);
                         shared2.active_readers.fetch_sub(1, Ordering::SeqCst);
                     })
                     .expect("spawn pull reader thread");
@@ -227,36 +299,62 @@ fn accept_loop(listener: TcpListener, tx: Sender<Bytes>, shared: Arc<Shared>, ma
     }
 }
 
-fn reader_loop(
-    mut stream: TcpStream,
-    peer: SocketAddr,
-    tx: Sender<Bytes>,
-    shared: &Shared,
-    max_frame: usize,
-) {
-    // Reads block; a read timeout lets us observe shutdown. The timeout can
-    // fire mid-frame, so the frame in progress lives in `frames` across
-    // ticks.
-    stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .ok();
+/// Read one connection's frames into the queue until the peer closes, the
+/// stream breaks, the socket stops or every consumer is gone — or, once
+/// the stream has ended, until the connection has been quiet for
+/// [`END_QUIET`]. Returning drops this reader's sending half.
+fn read_connection<T>(mut stream: TcpStream, peer: SocketAddr, tx: Sender<T>, shared: &Shared<T>) {
+    // Reads block for one tick at most, so the stop flag is seen. The tick
+    // can fire mid-frame, so the frame in progress lives in `frames`
+    // across ticks.
+    stream.set_read_timeout(Some(READ_TICK)).ok();
     let mut frames = FrameReader::with_pool(shared.pool.clone());
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
+    let record = |stage, since: Instant| {
+        if let Some(rec) = &shared.recorder {
+            rec.record(stage, since.elapsed().as_nanos() as u64);
         }
-        match frames.read_frame(&mut stream, max_frame) {
-            Ok(Some(msg)) => {
-                if tx.send(msg).is_err() {
-                    return; // socket dropped
+    };
+    // Where the wait for the next frame started: the previous hand-off.
+    let mut handed_off = Instant::now();
+    // Once the stream has ended: the first tick since the last frame.
+    let mut quiet_from = None;
+    while !shared.stopped.load(Ordering::SeqCst) {
+        match frames.read_frame(&mut stream, shared.max_frame) {
+            Ok(Some(frame)) => {
+                record(Stage::RecvWait, handed_off);
+                let c = &shared.counters;
+                c.msgs_received.fetch_add(1, Ordering::Relaxed);
+                c.bytes_received
+                    .fetch_add(frame.len() as u64, Ordering::Relaxed);
+                match (shared.intake)(frame) {
+                    Intake::Deliver(item) => {
+                        let pushed = Instant::now();
+                        if tx.send(item).is_err() {
+                            return; // every consumer of the queue is gone
+                        }
+                        // Time blocked handing the item to a full queue.
+                        record(Stage::QueuePush, pushed);
+                    }
+                    Intake::Skip => {}
+                    Intake::EndOfStream => {
+                        shared.sender().take();
+                    }
                 }
+                handed_off = Instant::now();
+                quiet_from = None;
             }
             Ok(None) => return, // peer closed cleanly
             Err(ZmqError::Io(e))
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                continue; // timeout tick: re-check shutdown
+                // A tick without a frame: after the end of the stream, a
+                // connection quiet for that long is done.
+                if shared.sender().is_none()
+                    && quiet_from.get_or_insert_with(Instant::now).elapsed() >= END_QUIET
+                {
+                    return;
+                }
             }
             Err(e) => {
                 // The stream is out of frame or gone: this connection is
@@ -444,7 +542,9 @@ mod tests {
             "the oversized length prefix is counted"
         );
         assert!(
-            poll_until(Duration::from_secs(5), || pull.active_connections() == 1),
+            poll_until(Duration::from_secs(5), || {
+                pull.shared.active_readers.load(Ordering::SeqCst) == 1
+            }),
             "its reader is gone, the good connection's is not"
         );
         let events = FlightRecorder::global().dump();
@@ -550,7 +650,7 @@ mod tests {
         let got = pull.recv_timeout(Duration::from_secs(10)).unwrap();
         assert_eq!(got.as_deref(), Some(&second[..]), "stream still in frame");
 
-        // Shutdown is still prompt with a frame half-delivered and the
+        // A stop is still prompt with a frame half-delivered and the
         // writer gone quiet (connection open, no EOF to wake the reader).
         raw.write_all(&[0, 0]).unwrap();
         std::thread::sleep(stall);
@@ -563,5 +663,75 @@ mod tests {
             }),
             "reader thread exits on shutdown mid-frame"
         );
+    }
+
+    #[test]
+    fn end_of_stream_reads_open_connections_out_and_no_new_one() {
+        use emlio_util::testutil::poll_until;
+
+        let pull = PullSocket::bind_with(
+            &Endpoint::tcp("127.0.0.1", 0),
+            SocketOptions::default(),
+            |frame: Bytes| match frame.as_ref() {
+                b"end" => Intake::EndOfStream,
+                b"skip" => Intake::Skip,
+                _ => Intake::Deliver(frame),
+            },
+        )
+        .unwrap();
+        let ep = pull.local_endpoint().unwrap();
+        let open = PushSocket::connect(&ep, SocketOptions::default()).unwrap();
+        open.send(Bytes::from_static(b"before")).unwrap();
+        assert_eq!(pull.recv().unwrap(), b"before".as_slice());
+
+        let ending = PushSocket::connect(&ep, SocketOptions::default()).unwrap();
+        ending.send(Bytes::from_static(b"skip")).unwrap();
+        ending.send(Bytes::from_static(b"end")).unwrap();
+        ending.close().unwrap();
+        assert!(
+            poll_until(Duration::from_secs(5), || {
+                let readers = pull.shared.active_readers.load(Ordering::SeqCst);
+                pull.stats().msgs_received == 3 && readers == 1
+            }),
+            "the ending connection's reader read the end and returned"
+        );
+
+        // A connection opened before the end is read until it closes (or
+        // goes quiet), one opened after it is closed unread, and the queue
+        // ends with the last reader.
+        open.send(Bytes::from_static(b"after")).unwrap();
+        let late = PushSocket::connect(&ep, SocketOptions::default()).unwrap();
+        let _ = late.send(Bytes::from_static(b"late"));
+        drop(late);
+        assert_eq!(pull.recv().unwrap(), b"after".as_slice());
+        open.close().unwrap();
+        assert!(matches!(pull.recv(), Err(ZmqError::Closed)));
+        let stats = pull.stats();
+        assert_eq!((stats.connections, stats.msgs_received), (2, 4));
+    }
+
+    #[test]
+    fn stop_ends_the_queue_within_a_read_tick_while_a_connection_is_quiet() {
+        use emlio_util::testutil::poll_until;
+
+        let (pull, push) = tcp_pair(4);
+        push.send(Bytes::from_static(b"queued")).unwrap();
+        assert!(poll_until(Duration::from_secs(5), || {
+            pull.stats().msgs_received == 1
+        }));
+        let stop = pull.stop_handle();
+        assert!(!stop.is_stopped());
+        let t0 = Instant::now();
+        stop.stop();
+        assert!(stop.is_stopped());
+        assert_eq!(
+            pull.recv().unwrap(),
+            b"queued".as_slice(),
+            "what was queued is kept"
+        );
+        assert!(matches!(pull.recv(), Err(ZmqError::Closed)));
+        // One tick, with slack for a loaded machine.
+        assert!(t0.elapsed() < READ_TICK * 4, "{:?}", t0.elapsed());
+        drop(push);
     }
 }

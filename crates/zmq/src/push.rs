@@ -52,7 +52,6 @@ pub struct PushSocket {
     sender_thread: Option<JoinHandle<Result<()>>>,
     dead: Arc<AtomicBool>,
     stats: Arc<PushStats>,
-    endpoint: Endpoint,
     recorder: Option<Arc<StageRecorder>>,
 }
 
@@ -83,7 +82,6 @@ impl PushSocket {
             sender_thread: Some(sender_thread),
             dead,
             stats,
-            endpoint: endpoint.clone(),
             recorder: options.recorder,
         })
     }
@@ -119,29 +117,9 @@ impl PushSocket {
         Ok(())
     }
 
-    /// Non-blocking send; `Ok(false)` when the HWM is reached.
-    pub fn try_send(&self, payload: impl Into<Frame>) -> Result<bool> {
-        if self.dead.load(Ordering::SeqCst) {
-            return Err(ZmqError::Closed);
-        }
-        match self.tx.try_send(Cmd::Msg(payload.into())) {
-            Ok(()) => {
-                self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
-                Ok(true)
-            }
-            Err(crossbeam::channel::TrySendError::Full(_)) => Ok(false),
-            Err(crossbeam::channel::TrySendError::Disconnected(_)) => Err(ZmqError::Closed),
-        }
-    }
-
     /// Shared statistics handle.
     pub fn stats(&self) -> Arc<PushStats> {
         self.stats.clone()
-    }
-
-    /// The endpoint this socket is connected to.
-    pub fn endpoint(&self) -> &Endpoint {
-        &self.endpoint
     }
 
     /// Flush queued messages and shut the connection down. Returns once the

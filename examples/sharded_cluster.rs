@@ -82,7 +82,7 @@ fn main() {
                     }
                     origins.insert(batch.batch_id % 2);
                 }
-                receiver.join().unwrap();
+                drop(receiver);
                 (node, seen.len())
             })
         })

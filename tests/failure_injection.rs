@@ -91,7 +91,7 @@ fn receiver_survives_consumer_disappearing() {
     let daemon = EmlioDaemon::open("d", dir.path(), config.clone()).unwrap();
     let plan = Plan::build(daemon.index(), &["n".to_string()], &config);
     let receiver = EmlioReceiver::bind(ReceiverConfig {
-        queue_capacity: 2,
+        hwm: 2,
         ..ReceiverConfig::loopback(2)
     })
     .unwrap();
@@ -99,10 +99,12 @@ fn receiver_survives_consumer_disappearing() {
     let server = std::thread::spawn(move || daemon.serve(&plan, "n", &ep));
 
     {
-        let mut src = receiver.source();
-        // Take a few batches, then walk away.
-        for _ in 0..3 {
-            src.next_batch().unwrap();
+        // Take batches until both workers' streams (`d/t0`, `d/t1`) have
+        // delivered, so both are connected, then walk away.
+        let queue = receiver.queue();
+        let mut origins = std::collections::HashSet::new();
+        while origins.len() < 2 {
+            origins.insert(queue.recv().unwrap().origin().clone());
         }
     }
     drop(receiver); // closes the PULL socket and the shared queue
@@ -163,7 +165,7 @@ fn daemon_crash_mid_stream_leaves_receiver_consistent() {
         vec![0, 1, 100, 101, 102],
         "everything sent was delivered"
     );
-    receiver.join().unwrap();
+    drop(receiver);
 }
 
 // ---- injected faults through the seeded failpoint seam -------------------
