@@ -5,21 +5,25 @@
 //! The cache's unit of traffic is a batch — one block per demand access,
 //! a few thousand a second at most — so its whole mutable state lives
 //! under **one mutex** (`State`): the residency map (`BlockKey → Slot`),
-//! the byte accounting, the plan cursor, and one incrementally-maintained
+//! the byte accounting, the plan cursor, one incrementally-maintained
 //! eviction order per tier (a lazy next-use max-heap — see
-//! [`crate::order`]). Every row of the transition table below reads and
-//! writes the slot *and* its order entries in a single critical section,
-//! each O(1)/O(log n), so whenever the lock is free the books balance:
-//! `ram_used` is the sum over `Ram` slots, `disk_used` the sum over the
-//! slots that own a spill file, the RAM order's keys are the `Ram` slots
-//! and the disk order's keys the file owners. Debug builds assert exactly
-//! that at the end of every mutating critical section (`State::check`).
+//! [`crate::order`]) and the spill writer's queue of keys. Every row of
+//! the transition table below reads and writes the slot *and* its order
+//! entries in a single critical section, each O(1)/O(log n), so whenever
+//! the lock is free the books balance: `ram_used` is the sum over `Ram`
+//! slots, `spilling` the sum over `Spilling` slots, `disk_used` the sum
+//! over the slots that own a spill file, the RAM order's keys are the
+//! `Ram` slots and the disk order's keys the file owners. Debug builds
+//! assert exactly that at the end of every mutating critical section
+//! (`State::check`). An eviction queues its victim's key for the writer
+//! in the critical section that flips the slot to `Spilling`.
 //!
 //! What runs **outside** the lock is everything slow, and only that:
 //! storage fetches, spill-file reads ([`persist::read_validated`]), writes
-//! and deletes, the spill-queue `push` (it can block on a full queue), and
-//! every condvar `notify`. The one thing that outlives a critical section
-//! is a transitional slot owned by the thread doing the I/O: `Busy`
+//! and deletes, an evictor's wait while the `Spilling` backlog exceeds the
+//! RAM tier, and every condvar `notify` but the idle writer's. The one
+//! thing that outlives a critical section is a transitional slot owned by
+//! the thread doing the I/O: `Busy`
 //! (storage fetch, promote or staging read in flight) or `Spilling`
 //! (write queued). Concurrent readers either hit the still-resident bytes
 //! or wait on the `landed` condvar, exactly as they would for a
@@ -61,7 +65,7 @@
 //! rewrite could add: a promote that RAM admits keeps the file and its
 //! place in the disk tier's accounting (`Ram` with a backing), and
 //! evicting that resident flips the slot back to `Disk` where it is
-//! popped — no `Spilling`, no queue order, no CRC, no write. Only a block
+//! popped — no `Spilling`, no spill order, no CRC, no write. Only a block
 //! that has no file (fetched from storage, or its file was reclaimed)
 //! takes the `Spilling` route. When the disk tier runs out of room it
 //! reclaims files that duplicate a RAM resident before it evicts any
@@ -87,11 +91,16 @@
 //!   the spill-file write so concurrent readers keep hitting the bytes
 //!   during the I/O; only after the write lands does the slot become
 //!   `Disk` (dropping the RAM bytes). The write itself happens on the
-//!   dedicated `emlio-cache-spill` writer thread: the evictor enqueues
-//!   the `(key, bytes)` order and returns, so the `Spilling` state is
-//!   also the asynchronous hand-off — the evicting send worker never
-//!   touches disk, and shutdown drains the queue before the final index
-//!   write (see [`crate::spill`]).
+//!   dedicated `emlio-cache-spill` writer thread: the evictor queues the
+//!   key and returns, and the writer takes the bytes from the slot, so
+//!   the `Spilling` state is also the asynchronous hand-off — the
+//!   evicting send worker never touches disk, and shutdown drains the
+//!   queue before the final index write. The backlog is bounded in
+//!   bytes: an evictor that leaves more than `ram_bytes` of `Spilling`
+//!   blocks waits, lock released, until the writer brings it back under.
+//!   `Spilling` bytes are not in `ram_used`, so an eviction never waits
+//!   for a write on the serve path unless the writer is a whole RAM tier
+//!   behind.
 //! * **Spill-file bytes are checked before they are served.** Every read
 //!   of a spill file — demand promote, the prefetch executor's staging
 //!   read, peer `peek`, restart re-admission — goes through
@@ -117,7 +126,6 @@
 use crate::order::NextUseHeap;
 use crate::persist::{self, SpillEntry};
 use crate::prefetch::MAX_IN_FLIGHT;
-use crate::spill::{SpillOrder, SpillQueue};
 use crate::stats::CacheStats;
 use bytes::Bytes;
 use emlio_obs::{obs_warn, Stage, StageRecorder};
@@ -151,11 +159,6 @@ pub struct CacheConfig {
     /// index in `spill_dir` and re-admit valid blocks on construction.
     /// Set via [`CacheConfig::with_persist_dir`]; requires a disk tier.
     pub persist: bool,
-    /// Capacity of the bounded spill-order queue feeding the background
-    /// `emlio-cache-spill` writer thread (at least 1; an evictor that
-    /// finds it full waits for the writer). Only meaningful with a disk
-    /// tier.
-    pub spill_queue: usize,
 }
 
 impl Default for CacheConfig {
@@ -166,7 +169,6 @@ impl Default for CacheConfig {
             spill_dir: None,
             prefetch_depth: 1,
             persist: false,
-            spill_queue: 64,
         }
     }
 }
@@ -218,12 +220,6 @@ impl CacheConfig {
     /// Switch the prefetcher on (non-zero) or off (0).
     pub fn with_prefetch_depth(mut self, depth: usize) -> Self {
         self.prefetch_depth = depth;
-        self
-    }
-
-    /// Override the spill queue capacity (raised to at least 1).
-    pub fn with_spill_queue(mut self, orders: usize) -> Self {
-        self.spill_queue = orders;
         self
     }
 }
@@ -283,7 +279,8 @@ enum Slot {
     /// accounting, so evicting this resident writes nothing. A promoted
     /// block's `Bytes` is a view of that file's mapping.
     Ram(Bytes, Option<DiskMeta>),
-    /// Evicted and queued for the spill writer; bytes still readable.
+    /// Evicted and its key queued for the spill writer, which writes
+    /// these bytes; still readable until the write lands.
     Spilling(Bytes),
     /// Resident in the disk spill tier only.
     Disk(DiskMeta),
@@ -314,11 +311,23 @@ enum Served {
     Disk(DiskMeta),
 }
 
-/// Everything the cache mutates: slots, accounting, plan state and
-/// eviction orders, under the one lock.
+/// Everything the cache mutates: slots, accounting, plan state, eviction
+/// orders and the spill writer's queue, under the one lock.
 struct State {
     slots: HashMap<BlockKey, Slot>,
     ram_used: u64,
+    /// Bytes of the `Spilling` slots: the writer's backlog, which an
+    /// evictor waits on while it exceeds `ram_bytes`. Not part of
+    /// `ram_used`.
+    spilling: u64,
+    /// Keys queued for the spill writer, oldest first: evictions (the slot
+    /// is `Spilling`) and checkpoints (a `Ram` slot without a file). The
+    /// writer reads which of the two it has from the slot.
+    spill_orders: VecDeque<BlockKey>,
+    /// The writer has taken an order and not finished it.
+    writing: bool,
+    /// The handle is dropping: the writer drains the queue, then ends.
+    shutdown: bool,
     /// RAM set aside for prefetch reads in flight. Room is made when the
     /// reservation is taken, so `ram_used + ram_reserved <= ram_bytes`
     /// holds whenever the lock is free.
@@ -482,7 +491,8 @@ impl State {
         if !cfg!(debug_assertions) {
             return;
         }
-        let (mut ram, mut disk, mut residents, mut files, mut backed) = (0, 0, 0, 0, 0);
+        let (mut ram, mut spilling, mut disk) = (0, 0, 0);
+        let (mut residents, mut files, mut backed) = (0, 0, 0);
         for (key, slot) in &self.slots {
             if let Slot::Ram(data, backing) = slot {
                 ram += data.len() as u64;
@@ -490,6 +500,9 @@ impl State {
                 backed += usize::from(backing.is_some());
                 assert_eq!(self.ram_order.size_of(key), Some(data.len() as u64));
                 assert_eq!(self.backed.contains(key), backing.is_some(), "{key:?}");
+            }
+            if let Slot::Spilling(data) = slot {
+                spilling += data.len() as u64;
             }
             if let Some(meta) = slot.file() {
                 disk += meta.len;
@@ -501,7 +514,10 @@ impl State {
                 "{key:?}"
             );
         }
-        assert_eq!((ram, disk), (self.ram_used, self.disk_used));
+        assert_eq!(
+            (ram, spilling, disk),
+            (self.ram_used, self.spilling, self.disk_used)
+        );
         assert_eq!(
             (residents, files, backed),
             (
@@ -531,12 +547,15 @@ pub struct CacheCore {
     /// Signalled on every demand access and whenever a reservation ends
     /// (wakes the prefetcher: the cursor moved, or room came free).
     room: Condvar,
+    /// Signalled when spill orders are queued (wakes the writer), when a
+    /// `Spilling` slot lands (wakes evictors waiting on the backlog) and
+    /// when the writer goes idle (wakes `flush_spills`).
+    spill: Condvar,
     stats: CacheStats,
+    /// Where spill files go; `Some` exactly when there is a disk tier,
+    /// and with it a spill writer.
     spill_dir: Option<PathBuf>,
     owns_spill_dir: bool,
-    /// Bounded order queue feeding the spill writer thread; `None` without
-    /// a disk tier.
-    spill_queue: Option<SpillQueue>,
     /// Stage recorder for `SpillWrite`/`WarmPromote` timings (set once by
     /// the daemon after construction).
     recorder: OnceLock<Arc<StageRecorder>>,
@@ -578,12 +597,13 @@ impl CacheCore {
         if let Some(dir) = &spill_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let spill_queue = spill_dir
-            .is_some()
-            .then(|| SpillQueue::new(config.spill_queue));
         let mut state = State {
             slots: HashMap::new(),
             ram_used: 0,
+            spilling: 0,
+            spill_orders: VecDeque::new(),
+            writing: false,
+            shutdown: false,
             ram_reserved: 0,
             reservations: 0,
             disk_used: 0,
@@ -606,10 +626,10 @@ impl CacheCore {
             state: Mutex::new(state),
             landed: Condvar::new(),
             room: Condvar::new(),
+            spill: Condvar::new(),
             stats,
             spill_dir,
             owns_spill_dir,
-            spill_queue,
             recorder: OnceLock::new(),
             injector: OnceLock::new(),
             config,
@@ -747,19 +767,22 @@ impl CacheCore {
     }
 
     /// Balance the books of a cache whose users have all been joined: once
-    /// the spill queue is flushed the accounting is the sum over the slots,
-    /// both tiers are inside their budgets with nothing reserved, and —
-    /// with a disk tier that takes every block — every eviction ended as a
-    /// spill write, a flip onto its block's file or a counted write failure
-    /// (or fewer: a persistent cache's checkpoints are spills too).
+    /// the spill queue is flushed no block is left `Spilling`, the
+    /// accounting is the sum over the slots, both tiers are inside their
+    /// budgets with nothing reserved, and — with a disk tier that takes
+    /// every block — every eviction ended as a spill write, a flip onto its
+    /// block's file or a counted write failure (or fewer: a persistent
+    /// cache's checkpoints are spills too).
     pub fn check_books(&self) -> Result<(), String> {
         self.flush_spills();
         let (c, s, slots) = (&self.config, self.stats.snapshot(), self.slot_bytes());
         let ((ram, reserved), disk) = (self.ram_budget(), self.disk_bytes_used());
+        let spilling = self.state.lock().spilling;
         let ended = s.spills + s.clean_evictions + s.spill_failures;
         let evictions_ended =
             c.disk_bytes == 0 || s.evictions == ended || (c.persist && s.evictions < ended);
         if (ram, disk) == slots
+            && spilling == 0
             && reserved == 0
             && ram <= c.ram_bytes
             && disk <= c.disk_bytes
@@ -769,7 +792,7 @@ impl CacheCore {
         }
         Err(format!(
             "cache books out of balance: accounting ({ram}, {disk}) vs slots {slots:?}, \
-             {reserved} bytes reserved, {c:?}, {s:?}"
+             {spilling} bytes spilling, {reserved} bytes reserved, {c:?}, {s:?}"
         ))
     }
 
@@ -834,16 +857,17 @@ impl CacheCore {
     /// clobber another thread's single-flight slot nor land beside a
     /// resident.
     pub fn insert(&self, key: BlockKey, data: impl Into<Bytes>) {
-        let mut spills = Vec::new();
-        {
+        let queued = {
             let mut st = self.state.lock();
             if st.slots.contains_key(&key) {
                 return;
             }
-            self.admit(&mut st, key, data.into(), None, false, &mut spills);
+            let orders = st.spill_orders.len();
+            self.admit(&mut st, key, data.into(), None, false);
             st.check(&self.config);
-        }
-        self.enqueue_spills(spills);
+            st.spill_orders.len() > orders
+        };
+        self.hand_off_spills(queued);
     }
 
     /// Demand lookup with single-flight fetch: on a miss, run `fetch` (at
@@ -953,12 +977,11 @@ impl CacheCore {
     /// back the prefetch reservation held for it — in one critical
     /// section: the slot comes out of `Busy` with whatever spill file the
     /// disk tier has left it, RAM admits or declines ([`CacheCore::admit`]),
-    /// and the victims' slots are flipped where they are popped. Only the
-    /// wake-ups and the victims' spill orders happen after it. Returns
-    /// whether RAM admitted.
+    /// and the victims' slots are flipped, and their spill orders queued,
+    /// where they are popped. Only the wake-ups and the hand-off to the
+    /// spill writer happen after it. Returns whether RAM admitted.
     fn land(&self, key: BlockKey, data: Bytes, reserved: Option<u64>) -> bool {
-        let mut spills = Vec::new();
-        let admitted = {
+        let (admitted, queued) = {
             let mut st = self.state.lock();
             if let Some(len) = reserved {
                 st.unreserve(len);
@@ -966,16 +989,17 @@ impl CacheCore {
             let Some(Slot::Busy(file)) = st.slots.remove(&key) else {
                 unreachable!("landing owns the Busy slot");
             };
-            let admitted = self.admit(&mut st, key, data, file, reserved.is_some(), &mut spills);
+            let orders = st.spill_orders.len();
+            let admitted = self.admit(&mut st, key, data, file, reserved.is_some());
             st.check(&self.config);
-            admitted
+            (admitted, st.spill_orders.len() > orders)
         };
         self.landed.notify_all();
         if reserved.is_some() {
             // An in-flight slot and possibly RAM came free.
             self.room.notify_all();
         }
-        self.enqueue_spills(spills);
+        self.hand_off_spills(queued);
         admitted
     }
 
@@ -995,7 +1019,6 @@ impl CacheCore {
         data: Bytes,
         file: Option<DiskMeta>,
         staged: bool,
-        spills: &mut Vec<SpillOrder>,
     ) -> bool {
         let size = data.len() as u64;
         let room = self.config.ram_bytes - st.ram_reserved;
@@ -1017,7 +1040,7 @@ impl CacheCore {
             }
             return false;
         }
-        self.make_room(st, size, None, spills);
+        self.make_room(st, size, None);
         st.track_ram(key, size);
         if file.is_some() {
             st.backed.insert(key);
@@ -1030,19 +1053,14 @@ impl CacheCore {
     /// and the reservations, each where it is popped: a backed resident
     /// flips to `Disk` over the write-once file it already has; anything
     /// else flips to `Spilling` — readable until its write lands — with
-    /// its order pushed onto `spills` for the caller to enqueue once the
-    /// lock is released, or drops when no disk tier can take it. A
-    /// prefetch reservation for plan position `keep_before` leaves alone
-    /// what the plan needs sooner: such a victim goes back into the order
-    /// as its newest arrival (the order offers one only when its rank is
-    /// out of date). The caller has checked that the room can be made.
-    fn make_room(
-        &self,
-        st: &mut State,
-        size: u64,
-        keep_before: Option<u64>,
-        spills: &mut Vec<SpillOrder>,
-    ) {
+    /// its key queued for the spill writer (the caller hands the orders
+    /// off once the lock is released), or drops when no disk tier can take
+    /// it. A prefetch reservation for plan position `keep_before` leaves
+    /// alone what the plan needs sooner: such a victim goes back into the
+    /// order as its newest arrival (the order offers one only when its
+    /// rank is out of date). The caller has checked that the room can be
+    /// made.
+    fn make_room(&self, st: &mut State, size: u64, keep_before: Option<u64>) {
         let mut kept = Vec::new();
         while st.ram_used + st.ram_reserved + size > self.config.ram_bytes {
             let Some((vk, vs)) = st.ram_order.pop_victim() else {
@@ -1066,8 +1084,9 @@ impl CacheCore {
                 }
                 Some(Slot::Ram(data, None)) => {
                     if self.spill_dir.is_some() && vs <= self.config.disk_bytes {
-                        st.slots.insert(vk, Slot::Spilling(data.clone()));
-                        spills.push(SpillOrder { key: vk, data });
+                        st.slots.insert(vk, Slot::Spilling(data));
+                        st.spilling += vs;
+                        self.queue_spill(st, vk);
                     }
                 }
                 _ => unreachable!("the RAM order ranks Ram slots only"),
@@ -1079,39 +1098,34 @@ impl CacheCore {
         }
     }
 
-    /// Hand evicted blocks to the spill writer, lock released. Shutdown
-    /// starts only once the writer is the core's last holder, and the
-    /// writer never spills: nobody is left to be refused — if someone is,
-    /// the block drops to absent.
-    fn enqueue_spills(&self, spills: Vec<SpillOrder>) {
-        for order in spills {
-            let key = order.key;
-            if !self.enqueue_spill(order) {
-                let mut st = self.state.lock();
-                if matches!(st.slots.get(&key), Some(Slot::Spilling(_))) {
-                    st.slots.remove(&key);
-                }
-                st.check(&self.config);
-            }
-        }
-    }
-
-    /// Hand one order to the spill writer, waiting while its queue is
-    /// full. Returns whether the order was taken (not after shutdown).
-    fn enqueue_spill(&self, order: SpillOrder) -> bool {
-        let queue = self.spill_queue.as_ref().expect("disk tier implies queue");
-        let Some((waits, depth)) = queue.push(order) else {
-            return false;
-        };
-        if waits > 0 {
-            self.stats
-                .spill_backpressure_waits
-                .fetch_add(waits, Ordering::Relaxed);
-        }
+    /// Queue `key` for the spill writer, under the lock.
+    fn queue_spill(&self, st: &mut State, key: BlockKey) {
+        st.spill_orders.push_back(key);
+        let depth = st.spill_orders.len() as u64 + u64::from(st.writing);
         self.stats
             .spill_queue_peak
             .fetch_max(depth, Ordering::Relaxed);
-        true
+    }
+
+    /// Hand the orders a critical section `queued` to the spill writer,
+    /// lock released: wake it, then wait while the `Spilling` backlog is
+    /// more than the RAM tier. So at most `ram_bytes` of evicted blocks,
+    /// plus the victims of the evictors parked here, wait for the disk —
+    /// whatever their number or size.
+    fn hand_off_spills(&self, queued: bool) {
+        if !queued {
+            return;
+        }
+        self.spill.notify_all();
+        let mut st = self.state.lock();
+        if st.spilling > self.config.ram_bytes {
+            self.stats
+                .spill_backpressure_waits
+                .fetch_add(1, Ordering::Relaxed);
+            while st.spilling > self.config.ram_bytes {
+                self.spill.wait(&mut st);
+            }
+        }
     }
 
     /// Make `size` bytes of disk-tier room under the lock, returning the
@@ -1151,32 +1165,51 @@ impl CacheCore {
         files
     }
 
-    /// Perform a spill order: make the disk room, write the file, and
-    /// land the transition — `Spilling → Disk` for an evicted block,
-    /// `Ram → Ram+file` for a resident a checkpoint backs. Runs on the
-    /// one writer thread, the only place the disk tier grows, so the room
-    /// made before the write is still there when it lands; the lock is
-    /// never held across the file I/O. The writer never spills
+    /// The spill writer's next order, waiting for one; `None` once the
+    /// handle is dropping and the queue is drained, which ends the writer.
+    /// Taking an order finishes the one before it: a writer that finds
+    /// the queue empty is idle, and wakes `flush_spills`.
+    fn next_spill(&self) -> Option<BlockKey> {
+        let mut st = self.state.lock();
+        st.writing = false;
+        while st.spill_orders.is_empty() && !st.shutdown {
+            self.spill.notify_all();
+            self.spill.wait(&mut st);
+        }
+        let key = st.spill_orders.pop_front()?;
+        st.writing = true;
+        Some(key)
+    }
+
+    /// Perform the spill order for `key`: make the disk room, write the
+    /// slot's bytes, and land the transition — `Spilling → Disk` for an
+    /// evicted block, `Ram → Ram+file` for a resident a checkpoint backs.
+    /// Runs on the one writer thread, the only place the disk tier grows,
+    /// so the room made before the write is still there when it lands; the
+    /// lock is never held across the file I/O. The writer never spills
     /// recursively — disk-tier overflow only *drops* disk victims.
-    fn finish_spill(&self, order: SpillOrder) {
-        let SpillOrder { key, data } = order;
-        let size = data.len() as u64;
-        let reclaimed = {
+    fn finish_spill(&self, key: BlockKey) {
+        let (data, reclaimed) = {
             let mut st = self.state.lock();
             // Which of the two it is, the slot says: an eviction makes its
             // room out of disk victims, a checkpoint takes spare room or
             // leaves it. Anything else has its file already or is gone —
             // an eviction and a checkpoint of the same block crossed in
             // the queue.
-            match st.slots.get(&key) {
-                Some(Slot::Spilling(_)) => {}
-                Some(Slot::Ram(_, None)) if st.disk_used + size <= self.config.disk_bytes => {}
+            let data = match st.slots.get(&key) {
+                Some(Slot::Spilling(data)) => data.clone(),
+                Some(Slot::Ram(data, None))
+                    if st.disk_used + data.len() as u64 <= self.config.disk_bytes =>
+                {
+                    data.clone()
+                }
                 _ => return,
-            }
-            let reclaimed = self.make_disk_room(&mut st, size);
+            };
+            let reclaimed = self.make_disk_room(&mut st, data.len() as u64);
             st.check(&self.config);
-            reclaimed
+            (data, reclaimed)
         };
+        let size = data.len() as u64;
         for meta in reclaimed {
             let _ = std::fs::remove_file(&meta.path);
         }
@@ -1242,7 +1275,11 @@ impl CacheCore {
             // A queued block stays `Spilling`; a resident a checkpoint is
             // backing may have been evicted under the write, and then its
             // order is queued behind this one and finds the file there.
-            let (landed, orphan) = match (st.slots.remove(&key), meta) {
+            let slot = st.slots.remove(&key);
+            if let Some(Slot::Spilling(_)) = slot {
+                st.spilling -= size;
+            }
+            let (landed, orphan) = match (slot, meta) {
                 (Some(Slot::Spilling(_)), Some(meta)) => {
                     st.track_file(key, size);
                     (Some(Slot::Disk(meta)), None)
@@ -1264,52 +1301,50 @@ impl CacheCore {
             st.check(&self.config);
             orphan
         };
+        // The backlog may have shrunk: wake the evictors waiting on it.
+        self.spill.notify_all();
         if let Some(meta) = orphan {
             let _ = std::fs::remove_file(&meta.path);
         }
     }
 
     /// Block until every queued spill order has been fully written (the
-    /// `Spilling → Disk` transitions landed); a no-op without a disk tier.
-    /// Tests and checkpoints use this to observe a settled tier.
+    /// `Spilling → Disk` transitions landed); returns at once without a
+    /// disk tier. Tests and checkpoints use this to observe a settled
+    /// tier.
     pub fn flush_spills(&self) {
-        if let Some(queue) = &self.spill_queue {
-            queue.flush();
+        let mut st = self.state.lock();
+        while !st.spill_orders.is_empty() || st.writing {
+            self.spill.wait(&mut st);
         }
     }
 
     /// Spill orders queued or in flight right now (gauge).
     pub fn spill_queue_depth(&self) -> u64 {
-        self.spill_queue.as_ref().map_or(0, |q| q.depth())
+        let st = self.state.lock();
+        st.spill_orders.len() as u64 + u64::from(st.writing)
     }
 
-    /// Checkpoint the cache for a restart (persistent caches only): drain
-    /// the spill queue, hand every RAM resident that has no spill file yet
-    /// to the spill writer — which backs it if the disk tier has the spare
-    /// capacity, never at the cost of another block's file — drain again,
-    /// and write the spill index of the live tier. Returns how many blocks
-    /// the index covers. A non-persistent cache returns 0.
+    /// Checkpoint the cache for a restart (persistent caches only): queue
+    /// every RAM resident that has no spill file yet for the spill writer,
+    /// behind the orders already queued — it backs each if the disk tier
+    /// has the spare capacity, never at the cost of another block's file —
+    /// wait for the queue to drain, and write the spill index of the live
+    /// tier. Returns how many blocks the index covers. A non-persistent
+    /// cache returns 0.
     pub fn persist_now(&self) -> io::Result<u64> {
         if !self.config.persist {
             return Ok(0);
         }
-        // Queued spill orders are part of the state a checkpoint saves.
-        self.flush_spills();
-        let mut unbacked: Vec<SpillOrder> = {
-            let st = self.state.lock();
-            let orders = st.slots.iter().filter_map(|(k, slot)| match slot {
-                Slot::Ram(data, None) => Some(SpillOrder {
-                    key: *k,
-                    data: data.clone(),
-                }),
-                _ => None,
-            });
-            orders.collect()
-        };
-        unbacked.sort_unstable_by_key(|order| order.key);
-        for order in unbacked {
-            self.enqueue_spill(order);
+        // A resident evicted in between is queued twice; its second order
+        // finds the slot moved on.
+        let unbacked = self.keys_where(|slot| matches!(slot, Slot::Ram(_, None)));
+        let mut st = self.state.lock();
+        for key in unbacked {
+            self.queue_spill(&mut st, key);
         }
+        drop(st);
+        self.spill.notify_all();
         self.flush_spills();
         let files = live_files(&self.state.lock());
         self.write_index(&files)?;
@@ -1351,7 +1386,6 @@ impl CacheCore {
         len: u64,
         stop: &AtomicBool,
     ) -> Issue<'_> {
-        let mut spills = Vec::new();
         let mut st = self.state.lock();
         let (len, file) = loop {
             if stop.load(Ordering::SeqCst) {
@@ -1377,13 +1411,15 @@ impl CacheCore {
             }
             self.room.wait(&mut st);
         };
-        self.make_room(&mut st, len, Some(pos), &mut spills);
+        let orders = st.spill_orders.len();
+        self.make_room(&mut st, len, Some(pos));
         st.ram_reserved += len;
         st.reservations += 1;
         st.slots.insert(*key, Slot::Busy(file.clone()));
         st.check(&self.config);
+        let queued = st.spill_orders.len() > orders;
         drop(st);
-        self.enqueue_spills(spills);
+        self.hand_off_spills(queued);
         Issue::Read(Reservation {
             cache: self,
             key: *key,
@@ -1556,8 +1592,8 @@ impl Drop for CacheCore {
 /// [`ShardCache::new`] are [`CacheCore`]'s, reached through `Deref`.
 ///
 /// With a disk tier, a dedicated `emlio-cache-spill` writer thread owns
-/// every spill-file write: evictors flip the slot to `Spilling` and
-/// enqueue, keeping disk I/O off the serve path — or, when the block's
+/// every spill-file write: evictors flip the slot to `Spilling` and queue
+/// its key, keeping disk I/O off the serve path — or, when the block's
 /// write-once spill file is already there, flip it straight to
 /// disk-resident and write nothing. Dropping the handle shuts the queue
 /// down, drains it (every queued order still lands on disk), joins the
@@ -1576,13 +1612,11 @@ impl ShardCache {
     /// the disk tier. A disk tier also gets its spill writer thread.
     pub fn new(config: CacheConfig) -> io::Result<ShardCache> {
         let core = Arc::new(CacheCore::new(config)?);
-        let writer = if core.spill_queue.is_some() {
+        let writer = if core.spill_dir.is_some() {
             let core = core.clone();
             let run = move || {
-                let queue = core.spill_queue.as_ref().expect("checked above");
-                while let Some(order) = queue.pop() {
-                    core.finish_spill(order);
-                    queue.done();
+                while let Some(key) = core.next_spill() {
+                    core.finish_spill(key);
                 }
             };
             Some(
@@ -1608,9 +1642,8 @@ impl std::ops::Deref for ShardCache {
 impl Drop for ShardCache {
     fn drop(&mut self) {
         if let Some(writer) = self.writer.take() {
-            if let Some(queue) = &self.core.spill_queue {
-                queue.shutdown();
-            }
+            self.core.state.lock().shutdown = true;
+            self.core.spill.notify_all();
             // The writer drains every queued order before exiting, so the
             // core's Drop (persistence / cleanup) sees a complete tier.
             let _ = writer.join();
@@ -2010,6 +2043,37 @@ mod tests {
         let s = cache.stats().snapshot();
         assert_eq!(s.disk_hits, 1);
         assert!(cache.contains(&key(0)));
+    }
+
+    #[test]
+    fn a_stalled_writer_holds_at_most_one_ram_tier_of_evicted_bytes() {
+        use emlio_util::fault::{site, FaultInjector, FaultPlan, FaultSpec};
+        // RAM for two blocks over a disk tier for all of them, and a
+        // writer that takes 100 ms per file: the evictor outruns it, and
+        // waits once the blocks still `Spilling` are more than the RAM
+        // tier — at most two blocks queued and the one being written.
+        let dir = TempDir::new("cache-spill-backlog");
+        let cache = ShardCache::new(
+            CacheConfig::default()
+                .with_ram_bytes(200)
+                .with_disk_bytes(10_000)
+                .with_spill_dir(dir.path().to_path_buf())
+                .with_prefetch_depth(0),
+        )
+        .unwrap();
+        cache.set_fault_injector(FaultInjector::new(FaultPlan::new(1).with_site(
+            site::SPILL_WRITE,
+            FaultSpec::latency(1.0, std::time::Duration::from_millis(100)),
+        )));
+        for i in 0..8 {
+            cache.insert(key(i), block(i, 100));
+        }
+        cache.flush_spills();
+        let s = cache.stats().snapshot();
+        assert_eq!((s.evictions, s.spills), (6, 6), "{s:?}");
+        assert!(s.spill_queue_peak <= 3, "{s:?}");
+        assert!(s.spill_backpressure_waits > 0, "{s:?}");
+        cache.check_books().unwrap();
     }
 
     #[test]

@@ -8,10 +8,13 @@
 //!
 //! * [`ShardCache`] — a two-tier cache: a bounded RAM tier plus an optional
 //!   bounded local-disk spill tier, keyed by [`BlockKey`] (shard id +
-//!   record range). One lock guards the residency map, the accounting
-//!   and an incrementally-maintained eviction order per tier (a next-use
-//!   heap, see [`order`]), so every slot transition is one short critical
-//!   section; storage fetches and spill/promote file I/O run outside it.
+//!   record range). One lock guards the residency map, the accounting,
+//!   an incrementally-maintained eviction order per tier (a next-use
+//!   heap, see [`order`]) and the spill writer's queue, so every slot
+//!   transition is one short critical section — an eviction queues its
+//!   victim's key for the writer in the one that flips the slot — and
+//!   storage fetches and spill/promote file I/O run outside it. The
+//!   blocks waiting for the writer are bounded in bytes, by the RAM tier.
 //!   Lookups are single-flight: concurrent requests for the same missing
 //!   block coalesce onto one storage read.
 //!   The disk tier is inclusive and its files write-once: a block
@@ -60,7 +63,6 @@ pub mod persist;
 pub mod prefetch;
 pub mod reader;
 pub mod source;
-pub mod spill;
 pub mod stats;
 
 pub use cache::{CacheConfig, CacheCore, EvictPolicy, Fetched, ShardCache};

@@ -41,10 +41,12 @@ pub struct CacheStats {
     /// Spill-file writes that failed; the block dropped to absent (demand
     /// will re-fetch it from storage).
     pub spill_failures: AtomicU64,
-    /// Times an evictor blocked on a full spill queue, waiting for the
-    /// writer.
+    /// Times an evictor waited on the spill backlog: it left more bytes
+    /// `Spilling` than the RAM tier holds, and waited for the writer to
+    /// bring them back under.
     pub spill_backpressure_waits: AtomicU64,
-    /// High-water mark of the spill queue depth (orders queued at once).
+    /// High-water mark of the spill queue depth (orders queued or in
+    /// flight at once).
     pub spill_queue_peak: AtomicU64,
     /// Disk-tier blocks the prefetch executor staged into RAM ahead of
     /// demand (a subset of `prefetched`; never a hit or a disk hit).
@@ -98,7 +100,7 @@ pub struct CacheStatsSnapshot {
     pub bytes_saved: u64,
     /// Spill-file writes that failed (block dropped to absent).
     pub spill_failures: u64,
-    /// Evictor waits on a full spill queue.
+    /// Evictor waits on a spill backlog larger than the RAM tier.
     pub spill_backpressure_waits: u64,
     /// High-water mark of the spill queue depth.
     pub spill_queue_peak: u64,

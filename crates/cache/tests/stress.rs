@@ -228,10 +228,10 @@ fn stress_backed_evictions_race_disk_evictions() {
             CacheConfig::default()
                 .with_ram_bytes(ram)
                 .with_disk_bytes(disk)
-                // A short queue: `Spilling` blocks are readable, so a
-                // long one would be 64 more blocks of cache and the
-                // disk tier would only overflow in the final flush.
-                .with_spill_queue(4)
+                // `Spilling` blocks are readable, so the writer's backlog
+                // is more cache: at most the 16-block RAM tier of it, so
+                // the disk tier still overflows under the threads, not
+                // only in the final flush.
                 .with_prefetch_depth(0),
         )
         .unwrap(),
@@ -320,8 +320,7 @@ fn stress_executor_stages_from_disk_beside_demand_promotes_and_peeks() {
                 CacheConfig::default()
                     .with_ram_bytes(ram)
                     .with_disk_bytes(disk)
-                    .with_persist_dir(dir.path().to_path_buf())
-                    .with_spill_queue(4),
+                    .with_persist_dir(dir.path().to_path_buf()),
             )
             .unwrap(),
         );

@@ -27,9 +27,7 @@ use crate::pool::BufferPool;
 use crate::stack::{ReadStack, StackSpec};
 use crate::wire;
 use bytes::Bytes;
-use emlio_cache::{
-    BlockKey, CachedRangeReader, CachedSource, PeerSource, Prefetcher, ReadOrigin, ShardCache,
-};
+use emlio_cache::{BlockKey, CachedRangeReader, CachedSource, PeerSource, Prefetcher, ShardCache};
 use emlio_obs::{clock, obs_error, BatchTrace, FlightRecorder, Stage, StageRecorder};
 use emlio_tfrecord::source::{BlockRead, RangeSource};
 use emlio_tfrecord::{GlobalIndex, RecordError};
@@ -471,13 +469,6 @@ impl EmlioDaemon {
             start: range.start,
             end: range.end,
         })?;
-        match read.origin {
-            ReadOrigin::Cache => self.metrics.record_cache_hit(read.bytes),
-            ReadOrigin::CacheMiss => self.metrics.record_cache_miss(),
-            // Storage-read time is accounted by the metered stack layer;
-            // peer fetches by the peer layer's own stats.
-            ReadOrigin::Direct | ReadOrigin::Peer => {}
-        }
 
         // A block truncated exactly on a record boundary (storage fault,
         // short read) decodes cleanly to *fewer* records than planned;

@@ -30,6 +30,9 @@ impl StackCounters {
         if let Some(cache) = &self.cache {
             let c = cache.stats().snapshot();
             s.cache_enabled = true;
+            s.cache_hits = c.hits;
+            s.cache_misses = c.misses;
+            s.cache_bytes_saved = c.bytes_saved;
             s.cache_evictions = c.evictions;
             s.cache_disk_hits = c.disk_hits;
             s.cache_readmitted = c.readmitted;
@@ -80,13 +83,6 @@ pub struct DataPathMetrics {
     /// Positioned storage reads actually issued (demand misses plus
     /// prefetches; every batch when no cache is configured).
     pub storage_reads: AtomicU64,
-    /// Batch reads served from the shard cache.
-    pub cache_hits: AtomicU64,
-    /// Batch reads that missed the shard cache (0 ⇒ cache disabled or
-    /// perfectly warm).
-    pub cache_misses: AtomicU64,
-    /// Storage bytes *not* re-read thanks to cache hits.
-    pub cache_bytes_saved: AtomicU64,
     /// Nanoseconds send workers spent blocked on a full socket queue.
     pub send_blocked_nanos: AtomicU64,
     /// Wall-clock nanoseconds of the most recent `serve()` call.
@@ -142,18 +138,6 @@ impl DataPathMetrics {
         self.add_read_nanos(nanos);
     }
 
-    /// Record a batch read served from the cache, saving `bytes` of
-    /// storage traffic.
-    pub fn record_cache_hit(&self, bytes: u64) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.cache_bytes_saved.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Record a batch read that missed the cache.
-    pub fn record_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Add time a send worker spent blocked on a full socket queue.
     pub fn add_send_blocked_nanos(&self, nanos: u64) {
         self.send_blocked_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -175,9 +159,6 @@ impl DataPathMetrics {
             read_nanos: self.read_nanos.load(Ordering::Relaxed),
             codec_nanos: self.codec_nanos.load(Ordering::Relaxed),
             storage_reads: self.storage_reads.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_bytes_saved: self.cache_bytes_saved.load(Ordering::Relaxed),
             send_blocked_nanos: self.send_blocked_nanos.load(Ordering::Relaxed),
             serve_wall_nanos: self.serve_wall_nanos.load(Ordering::Relaxed),
             serve_workers: self.serve_workers.load(Ordering::Relaxed),
@@ -205,9 +186,10 @@ pub struct MetricsSnapshot {
     pub codec_nanos: u64,
     /// Positioned storage reads issued.
     pub storage_reads: u64,
-    /// Batch reads served from the shard cache.
+    /// Batch reads served from the shard cache (its own demand-hit count).
     pub cache_hits: u64,
-    /// Batch reads that missed the shard cache.
+    /// Batch reads that missed the shard cache (its own demand-miss
+    /// count): a miss whose storage fetch then failed counts too.
     pub cache_misses: u64,
     /// Blocks evicted from the cache RAM tier.
     pub cache_evictions: u64,
@@ -227,7 +209,7 @@ pub struct MetricsSnapshot {
     pub cache_spill_failures: u64,
     /// Spill orders queued or in flight on the background writer (gauge).
     pub cache_spill_queue_depth: u64,
-    /// Times an evictor waited on a full spill queue.
+    /// Times an evictor waited on a spill backlog larger than the RAM tier.
     pub cache_spill_backpressure: u64,
     /// Disk blocks the cache's prefetch executor staged into RAM.
     pub cache_warm_promoted: u64,
@@ -378,20 +360,17 @@ mod tests {
         let m = over(Some(cache.clone()), None, None);
         assert_eq!(m.snapshot().cache_hit_rate(), None, "no traffic yet");
         assert!(m.snapshot().cache_summary().contains("no traffic"));
-        m.record_cache_hit(4096);
-        m.record_cache_hit(4096);
-        m.record_cache_miss();
+        // An enabled cache with only misses reports 0%, not disabled.
+        cache.stats().misses.store(1, Ordering::Relaxed);
+        assert_eq!(m.snapshot().cache_hit_rate(), Some(0.0));
+        cache.stats().hits.store(2, Ordering::Relaxed);
+        cache.stats().bytes_saved.store(8192, Ordering::Relaxed);
         cache.stats().evictions.store(5, Ordering::Relaxed);
         let s = m.snapshot();
         assert_eq!((s.cache_hits, s.cache_misses, s.cache_evictions), (2, 1, 5));
         assert_eq!(s.cache_bytes_saved, 8192);
         assert!((s.cache_hit_rate().unwrap() - 2.0 / 3.0).abs() < 1e-12);
         assert!(s.cache_summary().contains("66.7% hit rate"));
-
-        // An enabled cache with only misses reports 0%, not disabled.
-        let cold = over(Some(cache), None, None);
-        cold.record_cache_miss();
-        assert_eq!(cold.snapshot().cache_hit_rate(), Some(0.0));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
 //! emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
 //!                [--cache-mb MB] [--cache-disk-mb MB] [--cache-persist DIR]
-//!                [--prefetch 0|1] [--spill-queue N]
+//!                [--prefetch 0|1]
 //! emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
 //! emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB] [...]
 //! emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablations]
@@ -23,9 +23,7 @@
 //! block cache (`emlio-cache`) so repeated epochs are served from memory;
 //! `--cache-persist DIR` keeps the disk spill tier (CRC-validated) across
 //! daemon restarts. Eviction follows the epoch plan (the block needed
-//! furthest in the future goes first). `--spill-queue` sizes the
-//! background spill writer's order queue (at least 1; an evictor that
-//! finds it full waits for the writer). `--prefetch 0` switches the
+//! furthest in the future goes first). `--prefetch 0` switches the
 //! plan-ahead prefetcher off, `1` (the default) on (how far it
 //! runs ahead is set by `--cache-mb`); it fills free RAM from the disk
 //! tier as well as from storage, so a restarted persistent cache needs no
@@ -119,7 +117,6 @@ const CONFIG_FLAGS: &[&str] = &[
     "cache-disk-mb",
     "cache-persist",
     "prefetch",
-    "spill-queue",
 ];
 /// What [`MetricsFile::spawn`] reads (daemon, receive and bench-io).
 const METRICS_FLAGS: &[&str] = &["metrics-out", "sample-ms"];
@@ -131,7 +128,7 @@ USAGE:
   emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
   emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
                  [--cache-mb MB] [--cache-disk-mb MB] [--cache-persist DIR]
-                 [--prefetch 0|1] [--spill-queue N]
+                 [--prefetch 0|1]
   emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
   emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB]
                  [--peer-fleet N] [--peer-timeout-ms MS] [...]
@@ -315,25 +312,16 @@ fn config_from(flags: &HashMap<String, String>) -> Result<EmlioConfig, String> {
             }
             disk_mb = cache_mb;
         }
-        let spill_queue = get_num(flags, "spill-queue", 64usize)?;
-        if spill_queue == 0 {
-            return Err(
-                "--spill-queue 0: the queue needs at least one slot (0 used to select \
-                 synchronous spills, which are gone: a disk tier always has its writer thread)"
-                    .into(),
-            );
-        }
         let mut cache = CacheConfig::default()
             .with_ram_bytes(cache_mb << 20)
             .with_disk_bytes(disk_mb << 20)
-            .with_prefetch_depth(prefetch)
-            .with_spill_queue(spill_queue);
+            .with_prefetch_depth(prefetch);
         if let Some(dir) = persist_dir {
             cache = cache.with_persist_dir(dir.into());
         }
         config = config.with_cache(cache);
     } else {
-        for flag in ["cache-persist", "cache-disk-mb", "prefetch", "spill-queue"] {
+        for flag in ["cache-persist", "cache-disk-mb", "prefetch"] {
             if flags.contains_key(flag) {
                 return Err(format!("--{flag} requires --cache-mb to enable the cache"));
             }
@@ -685,6 +673,7 @@ mod tests {
             ("--prefetch-staging", "0"),
             ("--cache-policy", "lru"),
             ("--warm-start", "32"),
+            ("--spill-queue", "8"),
         ] {
             for cmd in ["daemon", "bench-io"] {
                 let err = run(&line(&[
@@ -700,17 +689,6 @@ mod tests {
                 assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
             }
         }
-    }
-
-    #[test]
-    fn spill_queue_zero_is_rejected() {
-        let words = ["--cache-mb", "64", "--cache-disk-mb", "64", "--spill-queue"];
-        let err = bench_io_config(&[&words[..], &["0"]].concat()).unwrap_err();
-        assert!(err.contains("--spill-queue 0"), "{err}");
-        let config = bench_io_config(&[&words[..], &["3"]].concat()).unwrap();
-        assert_eq!(config.cache.unwrap().spill_queue, 3);
-        let err = bench_io_config(&["--spill-queue", "8"]).unwrap_err();
-        assert!(err.contains("--spill-queue requires --cache-mb"), "{err}");
     }
 
     #[test]

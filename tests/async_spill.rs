@@ -48,7 +48,7 @@ fn settled_stats(cache: &ShardCache) -> CacheStatsSnapshot {
 
 /// Under demand eviction pressure from multiple "send worker" threads,
 /// every spill-file write happens on the background writer thread — the
-/// workers only enqueue and move on, so disk I/O never rides the serve
+/// workers only queue a key and move on, so disk I/O never rides the serve
 /// path. The writer is the one place a `spill_write` stage sample is
 /// taken, once per write attempt: the samples account for every spill.
 #[test]
@@ -60,8 +60,7 @@ fn send_workers_never_spill_inline() {
                 .with_ram_bytes((4 * BLOCK) as u64)
                 .with_disk_bytes((256 * BLOCK) as u64)
                 .with_spill_dir(dir.path().to_path_buf())
-                .with_prefetch_depth(0)
-                .with_spill_queue(64),
+                .with_prefetch_depth(0),
         )
         .expect("cache"),
     );
@@ -107,8 +106,7 @@ fn shutdown_drains_queue_and_index_round_trips() {
         .with_ram_bytes((2 * BLOCK) as u64)
         .with_disk_bytes((64 * BLOCK) as u64)
         .with_persist_dir(dir.path().to_path_buf())
-        .with_prefetch_depth(0)
-        .with_spill_queue(64);
+        .with_prefetch_depth(0);
 
     const N: usize = 12;
     {
@@ -242,8 +240,7 @@ fn failed_spill_write_keeps_block_servable() {
             .with_ram_bytes((2 * BLOCK) as u64)
             .with_disk_bytes((64 * BLOCK) as u64)
             .with_spill_dir(spill_dir.clone())
-            .with_prefetch_depth(0)
-            .with_spill_queue(16),
+            .with_prefetch_depth(0),
     )
     .expect("cache");
 

@@ -215,8 +215,8 @@ fn mid_serve_snapshot_sees_off_path_counters_move() {
     let dir = TempDir::new("stack-mid-serve");
     dataset(&dir, 96);
     // A RAM tier of a block or two over a disk tier, and a spill writer
-    // slowed to 2 ms per file behind a short queue: evictions back up
-    // behind it for as long as the serve lasts.
+    // slowed to 2 ms per file: evictions back up behind it, up to a RAM
+    // tier of them, for as long as the serve lasts.
     let config = EmlioConfig::default()
         .with_batch_size(4)
         .with_threads(2)
@@ -224,8 +224,7 @@ fn mid_serve_snapshot_sees_off_path_counters_move() {
         .with_cache(
             CacheConfig::default()
                 .with_ram_bytes(48 << 10)
-                .with_disk_bytes(16 << 20)
-                .with_spill_queue(4),
+                .with_disk_bytes(16 << 20),
         );
     let slow_spills = FaultInjector::new(FaultPlan::new(1).with_site(
         site::SPILL_WRITE,
