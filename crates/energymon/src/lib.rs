@@ -1,40 +1,42 @@
 //! `emlio-energymon` — the distributed energy-measurement framework of §3.
 //!
-//! This is a faithful implementation of the paper's `EnergyMonitor`
-//! (Algorithm 1 and Figure 2):
+//! This is the paper's `EnergyMonitor` (Algorithm 1 and Figure 2):
 //!
-//! * per-node **CPU/DRAM** and **GPU sampler threads**, aligned on a barrier
-//!   so every sampling instant `t_k` yields a coherent cross-component energy
-//!   tuple, at the paper's δ = 100 ms;
-//! * an **Accumulator** that merges per-component queues by `t_k` and
-//!   **linearly interpolates** missed intervals, keeping the series gapless
-//!   ([`accumulator::StreamMerger`] is the pure, unit-testable core);
-//! * a **Batch Writer** that tags tuples with the node id and writes batches
-//!   of up to `N` points to the TSDB (`emlio-tsdb` standing in for
-//!   InfluxDB);
+//! * per node, one tuple per sampling interval δ (the paper's 100 ms),
+//!   holding the joules of CPU packages, DRAM and, on a GPU node, the GPU,
+//!   read at one instant so the tuple is coherent across components;
+//! * tuples tagged with the node id and written to the TSDB in batches of
+//!   up to `N` points (`emlio-tsdb` standing in for InfluxDB);
 //! * tuples are stamped by the process clock (`emlio_obs::clock`, through
 //!   the monitor's `RealClock` handle) that also stamps every trace and
 //!   stage histogram, standing in for NTP alignment: post-hoc interval
 //!   queries over two stamps of that clock (an epoch's start and end)
-//!   aggregate each node's energy as in the paper.
+//!   sum each node's energy as in the paper.
+//!
+//! **One thread per node.** The paper runs a sampler thread per component,
+//! aligned on a barrier, plus an accumulator that interpolates missed
+//! intervals and a batch writer, because its counter reads block: `perf
+//! stat … sleep δ` for the whole interval, NVML reads beside it. Our read
+//! returns at once, so one thread reads every component at one instant,
+//! which is the coherent tuple the barrier exists to align. Each tuple is
+//! stamped at the start of its interval and charged with the interval it
+//! actually measured, so consecutive tuples tile the timeline and there is
+//! no hole to interpolate.
 //!
 //! **Counter substitution.** `perf stat -e power/energy-pkg/` and NVML are
-//! not available in this environment, so the lowest-level read is a
-//! [`power::PowerSource`]: either a calibrated utilization×power model
-//! (driven by live [`power::UtilProbe`]s) or a
-//! `/proc/stat`-based CPU source for real runs. Everything above that read —
-//! threads, barrier, queues, interpolation, batching, tagging, queries — is
-//! the paper's machinery.
+//! not available in this environment, so the lowest-level read is
+//! [`power::ModelPower`]: a calibrated utilization×power model driven by a
+//! live [`power::UtilProbe`] (`/proc/stat`-based for real runs).
+//! Everything above that read — the sampling loop, batching, tagging,
+//! queries — is the paper's machinery.
 
-pub mod accumulator;
 pub mod monitor;
 pub mod power;
 pub mod report;
 pub mod savings;
 
-pub use accumulator::StreamMerger;
 pub use monitor::{EnergyMonitor, MonitorConfig};
-pub use power::{ComponentPower, ModelPower, NodePower, PowerSource, UtilProbe, Utilization};
+pub use power::{ComponentPower, ModelPower, NodePower, UtilProbe, Utilization};
 pub use report::EnergyBreakdown;
 pub use savings::{cache_savings, peer_savings, IoSavings, DEFAULT_STORAGE_IO_WATTS};
 

@@ -1,4 +1,5 @@
-//! Power sources: the lowest-level counter read under the sampler threads.
+//! The lowest-level counter read under the monitor: a utilization×power
+//! model over a live utilization probe.
 
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -69,18 +70,21 @@ pub struct NodePower {
     pub gpu: Option<ComponentPower>,
 }
 
-/// The counter abstraction the samplers call — equivalent to running
-/// `perf stat -e power/energy-pkg/,power/energy-ram/ sleep δ` (CPU/DRAM) and
-/// summing NVML power reads (GPU) over the interval.
-pub trait PowerSource: Send + Sync {
-    /// Joules consumed by (CPU packages, DRAM) over the last `dt_secs`.
-    fn sample_cpu_dram(&self, dt_secs: f64) -> (f64, f64);
-    /// Joules consumed by the GPU over the last `dt_secs`; `None` if the
-    /// node has no GPU (the paper's storage nodes).
-    fn sample_gpu(&self, dt_secs: f64) -> Option<f64>;
+/// Joules each component drew over one interval.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Joules {
+    /// CPU packages.
+    pub cpu: f64,
+    /// DRAM.
+    pub dram: f64,
+    /// GPU; `None` on a node without one (the paper's storage nodes).
+    pub gpu: Option<f64>,
 }
 
-/// Utilization×power model source.
+/// The node's energy counters: a utilization×power model over a probe.
+/// One [`ModelPower::sample`] stands in for `perf stat -e
+/// power/energy-pkg/,power/energy-ram/ sleep δ` (CPU/DRAM) and the NVML
+/// power reads summed over the same interval (GPU).
 pub struct ModelPower {
     power: NodePower,
     probe: Arc<dyn UtilProbe>,
@@ -91,21 +95,17 @@ impl ModelPower {
     pub fn new(power: NodePower, probe: Arc<dyn UtilProbe>) -> ModelPower {
         ModelPower { power, probe }
     }
-}
 
-impl PowerSource for ModelPower {
-    fn sample_cpu_dram(&self, dt_secs: f64) -> (f64, f64) {
+    /// Joules every component drew over the last `dt_secs`, from one read
+    /// of the probe: a probe that reports the interval since its previous
+    /// read would see an empty interval on a second one.
+    pub fn sample(&self, dt_secs: f64) -> Joules {
         let u = self.probe.utilization();
-        (
-            self.power.cpu.watts(u.cpu) * dt_secs,
-            self.power.dram.watts(u.dram) * dt_secs,
-        )
-    }
-
-    fn sample_gpu(&self, dt_secs: f64) -> Option<f64> {
-        let gpu = self.power.gpu?;
-        let u = self.probe.utilization();
-        Some(gpu.watts(u.gpu) * dt_secs)
+        Joules {
+            cpu: self.power.cpu.watts(u.cpu) * dt_secs,
+            dram: self.power.dram.watts(u.dram) * dt_secs,
+            gpu: self.power.gpu.map(|g| g.watts(u.gpu) * dt_secs),
+        }
     }
 }
 
@@ -204,12 +204,10 @@ mod tests {
             dram: 0.0,
             gpu: 0.5,
         }));
-        let src = ModelPower::new(node(), probe);
-        let (cpu_j, dram_j) = src.sample_cpu_dram(0.1);
-        assert!((cpu_j - 25.0).abs() < 1e-9, "250W × 0.1s");
-        assert!((dram_j - 0.5).abs() < 1e-9, "5W idle × 0.1s");
-        let gpu_j = src.sample_gpu(0.1).unwrap();
-        assert!((gpu_j - 14.25).abs() < 1e-9, "142.5W × 0.1s");
+        let j = ModelPower::new(node(), probe).sample(0.1);
+        assert!((j.cpu - 25.0).abs() < 1e-9, "250W × 0.1s");
+        assert!((j.dram - 0.5).abs() < 1e-9, "5W idle × 0.1s");
+        assert!((j.gpu.unwrap() - 14.25).abs() < 1e-9, "142.5W × 0.1s");
     }
 
     #[test]
@@ -217,7 +215,7 @@ mod tests {
         let mut p = node();
         p.gpu = None;
         let src = ModelPower::new(p, Arc::new(ConstProbe(Utilization::default())));
-        assert!(src.sample_gpu(0.1).is_none());
+        assert!(src.sample(0.1).gpu.is_none());
     }
 
     #[test]

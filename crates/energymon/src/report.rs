@@ -2,7 +2,7 @@
 //! start and end timestamps and accurately aggregate each node's energy".
 
 use crate::{FIELD_CPU, FIELD_GPU, FIELD_MEM, MEASUREMENT};
-use emlio_tsdb::{Agg, Query, TsdbClient};
+use emlio_tsdb::{Query, TsdbClient};
 
 /// Joule totals per component over an interval.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -31,29 +31,15 @@ impl EnergyBreakdown {
             0.0
         }
     }
-
-    /// Component-wise sum.
-    pub fn add(&self, other: &EnergyBreakdown) -> EnergyBreakdown {
-        EnergyBreakdown {
-            cpu_j: self.cpu_j + other.cpu_j,
-            dram_j: self.dram_j + other.dram_j,
-            gpu_j: self.gpu_j + other.gpu_j,
-            duration_secs: self.duration_secs.max(other.duration_secs),
-        }
-    }
 }
 
-/// Sum one node's energy tuples over `[start, end]` nanoseconds.
+/// Sum one node's energy tuples stamped in `[start, end]` nanoseconds.
 pub fn energy_between(client: &TsdbClient, node_id: &str, start: u64, end: u64) -> EnergyBreakdown {
-    let field_sum = |field: &str| {
-        client
-            .aggregate(
-                &Query::new(MEASUREMENT, field)
-                    .tag("node_id", node_id)
-                    .range(start, end),
-                Agg::Sum,
-            )
-            .unwrap_or(0.0)
+    let field_sum = |field: &str| -> f64 {
+        let q = Query::new(MEASUREMENT, field)
+            .tag("node_id", node_id)
+            .range(start, end);
+        client.points(&q).iter().map(|&(_, j)| j).sum()
     };
     EnergyBreakdown {
         cpu_j: field_sum(FIELD_CPU),
@@ -61,20 +47,6 @@ pub fn energy_between(client: &TsdbClient, node_id: &str, start: u64, end: u64) 
         gpu_j: field_sum(FIELD_GPU),
         duration_secs: (end.saturating_sub(start)) as f64 / 1e9,
     }
-}
-
-/// Sum energy across several nodes (cross-node correlation via the central
-/// TSDB).
-pub fn cluster_energy_between(
-    client: &TsdbClient,
-    node_ids: &[&str],
-    start: u64,
-    end: u64,
-) -> EnergyBreakdown {
-    node_ids
-        .iter()
-        .map(|n| energy_between(client, n, start, end))
-        .fold(EnergyBreakdown::default(), |acc, e| acc.add(&e))
 }
 
 #[cfg(test)]
@@ -110,16 +82,6 @@ mod tests {
         assert!((e2.cpu_j - 500.0).abs() < 1e-9);
         assert!((e2.duration_secs - 4.9).abs() < 1e-9);
         assert!((e2.mean_watts() - (500.0 + 50.0 + 1250.0) / 4.9).abs() < 1e-6);
-    }
-
-    #[test]
-    fn cluster_aggregation() {
-        let client = TsdbClient::new();
-        seed(&client, "compute", 10, 10.0, 30.0);
-        seed(&client, "storage", 10, 5.0, 0.0);
-        let e = cluster_energy_between(&client, &["compute", "storage"], 0, u64::MAX);
-        assert!((e.cpu_j - 150.0).abs() < 1e-9);
-        assert!((e.gpu_j - 300.0).abs() < 1e-9);
     }
 
     #[test]

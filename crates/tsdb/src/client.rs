@@ -2,14 +2,14 @@
 //! Algorithm 1 (`write_points`, query by time range).
 
 use crate::point::Point;
-use crate::query::{Agg, Query};
+use crate::query::Query;
 use crate::storage::Db;
 use parking_lot::RwLock;
 use std::sync::Arc;
 
 /// A cheap-to-clone handle to a shared in-memory TSDB. Stands in for both
 /// the per-node "local TSDB" and the "central TSDB" of Figure 2 — cross-node
-/// correlation is a matter of which client handle the batch writers share.
+/// correlation is a matter of which client handle the energy monitors share.
 #[derive(Clone, Default)]
 pub struct TsdbClient {
     db: Arc<RwLock<Db>>,
@@ -35,11 +35,6 @@ impl TsdbClient {
         self.db.write().insert(&point);
     }
 
-    /// Run an aggregation query.
-    pub fn aggregate(&self, query: &Query, agg: Agg) -> Option<f64> {
-        query.aggregate(&self.db.read(), agg)
-    }
-
     /// Fetch raw points for a query.
     pub fn points(&self, query: &Query) -> Vec<(u64, f64)> {
         query.points(&self.db.read())
@@ -48,11 +43,6 @@ impl TsdbClient {
     /// Total stored points.
     pub fn point_count(&self) -> usize {
         self.db.read().point_count()
-    }
-
-    /// Dump everything as line protocol.
-    pub fn dump(&self) -> String {
-        crate::line::dump(&self.db.read())
     }
 }
 
@@ -75,7 +65,7 @@ mod tests {
                                 .at(i * 1000)
                         })
                         .collect();
-                    // Write in batches of 50 like the batch writer does.
+                    // Write in batches of 50 like the energy monitor does.
                     for chunk in points.chunks(50) {
                         c.write_points(chunk);
                     }
@@ -87,18 +77,6 @@ mod tests {
         }
         assert_eq!(client.point_count(), 1000);
         let q = Query::new("energy", "cpu").tag("node_id", "n2");
-        assert_eq!(client.aggregate(&q, Agg::Sum), Some(250.0));
-    }
-
-    #[test]
-    fn dump_restore() {
-        let client = TsdbClient::new();
-        client.write_point(Point::new("m").field("x", 7.0).at(1));
-        let restored = crate::line::load(&client.dump()).unwrap();
-        assert_eq!(restored.point_count(), 1);
-        assert_eq!(
-            Query::new("m", "x").aggregate(&restored, Agg::Last),
-            Some(7.0)
-        );
+        assert_eq!(client.points(&q).len(), 250);
     }
 }

@@ -235,10 +235,7 @@ mod tests {
         let db2 = load(&text).unwrap();
         assert_eq!(db2.point_count(), db.point_count());
         let q = crate::query::Query::new("power", "watts").tag("node_id", "n0");
-        assert_eq!(
-            q.aggregate(&db2, crate::query::Agg::Sum),
-            q.aggregate(&db, crate::query::Agg::Sum)
-        );
+        assert_eq!(q.points(&db2), q.points(&db));
     }
 
     #[test]

@@ -1,26 +1,6 @@
-//! Range queries and aggregations.
+//! Range queries: the matching `(timestamp, value)` points of one field.
 
 use crate::storage::{Db, Series};
-
-/// Aggregation functions over a field within a time range.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Agg {
-    /// Sum of values — turns per-interval energy tuples into total joules.
-    Sum,
-    /// Arithmetic mean.
-    Mean,
-    /// Minimum.
-    Min,
-    /// Maximum.
-    Max,
-    /// Number of (non-NaN) points.
-    Count,
-    /// Last value in the range.
-    Last,
-    /// Trapezoidal ∫ value dt with dt in **seconds** — turns a power series
-    /// (watts) into energy (joules).
-    Integral,
-}
 
 /// A query: measurement, tag filters, inclusive time range, field.
 #[derive(Debug, Clone)]
@@ -71,33 +51,6 @@ impl Query {
         }
         out.sort_by_key(|&(t, _)| t);
         out
-    }
-
-    /// Aggregate the matching points.
-    pub fn aggregate(&self, db: &Db, agg: Agg) -> Option<f64> {
-        let pts = self.points(db);
-        if pts.is_empty() {
-            return None;
-        }
-        Some(match agg {
-            Agg::Sum => pts.iter().map(|&(_, v)| v).sum(),
-            Agg::Mean => pts.iter().map(|&(_, v)| v).sum::<f64>() / pts.len() as f64,
-            Agg::Min => pts.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min),
-            Agg::Max => pts
-                .iter()
-                .map(|&(_, v)| v)
-                .fold(f64::NEG_INFINITY, f64::max),
-            Agg::Count => pts.len() as f64,
-            Agg::Last => pts.last().unwrap().1,
-            Agg::Integral => {
-                let mut acc = 0.0;
-                for w in pts.windows(2) {
-                    let dt = (w[1].0 - w[0].0) as f64 / 1e9;
-                    acc += 0.5 * (w[0].1 + w[1].1) * dt;
-                }
-                acc
-            }
-        })
     }
 }
 
@@ -154,33 +107,13 @@ mod tests {
     }
 
     #[test]
-    fn aggregations() {
-        let db = db_with_power_series();
-        let q = Query::new("power", "watts").tag("node_id", "n0");
-        assert_eq!(q.aggregate(&db, Agg::Sum), Some(1000.0));
-        assert_eq!(q.aggregate(&db, Agg::Mean), Some(100.0));
-        assert_eq!(q.aggregate(&db, Agg::Min), Some(100.0));
-        assert_eq!(q.aggregate(&db, Agg::Max), Some(100.0));
-        assert_eq!(q.aggregate(&db, Agg::Count), Some(10.0));
-        assert_eq!(q.aggregate(&db, Agg::Last), Some(100.0));
-    }
-
-    #[test]
-    fn integral_turns_power_into_energy() {
-        let db = db_with_power_series();
-        // 100 W over 9 seconds (10 samples, trapezoid) = 900 J.
-        let q = Query::new("power", "watts").tag("node_id", "n0");
-        let joules = q.aggregate(&db, Agg::Integral).unwrap();
-        assert!((joules - 900.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn merged_series_without_filter() {
         let db = db_with_power_series();
-        let q = Query::new("power", "watts");
-        // Both nodes: mean of 100 and 50.
-        assert_eq!(q.aggregate(&db, Agg::Mean), Some(75.0));
-        assert_eq!(q.aggregate(&db, Agg::Count), Some(20.0));
+        let pts = Query::new("power", "watts").points(&db);
+        // Both nodes, merged in time order: 10 × 100 W and 10 × 50 W.
+        assert_eq!(pts.len(), 20);
+        assert!(pts.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert_eq!(pts.iter().map(|&(_, v)| v).sum::<f64>(), 1500.0);
     }
 
     #[test]
@@ -188,9 +121,8 @@ mod tests {
         let db = db_with_power_series();
         let q = Query::new("power", "amps");
         assert!(q.points(&db).is_empty());
-        assert_eq!(q.aggregate(&db, Agg::Sum), None);
         let q2 = Query::new("power", "watts").range(100, 200);
-        assert_eq!(q2.aggregate(&db, Agg::Sum), None);
+        assert!(q2.points(&db).is_empty());
     }
 
     #[test]

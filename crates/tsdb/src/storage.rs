@@ -1,6 +1,6 @@
 //! Columnar per-series storage.
 
-use crate::point::{series_key, Point};
+use crate::point::Point;
 use std::collections::BTreeMap;
 
 /// One series: sorted timestamps plus one column per field.
@@ -88,11 +88,6 @@ impl Db {
         series.insert(p);
     }
 
-    /// Look up one exact series.
-    pub fn series(&self, measurement: &str, tags: &BTreeMap<String, String>) -> Option<&Series> {
-        self.series.get(&series_key(measurement, tags))
-    }
-
     /// All series of a measurement whose tags are a superset of `filter`.
     pub fn matching(&self, measurement: &str, filter: &[(String, String)]) -> Vec<&Series> {
         self.measurements
@@ -113,11 +108,6 @@ impl Db {
     /// Total number of stored points.
     pub fn point_count(&self) -> usize {
         self.series.values().map(Series::len).sum()
-    }
-
-    /// Measurement names.
-    pub fn measurements(&self) -> Vec<&str> {
-        self.measurements.keys().map(String::as_str).collect()
     }
 
     /// Iterate all series (for line-protocol dump).
@@ -143,12 +133,7 @@ mod tests {
         for i in 0..100u64 {
             db.insert(&pt(i * 10, i as f64));
         }
-        let s = db
-            .series(
-                "energy",
-                &[("node_id".to_string(), "n0".to_string())].into(),
-            )
-            .unwrap();
+        let s = db.matching("energy", &[("node_id".into(), "n0".into())])[0];
         assert_eq!(s.len(), 100);
         assert!(s.timestamps.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(s.fields["cpu"][99], 99.0);

@@ -1,8 +1,8 @@
 //! The distributed energy-measurement framework (§3, Algorithm 1), live.
 //!
-//! Starts one `EnergyMonitor` per emulated node — barrier-synced CPU/DRAM
-//! and GPU samplers at δ = 100 ms (scaled down here), an interpolating
-//! accumulator, and a batch writer into the shared "central" TSDB — while an
+//! Starts one `EnergyMonitor` per emulated node — one thread that reads
+//! CPU/DRAM and GPU counters together every δ = 100 ms (scaled down here)
+//! and writes batches of tuples into the shared "central" TSDB — while an
 //! EMLIO run streams and preprocesses data. Afterwards, interval queries
 //! over the epoch's start and end stamps (the clock the energy tuples are
 //! stamped with) break energy down per node, like Figure 1.
@@ -86,7 +86,7 @@ fn main() {
     dep.join_daemons().unwrap();
     let t_end = clock.now_nanos();
 
-    // Let the samplers cover the tail, then flush.
+    // Let the monitors cover the tail, then flush.
     std::thread::sleep(std::time::Duration::from_millis(50));
     let wrote_compute = compute_monitor.stop();
     let wrote_storage = storage_monitor.stop();
