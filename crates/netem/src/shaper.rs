@@ -15,6 +15,7 @@ use crate::profile::NetProfile;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use emlio_util::clock::SharedClock;
 use emlio_util::rate::TokenBucket;
+use emlio_util::wake_listener;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -57,7 +58,6 @@ impl Proxy {
     ) -> std::io::Result<Proxy> {
         let listener = TcpListener::bind(listen)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ProxyStats::default());
         let target = target.to_string();
@@ -91,12 +91,22 @@ impl Proxy {
 impl Drop for Proxy {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(h) = self.accept_thread.take() {
+        let Some(h) = self.accept_thread.take() else {
+            return;
+        };
+        // The accept thread sleeps in `accept`: one connect of our own
+        // wakes it to see the flag. A wake that cannot be delivered must
+        // not hang the drop, so then the thread is left to exit with the
+        // process instead of joined.
+        if wake_listener(self.local_addr) {
             let _ = h.join();
         }
     }
 }
 
+/// Relay each accepted connection, blocking in `accept` until the next
+/// arrives; the proxy's drop sets `shutdown` and then connects once to
+/// wake this loop to see it.
 fn accept_loop(
     listener: TcpListener,
     target: &str,
@@ -106,10 +116,11 @@ fn accept_loop(
     stats: Arc<ProxyStats>,
 ) {
     loop {
+        let accepted = listener.accept();
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((client, _)) => {
                 let upstream = match TcpStream::connect(target) {
                     Ok(s) => s,
@@ -138,9 +149,6 @@ fn accept_loop(
                     shutdown.clone(),
                     ByteCounter::Down(stats.clone()),
                 );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
             }
             Err(_) => return,
         }

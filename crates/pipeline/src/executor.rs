@@ -1,11 +1,13 @@
 //! The pipeline runtime: `exec_async` + `exec_pipelined` semantics.
 //!
-//! A pool of worker threads pulls raw batches from the external source,
-//! runs decode → resize → crop → normalize per sample (on the accelerator
-//! wrapper when GPU placement is selected), and pushes processed batches
-//! into a bounded prefetch queue of depth `Q`. The training loop consumes
-//! via [`Pipeline::next_batch`]; the workers run ahead of it until the
-//! queue is full, which is Algorithm 3's "manually run Q iterations".
+//! A feeder thread pulls raw batches from the external source into a
+//! one-slot queue, so the wait on the source overlaps the workers'
+//! compute. A pool of worker threads takes them from there, runs decode →
+//! resize → crop → normalize per sample (on the accelerator wrapper when
+//! GPU placement is selected), and pushes processed batches into a
+//! bounded prefetch queue of depth `Q`. The training loop consumes via
+//! [`Pipeline::next_batch`]; the workers run ahead of it until the queue is
+//! full, which is Algorithm 3's "manually run Q iterations".
 
 use crate::external_source::ExternalSource;
 use crate::gpu::Accelerator;

@@ -2,31 +2,11 @@
 //! is exactly where the EMLIO receiver plugs in (Algorithm 3, line 3).
 
 use crate::RawBatch;
-use crossbeam::channel::Receiver;
 
 /// A producer of raw batches. Returning `None` ends the epoch/stream.
 pub trait ExternalSource: Send {
     /// Fetch the next raw batch, blocking if necessary.
     fn next_batch(&mut self) -> Option<RawBatch>;
-}
-
-/// Source backed by a channel — the EMLIO receiver's shared in-memory queue
-/// feeds one of these.
-pub struct QueueSource {
-    rx: Receiver<RawBatch>,
-}
-
-impl QueueSource {
-    /// Wrap a channel receiver.
-    pub fn new(rx: Receiver<RawBatch>) -> QueueSource {
-        QueueSource { rx }
-    }
-}
-
-impl ExternalSource for QueueSource {
-    fn next_batch(&mut self) -> Option<RawBatch> {
-        self.rx.recv().ok()
-    }
 }
 
 /// Source backed by a vector (tests, small examples).
@@ -72,16 +52,6 @@ mod tests {
         let mut src = VecSource::new(vec![batch(0), batch(1)]);
         assert_eq!(src.next_batch().unwrap().batch_id, 0);
         assert_eq!(src.next_batch().unwrap().batch_id, 1);
-        assert!(src.next_batch().is_none());
-    }
-
-    #[test]
-    fn queue_source_ends_on_disconnect() {
-        let (tx, rx) = crossbeam::channel::bounded(4);
-        let mut src = QueueSource::new(rx);
-        tx.send(batch(7)).unwrap();
-        drop(tx);
-        assert_eq!(src.next_batch().unwrap().batch_id, 7);
         assert!(src.next_batch().is_none());
     }
 }

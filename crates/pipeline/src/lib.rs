@@ -31,7 +31,7 @@ pub mod gpu;
 pub mod ops;
 
 pub use executor::{Device, Pipeline, PipelineBuilder, ProcessedBatch};
-pub use external_source::{ExternalSource, QueueSource, VecSource};
+pub use external_source::{ExternalSource, VecSource};
 pub use gpu::Accelerator;
 pub use ops::Tensor;
 

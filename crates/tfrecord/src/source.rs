@@ -191,8 +191,6 @@ pub struct TfrecordSource {
     /// Where the buffers for unmapped shards' blocks come from (the daemon
     /// plugs its pool in here).
     alloc: Arc<dyn BlockAlloc>,
-    /// Optional per-stage latency sink for standalone (non-daemon) use.
-    recorder: Option<Arc<emlio_obs::StageRecorder>>,
 }
 
 impl TfrecordSource {
@@ -203,7 +201,6 @@ impl TfrecordSource {
             index,
             readers: Mutex::new(HashMap::new()),
             alloc: Arc::new(SystemAlloc),
-            recorder: None,
         }
     }
 
@@ -211,15 +208,6 @@ impl TfrecordSource {
     /// daemon's [`BufferPool`]). Blocks of mapped shards take no buffer.
     pub fn with_alloc(mut self, alloc: Arc<dyn BlockAlloc>) -> TfrecordSource {
         self.alloc = alloc;
-        self
-    }
-
-    /// Record each backing read's latency
-    /// ([`emlio_obs::Stage::StorageRead`]) into `recorder`. The daemon
-    /// meters storage reads one layer up (so it counts NFS roots too);
-    /// this hook is for driving the source standalone.
-    pub fn with_recorder(mut self, recorder: Arc<emlio_obs::StageRecorder>) -> TfrecordSource {
-        self.recorder = Some(recorder);
         self
     }
 
@@ -266,14 +254,10 @@ impl RangeSource for TfrecordSource {
                 self.alloc.seal(buf)
             }
         };
-        let read_nanos = t.elapsed().as_nanos() as u64;
-        if let Some(rec) = &self.recorder {
-            rec.record(emlio_obs::Stage::StorageRead, read_nanos);
-        }
         Ok(BlockRead {
             data,
             origin: ReadOrigin::Direct,
-            read_nanos,
+            read_nanos: t.elapsed().as_nanos() as u64,
         })
     }
 

@@ -34,6 +34,9 @@ pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultSpec, RetryPolicy}
 pub use json::Json;
 pub use pool::{BufferPool, PoolStats};
 
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpStream};
+use std::time::Duration;
+
 /// Nanoseconds per second, as a `u64`.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
@@ -55,6 +58,20 @@ pub fn secs_to_nanos(secs: f64) -> u64 {
 /// Convert nanoseconds to seconds as `f64`.
 pub fn nanos_to_secs(nanos: u64) -> f64 {
     nanos as f64 / NANOS_PER_SEC as f64
+}
+
+/// Connect once to a listener at `addr` (an unspecified IP means
+/// loopback) so that a thread blocked in its `accept` wakes to see a stop
+/// flag. Returns whether the connect succeeded within 1 s: only then will
+/// that thread return, so only then may the caller join it.
+pub fn wake_listener(mut addr: SocketAddr) -> bool {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    TcpStream::connect_timeout(&addr, Duration::from_secs(1)).is_ok()
 }
 
 /// FNV-1a over a byte string: fault-site names, the peer ring's points and
@@ -89,5 +106,16 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn wake_listener_reaches_a_wildcard_listener_and_not_a_closed_port() {
+        let listener = std::net::TcpListener::bind("0.0.0.0:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        assert!(addr.ip().is_unspecified());
+        assert!(wake_listener(addr));
+        listener.accept().unwrap();
+        drop(listener);
+        assert!(!wake_listener(addr));
     }
 }

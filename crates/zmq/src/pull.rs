@@ -24,7 +24,8 @@ use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use emlio_obs::{obs_warn, FlightRecorder, Stage, StageRecorder};
 use emlio_util::pool::BufferPool;
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use emlio_util::wake_listener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -246,14 +247,7 @@ impl<T> Drop for PullSocket<T> {
         // wakes it to see the flag. A wake that cannot be delivered must
         // not hang the drop, so then the thread is left to exit with the
         // process instead of joined.
-        let mut wake = self.local_addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake {
-                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-            });
-        }
-        if TcpStream::connect_timeout(&wake, Duration::from_secs(1)).is_ok() {
+        if wake_listener(self.local_addr) {
             let _ = h.join();
         }
     }

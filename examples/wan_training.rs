@@ -4,16 +4,15 @@
 //! bytes: the same dataset is served three ways under an emulated RTT —
 //!
 //! * PyTorch-style DataLoader: per-sample file reads over the NFS cost
-//!   model (RTTs multiply);
-//! * DALI-style loader: deeper async reader pool over the same mount;
+//!   model (RTTs multiply), `FileLoaderConfig::pytorch`;
+//! * DALI-style loader: the same per-file loader with a deeper reader pool
+//!   over the same mount, `FileLoaderConfig::dali`;
 //! * EMLIO: storage daemon → netem-shaped TCP proxy → receiver, pre-batched
 //!   msgpack with HWM backpressure.
 //!
 //! Run with: `cargo run --release --example wan_training`
 
-use emlio::baselines::dali_nfs::DaliNfsConfig;
-use emlio::baselines::pytorch::PytorchConfig;
-use emlio::baselines::{run_epoch_through, DaliNfsLoader, PytorchLoader};
+use emlio::baselines::{run_epoch_through, FileLoader, FileLoaderConfig};
 use emlio::core::service::StorageSpec;
 use emlio::core::{EmlioConfig, EmlioService};
 use emlio::datagen::convert::{build_file_dataset, build_tfrecord_dataset, load_file_dataset};
@@ -51,8 +50,8 @@ fn main() {
             Duration::from_millis(rtt_ms),
             1.25e9,
         );
-        let t_py = run_pytorch(&file_dir, profile.clone());
-        let t_dali = run_dali(&file_dir, profile.clone());
+        let t_py = run_files(&file_dir, profile.clone(), FileLoaderConfig::pytorch());
+        let t_dali = run_files(&file_dir, profile.clone(), FileLoaderConfig::dali());
         let t_emlio = run_emlio(&tf_dir, profile.clone());
         println!(
             "{:<10} {:>8.2}s {:>8.2}s {:>8.2}s   (pytorch/emlio = {:.1}x)",
@@ -66,39 +65,16 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-fn run_pytorch(file_dir: &std::path::Path, profile: NetProfile) -> f64 {
+/// One epoch of the per-file loader under `preset`, through the pipeline.
+fn run_files(file_dir: &std::path::Path, profile: NetProfile, preset: FileLoaderConfig) -> f64 {
     let mount = NfsMount::mount(file_dir, profile, RealClock::shared(), NfsConfig::default());
     let samples = load_file_dataset(file_dir).unwrap();
-    let loader = PytorchLoader::new(
+    let loader = FileLoader::new(
         mount,
         samples,
-        PytorchConfig {
+        FileLoaderConfig {
             batch_size: BATCH,
-            num_workers: 4,
-            epochs: 1,
-            ..Default::default()
-        },
-    );
-    let r = run_epoch_through(
-        Box::new(loader),
-        PipelineBuilder::new().threads(2).resize(32, 32),
-        Duration::ZERO,
-    );
-    assert_eq!(r.samples, SAMPLES);
-    r.duration.as_secs_f64()
-}
-
-fn run_dali(file_dir: &std::path::Path, profile: NetProfile) -> f64 {
-    let mount = NfsMount::mount(file_dir, profile, RealClock::shared(), NfsConfig::default());
-    let samples = load_file_dataset(file_dir).unwrap();
-    let loader = DaliNfsLoader::new(
-        mount,
-        samples,
-        DaliNfsConfig {
-            batch_size: BATCH,
-            read_threads: 8,
-            epochs: 1,
-            ..Default::default()
+            ..preset
         },
     );
     let r = run_epoch_through(

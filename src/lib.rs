@@ -16,7 +16,8 @@
 //!   (§3, Algorithm 1) over an embedded time-series database;
 //! * [`tfrecord`], [`msgpack`], [`zmq`] — the storage and wire substrates;
 //! * [`pipeline`] — the DALI-style GPU preprocessing pipeline;
-//! * [`baselines`] — PyTorch-DataLoader and DALI-over-NFS comparison loaders;
+//! * [`baselines`] — the PyTorch-DataLoader and DALI comparison loaders, two
+//!   presets of one per-file loader over NFS;
 //! * [`netem`] — userspace RTT/bandwidth emulation and the NFS cost model;
 //! * [`obs`] — data-path observability: per-stage latency histograms,
 //!   batch tracing, the flight recorder, and the leveled logger;

@@ -9,8 +9,7 @@
 //!   delivery is within [`FLEET_TOLERANCE`] of the window model
 //!   `min(link, ⌊ram/block⌋ · block / read cost)`.
 
-use emlio::baselines::pytorch::PytorchConfig;
-use emlio::baselines::PytorchLoader;
+use emlio::baselines::{FileLoader, FileLoaderConfig};
 use emlio::bench::contention::shared_mount_storage;
 use emlio::cache::peer::PeerConfig;
 use emlio::cache::{BlockKey, CacheConfig};
@@ -44,14 +43,13 @@ fn real_pytorch_secs(dir: &std::path::Path, rtt_ms: u64) -> f64 {
         NfsConfig::default(),
     );
     let samples = load_file_dataset(dir).unwrap();
-    let mut loader = PytorchLoader::new(
+    let mut loader = FileLoader::new(
         mount,
         samples,
-        PytorchConfig {
+        FileLoaderConfig {
             batch_size: 8,
-            num_workers: 2,
-            epochs: 1,
-            ..Default::default()
+            readers: 2,
+            ..FileLoaderConfig::pytorch()
         },
     );
     let t0 = std::time::Instant::now();

@@ -2,9 +2,7 @@
 //! bytes reach the compute node. This is what makes the paper's comparison
 //! apples-to-apples.
 
-use emlio::baselines::dali_nfs::DaliNfsConfig;
-use emlio::baselines::pytorch::PytorchConfig;
-use emlio::baselines::{DaliNfsLoader, PytorchLoader};
+use emlio::baselines::{FileLoader, FileLoaderConfig};
 use emlio::core::service::StorageSpec;
 use emlio::core::{EmlioConfig, EmlioService};
 use emlio::datagen::convert::{build_file_dataset, build_tfrecord_dataset, load_file_dataset};
@@ -52,26 +50,24 @@ fn three_loaders_deliver_identical_sample_multisets() {
         NfsConfig::default(),
     );
     let samples = load_file_dataset(&file_dir).unwrap();
-    let pytorch_set = collect(Box::new(PytorchLoader::new(
+    let pytorch_set = collect(Box::new(FileLoader::new(
         mount.clone(),
         samples.clone(),
-        PytorchConfig {
+        FileLoaderConfig {
             batch_size: 5,
-            num_workers: 3,
-            epochs: 1,
-            ..Default::default()
+            readers: 3,
+            ..FileLoaderConfig::pytorch()
         },
     )));
 
     // DALI over the same mount.
-    let dali_set = collect(Box::new(DaliNfsLoader::new(
+    let dali_set = collect(Box::new(FileLoader::new(
         mount,
         samples,
-        DaliNfsConfig {
+        FileLoaderConfig {
             batch_size: 5,
-            read_threads: 4,
-            epochs: 1,
-            ..Default::default()
+            readers: 4,
+            ..FileLoaderConfig::dali()
         },
     )));
 
