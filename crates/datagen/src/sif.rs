@@ -20,6 +20,14 @@
 //! Trailing bytes after the last plane are ignored, which lets dataset
 //! generators pad samples to an exact target size (real datasets' size
 //! distributions are matched by padding, not by lying about content).
+//!
+//! The decoder works on whole slices: each RLE run fills its stretch of
+//! one preallocated plane, then the deltas are undone in place row by row.
+//! For every input it returns the same `Result` as the per-pixel oracle in
+//! this file's tests, which fuzz it: the same `Image`, or the same error
+//! variant and plane index. Its one allocation per plane is bounded by
+//! the input: an RLE plane whose 255-long runs could not fill
+//! `width · height` pixels is `BadPlane` before anything is reserved.
 
 use crate::image::Image;
 use std::fmt;
@@ -124,14 +132,11 @@ pub fn decode(bytes: &[u8]) -> Result<Image, SifError> {
         }
         let data = &bytes[pos..pos + len];
         pos += len;
-        let deltas = match mode {
-            0 => rle_decode(data, n).ok_or(SifError::BadPlane { plane: plane_idx })?,
-            1 => {
-                if len != n {
-                    return Err(SifError::BadPlane { plane: plane_idx });
-                }
-                data.to_vec()
-            }
+        let bad_plane = SifError::BadPlane { plane: plane_idx };
+        let mut plane = match mode {
+            0 => rle_decode(data, n).ok_or(bad_plane)?,
+            1 if len == n => data.to_vec(),
+            1 => return Err(bad_plane),
             m => {
                 return Err(SifError::BadMode {
                     plane: plane_idx,
@@ -139,7 +144,8 @@ pub fn decode(bytes: &[u8]) -> Result<Image, SifError> {
                 })
             }
         };
-        planes.push(delta_decode(&deltas, width as usize));
+        undo_deltas(&mut plane, width as usize);
+        planes.push(plane);
     }
     Ok(Image {
         width,
@@ -166,19 +172,19 @@ fn delta_encode(plane: &[u8], width: usize, quality: u8) -> Vec<u8> {
     out
 }
 
-fn delta_decode(deltas: &[u8], width: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(deltas.len());
-    for (i, &d) in deltas.iter().enumerate() {
-        let pred = if i == 0 {
-            0u8
-        } else if i % width == 0 {
-            out[i - width]
-        } else {
-            out[i - 1]
-        };
-        out.push(pred.wrapping_add(d));
+/// Invert [`delta_encode`] in place, one row slice at a time: a row starts
+/// from the first pixel of the row above (the origin from 0) and each
+/// pixel adds its delta to its left neighbour.
+fn undo_deltas(plane: &mut [u8], width: usize) {
+    let mut above = 0u8;
+    for row in plane.chunks_exact_mut(width) {
+        let mut acc = above;
+        for v in row.iter_mut() {
+            acc = acc.wrapping_add(*v);
+            *v = acc;
+        }
+        above = row[0];
     }
-    out
 }
 
 /// `(run, value)` pairs; runs are 1..=255.
@@ -198,28 +204,211 @@ fn rle_encode(data: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Expand `(run, value)` pairs into exactly `expected` bytes, or `None`.
+/// A stream whose 255-long runs could not fill `expected` is rejected
+/// before anything is allocated, so a header cannot claim more memory
+/// than its payload can describe.
 fn rle_decode(data: &[u8], expected: usize) -> Option<Vec<u8>> {
-    if !data.len().is_multiple_of(2) {
+    if !data.len().is_multiple_of(2) || 255 * (data.len() / 2) < expected {
         return None;
     }
     let mut out = Vec::with_capacity(expected);
     for pair in data.chunks_exact(2) {
         let (run, v) = (pair[0] as usize, pair[1]);
-        if run == 0 || out.len() + run > expected {
+        if run == 0 || run > expected - out.len() {
             return None;
         }
-        out.extend(std::iter::repeat_n(v, run));
+        out.resize(out.len() + run, v);
     }
-    if out.len() != expected {
-        return None;
-    }
-    Some(out)
+    (out.len() == expected).then_some(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::image::synth_image;
+    use rand::{Rng, SeedableRng};
+
+    /// A per-pixel decoder: the oracle every `Result` of [`decode`] is
+    /// compared with.
+    mod oracle {
+        use super::super::{SifError, MAGIC};
+        use crate::image::Image;
+
+        pub fn decode(bytes: &[u8]) -> Result<Image, SifError> {
+            if bytes.len() < 10 {
+                return Err(SifError::Truncated);
+            }
+            if &bytes[..4] != MAGIC {
+                return Err(SifError::BadMagic);
+            }
+            let width = u16::from_le_bytes([bytes[4], bytes[5]]);
+            let height = u16::from_le_bytes([bytes[6], bytes[7]]);
+            let channels = bytes[8];
+            if width == 0 || height == 0 || channels == 0 {
+                return Err(SifError::EmptyImage);
+            }
+            let n = width as usize * height as usize;
+            let mut pos = 10usize;
+            let mut planes = Vec::with_capacity(channels as usize);
+            for plane_idx in 0..channels as usize {
+                if pos + 5 > bytes.len() {
+                    return Err(SifError::Truncated);
+                }
+                let mode = bytes[pos];
+                let len = u32::from_le_bytes(bytes[pos + 1..pos + 5].try_into().unwrap()) as usize;
+                pos += 5;
+                if pos + len > bytes.len() {
+                    return Err(SifError::Truncated);
+                }
+                let data = &bytes[pos..pos + len];
+                pos += len;
+                let deltas = match mode {
+                    0 => rle_decode(data, n).ok_or(SifError::BadPlane { plane: plane_idx })?,
+                    1 => {
+                        if len != n {
+                            return Err(SifError::BadPlane { plane: plane_idx });
+                        }
+                        data.to_vec()
+                    }
+                    m => {
+                        return Err(SifError::BadMode {
+                            plane: plane_idx,
+                            mode: m,
+                        })
+                    }
+                };
+                planes.push(delta_decode(&deltas, width as usize));
+            }
+            Ok(Image {
+                width,
+                height,
+                planes,
+            })
+        }
+
+        fn delta_decode(deltas: &[u8], width: usize) -> Vec<u8> {
+            let mut out = Vec::with_capacity(deltas.len());
+            for (i, &d) in deltas.iter().enumerate() {
+                let pred = if i == 0 {
+                    0u8
+                } else if i % width == 0 {
+                    out[i - width]
+                } else {
+                    out[i - 1]
+                };
+                out.push(pred.wrapping_add(d));
+            }
+            out
+        }
+
+        fn rle_decode(data: &[u8], expected: usize) -> Option<Vec<u8>> {
+            if !data.len().is_multiple_of(2) {
+                return None;
+            }
+            let mut out = Vec::with_capacity(expected);
+            for pair in data.chunks_exact(2) {
+                let (run, v) = (pair[0] as usize, pair[1]);
+                if run == 0 || out.len() + run > expected {
+                    return None;
+                }
+                out.extend(std::iter::repeat_n(v, run));
+            }
+            if out.len() != expected {
+                return None;
+            }
+            Some(out)
+        }
+    }
+
+    /// `decode(buf)` must return exactly the oracle's `Result`, without
+    /// panicking. Returns whether the buffer decoded.
+    fn same_as_oracle(what: &str, buf: &[u8]) -> bool {
+        let got = std::panic::catch_unwind(|| decode(buf))
+            .unwrap_or_else(|_| panic!("{what}: decode panicked on {buf:02x?}"));
+        assert_eq!(got, oracle::decode(buf), "{what}: {buf:02x?}");
+        got.is_ok()
+    }
+
+    fn noise_image(w: u16, h: u16, c: u8, seed: u64) -> Image {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut img = Image::zeroed(w, h, c);
+        for v in img.planes.iter_mut().flatten() {
+            *v = rng.gen();
+        }
+        img
+    }
+
+    #[test]
+    fn decode_matches_the_oracle_on_seeded_images() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x051f_d1ff);
+        let mut sizes = vec![(1, 1), (1, 7), (7, 1), (300, 200)];
+        sizes.extend((0..24).map(|_| (rng.gen_range(1..=300), rng.gen_range(1..=200))));
+        for (i, &(w, h)) in sizes.iter().enumerate() {
+            for c in [1, 3] {
+                let smooth = synth_image(w, h, c, i as u64);
+                let noise = noise_image(w, h, c, i as u64);
+                for quality in 0..=4 {
+                    for img in [&smooth, &noise] {
+                        let bytes = encode(img, quality);
+                        let what = format!("{w}x{h}x{c} q{quality}");
+                        assert!(same_as_oracle(&what, &bytes));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_matches_the_oracle_on_damaged_streams() {
+        let rle = encode(&synth_image(24, 16, 3, 11), 2);
+        let raw = encode(&noise_image(12, 9, 3, 12), 0);
+        assert!(rle[10] == 0 && raw[10] == 1, "one stream per plane mode");
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_051f);
+        let mut decoded = 0;
+        for (f, stream) in [rle, raw].iter().enumerate() {
+            for cut in 0..stream.len() {
+                assert!(!same_as_oracle(
+                    &format!("stream {f} cut at {cut}"),
+                    &stream[..cut]
+                ));
+            }
+            for i in 0..stream.len() {
+                for v in [0x00, 0xff, stream[i] ^ 0x80] {
+                    let mut buf = stream.clone();
+                    buf[i] = v;
+                    let what = format!("stream {f} byte {i} = {v:#04x}");
+                    decoded += same_as_oracle(&what, &buf) as usize;
+                }
+            }
+            for n in 0..2_000 {
+                let mut buf = stream.clone();
+                for _ in 0..rng.gen_range(1..=4) {
+                    let i = rng.gen_range(0..buf.len());
+                    buf[i] = rng.gen();
+                }
+                decoded += same_as_oracle(&format!("stream {f} buffer {n}"), &buf) as usize;
+            }
+        }
+        // Damaged deltas still decode, to different pixels: the comparison
+        // covers `Ok` images as well as every error variant.
+        assert!(decoded > 1_000, "only {decoded} damaged streams decoded");
+    }
+
+    #[test]
+    fn an_rle_plane_too_short_for_its_header_is_rejected_unallocated() {
+        // 17 bytes claiming 65535 × 65535: one (255, 0) pair can fill at
+        // most 255 pixels, so the plane is refused before its 4 GiB.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&[0xff, 0xff, 0xff, 0xff, 1, 0]);
+        bytes.extend_from_slice(&[0, 2, 0, 0, 0, 255, 0]);
+        assert_eq!(bytes.len(), 17);
+        assert_eq!(decode(&bytes), Err(SifError::BadPlane { plane: 0 }));
+        // One pixel short of what the pairs can fill is still refused, and
+        // exactly full decodes.
+        assert_eq!(rle_decode(&[255, 1, 255, 1], 511), None);
+        assert_eq!(rle_decode(&[255, 1, 255, 1], 510), Some(vec![1; 510]));
+    }
 
     #[test]
     fn lossless_roundtrip_quality_zero() {
@@ -262,12 +451,7 @@ mod tests {
 
     #[test]
     fn noise_falls_back_to_raw_mode_and_stays_bounded() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let mut img = Image::zeroed(64, 64, 1);
-        for v in &mut img.planes[0] {
-            *v = rng.gen();
-        }
+        let img = noise_image(64, 64, 1, 9);
         let bytes = encode(&img, 0);
         assert!(bytes.len() <= img.raw_bytes() + 15, "bounded expansion");
         assert_eq!(decode(&bytes).unwrap(), img);

@@ -140,7 +140,24 @@ impl PipelineBuilder {
     }
 
     /// Launch the pipeline over `source`.
+    ///
+    /// # Panics
+    /// Panics if the crop window is larger than the resize target, or the
+    /// normalization constants are not one positive std per mean: every
+    /// sample would be skipped, or fail.
     pub fn build(self, source: Box<dyn ExternalSource>) -> Pipeline {
+        if let (Some((rw, rh)), Some((cw, ch))) = (self.resize_to, self.crop_to) {
+            assert!(
+                cw <= rw && ch <= rh,
+                "crop {cw}x{ch} is larger than the resize target {rw}x{rh}"
+            );
+        }
+        if let Some((mean, std)) = &self.normalize {
+            assert!(
+                mean.len() == std.len() && std.iter().all(|&s| s > 0.0),
+                "normalization needs one positive std per mean"
+            );
+        }
         Pipeline::launch(self, source)
     }
 }
@@ -152,7 +169,9 @@ pub struct PipelineStats {
     pub batches: AtomicU64,
     /// Samples fully processed.
     pub samples: AtomicU64,
-    /// Samples that failed to decode (skipped, never delivered).
+    /// Samples skipped, never delivered: they failed to decode, or decoded
+    /// smaller than the crop window or with a channel count the
+    /// normalization constants do not have.
     pub decode_errors: AtomicU64,
 }
 
@@ -267,6 +286,10 @@ impl Drop for Pipeline {
     }
 }
 
+/// `normalize(None)`'s constants, long enough for any channel count.
+const UNIT_MEAN: [f32; u8::MAX as usize] = [0.0; u8::MAX as usize];
+const UNIT_STD: [f32; u8::MAX as usize] = [1.0; u8::MAX as usize];
+
 #[allow(clippy::too_many_arguments)]
 fn process_batch(
     raw: RawBatch,
@@ -282,17 +305,28 @@ fn process_batch(
     let mut labels = Vec::with_capacity(raw.samples.len());
     let mut sample_ids = Vec::with_capacity(raw.samples.len());
     let work = |sample_bytes: &[u8]| -> Option<Tensor> {
-        let mut img = match ops::decode(sample_bytes) {
-            Ok(i) => i,
-            Err(_) => {
-                stats.decode_errors.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        // A sample the ops cannot take is skipped and counted: a panic here
+        // would end the worker, and with it the stream.
+        let skip = || {
+            stats.decode_errors.fetch_add(1, Ordering::Relaxed);
+            None
         };
+        let Ok(mut img) = ops::decode(sample_bytes) else {
+            return skip();
+        };
+        if norm
+            .as_ref()
+            .is_some_and(|(mean, _)| mean.len() != img.channels() as usize)
+        {
+            return skip();
+        }
         if let Some((w, h)) = resize_to {
             img = ops::resize(&img, w, h);
         }
         if let Some((w, h)) = crop_to {
+            if w > img.width || h > img.height {
+                return skip();
+            }
             img = if random {
                 let mut r = rng.lock();
                 ops::random_crop(&img, w, h, &mut *r)
@@ -302,11 +336,10 @@ fn process_batch(
         }
         Some(match norm {
             Some((mean, std)) => ops::normalize(&img, mean, std),
-            None => ops::normalize(
-                &img,
-                &vec![0.0; img.channels() as usize],
-                &vec![1.0; img.channels() as usize],
-            ),
+            None => {
+                let c = img.channels() as usize;
+                ops::normalize(&img, &UNIT_MEAN[..c], &UNIT_STD[..c])
+            }
         })
     };
     for sample in &raw.samples {
@@ -408,6 +441,47 @@ mod tests {
         assert_eq!(b.tensors.len(), 3, "bad sample dropped");
         assert!(pipe.next_batch().is_none());
         assert_eq!(pipe.stats().decode_errors.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn images_the_ops_cannot_take_are_skipped_not_fatal() {
+        use emlio_datagen::{image::synth_image, sif};
+        let spec = DatasetSpec::tiny("small", 12);
+        let mut raw = batches(&spec, 4);
+        // Smaller than the crop window, and one channel against three
+        // normalization constants.
+        raw[1].samples[2].bytes = Bytes::from(sif::encode(&synth_image(8, 8, 3, 1), 0));
+        raw[2].samples[0].bytes = Bytes::from(sif::encode(&synth_image(48, 48, 1, 2), 0));
+        let pipe = PipelineBuilder::new()
+            .threads(1)
+            .crop(24, 24)
+            .build(Box::new(VecSource::new(raw)));
+        let sizes: Vec<usize> = std::iter::from_fn(|| pipe.next_batch())
+            .map(|b| b.tensors.len())
+            .collect();
+        assert_eq!(
+            sizes,
+            [4, 3, 3],
+            "every batch arrives, less the two samples"
+        );
+        assert_eq!(pipe.stats().decode_errors.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "crop 40x24 is larger than the resize target 32x32")]
+    fn a_crop_larger_than_the_resize_is_rejected_at_build() {
+        let _ = PipelineBuilder::new()
+            .resize(32, 32)
+            .crop(40, 24)
+            .build(Box::new(VecSource::new(Vec::new())));
+    }
+
+    #[test]
+    #[should_panic(expected = "normalization needs one positive std per mean")]
+    fn normalization_constants_are_checked_at_build() {
+        let _ = PipelineBuilder::new()
+            .normalize(Some((vec![0.5; 3], vec![0.2, 0.0, 0.2])))
+            .build(Box::new(VecSource::new(Vec::new())));
     }
 
     #[test]
