@@ -24,7 +24,7 @@ use emlio_tsdb::line;
 use emlio_tsdb::storage::Series;
 use emlio_tsdb::{Db, Point};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -121,8 +121,12 @@ fn insert_path_points(db: &mut Db, process: &str, snap: &MetricsSnapshot, ts: u6
 /// `interval`. [`finish`](MetricsSampler::finish) stops it, takes one
 /// last sample (so the final counter state is always captured, however
 /// short the run), and hands the database back.
+///
+/// Between samples the thread waits on a channel for one interval, so an
+/// idle sampler wakes once per interval; dropping the sending half is the
+/// stop signal, and it wakes the thread at once.
 pub struct MetricsSampler {
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     handle: Option<JoinHandle<()>>,
     db: Arc<Mutex<Db>>,
 }
@@ -137,26 +141,18 @@ fn lock_db(db: &Mutex<Db>) -> std::sync::MutexGuard<'_, Db> {
 impl MetricsSampler {
     /// Start sampling `sources` every `interval`.
     pub fn spawn(sources: Vec<SampleSource>, interval: Duration) -> MetricsSampler {
-        let stop = Arc::new(AtomicBool::new(false));
+        let (stop, stopped) = mpsc::channel::<()>();
         let db = Arc::new(Mutex::new(Db::new()));
         let handle = {
-            let stop = stop.clone();
             let db = db.clone();
             std::thread::Builder::new()
                 .name("emlio-metrics-sampler".into())
                 .spawn(move || {
                     loop {
-                        if stop.load(Ordering::Acquire) {
-                            break;
-                        }
                         sample_into(&mut lock_db(&db), &sources, clock::now_nanos());
-                        // Sleep in small slices so finish() never waits a
-                        // full interval for the thread to notice the flag.
-                        let mut remaining = interval;
-                        while !stop.load(Ordering::Acquire) && remaining > Duration::ZERO {
-                            let slice = remaining.min(Duration::from_millis(20));
-                            std::thread::sleep(slice);
-                            remaining = remaining.saturating_sub(slice);
+                        // A send or a dropped sender both mean stop.
+                        if stopped.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
+                            break;
                         }
                     }
                     // Final sample: the settled end-of-run state.
@@ -165,7 +161,7 @@ impl MetricsSampler {
                 .expect("spawn metrics sampler")
         };
         MetricsSampler {
-            stop,
+            stop: Some(stop),
             handle: Some(handle),
             db,
         }
@@ -180,20 +176,21 @@ impl MetricsSampler {
     /// Stop the sampler and return the collected database (including one
     /// final sample taken after the stop signal).
     pub fn finish(mut self) -> Db {
-        self.stop.store(true, Ordering::Release);
+        self.stop_and_join();
+        std::mem::take(&mut lock_db(&self.db))
+    }
+
+    fn stop_and_join(&mut self) {
+        self.stop.take();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }
-        std::mem::take(&mut lock_db(&self.db))
     }
 }
 
 impl Drop for MetricsSampler {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.stop_and_join();
     }
 }
 

@@ -6,9 +6,10 @@
 //!
 //! * [`profile::NetProfile`] — named (RTT, bandwidth) regimes including the
 //!   paper's four distance classes;
-//! * [`shaper::Proxy`] — a TCP relay that imposes one-way propagation delay
-//!   and token-bucket bandwidth pacing on unmodified sockets, with in-flight
-//!   bytes bounded by the link's bandwidth-delay product (so end-to-end
+//! * [`shaper::Proxy`] — a TCP relay that imposes serialization at the
+//!   link's bandwidth and one-way propagation delay on unmodified sockets,
+//!   as a delay line with one thread per direction, with in-flight bytes
+//!   bounded by the link's bandwidth-delay product (so end-to-end
 //!   backpressure still works, exactly like a real pipe that can only hold
 //!   BDP bytes);
 //! * [`nfs::NfsMount`] — an NFSv4-like remote filesystem client over a local

@@ -1,31 +1,32 @@
 //! A delay/bandwidth-shaping TCP proxy — the userspace `tc qdisc netem`.
 //!
-//! `Proxy::spawn(listen, target, profile)` relays every accepted connection
-//! to `target`, imposing, per direction:
-//!
-//! * token-bucket pacing at the profile's bandwidth;
-//! * one-way propagation delay (RTT/2), **pipelined**: a reader thread
-//!   timestamps chunks as they arrive and a writer thread releases each chunk
-//!   at `arrival + delay`, so throughput is not `chunk/delay`-limited;
-//! * a bounded in-flight buffer sized to the bandwidth-delay product, so the
-//!   emulated pipe holds only as many bytes as a real one — this preserves
-//!   end-to-end TCP/app backpressure through the proxy.
+//! Each accepted connection is relayed by one thread per direction, a delay
+//! line: a read of `n` bytes serializes once the link is free, then
+//! propagates (`link_free = max(link_free, now) + n / bandwidth`, due at
+//! `link_free + rtt / 2`), and what is due leaves in one vectored write.
+//! Reading pauses while the bytes in flight reach the bandwidth-delay
+//! product, so backpressure passes through as through a real pipe. A drop
+//! calls `shutdown(Read)` on every live connection's source streams: each
+//! relay sees EOF, delivers what is in flight when due, and half-closes.
 
 use crate::profile::NetProfile;
-use crossbeam::channel::{bounded, Receiver, Sender};
-use emlio_util::clock::SharedClock;
-use emlio_util::rate::TokenBucket;
+use emlio_obs::{obs_warn, FlightRecorder};
+use emlio_util::clock::{RealClock, SharedClock};
 use emlio_util::wake_listener;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use parking_lot::Mutex;
+use std::collections::VecDeque;
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+use std::io::{self, IoSlice, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Size of relay chunks. Small enough that pacing is smooth, large enough
-/// that syscall overhead is negligible.
-const CHUNK: usize = 16 << 10;
+/// Size of one pooled read buffer: one read takes at most this much.
+const READ: usize = 256 << 10;
+/// Slices one vectored write takes at most (Linux's `IOV_MAX`).
+const IOV_MAX: usize = 1024;
 
 /// Counters exposed for tests and reports.
 #[derive(Debug, Default)]
@@ -39,12 +40,14 @@ pub struct ProxyStats {
 }
 
 /// A running shaping proxy. Dropping it stops accepting new connections and
-/// tears down relay threads.
+/// ends every relay once it has delivered what is in flight.
 pub struct Proxy {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     stats: Arc<ProxyStats>,
+    /// The source streams of live connections, `None` once the proxy is
+    /// dropped. The relays own the streams: these handles keep none open.
+    live: Arc<Mutex<Option<Vec<Weak<TcpStream>>>>>,
 }
 
 impl Proxy {
@@ -58,22 +61,18 @@ impl Proxy {
     ) -> std::io::Result<Proxy> {
         let listener = TcpListener::bind(listen)?;
         let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(ProxyStats::default());
-        let target = target.to_string();
-        let shutdown2 = shutdown.clone();
-        let stats2 = stats.clone();
+        let live = Arc::new(Mutex::new(Some(Vec::new())));
+        let (target, counted, registry) = (target.to_string(), stats.clone(), live.clone());
         let accept_thread = std::thread::Builder::new()
             .name(format!("netem-proxy:{local_addr}"))
-            .spawn(move || {
-                accept_loop(listener, &target, profile, clock, shutdown2, stats2);
-            })
-            .expect("spawn proxy accept thread");
+            .spawn(move || accept_loop(listener, &target, profile, clock, &counted, &registry))?;
+        let accept_thread = Some(accept_thread);
         Ok(Proxy {
             local_addr,
-            shutdown,
-            accept_thread: Some(accept_thread),
+            accept_thread,
             stats,
+            live,
         })
     }
 
@@ -90,162 +89,162 @@ impl Proxy {
 
 impl Drop for Proxy {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        let Some(h) = self.accept_thread.take() else {
-            return;
-        };
-        // The accept thread sleeps in `accept`: one connect of our own
-        // wakes it to see the flag. A wake that cannot be delivered must
-        // not hang the drop, so then the thread is left to exit with the
-        // process instead of joined.
-        if wake_listener(self.local_addr) {
-            let _ = h.join();
+        // Closed under the registering lock: every relay's reads end, and no new one starts.
+        let live = self.live.lock().take().unwrap_or_default();
+        for stream in live.iter().filter_map(Weak::upgrade) {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        // One connect of our own wakes the accept thread to see it closed. A
+        // wake that cannot be delivered must not hang the drop.
+        if let Some(h) = self.accept_thread.take() {
+            if wake_listener(self.local_addr) {
+                let _ = h.join();
+            }
         }
     }
 }
 
 /// Relay each accepted connection, blocking in `accept` until the next
-/// arrives; the proxy's drop sets `shutdown` and then connects once to
-/// wake this loop to see it.
+/// arrives, until the proxy's drop closes `live`.
 fn accept_loop(
     listener: TcpListener,
     target: &str,
     profile: NetProfile,
     clock: SharedClock,
-    shutdown: Arc<AtomicBool>,
-    stats: Arc<ProxyStats>,
+    stats: &Arc<ProxyStats>,
+    live: &Mutex<Option<Vec<Weak<TcpStream>>>>,
 ) {
     loop {
         let accepted = listener.accept();
-        if shutdown.load(Ordering::SeqCst) {
+        if live.lock().is_none() {
             return;
         }
-        match accepted {
-            Ok((client, _)) => {
-                let upstream = match TcpStream::connect(target) {
-                    Ok(s) => s,
-                    Err(_) => continue,
-                };
-                stats.connections.fetch_add(1, Ordering::Relaxed);
-                client.set_nodelay(true).ok();
-                upstream.set_nodelay(true).ok();
-                let up_rx = client.try_clone().expect("clone client stream");
-                let up_tx = upstream.try_clone().expect("clone upstream stream");
-                let down_rx = upstream;
-                let down_tx = client;
-                spawn_direction(
-                    up_rx,
-                    up_tx,
-                    profile.clone(),
-                    clock.clone(),
-                    shutdown.clone(),
-                    ByteCounter::Up(stats.clone()),
-                );
-                spawn_direction(
-                    down_rx,
-                    down_tx,
-                    profile.clone(),
-                    clock.clone(),
-                    shutdown.clone(),
-                    ByteCounter::Down(stats.clone()),
-                );
+        let dialed = accepted
+            .map_err(|e| ("netem_accept_error", e))
+            .and_then(|(client, _)| {
+                let upstream = TcpStream::connect(target);
+                Ok((client, upstream.map_err(|e| ("netem_dial_error", e))?))
+            });
+        let (client, upstream) = match dialed {
+            Ok(pair) => pair,
+            Err((event, e)) => {
+                // A failed accept or dial closes that one client, and no other.
+                FlightRecorder::global().record(event, 0, 0);
+                obs_warn!("netem", "proxy: {event} ({e}), still accepting");
+                std::thread::sleep(Duration::from_millis(50));
+                continue;
             }
-            Err(_) => return,
+        };
+        stats.connections.fetch_add(1, Ordering::Relaxed);
+        client.set_nodelay(true).ok();
+        upstream.set_nodelay(true).ok();
+        let (client, upstream) = (Arc::new(client), Arc::new(upstream));
+        let Some(live) = &mut *live.lock() else {
+            return;
+        };
+        live.retain(|stream| stream.strong_count() > 0);
+        live.extend([Arc::downgrade(&client), Arc::downgrade(&upstream)]);
+        let up: fn(&ProxyStats) -> &AtomicU64 = |s| &s.bytes_up;
+        let directions = [
+            (client.clone(), upstream.clone(), up),
+            (upstream, client, |s| &s.bytes_down),
+        ];
+        for (src, dst, relayed) in directions {
+            let line = DelayLine {
+                link: profile.clone(),
+                reads: VecDeque::new(),
+                spare: Vec::new(),
+                link_free: 0,
+            };
+            let (clock, stats) = (clock.clone(), stats.clone());
+            std::thread::Builder::new()
+                .name("netem-relay".into())
+                .spawn(move || line.relay(&src, &dst, &clock, relayed(&stats)))
+                .expect("spawn netem relay");
         }
     }
 }
 
-enum ByteCounter {
-    Up(Arc<ProxyStats>),
-    Down(Arc<ProxyStats>),
+/// One direction of the link: the reads not yet delivered, oldest first,
+/// each in a pooled buffer and stamped with its due time.
+struct DelayLine {
+    link: NetProfile,
+    reads: VecDeque<Stamped>,
+    spare: Vec<Box<[u8]>>,
+    /// When the link has serialized every read so far.
+    link_free: u64,
 }
 
-impl ByteCounter {
-    fn add(&self, n: u64) {
-        match self {
-            ByteCounter::Up(s) => s.bytes_up.fetch_add(n, Ordering::Relaxed),
-            ByteCounter::Down(s) => s.bytes_down.fetch_add(n, Ordering::Relaxed),
-        };
-    }
+/// One read: `buf[..end]`, due at the far end at `due`.
+struct Stamped {
+    buf: Box<[u8]>,
+    end: usize,
+    due: u64,
 }
 
-/// A timestamped chunk "on the wire".
-struct InFlight {
-    deliver_at_nanos: u64,
-    data: Vec<u8>,
-}
-
-fn spawn_direction(
-    mut src: TcpStream,
-    mut dst: TcpStream,
-    profile: NetProfile,
-    clock: SharedClock,
-    shutdown: Arc<AtomicBool>,
-    counter: ByteCounter,
-) {
-    // In-flight capacity: the pipe holds ~BDP bytes; at CHUNK granularity.
-    let capacity = ((profile.bdp_bytes() as usize / CHUNK) + 2).max(2);
-    let (tx, rx): (Sender<InFlight>, Receiver<InFlight>) = bounded(capacity);
-    let delay_nanos = profile.one_way_delay().as_nanos() as u64;
-    let bandwidth = profile.bandwidth_bps;
-
-    // Reader: paces at link bandwidth, stamps delivery deadlines.
-    {
-        let clock = clock.clone();
-        let shutdown = shutdown.clone();
-        std::thread::Builder::new()
-            .name("netem-read".into())
-            .spawn(move || {
-                src.set_read_timeout(Some(Duration::from_millis(100))).ok();
-                let mut bucket = TokenBucket::new(clock.clone(), bandwidth, CHUNK as f64);
-                let mut buf = vec![0u8; CHUNK];
-                loop {
-                    if shutdown.load(Ordering::SeqCst) {
-                        return;
+impl DelayLine {
+    /// Relay `src` to `dst` until `src` ends (EOF, an error or the proxy's
+    /// drop) and all it sent is delivered when due, then half-close `dst`.
+    fn relay(mut self, mut src: &TcpStream, dst: &TcpStream, clock: &RealClock, n: &AtomicU64) {
+        // The BDP in whole reads, plus two to keep a link with no delay busy.
+        let max_reads = self.link.bdp_bytes() as usize / READ + 2;
+        let mut eof = false;
+        loop {
+            if self.release(dst, clock.now_nanos()).is_err() {
+                return;
+            }
+            let next_due = self.reads.front().map(|read| read.due);
+            let wait = next_due.map(|due| due.saturating_sub(clock.now_nanos()));
+            if eof || self.reads.len() >= max_reads {
+                let Some(wait) = wait else { break };
+                clock.sleep_nanos(wait);
+            } else if wait != Some(0) {
+                // Block until bytes arrive, or only until the next are due.
+                src.set_read_timeout(wait.map(Duration::from_nanos)).ok();
+                let mut buf = self.spare.pop().unwrap_or_else(|| vec![0; READ].into());
+                match src.read(&mut buf) {
+                    Ok(0) => eof = true,
+                    Ok(end) => {
+                        n.fetch_add(end as u64, Ordering::Relaxed);
+                        let due = self.due(clock.now_nanos(), end);
+                        self.reads.push_back(Stamped { buf, end, due });
                     }
-                    match src.read(&mut buf) {
-                        Ok(0) => return, // EOF: dropping tx closes the writer
-                        Ok(n) => {
-                            bucket.take(n as f64);
-                            counter.add(n as u64);
-                            let item = InFlight {
-                                deliver_at_nanos: clock.now_nanos() + delay_nanos,
-                                data: buf[..n].to_vec(),
-                            };
-                            if tx.send(item).is_err() {
-                                return;
-                            }
-                        }
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            continue;
-                        }
-                        Err(_) => return,
+                    Err(e) => {
+                        self.spare.push(buf);
+                        eof = !matches!(e.kind(), WouldBlock | TimedOut | Interrupted);
                     }
-                }
-            })
-            .expect("spawn netem reader");
-    }
-
-    // Writer: releases chunks at their delivery deadline.
-    std::thread::Builder::new()
-        .name("netem-write".into())
-        .spawn(move || {
-            while let Ok(item) = rx.recv() {
-                let now = clock.now_nanos();
-                if item.deliver_at_nanos > now {
-                    clock.sleep_nanos(item.deliver_at_nanos - now);
-                }
-                if dst.write_all(&item.data).is_err() {
-                    return;
                 }
             }
-            // Upstream EOF: propagate by shutting down the write half.
-            let _ = dst.shutdown(std::net::Shutdown::Write);
-        })
-        .expect("spawn netem writer");
+        }
+        let _ = dst.shutdown(Shutdown::Write);
+    }
+
+    /// Serialize `n` bytes read at `now` once the link is free, then
+    /// propagate them: the time they are due at the far end.
+    fn due(&mut self, now: u64, n: usize) -> u64 {
+        let serialize = self.link.transfer_time(n as u64).as_nanos() as u64;
+        self.link_free = self.link_free.max(now) + serialize;
+        self.link_free + self.link.one_way_delay().as_nanos() as u64
+    }
+
+    /// Write the reads due by `now` to `dst` in one vectored write of at
+    /// most [`IOV_MAX`] slices, and return their buffers to the pool.
+    fn release(&mut self, mut dst: &TcpStream, now: u64) -> io::Result<()> {
+        let due = self.reads.iter().take_while(|read| read.due <= now);
+        let due = due.take(IOV_MAX).count();
+        let mut slices = [IoSlice::new(&[]); IOV_MAX];
+        for (slice, read) in slices.iter_mut().zip(self.reads.range(..due)) {
+            *slice = IoSlice::new(&read.buf[..read.end]);
+        }
+        let mut unsent = &mut slices[..due];
+        while !unsent.is_empty() {
+            let written = dst.write_vectored(unsent)?;
+            IoSlice::advance_slices(&mut unsent, written);
+        }
+        let written = self.reads.drain(..due).map(|read| read.buf);
+        self.spare.extend(written);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -342,6 +341,62 @@ mod tests {
         drop(c);
         drop(proxy);
         server.join().unwrap();
+    }
+
+    #[test]
+    fn reads_queue_behind_the_link_and_an_idle_gap_restarts_it() {
+        // 1 byte per µs, 5 ms one way.
+        let mut line = DelayLine {
+            link: NetProfile::new("test", Duration::from_millis(10), 1e6),
+            reads: VecDeque::new(),
+            spare: Vec::new(),
+            link_free: 0,
+        };
+        let ms = 1_000_000;
+        // Back to back: the second read serializes after the first.
+        assert_eq!(line.due(ms, 1000), 2 * ms + 5 * ms);
+        assert_eq!(line.due(ms, 1000), 3 * ms + 5 * ms);
+        // Read while the link is still busy: it queues behind `link_free`.
+        assert_eq!(line.due(2 * ms, 500), 3 * ms + ms / 2 + 5 * ms);
+        // After an idle gap the schedule restarts at `now`.
+        assert_eq!(line.due(10 * ms, 1000), 11 * ms + 5 * ms);
+    }
+
+    #[test]
+    fn a_refused_dial_is_recorded_and_the_next_connection_is_relayed() {
+        // A port nothing listens on: dials to it are refused.
+        let target = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let proxy = Proxy::spawn(
+            "127.0.0.1:0",
+            &target.to_string(),
+            NetProfile::local(),
+            RealClock::shared(),
+        )
+        .unwrap();
+        let dial_errors = || {
+            FlightRecorder::global()
+                .dump()
+                .iter()
+                .filter(|ev| ev.name == "netem_dial_error")
+                .count()
+        };
+        let before = dial_errors();
+        let mut refused = TcpStream::connect(proxy.local_addr()).unwrap();
+        // The proxy records the failed dial, then closes the client.
+        assert_eq!(refused.read(&mut [0u8; 1]).unwrap_or(0), 0);
+        assert_eq!(dial_errors(), before + 1);
+
+        let listener = TcpListener::bind(target).unwrap();
+        let mut c = TcpStream::connect(proxy.local_addr()).unwrap();
+        c.write_all(b"after").unwrap();
+        let (mut s, _) = listener.accept().unwrap();
+        let mut buf = [0u8; 5];
+        s.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"after");
+        assert_eq!(proxy.stats().connections.load(Ordering::Relaxed), 1);
     }
 
     #[test]

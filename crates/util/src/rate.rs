@@ -1,11 +1,11 @@
-//! Token-bucket rate limiting, used by the userspace network shaper
-//! (`emlio-netem`) to emulate link bandwidth the way `tc`'s qdisc does.
+//! Token-bucket rate limiting, used by the emulated NFS mount
+//! (`emlio-netem`) to share one link's bandwidth among its readers.
 
 use crate::clock::SharedClock;
 
 /// A token bucket: capacity `burst` tokens, refilled at `rate` tokens/sec.
-/// Tokens here are bytes. Not thread-safe by itself — wrap in a mutex or use
-/// one bucket per shaper thread (what netem does).
+/// Tokens here are bytes. Not thread-safe by itself — wrap in a mutex (what
+/// the NFS mount does) or use one bucket per thread.
 pub struct TokenBucket {
     clock: SharedClock,
     rate_per_sec: f64,
