@@ -1167,11 +1167,10 @@ impl CacheCore {
 
     /// The spill writer's next order, waiting for one; `None` once the
     /// handle is dropping and the queue is drained, which ends the writer.
-    /// Taking an order finishes the one before it: a writer that finds
-    /// the queue empty is idle, and wakes `flush_spills`.
+    /// A writer that finds the queue empty is idle, and wakes
+    /// `flush_spills`.
     fn next_spill(&self) -> Option<BlockKey> {
         let mut st = self.state.lock();
-        st.writing = false;
         while st.spill_orders.is_empty() && !st.shutdown {
             self.spill.notify_all();
             self.spill.wait(&mut st);
@@ -1187,7 +1186,9 @@ impl CacheCore {
     /// Runs on the one writer thread, the only place the disk tier grows,
     /// so the room made before the write is still there when it lands; the
     /// lock is never held across the file I/O. The writer never spills
-    /// recursively — disk-tier overflow only *drops* disk victims.
+    /// recursively — disk-tier overflow only *drops* disk victims. The
+    /// order is finished (`writing` cleared) in the critical section that
+    /// lands it, or in the one that finds nothing to write.
     fn finish_spill(&self, key: BlockKey) {
         let (data, reclaimed) = {
             let mut st = self.state.lock();
@@ -1203,7 +1204,10 @@ impl CacheCore {
                 {
                     data.clone()
                 }
-                _ => return,
+                _ => {
+                    st.writing = false;
+                    return;
+                }
             };
             let reclaimed = self.make_disk_room(&mut st, data.len() as u64);
             st.check(&self.config);
@@ -1298,6 +1302,7 @@ impl CacheCore {
             if let Some(slot) = landed {
                 st.slots.insert(key, slot);
             }
+            st.writing = false;
             st.check(&self.config);
             orphan
         };

@@ -17,7 +17,14 @@
 //!   unbuffered in both directions: a frame's segments go to the kernel in
 //!   one vectored write and come back out of it straight into a recycled
 //!   buffer, so this crate never copies, zero-fills or allocates for a
-//!   payload.
+//!   payload;
+//! * a receive side that wakes only for work: before each read a PULL
+//!   reader sets the connection's `SO_RCVLOWAT` to what that read still
+//!   needs (the rest of the length prefix or payload, at most 1 MiB) and
+//!   sleeps in `poll` until that much is in, so a 3 MiB frame is at most
+//!   four wake-ups instead of one per queued segment. The mark is per
+//!   read, never per connection or per frame, so it never waits for a
+//!   byte the sender has not written ([`pull`] says why).
 //!
 //! TCP is the only transport: tests and single-process runs bind
 //! `tcp://127.0.0.1:0` and take the same path production does.

@@ -16,6 +16,32 @@
 //! The queue's sending half sits in one slot, and each reader holds a clone
 //! of it. [`Intake::EndOfStream`] or [`StopHandle::stop`] empties the slot:
 //! no new connection is read, and the queue ends with the last reader.
+//!
+//! **A reader wakes once the bytes it asked for are in.** Before each
+//! read, the connection's `SO_RCVLOWAT` is set to the bytes that read
+//! asks for, capped at 1 MiB (`MAX_LOW_WATER`), and the reader sleeps in
+//! `poll` until the kernel holds that many (or the stream ends, or a read
+//! tick passes). [`FrameReader`] asks for exactly the rest of the part in
+//! progress: the 4-byte length prefix, then the payload bytes still
+//! missing. So a 3 MiB frame is at most four reads and four wake-ups,
+//! where a plain read wakes once per segment the kernel queues (about ten
+//! on loopback, each paid in the sender's context there).
+//!
+//! The mark is set per read, because it must never exceed what the
+//! sender has written. A fixed mark makes a frame smaller than it, such
+//! as the end-of-stream marker or the last frame before a pause, wait for
+//! the read tick. A mark set to the frame's length and not lowered as the
+//! frame comes in does the same to the next frame's length prefix. And
+//! the wait is in `poll`, not in a blocking `read`: a read that finds part
+//! of what it asked for copies that part, then sleeps until the kernel
+//! holds a whole mark more, so a frame of 1 MiB or less that arrives in
+//! two pieces would wait for the tick. The read tick is still the bound
+//! on any wait the kernel's mark does not end.
+//!
+//! The mark only raises the socket's receive buffer and window clamp (the
+//! kernel sizes them to twice the mark), so it cannot shrink a WAN
+//! window. On other platforms a read is a plain read with the tick as its
+//! timeout; where setting the mark fails, the reader wakes for any byte.
 
 use crate::endpoint::Endpoint;
 use crate::frame::FrameReader;
@@ -25,6 +51,7 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use emlio_obs::{obs_warn, FlightRecorder, Stage, StageRecorder};
 use emlio_util::pool::BufferPool;
 use emlio_util::wake_listener;
+use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -38,6 +65,12 @@ const READ_TICK: Duration = Duration::from_millis(100);
 /// Once the stream has ended, a connection that has delivered no frame for
 /// this long is read no further.
 const END_QUIET: Duration = Duration::from_millis(500);
+
+/// The most a read's low-water mark asks the kernel to gather before it
+/// wakes the reader. The kernel grows the socket's receive buffer to twice
+/// the mark and never shrinks it, so this bounds what one connection can
+/// make it reserve; on loopback a 4 MiB cap measured no faster.
+const MAX_LOW_WATER: usize = 1 << 20;
 
 /// What a reader does with a frame it read ([`PullSocket::bind_with`]).
 #[derive(Debug)]
@@ -58,6 +91,10 @@ pub struct PullStats {
     pub msgs_received: u64,
     /// Payload bytes of those frames.
     pub bytes_received: u64,
+    /// Read calls that returned bytes: the receive twin of
+    /// `PushStats::writes`. With the low-water mark a frame of `len` bytes
+    /// takes at most `1 + ⌈len / 1 MiB⌉` of them.
+    pub reads: u64,
     /// Connections accepted over the socket's lifetime.
     pub connections: u64,
     /// Connections a reader gave up on: an oversized length prefix, EOF
@@ -75,6 +112,7 @@ pub struct PullStats {
 struct Counters {
     msgs_received: AtomicU64,
     bytes_received: AtomicU64,
+    reads: AtomicU64,
     connections: AtomicU64,
     read_errors: AtomicU64,
 }
@@ -225,6 +263,7 @@ impl<T> PullSocket<T> {
         PullStats {
             msgs_received: c.msgs_received.load(Ordering::Relaxed),
             bytes_received: c.bytes_received.load(Ordering::Relaxed),
+            reads: c.reads.load(Ordering::Relaxed),
             connections: c.connections.load(Ordering::Relaxed),
             read_errors: c.read_errors.load(Ordering::Relaxed),
             buffers_reused: pool.pool_reuse,
@@ -297,11 +336,11 @@ fn accept_loop<T: Send + 'static>(listener: TcpListener, shared: Arc<Shared<T>>)
 /// stream breaks, the socket stops or every consumer is gone — or, once
 /// the stream has ended, until the connection has been quiet for
 /// [`END_QUIET`]. Returning drops this reader's sending half.
-fn read_connection<T>(mut stream: TcpStream, peer: SocketAddr, tx: Sender<T>, shared: &Shared<T>) {
-    // Reads block for one tick at most, so the stop flag is seen. The tick
+fn read_connection<T>(stream: TcpStream, peer: SocketAddr, tx: Sender<T>, shared: &Shared<T>) {
+    // Reads wait for one tick at most, so the stop flag is seen. The tick
     // can fire mid-frame, so the frame in progress lives in `frames`
     // across ticks.
-    stream.set_read_timeout(Some(READ_TICK)).ok();
+    let mut stream = LowWaterReader::new(stream, &shared.counters.reads);
     let mut frames = FrameReader::with_pool(shared.pool.clone());
     let record = |stage, since: Instant| {
         if let Some(rec) = &shared.recorder {
@@ -359,6 +398,143 @@ fn read_connection<T>(mut stream: TcpStream, peer: SocketAddr, tx: Sender<T>, sh
                 return;
             }
         }
+    }
+}
+
+/// A connection read with `SO_RCVLOWAT` equal to what each read asks for,
+/// up to [`MAX_LOW_WATER`]: the reader sleeps in `poll` until that many
+/// bytes are in (or the stream ends, or a read tick passes), then reads
+/// without blocking whatever is there, `WouldBlock` if nothing is (see
+/// the module docs for why it does not wait in `read`).
+struct LowWaterReader<'a> {
+    stream: TcpStream,
+    /// The mark last set (the kernel's default is one byte).
+    mark: usize,
+    /// Read calls that returned bytes ([`PullStats::reads`]).
+    reads: &'a AtomicU64,
+}
+
+impl<'a> LowWaterReader<'a> {
+    fn new(stream: TcpStream, reads: &'a AtomicU64) -> Self {
+        sys::prepare(&stream);
+        LowWaterReader {
+            stream,
+            mark: 1,
+            reads,
+        }
+    }
+}
+
+impl Read for LowWaterReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let want = buf.len().clamp(1, MAX_LOW_WATER);
+        if want != self.mark && sys::set_rcvlowat(&self.stream, want) {
+            self.mark = want;
+        }
+        sys::wait_readable(&self.stream)?;
+        let n = self.stream.read(buf)?;
+        if n > 0 {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(n)
+    }
+}
+
+/// 64-bit Linux on x86-64 and AArch64, where the socket option numbers
+/// are the generic ones: a non-blocking socket, its mark set with
+/// `setsockopt(SO_RCVLOWAT)` and its reads waited for with `poll`.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+mod sys {
+    use std::ffi::{c_int, c_short, c_ulong, c_void};
+    use std::io;
+    use std::net::TcpStream;
+    use std::os::fd::AsRawFd;
+
+    const SOL_SOCKET: c_int = 1;
+    const SO_RCVLOWAT: c_int = 18;
+    const POLLIN: c_short = 1;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
+    extern "C" {
+        fn setsockopt(
+            fd: c_int,
+            level: c_int,
+            name: c_int,
+            value: *const c_void,
+            len: u32,
+        ) -> c_int;
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+    }
+
+    /// Reads never block: the waiting is [`wait_readable`]'s.
+    pub(super) fn prepare(stream: &TcpStream) {
+        stream.set_nonblocking(true).ok();
+    }
+
+    /// Set `stream`'s low-water mark to `bytes`; whether the kernel took it.
+    pub(super) fn set_rcvlowat(stream: &TcpStream, bytes: usize) -> bool {
+        let value = c_int::try_from(bytes).unwrap_or(c_int::MAX);
+        // SAFETY: `value` is a live local `c_int` and the length passed is
+        // its size; the descriptor is open for as long as `stream` is
+        // borrowed, and the call writes nothing.
+        let rc = unsafe {
+            setsockopt(
+                stream.as_raw_fd(),
+                SOL_SOCKET,
+                SO_RCVLOWAT,
+                (&value as *const c_int).cast(),
+                std::mem::size_of::<c_int>() as u32,
+            )
+        };
+        rc == 0
+    }
+
+    /// Sleep until `stream` holds its mark's bytes, has ended or failed,
+    /// or a read tick has passed; the read after it takes what is there.
+    pub(super) fn wait_readable(stream: &TcpStream) -> io::Result<()> {
+        let mut fd = PollFd {
+            fd: stream.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        let timeout = super::READ_TICK.as_millis() as c_int;
+        // SAFETY: one live, exclusively borrowed `pollfd` and a count of
+        // one; the descriptor is open for as long as `stream` is borrowed.
+        match unsafe { poll(&mut fd, 1, timeout) } {
+            n if n < 0 => Err(io::Error::last_os_error()),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Elsewhere the mark is never set: a read is a plain read that blocks
+/// for one read tick at most.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+mod sys {
+    use std::net::TcpStream;
+
+    pub(super) fn prepare(stream: &TcpStream) {
+        stream.set_read_timeout(Some(super::READ_TICK)).ok();
+    }
+
+    pub(super) fn set_rcvlowat(_stream: &TcpStream, _bytes: usize) -> bool {
+        false
+    }
+
+    pub(super) fn wait_readable(_stream: &TcpStream) -> std::io::Result<()> {
+        Ok(())
     }
 }
 
@@ -554,6 +730,12 @@ mod tests {
         assert_eq!(stats.msgs_received, 21);
     }
 
+    /// The next frame, failing the test after 5 s rather than hanging it.
+    fn recv(pull: &PullSocket) -> Bytes {
+        let got = pull.recv_timeout(Duration::from_secs(5)).unwrap();
+        got.expect("a frame within 5 s")
+    }
+
     /// A scatter frame shaped like a served batch: `segments` payloads of
     /// `seg_len` bytes, a few header bytes before each.
     fn batch_frame(tag: u8, segments: usize, seg_len: usize) -> crate::Frame {
@@ -657,6 +839,88 @@ mod tests {
             }),
             "reader thread exits on shutdown mid-frame"
         );
+    }
+
+    #[test]
+    fn a_frame_takes_one_read_per_mib_and_one_for_its_prefix() {
+        // 32 frames of 3 MiB, each 32 segments sent in one vectored write,
+        // to a consumer that keeps up: each frame is sent once the one
+        // before it is received, so the reader is always waiting for it.
+        // The low-water mark wakes it once a MiB (or the rest of the frame)
+        // is in, not once per segment the kernel queues.
+        const FRAMES: u64 = 32;
+        const SEGMENTS: usize = 32;
+        const LEN: usize = 3 << 20;
+        let (pull, push) = tcp_pair(4);
+        for i in 0..FRAMES {
+            push.send(batch_frame(i as u8, SEGMENTS, LEN / SEGMENTS - 11))
+                .unwrap();
+            let got = recv(&pull);
+            assert_eq!((got.len(), got[11]), (LEN, i as u8));
+        }
+        push.close().unwrap();
+        let stats = pull.stats();
+        assert_eq!(stats.msgs_received, FRAMES);
+        let bound = FRAMES * (1 + LEN.div_ceil(MAX_LOW_WATER) as u64) + 8;
+        assert!(
+            stats.reads <= bound,
+            "{} reads for {FRAMES} frames of 3 MiB (bound {bound})",
+            stats.reads
+        );
+    }
+
+    #[test]
+    fn nothing_waits_on_the_low_water_mark() {
+        use emlio_util::testutil::poll_until;
+        use std::io::Write;
+
+        // Each case writes a stream in two pieces, pausing in between, on a
+        // connection that then stays open and silent: its last frame must
+        // arrive within 20 ms of its last byte, well inside a read tick. A
+        // mark fixed per connection, or raised per frame and never lowered,
+        // holds a frame until the tick; so does waiting in a blocking
+        // `read`, which takes the first half and then waits for a whole
+        // mark more (the third case).
+        let big = 3 << 20;
+        let cases = [
+            // A small frame after a large one, the reader asleep before it.
+            (&[(big, 0x3C), (40, 0xC3)][..], 4 + big, 10),
+            // A frame whose last 100 KiB follow a writer stall.
+            (&[(big, 0x69)][..], 4 + big - (100 << 10), 250),
+            // A frame of less than the mark, in two halves.
+            (&[(512 << 10, 0x96)][..], (4 + (512 << 10)) / 2, 20),
+        ];
+        for (frames, cut, pause_ms) in cases {
+            let mut wire = Vec::new();
+            let mut whole = 0;
+            for &(len, byte) in frames {
+                crate::frame::write_frame(&mut wire, &vec![byte; len]).unwrap();
+                whole += u64::from(wire.len() <= cut);
+            }
+            let pull =
+                PullSocket::bind(&Endpoint::tcp("127.0.0.1", 0), SocketOptions::default()).unwrap();
+            let mut raw = TcpStream::connect(pull.local_addr).unwrap();
+            raw.set_nodelay(true).unwrap();
+            raw.write_all(&wire[..cut]).unwrap();
+            // What is timed is the wait for the rest, not the reading of
+            // frames that were whole before it.
+            assert!(poll_until(Duration::from_secs(5), || {
+                pull.stats().msgs_received == whole
+            }));
+            std::thread::sleep(Duration::from_millis(pause_ms));
+            let sent = Instant::now();
+            raw.write_all(&wire[cut..]).unwrap();
+            let got: Vec<Bytes> = frames.iter().map(|_| recv(&pull)).collect();
+            let took = sent.elapsed();
+            for (got, &(len, byte)) in got.iter().zip(frames) {
+                assert_eq!(got, &vec![byte; len]);
+            }
+            assert!(
+                took < Duration::from_millis(20),
+                "{took:?} after a {pause_ms} ms pause"
+            );
+            drop(raw);
+        }
     }
 
     #[test]
