@@ -38,7 +38,7 @@
 use emlio_cache::peer::{ChaosPeer, FleetRegistry, LocalPeer, PeerConfig};
 use emlio_cache::CacheConfig;
 use emlio_core::chaos::ChaosController;
-use emlio_core::daemon::DaemonError;
+use emlio_core::daemon::{local_connections_per_worker, DaemonError};
 use emlio_core::service::{Delivery, Deployment, Fingerprint, StorageSpec};
 use emlio_core::{EmlioConfig, EmlioService, MetricsSnapshot, StackSpec};
 use emlio_datagen::convert::build_tfrecord_dataset;
@@ -67,11 +67,21 @@ pub enum ChaosMode {
     /// Spill-to-disk cache with a persistent tier: faults at `source.read`
     /// and `spill.write`; restarts re-admit whatever spill survived.
     SpillPersist,
+    /// The cached stack with one send worker, whose socket then stripes
+    /// over every core's connection (⌈cores / 1⌉): each kill abandons a
+    /// stream spread over several connections, and each clean end is one
+    /// marker per connection.
+    Striped,
 }
 
 impl ChaosMode {
     /// Every mode, in CLI order.
-    pub const ALL: [ChaosMode; 3] = [ChaosMode::Cached, ChaosMode::Fleet, ChaosMode::SpillPersist];
+    pub const ALL: [ChaosMode; 4] = [
+        ChaosMode::Cached,
+        ChaosMode::Fleet,
+        ChaosMode::SpillPersist,
+        ChaosMode::Striped,
+    ];
 
     /// CLI name.
     pub fn name(self) -> &'static str {
@@ -79,6 +89,7 @@ impl ChaosMode {
             ChaosMode::Cached => "cached",
             ChaosMode::Fleet => "fleet",
             ChaosMode::SpillPersist => "spill-persist",
+            ChaosMode::Striped => "striped",
         }
     }
 
@@ -114,14 +125,16 @@ pub struct ChaosConfig {
 
 impl ChaosConfig {
     /// Harness defaults: small enough for CI, multi-epoch and
-    /// multi-threaded so kills land mid-epoch with real interleaving.
+    /// multi-threaded so kills land mid-epoch with real interleaving — two
+    /// send workers, or in [`ChaosMode::Striped`] one whose connections
+    /// interleave.
     pub fn new(seed: u64, mode: ChaosMode) -> ChaosConfig {
         ChaosConfig {
             seed,
             mode,
             samples: 36,
             batch_size: 4,
-            threads: 2,
+            threads: if mode == ChaosMode::Striped { 1 } else { 2 },
             epochs: 2,
         }
     }
@@ -144,6 +157,8 @@ pub struct ChaosOutcome {
     pub seed: u64,
     /// Mode exercised.
     pub mode: ChaosMode,
+    /// TCP connections each send worker's stream striped over.
+    pub connections: usize,
     /// How the run ended.
     pub verdict: Verdict,
     /// Batches the compute side received.
@@ -186,10 +201,11 @@ impl fmt::Display for ChaosOutcome {
         };
         write!(
             f,
-            "seed {:#018x} {:<13} {verdict}: {} batches, {} kills/{} restarts, \
+            "seed {:#018x} {:<13} S={} {verdict}: {} batches, {} kills/{} restarts, \
              faults {}err/{}short/{}lat, io_retries {} (giveups {}), readmitted {}",
             self.seed,
             self.mode.name(),
+            self.connections,
             self.batches_delivered,
             self.kills,
             self.restarts,
@@ -241,7 +257,9 @@ impl Schedule {
         };
 
         let fault_plan = match cfg.mode {
-            ChaosMode::Cached => FaultPlan::new(cfg.seed).with_site(site::SOURCE_READ, read_spec),
+            ChaosMode::Cached | ChaosMode::Striped => {
+                FaultPlan::new(cfg.seed).with_site(site::SOURCE_READ, read_spec)
+            }
             ChaosMode::Fleet => FaultPlan::new(cfg.seed)
                 .with_site(
                     site::PEER_FETCH,
@@ -401,7 +419,7 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
     // the match arm, every fetch would find a dead owner.
     let owner_cache;
     let (id, config, stack) = match cfg.mode {
-        ChaosMode::Cached => (
+        ChaosMode::Cached | ChaosMode::Striped => (
             "d0",
             chaos_config.with_cache(CacheConfig::default().with_ram_bytes(32 << 20)),
             faulted_shards(),
@@ -496,6 +514,7 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
     Ok(ChaosOutcome {
         seed: cfg.seed,
         mode: cfg.mode,
+        connections: local_connections_per_worker(cfg.threads),
         verdict,
         batches_delivered: delivery.batches,
         kills: controller.kills(),
@@ -548,6 +567,15 @@ mod tests {
         let out = run_schedule(&ChaosConfig::new(0xF1EE7, ChaosMode::Fleet)).unwrap();
         assert!(out.injected_total() > 0, "{out}");
         assert!(out.peer_hits > 0, "the warmed owner is alive to fetch from");
+    }
+
+    #[test]
+    fn striped_schedule_upholds_the_delivery_guarantee() {
+        let cfg = ChaosConfig::new(0x57_121E, ChaosMode::Striped);
+        assert_eq!(cfg.threads, 1);
+        let out = run_schedule(&cfg).unwrap();
+        assert!(out.injected_total() > 0, "{out}");
+        assert_eq!(out.connections, local_connections_per_worker(1));
     }
 
     #[test]

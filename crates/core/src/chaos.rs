@@ -16,9 +16,10 @@
 //!   batch: batches the previous incarnation already pushed are skipped on
 //!   replay, so a kill/restart cycle delivers every planned batch exactly
 //!   once.
-//! * [`ChaosController::end_stream`] gives each worker's stream one
-//!   end-of-stream marker across incarnations: the receiver reads no
-//!   connection opened after the last marker it expects.
+//! * [`ChaosController::end_stream`] lets one incarnation per worker end
+//!   its stream, with one end-of-stream marker on each of its socket's
+//!   connections: the receiver reads no connection opened after the last
+//!   marker it expects.
 //!
 //! The ledger is keyed by `(epoch, batch_id)` — globally unique within a
 //! plan — so it is indifferent to which worker or incarnation sends a

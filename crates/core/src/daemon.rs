@@ -7,6 +7,18 @@
 //! reading/serializing one batch overlaps sending another — the paper's
 //! network-pipeline concurrency, and the knob behind Figures 7 and 8.
 //!
+//! Each worker's socket stripes over [`connections_per_worker`] = ⌈cores /
+//! T⌉ TCP connections, each with its own sender thread. Copying a batch
+//! into the kernel is the send side's one serial cost, and on loopback a
+//! single sender thread is busy nearly all the time in system calls while
+//! other cores idle; with ⌈cores / T⌉ of them the `T` workers' senders can
+//! keep every core copying. The count follows the cores, not a constant:
+//! more connections than cores only add threads that contend for them (on
+//! a proxied WAN link, extra relay threads too). The worker ends its stream
+//! with one marker on each connection ([`PushSocket::close_with`]), and the
+//! marker says how many connections there are, so the receiver knows when
+//! it has read the stream to its end.
+//!
 //! Reads go through a composable [`RangeSource`] stack that
 //! [`ReadStack`] assembles at open time (its docs have the layer order).
 //! With [`EmlioConfig::cache`] set, repeated epochs are served from RAM
@@ -123,6 +135,20 @@ impl RangeSource for MeteredSource {
     fn describe(&self) -> String {
         format!("metered -> {}", self.inner.describe())
     }
+}
+
+/// The TCP connections each of `threads` send workers stripes its stream
+/// over on a box with `cores` cores: ⌈cores / threads⌉, at least one. The
+/// workers' sender threads then number about one per core (the module docs
+/// say why).
+pub fn connections_per_worker(cores: usize, threads: usize) -> usize {
+    cores.div_ceil(threads.max(1)).max(1)
+}
+
+/// [`connections_per_worker`] on this box.
+pub fn local_connections_per_worker(threads: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    connections_per_worker(cores, threads)
 }
 
 /// A storage-side daemon bound to one dataset directory.
@@ -381,11 +407,13 @@ impl EmlioDaemon {
         reader: &CachedRangeReader,
         chaos: Option<&ChaosController>,
     ) -> Result<(), DaemonError> {
+        let connections = local_connections_per_worker(self.config.threads_per_node);
         let origin = format!("{}/t{}", self.id, worker);
         let socket = PushSocket::connect(
             endpoint,
             SocketOptions::default()
                 .with_hwm(self.config.hwm)
+                .with_connections(connections)
                 .with_recorder(self.recorder.clone()),
         )?;
         let stats = socket.stats();
@@ -418,9 +446,9 @@ impl EmlioDaemon {
                 }
             }
         }
-        if chaos.is_none_or(|c| c.end_stream(worker)) {
-            socket.send(Bytes::from(wire::encode_end_stream(&origin, sent)))?;
-        }
+        let marker = chaos
+            .is_none_or(|c| c.end_stream(worker))
+            .then(|| wire::encode_end_stream(&origin, sent, connections as u32));
         // Fold this stream's backpressure stalls into the shared counters
         // before the socket (and its stats' last strong ref) goes away.
         self.metrics.add_send_blocked_nanos(
@@ -430,9 +458,12 @@ impl EmlioDaemon {
         );
         // A killed worker still closes the socket — accepted frames flush,
         // matching a process whose kernel buffers drain after the crash —
-        // but the missing end-of-stream marker is what the receiver of a
+        // but the missing end-of-stream markers are what the receiver of a
         // real crash would (not) see.
-        socket.close()?;
+        match marker {
+            Some(marker) => socket.close_with(Bytes::from(marker))?,
+            None => socket.close()?,
+        }
         Ok(())
     }
 
@@ -518,6 +549,7 @@ impl EmlioDaemon {
 mod tests {
     use super::*;
     use crate::plan::Plan;
+    use crate::stream_end::StreamEnds;
     use emlio_datagen::convert::build_tfrecord_dataset;
     use emlio_datagen::DatasetSpec;
     use emlio_tfrecord::source::TfrecordSource;
@@ -550,9 +582,10 @@ mod tests {
         let server = std::thread::spawn(move || daemon.serve(&plan, "node", &ep).unwrap());
 
         let mut batches = 0u64;
-        let mut ends = 0u32;
+        // Two workers' streams, each ended by one marker per connection.
+        let mut ends = StreamEnds::new(2);
         let mut seen_per_epoch = vec![std::collections::HashSet::new(); 2];
-        while ends < 2 {
+        while !ends.is_ended() {
             let frame = pull.recv().unwrap();
             match wire::decode_lazy(&frame, None).unwrap() {
                 wire::LazyMsg::Batch(b) => {
@@ -569,11 +602,20 @@ mod tests {
                         assert_eq!(s.bytes.as_ref(), spec.payload_of(s.sample_id));
                     }
                 }
-                wire::LazyMsg::EndStream { .. } => ends += 1,
+                wire::LazyMsg::EndStream {
+                    origin,
+                    connections,
+                    ..
+                } => {
+                    ends.marker(&origin, connections);
+                }
             }
         }
         server.join().unwrap();
         assert_eq!(batches, expected);
+        // Each worker's stream went over its share of the cores' connections.
+        let per_worker = local_connections_per_worker(2) as u64;
+        assert_eq!(pull.stats().connections, 2 * per_worker);
         for (e, seen) in seen_per_epoch.iter().enumerate() {
             assert_eq!(seen.len(), 25, "epoch {e} exactly-once coverage");
         }
@@ -605,12 +647,18 @@ mod tests {
         let metrics = daemon.metrics();
         let server = std::thread::spawn(move || daemon.serve(&plan, "node", &ep).unwrap());
 
-        let mut ends = 0u32;
+        let mut ends = StreamEnds::new(2);
         let mut batches = 0u64;
-        while ends < 2 {
+        while !ends.is_ended() {
             match wire::decode_lazy(&pull.recv().unwrap(), None).unwrap() {
                 wire::LazyMsg::Batch(_) => batches += 1,
-                wire::LazyMsg::EndStream { .. } => ends += 1,
+                wire::LazyMsg::EndStream {
+                    origin,
+                    connections,
+                    ..
+                } => {
+                    ends.marker(&origin, connections);
+                }
             }
         }
         server.join().unwrap();
@@ -701,6 +749,15 @@ mod tests {
             matches!(err, DaemonError::Storage(RecordError::Truncated { .. })),
             "partial batch must surface as truncation, got {err}"
         );
+    }
+
+    #[test]
+    fn each_worker_stripes_over_its_share_of_the_cores() {
+        assert_eq!(connections_per_worker(2, 1), 2);
+        assert_eq!(connections_per_worker(2, 2), 1);
+        assert_eq!(connections_per_worker(4, 3), 2);
+        assert_eq!(connections_per_worker(8, 3), 3);
+        assert_eq!(connections_per_worker(1, 4), 1);
     }
 
     #[test]

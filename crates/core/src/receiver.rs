@@ -17,12 +17,21 @@
 //! Repeated origin strings are deduplicated through one shared
 //! [`StrInterner`].
 //!
-//! The stream ends after the last expected end-of-stream marker, once
-//! every connection still open has closed or gone quiet for 500 ms. A stop
+//! Each daemon send worker's stream may stripe over several connections,
+//! and it ends each of them with a marker saying how many there are. A
+//! stream has ended once its origin has sent that many markers, and the
+//! queue ends with the last expected stream ([`StreamEnds`] is the rule),
+//! once every connection still open has closed or gone quiet for 500 ms.
+//! Markers are counted per origin, never as one total: the first marker of
+//! a two-connection stream says nothing about its other connection, whose
+//! frames may still be on their way. A refused marker (one too many for
+//! its origin, or disagreeing on the count) is dropped with a flight event
+//! and a warning, and ends nothing. A stop
 //! (the receiver's drop, or a failed daemon in the launch harness) ends it
 //! within one 100 ms read tick, after what is already queued.
 
 use crate::metrics::DataPathMetrics;
+use crate::stream_end::{Marker, StreamEnds};
 use crate::wire::{self, LazyBatch, LazyMsg};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
@@ -30,8 +39,7 @@ use emlio_msgpack::StrInterner;
 use emlio_obs::{clock, obs_warn, FlightRecorder, Stage, StageRecorder};
 use emlio_pipeline::{ExternalSource, RawBatch};
 use emlio_zmq::{Endpoint, Intake, PullSocket, SocketOptions, StopHandle, ZmqError};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Receiver configuration.
@@ -45,7 +53,8 @@ pub struct ReceiverConfig {
     /// Read nowhere: the one queue holds `hwm` batches.
     #[doc(hidden)]
     pub queue_capacity: usize,
-    /// Stop after this many `end_stream` markers (daemons × workers).
+    /// Stop once this many streams (daemons × workers) have sent their
+    /// end-of-stream markers, one per connection each.
     pub expected_streams: u32,
 }
 
@@ -67,7 +76,7 @@ pub struct EmlioReceiver {
     endpoint: Endpoint,
     metrics: Arc<DataPathMetrics>,
     recorder: Arc<StageRecorder>,
-    streams_seen: Arc<AtomicU32>,
+    ends: Arc<Mutex<StreamEnds>>,
 }
 
 impl EmlioReceiver {
@@ -75,9 +84,8 @@ impl EmlioReceiver {
     pub fn bind(config: ReceiverConfig) -> Result<EmlioReceiver, ZmqError> {
         let metrics = DataPathMetrics::shared();
         let recorder = StageRecorder::shared();
-        let streams_seen = Arc::new(AtomicU32::new(0));
-        let (metrics2, recorder2) = (metrics.clone(), recorder.clone());
-        let (streams_seen2, expected) = (streams_seen.clone(), config.expected_streams);
+        let ends = Arc::new(Mutex::new(StreamEnds::new(config.expected_streams)));
+        let (metrics2, recorder2, ends2) = (metrics.clone(), recorder.clone(), ends.clone());
         let interner = StrInterner::new();
         let intake = move |frame: Bytes| {
             let t_scan = Instant::now();
@@ -89,12 +97,27 @@ impl EmlioReceiver {
                     metrics2.record_batch(batch.len() as u64, batch.payload_bytes());
                     Intake::Deliver(batch)
                 }
-                Ok(LazyMsg::EndStream { .. }) => {
-                    let seen = streams_seen2.fetch_add(1, Ordering::SeqCst) + 1;
-                    if seen == expected {
-                        Intake::EndOfStream
-                    } else {
-                        Intake::Skip
+                Ok(LazyMsg::EndStream {
+                    origin,
+                    connections,
+                    ..
+                }) => {
+                    let marker = lock(&ends2).marker(&origin, connections);
+                    match marker {
+                        Marker::QueueEnded => Intake::EndOfStream,
+                        Marker::Counted | Marker::StreamEnded => Intake::Skip,
+                        Marker::Refused(why) => {
+                            FlightRecorder::global().record(
+                                "recv_refused_marker",
+                                u64::from(connections),
+                                0,
+                            );
+                            obs_warn!(
+                                "receiver",
+                                "dropping end-of-stream marker from {origin}: {why:?}"
+                            );
+                            Intake::Skip
+                        }
                     }
                 }
                 Err(e) => {
@@ -126,7 +149,7 @@ impl EmlioReceiver {
             endpoint,
             metrics,
             recorder,
-            streams_seen,
+            ends,
         })
     }
 
@@ -161,9 +184,10 @@ impl EmlioReceiver {
         self.recorder.clone()
     }
 
-    /// End-of-stream markers seen so far.
+    /// Streams that have ended so far: origins whose every connection has
+    /// sent its end-of-stream marker.
     pub fn streams_seen(&self) -> u32 {
-        self.streams_seen.load(Ordering::SeqCst)
+        lock(&self.ends).streams_ended()
     }
 
     /// Stops the receiver's socket from any thread: consumers see
@@ -172,6 +196,12 @@ impl EmlioReceiver {
     pub(crate) fn stop_handle(&self) -> StopHandle<LazyBatch> {
         self.pull.stop_handle()
     }
+}
+
+/// The rule is only ever held for one pure call, so a poisoned lock still
+/// holds consistent counts.
+fn lock(ends: &Mutex<StreamEnds>) -> std::sync::MutexGuard<'_, StreamEnds> {
+    ends.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// An `external_source` that receives [`LazyBatch`]es and materializes
@@ -248,17 +278,42 @@ mod tests {
     }
 
     fn push_batches(ep: &Endpoint, origin: &str, ids: Vec<u64>) {
-        let sock = PushSocket::connect(ep, SocketOptions::default()).unwrap();
+        push_striped(ep, origin, ids, 1);
+    }
+
+    /// One daemon worker's stream over `connections` connections.
+    fn push_striped(ep: &Endpoint, origin: &str, ids: Vec<u64>, connections: usize) {
+        let options = SocketOptions::default().with_connections(connections);
+        let sock = PushSocket::connect(ep, options).unwrap();
         for id in &ids {
             sock.send(batch_frame(*id, origin, 0, vec![*id as u8; 16]))
                 .unwrap();
         }
-        sock.send(Bytes::from(wire::encode_end_stream(
+        sock.close_with(Bytes::from(wire::encode_end_stream(
             origin,
             ids.len() as u64,
+            connections as u32,
         )))
         .unwrap();
-        sock.close().unwrap();
+    }
+
+    /// Write raw frames to the receiver on a connection of their own.
+    fn write_connection(ep: &Endpoint, frames: &[Bytes]) {
+        let Endpoint::Tcp(addr) = ep else {
+            unreachable!("the receiver binds tcp")
+        };
+        let mut conn = std::net::TcpStream::connect(addr).unwrap();
+        for f in frames {
+            emlio_zmq::frame::write_frame(&mut conn, f).unwrap();
+        }
+    }
+
+    fn batch_bytes(id: u64, origin: &str) -> Bytes {
+        batch_frame(id, origin, 0, vec![id as u8; 16]).into_bytes()
+    }
+
+    fn marker(origin: &str, connections: u32) -> Bytes {
+        Bytes::from(wire::encode_end_stream(origin, 0, connections))
     }
 
     #[test]
@@ -285,6 +340,124 @@ mod tests {
         for s in senders {
             s.join().unwrap();
         }
+    }
+
+    #[test]
+    fn striped_streams_deliver_every_batch_once_then_end() {
+        let receiver = EmlioReceiver::bind(ReceiverConfig::loopback(2)).unwrap();
+        let ep = receiver.endpoint().clone();
+        let senders: Vec<_> = (0..2u64)
+            .map(|s| {
+                let ep = ep.clone();
+                std::thread::spawn(move || {
+                    push_striped(&ep, &format!("d/{s}"), (s * 100..s * 100 + 40).collect(), 2)
+                })
+            })
+            .collect();
+        let mut src = receiver.source();
+        let mut ids: Vec<u64> = std::iter::from_fn(|| src.next_batch())
+            .map(|b| b.batch_id)
+            .collect();
+        for s in senders {
+            s.join().unwrap();
+        }
+        ids.sort_unstable();
+        let want: Vec<u64> = (0..40).chain(100..140).collect();
+        assert_eq!(ids, want, "every batch exactly once");
+        assert_eq!(receiver.streams_seen(), 2);
+    }
+
+    #[test]
+    fn a_striped_stream_ends_only_after_its_last_connections_marker() {
+        // One stream over connections A and B. A's frames and marker are
+        // read while B's writer is stalled with frames still to send, and B
+        // connects only after the stall: the accept thread may take a
+        // connection that late. Counting A's marker as the whole stream
+        // would end the queue then, and B would be closed unread.
+        let receiver = EmlioReceiver::bind(ReceiverConfig::loopback(1)).unwrap();
+        let ep = receiver.endpoint().clone();
+        let queue = receiver.queue();
+        let end = marker("striped", 2);
+        write_connection(
+            &ep,
+            &[
+                batch_bytes(0, "striped"),
+                batch_bytes(1, "striped"),
+                end.clone(),
+            ],
+        );
+        let timeout = Duration::from_secs(10);
+        let mut ids: Vec<u64> = (0..2)
+            .map(|_| queue.recv_timeout(timeout).unwrap().materialize().batch_id)
+            .collect();
+        std::thread::sleep(Duration::from_millis(200));
+        assert!(
+            matches!(
+                queue.try_recv(),
+                Err(crossbeam::channel::TryRecvError::Empty)
+            ),
+            "the queue ended at connection A's marker"
+        );
+        assert_eq!(receiver.streams_seen(), 0);
+        write_connection(
+            &ep,
+            &[batch_bytes(2, "striped"), batch_bytes(3, "striped"), end],
+        );
+        ids.extend(std::iter::from_fn(|| queue.recv().ok()).map(|b| b.materialize().batch_id));
+        ids.sort_unstable();
+        assert_eq!(
+            ids,
+            vec![0, 1, 2, 3],
+            "every frame of both connections once"
+        );
+        assert_eq!(receiver.streams_seen(), 1);
+    }
+
+    #[test]
+    fn refused_markers_end_nothing_and_are_logged() {
+        // This test's own keys in the shared flight ring: the connection
+        // count each refused marker carried.
+        const EXTRA: u32 = 2;
+        const DISAGREEING: u32 = 9;
+        let refused = |key: u32| {
+            FlightRecorder::global()
+                .dump()
+                .iter()
+                .filter(|ev| ev.name == "recv_refused_marker" && ev.key == u64::from(key))
+                .count()
+        };
+        let receiver = EmlioReceiver::bind(ReceiverConfig::loopback(2)).unwrap();
+        let ep = receiver.endpoint().clone();
+        let queue = receiver.queue();
+        // Stream "a" over two connections ends; a third marker follows.
+        write_connection(&ep, &[marker("a", EXTRA)]);
+        write_connection(&ep, &[marker("a", EXTRA)]);
+        let timeout = Duration::from_secs(10);
+        assert!(poll_until(timeout, || receiver.streams_seen() == 1));
+        // One connection, so read in this order: the extra marker, then
+        // stream "c"'s first marker, then one disagreeing with it.
+        write_connection(
+            &ep,
+            &[marker("a", EXTRA), marker("c", 2), marker("c", DISAGREEING)],
+        );
+        assert!(poll_until(timeout, || refused(EXTRA) == 1 && refused(DISAGREEING) == 1));
+        assert!(
+            matches!(
+                queue.try_recv(),
+                Err(crossbeam::channel::TryRecvError::Empty)
+            ),
+            "a refused marker ended the queue"
+        );
+        assert_eq!(receiver.streams_seen(), 1);
+        write_connection(&ep, &[marker("c", 2)]);
+        assert!(
+            matches!(
+                queue.recv_timeout(timeout),
+                Err(crossbeam::channel::RecvTimeoutError::Disconnected)
+            ),
+            "the queue ends at the last stream's last marker"
+        );
+        assert_eq!(receiver.streams_seen(), 2);
     }
 
     #[test]
@@ -373,7 +546,7 @@ mod tests {
         let sock = PushSocket::connect(&ep, SocketOptions::default()).unwrap();
         sock.send(Bytes::from_static(b"\xde\xad\xbe\xef")).unwrap();
         sock.send(batch_frame(9, "x", 1, vec![1, 2])).unwrap();
-        sock.send(Bytes::from(wire::encode_end_stream("x", 1)))
+        sock.send(Bytes::from(wire::encode_end_stream("x", 1, 1)))
             .unwrap();
         sock.close().unwrap();
         let mut src = receiver.source();

@@ -260,8 +260,8 @@ impl EmlioService {
     /// Everything else starts cold. Killed incarnations end
     /// their streams without markers, and no stream gets a second one
     /// ([`ChaosController::end_stream`](crate::chaos::ChaosController::end_stream)),
-    /// so the receiver's budget of daemons × `T` markers is met once per
-    /// stream. Each armed kill point trips at most once, so the loop
+    /// so the receiver's budget of daemons × `T` streams, each ended by one
+    /// marker per connection, is met once per stream. Each armed kill point trips at most once, so the loop
     /// ends when the controller's schedule does.
     pub fn launch_with<F>(
         storage: &[StorageSpec],

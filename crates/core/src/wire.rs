@@ -8,8 +8,12 @@
 //! Control messages carry `"ctrl"` instead of `"samples"`:
 //!
 //! ```text
-//! { "ctrl": "end_stream", "origin": str, "batches_sent": uint }
+//! { "ctrl": "end_stream", "origin": str, "batches_sent": uint,
+//!   "connections": uint }
 //! ```
+//!
+//! A worker whose socket stripes over several connections ends each of them
+//! with the same marker; `connections` says how many of them end its stream.
 //!
 //! Decoding is zero-copy for the dominant payload: sample `data` fields are
 //! [`bytes::Bytes`] slices of the received frame, not copies.
@@ -128,17 +132,21 @@ pub fn encode_batch_frame_traced(
     Frame::from_segments(segments)
 }
 
-/// Serialize an end-of-stream control message.
-pub fn encode_end_stream(origin: &str, batches_sent: u64) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
+/// Serialize an end-of-stream control message: the last frame on each of
+/// the `connections` connections `origin`'s stream went over.
+pub fn encode_end_stream(origin: &str, batches_sent: u64, connections: u32) -> Vec<u8> {
+    assert!(connections > 0, "a stream ends on at least one connection");
+    let mut buf = Vec::with_capacity(80);
     let mut e = Encoder::new(&mut buf);
-    e.write_map_len(3);
+    e.write_map_len(4);
     e.write_str("ctrl");
     e.write_str("end_stream");
     e.write_str("origin");
     e.write_str(origin);
     e.write_str("batches_sent");
     e.write_uint(batches_sent);
+    e.write_str("connections");
+    e.write_uint(u64::from(connections));
     buf
 }
 
@@ -153,6 +161,8 @@ pub enum LazyMsg {
         origin: Arc<str>,
         /// Batches that worker sent in total.
         batches_sent: u64,
+        /// Connections the stream went over, each ended by this marker.
+        connections: u32,
     },
 }
 
@@ -282,6 +292,7 @@ pub fn decode_lazy(frame: &Bytes, interner: Option<&StrInterner>) -> Result<Lazy
     let mut origin: Option<Arc<str>> = None;
     let mut ctrl: Option<&str> = None;
     let mut batches_sent: Option<u64> = None;
+    let mut connections: Option<u32> = None;
     let mut trace: Option<BatchTrace> = None;
     let mut samples: Option<(usize, usize, u64)> = None; // (at, n, payload_bytes)
 
@@ -305,6 +316,7 @@ pub fn decode_lazy(frame: &Bytes, interner: Option<&StrInterner>) -> Result<Lazy
             }
             "ctrl" => ctrl = Some(d.read_str()?),
             "batches_sent" => batches_sent = Some(d.read_u64()?),
+            "connections" => connections = Some(read_u32(&mut d, "connections")?),
             "samples" => {
                 let at = d.position();
                 let n = d.read_array_len()?;
@@ -329,6 +341,9 @@ pub fn decode_lazy(frame: &Bytes, interner: Option<&StrInterner>) -> Result<Lazy
             origin: origin.ok_or_else(|| WireError::Schema("ctrl needs origin".into()))?,
             batches_sent: batches_sent
                 .ok_or_else(|| WireError::Schema("ctrl needs batches_sent".into()))?,
+            connections: connections
+                .filter(|&n| n > 0)
+                .ok_or_else(|| WireError::Schema("ctrl needs connections > 0".into()))?,
         });
     }
     let (samples_at, n_samples, payload_bytes) =
@@ -501,7 +516,7 @@ mod tests {
         assert!(Arc::ptr_eq(&origins[1], &origins[2]));
 
         // End-stream origins intern through the same table.
-        let es = Bytes::from(encode_end_stream("daemon-0/t3", 7));
+        let es = Bytes::from(encode_end_stream("daemon-0/t3", 7, 1));
         let LazyMsg::EndStream { origin, .. } = decode_lazy(&es, Some(&interner)).unwrap() else {
             panic!()
         };
@@ -597,14 +612,16 @@ mod tests {
 
     #[test]
     fn end_stream_roundtrip() {
-        let frame = Bytes::from(encode_end_stream("daemon-1/t0", 42));
+        let frame = Bytes::from(encode_end_stream("daemon-1/t0", 42, 3));
         match decode_lazy(&frame, None).unwrap() {
             LazyMsg::EndStream {
                 origin,
                 batches_sent,
+                connections,
             } => {
                 assert_eq!(&*origin, "daemon-1/t0");
                 assert_eq!(batches_sent, 42);
+                assert_eq!(connections, 3);
             }
             other => panic!("expected end_stream, got {other:?}"),
         }

@@ -208,7 +208,7 @@ fn decode_lazy_survives_byte_level_fuzz() {
         reference_encode(7, 300, "daemon-0/t1", Some(trace), &small),
         reference_encode(0, 0, "d", None, &[]),
         reference_encode(1, 2, "d", None, &[(5, 1, vec![0xab; 300])]),
-        wire::encode_end_stream("daemon-0/t1", 42),
+        wire::encode_end_stream("daemon-0/t1", 42, 2),
     ];
     let mut rng = StdRng::seed_from_u64(0x5eed_f022);
     let mut accepted = 0;

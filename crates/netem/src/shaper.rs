@@ -120,17 +120,19 @@ fn accept_loop(
             return;
         }
         let dialed = accepted
-            .map_err(|e| ("netem_accept_error", e))
-            .and_then(|(client, _)| {
-                let upstream = TcpStream::connect(target);
-                Ok((client, upstream.map_err(|e| ("netem_dial_error", e))?))
+            .map_err(|e| ("netem_accept_error", e, None))
+            .and_then(|(client, _)| match TcpStream::connect(target) {
+                Ok(upstream) => Ok((client, upstream)),
+                Err(e) => Err(("netem_dial_error", e, Some(client))),
             });
         let (client, upstream) = match dialed {
             Ok(pair) => pair,
-            Err((event, e)) => {
-                // A failed accept or dial closes that one client, and no other.
+            Err((event, e, client)) => {
+                // A failed accept or dial closes that one client, and no
+                // other — once the failure is on record.
                 FlightRecorder::global().record(event, 0, 0);
                 obs_warn!("netem", "proxy: {event} ({e}), still accepting");
+                drop(client);
                 std::thread::sleep(Duration::from_millis(50));
                 continue;
             }

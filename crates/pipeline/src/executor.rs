@@ -261,17 +261,28 @@ impl Pipeline {
     }
 
     /// Join all threads (after the source has ended and output drained).
+    ///
+    /// A panic in the feeder (the source's `next_batch`) or in a worker
+    /// ends the stream early: [`next_batch`](Pipeline::next_batch) then
+    /// returns `None` as if the source had ended. So `join` re-raises the
+    /// first thread's panic, with its payload, and the end is never
+    /// mistaken for a clean one.
     pub fn join(mut self) {
-        self.join_inner();
+        if let Some(payload) = self.join_inner() {
+            std::panic::resume_unwind(payload);
+        }
     }
 
-    fn join_inner(&mut self) {
-        if let Some(h) = self.feeder.take() {
-            let _ = h.join();
+    /// Join every thread; the first panic payload, if any thread panicked.
+    fn join_inner(&mut self) -> Option<Box<dyn std::any::Any + Send>> {
+        let threads = self.feeder.take().into_iter().chain(self.workers.drain(..));
+        let mut first = None;
+        for h in threads {
+            if let Err(payload) = h.join() {
+                first = first.or(Some(payload));
+            }
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        first
     }
 }
 
@@ -280,9 +291,10 @@ impl Drop for Pipeline {
         // Disconnect the consumer side so blocked workers unblock.
         // (rx is dropped by the field drop; joining afterwards is safe
         // because send() errors return the workers.)
+        // Quiet: a panic is re-raised only by an explicit `join`.
         let rx = std::mem::replace(&mut self.rx, crossbeam::channel::never());
         drop(rx);
-        self.join_inner();
+        let _ = self.join_inner();
     }
 }
 
@@ -528,6 +540,27 @@ mod tests {
         }
         assert!(pipe.rx.len() >= 3, "queue pre-filled to Q");
         while pipe.next_batch().is_some() {}
+    }
+
+    #[test]
+    fn a_panicking_source_ends_the_stream_and_join_raises_it() {
+        struct PanicsOnThird(VecSource, u32);
+        impl ExternalSource for PanicsOnThird {
+            fn next_batch(&mut self) -> Option<RawBatch> {
+                self.1 += 1;
+                assert!(self.1 < 3, "source failed on batch {}", self.1);
+                self.0.next_batch()
+            }
+        }
+        let spec = DatasetSpec::tiny("panic", 20);
+        let source = PanicsOnThird(VecSource::new(batches(&spec, 4)), 0);
+        let pipe = PipelineBuilder::new().threads(1).build(Box::new(source));
+        let delivered = std::iter::from_fn(|| pipe.next_batch()).count();
+        assert_eq!(delivered, 2, "the batches before the panic arrive");
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pipe.join()))
+            .expect_err("join returned although the source panicked");
+        let message = raised.downcast_ref::<String>().map(String::as_str);
+        assert_eq!(message, Some("source failed on batch 3"));
     }
 
     #[test]

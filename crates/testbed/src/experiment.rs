@@ -70,7 +70,7 @@ pub fn run_one(
             let local_frac = 1.0 / nodes as f64;
             // Cross-mounted NFS with every node both serving and fetching
             // shrinks the usable reader pool: 2 readers, hand-set (ROADMAP
-            // item 5).
+            // item 8).
             (1.0 - local_frac, true, Some(2), consts.clone())
         }
     };
@@ -302,7 +302,7 @@ pub struct LossTrace {
 
 /// Figure 11: training loss vs wall-clock time at 10 ms RTT over COCO.
 /// Three seeded runs give the ±1 std band. DALI runs with a reader pool of
-/// 2 instead of the default 8, hand-set (ROADMAP item 5).
+/// 2 instead of the default 8, hand-set (ROADMAP item 8).
 pub fn fig11() -> Vec<LossTrace> {
     let w = Workload::coco_resnet50();
     let regime = Regime::remote_ms(10.0);

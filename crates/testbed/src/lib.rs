@@ -13,7 +13,7 @@
 //! * [`loaders`] — pipeline-stage models of the three loaders. Stage
 //!   structures mirror the real implementations in `emlio-core` and
 //!   `emlio-baselines`; service times come from hand-set cost constants
-//!   (serialize bandwidth, NIC, disk, backbone profiles; ROADMAP item 5);
+//!   (serialize bandwidth, NIC, disk, backbone profiles; ROADMAP item 8);
 //! * [`pipeline`] — the recurrence: when each batch leaves a line of
 //!   stages;
 //! * [`energy`] — busy time → joules integration using the same component

@@ -60,7 +60,7 @@ pub enum StageSet {
 
 /// Knobs shared by the loader models. Every default is hand-set so the
 /// model lands near the paper's figures; fitting them from measured ledger
-/// rows is ROADMAP item 5.
+/// rows is ROADMAP item 8.
 #[derive(Debug, Clone)]
 pub struct ModelConstants {
     /// PyTorch `num_workers`.

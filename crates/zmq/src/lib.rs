@@ -8,7 +8,12 @@
 //! * **PUSH sockets** ([`push::PushSocket`]) with a configurable high-water
 //!   mark: once `hwm` messages are queued, `send` blocks — the paper sets
 //!   HWM = 16 with infinite blocking send, so storage workers naturally back
-//!   off when compute-side queues are full (§4.5);
+//!   off when compute-side queues are full (§4.5). A socket may stripe over
+//!   several TCP connections ([`SocketOptions::connections`]), each with
+//!   its own sender thread taking frames from the one queue: frames then
+//!   keep their order on each connection but not across them,
+//!   [`PushSocket::close_with`] ends *every* connection with the same last
+//!   frame, and a socket holds at most HWM + S frames in user space;
 //! * **PULL sockets** ([`pull::PullSocket`]) that accept any number of
 //!   connections and fair-queue incoming messages into one bounded queue,
 //!   each connection's reader pushing straight into it — this is what
@@ -32,7 +37,8 @@
 //! The full backpressure chain is real: a slow consumer fills the PULL
 //! socket's one bounded queue (HWM) → reader threads block on it and stop
 //! draining TCP → the kernel window closes → the sender thread blocks on
-//! `write` → the PUSH queue fills → `send` blocks.
+//! `write` → the PUSH queue fills → `send` blocks. Striped, every
+//! connection's sender blocks before the queue fills.
 
 pub mod endpoint;
 pub mod frame;
@@ -62,6 +68,9 @@ pub struct SocketOptions {
     pub max_frame: usize,
     /// How long `PushSocket::connect` keeps retrying a refused connection.
     pub connect_timeout: std::time::Duration,
+    /// TCP connections a PUSH socket stripes over, each with its own
+    /// sender thread (PULL sockets ignore it). Default 1.
+    pub connections: usize,
     /// Stage recorder for latency histograms:
     /// [`emlio_obs::Stage::SocketSend`] per call on PUSH sockets, and
     /// [`emlio_obs::Stage::RecvWait`] and [`emlio_obs::Stage::QueuePush`]
@@ -75,6 +84,7 @@ impl Default for SocketOptions {
             hwm: DEFAULT_HWM,
             max_frame: DEFAULT_MAX_FRAME,
             connect_timeout: std::time::Duration::from_secs(10),
+            connections: 1,
             recorder: None,
         }
     }
@@ -85,6 +95,13 @@ impl SocketOptions {
     pub fn with_hwm(mut self, hwm: usize) -> Self {
         assert!(hwm > 0, "hwm must be positive");
         self.hwm = hwm;
+        self
+    }
+
+    /// Stripe a PUSH socket over `connections` TCP connections.
+    pub fn with_connections(mut self, connections: usize) -> Self {
+        assert!(connections > 0, "a socket needs a connection");
+        self.connections = connections;
         self
     }
 

@@ -133,7 +133,7 @@ USAGE:
   emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB]
                  [--peer-fleet N] [--peer-timeout-ms MS] [...]
   emlio chaos    [--seed HEX | --seeds N [--base-seed N]]
-                 [--config cached|fleet|spill-persist|all]
+                 [--config cached|fleet|spill-persist|striped|all]
                  [--samples N] [--batch B] [--threads T] [--epochs E]
   emlio report   --metrics FILE
   emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablations]
@@ -583,7 +583,7 @@ fn cmd_chaos(flags: HashMap<String, String>) -> Result<(), String> {
         ChaosMode::ALL.to_vec()
     } else {
         vec![ChaosMode::from_name(mode_arg).ok_or_else(|| {
-            format!("--config: bad value {mode_arg:?} (valid: cached, fleet, spill-persist, all)")
+            format!("--config: bad value {mode_arg:?} (valid: cached, fleet, spill-persist, striped, all)")
         })?]
     };
     let seeds: Vec<u64> = match flags.get("seed") {

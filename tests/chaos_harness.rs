@@ -11,7 +11,7 @@
 use emlio::bench::chaos::{suite_seed, ChaosConfig, ChaosMode, ChaosOutcome, Verdict};
 
 const BASE_SEED: u64 = 0x000C_4A05; // same default as `emlio chaos`
-const SEEDS_PER_MODE: u64 = 7; // 7 × 3 modes = 21 schedules
+const SEEDS_PER_MODE: u64 = 7; // 7 × 4 modes = 28 schedules
 
 fn run_suite() -> Vec<ChaosOutcome> {
     let mut outcomes = Vec::new();
@@ -32,9 +32,12 @@ fn run_suite() -> Vec<ChaosOutcome> {
 }
 
 #[test]
-fn twenty_one_seeded_schedules_uphold_the_delivery_guarantee() {
+fn seeded_schedules_over_every_config_uphold_the_delivery_guarantee() {
     let outcomes = run_suite();
-    assert_eq!(outcomes.len(), (SEEDS_PER_MODE * 3) as usize);
+    assert_eq!(
+        outcomes.len(),
+        SEEDS_PER_MODE as usize * ChaosMode::ALL.len()
+    );
 
     // Per-run invariants on top of the oracle inside run_schedule. (A
     // clean run MAY carry retry give-ups: the prefetcher is allowed to

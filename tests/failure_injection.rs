@@ -150,7 +150,7 @@ fn daemon_crash_mid_stream_leaves_receiver_consistent() {
     for id in 100..103u64 {
         ok.send(frame(id, "healthy", 1, &[4, 5])).unwrap();
     }
-    ok.send(Bytes::from(wire::encode_end_stream("healthy", 3)))
+    ok.send(Bytes::from(wire::encode_end_stream("healthy", 3, 1)))
         .unwrap();
     ok.close().unwrap();
 
