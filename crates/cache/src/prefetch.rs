@@ -65,7 +65,7 @@ impl Prefetcher {
         let stop2 = stop.clone();
         let source2 = source.clone();
         let handle = std::thread::Builder::new()
-            .name("emlio-cache-prefetch".into())
+            .name("emlio-prefetch".into())
             .spawn(move || Self::run(&source2, &stop2))
             .expect("spawn prefetch thread");
         Prefetcher {
@@ -107,7 +107,7 @@ impl Prefetcher {
                     })
                 };
                 let spawned = std::thread::Builder::new()
-                    .name("emlio-cache-prefetch-read".into())
+                    .name("emlio-pf-read".into())
                     .spawn_scoped(helpers, read);
                 if spawned.is_err() {
                     // No thread to be had: the reservation went back with

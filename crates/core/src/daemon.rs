@@ -320,9 +320,13 @@ impl EmlioDaemon {
             let mut handles = Vec::with_capacity(t);
             for worker in 0..t {
                 let chaos = self.chaos.as_deref();
-                handles.push(scope.spawn(move || {
-                    self.run_worker(plan, node_id, endpoint, worker, reader, chaos)
-                }));
+                let spawned = std::thread::Builder::new()
+                    .name(format!("emlio-send-{worker}"))
+                    .spawn_scoped(scope, move || {
+                        self.run_worker(plan, node_id, endpoint, worker, reader, chaos)
+                    })
+                    .expect("spawn send worker");
+                handles.push(spawned);
             }
             let mut first_err = None;
             for h in handles {

@@ -121,9 +121,15 @@ impl EmlioReceiver {
                     }
                 }
                 Err(e) => {
-                    // Corrupt frame: drop it. The CRC layers below make this
-                    // effectively unreachable; counting it as a lost batch is
-                    // the safe failure mode — but never a *silent* one.
+                    // A frame whose structure does not scan: drop it, and
+                    // count it as a lost batch — the safe failure mode, but
+                    // never a *silent* one. Only structure is checked here
+                    // (`decode_lazy` checks the msgpack layout and every
+                    // length against the frame). Nothing on the default
+                    // stack checks payload bytes: the daemon reads with
+                    // `verify_crc: false` and the frame carries no
+                    // checksum, so damage inside a sample's payload
+                    // arrives as data.
                     FlightRecorder::global().record("recv_corrupt_frame", frame.len() as u64, 0);
                     obs_warn!(
                         "receiver",

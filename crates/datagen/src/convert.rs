@@ -85,8 +85,20 @@ pub fn load_file_dataset(dir: &Path) -> std::io::Result<Vec<(PathBuf, u32)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emlio_tfrecord::RangeReader;
+    use emlio_tfrecord::record::decode_all;
+    use emlio_tfrecord::{RangeReader, RecordMeta};
     use emlio_util::testutil::TempDir;
+
+    /// The one record `meta` indexes, read and decoded with CRC checks.
+    fn payload_at(reader: &RangeReader, meta: &RecordMeta) -> Vec<u8> {
+        let mut buf = Vec::new();
+        reader
+            .read_range_into(meta.offset, meta.length, &mut buf)
+            .unwrap();
+        let recs = decode_all(&buf, true).unwrap();
+        assert_eq!(recs.len(), 1, "the index spans exactly one record");
+        recs[0].payload.to_vec()
+    }
 
     #[test]
     fn tfrecord_layout_roundtrips_payloads() {
@@ -98,7 +110,7 @@ mod tests {
         for shard in &index.shards {
             let reader = RangeReader::open(&index.shard_path(shard.shard_id)).unwrap();
             for meta in &shard.records {
-                let payload = reader.read_record_at(meta.offset, meta.length).unwrap();
+                let payload = payload_at(&reader, meta);
                 assert_eq!(payload, spec.payload_of(meta.sample_id));
                 assert_eq!(meta.label, spec.label_of(meta.sample_id));
             }
@@ -117,7 +129,7 @@ mod tests {
         for shard in &index.shards {
             let reader = RangeReader::open(&index.shard_path(shard.shard_id)).unwrap();
             for meta in &shard.records {
-                let tf_bytes = reader.read_record_at(meta.offset, meta.length).unwrap();
+                let tf_bytes = payload_at(&reader, meta);
                 let f_bytes =
                     std::fs::read(file_dir.join(sample_file_name(meta.sample_id))).unwrap();
                 assert_eq!(tf_bytes, f_bytes, "layouts carry identical bytes");

@@ -182,6 +182,7 @@ pub struct Pipeline {
     feeder: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     stats: Arc<PipelineStats>,
+    panic: PanicSlot,
 }
 
 impl Pipeline {
@@ -194,16 +195,20 @@ impl Pipeline {
         // Processed queue: the prefetch depth Q.
         let (out_tx, out_rx) = bounded::<ProcessedBatch>(cfg.prefetch);
 
+        let panic = PanicSlot::default();
         let feeder = {
             let mut source = source;
+            let panic = panic.clone();
             std::thread::Builder::new()
                 .name("pipeline-feeder".into())
                 .spawn(move || {
-                    while let Some(batch) = source.next_batch() {
-                        if raw_tx.send(batch).is_err() {
-                            return;
+                    keep_panic(&panic, raw_tx, |raw_tx| {
+                        while let Some(batch) = source.next_batch() {
+                            if raw_tx.send(batch).is_err() {
+                                return;
+                            }
                         }
-                    }
+                    })
                 })
                 .expect("spawn pipeline feeder")
         };
@@ -220,22 +225,25 @@ impl Pipeline {
             let norm = cfg.normalize.clone();
             let rng = Mutex::new(StdRng::seed_from_u64(cfg.seed ^ (0xABCD_EF00 + w as u64)));
             let recorder = cfg.recorder.clone();
+            let panic = panic.clone();
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("pipeline-worker-{w}"))
                     .spawn(move || {
-                        while let Ok(raw) = raw_rx.recv() {
-                            let t0 = std::time::Instant::now();
-                            let processed = process_batch(
-                                raw, &device, resize_to, crop_to, random, &norm, &rng, &stats,
-                            );
-                            if let Some(rec) = &recorder {
-                                rec.record(Stage::PipelineOp, t0.elapsed().as_nanos() as u64);
+                        keep_panic(&panic, out_tx, |out_tx| {
+                            while let Ok(raw) = raw_rx.recv() {
+                                let t0 = std::time::Instant::now();
+                                let processed = process_batch(
+                                    raw, &device, resize_to, crop_to, random, &norm, &rng, &stats,
+                                );
+                                if let Some(rec) = &recorder {
+                                    rec.record(Stage::PipelineOp, t0.elapsed().as_nanos() as u64);
+                                }
+                                if out_tx.send(processed).is_err() {
+                                    return;
+                                }
                             }
-                            if out_tx.send(processed).is_err() {
-                                return;
-                            }
-                        }
+                        })
                     })
                     .expect("spawn pipeline worker"),
             );
@@ -246,13 +254,26 @@ impl Pipeline {
             feeder: Some(feeder),
             workers,
             stats,
+            panic,
         }
     }
 
     /// Next processed batch, in arrival order; `None` once the source is
     /// exhausted and every in-flight batch has been delivered.
+    ///
+    /// # Panics
+    /// A panic in the feeder (the source's `next_batch`) or in a worker
+    /// ends the stream early. Once the stream has ended because of one,
+    /// this re-raises the first such panic, with its payload, so the end
+    /// is never mistaken for a clean one.
     pub fn next_batch(&self) -> Option<ProcessedBatch> {
-        self.rx.recv().ok()
+        match self.rx.recv() {
+            Ok(batch) => Some(batch),
+            Err(_) => {
+                self.raise_panic();
+                None
+            }
+        }
     }
 
     /// Shared counters.
@@ -262,27 +283,26 @@ impl Pipeline {
 
     /// Join all threads (after the source has ended and output drained).
     ///
-    /// A panic in the feeder (the source's `next_batch`) or in a worker
-    /// ends the stream early: [`next_batch`](Pipeline::next_batch) then
-    /// returns `None` as if the source had ended. So `join` re-raises the
-    /// first thread's panic, with its payload, and the end is never
-    /// mistaken for a clean one.
+    /// Re-raises the first panic of a feeder or worker thread, with its
+    /// payload, unless [`next_batch`](Pipeline::next_batch) already has.
     pub fn join(mut self) {
-        if let Some(payload) = self.join_inner() {
+        self.join_threads();
+        self.raise_panic();
+    }
+
+    /// Re-raise the first thread's panic, once.
+    fn raise_panic(&self) {
+        if let Some(payload) = self.panic.lock().take() {
             std::panic::resume_unwind(payload);
         }
     }
 
-    /// Join every thread; the first panic payload, if any thread panicked.
-    fn join_inner(&mut self) -> Option<Box<dyn std::any::Any + Send>> {
+    /// Join every thread. They do not panic: [`keep_panic`] catches it.
+    fn join_threads(&mut self) {
         let threads = self.feeder.take().into_iter().chain(self.workers.drain(..));
-        let mut first = None;
         for h in threads {
-            if let Err(payload) = h.join() {
-                first = first.or(Some(payload));
-            }
+            let _ = h.join();
         }
-        first
     }
 }
 
@@ -291,11 +311,25 @@ impl Drop for Pipeline {
         // Disconnect the consumer side so blocked workers unblock.
         // (rx is dropped by the field drop; joining afterwards is safe
         // because send() errors return the workers.)
-        // Quiet: a panic is re-raised only by an explicit `join`.
+        // Quiet: a kept panic is re-raised only by `next_batch` or `join`.
         let rx = std::mem::replace(&mut self.rx, crossbeam::channel::never());
         drop(rx);
-        let _ = self.join_inner();
+        self.join_threads();
     }
+}
+
+/// The first panic of a pipeline thread, kept for the consumer.
+type PanicSlot = Arc<Mutex<Option<Box<dyn std::any::Any + Send>>>>;
+
+/// Run `body` on `ends`, the queue end whose drop ends the stream, and
+/// keep `body`'s panic in `slot` if it is the first. `ends` is dropped
+/// only after that, so a consumer that sees the stream end sees the panic.
+fn keep_panic<T>(slot: &PanicSlot, ends: T, body: impl FnOnce(&T)) {
+    let run = std::panic::AssertUnwindSafe(|| body(&ends));
+    if let Err(payload) = std::panic::catch_unwind(run) {
+        slot.lock().get_or_insert(payload);
+    }
+    drop(ends);
 }
 
 /// `normalize(None)`'s constants, long enough for any channel count.
@@ -542,8 +576,8 @@ mod tests {
         while pipe.next_batch().is_some() {}
     }
 
-    #[test]
-    fn a_panicking_source_ends_the_stream_and_join_raises_it() {
+    /// A pipeline over a source that panics on its third batch.
+    fn panicking_pipeline() -> Pipeline {
         struct PanicsOnThird(VecSource, u32);
         impl ExternalSource for PanicsOnThird {
             fn next_batch(&mut self) -> Option<RawBatch> {
@@ -554,13 +588,39 @@ mod tests {
         }
         let spec = DatasetSpec::tiny("panic", 20);
         let source = PanicsOnThird(VecSource::new(batches(&spec, 4)), 0);
-        let pipe = PipelineBuilder::new().threads(1).build(Box::new(source));
-        let delivered = std::iter::from_fn(|| pipe.next_batch()).count();
-        assert_eq!(delivered, 2, "the batches before the panic arrive");
+        PipelineBuilder::new().threads(1).build(Box::new(source))
+    }
+
+    fn message(payload: &(dyn std::any::Any + Send)) -> Option<&str> {
+        payload.downcast_ref::<String>().map(String::as_str)
+    }
+
+    #[test]
+    fn a_panicking_source_ends_the_stream_and_join_raises_it() {
+        let pipe = panicking_pipeline();
+        for _ in 0..2 {
+            pipe.next_batch()
+                .expect("the batches before the panic arrive");
+        }
         let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pipe.join()))
             .expect_err("join returned although the source panicked");
-        let message = raised.downcast_ref::<String>().map(String::as_str);
-        assert_eq!(message, Some("source failed on batch 3"));
+        assert_eq!(message(&*raised), Some("source failed on batch 3"));
+    }
+
+    #[test]
+    fn a_consumer_that_stops_at_the_streams_end_learns_of_the_panic() {
+        let pipe = panicking_pipeline();
+        let mut delivered = 0;
+        let raised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            while let Some(_batch) = pipe.next_batch() {
+                delivered += 1;
+            }
+        }))
+        .expect_err("the stream ended as if the source had run out");
+        assert_eq!(delivered, 2, "the batches before the panic arrive");
+        assert_eq!(message(&*raised), Some("source failed on batch 3"));
+        // Raised once: the end is now plain, and dropping stays quiet.
+        assert!(pipe.next_batch().is_none());
     }
 
     #[test]

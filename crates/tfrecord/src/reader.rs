@@ -1,15 +1,16 @@
 //! TFRecord reading: positioned range reads.
 
 use crate::mapped;
-use crate::record::{decode_all, decode_at, DecodedRecord, RecordError};
+use crate::record::RecordError;
 use crate::Result;
 use bytes::Bytes;
 use std::fs::File;
 use std::path::Path;
 
 /// Range reads against a shard file: the contiguous byte range covering a
-/// whole batch comes back in **one** piece, and the records are parsed out
-/// of it. This is the daemon's hot read path, and it reads the way the
+/// whole batch comes back in **one** piece, raw — the caller parses the
+/// records out of it (`record::decode_all`, as the cache's
+/// `CachedRangeReader` does). This is the daemon's hot read path, and it reads the way the
 /// paper's daemon does: [`open`](RangeReader::open) maps the shard once and
 /// [`view`](RangeReader::view) slices the range out of the mapping — no
 /// buffer, no copy. Where the shard cannot be mapped (see
@@ -21,7 +22,6 @@ pub struct RangeReader {
     /// The whole shard, mapped at `open`; every view is a slice of it and
     /// the last one to drop unmaps it. `None` selects the positioned reads.
     mapped: Option<Bytes>,
-    verify_crc: bool,
 }
 
 impl RangeReader {
@@ -32,12 +32,7 @@ impl RangeReader {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
         let mapped = mapped::map(&file, len);
-        Ok(RangeReader {
-            file,
-            len,
-            mapped,
-            verify_crc: true,
-        })
+        Ok(RangeReader { file, len, mapped })
     }
 
     /// Open `path` as a platform that cannot map shards does, so that the
@@ -47,12 +42,6 @@ impl RangeReader {
         let mut reader = RangeReader::open(path)?;
         reader.mapped = None;
         Ok(reader)
-    }
-
-    /// Disable CRC verification for trusted local replay.
-    pub fn without_crc_verification(mut self) -> Self {
-        self.verify_crc = false;
-        self
     }
 
     /// File length in bytes.
@@ -119,28 +108,6 @@ impl RangeReader {
             _ => RecordError::Io(e),
         })
     }
-
-    /// Read a range and decode every record in it. The range must align to
-    /// record boundaries (the shard index guarantees this).
-    pub fn read_records_in_range(&self, offset: u64, size: u64) -> Result<Vec<Vec<u8>>> {
-        let mut buf = Vec::new();
-        self.read_range_into(offset, size, &mut buf)?;
-        let recs = decode_all(&buf, self.verify_crc)?;
-        Ok(recs.into_iter().map(|r| r.payload.to_vec()).collect())
-    }
-
-    /// Decode a single record at a known offset (size from the index).
-    pub fn read_record_at(&self, offset: u64, size: u64) -> Result<Vec<u8>> {
-        let mut buf = Vec::new();
-        self.read_range_into(offset, size, &mut buf)?;
-        let (rec, consumed): (DecodedRecord, u64) = decode_at(&buf, 0, self.verify_crc)?;
-        if consumed != size {
-            return Err(RecordError::BadIndex(format!(
-                "index size {size} != record size {consumed} at offset {offset}"
-            )));
-        }
-        Ok(rec.payload.to_vec())
-    }
 }
 
 #[cfg(unix)]
@@ -160,6 +127,7 @@ fn read_at_full(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::decode_all;
     use crate::writer::RecordWriter;
     use std::io::Write;
 
@@ -179,13 +147,22 @@ mod tests {
         (dir, path, spans)
     }
 
+    /// The payloads of the records in `[offset, offset + size)`: one
+    /// positioned read, decoded as the daemon's reader decodes a block.
+    fn records(rr: &RangeReader, offset: u64, size: u64, crc: bool) -> Result<Vec<Vec<u8>>> {
+        let mut buf = Vec::new();
+        rr.read_range_into(offset, size, &mut buf)?;
+        let recs = decode_all(&buf, crc)?;
+        Ok(recs.into_iter().map(|r| r.payload.to_vec()).collect())
+    }
+
     #[test]
     fn sequential_reader_roundtrip() {
         // What the writer framed comes back, in order, from one read of
         // the whole file.
         let (_g, path, _) = temp_shard(&[b"one", b"two", b"three"]);
         let rr = RangeReader::open(&path).unwrap();
-        let recs = rr.read_records_in_range(0, rr.len()).unwrap();
+        let recs = records(&rr, 0, rr.len(), true).unwrap();
         assert_eq!(recs, [&b"one"[..], b"two", b"three"]);
     }
 
@@ -198,12 +175,12 @@ mod tests {
 
         // Single record by index.
         let (o, s) = spans[7];
-        assert_eq!(rr.read_record_at(o, s).unwrap(), payloads[7]);
+        assert_eq!(records(&rr, o, s, true).unwrap(), [payloads[7].clone()]);
 
         // Contiguous block covering records 5..=9 — one read, many records.
         let start = spans[5].0;
         let end = spans[9].0 + spans[9].1;
-        let recs = rr.read_records_in_range(start, end - start).unwrap();
+        let recs = records(&rr, start, end - start, true).unwrap();
         assert_eq!(recs.len(), 5);
         assert_eq!(recs[0], payloads[5]);
         assert_eq!(recs[4], payloads[9]);
@@ -213,7 +190,7 @@ mod tests {
     fn range_out_of_bounds() {
         let (_g, path, _) = temp_shard(&[b"x"]);
         let rr = RangeReader::open(&path).unwrap();
-        assert!(rr.read_records_in_range(0, rr.len() + 1).is_err());
+        assert!(records(&rr, 0, rr.len() + 1, true).is_err());
     }
 
     #[test]
@@ -248,25 +225,13 @@ mod tests {
             buf.extend_from_slice(&crate::crc32c::masked_crc32c(&len_bytes).to_le_bytes());
             buf.extend_from_slice(&[0u8; 8]);
             std::fs::write(&path, &buf).unwrap();
-            for rr in [
-                RangeReader::open(&path).unwrap(),
-                RangeReader::open(&path).unwrap().without_crc_verification(),
-            ] {
+            let rr = RangeReader::open(&path).unwrap();
+            for crc in [true, false] {
                 assert!(matches!(
-                    rr.read_records_in_range(0, rr.len()),
+                    records(&rr, 0, rr.len(), crc),
                     Err(RecordError::Truncated { offset: 0 })
                 ));
             }
         }
-    }
-
-    #[test]
-    fn misaligned_index_detected() {
-        let (_g, path, spans) = temp_shard(&[b"aaaa", b"bbbb"]);
-        let rr = RangeReader::open(&path).unwrap();
-        let (o, s) = spans[0];
-        // Claim the first record is bigger than it is: decode consumes less
-        // than `size`, which the reader flags as a bad index.
-        assert!(rr.read_record_at(o, s + spans[1].1).is_err());
     }
 }

@@ -122,6 +122,7 @@ impl ShardWriter {
 mod tests {
     use super::*;
     use crate::reader::RangeReader;
+    use crate::record::decode_all;
     use emlio_util::testutil::TempDir;
 
     fn write_dataset(dir: &Path, spec: ShardSpec, n: usize) -> GlobalIndex {
@@ -175,14 +176,20 @@ mod tests {
         let g = write_dataset(dir.path(), ShardSpec::Count(2), 30);
         for shard in &g.shards {
             let rr = RangeReader::open(&g.shard_path(shard.shard_id)).unwrap();
+            let mut buf = Vec::new();
+            let mut payloads = |offset, size| {
+                rr.read_range_into(offset, size, &mut buf).unwrap();
+                let recs = decode_all(&buf, true).unwrap();
+                recs.iter().map(|r| r.payload.to_vec()).collect::<Vec<_>>()
+            };
             // Whole-shard contiguous read decodes every record.
             let (off, size) = shard.span(0, shard.records.len()).unwrap();
-            let payloads = rr.read_records_in_range(off, size).unwrap();
-            assert_eq!(payloads.len(), shard.records.len());
+            let whole = payloads(off, size);
+            assert_eq!(whole.len(), shard.records.len());
             // Individual reads agree with batch reads.
             for (i, meta) in shard.records.iter().enumerate() {
-                let single = rr.read_record_at(meta.offset, meta.length).unwrap();
-                assert_eq!(single, payloads[i]);
+                let single = payloads(meta.offset, meta.length);
+                assert_eq!(single, [whole[i].clone()]);
             }
         }
     }

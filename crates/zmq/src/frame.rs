@@ -8,12 +8,12 @@
 //! into one contiguous buffer. The bytes on the wire are identical to a
 //! single-segment frame — receivers cannot tell the difference.
 //!
-//! Neither direction stages payload bytes in user space. [`write_frames`]
-//! hands the kernel the length prefixes and segments of a whole burst of
-//! frames in one `write_vectored` — there is no intermediate buffer to
-//! copy them into — and [`FrameReader`] reads each payload straight from
-//! the stream into a recycled [`BufferPool`] buffer that becomes the
-//! frame's [`Bytes`].
+//! Neither direction stages payload bytes in user space. [`write_scatter`]
+//! hands the kernel one frame's length prefix and segments in one
+//! `write_vectored` — there is no intermediate buffer to copy them into,
+//! and no frame shares a write with another — and [`FrameReader`] reads
+//! each payload straight from the stream into a recycled [`BufferPool`]
+//! buffer that becomes the frame's [`Bytes`].
 
 use crate::{Result, ZmqError};
 use bytes::Bytes;
@@ -95,96 +95,49 @@ impl From<Vec<u8>> for Frame {
 /// writer that takes fewer just writes less and the rest is resumed).
 const MAX_IOVECS: usize = 1024;
 
-/// How far a burst has been written: every frame before `frame`, and of
-/// that frame every part before `part` (part 0 is the length prefix, part
-/// `i + 1` is segment `i`) plus `offset` bytes of `part`.
-#[derive(Default)]
-struct Cursor {
-    frame: usize,
-    part: usize,
-    offset: usize,
-}
-
-impl Cursor {
-    /// Move past the `written` bytes a write call accepted, and past any
-    /// empty segment that follows them.
-    fn advance(&mut self, frames: &[Frame], mut written: usize) {
-        while let Some(frame) = frames.get(self.frame) {
-            let part_len = match self.part {
-                0 => 4,
-                i => frame.segments[i - 1].len(),
-            };
-            let left = part_len - self.offset;
-            if written < left {
-                self.offset += written;
-                return;
-            }
-            written -= left;
-            self.offset = 0;
-            self.part += 1;
-            if self.part > frame.segments.len() {
-                self.part = 0;
-                self.frame += 1;
-            }
-        }
-        debug_assert_eq!(written, 0, "writer accepted more than it was given");
-    }
-}
-
-/// Write a burst of frames back to back, each under its own `u32` length
-/// prefix, without gathering them: every call to `w` is one
-/// `write_vectored` over the prefixes and non-empty segments still to go,
-/// up to `IOV_MAX` of them. A writer that takes only part of what it is
-/// offered (fewer bytes, fewer slices) is resumed where it stopped. The
-/// bytes written are those of [`write_frame`] over each gathered payload.
+/// Write one frame under its `u32` length prefix without gathering it:
+/// every call to `w` is one `write_vectored` over the prefix and the
+/// non-empty segments still to go, up to `IOV_MAX` of them at a time. A
+/// writer that takes only part of what it is offered (fewer bytes, fewer
+/// slices) is resumed where it stopped. The bytes written are those of
+/// [`write_frame`] over the gathered payload.
 ///
-/// Returns the number of write calls made: one for a burst the writer
-/// takes whole.
-pub fn write_frames<W: Write>(w: &mut W, frames: &[Frame]) -> Result<u64> {
-    let mut prefixes = [[0u8; 4]; MAX_IOVECS];
-    let mut at = Cursor::default();
+/// Returns the number of write calls made: one for a frame of at most
+/// `IOV_MAX` slices that the writer takes whole.
+pub fn write_scatter<W: Write>(w: &mut W, frame: &Frame) -> Result<u64> {
+    let prefix = prefix(frame.len())?;
+    let segments = frame.segments.iter().map(|s| &s[..]);
+    let mut parts = std::iter::once(&prefix[..])
+        .chain(segments)
+        .filter(|part| !part.is_empty());
     let mut writes = 0;
-    while at.frame < frames.len() {
-        // No more than MAX_IOVECS frames can have a part in this call.
-        let window = &frames[at.frame..frames.len().min(at.frame + MAX_IOVECS)];
-        for (slot, frame) in prefixes.iter_mut().zip(window) {
-            *slot = prefix(frame.len())?;
-        }
+    loop {
+        // The next IOV_MAX parts, written to their end before any more.
         let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
         let mut n = 0;
-        let parts = window.iter().zip(&prefixes).flat_map(|(frame, prefix)| {
-            std::iter::once(&prefix[..]).chain(frame.segments.iter().map(|s| &s[..]))
-        });
-        // The window's first frame is the one the cursor is inside.
-        for (i, part) in parts.enumerate().skip(at.part) {
-            let part = if i == at.part {
-                &part[at.offset..]
-            } else {
-                part
-            };
-            if part.is_empty() {
-                continue;
-            }
-            if n == MAX_IOVECS {
-                break;
-            }
-            iov[n] = IoSlice::new(part);
+        for (slot, part) in iov.iter_mut().zip(&mut parts) {
+            *slot = IoSlice::new(part);
             n += 1;
         }
-        match w.write_vectored(&iov[..n]) {
-            Ok(0) => return Err(ZmqError::Io(std::io::ErrorKind::WriteZero.into())),
-            Ok(written) => {
-                writes += 1;
-                at.advance(frames, written);
+        if n == 0 {
+            return Ok(writes);
+        }
+        let mut window = &mut iov[..n];
+        while !window.is_empty() {
+            match w.write_vectored(window) {
+                Ok(0) => return Err(ZmqError::Io(std::io::ErrorKind::WriteZero.into())),
+                Ok(written) => {
+                    writes += 1;
+                    IoSlice::advance_slices(&mut window, written);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(ZmqError::Io(e)),
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ZmqError::Io(e)),
         }
     }
-    Ok(writes)
 }
 
-/// Write one contiguous frame: the reference [`write_frames`] is tested
+/// Write one contiguous frame: the reference [`write_scatter`] is tested
 /// against, and what tests craft raw streams with.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
     w.write_all(&prefix(payload.len())?)?;
@@ -327,7 +280,7 @@ mod tests {
         assert_eq!(frame.len(), 104);
 
         let mut scattered = Vec::new();
-        write_frames(&mut scattered, std::slice::from_ref(&frame)).unwrap();
+        assert_eq!(write_scatter(&mut scattered, &frame).unwrap(), 1);
         let mut gathered = Vec::new();
         write_frame(&mut gathered, &frame.clone().into_bytes()).unwrap();
         assert_eq!(scattered, gathered);

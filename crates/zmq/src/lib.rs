@@ -13,12 +13,16 @@
 //!   its own sender thread taking frames from the one queue: frames then
 //!   keep their order on each connection but not across them,
 //!   [`PushSocket::close_with`] ends *every* connection with the same last
-//!   frame, and a socket holds at most HWM + S frames in user space;
+//!   frame, and a socket holds at most HWM + S frames in user space: HWM
+//!   queued and the one frame each sender is writing. A sender writes the
+//!   frame it takes alone — the daemon batches at the source, one training
+//!   batch per frame, so there is no second batching layer here;
 //! * **PULL sockets** ([`pull::PullSocket`]) that accept any number of
 //!   connections and fair-queue incoming messages into one bounded queue,
 //!   each connection's reader pushing straight into it — this is what
 //!   makes out-of-order multi-stream prefetching possible;
-//! * length-prefixed wire framing with a maximum-frame guard ([`frame`]),
+//! * length-prefixed wire framing with a maximum-frame guard
+//!   ([`MAX_FRAME`], [`frame`]),
 //!   unbuffered in both directions: a frame's segments go to the kernel in
 //!   one vectored write and come back out of it straight into a recycled
 //!   buffer, so this crate never copies, zero-fills or allocates for a
@@ -55,17 +59,16 @@ use std::fmt;
 /// Default high-water mark (the paper's setting).
 pub const DEFAULT_HWM: usize = 16;
 
-/// Default maximum frame size: 256 MiB (a 2 MB-sample batch of 64 plus
-/// headers fits comfortably; anything bigger is a protocol error).
-pub const DEFAULT_MAX_FRAME: usize = 256 << 20;
+/// Largest frame a PULL socket accepts: 256 MiB (a 2 MB-sample batch of
+/// 64 plus headers fits comfortably; anything bigger is a protocol error,
+/// refused before a buffer is sized by it).
+pub const MAX_FRAME: usize = 256 << 20;
 
 /// Socket configuration.
 #[derive(Debug, Clone)]
 pub struct SocketOptions {
     /// Send/receive high-water mark in messages.
     pub hwm: usize,
-    /// Maximum accepted frame size in bytes.
-    pub max_frame: usize,
     /// How long `PushSocket::connect` keeps retrying a refused connection.
     pub connect_timeout: std::time::Duration,
     /// TCP connections a PUSH socket stripes over, each with its own
@@ -82,7 +85,6 @@ impl Default for SocketOptions {
     fn default() -> Self {
         SocketOptions {
             hwm: DEFAULT_HWM,
-            max_frame: DEFAULT_MAX_FRAME,
             connect_timeout: std::time::Duration::from_secs(10),
             connections: 1,
             recorder: None,
@@ -119,7 +121,7 @@ pub enum ZmqError {
     Io(std::io::Error),
     /// The peer or socket has been closed.
     Closed,
-    /// Frame exceeded `max_frame`.
+    /// Frame exceeded [`MAX_FRAME`].
     FrameTooLarge { size: usize, limit: usize },
     /// Endpoint string did not parse.
     BadEndpoint(String),

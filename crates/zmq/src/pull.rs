@@ -45,7 +45,7 @@
 
 use crate::endpoint::Endpoint;
 use crate::frame::FrameReader;
-use crate::{Result, SocketOptions, ZmqError};
+use crate::{Result, SocketOptions, ZmqError, MAX_FRAME};
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use emlio_obs::{obs_warn, FlightRecorder, Stage, StageRecorder};
@@ -130,7 +130,6 @@ struct Shared<T> {
     /// The socket was dropped: the accept thread returns.
     closed: AtomicBool,
     active_readers: AtomicUsize,
-    max_frame: usize,
     recorder: Option<Arc<StageRecorder>>,
 }
 
@@ -207,7 +206,6 @@ impl<T: Send + 'static> PullSocket<T> {
             stopped: AtomicBool::new(false),
             closed: AtomicBool::new(false),
             active_readers: AtomicUsize::new(0),
-            max_frame: options.max_frame,
             recorder: options.recorder,
         });
         let shared2 = shared.clone();
@@ -352,7 +350,7 @@ fn read_connection<T>(stream: TcpStream, peer: SocketAddr, tx: Sender<T>, shared
     // Once the stream has ended: the first tick since the last frame.
     let mut quiet_from = None;
     while !shared.stopped.load(Ordering::SeqCst) {
-        match frames.read_frame(&mut stream, shared.max_frame) {
+        match frames.read_frame(&mut stream, MAX_FRAME) {
             Ok(Some(frame)) => {
                 record(Stage::RecvWait, handed_off);
                 let c = &shared.counters;
@@ -692,21 +690,16 @@ mod tests {
         use emlio_util::testutil::poll_until;
         use std::io::Write;
 
-        let pull = PullSocket::bind(
-            &Endpoint::tcp("127.0.0.1", 0),
-            SocketOptions {
-                max_frame: 1024,
-                ..SocketOptions::default()
-            },
-        )
-        .unwrap();
+        let pull =
+            PullSocket::bind(&Endpoint::tcp("127.0.0.1", 0), SocketOptions::default()).unwrap();
         let push =
             PushSocket::connect(&pull.local_endpoint().unwrap(), SocketOptions::default()).unwrap();
         push.send(Bytes::from_static(b"before")).unwrap();
         assert_eq!(pull.recv().unwrap().as_ref(), b"before");
 
         let mut raw = TcpStream::connect(pull.local_addr).unwrap();
-        raw.write_all(&4096u32.to_be_bytes()).unwrap();
+        assert!(u32::MAX as usize > MAX_FRAME);
+        raw.write_all(&u32::MAX.to_be_bytes()).unwrap();
         assert!(
             poll_until(Duration::from_secs(5), || pull.stats().read_errors == 1),
             "the oversized length prefix is counted"
@@ -771,9 +764,9 @@ mod tests {
         assert_eq!(stats.buffers_allocated, 1, "{stats:?}");
         assert_eq!(stats.buffers_reused, FRAMES - 1);
 
-        // A burst of small frames shares writes; frames the consumer keeps
-        // hold their buffers, and the count of buffers stops at what is
-        // kept alive at once.
+        // Small frames queued together still go out one write each; frames
+        // the consumer keeps hold their buffers, and the count of buffers
+        // stops at what is kept alive at once.
         const SMALL: u64 = 300;
         let producer = std::thread::spawn(move || {
             for i in 0..SMALL {
@@ -792,7 +785,7 @@ mod tests {
         }
         producer.join().unwrap();
         let small_writes = push_stats.writes.load(Ordering::Relaxed) - writes;
-        assert!(small_writes <= SMALL, "{small_writes} writes");
+        assert_eq!(small_writes, SMALL, "one write per small frame");
         // 3 kept + 1 being checked + 4 queued + 1 in the reader's hands.
         let allocated = pull.stats().buffers_allocated;
         assert!(allocated <= 1 + 9, "{allocated} buffers for {SMALL} frames");

@@ -4,7 +4,7 @@
 //!
 //! A socket stripes over [`SocketOptions::connections`] connections to its
 //! one PULL endpoint. Each connection has its own sender thread, and every
-//! sender takes its next frames from the one queue, so the HWM still bounds
+//! sender takes its next frame from the one queue, so the HWM still bounds
 //! what `send` may run ahead by, and a second core can copy a second frame
 //! into the kernel while the first is still going out. What that costs:
 //!
@@ -14,11 +14,13 @@
 //!   frame as the final frame of *every* connection, so a receiver that
 //!   has that frame from all of them has read each to its end;
 //! * **frames held in user space ≤ HWM + S.** `hwm` wait in the queue and
-//!   each of the `S` senders holds the burst it is writing: one frame, or
-//!   small frames up to `COALESCE_BYTES` together.
+//!   each of the `S` senders holds the one frame it is writing. A sender
+//!   takes one frame at a time and writes it alone, with one vectored
+//!   write: frames are never batched together on the send side, because
+//!   the daemon already sends a whole training batch as one frame.
 
 use crate::endpoint::Endpoint;
-use crate::frame::{write_frames, Frame};
+use crate::frame::{write_scatter, Frame};
 use crate::{Result, SocketOptions, ZmqError};
 use crossbeam::channel::{bounded, Receiver, Sender};
 use emlio_obs::{Stage, StageRecorder};
@@ -43,21 +45,14 @@ pub struct PushStats {
     pub bytes_sent: AtomicU64,
     /// Total nanoseconds `send` spent blocked on a full queue.
     pub blocked_nanos: AtomicU64,
-    /// Write syscalls the sender threads issued: one per frame,
-    /// or per burst of small frames, unless the kernel took a write in
-    /// parts.
+    /// Write syscalls the sender threads issued: exactly one per frame,
+    /// unless the kernel took a write in parts.
     pub writes: AtomicU64,
     /// Total nanoseconds the sender threads spent writing to their streams
     /// (summed over connections) — the cost `send` callers see only as
     /// backpressure.
     pub write_nanos: AtomicU64,
 }
-
-/// A burst stops growing once it holds this many payload bytes: small
-/// frames queued together share one write, while a batch-sized frame goes
-/// out alone, so no more than one frame per connection beyond the HWM is
-/// ever in flight on the send side.
-const COALESCE_BYTES: usize = 256 << 10;
 
 /// A PUSH socket connected to exactly one PULL endpoint, over one or more
 /// TCP connections.
@@ -205,40 +200,25 @@ fn connect_with_retry(addr: &str, timeout: Duration) -> Result<TcpStream> {
     }
 }
 
+/// Take one command at a time off the queue and write its one frame: a
+/// frame never shares a write with another.
 fn tcp_sender_loop(mut stream: TcpStream, rx: &Receiver<Cmd>, stats: &PushStats) -> Result<()> {
-    let mut burst: Vec<Frame> = Vec::new();
-    // Block for the next command, then take what is already queued behind
-    // it (up to COALESCE_BYTES) so a burst of small frames is one write.
-    while let Ok(first) = rx.recv() {
-        let mut closing = false;
-        let mut bytes = 0;
-        let mut next = Some(first);
-        while let Some(cmd) = next.take() {
-            match cmd {
-                Cmd::Msg(frame) => {
-                    bytes += frame.len();
-                    burst.push(frame);
-                    if bytes < COALESCE_BYTES {
-                        next = rx.try_recv().ok();
-                    }
-                }
-                Cmd::Close(last) => {
-                    if let Some(frame) = last {
-                        bytes += frame.len();
-                        burst.push(frame);
-                    }
-                    closing = true;
-                }
-            }
+    while let Ok(cmd) = rx.recv() {
+        let (frame, closing) = match cmd {
+            Cmd::Msg(frame) => (Some(frame), false),
+            Cmd::Close(last) => (last, true),
+        };
+        if let Some(frame) = frame {
+            let t0 = Instant::now();
+            let writes = write_scatter(&mut stream, &frame)?;
+            stats
+                .write_nanos
+                .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            stats.writes.fetch_add(writes, Ordering::Relaxed);
+            stats
+                .bytes_sent
+                .fetch_add(frame.len() as u64, Ordering::Relaxed);
         }
-        let t0 = Instant::now();
-        let writes = write_frames(&mut stream, &burst)?;
-        stats
-            .write_nanos
-            .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        stats.writes.fetch_add(writes, Ordering::Relaxed);
-        stats.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-        burst.clear();
         if closing {
             break;
         }

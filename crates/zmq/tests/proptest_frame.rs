@@ -1,10 +1,10 @@
-//! Property tests for the framing I/O: the vectored burst writer against a
-//! writer that takes as little as it likes, and the recycling
+//! Property tests for the framing I/O: the vectored one-frame writer
+//! against a writer that takes as little as it likes, and the recycling
 //! [`FrameReader`] against frames held past their successors.
 
 use bytes::Bytes;
 use emlio_util::pool::BufferPool;
-use emlio_zmq::frame::{write_frame, write_frames, Frame, FrameReader};
+use emlio_zmq::frame::{write_frame, write_scatter, Frame, FrameReader};
 use emlio_zmq::ZmqError;
 use proptest::prelude::*;
 use std::io::{IoSlice, Read, Write};
@@ -57,11 +57,13 @@ impl Write for Choppy {
 }
 
 /// Segment lengths of one frame: mostly a handful, sometimes more than
-/// `IOV_MAX`, with empty segments (and empty frames) throughout.
+/// `IOV_MAX` non-empty ones (or just around it, counting the prefix), with
+/// empty segments (and empty frames) throughout.
 fn segment_lens() -> impl Strategy<Value = Vec<usize>> {
     prop_oneof![
         proptest::collection::vec(0usize..40, 0..8),
-        proptest::collection::vec(0usize..3, 1020..1100),
+        proptest::collection::vec(0usize..3, 1600..2200),
+        proptest::collection::vec(1usize..3, 1020..1030),
         Just(vec![0, 0, 0]),
     ]
 }
@@ -85,38 +87,30 @@ fn frame_of(lens: &[usize], tag: u8) -> Frame {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn vectored_burst_equals_gathered_frames(
-        shapes in proptest::collection::vec(segment_lens(), 0..6),
+    fn vectored_frame_equals_gathered_frame(
+        lens in segment_lens(),
+        tag in any::<u8>(),
         max_bytes in 1usize..200,
         max_iov in 1usize..40,
         seed in 1u64..u64::MAX,
     ) {
-        let frames: Vec<Frame> = shapes
-            .iter()
-            .enumerate()
-            .map(|(i, lens)| frame_of(lens, i as u8))
-            .collect();
+        let frame = frame_of(&lens, tag);
         let mut reference = Vec::new();
-        for f in &frames {
-            write_frame(&mut reference, &f.clone().into_bytes()).unwrap();
-        }
+        write_frame(&mut reference, &frame.clone().into_bytes()).unwrap();
 
         let mut choppy = Choppy { out: Vec::new(), max_bytes, max_iov, dice: Dice(seed), calls: 0 };
-        let writes = write_frames(&mut choppy, &frames).unwrap();
+        let writes = write_scatter(&mut choppy, &frame).unwrap();
         prop_assert!(choppy.out == reference, "choppy writer: wire bytes differ");
         prop_assert_eq!(writes, choppy.calls);
 
         // A writer that takes everything is called once per IOV_MAX slices.
         let mut whole = Vec::new();
-        let writes = write_frames(&mut whole, &frames).unwrap();
+        let writes = write_scatter(&mut whole, &frame).unwrap();
         prop_assert!(whole == reference, "whole writer: wire bytes differ");
-        let slices: usize = shapes
-            .iter()
-            .map(|lens| 1 + lens.iter().filter(|&&l| l > 0).count())
-            .sum();
+        let slices = 1 + lens.iter().filter(|&&l| l > 0).count();
         prop_assert_eq!(writes as usize, slices.div_ceil(1024));
     }
 }
@@ -215,4 +209,173 @@ proptest! {
         let stats = pool.stats();
         prop_assert_eq!((stats.pool_alloc + stats.pool_reuse) as usize, begun);
     }
+}
+
+/// How a stream of frames ends.
+#[derive(Debug, PartialEq)]
+enum End {
+    /// At a frame boundary.
+    Clean,
+    /// Inside a length prefix or a payload.
+    EofInFrame,
+    /// At a length prefix above the limit, which it names.
+    TooLarge(usize),
+}
+
+/// The framing read the plain way, over the whole stream at once: the
+/// frames it holds up to the first fault, how it ends, and how many
+/// payload buffers a reader begins (one per non-empty frame whose prefix
+/// is complete and within `limit`).
+fn reference_parse(wire: &[u8], limit: usize) -> (Vec<&[u8]>, End, usize) {
+    let (mut frames, mut begun, mut at) = (Vec::new(), 0, 0);
+    loop {
+        let rest = &wire[at..];
+        if rest.is_empty() {
+            return (frames, End::Clean, begun);
+        }
+        if rest.len() < 4 {
+            return (frames, End::EofInFrame, begun);
+        }
+        let len = u32::from_be_bytes(rest[..4].try_into().unwrap()) as usize;
+        if len > limit {
+            return (frames, End::TooLarge(len), begun);
+        }
+        begun += usize::from(len > 0);
+        if rest.len() - 4 < len {
+            return (frames, End::EofInFrame, begun);
+        }
+        frames.push(&rest[4..4 + len]);
+        at += 4 + len;
+    }
+}
+
+/// A stream that hands out a random `1..=chunk` bytes per read and times
+/// out at random in between.
+struct Jittery<'a> {
+    data: &'a [u8],
+    chunk: usize,
+    dice: Dice,
+}
+
+impl Read for Jittery<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.dice.roll(3) == 1 {
+            return Err(std::io::ErrorKind::WouldBlock.into());
+        }
+        let n = self
+            .dice
+            .roll(self.chunk)
+            .min(buf.len())
+            .min(self.data.len());
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
+
+/// Read `wire` through one `FrameReader` on a jittery stream: it must
+/// yield exactly the reference's frames, end the same way, and size a
+/// buffer only for a prefix within `limit`.
+fn check_reader(what: &str, wire: &[u8], limit: usize, dice: &mut Dice) {
+    let (expect, expect_end, begun) = reference_parse(wire, limit);
+    let mut stream = Jittery {
+        data: wire,
+        chunk: dice.roll(64),
+        dice: Dice(dice.roll(usize::MAX) as u64),
+    };
+    let pool = BufferPool::with_retention(2);
+    let mut reader = FrameReader::with_pool(pool.clone());
+    let mut got = Vec::new();
+    let end = loop {
+        match reader.read_frame(&mut stream, limit) {
+            Ok(Some(frame)) => {
+                assert!(
+                    got.len() < expect.len(),
+                    "{what}: a frame past the reference's"
+                );
+                assert_eq!(&frame[..], expect[got.len()], "{what}: frame {}", got.len());
+                got.push(frame);
+            }
+            Ok(None) => break End::Clean,
+            Err(ZmqError::Io(e)) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+            Err(ZmqError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                break End::EofInFrame
+            }
+            Err(ZmqError::FrameTooLarge { size, limit: l }) => {
+                assert_eq!(l, limit, "{what}");
+                break End::TooLarge(size);
+            }
+            Err(e) => panic!("{what}: unexpected error {e}"),
+        }
+    };
+    assert_eq!(got.len(), expect.len(), "{what}: frames yielded");
+    assert_eq!(end, expect_end, "{what}: how the stream ended");
+    let stats = pool.stats();
+    assert_eq!(
+        (stats.pool_alloc + stats.pool_reuse) as usize,
+        begun,
+        "{what}: payload buffers begun"
+    );
+}
+
+/// Byte-level fuzz of the one parser on the receive path: a few frames
+/// (empty, small, exactly the limit; one byte over it in a stream of its
+/// own) cut at every strict prefix, every
+/// byte set in turn to three values, and seeded multi-byte damage, each
+/// read through a stream that times out at random so every frame is
+/// resumed across timeouts.
+#[test]
+fn frame_reader_matches_a_reference_parser_under_byte_level_fuzz() {
+    const LIMIT: usize = 2000;
+    let mut dice = Dice(0x5eed_f4a3);
+    let payloads: Vec<Vec<u8>> = [0usize, 3, LIMIT, 300, 17]
+        .iter()
+        .map(|&len| (0..len).map(|_| dice.roll(256) as u8).collect())
+        .collect();
+    let mut wire = Vec::new();
+    for p in &payloads {
+        write_frame(&mut wire, p).unwrap();
+    }
+    check_reader("whole stream", &wire, LIMIT, &mut dice);
+    // One byte over the limit is refused, whole or cut short.
+    let mut over = Vec::new();
+    write_frame(&mut over, b"abc").unwrap();
+    write_frame(&mut over, &[1; LIMIT + 1]).unwrap();
+    check_reader("a frame one byte over", &over, LIMIT, &mut dice);
+    check_reader(
+        "its prefix alone",
+        &over[..over.len() - LIMIT],
+        LIMIT,
+        &mut dice,
+    );
+    for cut in 0..wire.len() {
+        check_reader(&format!("cut at {cut}"), &wire[..cut], LIMIT, &mut dice);
+    }
+    let mut ends = [0usize; 3];
+    for i in 0..wire.len() {
+        for v in [0x00, 0xff, wire[i] ^ 0x80] {
+            let mut buf = wire.clone();
+            buf[i] = v;
+            let what = format!("byte {i} = {v:#04x}");
+            check_reader(&what, &buf, LIMIT, &mut dice);
+            ends[match reference_parse(&buf, LIMIT).1 {
+                End::Clean => 0,
+                End::EofInFrame => 1,
+                End::TooLarge(_) => 2,
+            }] += 1;
+        }
+    }
+    for n in 0..2_000 {
+        let mut buf = wire.clone();
+        for _ in 0..dice.roll(4) {
+            let i = dice.roll(buf.len()) - 1;
+            buf[i] = dice.roll(256) as u8;
+        }
+        check_reader(&format!("random damage {n}"), &buf, LIMIT, &mut dice);
+    }
+    // Damaged prefixes reach every outcome: the oracle is not vacuous.
+    assert!(
+        ends.iter().all(|&n| n > 0),
+        "outcomes of single-byte damage: {ends:?}"
+    );
 }
