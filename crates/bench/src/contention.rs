@@ -3,7 +3,7 @@
 //! The paper's remote-dataset regime has every storage daemon hammering
 //! one NFS mount. With the composable read stack this is now just a
 //! deployment shape: N cached `EmlioDaemon`s whose `NfsSource` roots share
-//! a single emulated mount (one wire, one token bucket; `ReadStack`'s docs
+//! a single emulated mount (one wire, one `link_free`; `ReadStack`'s docs
 //! have the layer order). Per-daemon caches absorb the repeated-epoch
 //! traffic, so the shared link carries each unique block once per daemon
 //! instead of once per epoch per daemon.

@@ -7,17 +7,19 @@
 //! and CLOSE. This module reproduces that cost structure over a local
 //! directory: data bytes are read from real files; latency is slept on the
 //! mount's [`RealClock`](emlio_util::clock::RealClock), and link bandwidth
-//! is a token bucket *shared by every handle cloned from the same mount*
-//! (one wire per mount, as in reality).
+//! is one wire *shared by every handle cloned from the same mount* (one
+//! wire per mount, as in reality). The wire is charged by the proxy's
+//! delay-line rule, [`NetProfile::reserve`]: a transfer reserves its slot
+//! under the mount's lock and sleeps to the slot's end outside it.
 //!
 //! The same constants feed the discrete-event testbed through
-//! [`NfsConfig::read_cost`], so real-runtime examples and virtual-time
-//! experiments use one cost model.
+//! [`NfsConfig::read_cost`], which counts READ waves with the helper the
+//! mount charges by ([`NfsConfig::read_waves`]), so real-runtime examples
+//! and virtual-time experiments use one cost model.
 
 use crate::profile::NetProfile;
 use emlio_util::clock::SharedClock;
 use emlio_util::fault::{site, FaultDecision, FaultInjector};
-use emlio_util::rate::TokenBucket;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
@@ -54,13 +56,20 @@ impl Default for NfsConfig {
 }
 
 impl NfsConfig {
+    /// The READ round trips of one `bytes`-long transfer, as
+    /// `(chunks, waves)`: its `rsize` chunks (at least one), `readahead` of
+    /// them in flight per round trip.
+    pub fn read_waves(&self, bytes: u64) -> (u64, u64) {
+        let chunks = bytes.div_ceil(self.rsize).max(1);
+        (chunks, chunks.div_ceil(self.readahead.max(1) as u64))
+    }
+
     /// Pure cost model: wall time to read one whole `bytes`-long file that is
     /// *not* in the attribute cache, excluding bandwidth contention.
     ///
     /// `open + ceil(chunks / readahead) · RTT + bytes / bandwidth + close`
     pub fn read_cost(&self, bytes: u64, profile: &NetProfile) -> Duration {
-        let chunks = bytes.div_ceil(self.rsize).max(1);
-        let read_waves = chunks.div_ceil(self.readahead.max(1) as u64);
+        let (_, read_waves) = self.read_waves(bytes);
         let rtts = self.open_rtts + read_waves as f64 + self.close_rtts;
         Duration::from_secs_f64(
             rtts * profile.rtt.as_secs_f64() + bytes as f64 / profile.bandwidth_bps,
@@ -86,7 +95,9 @@ struct MountShared {
     profile: NetProfile,
     config: NfsConfig,
     clock: SharedClock,
-    bucket: Mutex<TokenBucket>,
+    /// When the wire has serialized every transfer reserved so far (clock
+    /// nanos).
+    link_free: Mutex<u64>,
     attr_cache: Mutex<HashMap<PathBuf, u64>>, // path → expiry nanos
     stats: NfsStats,
     /// Seeded chaos hook: consulted at `nfs.open` / `nfs.read` when set.
@@ -108,19 +119,13 @@ impl NfsMount {
         clock: SharedClock,
         config: NfsConfig,
     ) -> NfsMount {
-        let bucket = TokenBucket::new(
-            clock.clone(),
-            profile.bandwidth_bps,
-            // Burst of one rsize chunk keeps pacing smooth.
-            config.rsize as f64,
-        );
         NfsMount {
             shared: Arc::new(MountShared {
                 root: root.to_path_buf(),
                 profile,
                 config,
                 clock,
-                bucket: Mutex::new(bucket),
+                link_free: Mutex::new(0),
                 attr_cache: Mutex::new(HashMap::new()),
                 stats: NfsStats::default(),
                 injector: OnceLock::new(),
@@ -172,10 +177,20 @@ impl NfsMount {
         }
     }
 
-    fn charge_bandwidth(&self, bytes: u64) {
-        if bytes > 0 {
-            self.shared.bucket.lock().take(bytes as f64);
-        }
+    /// Charge one READ of `len` bytes: its waves' round trips, then its
+    /// slot on the shared wire, reserved under the lock and slept to
+    /// outside it.
+    fn charge_read(&self, len: u64) {
+        let shared = &*self.shared;
+        let (chunks, waves) = shared.config.read_waves(len);
+        shared.stats.reads.fetch_add(chunks, Ordering::Relaxed);
+        self.charge_rtts(waves as f64);
+        let clock = &shared.clock;
+        let (mut link_free, now) = (shared.link_free.lock(), clock.now_nanos());
+        let sent = shared.profile.reserve(&mut link_free, now, len);
+        drop(link_free);
+        clock.sleep_nanos(sent.saturating_sub(clock.now_nanos()));
+        shared.stats.bytes_read.fetch_add(len, Ordering::Relaxed);
     }
 
     /// Whether a metadata round trip is needed for `path`, updating the
@@ -199,45 +214,14 @@ impl NfsMount {
         }
     }
 
-    /// Stat a file: one GETATTR round trip unless attribute-cached.
-    pub fn stat(&self, rel: &Path) -> io::Result<u64> {
-        let full = self.shared.root.join(rel);
-        if self.attr_check(&full) {
-            self.charge_rtts(1.0);
-        }
-        Ok(std::fs::metadata(&full)?.len())
-    }
-
-    /// Read an entire file with full NFS cost accounting. This is the
-    /// baseline loaders' per-sample hot path.
+    /// Read an entire file with full NFS cost accounting: OPEN, one
+    /// positioned read of the whole file, CLOSE. This is the baseline
+    /// loaders' per-sample hot path.
     pub fn read_file(&self, rel: &Path) -> io::Result<Vec<u8>> {
-        let full = self.shared.root.join(rel);
-        let cfg = &self.shared.config;
-
-        // OPEN (compound LOOKUP+OPEN+GETATTR) unless attr-cached.
-        let open_rtts = if self.attr_check(&full) {
-            cfg.open_rtts
-        } else {
-            (cfg.open_rtts - 1.0).max(0.0)
-        };
-        self.shared.stats.opens.fetch_add(1, Ordering::Relaxed);
-        self.charge_rtts(open_rtts);
-
-        let data = std::fs::read(&full)?;
-
-        // READ waves: `readahead` chunks in flight per round trip.
-        let chunks = (data.len() as u64).div_ceil(cfg.rsize).max(1);
-        let waves = chunks.div_ceil(cfg.readahead.max(1) as u64);
-        self.shared.stats.reads.fetch_add(chunks, Ordering::Relaxed);
-        self.charge_rtts(waves as f64);
-        self.charge_bandwidth(data.len() as u64);
-        self.shared
-            .stats
-            .bytes_read
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-
-        // CLOSE.
-        self.charge_rtts(cfg.close_rtts);
+        let file = self.open_file(rel)?;
+        let mut data = Vec::new();
+        file.read_range_into(0, file.file.metadata()?.len(), &mut data)?;
+        self.charge_rtts(self.shared.config.close_rtts);
         Ok(data)
     }
 
@@ -292,7 +276,6 @@ impl NfsFile {
     /// held is overwritten, not cleared first: a recycled buffer already
     /// that long is not zero-filled under the read.
     pub fn read_range_into(&self, offset: u64, len: u64, buf: &mut Vec<u8>) -> io::Result<()> {
-        let cfg = &self.mount.shared.config;
         let len = match self.mount.consult(site::NFS_READ) {
             FaultDecision::Error => {
                 return Err(io::Error::other(format!(
@@ -311,27 +294,8 @@ impl NfsFile {
         }
         buf.resize(len as usize, 0);
         read_at(&self.file, buf, offset)?;
-
-        let chunks = len.div_ceil(cfg.rsize).max(1);
-        let waves = chunks.div_ceil(cfg.readahead.max(1) as u64);
-        self.mount
-            .shared
-            .stats
-            .reads
-            .fetch_add(chunks, Ordering::Relaxed);
-        self.mount.charge_rtts(waves as f64);
-        self.mount.charge_bandwidth(len);
-        self.mount
-            .shared
-            .stats
-            .bytes_read
-            .fetch_add(len, Ordering::Relaxed);
+        self.mount.charge_read(len);
         Ok(())
-    }
-
-    /// The mount this handle charges its reads to.
-    pub fn mount(&self) -> &NfsMount {
-        &self.mount
     }
 }
 
@@ -403,9 +367,40 @@ mod tests {
     #[test]
     fn attr_cache_suppresses_metadata() {
         let (_d, mount) = setup(0);
-        mount.stat(Path::new("a.bin")).unwrap();
-        mount.stat(Path::new("a.bin")).unwrap();
+        mount.open_file(Path::new("a.bin")).unwrap();
+        mount.open_file(Path::new("a.bin")).unwrap();
         assert_eq!(mount.stats().attr_cache_hits.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn reads_larger_than_rsize_carry_the_stated_rate() {
+        // Two handles on one mount, each on its own thread, reading 3 MiB
+        // ranges (three `rsize` chunks) over one 64 MiB/s wire with no RTT:
+        // the wire carries its stated rate and no more.
+        let dir = TempDir::new("netem-nfs-rate");
+        std::fs::write(dir.file("c.bin"), vec![3u8; 3 << 20]).unwrap();
+        let bandwidth = 64.0 * (1 << 20) as f64;
+        let profile = NetProfile::new("test", Duration::ZERO, bandwidth);
+        let config = NfsConfig::default();
+        let mount = NfsMount::mount(dir.path(), profile, RealClock::shared(), config);
+        let t0 = std::time::Instant::now();
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let file = mount.open_file(Path::new("c.bin")).unwrap();
+                s.spawn(move || {
+                    let mut buf = Vec::new();
+                    for _ in 0..3 {
+                        file.read_range_into(0, 3 << 20, &mut buf).unwrap();
+                    }
+                });
+            }
+        });
+        let elapsed = t0.elapsed().as_secs_f64();
+        let stated = (6 * (3 << 20)) as f64 / bandwidth;
+        assert!(
+            elapsed >= 0.95 * stated,
+            "{elapsed:.3} s for what takes {stated:.3} s at the stated rate"
+        );
     }
 
     #[test]

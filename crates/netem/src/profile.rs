@@ -62,6 +62,17 @@ impl NetProfile {
     pub fn transfer_time(&self, bytes: u64) -> Duration {
         Duration::from_secs_f64(bytes as f64 / self.bandwidth_bps)
     }
+
+    /// The link's one bandwidth rule, shared by the proxy's delay line and
+    /// the NFS mount: `bytes` offered at `now` (clock nanos) serialize once
+    /// the link is free, `link_free = max(link_free, now) + bytes /
+    /// bandwidth`. Returns the new `link_free`, when the last byte is on
+    /// the wire.
+    pub fn reserve(&self, link_free: &mut u64, now: u64, bytes: u64) -> u64 {
+        let serialize = self.transfer_time(bytes).as_nanos() as u64;
+        *link_free = (*link_free).max(now) + serialize;
+        *link_free
+    }
 }
 
 #[cfg(test)]

@@ -2,8 +2,9 @@
 //!
 //! Each accepted connection is relayed by one thread per direction, a delay
 //! line: a read of `n` bytes serializes once the link is free, then
-//! propagates (`link_free = max(link_free, now) + n / bandwidth`, due at
-//! `link_free + rtt / 2`), and what is due leaves in one vectored write.
+//! propagates (`link_free = max(link_free, now) + n / bandwidth`, by
+//! [`NetProfile::reserve`], the rule the NFS mount is charged by too; due
+//! at `link_free + rtt / 2`), and what is due leaves in one vectored write.
 //! Reading pauses while the bytes in flight reach the bandwidth-delay
 //! product, so backpressure passes through as through a real pipe. A drop
 //! calls `shutdown(Read)` on every live connection's source streams: each
@@ -224,9 +225,8 @@ impl DelayLine {
     /// Serialize `n` bytes read at `now` once the link is free, then
     /// propagate them: the time they are due at the far end.
     fn due(&mut self, now: u64, n: usize) -> u64 {
-        let serialize = self.link.transfer_time(n as u64).as_nanos() as u64;
-        self.link_free = self.link_free.max(now) + serialize;
-        self.link_free + self.link.one_way_delay().as_nanos() as u64
+        let sent = self.link.reserve(&mut self.link_free, now, n as u64);
+        sent + self.link.one_way_delay().as_nanos() as u64
     }
 
     /// Write the reads due by `now` to `dst` in one vectored write of at

@@ -36,7 +36,6 @@ pub struct NfsSource {
     /// lands in a buffer an evicted block gave back, with no allocation
     /// and no zero-fill at a steady block size.
     pool: BufferPool,
-    recorder: Option<Arc<emlio_obs::StageRecorder>>,
 }
 
 impl NfsSource {
@@ -49,7 +48,6 @@ impl NfsSource {
             mount,
             handles,
             pool: BufferPool::new(),
-            recorder: None,
         }
     }
 
@@ -72,20 +70,6 @@ impl NfsSource {
         *handle = Some(file.clone());
         Ok(file)
     }
-
-    /// Record each emulated read's latency
-    /// ([`emlio_obs::Stage::StorageRead`]) into `recorder`. The daemon
-    /// meters storage reads one layer up; this hook is for driving the
-    /// source standalone.
-    pub fn with_recorder(mut self, recorder: Arc<emlio_obs::StageRecorder>) -> NfsSource {
-        self.recorder = Some(recorder);
-        self
-    }
-
-    /// The mount the reads are charged to.
-    pub fn mount(&self) -> &NfsMount {
-        &self.mount
-    }
 }
 
 impl RangeSource for NfsSource {
@@ -104,14 +88,10 @@ impl RangeSource for NfsSource {
         let mut buf = self.pool.take(size as usize);
         file.read_range_into(offset, size, &mut buf)
             .map_err(RecordError::Io)?;
-        let read_nanos = t.elapsed().as_nanos() as u64;
-        if let Some(rec) = &self.recorder {
-            rec.record(emlio_obs::Stage::StorageRead, read_nanos);
-        }
         Ok(BlockRead {
             data: self.pool.seal(buf),
             origin: ReadOrigin::Direct,
-            read_nanos,
+            read_nanos: t.elapsed().as_nanos() as u64,
         })
     }
 

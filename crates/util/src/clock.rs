@@ -4,9 +4,8 @@
 //! flight events and the energy monitor's tuples (§3, Algorithm 1) — is
 //! read from [`emlio_obs::clock`], so data-path events and energy share one
 //! time base. [`RealClock`] is a handle on that clock for the components
-//! that take one as a parameter (the NFS mount, the link shaper, the token
-//! bucket, the energy monitor and the trainer), plus the sleep they pace
-//! themselves with.
+//! that take one as a parameter (the NFS mount, the link shaper, the energy
+//! monitor and the trainer), plus the sleep they pace themselves with.
 
 use std::sync::Arc;
 use std::time::Duration;

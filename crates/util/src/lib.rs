@@ -9,7 +9,6 @@
 //!   shard indexes (`mapping_shard_*.json`), the cache's
 //!   `spill-index.json` and a per-file dataset's `labels.json`.
 //! * [`bytesize`] — human-readable byte formatting/parsing.
-//! * [`rate`] — token-bucket pacing used by the emulated NFS mount.
 //! * [`alloc`] — a counting `#[global_allocator]` wrapper so tests and
 //!   benches can assert allocation budgets on the zero-copy serve path.
 //! * [`pool`] — [`BufferPool`], the size-classed free list of block
@@ -25,7 +24,6 @@ pub mod clock;
 pub mod fault;
 pub mod json;
 pub mod pool;
-pub mod rate;
 pub mod testutil;
 
 pub use alloc::CountingAllocator;

@@ -461,11 +461,9 @@ fn cmd_bench_io(flags: HashMap<String, String>) -> Result<(), String> {
                 .into(),
         );
     }
-    let profile = NetProfile::new(
-        &format!("{rtt_ms}ms"),
-        Duration::from_secs_f64(rtt_ms / 1e3),
-        1.25e9,
-    );
+    let rtt = Duration::try_from_secs_f64(rtt_ms / 1e3)
+        .map_err(|_| format!("--rtt-ms: {rtt_ms} is not a round-trip time"))?;
+    let profile = NetProfile::new(&format!("{rtt_ms}ms"), rtt, 1.25e9);
     let savings_profile = profile.clone();
     let storage = if peer_fleet >= 2 {
         // One index load and one emulated mount of `data` under the whole
@@ -688,6 +686,14 @@ mod tests {
                 .unwrap_err();
                 assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
             }
+        }
+    }
+
+    #[test]
+    fn an_rtt_that_is_no_duration_is_an_error_naming_the_flag() {
+        for value in ["-5", "nan", "inf"] {
+            let err = run(&line(&["bench-io", "--data", "D", "--rtt-ms", value])).unwrap_err();
+            assert!(err.contains("--rtt-ms"), "{err}");
         }
     }
 

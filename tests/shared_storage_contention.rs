@@ -1,6 +1,6 @@
 //! Shared-storage contention: N daemons, each stacked as
 //! `cached -> metered -> nfs`, all reading through ONE emulated NFS mount
-//! (one wire, one token bucket). The per-daemon caches must keep the
+//! (one wire, one `link_free`). The per-daemon caches must keep the
 //! shared link's traffic at exactly one pass over the dataset per daemon
 //! no matter how many epochs stream, and the aggregate bytes-saved must
 //! account for every absorbed re-read. With one shared `FleetRegistry`
