@@ -494,7 +494,7 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
     let incarnations: Vec<_> = dep.post_mortems.iter().flatten().collect();
     for (i, pair) in incarnations.windows(2).enumerate() {
         let ((_, left), (next, _)) = (pair[0], pair[1]);
-        if *left > 0 && next.cache_readmitted == 0 {
+        if *left > 0 && next.cache.map_or(0, |c| c.readmitted) == 0 {
             return Err(fail(
                 &format!("restart {} re-admitted nothing", i + 1),
                 &format!("the killed incarnation left {left} spill-file bytes"),
@@ -522,10 +522,10 @@ pub fn run_schedule(cfg: &ChaosConfig) -> Result<ChaosOutcome, String> {
         injected_errors: faults.errors,
         injected_short_reads: faults.short_reads,
         injected_latencies: faults.latencies,
-        io_retries: sum(|s| s.io_retries),
-        io_giveups: sum(|s| s.io_giveups),
-        peer_hits: sum(|s| s.peer_hits),
-        readmitted: sum(|s| s.cache_readmitted),
+        io_retries: sum(|s| s.retry.map_or(0, |r| r.retries)),
+        io_giveups: sum(|s| s.retry.map_or(0, |r| r.giveups)),
+        peer_hits: sum(|s| s.peer.map_or(0, |p| p.hits)),
+        readmitted: sum(|s| s.cache.map_or(0, |c| c.readmitted)),
     })
 }
 

@@ -202,29 +202,28 @@ pub fn run(cfg: &ContentionConfig) -> ContentionOutcome {
         .collect();
 
     let snaps: Vec<_> = dep.daemon_metrics.iter().map(|m| m.snapshot()).collect();
-    let peer_hits: u64 = snaps.iter().map(|s| s.peer_hits).sum();
-    let peer_bytes: u64 = snaps.iter().map(|s| s.peer_bytes).sum();
+    // Caches are always configured in this experiment.
+    let caches: Vec<_> = snaps.iter().map(|s| s.cache.expect("cache")).collect();
+    let peers: Vec<_> = snaps.iter().map(|s| s.peer.unwrap_or_default()).collect();
+    let peer_hits: u64 = peers.iter().map(|p| p.hits).sum();
+    let peer_bytes: u64 = peers.iter().map(|p| p.bytes_from_peers).sum();
     ContentionOutcome {
-        // Caches are always configured in this experiment, so an absent
-        // rate (cache disabled / no traffic) collapses to 0 and trips the
-        // hit-rate assertions downstream rather than passing silently.
-        per_daemon_hit_rate: snaps
-            .iter()
-            .map(|s| s.cache_hit_rate().unwrap_or(0.0))
-            .collect(),
+        // A cache that saw no traffic reads 0 and trips the hit-rate
+        // assertions downstream rather than passing silently.
+        per_daemon_hit_rate: caches.iter().map(|c| c.hit_rate()).collect(),
         per_daemon_storage_reads: snaps.iter().map(|s| s.storage_reads).collect(),
-        aggregate_bytes_saved: snaps.iter().map(|s| s.cache_bytes_saved).sum(),
+        aggregate_bytes_saved: caches.iter().map(|c| c.bytes_saved).sum(),
         nfs_bytes_read: mount.stats().bytes_read.load(Ordering::Relaxed),
         nfs_reads: mount.stats().reads.load(Ordering::Relaxed),
-        prefetched: snaps.iter().map(|s| s.cache_prefetched).sum(),
-        prefetch_wasted: snaps.iter().map(|s| s.cache_prefetch_wasted).sum(),
+        prefetched: caches.iter().map(|c| c.prefetched).sum(),
+        prefetch_wasted: caches.iter().map(|c| c.prefetch_wasted).sum(),
         batches_delivered: delivery.batches,
         expected_batches: dep.total_batches(),
         dataset_bytes: index.total_bytes(),
         unique_blocks,
         peer_hits,
-        peer_misses: snaps.iter().map(|s| s.peer_misses).sum(),
-        peer_fallbacks: snaps.iter().map(|s| s.peer_fallbacks).sum(),
+        peer_misses: peers.iter().map(|p| p.misses).sum(),
+        peer_fallbacks: peers.iter().map(|p| p.fallbacks).sum(),
         peer_bytes,
         payload_digest: fnv1a(&fingerprint_bytes),
         fleet_savings: peer_savings(

@@ -126,7 +126,7 @@
 use crate::order::NextUseHeap;
 use crate::persist::{self, SpillEntry};
 use crate::prefetch::MAX_IN_FLIGHT;
-use crate::stats::CacheStats;
+use crate::stats::{CacheStats, CacheStatsSnapshot};
 use bytes::Bytes;
 use emlio_obs::{obs_warn, Stage, StageRecorder};
 use emlio_tfrecord::BlockKey;
@@ -644,6 +644,16 @@ impl CacheCore {
     /// Telemetry counters.
     pub fn stats(&self) -> &CacheStats {
         &self.stats
+    }
+
+    /// The counters' values with the two gauges filled in: the spill
+    /// queue's depth and the RAM bytes reserved for prefetch reads.
+    pub fn snapshot(&self) -> CacheStatsSnapshot {
+        CacheStatsSnapshot {
+            spill_queue_depth: self.spill_queue_depth(),
+            ram_reserved: self.ram_budget().1,
+            ..self.stats.snapshot()
+        }
     }
 
     /// Record `SpillWrite`/`WarmPromote` stage timings into `recorder`.

@@ -71,11 +71,14 @@ impl CacheStats {
             spill_backpressure_waits: self.spill_backpressure_waits.load(Ordering::Relaxed),
             spill_queue_peak: self.spill_queue_peak.load(Ordering::Relaxed),
             warm_promoted: self.warm_promoted.load(Ordering::Relaxed),
+            spill_queue_depth: 0,
+            ram_reserved: 0,
         }
     }
 }
 
-/// Point-in-time values of [`CacheStats`].
+/// Point-in-time values of [`CacheStats`], plus the cache's two gauges
+/// when read through [`CacheCore::snapshot`](crate::CacheCore::snapshot).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStatsSnapshot {
     /// Demand accesses served from the cache.
@@ -106,6 +109,12 @@ pub struct CacheStatsSnapshot {
     pub spill_queue_peak: u64,
     /// Disk blocks the prefetch executor staged into RAM ahead of demand.
     pub warm_promoted: u64,
+    /// Spill orders queued or in flight at the snapshot (a gauge; 0 from
+    /// [`CacheStats::snapshot`], which sees only the counters).
+    pub spill_queue_depth: u64,
+    /// RAM-tier bytes reserved for prefetch reads in flight at the
+    /// snapshot (a gauge; 0 from [`CacheStats::snapshot`]).
+    pub ram_reserved: u64,
 }
 
 impl CacheStatsSnapshot {

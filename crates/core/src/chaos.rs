@@ -23,11 +23,11 @@
 //!
 //! The ledger is keyed by `(epoch, batch_id)` — globally unique within a
 //! plan — so it is indifferent to which worker or incarnation sends a
-//! batch. The daemon thread [`EmlioService::launch_with`] spawns drives the
+//! batch. The daemon thread [`EmlioService::launch`] spawns drives the
 //! loop: serve until killed, drop the daemon (releasing sockets and cache),
 //! reopen it from the same spec, re-serve against the same ledger.
 //!
-//! [`EmlioService::launch_with`]: crate::service::EmlioService::launch_with
+//! [`EmlioService::launch`]: crate::service::EmlioService::launch
 
 use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -7,8 +7,8 @@
 //! * `emlio_stage` (tags `proc`, `stage`) — per-stage latency histogram
 //!   quantiles: `count`, `sum_nanos`, `p50_nanos`, `p95_nanos`,
 //!   `p99_nanos`, `max_nanos`. Empty stages are skipped.
-//! * `emlio_path` (tag `proc`) — the [`MetricsSnapshot`] counters
-//!   (batches, bytes, cache traffic, pool traffic, blocked-send time).
+//! * `emlio_path` (tag `proc`) — the [`MetricsSnapshot`] counters, from
+//!   one list per owner (data path, pool, cache, peer and retry layers).
 //!   `cache_hit_rate` is only emitted when a cache is configured and saw
 //!   traffic, preserving the disabled-vs-0% distinction.
 //! * `emlio_run` (tag `proc`) — `wall_nanos` and `workers` of the most
@@ -19,10 +19,13 @@
 //! exists to capture the trajectory (for plotting rates over a run).
 
 use crate::metrics::{DataPathMetrics, MetricsSnapshot};
+use emlio_cache::{CacheStatsSnapshot, PeerStatsSnapshot};
 use emlio_obs::{clock, RecorderSnapshot, Stage, StageRecorder};
+use emlio_tfrecord::RetryStatsSnapshot;
 use emlio_tsdb::line;
 use emlio_tsdb::storage::Series;
 use emlio_tsdb::{Db, Point};
+use emlio_util::PoolStats;
 use std::path::Path;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -95,15 +98,99 @@ fn insert_stage_points(db: &mut Db, process: &str, snap: &RecorderSnapshot, ts: 
     }
 }
 
+/// `DataPathMetrics`' own counters in `emlio_path` (`serve_wall_nanos` and
+/// `serve_workers` go to `emlio_run`).
+fn data_path_fields(s: &MetricsSnapshot) -> [(&'static str, u64); 7] {
+    [
+        ("batches", s.batches),
+        ("samples", s.samples),
+        ("bytes", s.bytes),
+        ("read_nanos", s.read_nanos),
+        ("codec_nanos", s.codec_nanos),
+        ("storage_reads", s.storage_reads),
+        ("send_blocked_nanos", s.send_blocked_nanos),
+    ]
+}
+
+/// The buffer pool's counters in `emlio_path`.
+fn pool_fields(p: &PoolStats) -> [(&'static str, u64); 4] {
+    [
+        ("pool_alloc", p.pool_alloc),
+        ("pool_reuse", p.pool_reuse),
+        ("pool_recycled", p.recycled),
+        ("pool_unpooled", p.unpooled),
+    ]
+}
+
+/// The shard cache's counters and gauges in `emlio_path`; all 0, with
+/// `cache_enabled` 0, when no cache is configured.
+fn cache_fields(c: Option<&CacheStatsSnapshot>) -> [(&'static str, u64); 18] {
+    let enabled = c.is_some();
+    let c = c.copied().unwrap_or_default();
+    [
+        ("cache_enabled", enabled as u64),
+        ("cache_hits", c.hits),
+        ("cache_misses", c.misses),
+        ("cache_disk_hits", c.disk_hits),
+        // RAM-tier hits. Saturating: a promote landing between the two
+        // loads of a mid-epoch snapshot shows in the subset first.
+        ("zero_copy_hits", c.hits.saturating_sub(c.disk_hits)),
+        ("cache_bytes_saved", c.bytes_saved),
+        ("cache_evictions", c.evictions),
+        ("cache_spills", c.spills),
+        ("cache_clean_evictions", c.clean_evictions),
+        ("cache_spill_failures", c.spill_failures),
+        ("cache_spill_backpressure", c.spill_backpressure_waits),
+        ("cache_spill_queue_depth", c.spill_queue_depth),
+        ("cache_spill_queue_peak", c.spill_queue_peak),
+        ("cache_readmitted", c.readmitted),
+        ("cache_prefetched", c.prefetched),
+        ("cache_prefetch_wasted", c.prefetch_wasted),
+        ("cache_warm_promoted", c.warm_promoted),
+        ("cache_ram_reserved", c.ram_reserved),
+    ]
+}
+
+/// The fleet layer's counters in `emlio_path` (0 outside a fleet).
+fn peer_fields(p: &PeerStatsSnapshot) -> [(&'static str, u64); 4] {
+    [
+        ("peer_hits", p.hits),
+        ("peer_misses", p.misses),
+        ("peer_fallbacks", p.fallbacks),
+        ("peer_bytes", p.bytes_from_peers),
+    ]
+}
+
+/// The retry layer's counters in `emlio_path` (0 without retries).
+fn retry_fields(r: &RetryStatsSnapshot) -> [(&'static str, u64); 3] {
+    [
+        ("io_retries", r.retries),
+        ("io_giveups", r.giveups),
+        ("io_backoff_nanos", r.backoff_nanos),
+    ]
+}
+
+/// The `emlio_path` schema: the name and value of every counter field the
+/// exporter writes for `snap`, each component's from its own list
+/// (`cache_hit_rate` is derived and added beside them).
+fn path_fields(snap: &MetricsSnapshot) -> impl Iterator<Item = (&'static str, u64)> {
+    data_path_fields(snap)
+        .into_iter()
+        .chain(pool_fields(&snap.pool))
+        .chain(cache_fields(snap.cache.as_ref()))
+        .chain(peer_fields(&snap.peer.unwrap_or_default()))
+        .chain(retry_fields(&snap.retry.unwrap_or_default()))
+}
+
 fn insert_path_points(db: &mut Db, process: &str, snap: &MetricsSnapshot, ts: u64) {
     let mut p = Point::new("emlio_path").tag("proc", process).at(ts);
-    for (name, value) in snap.path_fields() {
+    for (name, value) in path_fields(snap) {
         p = p.field(name, value as f64);
     }
     // Only meaningful when a cache is configured and saw traffic — the
     // field's absence IS the "disabled / no traffic" signal downstream.
-    if let Some(rate) = snap.cache_hit_rate() {
-        p = p.field("cache_hit_rate", rate);
+    if let Some(c) = snap.cache.filter(|c| c.hits + c.misses > 0) {
+        p = p.field("cache_hit_rate", c.hit_rate());
     }
     db.insert(&p);
     if snap.serve_wall_nanos > 0 {
@@ -503,10 +590,12 @@ mod tests {
             batches: 1,
             samples: 32,
             bytes: 4096,
-            cache_enabled: true,
-            cache_hits: 1,
-            cache_misses: 1,
-            cache_bytes_saved: 4096,
+            cache: Some(CacheStatsSnapshot {
+                hits: 1,
+                misses: 1,
+                bytes_saved: 4096,
+                ..CacheStatsSnapshot::default()
+            }),
             send_blocked_nanos: 1_000,
             serve_wall_nanos: 10_000_000,
             serve_workers: 2,
@@ -531,11 +620,11 @@ mod tests {
 
         // The point carries the snapshot's whole table, plus the derived rate.
         let fields = last_fields(&db, "emlio_path", &[("proc", "daemon-0")]).unwrap();
-        for (name, value) in demo_snapshot().path_fields() {
+        for (name, value) in path_fields(&demo_snapshot()) {
             assert_eq!(fields.get(name), Some(&(value as f64)), "{name}");
         }
         assert_eq!(fields.get("cache_hit_rate"), Some(&0.5));
-        assert_eq!(fields.len(), 31);
+        assert_eq!(fields.len(), path_fields(&demo_snapshot()).count() + 1);
 
         // Stall attribution reads the last sample's cumulative state.
         let stall = stall_attribution(&db, "daemon-0").unwrap();
@@ -592,13 +681,18 @@ mod tests {
 
         // Fleet: counters flow through to the point and the report line.
         let snap = MetricsSnapshot {
-            peer_hits: 40,
-            peer_misses: 3,
-            peer_fallbacks: 2,
-            peer_bytes: 5 << 20,
-            cache_prefetched: 12,
-            cache_prefetch_wasted: 1,
-            cache_ram_reserved: 3 << 20,
+            peer: Some(PeerStatsSnapshot {
+                hits: 40,
+                misses: 3,
+                fallbacks: 2,
+                bytes_from_peers: 5 << 20,
+            }),
+            cache: Some(CacheStatsSnapshot {
+                prefetched: 12,
+                prefetch_wasted: 1,
+                ram_reserved: 3 << 20,
+                ..CacheStatsSnapshot::default()
+            }),
             ..MetricsSnapshot::default()
         };
         let mut db = Db::new();
@@ -649,8 +743,11 @@ mod tests {
 
         // Hiccuping storage: counters flow to the point and the report.
         let snap = MetricsSnapshot {
-            io_retries: 7,
-            io_giveups: 1,
+            retry: Some(RetryStatsSnapshot {
+                retries: 7,
+                giveups: 1,
+                backoff_nanos: 0,
+            }),
             ..MetricsSnapshot::default()
         };
         let mut db = Db::new();
@@ -663,5 +760,143 @@ mod tests {
             report.contains("io: 7 transient errors retried, 1 gave up"),
             "{report}"
         );
+    }
+
+    /// The value of every field `snap`'s `Debug` form lists (no field name
+    /// of these snapshot types holds a digit).
+    fn debug_values(snap: &impl std::fmt::Debug) -> Vec<u64> {
+        format!("{snap:?}")
+            .split(|c: char| !c.is_ascii_digit())
+            .filter_map(|n| n.parse().ok())
+            .collect()
+    }
+
+    /// Each of `values` — a snapshot's distinct field values — is the
+    /// value of exactly one entry of its export list `fields`.
+    fn assert_each_exported_once(values: Vec<u64>, fields: &[(&str, u64)]) {
+        assert!(!values.is_empty());
+        for v in values {
+            let n = fields.iter().filter(|(_, f)| *f == v).count();
+            assert_eq!(
+                n, 1,
+                "the field valued {v} is exported {n} times: {fields:?}"
+            );
+        }
+    }
+
+    // Each snapshot below spells out every field (no `..`): a field added
+    // to the type breaks its literal until given a value, and the check
+    // then fails until the component's list exports it.
+
+    #[test]
+    fn every_data_path_counter_is_written_once() {
+        let snap = MetricsSnapshot {
+            batches: 101,
+            samples: 102,
+            bytes: 103,
+            read_nanos: 104,
+            codec_nanos: 105,
+            storage_reads: 106,
+            send_blocked_nanos: 107,
+            serve_wall_nanos: 108, // emlio_run.wall_nanos
+            serve_workers: 109,    // emlio_run.workers
+            pool: PoolStats::default(),
+            cache: None,
+            peer: None,
+            retry: None,
+        };
+        let mut db = Db::new();
+        insert_path_points(&mut db, "d", &snap, 1);
+        let mut fields: Vec<(&str, u64)> = data_path_fields(&snap).to_vec();
+        let run = last_fields(&db, "emlio_run", &[("proc", "d")]).unwrap();
+        fields.extend(run.iter().map(|(name, v)| (name.as_str(), *v as u64)));
+        let own = debug_values(&snap).into_iter().filter(|&v| v > 0).collect();
+        assert_each_exported_once(own, &fields);
+    }
+
+    #[test]
+    fn every_pool_counter_is_written_once() {
+        let pool = PoolStats {
+            pool_alloc: 101,
+            pool_reuse: 102,
+            recycled: 103,
+            unpooled: 104,
+        };
+        assert_each_exported_once(debug_values(&pool), &pool_fields(&pool));
+    }
+
+    #[test]
+    fn every_cache_counter_and_gauge_is_written_once() {
+        let cache = CacheStatsSnapshot {
+            hits: 1_000,
+            misses: 101,
+            disk_hits: 102,
+            evictions: 103,
+            spills: 104,
+            clean_evictions: 105,
+            prefetched: 106,
+            prefetch_wasted: 107,
+            readmitted: 108,
+            bytes_saved: 109,
+            spill_failures: 110,
+            spill_backpressure_waits: 111,
+            spill_queue_peak: 112,
+            warm_promoted: 113,
+            spill_queue_depth: 114,
+            ram_reserved: 115,
+        };
+        let fields = cache_fields(Some(&cache));
+        assert_each_exported_once(debug_values(&cache), &fields);
+        // Plus the two derived fields, and all zero without a cache.
+        assert!(fields.contains(&("cache_enabled", 1)));
+        assert!(fields.contains(&("zero_copy_hits", 898)));
+        assert!(cache_fields(None).iter().all(|&(_, v)| v == 0));
+    }
+
+    #[test]
+    fn every_peer_counter_is_written_once() {
+        let peer = PeerStatsSnapshot {
+            hits: 101,
+            misses: 102,
+            fallbacks: 103,
+            bytes_from_peers: 104,
+        };
+        assert_each_exported_once(debug_values(&peer), &peer_fields(&peer));
+    }
+
+    #[test]
+    fn every_retry_counter_is_written_once() {
+        let retry = RetryStatsSnapshot {
+            retries: 101,
+            giveups: 102,
+            backoff_nanos: 103,
+        };
+        assert_each_exported_once(debug_values(&retry), &retry_fields(&retry));
+    }
+
+    #[test]
+    fn no_two_lists_write_the_same_name() {
+        let mut names: Vec<&str> = path_fields(&MetricsSnapshot::default())
+            .map(|(name, _)| name)
+            .collect();
+        let written = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), written, "{names:?}");
+    }
+
+    #[test]
+    fn zero_copy_hits_of_a_torn_snapshot_saturate() {
+        // What a sampler thread can read while every hit so far was a
+        // promote: `hits` loaded before the promote bumped either counter,
+        // `disk_hits` after.
+        let torn = CacheStatsSnapshot {
+            hits: 3,
+            disk_hits: 4,
+            ..CacheStatsSnapshot::default()
+        };
+        let fields = cache_fields(Some(&torn));
+        assert!(fields.contains(&("cache_disk_hits", 4)));
+        assert!(fields.contains(&("zero_copy_hits", 0)));
     }
 }

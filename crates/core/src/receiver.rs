@@ -297,7 +297,6 @@ mod tests {
         }
         sock.close_with(Bytes::from(wire::encode_end_stream(
             origin,
-            ids.len() as u64,
             connections as u32,
         )))
         .unwrap();
@@ -319,7 +318,7 @@ mod tests {
     }
 
     fn marker(origin: &str, connections: u32) -> Bytes {
-        Bytes::from(wire::encode_end_stream(origin, 0, connections))
+        Bytes::from(wire::encode_end_stream(origin, connections))
     }
 
     #[test]
@@ -552,7 +551,7 @@ mod tests {
         let sock = PushSocket::connect(&ep, SocketOptions::default()).unwrap();
         sock.send(Bytes::from_static(b"\xde\xad\xbe\xef")).unwrap();
         sock.send(batch_frame(9, "x", 1, vec![1, 2])).unwrap();
-        sock.send(Bytes::from(wire::encode_end_stream("x", 1, 1)))
+        sock.send(Bytes::from(wire::encode_end_stream("x", 1)))
             .unwrap();
         sock.close().unwrap();
         let mut src = receiver.source();

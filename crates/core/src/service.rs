@@ -6,9 +6,9 @@
 //! [`Deployment::drain`] the one place it is consumed to its end and
 //! fingerprinted: the CLI, the chaos sweep, the contention experiment and
 //! the test tree all come through here. Everything runs in one process
-//! over real TCP. For WAN emulation `launch_with` interposes an
-//! `emlio-netem` proxy that forwards to the receiver — daemons then
-//! experience the shaped RTT/bandwidth.
+//! over real TCP. For WAN emulation `launch_with` puts an `emlio-netem`
+//! proxy shaped by a [`NetProfile`] in front of the receiver — daemons
+//! then experience the shaped RTT/bandwidth.
 //!
 //! Each daemon runs on its own thread. A daemon whose spec carries a
 //! [`ChaosController`](crate::chaos::ChaosController) is served under the
@@ -27,9 +27,11 @@ use crate::plan::Plan;
 use crate::receiver::{EmlioReceiver, ReceiverConfig};
 use crate::stack::StackSpec;
 use crate::wire::LazyBatch;
+use emlio_netem::{NetProfile, Proxy};
 use emlio_obs::StageRecorder;
 use emlio_pipeline::ExternalSource;
 use emlio_tfrecord::GlobalIndex;
+use emlio_util::clock::RealClock;
 use emlio_util::fnv1a;
 use emlio_zmq::{Endpoint, StopHandle};
 use std::path::PathBuf;
@@ -112,9 +114,9 @@ pub struct Deployment {
     pub daemon_recorders: Vec<Arc<StageRecorder>>,
     daemons: Vec<JoinHandle<Served>>,
     first_error: FirstError,
-    /// Keeps interposed infrastructure (e.g. a netem proxy) alive for the
-    /// deployment's lifetime.
-    _guard: Box<dyn std::any::Any + Send>,
+    /// The WAN proxy the daemons connect through, when launched with one;
+    /// held for the deployment's lifetime.
+    _wan: Option<Proxy>,
 }
 
 impl Deployment {
@@ -230,24 +232,12 @@ impl EmlioService {
     /// Launch a single-compute-node deployment: one receiver, one daemon per
     /// storage spec, each daemon planning over its own shards and
     /// connecting directly to the receiver.
-    pub fn launch(
-        storage: &[StorageSpec],
-        config: &EmlioConfig,
-        node_id: &str,
-    ) -> Result<Deployment, DaemonError> {
-        Self::launch_with(storage, config, node_id, |receiver_ep| {
-            (receiver_ep.clone(), Box::new(()))
-        })
-    }
-
-    /// Like [`launch`](Self::launch), but the caller decides where daemons
-    /// connect *after* seeing the receiver's bound endpoint — the hook for
-    /// interposing an `emlio-netem` shaping proxy. The returned guard is
-    /// held for the deployment's lifetime.
     ///
     /// Every daemon is opened before any of them serves, so a fleet's
     /// daemons all find each other's cache tiers attached to the registry
-    /// from their first read.
+    /// from their first read. A storage directory whose index holds no
+    /// records is an error naming the directory, from
+    /// [`EmlioDaemon::open_stack`].
     ///
     /// A daemon whose spec is [`StackSpec::with_chaos`] is served until it
     /// completes or the controller's armed kill point trips; then the
@@ -263,15 +253,34 @@ impl EmlioService {
     /// so the receiver's budget of daemons × `T` streams, each ended by one
     /// marker per connection, is met once per stream. Each armed kill point trips at most once, so the loop
     /// ends when the controller's schedule does.
-    pub fn launch_with<F>(
+    pub fn launch(
         storage: &[StorageSpec],
         config: &EmlioConfig,
         node_id: &str,
-        interpose: F,
-    ) -> Result<Deployment, DaemonError>
-    where
-        F: FnOnce(&Endpoint) -> (Endpoint, Box<dyn std::any::Any + Send>),
-    {
+    ) -> Result<Deployment, DaemonError> {
+        Self::start(storage, config, node_id, None)
+    }
+
+    /// Like [`launch`](Self::launch), but the daemons connect through an
+    /// `emlio-netem` proxy that shapes the wire to the receiver by `wan`
+    /// (its RTT and bandwidth).
+    pub fn launch_with(
+        storage: &[StorageSpec],
+        config: &EmlioConfig,
+        node_id: &str,
+        wan: &NetProfile,
+    ) -> Result<Deployment, DaemonError> {
+        Self::start(storage, config, node_id, Some(wan))
+    }
+
+    /// [`launch`](Self::launch), with the WAN proxy in front of the
+    /// receiver when there is a `wan` profile.
+    fn start(
+        storage: &[StorageSpec],
+        config: &EmlioConfig,
+        node_id: &str,
+        wan: Option<&NetProfile>,
+    ) -> Result<Deployment, DaemonError> {
         assert!(!storage.is_empty(), "need at least one storage node");
         // Every daemon runs T worker streams.
         let expected_streams = (storage.len() * config.threads_per_node) as u32;
@@ -280,7 +289,17 @@ impl EmlioService {
             ..ReceiverConfig::loopback(expected_streams)
         })
         .map_err(DaemonError::Transport)?;
-        let (connect_to, guard) = interpose(receiver.endpoint());
+        let (connect_to, wan) = match wan {
+            None => (receiver.endpoint().clone(), None),
+            Some(profile) => {
+                let Endpoint::Tcp(addr) = receiver.endpoint() else {
+                    unreachable!("the receiver binds TCP, the one transport")
+                };
+                let proxy = Proxy::spawn("127.0.0.1:0", addr, profile.clone(), RealClock::shared())
+                    .map_err(|e| DaemonError::Transport(e.into()))?;
+                (Endpoint::Tcp(proxy.local_addr().to_string()), Some(proxy))
+            }
+        };
 
         let mut opened = Vec::with_capacity(storage.len());
         let mut daemon_metrics = Vec::with_capacity(storage.len());
@@ -353,7 +372,7 @@ impl EmlioService {
             daemon_recorders,
             daemons,
             first_error,
-            _guard: guard,
+            _wan: wan,
         })
     }
 }

@@ -54,9 +54,9 @@ impl StackSpec {
     /// Serve under `controller`: the daemon's workers skip what its ledger
     /// already holds and abandon their streams when its armed kill point
     /// trips, and a launched daemon is then dropped, reopened from this
-    /// spec and re-served (see [`EmlioService::launch_with`]).
+    /// spec and re-served (see [`EmlioService::launch`]).
     ///
-    /// [`EmlioService::launch_with`]: crate::service::EmlioService::launch_with
+    /// [`EmlioService::launch`]: crate::service::EmlioService::launch
     pub fn with_chaos(mut self, controller: Arc<ChaosController>) -> StackSpec {
         self.chaos = Some(controller);
         self

@@ -8,8 +8,7 @@
 //! Control messages carry `"ctrl"` instead of `"samples"`:
 //!
 //! ```text
-//! { "ctrl": "end_stream", "origin": str, "batches_sent": uint,
-//!   "connections": uint }
+//! { "ctrl": "end_stream", "origin": str, "connections": uint }
 //! ```
 //!
 //! A worker whose socket stripes over several connections ends each of them
@@ -134,17 +133,15 @@ pub fn encode_batch_frame_traced(
 
 /// Serialize an end-of-stream control message: the last frame on each of
 /// the `connections` connections `origin`'s stream went over.
-pub fn encode_end_stream(origin: &str, batches_sent: u64, connections: u32) -> Vec<u8> {
+pub fn encode_end_stream(origin: &str, connections: u32) -> Vec<u8> {
     assert!(connections > 0, "a stream ends on at least one connection");
-    let mut buf = Vec::with_capacity(80);
+    let mut buf = Vec::with_capacity(64);
     let mut e = Encoder::new(&mut buf);
-    e.write_map_len(4);
+    e.write_map_len(3);
     e.write_str("ctrl");
     e.write_str("end_stream");
     e.write_str("origin");
     e.write_str(origin);
-    e.write_str("batches_sent");
-    e.write_uint(batches_sent);
     e.write_str("connections");
     e.write_uint(u64::from(connections));
     buf
@@ -159,8 +156,6 @@ pub enum LazyMsg {
     EndStream {
         /// Daemon/worker identity (interned when an interner is supplied).
         origin: Arc<str>,
-        /// Batches that worker sent in total.
-        batches_sent: u64,
         /// Connections the stream went over, each ended by this marker.
         connections: u32,
     },
@@ -291,7 +286,6 @@ pub fn decode_lazy(frame: &Bytes, interner: Option<&StrInterner>) -> Result<Lazy
     let mut batch_id: Option<u64> = None;
     let mut origin: Option<Arc<str>> = None;
     let mut ctrl: Option<&str> = None;
-    let mut batches_sent: Option<u64> = None;
     let mut connections: Option<u32> = None;
     let mut trace: Option<BatchTrace> = None;
     let mut samples: Option<(usize, usize, u64)> = None; // (at, n, payload_bytes)
@@ -315,7 +309,6 @@ pub fn decode_lazy(frame: &Bytes, interner: Option<&StrInterner>) -> Result<Lazy
                 })?);
             }
             "ctrl" => ctrl = Some(d.read_str()?),
-            "batches_sent" => batches_sent = Some(d.read_u64()?),
             "connections" => connections = Some(read_u32(&mut d, "connections")?),
             "samples" => {
                 let at = d.position();
@@ -339,8 +332,6 @@ pub fn decode_lazy(frame: &Bytes, interner: Option<&StrInterner>) -> Result<Lazy
         }
         return Ok(LazyMsg::EndStream {
             origin: origin.ok_or_else(|| WireError::Schema("ctrl needs origin".into()))?,
-            batches_sent: batches_sent
-                .ok_or_else(|| WireError::Schema("ctrl needs batches_sent".into()))?,
             connections: connections
                 .filter(|&n| n > 0)
                 .ok_or_else(|| WireError::Schema("ctrl needs connections > 0".into()))?,
@@ -516,7 +507,7 @@ mod tests {
         assert!(Arc::ptr_eq(&origins[1], &origins[2]));
 
         // End-stream origins intern through the same table.
-        let es = Bytes::from(encode_end_stream("daemon-0/t3", 7, 1));
+        let es = Bytes::from(encode_end_stream("daemon-0/t3", 1));
         let LazyMsg::EndStream { origin, .. } = decode_lazy(&es, Some(&interner)).unwrap() else {
             panic!()
         };
@@ -612,15 +603,13 @@ mod tests {
 
     #[test]
     fn end_stream_roundtrip() {
-        let frame = Bytes::from(encode_end_stream("daemon-1/t0", 42, 3));
+        let frame = Bytes::from(encode_end_stream("daemon-1/t0", 3));
         match decode_lazy(&frame, None).unwrap() {
             LazyMsg::EndStream {
                 origin,
-                batches_sent,
                 connections,
             } => {
                 assert_eq!(&*origin, "daemon-1/t0");
-                assert_eq!(batches_sent, 42);
                 assert_eq!(connections, 3);
             }
             other => panic!("expected end_stream, got {other:?}"),

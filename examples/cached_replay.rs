@@ -70,8 +70,8 @@ fn main() {
         snap.storage_reads,
     );
     let saved = cache_savings(
-        snap.cache_hits,
-        snap.cache_bytes_saved,
+        snap.cache.map_or(0, |c| c.hits),
+        snap.cache.map_or(0, |c| c.bytes_saved),
         &NfsConfig::default(),
         &NetProfile::lan_10ms(),
         DEFAULT_STORAGE_IO_WATTS,

@@ -17,11 +17,10 @@ use emlio::core::service::StorageSpec;
 use emlio::core::{EmlioConfig, EmlioService};
 use emlio::datagen::convert::{build_file_dataset, build_tfrecord_dataset, load_file_dataset};
 use emlio::datagen::DatasetSpec;
-use emlio::netem::{NetProfile, NfsConfig, NfsMount, Proxy};
+use emlio::netem::{NetProfile, NfsConfig, NfsMount};
 use emlio::pipeline::PipelineBuilder;
 use emlio::tfrecord::ShardSpec;
 use emlio::util::clock::RealClock;
-use emlio::zmq::Endpoint;
 use std::time::Duration;
 
 const SAMPLES: u64 = 96;
@@ -92,17 +91,8 @@ fn run_emlio(tf_dir: &std::path::Path, profile: NetProfile) -> f64 {
         .with_threads(2)
         .with_epochs(1);
     let storage = vec![StorageSpec::new("storage", tf_dir)];
-    // Bind the receiver first, then interpose the shaping proxy.
-    let mut dep = EmlioService::launch_with(&storage, &config, "compute", |receiver_ep| {
-        let Endpoint::Tcp(addr) = receiver_ep else {
-            panic!("tcp expected")
-        };
-        let proxy = Proxy::spawn("127.0.0.1:0", addr, profile.clone(), RealClock::shared())
-            .expect("spawn netem proxy");
-        let ep = Endpoint::Tcp(proxy.local_addr().to_string());
-        (ep, Box::new(proxy))
-    })
-    .unwrap();
+    // The daemons reach the receiver through a proxy shaped by `profile`.
+    let mut dep = EmlioService::launch_with(&storage, &config, "compute", &profile).unwrap();
     let t0 = std::time::Instant::now();
     let pipe = PipelineBuilder::new()
         .threads(2)

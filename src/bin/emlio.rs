@@ -40,7 +40,7 @@ use emlio::core::{EmlioConfig, EmlioDaemon, EmlioService};
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
 use emlio::energymon::{peer_savings, DEFAULT_STORAGE_IO_WATTS};
-use emlio::netem::{NetProfile, NfsConfig, NfsMount, Proxy};
+use emlio::netem::{NetProfile, NfsConfig, NfsMount};
 use emlio::pipeline::{ExternalSource, PipelineBuilder};
 use emlio::tfrecord::{GlobalIndex, ShardSpec};
 use emlio::util::bytesize::format_bytes;
@@ -252,11 +252,24 @@ fn get_num<T: std::str::FromStr>(
     }
 }
 
+/// A count flag: a number of at least 1.
+fn get_count<T: std::str::FromStr + PartialEq + From<u8>>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    let n = get_num(flags, key, default)?;
+    if n == T::from(0) {
+        return Err(format!("--{key} must be at least 1"));
+    }
+    Ok(n)
+}
+
 fn cmd_convert(flags: HashMap<String, String>) -> Result<(), String> {
     let out = get(&flags, "out")?;
     let dataset = flags.get("dataset").map(String::as_str).unwrap_or("tiny");
-    let samples: u64 = get_num(&flags, "samples", 256)?;
-    let shards: u32 = get_num(&flags, "shards", 4)?;
+    let samples: u64 = get_count(&flags, "samples", 256)?;
+    let shards: u32 = get_count(&flags, "shards", 4)?;
     let spec = match dataset {
         "tiny" => DatasetSpec::tiny("cli", samples),
         "imagenet" => DatasetSpec::imagenet_like().with_samples(samples),
@@ -284,9 +297,9 @@ fn config_from(flags: &HashMap<String, String>) -> Result<EmlioConfig, String> {
         return Err("--io-backoff-ms requires --io-retries to enable retrying".into());
     }
     let mut config = EmlioConfig::default()
-        .with_batch_size(get_num(flags, "batch", 64usize)?)
-        .with_threads(get_num(flags, "threads", 2usize)?)
-        .with_epochs(get_num(flags, "epochs", 1u32)?)
+        .with_batch_size(get_count(flags, "batch", 64usize)?)
+        .with_threads(get_count(flags, "threads", 2usize)?)
+        .with_epochs(get_count(flags, "epochs", 1u32)?)
         .with_seed(get_num(flags, "seed", 0x000E_4110_u64)?)
         .with_io_retries(io_retries)
         .with_io_backoff(Duration::from_millis(get_num(
@@ -464,7 +477,6 @@ fn cmd_bench_io(flags: HashMap<String, String>) -> Result<(), String> {
     let rtt = Duration::try_from_secs_f64(rtt_ms / 1e3)
         .map_err(|_| format!("--rtt-ms: {rtt_ms} is not a round-trip time"))?;
     let profile = NetProfile::new(&format!("{rtt_ms}ms"), rtt, 1.25e9);
-    let savings_profile = profile.clone();
     let storage = if peer_fleet >= 2 {
         // One index load and one emulated mount of `data` under the whole
         // fleet, as in the contention experiment.
@@ -483,15 +495,7 @@ fn cmd_bench_io(flags: HashMap<String, String>) -> Result<(), String> {
     };
     // A fleet's `--rtt-ms` shapes the shared storage link, not the wire.
     let mut dep = if rtt_ms > 0.0 && peer_fleet < 2 {
-        EmlioService::launch_with(&storage, &config, "bench-node", move |ep| {
-            let Endpoint::Tcp(addr) = ep else {
-                panic!("tcp endpoint expected")
-            };
-            let proxy = Proxy::spawn("127.0.0.1:0", addr, profile.clone(), RealClock::shared())
-                .expect("spawn netem proxy");
-            let ep = Endpoint::Tcp(proxy.local_addr().to_string());
-            (ep, Box::new(proxy) as Box<dyn std::any::Any + Send>)
-        })
+        EmlioService::launch_with(&storage, &config, "bench-node", &profile)
     } else {
         EmlioService::launch(&storage, &config, "bench-node")
     }
@@ -535,11 +539,15 @@ fn cmd_bench_io(flags: HashMap<String, String>) -> Result<(), String> {
         }
     }
     if peer_fleet >= 2 {
-        let snaps: Vec<_> = dep.daemon_metrics.iter().map(|m| m.snapshot()).collect();
-        let hits: u64 = snaps.iter().map(|s| s.peer_hits).sum();
-        let misses: u64 = snaps.iter().map(|s| s.peer_misses).sum();
-        let fallbacks: u64 = snaps.iter().map(|s| s.peer_fallbacks).sum();
-        let peer_bytes: u64 = snaps.iter().map(|s| s.peer_bytes).sum();
+        let peers: Vec<_> = dep
+            .daemon_metrics
+            .iter()
+            .map(|m| m.snapshot().peer.unwrap_or_default())
+            .collect();
+        let hits: u64 = peers.iter().map(|p| p.hits).sum();
+        let misses: u64 = peers.iter().map(|p| p.misses).sum();
+        let fallbacks: u64 = peers.iter().map(|p| p.fallbacks).sum();
+        let peer_bytes: u64 = peers.iter().map(|p| p.bytes_from_peers).sum();
         println!(
             "fleet: {hits} peer hits / {misses} misses / {fallbacks} fallbacks across {peer_fleet} daemons"
         );
@@ -547,7 +555,7 @@ fn cmd_bench_io(flags: HashMap<String, String>) -> Result<(), String> {
             hits,
             peer_bytes,
             &NfsConfig::default(),
-            &savings_profile,
+            &profile,
             DEFAULT_STORAGE_IO_WATTS,
         );
         println!(
@@ -598,10 +606,10 @@ fn cmd_chaos(flags: HashMap<String, String>) -> Result<(), String> {
 
     let make = |seed: u64, mode: ChaosMode| -> Result<ChaosConfig, String> {
         let mut c = ChaosConfig::new(seed, mode);
-        c.samples = get_num(&flags, "samples", c.samples)?;
-        c.batch_size = get_num(&flags, "batch", c.batch_size)?;
-        c.threads = get_num(&flags, "threads", c.threads)?;
-        c.epochs = get_num(&flags, "epochs", c.epochs)?;
+        c.samples = get_count(&flags, "samples", c.samples)?;
+        c.batch_size = get_count(&flags, "batch", c.batch_size)?;
+        c.threads = get_count(&flags, "threads", c.threads)?;
+        c.epochs = get_count(&flags, "epochs", c.epochs)?;
         Ok(c)
     };
 
@@ -694,6 +702,54 @@ mod tests {
         for value in ["-5", "nan", "inf"] {
             let err = run(&line(&["bench-io", "--data", "D", "--rtt-ms", value])).unwrap_err();
             assert!(err.contains("--rtt-ms"), "{err}");
+        }
+    }
+
+    #[test]
+    fn zero_counts_are_errors_naming_the_flag() {
+        let dir = emlio::util::testutil::TempDir::new("cli-zero-counts");
+        let out = dir.path().to_str().unwrap();
+        let connect = ["--connect", "tcp://127.0.0.1:9"];
+        let mut cases: Vec<(Vec<&str>, &str)> = Vec::new();
+        for flag in ["--batch", "--threads", "--epochs"] {
+            cases.push((vec!["bench-io", "--data", "D", flag, "0"], flag));
+            cases.push((
+                [&["daemon", "--data", "D", flag, "0"], &connect[..]].concat(),
+                flag,
+            ));
+        }
+        for flag in ["--batch", "--threads", "--epochs", "--samples"] {
+            cases.push((vec!["chaos", "--seeds", "1", flag, "0"], flag));
+        }
+        for flag in ["--shards", "--samples"] {
+            cases.push((vec!["convert", "--out", out, flag, "0"], flag));
+        }
+        for (words, flag) in cases {
+            let err = run(&line(&words)).unwrap_err();
+            assert!(
+                err.contains(&format!("{flag} must be at least 1")),
+                "{words:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_dataset_is_an_error_naming_the_directory() {
+        use emlio::datagen::convert::build_tfrecord_dataset;
+        let dir = emlio::util::testutil::TempDir::new("cli-empty-dataset");
+        let spec = DatasetSpec::tiny("empty", 0);
+        build_tfrecord_dataset(dir.path(), &spec, ShardSpec::Count(1)).unwrap();
+        let data = dir.path().to_str().unwrap();
+        for words in [
+            vec!["bench-io", "--data", data],
+            vec!["bench-io", "--data", data, "--rtt-ms", "5"],
+            vec!["daemon", "--data", data, "--connect", "tcp://127.0.0.1:9"],
+        ] {
+            let err = run(&line(&words)).unwrap_err();
+            assert!(
+                err.contains(&format!("{data} holds no records")),
+                "{words:?}: {err}"
+            );
         }
     }
 

@@ -55,17 +55,18 @@ fn run_two_epochs(cache: CacheConfig) {
         snap.storage_reads, per_epoch[0],
         "unique blocks read once, epoch 2 from cache: {snap:?}"
     );
+    let cache = snap.cache.unwrap();
     assert_eq!(
-        snap.cache_hits + snap.cache_misses,
+        cache.hits + cache.misses,
         per_epoch[0] + per_epoch[1],
         "every batch went through the cached read path"
     );
     assert!(
-        snap.cache_hits >= per_epoch[1],
+        cache.hits >= per_epoch[1],
         "at least the whole second epoch hit: {snap:?}"
     );
     assert_eq!(snap.batches, per_epoch[0] + per_epoch[1]);
-    assert!(snap.cache_bytes_saved > 0);
+    assert!(cache.bytes_saved > 0);
 }
 
 #[test]
@@ -109,12 +110,8 @@ fn run_persistent_epoch(
     }
     dep.join_daemons().expect("daemons finish");
     let snap = dep.daemon_metrics[0].snapshot();
-    (
-        snap.storage_reads,
-        snap.cache_hits,
-        snap.cache_readmitted,
-        payloads,
-    )
+    let cache = snap.cache.unwrap();
+    (snap.storage_reads, cache.hits, cache.readmitted, payloads)
 }
 
 #[test]

@@ -17,13 +17,12 @@ use emlio::core::service::StorageSpec;
 use emlio::core::{EmlioConfig, EmlioService};
 use emlio::datagen::convert::{build_file_dataset, build_tfrecord_dataset, load_file_dataset};
 use emlio::datagen::DatasetSpec;
-use emlio::netem::{NetProfile, NfsConfig, NfsMount, Proxy};
+use emlio::netem::{NetProfile, NfsConfig, NfsMount};
 use emlio::pipeline::ExternalSource;
 use emlio::testbed::loaders::{self, LoaderKind, ModelConstants, StageSet};
 use emlio::testbed::{NodeSpec, Regime, Workload};
 use emlio::util::clock::RealClock;
 use emlio::util::testutil::TempDir;
-use emlio::zmq::Endpoint;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -65,16 +64,7 @@ fn real_emlio_secs(tf_dir: &std::path::Path, rtt_ms: u64) -> f64 {
     let config = EmlioConfig::default().with_batch_size(8).with_threads(2);
     let storage = vec![StorageSpec::new("s", tf_dir)];
     let profile = NetProfile::new("t", Duration::from_millis(rtt_ms), 1.25e9);
-    let mut dep = EmlioService::launch_with(&storage, &config, "c", |ep| {
-        let Endpoint::Tcp(addr) = ep else {
-            panic!("tcp")
-        };
-        let proxy =
-            Proxy::spawn("127.0.0.1:0", addr, profile.clone(), RealClock::shared()).unwrap();
-        let ep = Endpoint::Tcp(proxy.local_addr().to_string());
-        (ep, Box::new(proxy) as Box<dyn std::any::Any + Send>)
-    })
-    .unwrap();
+    let mut dep = EmlioService::launch_with(&storage, &config, "c", &profile).unwrap();
     let t0 = std::time::Instant::now();
     let mut src = dep.receiver.source();
     let mut n = 0;

@@ -150,7 +150,7 @@ fn daemon_crash_mid_stream_leaves_receiver_consistent() {
     for id in 100..103u64 {
         ok.send(frame(id, "healthy", 1, &[4, 5])).unwrap();
     }
-    ok.send(Bytes::from(wire::encode_end_stream("healthy", 3, 1)))
+    ok.send(Bytes::from(wire::encode_end_stream("healthy", 1)))
         .unwrap();
     ok.close().unwrap();
 
@@ -220,8 +220,9 @@ fn transient_read_errors_are_absorbed_by_the_retry_budget() {
     assert!(injector.stats().errors > 0, "schedule injected nothing");
     // The snapshot reads the retry layer's own counters: on a cache-less
     // stack with no giveups, every injected error is exactly one retry.
-    assert_eq!(snap.io_retries, injector.stats().errors);
-    assert_eq!(snap.io_giveups, 0, "no giveup on a completed epoch");
+    let retry = snap.retry.unwrap();
+    assert_eq!(retry.retries, injector.stats().errors);
+    assert_eq!(retry.giveups, 0, "no giveup on a completed epoch");
 }
 
 #[test]
@@ -272,8 +273,9 @@ fn exhausted_retry_budget_gives_up_loudly() {
     let result = daemon.serve(&plan, "n", receiver.endpoint());
     assert!(result.is_err(), "exhausted budget must surface the error");
     let snap = metrics.snapshot();
-    assert!(snap.io_retries > 0, "budget was spent before giving up");
-    assert!(snap.io_giveups > 0, "giveup must be counted");
+    let retry = snap.retry.unwrap();
+    assert!(retry.retries > 0, "budget was spent before giving up");
+    assert!(retry.giveups > 0, "giveup must be counted");
 }
 
 #[test]

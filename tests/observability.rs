@@ -192,3 +192,65 @@ fn trace_clock_is_monotonic_and_unix_anchored() {
     // 2020-01-01 in Unix nanos — sanity anchor, not a tight bound.
     assert!(a > 1_577_836_800_000_000_000, "clock must be Unix-anchored");
 }
+
+/// A cache whose RAM tier holds a fraction of the dataset, over a disk
+/// tier that holds all of it: the metrics file carries the cache's own
+/// eviction ledger, and once the spill writer has settled it balances —
+/// every RAM eviction wrote a spill file, needed none, or failed.
+#[test]
+fn metrics_file_carries_the_cache_eviction_ledger() {
+    let dir = TempDir::new("obs-evictions");
+    let data = dir.path().join("storage");
+    let spec = DatasetSpec::tiny("obs-evictions", 96).with_samples(96);
+    build_tfrecord_dataset(&data, &spec, ShardSpec::Count(2)).unwrap();
+    let batch = 8u64;
+    let config = EmlioConfig::default()
+        .with_batch_size(batch as usize)
+        .with_threads(2)
+        .with_epochs(3)
+        .with_cache(
+            emlio::cache::CacheConfig::default()
+                .with_ram_bytes(3 * batch * spec.sample_bytes)
+                .with_disk_bytes(64 << 20),
+        );
+    let storage = vec![StorageSpec::new("storage-0", data)];
+    let mut dep = EmlioService::launch(&storage, &config, "compute-0").unwrap();
+    assert_eq!(dep.drain().batches, dep.total_batches());
+    let metrics = &dep.daemon_metrics[0];
+    let cache = metrics.stack().and_then(|s| s.cache.clone()).unwrap();
+    cache.flush_spills();
+
+    let mut db = Db::new();
+    let sources = vec![SampleSource {
+        process: "daemon-0".into(),
+        metrics: Some(metrics.clone()),
+        recorder: None,
+    }];
+    export::sample_into(&mut db, &sources, clock::now_nanos());
+    let path = dir.path().join("metrics.lp");
+    export::write_line_protocol(&db, &path).unwrap();
+    let reloaded = export::read_line_protocol(&path).unwrap();
+    let series = reloaded.matching("emlio_path", &[]);
+    let fields = &series[0].fields;
+    let field = |name: &str| -> u64 {
+        let column = fields.get(name).unwrap_or_else(|| panic!("{name} missing"));
+        column[column.len() - 1] as u64
+    };
+    let (evictions, spills, clean) = (
+        field("cache_evictions"),
+        field("cache_spills"),
+        field("cache_clean_evictions"),
+    );
+    assert!(spills > 0 && clean > 0, "{fields:?}");
+    assert_eq!(
+        evictions,
+        spills + clean + field("cache_spill_failures"),
+        "{fields:?}"
+    );
+    // The file says what the cache says.
+    let own = cache.stats().snapshot();
+    assert_eq!(
+        (evictions, spills, clean),
+        (own.evictions, own.spills, own.clean_evictions)
+    );
+}

@@ -188,9 +188,8 @@ fn healthy_warm_owner_serves_every_block_without_storage() {
     // records into the daemon's recorder.
     let snap = metrics.snapshot();
     assert_eq!(snap.storage_reads, 0, "a warm fleet never touches storage");
-    assert_eq!(snap.peer_hits, stats.hits);
-    assert_eq!(snap.peer_bytes, stats.bytes_from_peers);
-    assert!(snap.peer_bytes > 0, "{snap:?}");
+    assert_eq!(snap.peer, Some(stats), "the peer layer's own snapshot");
+    assert!(stats.bytes_from_peers > 0, "{snap:?}");
     assert_eq!(
         recorder.snapshot().stage(Stage::PeerFetch).count,
         blocks,
@@ -220,5 +219,5 @@ fn dead_owner_cache_falls_back_on_every_read() {
     assert_eq!(stats.hits + stats.misses, 0, "{stats:?}");
     let snap = metrics.snapshot();
     assert_eq!(snap.storage_reads, blocks);
-    assert_eq!(snap.peer_fallbacks, blocks);
+    assert_eq!(snap.peer.unwrap().fallbacks, blocks);
 }

@@ -201,10 +201,11 @@ fn fleet_transients_are_retried_once_under_the_flight() {
     assert_eq!(followers, 2, "two reads took the leader's bytes");
     assert!(reads.iter().all(|r| r.data == reads[0].data));
     let snap = stack.metrics.snapshot();
-    assert_eq!(snap.io_retries, transients, "retried by the leader alone");
-    assert_eq!(snap.io_giveups, 0);
+    let (retry, peer) = (snap.retry.unwrap(), snap.peer.unwrap());
+    assert_eq!(retry.retries, transients, "retried by the leader alone");
+    assert_eq!(retry.giveups, 0);
     assert_eq!(snap.storage_reads, 1);
-    assert_eq!((snap.peer_hits, snap.peer_fallbacks), (2, 0));
+    assert_eq!((peer.hits, peer.fallbacks), (2, 0));
 }
 
 /// Snapshots taken while the send workers run see the pool, the cache's
@@ -246,9 +247,10 @@ fn mid_serve_snapshot_sees_off_path_counters_move() {
         if snap.serve_wall_nanos > 0 {
             break;
         }
-        reuse |= snap.pool_reuse > 0;
-        evictions |= snap.cache_evictions > 0;
-        queued |= snap.cache_spill_queue_depth > 0;
+        let cache = snap.cache.unwrap();
+        reuse |= snap.pool.pool_reuse > 0;
+        evictions |= cache.evictions > 0;
+        queued |= cache.spill_queue_depth > 0;
         std::thread::yield_now();
     }
     consumer.join().unwrap().served.unwrap();
