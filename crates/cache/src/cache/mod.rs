@@ -31,97 +31,12 @@
 //! the critical section that lands it — a `Busy` slot whose file the disk
 //! tier reclaimed under the read lands the block unbacked, or absent,
 //! there and then. No function takes the lock while holding it.
-//!
-//! # The slot state machine
-//!
-//! Each resident key's `Slot` is in one of four states — `Busy`, `Ram`,
-//! `Spilling`, `Disk` — and `Ram` may carry a *backing*: the spill file
-//! the block was promoted from (`Ram+file` below).
-//!
-//! ```text
-//!   from       event                                      to
-//!   ─────────  ─────────────────────────────────────────  ─────────
-//!   (absent)   demand miss / prefetch or insert claim     Busy
-//!   Busy       fetched, RAM admits                        Ram
-//!   Busy       fetch error, or RAM declines (bypass)      (absent)
-//!   Ram        evicted, disk tier can take it             Spilling
-//!   Ram        evicted, no disk tier / block too large    (absent)
-//!   Spilling   spill write landed                         Disk
-//!   Spilling   spill write failed                         (absent)
-//!   Disk       demand promote                             Busy
-//!   Disk       executor stages (into free RAM)            Busy
-//!   Busy       file read back valid, RAM admits           Ram+file
-//!   Busy       file read back valid, RAM declines         Disk
-//!   Busy       file missing or corrupt                    (absent)
-//!   Busy       executor's reservation dropped unread      Disk
-//!   Ram        checkpoint write landed                    Ram+file
-//!   Ram+file   evicted: slot flip, nothing written        Disk
-//!   Ram+file   disk tier reclaims the file                Ram
-//!   Disk       disk tier evicts the block                 (absent)
-//! ```
-//!
-//! The disk tier is **inclusive** and spill files are **write-once**. A
-//! block's bytes never change, so once its file exists there is nothing a
-//! rewrite could add: a promote that RAM admits keeps the file and its
-//! place in the disk tier's accounting (`Ram` with a backing), and
-//! evicting that resident flips the slot back to `Disk` where it is
-//! popped — no `Spilling`, no spill order, no CRC, no write. Only a block
-//! that has no file (fetched from storage, or its file was reclaimed)
-//! takes the `Spilling` route. When the disk tier runs out of room it
-//! reclaims files that duplicate a RAM resident before it evicts any
-//! disk-only block — the resident stays in RAM and merely loses its
-//! backing — so under pressure the tier holds as many distinct blocks as
-//! an exclusive tier would.
-//!
-//! Invariants every transition preserves:
-//!
-//! * **`Busy` has exactly one owner.** The thread that installed the
-//!   placeholder (miss claim, prefetch claim, or disk promote) is the only
-//!   one that may land or release it; everyone else waits on the `landed`
-//!   condvar or treats the key as a miss. This is what makes fetches
-//!   single-flight. A `Busy` slot taken over from `Disk` keeps the file's
-//!   identity in the slot, so the file stays accounted — and reclaimable —
-//!   while it is being read. (An `insert` has no I/O to do: it claims and
-//!   lands in one critical section, and its `Busy` is never seen.)
-//! * **`Ram`/`Spilling` bytes are immutable and shared.** The slot holds a
-//!   refcounted [`Bytes`]; a hit clones the handle (refcount bump, no
-//!   copy) and the returned view stays valid even if the block is evicted,
-//!   spilled, or dropped while the caller still holds it.
-//! * **`Spilling` is readable.** Eviction flips `Ram → Spilling` *before*
-//!   the spill-file write so concurrent readers keep hitting the bytes
-//!   during the I/O; only after the write lands does the slot become
-//!   `Disk` (dropping the RAM bytes). The write itself happens on the
-//!   dedicated `emlio-cache-spill` writer thread: the evictor queues the
-//!   key and returns, and the writer takes the bytes from the slot, so
-//!   the `Spilling` state is also the asynchronous hand-off — the
-//!   evicting send worker never touches disk, and shutdown drains the
-//!   queue before the final index write. The backlog is bounded in
-//!   bytes: an evictor that leaves more than `ram_bytes` of `Spilling`
-//!   blocks waits, lock released, until the writer brings it back under.
-//!   `Spilling` bytes are not in `ram_used`, so an eviction never waits
-//!   for a write on the serve path unless the writer is a whole RAM tier
-//!   behind.
-//! * **Spill-file bytes are checked before they are served.** Every read
-//!   of a spill file — demand promote, the prefetch executor's staging
-//!   read, peer `peek`, restart re-admission — goes through
-//!   [`persist::read_validated`] (length, fault-in and CRC32C). A file
-//!   that fails is retired and the access degrades to a miss; this is the
-//!   only way a promote takes a key out of the disk order. What passes is
-//!   a view of the file's mapping, not a copy: a promoted resident's
-//!   pages are the page cache's, `ram_used` counts its length all the
-//!   same, and a file the tier gives up while such a view lives keeps its
-//!   disk blocks until the view drops — so the bytes the spill directory
-//!   holds may exceed `disk_bytes` by at most the RAM tier plus the
-//!   blocks in flight to consumers.
-//! * **The disk order tracks files, not blocks.** A key is in the disk
-//!   order, and its size in `disk_used`, exactly while a slot owns its
-//!   spill file: `Disk`, `Ram` with a backing, or `Busy` mid-promote. A
-//!   `Spilling` block owns none until its write has landed: the one
-//!   writer thread makes the room before it writes, and nobody else adds
-//!   to the tier. So [`CacheCore::disk_bytes_used`] is the bytes of spill
-//!   files held, including those that back RAM residents, while
-//!   [`CacheCore::disk_keys`] lists the blocks that are disk-*only* — the
-//!   ones a demand access would have to promote.
+
+mod admit;
+mod demand;
+mod stage;
+mod state;
+mod writer;
 
 use crate::order::NextUseHeap;
 use crate::persist::{self, SpillEntry};
@@ -131,6 +46,8 @@ use bytes::Bytes;
 use emlio_obs::{obs_warn, Stage, StageRecorder};
 use emlio_tfrecord::BlockKey;
 use parking_lot::{Condvar, Mutex};
+pub(crate) use stage::Issue;
+use state::{DiskMeta, Served, Slot, State};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -138,6 +55,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
+use writer::{live_files, load_persisted};
 
 /// Cache sizing and behaviour knobs.
 #[derive(Debug, Clone)]
@@ -247,287 +165,6 @@ impl Fetched {
     /// True when the access avoided a storage read.
     pub fn is_hit(&self) -> bool {
         !matches!(self, Fetched::Storage)
-    }
-}
-
-/// A spilled block's on-disk identity. Cloned on every promote, so the
-/// path is shared, not copied.
-#[derive(Debug, Clone)]
-struct DiskMeta {
-    path: Arc<Path>,
-    len: u64,
-    crc: u32,
-}
-
-impl DiskMeta {
-    /// The spill-index entry describing this file as `key`'s.
-    fn entry(&self, key: BlockKey) -> SpillEntry {
-        SpillEntry {
-            key,
-            len: self.len,
-            crc: self.crc,
-        }
-    }
-}
-
-/// Residency state of one block (see the module docs for the transition
-/// table and its invariants).
-enum Slot {
-    /// Resident in RAM; hits clone the `Bytes` handle without copying.
-    /// The backing, when there is one, is the spill file the block was
-    /// promoted from — still on disk and still in the disk tier's
-    /// accounting, so evicting this resident writes nothing. A promoted
-    /// block's `Bytes` is a view of that file's mapping.
-    Ram(Bytes, Option<DiskMeta>),
-    /// Evicted and its key queued for the spill writer, which writes
-    /// these bytes; still readable until the write lands.
-    Spilling(Bytes),
-    /// Resident in the disk spill tier only.
-    Disk(DiskMeta),
-    /// A storage fetch, disk promote or staging read is in flight
-    /// (single-flight owner); waiters sleep on the `landed` condvar. Holds
-    /// the spill file being read back, for as long as the disk tier
-    /// leaves it there.
-    Busy(Option<DiskMeta>),
-}
-
-impl Slot {
-    /// The spill file this slot owns, if any.
-    fn file(&self) -> Option<&DiskMeta> {
-        match self {
-            Slot::Ram(_, file) | Slot::Busy(file) => file.as_ref(),
-            Slot::Disk(meta) => Some(meta),
-            Slot::Spilling(_) => None,
-        }
-    }
-}
-
-/// What a demand access finds under the lock.
-enum Served {
-    /// RAM-resident (or still readable mid-spill).
-    Ram(Bytes),
-    /// Disk-only: the slot is now `Busy` over this file and the caller
-    /// owns the promote.
-    Disk(DiskMeta),
-}
-
-/// Everything the cache mutates: slots, accounting, plan state, eviction
-/// orders and the spill writer's queue, under the one lock.
-struct State {
-    slots: HashMap<BlockKey, Slot>,
-    ram_used: u64,
-    /// Bytes of the `Spilling` slots: the writer's backlog, which an
-    /// evictor waits on while it exceeds `ram_bytes`. Not part of
-    /// `ram_used`.
-    spilling: u64,
-    /// Keys queued for the spill writer, oldest first: evictions (the slot
-    /// is `Spilling`) and checkpoints (a `Ram` slot without a file). The
-    /// writer reads which of the two it has from the slot.
-    spill_orders: VecDeque<BlockKey>,
-    /// The writer has taken an order and not finished it.
-    writing: bool,
-    /// The handle is dropping: the writer drains the queue, then ends.
-    shutdown: bool,
-    /// RAM set aside for prefetch reads in flight. Room is made when the
-    /// reservation is taken, so `ram_used + ram_reserved <= ram_bytes`
-    /// holds whenever the lock is free.
-    ram_reserved: u64,
-    /// Prefetch reads in flight (reservations held).
-    reservations: usize,
-    disk_used: u64,
-    /// Monotonic access clock for recency ordering.
-    tick: u64,
-    /// The `Ram` slots.
-    ram_order: NextUseHeap,
-    /// Every spill file a slot owns, whether its block is disk-only or
-    /// also RAM-resident; `disk_used` is the sum of their sizes.
-    disk_order: NextUseHeap,
-    /// Keys tracked by both orders: RAM residents whose spill file is
-    /// still on disk. The disk tier reclaims these files before it
-    /// evicts any disk-only block.
-    backed: BTreeSet<BlockKey>,
-    /// Planned access sequence (all epochs, in consumption order).
-    seq: Arc<Vec<BlockKey>>,
-    /// Remaining plan positions per key (ascending).
-    future: HashMap<BlockKey, VecDeque<u64>>,
-    /// Demand accesses consumed so far (position into `seq`).
-    cursor: u64,
-}
-
-impl State {
-    /// First plan position ≥ `cursor` where `key` is needed (`u64::MAX`
-    /// when it never is). Prunes stale positions as a side effect.
-    fn next_use(future: &mut HashMap<BlockKey, VecDeque<u64>>, cursor: u64, key: &BlockKey) -> u64 {
-        match future.get_mut(key) {
-            None => u64::MAX,
-            Some(q) => {
-                while matches!(q.front(), Some(&p) if p < cursor) {
-                    q.pop_front();
-                }
-                q.front().copied().unwrap_or(u64::MAX)
-            }
-        }
-    }
-
-    /// `key`'s eviction rank: its next planned use from the cursor on.
-    fn next_use_rank(&mut self, key: &BlockKey) -> u64 {
-        State::next_use(&mut self.future, self.cursor, key)
-    }
-
-    /// Track `key` in the RAM order as its newest arrival.
-    fn track_ram(&mut self, key: BlockKey, size: u64) {
-        self.tick += 1;
-        let (next, tick) = (self.next_use_rank(&key), self.tick);
-        self.ram_used += size;
-        self.ram_order.insert(key, size, next, tick);
-    }
-
-    /// Track `key`'s spill file in the disk order as its newest arrival.
-    fn track_file(&mut self, key: BlockKey, size: u64) {
-        self.tick += 1;
-        let (next, tick) = (self.next_use_rank(&key), self.tick);
-        self.disk_used += size;
-        self.disk_order.insert(key, size, next, tick);
-    }
-
-    /// Stop tracking `key`'s spill file: out of the disk order, its bytes
-    /// off `disk_used`. The caller takes the file off the slot.
-    fn untrack_file(&mut self, key: &BlockKey) {
-        self.backed.remove(key);
-        if let Some(size) = self.disk_order.remove(key) {
-            self.disk_used -= size;
-        }
-    }
-
-    /// Rank `key`'s spill file as the tier's newest arrival, which is
-    /// what a rewrite would have made it: a block going back to disk-only
-    /// keeps its write-once file but takes the place in the disk order
-    /// that a fresh spill would get.
-    fn rerank_file(&mut self, key: &BlockKey) {
-        if let Some(size) = self.disk_order.remove(key) {
-            self.disk_used -= size;
-            self.track_file(*key, size);
-        }
-    }
-
-    /// [`State::next_use`] without the pruning: `key`'s first plan
-    /// position at or after `cursor`.
-    fn pending(
-        future: &HashMap<BlockKey, VecDeque<u64>>,
-        cursor: u64,
-        key: &BlockKey,
-    ) -> Option<u64> {
-        future.get(key)?.iter().copied().find(|&p| p >= cursor)
-    }
-
-    /// Bytes of RAM residents the plan needs at a position in
-    /// `[cursor, pos)` — what staging position `pos` must leave alone. A
-    /// key counts at its first pending position only. Walks the window,
-    /// which the RAM budget bounds.
-    fn needed_before(&self, pos: u64) -> u64 {
-        (self.cursor..pos)
-            .map(|p| (p, &self.seq[p as usize]))
-            .filter(|(p, key)| State::pending(&self.future, self.cursor, key) == Some(*p))
-            .filter_map(|(_, key)| self.ram_order.size_of(key))
-            .sum()
-    }
-
-    /// The issue rule: whether a `len`-byte block for plan position `pos`
-    /// fits beside the reads in flight and the residents needed sooner.
-    fn may_stage(&self, pos: u64, len: u64, ram_bytes: u64) -> bool {
-        self.ram_reserved + self.needed_before(pos) + len <= ram_bytes
-    }
-
-    /// Account one demand access against the plan — consume `key`'s
-    /// earliest pending position, and move the cursor past it only when it
-    /// is ahead of the cursor — and refresh the resident's recency and
-    /// next-use rank. Concurrent send workers deliver accesses slightly
-    /// out of plan order; consuming exactly one position per access keeps
-    /// a late-arriving access from eating the key's *next-epoch* position
-    /// and leaping the cursor (which would both mislead the eviction order
-    /// and blow open the prefetch window).
-    fn demand_access(&mut self, key: &BlockKey) {
-        if !self.seq.is_empty() {
-            let cursor = self.cursor;
-            match self.future.get_mut(key).and_then(|q| q.pop_front()) {
-                Some(p) if p >= cursor => self.cursor = p + 1,
-                Some(_) => {}
-                // Unplanned access: just move time forward.
-                None => self.cursor += 1,
-            }
-        }
-        self.tick += 1;
-        let (next, tick) = (self.next_use_rank(key), self.tick);
-        self.ram_order.touch(key, next, tick);
-    }
-
-    /// Serve `key` to a demand access: a RAM resident's bytes, or — the
-    /// slot flipped to `Busy` — the spill file the caller now promotes.
-    /// `None` when the key is absent or in flight.
-    fn serve(&mut self, key: &BlockKey) -> Option<Served> {
-        let slot = self.slots.get_mut(key)?;
-        match slot {
-            Slot::Ram(data, _) | Slot::Spilling(data) => Some(Served::Ram(data.clone())),
-            Slot::Disk(meta) => {
-                let meta = meta.clone();
-                *slot = Slot::Busy(Some(meta.clone()));
-                Some(Served::Disk(meta))
-            }
-            Slot::Busy(_) => None,
-        }
-    }
-
-    /// Give back a prefetch reservation.
-    fn unreserve(&mut self, len: u64) {
-        self.ram_reserved -= len;
-        self.reservations -= 1;
-    }
-
-    /// The books, asserted in debug builds at the end of every mutating
-    /// critical section: the accounting is the sum over the slots, each
-    /// order's keys are exactly the slots it ranks, and both tiers are
-    /// inside their budgets.
-    fn check(&self, config: &CacheConfig) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
-        let (mut ram, mut spilling, mut disk) = (0, 0, 0);
-        let (mut residents, mut files, mut backed) = (0, 0, 0);
-        for (key, slot) in &self.slots {
-            if let Slot::Ram(data, backing) = slot {
-                ram += data.len() as u64;
-                residents += 1;
-                backed += usize::from(backing.is_some());
-                assert_eq!(self.ram_order.size_of(key), Some(data.len() as u64));
-                assert_eq!(self.backed.contains(key), backing.is_some(), "{key:?}");
-            }
-            if let Slot::Spilling(data) = slot {
-                spilling += data.len() as u64;
-            }
-            if let Some(meta) = slot.file() {
-                disk += meta.len;
-                files += 1;
-            }
-            assert_eq!(
-                self.disk_order.size_of(key),
-                slot.file().map(|meta| meta.len),
-                "{key:?}"
-            );
-        }
-        assert_eq!(
-            (ram, spilling, disk),
-            (self.ram_used, self.spilling, self.disk_used)
-        );
-        assert_eq!(
-            (residents, files, backed),
-            (
-                self.ram_order.len(),
-                self.disk_order.len(),
-                self.backed.len()
-            )
-        );
-        assert!(self.ram_used + self.ram_reserved <= config.ram_bytes);
-        assert!(self.disk_used <= config.disk_bytes);
     }
 }
 
@@ -806,780 +443,10 @@ impl CacheCore {
         ))
     }
 
-    fn count_hit(&self, data: &Bytes) {
-        self.stats.hits.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_saved
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-    }
-
-    /// Demand lookup: serve `key` from RAM or disk, updating recency and
-    /// the plan cursor. Returns `None` on a miss (which is also counted).
-    /// A fetch already in flight on another thread counts as a miss here
-    /// (this entry point never blocks on other threads' fetches).
-    ///
-    /// A RAM hit returns the cached allocation itself (refcounted, no
-    /// copy); the view stays valid even if the block is evicted while the
-    /// caller holds it.
-    pub fn get(&self, key: &BlockKey) -> Option<Bytes> {
-        let served = {
-            let mut st = self.state.lock();
-            st.demand_access(key);
-            let served = st.serve(key);
-            st.check(&self.config);
-            served
-        };
-        self.room.notify_all();
-        let data = match served {
-            Some(Served::Ram(data)) => {
-                self.count_hit(&data);
-                Some(data)
-            }
-            Some(Served::Disk(meta)) => self.promote(key, &meta),
-            None => None,
-        };
-        if data.is_none() {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        data
-    }
-
-    /// Serve `key`'s bytes without perturbing the cache: no demand-cursor
-    /// advance, no hit/miss counters, no recency touch, no promotion. A
-    /// RAM/spilling resident clones the shared bytes; a disk resident is
-    /// read (and CRC-validated) from its spill file *in place* — the block
-    /// stays on disk. `Busy` (fetch in flight) and absent report `None`.
-    /// This is the peer-serving entry point: a remote daemon's fetch must
-    /// not distort this cache's plan accounting or tier placement.
-    pub fn peek(&self, key: &BlockKey) -> Option<Bytes> {
-        let meta = match self.state.lock().slots.get(key) {
-            Some(Slot::Ram(data, _)) | Some(Slot::Spilling(data)) => return Some(data.clone()),
-            Some(Slot::Disk(meta)) => meta.clone(),
-            _ => return None,
-        };
-        // Spill-file read with the lock released. A concurrent evictor may
-        // delete the file under us; validation degrades that to a miss.
-        persist::read_validated(&meta.path, meta.len, meta.crc)
-    }
-
-    /// Insert a block without demand-access accounting. A no-op when the
-    /// key is already resident (either tier) or in flight: it can neither
-    /// clobber another thread's single-flight slot nor land beside a
-    /// resident.
-    pub fn insert(&self, key: BlockKey, data: impl Into<Bytes>) {
-        let queued = {
-            let mut st = self.state.lock();
-            if st.slots.contains_key(&key) {
-                return;
-            }
-            let orders = st.spill_orders.len();
-            self.admit(&mut st, key, data.into(), None, false);
-            st.check(&self.config);
-            st.spill_orders.len() > orders
-        };
-        self.hand_off_spills(queued);
-    }
-
-    /// Demand lookup with single-flight fetch: on a miss, run `fetch` (at
-    /// most once per missing key across all threads — concurrent callers
-    /// block until the winner's fetch completes and then hit RAM).
-    ///
-    /// Hits hand out the cached allocation itself as refcounted [`Bytes`];
-    /// the fetched value is admitted without copying (`Vec<u8>` converts
-    /// by taking ownership).
-    pub fn get_or_fetch<E, T, F>(&self, key: BlockKey, fetch: F) -> Result<(Bytes, Fetched), E>
-    where
-        T: Into<Bytes>,
-        F: FnOnce() -> Result<T, E>,
-    {
-        // One access, accounted once — after any wait for a fetch in
-        // flight, in the critical section that takes the landed bytes: the
-        // prefetcher refills a slot the moment the cursor releases it, and
-        // cannot get between the two.
-        let mut accounted = false;
-        loop {
-            let served = {
-                let mut st = self.state.lock();
-                while matches!(st.slots.get(&key), Some(Slot::Busy(_))) {
-                    self.landed.wait(&mut st);
-                }
-                if !accounted {
-                    st.demand_access(&key);
-                }
-                let served = st.serve(&key);
-                if served.is_none() {
-                    st.slots.insert(key, Slot::Busy(None));
-                }
-                st.check(&self.config);
-                served
-            };
-            if !accounted {
-                self.room.notify_all();
-                accounted = true;
-            }
-            match served {
-                Some(Served::Ram(data)) => {
-                    self.count_hit(&data);
-                    return Ok((data, Fetched::Ram));
-                }
-                Some(Served::Disk(meta)) => {
-                    if let Some(data) = self.promote(&key, &meta) {
-                        return Ok((data, Fetched::Disk));
-                    }
-                    // A failed promote degraded to a miss; go round to
-                    // claim it.
-                }
-                None => break,
-            }
-        }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        match fetch() {
-            Ok(data) => {
-                let data = data.into();
-                self.land(key, data.clone(), None);
-                Ok((data, Fetched::Storage))
-            }
-            Err(e) => {
-                self.release_busy(&key, None);
-                Err(e)
-            }
-        }
-    }
-
-    /// Promote a disk-resident block back to RAM. Called holding the
-    /// block's `Busy` slot; the spill-file read happens with the lock
-    /// released. A vanished or corrupt spill file degrades to a miss.
-    fn promote(&self, key: &BlockKey, meta: &DiskMeta) -> Option<Bytes> {
-        let Some(data) = self.read_spill_file(key, meta) else {
-            self.release_busy(key, None);
-            return None;
-        };
-        self.count_hit(&data);
-        self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
-        // The file stays where it is whatever RAM decides: admitted, it
-        // backs the resident; declined (Belady bypass), the slot goes
-        // straight back to `Disk`.
-        self.land(*key, data.clone(), None);
-        Some(data)
-    }
-
-    /// Read `key`'s spill file back for the owner of its `Busy` slot,
-    /// validated by [`persist::read_validated`]. On failure the file is
-    /// retired — deleted, then out of the slot and the disk order (the one
-    /// way a promote leaves it) — and the owner releases the slot to
-    /// absent: a miss. Deleted while the slot is still `Busy`: no newer
-    /// file of the same key can be written until it is released.
-    fn read_spill_file(&self, key: &BlockKey, meta: &DiskMeta) -> Option<Bytes> {
-        let data = persist::read_validated(&meta.path, meta.len, meta.crc);
-        if data.is_none() {
-            let _ = std::fs::remove_file(&meta.path);
-            let mut st = self.state.lock();
-            if let Some(Slot::Busy(file @ Some(_))) = st.slots.get_mut(key) {
-                *file = None;
-                st.untrack_file(key);
-            }
-            st.check(&self.config);
-        }
-        data
-    }
-
-    /// Land the `Busy` slot the caller owns — and, with `reserved`, give
-    /// back the prefetch reservation held for it — in one critical
-    /// section: the slot comes out of `Busy` with whatever spill file the
-    /// disk tier has left it, RAM admits or declines ([`CacheCore::admit`]),
-    /// and the victims' slots are flipped, and their spill orders queued,
-    /// where they are popped. Only the wake-ups and the hand-off to the
-    /// spill writer happen after it. Returns whether RAM admitted.
-    fn land(&self, key: BlockKey, data: Bytes, reserved: Option<u64>) -> bool {
-        let (admitted, queued) = {
-            let mut st = self.state.lock();
-            if let Some(len) = reserved {
-                st.unreserve(len);
-            }
-            let Some(Slot::Busy(file)) = st.slots.remove(&key) else {
-                unreachable!("landing owns the Busy slot");
-            };
-            let orders = st.spill_orders.len();
-            let admitted = self.admit(&mut st, key, data, file, reserved.is_some());
-            st.check(&self.config);
-            (admitted, st.spill_orders.len() > orders)
-        };
-        self.landed.notify_all();
-        if reserved.is_some() {
-            // An in-flight slot and possibly RAM came free.
-            self.room.notify_all();
-        }
-        self.hand_off_spills(queued);
-        admitted
-    }
-
-    /// Admit `data` into the RAM tier under the lock, into the empty slot
-    /// of `key`: pop victims (applying the Belady bypass), flip their
-    /// slots, insert the resident. `file` is the spill file `data` was
-    /// just read from (the promote paths): admitted, the resident keeps
-    /// it as its backing; declined, the block stays disk-resident instead
-    /// of being dropped. `staged` says the block lands in the room a
-    /// prefetch reservation held — no bypass, the issue rule placed it
-    /// ahead of everything it could displace. Every other admission fits
-    /// into what the reservations leave. Returns whether RAM admitted.
-    fn admit(
-        &self,
-        st: &mut State,
-        key: BlockKey,
-        data: Bytes,
-        file: Option<DiskMeta>,
-        staged: bool,
-    ) -> bool {
-        let size = data.len() as u64;
-        let room = self.config.ram_bytes - st.ram_reserved;
-        // Belady admission bypass: if this block would be the eviction
-        // victim the moment it lands, don't admit it. Only while the
-        // cursor is inside the plan: with no plan, or past its end, every
-        // next use is "never", the order is recency, and every admission
-        // is taken.
-        let bypass = !staged && st.cursor < st.seq.len() as u64 && st.ram_used + size > room && {
-            let next = st.next_use_rank(&key);
-            matches!(st.ram_order.victim_next_use(), Some(v) if next >= v)
-        };
-        if size > room || bypass {
-            // A declined promote goes back to disk-only; anything else
-            // passes through uncached.
-            if let Some(meta) = file {
-                st.rerank_file(&key);
-                st.slots.insert(key, Slot::Disk(meta));
-            }
-            return false;
-        }
-        self.make_room(st, size, None);
-        st.track_ram(key, size);
-        if file.is_some() {
-            st.backed.insert(key);
-        }
-        st.slots.insert(key, Slot::Ram(data, file));
-        true
-    }
-
-    /// Evict RAM victims until `size` more bytes fit beside the residents
-    /// and the reservations, each where it is popped: a backed resident
-    /// flips to `Disk` over the write-once file it already has; anything
-    /// else flips to `Spilling` — readable until its write lands — with
-    /// its key queued for the spill writer (the caller hands the orders
-    /// off once the lock is released), or drops when no disk tier can take
-    /// it. A prefetch reservation for plan position `keep_before` leaves
-    /// alone what the plan needs sooner: such a victim goes back into the
-    /// order as its newest arrival (the order offers one only when its
-    /// rank is out of date). The caller has checked that the room can be
-    /// made.
-    fn make_room(&self, st: &mut State, size: u64, keep_before: Option<u64>) {
-        let mut kept = Vec::new();
-        while st.ram_used + st.ram_reserved + size > self.config.ram_bytes {
-            let Some((vk, vs)) = st.ram_order.pop_victim() else {
-                break;
-            };
-            let sooner = keep_before.and_then(|pos| {
-                State::pending(&st.future, st.cursor, &vk).filter(|&next| next < pos)
-            });
-            if let Some(next) = sooner {
-                kept.push((vk, vs, next));
-                continue;
-            }
-            st.ram_used -= vs;
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            match st.slots.remove(&vk) {
-                Some(Slot::Ram(_, Some(meta))) => {
-                    st.backed.remove(&vk);
-                    st.rerank_file(&vk);
-                    st.slots.insert(vk, Slot::Disk(meta));
-                    self.stats.clean_evictions.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(Slot::Ram(data, None)) => {
-                    if self.spill_dir.is_some() && vs <= self.config.disk_bytes {
-                        st.slots.insert(vk, Slot::Spilling(data));
-                        st.spilling += vs;
-                        self.queue_spill(st, vk);
-                    }
-                }
-                _ => unreachable!("the RAM order ranks Ram slots only"),
-            }
-        }
-        for (key, size, next) in kept {
-            st.tick += 1;
-            st.ram_order.insert(key, size, next, st.tick);
-        }
-    }
-
-    /// Queue `key` for the spill writer, under the lock.
-    fn queue_spill(&self, st: &mut State, key: BlockKey) {
-        st.spill_orders.push_back(key);
-        let depth = st.spill_orders.len() as u64 + u64::from(st.writing);
-        self.stats
-            .spill_queue_peak
-            .fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Hand the orders a critical section `queued` to the spill writer,
-    /// lock released: wake it, then wait while the `Spilling` backlog is
-    /// more than the RAM tier. So at most `ram_bytes` of evicted blocks,
-    /// plus the victims of the evictors parked here, wait for the disk —
-    /// whatever their number or size.
-    fn hand_off_spills(&self, queued: bool) {
-        if !queued {
-            return;
-        }
-        self.spill.notify_all();
-        let mut st = self.state.lock();
-        if st.spilling > self.config.ram_bytes {
-            self.stats
-                .spill_backpressure_waits
-                .fetch_add(1, Ordering::Relaxed);
-            while st.spilling > self.config.ram_bytes {
-                self.spill.wait(&mut st);
-            }
-        }
-    }
-
-    /// Make `size` bytes of disk-tier room under the lock, returning the
-    /// files that lost their place for the caller to delete once it is
-    /// released. Files that duplicate a RAM resident go first — giving one
-    /// up loses no block, only the write its resident's eviction would
-    /// have skipped — so under pressure the tier holds as many distinct
-    /// disk-only blocks as it would without the duplicates. Each victim's
-    /// slot changes where it is popped: a backed resident stays in RAM
-    /// unbacked, a disk-only block goes absent, and a promote in flight
-    /// finds its slot fileless when it lands.
-    fn make_disk_room(&self, st: &mut State, size: u64) -> Vec<DiskMeta> {
-        let mut files = Vec::new();
-        while st.disk_used + size > self.config.disk_bytes {
-            let victim = if let Some(&dup) = st.backed.first() {
-                st.untrack_file(&dup);
-                dup
-            } else if let Some((vk, vs)) = st.disk_order.pop_victim() {
-                st.disk_used -= vs;
-                vk
-            } else {
-                break;
-            };
-            match st.slots.remove(&victim) {
-                Some(Slot::Ram(data, Some(meta))) => {
-                    st.slots.insert(victim, Slot::Ram(data, None));
-                    files.push(meta);
-                }
-                Some(Slot::Busy(Some(meta))) => {
-                    st.slots.insert(victim, Slot::Busy(None));
-                    files.push(meta);
-                }
-                Some(Slot::Disk(meta)) => files.push(meta),
-                _ => unreachable!("the disk order ranks file owners only"),
-            }
-        }
-        files
-    }
-
-    /// The spill writer's next order, waiting for one; `None` once the
-    /// handle is dropping and the queue is drained, which ends the writer.
-    /// A writer that finds the queue empty is idle, and wakes
-    /// `flush_spills`.
-    fn next_spill(&self) -> Option<BlockKey> {
-        let mut st = self.state.lock();
-        while st.spill_orders.is_empty() && !st.shutdown {
-            self.spill.notify_all();
-            self.spill.wait(&mut st);
-        }
-        let key = st.spill_orders.pop_front()?;
-        st.writing = true;
-        Some(key)
-    }
-
-    /// Perform the spill order for `key`: make the disk room, write the
-    /// slot's bytes, and land the transition — `Spilling → Disk` for an
-    /// evicted block, `Ram → Ram+file` for a resident a checkpoint backs.
-    /// Runs on the one writer thread, the only place the disk tier grows,
-    /// so the room made before the write is still there when it lands; the
-    /// lock is never held across the file I/O. The writer never spills
-    /// recursively — disk-tier overflow only *drops* disk victims. The
-    /// order is finished (`writing` cleared) in the critical section that
-    /// lands it, or in the one that finds nothing to write.
-    fn finish_spill(&self, key: BlockKey) {
-        let (data, reclaimed) = {
-            let mut st = self.state.lock();
-            // Which of the two it is, the slot says: an eviction makes its
-            // room out of disk victims, a checkpoint takes spare room or
-            // leaves it. Anything else has its file already or is gone —
-            // an eviction and a checkpoint of the same block crossed in
-            // the queue.
-            let data = match st.slots.get(&key) {
-                Some(Slot::Spilling(data)) => data.clone(),
-                Some(Slot::Ram(data, None))
-                    if st.disk_used + data.len() as u64 <= self.config.disk_bytes =>
-                {
-                    data.clone()
-                }
-                _ => {
-                    st.writing = false;
-                    return;
-                }
-            };
-            let reclaimed = self.make_disk_room(&mut st, data.len() as u64);
-            st.check(&self.config);
-            (data, reclaimed)
-        };
-        let size = data.len() as u64;
-        for meta in reclaimed {
-            let _ = std::fs::remove_file(&meta.path);
-        }
-
-        let dir = self.spill_dir.as_ref().expect("spillable implies dir");
-        let path: Arc<Path> = dir.join(persist::spill_file_name(&key)).into();
-        let crc = persist::block_crc(&data);
-        let t0 = Instant::now();
-        // Chaos failpoint: an injected error takes the real failed-write
-        // branch below (block drops to absent, counted, never silent); an
-        // injected latency spike stalls the writer thread like a congested
-        // disk. Short reads don't apply to a write site.
-        let injected = match self.injector.get().map(|inj| {
-            (
-                inj.decide(emlio_util::fault::site::SPILL_WRITE),
-                inj.plan().seed(),
-            )
-        }) {
-            Some((emlio_util::fault::FaultDecision::Error, seed)) => Some(io::Error::other(
-                format!("injected fault at spill.write (seed {seed})"),
-            )),
-            Some((emlio_util::fault::FaultDecision::Latency(d), _)) => {
-                std::thread::sleep(d);
-                None
-            }
-            _ => None,
-        };
-        // Written beside the path and renamed onto it, never truncated in
-        // place: a promoted block is a view of its spill file's mapping,
-        // and a view may still map the file this path named before (see
-        // `persist`'s module docs).
-        let result = match injected {
-            Some(e) => Err(e),
-            None => persist::write_file(&path, &data),
-        };
-        if let Some(rec) = self.recorder.get() {
-            rec.record(Stage::SpillWrite, t0.elapsed().as_nanos() as u64);
-        }
-        let meta = match result {
-            Ok(()) => {
-                self.stats.spills.fetch_add(1, Ordering::Relaxed);
-                Some(DiskMeta {
-                    path,
-                    len: size,
-                    crc,
-                })
-            }
-            Err(e) => {
-                // A failed spill loses the evicted block — demand will
-                // re-read it from storage — or leaves a checkpoint's
-                // resident unbacked, but never silently: counted and logged.
-                self.stats.spill_failures.fetch_add(1, Ordering::Relaxed);
-                obs_warn!(
-                    "cache",
-                    "spill write failed for {}: {e}; block has no spill file",
-                    path.display()
-                );
-                None
-            }
-        };
-        let orphan = {
-            let mut st = self.state.lock();
-            // A queued block stays `Spilling`; a resident a checkpoint is
-            // backing may have been evicted under the write, and then its
-            // order is queued behind this one and finds the file there.
-            let slot = st.slots.remove(&key);
-            if let Some(Slot::Spilling(_)) = slot {
-                st.spilling -= size;
-            }
-            let (landed, orphan) = match (slot, meta) {
-                (Some(Slot::Spilling(_)), Some(meta)) => {
-                    st.track_file(key, size);
-                    (Some(Slot::Disk(meta)), None)
-                }
-                (Some(Slot::Ram(data, None)), Some(meta)) => {
-                    st.track_file(key, size);
-                    st.backed.insert(key);
-                    (Some(Slot::Ram(data, Some(meta))), None)
-                }
-                // A failed spill: the block is gone.
-                (Some(Slot::Spilling(_)), None) => (None, None),
-                // A failed checkpoint leaves the slot as it is; a file
-                // nothing was waiting for is not kept.
-                (slot, meta) => (slot, meta),
-            };
-            if let Some(slot) = landed {
-                st.slots.insert(key, slot);
-            }
-            st.writing = false;
-            st.check(&self.config);
-            orphan
-        };
-        // The backlog may have shrunk: wake the evictors waiting on it.
-        self.spill.notify_all();
-        if let Some(meta) = orphan {
-            let _ = std::fs::remove_file(&meta.path);
-        }
-    }
-
-    /// Block until every queued spill order has been fully written (the
-    /// `Spilling → Disk` transitions landed); returns at once without a
-    /// disk tier. Tests and checkpoints use this to observe a settled
-    /// tier.
-    pub fn flush_spills(&self) {
-        let mut st = self.state.lock();
-        while !st.spill_orders.is_empty() || st.writing {
-            self.spill.wait(&mut st);
-        }
-    }
-
     /// Spill orders queued or in flight right now (gauge).
     pub fn spill_queue_depth(&self) -> u64 {
         let st = self.state.lock();
         st.spill_orders.len() as u64 + u64::from(st.writing)
-    }
-
-    /// Checkpoint the cache for a restart (persistent caches only): queue
-    /// every RAM resident that has no spill file yet for the spill writer,
-    /// behind the orders already queued — it backs each if the disk tier
-    /// has the spare capacity, never at the cost of another block's file —
-    /// wait for the queue to drain, and write the spill index of the live
-    /// tier. Returns how many blocks the index covers. A non-persistent
-    /// cache returns 0.
-    pub fn persist_now(&self) -> io::Result<u64> {
-        if !self.config.persist {
-            return Ok(0);
-        }
-        // A resident evicted in between is queued twice; its second order
-        // finds the slot moved on.
-        let unbacked = self.keys_where(|slot| matches!(slot, Slot::Ram(_, None)));
-        let mut st = self.state.lock();
-        for key in unbacked {
-            self.queue_spill(&mut st, key);
-        }
-        drop(st);
-        self.spill.notify_all();
-        self.flush_spills();
-        let files = live_files(&self.state.lock());
-        self.write_index(&files)?;
-        Ok(files.len() as u64)
-    }
-
-    /// Write the spill index listing `files` (persistent caches).
-    fn write_index(&self, files: &[(BlockKey, DiskMeta)]) -> io::Result<()> {
-        let dir = self.spill_dir.as_ref().expect("persist implies spill dir");
-        let entries: Vec<SpillEntry> = files.iter().map(|(k, meta)| meta.entry(*k)).collect();
-        persist::write_index(dir, &entries)
-    }
-
-    /// The prefetch executor's issue step for plan position `pos`
-    /// (`key`, expected to be `len` bytes long; 0 = not known yet — the
-    /// disk tier knows the length of a block it holds). Waits until the
-    /// block may be staged, then — in the critical section that found it
-    /// so — reserves its RAM, evicting what the plan needs later than
-    /// `pos`, and claims its slot, absent (to be read from storage) or
-    /// disk-only (from its spill file) alike:
-    ///
-    /// ```text
-    /// ram_reserved + bytes of residents needed before pos + len <= ram_bytes
-    /// ```
-    ///
-    /// with at most [`MAX_IN_FLIGHT`] reservations out. A disk-only block
-    /// is staged into free room only, and skipped — left to a demand
-    /// promote — when there is none: a spill-file read is cheap enough to
-    /// take on demand, and every resident evicted to stage one ahead is a
-    /// block the plan-driven order would have kept for its next use
-    /// (docs/ARCHITECTURE.md has the measurement). Woken by every demand
-    /// access, every landed or failed prefetch read, and
-    /// [`CacheCore::wake_prefetcher`]; the slot is looked at again on
-    /// every wake.
-    pub(crate) fn reserve_prefetch(
-        &self,
-        pos: u64,
-        key: &BlockKey,
-        len: u64,
-        stop: &AtomicBool,
-    ) -> Issue<'_> {
-        let mut st = self.state.lock();
-        let (len, file) = loop {
-            if stop.load(Ordering::SeqCst) {
-                return Issue::Stop;
-            }
-            let (len, file) = match st.slots.get(key) {
-                None => (len, None),
-                Some(Slot::Disk(meta)) => (meta.len, Some(meta)),
-                // In RAM, or someone's fetch or promote in flight.
-                Some(_) => return Issue::Skip,
-            };
-            // Demand got here first, or the block can never fit — or, on
-            // disk, not without evicting.
-            let free = self.config.ram_bytes - st.ram_used - st.ram_reserved;
-            if pos < st.cursor || len > self.config.ram_bytes || (file.is_some() && len > free) {
-                return Issue::Skip;
-            }
-            // A block of unknown length goes out alone: once it lands, the
-            // largest length seen stands in for the rest.
-            let max_out = if len == 0 { 1 } else { MAX_IN_FLIGHT };
-            if st.reservations < max_out && st.may_stage(pos, len, self.config.ram_bytes) {
-                break (len, file.cloned());
-            }
-            self.room.wait(&mut st);
-        };
-        let orders = st.spill_orders.len();
-        self.make_room(&mut st, len, Some(pos));
-        st.ram_reserved += len;
-        st.reservations += 1;
-        st.slots.insert(*key, Slot::Busy(file.clone()));
-        st.check(&self.config);
-        let queued = st.spill_orders.len() > orders;
-        drop(st);
-        self.hand_off_spills(queued);
-        Issue::Read(Reservation {
-            cache: self,
-            key: *key,
-            len,
-            file,
-        })
-    }
-
-    /// Give up the `Busy` slot the caller owns — and, with `reserved`,
-    /// the prefetch reservation held for it — and wake whoever waits on
-    /// either: back to disk-only when the slot still holds the spill file
-    /// it was claimed over (an unread staging claim), to absent otherwise
-    /// (fetch or promote failure).
-    fn release_busy(&self, key: &BlockKey, reserved: Option<u64>) {
-        {
-            let mut st = self.state.lock();
-            if let Some(len) = reserved {
-                st.unreserve(len);
-            }
-            let Some(Slot::Busy(file)) = st.slots.remove(key) else {
-                unreachable!("release owns the Busy slot");
-            };
-            if let Some(meta) = file {
-                st.slots.insert(*key, Slot::Disk(meta));
-            }
-            st.check(&self.config);
-        }
-        self.landed.notify_all();
-        if reserved.is_some() {
-            self.room.notify_all();
-        }
-    }
-
-    /// Make a parked [`CacheCore::reserve_prefetch`] look at its stop flag
-    /// again. Passing through the lock orders this after the waiter's
-    /// last check, so a flag set before the call is never missed.
-    pub(crate) fn wake_prefetcher(&self) {
-        drop(self.state.lock());
-        self.room.notify_all();
-    }
-}
-
-/// Re-admit CRC-valid spill files recorded by a previous run's index in
-/// `dir` into the disk tier of a cache under construction (up to its
-/// capacity). Returns how many were.
-fn load_persisted(dir: &Path, disk_bytes: u64, st: &mut State) -> u64 {
-    let entries = match persist::read_index(dir) {
-        Ok(Some(entries)) => entries,
-        // No index, or a malformed one: cold start.
-        _ => return 0,
-    };
-    let mut readmitted = 0;
-    for e in &entries {
-        if st.disk_used + e.len > disk_bytes {
-            // Not re-admittable this run — and the index rewritten at
-            // shutdown will no longer list it, so delete the file
-            // rather than orphan it in the persist dir forever.
-            let _ = std::fs::remove_file(dir.join(persist::spill_file_name(&e.key)));
-            continue;
-        }
-        let Some(path) = persist::validate_entry(dir, e) else {
-            continue;
-        };
-        st.track_file(e.key, e.len);
-        let meta = DiskMeta {
-            path: path.into(),
-            len: e.len,
-            crc: e.crc,
-        };
-        st.slots.insert(e.key, Slot::Disk(meta));
-        readmitted += 1;
-    }
-    readmitted
-}
-
-/// Every spill file of the live tier, sorted by key: disk-only blocks
-/// and the backing of RAM residents alike.
-fn live_files(st: &State) -> Vec<(BlockKey, DiskMeta)> {
-    let mut files: Vec<(BlockKey, DiskMeta)> = st
-        .slots
-        .iter()
-        .filter_map(|(k, slot)| Some((*k, slot.file()?.clone())))
-        .collect();
-    files.sort_unstable_by_key(|(k, _)| *k);
-    files
-}
-
-/// What [`CacheCore::reserve_prefetch`] decided for one plan position.
-pub(crate) enum Issue<'a> {
-    /// Room reserved and slot claimed: [`fill`](Reservation::fill) it.
-    Read(Reservation<'a>),
-    /// Nothing to stage: the block is in RAM or being fetched, demand
-    /// reached the position first, the block can never fit, or it is on
-    /// disk and would not fit without evicting.
-    Skip,
-    /// The stop flag is set.
-    Stop,
-}
-
-/// RAM reserved, and a `Busy` slot claimed, for one prefetch read in
-/// flight. [`fill`](Reservation::fill) does the read and lands the block
-/// in it; dropping it any other way (the read failed or panicked, or never
-/// ran) gives the room back and releases the slot — to disk-only when that
-/// is where the claim found it — so demand readers parked on it fetch or
-/// promote for themselves.
-pub(crate) struct Reservation<'a> {
-    cache: &'a CacheCore,
-    key: BlockKey,
-    len: u64,
-    /// The spill file to stage from; `None` stages from storage.
-    file: Option<DiskMeta>,
-}
-
-impl Reservation<'_> {
-    /// Read the block — back from its spill file when the disk tier holds
-    /// it, through `storage` otherwise — and admit it into the reserved
-    /// room, counting it as prefetched (never a demand hit or miss), as
-    /// warm-promoted when it came from disk (timed as
-    /// [`Stage::WarmPromote`]), and as wasted when RAM does not take it. A
-    /// spill file that fails validation is retired, as on a demand promote.
-    pub(crate) fn fill(self, storage: impl FnOnce() -> Option<Bytes>) {
-        let t0 = Instant::now();
-        let data = match &self.file {
-            Some(meta) => self.cache.read_spill_file(&self.key, meta),
-            None => storage(),
-        };
-        let Some(data) = data else { return };
-        let (cache, key, len) = (self.cache, self.key, self.len);
-        let promoted = self.file.is_some();
-        std::mem::forget(self);
-        cache.stats.prefetched.fetch_add(1, Ordering::Relaxed);
-        if !cache.land(key, data, Some(len)) {
-            cache.stats.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-        } else if promoted {
-            cache.stats.warm_promoted.fetch_add(1, Ordering::Relaxed);
-            if let Some(rec) = cache.recorder.get() {
-                rec.record(Stage::WarmPromote, t0.elapsed().as_nanos() as u64);
-            }
-        }
-    }
-}
-
-impl Drop for Reservation<'_> {
-    fn drop(&mut self) {
-        self.cache.release_busy(&self.key, Some(self.len));
     }
 }
 
@@ -1668,6 +535,7 @@ impl Drop for ShardCache {
 
 #[cfg(test)]
 mod tests {
+    use super::stage::Reservation;
     use super::*;
     use emlio_util::testutil::TempDir;
 
