@@ -128,34 +128,25 @@ impl CacheCore {
             }
         }
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        match fetch() {
-            Ok(data) => {
-                let data = data.into();
-                self.land(key, data.clone(), None);
-                Ok((data, Fetched::Storage))
-            }
-            Err(e) => {
-                self.release_busy(&key, None);
-                Err(e)
-            }
-        }
+        let fetched: Result<Bytes, E> = fetch().map(Into::into);
+        self.settle(key, fetched.as_ref().ok().cloned(), None);
+        fetched.map(|data| (data, Fetched::Storage))
     }
 
     /// Promote a disk-resident block back to RAM. Called holding the
     /// block's `Busy` slot; the spill-file read happens with the lock
     /// released. A vanished or corrupt spill file degrades to a miss.
     fn promote(&self, key: &BlockKey, meta: &DiskMeta) -> Option<Bytes> {
-        let Some(data) = self.read_spill_file(key, meta) else {
-            self.release_busy(key, None);
-            return None;
-        };
-        self.count_hit(&data);
-        self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
-        // The file stays where it is whatever RAM decides: admitted, it
-        // backs the resident; declined (Belady bypass), the slot goes
-        // straight back to `Disk`.
-        self.land(*key, data.clone(), None);
-        Some(data)
+        let data = self.read_spill_file(key, meta);
+        if let Some(data) = &data {
+            self.count_hit(data);
+            self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        // A file read back stays where it is whatever RAM decides:
+        // admitted, it backs the resident; declined (Belady bypass), the
+        // slot goes straight back to `Disk`.
+        self.settle(*key, data.clone(), None);
+        data
     }
 
     /// Read `key`'s spill file back for the owner of its `Busy` slot,
@@ -178,24 +169,36 @@ impl CacheCore {
         data
     }
 
-    /// Land the `Busy` slot the caller owns — and, with `reserved`, give
-    /// back the prefetch reservation held for it — in one critical
-    /// section: the slot comes out of `Busy` with whatever spill file the
-    /// disk tier has left it, RAM admits or declines ([`CacheCore::admit`]),
-    /// and the victims' slots are flipped, and their spill orders queued,
-    /// where they are popped. Only the wake-ups and the hand-off to the
-    /// spill writer happen after it. Returns whether RAM admitted.
-    pub(super) fn land(&self, key: BlockKey, data: Bytes, reserved: Option<u64>) -> bool {
+    /// Take the `Busy` slot the caller owns out of `Busy` — and, with
+    /// `reserved`, give back the prefetch reservation held for it — in one
+    /// critical section; this is the one way out of `Busy`. The slot comes
+    /// out with whatever spill file the disk tier has left it. `Some`
+    /// bytes land: RAM admits or declines ([`CacheCore::admit`]), and the
+    /// victims' slots are flipped, and their spill orders queued, where
+    /// they are popped. `None` releases the claim of a read that failed or
+    /// never ran: back to disk-only over that file, or to absent. Only the
+    /// wake-ups and the hand-off to the spill writer happen after it.
+    /// Returns whether RAM admitted.
+    pub(super) fn settle(&self, key: BlockKey, data: Option<Bytes>, reserved: Option<u64>) -> bool {
         let (admitted, queued) = {
             let mut st = self.state.lock();
             if let Some(len) = reserved {
                 st.unreserve(len);
             }
             let Some(Slot::Busy(file)) = st.slots.remove(&key) else {
-                unreachable!("landing owns the Busy slot");
+                unreachable!("settling owns the Busy slot");
             };
             let orders = st.spill_orders.len();
-            let admitted = self.admit(&mut st, key, data, file, reserved.is_some());
+            let admitted = match (data, file) {
+                (Some(data), file) => self.admit(&mut st, key, data, file, reserved.is_some()),
+                // A released claim read nothing, so its file keeps its place
+                // in the disk order; a declined landing takes the newest.
+                (None, Some(meta)) => {
+                    st.slots.insert(key, Slot::Disk(meta));
+                    false
+                }
+                (None, None) => false,
+            };
             st.check(&self.config);
             (admitted, st.spill_orders.len() > orders)
         };
@@ -206,30 +209,5 @@ impl CacheCore {
         }
         self.hand_off_spills(queued);
         admitted
-    }
-
-    /// Give up the `Busy` slot the caller owns — and, with `reserved`,
-    /// the prefetch reservation held for it — and wake whoever waits on
-    /// either: back to disk-only when the slot still holds the spill file
-    /// it was claimed over (an unread staging claim), to absent otherwise
-    /// (fetch or promote failure).
-    pub(super) fn release_busy(&self, key: &BlockKey, reserved: Option<u64>) {
-        {
-            let mut st = self.state.lock();
-            if let Some(len) = reserved {
-                st.unreserve(len);
-            }
-            let Some(Slot::Busy(file)) = st.slots.remove(key) else {
-                unreachable!("release owns the Busy slot");
-            };
-            if let Some(meta) = file {
-                st.slots.insert(*key, Slot::Disk(meta));
-            }
-            st.check(&self.config);
-        }
-        self.landed.notify_all();
-        if reserved.is_some() {
-            self.room.notify_all();
-        }
     }
 }

@@ -178,8 +178,8 @@ impl Fetched {
 pub struct CacheCore {
     config: CacheConfig,
     state: Mutex<State>,
-    /// Signalled when a `Busy` slot lands or is released (wakes
-    /// single-flight waiters).
+    /// Signalled when a `Busy` slot settles (wakes single-flight
+    /// waiters).
     landed: Condvar,
     /// Signalled on every demand access and whenever a reservation ends
     /// (wakes the prefetcher: the cursor moved, or room came free).
@@ -1420,5 +1420,45 @@ mod tests {
         staged(&cache, 1, &key(1)).fill(|| Some(block(1, 100).into()));
         assert_eq!(cache.ram_keys(), vec![key(1)]);
         assert_eq!(cache.slot_bytes(), (100, 300));
+    }
+
+    #[test]
+    fn a_released_claim_keeps_its_files_place_and_a_declined_landing_takes_the_newest() {
+        // A full disk tier, restarted: 0 is 300 bytes, more than the RAM
+        // tier takes, and 1, 2, 3 are 100 each. The files rank 0 1 2 3,
+        // oldest first, and with no plan the oldest is the next disk victim.
+        let dir = TempDir::new("cache-settle-rank");
+        let config = |ram_bytes| {
+            CacheConfig::default()
+                .with_ram_bytes(ram_bytes)
+                .with_disk_bytes(600)
+                .with_persist_dir(dir.path().to_path_buf())
+        };
+        {
+            let cache = ShardCache::new(config(400)).unwrap();
+            cache.insert(key(0), block(0, 300));
+            for i in 1..4 {
+                cache.insert(key(i), block(i, 100)); // 0 spills
+            }
+            assert_eq!(cache.persist_now().unwrap(), 4);
+        }
+        let cache = ShardCache::new(config(250)).unwrap();
+        assert_eq!(cache.disk_keys(), (0..4).map(key).collect::<Vec<_>>());
+        assert_eq!(cache.disk_bytes_used(), 600);
+        // A staging claim over 1, released unread: 1 stays the oldest.
+        match cache.reserve_prefetch(0, &key(1), 0, &AtomicBool::new(false)) {
+            Issue::Read(reservation) => drop(reservation),
+            _ => panic!("1 should be staged"),
+        }
+        // A promote of 0 that RAM declines: 0 becomes the newest.
+        assert!(cache.get(&key(0)).is_some());
+        assert_eq!(cache.ram_bytes_used(), 0);
+        // One spill more evicts the oldest file: 1, not 2 and not 0.
+        for i in 4..7 {
+            cache.insert(key(i), block(i, 100)); // the third evicts 4
+        }
+        cache.flush_spills();
+        assert_eq!(cache.disk_keys(), vec![key(0), key(2), key(3), key(4)]);
+        cache.check_books().unwrap();
     }
 }

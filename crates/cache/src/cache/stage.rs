@@ -124,7 +124,7 @@ impl Reservation<'_> {
         let promoted = self.file.is_some();
         std::mem::forget(self);
         cache.stats.prefetched.fetch_add(1, Ordering::Relaxed);
-        if !cache.land(key, data, Some(len)) {
+        if !cache.settle(key, Some(data), Some(len)) {
             cache.stats.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
         } else if promoted {
             cache.stats.warm_promoted.fetch_add(1, Ordering::Relaxed);
@@ -137,6 +137,6 @@ impl Reservation<'_> {
 
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
-        self.cache.release_busy(&self.key, Some(self.len));
+        self.cache.settle(self.key, None, Some(self.len));
     }
 }

@@ -1,4 +1,5 @@
-//! # The slot state machine
+//! The slot state machine: each block's [`Slot`], and the [`State`] the
+//! cache's one lock guards, whose books [`State::check`] asserts.
 //!
 //! Each resident key's `Slot` is in one of four states — `Busy`, `Ram`,
 //! `Spilling`, `Disk` — and `Ram` may carry a *backing*: the spill file
@@ -43,7 +44,8 @@
 //!
 //! * **`Busy` has exactly one owner.** The thread that installed the
 //!   placeholder (miss claim, prefetch claim, or disk promote) is the only
-//!   one that may land or release it; everyone else waits on the `landed`
+//!   one that may take it out of `Busy`, which every row above does in one
+//!   call of `CacheCore::settle`; everyone else waits on the `landed`
 //!   condvar or treats the key as a miss. This is what makes fetches
 //!   single-flight. A `Busy` slot taken over from `Disk` keeps the file's
 //!   identity in the slot, so the file stays accounted — and reclaimable —
