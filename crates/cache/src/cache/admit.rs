@@ -1,3 +1,5 @@
+//! Admission: whether RAM takes a block, and the room each tier makes.
+
 use super::*;
 
 impl CacheCore {

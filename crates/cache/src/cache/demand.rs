@@ -1,3 +1,6 @@
+//! The demand path: lookups, single-flight fetches, promotes from the disk
+//! tier, and `settle`, the one way out of a `Busy` slot.
+
 use super::*;
 
 impl CacheCore {

@@ -31,6 +31,9 @@
 //! the critical section that lands it — a `Busy` slot whose file the disk
 //! tier reclaimed under the read lands the block unbacked, or absent,
 //! there and then. No function takes the lock while holding it.
+//!
+//! The slot state machine, with its transition table and invariants, is
+//! documented in `state.rs`, beside the `State` it runs on.
 
 mod admit;
 mod demand;
@@ -335,11 +338,6 @@ impl CacheCore {
     /// The installed plan sequence (empty when none was set).
     pub(crate) fn plan(&self) -> Arc<Vec<BlockKey>> {
         self.state.lock().seq.clone()
-    }
-
-    /// Demand accesses consumed so far.
-    pub fn consumed(&self) -> u64 {
-        self.state.lock().cursor
     }
 
     /// Whether `key` is resident in either tier. No policy side effects.
@@ -893,16 +891,20 @@ mod tests {
         cache.insert(key(1), block(1, 10));
         // Worker skew: block 1 (pos 1) is demanded before block 0 (pos 0).
         cache.get(&key(1)).unwrap();
-        assert_eq!(cache.consumed(), 2);
+        assert_eq!(cache.state.lock().cursor, 2);
         // The late access of block 0 consumes only its stale position 0 —
         // its epoch-2 position (pos 2) must survive, cursor must not leap.
         cache.get(&key(0)).unwrap();
-        assert_eq!(cache.consumed(), 2, "cursor does not leap an epoch");
+        assert_eq!(
+            cache.state.lock().cursor,
+            2,
+            "cursor does not leap an epoch"
+        );
         // In-order resumption: epoch-2 accesses advance normally.
         cache.get(&key(0)).unwrap();
-        assert_eq!(cache.consumed(), 3);
+        assert_eq!(cache.state.lock().cursor, 3);
         cache.get(&key(1)).unwrap();
-        assert_eq!(cache.consumed(), 4);
+        assert_eq!(cache.state.lock().cursor, 4);
     }
 
     #[test]

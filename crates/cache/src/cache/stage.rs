@@ -1,3 +1,6 @@
+//! Staging: the prefetch executor's issue step and the reservation each
+//! read in flight holds.
+
 use super::*;
 
 impl CacheCore {

@@ -1,3 +1,6 @@
+//! The spill writer and persistence: the queue of spill orders, the one
+//! thread that writes them, and the index a restart re-admits from.
+
 use super::*;
 
 impl CacheCore {

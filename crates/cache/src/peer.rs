@@ -8,7 +8,7 @@
 //!
 //! * [`HashRing`] — consistent hashing of [`BlockKey`]s over the fleet
 //!   (FNV-1a, virtual nodes), so every block has exactly one *owning*
-//!   daemon and membership changes move a minimal slice of the keyspace.
+//!   daemon. Members join before serving starts and never leave.
 //! * [`FleetRegistry`] — the shared membership + transport directory, plus
 //!   fleet-wide single-flight: concurrent misses of the same block anywhere
 //!   in the fleet coalesce onto one storage read, and the winner's bytes
@@ -41,7 +41,7 @@ use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Virtual nodes per peer on the ring: enough to spread ownership evenly
-/// across a handful of daemons without making membership changes costly.
+/// across a handful of daemons.
 const VNODES: u32 = 64;
 
 fn hash_block(key: &BlockKey) -> u64 {
@@ -58,8 +58,7 @@ fn hash_block(key: &BlockKey) -> u64 {
 /// point clockwise of its hash. Ownership is a function of the *member
 /// set* alone — insertion order does not matter (point collisions, already
 /// vanishing at 64 bits, tie-break to the lexicographically smaller id) —
-/// and adding or removing one peer only reassigns the keyspace slices
-/// adjacent to that peer's points.
+/// and adding a peer only moves keys to it.
 #[derive(Debug, Default, Clone)]
 pub struct HashRing {
     points: BTreeMap<u64, String>,
@@ -92,26 +91,6 @@ impl HashRing {
         }
         self.peers.push(peer.to_string());
         self.peers.sort_unstable();
-    }
-
-    /// Remove `peer`'s virtual nodes. Idempotent.
-    pub fn remove(&mut self, peer: &str) {
-        self.peers.retain(|p| p != peer);
-        for v in 0..VNODES {
-            let h = Self::point(peer, v);
-            if self.points.get(&h).is_some_and(|p| p == peer) {
-                self.points.remove(&h);
-                // Re-seat a surviving peer whose colliding point we
-                // displaced at add time (vanishing at 64 bits, but keeps
-                // ownership a pure function of the member set).
-                for other in &self.peers {
-                    if (0..VNODES).any(|ov| Self::point(other, ov) == h) {
-                        self.points.insert(h, other.clone());
-                        break;
-                    }
-                }
-            }
-        }
     }
 
     /// The peer owning `key`: first ring point at or after the key's hash,
@@ -361,14 +340,6 @@ impl FleetRegistry {
     /// ([`FleetRegistry::attach`]).
     pub fn join(&self, id: &str) {
         self.members.lock().ring.add(id);
-    }
-
-    /// Remove `id` from the ring and drop its transport: its keyspace
-    /// slices reassign to the survivors.
-    pub fn leave(&self, id: &str) {
-        let mut m = self.members.lock();
-        m.ring.remove(id);
-        m.transports.remove(id);
     }
 
     /// Publish `id`'s transport (how other daemons reach its tiers).
@@ -744,11 +715,6 @@ mod tests {
             let now = ring.owner_of(&key(i)).unwrap();
             assert!(now == old || now == "d", "key {i}: {old} -> {now}");
         }
-        // Removing it restores the exact prior ownership.
-        ring.remove("d");
-        for (i, old) in before.iter().enumerate() {
-            assert_eq!(ring.owner_of(&key(i)).unwrap(), old, "key {i}");
-        }
     }
 
     #[test]
@@ -878,11 +844,6 @@ mod tests {
         assert_eq!(read.origin, ReadOrigin::Direct);
         assert_eq!(reads.load(Ordering::Relaxed), 1);
         assert_eq!(src.stats().snapshot().fallbacks, 1);
-
-        // Leaving the fleet reassigns ownership; a fresh ring with only
-        // the survivor makes every read self-owned (straight to inner).
-        registry.leave("owner");
-        assert_eq!(registry.owner_of(&k).as_deref(), Some("other"));
     }
 
     #[test]

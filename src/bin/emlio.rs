@@ -394,7 +394,7 @@ fn cmd_daemon(flags: HashMap<String, String>) -> Result<(), String> {
 
 fn cmd_receive(flags: HashMap<String, String>) -> Result<(), String> {
     let bind = Endpoint::parse(get(&flags, "bind")?).map_err(|e| e.to_string())?;
-    let streams: u32 = get_num(&flags, "streams", 2)?;
+    let streams: u32 = get_count(&flags, "streams", 2)?;
     let resize: u16 = get_num(&flags, "resize", 0)?;
     let quiet = flags.contains_key("quiet");
     let receiver = EmlioReceiver::bind(ReceiverConfig {
@@ -724,6 +724,10 @@ mod tests {
         for flag in ["--shards", "--samples"] {
             cases.push((vec!["convert", "--out", out, flag, "0"], flag));
         }
+        cases.push((
+            vec!["receive", "--bind", "tcp://127.0.0.1:0", "--streams", "0"],
+            "--streams",
+        ));
         for (words, flag) in cases {
             let err = run(&line(&words)).unwrap_err();
             assert!(
