@@ -41,6 +41,7 @@ mod stage;
 mod state;
 mod writer;
 
+// The seam modules share this import block through `use super::*`.
 use crate::order::NextUseHeap;
 use crate::persist::{self, SpillEntry};
 use crate::prefetch::MAX_IN_FLIGHT;
