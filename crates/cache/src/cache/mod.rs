@@ -1395,6 +1395,20 @@ mod tests {
     }
 
     #[test]
+    fn a_block_staged_from_disk_leaves_its_spill_path_to_its_owners() {
+        let dir = TempDir::new("cache-stage-owners");
+        let cache = restarted_disk_only(&dir);
+        cache.set_plan(vec![key(0)]);
+        staged(&cache, 0, &key(0)).fill(|| panic!("on disk"));
+        let path = match cache.state.lock().slots.get(&key(0)) {
+            Some(Slot::Ram(_, Some(meta))) => meta.path.clone(),
+            _ => panic!("staged into RAM, backed by its file"),
+        };
+        // The slot's backing and this clone: the reservation kept none.
+        assert_eq!(Arc::strong_count(&path), 2);
+    }
+
+    #[test]
     fn unread_or_invalid_staging_claim_leaves_the_disk_tier_consistent() {
         let dir = TempDir::new("cache-stage-unread");
         let cache = restarted_disk_only(&dir);

@@ -116,20 +116,21 @@ impl Reservation<'_> {
     /// warm-promoted when it came from disk (timed as
     /// [`Stage::WarmPromote`]), and as wasted when RAM does not take it. A
     /// spill file that fails validation is retired, as on a demand promote.
-    pub(crate) fn fill(self, storage: impl FnOnce() -> Option<Bytes>) {
+    pub(crate) fn fill(mut self, storage: impl FnOnce() -> Option<Bytes>) {
         let t0 = Instant::now();
-        let data = match &self.file {
+        // Taken out, so the `forget` below does not leak its path.
+        let file = self.file.take();
+        let data = match &file {
             Some(meta) => self.cache.read_spill_file(&self.key, meta),
             None => storage(),
         };
         let Some(data) = data else { return };
         let (cache, key, len) = (self.cache, self.key, self.len);
-        let promoted = self.file.is_some();
         std::mem::forget(self);
         cache.stats.prefetched.fetch_add(1, Ordering::Relaxed);
         if !cache.settle(key, Some(data), Some(len)) {
             cache.stats.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-        } else if promoted {
+        } else if file.is_some() {
             cache.stats.warm_promoted.fetch_add(1, Ordering::Relaxed);
             if let Some(rec) = cache.recorder.get() {
                 rec.record(Stage::WarmPromote, t0.elapsed().as_nanos() as u64);

@@ -29,9 +29,17 @@
 //!
 //! [`EmlioService::launch`]: crate::service::EmlioService::launch
 
-use std::collections::{HashSet, VecDeque};
+use parking_lot::Mutex;
+use std::collections::{BTreeSet, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
+
+/// Whether send worker `worker` ends its stream with a marker now: not when
+/// its incarnation was `killed` (a crash sends none), nor when an earlier
+/// one `ended` it before a sibling's kill.
+pub fn ends_stream(killed: bool, ended: &mut BTreeSet<usize>, worker: usize) -> bool {
+    !killed && ended.insert(worker)
+}
 
 /// Deterministic daemon-kill switch plus the cross-incarnation send ledger.
 #[derive(Debug)]
@@ -50,7 +58,7 @@ pub struct ChaosController {
     /// Every `(epoch, batch_id)` any incarnation has pushed.
     sent: Mutex<HashSet<(u32, u64)>>,
     /// Send workers whose stream some incarnation ended with a marker.
-    ended: Mutex<HashSet<usize>>,
+    ended: Mutex<BTreeSet<usize>>,
 }
 
 impl Default for ChaosController {
@@ -62,7 +70,7 @@ impl Default for ChaosController {
             kills: AtomicU64::new(0),
             schedule: Mutex::new(VecDeque::new()),
             sent: Mutex::new(HashSet::new()),
-            ended: Mutex::new(HashSet::new()),
+            ended: Mutex::new(BTreeSet::new()),
         }
     }
 }
@@ -79,7 +87,7 @@ impl ChaosController {
     /// schedule of three arms kills three consecutive incarnations before
     /// the fourth runs to completion.
     pub fn arm(&self, kill_after: u64) {
-        let mut sched = self.schedule.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut sched = self.schedule.lock();
         sched.push_back(kill_after);
         // Nothing armed yet for this incarnation: activate immediately.
         if self.kill_at.load(Ordering::SeqCst) == u64::MAX {
@@ -95,12 +103,7 @@ impl ChaosController {
     pub fn reset_for_restart(&self) {
         self.killed.store(false, Ordering::SeqCst);
         self.sent_count.store(0, Ordering::SeqCst);
-        let next = self
-            .schedule
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop_front()
-            .unwrap_or(u64::MAX);
+        let next = self.schedule.lock().pop_front().unwrap_or(u64::MAX);
         self.kill_at.store(next, Ordering::SeqCst);
     }
 
@@ -133,19 +136,13 @@ impl ChaosController {
         self.is_killed()
     }
 
-    /// Whether send worker `worker` ends its stream with a marker now: not
-    /// when this incarnation was killed (a crash sends none), nor when an
-    /// earlier incarnation ended that stream before a sibling's kill.
+    /// [`ends_stream`] for send worker `worker`, over this controller's state.
     pub fn end_stream(&self, worker: usize) -> bool {
-        let mut ended = self.ended.lock().unwrap_or_else(PoisonError::into_inner);
-        !self.is_killed() && ended.insert(worker)
+        ends_stream(self.is_killed(), &mut self.ended.lock(), worker)
     }
 
-    /// The ledger mutex is only ever held around single HashSet calls, so
-    /// a poisoned lock (a worker panicking elsewhere while unwinding past
-    /// a guard) leaves the set intact — recover rather than cascade.
-    fn ledger(&self) -> std::sync::MutexGuard<'_, HashSet<(u32, u64)>> {
-        self.sent.lock().unwrap_or_else(PoisonError::into_inner)
+    fn ledger(&self) -> parking_lot::MutexGuard<'_, HashSet<(u32, u64)>> {
+        self.sent.lock()
     }
 }
 

@@ -558,12 +558,12 @@ impl EmlioDaemon {
 mod tests {
     use super::*;
     use crate::plan::Plan;
-    use crate::stream_end::StreamEnds;
     use emlio_datagen::convert::build_tfrecord_dataset;
     use emlio_datagen::DatasetSpec;
     use emlio_tfrecord::source::TfrecordSource;
     use emlio_tfrecord::ShardSpec;
     use emlio_util::testutil::TempDir;
+    use emlio_zmq::stream_end::StreamEnds;
     use emlio_zmq::PullSocket;
 
     #[test]

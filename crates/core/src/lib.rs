@@ -34,7 +34,6 @@ pub mod plan;
 pub mod receiver;
 pub mod service;
 pub mod stack;
-pub mod stream_end;
 pub mod wire;
 
 pub use chaos::ChaosController;

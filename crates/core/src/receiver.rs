@@ -17,21 +17,13 @@
 //! Repeated origin strings are deduplicated through one shared
 //! [`StrInterner`].
 //!
-//! Each daemon send worker's stream may stripe over several connections,
-//! and it ends each of them with a marker saying how many there are. A
-//! stream has ended once its origin has sent that many markers, and the
-//! queue ends with the last expected stream ([`StreamEnds`] is the rule),
-//! once every connection still open has closed or gone quiet for 500 ms.
-//! Markers are counted per origin, never as one total: the first marker of
-//! a two-connection stream says nothing about its other connection, whose
-//! frames may still be on their way. A refused marker (one too many for
-//! its origin, or disagreeing on the count) is dropped with a flight event
-//! and a warning, and ends nothing. A stop
-//! (the receiver's drop, or a failed daemon in the launch harness) ends it
-//! within one 100 ms read tick, after what is already queued.
+//! The readers only classify frames: a batch is delivered, an end-of-stream
+//! marker goes to the socket as [`Intake::Marker`], and the socket's one
+//! rule ([`emlio_zmq::stream_end`]) ends the queue, after what is already
+//! queued, once every expected stream's markers are in or at a stop (the
+//! receiver's drop, or a failed daemon in the launch harness).
 
 use crate::metrics::DataPathMetrics;
-use crate::stream_end::{Marker, StreamEnds};
 use crate::wire::{self, LazyBatch, LazyMsg};
 use bytes::Bytes;
 use crossbeam::channel::Receiver;
@@ -39,7 +31,7 @@ use emlio_msgpack::StrInterner;
 use emlio_obs::{clock, obs_warn, FlightRecorder, Stage, StageRecorder};
 use emlio_pipeline::{ExternalSource, RawBatch};
 use emlio_zmq::{Endpoint, Intake, PullSocket, SocketOptions, StopHandle, ZmqError};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Receiver configuration.
@@ -76,7 +68,6 @@ pub struct EmlioReceiver {
     endpoint: Endpoint,
     metrics: Arc<DataPathMetrics>,
     recorder: Arc<StageRecorder>,
-    ends: Arc<Mutex<StreamEnds>>,
 }
 
 impl EmlioReceiver {
@@ -84,8 +75,7 @@ impl EmlioReceiver {
     pub fn bind(config: ReceiverConfig) -> Result<EmlioReceiver, ZmqError> {
         let metrics = DataPathMetrics::shared();
         let recorder = StageRecorder::shared();
-        let ends = Arc::new(Mutex::new(StreamEnds::new(config.expected_streams)));
-        let (metrics2, recorder2, ends2) = (metrics.clone(), recorder.clone(), ends.clone());
+        let (metrics2, recorder2) = (metrics.clone(), recorder.clone());
         let interner = StrInterner::new();
         let intake = move |frame: Bytes| {
             let t_scan = Instant::now();
@@ -100,26 +90,10 @@ impl EmlioReceiver {
                 Ok(LazyMsg::EndStream {
                     origin,
                     connections,
-                    ..
-                }) => {
-                    let marker = lock(&ends2).marker(&origin, connections);
-                    match marker {
-                        Marker::QueueEnded => Intake::EndOfStream,
-                        Marker::Counted | Marker::StreamEnded => Intake::Skip,
-                        Marker::Refused(why) => {
-                            FlightRecorder::global().record(
-                                "recv_refused_marker",
-                                u64::from(connections),
-                                0,
-                            );
-                            obs_warn!(
-                                "receiver",
-                                "dropping end-of-stream marker from {origin}: {why:?}"
-                            );
-                            Intake::Skip
-                        }
-                    }
-                }
+                }) => Intake::Marker {
+                    origin,
+                    connections,
+                },
                 Err(e) => {
                     // A frame whose structure does not scan: drop it, and
                     // count it as a lost batch — the safe failure mode, but
@@ -143,10 +117,7 @@ impl EmlioReceiver {
         let options = SocketOptions::default()
             .with_hwm(config.hwm)
             .with_recorder(recorder.clone());
-        let pull = PullSocket::bind_with(&config.bind, options, intake)?;
-        if config.expected_streams == 0 {
-            pull.stop_handle().stop();
-        }
+        let pull = PullSocket::bind_with(&config.bind, options, config.expected_streams, intake)?;
         let endpoint = pull
             .local_endpoint()
             .ok_or_else(|| ZmqError::BadEndpoint("unresolvable local endpoint".into()))?;
@@ -155,7 +126,6 @@ impl EmlioReceiver {
             endpoint,
             metrics,
             recorder,
-            ends,
         })
     }
 
@@ -193,7 +163,7 @@ impl EmlioReceiver {
     /// Streams that have ended so far: origins whose every connection has
     /// sent its end-of-stream marker.
     pub fn streams_seen(&self) -> u32 {
-        lock(&self.ends).streams_ended()
+        self.pull.streams_ended()
     }
 
     /// Stops the receiver's socket from any thread: consumers see
@@ -202,12 +172,6 @@ impl EmlioReceiver {
     pub(crate) fn stop_handle(&self) -> StopHandle<LazyBatch> {
         self.pull.stop_handle()
     }
-}
-
-/// The rule is only ever held for one pure call, so a poisoned lock still
-/// holds consistent counts.
-fn lock(ends: &Mutex<StreamEnds>) -> std::sync::MutexGuard<'_, StreamEnds> {
-    ends.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// An `external_source` that receives [`LazyBatch`]es and materializes

@@ -48,6 +48,7 @@ pub mod endpoint;
 pub mod frame;
 pub mod pull;
 pub mod push;
+pub mod stream_end;
 
 pub use endpoint::Endpoint;
 pub use frame::Frame;

@@ -14,8 +14,9 @@
 //! to every connected daemon.
 //!
 //! The queue's sending half sits in one slot, and each reader holds a clone
-//! of it. [`Intake::EndOfStream`] or [`StopHandle::stop`] empties the slot:
-//! no new connection is read, and the queue ends with the last reader.
+//! of it. [`StreamEnds`], under one lock with the slot, takes every accept,
+//! [`Intake::Marker`], closed connection and stop; once it says the queue
+//! has ended, the slot is emptied and the queue ends with the last reader.
 //!
 //! **A reader wakes once the bytes it asked for are in.** Before each
 //! read, the connection's `SO_RCVLOWAT` is set to the bytes that read
@@ -45,25 +46,27 @@
 
 use crate::endpoint::Endpoint;
 use crate::frame::FrameReader;
+use crate::stream_end::{Marker, StreamEnds};
 use crate::{Result, SocketOptions, ZmqError, MAX_FRAME};
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use emlio_obs::{obs_warn, FlightRecorder, Stage, StageRecorder};
 use emlio_util::pool::BufferPool;
 use emlio_util::wake_listener;
+use parking_lot::Mutex;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long a reader blocks in one read before it looks at the stop flag
-/// (and, once the stream has ended, at how long its connection was quiet).
+/// and at how long its connection has been quiet.
 const READ_TICK: Duration = Duration::from_millis(100);
 
-/// Once the stream has ended, a connection that has delivered no frame for
-/// this long is read no further.
+/// Once the queue has ended, a connection that has delivered no frame for
+/// this long is read no further ([`StreamEnds::reads_on`]).
 const END_QUIET: Duration = Duration::from_millis(500);
 
 /// The most a read's low-water mark asks the kernel to gather before it
@@ -79,9 +82,9 @@ pub enum Intake<T> {
     Deliver(T),
     /// Queue nothing.
     Skip,
-    /// The stream's last expected frame: no new connection is read, the
-    /// open ones until they close or go quiet, and then the queue ends.
-    EndOfStream,
+    /// Queue nothing: an end-of-stream marker from `origin`, whose stream
+    /// went over `connections` connections ([`StreamEnds::marker`]).
+    Marker { origin: Arc<str>, connections: u32 },
 }
 
 /// A snapshot of a PULL socket's counters ([`PullSocket::stats`]).
@@ -122,25 +125,29 @@ struct Shared<T> {
     /// Where every reader thread's frame buffers come from and go back to.
     pool: BufferPool,
     intake: Box<dyn Fn(Bytes) -> Intake<T> + Send + Sync>,
-    /// The queue's sending half, cloned into each reader as its connection
-    /// is accepted; empty once the stream has ended or the socket stopped.
-    tx: Mutex<Option<Sender<T>>>,
-    /// Readers return at their next read tick.
+    /// The rule, and the queue's sending half: cloned into each reader
+    /// the rule lets in, emptied once it says the queue has ended.
+    lifecycle: Mutex<(StreamEnds, Option<Sender<T>>)>,
+    /// The rule's stop, for the readers' lock-free look before each frame.
     stopped: AtomicBool,
     /// The socket was dropped: the accept thread returns.
     closed: AtomicBool,
-    active_readers: AtomicUsize,
     recorder: Option<Arc<StageRecorder>>,
 }
 
 impl<T> Shared<T> {
-    fn sender(&self) -> MutexGuard<'_, Option<Sender<T>>> {
-        self.tx.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Tell the rule one event and, in the same critical section, empty the
+    /// slot if it says the queue has ended: its answer, and the slot.
+    fn lifecycle<R>(&self, event: impl FnOnce(&mut StreamEnds) -> R) -> (R, Option<Sender<T>>) {
+        let (ends, tx) = &mut *self.lifecycle.lock();
+        let answer = event(ends);
+        tx.take_if(|_| ends.is_ended());
+        (answer, tx.clone())
     }
 
     fn stop(&self) {
         self.stopped.store(true, Ordering::SeqCst);
-        self.sender().take();
+        self.lifecycle(StreamEnds::stop);
     }
 }
 
@@ -172,29 +179,32 @@ impl<T> StopHandle<T> {
 
 impl PullSocket {
     /// Bind and start accepting connections, queueing every frame as it
-    /// is. For `tcp://host:0` the kernel picks a free port — see
-    /// [`PullSocket::local_endpoint`].
+    /// is (so only a stop ends the queue). For `tcp://host:0` the kernel
+    /// picks a free port — see [`PullSocket::local_endpoint`].
     pub fn bind(endpoint: &Endpoint, options: SocketOptions) -> Result<PullSocket> {
-        PullSocket::bind_with(endpoint, options, Intake::Deliver)
+        PullSocket::bind_with(endpoint, options, u32::MAX, Intake::Deliver)
     }
 }
 
 impl<T: Send + 'static> PullSocket<T> {
-    /// Bind and start accepting connections. The reader of each connection
-    /// runs `intake` over every frame it reads and pushes what it delivers
-    /// into the queue, which holds `options.hwm` items. `options.recorder`
-    /// gets each reader's [`Stage::RecvWait`] (from its previous hand-off
-    /// to a frame's last byte) and [`Stage::QueuePush`]: sums per
-    /// connection, so over several connections they can exceed wall time.
+    /// Bind and start accepting connections until `streams` streams have
+    /// ended ([`StreamEnds`]). Each connection's reader runs `intake` over
+    /// every frame and pushes what it delivers into the queue, which holds
+    /// `options.hwm` items. `options.recorder` gets each reader's
+    /// [`Stage::RecvWait`] (from its previous hand-off to a frame's last
+    /// byte) and [`Stage::QueuePush`]: sums per connection.
     pub fn bind_with(
         endpoint: &Endpoint,
         options: SocketOptions,
+        streams: u32,
         intake: impl Fn(Bytes) -> Intake<T> + Send + Sync + 'static,
     ) -> Result<PullSocket<T>> {
         let Endpoint::Tcp(addr) = endpoint;
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let (tx, rx) = bounded(options.hwm.max(1));
+        let ends = StreamEnds::new(streams);
+        let tx = (!ends.is_ended()).then_some(tx);
         let shared = Arc::new(Shared {
             counters: Counters::default(),
             // `hwm` frames can wait in the queue while the consumer and
@@ -202,10 +212,9 @@ impl<T: Send + 'static> PullSocket<T> {
             // little slack) are worth keeping idle.
             pool: BufferPool::with_retention(options.hwm + 4),
             intake: Box::new(intake),
-            tx: Mutex::new(Some(tx)),
+            lifecycle: Mutex::new((ends, tx)),
             stopped: AtomicBool::new(false),
             closed: AtomicBool::new(false),
-            active_readers: AtomicUsize::new(0),
             recorder: options.recorder,
         });
         let shared2 = shared.clone();
@@ -235,18 +244,14 @@ impl<T> PullSocket<T> {
         self.rx.recv().map_err(|_| ZmqError::Closed)
     }
 
-    /// Receive with a timeout. `Ok(None)` on timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<Option<T>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(item) => Ok(Some(item)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(ZmqError::Closed),
-        }
-    }
-
     /// The queue itself, for consumers on other threads.
     pub fn queue(&self) -> Receiver<T> {
         self.rx.clone()
+    }
+
+    /// Streams that have ended so far ([`StreamEnds::streams_ended`]).
+    pub fn streams_ended(&self) -> u32 {
+        self.shared.lifecycle(|ends| ends.streams_ended()).0
     }
 
     /// A handle that stops this socket from any thread.
@@ -301,20 +306,18 @@ fn accept_loop<T: Send + 'static>(listener: TcpListener, shared: Arc<Shared<T>>)
         }
         match accepted {
             Ok((stream, peer)) => {
-                // After the end of the stream, or a stop, a new connection
-                // is closed unread.
-                let Some(tx) = shared.sender().clone() else {
+                // One the rule refuses is closed unread.
+                let (true, Some(tx)) = shared.lifecycle(StreamEnds::accept) else {
                     continue;
                 };
                 stream.set_nodelay(true).ok();
                 shared.counters.connections.fetch_add(1, Ordering::Relaxed);
-                shared.active_readers.fetch_add(1, Ordering::SeqCst);
                 let shared2 = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("zmq-pull-read:{peer}"))
                     .spawn(move || {
                         read_connection(stream, peer, tx, &shared2);
-                        shared2.active_readers.fetch_sub(1, Ordering::SeqCst);
+                        shared2.lifecycle(StreamEnds::closed);
                     })
                     .expect("spawn pull reader thread");
             }
@@ -331,9 +334,9 @@ fn accept_loop<T: Send + 'static>(listener: TcpListener, shared: Arc<Shared<T>>)
 }
 
 /// Read one connection's frames into the queue until the peer closes, the
-/// stream breaks, the socket stops or every consumer is gone — or, once
-/// the stream has ended, until the connection has been quiet for
-/// [`END_QUIET`]. Returning drops this reader's sending half.
+/// stream breaks, the socket stops or every consumer is gone — or until
+/// the connection has been quiet for [`END_QUIET`] and the rule reads it
+/// no further. Returning drops this reader's sending half.
 fn read_connection<T>(stream: TcpStream, peer: SocketAddr, tx: Sender<T>, shared: &Shared<T>) {
     // Reads wait for one tick at most, so the stop flag is seen. The tick
     // can fire mid-frame, so the frame in progress lives in `frames`
@@ -347,7 +350,7 @@ fn read_connection<T>(stream: TcpStream, peer: SocketAddr, tx: Sender<T>, shared
     };
     // Where the wait for the next frame started: the previous hand-off.
     let mut handed_off = Instant::now();
-    // Once the stream has ended: the first tick since the last frame.
+    // Once the queue has ended: the first tick since the last frame.
     let mut quiet_from = None;
     while !shared.stopped.load(Ordering::SeqCst) {
         match frames.read_frame(&mut stream, MAX_FRAME) {
@@ -367,8 +370,16 @@ fn read_connection<T>(stream: TcpStream, peer: SocketAddr, tx: Sender<T>, shared
                         record(Stage::QueuePush, pushed);
                     }
                     Intake::Skip => {}
-                    Intake::EndOfStream => {
-                        shared.sender().take();
+                    Intake::Marker {
+                        origin,
+                        connections,
+                    } => {
+                        let marker = shared.lifecycle(|e| e.marker(&origin, connections));
+                        if let (Marker::Refused(why), _) = marker {
+                            let recorder = FlightRecorder::global();
+                            recorder.record("recv_refused_marker", u64::from(connections), 0);
+                            obs_warn!("zmq", "pull: dropping marker from {origin}: {why:?}");
+                        }
                     }
                 }
                 handed_off = Instant::now();
@@ -379,11 +390,8 @@ fn read_connection<T>(stream: TcpStream, peer: SocketAddr, tx: Sender<T>, shared
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                // A tick without a frame: after the end of the stream, a
-                // connection quiet for that long is done.
-                if shared.sender().is_none()
-                    && quiet_from.get_or_insert_with(Instant::now).elapsed() >= END_QUIET
-                {
+                let quiet = || quiet_from.get_or_insert_with(Instant::now).elapsed() >= END_QUIET;
+                if !shared.lifecycle(|ends| ends.reads_on(quiet)).0 {
                     return;
                 }
             }
@@ -540,6 +548,7 @@ mod sys {
 mod tests {
     use super::*;
     use crate::push::PushSocket;
+    use crossbeam::channel::RecvTimeoutError;
 
     fn tcp_pair(hwm: usize) -> (PullSocket, PushSocket) {
         let pull = PullSocket::bind(
@@ -632,12 +641,13 @@ mod tests {
     #[test]
     fn recv_timeout_times_out() {
         let (pull, push) = tcp_pair(4);
-        assert!(pull
-            .recv_timeout(Duration::from_millis(50))
-            .unwrap()
-            .is_none());
+        let queue = pull.queue();
+        assert!(matches!(
+            queue.recv_timeout(Duration::from_millis(50)),
+            Err(RecvTimeoutError::Timeout)
+        ));
         push.send(Bytes::from_static(b"x")).unwrap();
-        assert!(pull.recv_timeout(Duration::from_secs(2)).unwrap().is_some());
+        assert!(queue.recv_timeout(Duration::from_secs(2)).is_ok());
         push.close().unwrap();
     }
 
@@ -706,7 +716,7 @@ mod tests {
         );
         assert!(
             poll_until(Duration::from_secs(5), || {
-                pull.shared.active_readers.load(Ordering::SeqCst) == 1
+                pull.shared.lifecycle(|ends| ends.open()).0 == 1
             }),
             "its reader is gone, the good connection's is not"
         );
@@ -725,7 +735,7 @@ mod tests {
 
     /// The next frame, failing the test after 5 s rather than hanging it.
     fn recv(pull: &PullSocket) -> Bytes {
-        let got = pull.recv_timeout(Duration::from_secs(5)).unwrap();
+        let got = pull.queue().recv_timeout(Duration::from_secs(5));
         got.expect("a frame within 5 s")
     }
 
@@ -814,9 +824,9 @@ mod tests {
             raw.write_all(part).unwrap();
             std::thread::sleep(stall);
         }
-        let got = pull.recv_timeout(Duration::from_secs(10)).unwrap();
+        let got = pull.queue().recv_timeout(Duration::from_secs(10)).ok();
         assert_eq!(got.as_deref(), Some(&first[..]), "stalled frame intact");
-        let got = pull.recv_timeout(Duration::from_secs(10)).unwrap();
+        let got = pull.queue().recv_timeout(Duration::from_secs(10)).ok();
         assert_eq!(got.as_deref(), Some(&second[..]), "stream still in frame");
 
         // A stop is still prompt with a frame half-delivered and the
@@ -824,11 +834,11 @@ mod tests {
         raw.write_all(&[0, 0]).unwrap();
         std::thread::sleep(stall);
         let shared = pull.shared.clone();
-        assert_eq!(shared.active_readers.load(Ordering::SeqCst), 1);
+        assert_eq!(shared.lifecycle(|ends| ends.open()).0, 1);
         drop(pull);
         assert!(
             poll_until(Duration::from_secs(5), || {
-                shared.active_readers.load(Ordering::SeqCst) == 0
+                shared.lifecycle(|ends| ends.open()).0 == 0
             }),
             "reader thread exits on shutdown mid-frame"
         );
@@ -923,8 +933,12 @@ mod tests {
         let pull = PullSocket::bind_with(
             &Endpoint::tcp("127.0.0.1", 0),
             SocketOptions::default(),
+            1,
             |frame: Bytes| match frame.as_ref() {
-                b"end" => Intake::EndOfStream,
+                b"end" => Intake::Marker {
+                    origin: "ending".into(),
+                    connections: 1,
+                },
                 b"skip" => Intake::Skip,
                 _ => Intake::Deliver(frame),
             },
@@ -941,7 +955,7 @@ mod tests {
         ending.close().unwrap();
         assert!(
             poll_until(Duration::from_secs(5), || {
-                let readers = pull.shared.active_readers.load(Ordering::SeqCst);
+                let readers = pull.shared.lifecycle(|ends| ends.open()).0;
                 pull.stats().msgs_received == 3 && readers == 1
             }),
             "the ending connection's reader read the end and returned"

@@ -1,28 +1,30 @@
-//! The rule that ends a receive queue, as one pure type: no I/O, no timing.
+//! The end of a PULL socket's queue, as one pure type: no I/O, no clock.
 //!
 //! A receiver expects some number of streams, one per daemon send worker,
-//! each named by its origin. A worker's socket may stripe over several
-//! connections, and it ends *each* of them with the same end-of-stream
-//! marker, which says how many connections the stream went over. So:
+//! each named by its origin. A worker's PUSH socket may stripe over several
+//! connections, and [`close_with`](crate::PushSocket::close_with) ends
+//! *each* of them with the same end-of-stream marker, which says how many
+//! connections the stream went over. [`StreamEnds`] takes the socket's
+//! accepts, markers, closed connections and stops, and decides:
 //!
 //! * a stream has ended once its origin's markers number its `connections`;
-//! * the queue ends at the marker that ends the last expected stream;
+//! * the queue ends at the marker that ends the last expected stream, or at
+//!   a stop, and then no new connection is read;
 //! * a marker that would count twice is refused: one beyond its origin's
 //!   `connections`, or one that disagrees with the origin's first marker on
 //!   how many there are. A refused marker ends nothing.
 //!
-//! Each connection is FIFO and the marker is its last frame, so the marker
-//! that ends a stream is read only after every frame of every one of its
-//! connections. The queue therefore ends after every expected frame has
-//! been read, whichever connection the PULL socket's accept thread took
-//! last. Counting markers as one plain total would not: the first
-//! connection's marker of a two-connection stream would count as a whole
-//! stream, and a sibling connection accepted after the end is never read.
+//! Each connection is FIFO and the marker is its last frame, so the queue
+//! ends after every expected frame has been read, whichever connection the
+//! accept thread took last; one read before the end (a crashed
+//! incarnation's, which sends no marker) is read out after it. Counting
+//! markers as one total would not do: a two-connection stream's first
+//! marker would end it, and its sibling accepted after the end is unread.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Markers one origin has sent so far.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Markers {
     /// Connections its first marker said the stream went over.
     connections: u32,
@@ -61,27 +63,34 @@ pub enum Refusal {
     },
 }
 
-/// Per-origin end-of-stream markers against the streams a receiver expects.
-#[derive(Debug, Clone)]
+/// A PULL socket's connections and per-origin end-of-stream markers
+/// against the streams it expects.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct StreamEnds {
     expected: u32,
     ended: u32,
-    origins: HashMap<String, Markers>,
+    origins: BTreeMap<String, Markers>,
+    open: u32,
+    stopped: bool,
 }
 
 impl StreamEnds {
-    /// Expect `expected` streams. With none expected the queue has ended
-    /// already.
+    /// Expect `expected` streams (with none, the queue has ended already).
     pub fn new(expected: u32) -> StreamEnds {
         StreamEnds {
             expected,
-            ended: 0,
-            origins: HashMap::new(),
+            ..StreamEnds::default()
         }
     }
 
-    /// Count one marker from `origin`, which says its stream went over
-    /// `connections` connections.
+    /// A connection was accepted: whether to read it.
+    pub fn accept(&mut self) -> bool {
+        let read = !self.is_ended();
+        self.open += u32::from(read);
+        read
+    }
+
+    /// Count a marker from `origin`, whose stream went over `connections`.
     pub fn marker(&mut self, origin: &str, connections: u32) -> Marker {
         let markers = self.origins.entry(origin.to_owned()).or_insert(Markers {
             connections,
@@ -108,14 +117,35 @@ impl StreamEnds {
         }
     }
 
+    /// A connection read is over: EOF, a read error, or quiet after the end.
+    pub fn closed(&mut self) {
+        self.open -= 1;
+    }
+
+    /// The queue ends now, and no connection is read further.
+    pub fn stop(&mut self) {
+        self.stopped = true;
+    }
+
+    /// Whether to read on a connection; `quiet()`, asked only once the
+    /// queue has ended, says if it has been quiet for the socket's spell.
+    pub fn reads_on(&self, quiet: impl FnOnce() -> bool) -> bool {
+        !(self.stopped || self.is_ended() && quiet())
+    }
+
     /// Streams whose every connection has sent its marker.
     pub fn streams_ended(&self) -> u32 {
         self.ended
     }
 
-    /// Whether every expected stream has ended.
+    /// Connections accepted and not yet closed.
+    pub fn open(&self) -> u32 {
+        self.open
+    }
+
+    /// Whether the queue has ended: every expected stream did, or a stop.
     pub fn is_ended(&self) -> bool {
-        self.ended >= self.expected
+        self.stopped || self.ended >= self.expected
     }
 }
 
