@@ -1,5 +1,5 @@
 //! The demand path: lookups, single-flight fetches, promotes from the disk
-//! tier, and `settle`, the one way out of a `Busy` slot.
+//! tier, and the I/O side of `settle`, the one way out of a `Busy` slot.
 
 use super::*;
 
@@ -20,20 +20,14 @@ impl CacheCore {
     /// copy); the view stays valid even if the block is evicted while the
     /// caller holds it.
     pub fn get(&self, key: &BlockKey) -> Option<Bytes> {
-        let served = {
-            let mut st = self.state.lock();
-            st.demand_access(key);
-            let served = st.serve(key);
-            st.check(&self.config);
-            served
-        };
+        let served = self.locked(|st| st.demand(key, true));
         self.room.notify_all();
         let data = match served {
             Some(Served::Ram(data)) => {
                 self.count_hit(&data);
                 Some(data)
             }
-            Some(Served::Disk(meta)) => self.promote(key, &meta),
+            Some(Served::Claimed(claim)) => self.promote(claim),
             None => None,
         };
         if data.is_none() {
@@ -65,17 +59,8 @@ impl CacheCore {
     /// clobber another thread's single-flight slot nor land beside a
     /// resident.
     pub fn insert(&self, key: BlockKey, data: impl Into<Bytes>) {
-        let queued = {
-            let mut st = self.state.lock();
-            if st.slots.contains_key(&key) {
-                return;
-            }
-            let orders = st.spill_orders.len();
-            self.admit(&mut st, key, data.into(), None, false);
-            st.check(&self.config);
-            st.spill_orders.len() > orders
-        };
-        self.hand_off_spills(queued);
+        let data = data.into();
+        self.perform(self.locked(|st| st.insert(key, data)));
     }
 
     /// Demand lookup with single-flight fetch: on a miss, run `fetch` (at
@@ -101,46 +86,39 @@ impl CacheCore {
                 while matches!(st.slots.get(&key), Some(Slot::Busy(_))) {
                     self.landed.wait(&mut st);
                 }
-                if !accounted {
-                    st.demand_access(&key);
-                }
-                let served = st.serve(&key);
-                if served.is_none() {
-                    st.slots.insert(key, Slot::Busy(None));
-                }
-                st.check(&self.config);
+                let served = st.claim(key, !accounted);
+                st.check();
                 served
             };
             if !accounted {
                 self.room.notify_all();
                 accounted = true;
             }
-            match served {
-                Some(Served::Ram(data)) => {
+            let claim = match served {
+                Served::Ram(data) => {
                     self.count_hit(&data);
                     return Ok((data, Fetched::Ram));
                 }
-                Some(Served::Disk(meta)) => {
-                    if let Some(data) = self.promote(&key, &meta) {
-                        return Ok((data, Fetched::Disk));
-                    }
+                Served::Claimed(claim) if claim.file.is_none() => claim,
+                Served::Claimed(claim) => match self.promote(claim) {
+                    Some(data) => return Ok((data, Fetched::Disk)),
                     // A failed promote degraded to a miss; go round to
                     // claim it.
-                }
-                None => break,
-            }
+                    None => continue,
+                },
+            };
+            self.stats.misses.fetch_add(1, Ordering::Relaxed);
+            let fetched: Result<Bytes, E> = fetch().map(Into::into);
+            self.settle(claim, fetched.as_ref().ok().cloned());
+            return fetched.map(|data| (data, Fetched::Storage));
         }
-        self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        let fetched: Result<Bytes, E> = fetch().map(Into::into);
-        self.settle(key, fetched.as_ref().ok().cloned(), None);
-        fetched.map(|data| (data, Fetched::Storage))
     }
 
-    /// Promote a disk-resident block back to RAM. Called holding the
-    /// block's `Busy` slot; the spill-file read happens with the lock
-    /// released. A vanished or corrupt spill file degrades to a miss.
-    fn promote(&self, key: &BlockKey, meta: &DiskMeta) -> Option<Bytes> {
-        let data = self.read_spill_file(key, meta);
+    /// Promote a disk-resident block back to RAM, owning its claim; the
+    /// spill-file read happens with the lock released. A vanished or
+    /// corrupt spill file degrades to a miss.
+    fn promote(&self, claim: Claim) -> Option<Bytes> {
+        let data = (claim.file.as_ref()).and_then(|meta| self.read_spill_file(&claim.key, meta));
         if let Some(data) = &data {
             self.count_hit(data);
             self.stats.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -148,69 +126,34 @@ impl CacheCore {
         // A file read back stays where it is whatever RAM decides:
         // admitted, it backs the resident; declined (Belady bypass), the
         // slot goes straight back to `Disk`.
-        self.settle(*key, data.clone(), None);
+        self.settle(claim, data.clone());
         data
     }
 
     /// Read `key`'s spill file back for the owner of its `Busy` slot,
-    /// validated by [`persist::read_validated`]. On failure the file is
-    /// retired — deleted, then out of the slot and the disk order (the one
-    /// way a promote leaves it) — and the owner releases the slot to
-    /// absent: a miss. Deleted while the slot is still `Busy`: no newer
-    /// file of the same key can be written until it is released.
+    /// validated by [`persist::read_validated`]; on failure retire
+    /// ([`State::retire`]) and delete it, and the owner settles to absent.
     pub(super) fn read_spill_file(&self, key: &BlockKey, meta: &DiskMeta) -> Option<Bytes> {
         let data = persist::read_validated(&meta.path, meta.len, meta.crc);
         if data.is_none() {
-            let _ = std::fs::remove_file(&meta.path);
-            let mut st = self.state.lock();
-            if let Some(Slot::Busy(file @ Some(_))) = st.slots.get_mut(key) {
-                *file = None;
-                st.untrack_file(key);
+            if let Some(meta) = self.locked(|st| st.retire(key)) {
+                let _ = std::fs::remove_file(&meta.path);
             }
-            st.check(&self.config);
         }
         data
     }
 
-    /// Take the `Busy` slot the caller owns out of `Busy` — and, with
-    /// `reserved`, give back the prefetch reservation held for it — in one
-    /// critical section; this is the one way out of `Busy`. The slot comes
-    /// out with whatever spill file the disk tier has left it. `Some`
-    /// bytes land: RAM admits or declines ([`CacheCore::admit`]), and the
-    /// victims' slots are flipped, and their spill orders queued, where
-    /// they are popped. `None` releases the claim of a read that failed or
-    /// never ran: back to disk-only over that file, or to absent. Only the
-    /// wake-ups and the hand-off to the spill writer happen after it.
-    /// Returns whether RAM admitted.
-    pub(super) fn settle(&self, key: BlockKey, data: Option<Bytes>, reserved: Option<u64>) -> bool {
-        let (admitted, queued) = {
-            let mut st = self.state.lock();
-            if let Some(len) = reserved {
-                st.unreserve(len);
-            }
-            let Some(Slot::Busy(file)) = st.slots.remove(&key) else {
-                unreachable!("settling owns the Busy slot");
-            };
-            let orders = st.spill_orders.len();
-            let admitted = match (data, file) {
-                (Some(data), file) => self.admit(&mut st, key, data, file, reserved.is_some()),
-                // A released claim read nothing, so its file keeps its place
-                // in the disk order; a declined landing takes the newest.
-                (None, Some(meta)) => {
-                    st.slots.insert(key, Slot::Disk(meta));
-                    false
-                }
-                (None, None) => false,
-            };
-            st.check(&self.config);
-            (admitted, st.spill_orders.len() > orders)
-        };
+    /// Settle `claim` with `data` ([`State::settle`]) and perform the
+    /// effect. Returns whether RAM admitted.
+    pub(super) fn settle(&self, claim: Claim, data: Option<Bytes>) -> bool {
+        let reserved = claim.room.is_some();
+        let (admitted, effect) = self.locked(|st| st.settle(claim, data));
         self.landed.notify_all();
-        if reserved.is_some() {
+        if reserved {
             // An in-flight slot and possibly RAM came free.
             self.room.notify_all();
         }
-        self.hand_off_spills(queued);
+        self.perform(effect);
         admitted
     }
 }

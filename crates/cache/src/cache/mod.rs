@@ -7,35 +7,26 @@
 //! under **one mutex** (`State`): the residency map (`BlockKey → Slot`),
 //! the byte accounting, the plan cursor, one incrementally-maintained
 //! eviction order per tier (a lazy next-use max-heap — see
-//! [`crate::order`]) and the spill writer's queue of keys. Every row of
-//! the transition table below reads and writes the slot *and* its order
-//! entries in a single critical section, each O(1)/O(log n), so whenever
-//! the lock is free the books balance: `ram_used` is the sum over `Ram`
-//! slots, `spilling` the sum over `Spilling` slots, `disk_used` the sum
-//! over the slots that own a spill file, the RAM order's keys are the
-//! `Ram` slots and the disk order's keys the file owners. Debug builds
-//! assert exactly that at the end of every mutating critical section
-//! (`State::check`). An eviction queues its victim's key for the writer
-//! in the critical section that flips the slot to `Spilling`.
+//! [`crate::order`]) and the spill writer's queue of keys. Every method
+//! here runs the same four steps: **lock → call → unlock → perform**. It
+//! locks, calls the one `State` transition for its event (`state.rs`
+//! holds them all, with the transition table and its invariants), checks
+//! the books (`State::check`, in debug builds) and unlocks; then it
+//! performs the effect the transition returned — storage fetches,
+//! spill-file reads ([`persist::read_validated`]), writes and deletes, the
+//! counts, the condvar wake-ups — and waits if it must: on `landed` for a
+//! fetch in flight, on `room` for prefetch room, on `spill` while the
+//! `Spilling` backlog exceeds the RAM tier. So everything slow runs outside
+//! the lock, and no function takes the lock while holding it.
 //!
-//! What runs **outside** the lock is everything slow, and only that:
-//! storage fetches, spill-file reads ([`persist::read_validated`]), writes
-//! and deletes, an evictor's wait while the `Spilling` backlog exceeds the
-//! RAM tier, and every condvar `notify` but the idle writer's. The one
-//! thing that outlives a critical section is a transitional slot owned by
-//! the thread doing the I/O: `Busy`
-//! (storage fetch, promote or staging read in flight) or `Spilling`
-//! (write queued). Concurrent readers either hit the still-resident bytes
-//! or wait on the `landed` condvar, exactly as they would for a
-//! single-flight fetch, and the owner looks at the slot once more, inside
-//! the critical section that lands it — a `Busy` slot whose file the disk
-//! tier reclaimed under the read lands the block unbacked, or absent,
-//! there and then. No function takes the lock while holding it.
-//!
-//! The slot state machine, with its transition table and invariants, is
-//! documented in `state.rs`, beside the `State` it runs on.
+//! The one thing that outlives a critical section is a transitional slot
+//! owned by the thread doing the I/O: `Busy` (storage fetch, promote or
+//! staging read in flight) or `Spilling` (write queued). Concurrent readers
+//! hit the still-resident bytes or wait on `landed`, and the owner looks
+//! at the slot once more in the transition that lands it — a `Busy` slot
+//! whose file the disk tier reclaimed under the read lands the block
+//! unbacked, or absent, there and then.
 
-mod admit;
 mod demand;
 mod stage;
 mod state;
@@ -51,7 +42,7 @@ use emlio_obs::{obs_warn, Stage, StageRecorder};
 use emlio_tfrecord::BlockKey;
 use parking_lot::{Condvar, Mutex};
 pub(crate) use stage::Issue;
-use state::{DiskMeta, Served, Slot, State};
+use state::{Claim, DiskMeta, Effect, Served, Slot, Spill, State, Step};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -238,31 +229,14 @@ impl CacheCore {
         if let Some(dir) = &spill_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let mut state = State {
-            slots: HashMap::new(),
-            ram_used: 0,
-            spilling: 0,
-            spill_orders: VecDeque::new(),
-            writing: false,
-            shutdown: false,
-            ram_reserved: 0,
-            reservations: 0,
-            disk_used: 0,
-            tick: 0,
-            ram_order: NextUseHeap::new(),
-            disk_order: NextUseHeap::new(),
-            backed: BTreeSet::new(),
-            seq: Arc::new(Vec::new()),
-            future: HashMap::new(),
-            cursor: 0,
-        };
+        let mut state = State::new(&config);
         let stats = CacheStats::default();
         if let (true, Some(dir)) = (config.persist, &spill_dir) {
             persist::remove_stale_tmp(dir);
-            let readmitted = load_persisted(dir, config.disk_bytes, &mut state);
+            let readmitted = load_persisted(dir, &mut state);
             stats.readmitted.store(readmitted, Ordering::Relaxed);
         }
-        state.check(&config);
+        state.check();
         Ok(CacheCore {
             state: Mutex::new(state),
             landed: Condvar::new(),
@@ -275,6 +249,40 @@ impl CacheCore {
             injector: OnceLock::new(),
             config,
         })
+    }
+
+    /// Lock, make one transition, check the books, unlock: the caller
+    /// performs what it returns.
+    fn locked<R>(&self, transition: impl FnOnce(&mut State) -> R) -> R {
+        let mut st = self.state.lock();
+        let effect = transition(&mut st);
+        st.check();
+        effect
+    }
+
+    /// Perform an [`Effect`]: add its eviction counts and, when it queued
+    /// spill orders, record the queue's depth, wake the writer, then wait
+    /// while the `Spilling` backlog is more than the RAM tier. So at most
+    /// `ram_bytes` of evicted blocks, plus the victims of the evictors
+    /// parked here, wait for the disk — whatever their number or size.
+    fn perform(&self, effect: Effect) {
+        let (stats, relaxed) = (&self.stats, Ordering::Relaxed);
+        if effect.evictions > 0 {
+            stats.evictions.fetch_add(effect.evictions, relaxed);
+            (stats.clean_evictions).fetch_add(effect.clean_evictions, relaxed);
+        }
+        if effect.queued == 0 {
+            return;
+        }
+        stats.spill_queue_peak.fetch_max(effect.queued, relaxed);
+        self.spill.notify_all();
+        let mut st = self.state.lock();
+        if st.spilling > self.config.ram_bytes {
+            (stats.spill_backpressure_waits).fetch_add(1, Ordering::Relaxed);
+            while st.spilling > self.config.ram_bytes {
+                self.spill.wait(&mut st);
+            }
+        }
     }
 
     /// The configuration the cache was built with.
@@ -318,22 +326,7 @@ impl CacheCore {
     /// [`crate::Prefetcher`]. Residents' next-use ranks are refreshed
     /// against the new plan.
     pub fn set_plan(&self, seq: Vec<BlockKey>) {
-        let mut future: HashMap<BlockKey, VecDeque<u64>> = HashMap::new();
-        for (pos, key) in seq.iter().enumerate() {
-            future.entry(*key).or_default().push_back(pos as u64);
-        }
-        let mut st = self.state.lock();
-        st.seq = Arc::new(seq);
-        st.future = future;
-        st.cursor = 0;
-        let State {
-            ram_order,
-            disk_order,
-            future,
-            ..
-        } = &mut *st;
-        ram_order.refresh(|k| State::next_use(future, 0, k));
-        disk_order.refresh(|k| State::next_use(future, 0, k));
+        self.locked(|st| st.set_plan(seq));
     }
 
     /// The installed plan sequence (empty when none was set).
@@ -496,8 +489,8 @@ impl ShardCache {
         let writer = if core.spill_dir.is_some() {
             let core = core.clone();
             let run = move || {
-                while let Some(key) = core.next_spill() {
-                    core.finish_spill(key);
+                while let Some(spill) = core.next_spill() {
+                    core.finish_spill(spill);
                 }
             };
             Some(
@@ -1479,3 +1472,7 @@ mod tests {
         cache.check_books().unwrap();
     }
 }
+
+#[cfg(test)]
+#[path = "../../tests/in_crate/cache_lifecycle.rs"]
+mod lifecycle;

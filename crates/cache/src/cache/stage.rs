@@ -4,27 +4,20 @@
 use super::*;
 
 impl CacheCore {
-    /// The prefetch executor's issue step for plan position `pos`
-    /// (`key`, expected to be `len` bytes long; 0 = not known yet — the
-    /// disk tier knows the length of a block it holds). Waits until the
-    /// block may be staged, then — in the critical section that found it
-    /// so — reserves its RAM, evicting what the plan needs later than
-    /// `pos`, and claims its slot, absent (to be read from storage) or
-    /// disk-only (from its spill file) alike:
-    ///
-    /// ```text
-    /// ram_reserved + bytes of residents needed before pos + len <= ram_bytes
-    /// ```
-    ///
-    /// with at most [`MAX_IN_FLIGHT`] reservations out. A disk-only block
-    /// is staged into free room only, and skipped — left to a demand
-    /// promote — when there is none: a spill-file read is cheap enough to
-    /// take on demand, and every resident evicted to stage one ahead is a
-    /// block the plan-driven order would have kept for its next use
-    /// (docs/ARCHITECTURE.md has the measurement). Woken by every demand
-    /// access, every landed or failed prefetch read, and
-    /// [`CacheCore::wake_prefetcher`]; the slot is looked at again on
-    /// every wake.
+    /// The prefetch executor's issue step for plan position `pos` (`key`,
+    /// expected to be `len` bytes long; 0 = not known yet — the disk tier
+    /// knows the length of a block it holds). Waits until the block may be
+    /// staged, then — in the transition that found it so ([`State::issue`])
+    /// — reserves its RAM, evicting what the plan needs later than `pos`,
+    /// and claims its slot, absent (read from storage) or disk-only (from
+    /// its spill file) alike, once
+    /// `ram_reserved + bytes of residents needed before pos + len <= ram_bytes`
+    /// with at most [`MAX_IN_FLIGHT`] reservations out. A disk-only block is
+    /// staged into free room only, else left to a demand promote: a spill
+    /// file is cheap to read on demand, and a resident evicted to stage one
+    /// is a block the plan-driven order would have kept (docs/ARCHITECTURE.md
+    /// has the measurement). Woken by every demand access, every prefetch
+    /// read that lands or fails, and [`CacheCore::wake_prefetcher`].
     pub(crate) fn reserve_prefetch(
         &self,
         pos: u64,
@@ -33,44 +26,22 @@ impl CacheCore {
         stop: &AtomicBool,
     ) -> Issue<'_> {
         let mut st = self.state.lock();
-        let (len, file) = loop {
+        let (claim, effect) = loop {
             if stop.load(Ordering::SeqCst) {
                 return Issue::Stop;
             }
-            let (len, file) = match st.slots.get(key) {
-                None => (len, None),
-                Some(Slot::Disk(meta)) => (meta.len, Some(meta)),
-                // In RAM, or someone's fetch or promote in flight.
-                Some(_) => return Issue::Skip,
-            };
-            // Demand got here first, or the block can never fit — or, on
-            // disk, not without evicting.
-            let free = self.config.ram_bytes - st.ram_used - st.ram_reserved;
-            if pos < st.cursor || len > self.config.ram_bytes || (file.is_some() && len > free) {
-                return Issue::Skip;
+            match st.issue(pos, key, len) {
+                Step::Skip => return Issue::Skip,
+                Step::Wait => self.room.wait(&mut st),
+                Step::Read(claim, effect) => break (claim, effect),
             }
-            // A block of unknown length goes out alone: once it lands, the
-            // largest length seen stands in for the rest.
-            let max_out = if len == 0 { 1 } else { MAX_IN_FLIGHT };
-            if st.reservations < max_out && st.may_stage(pos, len, self.config.ram_bytes) {
-                break (len, file.cloned());
-            }
-            self.room.wait(&mut st);
         };
-        let orders = st.spill_orders.len();
-        self.make_room(&mut st, len, Some(pos));
-        st.ram_reserved += len;
-        st.reservations += 1;
-        st.slots.insert(*key, Slot::Busy(file.clone()));
-        st.check(&self.config);
-        let queued = st.spill_orders.len() > orders;
+        st.check();
         drop(st);
-        self.hand_off_spills(queued);
+        self.perform(effect);
         Issue::Read(Reservation {
             cache: self,
-            key: *key,
-            len,
-            file,
+            claim: Some(claim),
         })
     }
 
@@ -103,10 +74,8 @@ pub(crate) enum Issue<'a> {
 /// promote for themselves.
 pub(crate) struct Reservation<'a> {
     cache: &'a CacheCore,
-    key: BlockKey,
-    len: u64,
-    /// The spill file to stage from; `None` stages from storage.
-    file: Option<DiskMeta>,
+    /// Settled exactly once: by `fill`, or by the drop.
+    claim: Option<Claim>,
 }
 
 impl Reservation<'_> {
@@ -118,19 +87,20 @@ impl Reservation<'_> {
     /// spill file that fails validation is retired, as on a demand promote.
     pub(crate) fn fill(mut self, storage: impl FnOnce() -> Option<Bytes>) {
         let t0 = Instant::now();
-        // Taken out, so the `forget` below does not leak its path.
-        let file = self.file.take();
-        let data = match &file {
-            Some(meta) => self.cache.read_spill_file(&self.key, meta),
+        let cache = self.cache;
+        let claim = self.claim.as_ref().expect("claimed until settled");
+        let data = match &claim.file {
+            Some(meta) => cache.read_spill_file(&claim.key, meta),
             None => storage(),
         };
+        // A read that failed leaves the claim to the drop.
         let Some(data) = data else { return };
-        let (cache, key, len) = (self.cache, self.key, self.len);
-        std::mem::forget(self);
+        let claim = self.claim.take().expect("claimed until settled");
+        let from_disk = claim.file.is_some();
         cache.stats.prefetched.fetch_add(1, Ordering::Relaxed);
-        if !cache.settle(key, Some(data), Some(len)) {
+        if !cache.settle(claim, Some(data)) {
             cache.stats.prefetch_wasted.fetch_add(1, Ordering::Relaxed);
-        } else if file.is_some() {
+        } else if from_disk {
             cache.stats.warm_promoted.fetch_add(1, Ordering::Relaxed);
             if let Some(rec) = cache.recorder.get() {
                 rec.record(Stage::WarmPromote, t0.elapsed().as_nanos() as u64);
@@ -141,6 +111,8 @@ impl Reservation<'_> {
 
 impl Drop for Reservation<'_> {
     fn drop(&mut self) {
-        self.cache.settle(self.key, None, Some(self.len));
+        if let Some(claim) = self.claim.take() {
+            self.cache.settle(claim, None);
+        }
     }
 }

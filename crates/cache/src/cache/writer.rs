@@ -4,89 +4,33 @@
 use super::*;
 
 impl CacheCore {
-    /// Queue `key` for the spill writer, under the lock.
-    pub(super) fn queue_spill(&self, st: &mut State, key: BlockKey) {
-        st.spill_orders.push_back(key);
-        let depth = st.spill_orders.len() as u64 + u64::from(st.writing);
-        self.stats
-            .spill_queue_peak
-            .fetch_max(depth, Ordering::Relaxed);
-    }
-
-    /// Hand the orders a critical section `queued` to the spill writer,
-    /// lock released: wake it, then wait while the `Spilling` backlog is
-    /// more than the RAM tier. So at most `ram_bytes` of evicted blocks,
-    /// plus the victims of the evictors parked here, wait for the disk —
-    /// whatever their number or size.
-    pub(super) fn hand_off_spills(&self, queued: bool) {
-        if !queued {
-            return;
-        }
-        self.spill.notify_all();
+    /// The spill writer's next order ([`State::take_spill`]), waiting for
+    /// one (idle, it wakes `flush_spills`); `None` once the handle is
+    /// dropping and the queue is drained, which ends the writer.
+    pub(super) fn next_spill(&self) -> Option<Spill> {
         let mut st = self.state.lock();
-        if st.spilling > self.config.ram_bytes {
-            self.stats
-                .spill_backpressure_waits
-                .fetch_add(1, Ordering::Relaxed);
-            while st.spilling > self.config.ram_bytes {
-                self.spill.wait(&mut st);
+        loop {
+            if let Some(spill) = st.take_spill() {
+                st.check();
+                return Some(spill);
             }
-        }
-    }
-
-    /// The spill writer's next order, waiting for one; `None` once the
-    /// handle is dropping and the queue is drained, which ends the writer.
-    /// A writer that finds the queue empty is idle, and wakes
-    /// `flush_spills`.
-    pub(super) fn next_spill(&self) -> Option<BlockKey> {
-        let mut st = self.state.lock();
-        while st.spill_orders.is_empty() && !st.shutdown {
+            if st.shutdown {
+                return None;
+            }
             self.spill.notify_all();
             self.spill.wait(&mut st);
         }
-        let key = st.spill_orders.pop_front()?;
-        st.writing = true;
-        Some(key)
     }
 
-    /// Perform the spill order for `key`: make the disk room, write the
-    /// slot's bytes, and land the transition — `Spilling → Disk` for an
-    /// evicted block, `Ram → Ram+file` for a resident a checkpoint backs.
-    /// Runs on the one writer thread, the only place the disk tier grows,
-    /// so the room made before the write is still there when it lands; the
-    /// lock is never held across the file I/O. The writer never spills
-    /// recursively — disk-tier overflow only *drops* disk victims. The
-    /// order is finished (`writing` cleared) in the critical section that
-    /// lands it, or in the one that finds nothing to write.
-    pub(super) fn finish_spill(&self, key: BlockKey) {
-        let (data, reclaimed) = {
-            let mut st = self.state.lock();
-            // Which of the two it is, the slot says: an eviction makes its
-            // room out of disk victims, a checkpoint takes spare room or
-            // leaves it. Anything else has its file already or is gone —
-            // an eviction and a checkpoint of the same block crossed in
-            // the queue.
-            let data = match st.slots.get(&key) {
-                Some(Slot::Spilling(data)) => data.clone(),
-                Some(Slot::Ram(data, None))
-                    if st.disk_used + data.len() as u64 <= self.config.disk_bytes =>
-                {
-                    data.clone()
-                }
-                _ => {
-                    st.writing = false;
-                    return;
-                }
-            };
-            let reclaimed = self.make_disk_room(&mut st, data.len() as u64);
-            st.check(&self.config);
-            (data, reclaimed)
-        };
-        let size = data.len() as u64;
-        for meta in reclaimed {
+    /// Perform the spill order the writer took: delete the files that
+    /// made its room, write the bytes, and land it ([`State::land_spill`]).
+    /// The writer never spills recursively: disk overflow only *drops*.
+    pub(super) fn finish_spill(&self, spill: Spill) {
+        let Spill { key, data, delete } = spill;
+        for meta in delete {
             let _ = std::fs::remove_file(&meta.path);
         }
-
+        let len = data.len() as u64;
         let dir = self.spill_dir.as_ref().expect("spillable implies dir");
         let path: Arc<Path> = dir.join(persist::spill_file_name(&key)).into();
         let crc = persist::block_crc(&data);
@@ -95,16 +39,14 @@ impl CacheCore {
         // branch below (block drops to absent, counted, never silent); an
         // injected latency spike stalls the writer thread like a congested
         // disk. Short reads don't apply to a write site.
-        let injected = match self.injector.get().map(|inj| {
-            (
-                inj.decide(emlio_util::fault::site::SPILL_WRITE),
-                inj.plan().seed(),
-            )
-        }) {
-            Some((emlio_util::fault::FaultDecision::Error, seed)) => Some(io::Error::other(
-                format!("injected fault at spill.write (seed {seed})"),
-            )),
-            Some((emlio_util::fault::FaultDecision::Latency(d), _)) => {
+        use emlio_util::fault::{site, FaultDecision};
+        let decision =
+            (self.injector.get()).map(|inj| (inj.decide(site::SPILL_WRITE), inj.plan().seed()));
+        let injected = match decision {
+            Some((FaultDecision::Error, seed)) => Some(io::Error::other(format!(
+                "injected fault at spill.write (seed {seed})"
+            ))),
+            Some((FaultDecision::Latency(d), _)) => {
                 std::thread::sleep(d);
                 None
             }
@@ -124,11 +66,7 @@ impl CacheCore {
         let meta = match result {
             Ok(()) => {
                 self.stats.spills.fetch_add(1, Ordering::Relaxed);
-                Some(DiskMeta {
-                    path,
-                    len: size,
-                    crc,
-                })
+                Some(DiskMeta { path, len, crc })
             }
             Err(e) => {
                 // A failed spill loses the evicted block — demand will
@@ -143,38 +81,7 @@ impl CacheCore {
                 None
             }
         };
-        let orphan = {
-            let mut st = self.state.lock();
-            // A queued block stays `Spilling`; a resident a checkpoint is
-            // backing may have been evicted under the write, and then its
-            // order is queued behind this one and finds the file there.
-            let slot = st.slots.remove(&key);
-            if let Some(Slot::Spilling(_)) = slot {
-                st.spilling -= size;
-            }
-            let (landed, orphan) = match (slot, meta) {
-                (Some(Slot::Spilling(_)), Some(meta)) => {
-                    st.track_file(key, size);
-                    (Some(Slot::Disk(meta)), None)
-                }
-                (Some(Slot::Ram(data, None)), Some(meta)) => {
-                    st.track_file(key, size);
-                    st.backed.insert(key);
-                    (Some(Slot::Ram(data, Some(meta))), None)
-                }
-                // A failed spill: the block is gone.
-                (Some(Slot::Spilling(_)), None) => (None, None),
-                // A failed checkpoint leaves the slot as it is; a file
-                // nothing was waiting for is not kept.
-                (slot, meta) => (slot, meta),
-            };
-            if let Some(slot) = landed {
-                st.slots.insert(key, slot);
-            }
-            st.writing = false;
-            st.check(&self.config);
-            orphan
-        };
+        let orphan = self.locked(|st| st.land_spill(key, meta));
         // The backlog may have shrunk: wake the evictors waiting on it.
         self.spill.notify_all();
         if let Some(meta) = orphan {
@@ -204,15 +111,7 @@ impl CacheCore {
         if !self.config.persist {
             return Ok(0);
         }
-        // A resident evicted in between is queued twice; its second order
-        // finds the slot moved on.
-        let unbacked = self.keys_where(|slot| matches!(slot, Slot::Ram(_, None)));
-        let mut st = self.state.lock();
-        for key in unbacked {
-            self.queue_spill(&mut st, key);
-        }
-        drop(st);
-        self.spill.notify_all();
+        self.perform(self.locked(State::checkpoint));
         self.flush_spills();
         let files = live_files(&self.state.lock());
         self.write_index(&files)?;
@@ -230,7 +129,7 @@ impl CacheCore {
 /// Re-admit CRC-valid spill files recorded by a previous run's index in
 /// `dir` into the disk tier of a cache under construction (up to its
 /// capacity). Returns how many were.
-pub(super) fn load_persisted(dir: &Path, disk_bytes: u64, st: &mut State) -> u64 {
+pub(super) fn load_persisted(dir: &Path, st: &mut State) -> u64 {
     let entries = match persist::read_index(dir) {
         Ok(Some(entries)) => entries,
         // No index, or a malformed one: cold start.
@@ -238,24 +137,17 @@ pub(super) fn load_persisted(dir: &Path, disk_bytes: u64, st: &mut State) -> u64
     };
     let mut readmitted = 0;
     for e in &entries {
-        if st.disk_used + e.len > disk_bytes {
+        if st.disk_used + e.len > st.disk_bytes {
             // Not re-admittable this run — and the index rewritten at
             // shutdown will no longer list it, so delete the file
             // rather than orphan it in the persist dir forever.
             let _ = std::fs::remove_file(dir.join(persist::spill_file_name(&e.key)));
             continue;
         }
-        let Some(path) = persist::validate_entry(dir, e) else {
-            continue;
-        };
-        st.track_file(e.key, e.len);
-        let meta = DiskMeta {
-            path: path.into(),
-            len: e.len,
-            crc: e.crc,
-        };
-        st.slots.insert(e.key, Slot::Disk(meta));
-        readmitted += 1;
+        if let Some(path) = persist::validate_entry(dir, e) {
+            st.readmit(e, path.into());
+            readmitted += 1;
+        }
     }
     readmitted
 }
@@ -263,9 +155,7 @@ pub(super) fn load_persisted(dir: &Path, disk_bytes: u64, st: &mut State) -> u64
 /// Every spill file of the live tier, sorted by key: disk-only blocks
 /// and the backing of RAM residents alike.
 pub(super) fn live_files(st: &State) -> Vec<(BlockKey, DiskMeta)> {
-    let mut files: Vec<(BlockKey, DiskMeta)> = st
-        .slots
-        .iter()
+    let mut files: Vec<(BlockKey, DiskMeta)> = (st.slots.iter())
         .filter_map(|(k, slot)| Some((*k, slot.file()?.clone())))
         .collect();
     files.sort_unstable_by_key(|(k, _)| *k);

@@ -21,7 +21,7 @@ use std::collections::{BinaryHeap, HashMap};
 /// ties fall back to least-recently-accessed (smaller tick ⇒ evict first).
 type Rank = (u64, Reverse<u64>);
 
-#[derive(PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 struct HeapEntry {
     rank: Rank,
     key: BlockKey,
@@ -45,7 +45,7 @@ impl PartialOrd for HeapEntry {
 /// longer matches the map is stale and skipped. Touches push fresh entries
 /// instead of re-heapifying, and the heap is compacted when stale entries
 /// outnumber live ones ~4:1.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct NextUseHeap {
     heap: BinaryHeap<HeapEntry>,
     entries: HashMap<BlockKey, (Rank, u64)>, // key → (current rank, size)
@@ -152,6 +152,19 @@ impl NextUseHeap {
             slot.0 = (next_use_of(key), Reverse(tick));
         }
         self.compact();
+    }
+}
+
+#[cfg(test)]
+impl NextUseHeap {
+    /// Every tracked key with its next use, access tick and size, sorted
+    /// by key: what the heap's future answers depend on.
+    pub(crate) fn ranks(&self) -> Vec<(BlockKey, u64, u64, u64)> {
+        let mut ranks: Vec<_> = (self.entries.iter())
+            .map(|(key, &((next, Reverse(tick)), size))| (*key, next, tick, size))
+            .collect();
+        ranks.sort_unstable();
+        ranks
     }
 }
 

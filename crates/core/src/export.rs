@@ -324,15 +324,6 @@ impl StallReport {
     pub fn accounted_nanos(&self) -> u64 {
         self.assemble_nanos + self.send_nanos
     }
-
-    /// Fraction of total thread-time the stage histograms explain, in
-    /// `[0, 1]`-ish (can exceed 1 slightly from timer skew).
-    pub fn accounted_fraction(&self) -> f64 {
-        if self.wall_workers_nanos == 0 {
-            return 0.0;
-        }
-        self.accounted_nanos() as f64 / self.wall_workers_nanos as f64
-    }
 }
 
 /// Compute the stall attribution for `process` from the last sample in
@@ -633,7 +624,8 @@ mod tests {
         assert_eq!(stall.send_nanos, 6_000_000);
         assert_eq!(stall.blocked_send_nanos, 1_000);
         assert_eq!(stall.unattributed_nanos, 5_000_000);
-        assert!((stall.accounted_fraction() - 0.75).abs() < 1e-9);
+        let accounted = stall.accounted_nanos() as f64 / stall.wall_workers_nanos as f64;
+        assert!((accounted - 0.75).abs() < 1e-9);
 
         // The report names every non-empty stage and the attribution block.
         let report = render_report(&db);

@@ -160,12 +160,6 @@ impl EmlioReceiver {
         self.recorder.clone()
     }
 
-    /// Streams that have ended so far: origins whose every connection has
-    /// sent its end-of-stream marker.
-    pub fn streams_seen(&self) -> u32 {
-        self.pull.streams_ended()
-    }
-
     /// Stops the receiver's socket from any thread: consumers see
     /// end-of-queue after the batches already queued — how a failed daemon
     /// ends the stream.
@@ -333,7 +327,7 @@ mod tests {
         ids.sort_unstable();
         let want: Vec<u64> = (0..40).chain(100..140).collect();
         assert_eq!(ids, want, "every batch exactly once");
-        assert_eq!(receiver.streams_seen(), 2);
+        assert_eq!(receiver.pull.streams_ended(), 2);
     }
 
     #[test]
@@ -367,7 +361,7 @@ mod tests {
             ),
             "the queue ended at connection A's marker"
         );
-        assert_eq!(receiver.streams_seen(), 0);
+        assert_eq!(receiver.pull.streams_ended(), 0);
         write_connection(
             &ep,
             &[batch_bytes(2, "striped"), batch_bytes(3, "striped"), end],
@@ -379,7 +373,7 @@ mod tests {
             vec![0, 1, 2, 3],
             "every frame of both connections once"
         );
-        assert_eq!(receiver.streams_seen(), 1);
+        assert_eq!(receiver.pull.streams_ended(), 1);
     }
 
     #[test]
@@ -402,7 +396,7 @@ mod tests {
         write_connection(&ep, &[marker("a", EXTRA)]);
         write_connection(&ep, &[marker("a", EXTRA)]);
         let timeout = Duration::from_secs(10);
-        assert!(poll_until(timeout, || receiver.streams_seen() == 1));
+        assert!(poll_until(timeout, || receiver.pull.streams_ended() == 1));
         // One connection, so read in this order: the extra marker, then
         // stream "c"'s first marker, then one disagreeing with it.
         write_connection(
@@ -417,7 +411,7 @@ mod tests {
             ),
             "a refused marker ended the queue"
         );
-        assert_eq!(receiver.streams_seen(), 1);
+        assert_eq!(receiver.pull.streams_ended(), 1);
         write_connection(&ep, &[marker("c", 2)]);
         assert!(
             matches!(
@@ -426,7 +420,7 @@ mod tests {
             ),
             "the queue ends at the last stream's last marker"
         );
-        assert_eq!(receiver.streams_seen(), 2);
+        assert_eq!(receiver.pull.streams_ended(), 2);
     }
 
     #[test]
@@ -440,7 +434,7 @@ mod tests {
             n += 1;
         }
         assert_eq!(n, 3, "source ends after end_stream + drain");
-        assert_eq!(receiver.streams_seen(), 1);
+        assert_eq!(receiver.pull.streams_ended(), 1);
         let snap = receiver.metrics().snapshot();
         assert_eq!((snap.batches, snap.samples), (3, 3));
     }
@@ -484,7 +478,8 @@ mod tests {
             .unwrap();
         push_batches(&ep, "whole", vec![2]);
         assert!(poll_until(Duration::from_secs(10), || receiver
-            .streams_seen()
+            .pull
+            .streams_ended()
             == 1));
         markerless
             .send(Bytes::from(vec![0xEE; CORRUPT_LEN]))

@@ -30,13 +30,17 @@
 //! * every state with no enabled event has the queue ended, every
 //!   connection closed and, unless stopped, every batch delivered once.
 //!
-//! Each search prints and pins the states and transitions it explored. A
-//! failure prints the events that led to it.
+//! Each search prints and pins the states and transitions it explored. The
+//! search is the shared breadth-first harness, so a failure prints a
+//! shortest sequence of events that leads to it.
+
+#[path = "../../../tests/support/explore.rs"]
+mod explore;
 
 use emlio_core::chaos::ends_stream;
 use emlio_zmq::stream_end::{Marker, StreamEnds};
-use std::collections::{BTreeSet, HashSet, VecDeque};
-use std::rc::Rc;
+use explore::Explored;
+use std::collections::{BTreeSet, VecDeque};
 
 const WORKERS: usize = 2;
 const INCARNATIONS: u8 = 2;
@@ -423,57 +427,28 @@ impl State {
     }
 }
 
-/// States and transitions explored.
-#[derive(Debug, PartialEq, Eq)]
-struct Explored {
-    states: usize,
-    transitions: usize,
-    terminal: usize,
+impl explore::Model for Model {
+    type State = State;
+    type Key = State;
+    type Event = Event;
+
+    fn key(&self, state: &State) -> State {
+        state.clone()
+    }
+
+    fn successors(&self, state: &State) -> Vec<(Event, Result<State, String>)> {
+        state.successors(*self)
+    }
+
+    fn check_terminal(&self, state: &State) -> Result<(), String> {
+        state.check_terminal(*self)
+    }
 }
 
 /// Explore every state reachable in the model `m`,
 /// failing with the events that lead to the first violation.
 fn explore(m: Model) -> Explored {
-    let start = Rc::new(State::initial());
-    // For each state found: the state it was found from and the event.
-    let mut found: Vec<(usize, Option<Event>)> = vec![(0, None)];
-    let mut visited = HashSet::from([start.clone()]);
-    let mut stack = vec![(start, 0usize)];
-    let (mut transitions, mut terminal) = (0, 0);
-    let fail = |found: &[(usize, Option<Event>)], mut id: usize, last: Event, why: String| -> ! {
-        let mut trace = vec![last];
-        while let (parent, Some(ev)) = found[id] {
-            trace.push(ev);
-            id = parent;
-        }
-        trace.reverse();
-        panic!("{why}\nafter {} events: {trace:?}", trace.len());
-    };
-    while let Some((state, id)) = stack.pop() {
-        let next = state.successors(m);
-        if next.is_empty() {
-            terminal += 1;
-            if let Err(why) = state.check_terminal(m) {
-                let (parent, ev) = found[id];
-                fail(&found, parent, ev.expect("the start has events"), why);
-            }
-        }
-        for (ev, result) in next {
-            transitions += 1;
-            let succ = result.unwrap_or_else(|why| fail(&found, id, ev, why));
-            if !visited.contains(&succ) {
-                let succ = Rc::new(succ);
-                found.push((id, Some(ev)));
-                visited.insert(succ.clone());
-                stack.push((succ, found.len() - 1));
-            }
-        }
-    }
-    let explored = Explored {
-        states: visited.len(),
-        transitions,
-        terminal,
-    };
+    let explored = explore::explore(&m, State::initial());
     println!("{m:?}: {explored:?}");
     explored
 }

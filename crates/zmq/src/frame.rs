@@ -102,15 +102,16 @@ const MAX_IOVECS: usize = 1024;
 /// slices) is resumed where it stopped. The bytes written are those of
 /// [`write_frame`] over the gathered payload.
 ///
-/// Returns the number of write calls made: one for a frame of at most
-/// `IOV_MAX` slices that the writer takes whole.
-pub fn write_scatter<W: Write>(w: &mut W, frame: &Frame) -> Result<u64> {
+/// Returns the write calls made, and how many of them were short (took
+/// less than they were offered): a frame of at most `IOV_MAX` slices takes
+/// one call and one more per short write.
+pub fn write_scatter<W: Write>(w: &mut W, frame: &Frame) -> Result<(u64, u64)> {
     let prefix = prefix(frame.len())?;
     let segments = frame.segments.iter().map(|s| &s[..]);
     let mut parts = std::iter::once(&prefix[..])
         .chain(segments)
         .filter(|part| !part.is_empty());
-    let mut writes = 0;
+    let (mut writes, mut short) = (0, 0);
     loop {
         // The next IOV_MAX parts, written to their end before any more.
         let mut iov = [IoSlice::new(&[]); MAX_IOVECS];
@@ -120,7 +121,7 @@ pub fn write_scatter<W: Write>(w: &mut W, frame: &Frame) -> Result<u64> {
             n += 1;
         }
         if n == 0 {
-            return Ok(writes);
+            return Ok((writes, short));
         }
         let mut window = &mut iov[..n];
         while !window.is_empty() {
@@ -128,6 +129,7 @@ pub fn write_scatter<W: Write>(w: &mut W, frame: &Frame) -> Result<u64> {
                 Ok(0) => return Err(ZmqError::Io(std::io::ErrorKind::WriteZero.into())),
                 Ok(written) => {
                     writes += 1;
+                    short += u64::from(written < window.iter().map(|s| s.len()).sum());
                     IoSlice::advance_slices(&mut window, written);
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -280,7 +282,7 @@ mod tests {
         assert_eq!(frame.len(), 104);
 
         let mut scattered = Vec::new();
-        assert_eq!(write_scatter(&mut scattered, &frame).unwrap(), 1);
+        assert_eq!(write_scatter(&mut scattered, &frame).unwrap(), (1, 0));
         let mut gathered = Vec::new();
         write_frame(&mut gathered, &frame.clone().into_bytes()).unwrap();
         assert_eq!(scattered, gathered);

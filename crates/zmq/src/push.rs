@@ -46,8 +46,10 @@ pub struct PushStats {
     /// Total nanoseconds `send` spent blocked on a full queue.
     pub blocked_nanos: AtomicU64,
     /// Write syscalls the sender threads issued: exactly one per frame,
-    /// unless the kernel took a write in parts.
+    /// and one more per short write.
     pub writes: AtomicU64,
+    /// Writes the kernel took only part of.
+    pub short_writes: AtomicU64,
     /// Total nanoseconds the sender threads spent writing to their streams
     /// (summed over connections) — the cost `send` callers see only as
     /// backpressure.
@@ -210,11 +212,12 @@ fn tcp_sender_loop(mut stream: TcpStream, rx: &Receiver<Cmd>, stats: &PushStats)
         };
         if let Some(frame) = frame {
             let t0 = Instant::now();
-            let writes = write_scatter(&mut stream, &frame)?;
+            let (writes, short) = write_scatter(&mut stream, &frame)?;
             stats
                 .write_nanos
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
             stats.writes.fetch_add(writes, Ordering::Relaxed);
+            stats.short_writes.fetch_add(short, Ordering::Relaxed);
             stats
                 .bytes_sent
                 .fetch_add(frame.len() as u64, Ordering::Relaxed);

@@ -160,10 +160,10 @@ fn cached_epoch_populates_stage_histograms_and_stall_attribution() {
         stall.wall_workers_nanos,
         "attribution must decompose wall x workers exactly"
     );
+    let accounted = stall.accounted_nanos() as f64 / stall.wall_workers_nanos as f64;
     assert!(
-        stall.accounted_fraction() > 0.0 && stall.accounted_fraction() < 1.5,
-        "accounted fraction out of range: {}",
-        stall.accounted_fraction()
+        accounted > 0.0 && accounted < 1.5,
+        "accounted fraction out of range: {accounted}"
     );
 
     let report = export::render_report(&db);
