@@ -51,7 +51,7 @@ impl CacheCore {
         };
         // Spill-file read with the lock released. A concurrent evictor may
         // delete the file under us; validation degrades that to a miss.
-        persist::read_validated(&meta.path, meta.len, meta.crc)
+        persist::read_validated(key, &meta.path, meta.len, meta.crc)
     }
 
     /// Insert a block without demand-access accounting. A no-op when the
@@ -134,7 +134,7 @@ impl CacheCore {
     /// validated by [`persist::read_validated`]; on failure retire
     /// ([`State::retire`]) and delete it, and the owner settles to absent.
     pub(super) fn read_spill_file(&self, key: &BlockKey, meta: &DiskMeta) -> Option<Bytes> {
-        let data = persist::read_validated(&meta.path, meta.len, meta.crc);
+        let data = persist::read_validated(key, &meta.path, meta.len, meta.crc);
         if data.is_none() {
             if let Some(meta) = self.locked(|st| st.retire(key)) {
                 let _ = std::fs::remove_file(&meta.path);

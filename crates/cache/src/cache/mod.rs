@@ -34,7 +34,7 @@ mod writer;
 
 // The seam modules share this import block through `use super::*`.
 use crate::order::NextUseHeap;
-use crate::persist::{self, SpillEntry};
+use crate::persist;
 use crate::prefetch::MAX_IN_FLIGHT;
 use crate::stats::{CacheStats, CacheStatsSnapshot};
 use bytes::Bytes;
@@ -50,7 +50,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
-use writer::{live_files, load_persisted};
+use writer::readmit_dir;
 
 /// Cache sizing and behaviour knobs.
 #[derive(Debug, Clone)]
@@ -59,19 +59,19 @@ pub struct CacheConfig {
     pub ram_bytes: u64,
     /// Disk spill tier capacity in bytes (0 disables the tier).
     pub disk_bytes: u64,
-    /// Directory for spill files. `None` creates a per-cache directory
-    /// under the system temp dir, removed when the cache drops.
-    pub spill_dir: Option<PathBuf>,
+    /// Keep the disk spill tier across restarts in this directory: the
+    /// spill files survive the cache, and a fresh cache over the same
+    /// directory re-admits the valid ones. `None`: the tier spills to a
+    /// per-cache directory under the system temp dir, removed when the
+    /// cache drops. Set via [`CacheConfig::with_persist_dir`]; requires a
+    /// disk tier.
+    pub persist_dir: Option<PathBuf>,
     /// Prefetching on (any non-zero value) or off (0) — the CLI's
     /// `--prefetch 0|1`. Not a depth: how far the prefetcher runs ahead
     /// of the demand cursor is set by `ram_bytes` — it stages every
     /// planned block that fits beside the residents needed sooner (see
     /// [`crate::prefetch`]).
     pub prefetch_depth: usize,
-    /// Keep the disk spill tier across restarts: maintain a CRC'd spill
-    /// index in `spill_dir` and re-admit valid blocks on construction.
-    /// Set via [`CacheConfig::with_persist_dir`]; requires a disk tier.
-    pub persist: bool,
 }
 
 impl Default for CacheConfig {
@@ -79,9 +79,8 @@ impl Default for CacheConfig {
         CacheConfig {
             ram_bytes: 256 << 20,
             disk_bytes: 0,
-            spill_dir: None,
+            persist_dir: None,
             prefetch_depth: 1,
-            persist: false,
         }
     }
 }
@@ -99,19 +98,13 @@ impl CacheConfig {
         self
     }
 
-    /// Override the spill directory.
-    pub fn with_spill_dir(mut self, dir: PathBuf) -> Self {
-        self.spill_dir = Some(dir);
-        self
-    }
-
-    /// Make the disk spill tier persistent in `dir`: spill files and a
-    /// CRC'd index survive drops, and a fresh cache over the same `dir`
-    /// re-validates and re-admits them. Implies a disk tier (the capacity
-    /// must still be set positive via [`CacheConfig::with_disk_bytes`]).
+    /// Make the disk spill tier persistent in `dir`: its spill files,
+    /// each named for its block and carrying its own checksum, survive
+    /// drops, and a fresh cache over the same `dir` re-validates and
+    /// re-admits them. Implies a disk tier (the capacity must still be set
+    /// positive via [`CacheConfig::with_disk_bytes`]).
     pub fn with_persist_dir(mut self, dir: PathBuf) -> Self {
-        self.spill_dir = Some(dir);
-        self.persist = true;
+        self.persist_dir = Some(dir);
         self
     }
 
@@ -185,9 +178,9 @@ pub struct CacheCore {
     spill: Condvar,
     stats: CacheStats,
     /// Where spill files go; `Some` exactly when there is a disk tier,
-    /// and with it a spill writer.
+    /// and with it a spill writer. The cache's own, removed at drop,
+    /// unless it is the config's `persist_dir`.
     spill_dir: Option<PathBuf>,
-    owns_spill_dir: bool,
     /// Stage recorder for `SpillWrite`/`WarmPromote` timings (set once by
     /// the daemon after construction).
     recorder: OnceLock<Arc<StageRecorder>>,
@@ -201,39 +194,32 @@ static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
 impl CacheCore {
     /// Build the core. Creates the spill directory when a disk tier is
     /// configured; when the directory is persistent, a previous writer's
-    /// half-written `*.blk.tmp` files are deleted and, if it holds a spill
-    /// index from a previous run, CRC-valid blocks are re-admitted into
-    /// the disk tier.
+    /// half-written `*.blk.tmp` files are deleted and the valid spill files
+    /// a previous run left are re-admitted into the disk tier, the rest
+    /// deleted.
     fn new(config: CacheConfig) -> io::Result<CacheCore> {
         assert!(config.ram_bytes > 0, "cache RAM capacity must be positive");
-        if config.persist && config.disk_bytes == 0 {
+        if config.persist_dir.is_some() && config.disk_bytes == 0 {
             return Err(io::Error::other(
                 "persistent cache requires a disk tier (set disk_bytes > 0)",
             ));
         }
-        let (spill_dir, owns_spill_dir) = if config.disk_bytes > 0 {
-            match &config.spill_dir {
-                Some(dir) => (Some(dir.clone()), false),
-                None => {
-                    let dir = std::env::temp_dir().join(format!(
-                        "emlio-cache-{}-{}",
-                        std::process::id(),
-                        SPILL_DIR_SEQ.fetch_add(1, Ordering::Relaxed),
-                    ));
-                    (Some(dir), true)
-                }
-            }
-        } else {
-            (None, false)
-        };
+        let spill_dir = (config.disk_bytes > 0).then(|| {
+            config.persist_dir.clone().unwrap_or_else(|| {
+                std::env::temp_dir().join(format!(
+                    "emlio-cache-{}-{}",
+                    std::process::id(),
+                    SPILL_DIR_SEQ.fetch_add(1, Ordering::Relaxed),
+                ))
+            })
+        });
         if let Some(dir) = &spill_dir {
             std::fs::create_dir_all(dir)?;
         }
         let mut state = State::new(&config);
         let stats = CacheStats::default();
-        if let (true, Some(dir)) = (config.persist, &spill_dir) {
-            persist::remove_stale_tmp(dir);
-            let readmitted = load_persisted(dir, &mut state);
+        if let Some(dir) = &config.persist_dir {
+            let readmitted = readmit_dir(dir, &mut state);
             stats.readmitted.store(readmitted, Ordering::Relaxed);
         }
         state.check();
@@ -244,7 +230,6 @@ impl CacheCore {
             spill: Condvar::new(),
             stats,
             spill_dir,
-            owns_spill_dir,
             recorder: OnceLock::new(),
             injector: OnceLock::new(),
             config,
@@ -418,8 +403,9 @@ impl CacheCore {
         let ((ram, reserved), disk) = (self.ram_budget(), self.disk_bytes_used());
         let spilling = self.state.lock().spilling;
         let ended = s.spills + s.clean_evictions + s.spill_failures;
-        let evictions_ended =
-            c.disk_bytes == 0 || s.evictions == ended || (c.persist && s.evictions < ended);
+        let evictions_ended = c.disk_bytes == 0
+            || s.evictions == ended
+            || (c.persist_dir.is_some() && s.evictions < ended);
         if (ram, disk) == slots
             && spilling == 0
             && reserved == 0
@@ -444,19 +430,15 @@ impl CacheCore {
 
 impl Drop for CacheCore {
     fn drop(&mut self) {
-        let files = live_files(self.state.get_mut());
-        if self.config.persist {
-            // Keep the spill files; leave an index for the next run.
-            let _ = self.write_index(&files);
+        // A persistent tier's files are the next run's.
+        if self.config.persist_dir.is_some() {
             return;
         }
-        for (_, meta) in files {
+        for meta in self.state.get_mut().slots.values().filter_map(Slot::file) {
             let _ = std::fs::remove_file(&meta.path);
         }
-        if self.owns_spill_dir {
-            if let Some(dir) = &self.spill_dir {
-                let _ = std::fs::remove_dir(dir);
-            }
+        if let Some(dir) = &self.spill_dir {
+            let _ = std::fs::remove_dir(dir);
         }
     }
 }
@@ -471,8 +453,8 @@ impl Drop for CacheCore {
 /// write-once spill file is already there, flip it straight to
 /// disk-resident and write nothing. Dropping the handle shuts the queue
 /// down, drains it (every queued order still lands on disk), joins the
-/// writer, and only then runs the core's final persistence — so a
-/// persistent cache's spill index is always complete.
+/// writer, and only then runs the core's drop — so every order queued
+/// lands as a file, which a persistent cache's next run re-admits.
 pub struct ShardCache {
     core: Arc<CacheCore>,
     /// The spill writer thread; `None` without a disk tier.
@@ -481,9 +463,9 @@ pub struct ShardCache {
 
 impl ShardCache {
     /// Create a cache. Creates the spill directory when a disk tier is
-    /// configured; when the directory is persistent and holds a spill
-    /// index from a previous run, CRC-valid blocks are re-admitted into
-    /// the disk tier. A disk tier also gets its spill writer thread.
+    /// configured; when the directory is persistent, the valid spill files
+    /// a previous run left there are re-admitted into the disk tier. A
+    /// disk tier also gets its spill writer thread.
     pub fn new(config: CacheConfig) -> io::Result<ShardCache> {
         let core = Arc::new(CacheCore::new(config)?);
         let writer = if core.spill_dir.is_some() {
@@ -519,7 +501,7 @@ impl Drop for ShardCache {
             self.core.state.lock().shutdown = true;
             self.core.spill.notify_all();
             // The writer drains every queued order before exiting, so the
-            // core's Drop (persistence / cleanup) sees a complete tier.
+            // core's Drop (keep or clean up) sees a complete tier.
             let _ = writer.join();
         }
     }
@@ -700,13 +682,15 @@ mod tests {
             CacheConfig::default()
                 .with_ram_bytes(200)
                 .with_disk_bytes(disk_bytes)
-                .with_spill_dir(dir.path().to_path_buf()),
+                .with_persist_dir(dir.path().to_path_buf()),
         )
         .unwrap()
     }
 
+    /// The path of block `i`'s spill file, `block(i, 100)` being its bytes.
     fn spill_path(dir: &TempDir, i: usize) -> PathBuf {
-        dir.path().join(persist::spill_file_name(&key(i)))
+        let crc = persist::block_crc(&key(i), &block(i, 100));
+        dir.path().join(persist::spill_file_name(&key(i), crc))
     }
 
     /// Spill-file writes attempted so far (call after `flush_spills`).
@@ -936,7 +920,7 @@ mod tests {
             CacheConfig::default()
                 .with_ram_bytes(200)
                 .with_disk_bytes(10_000)
-                .with_spill_dir(dir.path().to_path_buf())
+                .with_persist_dir(dir.path().to_path_buf())
                 .with_prefetch_depth(0),
         )
         .unwrap();
@@ -1020,7 +1004,7 @@ mod tests {
             cache.flush_spills();
             // 0 and 1 spilled to disk; 2 and 3 still in RAM.
             assert_eq!(cache.disk_keys(), vec![key(0), key(1)]);
-            assert_eq!(cache.persist_now().unwrap(), 4, "the RAM tier too");
+            assert_eq!(cache.persist_now(), 4, "the RAM tier too");
             assert_tier_is_the_directory(&cache, &dir);
             assert_eq!(cache.slot_bytes(), (200, 400), "as backings");
         }
@@ -1054,9 +1038,9 @@ mod tests {
             for i in 0..4 {
                 cache.insert(key(i), block(i, 100));
             }
-            cache.persist_now().unwrap();
+            cache.persist_now();
         }
-        let path = dir.path().join(persist::spill_file_name(&key(2)));
+        let path = spill_path(&dir, 2);
         assert!(path.exists(), "persist keeps spill files");
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[0] ^= 0xFF;
@@ -1090,16 +1074,14 @@ mod tests {
         assert!(on_disk <= cache.config().disk_bytes);
     }
 
-    /// The spill-index entries of `dir` as file names, sorted.
-    fn indexed_files(dir: &TempDir) -> Vec<String> {
-        let mut listed: Vec<String> = persist::read_index(dir.path())
-            .unwrap()
-            .expect("index written")
-            .iter()
-            .map(|e| persist::spill_file_name(&e.key))
+    /// The names of the spill files the cache's slots own, sorted.
+    fn owned_files(cache: &ShardCache) -> Vec<String> {
+        let st = cache.state.lock();
+        let mut owned: Vec<String> = (st.slots.values().filter_map(Slot::file))
+            .map(|meta| meta.path.file_name().unwrap().to_str().unwrap().into())
             .collect();
-        listed.sort();
-        listed
+        owned.sort();
+        owned
     }
 
     #[test]
@@ -1124,7 +1106,7 @@ mod tests {
             cache.set_fault_injector(FaultInjector::new(
                 FaultPlan::new(7).with_site(site::SPILL_WRITE, FaultSpec::errors(rate)),
             ));
-            let covered = cache.persist_now().unwrap();
+            let covered = cache.persist_now();
             let s = cache.stats().snapshot();
             assert_eq!(
                 recorder.hist(Stage::SpillWrite).count(),
@@ -1134,7 +1116,7 @@ mod tests {
             assert_eq!(cache.ram_keys(), vec![key(1), key(2)], "still resident");
             if rate == 1.0 {
                 // The failpoint faults checkpoint writes too: counted, the
-                // residents stay unbacked, the index lists what exists.
+                // residents stay unbacked, the count is what exists.
                 assert_eq!((s.spills, s.spill_failures), (1, 2));
                 assert_eq!(covered, 1);
                 assert_eq!(cache.slot_bytes(), (200, 100));
@@ -1148,7 +1130,7 @@ mod tests {
                 assert_eq!(cache.stats().snapshot().clean_evictions, 1);
                 assert_eq!(file_writes(&cache), 3);
             }
-            assert_eq!(indexed_files(&dir), blk_files(&dir));
+            assert_eq!(owned_files(&cache), blk_files(&dir));
             assert_eq!(covered as usize, blk_files(&dir).len());
             assert_tier_is_the_directory(&cache, &dir);
         }
@@ -1172,9 +1154,9 @@ mod tests {
             cache.insert(key(round), block(round, 100));
             cache.flush_spills();
             let held = blk_files(&dir);
-            let covered = cache.persist_now().unwrap();
+            let covered = cache.persist_now();
             assert_tier_is_the_directory(&cache, &dir);
-            assert_eq!(indexed_files(&dir), blk_files(&dir), "round {round}");
+            assert_eq!(owned_files(&cache), blk_files(&dir), "round {round}");
             assert_eq!(covered as usize, blk_files(&dir).len());
             for name in &held {
                 assert!(
@@ -1190,6 +1172,8 @@ mod tests {
         assert_eq!(cache.disk_bytes_used(), 400, "the tier filled up");
     }
 
+    /// The directory is the tier's index: a backed resident is listed by
+    /// the file it already has, across a checkpoint and a restart.
     #[test]
     fn backed_residents_are_indexed_from_their_existing_file() {
         let dir = TempDir::new("cache-persist-backed");
@@ -1214,9 +1198,9 @@ mod tests {
                 assert!(cache.ram_keys().contains(&key(0)));
                 assert!(!cache.disk_keys().contains(&key(0)));
                 if checkpoint {
-                    let path = dir.path().join(persist::spill_file_name(&key(0)));
+                    let path = spill_path(&dir, 0);
                     let mtime = std::fs::metadata(&path).unwrap().modified().unwrap();
-                    assert_eq!(cache.persist_now().unwrap(), 4, "all four covered");
+                    assert_eq!(cache.persist_now(), 4, "all four covered");
                     assert_eq!(
                         std::fs::metadata(&path).unwrap().modified().unwrap(),
                         mtime,
@@ -1226,25 +1210,66 @@ mod tests {
                     4
                 } else {
                     // Without a checkpoint the unbacked resident (3) has
-                    // no file and is not indexed; the backed one is.
+                    // no file; the backed one has.
                     3
                 }
             };
-            // After the drop: the index lists exactly the files present.
-            let listed = indexed_files(&dir);
-            assert_eq!(listed, blk_files(&dir), "checkpoint={checkpoint}");
+            // After the drop the files stay, 0's among them …
+            let listed = blk_files(&dir);
             assert_eq!(listed.len(), expect, "checkpoint={checkpoint}");
-            assert!(listed.contains(&persist::spill_file_name(&key(0))));
-            // And a restart re-admits every one of them, CRC-valid.
+            assert!(spill_path(&dir, 0).exists());
+            // … and a restart re-admits every one of them, CRC-valid.
             let cache = ShardCache::new(config.clone()).unwrap();
             assert_eq!(cache.stats().snapshot().readmitted, expect as u64);
-            for name in &listed {
-                let i = (0..4)
-                    .find(|&i| persist::spill_file_name(&key(i)) == *name)
-                    .unwrap();
+            assert_eq!(owned_files(&cache), listed);
+            for i in cache.disk_keys().iter().map(|k| k.start / 10) {
                 let data = cache.peek(&key(i)).expect("valid on disk");
                 assert!(data.iter().all(|&b| b == i as u8));
             }
+        }
+    }
+
+    #[test]
+    fn a_crash_leaves_no_file_the_restart_does_not_own() {
+        // A checkpoint of four blocks, then two more spilled after it, and
+        // no drop: the process dies with six files and no word of them.
+        let dir = TempDir::new("cache-crash-orphans");
+        let config = |disk_bytes| {
+            CacheConfig::default()
+                .with_ram_bytes(200)
+                .with_disk_bytes(disk_bytes)
+                .with_persist_dir(dir.path().to_path_buf())
+        };
+        let cache = ShardCache::new(config(2000)).unwrap();
+        for i in 0..4 {
+            cache.insert(key(i), block(i, 100)); // 0 and 1 spill
+        }
+        assert_eq!(cache.persist_now(), 4);
+        for i in 4..8 {
+            cache.insert(key(i), block(i, 100)); // 2, 3 flip; 4, 5 spill
+        }
+        cache.flush_spills();
+        assert_eq!(blk_files(&dir).len(), 6);
+        std::mem::forget(cache);
+
+        let owned = |cache: &ShardCache| {
+            assert_eq!(owned_files(cache), blk_files(&dir), "every file owned");
+            assert!(cache.disk_bytes_used() <= cache.config().disk_bytes);
+            cache.check_books().unwrap();
+        };
+        // The restart re-admits the files spilled after the checkpoint too.
+        let restarted = ShardCache::new(config(2000)).unwrap();
+        assert_eq!(restarted.stats().snapshot().readmitted, 6);
+        assert_eq!(restarted.disk_keys(), (0..6).map(key).collect::<Vec<_>>());
+        owned(&restarted);
+        drop(restarted);
+        // A smaller tier takes the first files in key order and deletes
+        // the ones it has no room for.
+        let smaller = ShardCache::new(config(450)).unwrap();
+        assert_eq!(smaller.disk_keys(), (0..4).map(key).collect::<Vec<_>>());
+        owned(&smaller);
+        for i in 0..4 {
+            assert_eq!(smaller.peek(&key(i)).unwrap(), block(i, 100));
         }
     }
 
@@ -1319,7 +1344,7 @@ mod tests {
             for i in 0..4 {
                 cache.insert(key(i), block(i, 100));
             }
-            cache.persist_now().unwrap();
+            cache.persist_now();
         }
         let cache = ShardCache::new(config).unwrap();
         assert_eq!(cache.stats().snapshot().readmitted, 4);
@@ -1450,7 +1475,7 @@ mod tests {
             for i in 1..4 {
                 cache.insert(key(i), block(i, 100)); // 0 spills
             }
-            assert_eq!(cache.persist_now().unwrap(), 4);
+            assert_eq!(cache.persist_now(), 4);
         }
         let cache = ShardCache::new(config(250)).unwrap();
         assert_eq!(cache.disk_keys(), (0..4).map(key).collect::<Vec<_>>());

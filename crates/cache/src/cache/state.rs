@@ -2,7 +2,8 @@
 //! one lock guards, and every transition — one `State` method each, which
 //! takes the event and returns what its caller does once the lock is
 //! released (the table's last column). Nothing here does I/O, counts into
-//! the stats or wakes a thread.
+//! the stats or wakes a thread — save the validated reads a restart's
+//! re-admission asks its caller for, before the cache serves.
 //!
 //! Each resident key's `Slot` is in one of four states — `Busy`, `Ram`,
 //! `Spilling`, `Disk` — and `Ram` may carry a *backing*: the spill file
@@ -28,6 +29,7 @@
 //!   Ram+file  evicted: slot flip, nothing written     Disk      (make_room) clean eviction
 //!   Ram+file  disk tier reclaims the file             Ram       take_spill: delete the file
 //!   Disk      disk tier evicts the block              (absent)  take_spill: delete the file
+//!   (absent)  restart finds a valid file with room    Disk      readmit: delete the rest
 //! ```
 //!
 //! The disk tier is **inclusive** and spill files are **write-once**. A
@@ -56,7 +58,7 @@
 //!   becomes `Disk` only when the write lands. The evictor queues the key
 //!   and returns, and the `emlio-cache-spill` writer thread takes the bytes
 //!   from the slot: the send workers never touch disk, and shutdown drains
-//!   the queue before the final index write. The backlog is bounded in
+//!   the queue before the cache drops. The backlog is bounded in
 //!   bytes: an evictor that leaves more than `ram_bytes` `Spilling` waits,
 //!   lock released, until the writer brings it back under.
 //! * **Spill-file bytes are checked before they are served.** Every read
@@ -84,17 +86,6 @@ pub(super) struct DiskMeta {
     pub(super) path: Arc<Path>,
     pub(super) len: u64,
     pub(super) crc: u32,
-}
-
-impl DiskMeta {
-    /// The spill-index entry describing this file as `key`'s.
-    pub(super) fn entry(&self, key: BlockKey) -> SpillEntry {
-        SpillEntry {
-            key,
-            len: self.len,
-            crc: self.crc,
-        }
-    }
 }
 
 /// Residency state of one block (see the module docs).
@@ -660,12 +651,32 @@ impl State {
         orphan
     }
 
-    /// Re-admit a restart's validated spill file as `entry.key`'s block.
-    pub(super) fn readmit(&mut self, entry: &SpillEntry, path: Arc<Path>) {
-        self.track_file(entry.key, entry.len);
-        let (len, crc) = (entry.len, entry.crc);
-        self.slots
-            .insert(entry.key, Slot::Disk(DiskMeta { path, len, crc }));
+    /// A restart's re-admission, before the cache serves: `found` is every
+    /// spill file the directory holds, sorted by key. Each key's first file
+    /// that fits the disk tier's spare room and that `valid` accepts — it
+    /// is asked of no other file, and is the caller's validated read, the
+    /// one I/O a transition here waits on — becomes the key's `Disk` slot.
+    /// Every other file is returned, to delete: invalid, a second file of
+    /// its key, or over the budget.
+    pub(super) fn readmit(
+        &mut self,
+        found: Vec<(BlockKey, DiskMeta)>,
+        mut valid: impl FnMut(&BlockKey, &DiskMeta) -> bool,
+    ) -> Vec<DiskMeta> {
+        let mut rejected = Vec::new();
+        for (key, meta) in found {
+            // The length is the file system's: compared without a sum
+            // that could overflow.
+            let fits =
+                !self.slots.contains_key(&key) && meta.len <= self.disk_bytes - self.disk_used;
+            if fits && valid(&key, &meta) {
+                self.track_file(key, meta.len);
+                self.slots.insert(key, Slot::Disk(meta));
+            } else {
+                rejected.push(meta);
+            }
+        }
+        rejected
     }
 
     /// The books, asserted in debug builds (and under test) at the end of

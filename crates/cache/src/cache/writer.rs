@@ -1,5 +1,6 @@
 //! The spill writer and persistence: the queue of spill orders, the one
-//! thread that writes them, and the index a restart re-admits from.
+//! thread that writes them, the checkpoint, and a restart's re-admission
+//! from the files themselves.
 
 use super::*;
 
@@ -32,8 +33,8 @@ impl CacheCore {
         }
         let len = data.len() as u64;
         let dir = self.spill_dir.as_ref().expect("spillable implies dir");
-        let path: Arc<Path> = dir.join(persist::spill_file_name(&key)).into();
-        let crc = persist::block_crc(&data);
+        let crc = persist::block_crc(&key, &data);
+        let path: Arc<Path> = dir.join(persist::spill_file_name(&key, crc)).into();
         let t0 = Instant::now();
         // Chaos failpoint: an injected error takes the real failed-write
         // branch below (block drops to absent, counted, never silent); an
@@ -104,60 +105,33 @@ impl CacheCore {
     /// every RAM resident that has no spill file yet for the spill writer,
     /// behind the orders already queued — it backs each if the disk tier
     /// has the spare capacity, never at the cost of another block's file —
-    /// wait for the queue to drain, and write the spill index of the live
-    /// tier. Returns how many blocks the index covers. A non-persistent
-    /// cache returns 0.
-    pub fn persist_now(&self) -> io::Result<u64> {
-        if !self.config.persist {
-            return Ok(0);
+    /// and wait for the queue to drain. Returns how many spill files the
+    /// tier then holds: what a restart re-admits, room permitting. A
+    /// non-persistent cache returns 0.
+    pub fn persist_now(&self) -> u64 {
+        if self.config.persist_dir.is_none() {
+            return 0;
         }
         self.perform(self.locked(State::checkpoint));
         self.flush_spills();
-        let files = live_files(&self.state.lock());
-        self.write_index(&files)?;
-        Ok(files.len() as u64)
-    }
-
-    /// Write the spill index listing `files` (persistent caches).
-    pub(super) fn write_index(&self, files: &[(BlockKey, DiskMeta)]) -> io::Result<()> {
-        let dir = self.spill_dir.as_ref().expect("persist implies spill dir");
-        let entries: Vec<SpillEntry> = files.iter().map(|(k, meta)| meta.entry(*k)).collect();
-        persist::write_index(dir, &entries)
+        self.state.lock().disk_order.len() as u64
     }
 }
 
-/// Re-admit CRC-valid spill files recorded by a previous run's index in
-/// `dir` into the disk tier of a cache under construction (up to its
-/// capacity). Returns how many were.
-pub(super) fn load_persisted(dir: &Path, st: &mut State) -> u64 {
-    let entries = match persist::read_index(dir) {
-        Ok(Some(entries)) => entries,
-        // No index, or a malformed one: cold start.
-        _ => return 0,
-    };
-    let mut readmitted = 0;
-    for e in &entries {
-        if st.disk_used + e.len > st.disk_bytes {
-            // Not re-admittable this run — and the index rewritten at
-            // shutdown will no longer list it, so delete the file
-            // rather than orphan it in the persist dir forever.
-            let _ = std::fs::remove_file(dir.join(persist::spill_file_name(&e.key)));
-            continue;
-        }
-        if let Some(path) = persist::validate_entry(dir, e) {
-            st.readmit(e, path.into());
-            readmitted += 1;
-        }
+/// Re-admit the spill files a previous run left in `dir` into the disk
+/// tier of a cache under construction ([`State::readmit`]: valid, one per
+/// key, in key order, while there is room), and delete every other one.
+/// Returns how many were re-admitted.
+pub(super) fn readmit_dir(dir: &Path, st: &mut State) -> u64 {
+    let found = persist::scan(dir).into_iter().map(|f| {
+        let (path, len, crc) = (f.path.into(), f.len, f.crc);
+        (f.key, DiskMeta { path, len, crc })
+    });
+    let rejected = st.readmit(found.collect(), |key, meta| {
+        persist::read_validated(key, &meta.path, meta.len, meta.crc).is_some()
+    });
+    for meta in rejected {
+        let _ = std::fs::remove_file(&meta.path);
     }
-    readmitted
-}
-
-/// Every spill file of the live tier, sorted by key: disk-only blocks
-/// and the backing of RAM residents alike.
-pub(super) fn live_files(st: &State) -> Vec<(BlockKey, DiskMeta)> {
-    let mut files: Vec<(BlockKey, DiskMeta)> = (st.slots.iter())
-        .filter_map(|(k, slot)| Some((*k, slot.file()?.clone())))
-        .collect();
-    files.sort_unstable_by_key(|(k, _)| *k);
-    files
+    st.slots.len() as u64
 }

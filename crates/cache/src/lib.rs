@@ -23,8 +23,9 @@
 //!   and CRC-checked first ([`persist::read_validated`]) and served as a
 //!   view of the file's mapping, as a shard block is.
 //!   With [`CacheConfig::with_persist_dir`] the spill tier survives
-//!   restarts: a CRC'd index ([`persist`]) is re-validated and re-admitted
-//!   when the next cache opens over the same directory.
+//!   restarts: the directory is its own index ([`persist`]) — each file
+//!   named for its block, with a CRC over key and bytes — and the next
+//!   cache over it re-validates and re-admits the files, deleting the rest.
 //! * The plan is the eviction policy: inside the epoch plan (installed via
 //!   [`CacheCore::set_plan`]) both tiers evict the resident block whose
 //!   next use is furthest in the future (Belady's algorithm — the insight

@@ -1,14 +1,20 @@
-//! Cross-epoch persistence for the disk spill tier.
+//! The persistent disk spill tier: a directory that is its own index.
 //!
-//! A cache with a persistent spill directory writes a `spill-index.json`
-//! describing every spilled block — key, length, and masked CRC32C of the
-//! block bytes. A fresh cache (a restarted daemon) re-reads the index,
-//! re-validates each spill file against its recorded CRC, and re-admits the
-//! valid ones into the disk tier — so repeated training runs over the same
-//! dataset skip the storage reads the previous run already paid for.
-//! Invalid entries (missing file, wrong length, CRC mismatch, concurrent
-//! writer litter) are deleted and skipped: the index is a hint, the CRC is
-//! the authority.
+//! Every spill file is named for its block and carries its own checksum:
+//! `block-<shard>-<start>-<end>-<crc>.blk` ([`spill_file_name`]), where
+//! `<crc>` ([`block_crc`]) covers the block's key as well as its bytes, so
+//! a file renamed — or damaged — into another block's name fails the
+//! check like damaged bytes do. A cache with a persistent spill directory
+//! keeps its files when it drops, and a fresh cache over the same directory
+//! (a restarted daemon) scans it and re-admits every whole, valid file
+//! into its disk tier, at most one per key, in key order, while the tier
+//! has room; every other `block-*.blk` file of this format — invalid, a
+//! second file of a key, or over the budget — is deleted. So repeated
+//! training runs over the same dataset skip the storage reads the previous
+//! run already paid for, and a crash leaves nothing behind that the next
+//! run does not account for: no record of the directory can go stale,
+//! because there is none beside it. Files whose names this module did not
+//! write are left alone.
 //!
 //! # Spill files are write-once
 //!
@@ -24,63 +30,54 @@
 //! drops.
 
 use bytes::Bytes;
-use emlio_tfrecord::crc32c::masked_crc32c;
+use emlio_tfrecord::crc32c::{crc32c, masked_crc32c};
 use emlio_tfrecord::{BlockKey, RangeReader};
-use emlio_util::json::Json;
 use std::ffi::OsString;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// File name of the spill index inside the spill directory.
-pub const SPILL_INDEX_FILE: &str = "spill-index.json";
-
-/// One persisted spill block, as recorded in the index.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpillEntry {
-    /// The block's plan key.
-    pub key: BlockKey,
-    /// Spill file length in bytes.
-    pub len: u64,
-    /// Masked CRC32C of the block bytes.
-    pub crc: u32,
+/// Spill file name for `key`'s block with checksum `crc` ([`block_crc`]).
+pub fn spill_file_name(key: &BlockKey, crc: u32) -> String {
+    let BlockKey {
+        shard_id,
+        start,
+        end,
+    } = key;
+    format!("block-{shard_id}-{start}-{end}-{crc:08x}.blk")
 }
 
-/// Deterministic spill file name for a block key.
-pub fn spill_file_name(key: &BlockKey) -> String {
-    format!("block-{}-{}-{}.blk", key.shard_id, key.start, key.end)
+/// The key and checksum a spill file's name gives: the inverse of
+/// [`spill_file_name`], and `None` for every name it does not write — any
+/// other format, a number out of range, a leading zero or `+`, upper-case
+/// hex.
+pub fn parse_spill_file_name(name: &str) -> Option<(BlockKey, u32)> {
+    let fields = name.strip_prefix("block-")?.strip_suffix(".blk")?;
+    let mut fields = fields.split('-');
+    let key = BlockKey {
+        shard_id: fields.next()?.parse().ok()?,
+        start: fields.next()?.parse().ok()?,
+        end: fields.next()?.parse().ok()?,
+    };
+    let crc = u32::from_str_radix(fields.next()?, 16).ok()?;
+    (spill_file_name(&key, crc) == name).then_some((key, crc))
 }
 
-/// Masked CRC32C of a block's bytes (the checksum the index records).
-pub fn block_crc(data: &[u8]) -> u32 {
-    masked_crc32c(data)
-}
-
-/// Serialize `entries` to the spill index in `dir` (atomic rename).
-pub fn write_index(dir: &Path, entries: &[SpillEntry]) -> io::Result<()> {
-    let blocks: Vec<Json> = entries
-        .iter()
-        .map(|e| {
-            Json::obj([
-                ("shard_id", Json::Uint(e.key.shard_id.into())),
-                ("start", Json::Uint(e.key.start as u64)),
-                ("end", Json::Uint(e.key.end as u64)),
-                ("len", Json::Uint(e.len)),
-                ("crc", Json::Uint(e.crc.into())),
-            ])
-        })
-        .collect();
-    let doc = Json::obj([("version", Json::Uint(1)), ("blocks", Json::Arr(blocks))]);
-    write_file(
-        &dir.join(SPILL_INDEX_FILE),
-        doc.to_string_pretty().as_bytes(),
-    )
+/// The checksum of `key`'s block `data`: a masked CRC32C over the key and
+/// a CRC32C of the bytes. One pass over the bytes, as for a bare CRC.
+pub fn block_crc(key: &BlockKey, data: &[u8]) -> u32 {
+    let mut summary = [0u8; 24];
+    summary[..4].copy_from_slice(&key.shard_id.to_le_bytes());
+    summary[4..12].copy_from_slice(&(key.start as u64).to_le_bytes());
+    summary[12..20].copy_from_slice(&(key.end as u64).to_le_bytes());
+    summary[20..].copy_from_slice(&crc32c(data).to_le_bytes());
+    masked_crc32c(&summary)
 }
 
 /// Write `data` as the file at `path`: whole, under `<path>.tmp`, then
 /// renamed over `path`. Never truncates or rewrites a file that already
 /// has a name, so a live view of whatever `path` named before keeps its
 /// bytes (see the module docs). A failed write leaves no `.tmp` behind; a
-/// process that dies mid-write does, and [`remove_stale_tmp`] clears it.
+/// process that dies mid-write does, and the next scan clears it.
 pub fn write_file(path: &Path, data: &[u8]) -> io::Result<()> {
     let mut tmp = OsString::from(path);
     tmp.push(".tmp");
@@ -92,68 +89,66 @@ pub fn write_file(path: &Path, data: &[u8]) -> io::Result<()> {
     written
 }
 
-/// Delete the `*.blk.tmp` spill files a writer that died mid-write left
-/// in `dir`. Called when a persistent cache opens, before anything is
-/// written there.
-pub fn remove_stale_tmp(dir: &Path) {
+/// A spill file [`scan`] found: the key and checksum its name gives, and
+/// its length.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Found {
+    pub(crate) key: BlockKey,
+    pub(crate) crc: u32,
+    pub(crate) path: PathBuf,
+    pub(crate) len: u64,
+}
+
+/// The spill files in `dir` — regular files whose names
+/// [`parse_spill_file_name`] accepts — sorted by key, then name. Nothing
+/// is read but the directory and each file's length. The `*.blk.tmp`
+/// files a writer that died mid-write left are deleted on the way; every
+/// other file is left alone. A directory that cannot be listed holds none.
+pub(crate) fn scan(dir: &Path) -> Vec<Found> {
     let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
+        return Vec::new();
     };
+    let mut found = Vec::new();
     for entry in entries.flatten() {
-        if entry.file_name().to_string_lossy().ends_with(".blk.tmp") {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if name.ends_with(".blk.tmp") {
             let _ = std::fs::remove_file(entry.path());
+            continue;
+        }
+        let Some((key, crc)) = parse_spill_file_name(name) else {
+            continue;
+        };
+        if let Some(meta) = entry.metadata().ok().filter(std::fs::Metadata::is_file) {
+            let (path, len) = (entry.path(), meta.len());
+            found.push(Found {
+                key,
+                crc,
+                path,
+                len,
+            });
         }
     }
+    found.sort_unstable_by(|a, b| (a.key, &a.path).cmp(&(b.key, &b.path)));
+    found
 }
 
-/// Parse the spill index in `dir`. `Ok(None)` when no index exists; a
-/// malformed index is an error (the caller treats it as a cold start).
-pub fn read_index(dir: &Path) -> io::Result<Option<Vec<SpillEntry>>> {
-    let path = dir.join(SPILL_INDEX_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-    let doc = Json::parse(&text).map_err(|e| invalid(e.to_string()))?;
-    let blocks = doc
-        .get("blocks")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| invalid("spill index: missing blocks array".into()))?;
-    let mut entries = Vec::with_capacity(blocks.len());
-    for (i, b) in blocks.iter().enumerate() {
-        let bad = |k: &str| invalid(format!("spill index block {i}: {k} missing or too large"));
-        let get = |k: &str| b.get(k).and_then(Json::as_u64).ok_or_else(|| bad(k));
-        let get_u32 = |k: &str| b.get(k).and_then(Json::as_u32).ok_or_else(|| bad(k));
-        entries.push(SpillEntry {
-            key: BlockKey {
-                shard_id: get_u32("shard_id")?,
-                start: get("start")? as usize,
-                end: get("end")? as usize,
-            },
-            len: get("len")?,
-            crc: get_u32("crc")?,
-        });
-    }
-    Ok(Some(entries))
-}
-
-/// Read a spill file back and check it: the file must exist, be `len`
-/// bytes long and hash to `crc`. Every path that serves or re-admits
-/// spilled bytes — demand promote, the prefetch executor's staging read,
-/// in-place peek, restart re-admission — goes through this one check. `None` on any
-/// failure; the file is left for the caller to retire.
+/// Read `key`'s spill file back and check it: the file must exist, be
+/// `len` bytes long and match `crc` ([`block_crc`] of `key` and its
+/// bytes). Every path that serves or re-admits spilled bytes — demand
+/// promote, the prefetch executor's staging read, in-place peek, restart
+/// re-admission — goes through this one check. `None` on any failure; the
+/// file is left for the caller to retire.
 ///
 /// The bytes are read the way a shard's are, through [`RangeReader`]:
 /// the length is checked before any byte is read, so a file that is not
-/// the recorded length — writer litter, a forged index entry — costs an
+/// the expected length — writer litter, a damaged file — costs an
 /// `fstat`, not a read of the whole file; the block is then a view of the
 /// file's mapping, its pages faulted in on this thread and its length
 /// checked once more, and the CRC runs over the view. No buffer is
 /// allocated and no byte copied. Where the file cannot be mapped the same
 /// range is one positioned read into a fresh buffer.
-pub fn read_validated(path: &Path, len: u64, crc: u32) -> Option<Bytes> {
+pub fn read_validated(key: &BlockKey, path: &Path, len: u64, crc: u32) -> Option<Bytes> {
     let reader = RangeReader::open(path).ok()?;
     if reader.len() != len {
         return None;
@@ -166,21 +161,7 @@ pub fn read_validated(path: &Path, len: u64, crc: u32) -> Option<Bytes> {
             Bytes::from(buf)
         }
     };
-    (block_crc(&data) == crc).then_some(data)
-}
-
-/// Validate one index entry against its spill file (see
-/// [`read_validated`]; the view is checked and dropped). Returns the
-/// spill file path on success; deletes
-/// the file and reports `None` when validation fails (stale index, torn
-/// write, bit rot).
-pub fn validate_entry(dir: &Path, entry: &SpillEntry) -> Option<PathBuf> {
-    let path = dir.join(spill_file_name(&entry.key));
-    if read_validated(&path, entry.len, entry.crc).is_some() {
-        return Some(path);
-    }
-    let _ = std::fs::remove_file(&path);
-    None
+    (block_crc(key, &data) == crc).then_some(data)
 }
 
 #[cfg(test)]
@@ -196,66 +177,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn index_roundtrip() {
-        let dir = TempDir::new("spill-index");
-        assert_eq!(read_index(dir.path()).unwrap(), None);
-        let entries = vec![
-            SpillEntry {
-                key: key(0),
-                len: 64,
-                crc: 0xDEAD_BEEF,
-            },
-            SpillEntry {
-                key: key(1),
-                len: 128,
-                crc: 7,
-            },
-        ];
-        write_index(dir.path(), &entries).unwrap();
-        assert_eq!(read_index(dir.path()).unwrap(), Some(entries));
+    /// `data` written as `key`'s spill file in `dir`: its path and checksum.
+    fn spill(dir: &TempDir, key: &BlockKey, data: &[u8]) -> (PathBuf, u32) {
+        let crc = block_crc(key, data);
+        let path = dir.path().join(spill_file_name(key, crc));
+        write_file(&path, data).unwrap();
+        (path, crc)
     }
 
     #[test]
     fn validation_accepts_good_rejects_corrupt() {
         let dir = TempDir::new("spill-validate");
         let data = vec![0xABu8; 100];
-        let entry = SpillEntry {
-            key: key(0),
-            len: 100,
-            crc: block_crc(&data),
-        };
-        let path = dir.path().join(spill_file_name(&entry.key));
-        std::fs::write(&path, &data).unwrap();
-        assert_eq!(validate_entry(dir.path(), &entry), Some(path.clone()));
+        let (path, crc) = spill(&dir, &key(0), &data);
+        assert_eq!(read_validated(&key(0), &path, 100, crc).unwrap(), data);
 
-        // Flip one byte: CRC mismatch ⇒ rejected and deleted.
+        // The checksum covers the key: the same bytes are not key 1's.
+        assert_eq!(read_validated(&key(1), &path, 100, crc), None);
+        assert_ne!(block_crc(&key(1), &data), crc);
+
+        // Flip one byte: CRC mismatch ⇒ rejected, and left for the caller.
         let mut bad = data.clone();
         bad[42] ^= 1;
         std::fs::write(&path, &bad).unwrap();
-        assert_eq!(validate_entry(dir.path(), &entry), None);
-        assert!(!path.exists(), "invalid spill file is removed");
+        assert_eq!(read_validated(&key(0), &path, 100, crc), None);
+        assert!(path.exists());
 
         // Missing file ⇒ rejected quietly.
-        assert_eq!(validate_entry(dir.path(), &entry), None);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(read_validated(&key(0), &path, 100, crc), None);
     }
 
     #[test]
     fn a_rewrite_replaces_the_file_and_a_view_keeps_its_bytes() {
         let dir = TempDir::new("spill-write-once");
-        let path = dir.path().join(spill_file_name(&key(0)));
         let (old, new) = (vec![1u8; 5000], vec![2u8; 5000]);
+        let (old_crc, new_crc) = (block_crc(&key(0), &old), block_crc(&key(0), &new));
+        let path = dir.path().join(spill_file_name(&key(0), old_crc));
         write_file(&path, &old).unwrap();
-        let view = read_validated(&path, 5000, block_crc(&old)).unwrap();
+        let view = read_validated(&key(0), &path, 5000, old_crc).unwrap();
         write_file(&path, &new).unwrap();
         assert_eq!(&view[..], &old[..], "the view maps the replaced file");
-        assert_eq!(read_validated(&path, 5000, block_crc(&new)).unwrap(), new);
-        assert_eq!(read_validated(&path, 5000, block_crc(&old)), None);
+        assert_eq!(read_validated(&key(0), &path, 5000, new_crc).unwrap(), new);
+        assert_eq!(read_validated(&key(0), &path, 5000, old_crc), None);
         let names: Vec<_> = std::fs::read_dir(dir.path())
             .unwrap()
             .map(|e| e.unwrap().file_name())
             .collect();
-        assert_eq!(names, [spill_file_name(&key(0)).as_str()]);
+        assert_eq!(names, [spill_file_name(&key(0), old_crc).as_str()]);
 
         // A write that cannot land leaves nothing behind.
         let blocked = dir.path().join("taken");
@@ -268,110 +237,84 @@ mod tests {
     #[test]
     fn a_file_of_another_length_than_recorded_is_rejected() {
         let dir = TempDir::new("spill-length");
-        let path = dir.path().join(spill_file_name(&key(0)));
         let data = vec![7u8; 10_000];
-        let crc = block_crc(&data);
+        let (path, crc) = spill(&dir, &key(0), &data);
         for len in [0, 4096, 9_999, 10_001, 20_000] {
             write_file(&path, &vec![7u8; len]).unwrap();
-            assert_eq!(read_validated(&path, 10_000, crc), None, "{len} bytes");
+            assert_eq!(
+                read_validated(&key(0), &path, 10_000, crc),
+                None,
+                "{len} bytes"
+            );
         }
         write_file(&path, &data).unwrap();
-        assert_eq!(read_validated(&path, 10_000, crc).unwrap(), data);
+        assert_eq!(read_validated(&key(0), &path, 10_000, crc).unwrap(), data);
         // An empty block is an empty file: nothing to map, still checked.
+        let empty = block_crc(&key(0), &[]);
         write_file(&path, &[]).unwrap();
-        assert!(read_validated(&path, 0, block_crc(&[])).unwrap().is_empty());
+        assert!(read_validated(&key(0), &path, 0, empty).unwrap().is_empty());
         std::fs::remove_file(&path).unwrap();
-        assert_eq!(read_validated(&path, 0, block_crc(&[])), None, "missing");
+        assert_eq!(read_validated(&key(0), &path, 0, empty), None, "missing");
     }
 
     #[test]
     fn shard_ids_and_crcs_above_u32_are_rejected() {
-        // Shard 2^32 + 1 must not load as shard 1, nor CRC 2^32 + 7 as 7.
-        let dir = TempDir::new("spill-above-u32");
-        let entry = SpillEntry {
-            key: key(0),
-            len: 64,
-            crc: 7,
-        };
-        write_index(dir.path(), &[entry]).unwrap();
-        let path = dir.path().join(SPILL_INDEX_FILE);
-        let text = std::fs::read_to_string(&path).unwrap();
-        for (field, forged) in [
-            ("\"shard_id\": 1", "\"shard_id\": 4294967297"),
-            ("\"crc\": 7", "\"crc\": 4294967303"),
+        // Shard 2^32 + 1 must not parse as shard 1, nor CRC 2^32 + 7 as 7.
+        let name = spill_file_name(&key(0), 7);
+        assert_eq!(name, "block-1-0-10-00000007.blk");
+        assert_eq!(parse_spill_file_name(&name), Some((key(0), 7)));
+        for forged in [
+            "block-4294967297-0-10-00000007.blk",
+            "block-1-0-10-100000007.blk",
         ] {
-            assert!(text.contains(field), "{field}");
-            std::fs::write(&path, text.replacen(field, forged, 1)).unwrap();
-            let err = read_index(dir.path()).expect_err(forged);
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(parse_spill_file_name(forged), None, "{forged}");
+        }
+        // Nor does any name the writer would not have written.
+        for other in [
+            "block-1-0-10.blk",
+            "block-01-0-10-00000007.blk",
+            "block-+1-0-10-00000007.blk",
+            "block-1-0-10-0000000A.blk",
+            "block-1-0-10-00000007-1.blk",
+            "block-1-0-10-00000007.blk.tmp",
+            "notes.txt",
+        ] {
+            assert_eq!(parse_spill_file_name(other), None, "{other}");
         }
     }
 
     #[test]
-    fn parent_written_spill_index_loads_and_rewrites_identically() {
-        // Left by `emlio bench-io --cache-persist` before the codec kept
-        // only unsigned integers; CRCs above 2^31 included.
-        let text = r#"{
-  "blocks": [
-    {
-      "crc": 82555645,
-      "end": 2,
-      "len": 16416,
-      "shard_id": 0,
-      "start": 0
-    },
-    {
-      "crc": 4189835483,
-      "end": 3,
-      "len": 8208,
-      "shard_id": 0,
-      "start": 2
-    },
-    {
-      "crc": 3315873165,
-      "end": 2,
-      "len": 16416,
-      "shard_id": 1,
-      "start": 0
-    },
-    {
-      "crc": 310199745,
-      "end": 3,
-      "len": 8208,
-      "shard_id": 1,
-      "start": 2
-    }
-  ],
-  "version": 1
-}
-"#;
-        let dir = TempDir::new("spill-parent-index");
-        let path = dir.path().join(SPILL_INDEX_FILE);
-        std::fs::write(&path, text).unwrap();
-        let entries = read_index(dir.path()).unwrap().unwrap();
-        let got: Vec<_> = entries
+    fn a_scan_lists_its_own_files_in_key_order_and_clears_stale_tmp() {
+        let dir = TempDir::new("spill-scan");
+        let files: Vec<(PathBuf, u32)> = [2, 0, 1]
             .iter()
-            .map(|e| (e.key.shard_id, e.key.start, e.key.end, e.len, e.crc))
+            .map(|&i| spill(&dir, &key(i), &vec![i as u8; 10 * i]))
             .collect();
-        assert_eq!(
-            got,
-            [
-                (0, 0, 2, 16416, 82555645),
-                (0, 2, 3, 8208, 4189835483),
-                (1, 0, 2, 16416, 3315873165),
-                (1, 2, 3, 8208, 310199745),
-            ]
-        );
-        write_index(dir.path(), &entries).unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
-    }
+        let tmp = dir.file(&format!("{}.tmp", spill_file_name(&key(3), 3)));
+        std::fs::write(&tmp, b"half a block").unwrap();
+        let alien = ["notes.txt", "block-1-0-10.blk"].map(|name| dir.file(name));
+        for path in &alien {
+            std::fs::write(path, b"not the cache's").unwrap();
+        }
+        std::fs::create_dir(dir.file(&spill_file_name(&key(4), 4))).unwrap();
 
-    #[test]
-    fn malformed_index_is_an_error() {
-        let dir = TempDir::new("spill-malformed");
-        std::fs::write(dir.path().join(SPILL_INDEX_FILE), "{not json").unwrap();
-        assert!(read_index(dir.path()).is_err());
-        std::fs::write(dir.path().join(SPILL_INDEX_FILE), "{\"version\": 1}").unwrap();
-        assert!(read_index(dir.path()).is_err());
+        let found = scan(dir.path());
+        let want: Vec<Found> = [1, 2, 0]
+            .map(|f| {
+                let i = [2, 0, 1][f];
+                let (path, crc) = files[f].clone();
+                let len = 10 * i as u64;
+                Found {
+                    key: key(i),
+                    crc,
+                    path,
+                    len,
+                }
+            })
+            .into();
+        assert_eq!(found, want);
+        assert!(!tmp.exists(), "the half-written file is gone");
+        assert!(alien.iter().all(|path| path.exists()), "others left alone");
+        assert!(scan(&dir.file("missing")).is_empty());
     }
 }

@@ -93,7 +93,11 @@ impl RangeSource for CachedSource {
             "cached(clairvoyant {} MiB ram / {} MiB disk{}) -> {}",
             c.ram_bytes >> 20,
             c.disk_bytes >> 20,
-            if c.persist { ", persistent" } else { "" },
+            if c.persist_dir.is_some() {
+                ", persistent"
+            } else {
+                ""
+            },
             self.inner.describe()
         )
     }

@@ -33,8 +33,8 @@ pub struct CacheStats {
     /// reserving executor keeps this at 0; it moves only when a block
     /// turns out longer than the length reserved for it.
     pub prefetch_wasted: AtomicU64,
-    /// CRC-valid blocks re-admitted from a persistent spill index at
-    /// construction (daemon restart).
+    /// CRC-valid spill files a persistent cache re-admitted from its
+    /// directory at construction (daemon restart).
     pub readmitted: AtomicU64,
     /// Storage bytes *not* read thanks to cache hits.
     pub bytes_saved: AtomicU64,
@@ -97,7 +97,7 @@ pub struct CacheStatsSnapshot {
     pub prefetched: u64,
     /// Prefetched reads whose bytes RAM did not admit.
     pub prefetch_wasted: u64,
-    /// Blocks re-admitted from a persistent spill index.
+    /// Spill files re-admitted from a persistent spill directory.
     pub readmitted: u64,
     /// Storage bytes not read thanks to hits.
     pub bytes_saved: u64,

@@ -22,11 +22,16 @@
 //!   when the file on the model's disk is whole;
 //! * an evictor parked on the spill backlog resumes once it is back under;
 //! * at the end, the daemon's checkpoint (with `persist`), the handle's drop
-//!   (the writer drains the queue) and the core's drop (index, or deletes);
-//! * with `persist`, one crash at any point: memory, pending deletes and an
-//!   index write not yet renamed into place are lost, the files stay, and
-//!   the restart re-admits from the index as it was, through `readmit`,
-//!   then walks the plan again.
+//!   (the writer drains the queue) and the core's drop (keeps the files, or
+//!   deletes them);
+//! * with `persist`, one crash at any point: memory and pending deletes are
+//!   lost, the files stay, and the restart scans the model's disk and
+//!   re-admits from it through `readmit` — which also names the files to
+//!   delete — then walks the plan again.
+//!
+//! Each file's name carries its block and checksum, so the model's disk
+//! holds at most one file per block; `persist`'s unit tests and
+//! `tests/forged_index.rs` cover names and bytes a model does not forge.
 //!
 //! In every reachable state the search asserts:
 //!
@@ -37,13 +42,13 @@
 //! * every spill file on the disk has exactly one owner — a slot, a delete
 //!   not yet performed, or the writer between its write and the landing —
 //!   and every spill-path handle is held by one of those or by a claim
-//!   (`Arc::strong_count`, so a handle forgotten rather than dropped fails);
-//!   the one exception is a file a crash left behind that the restart did
-//!   not re-admit (see `orphans`);
-//! * a restart re-admits only blocks whose file and index entry were both
-//!   written completely;
+//!   (`Arc::strong_count`, so a handle forgotten rather than dropped fails),
+//!   after a crash too;
+//! * a restart re-admits only blocks whose file was written whole;
 //! * every terminal state has closed the cache, with no `Busy` slot and an
-//!   empty spill queue, and leaves no file it does not account for.
+//!   empty spill queue, and leaves no file it does not account for: none
+//!   without `persist`; with it, the slots' files, every whole one of which
+//!   the next open re-admits.
 //!
 //! Each search prints and pins its states, transitions and terminal states.
 //! A failure prints a shortest event sequence that leads to it (the search
@@ -77,13 +82,13 @@ fn bytes_of(block: usize) -> Bytes {
 }
 
 fn crc_of(block: usize) -> u32 {
-    persist::block_crc(&bytes_of(block))
+    persist::block_crc(&key(block), &bytes_of(block))
 }
 
 /// The spill path of `block`: only its identity matters here, no file is
 /// ever opened.
 fn path_of(block: usize) -> PathBuf {
-    PathBuf::from(persist::spill_file_name(&key(block)))
+    PathBuf::from(persist::spill_file_name(&key(block), crc_of(block)))
 }
 
 fn block_of_path(path: &Path) -> usize {
@@ -167,8 +172,6 @@ enum Phase {
     Serving,
     /// `persist_now`'s orders are queued; the queue drains next.
     Flushing,
-    /// An index of these entries is being written.
-    Indexing(Vec<(usize, u64, u32)>, bool),
     Checkpointed,
     /// The handle dropped: the writer drains, then exits.
     ShuttingDown,
@@ -178,8 +181,6 @@ enum Phase {
 struct World {
     st: State,
     disk: BTreeMap<usize, Content>,
-    /// The spill index on disk, as `(block, len, crc)` entries.
-    index: Option<Vec<(usize, u64, u32)>>,
     worker: Worker,
     /// The prefetch executor's next plan position (`PLAN.len()`: done),
     /// and whether it is parked on the spill backlog.
@@ -188,9 +189,6 @@ struct World {
     writer: Writer,
     phase: Phase,
     crashed: bool,
-    /// Files the crash left that the restart did not re-admit: nothing
-    /// owns them (a spill of the same block later writes over one).
-    orphans: BTreeSet<usize>,
 }
 
 /// One step of one actor. The blocks it names are for the trace.
@@ -248,7 +246,6 @@ enum Event {
     },
     Checkpoint,
     Flushed,
-    IndexWritten,
     Shutdown,
     WriterExit,
     Close,
@@ -363,51 +360,42 @@ impl World {
         World {
             st: fork_state(&self.st, p),
             disk: self.disk.clone(),
-            index: self.index.clone(),
             worker,
             prefetch: self.prefetch,
             reads,
             writer,
             phase: self.phase.clone(),
             crashed: self.crashed,
-            orphans: self.orphans.clone(),
         }
     }
 
     /// A cache opened over the model's disk, with the plan installed: what
-    /// `CacheCore::new` and `set_plan` do, re-admission through
-    /// `State::readmit` after `load_persisted`'s room and validity checks.
-    fn open(disk: BTreeMap<usize, Content>, index: Option<Vec<(usize, u64, u32)>>) -> World {
+    /// `CacheCore::new` and `set_plan` do. `readmit_dir`'s scan lists the
+    /// files in key order, `State::readmit` re-admits them — a file reads
+    /// back valid exactly when it is whole — and the files it returns are
+    /// deleted before the cache serves.
+    fn open(mut disk: BTreeMap<usize, Content>) -> World {
         let config = CacheConfig::default()
             .with_ram_bytes(RAM)
             .with_disk_bytes(DISK);
         let mut st = State::new(&config);
-        let mut disk = disk;
-        for &(b, len, crc) in index.iter().flatten() {
-            if st.disk_used + len > st.disk_bytes {
-                disk.remove(&b);
-                continue;
-            }
-            if disk.get(&b) == Some(&Content::Whole) && (len, crc) == (1, crc_of(b)) {
-                let entry = SpillEntry {
-                    key: key(b),
-                    len,
-                    crc,
-                };
-                st.readmit(&entry, path_of(b).into());
-            } else {
-                disk.remove(&b);
-            }
+        let found = (disk.keys())
+            .map(|&b| {
+                let (path, len, crc) = (path_of(b).into(), 1, crc_of(b));
+                (key(b), DiskMeta { path, len, crc })
+            })
+            .collect();
+        let rejected = st.readmit(found, |key, _| {
+            disk.get(&key.start) == Some(&Content::Whole)
+        });
+        for meta in rejected {
+            disk.remove(&block_of_path(&meta.path));
         }
         st.set_plan(PLAN.iter().map(|&b| key(b)).collect());
         st.check();
-        let orphans = (disk.keys().copied())
-            .filter(|&b| !matches!(st.slots.get(&key(b)), Some(Slot::Disk(_))))
-            .collect();
         World {
             st,
             disk,
-            index,
             worker: Worker::Ready {
                 pos: 0,
                 accounted: false,
@@ -417,7 +405,6 @@ impl World {
             writer: Writer::Idle,
             phase: Phase::Serving,
             crashed: false,
-            orphans,
         }
     }
 
@@ -564,7 +551,6 @@ impl World {
             }
             Phase::Serving if !persist && self.serving_done() => out.push(Event::Shutdown),
             Phase::Flushing if drained => out.push(Event::Flushed),
-            Phase::Indexing(..) => out.push(Event::IndexWritten),
             Phase::Checkpointed if self.serving_done() => out.push(Event::Shutdown),
             Phase::ShuttingDown if matches!(self.writer, Writer::Exited) => out.push(Event::Close),
             _ => {}
@@ -746,8 +732,7 @@ impl World {
                             _ => Content::Corrupt,
                         };
                         self.disk.insert(*block, content);
-                        self.orphans.remove(block);
-                        let crc = persist::block_crc(&spill.data);
+                        let crc = persist::block_crc(&spill.key, &spill.data);
                         Some(DiskMeta {
                             path: path_of(*block).into(),
                             len,
@@ -779,17 +764,7 @@ impl World {
                 self.st.check();
                 self.phase = Phase::Flushing;
             }
-            Event::Flushed => self.phase = Phase::Indexing(self.live_entries(), false),
-            Event::IndexWritten => {
-                let Phase::Indexing(entries, closing) = self.phase.clone() else {
-                    unreachable!()
-                };
-                self.index = Some(entries);
-                self.phase = match closing {
-                    true => Phase::Closed,
-                    false => Phase::Checkpointed,
-                };
-            }
+            Event::Flushed => self.phase = Phase::Checkpointed,
             Event::Shutdown => {
                 self.st.shutdown = true;
                 self.phase = Phase::ShuttingDown;
@@ -800,26 +775,24 @@ impl World {
                 if busy || !self.st.spill_orders.is_empty() || self.st.writing {
                     return Err("closed with a Busy slot or spill orders queued".into());
                 }
-                if persist {
-                    self.phase = Phase::Indexing(self.live_entries(), true);
-                } else {
-                    for (_, meta) in live_files(&self.st) {
+                if !persist {
+                    for meta in self.files() {
                         self.delete(&meta)?;
                     }
-                    self.phase = Phase::Closed;
                 }
+                self.phase = Phase::Closed;
             }
             Event::CrashAndRestart => {
-                *self = World::open(std::mem::take(&mut self.disk), self.index.take());
+                let disk = std::mem::take(&mut self.disk);
+                let whole: BTreeSet<usize> = (disk.iter())
+                    .filter(|(_, c)| **c == Content::Whole)
+                    .map(|(b, _)| *b)
+                    .collect();
+                *self = World::open(disk);
                 self.crashed = true;
                 for (key, slot) in &self.st.slots {
                     let b = key.start;
-                    let indexed = (self.index.iter().flatten())
-                        .any(|&(e, len, crc)| (e, len, crc) == (b, 1, crc_of(b)));
-                    if !matches!(slot, Slot::Disk(_))
-                        || self.disk.get(&b) != Some(&Content::Whole)
-                        || !indexed
-                    {
+                    if !matches!(slot, Slot::Disk(_)) || !whole.contains(&b) {
                         return Err(format!("the restart re-admitted block {b} unchecked"));
                     }
                 }
@@ -834,9 +807,13 @@ impl World {
             .expect("a read in flight")
     }
 
-    fn live_entries(&self) -> Vec<(usize, u64, u32)> {
-        (live_files(&self.st).into_iter())
-            .map(|(key, meta)| (key.start, meta.len, meta.crc))
+    /// The spill files the slots own.
+    fn files(&self) -> Vec<DiskMeta> {
+        self.st
+            .slots
+            .values()
+            .filter_map(Slot::file)
+            .cloned()
             .collect()
     }
 
@@ -877,8 +854,8 @@ impl World {
         files
     }
 
-    /// What must hold in every reachable state (once closed, the cache's
-    /// files are the index's: `check_terminal` looks at them).
+    /// What must hold in every reachable state (once closed, the files
+    /// the core's drop leaves: `check_terminal` looks at them).
     fn check(&self) -> Result<(), String> {
         if self.phase == Phase::Closed {
             return Ok(());
@@ -915,15 +892,14 @@ impl World {
                 ));
             }
         }
-        // Every file on the disk has one owner; a crash's leftovers none.
+        // Every file on the disk has one owner, after a crash too.
         let pending = self.pending_files();
         let slot_files = self.st.slots.values().filter_map(Slot::file);
         let owned: Vec<&DiskMeta> = slot_files.chain(pending.iter().copied()).collect();
         for b in 0..BLOCKS {
             let owners = owned.iter().filter(|m| block_of_path(&m.path) == b).count();
             let on_disk = self.disk.contains_key(&b);
-            let expected = usize::from(on_disk && !self.orphans.contains(&b));
-            if owners != expected {
+            if owners != usize::from(on_disk) {
                 return Err(format!(
                     "block {b}'s spill file (on disk: {on_disk}) has {owners} owners"
                 ));
@@ -1014,15 +990,6 @@ impl World {
                 Some(Content::Corrupt) => 2,
             });
         }
-        match &self.index {
-            None => out.push(255),
-            Some(entries) => {
-                out.push(entries.len() as u8);
-                for &(b, len, crc) in entries {
-                    out.extend([b as u8, len as u8, u8::from(crc == crc_of(b))]);
-                }
-            }
-        }
         let claim = |c: &Claim| {
             [
                 c.key.start as u8,
@@ -1076,25 +1043,14 @@ impl World {
             Writer::Orphan(m) => out.extend([4, file(Some(m))]),
             Writer::Exited => out.push(5),
         }
-        match &self.phase {
-            Phase::Indexing(entries, closing) => {
-                out.extend([2, u8::from(*closing), entries.len() as u8]);
-                out.extend(
-                    entries.iter().flat_map(|&(b, len, crc)| {
-                        [b as u8, len as u8, u8::from(crc == crc_of(b))]
-                    }),
-                );
-            }
-            phase => out.push(match phase {
-                Phase::Serving => 0,
-                Phase::Flushing => 1,
-                Phase::Checkpointed => 3,
-                Phase::ShuttingDown => 4,
-                _ => 5,
-            }),
-        }
+        out.push(match self.phase {
+            Phase::Serving => 0,
+            Phase::Flushing => 1,
+            Phase::Checkpointed => 2,
+            Phase::ShuttingDown => 3,
+            Phase::Closed => 4,
+        });
         out.push(u8::from(self.crashed));
-        out.push(self.orphans.iter().fold(0, |m, b| m | 1 << b));
         out
     }
 }
@@ -1143,20 +1099,33 @@ impl Model for Lifecycle {
             ));
         }
         // `Close` found no `Busy` slot and no order queued. Closed, the
-        // disk holds the index's files (or none), and a crash's leftovers.
-        let indexed: BTreeSet<usize> = (world.index.iter().flatten()).map(|e| e.0).collect();
-        let kept = |b: &usize| (self.persist && indexed.contains(b)) || world.orphans.contains(b);
-        match world.disk.keys().find(|b| !kept(b)) {
-            Some(b) => Err(format!(
-                "closed with block {b}'s spill file unaccounted for"
+        // disk holds the slots' files (or none), and the next open
+        // re-admits every whole one of them and deletes the rest.
+        let files: BTreeSet<usize> = (world.files().iter())
+            .map(|meta| block_of_path(&meta.path))
+            .filter(|_| self.persist)
+            .collect();
+        let on_disk: BTreeSet<usize> = world.disk.keys().copied().collect();
+        if on_disk != files {
+            return Err(format!(
+                "closed with files of blocks {on_disk:?} on disk, the slots' are {files:?}"
+            ));
+        }
+        let reopened = World::open(world.disk.clone());
+        let whole = (world.disk.iter()).filter(|(_, c)| **c == Content::Whole);
+        let whole: Vec<usize> = whole.map(|(b, _)| *b).collect();
+        let readmitted: Vec<usize> = reopened.disk.keys().copied().collect();
+        match readmitted == whole && reopened.st.slots.len() == whole.len() {
+            true => Ok(()),
+            false => Err(format!(
+                "reopened, blocks {readmitted:?} of the whole files {whole:?} were re-admitted"
             )),
-            None => Ok(()),
         }
     }
 }
 
 fn explore(persist: bool) -> Explored {
-    let explored = explore::explore(&Lifecycle { persist }, World::open(BTreeMap::new(), None));
+    let explored = explore::explore(&Lifecycle { persist }, World::open(BTreeMap::new()));
     println!("persist: {persist}: {explored:?}");
     explored
 }
@@ -1173,15 +1142,15 @@ fn every_state_of_a_two_tier_cache_keeps_its_books_and_its_files() {
     assert_eq!(explored, expected);
 }
 
-/// With `persist`: a checkpoint once the worker is done, an index at the
-/// drop, and one crash anywhere.
+/// With `persist`: a checkpoint once the worker is done, the files kept at
+/// the drop, and one crash anywhere.
 #[test]
 fn every_state_of_a_persistent_cache_survives_a_crash_anywhere() {
     let explored = explore(true);
     let expected = Explored {
-        states: 192_741,
-        transitions: 549_237,
-        terminal: 1_383,
+        states: 27_282,
+        transitions: 80_205,
+        terminal: 491,
     };
     assert_eq!(explored, expected);
 }

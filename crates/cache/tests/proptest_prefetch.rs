@@ -168,7 +168,7 @@ proptest! {
             for &i in &disk_only {
                 previous.insert(key(i), payload(i, sizes[i]));
             }
-            prop_assert_eq!(previous.persist_now().unwrap(), disk_only.len() as u64);
+            prop_assert_eq!(previous.persist_now(), disk_only.len() as u64);
         }
         let cache = Arc::new(ShardCache::new(config.with_ram_bytes(ram)).unwrap());
         prop_assert_eq!(cache.disk_keys().len(), disk_only.len());

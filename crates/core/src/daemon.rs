@@ -355,25 +355,19 @@ impl EmlioDaemon {
         }
         self.metrics
             .set_serve_wall(t_serve.elapsed().as_nanos() as u64, t as u64);
-        let mut result = result;
         if let Some(cached) = &self.cached {
             let cache = cached.cache();
             let killed = self
                 .chaos
                 .as_deref()
                 .is_some_and(ChaosController::is_killed);
-            if cache.config().persist && !killed {
-                // Checkpoint the spill tier (and the RAM working set) so a
+            if cache.config().persist_dir.is_some() && !killed {
+                // Checkpoint the RAM working set into the spill tier so a
                 // restarted daemon re-admits it instead of re-reading
                 // storage — unless chaos killed this incarnation: a crashed
-                // process saves nothing, and what it had spilled is indexed
-                // when the cache drops. A checkpoint failure must not mask
-                // a worker error — the data-path failure is the root cause.
-                if let Err(e) = cache.persist_now() {
-                    if result.is_ok() {
-                        result = Err(DaemonError::Storage(RecordError::Io(e)));
-                    }
-                }
+                // process saves nothing, and the next one re-admits what
+                // it had spilled from the files themselves.
+                cache.persist_now();
             }
         }
         if let Err(e) = &result {

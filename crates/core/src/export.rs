@@ -57,15 +57,6 @@ impl SampleSource {
             recorder: Some(recorder),
         }
     }
-
-    /// A source with only stage histograms (the receiver/pipeline side).
-    pub fn recorder_only(process: &str, recorder: Arc<StageRecorder>) -> SampleSource {
-        SampleSource {
-            process: process.to_string(),
-            metrics: None,
-            recorder: Some(recorder),
-        }
-    }
 }
 
 /// Write one sample of every source into `db` at timestamp `ts` (nanos).

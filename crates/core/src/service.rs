@@ -246,7 +246,7 @@ impl EmlioService {
     /// the controller's retained exactly-once ledger. A persistent cache
     /// (`CacheConfig::with_persist_dir`) re-admits its spill tier across
     /// the restart: the killed incarnation's cache has drained its spill
-    /// writer and written its spill index before the next one opens.
+    /// writer into files before the next one opens and re-admits them.
     /// Everything else starts cold. Killed incarnations end
     /// their streams without markers, and no stream gets a second one
     /// ([`ChaosController::end_stream`](crate::chaos::ChaosController::end_stream)),

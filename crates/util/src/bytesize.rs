@@ -28,11 +28,6 @@ pub const fn mib(n: u64) -> u64 {
     n << 20
 }
 
-/// Gibibytes → bytes.
-pub const fn gib(n: u64) -> u64 {
-    n << 30
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,7 +38,7 @@ mod tests {
         assert_eq!(format_bytes(512), "512 B");
         assert_eq!(format_bytes(2048), "2.00 KiB");
         assert_eq!(format_bytes(10 * 1024 * 1024), "10.0 MiB");
-        assert_eq!(format_bytes(gib(10)), "10.0 GiB");
+        assert_eq!(format_bytes(10 << 30), "10.0 GiB");
         assert!(format_bytes(u64::MAX).contains("PiB"));
     }
 }

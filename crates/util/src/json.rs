@@ -1,13 +1,12 @@
-//! The JSON of the three documents the workspace writes and reads back.
+//! The JSON of the two documents the workspace writes and reads back.
 //!
 //! They are a shard's `mapping_shard_*.json` index (what the planner reads,
-//! Algorithm 2, line 1), the cache's `spill-index.json` and a per-file
-//! dataset's `labels.json`. Between them they hold objects, arrays, strings
-//! and unsigned integers, and this codec holds nothing else: no null,
-//! boolean, sign, fraction or exponent. Integers are read exactly as `u64`,
-//! and nesting deeper than 32 levels is an error, so a forged file cannot
-//! overflow the stack. (The approved dependency list has `serde` but not
-//! `serde_json`.)
+//! Algorithm 2, line 1) and a per-file dataset's `labels.json`. Between
+//! them they hold objects, arrays, strings and unsigned integers, and this
+//! codec holds nothing else: no null, boolean, sign, fraction or exponent.
+//! Integers are read exactly as `u64`, and nesting deeper than 32 levels is
+//! an error, so a forged file cannot overflow the stack. (The approved
+//! dependency list has `serde` but not `serde_json`.)
 
 use std::collections::BTreeMap;
 use std::fmt;

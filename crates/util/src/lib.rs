@@ -5,9 +5,9 @@
 //! * [`clock`] — [`RealClock`], a handle on the process clock
 //!   (`emlio_obs::clock`) for the components that take a clock and sleep
 //!   on it, so energy tuples and data-path events share one time base.
-//! * [`json`] — the codec for the three JSON files the workspace writes:
-//!   shard indexes (`mapping_shard_*.json`), the cache's
-//!   `spill-index.json` and a per-file dataset's `labels.json`.
+//! * [`json`] — the codec for the two JSON files the workspace writes:
+//!   shard indexes (`mapping_shard_*.json`) and a per-file dataset's
+//!   `labels.json`.
 //! * [`bytesize`] — human-readable byte formatting/parsing.
 //! * [`alloc`] — a counting `#[global_allocator]` wrapper so tests and
 //!   benches can assert allocation budgets on the zero-copy serve path.

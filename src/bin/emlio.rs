@@ -788,7 +788,7 @@ mod tests {
         );
         // Left unsaid, the disk tier defaults to the RAM tier's size.
         let cache = bench_io_config(&words).unwrap().cache.unwrap();
-        assert!(cache.persist);
+        assert_eq!(cache.persist_dir, Some("P".into()));
         assert_eq!((cache.ram_bytes, cache.disk_bytes), (8 << 20, 8 << 20));
     }
 

@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use emlio::cache::persist::{block_crc, read_validated};
+use emlio::cache::persist::{block_crc, read_validated, spill_file_name};
 use emlio::cache::{CacheConfig, CachedRangeReader, CachedSource, ShardCache};
 use emlio::core::wire::encode_batch_frame_traced;
 use emlio::core::BufferPool;
@@ -314,19 +314,24 @@ fn zero_copy_serve_path_allocation_budget() {
     }
 
     // Phase 7 — a spill file's length is checked before any of it is
-    // read: an index entry recording 4 KiB whose file has grown to 64 MiB
+    // read: a disk-tier slot recording 4 KiB whose file has grown to 64 MiB
     // (sparse, so it costs no disk) is refused, though its first 4 KiB
     // hash to the recorded CRC, having allocated next to nothing.
     {
         let dir = TempDir::new("alloc-smoke-spill-len");
-        let path = dir.file("block-0-0-32.blk");
+        let key = BlockKey {
+            shard_id: 0,
+            start: 0,
+            end: 32,
+        };
+        let crc = block_crc(&key, &[0u8; 4 << 10]);
+        let path = dir.file(&spill_file_name(&key, crc));
         std::fs::File::create(&path)
             .unwrap()
             .set_len(64 << 20)
             .unwrap();
-        let crc = block_crc(&[0u8; 4 << 10]);
         let before = ALLOC.bytes_allocated();
-        assert!(read_validated(&path, 4 << 10, crc).is_none());
+        assert!(read_validated(&key, &path, 4 << 10, crc).is_none());
         let allocated = ALLOC.bytes_allocated() - before;
         assert!(
             allocated < 1 << 20,
@@ -347,7 +352,7 @@ fn zero_copy_serve_path_allocation_budget() {
             CacheConfig::default()
                 .with_ram_bytes(LEN as u64)
                 .with_disk_bytes(4 * LEN as u64)
-                .with_spill_dir(dir.path().to_path_buf()),
+                .with_persist_dir(dir.path().to_path_buf()),
         )
         .unwrap();
         let block = |i: usize| BlockKey {

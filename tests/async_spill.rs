@@ -1,5 +1,5 @@
 //! Async-data-plane integration tests: the background spill writer, the
-//! drain-on-shutdown guarantee for persistent spill indices, the prefetch
+//! drain-on-shutdown guarantee for persistent spill tiers, the prefetch
 //! executor staging a restarted cache's disk tier, the failed-spill-write
 //! regression, and promoted blocks as views of their spill files — how
 //! long a view lives, and what a file damaged before its promote does.
@@ -9,7 +9,7 @@
 //! pressure, restart by dropping and reopening over the same persist
 //! directory, and the executor walking the installed plan.
 
-use emlio::cache::persist::spill_file_name;
+use emlio::cache::persist::{block_crc, spill_file_name};
 use emlio::cache::{
     BlockKey, CacheConfig, CacheStatsSnapshot, CachedSource, Fetched, Prefetcher, ShardCache,
 };
@@ -59,7 +59,7 @@ fn send_workers_never_spill_inline() {
             CacheConfig::default()
                 .with_ram_bytes((4 * BLOCK) as u64)
                 .with_disk_bytes((256 * BLOCK) as u64)
-                .with_spill_dir(dir.path().to_path_buf())
+                .with_persist_dir(dir.path().to_path_buf())
                 .with_prefetch_depth(0),
         )
         .expect("cache"),
@@ -96,9 +96,8 @@ fn send_workers_never_spill_inline() {
 }
 
 /// Dropping the cache *without* flushing first must still drain the spill
-/// queue before the final index is written: a persistent cache reopened
-/// over the same directory re-admits every spilled block, and each one
-/// round-trips byte-identical.
+/// queue into files: a persistent cache reopened over the same directory
+/// re-admits every spilled block, and each one round-trips byte-identical.
 #[test]
 fn shutdown_drains_queue_and_index_round_trips() {
     let dir = TempDir::new("async-spill-drain");
@@ -122,8 +121,8 @@ fn shutdown_drains_queue_and_index_round_trips() {
     let cache = ShardCache::new(config).expect("reopen");
     let s = cache.stats().snapshot();
     let disk = cache.disk_keys();
-    // RAM capacity held 2 blocks at drop (not indexed); everything evicted
-    // before that was spilled and must have been indexed — including any
+    // RAM capacity held 2 blocks at drop (no file); everything evicted
+    // before that was spilled and must be re-admitted — including any
     // order still queued when the handle dropped.
     assert_eq!(
         disk.len(),
@@ -161,9 +160,9 @@ fn restart_first_window_is_staged_from_disk_zero_storage_reads() {
                     .get_or_fetch(key(i), || Ok::<_, std::io::Error>(payload(i)))
                     .expect("fetch");
             }
-            // Checkpoint the RAM tier into the spill index for the restart.
-            let covered = cache.persist_now().expect("checkpoint");
-            assert_eq!(covered, N as u64, "index covers the dataset");
+            // Checkpoint the RAM tier into spill files for the restart.
+            let covered = cache.persist_now();
+            assert_eq!(covered, N as u64, "the files cover the dataset");
         }
 
         // Restart with RAM for exactly one window; nothing else is set.
@@ -239,7 +238,7 @@ fn failed_spill_write_keeps_block_servable() {
         CacheConfig::default()
             .with_ram_bytes((2 * BLOCK) as u64)
             .with_disk_bytes((64 * BLOCK) as u64)
-            .with_spill_dir(spill_dir.clone())
+            .with_persist_dir(spill_dir.clone())
             .with_prefetch_depth(0),
     )
     .expect("cache");
@@ -270,34 +269,36 @@ fn failed_spill_write_keeps_block_servable() {
     assert_eq!(&data[..], &payload(0)[..], "re-fetched bytes identical");
 }
 
-/// A cache over `dir` whose RAM holds one block and whose disk tier holds
-/// `disk_blocks`; no plan, so both tiers evict in recency order.
+/// A persistent cache over `dir` whose RAM holds one block and whose disk
+/// tier holds `disk_blocks`; no plan, so both tiers evict in recency order.
 fn one_block_ram(dir: &TempDir, disk_blocks: usize) -> ShardCache {
     ShardCache::new(
         CacheConfig::default()
             .with_ram_bytes(BLOCK as u64)
             .with_disk_bytes((disk_blocks * BLOCK) as u64)
-            .with_spill_dir(dir.path().to_path_buf())
+            .with_persist_dir(dir.path().to_path_buf())
             .with_prefetch_depth(0),
     )
     .expect("cache")
 }
 
+/// The path of block `i`'s spill file, `payload(i)` being its bytes.
 fn spill_path(dir: &TempDir, i: usize) -> PathBuf {
-    dir.path().join(spill_file_name(&key(i)))
+    let crc = block_crc(&key(i), &payload(i));
+    dir.path().join(spill_file_name(&key(i), crc))
 }
 
 /// A promoted block is a view of its spill file's mapping, and it keeps
 /// the bytes it was promoted with whatever later happens at that path:
-/// the file retired by the disk tier and the same key spilled there
-/// again by this cache, or — with the old file still in place — the same
-/// key spilled there with other bytes by the next cache over the
-/// directory. The second would show through a writer that truncated and
-/// rewrote the file in place.
+/// the file retired by the disk tier and the same key spilled there again
+/// by this cache, and — once this cache is gone — by the next cache over
+/// the directory, after it re-admitted what this one left. (That a write
+/// replaces a path's inode rather than rewriting it in place is pinned by
+/// `persist`'s `a_rewrite_replaces_the_file_and_a_view_keeps_its_bytes`.)
 #[test]
 fn promoted_view_outlives_its_file_and_a_respill_at_the_same_path() {
     let dir = TempDir::new("async-spill-view");
-    let view = {
+    let (view, again) = {
         let cache = one_block_ram(&dir, 1);
         cache.insert(key(0), payload(0));
         cache.insert(key(1), payload(1)); // evicts 0: written
@@ -316,43 +317,26 @@ fn promoted_view_outlives_its_file_and_a_respill_at_the_same_path() {
         assert_eq!(cache.disk_keys(), vec![key(0)]);
         assert_eq!(&view[..], &payload(0)[..], "the view keeps its bytes");
 
-        // Promote 0 once more, from the new file, and let the cache go:
-        // it deletes its files, the view keeps the mapping.
+        // Promote 0 once more, from the new file — whose place 2's spill
+        // then takes — and let the cache go: the views keep the mappings.
         let again = cache.get(&key(0)).expect("promote from the new file");
         assert_eq!(&again[..], &payload(0)[..]);
-        again
+        (view, again)
     };
     assert!(!spill_path(&dir, 0).exists());
-    assert_eq!(&view[..], &payload(0)[..]);
+    assert!(spill_path(&dir, 2).exists(), "kept for a restart");
 
-    // Now a file this process holds a view of is still at the path. A
-    // persistent cache leaves its files behind; the next cache over the
-    // same directory that spills key 0 — here with other bytes — writes
-    // the same path while the old inode is mapped.
-    let persistent = CacheConfig::default()
-        .with_ram_bytes(BLOCK as u64)
-        .with_disk_bytes((4 * BLOCK) as u64)
-        .with_persist_dir(dir.path().to_path_buf());
-    let held = {
-        let cache = ShardCache::new(persistent).expect("persistent cache");
-        cache.insert(key(0), payload(0));
-        cache.insert(key(1), payload(1));
-        cache.flush_spills();
-        cache.get(&key(0)).expect("promote")
-    };
-    assert!(spill_path(&dir, 0).exists(), "kept for a restart");
+    // The next cache over the directory re-admits 2's file and spills 0
+    // at the same path once more; every view of 0 keeps its bytes.
     let cache = one_block_ram(&dir, 4);
-    cache.insert(key(0), payload(9));
-    cache.insert(key(1), payload(1)); // evicts 0: written over the old path
+    assert_eq!(cache.disk_keys(), vec![key(2)]);
+    cache.insert(key(0), payload(0));
+    cache.insert(key(1), payload(1)); // evicts 0: written
     cache.flush_spills();
-    assert_eq!(cache.stats().snapshot().spills, 1);
-    assert_eq!(&cache.get(&key(0)).expect("promote")[..], &payload(9)[..]);
-    assert_eq!(
-        &held[..],
-        &payload(0)[..],
-        "the old file's view is untouched"
-    );
+    assert!(spill_path(&dir, 0).exists());
+    assert_eq!(&cache.get(&key(0)).expect("promote")[..], &payload(0)[..]);
     assert_eq!(&view[..], &payload(0)[..]);
+    assert_eq!(&again[..], &payload(0)[..]);
 }
 
 /// A spill file cut below its recorded length before its promote — a
@@ -417,7 +401,9 @@ fn spill_file_rewritten_in_place_is_a_miss() {
 #[test]
 fn stale_spill_tmp_files_are_removed_when_a_persistent_cache_opens() {
     let dir = TempDir::new("async-spill-tmp");
-    let stale = dir.path().join(format!("{}.tmp", spill_file_name(&key(3))));
+    let stale = dir
+        .path()
+        .join(format!("{}.tmp", spill_file_name(&key(3), 3)));
     let other = dir.path().join("notes.txt");
     std::fs::write(&stale, b"half a block").unwrap();
     std::fs::write(&other, b"not the cache's").unwrap();

@@ -149,7 +149,11 @@ fn cached_epoch_populates_stage_histograms_and_stall_attribution() {
             dep.daemon_metrics[0].clone(),
             dep.daemon_recorders[0].clone(),
         ),
-        SampleSource::recorder_only("receiver", dep.receiver.recorder()),
+        SampleSource {
+            process: "receiver".into(),
+            metrics: None,
+            recorder: Some(dep.receiver.recorder()),
+        },
     ];
     export::sample_into(&mut db, &sources, clock::now_nanos());
 
