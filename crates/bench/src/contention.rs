@@ -66,15 +66,6 @@ impl ContentionConfig {
             peer_fleet: false,
         }
     }
-
-    /// CI-sized cooperative fleet: 4 daemons over one registry.
-    pub fn smoke_fleet() -> Self {
-        ContentionConfig {
-            daemons: 4,
-            peer_fleet: true,
-            ..Self::smoke()
-        }
-    }
 }
 
 /// What the shared link, the per-daemon caches, and (in fleet mode) the

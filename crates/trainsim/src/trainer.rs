@@ -25,11 +25,6 @@ pub struct TrainLog {
 }
 
 impl TrainLog {
-    /// Total samples consumed.
-    pub fn total_samples(&self) -> u64 {
-        self.iters.iter().map(|i| i.samples as u64).sum()
-    }
-
     /// Final loss, if any.
     pub fn final_loss(&self) -> Option<f32> {
         self.iters.iter().rev().find_map(|i| i.loss)

@@ -150,11 +150,10 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<()> {
 /// A resumable frame reader: one per stream.
 ///
 /// The partially read header or payload lives in the reader, not on the
-/// stack of one call, so an I/O error that leaves the stream intact — the
-/// `WouldBlock`/`TimedOut` of a read timeout used to poll a shutdown flag —
-/// loses nothing: the next [`FrameReader::read_frame`] resumes the same
-/// frame where the last call stopped. (Dropping those bytes put the stream
-/// out of frame for good.)
+/// stack of one call, so an I/O error that leaves the stream intact (a
+/// PULL reader woken with no bytes, mid-frame too) loses nothing: the next
+/// [`FrameReader::read_frame`] resumes the same frame where the last call
+/// stopped. (Dropping those bytes put the stream out of frame for good.)
 ///
 /// Payloads are read into buffers taken from a [`BufferPool`] and handed
 /// out as [`Bytes`] that return the buffer to the pool when their last
@@ -185,7 +184,7 @@ impl FrameReader {
 
     /// Read one frame. Returns `Ok(None)` on clean EOF *before* the length
     /// prefix (peer closed between messages); mid-frame EOF is an error.
-    /// After a timeout error, call again to continue the same frame.
+    /// After such an error, call again to continue the same frame.
     pub fn read_frame<R: Read>(&mut self, r: &mut R, max_frame: usize) -> Result<Option<Bytes>> {
         if self.payload.is_none() {
             if !fill(r, &mut self.header, &mut self.filled)? {

@@ -76,7 +76,8 @@ fn full_stack_training_run() {
     pipe.join();
     dep.join_daemons().unwrap();
 
-    assert_eq!(log.total_samples(), 128, "2 epochs × 64 samples");
+    let samples: usize = log.iters.iter().map(|i| i.samples).sum();
+    assert_eq!(samples, 128, "2 epochs × 64 samples");
     assert!(log.final_loss().is_some());
     // Tensors had the cropped shape; losses are finite.
     assert!(log.iters.iter().all(|i| i.loss.unwrap().is_finite()));

@@ -65,9 +65,12 @@ fn cooperative_fleet_collapses_shared_link_to_one_dataset_pass() {
     // takes it peer-to-peer. Exact counts in both modes — solo pays the
     // link once per daemon, the fleet once in total, even across repeat
     // epochs (local caches absorb those before the peer tier is asked).
+    // A fleet of 4 daemons over one registry.
     let fleet_cfg = ContentionConfig {
+        daemons: 4,
         epochs: 3,
-        ..ContentionConfig::smoke_fleet()
+        peer_fleet: true,
+        ..ContentionConfig::smoke()
     };
     let fleet = run(&fleet_cfg);
     assert_eq!(fleet.batches_delivered, fleet.expected_batches, "{fleet:?}");

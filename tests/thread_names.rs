@@ -1,9 +1,10 @@
 //! Every data-path thread says its role in the 15 bytes of its name that
 //! Linux keeps (`/proc/<pid>/task/<tid>/comm`): a cached, prefetching
-//! deployment with a disk tier and a pipeline is stood up, and each of its
-//! threads must match exactly one role, in the number that role's formula
-//! gives. This has its own test binary, so no other test's threads are
-//! counted.
+//! deployment with a disk tier and a pipeline, and a `wan_train_rtt30`-
+//! shaped one behind the link emulator, are stood up in turn, and each of
+//! their threads must match exactly one role, in the number that role's
+//! formula gives. This has its own test binary, so no other test's threads
+//! are counted.
 #![cfg(target_os = "linux")]
 
 use emlio::cache::CacheConfig;
@@ -12,14 +13,16 @@ use emlio::core::service::StorageSpec;
 use emlio::core::{EmlioConfig, EmlioService};
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
+use emlio::netem::NetProfile;
 use emlio::pipeline::PipelineBuilder;
 use emlio::tfrecord::ShardSpec;
 use emlio::util::testutil::{poll_until, TempDir};
 use std::collections::BTreeMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Each role's name as `comm` shows it: a prefix of at most 15 bytes.
-const ROLES: [&str; 10] = [
+const ROLES: [&str; 12] = [
     "emlio-daemon-",
     "emlio-send-",
     "emlio-prefetch",
@@ -30,7 +33,15 @@ const ROLES: [&str; 10] = [
     "zmq-pull-read:",
     "pipeline-feeder",
     "pipeline-worker",
+    "netem-proxy:",
+    "netem-relay",
 ];
+
+/// The tests count threads process-wide, so they take turns.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// `comm` of every thread of this process, keyed by thread id.
 fn comms() -> BTreeMap<u32, String> {
@@ -46,8 +57,16 @@ fn comms() -> BTreeMap<u32, String> {
         .collect()
 }
 
-/// Threads per role, the harness's own two (`main`, this test's) left out.
-/// Panics on a thread that names no role or more than one.
+/// The threads running before a deployment that name no role: the test
+/// harness's own (`main` and the test threads).
+fn harness() -> Vec<u32> {
+    let comms = comms().into_iter();
+    let roleless = comms.filter(|(_, comm)| !ROLES.iter().any(|r| comm.starts_with(r)));
+    roleless.map(|(tid, _)| tid).collect()
+}
+
+/// Threads per role, the `harness` left out. Panics on a thread that names
+/// no role or more than one.
 fn census(harness: &[u32]) -> BTreeMap<&'static str, usize> {
     let mut counts = BTreeMap::new();
     for (tid, comm) in comms() {
@@ -65,14 +84,26 @@ fn census(harness: &[u32]) -> BTreeMap<&'static str, usize> {
     counts
 }
 
+/// Wait for the census to equal `expect`, prefetch reads left out (they
+/// come and go with the blocks they stage).
+fn settles_at(harness: &[u32], expect: &[(&str, usize)]) {
+    let expect: BTreeMap<&str, usize> = expect.iter().copied().collect();
+    let mut last = BTreeMap::new();
+    let settled = poll_until(Duration::from_secs(10), || {
+        last = census(harness);
+        last.remove("emlio-pf-read");
+        last == expect
+    });
+    assert!(settled, "threads per role {last:?}, expected {expect:?}");
+}
+
 #[test]
 fn every_data_path_thread_names_exactly_one_role() {
     for role in ROLES {
         assert!(role.len() <= 15, "`{role}` is longer than comm keeps");
     }
-    let this = std::fs::read_to_string("/proc/thread-self/stat").unwrap();
-    let this: u32 = this.split(' ').next().unwrap().parse().unwrap();
-    let harness = [std::process::id(), this];
+    let _turn = serial();
+    let harness = harness();
 
     let dir = TempDir::new("thread-names");
     let spec = DatasetSpec::tiny("names", 2000);
@@ -102,29 +133,73 @@ fn every_data_path_thread_names_exactly_one_role() {
     // The consumer is paused: every queue fills and each thread blocks in
     // its role, so the census settles at the formula.
     let s = local_connections_per_worker(T);
-    let expect: BTreeMap<&str, usize> = [
-        ("emlio-daemon-", storage.len()),
-        ("emlio-send-", T),
-        ("emlio-prefetch", 1),
-        ("emlio-cache-spi", 1),
-        ("zmq-push:", T * s),
-        ("zmq-pull-accept", 1),
-        ("zmq-pull-read:", T * s),
-        ("pipeline-feeder", 1),
-        ("pipeline-worker", 2),
-    ]
-    .into_iter()
-    .collect();
-    let mut last = BTreeMap::new();
-    let settled = poll_until(Duration::from_secs(10), || {
-        last = census(&harness);
-        // Prefetch reads come and go with the blocks they stage.
-        last.remove("emlio-pf-read");
-        last == expect
-    });
-    assert!(settled, "threads per role {last:?}, expected {expect:?}");
+    settles_at(
+        &harness,
+        &[
+            ("emlio-daemon-", storage.len()),
+            ("emlio-send-", T),
+            ("emlio-prefetch", 1),
+            ("emlio-cache-spi", 1),
+            ("zmq-push:", T * s),
+            ("zmq-pull-accept", 1),
+            ("zmq-pull-read:", T * s),
+            ("pipeline-feeder", 1),
+            ("pipeline-worker", 2),
+        ],
+    );
 
     // The rest of the stream is drained without the pipeline's work.
+    drop(pipe);
+    let delivery = dep.drain();
+    delivery.served.unwrap();
+    assert!(delivery.batches > 0);
+    census(&harness);
+}
+
+#[test]
+fn a_wan_deployment_adds_two_relays_per_proxied_connection() {
+    let _turn = serial();
+    let harness = harness();
+
+    let dir = TempDir::new("thread-names-wan");
+    let spec = DatasetSpec::tiny("names-wan", 2000);
+    build_tfrecord_dataset(dir.path(), &spec, ShardSpec::Count(4)).unwrap();
+    // `wan_train_rtt30`'s shape: no cache, T = 2, a 30 ms link, and a
+    // one-worker pipeline. At 50 MB/s the relays hold a BDP of 1.5 MB per
+    // connection, so the 48 MiB stream outlasts what the link and the
+    // queues hold while the consumer is paused.
+    const T: usize = 2;
+    let config = EmlioConfig::default()
+        .with_batch_size(8)
+        .with_threads(T)
+        .with_epochs(3);
+    let wan = NetProfile::new("wan-30ms", Duration::from_millis(30), 50e6);
+    let storage = vec![StorageSpec::new("s0", dir.path())];
+    let mut dep = EmlioService::launch_with(&storage, &config, "c0", &wan).unwrap();
+    let pipe = PipelineBuilder::new()
+        .threads(1)
+        .resize(32, 32)
+        .build(Box::new(dep.receiver.source()));
+    pipe.next_batch().expect("a first batch");
+
+    // Every one of the T · S connections goes through the proxy, one
+    // relay thread per direction.
+    let s = local_connections_per_worker(T);
+    settles_at(
+        &harness,
+        &[
+            ("emlio-daemon-", storage.len()),
+            ("emlio-send-", T),
+            ("zmq-push:", T * s),
+            ("netem-proxy:", 1),
+            ("netem-relay", 2 * T * s),
+            ("zmq-pull-accept", 1),
+            ("zmq-pull-read:", T * s),
+            ("pipeline-feeder", 1),
+            ("pipeline-worker", 1),
+        ],
+    );
+
     drop(pipe);
     let delivery = dep.drain();
     delivery.served.unwrap();
