@@ -1,5 +1,6 @@
-//! The demand path: lookups, single-flight fetches, promotes from the disk
-//! tier, and the I/O side of `settle`, the one way out of a `Busy` slot.
+//! The demand path: single-flight fetches, promotes from the disk tier, a
+//! peer's reads and offers, and the I/O side of `settle`, the one way out
+//! of a `Busy` slot.
 
 use super::*;
 
@@ -11,31 +12,6 @@ impl CacheCore {
             .fetch_add(data.len() as u64, Ordering::Relaxed);
     }
 
-    /// Demand lookup: serve `key` from RAM or disk, updating recency and
-    /// the plan cursor. Returns `None` on a miss (which is also counted).
-    /// A fetch already in flight on another thread counts as a miss here
-    /// (this entry point never blocks on other threads' fetches).
-    ///
-    /// A RAM hit returns the cached allocation itself (refcounted, no
-    /// copy); the view stays valid even if the block is evicted while the
-    /// caller holds it.
-    pub fn get(&self, key: &BlockKey) -> Option<Bytes> {
-        let served = self.locked(|st| st.demand(key, true));
-        self.room.notify_all();
-        let data = match served {
-            Some(Served::Ram(data)) => {
-                self.count_hit(&data);
-                Some(data)
-            }
-            Some(Served::Claimed(claim)) => self.promote(claim),
-            None => None,
-        };
-        if data.is_none() {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        data
-    }
-
     /// Serve `key`'s bytes without perturbing the cache: no demand-cursor
     /// advance, no hit/miss counters, no recency touch, no promotion. A
     /// RAM/spilling resident clones the shared bytes; a disk resident is
@@ -44,14 +20,13 @@ impl CacheCore {
     /// This is the peer-serving entry point: a remote daemon's fetch must
     /// not distort this cache's plan accounting or tier placement.
     pub fn peek(&self, key: &BlockKey) -> Option<Bytes> {
-        let meta = match self.state.lock().slots.get(key) {
-            Some(Slot::Ram(data, _)) | Some(Slot::Spilling(data)) => return Some(data.clone()),
-            Some(Slot::Disk(meta)) => meta.clone(),
-            _ => return None,
-        };
-        // Spill-file read with the lock released. A concurrent evictor may
-        // delete the file under us; validation degrades that to a miss.
-        persist::read_validated(key, &meta.path, meta.len, meta.crc)
+        let peeked = self.state.lock().peek(key)?;
+        match peeked {
+            Peeked::Ram(data) => Some(data),
+            // Read with the lock released. A concurrent evictor may delete
+            // the file under us; validation degrades that to a miss.
+            Peeked::File(meta) => persist::read_validated(key, &meta.path, meta.len, meta.crc),
+        }
     }
 
     /// Insert a block without demand-access accounting. A no-op when the

@@ -19,7 +19,7 @@
 //!   Ram       evicted, no disk tier / block too large (absent)  (make_room) eviction counted
 //!   Spilling  spill write landed                      Disk      land_spill: wake spill
 //!   Spilling  spill write failed                      (absent)  land_spill: wake spill
-//!   Disk      demand promote                          Busy      demand, claim: read this file
+//!   Disk      demand promote                          Busy      claim: read this file
 //!   Disk      executor stages (into free RAM)         Busy      issue: read this file
 //!   Busy      file read back valid, RAM admits        Ram+file  settle: wake landed (+ room)
 //!   Busy      file read back valid, RAM declines      Disk      settle: wake landed (+ room)
@@ -130,6 +130,13 @@ pub(super) struct Claim {
 pub(super) enum Served {
     Ram(Bytes),
     Claimed(Claim),
+}
+
+/// What a peer's read finds: RAM bytes, or the spill file to read with the
+/// lock released.
+pub(super) enum Peeked {
+    Ram(Bytes),
+    File(DiskMeta),
 }
 
 /// What the prefetch executor's issue step decided: nothing to stage
@@ -333,33 +340,37 @@ impl State {
     }
 
     /// A demand access to `key`, accounted against the plan when
-    /// `account`: a RAM resident's bytes, or — the slot flipped to `Busy`
-    /// — the claim of a promote from its spill file. `None` when the key
-    /// is absent or in flight.
-    pub(super) fn demand(&mut self, key: &BlockKey, account: bool) -> Option<Served> {
+    /// `account`, on a key that is not in flight: a RAM resident's bytes
+    /// (still readable mid-spill), or the claim of its slot, now `Busy` — a
+    /// promote from its spill file, or, absent, a storage fetch.
+    pub(super) fn claim(&mut self, key: BlockKey, account: bool) -> Served {
         if account {
-            self.demand_access(key);
+            self.demand_access(&key);
         }
-        let slot = self.slots.get_mut(key)?;
-        match slot {
-            Slot::Ram(data, _) | Slot::Spilling(data) => Some(Served::Ram(data.clone())),
-            Slot::Disk(meta) => {
-                *slot = Slot::Busy(Some(meta.clone()));
-                let (key, room, file) = (*key, None, slot.file().cloned());
-                Some(Served::Claimed(Claim { key, room, file }))
-            }
-            Slot::Busy(_) => None,
-        }
+        let file = match self.slots.get(&key) {
+            Some(Slot::Ram(data, _) | Slot::Spilling(data)) => return Served::Ram(data.clone()),
+            Some(Slot::Disk(meta)) => Some(meta.clone()),
+            None => None,
+            Some(Slot::Busy(_)) => unreachable!("a claimer waits out a Busy slot"),
+        };
+        self.slots.insert(key, Slot::Busy(file.clone()));
+        Served::Claimed(Claim {
+            key,
+            room: None,
+            file,
+        })
     }
 
-    /// [`State::demand`] on a key that is not in flight, claiming it for a
-    /// storage fetch when it is absent.
-    pub(super) fn claim(&mut self, key: BlockKey, account: bool) -> Served {
-        self.demand(&key, account).unwrap_or_else(|| {
-            self.slots.insert(key, Slot::Busy(None));
-            let (room, file) = (None, None);
-            Served::Claimed(Claim { key, room, file })
-        })
+    /// A peer's read of `key`, which changes nothing: a RAM resident's
+    /// bytes (still readable mid-spill), or a disk-only block's spill file
+    /// to read in place. A slot in flight is its owner's, and is a miss
+    /// here, like an absent key.
+    pub(super) fn peek(&self, key: &BlockKey) -> Option<Peeked> {
+        match self.slots.get(key)? {
+            Slot::Ram(data, _) | Slot::Spilling(data) => Some(Peeked::Ram(data.clone())),
+            Slot::Disk(meta) => Some(Peeked::File(meta.clone())),
+            Slot::Busy(_) => None,
+        }
     }
 
     /// Insert `data` as `key`'s block, claimed and landed at once (a no-op

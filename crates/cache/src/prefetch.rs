@@ -31,8 +31,8 @@
 //!   resident issues nothing and the executor sleeps on the cache's
 //!   `room` condvar, which every demand access signals.
 //!
-//! [`prefetch_depth`](crate::CacheConfig::prefetch_depth) only switches
-//! this on or off.
+//! There is no switch: the plan fixes the access sequence before any byte
+//! moves, so staging along it is the policy for every cache that has one.
 
 use crate::cache::Issue;
 use crate::source::CachedSource;
@@ -58,8 +58,7 @@ impl Prefetcher {
     /// [`crate::CacheCore::set_plan`] first). Each staged block is read
     /// from its spill file when the disk tier holds it, else through the
     /// source's inner layer; fetch errors are skipped — the demand path
-    /// will surface them. A `prefetch_depth` of 0 yields a
-    /// thread that exits at once.
+    /// will surface them.
     pub fn spawn(source: Arc<CachedSource>) -> Prefetcher {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
@@ -77,9 +76,6 @@ impl Prefetcher {
 
     fn run(source: &CachedSource, stop: &AtomicBool) {
         let cache = source.cache();
-        if cache.config().prefetch_depth == 0 {
-            return;
-        }
         let seq = cache.plan();
         // What a block is taken to weigh when the stack cannot say.
         let largest = AtomicU64::new(0);
@@ -195,20 +191,6 @@ mod tests {
             (reads.load(Ordering::Relaxed), 0),
             "every prefetcher read landed in the cache"
         );
-    }
-
-    #[test]
-    fn depth_zero_prefetcher_exits_idle() {
-        let cache =
-            Arc::new(ShardCache::new(CacheConfig::default().with_prefetch_depth(0)).unwrap());
-        cache.set_plan(vec![key(0)]);
-        let source = Arc::new(CachedSource::new(
-            cache.clone(),
-            Arc::new(FnSource::new(|_k: &BlockKey| Ok(vec![1]))),
-        ));
-        let pf = Prefetcher::spawn(source);
-        pf.join();
-        assert!(!cache.contains(&key(0)));
     }
 
     /// Storage that knows its block lengths and whose reads park until the

@@ -2,12 +2,12 @@
 //!
 //! Compiled into the crate's unit tests as `cache::lifecycle` (by path,
 //! from `cache/mod.rs`), so it drives the crate-private [`State`] through
-//! its own transition methods: `claim`, `settle`, `retire`, `issue`,
-//! `take_spill`, `land_spill`, `checkpoint`, `set_plan` and `readmit`,
-//! each followed by `State::check`, exactly as `CacheCore` calls them. What
-//! `CacheCore` does around them — wait, read, write and delete files — is
-//! modelled, each I/O step its own event, so every other actor may run
-//! between a transition and the I/O it returned:
+//! every method `CacheCore` calls on it — `claim`, `settle`, `retire`,
+//! `issue`, `insert`, `peek`, `take_spill`, `land_spill`, `checkpoint`,
+//! `set_plan` and `readmit` — each followed by `State::check`, exactly as
+//! `CacheCore` calls them. What `CacheCore` does around them — wait, read,
+//! write and delete files — is modelled, each I/O step its own event, so
+//! every other actor may run between a transition and the I/O it returned:
 //!
 //! * 3 one-byte blocks, a RAM tier of 2 and a disk tier of 2, and a plan of
 //!   two epochs (`PLAN`);
@@ -17,6 +17,13 @@
 //!   same plan (an issue step that would wait is not enabled) with its reads
 //!   in flight, any of which may also be dropped unread, and the one spill
 //!   writer;
+//! * a fleet peer, the other daemon that `LocalPeer` lets into this cache,
+//!   asking for block 0 (`PEER_BLOCK`) as often as it likes while the cache
+//!   serves: it `peek`s — a disk-only block's spill file is then read, lock
+//!   released, as its own event, racing the writer and the disk tier — and,
+//!   on a miss, reads the block from storage and offers it back through
+//!   `insert`, which may evict, and park on the spill backlog. A crash takes
+//!   the peer with it (in-process peers share the process);
 //! * storage fetches that succeed or fail, spill writes that land, fail, or
 //!   land a file whose bytes are corrupt; a spill-file read succeeds exactly
 //!   when the file on the model's disk is whole;
@@ -37,13 +44,16 @@
 //!
 //! * `State::check`'s books hold (a transition that panics is a failure);
 //! * a demand gets its own block's bytes, or a miss;
+//! * a `peek` gets its own block's bytes or nothing — nothing for a slot in
+//!   flight, which is its owner's — and changes no slot, order or cursor;
+//! * an `insert` leaves its key's slot untouched whenever one exists;
 //! * at most one fetch, promote or staging read per key is in flight, and
 //!   its slot is `Busy`;
 //! * every spill file on the disk has exactly one owner — a slot, a delete
 //!   not yet performed, or the writer between its write and the landing —
-//!   and every spill-path handle is held by one of those or by a claim
-//!   (`Arc::strong_count`, so a handle forgotten rather than dropped fails),
-//!   after a crash too;
+//!   and every spill-path handle is held by one of those, by a claim or by
+//!   the peer's read (`Arc::strong_count`, so a handle forgotten rather than
+//!   dropped fails), after a crash too;
 //! * a restart re-admits only blocks whose file was written whole;
 //! * every terminal state has closed the cache, with no `Busy` slot and an
 //!   empty spill queue, and leaves no file it does not account for: none
@@ -61,12 +71,15 @@ use super::*;
 use explore::{Explored, Model};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
 /// The plan: two epochs over the three blocks, the second reshuffled.
 const PLAN: [usize; 6] = [0, 1, 2, 2, 0, 1];
 const BLOCKS: usize = 3;
 const RAM: u64 = 2;
 const DISK: u64 = 2;
+/// The block the fleet peer asks this cache for.
+const PEER_BLOCK: usize = 0;
 
 fn key(block: usize) -> BlockKey {
     BlockKey {
@@ -82,18 +95,31 @@ fn bytes_of(block: usize) -> Bytes {
 }
 
 fn crc_of(block: usize) -> u32 {
-    persist::block_crc(&key(block), &bytes_of(block))
+    spill_names()[block].0
+}
+
+/// Each block's checksum and spill path, computed once: every state's
+/// fingerprint and checks look them up.
+fn spill_names() -> &'static [(u32, PathBuf); BLOCKS] {
+    static NAMES: OnceLock<[(u32, PathBuf); BLOCKS]> = OnceLock::new();
+    NAMES.get_or_init(|| {
+        std::array::from_fn(|b| {
+            let crc = persist::block_crc(&key(b), &bytes_of(b));
+            (crc, PathBuf::from(persist::spill_file_name(&key(b), crc)))
+        })
+    })
 }
 
 /// The spill path of `block`: only its identity matters here, no file is
 /// ever opened.
-fn path_of(block: usize) -> PathBuf {
-    PathBuf::from(persist::spill_file_name(&key(block), crc_of(block)))
+fn path_of(block: usize) -> &'static Path {
+    &spill_names()[block].1
 }
 
 fn block_of_path(path: &Path) -> usize {
+    // Compared as strings: `Path`'s `==` walks components.
     (0..BLOCKS)
-        .find(|&b| path == path_of(b))
+        .find(|&b| path.as_os_str() == path_of(b).as_os_str())
         .expect("a spill path names a block")
 }
 
@@ -145,6 +171,20 @@ enum Worker {
     Done,
 }
 
+/// The fleet peer (see the module docs).
+enum Peer {
+    /// Between calls: it may `peek` while the cache serves.
+    Idle,
+    /// Its `peek` found the block on disk only: the file read is next.
+    Reading(DiskMeta),
+    /// Its `peek` missed: it read the block from storage, and offers it.
+    Offering,
+    /// Its offer's evictions left more than the RAM tier `Spilling`.
+    Parked,
+    /// Gone with the process that crashed.
+    Gone,
+}
+
 /// A prefetch read in flight: its claim and, once its file failed
 /// validation, the retired file it still has to delete.
 struct Read {
@@ -187,6 +227,7 @@ struct World {
     prefetch: (usize, bool),
     reads: Vec<Read>,
     writer: Writer,
+    peer: Peer,
     phase: Phase,
     crashed: bool,
 }
@@ -244,6 +285,17 @@ enum Event {
     DeleteOrphan {
         block: usize,
     },
+    PeerPeek {
+        block: usize,
+    },
+    PeerRead {
+        block: usize,
+        ok: bool,
+    },
+    Offer {
+        block: usize,
+    },
+    PeerUnpark,
     Checkpoint,
     Flushed,
     Shutdown,
@@ -357,6 +409,13 @@ impl World {
             Writer::Orphan(meta) => Writer::Orphan(fork_meta(meta, p)),
             Writer::Exited => Writer::Exited,
         };
+        let peer = match &self.peer {
+            Peer::Idle => Peer::Idle,
+            Peer::Reading(meta) => Peer::Reading(fork_meta(meta, p)),
+            Peer::Offering => Peer::Offering,
+            Peer::Parked => Peer::Parked,
+            Peer::Gone => Peer::Gone,
+        };
         World {
             st: fork_state(&self.st, p),
             disk: self.disk.clone(),
@@ -364,6 +423,7 @@ impl World {
             prefetch: self.prefetch,
             reads,
             writer,
+            peer,
             phase: self.phase.clone(),
             crashed: self.crashed,
         }
@@ -403,6 +463,7 @@ impl World {
             prefetch: (0, false),
             reads: Vec::new(),
             writer: Writer::Idle,
+            peer: Peer::Idle,
             phase: Phase::Serving,
             crashed: false,
         }
@@ -447,10 +508,13 @@ impl World {
         }
     }
 
+    /// The actors are done, and the peer is not inside a call: its next one
+    /// finds the cache gone once the handle drops.
     fn serving_done(&self) -> bool {
         matches!(self.worker, Worker::Done)
             && self.prefetch.0 == PLAN.len()
             && self.reads.is_empty()
+            && matches!(self.peer, Peer::Idle | Peer::Gone)
     }
 
     /// Every event enabled here.
@@ -488,8 +552,8 @@ impl World {
                 out.push(Event::PrefetchUnpark);
             }
         } else if pos < PLAN.len() {
-            let mut probe = self.fork();
-            if !matches!(probe.st.issue(pos as u64, &key(PLAN[pos]), 1), Step::Wait) {
+            let mut probe = fork_state(&self.st, &mut HashMap::new());
+            if !matches!(probe.issue(pos as u64, &key(PLAN[pos]), 1), Step::Wait) {
                 out.push(Event::Issue {
                     pos,
                     block: PLAN[pos],
@@ -518,7 +582,7 @@ impl World {
             // A writer with orders queued takes them, skipping those with
             // nothing to write.
             Writer::Idle if !self.st.spill_orders.is_empty() => {
-                let spill = self.fork().st.take_spill();
+                let spill = fork_state(&self.st, &mut HashMap::new()).take_spill();
                 let block = spill.map(|spill| spill.key.start);
                 out.push(Event::TakeSpill { block });
             }
@@ -542,6 +606,21 @@ impl World {
                 block: block_of_path(&meta.path),
             }),
             Writer::Exited => {}
+        }
+        let serving = matches!(
+            self.phase,
+            Phase::Serving | Phase::Flushing | Phase::Checkpointed
+        );
+        let block = PEER_BLOCK;
+        match &self.peer {
+            Peer::Idle if serving => out.push(Event::PeerPeek { block }),
+            Peer::Reading(meta) => out.push(Event::PeerRead {
+                block,
+                ok: self.read_ok(meta),
+            }),
+            Peer::Offering => out.push(Event::Offer { block }),
+            Peer::Parked if self.st.spilling <= RAM => out.push(Event::PeerUnpark),
+            Peer::Idle | Peer::Parked | Peer::Gone => {}
         }
         let drained = self.st.spill_orders.is_empty() && !self.st.writing;
         match &self.phase {
@@ -759,6 +838,54 @@ impl World {
                 };
                 self.delete(&meta)?;
             }
+            Event::PeerPeek { block } => {
+                let before = state_print(&self.st);
+                let busy = matches!(self.st.slots.get(&key(*block)), Some(Slot::Busy(_)));
+                let peeked = self.st.peek(&key(*block));
+                if state_print(&self.st) != before {
+                    return Err(format!("a peek of block {block} changed the cache"));
+                }
+                self.peer = match peeked {
+                    Some(_) if busy => {
+                        return Err(format!("a peek of block {block} served a slot in flight"))
+                    }
+                    Some(Peeked::Ram(data)) if data != bytes_of(*block) => {
+                        return Err(format!("a peek of block {block} served {data:?}"))
+                    }
+                    Some(Peeked::Ram(_)) => Peer::Idle,
+                    Some(Peeked::File(meta)) => Peer::Reading(meta),
+                    None => Peer::Offering,
+                };
+            }
+            Event::PeerRead { block, ok } => {
+                let Peer::Reading(meta) = std::mem::replace(&mut self.peer, Peer::Idle) else {
+                    unreachable!()
+                };
+                // A valid read returns the bytes the file was written with.
+                let served = block_of_path(&meta.path);
+                if *ok && served != *block {
+                    return Err(format!(
+                        "a peek of block {block} served block {served}'s file"
+                    ));
+                }
+                if !*ok {
+                    self.peer = Peer::Offering;
+                }
+            }
+            Event::Offer { block } => {
+                let k = key(*block);
+                let before = self.st.slots.get(&k).map(slot_print);
+                let effect = self.st.insert(k, bytes_of(*block));
+                self.st.check();
+                if before.is_some() && self.st.slots.get(&k).map(slot_print) != before {
+                    return Err(format!("an insert of block {block} changed its slot"));
+                }
+                self.peer = match self.parks(&effect) {
+                    true => Peer::Parked,
+                    false => Peer::Idle,
+                };
+            }
+            Event::PeerUnpark => self.peer = Peer::Idle,
             Event::Checkpoint => {
                 self.st.checkpoint();
                 self.st.check();
@@ -790,6 +917,7 @@ impl World {
                     .collect();
                 *self = World::open(disk);
                 self.crashed = true;
+                self.peer = Peer::Gone;
                 for (key, slot) in &self.st.slots {
                     let b = key.start;
                     if !matches!(slot, Slot::Disk(_)) || !whole.contains(&b) {
@@ -905,10 +1033,15 @@ impl World {
                 ));
             }
         }
-        // Every spill-path handle is held by an owner or a claim.
+        // Every spill-path handle is held by an owner, a claim or the
+        // peer's read.
         let mut held: HashMap<*const Path, (usize, &Arc<Path>)> = HashMap::new();
         let claim_files = claims.iter().filter_map(|c| c.file.as_ref());
-        for meta in owned.iter().copied().chain(claim_files) {
+        let peer_file = match &self.peer {
+            Peer::Reading(meta) => Some(meta),
+            _ => None,
+        };
+        for meta in owned.iter().copied().chain(claim_files).chain(peer_file) {
             held.entry(Arc::as_ptr(&meta.path))
                 .or_insert((0, &meta.path))
                 .0 += 1;
@@ -928,61 +1061,7 @@ impl World {
     /// The visited set's key: everything the future depends on, with the
     /// access ticks replaced by their order (only their order is read).
     fn fingerprint(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(96);
-        let st = &self.st;
-        let file = |f: Option<&DiskMeta>| match f {
-            None => 0,
-            Some(m) => {
-                1 + block_of_path(&m.path) as u8 * 4
-                    + u8::from(m.crc == crc_of(block_of_path(&m.path))) * 2
-                    + (m.len as u8 & 1) * 16
-            }
-        };
-        for b in 0..BLOCKS {
-            let (kind, data, f) = match st.slots.get(&key(b)) {
-                None => (0, None, None),
-                Some(Slot::Ram(d, f)) => (1, Some(d), f.as_ref()),
-                Some(Slot::Spilling(d)) => (2, Some(d), None),
-                Some(Slot::Disk(m)) => (3, None, Some(m)),
-                Some(Slot::Busy(f)) => (4, None, f.as_ref()),
-            };
-            out.extend([
-                kind,
-                data.map_or(0, |d| d.first().copied().unwrap_or(1)),
-                file(f),
-            ]);
-        }
-        let scalars = [
-            st.ram_used,
-            st.spilling,
-            st.disk_used,
-            st.ram_reserved,
-            st.cursor,
-        ];
-        out.extend(scalars.map(|v| v as u8));
-        out.extend([
-            st.reservations as u8,
-            u8::from(st.writing),
-            u8::from(st.shutdown),
-        ]);
-        out.push(st.spill_orders.len() as u8);
-        out.extend(st.spill_orders.iter().map(|k| k.start as u8));
-        let (ram, disk) = (st.ram_order.ranks(), st.disk_order.ranks());
-        let mut ticks: Vec<u64> = ram.iter().chain(&disk).map(|r| r.2).collect();
-        ticks.sort_unstable();
-        for ranks in [&ram, &disk] {
-            out.push(ranks.len() as u8);
-            for &(key, next, tick, size) in ranks {
-                let order = ticks.binary_search(&tick).unwrap() as u8;
-                out.extend([key.start as u8, next.min(255) as u8, order, size as u8]);
-            }
-        }
-        out.push(st.backed.iter().fold(0, |m, k| m | 1 << k.start));
-        for b in 0..BLOCKS {
-            let q = st.future.get(&key(b));
-            out.push(q.map_or(0, |q| q.len()) as u8);
-            out.extend(q.into_iter().flatten().map(|&p| p as u8));
-        }
+        let mut out = state_print(&self.st);
         for b in 0..BLOCKS {
             out.push(match self.disk.get(&b) {
                 None => 0,
@@ -994,7 +1073,7 @@ impl World {
             [
                 c.key.start as u8,
                 c.room.map_or(9, |r| r as u8),
-                file(c.file.as_ref()),
+                file_print(c.file.as_ref()),
             ]
         };
         match &self.worker {
@@ -1012,7 +1091,7 @@ impl World {
                 claim: c,
                 file: f,
             } => {
-                out.extend([4, *pos as u8, file(f.as_ref())]);
+                out.extend([4, *pos as u8, file_print(f.as_ref())]);
                 out.extend(claim(c));
             }
             Worker::Parked { pos } => out.extend([5, *pos as u8]),
@@ -1022,7 +1101,7 @@ impl World {
         let mut reads: Vec<[u8; 4]> = (self.reads.iter())
             .map(|r| {
                 let [k, room, f] = claim(&r.claim);
-                let retired = r.retired.as_ref().map_or(0, |f| 1 + file(f.as_ref()));
+                let retired = (r.retired.as_ref()).map_or(0, |f| 1 + file_print(f.as_ref()));
                 [k, room, f, retired]
             })
             .collect();
@@ -1037,11 +1116,18 @@ impl World {
                     s.key.start as u8,
                 ]);
                 out.push(s.delete.len() as u8);
-                out.extend(s.delete.iter().map(|m| file(Some(m))));
+                out.extend(s.delete.iter().map(|m| file_print(Some(m))));
             }
-            Writer::Written(k, m) => out.extend([3, k.start as u8, file(m.as_ref())]),
-            Writer::Orphan(m) => out.extend([4, file(Some(m))]),
+            Writer::Written(k, m) => out.extend([3, k.start as u8, file_print(m.as_ref())]),
+            Writer::Orphan(m) => out.extend([4, file_print(Some(m))]),
             Writer::Exited => out.push(5),
+        }
+        match &self.peer {
+            Peer::Idle => out.push(0),
+            Peer::Reading(m) => out.extend([1, file_print(Some(m))]),
+            Peer::Offering => out.push(2),
+            Peer::Parked => out.push(3),
+            Peer::Gone => out.push(4),
         }
         out.push(match self.phase {
             Phase::Serving => 0,
@@ -1053,6 +1139,72 @@ impl World {
         out.push(u8::from(self.crashed));
         out
     }
+}
+
+/// A spill file's identity in a fingerprint: its block, whether its
+/// checksum and length are the block's (0: no file).
+fn file_print(f: Option<&DiskMeta>) -> u8 {
+    match f {
+        None => 0,
+        Some(m) => {
+            let b = block_of_path(&m.path);
+            1 + b as u8 * 4 + u8::from(m.crc == crc_of(b)) * 2 + (m.len as u8 & 1) * 16
+        }
+    }
+}
+
+/// A slot in a fingerprint: its kind, its bytes' first byte and its file.
+fn slot_print(slot: &Slot) -> [u8; 3] {
+    let (kind, data, f) = match slot {
+        Slot::Ram(d, f) => (1, Some(d), f.as_ref()),
+        Slot::Spilling(d) => (2, Some(d), None),
+        Slot::Disk(m) => (3, None, Some(m)),
+        Slot::Busy(f) => (4, None, f.as_ref()),
+    };
+    let first = data.map_or(0, |d| d.first().copied().unwrap_or(1));
+    [kind, first, file_print(f)]
+}
+
+/// The cache's part of a fingerprint: the slots, the accounting, the spill
+/// queue, both orders with the access ticks replaced by their order, and
+/// the plan's remaining positions.
+fn state_print(st: &State) -> Vec<u8> {
+    let mut out = Vec::with_capacity(96);
+    for b in 0..BLOCKS {
+        out.extend(st.slots.get(&key(b)).map_or([0; 3], slot_print));
+    }
+    let scalars = [
+        st.ram_used,
+        st.spilling,
+        st.disk_used,
+        st.ram_reserved,
+        st.cursor,
+    ];
+    out.extend(scalars.map(|v| v as u8));
+    out.extend([
+        st.reservations as u8,
+        u8::from(st.writing),
+        u8::from(st.shutdown),
+    ]);
+    out.push(st.spill_orders.len() as u8);
+    out.extend(st.spill_orders.iter().map(|k| k.start as u8));
+    let (ram, disk) = (st.ram_order.ranks(), st.disk_order.ranks());
+    let mut ticks: Vec<u64> = ram.iter().chain(&disk).map(|r| r.2).collect();
+    ticks.sort_unstable();
+    for ranks in [&ram, &disk] {
+        out.push(ranks.len() as u8);
+        for &(key, next, tick, size) in ranks {
+            let order = ticks.binary_search(&tick).unwrap() as u8;
+            out.extend([key.start as u8, next.min(255) as u8, order, size as u8]);
+        }
+    }
+    out.push(st.backed.iter().fold(0, |m, k| m | 1 << k.start));
+    for b in 0..BLOCKS {
+        let q = st.future.get(&key(b));
+        out.push(q.map_or(0, |q| q.len()) as u8);
+        out.extend(q.into_iter().flatten().map(|&p| p as u8));
+    }
+    out
 }
 
 /// The search: one cache, with or without a persistent spill tier.
@@ -1135,9 +1287,9 @@ fn explore(persist: bool) -> Explored {
 fn every_state_of_a_two_tier_cache_keeps_its_books_and_its_files() {
     let explored = explore(false);
     let expected = Explored {
-        states: 5_728,
-        transitions: 15_410,
-        terminal: 45,
+        states: 16_225,
+        transitions: 58_025,
+        terminal: 67,
     };
     assert_eq!(explored, expected);
 }
@@ -1148,9 +1300,9 @@ fn every_state_of_a_two_tier_cache_keeps_its_books_and_its_files() {
 fn every_state_of_a_persistent_cache_survives_a_crash_anywhere() {
     let explored = explore(true);
     let expected = Explored {
-        states: 27_282,
-        transitions: 80_205,
-        terminal: 491,
+        states: 46_586,
+        transitions: 176_241,
+        terminal: 609,
     };
     assert_eq!(explored, expected);
 }

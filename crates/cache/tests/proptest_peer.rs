@@ -127,9 +127,7 @@ proptest! {
         for p in 0..n_peers {
             let cache = Arc::new(
                 ShardCache::new(
-                    CacheConfig::default()
-                        .with_ram_bytes((64 * BLOCK) as u64)
-                        .with_prefetch_depth(0),
+                    CacheConfig::default().with_ram_bytes((64 * BLOCK) as u64),
                 )
                 .unwrap(),
             );

@@ -63,8 +63,7 @@ fn stress_reads_gets_and_inserts_over_a_cyclic_plan() {
         ShardCache::new(
             CacheConfig::default()
                 .with_ram_bytes(ram)
-                .with_disk_bytes(disk)
-                .with_prefetch_depth(0),
+                .with_disk_bytes(disk),
         )
         .unwrap(),
     );
@@ -98,10 +97,11 @@ fn stress_reads_gets_and_inserts_over_a_cyclic_plan() {
                             .unwrap();
                         assert_eq!(data.len(), BLOCK_BYTES);
                     }
-                    // Non-blocking demand lookups.
+                    // A peer's reads, which never wait and account nothing.
                     7 => {
-                        demand_ops.fetch_add(1, Ordering::Relaxed);
-                        let _ = cache.get(&k);
+                        if let Some(data) = cache.peek(&k) {
+                            assert!(data.iter().all(|&b| b == k.shard_id as u8));
+                        }
                     }
                     // Raw inserts racing the fetch paths.
                     _ => cache.insert(k, vec![k.shard_id as u8; BLOCK_BYTES]),
@@ -136,7 +136,7 @@ fn stress_reads_gets_and_inserts_over_a_cyclic_plan() {
     assert!(s.spills > 0, "disk tier exercised: {s:?}");
     // Every resident key must still serve coherent bytes afterwards.
     for k in cache.ram_keys() {
-        let data = cache.get(&k).expect("resident key readable");
+        let data = cache.peek(&k).expect("resident key readable");
         assert!(data.iter().all(|&b| b == k.shard_id as u8));
     }
 }
@@ -158,8 +158,7 @@ fn no_lock_is_held_across_a_stalled_spill_write_or_a_parked_fetch() {
     let cache = ShardCache::new(
         CacheConfig::default()
             .with_ram_bytes((2 * BLOCK_BYTES) as u64)
-            .with_disk_bytes((8 * BLOCK_BYTES) as u64)
-            .with_prefetch_depth(0),
+            .with_disk_bytes((8 * BLOCK_BYTES) as u64),
     )
     .unwrap();
     let injector = FaultInjector::new(
@@ -225,14 +224,13 @@ fn stress_backed_evictions_race_disk_evictions() {
     let disk = (48 * BLOCK_BYTES) as u64;
     let cache = Arc::new(
         ShardCache::new(
+            // `Spilling` blocks are readable, so the writer's backlog is
+            // more cache: at most the 16-block RAM tier of it, so the disk
+            // tier still overflows under the threads, not only in the final
+            // flush.
             CacheConfig::default()
                 .with_ram_bytes(ram)
-                .with_disk_bytes(disk)
-                // `Spilling` blocks are readable, so the writer's backlog
-                // is more cache: at most the 16-block RAM tier of it, so
-                // the disk tier still overflows under the threads, not
-                // only in the final flush.
-                .with_prefetch_depth(0),
+                .with_disk_bytes(disk),
         )
         .unwrap(),
     );
@@ -448,12 +446,8 @@ fn stress_peer_fleet_coalesces_storage_reads() {
     let mut caches = Vec::new();
     for p in 0..PEERS {
         let cache = Arc::new(
-            ShardCache::new(
-                CacheConfig::default()
-                    .with_ram_bytes((KEYSPACE * BLOCK_BYTES) as u64)
-                    .with_prefetch_depth(0),
-            )
-            .unwrap(),
+            ShardCache::new(CacheConfig::default().with_ram_bytes((KEYSPACE * BLOCK_BYTES) as u64))
+                .unwrap(),
         );
         registry.attach(&format!("p{p}"), LocalPeer::new(&cache));
         let reads = storage_reads.clone();

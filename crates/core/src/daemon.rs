@@ -306,14 +306,10 @@ impl EmlioDaemon {
             }
         }
 
-        let prefetcher = match &self.cached {
-            Some(cached) => {
-                self.install_cache_plan(cached, plan, node_id);
-                (cached.cache().config().prefetch_depth > 0)
-                    .then(|| Prefetcher::spawn(cached.clone()))
-            }
-            None => None,
-        };
+        let prefetcher = self.cached.as_ref().map(|cached| {
+            self.install_cache_plan(cached, plan, node_id);
+            Prefetcher::spawn(cached.clone())
+        });
         let mut reader = CachedRangeReader::new(self.source.clone());
         if !self.config.verify_crc {
             reader = reader.without_crc_verification();

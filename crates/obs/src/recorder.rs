@@ -4,7 +4,6 @@ use crate::hist::{HistSnapshot, LogHistogram};
 use crate::stage::Stage;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-stage latency histograms for one process-side of the data path
 /// (one per daemon, one per receiver). Shared by `Arc` across every
@@ -38,30 +37,9 @@ impl StageRecorder {
         self.hists[stage.index()].record(nanos);
     }
 
-    /// Record the time elapsed since `start` into `stage`.
-    #[inline]
-    pub fn observe_since(&self, stage: Stage, start: Instant) {
-        self.record(stage, start.elapsed().as_nanos() as u64);
-    }
-
-    /// Time `f` and record its duration into `stage`.
-    pub fn time<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> T {
-        let t0 = Instant::now();
-        let out = f();
-        self.observe_since(stage, t0);
-        out
-    }
-
     /// The histogram behind `stage`.
     pub fn hist(&self, stage: Stage) -> &LogHistogram {
         &self.hists[stage.index()]
-    }
-
-    /// Add every count of `other` into `self` (combining daemons).
-    pub fn merge(&self, other: &StageRecorder) {
-        for stage in Stage::ALL {
-            self.hists[stage.index()].merge(other.hist(stage));
-        }
     }
 
     /// Point-in-time copy of every stage histogram.
@@ -124,30 +102,5 @@ mod tests {
         assert_eq!(non_empty, vec![Stage::StorageRead, Stage::Encode]);
         let dbg = format!("{r:?}");
         assert!(dbg.contains("storage_read") && !dbg.contains("socket_send"));
-    }
-
-    #[test]
-    fn time_and_observe_since_record() {
-        let r = StageRecorder::new();
-        let out = r.time(Stage::PipelineOp, || 41 + 1);
-        assert_eq!(out, 42);
-        r.observe_since(Stage::LazyDecode, Instant::now());
-        let s = r.snapshot();
-        assert_eq!(s.stage(Stage::PipelineOp).count, 1);
-        assert_eq!(s.stage(Stage::LazyDecode).count, 1);
-    }
-
-    #[test]
-    fn merge_combines_recorders() {
-        let a = StageRecorder::new();
-        let b = StageRecorder::new();
-        a.record(Stage::SocketSend, 10);
-        b.record(Stage::SocketSend, 30);
-        b.record(Stage::RecvWait, 7);
-        a.merge(&b);
-        let s = a.snapshot();
-        assert_eq!(s.stage(Stage::SocketSend).count, 2);
-        assert_eq!(s.stage(Stage::SocketSend).max, 30);
-        assert_eq!(s.stage(Stage::RecvWait).count, 1);
     }
 }

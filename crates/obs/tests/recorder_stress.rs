@@ -73,7 +73,7 @@ fn concurrent_writers_lose_nothing() {
     assert!(reads.p99() <= reads.max);
     assert!(reads.max < 1 << 30);
 
-    // Merging per-thread recorders equals one shared recorder.
+    // Merging per-thread recorders' histograms equals one shared recorder.
     let shards: Vec<StageRecorder> = (0..WRITERS).map(|_| StageRecorder::new()).collect();
     std::thread::scope(|s| {
         for (w, shard) in shards.iter().enumerate() {
@@ -87,7 +87,8 @@ fn concurrent_writers_lose_nothing() {
     });
     let merged = StageRecorder::new();
     for shard in &shards {
-        merged.merge(shard);
+        let stage = Stage::StorageRead;
+        merged.hist(stage).merge(shard.hist(stage));
     }
     let merged_snap = merged.snapshot();
     assert_eq!(

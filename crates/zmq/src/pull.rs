@@ -39,8 +39,9 @@
 //! for every reader. Woken, a reader asks the rule: after a stop it
 //! returns; after the last marker it polls its stream alone until
 //! `END_QUIET` after the later of the end and its last frame. Elsewhere a
-//! read is a plain read with a tick as its timeout; where setting the mark
-//! fails, the reader wakes for any byte.
+//! read is a plain read with a tick as its timeout, and a stop that ends
+//! the queue shuts each live reader's stream for reading; where setting the
+//! mark fails, the reader wakes for any byte.
 
 use crate::endpoint::Endpoint;
 use crate::frame::FrameReader;
@@ -138,7 +139,7 @@ impl<T> Shared<T> {
         let (ends, tx) = &mut *self.lifecycle.lock();
         let answer = event(ends);
         if tx.take_if(|_| ends.is_ended()).is_some() {
-            sys::raise(&self.wake);
+            sys::raise(&self.wake, !ends.reads_on(|| false));
         }
         (answer, tx.clone())
     }
@@ -332,7 +333,7 @@ fn accept_loop<T: Send + 'static>(listener: TcpListener, shared: Arc<Shared<T>>)
 /// the connection has been quiet for [`END_QUIET`] and the rule reads it
 /// no further. Returning drops this reader's sending half.
 fn read_connection<T>(stream: TcpStream, peer: SocketAddr, tx: Sender<T>, shared: &Shared<T>) {
-    sys::prepare(&stream);
+    let _registered = sys::prepare(&stream, peer, &shared.wake);
     let mut stream = LowWaterReader {
         stream,
         mark: 1,
@@ -447,7 +448,7 @@ impl Read for LowWaterReader<'_> {
 mod sys {
     use std::ffi::{c_int, c_short, c_ulong, c_void};
     use std::io;
-    use std::net::{Shutdown, TcpStream};
+    use std::net::{Shutdown, SocketAddr, TcpStream};
     use std::os::fd::AsRawFd;
     use std::os::unix::net::UnixStream;
     use std::time::Instant;
@@ -479,13 +480,18 @@ mod sys {
         UnixStream::pair()
     }
 
-    pub(super) fn raise(wake: &Wake) {
+    /// Raised, the wake ends every reader's wait, on a stop or not.
+    pub(super) fn raise(wake: &Wake, _stopped: bool) {
         wake.0.shutdown(Shutdown::Write).ok();
     }
 
+    /// Nothing to hold for a reader: the wake reaches every one.
+    pub(super) struct Registered;
+
     /// Reads never block: the waiting is [`wait_readable`]'s.
-    pub(super) fn prepare(stream: &TcpStream) {
+    pub(super) fn prepare(stream: &TcpStream, _: SocketAddr, _: &Wake) -> Registered {
         stream.set_nonblocking(true).ok();
+        Registered
     }
 
     /// Set `stream`'s low-water mark to `bytes`; whether the kernel took it.
@@ -526,28 +532,65 @@ mod sys {
 }
 
 /// Elsewhere there is no mark and no wake: a read is a plain read that
-/// blocks for one tick at most, after which the reader asks the rule.
+/// blocks for one tick at most, after which the reader asks the rule. A
+/// stop that ends the queue shuts every live reader's stream for reading,
+/// so a read blocked on a quiet connection returns at once; the end by
+/// markers leaves the readers to their tick, reading out what is still in
+/// flight.
 #[cfg(not(all(
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
 mod sys {
+    use parking_lot::Mutex;
     use std::io;
-    use std::net::TcpStream;
+    use std::net::{Shutdown, SocketAddr, TcpStream};
     use std::time::{Duration, Instant};
 
     const READ_TICK: Duration = Duration::from_millis(100);
 
-    pub(super) type Wake = ();
+    /// Whether the socket was stopped, and each live reader's stream (a
+    /// clone) by its peer.
+    #[derive(Default)]
+    pub(super) struct Wake(Mutex<(bool, Vec<Reader>)>);
+
+    type Reader = (SocketAddr, TcpStream);
 
     pub(super) fn wake() -> io::Result<Wake> {
-        Ok(())
+        Ok(Wake::default())
     }
 
-    pub(super) fn raise(_: &Wake) {}
+    /// The end by markers leaves the readers to their tick.
+    pub(super) fn raise(wake: &Wake, stopped: bool) {
+        let (shut, live) = &mut *wake.0.lock();
+        *shut = stopped;
+        if stopped {
+            for (_, stream) in live.iter() {
+                stream.shutdown(Shutdown::Read).ok();
+            }
+        }
+    }
 
-    pub(super) fn prepare(stream: &TcpStream) {
-        stream.set_read_timeout(Some(READ_TICK)).ok();
+    /// A reader among the live ones until dropped, so that its clone does
+    /// not hold the connection open past the reader.
+    pub(super) struct Registered<'a>(&'a Wake, SocketAddr);
+
+    impl Drop for Registered<'_> {
+        fn drop(&mut self) {
+            self.0 .0.lock().1.retain(|(peer, _)| *peer != self.1);
+        }
+    }
+
+    /// A stream that cannot be cloned is left to its tick.
+    pub(super) fn prepare<'a>(s: &TcpStream, peer: SocketAddr, w: &'a Wake) -> Registered<'a> {
+        s.set_read_timeout(Some(READ_TICK)).ok();
+        let (stopped, live) = &mut *w.0.lock();
+        if *stopped {
+            s.shutdown(Shutdown::Read).ok();
+        } else if let Ok(clone) = s.try_clone() {
+            live.push((peer, clone));
+        }
+        Registered(w, peer)
     }
 
     pub(super) fn set_rcvlowat(_: &TcpStream, _: usize) -> bool {

@@ -22,14 +22,14 @@
 //! let config = config.with_cache(
 //!     CacheConfig::default()
 //!         .with_ram_bytes(256 << 20)   // RAM tier capacity
-//!         .with_disk_bytes(1 << 30)    // optional disk spill tier
-//!         .with_prefetch_depth(0),     // plan-ahead staging off (default: on)
+//!         .with_disk_bytes(1 << 30),   // optional disk spill tier
 //! );
 //! ```
 //!
-//! Eviction needs no knob: the epoch plan is the policy (evict
-//! the block needed furthest in the future, skip admitting a block that
-//! would be the victim on arrival).
+//! Neither eviction nor prefetching needs a knob: the epoch plan is the
+//! policy (evict the block needed furthest in the future, skip admitting a
+//! block that would be the victim on arrival, and stage planned blocks
+//! ahead of the send workers as far as the RAM tier allows).
 //!
 //! See `examples/cached_replay.rs` for the full cached two-epoch replay
 //! with the hit-rate and energy-saved report.

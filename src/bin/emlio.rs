@@ -4,7 +4,6 @@
 //! emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
 //! emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
 //!                [--cache-mb MB] [--cache-disk-mb MB] [--cache-persist DIR]
-//!                [--prefetch 0|1]
 //! emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
 //! emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB] [...]
 //! emlio figures  [fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 ablations]
@@ -23,11 +22,11 @@
 //! block cache (`emlio-cache`) so repeated epochs are served from memory;
 //! `--cache-persist DIR` keeps the disk spill tier (CRC-validated) across
 //! daemon restarts. Eviction follows the epoch plan (the block needed
-//! furthest in the future goes first). `--prefetch 0` switches the
-//! plan-ahead prefetcher off, `1` (the default) on (how far it
-//! runs ahead is set by `--cache-mb`); it fills free RAM from the disk
-//! tier as well as from storage, so a restarted persistent cache needs no
-//! warm-up step. A flag the command does not know is an error, not a no-op.
+//! furthest in the future goes first), and a cache always prefetches along
+//! the plan, as far ahead as `--cache-mb` allows; it fills free RAM from the
+//! disk tier as well as from storage, so a restarted persistent cache needs
+//! no warm-up step. A flag the command does not know is an error, not a
+//! no-op.
 
 use emlio::bench::contention::shared_mount_storage;
 use emlio::cache::peer::PeerConfig;
@@ -116,7 +115,6 @@ const CONFIG_FLAGS: &[&str] = &[
     "cache-mb",
     "cache-disk-mb",
     "cache-persist",
-    "prefetch",
 ];
 /// What [`MetricsFile::spawn`] reads (daemon, receive and bench-io).
 const METRICS_FLAGS: &[&str] = &["metrics-out", "sample-ms"];
@@ -128,7 +126,6 @@ USAGE:
   emlio convert  --out DIR [--dataset tiny|imagenet|coco|synthetic] [--samples N] [--shards K]
   emlio daemon   --data DIR --connect tcp://HOST:PORT [--threads T] [--batch B] [--epochs E] [--node NAME]
                  [--cache-mb MB] [--cache-disk-mb MB] [--cache-persist DIR]
-                 [--prefetch 0|1]
   emlio receive  --bind tcp://ADDR:PORT --streams N [--resize W] [--quiet]
   emlio bench-io --data DIR [--batch B] [--threads T] [--rtt-ms MS] [--cache-mb MB]
                  [--peer-fleet N] [--peer-timeout-ms MS] [...]
@@ -310,11 +307,6 @@ fn config_from(flags: &HashMap<String, String>) -> Result<EmlioConfig, String> {
     let cache_mb: u64 = get_num(flags, "cache-mb", 0)?;
     let persist_dir = flags.get("cache-persist").cloned();
     if cache_mb > 0 {
-        let prefetch = match flags.get("prefetch").map(String::as_str) {
-            None | Some("1") => 1,
-            Some("0") => 0,
-            Some(other) => return Err(format!("--prefetch {other}: valid values are 0 and 1")),
-        };
         // A persistent cache needs a disk tier; default it to the RAM
         // tier's size when --cache-disk-mb is not given. An explicit 0
         // contradicts --cache-persist and must not be silently overridden.
@@ -327,14 +319,13 @@ fn config_from(flags: &HashMap<String, String>) -> Result<EmlioConfig, String> {
         }
         let mut cache = CacheConfig::default()
             .with_ram_bytes(cache_mb << 20)
-            .with_disk_bytes(disk_mb << 20)
-            .with_prefetch_depth(prefetch);
+            .with_disk_bytes(disk_mb << 20);
         if let Some(dir) = persist_dir {
             cache = cache.with_persist_dir(dir.into());
         }
         config = config.with_cache(cache);
     } else {
-        for flag in ["cache-persist", "cache-disk-mb", "prefetch"] {
+        for flag in ["cache-persist", "cache-disk-mb"] {
             if flags.contains_key(flag) {
                 return Err(format!("--{flag} requires --cache-mb to enable the cache"));
             }
@@ -680,6 +671,7 @@ mod tests {
             ("--cache-policy", "lru"),
             ("--warm-start", "32"),
             ("--spill-queue", "8"),
+            ("--prefetch", "0"),
         ] {
             for cmd in ["daemon", "bench-io"] {
                 let err = run(&line(&[
@@ -759,21 +751,9 @@ mod tests {
 
     #[test]
     fn cache_flags_without_a_cache_are_errors_not_no_ops() {
-        // Each used to be dropped when `--cache-mb` was absent.
-        for (flag, value) in [("--cache-disk-mb", "64"), ("--prefetch", "0")] {
-            let err = bench_io_config(&[flag, value]).unwrap_err();
-            assert!(
-                err.contains(&format!("{flag} requires --cache-mb")),
-                "{err}"
-            );
-        }
-        // With a cache, `--prefetch` is a switch, not a depth.
-        let err = bench_io_config(&["--cache-mb", "8", "--prefetch", "7"]).unwrap_err();
-        assert!(err.contains("--prefetch 7"), "{err}");
-        for (value, depth) in [("0", 0), ("1", 1)] {
-            let config = bench_io_config(&["--cache-mb", "8", "--prefetch", value]).unwrap();
-            assert_eq!(config.cache.unwrap().prefetch_depth, depth);
-        }
+        // It used to be dropped when `--cache-mb` was absent.
+        let err = bench_io_config(&["--cache-disk-mb", "64"]).unwrap_err();
+        assert!(err.contains("--cache-disk-mb requires --cache-mb"), "{err}");
     }
 
     #[test]

@@ -363,12 +363,14 @@ fn zero_copy_serve_path_allocation_budget() {
         cache.insert(block(0), vec![0xB0; LEN]);
         cache.insert(block(1), vec![0xB1; LEN]); // evicts 0: written
         cache.flush_spills();
-        drop(cache.get(&block(0)).unwrap()); // promotes 0, evicts 1: written
+        // A demand access that storage cannot serve: a promote, or an error.
+        let promote = |k| cache.get_or_fetch(k, || Err::<Vec<u8>, ()>(())).unwrap().0;
+        drop(promote(block(0))); // promotes 0, evicts 1: written
         cache.flush_spills();
         // Both blocks have files: promoting 1 evicts 0 by a slot flip,
         // so nothing is written while the promote is counted.
         let before = ALLOC.bytes_allocated();
-        let promoted = cache.get(&block(1)).unwrap();
+        let promoted = promote(block(1));
         let allocated = ALLOC.bytes_allocated() - before;
         assert_eq!(promoted.len(), LEN);
         assert!(promoted.iter().all(|&b| b == 0xB1));

@@ -9,6 +9,7 @@
 //! pressure, restart by dropping and reopening over the same persist
 //! directory, and the executor walking the installed plan.
 
+use bytes::Bytes;
 use emlio::cache::persist::{block_crc, spill_file_name};
 use emlio::cache::{
     BlockKey, CacheConfig, CacheStatsSnapshot, CachedSource, Fetched, Prefetcher, ShardCache,
@@ -41,6 +42,13 @@ fn payload(i: usize) -> Vec<u8> {
     v
 }
 
+/// A demand access that storage cannot serve: the cached bytes, or `None`
+/// for a miss.
+fn cached(cache: &ShardCache, k: BlockKey) -> Option<Bytes> {
+    let fetch = || Err::<Bytes, ()>(());
+    cache.get_or_fetch(k, fetch).ok().map(|(data, _)| data)
+}
+
 fn settled_stats(cache: &ShardCache) -> CacheStatsSnapshot {
     cache.flush_spills();
     cache.stats().snapshot()
@@ -59,8 +67,7 @@ fn send_workers_never_spill_inline() {
             CacheConfig::default()
                 .with_ram_bytes((4 * BLOCK) as u64)
                 .with_disk_bytes((256 * BLOCK) as u64)
-                .with_persist_dir(dir.path().to_path_buf())
-                .with_prefetch_depth(0),
+                .with_persist_dir(dir.path().to_path_buf()),
         )
         .expect("cache"),
     );
@@ -104,8 +111,7 @@ fn shutdown_drains_queue_and_index_round_trips() {
     let config = CacheConfig::default()
         .with_ram_bytes((2 * BLOCK) as u64)
         .with_disk_bytes((64 * BLOCK) as u64)
-        .with_persist_dir(dir.path().to_path_buf())
-        .with_prefetch_depth(0);
+        .with_persist_dir(dir.path().to_path_buf());
 
     const N: usize = 12;
     {
@@ -132,7 +138,7 @@ fn shutdown_drains_queue_and_index_round_trips() {
     assert_eq!(s.readmitted, (N - 2) as u64, "readmission counted: {s:?}");
     for k in disk {
         let i = k.start / 10;
-        let got = cache.get(&k).expect("re-admitted block readable");
+        let got = cached(&cache, k).expect("re-admitted block readable");
         assert_eq!(&got[..], &payload(i)[..], "block {i} byte-identical");
     }
 }
@@ -140,14 +146,14 @@ fn shutdown_drains_queue_and_index_round_trips() {
 /// A restarted daemon needs no warm-up step and no budget: its
 /// re-admitted disk tier is staged by the prefetch executor like any other
 /// planned block, so the first window is served from RAM with zero storage
-/// reads and zero demand-path disk promotes. With the prefetcher off the
+/// reads and zero demand-path disk promotes. With no executor spawned the
 /// same accesses are demand promotes.
 #[test]
 fn restart_first_window_is_staged_from_disk_zero_storage_reads() {
     const N: usize = 16;
     const WINDOW: usize = 4;
 
-    for prefetch in [1, 0] {
+    for staged in [true, false] {
         let dir = TempDir::new("async-spill-restart");
         let base = CacheConfig::default()
             .with_disk_bytes((64 * BLOCK) as u64)
@@ -167,11 +173,7 @@ fn restart_first_window_is_staged_from_disk_zero_storage_reads() {
 
         // Restart with RAM for exactly one window; nothing else is set.
         let cache = Arc::new(
-            ShardCache::new(
-                base.with_ram_bytes((WINDOW * BLOCK) as u64)
-                    .with_prefetch_depth(prefetch),
-            )
-            .expect("reopen"),
+            ShardCache::new(base.with_ram_bytes((WINDOW * BLOCK) as u64)).expect("reopen"),
         );
         assert_eq!(cache.stats().snapshot().readmitted, N as u64);
         cache.set_plan((0..N).map(key).collect());
@@ -184,8 +186,8 @@ fn restart_first_window_is_staged_from_disk_zero_storage_reads() {
             })
         };
         let source = Arc::new(CachedSource::new(cache.clone(), Arc::new(storage)));
-        let executor = Prefetcher::spawn(source);
-        if prefetch == 1 {
+        let executor = staged.then(|| Prefetcher::spawn(source));
+        if staged {
             assert!(
                 poll_until(Duration::from_secs(10), || {
                     cache.stats().snapshot().warm_promoted == WINDOW as u64
@@ -201,22 +203,20 @@ fn restart_first_window_is_staged_from_disk_zero_storage_reads() {
                     Ok::<_, std::io::Error>(payload(i))
                 })
                 .expect("first-window access");
-            let staged = if prefetch == 1 {
-                Fetched::Ram
-            } else {
-                Fetched::Disk
-            };
-            assert_eq!(via, staged, "block {i}, prefetch {prefetch}");
+            let expected = if staged { Fetched::Ram } else { Fetched::Disk };
+            assert_eq!(via, expected, "block {i}, staged {staged}");
             assert_eq!(&data[..], &payload(i)[..], "block {i} byte-identical");
         }
-        executor.join();
+        if let Some(executor) = executor {
+            executor.join();
+        }
         let s = cache.stats().snapshot();
         assert_eq!(
             fetches.load(Ordering::Relaxed),
             0,
             "zero storage reads in the first window: {s:?}"
         );
-        if prefetch == 1 {
+        if staged {
             assert_eq!(s.disk_hits, 0, "no demand-path disk promote: {s:?}");
             assert!(s.warm_promoted >= WINDOW as u64, "{s:?}");
             assert_eq!(s.prefetched, s.warm_promoted, "all of it from disk");
@@ -238,8 +238,7 @@ fn failed_spill_write_keeps_block_servable() {
         CacheConfig::default()
             .with_ram_bytes((2 * BLOCK) as u64)
             .with_disk_bytes((64 * BLOCK) as u64)
-            .with_persist_dir(spill_dir.clone())
-            .with_prefetch_depth(0),
+            .with_persist_dir(spill_dir.clone()),
     )
     .expect("cache");
 
@@ -261,7 +260,11 @@ fn failed_spill_write_keeps_block_servable() {
 
     // The first block was evicted and its spill failed — it must have
     // dropped to absent and still be servable via a fresh fetch.
-    assert_eq!(cache.get(&key(0)), None, "failed spill left slot absent");
+    assert_eq!(
+        cached(&cache, key(0)),
+        None,
+        "failed spill left slot absent"
+    );
     let (data, via) = cache
         .get_or_fetch(key(0), || Ok::<_, std::io::Error>(payload(0)))
         .expect("re-fetch after failed spill");
@@ -276,8 +279,7 @@ fn one_block_ram(dir: &TempDir, disk_blocks: usize) -> ShardCache {
         CacheConfig::default()
             .with_ram_bytes(BLOCK as u64)
             .with_disk_bytes((disk_blocks * BLOCK) as u64)
-            .with_persist_dir(dir.path().to_path_buf())
-            .with_prefetch_depth(0),
+            .with_persist_dir(dir.path().to_path_buf()),
     )
     .expect("cache")
 }
@@ -305,7 +307,7 @@ fn promoted_view_outlives_its_file_and_a_respill_at_the_same_path() {
         cache.flush_spills();
         // Promote 0; its eviction of 1 needs the one-block tier, which
         // reclaims 0's file — now only a duplicate of the resident.
-        let view = cache.get(&key(0)).expect("promote");
+        let view = cached(&cache, key(0)).expect("promote");
         cache.flush_spills();
         assert!(!spill_path(&dir, 0).exists(), "0's file is retired");
         assert_eq!(&view[..], &payload(0)[..]);
@@ -319,7 +321,7 @@ fn promoted_view_outlives_its_file_and_a_respill_at_the_same_path() {
 
         // Promote 0 once more, from the new file — whose place 2's spill
         // then takes — and let the cache go: the views keep the mappings.
-        let again = cache.get(&key(0)).expect("promote from the new file");
+        let again = cached(&cache, key(0)).expect("promote from the new file");
         assert_eq!(&again[..], &payload(0)[..]);
         (view, again)
     };
@@ -334,7 +336,10 @@ fn promoted_view_outlives_its_file_and_a_respill_at_the_same_path() {
     cache.insert(key(1), payload(1)); // evicts 0: written
     cache.flush_spills();
     assert!(spill_path(&dir, 0).exists());
-    assert_eq!(&cache.get(&key(0)).expect("promote")[..], &payload(0)[..]);
+    assert_eq!(
+        &cached(&cache, key(0)).expect("promote")[..],
+        &payload(0)[..]
+    );
     assert_eq!(&view[..], &payload(0)[..]);
     assert_eq!(&again[..], &payload(0)[..]);
 }
@@ -361,7 +366,7 @@ fn spill_file_cut_short_is_a_miss_and_is_retired() {
     }
     assert_eq!(cache.peek(&key(1)), None, "peek refuses it, in place");
     for i in 0..2 {
-        assert_eq!(cache.get(&key(i)), None, "block {i}: a miss");
+        assert_eq!(cached(&cache, key(i)), None, "block {i}: a miss");
         assert!(!spill_path(&dir, i).exists(), "block {i}: retired");
     }
     assert_eq!(cache.disk_bytes_used(), 0);
@@ -391,7 +396,7 @@ fn spill_file_rewritten_in_place_is_a_miss() {
     file.write_all(&[!payload(0)[5000]]).unwrap();
     drop(file);
     assert_eq!(std::fs::metadata(&path).unwrap().len(), BLOCK as u64);
-    assert_eq!(cache.get(&key(0)), None, "flipped bytes are not served");
+    assert_eq!(cached(&cache, key(0)), None, "flipped bytes are not served");
     assert!(!path.exists(), "the file is retired");
     assert_eq!(cache.disk_bytes_used(), 0);
 }

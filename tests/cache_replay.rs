@@ -196,8 +196,7 @@ fn replay_with_small_disk_tier() -> (u64, u64, u64) {
     let cache = ShardCache::new(
         CacheConfig::default()
             .with_ram_bytes((8 * BLOCK) as u64)
-            .with_disk_bytes((16 * BLOCK) as u64)
-            .with_prefetch_depth(0),
+            .with_disk_bytes((16 * BLOCK) as u64),
     )
     .expect("cache");
     cache.set_plan(trace.iter().map(|&i| key(i)).collect());

@@ -7,7 +7,8 @@
 //!   loaders degrade linearly.
 //! * The storage-bound fleet has a stated error bound: its steady-state
 //!   delivery is within [`FLEET_TOLERANCE`] of the window model
-//!   `min(link, ⌊ram/block⌋ · block / read cost)`.
+//!   `min(link, ⌊ram/block⌋ · block / read cost)`, the read cost being the
+//!   steady state's own mean storage read.
 
 use emlio::baselines::{FileLoader, FileLoaderConfig};
 use emlio::bench::contention::shared_mount_storage;
@@ -18,6 +19,7 @@ use emlio::core::{EmlioConfig, EmlioService};
 use emlio::datagen::convert::{build_file_dataset, build_tfrecord_dataset, load_file_dataset};
 use emlio::datagen::DatasetSpec;
 use emlio::netem::{NetProfile, NfsConfig, NfsMount};
+use emlio::obs::Stage;
 use emlio::pipeline::ExternalSource;
 use emlio::testbed::loaders::{self, LoaderKind, ModelConstants, StageSet};
 use emlio::testbed::{NodeSpec, Regime, Workload};
@@ -29,9 +31,9 @@ use std::time::{Duration, Instant};
 const SAMPLES: u64 = 48;
 
 /// How far the real fleet's steady-state rate may sit from the window
-/// model, as a share of the model. An idle 2-core box reads 0.95–0.97 of
-/// the model (thread wake-ups and the consumer's own time per batch are
-/// what the model leaves out); the rest is headroom for a loaded one.
+/// model, as a share of the model. The model's read cost is the run's own,
+/// so load that slows the reads moves both; what the model leaves out is
+/// thread wake-ups and the consumer's own time per batch.
 const FLEET_TOLERANCE: f64 = 0.15;
 
 fn real_pytorch_secs(dir: &std::path::Path, rtt_ms: u64) -> f64 {
@@ -162,30 +164,49 @@ fn real_fleet_rate_is_within_a_stated_bound_of_the_window_model() {
         .with_cache(CacheConfig::default().with_ram_bytes(SLOTS * block + block / 2));
     let storage = shared_mount_storage(&index, &mount, 2, "d", Some(PeerConfig::default()));
     let mut dep = EmlioService::launch(&storage, &config, "c").unwrap();
+    // Both daemons' storage reads so far, as (reads, nanoseconds).
+    let recorders = dep.daemon_recorders.clone();
+    let storage_reads = || {
+        let hists = recorders
+            .iter()
+            .map(|r| r.hist(Stage::StorageRead).snapshot());
+        hists.fold((0, 0), |(n, sum), h| (n + h.count, sum + h.sum))
+    };
+    // Steady state: from the arrival that ends the start-up windows (and
+    // the reads that waited on a shard's open) to the last one.
+    let skip = 4 * SLOTS as usize;
     let mut src = dep.receiver.source();
-    let mut arrivals = Vec::new();
+    let (mut arrivals, mut at_skip) = (Vec::new(), (0, 0));
     while src.next_batch().is_some() {
         arrivals.push(Instant::now());
+        if arrivals.len() == skip + 1 {
+            at_skip = storage_reads();
+        }
     }
     dep.join_daemons().unwrap();
     assert_eq!(arrivals.len() as u64, dep.total_batches());
-
-    // Steady state: from the arrival that ends the start-up windows to the
-    // last one.
-    let skip = 4 * SLOTS as usize;
     let window = *arrivals.last().unwrap() - arrivals[skip];
     let real = (arrivals.len() - 1 - skip) as f64 / window.as_secs_f64();
 
-    // The model. A positioned read on an open handle pays its READ waves
-    // and its bytes, no OPEN or CLOSE; the executor keeps one read out
-    // per block the RAM tier holds; the fleet reads each block once and
-    // both daemons deliver it.
+    // The model: the executor keeps one read out per block the RAM tier
+    // holds; the fleet reads each block once and both daemons deliver it.
+    // A read costs what the steady state's reads took on average, so load
+    // that slows the reads slows the model with the run. None is cheaper
+    // than the mount's own cost for it: a positioned read on an open handle
+    // pays its READ waves and its bytes, no OPEN or CLOSE.
+    let (reads, nanos) = storage_reads();
+    let (reads, nanos) = (reads - at_skip.0, nanos - at_skip.1);
+    let read_cost = nanos as f64 / reads as f64 / 1e9;
     let open_handle = NfsConfig {
         open_rtts: 0.0,
         close_rtts: 0.0,
         ..NfsConfig::default()
     };
-    let read_cost = open_handle.read_cost(block, &profile).as_secs_f64();
+    let floor = open_handle.read_cost(block, &profile).as_secs_f64();
+    assert!(
+        read_cost >= floor,
+        "{reads} reads of {read_cost:.4} s, under the mount's {floor:.4} s"
+    );
     let link = profile.bandwidth_bps / block as f64;
     let model = 2.0 * link.min(SLOTS as f64 / read_cost);
     assert!(

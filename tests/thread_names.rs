@@ -1,9 +1,9 @@
 //! Every data-path thread says its role in the 15 bytes of its name that
 //! Linux keeps (`/proc/<pid>/task/<tid>/comm`): a cached, prefetching
-//! deployment with a disk tier and a pipeline, and a `wan_train_rtt30`-
-//! shaped one behind the link emulator, are stood up in turn, and each of
-//! their threads must match exactly one role, in the number that role's
-//! formula gives. This has its own test binary, so no other test's threads
+//! deployment with a disk tier and a pipeline, a `wan_train_rtt30`-shaped
+//! one behind the link emulator, and a `cold_local`-shaped one with no
+//! cache and no pipeline are stood up in turn, and each of their threads
+//! must match exactly one role, in the number that role's formula gives. This has its own test binary, so no other test's threads
 //! are counted.
 #![cfg(target_os = "linux")]
 
@@ -37,6 +37,21 @@ const ROLES: [&str; 12] = [
     "netem-relay",
 ];
 
+/// This binary's tests. Each runs on a thread named after it, and one may
+/// start while another counts: it is told apart by its name.
+const TESTS: [&str; 3] = [
+    "every_data_path_thread_names_exactly_one_role",
+    "a_wan_deployment_adds_two_relays_per_proxied_connection",
+    "a_cold_local_deployment_runs_no_cache_threads",
+];
+
+/// Whether `comm` is the thread of a test other than the one counting.
+fn another_test(comm: &str) -> bool {
+    let me = std::thread::current();
+    let mut others = TESTS.iter().filter(|test| Some(**test) != me.name());
+    others.any(|test| test.starts_with(comm))
+}
+
 /// The tests count threads process-wide, so they take turns.
 fn serial() -> MutexGuard<'static, ()> {
     static SERIAL: Mutex<()> = Mutex::new(());
@@ -65,12 +80,12 @@ fn harness() -> Vec<u32> {
     roleless.map(|(tid, _)| tid).collect()
 }
 
-/// Threads per role, the `harness` left out. Panics on a thread that names
-/// no role or more than one.
+/// Threads per role, the `harness` and other tests' threads left out.
+/// Panics on a thread that names no role or more than one.
 fn census(harness: &[u32]) -> BTreeMap<&'static str, usize> {
     let mut counts = BTreeMap::new();
     for (tid, comm) in comms() {
-        if harness.contains(&tid) {
+        if harness.contains(&tid) || another_test(&comm) {
             continue;
         }
         let roles: Vec<_> = ROLES.iter().filter(|r| comm.starts_with(*r)).collect();
@@ -115,8 +130,7 @@ fn every_data_path_thread_names_exactly_one_role() {
     // room rather than finish its walk.
     let cache = CacheConfig::default()
         .with_ram_bytes(512 << 10)
-        .with_disk_bytes(1 << 20)
-        .with_prefetch_depth(1);
+        .with_disk_bytes(1 << 20);
     let config = EmlioConfig::default()
         .with_batch_size(8)
         .with_threads(T)
@@ -201,6 +215,54 @@ fn a_wan_deployment_adds_two_relays_per_proxied_connection() {
     );
 
     drop(pipe);
+    let delivery = dep.drain();
+    delivery.served.unwrap();
+    assert!(delivery.batches > 0);
+    census(&harness);
+}
+
+#[test]
+fn a_cold_local_deployment_runs_no_cache_threads() {
+    let _turn = serial();
+    let harness = harness();
+
+    let dir = TempDir::new("thread-names-cold");
+    let spec = DatasetSpec::tiny("names-cold", 2000);
+    build_tfrecord_dataset(dir.path(), &spec, ShardSpec::Count(4)).unwrap();
+    // `cold_local`'s shape: no cache, T = 1 and no pipeline, the consumer
+    // taking batches off the receiver itself. The 48 MiB stream outlasts
+    // what the queues and the kernel's socket buffers hold while the
+    // consumer is paused.
+    const T: usize = 1;
+    let config = EmlioConfig::default()
+        .with_batch_size(8)
+        .with_threads(T)
+        .with_epochs(3);
+    let storage = vec![StorageSpec::new("s0", dir.path())];
+    let mut dep = EmlioService::launch(&storage, &config, "c0").unwrap();
+    let queue = dep.receiver.queue();
+    queue.recv().expect("a first batch");
+
+    let s = local_connections_per_worker(T);
+    settles_at(
+        &harness,
+        &[
+            ("emlio-daemon-", storage.len()),
+            ("emlio-send-", T),
+            ("zmq-push:", s),
+            ("zmq-pull-accept", 1),
+            ("zmq-pull-read:", s),
+        ],
+    );
+    // With no cache nothing is staged: no executor, and not one read of
+    // it came and went.
+    let names: Vec<String> = comms().into_values().collect();
+    assert!(names.iter().any(|name| name == "emlio-send-0"), "{names:?}");
+    let staging =
+        |name: &&String| name.starts_with("emlio-prefetch") || name.starts_with("emlio-pf-read");
+    assert_eq!(names.iter().filter(staging).count(), 0, "{names:?}");
+
+    drop(queue);
     let delivery = dep.drain();
     delivery.served.unwrap();
     assert!(delivery.batches > 0);
