@@ -120,7 +120,7 @@ impl RangeSource for MeteredSource {
         // rest, the source's own measurement covers exactly the
         // positioned read (not span resolution or cache admission work).
         if !read.origin.avoided_storage() {
-            self.metrics.record_storage_read(read.read_nanos);
+            self.metrics.record_storage_read();
             if let Some(rec) = &self.recorder {
                 rec.record(Stage::StorageRead, read.read_nanos);
             }
@@ -415,7 +415,6 @@ impl EmlioDaemon {
                 .with_connections(connections)
                 .with_recorder(self.recorder.clone()),
         )?;
-        let stats = socket.stats();
         let mut sent = 0u64;
 
         'epochs: for ep in &plan.epochs {
@@ -448,13 +447,6 @@ impl EmlioDaemon {
         let marker = chaos
             .is_none_or(|c| c.end_stream(worker))
             .then(|| wire::encode_end_stream(&origin, connections as u32));
-        // Fold this stream's backpressure stalls into the shared counters
-        // before the socket (and its stats' last strong ref) goes away.
-        self.metrics.add_send_blocked_nanos(
-            stats
-                .blocked_nanos
-                .load(std::sync::atomic::Ordering::Relaxed),
-        );
         // A killed worker still closes the socket — accepted frames flush,
         // matching a process whose kernel buffers drain after the crash —
         // but the missing end-of-stream markers are what the receiver of a
@@ -536,9 +528,8 @@ impl EmlioDaemon {
             &samples,
             &self.pool,
         );
-        let ser_nanos = t_ser.elapsed().as_nanos() as u64;
-        self.metrics.add_codec_nanos(ser_nanos);
-        self.recorder.record(Stage::Encode, ser_nanos);
+        self.recorder
+            .record(Stage::Encode, t_ser.elapsed().as_nanos() as u64);
         self.metrics.record_batch(samples.len() as u64, read.bytes);
         Ok(frame)
     }

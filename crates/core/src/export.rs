@@ -91,15 +91,12 @@ fn insert_stage_points(db: &mut Db, process: &str, snap: &RecorderSnapshot, ts: 
 
 /// `DataPathMetrics`' own counters in `emlio_path` (`serve_wall_nanos` and
 /// `serve_workers` go to `emlio_run`).
-fn data_path_fields(s: &MetricsSnapshot) -> [(&'static str, u64); 7] {
+fn data_path_fields(s: &MetricsSnapshot) -> [(&'static str, u64); 4] {
     [
         ("batches", s.batches),
         ("samples", s.samples),
         ("bytes", s.bytes),
-        ("read_nanos", s.read_nanos),
-        ("codec_nanos", s.codec_nanos),
         ("storage_reads", s.storage_reads),
-        ("send_blocked_nanos", s.send_blocked_nanos),
     ]
 }
 
@@ -296,11 +293,9 @@ pub struct StallReport {
     pub wall_workers_nanos: u64,
     /// Time spent assembling batches (read + encode, the productive part).
     pub assemble_nanos: u64,
-    /// Time spent in socket sends, *including* HWM backpressure stalls.
+    /// Time spent in socket sends: the HWM backpressure stall, and an
+    /// unblocked push's cost (the `socket_send` stage's p50) otherwise.
     pub send_nanos: u64,
-    /// The backpressure subset of `send_nanos`: workers blocked on a full
-    /// socket queue (blocked-send).
-    pub blocked_send_nanos: u64,
     /// `wall_workers - assemble - send`: loop overhead + plan iteration.
     pub unattributed_nanos: u64,
     /// Spill-file write time on the background `emlio-cache-spill`
@@ -327,14 +322,10 @@ pub fn stall_attribution(db: &Db, process: &str) -> Option<StallReport> {
     let wall_workers = wall.saturating_mul(workers);
     let assemble = last_stage_sum(db, process, Stage::BatchAssemble);
     let send = last_stage_sum(db, process, Stage::SocketSend);
-    let blocked_send = last_fields(db, "emlio_path", &[("proc", process)])
-        .and_then(|f| f.get("send_blocked_nanos").copied())
-        .unwrap_or(0.0) as u64;
     Some(StallReport {
         wall_workers_nanos: wall_workers,
         assemble_nanos: assemble,
         send_nanos: send,
-        blocked_send_nanos: blocked_send,
         unattributed_nanos: wall_workers.saturating_sub(assemble).saturating_sub(send),
         spill_write_nanos: last_stage_sum(db, process, Stage::SpillWrite),
     })
@@ -534,10 +525,9 @@ pub fn render_report(db: &Db) -> String {
             );
             let _ = writeln!(
                 out,
-                "  socket send     {}  ({:>5.1}%)  of which blocked-send {}",
+                "  socket send     {}  ({:>5.1}%)",
                 fmt_nanos(stall.send_nanos as f64),
                 pct(stall.send_nanos),
-                fmt_nanos(stall.blocked_send_nanos as f64).trim_start(),
             );
             let _ = writeln!(
                 out,
@@ -566,7 +556,7 @@ mod tests {
     use emlio_obs::StageRecorder;
 
     /// One daemon's fabricated end-of-serve state: a half-hitting cache,
-    /// some blocked-send time, three recorded stages.
+    /// three recorded stages.
     fn demo_snapshot() -> MetricsSnapshot {
         MetricsSnapshot {
             batches: 1,
@@ -578,7 +568,6 @@ mod tests {
                 bytes_saved: 4096,
                 ..CacheStatsSnapshot::default()
             }),
-            send_blocked_nanos: 1_000,
             serve_wall_nanos: 10_000_000,
             serve_workers: 2,
             ..MetricsSnapshot::default()
@@ -613,7 +602,6 @@ mod tests {
         assert_eq!(stall.wall_workers_nanos, 20_000_000);
         assert_eq!(stall.assemble_nanos, 9_000_000);
         assert_eq!(stall.send_nanos, 6_000_000);
-        assert_eq!(stall.blocked_send_nanos, 1_000);
         assert_eq!(stall.unattributed_nanos, 5_000_000);
         let accounted = stall.accounted_nanos() as f64 / stall.wall_workers_nanos as f64;
         assert!((accounted - 0.75).abs() < 1e-9);
@@ -777,12 +765,9 @@ mod tests {
             batches: 101,
             samples: 102,
             bytes: 103,
-            read_nanos: 104,
-            codec_nanos: 105,
-            storage_reads: 106,
-            send_blocked_nanos: 107,
-            serve_wall_nanos: 108, // emlio_run.wall_nanos
-            serve_workers: 109,    // emlio_run.workers
+            storage_reads: 104,
+            serve_wall_nanos: 105, // emlio_run.wall_nanos
+            serve_workers: 106,    // emlio_run.workers
             pool: PoolStats::default(),
             cache: None,
             peer: None,

@@ -24,8 +24,10 @@ pub struct StackCounters {
 }
 
 /// Monotonic counters for one side of the data path: the ones bumped on
-/// the path itself. Everything else in a [`MetricsSnapshot`] is the
-/// [`StackCounters`] components' own snapshots.
+/// the path itself, and the shape of the last serve. They hold counts, not
+/// durations: every data-path duration is a stage histogram of the
+/// [`StageRecorder`](emlio_obs::StageRecorder). Everything else in a
+/// [`MetricsSnapshot`] is the [`StackCounters`] components' own snapshots.
 #[derive(Default)]
 pub struct DataPathMetrics {
     /// Batches moved.
@@ -34,15 +36,9 @@ pub struct DataPathMetrics {
     pub samples: AtomicU64,
     /// Payload bytes moved.
     pub bytes: AtomicU64,
-    /// Nanoseconds spent in storage reads (daemon side).
-    pub read_nanos: AtomicU64,
-    /// Nanoseconds spent serializing/deserializing.
-    pub codec_nanos: AtomicU64,
     /// Positioned storage reads actually issued (demand misses plus
     /// prefetches; every batch when no cache is configured).
     pub storage_reads: AtomicU64,
-    /// Nanoseconds send workers spent blocked on a full socket queue.
-    pub send_blocked_nanos: AtomicU64,
     /// Wall-clock nanoseconds of the most recent `serve()` call.
     pub serve_wall_nanos: AtomicU64,
     /// Send workers used by the most recent `serve()` call.
@@ -80,25 +76,10 @@ impl DataPathMetrics {
         self.bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Add storage-read time.
-    pub fn add_read_nanos(&self, nanos: u64) {
-        self.read_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Add codec time.
-    pub fn add_codec_nanos(&self, nanos: u64) {
-        self.codec_nanos.fetch_add(nanos, Ordering::Relaxed);
-    }
-
-    /// Record one positioned storage read taking `nanos`.
-    pub fn record_storage_read(&self, nanos: u64) {
+    /// Count one positioned storage read (its time is the
+    /// [`Stage::StorageRead`](emlio_obs::Stage::StorageRead) histogram's).
+    pub fn record_storage_read(&self) {
         self.storage_reads.fetch_add(1, Ordering::Relaxed);
-        self.add_read_nanos(nanos);
-    }
-
-    /// Add time a send worker spent blocked on a full socket queue.
-    pub fn add_send_blocked_nanos(&self, nanos: u64) {
-        self.send_blocked_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// Record the wall time and worker count of a completed `serve()`.
@@ -115,10 +96,7 @@ impl DataPathMetrics {
             batches: self.batches.load(Ordering::Relaxed),
             samples: self.samples.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
-            read_nanos: self.read_nanos.load(Ordering::Relaxed),
-            codec_nanos: self.codec_nanos.load(Ordering::Relaxed),
             storage_reads: self.storage_reads.load(Ordering::Relaxed),
-            send_blocked_nanos: self.send_blocked_nanos.load(Ordering::Relaxed),
             serve_wall_nanos: self.serve_wall_nanos.load(Ordering::Relaxed),
             serve_workers: self.serve_workers.load(Ordering::Relaxed),
             pool: stack.map(|s| s.pool.stats()).unwrap_or_default(),
@@ -139,14 +117,8 @@ pub struct MetricsSnapshot {
     pub samples: u64,
     /// Payload bytes moved.
     pub bytes: u64,
-    /// Nanoseconds spent in storage reads.
-    pub read_nanos: u64,
-    /// Nanoseconds spent in the codec.
-    pub codec_nanos: u64,
     /// Positioned storage reads issued.
     pub storage_reads: u64,
-    /// Nanoseconds send workers spent blocked on a full socket queue.
-    pub send_blocked_nanos: u64,
     /// Wall-clock nanoseconds of the most recent serve.
     pub serve_wall_nanos: u64,
     /// Send workers used by the most recent serve.
@@ -211,12 +183,9 @@ mod tests {
         let m = DataPathMetrics::shared();
         m.record_batch(64, 6400);
         m.record_batch(64, 6400);
-        m.record_storage_read(100);
-        m.add_codec_nanos(50);
+        m.record_storage_read();
         let s = m.snapshot();
         assert_eq!((s.batches, s.samples, s.bytes), (2, 128, 12800));
-        assert_eq!(s.read_nanos, 100);
-        assert_eq!(s.codec_nanos, 50);
         assert_eq!(s.storage_reads, 1);
     }
 
@@ -257,11 +226,8 @@ mod tests {
     #[test]
     fn stall_counters() {
         let m = DataPathMetrics::shared();
-        m.add_send_blocked_nanos(100);
-        m.add_send_blocked_nanos(50);
         m.set_serve_wall(1_000_000, 4);
         let s = m.snapshot();
-        assert_eq!(s.send_blocked_nanos, 150);
         assert_eq!((s.serve_wall_nanos, s.serve_workers), (1_000_000, 4));
     }
 

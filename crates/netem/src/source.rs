@@ -57,18 +57,23 @@ impl NfsSource {
     /// are deliberately not paying twice — while first reads of different
     /// shards open side by side. A failed open leaves the slot empty for
     /// the next read to try again.
+    ///
+    /// Also returns when the slot's lock was taken, where a read's time
+    /// starts: the read that opens the shard counts its OPEN, and one that
+    /// only queued behind that OPEN does not count the wait.
     fn handle_for(
         &self,
         slot: &Mutex<Option<Arc<NfsFile>>>,
         rel: &Path,
-    ) -> std::io::Result<Arc<NfsFile>> {
+    ) -> std::io::Result<(Arc<NfsFile>, Instant)> {
         let mut handle = slot.lock();
+        let locked = Instant::now();
         if let Some(file) = &*handle {
-            return Ok(file.clone());
+            return Ok((file.clone(), locked));
         }
         let file = Arc::new(self.mount.open_file(rel)?);
         *handle = Some(file.clone());
-        Ok(file)
+        Ok((file, locked))
     }
 }
 
@@ -81,10 +86,9 @@ impl RangeSource for NfsSource {
             .ok_or_else(|| RecordError::BadIndex(format!("unknown shard {}", key.shard_id)))?;
         let (offset, size) = shard.span(key.start, key.end)?;
         let rel = Path::new(&shard.file_name);
-        let t = Instant::now();
         // `handles` has one slot per shard of `index`, checked just above.
         let slot = &self.handles[key.shard_id as usize];
-        let file = self.handle_for(slot, rel).map_err(RecordError::Io)?;
+        let (file, t) = self.handle_for(slot, rel).map_err(RecordError::Io)?;
         let mut buf = self.pool.take(size as usize);
         file.read_range_into(offset, size, &mut buf)
             .map_err(RecordError::Io)?;
@@ -220,5 +224,43 @@ mod tests {
             idx.shards.len() as u64 + 1,
             "racing first reads of one shard open it once"
         );
+    }
+
+    #[test]
+    fn a_read_queued_behind_an_open_does_not_count_the_wait() {
+        let dir = TempDir::new("nfs-source-open-wait");
+        let mut w = ShardWriter::create(dir.path(), ShardSpec::Count(1)).unwrap();
+        for i in 0..8u8 {
+            w.append(&[i; 64], 0).unwrap();
+        }
+        let idx = Arc::new(w.finish().unwrap());
+        // 50 ms RTT: the shard's OPEN is two round trips, 100 ms; a READ
+        // of a few hundred bytes is one, 50 ms.
+        let open = Duration::from_millis(100);
+        let mount = NfsMount::mount(
+            dir.path(),
+            NetProfile::new("test", Duration::from_millis(50), 1.25e9),
+            RealClock::shared(),
+            NfsConfig::default(),
+        );
+        let src = NfsSource::new(idx, mount);
+        let read = |start| {
+            let key = BlockKey {
+                shard_id: 0,
+                start,
+                end: start + 4,
+            };
+            Duration::from_nanos(src.read_block(&key).unwrap().read_nanos)
+        };
+        let (a, b) = std::thread::scope(|s| {
+            // A opens the shard; B asks for the shard's other block 20 ms
+            // into that OPEN and waits on the slot's lock until it is done.
+            let a = s.spawn(|| read(0));
+            std::thread::sleep(Duration::from_millis(20));
+            let b = s.spawn(|| read(4));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(a >= open, "the read that opened counts its OPEN: {a:?}");
+        assert!(b < open, "the read that only waited for it does not: {b:?}");
     }
 }

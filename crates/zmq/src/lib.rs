@@ -74,7 +74,8 @@ pub struct SocketOptions {
     /// sender thread (PULL sockets ignore it). Default 1.
     pub connections: usize,
     /// Stage recorder for latency histograms:
-    /// [`emlio_obs::Stage::SocketSend`] per call on PUSH sockets, and
+    /// [`emlio_obs::Stage::SocketSend`] per call on PUSH sockets (the one
+    /// record of the send stall: a queue push, plus any wait at the HWM), and
     /// [`emlio_obs::Stage::RecvWait`] and [`emlio_obs::Stage::QueuePush`]
     /// per frame on each PULL reader (sums per connection).
     pub recorder: Option<std::sync::Arc<emlio_obs::StageRecorder>>,

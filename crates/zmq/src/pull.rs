@@ -711,29 +711,39 @@ mod tests {
 
     #[test]
     fn backpressure_end_to_end() {
-        // Small HWMs everywhere; a sender that produces 64 large messages
+        // Small HWMs everywhere; a sender that produces 64 one-MiB messages
         // must block until the receiver drains, and nothing may be lost.
+        // 64 MiB is several times what the queues and the kernel's socket
+        // buffers between the two ends hold (about 11 MiB on loopback).
         let (pull, push) = tcp_pair(2);
         let stats = push.stats();
         let producer = std::thread::spawn(move || {
             for i in 0..64u32 {
-                push.send(Bytes::from(vec![i as u8; 64 << 10])).unwrap();
+                push.send(Bytes::from(vec![i as u8; 1 << 20])).unwrap();
             }
             push.close().unwrap();
         });
-        // Wait until the sender has actually hit the HWM and blocked
-        // (bounded deadline poll — a fixed sleep here flakes on loaded
-        // machines) before draining a single message.
+        // Wait until the sender has hit the HWM and blocked before
+        // draining a single message: `msgs_sent` holds still below 64 for
+        // `STILL`, while every queue and kernel buffer between the two
+        // ends is full. (Bounded deadline poll: a fixed sleep here flakes
+        // on loaded machines.)
+        const STILL: Duration = Duration::from_millis(200);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while stats.blocked_nanos.load(Ordering::Relaxed) == 0
-            && std::time::Instant::now() < deadline
-        {
+        let (mut last, mut since) = (u64::MAX, std::time::Instant::now());
+        loop {
+            let sent = stats.msgs_sent.load(Ordering::Relaxed);
+            if sent != last {
+                (last, since) = (sent, std::time::Instant::now());
+            } else if sent < 64 && since.elapsed() >= STILL {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "sender should have hit the HWM and blocked ({sent} of 64 sent)"
+            );
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert!(
-            stats.blocked_nanos.load(Ordering::Relaxed) > 0,
-            "sender should have hit the HWM and blocked"
-        );
         let mut count = 0;
         while count < 64 {
             pull.recv().unwrap();

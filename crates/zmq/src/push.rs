@@ -43,8 +43,6 @@ pub struct PushStats {
     pub msgs_sent: AtomicU64,
     /// Payload bytes written to the wire (excluding frame headers).
     pub bytes_sent: AtomicU64,
-    /// Total nanoseconds `send` spent blocked on a full queue.
-    pub blocked_nanos: AtomicU64,
     /// Write syscalls the sender threads issued: exactly one per frame,
     /// and one more per short write.
     pub writes: AtomicU64,
@@ -109,7 +107,9 @@ impl PushSocket {
     }
 
     /// Queue a message, blocking while the HWM is reached. Fails if the
-    /// connection has died.
+    /// connection has died. Takes the queue's lock once per frame; with a
+    /// recorder, the whole call, wait included, is one
+    /// [`Stage::SocketSend`] sample, the only place the stall is kept.
     ///
     /// Accepts anything convertible into a [`Frame`] — a `Bytes`, a
     /// `Vec<u8>`, or a pre-built scatter list. A multi-segment frame goes
@@ -119,21 +119,14 @@ impl PushSocket {
             return Err(ZmqError::Closed);
         }
         let t0 = Instant::now();
-        let full = self.tx.is_full();
         self.tx
             .send(Cmd::Msg(payload.into()))
             .map_err(|_| ZmqError::Closed)?;
-        let elapsed = t0.elapsed().as_nanos() as u64;
-        if full {
-            self.stats
-                .blocked_nanos
-                .fetch_add(elapsed, Ordering::Relaxed);
-        }
         if let Some(rec) = &self.recorder {
             // The caller-visible cost of handing one frame to the socket:
             // a queue push, plus the whole backpressure stall when the HWM
             // was reached.
-            rec.record(Stage::SocketSend, elapsed);
+            rec.record(Stage::SocketSend, t0.elapsed().as_nanos() as u64);
         }
         self.stats.msgs_sent.fetch_add(1, Ordering::Relaxed);
         Ok(())

@@ -1,6 +1,7 @@
-//! MPMC channel with crossbeam-channel semantics.
+//! Bounded MPMC channel with crossbeam-channel semantics.
 //!
-//! Senders and receivers are cloneable handles over one shared queue. The
+//! Senders and receivers are cloneable handles over one shared queue of
+//! fixed capacity; `send` blocks while it is full. The
 //! channel disconnects when either side's handle count reaches zero:
 //! * all senders gone → `recv` drains the buffer then errors;
 //! * all receivers gone → `send` errors immediately.
@@ -20,7 +21,7 @@ struct State<T> {
 
 struct Inner<T> {
     state: Mutex<State<T>>,
-    cap: Option<usize>,
+    cap: usize,
     /// Signalled when the buffer gains an item or the channel disconnects.
     recv_cv: Condvar,
     /// Signalled when the buffer frees a slot or the channel disconnects.
@@ -28,7 +29,7 @@ struct Inner<T> {
 }
 
 impl<T> Inner<T> {
-    fn new(cap: Option<usize>) -> Arc<Self> {
+    fn new(cap: usize) -> Arc<Self> {
         Arc::new(Inner {
             state: Mutex::new(State {
                 buf: VecDeque::new(),
@@ -48,14 +49,6 @@ impl<T> Inner<T> {
 
 /// Error returned by [`Sender::send`] when all receivers are gone.
 pub struct SendError<T>(pub T);
-
-/// Error returned by [`Sender::try_send`].
-pub enum TrySendError<T> {
-    /// The channel is bounded and full.
-    Full(T),
-    /// All receivers are gone.
-    Disconnected(T),
-}
 
 /// Error returned by [`Receiver::recv`]: channel empty and all senders gone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,26 +85,6 @@ impl<T> fmt::Display for SendError<T> {
 }
 
 impl<T> std::error::Error for SendError<T> {}
-
-impl<T> fmt::Debug for TrySendError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TrySendError::Full(_) => f.write_str("Full(..)"),
-            TrySendError::Disconnected(_) => f.write_str("Disconnected(..)"),
-        }
-    }
-}
-
-impl<T> fmt::Display for TrySendError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TrySendError::Full(_) => f.write_str("sending on a full channel"),
-            TrySendError::Disconnected(_) => f.write_str("sending on a disconnected channel"),
-        }
-    }
-}
-
-impl<T> std::error::Error for TrySendError<T> {}
 
 impl fmt::Display for RecvError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -168,20 +141,7 @@ enum Flavor<T> {
 /// A zero-capacity channel is modelled as capacity 1 (rendezvous semantics
 /// are not reproduced; no caller in this workspace relies on them).
 pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-    let inner = Inner::new(Some(cap.max(1)));
-    (
-        Sender {
-            inner: inner.clone(),
-        },
-        Receiver {
-            flavor: Flavor::Normal(inner),
-        },
-    )
-}
-
-/// Create an unbounded channel.
-pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    let inner = Inner::new(None);
+    let inner = Inner::new(cap.max(1));
     (
         Sender {
             inner: inner.clone(),
@@ -224,60 +184,20 @@ impl<T> Sender<T> {
     /// Send a message, blocking while the channel is full.
     pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
         let mut st = self.inner.lock();
-        loop {
-            if st.receivers == 0 {
-                return Err(SendError(msg));
-            }
-            match self.inner.cap {
-                Some(cap) if st.buf.len() >= cap => {
-                    st = self
-                        .inner
-                        .send_cv
-                        .wait(st)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                _ => break,
-            }
+        while st.receivers > 0 && st.buf.len() >= self.inner.cap {
+            st = self
+                .inner
+                .send_cv
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
-        st.buf.push_back(msg);
-        drop(st);
-        self.inner.recv_cv.notify_one();
-        Ok(())
-    }
-
-    /// Send without blocking; fails if the channel is full or disconnected.
-    pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-        let mut st = self.inner.lock();
         if st.receivers == 0 {
-            return Err(TrySendError::Disconnected(msg));
-        }
-        if let Some(cap) = self.inner.cap {
-            if st.buf.len() >= cap {
-                return Err(TrySendError::Full(msg));
-            }
+            return Err(SendError(msg));
         }
         st.buf.push_back(msg);
         drop(st);
         self.inner.recv_cv.notify_one();
         Ok(())
-    }
-
-    /// Number of messages currently buffered.
-    pub fn len(&self) -> usize {
-        self.inner.lock().buf.len()
-    }
-
-    /// True when no messages are buffered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// True when the channel is bounded and at capacity.
-    pub fn is_full(&self) -> bool {
-        match self.inner.cap {
-            Some(cap) => self.inner.lock().buf.len() >= cap,
-            None => false,
-        }
     }
 }
 
@@ -404,68 +324,6 @@ impl<T> Receiver<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Non-blocking iterator over currently available messages.
-    pub fn try_iter(&self) -> TryIter<'_, T> {
-        TryIter { rx: self }
-    }
-
-    /// Blocking iterator that ends when the channel disconnects.
-    pub fn iter(&self) -> Iter<'_, T> {
-        Iter { rx: self }
-    }
-}
-
-/// Iterator returned by [`Receiver::try_iter`].
-pub struct TryIter<'a, T> {
-    rx: &'a Receiver<T>,
-}
-
-impl<T> Iterator for TryIter<'_, T> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        self.rx.try_recv().ok()
-    }
-}
-
-/// Iterator returned by [`Receiver::iter`].
-pub struct Iter<'a, T> {
-    rx: &'a Receiver<T>,
-}
-
-impl<T> Iterator for Iter<'_, T> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        self.rx.recv().ok()
-    }
-}
-
-impl<'a, T> IntoIterator for &'a Receiver<T> {
-    type Item = T;
-    type IntoIter = Iter<'a, T>;
-    fn into_iter(self) -> Iter<'a, T> {
-        self.iter()
-    }
-}
-
-impl<T> IntoIterator for Receiver<T> {
-    type Item = T;
-    type IntoIter = IntoIter<T>;
-    fn into_iter(self) -> IntoIter<T> {
-        IntoIter { rx: self }
-    }
-}
-
-/// Owning iterator over a receiver.
-pub struct IntoIter<T> {
-    rx: Receiver<T>,
-}
-
-impl<T> Iterator for IntoIter<T> {
-    type Item = T;
-    fn next(&mut self) -> Option<T> {
-        self.rx.recv().ok()
-    }
 }
 
 #[cfg(test)]
@@ -475,12 +333,15 @@ mod tests {
     #[test]
     fn bounded_blocks_and_drains() {
         let (tx, rx) = bounded(2);
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert!(matches!(tx.try_send(3), Err(TrySendError::Full(3))));
+        tx.send(1).unwrap();
+        tx.send(2).unwrap();
+        // A third send blocks until a slot frees.
+        let sender = std::thread::spawn(move || tx.send(3).unwrap());
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!sender.is_finished(), "the third send waits for a slot");
+        assert_eq!(rx.len(), 2);
         assert_eq!(rx.recv().unwrap(), 1);
-        tx.try_send(3).unwrap();
-        drop(tx);
+        sender.join().unwrap();
         assert_eq!(rx.recv().unwrap(), 2);
         assert_eq!(rx.recv().unwrap(), 3);
         assert_eq!(rx.recv(), Err(RecvError));
@@ -488,7 +349,7 @@ mod tests {
 
     #[test]
     fn mpmc_fan_in_fan_out() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = bounded(8);
         let producers: Vec<_> = (0..4)
             .map(|p| {
                 let tx = tx.clone();
@@ -531,7 +392,6 @@ mod tests {
         let (tx, rx) = bounded(1);
         drop(rx);
         assert!(tx.send(1).is_err());
-        assert!(matches!(tx.try_send(2), Err(TrySendError::Disconnected(2))));
     }
 
     #[test]
@@ -560,16 +420,5 @@ mod tests {
         );
         assert_eq!(rx.len(), 0);
         let _rx2 = rx.clone();
-    }
-
-    #[test]
-    fn try_iter_drains_available() {
-        let (tx, rx) = unbounded();
-        for i in 0..5 {
-            tx.send(i).unwrap();
-        }
-        let got: Vec<i32> = rx.try_iter().collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
     }
 }

@@ -1,7 +1,8 @@
 //! Offline stand-in for the [`crossbeam`](https://crates.io/crates/crossbeam)
 //! crate. Only the `channel` module is provided — a multi-producer,
 //! multi-consumer channel over `Mutex` + `Condvar` with the crossbeam API
-//! shape (`bounded`, `unbounded`, `never`, cloneable `Receiver`s, disconnect
-//! semantics on either side).
+//! shape, cut to what the workspace calls: `bounded` and `never`, a blocking
+//! `send`, `recv` / `try_recv` / `recv_timeout` / `len` on cloneable
+//! `Receiver`s, and disconnect semantics on either side.
 
 pub mod channel;

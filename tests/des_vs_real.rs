@@ -173,7 +173,7 @@ fn real_fleet_rate_is_within_a_stated_bound_of_the_window_model() {
         hists.fold((0, 0), |(n, sum), h| (n + h.count, sum + h.sum))
     };
     // Steady state: from the arrival that ends the start-up windows (and
-    // the reads that waited on a shard's open) to the last one.
+    // the reads that each paid a shard's OPEN) to the last one.
     let skip = 4 * SLOTS as usize;
     let mut src = dep.receiver.source();
     let (mut arrivals, mut at_skip) = (Vec::new(), (0, 0));

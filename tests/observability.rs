@@ -67,6 +67,10 @@ fn trace_header_survives_scatter_frame_byte_compatibly() {
     );
 }
 
+/// The timers an `emlio_path` point carried before the stage histograms
+/// owned every data-path duration.
+const RETIRED_TIMERS: [&str; 3] = ["codec_nanos", "read_nanos", "send_blocked_nanos"];
+
 /// A full cached two-epoch service run: every pipeline stage shows up in
 /// the histograms, every delivered batch carries a trace, and the stall
 /// attribution decomposes `wall × workers` exactly.
@@ -177,11 +181,63 @@ fn cached_epoch_populates_stage_histograms_and_stall_attribution() {
     assert!(report.contains("queue_dwell"));
     assert!(report.contains("end_to_end"));
 
+    // Every duration is a stage histogram's: the path point keeps counts
+    // (each read that reached storage, counted where it was timed).
+    let tag = |k: &str, v: &str| (k.to_string(), v.to_string());
+    let path_point = db.matching("emlio_path", &[tag("proc", "daemon-0")]);
+    let path_fields = &path_point[0].fields;
+    for timer in RETIRED_TIMERS {
+        assert!(!path_fields.contains_key(timer), "{timer} is exported");
+    }
+    let last = |fields: &std::collections::BTreeMap<String, Vec<f64>>, name: &str| {
+        *fields[name].last().unwrap() as u64
+    };
+    let read_stage = db.matching(
+        "emlio_stage",
+        &[
+            tag("proc", "daemon-0"),
+            tag("stage", Stage::StorageRead.name()),
+        ],
+    );
+    assert_eq!(
+        last(&read_stage[0].fields, "count"),
+        last(path_fields, "storage_reads")
+    );
+
     // The line-protocol file reproduces the identical report.
     let path = dir.path().join("metrics.lp");
     export::write_line_protocol(&db, &path).unwrap();
     let reloaded = export::read_line_protocol(&path).unwrap();
     assert_eq!(export::render_report(&reloaded), report);
+
+    // A file written before the timers went, whose path point still
+    // carries them, renders the same report and the same exact stall
+    // decomposition: the report reads durations from the stages only.
+    let timers: String = RETIRED_TIMERS.iter().map(|t| format!("{t}=910,")).collect();
+    let older: String = std::fs::read_to_string(&path)
+        .unwrap()
+        .lines()
+        .map(
+            |line| match line.strip_prefix("emlio_path,proc=daemon-0 ") {
+                Some(rest) => format!("emlio_path,proc=daemon-0 {timers}{rest}\n"),
+                None => format!("{line}\n"),
+            },
+        )
+        .collect();
+    let older_path = dir.path().join("older-metrics.lp");
+    std::fs::write(&older_path, older).unwrap();
+    let older = export::read_line_protocol(&older_path).unwrap();
+    let older_point = older.matching("emlio_path", &[tag("proc", "daemon-0")]);
+    for timer in RETIRED_TIMERS {
+        assert!(older_point[0].fields.contains_key(timer), "{timer} missing");
+    }
+    let older_stall = export::stall_attribution(&older, "daemon-0").unwrap();
+    assert_eq!(older_stall, stall);
+    assert_eq!(
+        older_stall.accounted_nanos() + older_stall.unattributed_nanos,
+        older_stall.wall_workers_nanos
+    );
+    assert_eq!(export::render_report(&older), report);
 }
 
 /// Trace timestamps come from the shared Unix-anchored clock, so a frame
