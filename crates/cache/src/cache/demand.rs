@@ -56,19 +56,17 @@ impl CacheCore {
         // cannot get between the two.
         let mut accounted = false;
         loop {
-            let served = {
+            let (served, effect) = {
                 let mut st = self.state.lock();
-                while matches!(st.slots.get(&key), Some(Slot::Busy(_))) {
+                while st.busy(&key) {
                     self.landed.wait(&mut st);
                 }
-                let served = st.claim(key, !accounted);
+                let step = st.claim(key, !accounted);
                 st.check();
-                served
+                step
             };
-            if !accounted {
-                self.room.notify_all();
-                accounted = true;
-            }
+            self.perform(effect);
+            accounted = true;
             let claim = match served {
                 Served::Ram(data) => {
                     self.count_hit(&data);
@@ -121,13 +119,7 @@ impl CacheCore {
     /// Settle `claim` with `data` ([`State::settle`]) and perform the
     /// effect. Returns whether RAM admitted.
     pub(super) fn settle(&self, claim: Claim, data: Option<Bytes>) -> bool {
-        let reserved = claim.room.is_some();
         let (admitted, effect) = self.locked(|st| st.settle(claim, data));
-        self.landed.notify_all();
-        if reserved {
-            // An in-flight slot and possibly RAM came free.
-            self.room.notify_all();
-        }
         self.perform(effect);
         admitted
     }

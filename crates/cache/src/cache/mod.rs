@@ -14,10 +14,15 @@
 //! the books (`State::check`, in debug builds) and unlocks; then it
 //! performs the effect the transition returned — storage fetches,
 //! spill-file reads ([`persist::read_validated`]), writes and deletes, the
-//! counts, the condvar wake-ups — and waits if it must: on `landed` for a
-//! fetch in flight, on `room` for prefetch room, on `spill` while the
-//! `Spilling` backlog exceeds the RAM tier. So everything slow runs outside
-//! the lock, and no function takes the lock while holding it.
+//! counts, and the wake-ups of the condvars the transition named, which
+//! only [`CacheCore::perform`] notifies. A thread that must wait does so
+//! under the lock, before its call, looping on a `State` query: on
+//! `landed` while its block is in flight, on `room` while the issue step
+//! says wait, on `spill` while the `Spilling` backlog exceeds the RAM tier,
+//! while the writer has no order, or while a flush has orders to wait for.
+//! So everything slow runs outside the lock, no function takes the lock
+//! while holding it, and a wake-up is lost only if a transition leaves a
+//! condvar out of its set — which the lifecycle explorer checks for.
 //!
 //! The one thing that outlives a critical section is a transitional slot
 //! owned by the thread doing the I/O: `Busy` (storage fetch, promote or
@@ -43,10 +48,11 @@ use emlio_tfrecord::BlockKey;
 use parking_lot::{Condvar, Mutex};
 pub(crate) use stage::Issue;
 use state::{Claim, DiskMeta, Effect, Peeked, Served, Slot, Spill, State, Step};
+use state::{LANDED, ROOM, SPILL};
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -167,15 +173,17 @@ impl Fetched {
 pub struct CacheCore {
     config: CacheConfig,
     state: Mutex<State>,
-    /// Signalled when a `Busy` slot settles (wakes single-flight
-    /// waiters).
+    /// Single-flight waiters sleep here while their block is `Busy`; the
+    /// transitions whose wake set names it are in `state.rs`'s module docs
+    /// (a settle).
     landed: Condvar,
-    /// Signalled on every demand access and whenever a reservation ends
-    /// (wakes the prefetcher: the cursor moved, or room came free).
+    /// The prefetch executor sleeps here while its issue step says wait;
+    /// named by the transitions that may change that (a demand access, a
+    /// reservation's end, a stop).
     room: Condvar,
-    /// Signalled when spill orders are queued (wakes the writer), when a
-    /// `Spilling` slot lands (wakes evictors waiting on the backlog) and
-    /// when the writer goes idle (wakes `flush_spills`).
+    /// The writer sleeps here for an order, an evictor while the backlog
+    /// is over the RAM tier, a flush till the queue is written; named by
+    /// the transitions that queue, land, drain or shut the queue down.
     spill: Condvar,
     stats: CacheStats,
     /// Where spill files go; `Some` exactly when there is a disk tier,
@@ -246,26 +254,36 @@ impl CacheCore {
         effect
     }
 
-    /// Perform an [`Effect`]: add its eviction counts and, when it queued
-    /// spill orders, record the queue's depth, wake the writer, then wait
-    /// while the `Spilling` backlog is more than the RAM tier. So at most
-    /// `ram_bytes` of evicted blocks, plus the victims of the evictors
-    /// parked here, wait for the disk — whatever their number or size.
+    /// Perform an [`Effect`], lock released: add its eviction counts, wake
+    /// the condvars its transition named — the cache's only `notify_*`
+    /// calls — and, when it queued spill orders, record the queue's depth,
+    /// then wait while the `Spilling` backlog is more than the RAM tier. So
+    /// at most `ram_bytes` of evicted blocks, plus the victims of the
+    /// evictors parked here, wait for the disk — whatever their number or
+    /// size.
     fn perform(&self, effect: Effect) {
         let (stats, relaxed) = (&self.stats, Ordering::Relaxed);
         if effect.evictions > 0 {
             stats.evictions.fetch_add(effect.evictions, relaxed);
             (stats.clean_evictions).fetch_add(effect.clean_evictions, relaxed);
         }
+        for (bit, condvar) in [
+            (LANDED, &self.landed),
+            (ROOM, &self.room),
+            (SPILL, &self.spill),
+        ] {
+            if effect.wake & bit != 0 {
+                condvar.notify_all();
+            }
+        }
         if effect.queued == 0 {
             return;
         }
         stats.spill_queue_peak.fetch_max(effect.queued, relaxed);
-        self.spill.notify_all();
         let mut st = self.state.lock();
-        if st.spilling > self.config.ram_bytes {
+        if st.backlogged() {
             (stats.spill_backpressure_waits).fetch_add(1, Ordering::Relaxed);
-            while st.spilling > self.config.ram_bytes {
+            while st.backlogged() {
                 self.spill.wait(&mut st);
             }
         }
@@ -499,8 +517,7 @@ impl std::ops::Deref for ShardCache {
 impl Drop for ShardCache {
     fn drop(&mut self) {
         if let Some(writer) = self.writer.take() {
-            self.core.state.lock().shutdown = true;
-            self.core.spill.notify_all();
+            self.core.perform(self.core.locked(State::shut_down));
             // The writer drains every queued order before exiting, so the
             // core's Drop (keep or clean up) sees a complete tier.
             let _ = writer.join();
@@ -1294,8 +1311,7 @@ mod tests {
         let cache = ram_only(400);
         let seq: Vec<BlockKey> = (0..16).map(|i| key(i % 8)).collect();
         cache.set_plan(seq.clone());
-        let stop = AtomicBool::new(false);
-        let reserve = |pos: usize| cache.reserve_prefetch(pos as u64, &seq[pos], 100, &stop);
+        let reserve = |pos: usize| cache.reserve_prefetch(pos as u64, &seq[pos], 100);
         let read = |pos: usize| match reserve(pos) {
             Issue::Read(reservation) => Some(reservation),
             _ => panic!("position {pos} should be staged"),
@@ -1332,9 +1348,12 @@ mod tests {
         read(4).unwrap().fill(|| Some(block(4, 100).into()));
         assert_eq!(cache.ram_budget(), (400, 0));
 
-        // Parked with no room, the issue step leaves on the stop flag.
-        stop.store(true, Ordering::SeqCst);
+        // Stopped, the issue step says so, room or none, till a new plan.
+        cache.stop_prefetcher();
         assert!(matches!(reserve(5), Issue::Stop));
+        assert!(matches!(reserve(0), Issue::Stop));
+        cache.set_plan(seq.clone());
+        assert!(matches!(reserve(1), Issue::Skip), "resident");
         let s = cache.stats().snapshot();
         assert_eq!((s.prefetched, s.prefetch_wasted, s.misses), (5, 0, 0));
     }
@@ -1360,7 +1379,7 @@ mod tests {
     }
 
     fn staged<'a>(cache: &'a ShardCache, pos: u64, key: &BlockKey) -> Reservation<'a> {
-        match cache.reserve_prefetch(pos, key, 0, &AtomicBool::new(false)) {
+        match cache.reserve_prefetch(pos, key, 0) {
             Issue::Read(reservation) => reservation,
             _ => panic!("position {pos} should be staged"),
         }
@@ -1385,11 +1404,7 @@ mod tests {
             assert!(!cache.contains(&plan[pos as usize]), "claimed: Busy");
             reservation.fill(|| panic!("a disk-resident block is not read from storage"));
         }
-        let stop = AtomicBool::new(false);
-        assert!(matches!(
-            cache.reserve_prefetch(2, &key(0), 0, &stop),
-            Issue::Skip
-        ));
+        assert!(matches!(cache.reserve_prefetch(2, &key(0), 0), Issue::Skip));
         let s = cache.stats().snapshot();
         assert_eq!(
             (s.prefetched, s.warm_promoted, s.prefetch_wasted),
@@ -1488,7 +1503,7 @@ mod tests {
         assert_eq!(cache.disk_keys(), (0..4).map(key).collect::<Vec<_>>());
         assert_eq!(cache.disk_bytes_used(), 600);
         // A staging claim over 1, released unread: 1 stays the oldest.
-        match cache.reserve_prefetch(0, &key(1), 0, &AtomicBool::new(false)) {
+        match cache.reserve_prefetch(0, &key(1), 0) {
             Issue::Read(reservation) => drop(reservation),
             _ => panic!("1 should be staged"),
         }

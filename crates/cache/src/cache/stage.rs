@@ -16,22 +16,14 @@ impl CacheCore {
     /// staged into free room only, else left to a demand promote: a spill
     /// file is cheap to read on demand, and a resident evicted to stage one
     /// is a block the plan-driven order would have kept (docs/ARCHITECTURE.md
-    /// has the measurement). Woken by every demand access, every prefetch
-    /// read that lands or fails, and [`CacheCore::wake_prefetcher`].
-    pub(crate) fn reserve_prefetch(
-        &self,
-        pos: u64,
-        key: &BlockKey,
-        len: u64,
-        stop: &AtomicBool,
-    ) -> Issue<'_> {
+    /// has the measurement). Parked, it waits on `room` for a transition
+    /// that names it (`state.rs`'s module docs list them).
+    pub(crate) fn reserve_prefetch(&self, pos: u64, key: &BlockKey, len: u64) -> Issue<'_> {
         let mut st = self.state.lock();
         let (claim, effect) = loop {
-            if stop.load(Ordering::SeqCst) {
-                return Issue::Stop;
-            }
             match st.issue(pos, key, len) {
                 Step::Skip => return Issue::Skip,
+                Step::Stop => return Issue::Stop,
                 Step::Wait => self.room.wait(&mut st),
                 Step::Read(claim, effect) => break (claim, effect),
             }
@@ -45,12 +37,11 @@ impl CacheCore {
         })
     }
 
-    /// Make a parked [`CacheCore::reserve_prefetch`] look at its stop flag
-    /// again. Passing through the lock orders this after the waiter's
-    /// last check, so a flag set before the call is never missed.
-    pub(crate) fn wake_prefetcher(&self) {
-        drop(self.state.lock());
-        self.room.notify_all();
+    /// Stop the prefetch executor ([`State::stop_prefetch`]): from now
+    /// until the next plan, [`CacheCore::reserve_prefetch`] returns
+    /// [`Issue::Stop`], parked or not.
+    pub(crate) fn stop_prefetcher(&self) {
+        self.perform(self.locked(State::stop_prefetch));
     }
 }
 
@@ -62,7 +53,7 @@ pub(crate) enum Issue<'a> {
     /// reached the position first, the block can never fit, or it is on
     /// disk and would not fit without evicting.
     Skip,
-    /// The stop flag is set.
+    /// The executor was stopped ([`CacheCore::stop_prefetcher`]).
     Stop,
 }
 

@@ -15,7 +15,7 @@
 //!   (absent)  demand miss / prefetch or insert claim  Busy      claim, issue: fetch (a Claim)
 //!   Busy      fetched, RAM admits                     Ram       settle: wake landed (+ room)
 //!   Busy      fetch error, or RAM declines (bypass)   (absent)  settle: wake landed (+ room)
-//!   Ram       evicted, disk tier can take it          Spilling  (make_room) order queued
+//!   Ram       evicted, disk tier can take it          Spilling  (make_room) queued: wake spill
 //!   Ram       evicted, no disk tier / block too large (absent)  (make_room) eviction counted
 //!   Spilling  spill write landed                      Disk      land_spill: wake spill
 //!   Spilling  spill write failed                      (absent)  land_spill: wake spill
@@ -31,6 +31,17 @@
 //!   Disk      disk tier evicts the block              (absent)  take_spill: delete the file
 //!   (absent)  restart finds a valid file with room    Disk      readmit: delete the rest
 //! ```
+//!
+//! **Wake-ups.** Every wait in the cache loops on a query here: on
+//! `landed` while a slot is [`busy`](State::busy), on `room` while the
+//! issue step says [`Step::Wait`], on `spill` while the queue is
+//! [`backlogged`](State::backlogged), the writer [idle](State::writer_idle)
+//! or a flush not [`flushed`](State::flushed). A transition that may make
+//! one true names its condvar in its [`Effect`]'s wake set, which
+//! [`CacheCore::perform`] notifies: `landed` when a claim settles; `room`
+//! when a claim is made, a reservation ends, an `insert` lands or the
+//! prefetcher is stopped; `spill` when orders are queued, land or end
+//! unwritten, and at shutdown.
 //!
 //! The disk tier is **inclusive** and spill files are **write-once**. A
 //! block's bytes never change, so a promote that RAM admits keeps its file
@@ -140,12 +151,13 @@ pub(super) enum Peeked {
 }
 
 /// What the prefetch executor's issue step decided: nothing to stage
-/// ([`Issue::Skip`]), not yet (wait on `room` and ask again), or room
-/// reserved and slot claimed — read it, then settle the claim.
+/// ([`Issue::Skip`]), not yet (wait on `room` and ask again), room
+/// reserved and slot claimed — read it, then settle the claim — or stop.
 pub(super) enum Step {
     Skip,
     Wait,
     Read(Claim, Effect),
+    Stop,
 }
 
 /// A spill order the writer took: write `data` as `key`'s file once
@@ -156,15 +168,32 @@ pub(super) struct Spill {
     pub(super) delete: Vec<DiskMeta>,
 }
 
-/// What a section that may evict leaves for after the lock: the counts to
-/// add to the stats and, when it queued spill orders, the queue's depth
-/// after them (0: none) — wake the writer, and wait while the backlog is
-/// more than the RAM tier.
+/// A set of condvars, one bit each, that a transition may have made a
+/// wait's condition true for (see the module docs).
+pub(super) type Wake = u8;
+pub(super) const LANDED: Wake = 1;
+pub(super) const ROOM: Wake = 2;
+pub(super) const SPILL: Wake = 4;
+
+/// What a transition leaves for after the lock: the counts to add to the
+/// stats, the condvars to wake and, when it queued spill orders, the
+/// queue's depth after them (0: none) — wait while the backlog is more
+/// than the RAM tier.
 #[derive(Default)]
 pub(super) struct Effect {
     pub(super) evictions: u64,
     pub(super) clean_evictions: u64,
     pub(super) queued: u64,
+    pub(super) wake: Wake,
+}
+
+impl From<Wake> for Effect {
+    fn from(wake: Wake) -> Effect {
+        Effect {
+            wake,
+            ..Effect::default()
+        }
+    }
 }
 
 /// Everything the cache mutates: slots, accounting, plan state, eviction
@@ -183,6 +212,8 @@ pub(super) struct State {
     pub(super) writing: bool,
     /// The handle is dropping: the writer drains the queue, then ends.
     pub(super) shutdown: bool,
+    /// The prefetch executor was stopped, for the rest of the plan.
+    pub(super) prefetch_stopped: bool,
     /// RAM set aside for prefetch reads in flight, made room for when the
     /// reservation is taken: `ram_used + ram_reserved <= ram_bytes`.
     pub(super) ram_reserved: u64,
@@ -228,6 +259,7 @@ impl State {
             future.entry(*key).or_default().push_back(pos as u64);
         }
         (self.seq, self.future, self.cursor) = (Arc::new(seq), future, 0);
+        self.prefetch_stopped = false;
         let future = &mut self.future;
         self.ram_order.refresh(|k| State::next_use(future, 0, k));
         self.disk_order.refresh(|k| State::next_use(future, 0, k));
@@ -339,26 +371,32 @@ impl State {
         self.ram_order.touch(key, next, tick);
     }
 
+    /// Whether `key` is in flight.
+    pub(super) fn busy(&self, key: &BlockKey) -> bool {
+        matches!(self.slots.get(key), Some(Slot::Busy(_)))
+    }
+
     /// A demand access to `key`, accounted against the plan when
     /// `account`, on a key that is not in flight: a RAM resident's bytes
     /// (still readable mid-spill), or the claim of its slot, now `Busy` — a
-    /// promote from its spill file, or, absent, a storage fetch.
-    pub(super) fn claim(&mut self, key: BlockKey, account: bool) -> Served {
+    /// promote from its spill file, or, absent, a storage fetch. Wakes
+    /// `room`: the cursor moved, or the block to stage is in flight.
+    pub(super) fn claim(&mut self, key: BlockKey, account: bool) -> (Served, Effect) {
+        let effect = Effect::from(ROOM);
         if account {
             self.demand_access(&key);
         }
         let file = match self.slots.get(&key) {
-            Some(Slot::Ram(data, _) | Slot::Spilling(data)) => return Served::Ram(data.clone()),
+            Some(Slot::Ram(data, _) | Slot::Spilling(data)) => {
+                return (Served::Ram(data.clone()), effect)
+            }
             Some(Slot::Disk(meta)) => Some(meta.clone()),
             None => None,
             Some(Slot::Busy(_)) => unreachable!("a claimer waits out a Busy slot"),
         };
         self.slots.insert(key, Slot::Busy(file.clone()));
-        Served::Claimed(Claim {
-            key,
-            room: None,
-            file,
-        })
+        let room = None;
+        (Served::Claimed(Claim { key, room, file }), effect)
     }
 
     /// A peer's read of `key`, which changes nothing: a RAM resident's
@@ -374,11 +412,12 @@ impl State {
     }
 
     /// Insert `data` as `key`'s block, claimed and landed at once (a no-op
-    /// when the key is resident or in flight).
+    /// when the key is resident or in flight). A block that lands wakes
+    /// `room`: it may be the one the prefetcher waits to stage.
     pub(super) fn insert(&mut self, key: BlockKey, data: Bytes) -> Effect {
         let mut effect = Effect::default();
-        if !self.slots.contains_key(&key) {
-            self.admit(key, data, None, false, &mut effect);
+        if !self.slots.contains_key(&key) && self.admit(key, data, None, false, &mut effect) {
+            effect.wake |= ROOM;
         }
         effect
     }
@@ -400,7 +439,8 @@ impl State {
     /// its reservation, with whatever file the disk tier has left it.
     /// `Some` bytes land: RAM admits or declines ([`State::admit`]). `None`
     /// releases a read that failed or never ran: back to disk-only over
-    /// that file, or to absent. Returns whether RAM admitted.
+    /// that file, or to absent. Returns whether RAM admitted. Wakes
+    /// `landed`, and `room` when a reservation ends.
     pub(super) fn settle(&mut self, claim: Claim, data: Option<Bytes>) -> (bool, Effect) {
         let Claim { key, room, .. } = claim;
         if let Some(len) = room {
@@ -410,7 +450,7 @@ impl State {
         let Some(Slot::Busy(file)) = self.slots.remove(&key) else {
             unreachable!("settling owns the Busy slot");
         };
-        let mut effect = Effect::default();
+        let mut effect = Effect::from(LANDED | if room.is_some() { ROOM } else { 0 });
         let admitted = match (data, file) {
             (Some(data), file) => self.admit(key, data, file, room.is_some(), &mut effect),
             // A released claim read nothing, so its file keeps its place
@@ -516,8 +556,12 @@ impl State {
     }
 
     /// The prefetch executor's issue step for plan position `pos` (see
-    /// [`CacheCore::reserve_prefetch`] for the rule).
+    /// [`CacheCore::reserve_prefetch`] for the rule); it changes nothing
+    /// unless it returns [`Step::Read`].
     pub(super) fn issue(&mut self, pos: u64, key: &BlockKey, len: u64) -> Step {
+        if self.prefetch_stopped {
+            return Step::Stop;
+        }
         let (len, file) = match self.slots.get(key) {
             None => (len, None),
             Some(Slot::Disk(meta)) => (meta.len, Some(meta)),
@@ -546,10 +590,38 @@ impl State {
         Step::Read(Claim { key, room, file }, effect)
     }
 
+    /// Stop the prefetch executor, parked or not, for the rest of the plan.
+    pub(super) fn stop_prefetch(&mut self) -> Effect {
+        self.prefetch_stopped = true;
+        Effect::from(ROOM)
+    }
+
     /// Queue `key` for the spill writer.
     fn queue_spill(&mut self, key: BlockKey, effect: &mut Effect) {
         self.spill_orders.push_back(key);
         effect.queued = self.spill_orders.len() as u64 + u64::from(self.writing);
+        effect.wake |= SPILL;
+    }
+
+    /// Whether the `Spilling` backlog is more than the RAM tier.
+    pub(super) fn backlogged(&self) -> bool {
+        self.spilling > self.ram_bytes
+    }
+
+    /// Whether the writer has no order, and the handle is not dropping.
+    pub(super) fn writer_idle(&self) -> bool {
+        self.spill_orders.is_empty() && !self.shutdown
+    }
+
+    /// Whether every queued order has been written and landed.
+    pub(super) fn flushed(&self) -> bool {
+        self.spill_orders.is_empty() && !self.writing
+    }
+
+    /// The handle is dropping: the writer drains the queue, then ends.
+    pub(super) fn shut_down(&mut self) -> Effect {
+        self.shutdown = true;
+        Effect::from(SPILL)
     }
 
     /// A persistent cache's checkpoint: queue every RAM resident without
@@ -573,7 +645,8 @@ impl State {
     /// its disk room (the writer, the one place the tier grows, keeps it
     /// till the write lands). Any other slot has its file or is gone: an
     /// eviction and a checkpoint of the same block crossed in the queue.
-    pub(super) fn take_spill(&mut self) -> Option<Spill> {
+    pub(super) fn take_spill(&mut self) -> (Option<Spill>, Effect) {
+        let queued = !self.spill_orders.is_empty();
         while let Some(key) = self.spill_orders.pop_front() {
             let spare = |data: &Bytes| self.disk_used + data.len() as u64 <= self.disk_bytes;
             let data = match self.slots.get(&key) {
@@ -583,9 +656,10 @@ impl State {
             };
             self.writing = true;
             let delete = self.make_disk_room(data.len() as u64);
-            return Some(Spill { key, data, delete });
+            return (Some(Spill { key, data, delete }), Effect::default());
         }
-        None
+        // Every order popped ended unwritten: the queue is flushed.
+        (None, Effect::from(if queued { SPILL } else { 0 }))
     }
 
     /// Make `size` bytes of disk-tier room, returning the files that lost
@@ -626,12 +700,13 @@ impl State {
     /// the write failed): `Spilling → Disk` for an evicted block, `Ram →
     /// Ram+file` for a resident a checkpoint backs. A failed spill loses
     /// the evicted block, or leaves a checkpoint's resident unbacked.
-    /// Returns a written file nothing waits for, to delete.
+    /// Returns a written file nothing waits for, to delete. The backlog
+    /// shrank and the writer is idle: wake `spill`.
     pub(super) fn land_spill(
         &mut self,
         key: BlockKey,
         written: Option<DiskMeta>,
-    ) -> Option<DiskMeta> {
+    ) -> (Option<DiskMeta>, Effect) {
         self.writing = false;
         // A queued block stays `Spilling`; a resident a checkpoint is
         // backing may have been evicted under the write, and then its
@@ -659,7 +734,7 @@ impl State {
         if let Some(slot) = landed {
             self.slots.insert(key, slot);
         }
-        orphan
+        (orphan, Effect::from(SPILL))
     }
 
     /// A restart's re-admission, before the cache serves: `found` is every

@@ -6,20 +6,22 @@ use super::*;
 
 impl CacheCore {
     /// The spill writer's next order ([`State::take_spill`]), waiting for
-    /// one (idle, it wakes `flush_spills`); `None` once the handle is
-    /// dropping and the queue is drained, which ends the writer.
+    /// one; `None` once the handle is dropping and the queue is drained,
+    /// which ends the writer.
     pub(super) fn next_spill(&self) -> Option<Spill> {
-        let mut st = self.state.lock();
         loop {
-            if let Some(spill) = st.take_spill() {
-                st.check();
-                return Some(spill);
+            let mut st = self.state.lock();
+            while st.writer_idle() {
+                self.spill.wait(&mut st);
             }
-            if st.shutdown {
-                return None;
+            let (spill, effect) = st.take_spill();
+            st.check();
+            let exit = st.shutdown;
+            drop(st);
+            self.perform(effect);
+            if spill.is_some() || exit {
+                return spill;
             }
-            self.spill.notify_all();
-            self.spill.wait(&mut st);
         }
     }
 
@@ -82,9 +84,8 @@ impl CacheCore {
                 None
             }
         };
-        let orphan = self.locked(|st| st.land_spill(key, meta));
-        // The backlog may have shrunk: wake the evictors waiting on it.
-        self.spill.notify_all();
+        let (orphan, effect) = self.locked(|st| st.land_spill(key, meta));
+        self.perform(effect);
         if let Some(meta) = orphan {
             let _ = std::fs::remove_file(&meta.path);
         }
@@ -96,7 +97,7 @@ impl CacheCore {
     /// tier.
     pub fn flush_spills(&self) {
         let mut st = self.state.lock();
-        while !st.spill_orders.is_empty() || st.writing {
+        while !st.flushed() {
             self.spill.wait(&mut st);
         }
     }

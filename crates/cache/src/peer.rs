@@ -12,8 +12,10 @@
 //! * [`FleetRegistry`] — the shared membership + transport directory, plus
 //!   fleet-wide single-flight: concurrent misses of the same block anywhere
 //!   in the fleet coalesce onto one storage read, and the winner's bytes
-//!   are handed to every waiter directly (recently-completed flights are
-//!   retained so a fleet cold-start reads each unique block exactly once).
+//!   are handed to every waiter directly. Up to `flight_retain` completed
+//!   flights (256 by default) are retained, outside every cache's budget,
+//!   for late arrivals: while they cover the blocks in play a fleet reads
+//!   each block once, and otherwise about once per epoch.
 //! * [`PeerTransport`] — the fetch/offer seam between daemons. The harness
 //!   uses in-process [`LocalPeer`] handles over `Weak<ShardCache>`; a
 //!   socket transport plugs in here later without touching the protocol.
@@ -25,8 +27,9 @@
 //! `emlio-core`'s `ReadStack` places the layer under the daemon's metering
 //! (its docs have the whole order): peer-served reads carry
 //! [`ReadOrigin::Peer`], which the metering layer above does *not* count
-//! as a storage read — so `storage_reads` aggregated across a fleet
-//! converges on the number of unique blocks, not ×N daemons.
+//! as a storage read — so `storage_reads` aggregated across a fleet counts
+//! each block about once per epoch (once in all while the retained flights
+//! cover the dataset), not once per daemon.
 
 use crate::cache::ShardCache;
 use bytes::Bytes;

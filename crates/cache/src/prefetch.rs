@@ -36,7 +36,7 @@
 
 use crate::cache::Issue;
 use crate::source::CachedSource;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -48,7 +48,6 @@ pub const MAX_IN_FLIGHT: usize = 16;
 
 /// Handle to the background prefetch executor. Stops and joins on drop.
 pub struct Prefetcher {
-    stop: Arc<AtomicBool>,
     source: Arc<CachedSource>,
     handle: Option<JoinHandle<()>>,
 }
@@ -58,23 +57,21 @@ impl Prefetcher {
     /// [`crate::CacheCore::set_plan`] first). Each staged block is read
     /// from its spill file when the disk tier holds it, else through the
     /// source's inner layer; fetch errors are skipped — the demand path
-    /// will surface them.
+    /// will surface them. One executor per cache: its stop holds for the
+    /// cache until the next plan.
     pub fn spawn(source: Arc<CachedSource>) -> Prefetcher {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
         let source2 = source.clone();
         let handle = std::thread::Builder::new()
             .name("emlio-prefetch".into())
-            .spawn(move || Self::run(&source2, &stop2))
+            .spawn(move || Self::run(&source2))
             .expect("spawn prefetch thread");
         Prefetcher {
-            stop,
             source,
             handle: Some(handle),
         }
     }
 
-    fn run(source: &CachedSource, stop: &AtomicBool) {
+    fn run(source: &CachedSource) {
         let cache = source.cache();
         let seq = cache.plan();
         // What a block is taken to weigh when the stack cannot say.
@@ -87,7 +84,7 @@ impl Prefetcher {
                     .inner()
                     .block_len(key)
                     .unwrap_or_else(|| largest.load(Ordering::SeqCst));
-                let reservation = match cache.reserve_prefetch(pos as u64, key, len, stop) {
+                let reservation = match cache.reserve_prefetch(pos as u64, key, len) {
                     Issue::Read(reservation) => reservation,
                     Issue::Skip => continue,
                     Issue::Stop => return,
@@ -120,9 +117,9 @@ impl Prefetcher {
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the executor if it is parked waiting for room.
-        self.source.cache().wake_prefetcher();
+        // Parked waiting for room or not, the executor's next issue step
+        // stops it.
+        self.source.cache().stop_prefetcher();
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }

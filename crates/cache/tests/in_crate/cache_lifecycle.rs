@@ -4,8 +4,8 @@
 //! from `cache/mod.rs`), so it drives the crate-private [`State`] through
 //! every method `CacheCore` calls on it — `claim`, `settle`, `retire`,
 //! `issue`, `insert`, `peek`, `take_spill`, `land_spill`, `checkpoint`,
-//! `set_plan` and `readmit` — each followed by `State::check`, exactly as
-//! `CacheCore` calls them. What `CacheCore` does around them — wait, read,
+//! `stop_prefetch`, `shut_down`, `set_plan` and `readmit` — each followed
+//! by `State::check`, exactly as `CacheCore` calls them. What `CacheCore` does around them — wait, read,
 //! write and delete files — is modelled, each I/O step its own event, so
 //! every other actor may run between a transition and the I/O it returned:
 //!
@@ -14,23 +14,22 @@
 //! * one demand worker walking the plan through `get_or_fetch` (it waits
 //!   while the block's slot is `Busy`, then claims it: a hit, a promote from
 //!   the spill file, or a storage fetch), the prefetch executor walking the
-//!   same plan (an issue step that would wait is not enabled) with its reads
-//!   in flight, any of which may also be dropped unread, and the one spill
-//!   writer;
+//!   same plan with its reads in flight, any of which may also be dropped
+//!   unread, and the one spill writer;
 //! * a fleet peer, the other daemon that `LocalPeer` lets into this cache,
 //!   asking for block 0 (`PEER_BLOCK`) as often as it likes while the cache
 //!   serves: it `peek`s — a disk-only block's spill file is then read, lock
 //!   released, as its own event, racing the writer and the disk tier — and,
 //!   on a miss, reads the block from storage and offers it back through
-//!   `insert`, which may evict, and park on the spill backlog. A crash takes
-//!   the peer with it (in-process peers share the process);
+//!   `insert`, which may evict. A crash takes the peer with it (in-process
+//!   peers share the process);
 //! * storage fetches that succeed or fail, spill writes that land, fail, or
 //!   land a file whose bytes are corrupt; a spill-file read succeeds exactly
 //!   when the file on the model's disk is whole;
-//! * an evictor parked on the spill backlog resumes once it is back under;
-//! * at the end, the daemon's checkpoint (with `persist`), the handle's drop
-//!   (the writer drains the queue) and the core's drop (keeps the files, or
-//!   deletes them);
+//! * the daemon's stop of the prefetcher once the worker is done, or sooner
+//!   while it is parked (a serve that fails); at the end its checkpoint
+//!   (with `persist`), the handle's drop (the writer drains the queue) and
+//!   the core's drop (keeps the files, or deletes them);
 //! * with `persist`, one crash at any point: memory and pending deletes are
 //!   lost, the files stay, and the restart scans the model's disk and
 //!   re-admits from it through `readmit` — which also names the files to
@@ -39,6 +38,19 @@
 //! Each file's name carries its block and checksum, so the model's disk
 //! holds at most one file per block; `persist`'s unit tests and
 //! `tests/forged_index.rs` cover names and bytes a model does not forge.
+//!
+//! Every wait is modelled as the cache waits: an actor that finds its
+//! condition false under the lock *parks* on its condvar, and may take its
+//! next step only once a transition's wake set has notified that condvar
+//! (a model condvar never wakes spuriously), when it checks the condition
+//! again. The parked actors are the demand worker on `landed` (its block
+//! `Busy`), the prefetcher on `room` (its issue step says wait), the writer
+//! on `spill` (no order) and the daemon's flush on `spill` (orders not yet
+//! written). An evictor's wait on `spill` while the backlog is over the RAM
+//! tier is not modelled: three one-byte blocks never leave more than two
+//! `Spilling`, and a transition that would park one fails the search. The
+//! unit test `a_stalled_writer_holds_at_most_one_ram_tier_of_evicted_bytes`
+//! parks there.
 //!
 //! In every reachable state the search asserts:
 //!
@@ -55,10 +67,13 @@
 //!   the peer's read (`Arc::strong_count`, so a handle forgotten rather than
 //!   dropped fails), after a crash too;
 //! * a restart re-admits only blocks whose file was written whole;
-//! * every terminal state has closed the cache, with no `Busy` slot and an
-//!   empty spill queue, and leaves no file it does not account for: none
-//!   without `persist`; with it, the slots' files, every whole one of which
-//!   the next open re-admits.
+//! * no wake-up is lost: no actor is parked with its condition true and no
+//!   notify of its condvar pending;
+//! * no deadlock: every state with no enabled event has every actor done —
+//!   it has closed the cache, with no `Busy` slot and an empty spill queue,
+//!   and leaves no file it does not account for: none without `persist`;
+//!   with it, the slots' files, every whole one of which the next open
+//!   re-admits.
 //!
 //! Each search prints and pins its states, transitions and terminal states.
 //! A failure prints a shortest event sequence that leads to it (the search
@@ -139,11 +154,34 @@ enum Outcome {
     LandsCorrupt,
 }
 
+/// A condvar an actor parks on: its bit in a wake set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+enum Cv {
+    Landed = LANDED,
+    Room = ROOM,
+    Spill = SPILL,
+}
+
+/// The threads that park; each indexes `World::notified`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Actor {
+    Worker,
+    Prefetcher,
+    Writer,
+    Daemon,
+}
+
 /// The demand worker, at plan position `pos`.
 enum Worker {
     /// About to access `PLAN[pos]`; `accounted` once the access has been
     /// counted against the plan (a failed promote goes round once more).
     Ready {
+        pos: usize,
+        accounted: bool,
+    },
+    /// Found `PLAN[pos]` in flight: parked on `landed`.
+    Waiting {
         pos: usize,
         accounted: bool,
     },
@@ -164,10 +202,17 @@ enum Worker {
         claim: Claim,
         file: Option<DiskMeta>,
     },
-    /// Parked on the spill backlog before going on to `pos`.
-    Parked {
-        pos: usize,
-    },
+    Done,
+}
+
+/// The prefetch executor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Prefetch {
+    /// About to issue plan position `pos`.
+    Walking(usize),
+    /// Its issue step for `pos` said wait: parked on `room`.
+    Waiting(usize),
+    /// Walked the plan, or stopped.
     Done,
 }
 
@@ -179,8 +224,6 @@ enum Peer {
     Reading(DiskMeta),
     /// Its `peek` missed: it read the block from storage, and offers it.
     Offering,
-    /// Its offer's evictions left more than the RAM tier `Spilling`.
-    Parked,
     /// Gone with the process that crashed.
     Gone,
 }
@@ -195,7 +238,10 @@ struct Read {
 /// The spill writer, from the order it took to the delete of a file
 /// nothing waited for.
 enum Writer {
+    /// About to look for an order.
     Idle,
+    /// Found none: parked on `spill`.
+    Waiting,
     /// Took `Spill`; its room's files still to delete.
     Deleting(Spill),
     Writing(Spill),
@@ -210,7 +256,8 @@ enum Writer {
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Phase {
     Serving,
-    /// `persist_now`'s orders are queued; the queue drains next.
+    /// `persist_now`'s orders are queued: parked on `spill` till the
+    /// queue is written.
     Flushing,
     Checkpointed,
     /// The handle dropped: the writer drains, then exits.
@@ -222,13 +269,13 @@ struct World {
     st: State,
     disk: BTreeMap<usize, Content>,
     worker: Worker,
-    /// The prefetch executor's next plan position (`PLAN.len()`: done),
-    /// and whether it is parked on the spill backlog.
-    prefetch: (usize, bool),
+    prefetch: Prefetch,
     reads: Vec<Read>,
     writer: Writer,
     peer: Peer,
     phase: Phase,
+    /// Per parked actor: a notify of its condvar came since it parked.
+    notified: [bool; 4],
     crashed: bool,
 }
 
@@ -251,12 +298,12 @@ enum Event {
     DeleteRetired {
         block: usize,
     },
-    Unpark,
+    /// A parked actor, notified, checks its condition again.
+    Wakes(Actor),
     Issue {
         pos: usize,
         block: usize,
     },
-    PrefetchUnpark,
     StopPrefetcher,
     StageRead {
         block: usize,
@@ -269,9 +316,12 @@ enum Event {
     DropUnread {
         block: usize,
     },
+    /// The writer takes an order (`None`: none to write — it exits when
+    /// the handle is dropping).
     TakeSpill {
         block: Option<usize>,
     },
+    WriterParks,
     DeleteReclaimed {
         blocks: Vec<usize>,
     },
@@ -295,11 +345,8 @@ enum Event {
     Offer {
         block: usize,
     },
-    PeerUnpark,
     Checkpoint,
-    Flushed,
     Shutdown,
-    WriterExit,
     Close,
     CrashAndRestart,
 }
@@ -353,6 +400,7 @@ fn fork_state(st: &State, paths: &mut HashMap<*const Path, Arc<Path>>) -> State 
         spill_orders: st.spill_orders.clone(),
         writing: st.writing,
         shutdown: st.shutdown,
+        prefetch_stopped: st.prefetch_stopped,
         ram_reserved: st.ram_reserved,
         reservations: st.reservations,
         disk_used: st.disk_used,
@@ -377,6 +425,10 @@ impl World {
                 pos: *pos,
                 accounted: *accounted,
             },
+            Worker::Waiting { pos, accounted } => Worker::Waiting {
+                pos: *pos,
+                accounted: *accounted,
+            },
             Worker::Fetching { pos, claim } => Worker::Fetching {
                 pos: *pos,
                 claim: fork_claim(claim, p),
@@ -390,7 +442,6 @@ impl World {
                 claim: fork_claim(claim, p),
                 file: file.as_ref().map(|m| fork_meta(m, p)),
             },
-            Worker::Parked { pos } => Worker::Parked { pos: *pos },
             Worker::Done => Worker::Done,
         };
         let reads = (self.reads.iter())
@@ -401,6 +452,7 @@ impl World {
             .collect();
         let writer = match &self.writer {
             Writer::Idle => Writer::Idle,
+            Writer::Waiting => Writer::Waiting,
             Writer::Deleting(spill) => Writer::Deleting(fork_spill(spill, p)),
             Writer::Writing(spill) => Writer::Writing(fork_spill(spill, p)),
             Writer::Written(key, meta) => {
@@ -413,7 +465,6 @@ impl World {
             Peer::Idle => Peer::Idle,
             Peer::Reading(meta) => Peer::Reading(fork_meta(meta, p)),
             Peer::Offering => Peer::Offering,
-            Peer::Parked => Peer::Parked,
             Peer::Gone => Peer::Gone,
         };
         World {
@@ -425,6 +476,7 @@ impl World {
             writer,
             peer,
             phase: self.phase.clone(),
+            notified: self.notified,
             crashed: self.crashed,
         }
     }
@@ -460,39 +512,203 @@ impl World {
                 pos: 0,
                 accounted: false,
             },
-            prefetch: (0, false),
+            prefetch: Prefetch::Walking(0),
             reads: Vec::new(),
             writer: Writer::Idle,
             peer: Peer::Idle,
             phase: Phase::Serving,
+            notified: [false; 4],
             crashed: false,
         }
     }
 
-    /// After a transition that may have queued spill orders: an evictor
-    /// whose orders left more than the RAM tier `Spilling` parks.
-    fn parks(&self, effect: &Effect) -> bool {
-        effect.queued > 0 && self.st.spilling > RAM
+    /// What `CacheCore::perform` does with a transition's effect: notify
+    /// every parked actor whose condvar is in its wake set. An evictor
+    /// would then park on the backlog, which the model leaves out (see the
+    /// module docs): reaching it fails the search.
+    fn perform(&mut self, effect: Effect) -> Result<(), String> {
+        for (actor, cv) in self.parks() {
+            self.notified[actor as usize] |= effect.wake & cv as u8 != 0;
+        }
+        match effect.queued > 0 && self.st.backlogged() {
+            true => Err("an evictor parks on the spill backlog, which the model leaves out".into()),
+            false => Ok(()),
+        }
     }
 
-    fn settle(&mut self, claim: Claim, data: Option<Bytes>) -> Effect {
+    /// Every parked actor and the condvar it waits on.
+    fn parks(&self) -> Vec<(Actor, Cv)> {
+        let mut out = Vec::new();
+        if matches!(self.worker, Worker::Waiting { .. }) {
+            out.push((Actor::Worker, Cv::Landed));
+        }
+        if matches!(self.prefetch, Prefetch::Waiting(_)) {
+            out.push((Actor::Prefetcher, Cv::Room));
+        }
+        if matches!(self.writer, Writer::Waiting) {
+            out.push((Actor::Writer, Cv::Spill));
+        }
+        if self.phase == Phase::Flushing {
+            out.push((Actor::Daemon, Cv::Spill));
+        }
+        out
+    }
+
+    /// Whether the condition parked `actor`'s wait loops on holds: the
+    /// `State` query the cache's loop asks.
+    fn ready(&self, actor: Actor) -> bool {
+        match (actor, &self.worker, self.prefetch) {
+            (Actor::Worker, Worker::Waiting { pos, .. }, _) => !self.st.busy(&key(PLAN[*pos])),
+            (Actor::Prefetcher, _, Prefetch::Waiting(pos)) => {
+                let mut probe = fork_state(&self.st, &mut HashMap::new());
+                !matches!(probe.issue(pos as u64, &key(PLAN[pos]), 1), Step::Wait)
+            }
+            (Actor::Writer, ..) => !self.st.writer_idle(),
+            (Actor::Daemon, ..) => self.st.flushed(),
+            _ => unreachable!("{actor:?} is not parked"),
+        }
+    }
+
+    fn settle(&mut self, claim: Claim, data: Option<Bytes>) -> Result<(), String> {
         let (_, effect) = self.st.settle(claim, data);
         self.st.check();
-        effect
+        self.perform(effect)
     }
 
-    /// The worker is done with position `pos`; it goes on, or parks.
-    fn next_access(&mut self, pos: usize, effect: Effect) {
-        self.worker = match self.parks(&effect) {
-            true => Worker::Parked { pos: pos + 1 },
+    /// The worker is done with position `pos`; it goes on.
+    fn next_access(&mut self, pos: usize) {
+        self.worker = match pos + 1 == PLAN.len() {
+            true => Worker::Done,
             false => Worker::Ready {
                 pos: pos + 1,
                 accounted: false,
             },
         };
-        if pos + 1 == PLAN.len() && !self.parks(&effect) {
-            self.worker = Worker::Done;
+    }
+
+    /// `get_or_fetch`'s critical section for `pos`: wait while the block
+    /// is in flight, else claim it.
+    fn access(&mut self, pos: usize, accounted: bool) -> Result<(), String> {
+        let block = PLAN[pos];
+        if self.st.busy(&key(block)) {
+            self.worker = Worker::Waiting { pos, accounted };
+            return Ok(());
         }
+        let (served, effect) = self.st.claim(key(block), !accounted);
+        self.st.check();
+        self.perform(effect)?;
+        self.worker = match served {
+            Served::Ram(data) if data != bytes_of(block) => {
+                return Err(format!("block {block} served {data:?}"))
+            }
+            Served::Ram(_) => {
+                self.next_access(pos);
+                return Ok(());
+            }
+            Served::Claimed(claim) if claim.file.is_none() => Worker::Fetching { pos, claim },
+            Served::Claimed(claim) => Worker::Promoting { pos, claim },
+        };
+        Ok(())
+    }
+
+    /// `reserve_prefetch`'s critical section for `pos`.
+    fn issue(&mut self, pos: usize) -> Result<(), String> {
+        let step = self.st.issue(pos as u64, &key(PLAN[pos]), 1);
+        self.st.check();
+        let next = match pos + 1 == PLAN.len() {
+            true => Prefetch::Done,
+            false => Prefetch::Walking(pos + 1),
+        };
+        self.prefetch = match step {
+            Step::Wait => Prefetch::Waiting(pos),
+            Step::Stop => Prefetch::Done,
+            Step::Skip => next,
+            Step::Read(claim, effect) => {
+                self.reads.push(Read {
+                    claim,
+                    retired: None,
+                });
+                self.perform(effect)?;
+                next
+            }
+        };
+        Ok(())
+    }
+
+    /// The peer's offer of its block: an `insert`, which leaves a slot
+    /// that exists as it is.
+    fn offer(&mut self) -> Result<(), String> {
+        let (block, k) = (PEER_BLOCK, key(PEER_BLOCK));
+        let before = self.st.slots.get(&k).map(slot_print);
+        let effect = self.st.insert(k, bytes_of(block));
+        self.st.check();
+        if before.is_some() && self.st.slots.get(&k).map(slot_print) != before {
+            return Err(format!("an insert of block {block} changed its slot"));
+        }
+        self.perform(effect)?;
+        self.peer = Peer::Idle;
+        Ok(())
+    }
+
+    /// The peer's peek of its block, which changes nothing.
+    fn peer_peek(&mut self) -> Result<(), String> {
+        let (block, k) = (PEER_BLOCK, key(PEER_BLOCK));
+        let before = state_print(&self.st);
+        let busy = self.st.busy(&k);
+        let peeked = self.st.peek(&k);
+        if state_print(&self.st) != before {
+            return Err(format!("a peek of block {block} changed the cache"));
+        }
+        self.peer = match peeked {
+            Some(_) if busy => {
+                return Err(format!("a peek of block {block} served a slot in flight"))
+            }
+            Some(Peeked::Ram(data)) if data != bytes_of(block) => {
+                return Err(format!("a peek of block {block} served {data:?}"))
+            }
+            Some(Peeked::Ram(_)) => Peer::Idle,
+            Some(Peeked::File(meta)) => Peer::Reading(meta),
+            None => Peer::Offering,
+        };
+        Ok(())
+    }
+
+    /// `flush_spills`'s critical section: wait while orders are queued or
+    /// being written.
+    fn flush(&mut self) {
+        self.phase = match self.st.flushed() {
+            true => Phase::Checkpointed,
+            false => Phase::Flushing,
+        };
+    }
+
+    /// `next_spill`'s critical section: wait while there is no order, else
+    /// take one — or, none to write, exit once the handle is dropping.
+    fn take_spill(&mut self) -> Result<(), String> {
+        if self.st.writer_idle() {
+            self.writer = Writer::Waiting;
+            return Ok(());
+        }
+        let disk_only: Vec<BlockKey> = (self.st.slots.iter())
+            .filter(|(_, slot)| matches!(slot, Slot::Disk(_)))
+            .map(|(key, _)| *key)
+            .collect();
+        let (spill, effect) = self.st.take_spill();
+        self.st.check();
+        // Files that duplicate a RAM resident are reclaimed first.
+        let evicted = disk_only.iter().any(|k| !self.st.slots.contains_key(k));
+        if evicted && !self.st.backed.is_empty() {
+            return Err("the disk tier evicted a disk-only block before a duplicate".into());
+        }
+        let exit = self.st.shutdown;
+        self.perform(effect)?;
+        self.writer = match spill {
+            None if exit => Writer::Exited,
+            None => Writer::Idle,
+            Some(spill) if spill.delete.is_empty() => Writer::Writing(spill),
+            Some(spill) => Writer::Deleting(spill),
+        };
+        Ok(())
     }
 
     fn read_ok(&self, meta: &DiskMeta) -> bool {
@@ -512,7 +728,7 @@ impl World {
     /// finds the cache gone once the handle drops.
     fn serving_done(&self) -> bool {
         matches!(self.worker, Worker::Done)
-            && self.prefetch.0 == PLAN.len()
+            && self.prefetch == Prefetch::Done
             && self.reads.is_empty()
             && matches!(self.peer, Peer::Idle | Peer::Gone)
     }
@@ -523,13 +739,16 @@ impl World {
         if self.phase == Phase::Closed {
             return out;
         }
-        match &self.worker {
-            Worker::Ready { pos, .. } => {
-                let block = PLAN[*pos];
-                if !matches!(self.st.slots.get(&key(block)), Some(Slot::Busy(_))) {
-                    out.push(Event::Access { pos: *pos, block });
-                }
+        for (actor, _) in self.parks() {
+            if self.notified[actor as usize] {
+                out.push(Event::Wakes(actor));
             }
+        }
+        match &self.worker {
+            Worker::Ready { pos, .. } => out.push(Event::Access {
+                pos: *pos,
+                block: PLAN[*pos],
+            }),
             Worker::Fetching { claim, .. } => {
                 let block = claim.key.start;
                 out.push(Event::Fetched { block, ok: true });
@@ -543,25 +762,18 @@ impl World {
             Worker::Retiring { claim, .. } => out.push(Event::DeleteRetired {
                 block: claim.key.start,
             }),
-            Worker::Parked { .. } if self.st.spilling <= RAM => out.push(Event::Unpark),
-            Worker::Parked { .. } | Worker::Done => {}
+            Worker::Waiting { .. } | Worker::Done => {}
         }
-        let (pos, parked) = self.prefetch;
-        if parked {
-            if self.st.spilling <= RAM {
-                out.push(Event::PrefetchUnpark);
-            }
-        } else if pos < PLAN.len() {
-            let mut probe = fork_state(&self.st, &mut HashMap::new());
-            if !matches!(probe.issue(pos as u64, &key(PLAN[pos]), 1), Step::Wait) {
-                out.push(Event::Issue {
-                    pos,
-                    block: PLAN[pos],
-                });
-            }
-            if matches!(self.worker, Worker::Done) {
-                out.push(Event::StopPrefetcher);
-            }
+        if let Prefetch::Walking(pos) = self.prefetch {
+            let block = PLAN[pos];
+            out.push(Event::Issue { pos, block });
+        }
+        // The daemon stops the prefetcher once its worker is done — or
+        // sooner, when a serve fails: here, while it is parked.
+        let parked = matches!(self.prefetch, Prefetch::Waiting(_));
+        let ends = parked || matches!(self.worker, Worker::Done);
+        if ends && !self.st.prefetch_stopped && self.prefetch != Prefetch::Done {
+            out.push(Event::StopPrefetcher);
         }
         for read in &self.reads {
             let block = read.claim.key.start;
@@ -579,15 +791,12 @@ impl World {
             }
         }
         match &self.writer {
-            // A writer with orders queued takes them, skipping those with
-            // nothing to write.
-            Writer::Idle if !self.st.spill_orders.is_empty() => {
-                let spill = fork_state(&self.st, &mut HashMap::new()).take_spill();
+            Writer::Idle if self.st.writer_idle() => out.push(Event::WriterParks),
+            Writer::Idle => {
+                let (spill, _) = fork_state(&self.st, &mut HashMap::new()).take_spill();
                 let block = spill.map(|spill| spill.key.start);
                 out.push(Event::TakeSpill { block });
             }
-            Writer::Idle if self.st.shutdown => out.push(Event::WriterExit),
-            Writer::Idle => {}
             Writer::Deleting(spill) => out.push(Event::DeleteReclaimed {
                 blocks: spill
                     .delete
@@ -605,7 +814,7 @@ impl World {
             Writer::Orphan(meta) => out.push(Event::DeleteOrphan {
                 block: block_of_path(&meta.path),
             }),
-            Writer::Exited => {}
+            Writer::Waiting | Writer::Exited => {}
         }
         let serving = matches!(
             self.phase,
@@ -619,17 +828,14 @@ impl World {
                 ok: self.read_ok(meta),
             }),
             Peer::Offering => out.push(Event::Offer { block }),
-            Peer::Parked if self.st.spilling <= RAM => out.push(Event::PeerUnpark),
-            Peer::Idle | Peer::Parked | Peer::Gone => {}
+            Peer::Idle | Peer::Gone => {}
         }
-        let drained = self.st.spill_orders.is_empty() && !self.st.writing;
         match &self.phase {
             // The daemon checkpoints once its workers are done.
             Phase::Serving if persist && matches!(self.worker, Worker::Done) => {
                 out.push(Event::Checkpoint)
             }
             Phase::Serving if !persist && self.serving_done() => out.push(Event::Shutdown),
-            Phase::Flushing if drained => out.push(Event::Flushed),
             Phase::Checkpointed if self.serving_done() => out.push(Event::Shutdown),
             Phase::ShuttingDown if matches!(self.writer, Writer::Exited) => out.push(Event::Close),
             _ => {}
@@ -643,25 +849,25 @@ impl World {
     /// Take `ev`: the transitions it makes, and the I/O it models.
     fn apply(&mut self, ev: &Event, persist: bool) -> Result<(), String> {
         match ev {
-            Event::Access { pos, block } => {
+            Event::Access { pos, .. } => {
                 let Worker::Ready { accounted, .. } = self.worker else {
                     unreachable!()
                 };
-                let served = self.st.claim(key(*block), !accounted);
-                self.st.check();
-                self.worker = match served {
-                    Served::Ram(data) => {
-                        if data != bytes_of(*block) {
-                            return Err(format!("block {block} served {data:?}"));
-                        }
-                        self.next_access(*pos, Effect::default());
-                        return Ok(());
+                self.access(*pos, accounted)?;
+            }
+            Event::Wakes(actor) => {
+                // The wait loop checks its condition again: it goes on, or
+                // parks again.
+                self.notified[*actor as usize] = false;
+                match (actor, &self.worker, self.prefetch) {
+                    (Actor::Worker, &Worker::Waiting { pos, accounted }, _) => {
+                        self.access(pos, accounted)?
                     }
-                    Served::Claimed(claim) if claim.file.is_none() => {
-                        Worker::Fetching { pos: *pos, claim }
-                    }
-                    Served::Claimed(claim) => Worker::Promoting { pos: *pos, claim },
-                };
+                    (Actor::Prefetcher, _, Prefetch::Waiting(pos)) => self.issue(pos)?,
+                    (Actor::Writer, ..) => self.take_spill()?,
+                    (Actor::Daemon, ..) => self.flush(),
+                    _ => unreachable!("{actor:?} is not parked"),
+                }
             }
             Event::Fetched { block, ok } => {
                 let Worker::Fetching { pos, claim } =
@@ -669,8 +875,8 @@ impl World {
                 else {
                     unreachable!()
                 };
-                let effect = self.settle(claim, ok.then(|| bytes_of(*block)));
-                self.next_access(pos, effect);
+                self.settle(claim, ok.then(|| bytes_of(*block)))?;
+                self.next_access(pos);
             }
             Event::PromoteRead { block, ok } => {
                 let Worker::Promoting { pos, claim } =
@@ -679,8 +885,8 @@ impl World {
                     unreachable!()
                 };
                 if *ok {
-                    let effect = self.settle(claim, Some(bytes_of(*block)));
-                    self.next_access(pos, effect);
+                    self.settle(claim, Some(bytes_of(*block)))?;
+                    self.next_access(pos);
                 } else {
                     let file = self.st.retire(&key(*block));
                     self.st.check();
@@ -697,50 +903,30 @@ impl World {
                     self.delete(meta)?;
                 }
                 drop(file);
-                self.settle(claim, None);
+                self.settle(claim, None)?;
                 self.worker = Worker::Ready {
                     pos,
                     accounted: true,
                 };
             }
-            Event::Unpark => {
-                let Worker::Parked { pos } = self.worker else {
-                    unreachable!()
-                };
-                self.worker = match pos == PLAN.len() {
-                    true => Worker::Done,
-                    false => Worker::Ready {
-                        pos,
-                        accounted: false,
-                    },
-                };
-            }
-            Event::Issue { pos, block } => {
-                let step = self.st.issue(*pos as u64, &key(*block), 1);
+            Event::Issue { pos, .. } => self.issue(*pos)?,
+            Event::StopPrefetcher => {
+                let effect = self.st.stop_prefetch();
                 self.st.check();
-                self.prefetch.0 += 1;
-                if let Step::Read(claim, effect) = step {
-                    self.prefetch.1 = self.parks(&effect);
-                    self.reads.push(Read {
-                        claim,
-                        retired: None,
-                    });
-                }
+                self.perform(effect)?;
             }
-            Event::PrefetchUnpark => self.prefetch.1 = false,
-            Event::StopPrefetcher => self.prefetch.0 = PLAN.len(),
             Event::StageRead { block, ok } => {
                 let i = self.read_of(*block);
                 if *ok {
                     let read = self.reads.remove(i);
-                    self.settle(read.claim, Some(bytes_of(*block)));
+                    self.settle(read.claim, Some(bytes_of(*block)))?;
                 } else if self.reads[i].claim.file.is_some() {
                     let file = self.st.retire(&key(*block));
                     self.st.check();
                     self.reads[i].retired = Some(file);
                 } else {
                     let read = self.reads.remove(i);
-                    self.settle(read.claim, None);
+                    self.settle(read.claim, None)?;
                 }
             }
             Event::DropUnread { block } => {
@@ -753,7 +939,7 @@ impl World {
                         .find(|r| r.0 == key(*block))
                 };
                 let before = rank(&self.st);
-                self.settle(read.claim, None);
+                self.settle(read.claim, None)?;
                 if before.is_some() && rank(&self.st) != before {
                     return Err(format!(
                         "block {block}'s released claim moved its file in the disk order"
@@ -767,26 +953,9 @@ impl World {
                 }
                 let Read { claim, retired } = read;
                 drop(retired);
-                self.settle(claim, None);
+                self.settle(claim, None)?;
             }
-            Event::TakeSpill { .. } => {
-                let disk_only: Vec<BlockKey> = (self.st.slots.iter())
-                    .filter(|(_, slot)| matches!(slot, Slot::Disk(_)))
-                    .map(|(key, _)| *key)
-                    .collect();
-                let spill = self.st.take_spill();
-                self.st.check();
-                // Files that duplicate a RAM resident are reclaimed first.
-                let evicted = disk_only.iter().any(|k| !self.st.slots.contains_key(k));
-                if evicted && !self.st.backed.is_empty() {
-                    return Err("the disk tier evicted a disk-only block before a duplicate".into());
-                }
-                self.writer = match spill {
-                    None => Writer::Idle,
-                    Some(spill) if spill.delete.is_empty() => Writer::Writing(spill),
-                    Some(spill) => Writer::Deleting(spill),
-                };
-            }
+            Event::TakeSpill { .. } | Event::WriterParks => self.take_spill()?,
             Event::DeleteReclaimed { .. } => {
                 let Writer::Deleting(mut spill) = std::mem::replace(&mut self.writer, Writer::Idle)
                 else {
@@ -826,8 +995,9 @@ impl World {
                 else {
                     unreachable!()
                 };
-                let orphan = self.st.land_spill(key, meta);
+                let (orphan, effect) = self.st.land_spill(key, meta);
                 self.st.check();
+                self.perform(effect)?;
                 if let Some(meta) = orphan {
                     self.writer = Writer::Orphan(meta);
                 }
@@ -837,25 +1007,6 @@ impl World {
                     unreachable!()
                 };
                 self.delete(&meta)?;
-            }
-            Event::PeerPeek { block } => {
-                let before = state_print(&self.st);
-                let busy = matches!(self.st.slots.get(&key(*block)), Some(Slot::Busy(_)));
-                let peeked = self.st.peek(&key(*block));
-                if state_print(&self.st) != before {
-                    return Err(format!("a peek of block {block} changed the cache"));
-                }
-                self.peer = match peeked {
-                    Some(_) if busy => {
-                        return Err(format!("a peek of block {block} served a slot in flight"))
-                    }
-                    Some(Peeked::Ram(data)) if data != bytes_of(*block) => {
-                        return Err(format!("a peek of block {block} served {data:?}"))
-                    }
-                    Some(Peeked::Ram(_)) => Peer::Idle,
-                    Some(Peeked::File(meta)) => Peer::Reading(meta),
-                    None => Peer::Offering,
-                };
             }
             Event::PeerRead { block, ok } => {
                 let Peer::Reading(meta) = std::mem::replace(&mut self.peer, Peer::Idle) else {
@@ -872,31 +1023,20 @@ impl World {
                     self.peer = Peer::Offering;
                 }
             }
-            Event::Offer { block } => {
-                let k = key(*block);
-                let before = self.st.slots.get(&k).map(slot_print);
-                let effect = self.st.insert(k, bytes_of(*block));
-                self.st.check();
-                if before.is_some() && self.st.slots.get(&k).map(slot_print) != before {
-                    return Err(format!("an insert of block {block} changed its slot"));
-                }
-                self.peer = match self.parks(&effect) {
-                    true => Peer::Parked,
-                    false => Peer::Idle,
-                };
-            }
-            Event::PeerUnpark => self.peer = Peer::Idle,
+            Event::PeerPeek { .. } => self.peer_peek()?,
+            Event::Offer { .. } => self.offer()?,
             Event::Checkpoint => {
-                self.st.checkpoint();
+                let effect = self.st.checkpoint();
                 self.st.check();
-                self.phase = Phase::Flushing;
+                self.perform(effect)?;
+                self.flush();
             }
-            Event::Flushed => self.phase = Phase::Checkpointed,
             Event::Shutdown => {
-                self.st.shutdown = true;
+                let effect = self.st.shut_down();
+                self.st.check();
+                self.perform(effect)?;
                 self.phase = Phase::ShuttingDown;
             }
-            Event::WriterExit => self.writer = Writer::Exited,
             Event::Close => {
                 let busy = self.st.slots.values().any(|s| matches!(s, Slot::Busy(_)));
                 if busy || !self.st.spill_orders.is_empty() || self.st.writing {
@@ -988,6 +1128,15 @@ impl World {
         if self.phase == Phase::Closed {
             return Ok(());
         }
+        // No wake-up is lost.
+        for (actor, cv) in self.parks() {
+            if self.ready(actor) && !self.notified[actor as usize] {
+                return Err(format!(
+                    "lost wake-up: the {actor:?} is parked on {cv:?} with its condition true \
+                     and no notify pending"
+                ));
+            }
+        }
         // At most one claim per key, each over a Busy slot.
         let claims = self.claims();
         for (i, claim) in claims.iter().enumerate() {
@@ -1078,6 +1227,7 @@ impl World {
         };
         match &self.worker {
             Worker::Ready { pos, accounted } => out.extend([1, *pos as u8, u8::from(*accounted)]),
+            Worker::Waiting { pos, accounted } => out.extend([7, *pos as u8, u8::from(*accounted)]),
             Worker::Fetching { pos, claim: c } => {
                 out.extend([2, *pos as u8]);
                 out.extend(claim(c));
@@ -1094,10 +1244,14 @@ impl World {
                 out.extend([4, *pos as u8, file_print(f.as_ref())]);
                 out.extend(claim(c));
             }
-            Worker::Parked { pos } => out.extend([5, *pos as u8]),
             Worker::Done => out.push(6),
         }
-        out.extend([self.prefetch.0 as u8, u8::from(self.prefetch.1)]);
+        out.extend(match self.prefetch {
+            Prefetch::Walking(pos) => [0, pos as u8],
+            Prefetch::Waiting(pos) => [1, pos as u8],
+            Prefetch::Done => [3, 0],
+        });
+        out.extend(self.notified.map(u8::from));
         let mut reads: Vec<[u8; 4]> = (self.reads.iter())
             .map(|r| {
                 let [k, room, f] = claim(&r.claim);
@@ -1110,6 +1264,7 @@ impl World {
         out.extend(reads.into_iter().flatten());
         match &self.writer {
             Writer::Idle => out.push(0),
+            Writer::Waiting => out.push(6),
             Writer::Deleting(s) | Writer::Writing(s) => {
                 out.extend([
                     1 + u8::from(matches!(self.writer, Writer::Writing(_))),
@@ -1126,7 +1281,6 @@ impl World {
             Peer::Idle => out.push(0),
             Peer::Reading(m) => out.extend([1, file_print(Some(m))]),
             Peer::Offering => out.push(2),
-            Peer::Parked => out.push(3),
             Peer::Gone => out.push(4),
         }
         out.push(match self.phase {
@@ -1185,6 +1339,7 @@ fn state_print(st: &State) -> Vec<u8> {
         st.reservations as u8,
         u8::from(st.writing),
         u8::from(st.shutdown),
+        u8::from(st.prefetch_stopped),
     ]);
     out.push(st.spill_orders.len() as u8);
     out.extend(st.spill_orders.iter().map(|k| k.start as u8));
@@ -1244,10 +1399,12 @@ impl Model for Lifecycle {
     }
 
     fn check_terminal(&self, world: &World) -> Result<(), String> {
+        // No deadlock: closing needs every actor done.
         if world.phase != Phase::Closed {
             return Err(format!(
-                "stuck in {:?} before the cache closed",
-                world.phase
+                "deadlock: no event is enabled in {:?}, with {:?} parked",
+                world.phase,
+                world.parks()
             ));
         }
         // `Close` found no `Busy` slot and no order queued. Closed, the
@@ -1287,9 +1444,9 @@ fn explore(persist: bool) -> Explored {
 fn every_state_of_a_two_tier_cache_keeps_its_books_and_its_files() {
     let explored = explore(false);
     let expected = Explored {
-        states: 16_225,
-        transitions: 58_025,
-        terminal: 67,
+        states: 63_940,
+        transitions: 257_447,
+        terminal: 118,
     };
     assert_eq!(explored, expected);
 }
@@ -1300,9 +1457,9 @@ fn every_state_of_a_two_tier_cache_keeps_its_books_and_its_files() {
 fn every_state_of_a_persistent_cache_survives_a_crash_anywhere() {
     let explored = explore(true);
     let expected = Explored {
-        states: 46_586,
-        transitions: 176_241,
-        terminal: 609,
+        states: 198_682,
+        transitions: 823_306,
+        terminal: 1_254,
     };
     assert_eq!(explored, expected);
 }

@@ -264,10 +264,15 @@ fn metrics_file_carries_the_cache_eviction_ledger() {
     let spec = DatasetSpec::tiny("obs-evictions", 96).with_samples(96);
     build_tfrecord_dataset(&data, &spec, ShardSpec::Count(2)).unwrap();
     let batch = 8u64;
+    // One send worker over five epochs through RAM for three batches of
+    // twelve: blocks spilled early come back by promotes in the epochs
+    // after, and some are evicted again, onto the file they came from —
+    // five to eight clean evictions a run, where three epochs on two
+    // workers made none to three.
     let config = EmlioConfig::default()
         .with_batch_size(batch as usize)
-        .with_threads(2)
-        .with_epochs(3)
+        .with_threads(1)
+        .with_epochs(5)
         .with_cache(
             emlio::cache::CacheConfig::default()
                 .with_ram_bytes(3 * batch * spec.sample_bytes)
