@@ -15,7 +15,7 @@
 //! performs the effect the transition returned — storage fetches,
 //! spill-file reads ([`persist::read_validated`]), writes and deletes, the
 //! counts, and the wake-ups of the condvars the transition named, which
-//! only [`CacheCore::perform`] notifies. A thread that must wait does so
+//! only `CacheCore::perform` notifies. A thread that must wait does so
 //! under the lock, before its call, looping on a `State` query: on
 //! `landed` while its block is in flight, on `room` while the issue step
 //! says wait, on `spill` while the `Spilling` backlog exceeds the RAM tier,
@@ -39,6 +39,7 @@ mod writer;
 
 // The seam modules share this import block through `use super::*`.
 use crate::order::NextUseHeap;
+use crate::peer::FleetRegistry;
 use crate::persist;
 use crate::prefetch::MAX_IN_FLIGHT;
 use crate::stats::{CacheStats, CacheStatsSnapshot};
@@ -49,7 +50,7 @@ use parking_lot::{Condvar, Mutex};
 pub(crate) use stage::Issue;
 use state::{Claim, DiskMeta, Effect, Peeked, Served, Slot, Spill, State, Step};
 use state::{LANDED, ROOM, SPILL};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -196,6 +197,9 @@ pub struct CacheCore {
     /// Seeded chaos hook, consulted at `spill.write` before each
     /// spill-file write (set once, like the recorder).
     injector: OnceLock<Arc<emlio_util::fault::FaultInjector>>,
+    /// The fleet this cache is a member of, and its id there (set once,
+    /// by [`FleetRegistry::attach`]).
+    fleet: OnceLock<(Arc<FleetRegistry>, String)>,
 }
 
 static SPILL_DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -241,6 +245,7 @@ impl CacheCore {
             spill_dir,
             recorder: OnceLock::new(),
             injector: OnceLock::new(),
+            fleet: OnceLock::new(),
             config,
         })
     }
@@ -254,18 +259,22 @@ impl CacheCore {
         effect
     }
 
-    /// Perform an [`Effect`], lock released: add its eviction counts, wake
-    /// the condvars its transition named — the cache's only `notify_*`
-    /// calls — and, when it queued spill orders, record the queue's depth,
-    /// then wait while the `Spilling` backlog is more than the RAM tier. So
-    /// at most `ram_bytes` of evicted blocks, plus the victims of the
-    /// evictors parked here, wait for the disk — whatever their number or
-    /// size.
+    /// Perform an [`Effect`], lock released: add its eviction counts, hand
+    /// a cursor it moved to the fleet's registry (which moves every
+    /// member's floor through [`CacheCore::set_floor`]), wake the condvars
+    /// its transition named — the cache's only `notify_*` calls — and,
+    /// when it queued spill orders, record the queue's depth, then wait
+    /// while the `Spilling` backlog is more than the RAM tier. So at most
+    /// `ram_bytes` of evicted blocks, plus the victims of the evictors
+    /// parked here, wait for the disk — whatever their number or size.
     fn perform(&self, effect: Effect) {
         let (stats, relaxed) = (&self.stats, Ordering::Relaxed);
         if effect.evictions > 0 {
             stats.evictions.fetch_add(effect.evictions, relaxed);
             (stats.clean_evictions).fetch_add(effect.clean_evictions, relaxed);
+        }
+        if let (Some(cursor), Some((registry, id))) = (effect.cursor, self.fleet.get()) {
+            registry.advance(id, cursor);
         }
         for (bit, condvar) in [
             (LANDED, &self.landed),
@@ -329,8 +338,42 @@ impl CacheCore {
     /// prefetcher both walk this sequence; set it before spawning a
     /// [`crate::Prefetcher`]. Residents' next-use ranks are refreshed
     /// against the new plan.
+    ///
+    /// # Panics
+    ///
+    /// Where [`CacheCore::try_set_plan`] fails.
     pub fn set_plan(&self, seq: Vec<BlockKey>) {
-        self.locked(|st| st.set_plan(seq));
+        if let Err(why) = self.try_set_plan(seq) {
+            panic!("{why}");
+        }
+    }
+
+    /// [`CacheCore::set_plan`]. A fleet member's plan must be the one every
+    /// other live member serves — their cursors are positions in it, and
+    /// the floor is the least of them — and it fails, installing nothing,
+    /// when another member still serves a different plan. Installed, it
+    /// stages only the blocks this member owns (see [`FleetRegistry`]).
+    pub fn try_set_plan(&self, seq: Vec<BlockKey>) -> Result<(), String> {
+        let foreign = match self.fleet.get() {
+            None => None,
+            Some((registry, id)) => {
+                registry.enroll(id, &seq)?;
+                Some(registry.foreign_keys(id, &seq))
+            }
+        };
+        self.locked(|st| st.set_plan(seq, foreign));
+        Ok(())
+    }
+
+    /// Make this cache fleet member `id` of `registry` (first call wins),
+    /// from its next plan on.
+    pub(crate) fn join_fleet(&self, registry: Arc<FleetRegistry>, id: &str) {
+        let _ = self.fleet.set((registry, id.to_string()));
+    }
+
+    /// Take the fleet's new floor from the registry ([`State::set_floor`]).
+    pub(crate) fn set_floor(&self, floor: u64) {
+        self.perform(self.locked(|st| st.set_floor(floor)));
     }
 
     /// The installed plan sequence (empty when none was set).
@@ -449,6 +492,10 @@ impl CacheCore {
 
 impl Drop for CacheCore {
     fn drop(&mut self) {
+        // A member whose cache is gone leaves the floor.
+        if let Some((registry, _)) = self.fleet.get() {
+            registry.refloor();
+        }
         // A persistent tier's files are the next run's.
         if self.config.persist_dir.is_some() {
             return;

@@ -39,9 +39,17 @@
 //! or a flush not [`flushed`](State::flushed). A transition that may make
 //! one true names its condvar in its [`Effect`]'s wake set, which
 //! [`CacheCore::perform`] notifies: `landed` when a claim settles; `room`
-//! when a claim is made, a reservation ends, an `insert` lands or the
-//! prefetcher is stopped; `spill` when orders are queued, land or end
-//! unwritten, and at shutdown.
+//! when a claim is made, a reservation ends, an `insert` lands, the
+//! fleet's floor rises or the prefetcher is stopped; `spill` when orders
+//! are queued, land or end unwritten, and at shutdown.
+//!
+//! **In a fleet** each block has one stager, its owner. A member's plan
+//! comes with the keys other members own: it never stages them, and RAM
+//! passes them through. The registry hands each member the fleet's
+//! *floor*, the slowest member's cursor ([`State::set_floor`]), and the
+//! **keep rule** holds a resident at a plan position in `[floor, cursor)`
+//! — read here, not yet by a slower member — like one the plan needs
+//! sooner: no eviction takes it, and the issue step counts it.
 //!
 //! The disk tier is **inclusive** and spill files are **write-once**. A
 //! block's bytes never change, so a promote that RAM admits keeps its file
@@ -176,15 +184,17 @@ pub(super) const ROOM: Wake = 2;
 pub(super) const SPILL: Wake = 4;
 
 /// What a transition leaves for after the lock: the counts to add to the
-/// stats, the condvars to wake and, when it queued spill orders, the
-/// queue's depth after them (0: none) — wait while the backlog is more
-/// than the RAM tier.
+/// stats, the condvars to wake, when it queued spill orders, the queue's
+/// depth after them (0: none) — wait while the backlog is more than the
+/// RAM tier — and, when it moved the demand cursor, where to: a fleet
+/// member hands it to its registry, which moves the fleet's floor.
 #[derive(Default)]
 pub(super) struct Effect {
     pub(super) evictions: u64,
     pub(super) clean_evictions: u64,
     pub(super) queued: u64,
     pub(super) wake: Wake,
+    pub(super) cursor: Option<u64>,
 }
 
 impl From<Wake> for Effect {
@@ -239,6 +249,13 @@ pub(super) struct State {
     pub(super) future: HashMap<BlockKey, VecDeque<u64>>,
     /// Demand accesses consumed so far (position into `seq`).
     pub(super) cursor: u64,
+    /// Keys another fleet member owns: it stages and keeps them, so here
+    /// they are never staged and pass through unadmitted (empty solo).
+    pub(super) foreign: HashSet<BlockKey>,
+    /// The fleet's floor, the slowest member's cursor as the registry last
+    /// handed it (`u64::MAX` solo): a resident at a position in
+    /// `[floor, cursor)` is one a slower member has yet to read, and stays.
+    pub(super) floor: u64,
 }
 
 impl State {
@@ -247,18 +264,23 @@ impl State {
         State {
             ram_bytes: config.ram_bytes,
             disk_bytes: config.disk_bytes,
+            floor: u64::MAX,
             ..State::default()
         }
     }
 
     /// Install the planned access sequence and reset the cursor, with
-    /// every rank refreshed against the new plan.
-    pub(super) fn set_plan(&mut self, seq: Vec<BlockKey>) {
+    /// every rank refreshed against the new plan. A fleet member's plan
+    /// comes with the keys other members own (`foreign`), and its floor
+    /// starts at the plan's head, where its own cursor is.
+    pub(super) fn set_plan(&mut self, seq: Vec<BlockKey>, foreign: Option<HashSet<BlockKey>>) {
         let mut future: HashMap<BlockKey, VecDeque<u64>> = HashMap::new();
         for (pos, key) in seq.iter().enumerate() {
             future.entry(*key).or_default().push_back(pos as u64);
         }
         (self.seq, self.future, self.cursor) = (Arc::new(seq), future, 0);
+        self.floor = if foreign.is_some() { 0 } else { u64::MAX };
+        self.foreign = foreign.unwrap_or_default();
         self.prefetch_stopped = false;
         let future = &mut self.future;
         self.ram_order.refresh(|k| State::next_use(future, 0, k));
@@ -330,16 +352,42 @@ impl State {
         future.get(key)?.iter().copied().find(|&p| p >= cursor)
     }
 
+    /// The RAM residents at a plan position in `[floor, cursor)`: blocks
+    /// this cache's cursor has passed that a slower fleet member has not,
+    /// kept for its peer fetch — each key once. Walks the members' lag;
+    /// solo the range is empty.
+    fn lagging(&self) -> Vec<BlockKey> {
+        let end = self.cursor.min(self.seq.len() as u64);
+        let mut keys = Vec::new();
+        for p in self.floor.min(end)..end {
+            let key = self.seq[p as usize];
+            if self.ram_order.size_of(&key).is_some() && !keys.contains(&key) {
+                keys.push(key);
+            }
+        }
+        keys
+    }
+
+    /// The bytes of `keys`' RAM residents.
+    fn resident_bytes(&self, keys: &[BlockKey]) -> u64 {
+        keys.iter().filter_map(|k| self.ram_order.size_of(k)).sum()
+    }
+
     /// Bytes of RAM residents the plan needs at a position in
-    /// `[cursor, pos)` — what staging position `pos` must leave alone. A
-    /// key counts at its first pending position only. Walks the window,
-    /// which the RAM budget bounds.
+    /// `[floor, pos)` — what staging position `pos` must leave alone: the
+    /// lagging ones, kept for a slower member, and those needed from the
+    /// cursor on. A key counts once, from the cursor on at its first
+    /// pending position only. Walks the window, which the RAM budget
+    /// bounds, and the members' lag.
     fn needed_before(&self, pos: u64) -> u64 {
-        (self.cursor..pos)
+        let lagging = self.lagging();
+        let upcoming: u64 = (self.cursor..pos)
             .map(|p| (p, &self.seq[p as usize]))
             .filter(|(p, key)| State::pending(&self.future, self.cursor, key) == Some(*p))
+            .filter(|(_, key)| !lagging.contains(key))
             .filter_map(|(_, key)| self.ram_order.size_of(key))
-            .sum()
+            .sum();
+        upcoming + self.resident_bytes(&lagging)
     }
 
     /// The issue rule: whether a `len`-byte block for plan position `pos`
@@ -356,7 +404,8 @@ impl State {
     /// a late-arriving access from eating the key's *next-epoch* position
     /// and leaping the cursor (which would both mislead the eviction order
     /// and blow open the prefetch window).
-    fn demand_access(&mut self, key: &BlockKey) {
+    fn demand_access(&mut self, key: &BlockKey, effect: &mut Effect) {
+        let before = self.cursor;
         if !self.seq.is_empty() {
             let cursor = self.cursor;
             match self.future.get_mut(key).and_then(|q| q.pop_front()) {
@@ -365,6 +414,9 @@ impl State {
                 // Unplanned access: just move time forward.
                 None => self.cursor += 1,
             }
+        }
+        if self.cursor != before {
+            effect.cursor = Some(self.cursor);
         }
         self.tick += 1;
         let (next, tick) = (self.next_use_rank(key), self.tick);
@@ -380,11 +432,12 @@ impl State {
     /// `account`, on a key that is not in flight: a RAM resident's bytes
     /// (still readable mid-spill), or the claim of its slot, now `Busy` — a
     /// promote from its spill file, or, absent, a storage fetch. Wakes
-    /// `room`: the cursor moved, or the block to stage is in flight.
+    /// `room`: the cursor moved, or the block to stage is in flight; and
+    /// carries the cursor when it moved.
     pub(super) fn claim(&mut self, key: BlockKey, account: bool) -> (Served, Effect) {
-        let effect = Effect::from(ROOM);
+        let mut effect = Effect::from(ROOM);
         if account {
-            self.demand_access(&key);
+            self.demand_access(&key, &mut effect);
         }
         let file = match self.slots.get(&key) {
             Some(Slot::Ram(data, _) | Slot::Spilling(data)) => {
@@ -470,7 +523,9 @@ impl State {
     /// keeps it as its backing; declined, the block stays disk-resident.
     /// `staged` lands it in a prefetch reservation's room — no bypass, the
     /// issue rule placed it ahead of all it could displace; every other
-    /// admission fits beside the reservations. Returns whether RAM took it.
+    /// admission fits beside the reservations. Either fits beside the
+    /// residents kept for a slower fleet member, and a block another member
+    /// owns passes through. Returns whether RAM took it.
     fn admit(
         &mut self,
         key: BlockKey,
@@ -481,6 +536,7 @@ impl State {
     ) -> bool {
         let size = data.len() as u64;
         let room = self.ram_bytes - self.ram_reserved;
+        let kept = self.resident_bytes(&self.lagging());
         // Belady admission bypass: if this block would be the eviction
         // victim the moment it lands, don't admit it. Only while the
         // cursor is inside the plan: with no plan, or past its end, every
@@ -491,7 +547,7 @@ impl State {
                 let next = self.next_use_rank(&key);
                 matches!(self.ram_order.victim_next_use(), Some(v) if next >= v)
             };
-        if size > room || bypass {
+        if size + kept > room || bypass || self.foreign.contains(&key) {
             // A declined promote goes back to disk-only; anything else
             // passes through uncached.
             if let Some(meta) = file {
@@ -513,19 +569,25 @@ impl State {
     /// and the reservations, each where it is popped: a backed resident
     /// flips to `Disk` over the file it already has; anything else to
     /// `Spilling` with its key queued for the writer, or drops when no disk
-    /// tier can take it. A reservation for plan position `keep_before`
-    /// leaves alone what the plan needs sooner: such a victim goes back
-    /// into the order as its newest arrival (the order offers one only
-    /// when its rank is out of date).
+    /// tier can take it. What a slower fleet member has yet to read stays
+    /// (the keep rule), and a reservation for plan position `keep_before`
+    /// also leaves alone what the plan needs sooner: such a victim goes
+    /// back into the order as its newest arrival (the order offers a
+    /// sooner one only when its rank is out of date).
     fn make_room(&mut self, size: u64, keep_before: Option<u64>, effect: &mut Effect) {
+        let lagging = self.lagging();
         let mut kept = Vec::new();
         while self.ram_used + self.ram_reserved + size > self.ram_bytes {
             let Some((vk, vs)) = self.ram_order.pop_victim() else {
                 break;
             };
-            let sooner = keep_before.and_then(|pos| {
-                State::pending(&self.future, self.cursor, &vk).filter(|&next| next < pos)
-            });
+            let sooner = match keep_before {
+                _ if lagging.contains(&vk) => Some(self.next_use_rank(&vk)),
+                Some(pos) => {
+                    State::pending(&self.future, self.cursor, &vk).filter(|&next| next < pos)
+                }
+                None => None,
+            };
             if let Some(next) = sooner {
                 kept.push((vk, vs, next));
                 continue;
@@ -562,6 +624,10 @@ impl State {
         if self.prefetch_stopped {
             return Step::Stop;
         }
+        // Another member stages it.
+        if self.foreign.contains(key) {
+            return Step::Skip;
+        }
         let (len, file) = match self.slots.get(key) {
             None => (len, None),
             Some(Slot::Disk(meta)) => (meta.len, Some(meta)),
@@ -588,6 +654,15 @@ impl State {
         self.slots.insert(*key, Slot::Busy(file.clone()));
         let (key, room) = (*key, Some(len));
         Step::Read(Claim { key, room, file }, effect)
+    }
+
+    /// The fleet registry's new floor for this member. A floor that rises
+    /// releases residents a slower member has now read, which may let the
+    /// issue step stage: wake `room`.
+    pub(super) fn set_floor(&mut self, floor: u64) -> Effect {
+        let rose = floor > self.floor;
+        self.floor = floor;
+        Effect::from(if rose { ROOM } else { 0 })
     }
 
     /// Stop the prefetch executor, parked or not, for the rest of the plan.

@@ -16,12 +16,19 @@
 //!   flights (256 by default) are retained, outside every cache's budget,
 //!   for late arrivals: while they cover the blocks in play a fleet reads
 //!   each block once, and otherwise about once per epoch.
+//! * **One stager per block.** A cache attached through a [`LocalPeer`] is
+//!   a member: it stages only the blocks it owns, passes the others
+//!   through, and keeps each block it staged until the fleet's slowest
+//!   member has read it — the registry hands every member that *floor*.
+//!   The members serve one plan, checked by a digest
+//!   ([`FleetRegistry`] has the rules).
 //! * [`PeerTransport`] — the fetch/offer seam between daemons. The harness
 //!   uses in-process [`LocalPeer`] handles over `Weak<ShardCache>`; a
 //!   socket transport plugs in here later without touching the protocol.
 //! * [`PeerSource`] — the [`RangeSource`] decorator: non-owners fetch a
-//!   block from its owner's RAM/disk tier (bounded by
-//!   [`PeerConfig::timeout`]) before falling back to the inner source, and
+//!   block from its owner's RAM/disk tier, where the owner staged it, or
+//!   follow the owner's read while it is in flight (bounded by
+//!   [`PeerConfig::timeout`]), before falling back to the inner source, and
 //!   degrade gracefully to direct storage when the owner is down or slow.
 //!
 //! `emlio-core`'s `ReadStack` places the layer under the daemon's metering
@@ -37,8 +44,8 @@ use emlio_obs::{Stage, StageRecorder};
 use emlio_tfrecord::source::{BlockKey, BlockRead, RangeSource, ReadOrigin};
 use emlio_tfrecord::RecordError;
 use emlio_util::fnv1a;
-use parking_lot::{Condvar, Mutex};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
@@ -159,6 +166,13 @@ pub trait PeerTransport: Send + Sync {
     fn describe(&self) -> String {
         "peer".to_string()
     }
+
+    /// The cache this transport serves from, when it lives in this process:
+    /// attached, it becomes a fleet member ([`FleetRegistry::attach`]).
+    /// Default: none.
+    fn member(&self) -> Option<Weak<ShardCache>> {
+        None
+    }
 }
 
 /// In-process [`PeerTransport`]: a weak handle onto another daemon's
@@ -199,6 +213,10 @@ impl PeerTransport for LocalPeer {
 
     fn describe(&self) -> String {
         "local".to_string()
+    }
+
+    fn member(&self) -> Option<Weak<ShardCache>> {
+        Some(self.cache.clone())
     }
 }
 
@@ -248,6 +266,10 @@ impl PeerTransport for ChaosPeer {
             self.injector.plan().seed(),
             self.inner.describe()
         )
+    }
+
+    fn member(&self) -> Option<Weak<ShardCache>> {
+        self.inner.member()
     }
 }
 
@@ -303,11 +325,46 @@ struct Membership {
     transports: HashMap<String, Arc<dyn PeerTransport>>,
 }
 
-/// The fleet's shared state: ring membership, per-peer transports, and the
-/// fleet-wide single-flight table. One registry per fleet, shared by every
-/// [`PeerSource`] via `Arc`.
+/// A member cache's place in the plan the fleet serves.
+struct Enrolled {
+    digest: u64,
+    len: u64,
+    cursor: u64,
+}
+
+impl Enrolled {
+    /// Still serving: it has positions left to read.
+    fn serving(&self) -> bool {
+        self.cursor < self.len
+    }
+}
+
+/// The member caches, for the floor: each one's plan once installed, and
+/// the floor last handed out.
+#[derive(Default)]
+struct Members {
+    caches: HashMap<String, (Weak<ShardCache>, Option<Enrolled>)>,
+    floor: Option<u64>,
+}
+
+/// The fleet's shared state: ring membership, per-peer transports, the
+/// member caches' cursors and the fleet-wide single-flight table. One
+/// registry per fleet, shared by every [`PeerSource`] via `Arc`.
+///
+/// **One stager per block.** A cache attached through a transport that
+/// lives in this process ([`LocalPeer`]) is a *member*: once it installs
+/// its plan ([`CacheCore::try_set_plan`](crate::CacheCore::try_set_plan)),
+/// its prefetch executor stages only the blocks it owns, its RAM passes
+/// other members' blocks through (their owner serves them), and it keeps
+/// each block it staged until the fleet's slowest member has read it. The
+/// members serve one plan, which a digest checks: a member's cursor is a
+/// position in it, and each cursor it moves comes here
+/// ([`CacheCore`](crate::CacheCore)'s `perform`), which hands every member
+/// the least of the live members' cursors — the *floor*. A member whose
+/// cache is gone, or that has read its whole plan, leaves the floor.
 pub struct FleetRegistry {
     members: Mutex<Membership>,
+    caches: Mutex<Members>,
     flights: Mutex<FlightTable>,
     flight_retain: usize,
 }
@@ -329,6 +386,7 @@ impl FleetRegistry {
                 ring: HashRing::new(),
                 transports: HashMap::new(),
             }),
+            caches: Mutex::new(Members::default()),
             flights: Mutex::new(FlightTable {
                 slots: HashMap::new(),
                 done: VecDeque::new(),
@@ -345,12 +403,100 @@ impl FleetRegistry {
         self.members.lock().ring.add(id);
     }
 
-    /// Publish `id`'s transport (how other daemons reach its tiers).
-    pub fn attach(&self, id: &str, transport: Arc<dyn PeerTransport>) {
+    /// Publish `id`'s transport (how other daemons reach its tiers). A
+    /// transport over a cache in this process makes that cache a member:
+    /// attach it after every member has [`join`](FleetRegistry::join)ed
+    /// and before it installs its plan.
+    pub fn attach(self: &Arc<Self>, id: &str, transport: Arc<dyn PeerTransport>) {
+        if let Some(cache) = transport.member() {
+            if let Some(live) = cache.upgrade() {
+                live.join_fleet(self.clone(), id);
+            }
+            (self.caches.lock().caches).insert(id.to_string(), (cache, None));
+        }
         self.members
             .lock()
             .transports
             .insert(id.to_string(), transport);
+    }
+
+    /// The keys of `seq` another member owns.
+    pub(crate) fn foreign_keys(&self, id: &str, seq: &[BlockKey]) -> HashSet<BlockKey> {
+        let members = self.members.lock();
+        let foreign = |key: &&BlockKey| members.ring.owner_of(key).is_some_and(|o| o != id);
+        seq.iter().filter(foreign).copied().collect()
+    }
+
+    /// Member `id` installs `seq` as its plan, at its head. Fails when
+    /// another live member still serves a different plan.
+    pub(crate) fn enroll(&self, id: &str, seq: &[BlockKey]) -> Result<(), String> {
+        let bytes: Vec<u8> = (seq.iter())
+            .flat_map(|k| [u64::from(k.shard_id), k.start as u64, k.end as u64])
+            .flat_map(u64::to_le_bytes)
+            .collect();
+        let digest = fnv1a(&bytes);
+        let mut table = self.caches.lock();
+        for (other, (cache, plan)) in &table.caches {
+            let serving = plan
+                .as_ref()
+                .filter(|p| p.serving() && cache.strong_count() > 0);
+            if other != id && serving.is_some_and(|p| p.digest != digest) {
+                return Err(format!(
+                    "fleet member {id}'s plan is not member {other}'s: \
+                     the members of one fleet serve the same plan"
+                ));
+            }
+        }
+        if let Some((_, plan)) = table.caches.get_mut(id) {
+            let len = seq.len() as u64;
+            *plan = Some(Enrolled {
+                digest,
+                len,
+                cursor: 0,
+            });
+        }
+        self.refloor_locked(table);
+        Ok(())
+    }
+
+    /// Member `id`'s demand cursor moved to `cursor`.
+    pub(crate) fn advance(&self, id: &str, cursor: u64) {
+        let mut table = self.caches.lock();
+        if let Some((_, Some(plan))) = table.caches.get_mut(id) {
+            plan.cursor = cursor;
+        }
+        self.refloor_locked(table);
+    }
+
+    /// Recompute the floor — a member cache went away.
+    pub(crate) fn refloor(&self) {
+        self.refloor_locked(self.caches.lock());
+    }
+
+    /// The floor is the least cursor of the live members still serving;
+    /// when it moves, every live member gets it, in order, under the lock.
+    fn refloor_locked(&self, mut table: MutexGuard<'_, Members>) {
+        let serving = (table.caches.values())
+            .filter(|(cache, _)| cache.strong_count() > 0)
+            .filter_map(|(_, plan)| plan.as_ref().filter(|p| p.serving()));
+        let Some(floor) = serving.map(|p| p.cursor).min() else {
+            return;
+        };
+        if table.floor == Some(floor) {
+            return;
+        }
+        table.floor = Some(floor);
+        let live: Vec<Arc<ShardCache>> = (table.caches.values())
+            .filter(|(_, plan)| plan.is_some())
+            .filter_map(|(cache, _)| cache.upgrade())
+            .collect();
+        for cache in &live {
+            cache.set_floor(floor);
+        }
+        // The lock goes first: dropping the last handle to a cache leaves
+        // the floor, which takes it again.
+        drop(table);
+        drop(live);
     }
 
     /// The peer owning `key` (`None` on an empty ring).

@@ -19,13 +19,19 @@
 //!   ([`CacheCore::reserve_prefetch`](crate::CacheCore)). The reservation
 //!   makes its room and claims the block's slot in the critical section
 //!   that found the rule satisfied, evicting only what the plan needs
-//!   later than `p`, so in-flight buffers sit inside the RAM budget.
+//!   later than `p`, so in-flight buffers sit inside the RAM budget. In a
+//!   fleet, a position whose block another member owns is never issued
+//!   here — its owner stages it ([`crate::FleetRegistry`]) — and a block
+//!   this member read that a slower member has not (a position in
+//!   `[floor, cursor)`) counts as needed before `p`.
 //! * **Admission.** The block lands in its reservation: no prefetched
 //!   read is declined, and none evicts a block needed sooner — however
 //!   out of order the reads complete.
 //! * **Refill.** A slot is refilled as soon as the demand cursor moves
-//!   past a block, not at a window boundary: the number of reads in
-//!   flight is what the RAM tier holds, less what is staged already.
+//!   past a block, not at a window boundary — in a fleet, as soon as the
+//!   fleet's floor, its slowest member's cursor, does: the number of reads
+//!   in flight is what the RAM tier holds, less what is staged already and
+//!   what is kept for a slower member.
 //! * **Overlap.** Each read runs on a helper thread that lives only as
 //!   long as the read, at most [`MAX_IN_FLIGHT`] at once. A plan that is
 //!   resident issues nothing and the executor sleeps on the cache's

@@ -4,7 +4,8 @@
 //! from `cache/mod.rs`), so it drives the crate-private [`State`] through
 //! every method `CacheCore` calls on it — `claim`, `settle`, `retire`,
 //! `issue`, `insert`, `peek`, `take_spill`, `land_spill`, `checkpoint`,
-//! `stop_prefetch`, `shut_down`, `set_plan` and `readmit` — each followed
+//! `stop_prefetch`, `shut_down`, `set_plan`, `set_floor` and `readmit` —
+//! each followed
 //! by `State::check`, exactly as `CacheCore` calls them. What `CacheCore` does around them — wait, read,
 //! write and delete files — is modelled, each I/O step its own event, so
 //! every other actor may run between a transition and the I/O it returned:
@@ -16,13 +17,17 @@
 //!   the spill file, or a storage fetch), the prefetch executor walking the
 //!   same plan with its reads in flight, any of which may also be dropped
 //!   unread, and the one spill writer;
-//! * a fleet peer, the other daemon that `LocalPeer` lets into this cache,
-//!   asking for block 0 (`PEER_BLOCK`) as often as it likes while the cache
-//!   serves: it `peek`s — a disk-only block's spill file is then read, lock
-//!   released, as its own event, racing the writer and the disk tier — and,
-//!   on a miss, reads the block from storage and offers it back through
-//!   `insert`, which may evict. A crash takes the peer with it (in-process
-//!   peers share the process);
+//! * a fleet peer, the other member that `LocalPeer` lets into this cache,
+//!   walking the same plan with its own cursor. At each position of block 0
+//!   (`PEER_BLOCK`) it `peek`s — a disk-only block's spill file is then
+//!   read, lock released, as its own event, racing the writer and the disk
+//!   tier — and, on a miss, reads the block from storage and offers it back
+//!   through `insert`, which may evict; the other blocks it reads elsewhere.
+//!   Each step past a position (`PeerAdvance`) moves its cursor, and the
+//!   fleet's floor, the lesser of the two cursors, reaches this cache
+//!   through `set_floor` — as every move of this cache's own cursor does —
+//!   in the step that moved it. The peer is done at the plan's end. A crash
+//!   takes the peer with it (in-process peers share the process);
 //! * storage fetches that succeed or fail, spill writes that land, fail, or
 //!   land a file whose bytes are corrupt; a spill-file read succeeds exactly
 //!   when the file on the model's disk is whole;
@@ -58,6 +63,10 @@
 //! * a demand gets its own block's bytes, or a miss;
 //! * a `peek` gets its own block's bytes or nothing — nothing for a slot in
 //!   flight, which is its owner's — and changes no slot, order or cursor;
+//! * the keep rule: no step takes a resident at a plan position in
+//!   `[floor, cursor)` — read here, not yet by the peer — out of RAM;
+//! * the floor can always move without this cache: while the cache serves,
+//!   the peer reaches its next `PeerAdvance` on its own steps alone;
 //! * an `insert` leaves its key's slot untouched whenever one exists;
 //! * at most one fetch, promote or staging read per key is in flight, and
 //!   its slot is `Busy`;
@@ -216,14 +225,18 @@ enum Prefetch {
     Done,
 }
 
-/// The fleet peer (see the module docs).
+/// The fleet peer (see the module docs), at plan position `pos`.
 enum Peer {
-    /// Between calls: it may `peek` while the cache serves.
-    Idle,
+    /// Between calls; `got` once it has `PLAN[pos]`'s bytes (a block other
+    /// than `PEER_BLOCK` it has from elsewhere). Without them it `peek`s,
+    /// with them it moves on.
+    Idle { pos: usize, got: bool },
     /// Its `peek` found the block on disk only: the file read is next.
-    Reading(DiskMeta),
+    Reading { pos: usize, meta: DiskMeta },
     /// Its `peek` missed: it read the block from storage, and offers it.
-    Offering,
+    Offering { pos: usize },
+    /// Walked the plan.
+    Done,
     /// Gone with the process that crashed.
     Gone,
 }
@@ -336,6 +349,7 @@ enum Event {
         block: usize,
     },
     PeerPeek {
+        pos: usize,
         block: usize,
     },
     PeerRead {
@@ -344,6 +358,10 @@ enum Event {
     },
     Offer {
         block: usize,
+    },
+    /// The peer moves past `pos`: its cursor, and with it the floor.
+    PeerAdvance {
+        pos: usize,
     },
     Checkpoint,
     Shutdown,
@@ -413,6 +431,8 @@ fn fork_state(st: &State, paths: &mut HashMap<*const Path, Arc<Path>>) -> State 
         seq: st.seq.clone(),
         future: st.future.clone(),
         cursor: st.cursor,
+        foreign: st.foreign.clone(),
+        floor: st.floor,
     }
 }
 
@@ -462,9 +482,13 @@ impl World {
             Writer::Exited => Writer::Exited,
         };
         let peer = match &self.peer {
-            Peer::Idle => Peer::Idle,
-            Peer::Reading(meta) => Peer::Reading(fork_meta(meta, p)),
-            Peer::Offering => Peer::Offering,
+            &Peer::Idle { pos, got } => Peer::Idle { pos, got },
+            Peer::Reading { pos, meta } => Peer::Reading {
+                pos: *pos,
+                meta: fork_meta(meta, p),
+            },
+            &Peer::Offering { pos } => Peer::Offering { pos },
+            Peer::Done => Peer::Done,
             Peer::Gone => Peer::Gone,
         };
         World {
@@ -481,8 +505,9 @@ impl World {
         }
     }
 
-    /// A cache opened over the model's disk, with the plan installed: what
-    /// `CacheCore::new` and `set_plan` do. `readmit_dir`'s scan lists the
+    /// A cache opened over the model's disk, with the plan installed as a
+    /// fleet member's — it owns every block, and its floor starts at the
+    /// plan's head: what `CacheCore::new` and `try_set_plan` do. `readmit_dir`'s scan lists the
     /// files in key order, `State::readmit` re-admits them — a file reads
     /// back valid exactly when it is whole — and the files it returns are
     /// deleted before the cache serves.
@@ -503,7 +528,7 @@ impl World {
         for meta in rejected {
             disk.remove(&block_of_path(&meta.path));
         }
-        st.set_plan(PLAN.iter().map(|&b| key(b)).collect());
+        st.set_plan(PLAN.iter().map(|&b| key(b)).collect(), Some(HashSet::new()));
         st.check();
         World {
             st,
@@ -515,24 +540,50 @@ impl World {
             prefetch: Prefetch::Walking(0),
             reads: Vec::new(),
             writer: Writer::Idle,
-            peer: Peer::Idle,
+            peer: Peer::Idle { pos: 0, got: false },
             phase: Phase::Serving,
             notified: [false; 4],
             crashed: false,
         }
     }
 
-    /// What `CacheCore::perform` does with a transition's effect: notify
+    /// What `CacheCore::perform` does with a transition's effect: hand a
+    /// cursor it moved to the registry ([`World::refloor`]), and notify
     /// every parked actor whose condvar is in its wake set. An evictor
     /// would then park on the backlog, which the model leaves out (see the
     /// module docs): reaching it fails the search.
     fn perform(&mut self, effect: Effect) -> Result<(), String> {
+        if effect.cursor.is_some() {
+            self.refloor()?;
+        }
         for (actor, cv) in self.parks() {
             self.notified[actor as usize] |= effect.wake & cv as u8 != 0;
         }
         match effect.queued > 0 && self.st.backlogged() {
             true => Err("an evictor parks on the spill backlog, which the model leaves out".into()),
             false => Ok(()),
+        }
+    }
+
+    /// The registry's part: the floor is the least cursor of the members
+    /// still walking the plan — this cache and the peer — and a floor that
+    /// moved reaches the cache through `set_floor`.
+    fn refloor(&mut self) -> Result<(), String> {
+        let len = PLAN.len() as u64;
+        let own = Some(self.st.cursor).filter(|&c| c < len);
+        let peer = match self.peer {
+            Peer::Idle { pos, .. } | Peer::Reading { pos, .. } | Peer::Offering { pos } => {
+                Some(pos as u64)
+            }
+            Peer::Done | Peer::Gone => None,
+        };
+        match own.into_iter().chain(peer).min() {
+            Some(floor) if floor != self.st.floor => {
+                let effect = self.st.set_floor(floor);
+                self.st.check();
+                self.perform(effect)
+            }
+            _ => Ok(()),
         }
     }
 
@@ -637,7 +688,7 @@ impl World {
 
     /// The peer's offer of its block: an `insert`, which leaves a slot
     /// that exists as it is.
-    fn offer(&mut self) -> Result<(), String> {
+    fn offer(&mut self, pos: usize) -> Result<(), String> {
         let (block, k) = (PEER_BLOCK, key(PEER_BLOCK));
         let before = self.st.slots.get(&k).map(slot_print);
         let effect = self.st.insert(k, bytes_of(block));
@@ -646,12 +697,24 @@ impl World {
             return Err(format!("an insert of block {block} changed its slot"));
         }
         self.perform(effect)?;
-        self.peer = Peer::Idle;
+        self.peer = Peer::Idle { pos, got: true };
         Ok(())
     }
 
-    /// The peer's peek of its block, which changes nothing.
-    fn peer_peek(&mut self) -> Result<(), String> {
+    /// The peer moves past `pos`, and the floor with it.
+    fn peer_advance(&mut self, pos: usize) -> Result<(), String> {
+        self.peer = match pos + 1 == PLAN.len() {
+            true => Peer::Done,
+            false => Peer::Idle {
+                pos: pos + 1,
+                got: false,
+            },
+        };
+        self.refloor()
+    }
+
+    /// The peer's peek of its block at `pos`, which changes nothing.
+    fn peer_peek(&mut self, pos: usize) -> Result<(), String> {
         let (block, k) = (PEER_BLOCK, key(PEER_BLOCK));
         let before = state_print(&self.st);
         let busy = self.st.busy(&k);
@@ -666,11 +729,29 @@ impl World {
             Some(Peeked::Ram(data)) if data != bytes_of(block) => {
                 return Err(format!("a peek of block {block} served {data:?}"))
             }
-            Some(Peeked::Ram(_)) => Peer::Idle,
-            Some(Peeked::File(meta)) => Peer::Reading(meta),
-            None => Peer::Offering,
+            Some(Peeked::Ram(_)) => Peer::Idle { pos, got: true },
+            Some(Peeked::File(meta)) => Peer::Reading { pos, meta },
+            None => Peer::Offering { pos },
         };
         Ok(())
+    }
+
+    /// The peer's next step, if it has one: at most one is enabled at a
+    /// time, whatever the others do.
+    fn peer_event(&self) -> Option<Event> {
+        let block = PEER_BLOCK;
+        match &self.peer {
+            &Peer::Idle { pos, got } if got || PLAN[pos] != block => {
+                Some(Event::PeerAdvance { pos })
+            }
+            &Peer::Idle { pos, .. } => Some(Event::PeerPeek { pos, block }),
+            Peer::Reading { meta, .. } => Some(Event::PeerRead {
+                block,
+                ok: self.read_ok(meta),
+            }),
+            Peer::Offering { .. } => Some(Event::Offer { block }),
+            Peer::Done | Peer::Gone => None,
+        }
     }
 
     /// `flush_spills`'s critical section: wait while orders are queued or
@@ -730,7 +811,15 @@ impl World {
         matches!(self.worker, Worker::Done)
             && self.prefetch == Prefetch::Done
             && self.reads.is_empty()
-            && matches!(self.peer, Peer::Idle | Peer::Gone)
+            && matches!(self.peer, Peer::Idle { .. } | Peer::Done | Peer::Gone)
+    }
+
+    /// Whether the cache is up for the peer's calls.
+    fn serving(&self) -> bool {
+        matches!(
+            self.phase,
+            Phase::Serving | Phase::Flushing | Phase::Checkpointed
+        )
     }
 
     /// Every event enabled here.
@@ -816,19 +905,10 @@ impl World {
             }),
             Writer::Waiting | Writer::Exited => {}
         }
-        let serving = matches!(
-            self.phase,
-            Phase::Serving | Phase::Flushing | Phase::Checkpointed
-        );
-        let block = PEER_BLOCK;
-        match &self.peer {
-            Peer::Idle if serving => out.push(Event::PeerPeek { block }),
-            Peer::Reading(meta) => out.push(Event::PeerRead {
-                block,
-                ok: self.read_ok(meta),
-            }),
-            Peer::Offering => out.push(Event::Offer { block }),
-            Peer::Idle | Peer::Gone => {}
+        // Between calls the peer needs the cache up; inside one, it ends it.
+        let idle = matches!(self.peer, Peer::Idle { .. });
+        if self.serving() || !idle {
+            out.extend(self.peer_event());
         }
         match &self.phase {
             // The daemon checkpoints once its workers are done.
@@ -1009,7 +1089,8 @@ impl World {
                 self.delete(&meta)?;
             }
             Event::PeerRead { block, ok } => {
-                let Peer::Reading(meta) = std::mem::replace(&mut self.peer, Peer::Idle) else {
+                let Peer::Reading { pos, meta } = std::mem::replace(&mut self.peer, Peer::Done)
+                else {
                     unreachable!()
                 };
                 // A valid read returns the bytes the file was written with.
@@ -1019,12 +1100,19 @@ impl World {
                         "a peek of block {block} served block {served}'s file"
                     ));
                 }
-                if !*ok {
-                    self.peer = Peer::Offering;
-                }
+                self.peer = match ok {
+                    true => Peer::Idle { pos, got: true },
+                    false => Peer::Offering { pos },
+                };
             }
-            Event::PeerPeek { .. } => self.peer_peek()?,
-            Event::Offer { .. } => self.offer()?,
+            Event::PeerPeek { pos, .. } => self.peer_peek(*pos)?,
+            Event::Offer { .. } => {
+                let Peer::Offering { pos } = self.peer else {
+                    unreachable!()
+                };
+                self.offer(pos)?;
+            }
+            Event::PeerAdvance { pos } => self.peer_advance(*pos)?,
             Event::Checkpoint => {
                 let effect = self.st.checkpoint();
                 self.st.check();
@@ -1122,12 +1210,54 @@ impl World {
         files
     }
 
+    /// The blocks in RAM that the keep rule holds: read here at a plan
+    /// position in `[floor, cursor)`, not yet by the peer.
+    fn lagging(&self) -> Vec<usize> {
+        let end = (self.st.cursor as usize).min(PLAN.len());
+        let start = (self.st.floor as usize).min(end);
+        let ram = |b: &usize| matches!(self.st.slots.get(&key(*b)), Some(Slot::Ram(..)));
+        PLAN[start..end].iter().copied().filter(ram).collect()
+    }
+
+    /// The keep rule held over a step: `blocks`, held before it, are
+    /// still in RAM.
+    fn kept(&self, blocks: &[usize]) -> Result<(), String> {
+        for &b in blocks {
+            if !matches!(self.st.slots.get(&key(b)), Some(Slot::Ram(..))) {
+                return Err(format!(
+                    "block {b} left RAM before the peer read it (floor {}, cursor {})",
+                    self.st.floor, self.st.cursor
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    /// The floor can move without this cache: while it serves, the peer's
+    /// own steps alone take it past its position.
+    fn peer_moves_alone(&self) -> Result<(), String> {
+        if !self.serving() || matches!(self.peer, Peer::Done | Peer::Gone) {
+            return Ok(());
+        }
+        let mut alone = self.fork();
+        // Peek, read the file, offer, move on.
+        for _ in 0..4 {
+            match alone.peer_event() {
+                Some(Event::PeerAdvance { .. }) => return Ok(()),
+                Some(ev) => alone.apply(&ev, false)?,
+                None => break,
+            }
+        }
+        Err("the peer cannot move on without this cache".into())
+    }
+
     /// What must hold in every reachable state (once closed, the files
     /// the core's drop leaves: `check_terminal` looks at them).
     fn check(&self) -> Result<(), String> {
         if self.phase == Phase::Closed {
             return Ok(());
         }
+        self.peer_moves_alone()?;
         // No wake-up is lost.
         for (actor, cv) in self.parks() {
             if self.ready(actor) && !self.notified[actor as usize] {
@@ -1187,7 +1317,7 @@ impl World {
         let mut held: HashMap<*const Path, (usize, &Arc<Path>)> = HashMap::new();
         let claim_files = claims.iter().filter_map(|c| c.file.as_ref());
         let peer_file = match &self.peer {
-            Peer::Reading(meta) => Some(meta),
+            Peer::Reading { meta, .. } => Some(meta),
             _ => None,
         };
         for meta in owned.iter().copied().chain(claim_files).chain(peer_file) {
@@ -1278,9 +1408,10 @@ impl World {
             Writer::Exited => out.push(5),
         }
         match &self.peer {
-            Peer::Idle => out.push(0),
-            Peer::Reading(m) => out.extend([1, file_print(Some(m))]),
-            Peer::Offering => out.push(2),
+            &Peer::Idle { pos, got } => out.extend([0, pos as u8, u8::from(got)]),
+            Peer::Reading { pos, meta } => out.extend([1, *pos as u8, file_print(Some(meta))]),
+            Peer::Offering { pos } => out.extend([2, *pos as u8]),
+            Peer::Done => out.push(3),
             Peer::Gone => out.push(4),
         }
         out.push(match self.phase {
@@ -1333,6 +1464,7 @@ fn state_print(st: &State) -> Vec<u8> {
         st.disk_used,
         st.ram_reserved,
         st.cursor,
+        st.floor,
     ];
     out.extend(scalars.map(|v| v as u8));
     out.extend([
@@ -1382,6 +1514,9 @@ impl Model for Lifecycle {
                 let mut next = world.fork();
                 let step = catch_unwind(AssertUnwindSafe(|| {
                     next.apply(&ev, self.persist)?;
+                    if !matches!(ev, Event::CrashAndRestart) {
+                        next.kept(&world.lagging())?;
+                    }
                     next.check()
                 }));
                 let result = match step {
@@ -1444,9 +1579,9 @@ fn explore(persist: bool) -> Explored {
 fn every_state_of_a_two_tier_cache_keeps_its_books_and_its_files() {
     let explored = explore(false);
     let expected = Explored {
-        states: 63_940,
-        transitions: 257_447,
-        terminal: 118,
+        states: 307_761,
+        transitions: 1_194_716,
+        terminal: 994,
     };
     assert_eq!(explored, expected);
 }
@@ -1457,9 +1592,9 @@ fn every_state_of_a_two_tier_cache_keeps_its_books_and_its_files() {
 fn every_state_of_a_persistent_cache_survives_a_crash_anywhere() {
     let explored = explore(true);
     let expected = Explored {
-        states: 198_682,
-        transitions: 823_306,
-        terminal: 1_254,
+        states: 678_804,
+        transitions: 3_058_207,
+        terminal: 5_208,
     };
     assert_eq!(explored, expected);
 }

@@ -306,10 +306,13 @@ impl EmlioDaemon {
             }
         }
 
-        let prefetcher = self.cached.as_ref().map(|cached| {
-            self.install_cache_plan(cached, plan, node_id);
-            Prefetcher::spawn(cached.clone())
-        });
+        let prefetcher = match &self.cached {
+            None => None,
+            Some(cached) => {
+                self.install_cache_plan(cached, plan, node_id)?;
+                Some(Prefetcher::spawn(cached.clone()))
+            }
+        };
         let mut reader = CachedRangeReader::new(self.source.clone());
         if !self.config.verify_crc {
             reader = reader.without_crc_verification();
@@ -378,8 +381,14 @@ impl EmlioDaemon {
     }
 
     /// Install the node's full multi-epoch access sequence as the cache
-    /// plan (clairvoyant eviction and the prefetcher both walk it).
-    fn install_cache_plan(&self, cached: &CachedSource, plan: &Plan, node_id: &str) {
+    /// plan (clairvoyant eviction and the prefetcher both walk it). A fleet
+    /// member's plan that is not the one its fleet serves is a `BadPlan`.
+    fn install_cache_plan(
+        &self,
+        cached: &CachedSource,
+        plan: &Plan,
+        node_id: &str,
+    ) -> Result<(), DaemonError> {
         let mut seq = Vec::new();
         for ep in &plan.epochs {
             if let Some(np) = ep.nodes.get(node_id) {
@@ -392,7 +401,10 @@ impl EmlioDaemon {
                 }
             }
         }
-        cached.cache().set_plan(seq);
+        cached
+            .cache()
+            .try_set_plan(seq)
+            .map_err(DaemonError::BadPlan)
     }
 
     /// One `SendWorker`: its own socket, its slice of every epoch, all

@@ -2,13 +2,16 @@
 //! tier delivers byte-identical batches without touching storage, and an
 //! owner crashing mid-epoch must degrade to direct NFS with zero lost or
 //! duplicated batches (the peer tier is an optimization, never a
-//! correctness dependency). The N-daemon fleet against its solo run is
+//! correctness dependency). Two cached members stage each block once
+//! between them, and a member that dies leaves the fleet's floor. The
+//! N-daemon fleet against its solo run is
 //! `tests/shared_storage_contention.rs`.
 
+use emlio::bench::contention::shared_mount_storage;
 use emlio::cache::peer::{FleetRegistry, LocalPeer, PeerConfig, PeerFetch, PeerTransport};
-use emlio::cache::{CacheConfig, ShardCache};
+use emlio::cache::{CacheConfig, HashRing, ShardCache};
 use emlio::core::service::{Deployment, Fingerprint, StorageSpec};
-use emlio::core::{EmlioConfig, EmlioService, StackSpec};
+use emlio::core::{EmlioConfig, EmlioService, Plan, StackSpec};
 use emlio::datagen::convert::build_tfrecord_dataset;
 use emlio::datagen::DatasetSpec;
 use emlio::netem::{NetProfile, NfsConfig, NfsMount, NfsSource};
@@ -16,9 +19,10 @@ use emlio::obs::Stage;
 use emlio::tfrecord::{BlockKey, GlobalIndex, ShardSpec};
 use emlio::util::clock::RealClock;
 use emlio::util::testutil::TempDir;
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A peer transport that serves `fail_after` fetches from the wrapped
 /// owner, then "crashes": every later fetch returns `Unavailable`, exactly
@@ -220,4 +224,147 @@ fn dead_owner_cache_falls_back_on_every_read() {
     let snap = metrics.snapshot();
     assert_eq!(snap.storage_reads, blocks);
     assert_eq!(snap.peer.unwrap().fallbacks, blocks);
+}
+
+/// The cache plan a daemon serving `config` on node `"n"` installs: every
+/// epoch's blocks in plan order.
+fn cache_plan(index: &GlobalIndex, config: &EmlioConfig) -> Vec<BlockKey> {
+    let plan = Plan::build(index, &["n".to_string()], config);
+    (plan.epochs.iter())
+        .flat_map(|ep| ep.nodes["n"].batches_in_plan_order())
+        .map(|b| BlockKey {
+            shard_id: b.shard_id,
+            start: b.start,
+            end: b.end,
+        })
+        .collect()
+}
+
+#[test]
+fn a_healthy_fleet_keeps_one_copy_of_each_block() {
+    // Two cached members over one mount, each RAM tier big enough for the
+    // whole dataset: each block is staged by its owner alone, and passes
+    // through the other's cache, so the two tiers end disjoint and hold
+    // the dataset once between them.
+    let dir = TempDir::new("peer-one-copy");
+    let index = build_dataset(&dir);
+    let mount = NfsMount::mount(
+        dir.path(),
+        NetProfile::local(),
+        RealClock::shared(),
+        NfsConfig::default(),
+    );
+    let config = EmlioConfig {
+        cache: Some(CacheConfig::default().with_ram_bytes(64 << 20)),
+        ..fleet_config().with_epochs(2)
+    };
+    let storage = shared_mount_storage(&index, &mount, 2, "d", Some(PeerConfig::default()));
+    let mut dep = EmlioService::launch(&storage, &config, "n").unwrap();
+    let delivery = dep.drain();
+    delivery.served.unwrap();
+    assert_eq!(delivery.batches, dep.total_batches());
+
+    let mut ring = HashRing::new();
+    ring.add("d0");
+    ring.add("d1");
+    let keys: Vec<BTreeSet<BlockKey>> = (dep.daemon_metrics.iter())
+        .map(|m| m.stack().unwrap().cache.as_ref().unwrap())
+        .map(|cache| cache.ram_keys().into_iter().collect())
+        .collect();
+    assert!(keys[0].is_disjoint(&keys[1]), "{keys:?}");
+    for (d, held) in keys.iter().enumerate() {
+        let id = format!("d{d}");
+        for key in held {
+            assert_eq!(ring.owner_of(key), Some(id.as_str()), "{key:?}");
+        }
+    }
+    let planned: BTreeSet<BlockKey> = cache_plan(&index, &config).into_iter().collect();
+    let held: BTreeSet<BlockKey> = keys[0].union(&keys[1]).copied().collect();
+    assert_eq!(held, planned, "the fleet holds the dataset once");
+}
+
+#[test]
+fn a_dead_member_leaves_the_floor() {
+    // A cached survivor over a 5 ms NFS mount, in a fleet with a member
+    // that installed the same plan and never read a block: the floor stays
+    // at the plan's head, so the survivor keeps every block it staged and
+    // its RAM tier, three blocks, soon holds nothing it may give up — its
+    // executor parks and its demand reads pass through. Once the stalled
+    // member's cache is gone it leaves the floor: the survivor stages
+    // again, and delivers what a solo run does, byte for byte.
+    let dir = TempDir::new("peer-dead-member");
+    let index = build_dataset(&dir);
+    let block = index
+        .block_len(&BlockKey {
+            shard_id: 0,
+            start: 0,
+            end: 4,
+        })
+        .unwrap();
+    let config = EmlioConfig {
+        cache: Some(CacheConfig::default().with_ram_bytes(3 * block + block / 2)),
+        ..fleet_config().with_threads(1).with_epochs(3)
+    };
+    let (_, reference) = drain("solo", &index, &config, StackSpec::default());
+
+    let registry = FleetRegistry::new();
+    registry.join("survivor");
+    registry.join("stalled");
+    let stalled =
+        Arc::new(ShardCache::new(CacheConfig::default().with_ram_bytes(64 << 20)).unwrap());
+    registry.attach("stalled", LocalPeer::new(&stalled));
+    stalled.set_plan(cache_plan(&index, &config));
+
+    let mount = NfsMount::mount(
+        dir.path(),
+        NetProfile::new("nfs-5ms", Duration::from_millis(5), 1.25e9),
+        RealClock::shared(),
+        NfsConfig::default(),
+    );
+    let stack = StackSpec::over(Arc::new(NfsSource::new(index.clone(), mount))).in_fleet(
+        registry.clone(),
+        PeerConfig::default().with_timeout(Duration::from_millis(200)),
+    );
+    let storage = StorageSpec {
+        stack,
+        index: Some(index.clone()),
+        ..StorageSpec::new("survivor", dir.path())
+    };
+    let mut dep = EmlioService::launch(&[storage], &config, "n").unwrap();
+    let survivor = dep.daemon_metrics[0]
+        .stack()
+        .unwrap()
+        .cache
+        .clone()
+        .unwrap();
+    let plan_len = cache_plan(&index, &config).len() as u64;
+    let (stalled_at, delivery) = std::thread::scope(|s| {
+        let killer = s.spawn(|| {
+            // Past the first epoch the survivor has long run out of room.
+            let deadline = Instant::now() + Duration::from_secs(20);
+            loop {
+                let st = survivor.stats().snapshot();
+                if st.hits + st.misses >= plan_len / 3 || Instant::now() > deadline {
+                    drop(stalled);
+                    return st.prefetched;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        });
+        let delivery = dep.drain();
+        (killer.join().unwrap(), delivery)
+    });
+    delivery.served.unwrap();
+    assert_eq!(
+        delivery.fingerprint, reference,
+        "delivery is byte-identical"
+    );
+    let s = survivor.stats().snapshot();
+    assert_eq!(s.hits + s.misses, plan_len, "{s:?}");
+    assert!(
+        s.prefetched > stalled_at,
+        "the survivor staged nothing after the stalled member died: {s:?}"
+    );
+    let (used, reserved) = survivor.ram_budget();
+    assert!(used + reserved <= survivor.config().ram_bytes);
 }
