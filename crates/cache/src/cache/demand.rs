@@ -51,20 +51,33 @@ impl CacheCore {
         F: FnOnce() -> Result<T, E>,
     {
         // One access, accounted once — after any wait for a fetch in
-        // flight, in the critical section that takes the landed bytes: the
-        // prefetcher refills a slot the moment the cursor releases it, and
-        // cannot get between the two.
+        // flight, and in a fleet for the floor, in the critical section
+        // that takes the landed bytes: the prefetcher refills a slot the
+        // moment the cursor releases it, and cannot get between the two.
         let mut accounted = false;
+        let mut lockstep = None;
         loop {
             let (served, effect) = {
                 let mut st = self.state.lock();
-                while st.busy(&key) {
-                    self.landed.wait(&mut st);
+                let mut stalled = 0;
+                loop {
+                    while st.busy(&key) {
+                        self.landed.wait(&mut st);
+                    }
+                    if accounted || !st.ahead_of_floor(&key) {
+                        break;
+                    }
+                    stalled |= self.wait_for_floor(&mut st, &mut lockstep);
                 }
-                let step = st.claim(key, !accounted);
+                let (served, mut effect) = st.claim(key, !accounted);
+                effect.wake |= stalled;
                 st.check();
-                step
+                (served, effect)
             };
+            if let (Some(wait), Some(rec)) = (lockstep.take(), self.recorder.get()) {
+                let waited = wait.began.elapsed().as_nanos() as u64;
+                rec.record(Stage::FleetFloorWait, waited);
+            }
             self.perform(effect);
             accounted = true;
             let claim = match served {
@@ -85,6 +98,31 @@ impl CacheCore {
             self.settle(claim, fetched.as_ref().ok().cloned());
             return fetched.map(|data| (data, Fetched::Storage));
         }
+    }
+
+    /// One wait of a fleet member's claim that is ahead of the floor
+    /// (the lockstep rule), on `room`, which the floor's rise wakes. A
+    /// floor that has not moved for the member's patience while the claim
+    /// waited is stalled ([`State::stall_floor`]): the claim gives up on
+    /// it, counted, and goes on. Returns the stall's wake set.
+    fn wait_for_floor(&self, st: &mut MutexGuard<'_, State>, wait: &mut Option<FloorWait>) -> Wake {
+        let now = Instant::now();
+        let floor = st.floor;
+        let wait = wait.get_or_insert(FloorWait {
+            began: now,
+            since: now,
+            floor,
+        });
+        if wait.floor != floor {
+            (wait.since, wait.floor) = (now, floor);
+        }
+        let deadline = wait.since + st.patience;
+        if now < deadline {
+            self.room.wait_until(st, deadline);
+            return 0;
+        }
+        self.stats.floor_stalls.fetch_add(1, Ordering::Relaxed);
+        st.stall_floor().wake
     }
 
     /// Promote a disk-resident block back to RAM, owning its claim; the
@@ -123,4 +161,12 @@ impl CacheCore {
         self.perform(effect);
         admitted
     }
+}
+
+/// A claim's wait on the fleet's floor: when it began, and the floor it has
+/// seen not move since `since`.
+struct FloorWait {
+    began: Instant,
+    since: Instant,
+    floor: u64,
 }

@@ -18,7 +18,8 @@
 //! only `CacheCore::perform` notifies. A thread that must wait does so
 //! under the lock, before its call, looping on a `State` query: on
 //! `landed` while its block is in flight, on `room` while the issue step
-//! says wait, on `spill` while the `Spilling` backlog exceeds the RAM tier,
+//! says wait or a fleet member's claim is ahead of the fleet's floor, on
+//! `spill` while the `Spilling` backlog exceeds the RAM tier,
 //! while the writer has no order, or while a flush has orders to wait for.
 //! So everything slow runs outside the lock, no function takes the lock
 //! while holding it, and a wake-up is lost only if a transition leaves a
@@ -39,24 +40,24 @@ mod writer;
 
 // The seam modules share this import block through `use super::*`.
 use crate::order::NextUseHeap;
-use crate::peer::FleetRegistry;
+use crate::peer::{Enrollment, FleetRegistry};
 use crate::persist;
 use crate::prefetch::MAX_IN_FLIGHT;
 use crate::stats::{CacheStats, CacheStatsSnapshot};
 use bytes::Bytes;
 use emlio_obs::{obs_warn, Stage, StageRecorder};
 use emlio_tfrecord::BlockKey;
-use parking_lot::{Condvar, Mutex};
-pub(crate) use stage::Issue;
+use parking_lot::{Condvar, Mutex, MutexGuard};
+pub(crate) use stage::{Issue, Reservation};
 use state::{Claim, DiskMeta, Effect, Peeked, Served, Slot, Spill, State, Step};
-use state::{LANDED, ROOM, SPILL};
+use state::{Wake, LANDED, ROOM, SPILL};
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use writer::readmit_dir;
 
 /// Cache sizing and behaviour knobs.
@@ -178,9 +179,10 @@ pub struct CacheCore {
     /// transitions whose wake set names it are in `state.rs`'s module docs
     /// (a settle).
     landed: Condvar,
-    /// The prefetch executor sleeps here while its issue step says wait;
+    /// The prefetch executor sleeps here while its issue step says wait,
+    /// and a fleet member's demand access while it is ahead of the floor;
     /// named by the transitions that may change that (a demand access, a
-    /// reservation's end, a stop).
+    /// reservation's end, a stop, the floor's rise or stall).
     room: Condvar,
     /// The writer sleeps here for an order, an evictor while the backlog
     /// is over the RAM tier, a flush till the queue is written; named by
@@ -352,16 +354,15 @@ impl CacheCore {
     /// other live member serves — their cursors are positions in it, and
     /// the floor is the least of them — and it fails, installing nothing,
     /// when another member still serves a different plan. Installed, it
-    /// stages only the blocks this member owns (see [`FleetRegistry`]).
+    /// stages only the blocks this member owns, and its demand accesses
+    /// walk the plan in lockstep with the other members' (see
+    /// [`FleetRegistry`]).
     pub fn try_set_plan(&self, seq: Vec<BlockKey>) -> Result<(), String> {
-        let foreign = match self.fleet.get() {
+        let fleet = match self.fleet.get() {
             None => None,
-            Some((registry, id)) => {
-                registry.enroll(id, &seq)?;
-                Some(registry.foreign_keys(id, &seq))
-            }
+            Some((registry, id)) => Some(registry.enroll(id, &seq)?),
         };
-        self.locked(|st| st.set_plan(seq, foreign));
+        self.locked(|st| st.set_plan(seq, fleet));
         Ok(())
     }
 

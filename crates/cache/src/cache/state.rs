@@ -34,14 +34,15 @@
 //!
 //! **Wake-ups.** Every wait in the cache loops on a query here: on
 //! `landed` while a slot is [`busy`](State::busy), on `room` while the
-//! issue step says [`Step::Wait`], on `spill` while the queue is
+//! issue step says [`Step::Wait`] or a claim is
+//! [`ahead_of_floor`](State::ahead_of_floor), on `spill` while the queue is
 //! [`backlogged`](State::backlogged), the writer [idle](State::writer_idle)
 //! or a flush not [`flushed`](State::flushed). A transition that may make
 //! one true names its condvar in its [`Effect`]'s wake set, which
 //! [`CacheCore::perform`] notifies: `landed` when a claim settles; `room`
 //! when a claim is made, a reservation ends, an `insert` lands, the
-//! fleet's floor rises or the prefetcher is stopped; `spill` when orders
-//! are queued, land or end unwritten, and at shutdown.
+//! fleet's floor rises or stalls, or the prefetcher is stopped; `spill`
+//! when orders are queued, land or end unwritten, and at shutdown.
 //!
 //! **In a fleet** each block has one stager, its owner. A member's plan
 //! comes with the keys other members own: it never stages them, and RAM
@@ -49,7 +50,11 @@
 //! *floor*, the slowest member's cursor ([`State::set_floor`]), and the
 //! **keep rule** holds a resident at a plan position in `[floor, cursor)`
 //! — read here, not yet by a slower member — like one the plan needs
-//! sooner: no eviction takes it, and the issue step counts it.
+//! sooner: no eviction takes it, and the issue step counts it. The
+//! **lockstep rule** keeps that range short: a demand access claims plan
+//! position `p` only once the floor has reached `p`, unless the floor is
+//! *stalled* — it has not moved for one peer timeout while a claim waited
+//! ([`State::stall_floor`]) — until it next moves.
 //!
 //! The disk tier is **inclusive** and spill files are **write-once**. A
 //! block's bytes never change, so a promote that RAM admits keeps its file
@@ -256,6 +261,12 @@ pub(super) struct State {
     /// handed it (`u64::MAX` solo): a resident at a position in
     /// `[floor, cursor)` is one a slower member has yet to read, and stays.
     pub(super) floor: u64,
+    /// The floor has not moved for `patience` while a claim waited on it:
+    /// until it next moves, no claim waits on it.
+    pub(super) floor_stalled: bool,
+    /// How long a claim waits on a floor that does not move: the member's
+    /// peer timeout.
+    pub(super) patience: Duration,
 }
 
 impl State {
@@ -271,16 +282,18 @@ impl State {
 
     /// Install the planned access sequence and reset the cursor, with
     /// every rank refreshed against the new plan. A fleet member's plan
-    /// comes with the keys other members own (`foreign`), and its floor
-    /// starts at the plan's head, where its own cursor is.
-    pub(super) fn set_plan(&mut self, seq: Vec<BlockKey>, foreign: Option<HashSet<BlockKey>>) {
+    /// comes with its enrollment — the keys other members own and its
+    /// patience with the floor — and its floor starts at the plan's head,
+    /// where its own cursor is.
+    pub(super) fn set_plan(&mut self, seq: Vec<BlockKey>, fleet: Option<Enrollment>) {
         let mut future: HashMap<BlockKey, VecDeque<u64>> = HashMap::new();
         for (pos, key) in seq.iter().enumerate() {
             future.entry(*key).or_default().push_back(pos as u64);
         }
         (self.seq, self.future, self.cursor) = (Arc::new(seq), future, 0);
-        self.floor = if foreign.is_some() { 0 } else { u64::MAX };
-        self.foreign = foreign.unwrap_or_default();
+        self.floor = if fleet.is_some() { 0 } else { u64::MAX };
+        let Enrollment { foreign, patience } = fleet.unwrap_or_default();
+        (self.foreign, self.patience, self.floor_stalled) = (foreign, patience, false);
         self.prefetch_stopped = false;
         let future = &mut self.future;
         self.ram_order.refresh(|k| State::next_use(future, 0, k));
@@ -426,6 +439,17 @@ impl State {
     /// Whether `key` is in flight.
     pub(super) fn busy(&self, key: &BlockKey) -> bool {
         matches!(self.slots.get(key), Some(Slot::Busy(_)))
+    }
+
+    /// The lockstep rule: whether a demand access to `key` must wait — the
+    /// plan position it would claim is past the fleet's floor, and the
+    /// floor is not stalled. Solo the floor is `u64::MAX`: one compare.
+    pub(super) fn ahead_of_floor(&self, key: &BlockKey) -> bool {
+        self.floor != u64::MAX
+            && !self.floor_stalled
+            && (self.future.get(key))
+                .and_then(|q| q.front())
+                .is_some_and(|&pos| pos > self.floor)
     }
 
     /// A demand access to `key`, accounted against the plan when
@@ -656,13 +680,23 @@ impl State {
         Step::Read(Claim { key, room, file }, effect)
     }
 
-    /// The fleet registry's new floor for this member. A floor that rises
-    /// releases residents a slower member has now read, which may let the
-    /// issue step stage: wake `room`.
+    /// The fleet registry's new floor for this member; a floor that moved
+    /// is no longer stalled. A floor that rises releases residents a slower
+    /// member has now read, which may let the issue step stage, and claims
+    /// it has now reached: wake `room`.
     pub(super) fn set_floor(&mut self, floor: u64) -> Effect {
         let rose = floor > self.floor;
+        self.floor_stalled &= floor == self.floor;
         self.floor = floor;
         Effect::from(if rose { ROOM } else { 0 })
+    }
+
+    /// A claim waited one patience on a floor that did not move: it is
+    /// stalled, and no claim waits on it until it next moves. Wake `room`,
+    /// where the other claims wait.
+    pub(super) fn stall_floor(&mut self) -> Effect {
+        self.floor_stalled = true;
+        Effect::from(ROOM)
     }
 
     /// Stop the prefetch executor, parked or not, for the rest of the plan.

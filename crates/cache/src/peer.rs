@@ -6,9 +6,13 @@
 //! Distributed Machine Learning I/O"), this module makes the per-daemon
 //! caches one logical tier:
 //!
-//! * [`HashRing`] — consistent hashing of [`BlockKey`]s over the fleet
-//!   (FNV-1a, virtual nodes), so every block has exactly one *owning*
-//!   daemon. Members join before serving starts and never leave.
+//! * **Owners from the plan.** Every block has exactly one *owning*
+//!   daemon. Once a member cache installs its plan, the registry deals the
+//!   plan's blocks round-robin over the sorted member ids, in the order each
+//!   first appears: an exact split. [`HashRing`] — consistent hashing
+//!   (FNV-1a, virtual nodes) — owns only the keys no enrolled plan names,
+//!   which is every key of a fleet without member caches. Members join
+//!   before serving starts and never leave.
 //! * [`FleetRegistry`] — the shared membership + transport directory, plus
 //!   fleet-wide single-flight: concurrent misses of the same block anywhere
 //!   in the fleet coalesce onto one storage read, and the winner's bytes
@@ -20,8 +24,9 @@
 //!   a member: it stages only the blocks it owns, passes the others
 //!   through, and keeps each block it staged until the fleet's slowest
 //!   member has read it — the registry hands every member that *floor*.
-//!   The members serve one plan, checked by a digest
-//!   ([`FleetRegistry`] has the rules).
+//!   The members serve one plan, checked by a digest, and walk it in
+//!   lockstep: a member claims a plan position only once the floor has
+//!   reached it ([`FleetRegistry`] has the rules).
 //! * [`PeerTransport`] — the fetch/offer seam between daemons. The harness
 //!   uses in-process [`LocalPeer`] handles over `Weak<ShardCache>`; a
 //!   socket transport plugs in here later without touching the protocol.
@@ -323,6 +328,52 @@ struct FlightTable {
 struct Membership {
     ring: HashRing,
     transports: HashMap<String, Arc<dyn PeerTransport>>,
+    /// The owners the enrolled plan's blocks were dealt.
+    assigned: Option<Assignment>,
+    /// Each member's peer timeout, as its [`PeerSource`] was configured.
+    timeouts: HashMap<String, Duration>,
+}
+
+impl Membership {
+    /// `key`'s owner: the enrolled plan's, else the ring's.
+    fn owner_of(&self, key: &BlockKey) -> Option<&str> {
+        let dealt = (self.assigned.as_ref()).and_then(|a| Some(a.ids[*a.owner.get(key)?].as_str()));
+        dealt.or_else(|| self.ring.owner_of(key))
+    }
+}
+
+/// A plan's blocks dealt to the members: round-robin over the sorted
+/// member ids, in the order each block first appears in the plan, so each
+/// member owns ⌊n/m⌋ or ⌈n/m⌉ of its n blocks.
+struct Assignment {
+    /// The digest of the plan dealt.
+    digest: u64,
+    ids: Vec<String>,
+    /// Each block's owner, an index into `ids`.
+    owner: HashMap<BlockKey, usize>,
+}
+
+impl Assignment {
+    fn deal(digest: u64, ids: &[String], seq: &[BlockKey]) -> Assignment {
+        let mut owner = HashMap::new();
+        if !ids.is_empty() {
+            for key in seq {
+                let next = owner.len() % ids.len();
+                owner.entry(*key).or_insert(next);
+            }
+        }
+        let ids = ids.to_vec();
+        Assignment { digest, ids, owner }
+    }
+}
+
+/// What a member cache takes from the registry with its plan: the plan's
+/// keys another member owns, and how long it waits on a floor that does
+/// not move before it gives up on it (its peer timeout).
+#[derive(Default)]
+pub(crate) struct Enrollment {
+    pub(crate) foreign: HashSet<BlockKey>,
+    pub(crate) patience: Duration,
 }
 
 /// A member cache's place in the plan the fleet serves.
@@ -339,17 +390,19 @@ impl Enrolled {
     }
 }
 
-/// The member caches, for the floor: each one's plan once installed, and
-/// the floor last handed out.
+/// The member caches, for the floor: each one's plan once installed, the
+/// floor last handed out, and the most positions a member's cursor has been
+/// ahead of the floor.
 #[derive(Default)]
 struct Members {
     caches: HashMap<String, (Weak<ShardCache>, Option<Enrolled>)>,
     floor: Option<u64>,
+    lead_peak: u64,
 }
 
-/// The fleet's shared state: ring membership, per-peer transports, the
-/// member caches' cursors and the fleet-wide single-flight table. One
-/// registry per fleet, shared by every [`PeerSource`] via `Arc`.
+/// The fleet's shared state: membership, per-peer transports, block
+/// ownership, the member caches' cursors and the fleet-wide single-flight
+/// table. One registry per fleet, shared by every [`PeerSource`] via `Arc`.
 ///
 /// **One stager per block.** A cache attached through a transport that
 /// lives in this process ([`LocalPeer`]) is a *member*: once it installs
@@ -362,6 +415,26 @@ struct Members {
 /// ([`CacheCore`](crate::CacheCore)'s `perform`), which hands every member
 /// the least of the live members' cursors — the *floor*. A member whose
 /// cache is gone, or that has read its whole plan, leaves the floor.
+///
+/// **Owners come from the plan.** The first member to enroll a plan deals
+/// its blocks round-robin over the sorted ids of the members that
+/// [`join`](FleetRegistry::join)ed, in the order each block first appears
+/// in the plan, so the members' RAM tiers split the plan exactly;
+/// [`owner_of`](FleetRegistry::owner_of) answers from that deal, and the
+/// ring only for keys the plan does not name. A different plan, which a
+/// member's install accepts once no other live member still serves the
+/// old one, is dealt afresh.
+///
+/// **Lockstep.** A member claims plan position `p` only once the floor has
+/// reached `p` — every live member still serving has claimed every
+/// position before it, and a member attached but not yet enrolled is at
+/// the plan's head — so no member runs ahead of the others and the blocks
+/// each keeps for a slower one are few. At least one member is at the
+/// floor, so someone can always move. A floor that has not moved for a
+/// member's peer timeout ([`PeerConfig::timeout`], which the registry
+/// learns from the member's [`PeerSource`]) is *stalled*: that member
+/// stops waiting on it until it next moves, so a member that stops
+/// reading costs the others one timeout, not the rest of the run.
 pub struct FleetRegistry {
     members: Mutex<Membership>,
     caches: Mutex<Members>,
@@ -385,6 +458,8 @@ impl FleetRegistry {
             members: Mutex::new(Membership {
                 ring: HashRing::new(),
                 transports: HashMap::new(),
+                assigned: None,
+                timeouts: HashMap::new(),
             }),
             caches: Mutex::new(Members::default()),
             flights: Mutex::new(FlightTable {
@@ -395,10 +470,10 @@ impl FleetRegistry {
         })
     }
 
-    /// Add `id` to the ownership ring. Join every member *before* serving
-    /// starts so all daemons compute identical ownership; attach the
-    /// transport separately once the daemon's cache exists
-    /// ([`FleetRegistry::attach`]).
+    /// Add `id` to the fleet's members (and its ownership ring). Join every
+    /// member *before* serving starts so all daemons compute identical
+    /// ownership; attach the transport separately once the daemon's cache
+    /// exists ([`FleetRegistry::attach`]).
     pub fn join(&self, id: &str) {
         self.members.lock().ring.add(id);
     }
@@ -412,7 +487,9 @@ impl FleetRegistry {
             if let Some(live) = cache.upgrade() {
                 live.join_fleet(self.clone(), id);
             }
-            (self.caches.lock().caches).insert(id.to_string(), (cache, None));
+            let mut table = self.caches.lock();
+            table.caches.insert(id.to_string(), (cache, None));
+            self.refloor_locked(table);
         }
         self.members
             .lock()
@@ -420,16 +497,12 @@ impl FleetRegistry {
             .insert(id.to_string(), transport);
     }
 
-    /// The keys of `seq` another member owns.
-    pub(crate) fn foreign_keys(&self, id: &str, seq: &[BlockKey]) -> HashSet<BlockKey> {
-        let members = self.members.lock();
-        let foreign = |key: &&BlockKey| members.ring.owner_of(key).is_some_and(|o| o != id);
-        seq.iter().filter(foreign).copied().collect()
-    }
-
-    /// Member `id` installs `seq` as its plan, at its head. Fails when
-    /// another live member still serves a different plan.
-    pub(crate) fn enroll(&self, id: &str, seq: &[BlockKey]) -> Result<(), String> {
+    /// Member `id` installs `seq` as its plan, at its head: the keys of
+    /// `seq` another member owns, dealt from the plan when it is a new one
+    /// (see the type's docs), and the member's patience with a floor that
+    /// does not move. Fails when another live member still serves a
+    /// different plan.
+    pub(crate) fn enroll(&self, id: &str, seq: &[BlockKey]) -> Result<Enrollment, String> {
         let bytes: Vec<u8> = (seq.iter())
             .flat_map(|k| [u64::from(k.shard_id), k.start as u64, k.end as u64])
             .flat_map(u64::to_le_bytes)
@@ -455,8 +528,21 @@ impl FleetRegistry {
                 cursor: 0,
             });
         }
+        let enrollment = {
+            let mut members = self.members.lock();
+            if members.assigned.as_ref().map(|a| a.digest) != Some(digest) {
+                let dealt = Assignment::deal(digest, members.ring.peers(), seq);
+                members.assigned = Some(dealt);
+            }
+            let foreign = |key: &&BlockKey| members.owner_of(key).is_some_and(|o| o != id);
+            Enrollment {
+                foreign: seq.iter().filter(foreign).copied().collect(),
+                patience: (members.timeouts.get(id).copied())
+                    .unwrap_or_else(|| PeerConfig::default().timeout),
+            }
+        };
         self.refloor_locked(table);
-        Ok(())
+        Ok(enrollment)
     }
 
     /// Member `id`'s demand cursor moved to `cursor`.
@@ -473,15 +559,28 @@ impl FleetRegistry {
         self.refloor_locked(self.caches.lock());
     }
 
-    /// The floor is the least cursor of the live members still serving;
-    /// when it moves, every live member gets it, in order, under the lock.
+    /// The most positions a member's cursor has been ahead of the floor,
+    /// over every move of a cursor or the floor (a gauge of how far the
+    /// members drift apart: at most 1 while the floor is not stalled).
+    pub fn lead_peak(&self) -> u64 {
+        self.caches.lock().lead_peak
+    }
+
+    /// The floor is the least cursor of the live members still serving —
+    /// a member that has not installed its plan yet is at its head; when it
+    /// moves, every live member gets it, in order, under the lock.
     fn refloor_locked(&self, mut table: MutexGuard<'_, Members>) {
         let serving = (table.caches.values())
             .filter(|(cache, _)| cache.strong_count() > 0)
-            .filter_map(|(_, plan)| plan.as_ref().filter(|p| p.serving()));
-        let Some(floor) = serving.map(|p| p.cursor).min() else {
+            .filter_map(|(_, plan)| match plan {
+                None => Some(0),
+                Some(plan) => plan.serving().then_some(plan.cursor),
+            });
+        let (floor, lead) = serving.fold((u64::MAX, 0), |(min, max), c| (min.min(c), max.max(c)));
+        if floor == u64::MAX {
             return;
-        };
+        }
+        table.lead_peak = table.lead_peak.max(lead - floor);
         if table.floor == Some(floor) {
             return;
         }
@@ -499,9 +598,10 @@ impl FleetRegistry {
         drop(live);
     }
 
-    /// The peer owning `key` (`None` on an empty ring).
+    /// The member owning `key`: the enrolled plan's owner, else the ring's
+    /// (`None` on an empty ring).
     pub fn owner_of(&self, key: &BlockKey) -> Option<String> {
-        self.members.lock().ring.owner_of(key).map(str::to_string)
+        self.members.lock().owner_of(key).map(str::to_string)
     }
 
     /// Member ids, sorted.
@@ -662,7 +762,8 @@ impl Drop for LedFlight<'_> {
 
 /// The cooperative-fleet layer of the read stack.
 ///
-/// Every key resolves against the ring first:
+/// Every key resolves against its owner first
+/// ([`FleetRegistry::owner_of`]):
 ///
 /// 1. **Self-owned**: join the fleet flight — lead it (read the inner
 ///    source, publish) or follow a read already under way, so concurrent
@@ -673,7 +774,7 @@ impl Drop for LedFlight<'_> {
 ///    Unavailable/slow owners and expired flight waits fall back to the
 ///    inner source directly — the fleet degrades to N independent
 ///    daemons, never to a stall.
-/// 3. **Empty ring**: transparent pass-through.
+/// 3. **No owner** (no member joined): transparent pass-through.
 ///
 /// A read leads or follows, never both: the leader reads the inner source
 /// and publishes before it returns, and a follower holds no unpublished
@@ -698,6 +799,8 @@ impl PeerSource {
         inner: Arc<dyn RangeSource>,
         config: PeerConfig,
     ) -> Arc<PeerSource> {
+        // The member's patience with a floor that does not move.
+        (registry.members.lock().timeouts).insert(self_id.to_string(), config.timeout);
         Arc::new(PeerSource {
             registry,
             self_id: self_id.to_string(),

@@ -31,20 +31,27 @@
 //!   past a block, not at a window boundary — in a fleet, as soon as the
 //!   fleet's floor, its slowest member's cursor, does: the number of reads
 //!   in flight is what the RAM tier holds, less what is staged already and
-//!   what is kept for a slower member.
+//!   what is kept for a slower member. The members walk the plan in
+//!   lockstep (a demand access claims a position only once the floor has
+//!   reached it), so what is kept is at most a position or so, and the
+//!   fleet's window is every member's RAM tier: each stages the blocks it
+//!   owns, an exact share of the plan.
 //! * **Overlap.** Each read runs on a helper thread that lives only as
-//!   long as the read, at most [`MAX_IN_FLIGHT`] at once. A plan that is
-//!   resident issues nothing and the executor sleeps on the cache's
-//!   `room` condvar, which every demand access signals.
+//!   long as the read, at most [`MAX_IN_FLIGHT`] at once; when no thread
+//!   can be started, the executor reads the position itself (counted as
+//!   `prefetch_inline`) and walks on. A plan that is resident issues
+//!   nothing and the executor sleeps on the cache's `room` condvar, which
+//!   every demand access signals.
 //!
 //! There is no switch: the plan fixes the access sequence before any byte
 //! moves, so staging along it is the policy for every cache that has one.
 
-use crate::cache::Issue;
+use crate::cache::{Issue, Reservation};
 use crate::source::CachedSource;
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Scope};
 
 /// Most prefetch reads in flight at once: an NFS client's RPC slot table
 /// (`sunrpc.tcp_slot_table_entries`, 16 on a stock Linux mount). Under it
@@ -90,28 +97,35 @@ impl Prefetcher {
                     .inner()
                     .block_len(key)
                     .unwrap_or_else(|| largest.load(Ordering::SeqCst));
-                let reservation = match cache.reserve_prefetch(pos as u64, key, len) {
-                    Issue::Read(reservation) => reservation,
-                    Issue::Skip => continue,
-                    Issue::Stop => return,
-                };
-                let largest = &largest;
-                let read = move || {
-                    // A failed read drops the reservation; the demand
-                    // path will surface the error.
+                let (pos, largest) = (pos as u64, &largest);
+                let issue = || cache.reserve_prefetch(pos, key, len);
+                // A failed read drops the reservation; the demand path will
+                // surface the error.
+                let stage = move |reservation: Reservation<'_>| {
                     reservation.fill(|| {
                         let read = source.inner().read_block(key).ok()?;
                         largest.fetch_max(read.data.len() as u64, Ordering::SeqCst);
                         Some(read.data)
                     })
                 };
-                let spawned = std::thread::Builder::new()
-                    .name("emlio-pf-read".into())
-                    .spawn_scoped(helpers, read);
-                if spawned.is_err() {
-                    // No thread to be had: the reservation went back with
-                    // the closure, and staging is advisory. Demand reads on.
-                    return;
+                let reservation = match issue() {
+                    Issue::Read(reservation) => reservation,
+                    Issue::Skip => continue,
+                    Issue::Stop => return,
+                };
+                if spawn_read(helpers, move || stage(reservation)).is_ok() {
+                    continue;
+                }
+                // No thread to be had: the reservation went back with the
+                // closure. Issue the position again and read it here.
+                cache
+                    .stats()
+                    .prefetch_inline
+                    .fetch_add(1, Ordering::Relaxed);
+                match issue() {
+                    Issue::Read(reservation) => stage(reservation),
+                    Issue::Skip => {}
+                    Issue::Stop => return,
                 }
             }
         });
@@ -138,6 +152,19 @@ impl Drop for Prefetcher {
     }
 }
 
+/// Start the helper thread of one staging read.
+fn spawn_read<'scope>(
+    helpers: &'scope Scope<'scope, '_>,
+    read: impl FnOnce() + Send + 'scope,
+) -> io::Result<()> {
+    #[cfg(test)]
+    if tests::NO_HELPERS.with(std::cell::Cell::get) {
+        return Err(io::Error::other("no helper thread on this test's executor"));
+    }
+    let helper = std::thread::Builder::new().name("emlio-pf-read".into());
+    helper.spawn_scoped(helpers, read).map(drop)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,6 +181,33 @@ mod tests {
             shard_id: 0,
             start: i,
             end: i + 1,
+        }
+    }
+
+    thread_local! {
+        /// Set on an executor's thread: every helper thread it asks for
+        /// fails to start.
+        pub(super) static NO_HELPERS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    #[test]
+    fn an_executor_that_gets_no_helper_thread_reads_each_position_itself() {
+        let cache =
+            Arc::new(ShardCache::new(CacheConfig::default().with_ram_bytes(1 << 20)).unwrap());
+        let seq: Vec<BlockKey> = (0..8).map(key).collect();
+        cache.set_plan(seq.clone());
+        let source = CachedSource::new(
+            cache.clone(),
+            Arc::new(FnSource::new(|k: &BlockKey| Ok(vec![k.start as u8; 128]))),
+        );
+        // The walk runs on this thread, where no helper can be started.
+        NO_HELPERS.with(|none| none.set(true));
+        Prefetcher::run(&source);
+        NO_HELPERS.with(|none| none.set(false));
+        let s = cache.stats().snapshot();
+        assert_eq!((s.prefetched, s.prefetch_inline), (8, 8), "{s:?}");
+        for k in &seq {
+            assert!(cache.contains(k), "{k:?} staged");
         }
     }
 

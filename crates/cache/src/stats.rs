@@ -51,6 +51,13 @@ pub struct CacheStats {
     /// Disk-tier blocks the prefetch executor staged into RAM ahead of
     /// demand (a subset of `prefetched`; never a hit or a disk hit).
     pub warm_promoted: AtomicU64,
+    /// Times a fleet member's demand access gave up waiting on a floor
+    /// that had not moved for one peer timeout (a stalled floor), and went
+    /// on ahead of it.
+    pub floor_stalls: AtomicU64,
+    /// Staging reads the prefetch executor made on its own thread because
+    /// no helper thread could be started for them.
+    pub prefetch_inline: AtomicU64,
 }
 
 impl CacheStats {
@@ -71,6 +78,8 @@ impl CacheStats {
             spill_backpressure_waits: self.spill_backpressure_waits.load(Ordering::Relaxed),
             spill_queue_peak: self.spill_queue_peak.load(Ordering::Relaxed),
             warm_promoted: self.warm_promoted.load(Ordering::Relaxed),
+            floor_stalls: self.floor_stalls.load(Ordering::Relaxed),
+            prefetch_inline: self.prefetch_inline.load(Ordering::Relaxed),
             spill_queue_depth: 0,
             ram_reserved: 0,
         }
@@ -109,6 +118,10 @@ pub struct CacheStatsSnapshot {
     pub spill_queue_peak: u64,
     /// Disk blocks the prefetch executor staged into RAM ahead of demand.
     pub warm_promoted: u64,
+    /// Demand accesses that gave up on a stalled fleet floor.
+    pub floor_stalls: u64,
+    /// Staging reads made on the executor's own thread (no helper thread).
+    pub prefetch_inline: u64,
     /// Spill orders queued or in flight at the snapshot (a gauge; 0 from
     /// [`CacheStats::snapshot`], which sees only the counters).
     pub spill_queue_depth: u64,

@@ -4,8 +4,8 @@
 //! from `cache/mod.rs`), so it drives the crate-private [`State`] through
 //! every method `CacheCore` calls on it — `claim`, `settle`, `retire`,
 //! `issue`, `insert`, `peek`, `take_spill`, `land_spill`, `checkpoint`,
-//! `stop_prefetch`, `shut_down`, `set_plan`, `set_floor` and `readmit` —
-//! each followed
+//! `stop_prefetch`, `shut_down`, `set_plan`, `set_floor`, `stall_floor`
+//! and `readmit` — each followed
 //! by `State::check`, exactly as `CacheCore` calls them. What `CacheCore` does around them — wait, read,
 //! write and delete files — is modelled, each I/O step its own event, so
 //! every other actor may run between a transition and the I/O it returned:
@@ -13,8 +13,12 @@
 //! * 3 one-byte blocks, a RAM tier of 2 and a disk tier of 2, and a plan of
 //!   two epochs (`PLAN`);
 //! * one demand worker walking the plan through `get_or_fetch` (it waits
-//!   while the block's slot is `Busy`, then claims it: a hit, a promote from
-//!   the spill file, or a storage fetch), the prefetch executor walking the
+//!   while the block's slot is `Busy`, and on `room` while its position is
+//!   ahead of the fleet's floor — the lockstep rule — then claims it: a
+//!   hit, a promote from the spill file, or a storage fetch); while it
+//!   waits on a floor that has not moved, its patience may run out
+//!   (`Patience`), which stalls the floor (`stall_floor`) and lets it go on.
+//!   The prefetch executor walks the
 //!   same plan with its reads in flight, any of which may also be dropped
 //!   unread, and the one spill writer;
 //! * a fleet peer, the other member that `LocalPeer` lets into this cache,
@@ -26,7 +30,9 @@
 //!   Each step past a position (`PeerAdvance`) moves its cursor, and the
 //!   fleet's floor, the lesser of the two cursors, reaches this cache
 //!   through `set_floor` — as every move of this cache's own cursor does —
-//!   in the step that moved it. The peer is done at the plan's end. A crash
+//!   in the step that moved it. The peer is done at the plan's end; without
+//!   `persist` it may also stop at the plan's head without finishing (a live
+//!   member that never reads: it holds the floor there for good). A crash
 //!   takes the peer with it (in-process peers share the process);
 //! * storage fetches that succeed or fail, spill writes that land, fail, or
 //!   land a file whose bytes are corrupt; a spill-file read succeeds exactly
@@ -49,7 +55,8 @@
 //! next step only once a transition's wake set has notified that condvar
 //! (a model condvar never wakes spuriously), when it checks the condition
 //! again. The parked actors are the demand worker on `landed` (its block
-//! `Busy`), the prefetcher on `room` (its issue step says wait), the writer
+//! `Busy`) or on `room` (ahead of the floor), the prefetcher on `room` (its
+//! issue step says wait), the writer
 //! on `spill` (no order) and the daemon's flush on `spill` (orders not yet
 //! written). An evictor's wait on `spill` while the backlog is over the RAM
 //! tier is not modelled: three one-byte blocks never leave more than two
@@ -65,8 +72,11 @@
 //!   flight, which is its owner's — and changes no slot, order or cursor;
 //! * the keep rule: no step takes a resident at a plan position in
 //!   `[floor, cursor)` — read here, not yet by the peer — out of RAM;
+//! * the lockstep rule: the worker never claims a plan position past the
+//!   floor unless the floor is stalled;
 //! * the floor can always move without this cache: while the cache serves,
-//!   the peer reaches its next `PeerAdvance` on its own steps alone;
+//!   the peer, unless it stopped, reaches its next `PeerAdvance` on its own
+//!   steps alone;
 //! * an `insert` leaves its key's slot untouched whenever one exists;
 //! * at most one fetch, promote or staging read per key is in flight, and
 //!   its slot is `Busy`;
@@ -194,6 +204,12 @@ enum Worker {
         pos: usize,
         accounted: bool,
     },
+    /// Found `pos` ahead of the fleet's floor, which was `floor`: parked on
+    /// `room` (the access is not yet accounted).
+    Lockstep {
+        pos: usize,
+        floor: u64,
+    },
     /// Owns the claim of a storage fetch.
     Fetching {
         pos: usize,
@@ -237,6 +253,8 @@ enum Peer {
     Offering { pos: usize },
     /// Walked the plan.
     Done,
+    /// Stopped reading at `pos`, alive: it holds the floor there.
+    Stopped { pos: usize },
     /// Gone with the process that crashed.
     Gone,
 }
@@ -363,6 +381,15 @@ enum Event {
     PeerAdvance {
         pos: usize,
     },
+    /// The peer stops reading at `pos` without finishing.
+    PeerStops {
+        pos: usize,
+    },
+    /// The worker's wait on the floor outlasts its patience, the floor not
+    /// having moved: it stalls the floor and goes on.
+    Patience {
+        pos: usize,
+    },
     Checkpoint,
     Shutdown,
     Close,
@@ -433,6 +460,8 @@ fn fork_state(st: &State, paths: &mut HashMap<*const Path, Arc<Path>>) -> State 
         cursor: st.cursor,
         foreign: st.foreign.clone(),
         floor: st.floor,
+        floor_stalled: st.floor_stalled,
+        patience: st.patience,
     }
 }
 
@@ -449,6 +478,7 @@ impl World {
                 pos: *pos,
                 accounted: *accounted,
             },
+            &Worker::Lockstep { pos, floor } => Worker::Lockstep { pos, floor },
             Worker::Fetching { pos, claim } => Worker::Fetching {
                 pos: *pos,
                 claim: fork_claim(claim, p),
@@ -489,6 +519,7 @@ impl World {
             },
             &Peer::Offering { pos } => Peer::Offering { pos },
             Peer::Done => Peer::Done,
+            &Peer::Stopped { pos } => Peer::Stopped { pos },
             Peer::Gone => Peer::Gone,
         };
         World {
@@ -528,7 +559,11 @@ impl World {
         for meta in rejected {
             disk.remove(&block_of_path(&meta.path));
         }
-        st.set_plan(PLAN.iter().map(|&b| key(b)).collect(), Some(HashSet::new()));
+        let enrolled = Enrollment {
+            foreign: HashSet::new(),
+            patience: Duration::ZERO,
+        };
+        st.set_plan(PLAN.iter().map(|&b| key(b)).collect(), Some(enrolled));
         st.check();
         World {
             st,
@@ -566,15 +601,16 @@ impl World {
     }
 
     /// The registry's part: the floor is the least cursor of the members
-    /// still walking the plan — this cache and the peer — and a floor that
-    /// moved reaches the cache through `set_floor`.
+    /// still walking the plan — this cache and the peer, stopped or not —
+    /// and a floor that moved reaches the cache through `set_floor`.
     fn refloor(&mut self) -> Result<(), String> {
         let len = PLAN.len() as u64;
         let own = Some(self.st.cursor).filter(|&c| c < len);
         let peer = match self.peer {
-            Peer::Idle { pos, .. } | Peer::Reading { pos, .. } | Peer::Offering { pos } => {
-                Some(pos as u64)
-            }
+            Peer::Idle { pos, .. }
+            | Peer::Reading { pos, .. }
+            | Peer::Offering { pos }
+            | Peer::Stopped { pos } => Some(pos as u64),
             Peer::Done | Peer::Gone => None,
         };
         match own.into_iter().chain(peer).min() {
@@ -590,8 +626,10 @@ impl World {
     /// Every parked actor and the condvar it waits on.
     fn parks(&self) -> Vec<(Actor, Cv)> {
         let mut out = Vec::new();
-        if matches!(self.worker, Worker::Waiting { .. }) {
-            out.push((Actor::Worker, Cv::Landed));
+        match self.worker {
+            Worker::Waiting { .. } => out.push((Actor::Worker, Cv::Landed)),
+            Worker::Lockstep { .. } => out.push((Actor::Worker, Cv::Room)),
+            _ => {}
         }
         if matches!(self.prefetch, Prefetch::Waiting(_)) {
             out.push((Actor::Prefetcher, Cv::Room));
@@ -610,6 +648,9 @@ impl World {
     fn ready(&self, actor: Actor) -> bool {
         match (actor, &self.worker, self.prefetch) {
             (Actor::Worker, Worker::Waiting { pos, .. }, _) => !self.st.busy(&key(PLAN[*pos])),
+            (Actor::Worker, Worker::Lockstep { pos, .. }, _) => {
+                !self.st.ahead_of_floor(&key(PLAN[*pos]))
+            }
             (Actor::Prefetcher, _, Prefetch::Waiting(pos)) => {
                 let mut probe = fork_state(&self.st, &mut HashMap::new());
                 !matches!(probe.issue(pos as u64, &key(PLAN[pos]), 1), Step::Wait)
@@ -638,12 +679,24 @@ impl World {
     }
 
     /// `get_or_fetch`'s critical section for `pos`: wait while the block
-    /// is in flight, else claim it.
+    /// is in flight, or, not yet accounted, while it is ahead of the floor;
+    /// else claim it.
     fn access(&mut self, pos: usize, accounted: bool) -> Result<(), String> {
         let block = PLAN[pos];
         if self.st.busy(&key(block)) {
             self.worker = Worker::Waiting { pos, accounted };
             return Ok(());
+        }
+        if !accounted && self.st.ahead_of_floor(&key(block)) {
+            let floor = self.st.floor;
+            self.worker = Worker::Lockstep { pos, floor };
+            return Ok(());
+        }
+        if !accounted && pos as u64 > self.st.floor && !self.st.floor_stalled {
+            let floor = self.st.floor;
+            return Err(format!(
+                "the worker claimed position {pos}, past the floor {floor}, which is not stalled"
+            ));
         }
         let (served, effect) = self.st.claim(key(block), !accounted);
         self.st.check();
@@ -750,7 +803,7 @@ impl World {
                 ok: self.read_ok(meta),
             }),
             Peer::Offering { .. } => Some(Event::Offer { block }),
-            Peer::Done | Peer::Gone => None,
+            Peer::Done | Peer::Stopped { .. } | Peer::Gone => None,
         }
     }
 
@@ -811,7 +864,10 @@ impl World {
         matches!(self.worker, Worker::Done)
             && self.prefetch == Prefetch::Done
             && self.reads.is_empty()
-            && matches!(self.peer, Peer::Idle { .. } | Peer::Done | Peer::Gone)
+            && matches!(
+                self.peer,
+                Peer::Idle { .. } | Peer::Done | Peer::Stopped { .. } | Peer::Gone
+            )
     }
 
     /// Whether the cache is up for the peer's calls.
@@ -851,6 +907,12 @@ impl World {
             Worker::Retiring { claim, .. } => out.push(Event::DeleteRetired {
                 block: claim.key.start,
             }),
+            // The floor has not moved since it parked, and is not stalled.
+            &Worker::Lockstep { pos, floor } => {
+                if floor == self.st.floor && !self.st.floor_stalled {
+                    out.push(Event::Patience { pos });
+                }
+            }
             Worker::Waiting { .. } | Worker::Done => {}
         }
         if let Prefetch::Walking(pos) = self.prefetch {
@@ -910,6 +972,11 @@ impl World {
         if self.serving() || !idle {
             out.extend(self.peer_event());
         }
+        // Without `persist`, the peer may stop at the plan's head: a live
+        // member that never reads, whose floor stalls for good.
+        if let (Peer::Idle { pos: 0, .. }, true) = (&self.peer, !persist && self.serving()) {
+            out.push(Event::PeerStops { pos: 0 });
+        }
         match &self.phase {
             // The daemon checkpoints once its workers are done.
             Phase::Serving if persist && matches!(self.worker, Worker::Done) => {
@@ -943,6 +1010,7 @@ impl World {
                     (Actor::Worker, &Worker::Waiting { pos, accounted }, _) => {
                         self.access(pos, accounted)?
                     }
+                    (Actor::Worker, &Worker::Lockstep { pos, .. }, _) => self.access(pos, false)?,
                     (Actor::Prefetcher, _, Prefetch::Waiting(pos)) => self.issue(pos)?,
                     (Actor::Writer, ..) => self.take_spill()?,
                     (Actor::Daemon, ..) => self.flush(),
@@ -1113,6 +1181,13 @@ impl World {
                 self.offer(pos)?;
             }
             Event::PeerAdvance { pos } => self.peer_advance(*pos)?,
+            Event::PeerStops { pos } => self.peer = Peer::Stopped { pos: *pos },
+            Event::Patience { pos } => {
+                let effect = self.st.stall_floor();
+                self.st.check();
+                self.perform(effect)?;
+                self.access(*pos, false)?;
+            }
             Event::Checkpoint => {
                 let effect = self.st.checkpoint();
                 self.st.check();
@@ -1236,7 +1311,10 @@ impl World {
     /// The floor can move without this cache: while it serves, the peer's
     /// own steps alone take it past its position.
     fn peer_moves_alone(&self) -> Result<(), String> {
-        if !self.serving() || matches!(self.peer, Peer::Done | Peer::Gone) {
+        if !self.serving() || matches!(self.peer, Peer::Done | Peer::Stopped { .. } | Peer::Gone) {
+            return Ok(());
+        }
+        if matches!(self.peer_event(), Some(Event::PeerAdvance { .. })) {
             return Ok(());
         }
         let mut alone = self.fork();
@@ -1260,7 +1338,7 @@ impl World {
         self.peer_moves_alone()?;
         // No wake-up is lost.
         for (actor, cv) in self.parks() {
-            if self.ready(actor) && !self.notified[actor as usize] {
+            if !self.notified[actor as usize] && self.ready(actor) {
                 return Err(format!(
                     "lost wake-up: the {actor:?} is parked on {cv:?} with its condition true \
                      and no notify pending"
@@ -1358,6 +1436,7 @@ impl World {
         match &self.worker {
             Worker::Ready { pos, accounted } => out.extend([1, *pos as u8, u8::from(*accounted)]),
             Worker::Waiting { pos, accounted } => out.extend([7, *pos as u8, u8::from(*accounted)]),
+            Worker::Lockstep { pos, floor } => out.extend([8, *pos as u8, *floor as u8]),
             Worker::Fetching { pos, claim: c } => {
                 out.extend([2, *pos as u8]);
                 out.extend(claim(c));
@@ -1413,6 +1492,7 @@ impl World {
             Peer::Offering { pos } => out.extend([2, *pos as u8]),
             Peer::Done => out.push(3),
             Peer::Gone => out.push(4),
+            Peer::Stopped { pos } => out.extend([5, *pos as u8]),
         }
         out.push(match self.phase {
             Phase::Serving => 0,
@@ -1472,6 +1552,7 @@ fn state_print(st: &State) -> Vec<u8> {
         u8::from(st.writing),
         u8::from(st.shutdown),
         u8::from(st.prefetch_stopped),
+        u8::from(st.floor_stalled),
     ]);
     out.push(st.spill_orders.len() as u8);
     out.extend(st.spill_orders.iter().map(|k| k.start as u8));
@@ -1509,13 +1590,14 @@ impl Model for Lifecycle {
     }
 
     fn successors(&self, world: &World) -> Vec<(Event, Result<World, String>)> {
+        let lagging = world.lagging();
         (world.events(self.persist).into_iter())
             .map(|ev| {
                 let mut next = world.fork();
                 let step = catch_unwind(AssertUnwindSafe(|| {
                     next.apply(&ev, self.persist)?;
                     if !matches!(ev, Event::CrashAndRestart) {
-                        next.kept(&world.lagging())?;
+                        next.kept(&lagging)?;
                     }
                     next.check()
                 }));
@@ -1579,22 +1661,23 @@ fn explore(persist: bool) -> Explored {
 fn every_state_of_a_two_tier_cache_keeps_its_books_and_its_files() {
     let explored = explore(false);
     let expected = Explored {
-        states: 307_761,
-        transitions: 1_194_716,
-        terminal: 994,
+        states: 740_556,
+        transitions: 2_864_292,
+        terminal: 2_680,
     };
     assert_eq!(explored, expected);
 }
 
 /// With `persist`: a checkpoint once the worker is done, the files kept at
-/// the drop, and one crash anywhere.
+/// the drop, and one crash anywhere. The peer does not stop here: the
+/// search without `persist` covers a floor that stalls for good.
 #[test]
 fn every_state_of_a_persistent_cache_survives_a_crash_anywhere() {
     let explored = explore(true);
     let expected = Explored {
-        states: 678_804,
-        transitions: 3_058_207,
-        terminal: 5_208,
+        states: 1_448_771,
+        transitions: 6_635_352,
+        terminal: 12_628,
     };
     assert_eq!(explored, expected);
 }

@@ -112,7 +112,7 @@ fn pool_fields(p: &PoolStats) -> [(&'static str, u64); 4] {
 
 /// The shard cache's counters and gauges in `emlio_path`; all 0, with
 /// `cache_enabled` 0, when no cache is configured.
-fn cache_fields(c: Option<&CacheStatsSnapshot>) -> [(&'static str, u64); 18] {
+fn cache_fields(c: Option<&CacheStatsSnapshot>) -> [(&'static str, u64); 20] {
     let enabled = c.is_some();
     let c = c.copied().unwrap_or_default();
     [
@@ -136,6 +136,8 @@ fn cache_fields(c: Option<&CacheStatsSnapshot>) -> [(&'static str, u64); 18] {
         ("cache_prefetch_wasted", c.prefetch_wasted),
         ("cache_warm_promoted", c.warm_promoted),
         ("cache_ram_reserved", c.ram_reserved),
+        ("cache_prefetch_inline", c.prefetch_inline),
+        ("cache_floor_stalls", c.floor_stalls),
     ]
 }
 
@@ -332,13 +334,18 @@ pub fn stall_attribution(db: &Db, process: &str) -> Option<StallReport> {
 }
 
 fn last_stage_sum(db: &Db, process: &str, stage: Stage) -> u64 {
+    last_stage_field(db, process, stage, "sum_nanos") as u64
+}
+
+/// `stage`'s last `field` for `process` (0 when it recorded nothing).
+fn last_stage_field(db: &Db, process: &str, stage: Stage, field: &str) -> f64 {
     last_fields(
         db,
         "emlio_stage",
         &[("proc", process), ("stage", stage.name())],
     )
-    .and_then(|f| f.get("sum_nanos").copied())
-    .unwrap_or(0.0) as u64
+    .and_then(|f| f.get(field).copied())
+    .unwrap_or(0.0)
 }
 
 /// The last non-NaN value of every field in the (single) series matching
@@ -489,6 +496,19 @@ pub fn render_report(db: &Db) -> String {
                     g("peer_misses") as u64,
                     g("peer_fallbacks") as u64,
                     g("peer_bytes") / (1024.0 * 1024.0),
+                );
+            }
+            // Lockstep line only when a fleet member's claim waited for
+            // the fleet's floor, or gave up on it.
+            let waits = last_stage_field(db, process, Stage::FleetFloorWait, "count");
+            if waits > 0.0 || g("cache_floor_stalls") > 0.0 {
+                let _ = writeln!(
+                    out,
+                    "lockstep: {} claims waited for the fleet's floor ({}), {} gave up on a stalled floor",
+                    waits as u64,
+                    fmt_nanos(last_stage_field(db, process, Stage::FleetFloorWait, "sum_nanos"))
+                        .trim_start(),
+                    g("cache_floor_stalls") as u64,
                 );
             }
             // Retry line only when the storage path actually hiccuped —
@@ -649,6 +669,8 @@ mod tests {
         assert_eq!(fields.get("peer_hits"), Some(&0.0));
         let report = render_report(&db);
         assert!(!report.contains("peers:") && !report.contains("prefetch:"));
+        assert!(!report.contains("lockstep:"), "{report}");
+        assert_eq!(fields.get("cache_floor_stalls"), Some(&0.0));
 
         // Fleet: counters flow through to the point and the report line.
         let snap = MetricsSnapshot {
@@ -662,12 +684,18 @@ mod tests {
                 prefetched: 12,
                 prefetch_wasted: 1,
                 ram_reserved: 3 << 20,
+                floor_stalls: 1,
                 ..CacheStatsSnapshot::default()
             }),
             ..MetricsSnapshot::default()
         };
         let mut db = Db::new();
         insert_path_points(&mut db, "daemon-1", &snap, 20);
+        let recorder = StageRecorder::shared();
+        for _ in 0..4 {
+            recorder.record(Stage::FleetFloorWait, 2_000_000);
+        }
+        insert_stage_points(&mut db, "daemon-1", &recorder.snapshot(), 20);
         let fields = last_fields(&db, "emlio_path", &[("proc", "daemon-1")]).unwrap();
         assert_eq!(fields.get("peer_hits"), Some(&40.0));
         assert_eq!(fields.get("peer_fallbacks"), Some(&2.0));
@@ -675,7 +703,12 @@ mod tests {
         let report = render_report(&db);
         assert!(
             report.contains("peers: 40 hits / 3 misses / 2 fallbacks")
-                && report.contains("prefetch: 12 blocks read ahead, 1 wasted, 3.0 MiB reserved"),
+                && report.contains("prefetch: 12 blocks read ahead, 1 wasted, 3.0 MiB reserved")
+                && report.contains("fleet_floor_wait")
+                && report.contains(
+                    "lockstep: 4 claims waited for the fleet's floor (8.00 ms), \
+                     1 gave up on a stalled floor"
+                ),
             "{report}"
         );
     }
@@ -812,6 +845,8 @@ mod tests {
             warm_promoted: 113,
             spill_queue_depth: 114,
             ram_reserved: 115,
+            floor_stalls: 116,
+            prefetch_inline: 117,
         };
         let fields = cache_fields(Some(&cache));
         assert_each_exported_once(debug_values(&cache), &fields);

@@ -51,6 +51,11 @@ impl StackSpec {
         self
     }
 
+    /// The registry of the fleet the daemon is a member of, if any.
+    pub fn registry(&self) -> Option<&Arc<FleetRegistry>> {
+        self.fleet.as_ref().map(|(registry, _)| registry)
+    }
+
     /// Serve under `controller`: the daemon's workers skip what its ledger
     /// already holds and abandon their streams when its armed kill point
     /// trips, and a launched daemon is then dropped, reopened from this

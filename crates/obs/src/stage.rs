@@ -16,6 +16,7 @@ use std::fmt;
 /// * **nested** stages break an exclusive span down —
 ///   [`StorageRead`](Stage::StorageRead),
 ///   [`CacheLookup`](Stage::CacheLookup),
+///   [`FleetFloorWait`](Stage::FleetFloorWait),
 ///   [`PoolAlloc`](Stage::PoolAlloc), and [`Encode`](Stage::Encode) all
 ///   happen *inside* a `BatchAssemble` span and must not be added to it.
 ///
@@ -36,6 +37,10 @@ pub enum Stage {
     /// RAM/disk tier or a fleet flight handoff (nested inside
     /// `BatchAssemble` like the storage read it replaces).
     PeerFetch,
+    /// A fleet member's demand access waiting for the fleet's floor to
+    /// reach its plan position (the cache's lockstep rule), recorded only
+    /// when it waited (nested inside `BatchAssemble`, before the read).
+    FleetFloorWait,
     /// Buffer-pool handout (free-list pop or fresh allocation).
     PoolAlloc,
     /// Whole daemon-side batch build: read + slice + encode (inclusive).
@@ -80,13 +85,14 @@ pub enum Stage {
 
 impl Stage {
     /// Number of stages (histogram array size).
-    pub const COUNT: usize = 18;
+    pub const COUNT: usize = 19;
 
     /// Every stage, in data-path order (off-path stages trail).
     pub const ALL: [Stage; Stage::COUNT] = [
         Stage::StorageRead,
         Stage::CacheLookup,
         Stage::PeerFetch,
+        Stage::FleetFloorWait,
         Stage::PoolAlloc,
         Stage::BatchAssemble,
         Stage::Encode,
@@ -110,6 +116,7 @@ impl Stage {
             Stage::StorageRead => "storage_read",
             Stage::CacheLookup => "cache_lookup",
             Stage::PeerFetch => "peer_fetch",
+            Stage::FleetFloorWait => "fleet_floor_wait",
             Stage::PoolAlloc => "pool_alloc",
             Stage::BatchAssemble => "batch_assemble",
             Stage::Encode => "encode",

@@ -7,18 +7,19 @@
 //!   loaders degrade linearly.
 //! * The storage-bound fleet has a stated error bound: its steady-state
 //!   delivery is within [`FLEET_TOLERANCE`] of the window model. Each
-//!   block has one stager, its owner, so the fleet's window is the
-//!   members' RAM tiers together, `⌊ram/block⌋` blocks each, less the
-//!   blocks a member holds landed (`held`: kept for a slower member, or
-//!   ahead of its own cursor); the member with the largest `share` of the
-//!   blocks fills its tier first, so each daemon delivers
+//!   block has one stager, its owner, dealt from the plan, so the fleet's
+//!   window is the members' RAM tiers together, `⌊ram/block⌋` blocks each,
+//!   less the blocks a member holds landed (`held`: kept for a slower
+//!   member, or ahead of its own cursor); the member with the largest
+//!   `share` of the blocks (a half: the deal is exact) fills its tier
+//!   first, so each daemon delivers
 //!   `min(link, (⌊ram/block⌋ − held) · block / (share · read cost))`, the
 //!   read cost being the steady state's own mean storage read.
 
 use emlio::baselines::{FileLoader, FileLoaderConfig};
 use emlio::bench::contention::shared_mount_storage;
 use emlio::cache::peer::PeerConfig;
-use emlio::cache::{BlockKey, CacheConfig, HashRing};
+use emlio::cache::{BlockKey, CacheConfig};
 use emlio::core::service::StorageSpec;
 use emlio::core::{EmlioConfig, EmlioService, Plan};
 use emlio::datagen::convert::{build_file_dataset, build_tfrecord_dataset, load_file_dataset};
@@ -168,27 +169,8 @@ fn real_fleet_rate_is_within_a_stated_bound_of_the_window_model() {
         .with_batch_size(BATCH)
         .with_threads(1)
         .with_cache(CacheConfig::default().with_ram_bytes(SLOTS * block + block / 2));
-    // Each block's one stager is its owner on the fleet's ring; the daemon
-    // that owns the most blocks is the one whose window runs out first.
-    let plan = Plan::build(&index, &["c".to_string()], &config);
-    let blocks = plan.epochs[0].nodes["c"].batches_in_plan_order();
-    let mut ring = HashRing::new();
-    ring.add("d0");
-    ring.add("d1");
-    let owned_by_d0 = (blocks.iter())
-        .filter(|b| {
-            let (shard_id, start, end) = (b.shard_id, b.start, b.end);
-            ring.owner_of(&BlockKey {
-                shard_id,
-                start,
-                end,
-            }) == Some("d0")
-        })
-        .count();
-    let busiest = usize::from(2 * owned_by_d0 < blocks.len());
-    let share = owned_by_d0.max(blocks.len() - owned_by_d0) as f64 / blocks.len() as f64;
-
     let storage = shared_mount_storage(&index, &mount, 2, "d", Some(PeerConfig::default()));
+    let registry = storage[0].stack.registry().unwrap().clone();
     let mut dep = EmlioService::launch(&storage, &config, "c").unwrap();
     // Both daemons' storage reads so far, as (reads, nanoseconds).
     let recorders = dep.daemon_recorders.clone();
@@ -198,11 +180,12 @@ fn real_fleet_rate_is_within_a_stated_bound_of_the_window_model() {
             .map(|r| r.hist(Stage::StorageRead).snapshot());
         hists.fold((0, 0), |(n, sum), h| (n + h.count, sum + h.sum))
     };
-    // The busiest owner's landed blocks — kept for the slower daemon, or
-    // ahead of its own cursor — sampled through the steady state.
-    let cache = (dep.daemon_metrics[busiest].stack())
-        .and_then(|s| s.cache.clone())
-        .unwrap();
+    // Each owner's landed blocks — kept for the slower daemon, or ahead of
+    // its own cursor — sampled through the steady state; the model takes
+    // the busier owner's.
+    let caches: Vec<_> = (dep.daemon_metrics.iter())
+        .map(|m| m.stack().and_then(|s| s.cache.clone()).unwrap())
+        .collect();
     let (steady, done) = (AtomicBool::new(false), AtomicBool::new(false));
     // Steady state: from the arrival that ends the start-up windows (and
     // the reads that each paid a shard's OPEN) to the last one.
@@ -211,14 +194,17 @@ fn real_fleet_rate_is_within_a_stated_bound_of_the_window_model() {
     let (mut arrivals, mut at_skip) = (Vec::new(), (0, 0));
     let held = std::thread::scope(|s| {
         let sampler = s.spawn(|| {
-            let (mut sum, mut n) = (0, 0);
+            let (mut sums, mut n) = ([0; 2], 0);
             while !done.load(Ordering::SeqCst) {
                 if steady.load(Ordering::SeqCst) {
-                    (sum, n) = (sum + cache.ram_budget().0, n + 1);
+                    for (sum, cache) in sums.iter_mut().zip(&caches) {
+                        *sum += cache.ram_budget().0;
+                    }
+                    n += 1;
                 }
                 std::thread::sleep(Duration::from_millis(1));
             }
-            sum as f64 / n.max(1) as f64 / block as f64
+            sums.into_iter().max().unwrap() as f64 / n.max(1) as f64 / block as f64
         });
         while src.next_batch().is_some() {
             arrivals.push(Instant::now());
@@ -235,12 +221,31 @@ fn real_fleet_rate_is_within_a_stated_bound_of_the_window_model() {
     let window = *arrivals.last().unwrap() - arrivals[skip];
     let real = (arrivals.len() - 1 - skip) as f64 / window.as_secs_f64();
 
+    // Each block's one stager is its owner, dealt from the plan; the
+    // daemon that owns the most blocks is the one whose window runs out
+    // first.
+    let plan = Plan::build(&index, &["c".to_string()], &config);
+    let blocks = plan.epochs[0].nodes["c"].batches_in_plan_order();
+    let owned_by_d0 = (blocks.iter())
+        .filter(|b| {
+            let (shard_id, start, end) = (b.shard_id, b.start, b.end);
+            let key = BlockKey {
+                shard_id,
+                start,
+                end,
+            };
+            registry.owner_of(&key).as_deref() == Some("d0")
+        })
+        .count();
+    let share = owned_by_d0.max(blocks.len() - owned_by_d0) as f64 / blocks.len() as f64;
+
     // The model: each block has one stager, its owner, whose executor
     // keeps one read out per block its RAM tier holds, less the blocks it
     // holds landed; the fleet reads each block once and both daemons
     // deliver it. The owner of the largest share of the blocks has the
     // fewest positions in its reads: SLOTS of its blocks span SLOTS /
-    // share of the plan, and that bounds the fleet's window.
+    // share of the plan, and that bounds the fleet's window (2 · SLOTS
+    // positions when the deal is exact).
     // A read costs what the steady state's reads took on average, so load
     // that slows the reads slows the model with the run. None is cheaper
     // than the mount's own cost for it: a positioned read on an open handle

@@ -116,6 +116,9 @@ fn cached_epoch_populates_stage_histograms_and_stall_attribution() {
     }
     assert_eq!(daemon.stage(Stage::BatchAssemble).count, batches);
     assert_eq!(daemon.stage(Stage::Encode).count, batches);
+    // A solo cache never waits for a fleet's floor: the lockstep stage,
+    // nested in `batch_assemble` with the reads, records nothing.
+    assert_eq!(daemon.stage(Stage::FleetFloorWait).count, 0);
 
     // Receiver side: every consumed batch was traced, so dwell/transit/e2e
     // all count exactly `batches`, and the derived latencies nest:
@@ -203,6 +206,10 @@ fn cached_epoch_populates_stage_histograms_and_stall_attribution() {
         last(&read_stage[0].fields, "count"),
         last(path_fields, "storage_reads")
     );
+    // Solo, the lockstep's give-ups are written, as 0, and the report has
+    // no lockstep line.
+    assert_eq!(last(path_fields, "cache_floor_stalls"), 0);
+    assert!(!report.contains("lockstep:"), "{report}");
 
     // The line-protocol file reproduces the identical report.
     let path = dir.path().join("metrics.lp");

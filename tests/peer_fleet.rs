@@ -3,13 +3,14 @@
 //! owner crashing mid-epoch must degrade to direct NFS with zero lost or
 //! duplicated batches (the peer tier is an optimization, never a
 //! correctness dependency). Two cached members stage each block once
-//! between them, and a member that dies leaves the fleet's floor. The
-//! N-daemon fleet against its solo run is
-//! `tests/shared_storage_contention.rs`.
+//! between them, an exact half of the plan each, and walk it in lockstep;
+//! a member that dies leaves the fleet's floor, and one that stops reading
+//! costs the others one peer timeout. The N-daemon fleet against its solo
+//! run is `tests/shared_storage_contention.rs`.
 
 use emlio::bench::contention::shared_mount_storage;
 use emlio::cache::peer::{FleetRegistry, LocalPeer, PeerConfig, PeerFetch, PeerTransport};
-use emlio::cache::{CacheConfig, HashRing, ShardCache};
+use emlio::cache::{CacheConfig, ShardCache};
 use emlio::core::service::{Deployment, Fingerprint, StorageSpec};
 use emlio::core::{EmlioConfig, EmlioService, Plan, StackSpec};
 use emlio::datagen::convert::build_tfrecord_dataset;
@@ -245,7 +246,7 @@ fn a_healthy_fleet_keeps_one_copy_of_each_block() {
     // Two cached members over one mount, each RAM tier big enough for the
     // whole dataset: each block is staged by its owner alone, and passes
     // through the other's cache, so the two tiers end disjoint and hold
-    // the dataset once between them.
+    // the dataset once between them — each member an exact half of it.
     let dir = TempDir::new("peer-one-copy");
     let index = build_dataset(&dir);
     let mount = NfsMount::mount(
@@ -259,14 +260,12 @@ fn a_healthy_fleet_keeps_one_copy_of_each_block() {
         ..fleet_config().with_epochs(2)
     };
     let storage = shared_mount_storage(&index, &mount, 2, "d", Some(PeerConfig::default()));
+    let registry = storage[0].stack.registry().unwrap().clone();
     let mut dep = EmlioService::launch(&storage, &config, "n").unwrap();
     let delivery = dep.drain();
     delivery.served.unwrap();
     assert_eq!(delivery.batches, dep.total_batches());
 
-    let mut ring = HashRing::new();
-    ring.add("d0");
-    ring.add("d1");
     let keys: Vec<BTreeSet<BlockKey>> = (dep.daemon_metrics.iter())
         .map(|m| m.stack().unwrap().cache.as_ref().unwrap())
         .map(|cache| cache.ram_keys().into_iter().collect())
@@ -275,12 +274,138 @@ fn a_healthy_fleet_keeps_one_copy_of_each_block() {
     for (d, held) in keys.iter().enumerate() {
         let id = format!("d{d}");
         for key in held {
-            assert_eq!(ring.owner_of(key), Some(id.as_str()), "{key:?}");
+            assert_eq!(registry.owner_of(key), Some(id.clone()), "{key:?}");
         }
     }
     let planned: BTreeSet<BlockKey> = cache_plan(&index, &config).into_iter().collect();
     let held: BTreeSet<BlockKey> = keys[0].union(&keys[1]).copied().collect();
     assert_eq!(held, planned, "the fleet holds the dataset once");
+    // The plan's blocks are dealt exactly: half to each member.
+    let owned = |id: &str| {
+        let owns = |key: &&BlockKey| registry.owner_of(key).as_deref() == Some(id);
+        planned.iter().filter(owns).count()
+    };
+    assert_eq!(planned.len() % 2, 0, "an even number of blocks");
+    assert_eq!(
+        [owned("d0"), owned("d1")],
+        [planned.len() / 2; 2],
+        "an exact split"
+    );
+}
+
+#[test]
+fn two_members_walk_the_plan_in_lockstep() {
+    // Two cached members over a 5 ms mount, two send workers each: a
+    // member claims a plan position only once the other has claimed every
+    // position before it, so at every move of the floor the leading
+    // member's cursor is at most one position past it — and, the floor
+    // never stalling in a healthy fleet, that holds for the whole run.
+    let dir = TempDir::new("peer-lockstep");
+    let index = build_dataset(&dir);
+    let mount = NfsMount::mount(
+        dir.path(),
+        NetProfile::new("nfs-5ms", Duration::from_millis(5), 1.25e9),
+        RealClock::shared(),
+        NfsConfig::default(),
+    );
+    let config = EmlioConfig {
+        cache: Some(CacheConfig::default().with_ram_bytes(64 << 20)),
+        ..fleet_config().with_epochs(2)
+    };
+    let storage = shared_mount_storage(&index, &mount, 2, "d", Some(PeerConfig::default()));
+    let registry = storage[0].stack.registry().unwrap().clone();
+    let mut dep = EmlioService::launch(&storage, &config, "n").unwrap();
+    let delivery = dep.drain();
+    delivery.served.unwrap();
+    assert_eq!(delivery.batches, dep.total_batches());
+
+    let stats: Vec<_> = (dep.daemon_metrics.iter())
+        .map(|m| {
+            m.stack()
+                .unwrap()
+                .cache
+                .as_ref()
+                .unwrap()
+                .stats()
+                .snapshot()
+        })
+        .collect();
+    assert!(
+        stats.iter().all(|s| s.floor_stalls == 0),
+        "the floor stalled: {stats:?}"
+    );
+    let waits: Vec<u64> = (dep.daemon_recorders.iter())
+        .map(|r| r.snapshot().stage(Stage::FleetFloorWait).count)
+        .collect();
+    assert!(
+        registry.lead_peak() <= 1,
+        "a member ran {} positions past the floor (floor waits {waits:?})",
+        registry.lead_peak()
+    );
+}
+
+#[test]
+fn a_member_that_never_reads_costs_a_survivor_one_peer_timeout() {
+    // A cached survivor over a 5 ms mount beside a live member that
+    // installed the same plan and never reads: the survivor's first claim
+    // past the plan's head waits for the floor until one peer timeout has
+    // passed without it moving, gives up on it, and waits on it no more —
+    // the floor never moves again. Its drain takes a solo run's time and
+    // about one timeout more, and delivers what the solo run does.
+    const TIMEOUT: Duration = Duration::from_millis(300);
+    let dir = TempDir::new("peer-idle-member");
+    let index = build_dataset(&dir);
+    let config = EmlioConfig {
+        cache: Some(CacheConfig::default().with_ram_bytes(64 << 20)),
+        ..fleet_config().with_threads(1).with_epochs(2)
+    };
+    let nfs = || {
+        let profile = NetProfile::new("nfs-5ms", Duration::from_millis(5), 1.25e9);
+        let mount = NfsMount::mount(
+            dir.path(),
+            profile,
+            RealClock::shared(),
+            NfsConfig::default(),
+        );
+        StackSpec::over(Arc::new(NfsSource::new(index.clone(), mount)))
+    };
+    let t0 = Instant::now();
+    let (_, reference) = drain("solo", &index, &config, nfs());
+    let solo = t0.elapsed();
+
+    let registry = FleetRegistry::new();
+    registry.join("survivor");
+    registry.join("idle");
+    let idle = Arc::new(ShardCache::new(CacheConfig::default().with_ram_bytes(64 << 20)).unwrap());
+    registry.attach("idle", LocalPeer::new(&idle));
+    idle.set_plan(cache_plan(&index, &config));
+    let stack = nfs().in_fleet(
+        registry.clone(),
+        PeerConfig::default().with_timeout(TIMEOUT),
+    );
+    let t0 = Instant::now();
+    let (dep, delivered) = drain("survivor", &index, &config, stack);
+    let fleet = t0.elapsed();
+    assert_eq!(delivered, reference, "delivery is byte-identical");
+    let survivor = dep.daemon_metrics[0]
+        .stack()
+        .unwrap()
+        .cache
+        .clone()
+        .unwrap();
+    let s = survivor.stats().snapshot();
+    assert_eq!(
+        s.floor_stalls, 1,
+        "one give-up, on a floor that never moves: {s:?}"
+    );
+    let recorded = dep.daemon_recorders[0].snapshot();
+    let waited = recorded.stage(Stage::FleetFloorWait);
+    assert_eq!(waited.count, 1, "{waited:?}");
+    assert!(
+        fleet <= solo + TIMEOUT * 3 / 2,
+        "the survivor drained in {fleet:?}, a solo run in {solo:?} (timeout {TIMEOUT:?})"
+    );
+    drop(idle);
 }
 
 #[test]

@@ -7,7 +7,7 @@
 //! are counted.
 #![cfg(target_os = "linux")]
 
-use emlio::cache::CacheConfig;
+use emlio::cache::{CacheConfig, ShardCache};
 use emlio::core::daemon::local_connections_per_worker;
 use emlio::core::service::StorageSpec;
 use emlio::core::{EmlioConfig, EmlioService};
@@ -18,7 +18,7 @@ use emlio::pipeline::PipelineBuilder;
 use emlio::tfrecord::ShardSpec;
 use emlio::util::testutil::{poll_until, TempDir};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Each role's name as `comm` shows it: a prefix of at most 15 bytes.
@@ -100,8 +100,10 @@ fn census(harness: &[u32]) -> BTreeMap<&'static str, usize> {
 }
 
 /// Wait for the census to equal `expect`, prefetch reads left out (they
-/// come and go with the blocks they stage).
-fn settles_at(harness: &[u32], expect: &[(&str, usize)]) {
+/// come and go with the blocks they stage). A census that does not settle
+/// fails with the counters of the deployment's `caches`, which say where
+/// its cache's threads stood.
+fn settles_at(harness: &[u32], expect: &[(&str, usize)], caches: &[Arc<ShardCache>]) {
     let expect: BTreeMap<&str, usize> = expect.iter().copied().collect();
     let mut last = BTreeMap::new();
     let settled = poll_until(Duration::from_secs(10), || {
@@ -109,7 +111,11 @@ fn settles_at(harness: &[u32], expect: &[(&str, usize)]) {
         last.remove("emlio-pf-read");
         last == expect
     });
-    assert!(settled, "threads per role {last:?}, expected {expect:?}");
+    let counters: Vec<_> = caches.iter().map(|cache| cache.snapshot()).collect();
+    assert!(
+        settled,
+        "threads per role {last:?}, expected {expect:?}; cache counters {counters:?}"
+    );
 }
 
 #[test]
@@ -147,6 +153,9 @@ fn every_data_path_thread_names_exactly_one_role() {
     // The consumer is paused: every queue fills and each thread blocks in
     // its role, so the census settles at the formula.
     let s = local_connections_per_worker(T);
+    let caches: Vec<Arc<ShardCache>> = (dep.daemon_metrics.iter())
+        .filter_map(|m| m.stack()?.cache.clone())
+        .collect();
     settles_at(
         &harness,
         &[
@@ -160,6 +169,7 @@ fn every_data_path_thread_names_exactly_one_role() {
             ("pipeline-feeder", 1),
             ("pipeline-worker", 2),
         ],
+        &caches,
     );
 
     // The rest of the stream is drained without the pipeline's work.
@@ -212,6 +222,7 @@ fn a_wan_deployment_adds_two_relays_per_proxied_connection() {
             ("pipeline-feeder", 1),
             ("pipeline-worker", 1),
         ],
+        &[],
     );
 
     drop(pipe);
@@ -253,6 +264,7 @@ fn a_cold_local_deployment_runs_no_cache_threads() {
             ("zmq-pull-accept", 1),
             ("zmq-pull-read:", s),
         ],
+        &[],
     );
     // With no cache nothing is staged: no executor, and not one read of
     // it came and went.
